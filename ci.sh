@@ -37,12 +37,16 @@ echo "==> per-frame admission verify: GARNET_TEST_BATCH=perframe determinism + t
 GARNET_TEST_BATCH=perframe cargo test -q --test determinism --test tracing
 GARNET_TEST_BATCH=perframe cargo test -q --test determinism --test tracing --features trace
 
-# The durable archive (ISSUE 7): the garnet-store suite in both feature
-# configs, and the replay bit-identity suite re-hosted on the threaded
-# graph — a boundary log written under either engine must rebuild
-# dispatch state identically whatever engine replays it.
-echo "==> archive verify: garnet-store suite + replay bit-identity under the threaded driver"
-cargo test -q -p garnet-store
+# Tier-1 runs the root package only; the member crates' own unit and
+# integration suites are gated here.
+echo "==> workspace verify: cargo test -q --workspace"
+cargo test -q --workspace
+
+# The durable archive (ISSUE 7): the garnet-store suite with the flight
+# recorder compiled in, and the replay bit-identity suite re-hosted on
+# the threaded graph — a boundary log written under either engine must
+# rebuild dispatch state identically whatever engine replays it.
+echo "==> archive verify: garnet-store suite (trace) + replay bit-identity under the threaded driver"
 cargo test -q -p garnet-store --features garnet-simkit/trace
 GARNET_TEST_DRIVER=threaded cargo test -q --test archive_replay
 GARNET_TEST_BATCH=perframe cargo test -q --test archive_replay

@@ -11,9 +11,14 @@
 //! any shard layout, batched or per-frame. Records are encoded at the
 //! tap, which also makes the logged bytes independent of worker timing.
 //!
+//! The tap commits once per facade call: the call's records — a whole
+//! `on_frames` burst, or the single record of a tick or an ack — are
+//! encoded into one reused buffer and handed to the sink together, one
+//! store write per segment touched.
+//!
 //! Storage must never stall delivery. Under the FIFO engine the log is
 //! written inline (the simulation reference is single-threaded anyway);
-//! under the threaded engine appends go through the bounded
+//! under the threaded engine bursts go through the bounded
 //! [`garnet_net::Archiver`] queue and are *refused* — counted, not
 //! waited for — when the queue is full or the backend is wedged. The
 //! [`ArchiveLedger`] accounts for every offered record as
@@ -32,7 +37,6 @@ use garnet_simkit::SimTime;
 use garnet_store::{
     ArchiveRecord, FileStore, FrameArchive, MemStore, RecoveryReport, SegmentStore, StoreError,
 };
-use garnet_wire::{AckStatus, FrameBytes, RequestId};
 
 use crate::driver::DriverKind;
 
@@ -68,8 +72,9 @@ pub struct ArchiveConfig {
     pub backend: ArchiveBackend,
     /// Segment roll-over threshold in bytes.
     pub segment_max_bytes: u64,
-    /// Bounded append queue depth for the threaded writer; appends are
-    /// refused (counted dropped) beyond it.
+    /// Most records in flight to the threaded writer (enqueued, not
+    /// yet written); the records of a burst that would exceed it are
+    /// refused (counted dropped) without blocking.
     pub queue_capacity: usize,
     /// Bounded wait for flush and shutdown drains.
     pub flush_timeout: Duration,
@@ -92,11 +97,13 @@ impl Default for ArchiveConfig {
 pub struct ArchiveLedger {
     /// Records offered to the tap.
     pub offered: u64,
-    /// Records durably appended.
+    /// Records the store accepted: handed to the OS, so they survive
+    /// this process; they survive the machine after the next successful
+    /// `Garnet::flush_archive` or `Garnet::shutdown`.
     pub archived: u64,
     /// Records refused (full queue, failed store, disabled sink).
     pub dropped: u64,
-    /// Records enqueued but not yet confirmed durable
+    /// Records enqueued but not yet written
     /// (`offered - archived - dropped`; nonzero only for the threaded
     /// writer between pumps).
     pub pending: u64,
@@ -144,6 +151,10 @@ pub struct ArchiveService {
     flushes: u64,
     flush_failures: u64,
     tracer: Tracer,
+    /// The burst being committed: its records encoded back to back, and
+    /// the offset one past each. Reused across calls.
+    burst: Vec<u8>,
+    burst_ends: Vec<usize>,
 }
 
 impl ArchiveService {
@@ -197,6 +208,8 @@ impl ArchiveService {
             flushes: 0,
             flush_failures: 0,
             tracer: Tracer::new(TraceConfig { capacity: trace_capacity }),
+            burst: Vec::new(),
+            burst_ends: Vec::new(),
         }
     }
 
@@ -232,44 +245,49 @@ impl ArchiveService {
         self.tracer.snapshot()
     }
 
-    /// Appends one record (pre-encoded here, so logged bytes never
-    /// depend on writer timing). Records the hop in the tap's tracer.
-    pub(crate) fn append(&mut self, record: &ArchiveRecord, now: SimTime) {
-        self.offered += 1;
-        let bytes = record.encode();
+    /// Appends one facade call's records as a single commit (encoded
+    /// here, so logged bytes never depend on writer timing): one store
+    /// write per segment touched inline, one queue hand-off threaded.
+    /// The sink takes a prefix of the burst; the rest counts dropped.
+    /// Records one hop per record in the tap's tracer.
+    pub(crate) fn append(
+        &mut self,
+        records: impl Iterator<Item = ArchiveRecord> + Clone,
+        now: SimTime,
+    ) {
+        self.burst.clear();
+        self.burst_ends.clear();
+        for record in records.clone() {
+            record.encode_into(&mut self.burst);
+            self.burst_ends.push(self.burst.len());
+        }
         let accepted = match &mut self.sink {
-            Sink::Inline(archive) => match archive.append_bytes(&bytes) {
-                Ok(()) => {
-                    self.inline_archived += 1;
-                    true
-                }
-                Err(e) => {
-                    self.dropped += 1;
+            Sink::Inline(archive) => {
+                let (landed, result) = archive.append_burst(&self.burst, &self.burst_ends);
+                self.inline_archived += landed as u64;
+                if let Err(e) = result {
                     self.last_error = Some(e);
-                    false
                 }
-            },
-            Sink::Threaded(arch) => {
-                let queued = arch.try_append(bytes);
-                if !queued {
-                    self.dropped += 1;
-                }
-                queued
+                landed
             }
-            Sink::Disabled => {
-                self.dropped += 1;
-                false
-            }
+            Sink::Threaded(arch) => arch.try_append(&self.burst, &self.burst_ends),
+            Sink::Disabled => 0,
         };
-        self.tracer.record(|| TraceRecord {
-            stream: record.stream().map(|s| s.to_raw()),
-            ..TraceRecord::new(
-                now.as_micros(),
-                TraceStage::Archive,
-                TraceEventKind::ArchiveAppend,
-                if accepted { TraceOutcome::Delivered } else { TraceOutcome::Shed },
-            )
-        });
+        self.offered += self.burst_ends.len() as u64;
+        self.dropped += (self.burst_ends.len() - accepted) as u64;
+        if self.tracer.is_enabled() {
+            for (i, record) in records.enumerate() {
+                self.tracer.record(|| TraceRecord {
+                    stream: record.stream().map(|s| s.to_raw()),
+                    ..TraceRecord::new(
+                        now.as_micros(),
+                        TraceStage::Archive,
+                        TraceEventKind::ArchiveAppend,
+                        if i < accepted { TraceOutcome::Delivered } else { TraceOutcome::Shed },
+                    )
+                });
+            }
+        }
     }
 
     /// Flushes pending appends within the configured bounded timeout.
@@ -335,26 +353,4 @@ impl ArchiveService {
         }
         flushed && !timed_out
     }
-}
-
-/// Builds the boundary records for the facade. Free functions so the
-/// facade can construct records without reaching into `garnet-store`
-/// types directly.
-pub(crate) fn frame_record(
-    receiver: u32,
-    rssi_dbm: f64,
-    frame: FrameBytes,
-    now: SimTime,
-) -> ArchiveRecord {
-    ArchiveRecord::frame(receiver, rssi_dbm, frame, now)
-}
-
-/// A maintenance-tick marker.
-pub(crate) fn tick_record(now: SimTime) -> ArchiveRecord {
-    ArchiveRecord::tick(now)
-}
-
-/// A standalone-acknowledgement record.
-pub(crate) fn ack_record(request_id: RequestId, status: AckStatus, now: SimTime) -> ArchiveRecord {
-    ArchiveRecord::ack(request_id, status, now)
 }

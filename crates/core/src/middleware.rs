@@ -46,13 +46,14 @@ use garnet_radio::geometry::Point;
 use garnet_radio::{Receiver, ReceiverId, Transmitter};
 use garnet_simkit::trace::TraceSnapshot;
 use garnet_simkit::{stage_key, SimTime};
+use garnet_store::ArchiveRecord;
 use garnet_wire::{
     AckStatus, ActuationTarget, DataMessage, FrameBytes, RequestId, SensorCommand, SensorId,
     SequenceNumber, StreamId, StreamUpdateRequest,
 };
 
 use crate::actuation::{ActuationConfig, ActuationService};
-use crate::archive::{ack_record, frame_record, tick_record, ArchiveConfig, ArchiveService};
+use crate::archive::{ArchiveConfig, ArchiveService};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
 use crate::driver::{
@@ -718,15 +719,13 @@ impl Garnet {
             .collect();
         // Archive-before-admit: the tap logs every offered frame (even
         // ones the overload policy later sheds), so a replayed log
-        // re-offers the identical boundary input. `FrameBytes` clones
-        // are reference-counted — no payload copy.
+        // re-offers the identical boundary input — the whole burst in
+        // one commit. `FrameBytes` clones are reference-counted.
         if let Some(archive) = &mut self.archive {
-            for f in &batch {
-                archive.append(
-                    &frame_record(f.receiver.as_u32(), f.rssi_dbm, f.frame.clone(), now),
-                    now,
-                );
-            }
+            let records = batch.iter().map(|f| {
+                ArchiveRecord::frame(f.receiver.as_u32(), f.rssi_dbm, f.frame.clone(), now)
+            });
+            archive.append(records, now);
         }
         if self.qos.is_some() {
             // The scheduler owns admission: every frame offers into the
@@ -844,7 +843,7 @@ impl Garnet {
     /// streams are disabled).
     pub fn on_standalone_ack(&mut self, request_id: RequestId, status: AckStatus, now: SimTime) {
         if let Some(archive) = &mut self.archive {
-            archive.append(&ack_record(request_id, status, now), now);
+            archive.append(std::iter::once(ArchiveRecord::ack(request_id, status, now)), now);
         }
         self.route_event(ServiceEvent::AckReceived { request_id, status }, now);
         let mut scratch = StepOutput::default();
@@ -856,7 +855,7 @@ impl Garnet {
     pub fn on_tick(&mut self, now: SimTime) -> StepOutput {
         let mut out = StepOutput::default();
         if let Some(archive) = &mut self.archive {
-            archive.append(&tick_record(now), now);
+            archive.append(std::iter::once(ArchiveRecord::tick(now)), now);
         }
         self.route_event(ServiceEvent::FlushReorder, now);
         self.pump(now, &mut out);
@@ -1613,8 +1612,7 @@ impl Garnet {
     /// [`Garnet::on_standalone_ack`]. Replaying a log into a fresh,
     /// identically-configured facade rebuilds dispatch state
     /// bit-identically on either engine.
-    pub fn replay_archive(&mut self, records: &[garnet_store::ArchiveRecord]) -> StepOutput {
-        use garnet_store::ArchiveRecord;
+    pub fn replay_archive(&mut self, records: &[ArchiveRecord]) -> StepOutput {
         let mut out = StepOutput::default();
         let mut burst: Vec<(ReceiverId, f64, FrameBytes)> = Vec::new();
         let mut burst_at: u64 = 0;

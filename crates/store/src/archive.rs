@@ -207,17 +207,58 @@ impl FrameArchive {
         self.append_bytes(&rec.encode())
     }
 
-    /// Appends one pre-encoded record (the archiver worker's hand-off
-    /// format: the facade encodes on its own thread, so record bytes —
-    /// and therefore the archive — are independent of worker timing).
+    /// Appends one pre-encoded record: a burst of one.
     pub fn append_bytes(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        if self.current_len > 0 && self.current_len + bytes.len() as u64 > self.segment_max_bytes {
-            self.current += 1;
-            self.current_len = 0;
+        self.append_burst(bytes, &[bytes.len()]).1
+    }
+
+    /// Appends a burst of pre-encoded records with one
+    /// [`SegmentStore::append`] per segment touched. `bytes` holds the
+    /// records back to back and `ends[i]` is the offset one past record
+    /// `i` (ascending, the last equal to `bytes.len()`). Segments roll
+    /// at exactly the record boundaries record-by-record appends would
+    /// roll at, so the stored bytes do not depend on how the caller
+    /// grouped records into bursts.
+    ///
+    /// Returns how many records landed — always a prefix of the burst —
+    /// and the backend error that stopped the rest, if one did. The
+    /// archive stays usable after an error.
+    pub fn append_burst(
+        &mut self,
+        bytes: &[u8],
+        ends: &[usize],
+    ) -> (usize, Result<(), StoreError>) {
+        let before = self.appended;
+        let result = self.write_burst(bytes, ends);
+        ((self.appended - before) as usize, result)
+    }
+
+    fn write_burst(&mut self, bytes: &[u8], ends: &[usize]) -> Result<(), StoreError> {
+        // The records headed for the current segment: where they start,
+        // where the last one ends, how many.
+        let (mut start, mut prev, mut records) = (0, 0, 0);
+        for &end in ends {
+            assert!(prev <= end && end <= bytes.len(), "record ends must ascend within bytes");
+            let segment_len = self.current_len + (prev - start) as u64;
+            if segment_len > 0 && segment_len + (end - prev) as u64 > self.segment_max_bytes {
+                self.commit(&bytes[start..prev], records)?;
+                (start, records) = (prev, 0);
+                self.current += 1;
+                self.current_len = 0;
+            }
+            prev = end;
+            records += 1;
         }
-        self.store.append(self.current, bytes)?;
-        self.current_len += bytes.len() as u64;
-        self.appended += 1;
+        self.commit(&bytes[start..prev], records)
+    }
+
+    /// Writes `records` records' worth of `bytes` to the current segment.
+    fn commit(&mut self, bytes: &[u8], records: u64) -> Result<(), StoreError> {
+        if records > 0 {
+            self.store.append(self.current, bytes)?;
+            self.current_len += bytes.len() as u64;
+            self.appended += records;
+        }
         Ok(())
     }
 

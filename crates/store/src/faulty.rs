@@ -8,6 +8,12 @@
 //! kernel's [`SimRng`], so a given `(plan, operation sequence)` pair
 //! injects exactly the same faults on every run — which is what lets
 //! crash-recovery tests assert byte-exact truncation points.
+//!
+//! Faults are drawn per store operation. The archive writes a whole
+//! burst of records with one [`SegmentStore::append`] per segment
+//! touched, so an append-side rate is a rate per burst, not per record:
+//! a torn write cuts anywhere in the burst, and `stall_after_appends`
+//! counts bursts.
 
 use garnet_simkit::SimRng;
 use rand::RngCore;
@@ -26,8 +32,9 @@ pub struct FaultPlan {
     pub bit_flip_per_mille: u16,
     /// Per-mille chance a read returns a strict prefix of the segment.
     pub short_read_per_mille: u16,
-    /// After this many successful appends, every further append fails
-    /// with [`StoreError::Stalled`] (`None` = never stalls).
+    /// After this many successful appends (store writes, each carrying
+    /// one or more records), every further append fails with
+    /// [`StoreError::Stalled`] (`None` = never stalls).
     pub stall_after_appends: Option<u64>,
     /// Wall-clock sleep injected into each stalled append, to wedge an
     /// archiver worker for flush-timeout tests (`None` = fail fast).

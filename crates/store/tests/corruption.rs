@@ -4,20 +4,28 @@
 //! a decoded frame can escape. A corrupt byte stream either truncates
 //! cleanly at the recovery scan or fails a replay read loudly; it never
 //! round-trips into an [`ArchiveRecord`] that differs from an appended
-//! one.
+//! one. And grouping records into bursts changes how many store writes
+//! carry them, never the bytes stored.
 
 use garnet_simkit::SimTime;
 use garnet_store::{
-    ArchiveRecord, FaultPlan, FaultyStore, FrameArchive, MemStore, SegmentStore, StoreError,
+    ArchiveRecord, FaultPlan, FaultyStore, FrameArchive, MemStore, SegmentId, SegmentStore,
+    StoreError,
 };
-use garnet_wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet_wire::{
+    AckStatus, DataMessage, FrameBytes, RequestId, SensorId, SequenceNumber, StreamId, StreamIndex,
+};
 use proptest::prelude::*;
 
 fn frame_rec(sensor: u32, seq: u16, at: u64) -> ArchiveRecord {
+    frame_with(sensor, seq, at, vec![seq as u8, sensor as u8])
+}
+
+fn frame_with(sensor: u32, seq: u16, at: u64, payload: Vec<u8>) -> ArchiveRecord {
     let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
     let wire = DataMessage::builder(stream)
         .seq(SequenceNumber::new(seq))
-        .payload(vec![seq as u8, sensor as u8])
+        .payload(payload)
         .build()
         .unwrap()
         .encode_to_vec();
@@ -66,7 +74,79 @@ fn run_faulty(
     (appended, recovered, injected)
 }
 
+/// Encodes `records` back to back, with the offset one past each.
+fn encode_burst(records: &[ArchiveRecord]) -> (Vec<u8>, Vec<usize>) {
+    let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+    for rec in records {
+        rec.encode_into(&mut bytes);
+        ends.push(bytes.len());
+    }
+    (bytes, ends)
+}
+
+/// Every segment's bytes, by id.
+fn segment_bytes(archive: FrameArchive) -> Vec<(SegmentId, Vec<u8>)> {
+    let mut store = archive.into_store();
+    let ids = store.segments().unwrap();
+    ids.into_iter().map(|id| (id, store.read(id).unwrap())).collect()
+}
+
+/// The record mix the facade logs: frames of varying payload length
+/// (`kind` ≥ 2), ticks and acks.
+fn mixed_rec(kind: u8, i: u16) -> ArchiveRecord {
+    let at = SimTime::from_micros(u64::from(i));
+    match kind {
+        0 => ArchiveRecord::tick(at),
+        1 => ArchiveRecord::ack(RequestId::new(u32::from(i)), AckStatus::Applied, at),
+        len => frame_with(1, i, u64::from(i), vec![i as u8; usize::from(len)]),
+    }
+}
+
 proptest! {
+    /// Group commit changes the number of store writes, not the stored
+    /// bytes: for any record sequence, any split into bursts and any
+    /// (small) segment bound, burst appends leave exactly the segments
+    /// that record-by-record appends leave — which are those of the
+    /// roll rule written out by hand below.
+    #[test]
+    fn burst_appends_store_the_same_bytes_as_per_record_appends(
+        kinds in proptest::collection::vec(0u8..40, 1..60),
+        splits in proptest::collection::vec(1usize..12, 1..8),
+        segment_max in 1u64..400,
+    ) {
+        let records: Vec<ArchiveRecord> =
+            kinds.iter().enumerate().map(|(i, &k)| mixed_rec(k, i as u16)).collect();
+
+        let mut by_hand: Vec<(SegmentId, Vec<u8>)> = vec![(0, Vec::new())];
+        for rec in &records {
+            let bytes = rec.encode();
+            let (id, current) = by_hand.last().unwrap();
+            if !current.is_empty() && (current.len() + bytes.len()) as u64 > segment_max {
+                by_hand.push((id + 1, Vec::new()));
+            }
+            by_hand.last_mut().unwrap().1.extend_from_slice(&bytes);
+        }
+
+        let open = || FrameArchive::open(Box::new(MemStore::new()), segment_max).unwrap().0;
+        let mut per_record = open();
+        for rec in &records {
+            per_record.append_bytes(&rec.encode()).unwrap();
+        }
+        let mut bursts = open();
+        let (mut from, mut k) = (0, 0);
+        while from < records.len() {
+            let to = (from + splits[k % splits.len()]).min(records.len());
+            let (bytes, ends) = encode_burst(&records[from..to]);
+            let (landed, result) = bursts.append_burst(&bytes, &ends);
+            prop_assert_eq!((landed, result), (to - from, Ok(())));
+            (from, k) = (to, k + 1);
+        }
+        prop_assert_eq!(bursts.appended(), records.len() as u64);
+        prop_assert_eq!(bursts.current_segment(), per_record.current_segment());
+        prop_assert_eq!(&segment_bytes(per_record), &by_hand);
+        prop_assert_eq!(&segment_bytes(bursts), &by_hand);
+    }
+
     /// Write-path faults: whatever the fault mix, every recovered
     /// record is byte-identical to a record that was actually appended,
     /// in appended order (a prefix, possibly with one corrupted-segment
@@ -161,4 +241,49 @@ fn every_torn_tail_is_cut_exactly_at_the_last_acknowledged_record() {
         let (mut archive, _) = FrameArchive::open(Box::new(store), 1 << 20).unwrap();
         assert_eq!(archive.read_all().unwrap(), good, "cut at {cut}: torn record resurrected");
     }
+}
+
+/// The same for a burst: one store write carrying four records, torn at
+/// every possible byte offset. Recovery returns exactly the records
+/// wholly before the cut — a torn burst loses its torn record and those
+/// after it, nothing before — and the reopened archive resumes at the
+/// cut, so re-sending the lost ones leaves a clean, complete log.
+#[test]
+fn a_torn_burst_loses_exactly_the_records_at_and_after_the_cut() {
+    let good: Vec<ArchiveRecord> = (0..3u16).map(|s| frame_rec(1, s, u64::from(s))).collect();
+    let burst: Vec<ArchiveRecord> = (3..7u16).map(|s| mixed_rec((s % 4) as u8 * 5, s)).collect();
+    let (good_bytes, _) = encode_burst(&good);
+    let (burst_bytes, ends) = encode_burst(&burst);
+
+    // FaultyStore draws its cut from the seed: walk seeds until every
+    // offset of the burst has been the cut.
+    let mut cuts_seen = vec![false; burst_bytes.len()];
+    for seed in 0..20_000 {
+        if cuts_seen.iter().all(|&seen| seen) {
+            break;
+        }
+        let mut base = MemStore::new();
+        base.append(0, &good_bytes).unwrap();
+        let plan = FaultPlan { seed, torn_write_per_mille: 1000, ..FaultPlan::default() };
+        let mut store = FaultyStore::new(base, plan);
+        store.append(0, &burst_bytes).unwrap();
+        assert_eq!(store.ledger().torn_writes, 1);
+        let mut store = store.into_inner();
+        let cut = store.len(0).unwrap() as usize - good_bytes.len();
+        if std::mem::replace(&mut cuts_seen[cut], true) {
+            continue;
+        }
+
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        let (mut archive, report) = FrameArchive::open(Box::new(store), 1 << 20).unwrap();
+        assert_eq!(report.records as usize, good.len() + whole, "cut at {cut}");
+        let on_boundary = cut == 0 || ends.contains(&cut);
+        assert_eq!(report.truncation.is_none(), on_boundary, "cut at {cut}");
+
+        let (bytes, ends) = encode_burst(&burst[whole..]);
+        assert_eq!(archive.append_burst(&bytes, &ends), (burst.len() - whole, Ok(())));
+        let all: Vec<ArchiveRecord> = good.iter().chain(&burst).cloned().collect();
+        assert_eq!(archive.read_all().unwrap(), all, "cut at {cut}: resumed log");
+    }
+    assert!(cuts_seen.iter().all(|&seen| seen), "20 000 seeds must reach every cut point");
 }

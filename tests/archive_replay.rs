@@ -12,6 +12,9 @@
 //! 3. **Graceful degradation** — a stalled or failing backend never
 //!    stalls delivery, and `Garnet::shutdown` reports a wedged drain as
 //!    the typed `GarnetError::ArchiveFlushTimeout`.
+//! 4. **Group commit** — the tap commits once per facade call, and the
+//!    ledger still counts records: a burst the sink takes only part of
+//!    is accounted for record by record, and what lands is a prefix.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -22,6 +25,7 @@ use garnet::core::middleware::{Garnet, GarnetConfig, GarnetError};
 use garnet::core::{store_slot, ArchiveBackend, ArchiveConfig, DriverKind, StoreSlot};
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
+use garnet::simkit::trace::TraceOutcome;
 use garnet::simkit::SimTime;
 use garnet::store::{ArchiveRecord, FaultPlan, FaultyStore, FrameArchive, MemStore, SegmentStore};
 use garnet::wire::{
@@ -355,6 +359,104 @@ fn stalled_archive_degrades_gracefully_and_ledger_balances() {
     assert!(matches!(g.shutdown(SimTime::from_millis(3)), Err(GarnetError::ArchiveFlushTimeout)));
     // The facade still answers reads after the failed drain.
     assert_eq!(g.archive_ledger().unwrap().dropped, 20);
+}
+
+/// One burst of `n` frames of sensor 2 (subscribed), seqs from `from`.
+fn burst_of(from: u16, n: u16) -> Vec<(ReceiverId, f64, Vec<u8>)> {
+    (from..from + n).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect()
+}
+
+/// The frame records `burst_of(from, n)` offered at `at` must log as.
+fn records_of(from: u16, n: u16, at: SimTime) -> Vec<ArchiveRecord> {
+    (from..from + n).map(|s| ArchiveRecord::frame(0, -45.0, frame(2, s).into(), at)).collect()
+}
+
+fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
+    let store = slot.lock().unwrap().take().expect("store returned to the slot");
+    FrameArchive::open(store, 1 << 20).unwrap().0.read_all().unwrap()
+}
+
+#[test]
+fn burst_larger_than_the_queue_is_accounted_per_record_on_the_threaded_engine() {
+    let slot = store_slot(Box::new(MemStore::new()));
+    let archive = ArchiveConfig { queue_capacity: 16, ..custom_archive(&slot) };
+    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, true, Some(archive)));
+    let (t1, t2) = (SimTime::from_millis(1), SimTime::from_millis(2));
+
+    // 100 records against room for 16: the burst's first 16 are
+    // enqueued, the other 84 refused — without holding up delivery.
+    g.on_frames(burst_of(0, 100), t1);
+    assert_eq!(log.lock().unwrap().len(), 100, "every frame delivered");
+    let l = g.archive_ledger().unwrap();
+    assert_eq!((l.offered, l.dropped), (100, 84));
+    assert_eq!(l.archived + l.pending, 16);
+    if cfg!(feature = "trace") {
+        // The tap's flight recorder still sees one hop per record.
+        let hops = g.archive_trace_snapshot().records;
+        let shed = hops.iter().filter(|h| h.outcome == TraceOutcome::Shed).count();
+        assert_eq!((hops.len(), shed), (100, 84));
+    }
+
+    g.flush_archive(t1).expect("healthy store flushes");
+    let l = g.archive_ledger().unwrap();
+    assert_eq!((l.offered, l.archived, l.dropped, l.pending), (100, 16, 84, 0));
+
+    // The queue drained: a burst that fits is taken whole.
+    g.on_frames(burst_of(100, 10), t2);
+    g.shutdown(SimTime::from_millis(3)).expect("healthy store shuts down");
+    let l = g.archive_ledger().unwrap();
+    assert_eq!((l.offered, l.archived, l.dropped, l.pending), (110, 26, 84, 0));
+    assert_eq!(log.lock().unwrap().len(), 110);
+
+    let expected: Vec<_> =
+        records_of(0, 16, t1).into_iter().chain(records_of(100, 10, t2)).collect();
+    assert_eq!(recovered_log(&slot), expected, "what landed is each burst's prefix, in order");
+}
+
+#[test]
+fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
+    // Segments of exactly three records, and a store that dies after
+    // two writes: a 20-record burst is five segment writes, so its
+    // first six records land and the other fourteen are dropped.
+    let t1 = SimTime::from_millis(1);
+    let record_len = records_of(0, 1, t1)[0].encoded_len() as u64;
+    let faulty = FaultyStore::new(
+        MemStore::new(),
+        FaultPlan { stall_after_appends: Some(2), ..FaultPlan::default() },
+    );
+    let slot = store_slot(Box::new(faulty));
+    let archive = ArchiveConfig { segment_max_bytes: 3 * record_len, ..custom_archive(&slot) };
+    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, true, Some(archive)));
+
+    g.on_frames(burst_of(0, 20), t1);
+    assert_eq!(log.lock().unwrap().len(), 20, "every frame delivered");
+    let l = g.archive_ledger().unwrap();
+    assert_eq!((l.offered, l.archived, l.dropped, l.pending), (20, 6, 14, 0));
+
+    assert!(matches!(g.shutdown(SimTime::from_millis(2)), Err(GarnetError::ArchiveFlushTimeout)));
+    assert_eq!(recovered_log(&slot), records_of(0, 6, t1), "the burst's prefix survives");
+}
+
+#[test]
+fn tick_and_ack_between_bursts_land_in_append_order() {
+    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+        let slot = store_slot(Box::new(MemStore::new()));
+        let (mut g, _log) = fresh_garnet(config(driver, 2, 2, true, Some(custom_archive(&slot))));
+        let at = |ms| SimTime::from_millis(ms);
+        g.on_frames(burst_of(0, 5), at(1));
+        g.on_tick(at(2));
+        g.on_standalone_ack(RequestId::new(7), AckStatus::Deferred, at(3));
+        g.on_frames(burst_of(5, 5), at(4));
+        g.shutdown(at(5)).expect("clean store, shutdown flushes");
+
+        let mut expected = records_of(0, 5, at(1));
+        expected.push(ArchiveRecord::tick(at(2)));
+        expected.push(ArchiveRecord::ack(RequestId::new(7), AckStatus::Deferred, at(3)));
+        expected.extend(records_of(5, 5, at(4)));
+        assert_eq!(recovered_log(&slot), expected, "{driver:?}");
+        let l = g.archive_ledger().unwrap();
+        assert_eq!((l.offered, l.archived, l.dropped, l.pending), (12, 12, 0, 0), "{driver:?}");
+    }
 }
 
 #[test]
