@@ -93,4 +93,13 @@ if cargo run -q -p garnet-ctl --bin garnetctl -- health "$starved_sink"; then
   exit 1
 fi
 
+# The benchmark (ISSUE 11) is a package of its own that compiles against
+# garnet-core's public items and checks every workload's books. Build it
+# offline and run its correctness pass (~1 s), so a change to an item it
+# uses, or one that unbalances a ledger, fails here rather than in the
+# acceptance run.
+echo "==> benchmark verify: perfbench builds offline, perf --quick passes"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perfbench/target/release/perf --quick
+
 echo "==> CI green"

@@ -58,8 +58,10 @@ pub fn run_dispatch_point_batched(
     let mut count = |roots: Vec<garnet_core::RootOutput>| {
         for root in roots {
             for out in root.outputs {
-                if matches!(out, ServiceOutput::Deliver { .. }) {
-                    delivered += 1;
+                // One `Deliver` per routed message: a delivery is one
+                // (message, recipient) pair.
+                if let ServiceOutput::Deliver { recipients, .. } = out {
+                    delivered += recipients.len() as u64;
                 }
             }
         }

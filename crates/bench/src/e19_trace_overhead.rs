@@ -60,8 +60,10 @@ pub fn run_trace_point(workload: &[garnet_wire::FrameBytes], shards: usize) -> S
     let mut count = |roots: Vec<garnet_core::RootOutput>| {
         for root in roots {
             for out in root.outputs {
-                if matches!(out, ServiceOutput::Deliver { .. }) {
-                    delivered += 1;
+                // One `Deliver` per routed message: a delivery is one
+                // (message, recipient) pair.
+                if let ServiceOutput::Deliver { recipients, .. } = out {
+                    delivered += recipients.len() as u64;
                 }
             }
         }
@@ -111,10 +113,11 @@ pub fn run_fifo_point(workload: &[garnet_wire::FrameBytes]) -> ShardPoint {
     });
     let mut delivered = 0u64;
     let mut pump = |router: &mut Router, now: SimTime| {
-        while let Some(outs) = router.step(now) {
-            for out in outs {
-                if matches!(out, ServiceOutput::Deliver { .. }) {
-                    delivered += 1;
+        let mut outs = Vec::new();
+        while router.step(now, &mut outs) {
+            for out in outs.drain(..) {
+                if let ServiceOutput::Deliver { recipients, .. } = out {
+                    delivered += recipients.len() as u64;
                 }
             }
         }

@@ -72,14 +72,6 @@ impl DispatchingService {
         DispatchingService { cache: MatchCache::new(cache), ..Self::default() }
     }
 
-    /// Builds the service over a pre-populated subscription table — the
-    /// per-worker snapshot constructor used by threaded dispatch shards,
-    /// which route against a frozen copy of the table instead of sharing
-    /// the live one.
-    pub fn with_table(table: SubscriptionTable) -> Self {
-        DispatchingService { table, ..Self::default() }
-    }
-
     /// Allocates a fresh subscriber identity.
     pub fn register_subscriber(&mut self) -> SubscriberId {
         let id = SubscriberId::new(self.next_subscriber);

@@ -201,9 +201,10 @@ impl DispatchStats {
 ///
 /// The contract the facade's determinism guarantees rest on:
 ///
-/// * [`RouterDriver::pump`] returns escaped outputs in the exact order
-///   the FIFO router would surface them; an empty batch means the
-///   graph is quiescent.
+/// * [`RouterDriver::pump_into`] (and [`RouterDriver::pump`], the same
+///   function with a fresh buffer) hands back escaped outputs in the
+///   exact order the FIFO router would surface them; nothing handed
+///   back means the graph is quiescent.
 /// * Subscription and registry mutations only happen between pumps
 ///   (the facade is single-threaded), so engines may serve them from
 ///   shared state without locking the hot path.
@@ -235,10 +236,22 @@ pub trait RouterDriver: std::fmt::Debug {
     /// pass per batch).
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput>;
 
-    /// Advances the graph, returning escaped outputs in canonical
-    /// order. An empty batch means quiescence; the facade loops until
-    /// then, applying outputs (which may push new events) in between.
-    fn pump(&mut self, now: SimTime) -> Vec<ServiceOutput>;
+    /// Advances the graph, appending escaped outputs to `out` — the
+    /// caller's buffer, so a caller that pumps in a loop reuses one
+    /// allocation — in canonical order. The engine stops at the first
+    /// step that escapes anything: the caller applies what it got (which
+    /// may push new events) and calls again, so events a consumer emits
+    /// take the queue position they always have. Appending nothing
+    /// means quiescence.
+    fn pump_into(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>);
+
+    /// [`RouterDriver::pump_into`] into a fresh buffer: the same
+    /// outputs, returned. An empty batch means quiescence.
+    fn pump(&mut self, now: SimTime) -> Vec<ServiceOutput> {
+        let mut out = Vec::new();
+        self.pump_into(now, &mut out);
+        out
+    }
 
     /// Allocates a fresh subscriber identity.
     fn register_subscriber(&mut self) -> SubscriberId;
@@ -379,10 +392,9 @@ impl RouterDriver for FifoDriver {
             self.router.admit_frame(receiver, rssi_dbm, pending, now)
         {
             pending = frame;
-            let Some(outputs) = self.router.step(now) else {
+            if !self.router.step(now, &mut escaped) {
                 break; // defensive: cannot happen
-            };
-            escaped.extend(outputs);
+            }
         }
         escaped
     }
@@ -399,28 +411,20 @@ impl RouterDriver for FifoDriver {
         escaped
     }
 
-    fn pump(&mut self, now: SimTime) -> Vec<ServiceOutput> {
-        // Steps until the first non-empty output batch: the facade
+    fn pump_into(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) {
+        // Steps until the first step that escapes anything: the facade
         // applies it (possibly pushing new events) and calls again, so
         // the apply-per-step cadence of driving the router directly is
         // preserved exactly. In batch mode `step_batch` consumes runs
         // of consecutive Frame events in one filtering pass; frame
         // steps emit no external outputs, so the batch is observably
         // identical to stepping the run one frame at a time.
+        let held = out.len();
         if self.batch {
-            while let Some(outputs) = self.router.step_batch(now) {
-                if !outputs.is_empty() {
-                    return outputs;
-                }
-            }
+            while out.len() == held && self.router.step_batch(now, out) {}
         } else {
-            while let Some(outputs) = self.router.step(now) {
-                if !outputs.is_empty() {
-                    return outputs;
-                }
-            }
+            while out.len() == held && self.router.step(now, out) {}
         }
-        Vec::new()
     }
 
     fn register_subscriber(&mut self) -> SubscriberId {
@@ -530,9 +534,7 @@ impl RouterDriver for FifoDriver {
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
         // No pools to join: just drain whatever is still queued.
         let mut out = Vec::new();
-        while let Some(outputs) = self.router.step(now) {
-            out.extend(outputs);
-        }
+        while self.router.step(now, &mut out) {}
         out
     }
 }
@@ -666,8 +668,8 @@ impl RouterDriver for ThreadedDriver {
         Vec::new()
     }
 
-    fn pump(&mut self, _now: SimTime) -> Vec<ServiceOutput> {
-        let mut out = std::mem::take(&mut self.pending);
+    fn pump_into(&mut self, _now: SimTime, out: &mut Vec<ServiceOutput>) {
+        out.append(&mut self.pending);
         if let Some(router) = self.router.as_mut() {
             while !router.is_quiescent() {
                 let released = router.poll();
@@ -680,7 +682,6 @@ impl RouterDriver for ThreadedDriver {
             }
         }
         self.frames_since_quiescence = 0;
-        out
     }
 
     fn register_subscriber(&mut self) -> SubscriberId {

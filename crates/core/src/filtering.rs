@@ -24,7 +24,7 @@
 //! [`Observation`] for the Location Service: duplicates are useless to
 //! consumers but golden for trilateration.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use garnet_radio::ReceiverId;
 use garnet_simkit::{Counter, SimDuration, SimTime};
@@ -99,12 +99,84 @@ pub struct FrameArrival {
     pub at: SimTime,
 }
 
+/// The messages one frame released: the common single delivery is held
+/// inline, and only a gap fill that drains a reorder buffer spills to
+/// the heap — an in-order stream never allocates here.
+///
+/// Consumable like the `Vec` it replaces: by value and by reference as
+/// an iterator of [`Delivery`], with `len`/`is_empty` and indexing.
+#[derive(Debug, Default)]
+pub struct Deliveries {
+    first: Option<Delivery>,
+    /// Everything after `first`, in release order.
+    rest: Vec<Delivery>,
+}
+
+impl Deliveries {
+    /// Number of deliveries held.
+    pub fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// True if the frame released nothing.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    /// The deliveries in release order.
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+}
+
+impl Extend<Delivery> for Deliveries {
+    fn extend<I: IntoIterator<Item = Delivery>>(&mut self, iter: I) {
+        for d in iter {
+            match self.first {
+                None => self.first = Some(d),
+                Some(_) => self.rest.push(d),
+            }
+        }
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = Delivery;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Delivery>, std::vec::IntoIter<Delivery>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
+}
+
+impl<'a> IntoIterator for &'a Deliveries {
+    type Item = &'a Delivery;
+    type IntoIter =
+        std::iter::Chain<std::option::Iter<'a, Delivery>, std::slice::Iter<'a, Delivery>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl std::ops::Index<usize> for Deliveries {
+    type Output = Delivery;
+
+    fn index(&self, i: usize) -> &Delivery {
+        match (i, &self.first) {
+            (0, Some(d)) => d,
+            _ => &self.rest[i.wrapping_sub(1)],
+        }
+    }
+}
+
 /// Outcome of feeding one frame to the service.
 #[derive(Debug, Default)]
 pub struct FilterResult {
     /// Messages released downstream (possibly several: a gap fill can
-    /// drain the buffer).
-    pub deliveries: Vec<Delivery>,
+    /// drain the buffer). The usual single delivery is inline — see
+    /// [`Deliveries`].
+    pub deliveries: Deliveries,
     /// The location observation, for any CRC-valid frame.
     pub observation: Option<Observation>,
     /// Set when the frame failed to decode.
@@ -147,9 +219,16 @@ impl StreamFilter {
         self.buffer.insert(pos, entry);
     }
 
+    /// The reorder deadline of the buffer head — the only deadline the
+    /// service acts on, and the key this stream holds in the deadline
+    /// index.
+    fn head_deadline(&self) -> Option<SimTime> {
+        self.buffer.first().map(|b| b.deadline)
+    }
+
     /// Drains every buffered message that is now in order (no gap before
     /// it), returning deliveries.
-    fn drain_ready(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
+    fn drain_ready(&mut self, now: SimTime, out: &mut impl Extend<Delivery>) {
         while let Some(head) = self.buffer.first() {
             let expected = self
                 .last_delivered
@@ -160,27 +239,47 @@ impl StreamFilter {
             }
             let b = self.buffer.remove(0);
             self.last_delivered = Some(b.msg.seq());
-            out.push(Delivery {
+            out.extend(Some(Delivery {
                 msg: b.msg,
                 first_received_at: b.first_received_at,
                 delivered_at: now,
-            });
+            }));
         }
     }
 
     /// Force-delivers the buffer head (gap accepted), then drains.
-    fn force_head(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
+    fn force_head(&mut self, now: SimTime, out: &mut impl Extend<Delivery>) {
         if self.buffer.is_empty() {
             return;
         }
         let b = self.buffer.remove(0);
         self.last_delivered = Some(b.msg.seq());
-        out.push(Delivery {
+        out.extend(Some(Delivery {
             msg: b.msg,
             first_received_at: b.first_received_at,
             delivered_at: now,
-        });
+        }));
         self.drain_ready(now, out);
+    }
+}
+
+/// Moves `stream`'s entry in the deadline index from its old buffer-head
+/// deadline to its new one (either may be absent: the buffer was, or now
+/// is, empty).
+fn reindex(
+    deadlines: &mut BTreeSet<(SimTime, u32)>,
+    stream: u32,
+    before: Option<SimTime>,
+    after: Option<SimTime>,
+) {
+    if before == after {
+        return;
+    }
+    if let Some(deadline) = before {
+        deadlines.remove(&(deadline, stream));
+    }
+    if let Some(deadline) = after {
+        deadlines.insert((deadline, stream));
     }
 }
 
@@ -210,6 +309,13 @@ impl StreamFilter {
 pub struct FilteringService {
     config: FilterConfig,
     streams: BTreeMap<u32, StreamFilter>,
+    /// `(head deadline, raw stream id)` of every stream with something
+    /// buffered, kept in step wherever a buffer head changes. Invariant:
+    /// exactly the set a scan of `streams` for buffer heads would build,
+    /// so [`FilteringService::next_deadline`] is its first entry and
+    /// [`FilteringService::on_tick`] visits only the streams that are
+    /// due.
+    deadlines: BTreeSet<(SimTime, u32)>,
     delivered: Counter,
     duplicates: Counter,
     crc_failures: Counter,
@@ -224,6 +330,7 @@ impl FilteringService {
         FilteringService {
             config,
             streams: BTreeMap::new(),
+            deadlines: BTreeSet::new(),
             delivered: Counter::new(),
             duplicates: Counter::new(),
             crc_failures: Counter::new(),
@@ -304,7 +411,8 @@ impl FilteringService {
         result.observation =
             Some(Observation { sensor: msg.stream().sensor(), receiver, rssi_dbm, at: now });
 
-        let state = self.streams.entry(msg.stream().to_raw()).or_default();
+        let stream = msg.stream().to_raw();
+        let state = self.streams.entry(stream).or_default();
         let seq = msg.seq();
 
         if state.is_stale(seq) || state.is_buffered(seq) {
@@ -312,22 +420,20 @@ impl FilteringService {
             return result;
         }
 
+        let head_before = state.head_deadline();
+        let released = Delivery { msg, first_received_at: now, delivered_at: now };
         match state.last_delivered {
             None => {
                 // First message of the stream: deliver whatever seq it has.
                 state.last_delivered = Some(seq);
-                result.deliveries.push(Delivery { msg, first_received_at: now, delivered_at: now });
+                result.deliveries.extend(Some(released));
                 state.drain_ready(now, &mut result.deliveries);
             }
             Some(last) => {
                 let expected = last.next();
                 if seq == expected {
                     state.last_delivered = Some(seq);
-                    result.deliveries.push(Delivery {
-                        msg,
-                        first_received_at: now,
-                        delivered_at: now,
-                    });
+                    result.deliveries.extend(Some(released));
                     state.drain_ready(now, &mut result.deliveries);
                 } else if last.distance_to(seq) > 0
                     && last.distance_to(seq) as u32 > u32::from(self.config.restart_distance)
@@ -336,16 +442,12 @@ impl FilteringService {
                     self.restarts.incr();
                     state.buffer.clear();
                     state.last_delivered = Some(seq);
-                    result.deliveries.push(Delivery {
-                        msg,
-                        first_received_at: now,
-                        delivered_at: now,
-                    });
+                    result.deliveries.extend(Some(released));
                 } else {
                     // A gap: hold for reordering.
                     self.reordered.incr();
                     state.insert_buffered(Buffered {
-                        msg,
+                        msg: released.msg,
                         first_received_at: now,
                         deadline: now.saturating_add(self.config.reorder_timeout),
                     });
@@ -356,6 +458,8 @@ impl FilteringService {
                 }
             }
         }
+        let head_after = state.head_deadline();
+        reindex(&mut self.deadlines, stream, head_before, head_after);
         self.delivered.add(result.deliveries.len() as u64);
         result
     }
@@ -367,22 +471,36 @@ impl FilteringService {
     /// bearing: the sharded ingest stage merges per-shard flushes by
     /// re-sorting on stream id, which reproduces this sequence exactly —
     /// a sharded pipeline is bit-identical to an unsharded one.
+    ///
+    /// Only the streams the deadline index says are due are visited —
+    /// the same deliveries, in the same order, as walking every resident
+    /// stream (a flush on one stream never moves another's head), at a
+    /// cost proportional to what is due rather than to what is resident.
+    /// Allocates nothing when nothing is due.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Delivery> {
+        let mut due: Vec<u32> =
+            self.deadlines.range(..=(now, u32::MAX)).map(|&(_, stream)| stream).collect();
+        due.sort_unstable();
         let mut out = Vec::new();
-        for state in self.streams.values_mut() {
-            while state.buffer.first().is_some_and(|b| b.deadline <= now) {
+        for stream in due {
+            let state = self.streams.get_mut(&stream).expect("indexed streams are resident");
+            let head_before = state.head_deadline();
+            while state.head_deadline().is_some_and(|deadline| deadline <= now) {
                 self.gaps_accepted.incr();
                 state.force_head(now, &mut out);
             }
+            reindex(&mut self.deadlines, stream, head_before, state.head_deadline());
         }
         self.delivered.add(out.len() as u64);
         out
     }
 
-    /// The earliest buffered-message deadline, for scheduling the next
-    /// [`FilteringService::on_tick`].
+    /// The earliest buffer-head deadline, for scheduling the next
+    /// [`FilteringService::on_tick`]: the first entry of the deadline
+    /// index, so the cost does not depend on how many streams are
+    /// resident.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.streams.values().filter_map(|s| s.buffer.first().map(|b| b.deadline)).min()
+        self.deadlines.first().map(|&(deadline, _)| deadline)
     }
 
     /// Messages released downstream.
@@ -418,6 +536,34 @@ impl FilteringService {
     /// Number of streams currently tracked.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
+    }
+}
+
+/// The pre-index implementation, kept as the oracle the deadline index
+/// is tested against.
+#[cfg(test)]
+impl FilteringService {
+    /// What the deadline index must hold: every stream's buffer head,
+    /// found by walking all resident streams.
+    fn scan_heads(&self) -> BTreeSet<(SimTime, u32)> {
+        self.streams
+            .iter()
+            .filter_map(|(&stream, s)| s.head_deadline().map(|deadline| (deadline, stream)))
+            .collect()
+    }
+
+    /// `on_tick` as a full scan in ascending stream-id order.
+    fn on_tick_scan(&mut self, now: SimTime) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        for state in self.streams.values_mut() {
+            while state.buffer.first().is_some_and(|b| b.deadline <= now) {
+                self.gaps_accepted.incr();
+                state.force_head(now, &mut out);
+            }
+        }
+        self.delivered.add(out.len() as u64);
+        self.deadlines = self.scan_heads();
+        out
     }
 }
 
@@ -616,6 +762,34 @@ mod tests {
     }
 
     #[test]
+    fn deliveries_iterate_the_same_by_value_and_by_reference() {
+        let delivery = |seq: u16| Delivery {
+            msg: DataMessage::builder(stream()).seq(SequenceNumber::new(seq)).build().unwrap(),
+            first_received_at: SimTime::from_millis(u64::from(seq)),
+            delivered_at: SimTime::from_millis(u64::from(seq) + 1),
+        };
+        for n in [0u16, 1, 2, 5] {
+            let want: Vec<Delivery> = (0..n).map(delivery).collect();
+            let mut held = Deliveries::default();
+            held.extend(want.iter().cloned());
+            assert_eq!(held.len(), want.len());
+            assert_eq!(held.is_empty(), want.is_empty());
+            assert!(held.iter().eq(want.iter()), "iter(), n={n}");
+            assert!((&held).into_iter().eq(want.iter()), "by reference, n={n}");
+            for (i, d) in want.iter().enumerate() {
+                assert_eq!(&held[i], d, "index {i}, n={n}");
+            }
+            assert_eq!(held.into_iter().collect::<Vec<_>>(), want, "by value, n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn deliveries_index_past_the_end_panics() {
+        let _ = &Deliveries::default()[0];
+    }
+
+    #[test]
     fn batch_matches_per_frame() {
         // A messy burst — duplicates, a reorder gap, a corrupt frame —
         // produces the same per-frame results and the same counters
@@ -670,6 +844,124 @@ mod proptests {
     use super::*;
     use garnet_wire::{StreamId, StreamIndex};
     use proptest::prelude::*;
+
+    /// The frame for `(stream index, sequence)`.
+    fn frame_of(stream: u8, seq: u16) -> FrameBytes {
+        let stream =
+            StreamId::new(SensorId::new(1 + u32::from(stream)).unwrap(), StreamIndex::new(0));
+        DataMessage::builder(stream)
+            .seq(SequenceNumber::new(seq))
+            .build()
+            .unwrap()
+            .encode_to_vec()
+            .into()
+    }
+
+    // The deadline index against the scan it replaced: two services fed
+    // the same interleaving of `on_frame`/`on_batch`/`on_tick` — one
+    // ticking through the index, one through the full scan — must agree
+    // on every result, and after every step the index must hold exactly
+    // the buffer heads a scan finds.
+    proptest! {
+        #[test]
+        fn deadline_index_matches_the_full_scan(
+            ops in proptest::collection::vec((0u8..12, 0u8..4, 0u8..12, 0u64..40), 1..250),
+        ) {
+            let config = FilterConfig { max_buffered_per_stream: 3, ..FilterConfig::default() };
+            let mut indexed = FilteringService::new(config);
+            let mut oracle = FilteringService::new(config);
+            // Each stream's next in-order sequence, starting just short
+            // of the 16-bit wrap.
+            let mut next = [65_530u16; 4];
+            let mut now = SimTime::ZERO;
+            let mut pick = |stream: u8, how: u8| -> FrameBytes {
+                let cursor = &mut next[usize::from(stream)];
+                let seq = match how {
+                    // In order.
+                    0..=4 => {
+                        *cursor = cursor.wrapping_add(1);
+                        cursor.wrapping_sub(1)
+                    }
+                    // A stale retransmit, or a late gap fill.
+                    5 => cursor.wrapping_sub(1),
+                    6 => cursor.wrapping_sub(3),
+                    // One sequence lost for good.
+                    7 => {
+                        *cursor = cursor.wrapping_add(2);
+                        cursor.wrapping_sub(1)
+                    }
+                    // Displaced: ahead of sequences still to come (the
+                    // far ones pile up behind the gap until the buffer
+                    // overflows and forces its head).
+                    8 => cursor.wrapping_add(1),
+                    9 | 10 => cursor.wrapping_add(u16::from(how)),
+                    // Far ahead: a restart, clearing whatever is held.
+                    _ => {
+                        *cursor = cursor.wrapping_add(5_001);
+                        cursor.wrapping_sub(1)
+                    }
+                };
+                frame_of(stream, seq)
+            };
+            let same = |a: &FilterResult, b: &FilterResult| {
+                a.deliveries.iter().eq(b.deliveries.iter())
+                    && a.observation == b.observation
+                    && a.error.is_some() == b.error.is_some()
+            };
+            let mut ops = ops.into_iter();
+            while let Some((kind, stream, how, dt)) = ops.next() {
+                now += SimDuration::from_millis(dt);
+                match kind {
+                    0..=7 => {
+                        let fr = pick(stream, how);
+                        let a = indexed.on_frame(ReceiverId::new(0), -40.0, &fr, now);
+                        let b = oracle.on_frame(ReceiverId::new(0), -40.0, &fr, now);
+                        prop_assert!(same(&a, &b), "on_frame diverged at {now:?}");
+                    }
+                    8 | 9 => {
+                        // The next few ops' frames, as one batch.
+                        let batch: Vec<FrameArrival> = ops
+                            .by_ref()
+                            .take(1 + usize::from(how) % 5)
+                            .map(|(_, stream, how, _)| FrameArrival {
+                                receiver: ReceiverId::new(1),
+                                rssi_dbm: -50.0,
+                                frame: pick(stream, how),
+                                at: now,
+                            })
+                            .collect();
+                        let a = indexed.on_batch(&batch);
+                        let b = oracle.on_batch(&batch);
+                        prop_assert_eq!(a.len(), b.len());
+                        let agree = a.iter().zip(&b).all(|(a, b)| same(a, b));
+                        prop_assert!(agree, "on_batch diverged at {now:?}");
+                    }
+                    _ => {
+                        let (a, b) = (indexed.on_tick(now), oracle.on_tick_scan(now));
+                        prop_assert_eq!(a, b, "on_tick diverged at {:?}", now);
+                    }
+                }
+                let heads = indexed.scan_heads();
+                let earliest = heads.first().map(|&(deadline, _)| deadline);
+                prop_assert_eq!(indexed.next_deadline(), earliest);
+                prop_assert_eq!(&indexed.deadlines, &heads, "index drifted from the heads");
+                prop_assert_eq!(oracle.scan_heads(), heads, "the services' buffers differ");
+            }
+            // Flush both; the books must close identically.
+            let end = now + SimDuration::from_secs(3_600);
+            prop_assert_eq!(indexed.on_tick(end), oracle.on_tick_scan(end));
+            prop_assert_eq!(indexed.next_deadline(), None);
+            for count in [
+                FilteringService::delivered_count,
+                FilteringService::duplicate_count,
+                FilteringService::reordered_count,
+                FilteringService::gap_count,
+                FilteringService::restart_count,
+            ] {
+                prop_assert_eq!(count(&indexed), count(&oracle));
+            }
+        }
+    }
 
     // Simulate receiver duplication/reordering of an in-order source and
     // verify exactly-once, in-order delivery of everything that arrives

@@ -13,8 +13,10 @@
 //! state changes and can *anticipate* needs, invoking resource-manager
 //! policy ahead of demand.
 //!
-//! All services are sans-io state machines implementing the
-//! [`service::GarnetService`] trait; the [`router::Router`] threads
+//! All services are sans-io state machines — the control-plane ones
+//! behind the [`service::GarnetService`] trait, the two data-plane
+//! stages called by the router directly so a frame's results reach the
+//! queue without a buffer in between; the [`router::Router`] threads
 //! typed events between them over a FIFO queue, and
 //! [`middleware::Garnet`] is a thin facade that drives a pluggable
 //! execution engine (the [`driver::RouterDriver`] axis: the FIFO
@@ -87,9 +89,9 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, DispatchStage, FrameAdmission, IngestBatch, IngestReport, OverloadConfig,
-    OverloadPolicy, OverloadTotals, RootOutput, Router, Services, ShardedDispatch, ShardedIngest,
-    ThreadedIngest, ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
+    ControlGraph, FrameAdmission, IngestBatch, IngestReport, OverloadConfig, OverloadPolicy,
+    OverloadTotals, RootOutput, Router, Services, ShardedDispatch, ShardedIngest, ThreadedIngest,
+    ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{

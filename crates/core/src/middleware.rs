@@ -417,6 +417,9 @@ pub struct Garnet {
     /// `overload.shard_failures` counter the health scorer reads for
     /// stranded-job detection.
     shard_failure_total: u64,
+    /// The buffer [`RouterDriver::pump_into`] fills on every drain round
+    /// (empty between pumps; kept for its capacity).
+    escaped: Vec<ServiceOutput>,
 }
 
 impl Garnet {
@@ -508,6 +511,7 @@ impl Garnet {
             delivery: DeliverySchedule::new(config.qos.consumer_queue_capacity),
             telemetry: TelemetryService::new(config.telemetry),
             shard_failure_total: 0,
+            escaped: Vec::new(),
         }
     }
 
@@ -933,12 +937,13 @@ impl Garnet {
 
     /// The earliest instant at which [`Garnet::on_tick`] has work.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        // A minimum needs neither the catalogue's order nor a copy of
+        // it: fold over the per-shard registries where they lie.
         let quiesce_due = self.quiesce.and_then(|cfg| {
             self.driver
                 .streams()
-                .discover_unclaimed()
-                .into_iter()
-                .filter(|i| !i.derived && !self.quiesced.contains(&i.stream.to_raw()))
+                .iter()
+                .filter(|i| !i.claimed && !i.derived && !self.quiesced.contains(&i.stream.to_raw()))
                 .map(|i| i.first_seen.saturating_add(cfg.idle_after))
                 .min()
         });
@@ -1060,17 +1065,21 @@ impl Garnet {
         self.driver.note_telemetry_quiescent();
     }
 
-    /// The inner engine-drain loop of [`Garnet::pump`].
+    /// The inner engine-drain loop of [`Garnet::pump`]: every round goes
+    /// through the one `escaped` buffer, so draining costs no
+    /// allocation once that buffer has grown to a round's size.
     fn pump_engine(&mut self, now: SimTime, out: &mut StepOutput) {
+        let mut escaped = std::mem::take(&mut self.escaped);
         loop {
-            let outputs = self.driver.pump(now);
-            if outputs.is_empty() {
+            self.driver.pump_into(now, &mut escaped);
+            if escaped.is_empty() {
                 break;
             }
-            for o in outputs {
+            for o in escaped.drain(..) {
                 self.apply(o, now, out);
             }
         }
+        self.escaped = escaped;
     }
 
     /// Applies one service output: runs the consumer callback for a
@@ -1079,13 +1088,22 @@ impl Garnet {
     fn apply(&mut self, output: ServiceOutput, now: SimTime, out: &mut StepOutput) {
         match output {
             ServiceOutput::Emit(ev) => self.driver.push_event(ev, now),
-            ServiceOutput::Deliver { recipient, delivery, depth } => {
-                // Per-consumer delivery scheduling: a rate-limited
-                // consumer's deliveries stage (and coalesce per
-                // subscription) in its own queue; everyone else's pass
-                // straight through.
-                if let Some((delivery, depth)) = self.delivery.offer(recipient, delivery, depth) {
-                    self.deliver_to(recipient, &delivery, depth, now);
+            ServiceOutput::Deliver { recipients, delivery, depth } => {
+                // One message, every recipient in match-set order. The
+                // set was fixed when the message was routed, so nothing
+                // a callback does here changes who else receives it.
+                for &recipient in recipients.iter() {
+                    // Per-consumer delivery scheduling: a rate-limited
+                    // consumer's copy stages (and coalesces per
+                    // subscription) in its own queue — the one place
+                    // the message is cloned; everyone else is called at
+                    // once with the shared delivery.
+                    if self.delivery.is_limited(recipient) {
+                        let staged = self.delivery.offer(recipient, delivery.clone(), depth);
+                        debug_assert!(staged.is_none(), "a limited consumer's delivery stages");
+                    } else {
+                        self.deliver_to(recipient, &delivery, depth, now);
+                    }
                 }
             }
             ServiceOutput::Planned { origin, plan, .. } => match origin {
@@ -2158,6 +2176,47 @@ mod tests {
             p.request.command,
             SensorCommand::SetReportInterval { interval_ms: 60_000, .. }
         )));
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_unclaimed_stream_in_a_large_catalogue() {
+        use garnet_simkit::SimDuration;
+        let mut g = Garnet::new(GarnetConfig {
+            dispatch_shards: 4,
+            quiesce: Some(QuiesceConfig {
+                idle_after: SimDuration::from_secs(30),
+                slow_interval_ms: 60_000,
+                restore_interval_ms: 1_000,
+            }),
+            ..GarnetConfig::default()
+        });
+        // 1 000 claimed streams, all older than any unclaimed one: none
+        // of them may set the deadline.
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        for sensor in 1..=1_000 {
+            g.subscribe(id, TopicFilter::Sensor(SensorId::new(sensor).unwrap()), &token).unwrap();
+        }
+        let claimed: Vec<_> =
+            (1..=1_000).map(|sensor| (ReceiverId::new(0), -50.0, frame(sensor, 0, 0))).collect();
+        g.on_frames(claimed, SimTime::ZERO);
+        assert_eq!(g.next_deadline(), None, "claimed streams are never due");
+        // Three unclaimed streams, first seen out of id order.
+        for (sensor, seen_s) in [(2_001, 5), (2_002, 3), (2_003, 7)] {
+            g.on_frame(ReceiverId::new(0), -50.0, &frame(sensor, 0, 0), SimTime::from_secs(seen_s));
+        }
+        assert_eq!(g.streams().len(), 1_003);
+        assert_eq!(g.next_deadline(), Some(SimTime::from_secs(33)), "earliest first_seen + idle");
+        // Quiesce the earliest (and let its sensor acknowledge, so no
+        // retransmission deadline remains): it no longer counts.
+        let out = g.on_tick(SimTime::from_secs(34));
+        assert_eq!(out.control.len(), 1);
+        g.on_standalone_ack(
+            out.control[0].request.request_id,
+            garnet_wire::AckStatus::Applied,
+            SimTime::from_secs(34),
+        );
+        assert_eq!(g.next_deadline(), Some(SimTime::from_secs(35)), "quiesced streams are skipped");
     }
 
     #[test]

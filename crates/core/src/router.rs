@@ -41,7 +41,7 @@ use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::replicator::MessageReplicator;
 use crate::resource::{MediationPolicy, ResourceManager};
 use crate::service::{BatchedFrame, GarnetService, ServiceEvent, ServiceOutput};
-use crate::stream::{shard_of_sensor, ShardedStreamRegistry, StreamRegistry};
+use crate::stream::{shard_of_sensor, ShardedStreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::RootTag;
 #[cfg(feature = "trace")]
@@ -147,26 +147,27 @@ impl ShardedIngest {
         self.shards.iter().filter_map(FilteringService::next_deadline).min()
     }
 
-    pub(crate) fn frame_outputs(result: FilterResult) -> Vec<ServiceOutput> {
-        let mut out = Vec::new();
+    /// Emits the events one frame's filter result owes the graph, in the
+    /// order every engine must queue them: the location sighting, then
+    /// an `AckReceived` for each released message carrying a
+    /// piggy-backed acknowledgement, then the released messages
+    /// themselves. Both engines feed their queues through this one
+    /// function, so that order is defined once.
+    pub(crate) fn frame_events(result: FilterResult, mut emit: impl FnMut(ServiceEvent)) {
         if let Some(obs) = result.observation {
-            out.push(ServiceOutput::Emit(ServiceEvent::Observed(obs)));
+            emit(ServiceEvent::Observed(obs));
         }
         for d in &result.deliveries {
             if let Some(request_id) = d.msg.ack() {
-                out.push(ServiceOutput::Emit(ServiceEvent::AckReceived {
+                emit(ServiceEvent::AckReceived {
                     request_id,
                     status: garnet_wire::AckStatus::Applied,
-                }));
+                });
             }
         }
-        out.extend(
-            result
-                .deliveries
-                .into_iter()
-                .map(|delivery| ServiceOutput::Emit(ServiceEvent::Filtered { delivery, depth: 0 })),
-        );
-        out
+        for delivery in result.deliveries {
+            emit(ServiceEvent::Filtered { delivery, depth: 0 });
+        }
     }
 
     /// Messages released downstream (all shards).
@@ -205,108 +206,10 @@ impl ShardedIngest {
     }
 }
 
-impl GarnetService for ShardedIngest {
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        match ev {
-            ServiceEvent::Frame { receiver, rssi_dbm, frame } => {
-                let result = self.on_frame(receiver, rssi_dbm, &frame, now);
-                Self::frame_outputs(result)
-            }
-            ServiceEvent::FrameBatch(frames) => {
-                let arrivals: Vec<FrameArrival> = frames
-                    .into_iter()
-                    .map(|f| FrameArrival {
-                        receiver: f.receiver,
-                        rssi_dbm: f.rssi_dbm,
-                        frame: f.frame,
-                        at: now,
-                    })
-                    .collect();
-                self.on_batch(&arrivals).into_iter().flat_map(Self::frame_outputs).collect()
-            }
-            ServiceEvent::FlushReorder => self
-                .on_tick(now)
-                .into_iter()
-                .map(|delivery| ServiceOutput::Emit(ServiceEvent::Filtered { delivery, depth: 0 }))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        ShardedIngest::next_deadline(self)
-    }
-}
-
-/// The dispatch stage: subscription routing plus the stream catalogue
-/// (the catalogue rides here because every routed message updates it).
-#[derive(Debug)]
-pub struct DispatchStage {
-    /// The Dispatching Service proper.
-    pub dispatching: DispatchingService,
-    /// The stream catalogue (discovery + claimed flags).
-    pub streams: StreamRegistry,
-}
-
-impl DispatchStage {
-    /// Creates an empty dispatch stage.
-    pub fn new() -> Self {
-        DispatchStage { dispatching: DispatchingService::new(), streams: StreamRegistry::new() }
-    }
-
-    /// Builds a stage over a frozen subscription-table snapshot — the
-    /// per-worker unit of the threaded dispatch edge, which routes
-    /// against its own copy of the table instead of sharing the live
-    /// one.
-    pub fn with_table(table: SubscriptionTable) -> Self {
-        DispatchStage {
-            dispatching: DispatchingService::with_table(table),
-            streams: StreamRegistry::new(),
-        }
-    }
-}
-
-impl Default for DispatchStage {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GarnetService for DispatchStage {
-    fn handle(&mut self, ev: ServiceEvent, _now: SimTime) -> Vec<ServiceOutput> {
-        let ServiceEvent::Filtered { delivery, depth } = ev else {
-            return Vec::new();
-        };
-        self.streams.note_message(
-            delivery.msg.stream(),
-            delivery.msg.payload().len(),
-            delivery.delivered_at,
-            depth > 0,
-        );
-        let outcome = self.dispatching.route(delivery.msg.stream());
-        // Keep the catalogue's claimed flag in sync with reality — a
-        // subscription made before the stream's first message would
-        // otherwise be invisible to the quiescence sweep.
-        self.streams.set_claimed(delivery.msg.stream(), !outcome.unclaimed);
-        if outcome.unclaimed {
-            return vec![ServiceOutput::Emit(ServiceEvent::Orphaned(delivery))];
-        }
-        outcome
-            .recipients
-            .iter()
-            .map(|&recipient| ServiceOutput::Deliver {
-                recipient,
-                delivery: delivery.clone(),
-                depth,
-            })
-            .collect()
-    }
-}
-
 /// The dispatch stage partitioned by sensor id — the same
 /// [`shard_of_sensor`] hash as [`ShardedIngest`], so all of a sensor's
 /// streams route on one dispatch shard and the per-shard
-/// [`StreamRegistry`] partitions never overlap.
+/// [`crate::stream::StreamRegistry`] partitions never overlap.
 ///
 /// Subscription state is *partitioned* with the streams: a
 /// `Stream`/`Sensor` filter lives only on the shard that owns every
@@ -432,6 +335,22 @@ impl ShardedDispatch {
         outcome
     }
 
+    /// The dispatch stage's whole job for one filtered message: route it
+    /// on its owning shard, record it (and whether anyone claimed it) in
+    /// the catalogue with one lookup, and build its single output.
+    pub fn dispatch(&mut self, delivery: Delivery, depth: u32) -> ServiceOutput {
+        let stream = delivery.msg.stream();
+        let outcome = self.route(stream);
+        self.streams.note_routed(
+            stream,
+            delivery.msg.payload().len(),
+            delivery.delivered_at,
+            depth > 0,
+            !outcome.unclaimed,
+        );
+        routed_output(outcome.recipients, delivery, depth)
+    }
+
     /// Whether the most recent route (re)built its match set, clearing
     /// the flag — the FIFO router reads this right after pumping a
     /// `Filtered` event to append the `CacheRebuild` trace record.
@@ -493,31 +412,19 @@ impl ShardedDispatch {
     }
 }
 
-impl GarnetService for ShardedDispatch {
-    fn handle(&mut self, ev: ServiceEvent, _now: SimTime) -> Vec<ServiceOutput> {
-        let ServiceEvent::Filtered { delivery, depth } = ev else {
-            return Vec::new();
-        };
-        self.streams.note_message(
-            delivery.msg.stream(),
-            delivery.msg.payload().len(),
-            delivery.delivered_at,
-            depth > 0,
-        );
-        let outcome = self.route(delivery.msg.stream());
-        self.streams.set_claimed(delivery.msg.stream(), !outcome.unclaimed);
-        if outcome.unclaimed {
-            return vec![ServiceOutput::Emit(ServiceEvent::Orphaned(delivery))];
-        }
-        outcome
-            .recipients
-            .iter()
-            .map(|&recipient| ServiceOutput::Deliver {
-                recipient,
-                delivery: delivery.clone(),
-                depth,
-            })
-            .collect()
+/// The one place a routed message becomes an output, for both engines:
+/// a message nobody matched goes to the Orphanage, anything else is one
+/// [`ServiceOutput::Deliver`] carrying the whole match set — no
+/// per-recipient output and no `Delivery` clone, whatever the fan-out.
+fn routed_output(
+    recipients: Arc<[garnet_net::SubscriberId]>,
+    delivery: Delivery,
+    depth: u32,
+) -> ServiceOutput {
+    if recipients.is_empty() {
+        ServiceOutput::Emit(ServiceEvent::Orphaned(delivery))
+    } else {
+        ServiceOutput::Deliver { recipients, delivery, depth }
     }
 }
 
@@ -743,6 +650,11 @@ pub struct Router {
     spans: PipelineSpans,
     /// Per-ingest-shard admission-depth gauges.
     depths: QueueDepthGauges,
+    /// [`Router::step_batch`]'s scratch, kept between calls so a burst
+    /// costs no allocation here: the run's root tags and its arrivals
+    /// (both empty outside a call).
+    tags: Vec<RootTag>,
+    arrivals: Vec<FrameArrival>,
     /// Next root sequence number for a boundary enqueue.
     #[cfg(feature = "trace")]
     next_root: u64,
@@ -770,6 +682,8 @@ impl Router {
             tracer: Tracer::new(TraceConfig::default()),
             spans: PipelineSpans::new(),
             depths,
+            tags: Vec::new(),
+            arrivals: Vec::new(),
             #[cfg(feature = "trace")]
             next_root: 0,
         }
@@ -1026,11 +940,13 @@ impl Router {
         }
     }
 
-    /// Pops and routes one event. `Emit` outputs go to the back of the
-    /// queue; everything else is returned for the driver to apply.
-    /// Returns `None` when the queue is empty (quiescence).
-    pub fn step(&mut self, now: SimTime) -> Option<Vec<ServiceOutput>> {
-        let (tag, ev) = self.queue.pop_front()?;
+    /// Pops and routes one event. Events a service emits go straight to
+    /// the back of the queue; everything else — the outputs that escape
+    /// the graph — is appended to `out`, the caller's buffer, for the
+    /// driver to apply. Returns `false` when the queue is empty
+    /// (quiescence).
+    pub fn step(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) -> bool {
+        let Some((tag, ev)) = self.queue.pop_front() else { return false };
         if matches!(ev, ServiceEvent::Frame { .. }) {
             self.queued_frames -= 1;
             self.totals.delivered += 1;
@@ -1049,7 +965,35 @@ impl Router {
             self.tracer.record(|| rec);
             rec
         };
-        let outputs = self.route(ev, now);
+        match ev {
+            ServiceEvent::Frame { receiver, rssi_dbm, frame } => {
+                let result = self.services.ingest.on_frame(receiver, rssi_dbm, &frame, now);
+                self.enqueue_frame_result(tag, result);
+            }
+            // The member frames in order, each exactly as a `Frame`
+            // event would be handled.
+            ServiceEvent::FrameBatch(frames) => {
+                for f in frames {
+                    let result =
+                        self.services.ingest.on_frame(f.receiver, f.rssi_dbm, &f.frame, now);
+                    self.enqueue_frame_result(tag, result);
+                }
+            }
+            ServiceEvent::FlushReorder => {
+                for delivery in self.services.ingest.on_tick(now) {
+                    self.enqueue_tagged(tag, ServiceEvent::Filtered { delivery, depth: 0 });
+                }
+            }
+            ServiceEvent::Filtered { delivery, depth } => {
+                let output = self.services.dispatch.dispatch(delivery, depth);
+                self.absorb(tag, output, out);
+            }
+            control => {
+                for output in self.services.control.handle(control, now) {
+                    self.absorb(tag, output, out);
+                }
+            }
+        }
         // A dispatch hop that had to (re)build its match set appends a
         // CacheRebuild record right behind its Filtered one — the same
         // adjacency the threaded driver reconstructs per root.
@@ -1057,14 +1001,22 @@ impl Router {
         if rec.kind == TraceEventKind::Filtered && self.services.dispatch.take_last_rebuild() {
             self.tracer.record(|| TraceRecord { kind: TraceEventKind::CacheRebuild, ..rec });
         }
-        let mut external = Vec::new();
-        for o in outputs {
-            match o {
-                ServiceOutput::Emit(ev) => self.enqueue_tagged(tag, ev),
-                other => external.push(other),
-            }
+        true
+    }
+
+    /// Re-enqueues an emitted event under its root's tag, or hands an
+    /// escaped output to the caller's buffer.
+    fn absorb(&mut self, tag: RootTag, output: ServiceOutput, out: &mut Vec<ServiceOutput>) {
+        match output {
+            ServiceOutput::Emit(ev) => self.enqueue_tagged(tag, ev),
+            other => out.push(other),
         }
-        Some(external)
+    }
+
+    /// Queues one frame's filter result as events under the frame's
+    /// root tag, with no buffer in between.
+    fn enqueue_frame_result(&mut self, tag: RootTag, result: FilterResult) {
+        ShardedIngest::frame_events(result, |ev| self.enqueue_tagged(tag, ev));
     }
 
     /// Pops and routes a maximal run of consecutive `Frame` events as
@@ -1074,13 +1026,14 @@ impl Router {
     /// cascades would have been enqueued back-to-back in this exact
     /// order anyway, and each frame keeps its own root tag, trace record
     /// and ledger entry — only the per-event dispatch and header
-    /// re-validation are amortised.
-    pub fn step_batch(&mut self, now: SimTime) -> Option<Vec<ServiceOutput>> {
+    /// re-validation are amortised. Frame steps escape nothing, so `out`
+    /// is untouched on that path.
+    pub fn step_batch(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) -> bool {
         if !matches!(self.queue.front(), Some((_, ServiceEvent::Frame { .. }))) {
-            return self.step(now);
+            return self.step(now, out);
         }
-        let mut tags: Vec<RootTag> = Vec::new();
-        let mut arrivals: Vec<FrameArrival> = Vec::new();
+        let mut tags = std::mem::take(&mut self.tags);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
         while matches!(self.queue.front(), Some((_, ServiceEvent::Frame { .. }))) {
             let (tag, ev) = self.queue.pop_front().expect("front was just matched");
             self.queued_frames -= 1;
@@ -1098,25 +1051,13 @@ impl Router {
             arrivals.push(FrameArrival { receiver, rssi_dbm, frame, at: now });
         }
         let results = self.services.ingest.on_batch(&arrivals);
-        let mut external = Vec::new();
-        for (tag, result) in tags.into_iter().zip(results) {
-            for o in ShardedIngest::frame_outputs(result) {
-                match o {
-                    ServiceOutput::Emit(ev) => self.enqueue_tagged(tag, ev),
-                    other => external.push(other),
-                }
-            }
+        arrivals.clear();
+        for (tag, result) in tags.drain(..).zip(results) {
+            self.enqueue_frame_result(tag, result);
         }
-        Some(external)
-    }
-
-    fn route(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        use ServiceEvent::*;
-        match ev {
-            Frame { .. } | FrameBatch(_) | FlushReorder => self.services.ingest.handle(ev, now),
-            Filtered { .. } => self.services.dispatch.handle(ev, now),
-            other => self.services.control.handle(other, now),
-        }
+        self.tags = tags;
+        self.arrivals = arrivals;
+        true
     }
 
     /// Monotonic admission totals (offered / shed / coalesced /
@@ -1169,13 +1110,10 @@ impl Router {
 
     /// The earliest time-driven deadline across routed services.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        [
-            GarnetService::next_deadline(&self.services.ingest),
-            GarnetService::next_deadline(&self.services.control),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        [self.services.ingest.next_deadline(), GarnetService::next_deadline(&self.services.control)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 
@@ -1619,16 +1557,20 @@ struct FilterOut {
     next_deadline: Option<SimTime>,
 }
 
-/// The payload of a [`FilterOut`].
+/// The payload of a [`FilterOut`]. Frame results travel as the filter
+/// produced them; the driver turns each into events at the A drain
+/// ([`ShardedIngest::frame_events`], the order a single-threaded ingest
+/// emits them in).
+// One per job, moved once through the edge: boxing the inline variant
+// would cost the per-frame allocation it exists to avoid.
+#[allow(clippy::large_enum_variant)]
 enum FilterOutKind {
-    /// The frame's service outputs (Observed / AckReceived / Filtered
-    /// emissions, in the order a single-threaded ingest would emit
-    /// them).
-    Frame(Vec<ServiceOutput>),
-    /// Per-frame service outputs for a [`FilterJob::Frames`] run: entry
-    /// `i` belongs to root `first + i`, where `first` is the root the
-    /// job was submitted under.
-    Frames(Vec<Vec<ServiceOutput>>),
+    /// The frame's filter result.
+    Frame(FilterResult),
+    /// Per-frame results for a [`FilterJob::Frames`] run: entry `i`
+    /// belongs to root `first + i`, where `first` is the root the job
+    /// was submitted under.
+    Frames(Vec<FilterResult>),
     /// The shard's flush releases, in its own stream-id order.
     Flush(Vec<Delivery>),
 }
@@ -1676,7 +1618,7 @@ fn route_delivery(
     shard: usize,
     delivery: Delivery,
     depth: u32,
-) -> (Vec<ServiceOutput>, RouteNote) {
+) -> (ServiceOutput, RouteNote) {
     let (recipients, rebuilt) = cache.resolve(table, delivery.msg.stream());
     let note = RouteNote {
         stream: delivery.msg.stream(),
@@ -1689,19 +1631,7 @@ fn route_delivery(
         cache_shard: shard,
         cache_stats: cache.stats(),
     };
-    let outputs = if recipients.is_empty() {
-        vec![ServiceOutput::Emit(ServiceEvent::Orphaned(delivery))]
-    } else {
-        recipients
-            .iter()
-            .map(|&recipient| ServiceOutput::Deliver {
-                recipient,
-                delivery: delivery.clone(),
-                depth,
-            })
-            .collect()
-    };
-    (outputs, note)
+    (routed_output(recipients, delivery, depth), note)
 }
 
 /// A job for the control worker (the C edge): one boundary event's
@@ -1879,8 +1809,9 @@ enum ControlStage {
 ///
 /// * **A — filtering**: one [`FilteringService`] per ingest shard,
 ///   partitioned by [`shard_of_sensor`];
-/// * **B — dispatch**: one [`DispatchStage`] per dispatch shard over a
-///   frozen subscription-table snapshot, same hash;
+/// * **B — dispatch**: one pure matcher per dispatch shard over the
+///   shared subscription table (`route_delivery`, with a shard-local
+///   match cache), same hash;
 /// * **C — control**: a single [`ControlGraph`] worker running each
 ///   boundary event's control cascade to quiescence.
 ///
@@ -1911,7 +1842,7 @@ enum ControlStage {
 /// is rebuilt within the restart budget.
 pub struct ThreadedRouter {
     a: StageEdge<FilterJob, FilterOut>,
-    b: StageEdge<DispatchJob, (Vec<ServiceOutput>, RouteNote)>,
+    b: StageEdge<DispatchJob, (ServiceOutput, RouteNote)>,
     c: ControlStage,
     ingest_shards: usize,
     dispatch_shards: usize,
@@ -2058,19 +1989,12 @@ impl ThreadedRouter {
             Box::new(move |job: FilterJob| {
                 let kind = match job {
                     FilterJob::Frame((receiver, rssi_dbm, frame, at)) => {
-                        let result = filter.on_frame(receiver, rssi_dbm, &frame, at);
-                        FilterOutKind::Frame(ShardedIngest::frame_outputs(result))
+                        FilterOutKind::Frame(filter.on_frame(receiver, rssi_dbm, &frame, at))
                     }
                     FilterJob::Frames(frames) => {
                         let arrivals: Vec<FrameArrival> =
                             frames.into_iter().map(pending_to_arrival).collect();
-                        FilterOutKind::Frames(
-                            filter
-                                .on_batch(&arrivals)
-                                .into_iter()
-                                .map(ShardedIngest::frame_outputs)
-                                .collect(),
-                        )
+                        FilterOutKind::Frames(filter.on_batch(&arrivals))
                     }
                     FilterJob::Flush(now) => FilterOutKind::Flush(filter.on_tick(now)),
                 };
@@ -2090,7 +2014,7 @@ impl ThreadedRouter {
         supervision: Option<SupervisionConfig>,
         subscriptions: &Arc<RwLock<SubscriptionTable>>,
         cache: garnet_net::DispatchCacheConfig,
-    ) -> StageEdge<DispatchJob, (Vec<ServiceOutput>, RouteNote)> {
+    ) -> StageEdge<DispatchJob, (ServiceOutput, RouteNote)> {
         let subs = subscriptions.clone();
         StageEdge::new(shards, capacity, supervision, move |shard| {
             let subs = subs.clone();
@@ -2109,7 +2033,7 @@ impl ThreadedRouter {
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         a: StageEdge<FilterJob, FilterOut>,
-        b: StageEdge<DispatchJob, (Vec<ServiceOutput>, RouteNote)>,
+        b: StageEdge<DispatchJob, (ServiceOutput, RouteNote)>,
         c: ControlStage,
         ingest_shards: usize,
         dispatch_shards: usize,
@@ -2422,38 +2346,33 @@ impl ThreadedRouter {
         jobs
     }
 
-    /// Folds one frame's filtering outputs into its root: Filtered
-    /// emissions become dispatch jobs (appended to `b_pending` in
-    /// submission order — the B edge's sequencing), Observed /
-    /// AckReceived emissions queue as control events ahead of them,
-    /// exactly as the FIFO router would order the same frame.
+    /// Folds one frame's filter result into its root: Filtered events
+    /// become dispatch jobs (appended to `b_pending` in submission
+    /// order — the B edge's sequencing), Observed / AckReceived events
+    /// queue as control events ahead of them, exactly as the FIFO
+    /// router would order the same frame.
     fn absorb_frame_result(
         &mut self,
         root: u64,
-        outputs: Vec<ServiceOutput>,
+        result: FilterResult,
         b_pending: &mut Vec<(usize, u64, DispatchJob)>,
     ) {
         let Some(state) = self.roots.get_mut(&root) else { return };
         state.a_done += 1;
-        for o in outputs {
-            match o {
-                ServiceOutput::Emit(ServiceEvent::Filtered { delivery, depth }) => {
-                    state.b_expected += 1;
-                    let shard = shard_of_sensor(
-                        delivery.msg.stream().sensor().as_u32(),
-                        self.dispatch_shards,
-                    );
-                    #[cfg(feature = "trace")]
-                    state.trace.push_dispatch(dispatch_record(&delivery, state.now, shard));
-                    b_pending.push((shard, root, DispatchJob { delivery, depth }));
-                }
-                // Observed / AckReceived: control events the FIFO
-                // router would queue before the Filtered ones — same
-                // order here.
-                ServiceOutput::Emit(ev) => state.c_events.push(ev),
-                other => state.outputs.push(other),
+        let dispatch_shards = self.dispatch_shards;
+        ShardedIngest::frame_events(result, |ev| match ev {
+            ServiceEvent::Filtered { delivery, depth } => {
+                state.b_expected += 1;
+                let shard =
+                    shard_of_sensor(delivery.msg.stream().sensor().as_u32(), dispatch_shards);
+                #[cfg(feature = "trace")]
+                state.trace.push_dispatch(dispatch_record(&delivery, state.now, shard));
+                b_pending.push((shard, root, DispatchJob { delivery, depth }));
             }
-        }
+            // Observed / AckReceived: control events the FIFO router
+            // would queue before the Filtered ones — same order here.
+            control => state.c_events.push(control),
+        });
         // Filtering has fully landed: everything in c_events so far
         // precedes dispatch in the canonical FIFO order.
         #[cfg(feature = "trace")]
@@ -2475,16 +2394,16 @@ impl ThreadedRouter {
         for (root, out) in self.a.drain() {
             self.a_stats[out.shard] = (out.stats, out.next_deadline);
             match out.kind {
-                FilterOutKind::Frame(outputs) => {
-                    self.absorb_frame_result(root, outputs, &mut b_pending);
+                FilterOutKind::Frame(result) => {
+                    self.absorb_frame_result(root, result, &mut b_pending);
                 }
                 FilterOutKind::Frames(per_frame) => {
                     // A run's roots are consecutive from the root the
                     // job rode on; attributing entry i to root + i is
                     // exactly the per-frame drain.
                     self.a_spans.remove(&root);
-                    for (i, outputs) in per_frame.into_iter().enumerate() {
-                        self.absorb_frame_result(root + i as u64, outputs, &mut b_pending);
+                    for (i, result) in per_frame.into_iter().enumerate() {
+                        self.absorb_frame_result(root + i as u64, result, &mut b_pending);
                     }
                 }
                 FilterOutKind::Flush(deliveries) => {
@@ -2537,16 +2456,17 @@ impl ThreadedRouter {
             self.b.submit_batch_classed(shard, jobs, EdgeClass::Data);
         }
 
-        for (root, (outputs, note)) in self.b.drain() {
+        for (root, (output, note)) in self.b.drain() {
             // The note lands here, in the edge's global submission
             // order — the exact order the FIFO router handles
             // `Filtered` events — so the catalogue and counters are
             // bit-identical to the single-threaded dispatch stage.
-            self.streams.note_message(
+            self.streams.note_routed(
                 note.stream,
                 note.payload_len,
                 note.delivered_at,
                 note.depth > 0,
+                note.matched > 0,
             );
             self.dispatched += 1;
             self.deliveries += note.matched as u64;
@@ -2554,7 +2474,6 @@ impl ThreadedRouter {
             if note.matched == 0 {
                 self.unclaimed += 1;
             }
-            self.streams.set_claimed(note.stream, note.matched > 0);
             if let Some(slot) = self.b_cache_stats.get_mut(note.cache_shard) {
                 *slot = note.cache_stats;
             }
@@ -2567,14 +2486,11 @@ impl ThreadedRouter {
                 state.b_done += 1;
                 #[cfg(feature = "trace")]
                 state.trace.complete_dispatch(true, note.rebuilt);
-                for o in outputs {
-                    match o {
-                        // Orphaned: a control event the FIFO router
-                        // would queue behind the frame's other control
-                        // events.
-                        ServiceOutput::Emit(ev) => state.c_events.push(ev),
-                        other => state.outputs.push(other),
-                    }
+                match output {
+                    // Orphaned: a control event the FIFO router would
+                    // queue behind the frame's other control events.
+                    ServiceOutput::Emit(ev) => state.c_events.push(ev),
+                    deliver => state.outputs.push(deliver),
                 }
             }
         }

@@ -4,7 +4,9 @@
 //! [`ServiceEvent`]s and produces [`ServiceOutput`]s — either further
 //! events for sibling services ([`ServiceOutput::Emit`]) or effects the
 //! facade must carry out (deliver to a consumer, transmit a plan). The
-//! [`GarnetService`] trait is the whole contract; no service calls
+//! [`GarnetService`] trait is the control-plane services' whole
+//! contract (the per-frame stages, ingest and dispatch, hand the router
+//! their results without the `Vec` the trait returns); no service calls
 //! another directly, so the event [`crate::router::Router`] is the only
 //! place the paper's arrows exist in code, and any stage can be swapped
 //! for a sharded or threaded implementation without the others noticing.
@@ -14,6 +16,8 @@
 //! when a [`ServiceOutput::Deliver`] surfaces, and interprets
 //! [`ServiceOutput::Planned`]/[`ServiceOutput::Denied`] according to the
 //! [`ActuationOrigin`] stamped on the chain's first event.
+
+use std::sync::Arc;
 
 use garnet_net::SubscriberId;
 use garnet_radio::geometry::Point;
@@ -180,11 +184,17 @@ pub struct BatchedFrame {
 pub enum ServiceOutput {
     /// Route this event onward (the router re-enqueues it).
     Emit(ServiceEvent),
-    /// Run a consumer callback (facade effect: consumers live outside
-    /// the service graph).
+    /// Run the consumer callbacks for one routed message (facade effect:
+    /// consumers live outside the service graph). One output per
+    /// message whatever its fan-out: the facade walks `recipients` in
+    /// order and hands each consumer the one `delivery`.
     Deliver {
-        /// The subscriber.
-        recipient: SubscriberId,
+        /// Everyone the message matched, ascending id order, never
+        /// empty. Fixed at route time — the handle
+        /// [`crate::dispatching::DispatchOutcome`] shares with the match
+        /// cache — so a subscription change made while the message is
+        /// being delivered affects the next message, not this one.
+        recipients: Arc<[SubscriberId]>,
         /// The message.
         delivery: Delivery,
         /// Derived-stream depth of the message.

@@ -80,6 +80,34 @@ impl StreamRegistry {
         at: SimTime,
         derived: bool,
     ) {
+        self.touch(stream, payload_len, at, derived);
+    }
+
+    /// Records one routed message on `stream` and whether any subscriber
+    /// matched it — [`StreamRegistry::note_message`] plus
+    /// [`StreamRegistry::set_claimed`] in one lookup, which is what the
+    /// dispatch stage owes the catalogue per message. Keeping the
+    /// claimed flag in step with each route makes a subscription made
+    /// before the stream's first message visible to the quiescence
+    /// sweep.
+    pub fn note_routed(
+        &mut self,
+        stream: StreamId,
+        payload_len: usize,
+        at: SimTime,
+        derived: bool,
+        claimed: bool,
+    ) {
+        self.touch(stream, payload_len, at, derived).claimed = claimed;
+    }
+
+    fn touch(
+        &mut self,
+        stream: StreamId,
+        payload_len: usize,
+        at: SimTime,
+        derived: bool,
+    ) -> &mut StreamInfo {
         let info = self.streams.entry(stream.to_raw()).or_insert_with(|| StreamInfo {
             stream,
             first_seen: at,
@@ -92,6 +120,7 @@ impl StreamRegistry {
         info.messages += 1;
         info.payload_bytes += payload_len as u64;
         info.last_seen = at;
+        info
     }
 
     /// Marks a stream claimed/unclaimed as subscriptions come and go.
@@ -104,6 +133,13 @@ impl StreamRegistry {
     /// Metadata for one stream.
     pub fn info(&self, stream: StreamId) -> Option<&StreamInfo> {
         self.streams.get(&stream.to_raw())
+    }
+
+    /// Every known stream, in no particular order and without
+    /// materialising the catalogue — for folds (a minimum, a count)
+    /// that do not care about order.
+    pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
+        self.streams.values()
     }
 
     /// Every known stream, ordered by raw id.
@@ -173,6 +209,20 @@ impl ShardedStreamRegistry {
         self.shards[shard].note_message(stream, payload_len, at, derived);
     }
 
+    /// Records one routed message and its claimed flag on the owning
+    /// shard (see [`StreamRegistry::note_routed`]).
+    pub fn note_routed(
+        &mut self,
+        stream: StreamId,
+        payload_len: usize,
+        at: SimTime,
+        derived: bool,
+        claimed: bool,
+    ) {
+        let shard = self.shard_of(stream);
+        self.shards[shard].note_routed(stream, payload_len, at, derived, claimed);
+    }
+
     /// Marks a stream claimed/unclaimed as subscriptions come and go.
     pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
         let shard = self.shard_of(stream);
@@ -182,6 +232,12 @@ impl ShardedStreamRegistry {
     /// Metadata for one stream.
     pub fn info(&self, stream: StreamId) -> Option<&StreamInfo> {
         self.shards[self.shard_of(stream)].info(stream)
+    }
+
+    /// Every known stream across all shards, unordered and without
+    /// allocating (see [`StreamRegistry::iter`]).
+    pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
+        self.shards.iter().flat_map(StreamRegistry::iter)
     }
 
     /// Every known stream, merged across shards into ascending raw-id
@@ -246,6 +302,21 @@ mod tests {
         assert!(r.discover_unclaimed().is_empty());
         r.set_claimed(s, false);
         assert_eq!(r.discover_unclaimed().len(), 1);
+    }
+
+    #[test]
+    fn note_routed_is_note_message_plus_set_claimed() {
+        let s = StreamId::from_raw(5);
+        let mut one = StreamRegistry::new();
+        let mut two = StreamRegistry::new();
+        for (i, claimed) in [true, false, true].into_iter().enumerate() {
+            let at = SimTime::from_millis(i as u64);
+            one.note_routed(s, 4, at, false, claimed);
+            two.note_message(s, 4, at, false);
+            two.set_claimed(s, claimed);
+            assert_eq!(one.info(s), two.info(s));
+        }
+        assert_eq!(one.iter().count(), 1);
     }
 
     #[test]

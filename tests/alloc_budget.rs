@@ -1,0 +1,165 @@
+//! The allocation budget of the frame path (ROADMAP item 3's "zero
+//! allocator calls per frame in steady state").
+//!
+//! Between `Garnet::on_frames` and `Consumer::on_data` nothing is
+//! allocated per frame: the filter result holds its one delivery
+//! inline, a routed message is one `Deliver` output whatever its
+//! fan-out, and every buffer on the way (the router's batch scratch, the
+//! driver→facade output buffer) is reused. What remains is per burst — a
+//! handful of `Vec`s sized to the burst — so the pin is a fraction of an
+//! allocator call per frame, measured with a counting global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use garnet::core::consumer::{Consumer, ConsumerCtx};
+use garnet::core::filtering::Delivery;
+use garnet::core::middleware::{Garnet, GarnetConfig};
+use garnet::core::router::{OverloadConfig, OverloadPolicy};
+use garnet::core::{DriverKind, QosConfig, QosMode};
+use garnet::net::TopicFilter;
+use garnet::radio::ReceiverId;
+use garnet::simkit::SimTime;
+use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
+
+thread_local! {
+    /// Allocator calls made by this thread. Per thread, so tests running
+    /// beside this one are not counted; the FIFO engine does all its
+    /// work on the calling thread.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator is still called while a thread's locals
+    // are being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` and `layout` come from this allocator, which is
+        // `System` underneath.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const STREAMS: u32 = 64;
+const FAN_OUT: usize = 4;
+const WARM_UP: u16 = 20;
+const COUNTED: u16 = 100;
+
+/// Counts its deliveries where the test can read them.
+struct Tally(Rc<Cell<u64>>);
+
+impl Consumer for Tally {
+    fn name(&self) -> &str {
+        "tally"
+    }
+    fn on_data(&mut self, _d: &Delivery, _ctx: &mut ConsumerCtx) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+/// Burst `seq`: one in-order frame on each of [`STREAMS`] streams.
+fn burst(seq: u16) -> Vec<(ReceiverId, f64, FrameBytes)> {
+    (1..=STREAMS)
+        .map(|sensor| {
+            let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+            let frame = DataMessage::builder(stream)
+                .seq(SequenceNumber::new(seq))
+                .payload(vec![sensor as u8, seq as u8])
+                .build()
+                .unwrap()
+                .encode_to_vec();
+            (ReceiverId::new(0), -50.0, FrameBytes::from(frame))
+        })
+        .collect()
+}
+
+/// Allocator calls per frame over [`COUNTED`] bursts through
+/// `Garnet::on_frames`, after [`WARM_UP`] bursts have grown every
+/// reusable buffer and made every stream resident.
+fn allocs_per_frame(config: GarnetConfig) -> f64 {
+    let mut g = Garnet::new(GarnetConfig { driver: DriverKind::Fifo, ..config });
+    let token = g.issue_default_token("budget");
+    let tallies: Vec<Rc<Cell<u64>>> = (0..FAN_OUT)
+        .map(|_| {
+            let tally = Rc::new(Cell::new(0));
+            let id = g
+                .register_consumer(Box::new(Tally(Rc::clone(&tally))), &token, 0)
+                .expect("fresh facade accepts a consumer");
+            g.subscribe(id, TopicFilter::All, &token).expect("subscribe with a fresh token");
+            tally
+        })
+        .collect();
+    // The input is the caller's: build it before the count starts.
+    let bursts: Vec<_> = (0..WARM_UP + COUNTED).map(burst).collect();
+    let mut before = 0;
+    for (i, frames) in bursts.into_iter().enumerate() {
+        if i == usize::from(WARM_UP) {
+            before = CALLS.with(Cell::get);
+        }
+        g.on_frames(frames, SimTime::from_millis(i as u64));
+    }
+    let calls = CALLS.with(Cell::get) - before;
+    // The path under the budget is the whole path: every frame reached
+    // every consumer.
+    let per_consumer = u64::from(WARM_UP + COUNTED) * u64::from(STREAMS);
+    for tally in tallies {
+        assert_eq!(tally.get(), per_consumer);
+    }
+    calls as f64 / (u64::from(COUNTED) * u64::from(STREAMS)) as f64
+}
+
+#[test]
+fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
+    let armed =
+        Some(OverloadConfig { capacity: 2 * STREAMS as usize, policy: OverloadPolicy::Block });
+    for mode in [QosMode::Scheduled, QosMode::Legacy] {
+        // Unbounded admission, then a bound the bursts fit under (the
+        // scheduler, or the router's own queue in legacy mode, governs
+        // admission without shedding).
+        for overload in [None, armed] {
+            for batch_ingest in [true, false] {
+                let per_frame = allocs_per_frame(GarnetConfig {
+                    qos: QosConfig { mode, ..QosConfig::default() },
+                    overload,
+                    batch_ingest,
+                    ..GarnetConfig::default()
+                });
+                assert!(
+                    per_frame < 0.25,
+                    "{mode:?}, overload {overload:?}, batch_ingest {batch_ingest}: \
+                     {per_frame:.3} allocator calls per frame"
+                );
+            }
+        }
+    }
+}

@@ -12,12 +12,17 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::{DriverKind, PriorityClass, QosConfig, QosMode};
+use garnet::core::router::{
+    ControlGraph, OverloadConfig, OverloadPolicy, Services, ShardedDispatch, ShardedIngest,
+};
+use garnet::core::{
+    DriverKind, FifoDriver, PriorityClass, QosConfig, QosMode, RouterDriver, ServiceOutput,
+    ThreadedDriver,
+};
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
-use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 
 const CAPACITY: usize = 32;
 const STREAMS: u32 = 6;
@@ -51,6 +56,17 @@ fn scheduled(policy: OverloadPolicy) -> GarnetConfig {
     }
 }
 
+/// One encoded frame on `sensor`'s stream 0.
+fn frame(sensor: u32, seq: u16) -> Vec<u8> {
+    let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+    DataMessage::builder(stream)
+        .seq(SequenceNumber::new(seq))
+        .payload(vec![sensor as u8, seq as u8])
+        .build()
+        .unwrap()
+        .encode_to_vec()
+}
+
 /// An interleaved burst of `multiplier * CAPACITY` frames over
 /// [`STREAMS`] streams, with every third frame duplicated so coalescing
 /// has work to do.
@@ -59,13 +75,7 @@ fn burst(multiplier: usize) -> Vec<(ReceiverId, f64, Vec<u8>)> {
     for i in 0..(multiplier * CAPACITY) as u64 {
         let sensor = (i % u64::from(STREAMS)) as u32 + 1;
         let seq = (i / u64::from(STREAMS)) as u16;
-        let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
-        let bytes = DataMessage::builder(stream)
-            .seq(SequenceNumber::new(seq))
-            .payload(vec![sensor as u8, seq as u8])
-            .build()
-            .unwrap()
-            .encode_to_vec();
+        let bytes = frame(sensor, seq);
         frames.push((ReceiverId::new(0), -50.0, bytes.clone()));
         if i % 3 == 0 {
             frames.push((ReceiverId::new(0), -50.0, bytes));
@@ -327,4 +337,159 @@ fn legacy_mode_reproduces_the_engine_overload_path() {
     assert_eq!(g.delivery_backlog(), 0, "legacy mode must not stage deliveries");
     assert_eq!(out.overload.offered, out.overload.shed + out.overload.delivered);
     assert!(out.overload.shed > 0, "the engine's own bounded queue still sheds");
+}
+
+/// `(consumer name, stream, seq)` per callback, in call order across
+/// every consumer of a run.
+type Calls = Arc<Mutex<Vec<(&'static str, u32, u16)>>>;
+
+/// Appends its callbacks to a log shared by every consumer of a run, so
+/// the order of callbacks *across* consumers is visible.
+struct Witness {
+    name: &'static str,
+    calls: Calls,
+}
+
+impl Consumer for Witness {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn on_data(&mut self, d: &Delivery, _ctx: &mut ConsumerCtx) {
+        self.calls.lock().unwrap().push((self.name, d.msg.stream().to_raw(), d.msg.seq().as_u16()));
+    }
+}
+
+#[test]
+fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_one() {
+    // A routed message is one `Deliver` carrying its whole match set.
+    // The facade walks the set in subscriber order: consumers without a
+    // drain limit are called at once with the shared delivery, the
+    // drain-limited one gets its own staged copy, and both ledgers count
+    // (message, recipient) pairs exactly — identically on both engines.
+    const NAMES: [&str; 4] = ["a", "b", "slow", "d"];
+    let run = |driver| {
+        let mut g = Garnet::new(GarnetConfig {
+            driver,
+            qos: QosConfig { mode: QosMode::Scheduled, ..QosConfig::default() },
+            ..GarnetConfig::default()
+        });
+        let calls: Calls = Arc::new(Mutex::new(Vec::new()));
+        let token = g.issue_default_token("fanout");
+        for name in NAMES {
+            let witness = Witness { name, calls: Arc::clone(&calls) };
+            let id = g.register_consumer(Box::new(witness), &token, 0).unwrap();
+            g.subscribe(id, TopicFilter::All, &token).unwrap();
+            if name == "slow" {
+                g.set_consumer_drain_limit(id, Some(1));
+            }
+        }
+        // Three messages on three streams (nothing to coalesce) in one
+        // burst.
+        let burst: Vec<_> = (1..=3).map(|s| (ReceiverId::new(0), -50.0, frame(s, 0))).collect();
+        g.on_frames(burst, SimTime::from_millis(1));
+        let after_burst = calls.lock().unwrap().clone();
+        let mid = (*g.delivery_ledger(), g.delivery_backlog());
+        // Each later call drains one more staged delivery.
+        g.on_tick(SimTime::from_millis(2));
+        g.on_tick(SimTime::from_millis(3));
+        let ledger = *g.delivery_ledger();
+        let dispatched = g.dispatching().delivery_count();
+        let report = g.metrics().report();
+        g.shutdown(SimTime::from_secs(1)).expect("clean shutdown");
+        let all_calls = calls.lock().unwrap().clone();
+        (after_burst, mid, all_calls, ledger, dispatched, report)
+    };
+
+    let fifo = run(DriverKind::Fifo);
+    let (after_burst, (mid_ledger, mid_backlog), all_calls, ledger, dispatched, _) = &fifo;
+    let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+    let mut want = Vec::new();
+    for sensor in 1..=3 {
+        for name in ["a", "b", "d"] {
+            want.push((name, stream(sensor).to_raw(), 0));
+        }
+    }
+    // The pump's one drain pass hands the slow consumer its first.
+    want.push(("slow", stream(1).to_raw(), 0));
+    assert_eq!(after_burst, &want, "co-recipients are called at once, in match-set order");
+    assert_eq!((mid_ledger.offered, mid_ledger.delivered, mid_ledger.shed), (3, 1, 0));
+    assert_eq!(*mid_backlog, 2);
+    want.push(("slow", stream(2).to_raw(), 0));
+    want.push(("slow", stream(3).to_raw(), 0));
+    assert_eq!(all_calls, &want);
+    assert_eq!((ledger.offered, ledger.delivered, ledger.shed, ledger.coalesced), (3, 3, 0, 0));
+    assert_eq!(*dispatched, 3 * NAMES.len() as u64, "deliveries count pairs, not messages");
+
+    assert_eq!(run(DriverKind::Threaded), fifo, "the threaded engine must be bit-identical");
+}
+
+#[test]
+fn match_set_is_fixed_when_the_message_is_routed() {
+    // The facade cannot change subscriptions from inside `on_data` (no
+    // consumer action does), so this drives the bare engine the way the
+    // facade does: a subscription write made while a `Deliver` is being
+    // applied — after its first recipient, before its later ones — does
+    // not shorten that message's recipients; the next message sees it.
+    let stream = StreamId::new(SensorId::new(7).unwrap(), StreamIndex::new(0));
+    let filter = TopicFilter::Stream(stream);
+    let engines: [Box<dyn RouterDriver>; 2] = [
+        Box::new(FifoDriver::new(
+            Services {
+                ingest: ShardedIngest::new(Default::default(), 1),
+                dispatch: ShardedDispatch::new(1),
+                control: ControlGraph::default(),
+            },
+            None,
+            true,
+        )),
+        Box::new(ThreadedDriver::new(
+            Default::default(),
+            1,
+            1,
+            ControlGraph::default(),
+            None,
+            true,
+            Default::default(),
+        )),
+    ];
+    for mut driver in engines {
+        let ids: Vec<SubscriberId> = (0..3).map(|_| driver.register_subscriber()).collect();
+        for &id in &ids {
+            driver.subscribe(id, filter);
+        }
+        // Pumps one frame dry, unsubscribing `unsubscribe` once the first
+        // recipient of its `Deliver` has been "called".
+        let pump = |driver: &mut dyn RouterDriver, seq: u16, unsubscribe: Option<SubscriberId>| {
+            let now = SimTime::from_millis(u64::from(seq));
+            let frame = FrameBytes::from(frame(7, seq));
+            assert!(driver.admit_frame(ReceiverId::new(0), -50.0, frame, now).is_empty());
+            let mut reached = Vec::new();
+            let mut escaped = Vec::new();
+            loop {
+                driver.pump_into(now, &mut escaped);
+                if escaped.is_empty() {
+                    return reached;
+                }
+                for output in escaped.drain(..) {
+                    match output {
+                        ServiceOutput::Emit(ev) => driver.push_event(ev, now),
+                        ServiceOutput::Deliver { recipients, delivery, .. } => {
+                            assert_eq!(delivery.msg.seq().as_u16(), seq);
+                            for (i, &recipient) in recipients.iter().enumerate() {
+                                reached.push(recipient);
+                                if let (0, Some(gone)) = (i, unsubscribe) {
+                                    assert!(driver.unsubscribe(gone, filter));
+                                }
+                            }
+                        }
+                        other => panic!("unexpected output {other:?}"),
+                    }
+                }
+            }
+        };
+        assert_eq!(pump(&mut *driver, 0, Some(ids[2])), ids, "route-time snapshot");
+        assert_eq!(pump(&mut *driver, 1, None), ids[..2], "the next message sees the write");
+        assert_eq!(driver.dispatch_stats().delivery_count(), 5);
+        driver.shutdown(SimTime::from_secs(1));
+    }
 }

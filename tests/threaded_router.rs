@@ -126,8 +126,9 @@ fn reference_outputs(sched: &[Boundary]) -> Vec<String> {
             Boundary::Tick(at) => (ServiceEvent::ActuationTick, *at),
         };
         router.enqueue(ev);
-        while let Some(outs) = router.step(now) {
-            for o in outs {
+        let mut outs = Vec::new();
+        while router.step(now, &mut outs) {
+            for o in outs.drain(..) {
                 match o {
                     ServiceOutput::Emit(ev) => router.enqueue(ev),
                     other => escaped.push(format!("{other:?}")),

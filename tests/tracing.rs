@@ -142,7 +142,7 @@ mod traced {
                 Boundary::Tick(at) => (ServiceEvent::ActuationTick, *at),
             };
             router.enqueue(ev);
-            while router.step(now).is_some() {}
+            while router.step(now, &mut Vec::new()) {}
         }
         router.trace_snapshot()
     }
@@ -230,7 +230,7 @@ mod traced {
                 Boundary::Tick(at) => (ServiceEvent::ActuationTick, *at),
             };
             router.enqueue(ev);
-            while router.step(now).is_some() {}
+            while router.step(now, &mut Vec::new()) {}
         }
         router.trace_snapshot()
     }
@@ -393,7 +393,7 @@ mod traced {
         assert_eq!(coalesced[0].root, Some(0), "first loser: the queued seq-0 copy");
         assert_eq!(coalesced[1].root, Some(2), "second loser: the arriving seq-0 copy");
         // Draining delivers the surviving seq-1 frame, traced normally.
-        while router.step(SimTime::ZERO).is_some() {}
+        while router.step(SimTime::ZERO, &mut Vec::new()) {}
         let totals = router.overload_totals();
         assert_eq!((totals.delivered, totals.coalesced), (1, 2));
     }
