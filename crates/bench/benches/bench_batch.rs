@@ -4,23 +4,24 @@
 //! stage).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use garnet_bench::e03_pipeline::{run_shard_point_batched, shard_workload};
-use garnet_bench::e21_batch::{batch_sweep_json, ingest_batch_sweep, BATCH_SIZES};
+use garnet_bench::e03_pipeline::shard_workload;
+use garnet_bench::e18_dispatch_shards::run_dispatch_point_batched;
+use garnet_bench::e21_batch::{batch_sweep_json, graph_batch_sweep, BATCH_SIZES};
 
 fn bench(c: &mut Criterion) {
-    let frames = 100_000u32;
+    let frames = 20_000u32;
     let workload = shard_workload(frames, 64);
     let mut group = c.benchmark_group("e21_batch");
     group.sample_size(10);
     group.throughput(Throughput::Elements(u64::from(frames)));
     for batch in BATCH_SIZES {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &size| {
-            b.iter(|| std::hint::black_box(run_shard_point_batched(&workload, 1, size)));
+            b.iter(|| std::hint::black_box(run_dispatch_point_batched(&workload, 1, size)));
         });
     }
     group.finish();
 
-    let points = ingest_batch_sweep(200_000, 64, &BATCH_SIZES);
+    let points = graph_batch_sweep(frames, 64, &BATCH_SIZES);
     // The acceptance shape: per-frame cost falls monotonically from
     // batch size 1 to 64 (256 may flatten; it only has to hold 64's
     // gain, with 10% measurement slack).
@@ -46,7 +47,7 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-    let json = batch_sweep_json("e21_batch", "ThreadedIngest", &points);
+    let json = batch_sweep_json("e21_batch", "ThreadedRouter", &points);
     if let Err(e) = std::fs::write("BENCH_batch.json", &json) {
         eprintln!("could not write BENCH_batch.json: {e}");
     }

@@ -1,10 +1,6 @@
-//! E3: the full Fig. 1 pipeline at one operating point, plus the ingest
-//! shard sweep (writes `BENCH_pipeline_shards.json` next to the bench's
-//! working directory).
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use garnet_bench::e03_pipeline::{
-    expected_min_speedup, host_cores, run_point, run_shard_point, shard_workload, sweep_json,
-};
+//! E3: the full Fig. 1 pipeline at one operating point.
+use criterion::{criterion_group, criterion_main, Criterion};
+use garnet_bench::e03_pipeline::run_point;
 use garnet_simkit::{SimDuration, SimTime};
 
 fn bench(c: &mut Criterion) {
@@ -18,42 +14,6 @@ fn bench(c: &mut Criterion) {
         });
     });
     group.finish();
-
-    let frames = 50_000u32;
-    let workload = shard_workload(frames, 64);
-    let mut group = c.benchmark_group("e03_pipeline_shards");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(u64::from(frames)));
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &s| {
-            b.iter(|| std::hint::black_box(run_shard_point(&workload, s)));
-        });
-    }
-    group.finish();
-
-    let cores = host_cores();
-    let points: Vec<_> = [1usize, 2, 4, 8].iter().map(|&s| run_shard_point(&workload, s)).collect();
-    let base = points[0].throughput_fps;
-    for p in &points {
-        // Only claim a speedup where the host can actually deliver one;
-        // a single-core runner records the sweep without the gate.
-        if let Some(min) = expected_min_speedup(p.shards, cores) {
-            let speedup = p.throughput_fps / base;
-            assert!(
-                speedup >= min,
-                "{} shards on {} cores: speedup {:.3} below expected {:.2}",
-                p.shards,
-                cores,
-                speedup,
-                min
-            );
-        }
-    }
-    let json = sweep_json("e03_pipeline_shards", "ThreadedIngest", cores, &points);
-    if let Err(e) = std::fs::write("BENCH_pipeline_shards.json", &json) {
-        eprintln!("could not write BENCH_pipeline_shards.json: {e}");
-    }
-    println!("{json}");
 }
 
 criterion_group!(benches, bench);

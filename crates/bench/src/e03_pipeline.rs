@@ -8,10 +8,7 @@
 //! throughput scales linearly with offered load.
 
 use garnet_core::pipeline::LatencyProbe;
-use garnet_core::router::ThreadedIngest;
-use garnet_core::FilterConfig;
-use garnet_net::{SubscriberId, SubscriptionTable, TopicFilter};
-use garnet_radio::ReceiverId;
+use garnet_net::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 use garnet_workloads::HabitatScenario;
@@ -89,10 +86,11 @@ pub fn run() -> (Vec<PipelinePoint>, Table) {
     (points, table)
 }
 
-/// One sample of the ingest shard sweep.
+/// One wall-clock sample of a sweep (E18, E19, E20, E21, E22 share it).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPoint {
-    /// Worker shards in the threaded ingest driver.
+    /// The swept dimension (worker shards, unless the sweep says
+    /// otherwise).
     pub shards: usize,
     /// Frames pushed through the stage.
     pub frames: u64,
@@ -122,52 +120,6 @@ pub fn shard_workload(frames: u32, sensors: u32) -> Vec<FrameBytes> {
                 .into()
         })
         .collect()
-}
-
-/// Pushes `workload` through a [`ThreadedIngest`] with `shards` workers
-/// and returns the wall-clock sample. Panics if any frame is lost (the
-/// workload is duplicate- and gap-free, so delivered must equal pushed).
-/// Batch size 64 is the stage's amortised steady state — the E21 sweep
-/// varies it.
-pub fn run_shard_point(workload: &[FrameBytes], shards: usize) -> ShardPoint {
-    run_shard_point_batched(workload, shards, 64)
-}
-
-/// [`run_shard_point`] with an admission batch size: frames enter the
-/// stage in bursts of `batch` through [`ThreadedIngest::push_frames`],
-/// and the stage submits worker jobs of the same size, so each batch
-/// costs one channel hand-off (and one result hand-off back) instead of
-/// one per frame. `batch == 1` is the honest per-frame baseline: every
-/// frame pays the full enqueue/rendezvous/merge cost alone.
-pub fn run_shard_point_batched(workload: &[FrameBytes], shards: usize, batch: usize) -> ShardPoint {
-    let mut subs = SubscriptionTable::new();
-    subs.subscribe(SubscriberId::new(1), TopicFilter::All);
-    let started = std::time::Instant::now();
-    let mut ingest = ThreadedIngest::new(FilterConfig::default(), shards, batch.max(1), &subs);
-    let mut delivered = 0u64;
-    let mut at_base = 0u64;
-    for chunk in workload.chunks(batch.max(1)) {
-        let at = SimTime::from_micros(at_base);
-        at_base += chunk.len() as u64;
-        let staged = chunk.iter().map(|frame| (ReceiverId::new(0), -40.0, frame.clone()));
-        for b in ingest.push_frames(staged, at) {
-            delivered += b.deliveries.len() as u64;
-        }
-    }
-    for b in ingest.flush(SimTime::from_secs(3_600)) {
-        delivered += b.deliveries.len() as u64;
-    }
-    for b in ingest.finish().batches {
-        delivered += b.deliveries.len() as u64;
-    }
-    let elapsed = started.elapsed();
-    assert_eq!(delivered, workload.len() as u64, "ingest lost frames");
-    ShardPoint {
-        shards,
-        frames: delivered,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: delivered as f64 / elapsed.as_secs_f64(),
-    }
 }
 
 /// The host's usable core count (1 when it cannot be determined).
@@ -217,18 +169,6 @@ pub fn sweep_json(bench: &str, driver: &str, cores: usize, points: &[ShardPoint]
     )
 }
 
-/// Runs the ingest shard sweep and renders it as the JSON document for
-/// `BENCH_pipeline_shards.json`. The host's core count is recorded
-/// because the speedup ceiling is `min(shards, cores)`: on a
-/// single-core host every shard count measures the same serial work
-/// plus channel overhead.
-pub fn shard_sweep_json(frames: u32, sensors: u32, shard_counts: &[usize]) -> String {
-    let workload = shard_workload(frames, sensors);
-    let points: Vec<ShardPoint> =
-        shard_counts.iter().map(|&s| run_shard_point(&workload, s)).collect();
-    sweep_json("e03_pipeline_shards", "ThreadedIngest", host_cores(), &points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,15 +183,6 @@ mod tests {
         assert!(slow.delivery_ratio > 0.95, "ratio={}", slow.delivery_ratio);
         // Latency does not blow up with 60x the load.
         assert!(fast.p99_us < slow.p99_us.max(2_000) * 10, "fast p99 {}", fast.p99_us);
-    }
-
-    #[test]
-    fn shard_sweep_is_lossless_and_serialisable() {
-        let json = shard_sweep_json(2_000, 16, &[1, 2]);
-        assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"shards\": 1"));
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("\"frames\": 2000"));
     }
 
     #[test]

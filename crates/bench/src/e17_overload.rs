@@ -11,7 +11,7 @@
 
 use garnet_core::middleware::{Garnet, GarnetConfig};
 use garnet_core::router::{OverloadConfig, OverloadPolicy};
-use garnet_core::{Consumer, ConsumerCtx, Delivery, PriorityClass, QosConfig, QosMode};
+use garnet_core::{Consumer, ConsumerCtx, Delivery, PriorityClass};
 use garnet_net::TopicFilter;
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
@@ -195,7 +195,6 @@ pub fn run_qos_point(slow_present: bool) -> QosPoint {
             capacity: CAPACITY,
             policy: OverloadPolicy::CoalesceFrames,
         }),
-        qos: QosConfig { mode: QosMode::Scheduled, ..QosConfig::default() },
         ..GarnetConfig::default()
     });
     let count = |g: &mut Garnet, name: &'static str| {

@@ -124,7 +124,7 @@ pub fn run_fifo_point(workload: &[garnet_wire::FrameBytes]) -> ShardPoint {
     };
     for (i, frame) in workload.iter().enumerate() {
         let at = SimTime::from_micros(i as u64);
-        router.admit_frame(ReceiverId::new(0), -40.0, frame.clone(), at);
+        router.admit_frame(ReceiverId::new(0), -40.0, frame.clone());
         pump(&mut router, at);
     }
     let end = SimTime::from_secs(3_600);

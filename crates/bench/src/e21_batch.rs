@@ -1,7 +1,7 @@
 //! E21 — admission batch-size sweep on the zero-copy frame path.
 //!
-//! E3/E18 sweep worker *shards*; this sweep holds the topology at one
-//! shard and varies the **admission batch size** instead: how many
+//! E18 sweeps worker *shards*; this sweep holds the topology at one
+//! shard per stage and varies the **admission batch size** instead: how many
 //! frames enter the stage per `push_frames` call. Each consecutive
 //! same-shard run costs one channel hand-off and one sequencer merge
 //! however many frames it carries, so per-frame overhead (enqueue,
@@ -15,7 +15,7 @@
 //! size** — the sweep variable — not a worker count; the topology is
 //! fixed at one shard per stage.
 
-use crate::e03_pipeline::{host_cores, run_shard_point_batched, shard_workload, ShardPoint};
+use crate::e03_pipeline::{host_cores, shard_workload, ShardPoint};
 use crate::e18_dispatch_shards::run_dispatch_point_batched;
 use crate::table::{f2, n, Table};
 
@@ -30,20 +30,6 @@ pub struct BatchPoint {
     pub batch: usize,
     /// The wall-clock sample at that batch size.
     pub point: ShardPoint,
-}
-
-/// Sweeps the ingest stage (E3's single-shard `ThreadedIngest`) over
-/// the admission batch sizes.
-pub fn ingest_batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<BatchPoint> {
-    let workload = shard_workload(frames, sensors);
-    batches
-        .iter()
-        .map(|&batch| {
-            let mut point = run_shard_point_batched(&workload, 1, batch);
-            point.shards = batch;
-            BatchPoint { batch, point }
-        })
-        .collect()
 }
 
 /// Sweeps the full graph (E18's `ThreadedRouter`, 1×1 shards) over the
@@ -70,26 +56,20 @@ pub fn batch_sweep_json(bench: &str, driver: &str, points: &[BatchPoint]) -> Str
 /// Runs the sweep for the experiments binary.
 pub fn run() -> (Vec<BatchPoint>, Table) {
     let mut table = Table::new(
-        "E21 — admission batch-size sweep: single-shard throughput vs frames per push",
-        &["stage", "batch", "frames", "elapsed µs", "frames/s", "speedup vs batch 1"],
+        "E21 — admission batch-size sweep: full-graph throughput vs frames per push",
+        &["batch", "frames", "elapsed µs", "frames/s", "speedup vs batch 1"],
     );
-    let ingest = ingest_batch_sweep(200_000, 64, &BATCH_SIZES);
-    let graph = graph_batch_sweep(20_000, 64, &BATCH_SIZES);
-    for (stage, points) in [("ingest", &ingest), ("graph", &graph)] {
-        let base = points[0].point.throughput_fps;
-        for p in points {
-            table.row(&[
-                stage.into(),
-                n(p.batch as u64),
-                n(p.point.frames),
-                n(p.point.elapsed_us),
-                f2(p.point.throughput_fps),
-                f2(p.point.throughput_fps / base),
-            ]);
-        }
+    let points = graph_batch_sweep(20_000, 64, &BATCH_SIZES);
+    let base = points[0].point.throughput_fps;
+    for p in &points {
+        table.row(&[
+            n(p.batch as u64),
+            n(p.point.frames),
+            n(p.point.elapsed_us),
+            f2(p.point.throughput_fps),
+            f2(p.point.throughput_fps / base),
+        ]);
     }
-    let mut points = ingest;
-    points.extend(graph);
     (points, table)
 }
 
@@ -98,25 +78,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_sweep_is_lossless_and_serialisable() {
-        let points = ingest_batch_sweep(2_000, 16, &[1, 8]);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert_eq!(p.point.frames, 2_000, "batch {} lost frames", p.batch);
-        }
-        let json = batch_sweep_json("e21_batch_ingest", "ThreadedIngest", &points);
-        assert!(json.contains("\"bench\": \"e21_batch_ingest\""));
-        assert!(json.contains("\"host_cores\""));
-        // `shards` carries the batch size in this sweep.
-        assert!(json.contains("\"shards\": 1"));
-        assert!(json.contains("\"shards\": 8"));
-    }
-
-    #[test]
     fn graph_sweep_survives_batched_admission() {
         let points = graph_batch_sweep(1_000, 16, &[1, 64]);
         for p in &points {
             assert_eq!(p.point.frames, 1_000, "batch {} lost frames", p.batch);
         }
+        let json = batch_sweep_json("e21_batch", "ThreadedRouter", &points);
+        assert!(json.contains("\"bench\": \"e21_batch\""));
+        assert!(json.contains("\"host_cores\""));
+        // `shards` carries the batch size in this sweep.
+        assert!(json.contains("\"shards\": 1"));
+        assert!(json.contains("\"shards\": 64"));
     }
 }

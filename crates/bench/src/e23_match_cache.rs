@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use garnet_core::dispatching::DispatchingService;
-use garnet_core::router::{OverloadPolicy, ThreadedRouter};
+use garnet_core::router::ThreadedRouter;
 use garnet_core::{ControlGraph, FilterConfig, ServiceOutput};
 use garnet_net::{DispatchCacheConfig, SubscriberId, SubscriptionTable, TopicFilter};
 use garnet_radio::ReceiverId;
@@ -70,9 +70,7 @@ pub struct ThreadedCachePoint {
     pub hit_rate: f64,
 }
 
-/// An explicit on/off configuration, immune to the
-/// `GARNET_TEST_MATCH_CACHE` env toggle (benches must not change
-/// meaning under CI reruns).
+/// An explicit on/off configuration.
 pub fn cache_config(on: bool) -> DispatchCacheConfig {
     DispatchCacheConfig { enabled: on, ..DispatchCacheConfig::disabled() }
 }
@@ -162,7 +160,6 @@ pub fn run_threaded_point(
         1,
         &table,
         ControlGraph::default,
-        OverloadPolicy::Block,
         4,
         None,
         cache_config(cache_on),

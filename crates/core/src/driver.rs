@@ -1,9 +1,12 @@
 //! The execution engines behind the [`crate::Garnet`] facade.
 //!
 //! [`RouterDriver`] is the router-facing surface the facade actually
-//! uses: frame admission, pumping to quiescence, subscription changes,
-//! the metrics counters, the overload ledger, shard supervision and the
-//! flight recorder. Two engines implement it:
+//! uses: frame intake, pumping to quiescence, subscription changes,
+//! the metrics counters, the intake ledger, shard supervision and the
+//! flight recorder. Both engines are unbounded, batch-fed intakes: what
+//! happens to a frame at capacity is the facade scheduler's decision
+//! ([`crate::qos::QosScheduler`]), made before a frame gets here. Two
+//! engines implement it:
 //!
 //! * [`FifoDriver`] — the single-threaded FIFO [`Router`], the
 //!   simulation engine with bit-exact event interleaving;
@@ -21,43 +24,30 @@
 use std::sync::{Arc, RwLock};
 
 use garnet_net::{ShardFailure, SubscriberId, SubscriptionTable, TopicFilter};
-use garnet_radio::ReceiverId;
-use garnet_simkit::trace::{TraceConfig, TraceSnapshot};
+use garnet_simkit::trace::{TraceConfig, TraceOutcome, TraceSnapshot};
 use garnet_simkit::{Histogram, SimTime};
-use garnet_wire::{FrameBytes, StreamId};
+use garnet_wire::StreamId;
 
 use crate::filtering::{FilterConfig, FilteringService};
 use crate::router::{
-    ControlGraph, FrameAdmission, OverloadConfig, OverloadTotals, Router, Services, ShardedIngest,
-    ThreadedRouter, ThreadedRouterParts,
+    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedIngest, ThreadedRouter,
+    ThreadedRouterParts,
 };
 use crate::service::{BatchedFrame, ServiceEvent, ServiceOutput};
 use crate::stream::ShardedStreamRegistry;
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 
 /// Which execution engine hosts the service graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverKind {
     /// The single-threaded FIFO [`Router`]: one event at a time, the
-    /// reference interleaving. The simulation default.
+    /// reference interleaving. The default.
+    #[default]
     Fifo,
     /// The [`ThreadedRouter`]: filtering and dispatch on worker pools,
     /// outputs released in boundary order so every observable matches
     /// the FIFO engine.
     Threaded,
-}
-
-impl Default for DriverKind {
-    /// [`DriverKind::Fifo`], unless the `GARNET_TEST_DRIVER`
-    /// environment variable says `threaded` — the hook CI uses to run
-    /// default-config test suites against both engines without
-    /// editing them.
-    fn default() -> Self {
-        match std::env::var("GARNET_TEST_DRIVER") {
-            Ok(v) if v.eq_ignore_ascii_case("threaded") => DriverKind::Threaded,
-            _ => DriverKind::Fifo,
-        }
-    }
 }
 
 /// Ingest-stage counters, snapshotted by value through the driver
@@ -195,8 +185,8 @@ impl DispatchStats {
 }
 
 /// The router-facing surface [`crate::Garnet`] drives. Everything the
-/// facade needs — admission, pumping, subscriptions, stream catalogue,
-/// control-plane access, metrics, the overload ledger, shard
+/// facade needs — frame intake, pumping, subscriptions, stream
+/// catalogue, control-plane access, metrics, the intake ledger, shard
 /// supervision and the flight recorder — with both engines behind it.
 ///
 /// The contract the facade's determinism guarantees rest on:
@@ -215,26 +205,19 @@ pub trait RouterDriver: std::fmt::Debug {
     /// Queues one boundary event — the control path: never shed.
     fn push_event(&mut self, ev: ServiceEvent, now: SimTime);
 
-    /// Offers one frame to admission control. Returns any outputs that
-    /// escaped the graph while admission made room (only the FIFO
-    /// engine under [`crate::router::OverloadPolicy::Block`] produces
-    /// these; they must be applied before the next pump).
-    fn admit_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> Vec<ServiceOutput>;
-
-    /// Offers a burst of frames to admission control as one unit.
-    ///
-    /// Semantically identical to calling [`RouterDriver::admit_frame`]
-    /// once per frame in order — the overload ledger counts every
-    /// individual frame — but engines amortise per-frame costs over
+    /// Hands a burst of frames to the engine's unbounded intake, one
+    /// ledger entry per frame; engines amortise per-frame costs over
     /// the burst (one channel hand-off per shard run, one filtering
-    /// pass per batch).
+    /// pass per batch). The returned `Vec` is always empty: it is kept
+    /// for the benchmark's call site, which iterates it, and has no
+    /// effect.
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput>;
+
+    /// Records, in the flight recorder, a frame the facade's scheduler
+    /// dropped before it reached the engine (`Shed` or `Coalesced`).
+    /// Only called with the `trace` feature on; the default does
+    /// nothing.
+    fn trace_dropped(&mut self, _frame: &BatchedFrame, _outcome: TraceOutcome, _now: SimTime) {}
 
     /// Advances the graph, appending escaped outputs to `out` — the
     /// caller's buffer, so a caller that pumps in a loop reuses one
@@ -289,16 +272,13 @@ pub trait RouterDriver: std::fmt::Debug {
     /// Dispatch-stage counters.
     fn dispatch_stats(&self) -> DispatchStats;
 
-    /// Monotonic admission totals; at quiescence
-    /// `offered == shed + delivered`.
+    /// Monotonic intake totals: `shed` and `coalesced` are always zero
+    /// (an engine drops nothing), so at quiescence
+    /// `offered == delivered`.
     fn overload_totals(&self) -> OverloadTotals;
 
     /// High-water mark of the frame queue.
     fn peak_queue_depth(&self) -> u64;
-
-    /// p99 of queue-depth-at-admission samples (0 when unbounded —
-    /// neither engine samples an ungoverned queue).
-    fn queue_depth_p99(&self) -> u64;
 
     /// Shard restarts performed by a supervision policy (always 0 for
     /// the FIFO engine — nothing panics, nothing restarts).
@@ -356,17 +336,15 @@ pub trait RouterDriver: std::fmt::Debug {
 #[derive(Debug)]
 pub struct FifoDriver {
     router: Router,
-    /// Pump with [`Router::step_batch`] (consume consecutive Frame runs
-    /// in one filtering pass) instead of [`Router::step`]. Bit-identical
-    /// either way; `false` is the legacy path CI compares against.
-    batch: bool,
 }
 
 impl FifoDriver {
-    /// Wraps a router over the given services. `batch` selects batch
-    /// pumping (see [`FifoDriver::batch`]).
-    pub fn new(services: Services, overload: Option<OverloadConfig>, batch: bool) -> Self {
-        FifoDriver { router: Router::with_overload(services, overload), batch }
+    /// Wraps a router over the given services.
+    ///
+    /// * `_overload` — accepted for the benchmark's call site; has no effect.
+    /// * `_batch` — accepted for the benchmark's call site; has no effect.
+    pub fn new(services: Services, _overload: Option<OverloadConfig>, _batch: bool) -> Self {
+        FifoDriver { router: Router::new(services) }
     }
 }
 
@@ -375,56 +353,31 @@ impl RouterDriver for FifoDriver {
         self.router.enqueue(ev);
     }
 
-    fn admit_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> Vec<ServiceOutput> {
-        let mut escaped = Vec::new();
-        let mut pending = frame;
-        // A blocked admission drains one event to make room, then
-        // retries. The queue is non-empty whenever admission blocks
-        // (capacity ≥ 1 and we are at capacity), so the inner step
-        // always makes progress.
-        while let FrameAdmission::Blocked(frame) =
-            self.router.admit_frame(receiver, rssi_dbm, pending, now)
-        {
-            pending = frame;
-            if !self.router.step(now, &mut escaped) {
-                break; // defensive: cannot happen
-            }
+    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, _now: SimTime) -> Vec<ServiceOutput> {
+        // Queued one entry per frame (own root tag, own ledger entry);
+        // the batch win comes from the pump, where `step_batch` pops the
+        // consecutive Frame run and filters it in one pass.
+        for f in frames {
+            self.router.admit_frame(f.receiver, f.rssi_dbm, f.frame);
         }
-        escaped
+        Vec::new()
     }
 
-    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput> {
-        // Admission stays per-frame (exact ledger, exact queue-depth
-        // samples); the batch win comes from the pump, where
-        // `step_batch` pops the consecutive Frame run and filters it
-        // in one pass.
-        let mut escaped = Vec::new();
-        for f in frames {
-            escaped.extend(self.admit_frame(f.receiver, f.rssi_dbm, f.frame, now));
-        }
-        escaped
+    #[cfg(feature = "trace")]
+    fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
+        self.router.trace_dropped(frame, outcome, now);
     }
 
     fn pump_into(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) {
         // Steps until the first step that escapes anything: the facade
         // applies it (possibly pushing new events) and calls again, so
         // the apply-per-step cadence of driving the router directly is
-        // preserved exactly. In batch mode `step_batch` consumes runs
-        // of consecutive Frame events in one filtering pass; frame
-        // steps emit no external outputs, so the batch is observably
-        // identical to stepping the run one frame at a time.
+        // preserved exactly. `step_batch` consumes runs of consecutive
+        // Frame events in one filtering pass; frame steps emit no
+        // external outputs, so the batch is observably identical to
+        // stepping the run one frame at a time.
         let held = out.len();
-        if self.batch {
-            while out.len() == held && self.router.step_batch(now, out) {}
-        } else {
-            while out.len() == held && self.router.step(now, out) {}
-        }
+        while out.len() == held && self.router.step_batch(now, out) {}
     }
 
     fn register_subscriber(&mut self) -> SubscriberId {
@@ -485,10 +438,6 @@ impl RouterDriver for FifoDriver {
 
     fn peak_queue_depth(&self) -> u64 {
         self.router.peak_queue_depth()
-    }
-
-    fn queue_depth_p99(&self) -> u64 {
-        self.router.depth_histogram().p99()
     }
 
     fn shard_restart_count(&self) -> u64 {
@@ -557,36 +506,28 @@ pub struct ThreadedDriver {
     /// Outputs released by the graph while admitting, held until the
     /// facade pumps.
     pending: Vec<ServiceOutput>,
-    /// Whether admission is bounded (mirrors the FIFO router's
-    /// "sample depth only when bounded" rule).
-    bounded: bool,
     /// Frames admitted since the graph last went quiescent — the
     /// mirror of the FIFO router's queue depth, since the facade pumps
     /// to quiescence after every admission burst.
     frames_since_quiescence: u64,
     peak_depth: u64,
-    depth_hist: Histogram,
     /// What shutdown left behind; reads are served from here once the
     /// pools are joined.
     retired: Option<ThreadedRouterParts>,
-    /// Submit admission bursts through [`ThreadedRouter::push_frames`]
-    /// (one edge hand-off per consecutive same-shard run) instead of
-    /// frame at a time. Bit-identical either way.
-    batch: bool,
 }
 
 impl ThreadedDriver {
-    /// Spawns the hosted graph. `overload` maps onto the frame edge's
-    /// backpressure policy exactly as it governs the FIFO queue
-    /// (`None` = blocking admission that never sheds); `batch` selects
-    /// run-merged edge submission for admission bursts.
+    /// Spawns the hosted graph.
+    ///
+    /// * `_overload` — accepted for the benchmark's call site; has no effect.
+    /// * `_batch` — accepted for the benchmark's call site; has no effect.
     pub fn new(
         config: FilterConfig,
         ingest_shards: usize,
         dispatch_shards: usize,
         control: ControlGraph,
-        overload: Option<OverloadConfig>,
-        batch: bool,
+        _overload: Option<OverloadConfig>,
+        _batch: bool,
         cache: garnet_net::DispatchCacheConfig,
     ) -> Self {
         let subscriptions = Arc::new(RwLock::new(SubscriptionTable::new()));
@@ -596,7 +537,6 @@ impl ThreadedDriver {
             dispatch_shards,
             subscriptions.clone(),
             control,
-            overload,
             cache,
         );
         ThreadedDriver {
@@ -604,12 +544,9 @@ impl ThreadedDriver {
             subscriptions,
             next_subscriber: 0,
             pending: Vec::new(),
-            bounded: overload.is_some(),
             frames_since_quiescence: 0,
             peak_depth: 0,
-            depth_hist: Histogram::new(),
             retired: None,
-            batch,
         }
     }
 
@@ -626,46 +563,23 @@ impl RouterDriver for ThreadedDriver {
         }
     }
 
-    fn admit_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> Vec<ServiceOutput> {
-        let Some(router) = self.router.as_mut() else { return Vec::new() };
-        self.frames_since_quiescence += 1;
-        self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
-        if self.bounded {
-            self.depth_hist.record(self.frames_since_quiescence);
-        }
-        for released in router.push_frame(receiver, rssi_dbm, frame, now) {
-            self.pending.extend(released.outputs);
-        }
-        Vec::new()
-    }
-
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput> {
-        if !self.batch {
-            let mut escaped = Vec::new();
-            for f in frames {
-                escaped.extend(self.admit_frame(f.receiver, f.rssi_dbm, f.frame, now));
-            }
-            return escaped;
-        }
         let Some(router) = self.router.as_mut() else { return Vec::new() };
-        for _ in 0..frames.len() {
-            self.frames_since_quiescence += 1;
-            self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
-            if self.bounded {
-                self.depth_hist.record(self.frames_since_quiescence);
-            }
-        }
+        self.frames_since_quiescence += frames.len() as u64;
+        self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
         let staged = frames.into_iter().map(|f| (f.receiver, f.rssi_dbm, f.frame));
         for released in router.push_frames(staged, now) {
             self.pending.extend(released.outputs);
         }
         Vec::new()
+    }
+
+    #[cfg(feature = "trace")]
+    fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
+        let Some(router) = self.router.as_mut() else { return };
+        for released in router.trace_dropped(frame, outcome, now) {
+            self.pending.extend(released.outputs);
+        }
     }
 
     fn pump_into(&mut self, _now: SimTime, out: &mut Vec<ServiceOutput>) {
@@ -760,24 +674,15 @@ impl RouterDriver for ThreadedDriver {
     }
 
     fn overload_totals(&self) -> OverloadTotals {
-        let (offered, shed) = match &self.router {
-            Some(r) => (r.offered_frame_count(), r.shed_frame_count()),
-            None => {
-                let report = &self.retired().report;
-                (report.offered_frames, report.shed_frames)
-            }
+        let offered = match &self.router {
+            Some(r) => r.offered_frame_count(),
+            None => self.retired().report.offered_frames,
         };
-        // The frame edge has no queue to coalesce against, so
-        // CoalesceFrames degrades to Shed and `coalesced` stays 0.
-        OverloadTotals { offered, shed, coalesced: 0, delivered: offered - shed }
+        OverloadTotals { offered, shed: 0, coalesced: 0, delivered: offered }
     }
 
     fn peak_queue_depth(&self) -> u64 {
         self.peak_depth
-    }
-
-    fn queue_depth_p99(&self) -> u64 {
-        self.depth_hist.p99()
     }
 
     fn shard_restart_count(&self) -> u64 {

@@ -27,10 +27,11 @@
 //! stage into [`router::ShardedDispatch`] shards by the same hash, each
 //! with a deterministic merge — so any shard count produces
 //! bit-identical outputs under the simulation driver, while
-//! [`router::ThreadedIngest`] runs the ingest shards on real threads
-//! and [`router::ThreadedRouter`] runs the *entire* service graph
+//! [`router::ThreadedRouter`] runs the *entire* service graph
 //! (filtering → dispatch → control) on per-stage workers with
-//! sequence-merged, equally deterministic output.
+//! sequence-merged, equally deterministic output. Both engines are
+//! unbounded intakes: the one place a frame is shed, coalesced or held
+//! back is [`qos::QosScheduler`], at the facade boundary.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio
 //! field for experiments.
 //!
@@ -89,9 +90,8 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, FrameAdmission, IngestBatch, IngestReport, OverloadConfig, OverloadPolicy,
-    OverloadTotals, RootOutput, Router, Services, ShardedDispatch, ShardedIngest, ThreadedIngest,
-    ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
+    ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, RootOutput, Router, Services,
+    ShardedDispatch, ShardedIngest, ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{

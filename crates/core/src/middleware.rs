@@ -44,6 +44,8 @@ use garnet_net::{
 };
 use garnet_radio::geometry::Point;
 use garnet_radio::{Receiver, ReceiverId, Transmitter};
+#[cfg(feature = "trace")]
+use garnet_simkit::trace::TraceOutcome;
 use garnet_simkit::trace::TraceSnapshot;
 use garnet_simkit::{stage_key, SimTime};
 use garnet_store::ArchiveRecord;
@@ -63,7 +65,7 @@ use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
-    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode,
+    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig,
     QosScheduler, Release,
 };
 use crate::replicator::{MessageReplicator, ReplicationPlan};
@@ -134,37 +136,27 @@ pub struct GarnetConfig {
     pub transmitters: Vec<Transmitter>,
     /// Demand-driven quiescence of unclaimed streams; `None` disables.
     pub quiesce: Option<QuiesceConfig>,
-    /// Bounded-queue admission control for the frame intake; `None`
-    /// keeps the legacy unbounded queue (admission never sheds).
+    /// Bounded admission control for the frame intake, enforced by the
+    /// facade-boundary [`QosScheduler`] — the one place a frame is shed,
+    /// coalesced or held back, so overloaded runs are bit-identical
+    /// across `{Fifo, Threaded}` × shard layouts. `None` leaves the
+    /// intake unbounded (nothing is ever dropped).
     pub overload: Option<OverloadConfig>,
-    /// Priority-classed QoS scheduling (see [`crate::qos`]). With the
-    /// default [`QosMode::Scheduled`] and an [`GarnetConfig::overload`]
-    /// config present, admission control moves from the engine's queue
-    /// to a facade-boundary [`QosScheduler`]: same policy, same ledger,
-    /// same survivors — but engine-independent, so overloaded runs are
-    /// bit-identical across `{Fifo, Threaded}` × shard × batch layouts.
-    /// [`QosMode::Legacy`] (or `GARNET_TEST_QOS=legacy`) preserves the
-    /// pre-QoS in-engine path bit for bit.
+    /// Tuning for the scheduler [`GarnetConfig::overload`] arms and for
+    /// per-consumer delivery scheduling (see [`crate::qos`]).
     pub qos: QosConfig,
     /// Flight-recorder ring capacity in records. Only meaningful when
     /// the `trace` cargo feature is compiled in; without it the tracer
     /// is a zero-sized no-op regardless of this value.
     pub trace_capacity: usize,
-    /// Whether frame bursts move through the engines on the batched
-    /// hot path (batch pumping on the FIFO router, run-merged edge
-    /// submission on the threaded graph). `false` forces the legacy
-    /// frame-at-a-time path. Both settings are bit-identical in every
-    /// observable — this knob exists so CI can prove it, via the
-    /// `GARNET_TEST_BATCH` env toggle the default honours.
+    /// Accepted for the benchmark's call site; has no effect.
     pub batch_ingest: bool,
     /// Durable frame/control-event archive (see [`crate::archive`]);
     /// `None` disables the tap entirely.
     pub archive: Option<ArchiveConfig>,
     /// Per-dispatch-shard match-set memoisation (see
     /// [`garnet_net::MatchCache`]). On by default; the cache changes
-    /// dispatch cost, never output order, which the
-    /// `GARNET_TEST_MATCH_CACHE` env toggle (honoured by the default)
-    /// lets CI prove by rerunning the determinism suites uncached.
+    /// dispatch cost, never output order.
     pub dispatch_cache: DispatchCacheConfig,
     /// Telemetry plane: latency spans, windowed snapshot export, health
     /// scoring and the optional rotating JSONL sink `garnetctl` reads
@@ -192,22 +184,11 @@ impl Default for GarnetConfig {
             overload: None,
             qos: QosConfig::default(),
             trace_capacity: garnet_simkit::trace::TraceConfig::default().capacity,
-            batch_ingest: default_batch_ingest(),
+            batch_ingest: true,
             archive: None,
             dispatch_cache: DispatchCacheConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
-    }
-}
-
-/// `true` (the batched hot path), unless the `GARNET_TEST_BATCH`
-/// environment variable says `perframe`/`off`/`0` — the hook CI uses to
-/// rerun default-config test suites on the legacy frame-at-a-time path
-/// without editing them (the twin of `GARNET_TEST_DRIVER`).
-fn default_batch_ingest() -> bool {
-    match std::env::var("GARNET_TEST_BATCH") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("perframe") || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
     }
 }
 
@@ -401,13 +382,10 @@ pub struct Garnet {
     /// reports the movement since the last one rather than a per-call
     /// snapshot that would miss restarts landing between calls.
     reported_restarts: u64,
-    /// The facade-boundary QoS scheduler (`Some` when
-    /// [`QosMode::Scheduled`] and an overload config are both present;
-    /// the engines then run unbounded and this layer owns admission).
+    /// The facade-boundary admission scheduler (`Some` when
+    /// [`GarnetConfig::overload`] is set). The engines are unbounded
+    /// either way; this layer owns admission policy.
     qos: Option<QosScheduler>,
-    /// Which mode [`GarnetConfig::qos`] selected (drain limits are
-    /// refused in legacy mode so the pre-QoS path stays untouched).
-    qos_mode: QosMode,
     /// Per-consumer delivery scheduling — inert until
     /// [`Garnet::set_consumer_drain_limit`] declares a consumer slow.
     delivery: DeliverySchedule,
@@ -452,15 +430,10 @@ impl Garnet {
             replicator: MessageReplicator::new(config.transmitters),
             coordinator: SuperCoordinator::new(config.coordination),
         };
-        // With the QoS scheduler active, admission control moves to the
-        // facade boundary: the engines run unbounded (they only ever see
-        // the frames the scheduler released), which is what makes
-        // overloaded runs engine-independent.
-        let qos = match (config.qos.mode, config.overload) {
-            (QosMode::Scheduled, Some(overload)) => Some(QosScheduler::new(overload, &config.qos)),
-            _ => None,
-        };
-        let engine_overload = if qos.is_some() { None } else { config.overload };
+        // Admission policy lives at the facade boundary: the engines run
+        // unbounded and only ever see the frames the scheduler released,
+        // which is what makes overloaded runs engine-independent.
+        let qos = config.overload.map(|overload| QosScheduler::new(overload, &config.qos));
         let mut driver: Box<dyn RouterDriver> = match config.driver {
             DriverKind::Fifo => {
                 let services = Services {
@@ -471,15 +444,15 @@ impl Garnet {
                     ),
                     control,
                 };
-                Box::new(FifoDriver::new(services, engine_overload, config.batch_ingest))
+                Box::new(FifoDriver::new(services, None, true))
             }
             DriverKind::Threaded => Box::new(ThreadedDriver::new(
                 config.filter,
                 config.ingest_shards,
                 config.dispatch_shards,
                 control,
-                engine_overload,
-                config.batch_ingest,
+                None,
+                true,
                 config.dispatch_cache,
             )),
         };
@@ -507,7 +480,6 @@ impl Garnet {
             archive,
             reported_restarts: 0,
             qos,
-            qos_mode: config.qos.mode,
             delivery: DeliverySchedule::new(config.qos.consumer_queue_capacity),
             telemetry: TelemetryService::new(config.telemetry),
             shard_failure_total: 0,
@@ -675,13 +647,14 @@ impl Garnet {
         }
     }
 
-    /// Feeds one raw frame from a receiver into the pipeline.
+    /// Feeds one raw frame from a receiver into the pipeline — an
+    /// [`Garnet::on_frames`] batch of one.
     ///
-    /// The frame passes admission control first, but since the facade
-    /// pumps to quiescence after every call, a frame-at-a-time driver
-    /// never fills the bounded queue — bursts only become visible to
-    /// the [`crate::router::OverloadPolicy`] through
-    /// [`Garnet::on_frames`].
+    /// The frame passes the admission scheduler first, but since the
+    /// facade pumps to quiescence after every call, a frame-at-a-time
+    /// caller never fills the bounded tier — bursts only become visible
+    /// to the [`crate::router::OverloadPolicy`] (enforced by
+    /// [`QosScheduler`]) through [`Garnet::on_frames`].
     pub fn on_frame(
         &mut self,
         receiver: ReceiverId,
@@ -694,7 +667,7 @@ impl Garnet {
 
     /// Feeds a burst of raw frames through admission control before a
     /// single pump — the preferred ingest entry. Batching makes the
-    /// bounded queue and its overload policy observable, and the whole
+    /// bounded tier and its overload policy observable, and the whole
     /// burst is admitted, handed to the ingest stage and filtered as
     /// one unit (one channel hand-off per shard run on the threaded
     /// engine, one decode pass per run on the FIFO engine).
@@ -704,7 +677,7 @@ impl Garnet {
     /// without copying.
     ///
     /// The returned [`StepOutput::overload`] is this call's ledger:
-    /// with the queue drained, `offered == shed + delivered`, counting
+    /// with the engine drained, `offered == shed + delivered`, counting
     /// every individual frame of the batch.
     pub fn on_frames<F: Into<FrameBytes>>(
         &mut self,
@@ -733,30 +706,13 @@ impl Garnet {
         }
         if self.qos.is_some() {
             // The scheduler owns admission: every frame offers into the
-            // bounded Data tier (same policy, same ledger as the legacy
-            // in-engine queue), and the survivors release in one batch.
+            // bounded Data tier, and the survivors release in one batch.
             for f in batch {
-                let mut pending = f;
-                while let FrameOffer::Blocked(frame) =
-                    self.qos.as_mut().expect("checked above").offer_frame(pending, now)
-                {
-                    // Tier full under Block: release the staged tier
-                    // into the engine, pump it dry to make room, then
-                    // re-offer — the facade-level equivalent of the
-                    // FIFO router's block-drain-retry loop.
-                    self.release_qos(now);
-                    self.pump(now, &mut out);
-                    pending = frame;
-                }
+                self.offer_frame(f, now, &mut out);
             }
             self.release_qos(now);
         } else {
-            // A blocked admission inside the driver drains events to
-            // make room; whatever escaped the queue in the process comes
-            // back here and is applied in order.
-            for o in self.driver.admit_frames(batch, now) {
-                self.apply(o, now, &mut out);
-            }
+            self.driver.admit_frames(batch, now);
         }
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
@@ -767,6 +723,34 @@ impl Garnet {
         }
         self.maybe_emit_telemetry(now);
         out
+    }
+
+    /// Offers one frame to the armed scheduler until it is staged or
+    /// dropped. Under `Block` a full tier hands the frame back: release
+    /// the staged tier into the engine, pump it dry to make room, then
+    /// re-offer.
+    fn offer_frame(&mut self, mut frame: BatchedFrame, now: SimTime, out: &mut StepOutput) {
+        loop {
+            let qos = self.qos.as_mut().expect("callers check the scheduler is armed");
+            match qos.offer_frame(frame, now) {
+                FrameOffer::Blocked(back) => {
+                    self.release_qos(now);
+                    self.pump(now, out);
+                    frame = back;
+                }
+                #[cfg(feature = "trace")]
+                FrameOffer::StagedAfterShed(lost) => {
+                    self.driver.trace_dropped(&lost, TraceOutcome::Shed, now);
+                    break;
+                }
+                #[cfg(feature = "trace")]
+                FrameOffer::Coalesced(lost) => {
+                    self.driver.trace_dropped(&lost, TraceOutcome::Coalesced, now);
+                    break;
+                }
+                _ => break,
+            }
+        }
     }
 
     /// Queues a boundary event — through the QoS scheduler when active
@@ -792,17 +776,14 @@ impl Garnet {
             match r {
                 Release::Event(ev) => self.driver.push_event(ev, now),
                 Release::Frames(frames) => {
-                    // The engine is unbounded while the scheduler governs
-                    // admission, so nothing can escape here.
-                    let escaped = self.driver.admit_frames(frames, now);
-                    debug_assert!(escaped.is_empty(), "unbounded engine blocked an admission");
+                    self.driver.admit_frames(frames, now);
                 }
             }
         }
     }
 
-    /// Monotonic admission totals from whichever layer governs
-    /// admission (the QoS scheduler when active, else the engine).
+    /// Monotonic admission totals: the scheduler's when it is armed,
+    /// else the engine's intake count (nothing shed).
     fn admission_totals(&self) -> OverloadTotals {
         match &self.qos {
             Some(s) => s.totals(),
@@ -810,7 +791,8 @@ impl Garnet {
         }
     }
 
-    /// High-water mark of the governed frame queue.
+    /// High-water mark of the frame intake (the scheduler's data tier
+    /// when it is armed, else the engine's queue).
     fn admission_peak_depth(&self) -> u64 {
         match &self.qos {
             Some(s) => s.peak_depth(),
@@ -1311,18 +1293,15 @@ impl Garnet {
         self.denied_actions
     }
 
-    /// p99 of queue-depth-at-admission samples. The unbounded queue
+    /// p99 of tier-depth-at-admission samples. An unbounded intake
     /// records no samples, so this is 0 unless an
     /// [`crate::router::OverloadConfig`] is set.
     pub fn queue_depth_p99(&self) -> u64 {
-        match &self.qos {
-            Some(s) => s.depth_p99(),
-            None => self.driver.queue_depth_p99(),
-        }
+        self.qos.as_ref().map_or(0, QosScheduler::depth_p99)
     }
 
-    /// Whether the QoS scheduler governs admission (Scheduled mode with
-    /// an overload config present).
+    /// Whether the QoS scheduler governs admission (an overload config
+    /// is present).
     pub fn qos_active(&self) -> bool {
         self.qos.is_some()
     }
@@ -1348,13 +1327,8 @@ impl Garnet {
     /// facade call; the rest stage in its own queue, where same-stream
     /// duplicates coalesce (newest sequence wins) without touching any
     /// other consumer's delivery sequence. `None` removes the limit (the
-    /// backlog flushes on the next call). Refused — a no-op — in
-    /// [`QosMode::Legacy`], which preserves the pre-QoS path bit for
-    /// bit.
+    /// backlog flushes on the next call).
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
-        if self.qos_mode == QosMode::Legacy {
-            return;
-        }
         self.delivery.set_limit(id, limit);
     }
 
@@ -1493,9 +1467,7 @@ impl Garnet {
         }
         // The QoS plane's per-class view: ledgers, waits, and the
         // delivery-plane counters. Emitted only when the scheduler is
-        // active, so legacy-mode reports are byte-identical to pre-QoS
-        // ones (determinism comparisons strip `qos.*` rows, the same
-        // treatment the match-cache rows get).
+        // armed.
         if let Some(s) = &self.qos {
             for class in PriorityClass::ALL {
                 let l = s.ledgers().class(class);

@@ -1,36 +1,31 @@
 //! Per-consumer QoS scheduling: priority classes, tiered staging, and
 //! subscription-keyed delivery coalescing.
 //!
-//! The legacy overload path (`OverloadConfig` on the router) is a single
-//! global bounded queue: one slow consumer fills it and every subscriber
-//! pays. This module generalises it into three pieces the facade
-//! composes in front of either engine:
+//! This module is the one owner of admission policy: what is shed, what
+//! is coalesced and what waits is decided here, at the facade boundary,
+//! and both engines behind it are unbounded intakes. Three pieces:
 //!
 //! * [`PriorityClass`] — every [`ServiceEvent`] belongs to exactly one
-//!   of **Control > Actuation > Data**. The router's ad-hoc "never drop
-//!   control" rule becomes explicit: only Data is ever governed by an
+//!   of **Control > Actuation > Data**. Only Data is ever governed by an
 //!   overload policy; Control and Actuation pass through counted but
 //!   untouched, and [`QosScheduler::release`] drains tiers in strict
 //!   priority order.
-//! * [`QosScheduler`] — tiered staging *in front of* admission. Data
-//!   frames stage into a bounded tier whose shed/coalesce semantics
-//!   mirror the router's byte for byte, so a burst observes the same
-//!   ledger, the same survivors and the same delivery order as the
-//!   legacy in-queue policy — but because the policy now runs entirely
-//!   at the facade boundary, **both engines schedule identically**,
-//!   making overloaded runs bit-identical across `{Fifo, Threaded}` ×
-//!   shard × batch layouts (the legacy threaded edge sheds on
-//!   wall-clock timing and cannot promise that).
+//! * [`QosScheduler`] — tiered staging *in front of* the engine. Data
+//!   frames stage into a bounded tier under the configured
+//!   [`OverloadPolicy`] (shed-oldest, per-stream newest-wins
+//!   coalescing, or block) and the survivors release as one batch.
+//!   Because the policy runs entirely above the engine, **both engines
+//!   schedule identically**: overloaded runs are bit-identical across
+//!   `{Fifo, Threaded}` × shard layouts.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
 //!   touching a fast consumer's delivery sequence.
 //!
 //! Capacity is adaptive: at each quiescence the data tier retunes its
-//! bound from the p99 of the depth histogram the `overload.*` metrics
-//! already collect, clamped to the `[floor, ceiling]` band of
-//! [`QosConfig`]. With the band collapsed (the default), the bound is
-//! exactly the legacy `OverloadConfig::capacity`.
+//! bound from the p99 of its depth histogram, clamped to the
+//! `[floor, ceiling]` band of [`QosConfig`]. With the band collapsed
+//! (the default), the bound is exactly `OverloadConfig::capacity`.
 //!
 //! Every class keeps the exact ledger `offered == shed + delivered`
 //! (Control and Actuation trivially so — their shed is always zero),
@@ -108,43 +103,22 @@ impl PriorityClass {
     }
 }
 
-/// Whether the facade schedules through the QoS layer or preserves the
-/// legacy in-router overload path bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The facade's scheduling mode. One value: admission, classing and
+/// per-consumer delivery always run through [`QosScheduler`] /
+/// [`DeliverySchedule`]. The type is accepted for the benchmark's call
+/// site, which names [`QosMode::Scheduled`], and has no effect.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QosMode {
-    /// Admission, classing and per-consumer delivery run through
-    /// [`QosScheduler`] / [`DeliverySchedule`] at the facade boundary.
+    /// The only mode.
+    #[default]
     Scheduled,
-    /// The pre-QoS behaviour: the engine's own [`OverloadConfig`]
-    /// governs admission and deliveries are immediate. No `qos.*`
-    /// metrics are emitted.
-    Legacy,
-}
-
-impl Default for QosMode {
-    /// [`QosMode::Scheduled`], unless the `GARNET_TEST_QOS` environment
-    /// variable says `legacy`/`off`/`0` — the hook CI uses to prove
-    /// default-config suites behave identically without the QoS layer
-    /// (the twin of `GARNET_TEST_DRIVER` / `GARNET_TEST_BATCH`).
-    fn default() -> Self {
-        match std::env::var("GARNET_TEST_QOS") {
-            Ok(v)
-                if v == "0"
-                    || v.eq_ignore_ascii_case("legacy")
-                    || v.eq_ignore_ascii_case("off") =>
-            {
-                QosMode::Legacy
-            }
-            _ => QosMode::Scheduled,
-        }
-    }
 }
 
 /// QoS tuning. The scheduler only activates when the facade also has an
 /// [`OverloadConfig`] — an unbounded intake has nothing to schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QosConfig {
-    /// Scheduled (default) or legacy pass-through.
+    /// Accepted for the benchmark's call site; has no effect.
     pub mode: QosMode,
     /// Lower bound for the adaptive data-tier capacity. `None` pins it
     /// to `OverloadConfig::capacity` (adaptation disabled downward).
@@ -232,11 +206,13 @@ pub enum Release {
 pub enum FrameOffer {
     /// Staged below capacity.
     Staged,
-    /// Staged after the oldest staged frame was shed.
-    StagedAfterShed,
-    /// Resolved against a staged frame of the same stream (newer
-    /// sequence survives).
-    Coalesced,
+    /// Staged after the oldest staged frame — carried here, on its way
+    /// out — was shed.
+    StagedAfterShed(BatchedFrame),
+    /// Resolved against a staged frame of the same stream: the newer
+    /// sequence survives, and the loser (staged or arriving) is carried
+    /// here, on its way out.
+    Coalesced(BatchedFrame),
     /// Tier at capacity under [`OverloadPolicy::Block`]: release the
     /// staged tier into the engine, pump it dry, then re-offer. Nothing
     /// is counted for a blocked attempt.
@@ -244,8 +220,7 @@ pub enum FrameOffer {
 }
 
 /// The facade-boundary scheduler: three priority tiers with a bounded,
-/// policy-governed Data tier and strict-priority release. See the
-/// module docs for how this relates to the legacy in-router policy.
+/// policy-governed Data tier and strict-priority release.
 #[derive(Debug)]
 pub struct QosScheduler {
     policy: OverloadPolicy,
@@ -268,14 +243,14 @@ pub struct QosScheduler {
 impl QosScheduler {
     /// Builds a scheduler enforcing `overload`'s policy at the facade
     /// boundary, with the adaptive band from `qos` (both bounds default
-    /// to the legacy capacity, which disables adaptation).
+    /// to `overload.capacity`, which disables adaptation).
     pub fn new(overload: OverloadConfig, qos: &QosConfig) -> Self {
-        let legacy = overload.capacity.max(1);
-        let floor = qos.data_floor.unwrap_or(legacy).max(1);
-        let ceiling = qos.data_ceiling.unwrap_or(legacy).max(floor);
+        let fixed = overload.capacity.max(1);
+        let floor = qos.data_floor.unwrap_or(fixed).max(1);
+        let ceiling = qos.data_ceiling.unwrap_or(fixed).max(floor);
         QosScheduler {
             policy: overload.policy,
-            capacity: legacy.clamp(floor, ceiling),
+            capacity: fixed.clamp(floor, ceiling),
             floor,
             ceiling,
             control: VecDeque::new(),
@@ -306,10 +281,8 @@ impl QosScheduler {
     }
 
     /// Offers one radio frame to the bounded Data tier under the
-    /// configured policy. Mirrors `Router::admit_frame` exactly —
-    /// shed-oldest, per-stream newest-wins coalescing with replace in
-    /// place, blocked hand-back — so a burst's ledger and survivors
-    /// match the legacy path bit for bit.
+    /// configured policy: shed-oldest, per-stream newest-wins
+    /// coalescing with replace in place, or blocked hand-back.
     pub fn offer_frame(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
         if self.data.len() < self.capacity {
             self.note_offered(frame, now);
@@ -317,17 +290,12 @@ impl QosScheduler {
         }
         match self.policy {
             OverloadPolicy::Block => FrameOffer::Blocked(frame),
-            OverloadPolicy::Shed => {
-                self.drop_staged_oldest();
-                self.note_offered(frame, now);
-                FrameOffer::StagedAfterShed
-            }
+            OverloadPolicy::Shed => self.shed_oldest_for(frame, now),
             OverloadPolicy::CoalesceFrames => self.coalesce(frame, now),
         }
     }
 
-    /// Counts and stages an accepted frame, sampling the tier depth
-    /// (the same cadence the legacy router samples at admission).
+    /// Counts and stages an accepted frame, sampling the tier depth.
     fn note_offered(&mut self, frame: BatchedFrame, now: SimTime) {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
         self.data.push_back(StagedFrame { frame, offered_at: now });
@@ -352,25 +320,26 @@ impl QosScheduler {
         );
     }
 
-    fn drop_staged_oldest(&mut self) {
-        if self.data.pop_front().is_some() {
-            self.note_dropped(false);
-        }
+    /// At capacity (so the tier is non-empty): sheds the oldest staged
+    /// frame and stages `frame` in its stead.
+    fn shed_oldest_for(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
+        let oldest = self.data.pop_front().expect("a tier at capacity holds a frame");
+        self.note_dropped(false);
+        self.note_offered(frame, now);
+        FrameOffer::StagedAfterShed(oldest.frame)
     }
 
     /// At capacity under `CoalesceFrames`: resolve against the staged
     /// frame of the arriving frame's stream (wraparound-aware newest
     /// wins, survivor keeps the staged position), falling back to
     /// shedding the oldest staged frame when the stream has nothing
-    /// staged. Same tie-breaks as `Router::coalesce_frame`.
+    /// staged.
     fn coalesce(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
         let stream = peek_stream(&frame.frame);
         let same_stream = stream
             .and_then(|s| self.data.iter().position(|q| peek_stream(&q.frame.frame) == Some(s)));
         let Some(idx) = same_stream else {
-            self.drop_staged_oldest();
-            self.note_offered(frame, now);
-            return FrameOffer::StagedAfterShed;
+            return self.shed_oldest_for(frame, now);
         };
         let staged_seq = peek_seq(&self.data[idx].frame.frame);
         let arriving_wins = match (peek_seq(&frame.frame), staged_seq) {
@@ -380,15 +349,16 @@ impl QosScheduler {
         };
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
         self.note_dropped(true);
-        if arriving_wins {
-            // Replace in place: the survivor keeps the staged frame's
-            // position, and thus its place in the release order.
-            self.data[idx] = StagedFrame { frame, offered_at: now };
-            let depth = self.data.len() as u64;
-            self.peak_depth = self.peak_depth.max(depth);
-            self.depth_hist.record(depth);
+        if !arriving_wins {
+            return FrameOffer::Coalesced(frame);
         }
-        FrameOffer::Coalesced
+        // Replace in place: the survivor keeps the staged frame's
+        // position, and thus its place in the release order.
+        let staged = std::mem::replace(&mut self.data[idx], StagedFrame { frame, offered_at: now });
+        let depth = self.data.len() as u64;
+        self.peak_depth = self.peak_depth.max(depth);
+        self.depth_hist.record(depth);
+        FrameOffer::Coalesced(staged.frame)
     }
 
     /// Drains every tier in strict priority order — Control, then
@@ -426,7 +396,7 @@ impl QosScheduler {
     /// called at quiescence, the one point both engines reach
     /// deterministically. Target is `2 × p99` clamped to the
     /// configured band; a collapsed band (the default) makes this a
-    /// no-op, preserving the legacy fixed bound.
+    /// no-op, keeping the bound fixed.
     pub fn note_quiescent(&mut self) {
         if self.floor == self.ceiling {
             return;
@@ -439,8 +409,8 @@ impl QosScheduler {
         }
     }
 
-    /// The Data tier's ledger, shaped as the legacy overload totals
-    /// (what `overload.*` metrics report when the scheduler governs
+    /// The Data tier's ledger, shaped as [`OverloadTotals`] (what the
+    /// `overload.*` metrics report when the scheduler governs
     /// admission).
     pub fn totals(&self) -> OverloadTotals {
         let d = self.ledgers.class(PriorityClass::Data);
@@ -686,10 +656,10 @@ mod tests {
         s.offer_frame(batched(1, 0, 0), t); // A0 staged
         s.offer_frame(batched(2, 0, 0), t); // B0 staged — tier full
                                             // A1 replaces A0 in place.
-        assert!(matches!(s.offer_frame(batched(1, 0, 1), t), FrameOffer::Coalesced));
+        assert!(matches!(s.offer_frame(batched(1, 0, 1), t), FrameOffer::Coalesced(_)));
         // Stream C has nothing staged: fall back to shedding the oldest
         // staged frame — which is A1, the coalesce survivor.
-        assert!(matches!(s.offer_frame(batched(3, 0, 0), t), FrameOffer::StagedAfterShed));
+        assert!(matches!(s.offer_frame(batched(3, 0, 0), t), FrameOffer::StagedAfterShed(_)));
         s.release(t);
         let d = *s.ledgers().class(PriorityClass::Data);
         assert_eq!((d.offered, d.shed, d.coalesced, d.delivered), (4, 2, 1, 2));

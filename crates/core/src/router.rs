@@ -16,20 +16,17 @@
 //! [`FilteringService`]s by sensor id (every stream of a sensor lands on
 //! one shard, so per-stream sequence state never crosses shards) and
 //! merges flushes back into the stream-id order a single service would
-//! have produced. [`ThreadedIngest`] runs the same shards on OS threads
-//! via [`garnet_net::ShardPool`] for live deployments.
+//! have produced. [`ThreadedRouter`] runs the same shards — and the rest
+//! of the graph — on OS threads for live deployments.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, RwLock};
 
-use garnet_net::{
-    EdgeClass, RefusedJob, RootFailure, ShardFailure, ShardPool, StageEdge, SubscriptionTable,
-    SupervisionConfig,
-};
+use garnet_net::{EdgeClass, RootFailure, StageEdge, SubscriptionTable, SupervisionConfig};
 use garnet_radio::ReceiverId;
-use garnet_simkit::trace::{TraceConfig, TraceOutcome, TraceRecord, TraceSnapshot, Tracer};
+use garnet_simkit::trace::{TraceConfig, TraceRecord, TraceSnapshot, Tracer};
 use garnet_simkit::{Histogram, SimTime};
-use garnet_wire::{peek_seq, peek_stream, ActuationTarget, FrameBytes};
+use garnet_wire::{peek_stream, ActuationTarget, FrameBytes};
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
@@ -40,14 +37,16 @@ use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::replicator::MessageReplicator;
 use crate::resource::{MediationPolicy, ResourceManager};
-use crate::service::{BatchedFrame, GarnetService, ServiceEvent, ServiceOutput};
+#[cfg(feature = "trace")]
+use crate::service::BatchedFrame;
+use crate::service::{GarnetService, ServiceEvent, ServiceOutput};
 use crate::stream::{shard_of_sensor, ShardedStreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::RootTag;
 #[cfg(feature = "trace")]
-use crate::trace::{event_record, RootTrace};
+use crate::trace::{event_record, frame_record, RootTrace};
 #[cfg(feature = "trace")]
-use garnet_simkit::trace::{TraceEventKind, TraceStage};
+use garnet_simkit::trace::{TraceEventKind, TraceOutcome, TraceStage};
 
 /// The ingest stage: N filtering shards partitioned by sensor id.
 ///
@@ -561,49 +560,33 @@ pub struct Services {
     pub control: ControlGraph,
 }
 
-/// How frame admission responds when the router's bounded queue is at
-/// capacity. Only [`ServiceEvent::Frame`] events are ever governed —
-/// control events (acks, actuations, flushes) are never dropped.
+/// How the facade's admission scheduler ([`crate::qos::QosScheduler`],
+/// the one place this is decided) responds when its bounded data tier
+/// is at capacity. Only radio frames are ever governed — control events
+/// (acks, actuations, flushes) are never dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverloadPolicy {
-    /// Drop the oldest queued frame to admit the newest — the arrivals
+    /// Drop the oldest staged frame to admit the newest — the arrivals
     /// most likely to still matter survive.
     Shed,
-    /// Replace a queued frame of the arriving frame's stream with
+    /// Replace a staged frame of the arriving frame's stream with
     /// whichever carries the newer sequence number (per-stream
     /// freshness, as a GSN-style drop policy); falls back to shedding
-    /// the oldest queued frame when the stream has nothing queued.
+    /// the oldest staged frame when the stream has nothing staged.
     CoalesceFrames,
-    /// Admit nothing over capacity: the driver must drain first. The
-    /// simulation driver pumps the queue to make room; a threaded
-    /// driver genuinely blocks, pushing backpressure to the radio edge.
+    /// Admit nothing over capacity: the facade releases the staged
+    /// tier into the engine and pumps it dry to make room, then
+    /// re-offers — nothing is dropped.
     Block,
 }
 
-/// Bounded-queue admission control for the router's frame intake.
+/// Bounded admission control for the facade's frame intake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverloadConfig {
-    /// Maximum number of `Frame` events queued at once (0 is treated
-    /// as 1).
+    /// Maximum number of frames staged at once (0 is treated as 1).
     pub capacity: usize,
     /// What to do with a frame arriving at capacity.
     pub policy: OverloadPolicy,
-}
-
-/// What [`Router::admit_frame`] did with a frame.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameAdmission {
-    /// Queued; the queue was below capacity.
-    Admitted,
-    /// Queued; the oldest queued frame was shed to make room.
-    AdmittedAfterShed,
-    /// Resolved against a queued frame of the same stream: the older
-    /// sequence (either side) was dropped, the newer one is queued.
-    Coalesced,
-    /// Queue at capacity under [`OverloadPolicy::Block`]: the frame is
-    /// handed back untouched; drain the queue and retry. Nothing is
-    /// counted for a blocked attempt, so retries don't inflate totals.
-    Blocked(FrameBytes),
 }
 
 /// Monotonic frame-admission totals, for metrics deltas.
@@ -617,15 +600,8 @@ pub struct OverloadTotals {
     /// The subset of `shed` dropped in favour of a newer same-stream
     /// sequence.
     pub coalesced: u64,
-    /// Frames popped off the queue and routed into filtering.
+    /// Frames released into filtering.
     pub delivered: u64,
-}
-
-/// Which admission-control outcome dropped a frame (trace labelling
-/// only — counters live in [`OverloadTotals`]).
-enum DropKind {
-    Shed,
-    Coalesced,
 }
 
 /// The FIFO event router over [`Services`].
@@ -636,13 +612,11 @@ pub struct Router {
     /// event it descends from (a zero-sized unit unless the `trace`
     /// feature is on).
     queue: VecDeque<(RootTag, ServiceEvent)>,
-    overload: Option<OverloadConfig>,
     /// `Frame` events currently in `queue` (control events excluded).
     queued_frames: usize,
+    /// Frames offered and stepped; the queue never drops one.
     totals: OverloadTotals,
     peak_queued: u64,
-    /// Queue depth sampled at each admission (only when bounded).
-    depth_hist: Histogram,
     /// The flight recorder (a zero-sized no-op unless the `trace`
     /// feature is on).
     tracer: Tracer,
@@ -662,23 +636,15 @@ pub struct Router {
 
 impl Router {
     /// Creates a router over the given services with an empty,
-    /// unbounded queue (the legacy behaviour: admission never sheds).
+    /// unbounded queue.
     pub fn new(services: Services) -> Self {
-        Self::with_overload(services, None)
-    }
-
-    /// Creates a router whose frame intake is governed by `overload`
-    /// (`None` = unbounded).
-    pub fn with_overload(services: Services, overload: Option<OverloadConfig>) -> Self {
         let depths = QueueDepthGauges::new(services.ingest.shard_count());
         Router {
             services,
             queue: VecDeque::new(),
-            overload,
             queued_frames: 0,
             totals: OverloadTotals::default(),
             peak_queued: 0,
-            depth_hist: Histogram::new(),
             tracer: Tracer::new(TraceConfig::default()),
             spans: PipelineSpans::new(),
             depths,
@@ -718,10 +684,9 @@ impl Router {
         &mut self.services
     }
 
-    /// Enqueues an event at the back of the queue, bypassing admission
-    /// control — the control path: acks, actuations, flushes and other
-    /// non-`Frame` events must never be shed. Frames entering here are
-    /// still counted against the queue depth so admission stays exact.
+    /// Enqueues an event at the back of the queue — the control path:
+    /// acks, actuations, flushes and other non-`Frame` events. Frames
+    /// entering here still count against the queue depth.
     #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
     pub fn enqueue(&mut self, ev: ServiceEvent) {
         let tag = self.alloc_root();
@@ -746,55 +711,23 @@ impl Router {
     fn enqueue_tagged(&mut self, tag: RootTag, ev: ServiceEvent) {
         if matches!(ev, ServiceEvent::Frame { .. }) {
             self.queued_frames += 1;
-            self.note_depth();
+            self.peak_queued = self.peak_queued.max(self.queued_frames as u64);
         }
         self.queue.push_back((tag, ev));
     }
 
-    /// Offers a frame to admission control. Without an
-    /// [`OverloadConfig`] the frame is always queued; with one, the
-    /// configured [`OverloadPolicy`] decides what happens at capacity.
-    /// This is the only entry point that maintains shed/coalesce
-    /// accounting, so drivers should route all radio frames through it.
-    /// `now` is the admission instant, used only to timestamp trace
-    /// records for frames dropped here (shed or coalesced away) —
-    /// admitted frames are traced when they are popped and routed.
-    pub fn admit_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> FrameAdmission {
-        let Some(cfg) = self.overload else {
-            self.totals.offered += 1;
-            self.note_offered_depth(&frame);
-            self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
-            return FrameAdmission::Admitted;
-        };
-        let capacity = cfg.capacity.max(1);
-        if self.queued_frames < capacity {
-            self.totals.offered += 1;
-            self.note_offered_depth(&frame);
-            self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
-            return FrameAdmission::Admitted;
-        }
-        match cfg.policy {
-            OverloadPolicy::Block => FrameAdmission::Blocked(frame),
-            OverloadPolicy::Shed => {
-                self.shed_oldest_frame(now);
-                self.totals.offered += 1;
-                self.note_offered_depth(&frame);
-                self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
-                FrameAdmission::AdmittedAfterShed
-            }
-            OverloadPolicy::CoalesceFrames => self.coalesce_frame(receiver, rssi_dbm, frame, now),
-        }
+    /// Queues one radio frame for filtering and counts it offered. The
+    /// queue is unbounded: what happens to a frame at capacity was
+    /// decided before it got here, by [`crate::qos::QosScheduler`].
+    pub fn admit_frame(&mut self, receiver: ReceiverId, rssi_dbm: f64, frame: FrameBytes) {
+        self.totals.offered += 1;
+        self.note_offered_depth(&frame);
+        self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
     }
 
-    /// Samples the telemetry depth gauges for one offered (non-blocked)
-    /// frame: the total and the frame's ingest shard — the same count
-    /// the threaded router samples at `push_frame`, so the gauges are
+    /// Samples the telemetry depth gauges for one offered frame: the
+    /// total and the frame's ingest shard — the same count the threaded
+    /// router samples at `push_frames`, so the gauges are
     /// engine-invariant. Skipped entirely (including the shard peek)
     /// when span recording is off.
     fn note_offered_depth(&mut self, frame: &[u8]) {
@@ -810,134 +743,17 @@ impl Router {
         }
     }
 
-    /// Offers a burst of frames to admission control, one ledger entry
-    /// per frame: each frame goes through [`Router::admit_frame`] in
-    /// order, so `offered == shed + delivered` counts frames — never
-    /// batches — under every policy, and [`OverloadPolicy::Block`] hands
-    /// back exactly the frames that did not fit (in arrival order) for
-    /// the caller to retry after draining.
-    pub fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<FrameAdmission> {
-        frames.into_iter().map(|f| self.admit_frame(f.receiver, f.rssi_dbm, f.frame, now)).collect()
-    }
-
-    /// Removes the oldest queued `Frame` event. Callers guarantee one
-    /// exists (`queued_frames > 0`).
-    fn shed_oldest_frame(&mut self, now: SimTime) {
-        if let Some(idx) =
-            self.queue.iter().position(|(_, ev)| matches!(ev, ServiceEvent::Frame { .. }))
-        {
-            let (tag, ev) = self.queue.remove(idx).expect("position is in range");
-            self.queued_frames -= 1;
-            self.note_frame_dropped(false);
-            self.trace_dropped(tag, &ev, now, DropKind::Shed);
-        }
-    }
-
-    /// The single terminal accounting point for a frame dropped by
-    /// admission control. Every drop — shed-oldest, or either branch of
-    /// a coalesce — passes through here exactly once per frame, so a
-    /// frame that first survives a coalesce (replacing an older queued
-    /// copy) and is later shed itself is still counted once: its
-    /// victim's terminal paid the earlier `shed`, and its own terminal
-    /// pays this one. Keeping the increment in one place (instead of
-    /// scattered per branch) is what makes double-counting structurally
-    /// impossible.
-    fn note_frame_dropped(&mut self, coalesced: bool) {
-        self.totals.shed += 1;
-        if coalesced {
-            self.totals.coalesced += 1;
-        }
-        debug_assert!(
-            self.totals.offered >= self.totals.shed + self.totals.delivered,
-            "admission ledger overdrawn: {:?}",
-            self.totals
-        );
-    }
-
-    /// Records a frame that admission control dropped (never routed, so
+    /// Records a frame the admission scheduler dropped before it reached
+    /// the queue, under a root of its own (nothing was routed, so
     /// [`Router::step`] will never trace it).
     #[cfg(feature = "trace")]
-    fn trace_dropped(&mut self, tag: RootTag, ev: &ServiceEvent, now: SimTime, kind: DropKind) {
-        let mut rec = event_record(ev, now, Some(tag));
-        rec.outcome = match kind {
-            DropKind::Shed => TraceOutcome::Shed,
-            DropKind::Coalesced => TraceOutcome::Coalesced,
-        };
-        self.tracer.record(|| rec);
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace_dropped(&mut self, _tag: RootTag, _ev: &ServiceEvent, _now: SimTime, _kind: DropKind) {
-    }
-
-    /// At capacity under `CoalesceFrames`: resolve the arriving frame
-    /// against the queued frame of the same stream, keeping whichever
-    /// claims the newer sequence number (wraparound-aware). Streams with
-    /// nothing queued fall back to shedding the oldest frame overall.
-    #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
-    fn coalesce_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> FrameAdmission {
-        let stream = peek_stream(&frame);
-        let same_stream = stream.and_then(|s| {
-            self.queue.iter().position(|(_, ev)| {
-                matches!(ev, ServiceEvent::Frame { frame: q, .. } if peek_stream(q) == Some(s))
-            })
+    pub fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
+        let root = self.alloc_root();
+        self.tracer.record(|| TraceRecord {
+            root: Some(root),
+            outcome,
+            ..frame_record(&frame.frame, now)
         });
-        let Some(idx) = same_stream else {
-            self.shed_oldest_frame(now);
-            self.totals.offered += 1;
-            self.note_offered_depth(&frame);
-            self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
-            return FrameAdmission::AdmittedAfterShed;
-        };
-        let queued_seq = match &self.queue[idx].1 {
-            ServiceEvent::Frame { frame: q, .. } => peek_seq(q),
-            _ => None,
-        };
-        // Undecodable sequences lose to decodable ones; two
-        // undecodables keep the queued copy. Deterministic either way —
-        // a corrupt frame fails CRC downstream regardless.
-        let arriving_wins = match (peek_seq(&frame), queued_seq) {
-            (Some(a), Some(q)) => a.is_after(q),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        // One frame arrives, one frame dies: the arrival is offered,
-        // and whichever copy loses (the queued one when the arrival is
-        // newer, the arrival itself otherwise) pays exactly one
-        // coalesced drop at the terminal below.
-        self.totals.offered += 1;
-        self.note_frame_dropped(true);
-        self.note_offered_depth(&frame);
-        let tag = self.alloc_root();
-        if arriving_wins {
-            // Replace in place: the survivor keeps the queued frame's
-            // position (and thus its place in the delivery order).
-            let (old_tag, old_ev) = std::mem::replace(
-                &mut self.queue[idx],
-                (tag, ServiceEvent::Frame { receiver, rssi_dbm, frame }),
-            );
-            self.trace_dropped(old_tag, &old_ev, now, DropKind::Coalesced);
-            self.note_depth();
-        } else {
-            let ev = ServiceEvent::Frame { receiver, rssi_dbm, frame };
-            self.trace_dropped(tag, &ev, now, DropKind::Coalesced);
-        }
-        FrameAdmission::Coalesced
-    }
-
-    fn note_depth(&mut self) {
-        let depth = self.queued_frames as u64;
-        self.peak_queued = self.peak_queued.max(depth);
-        if self.overload.is_some() {
-            self.depth_hist.record(depth);
-        }
     }
 
     /// Pops and routes one event. Events a service emits go straight to
@@ -1060,8 +876,9 @@ impl Router {
         true
     }
 
-    /// Monotonic admission totals (offered / shed / coalesced /
-    /// delivered). At quiescence `offered == shed + delivered`.
+    /// Monotonic intake totals: frames offered and frames stepped into
+    /// filtering (`shed` and `coalesced` stay zero — the queue never
+    /// drops). At quiescence `offered == delivered`.
     pub fn overload_totals(&self) -> OverloadTotals {
         self.totals
     }
@@ -1102,12 +919,6 @@ impl Router {
         self.depths.note_quiescent();
     }
 
-    /// Queue depth sampled at each admission (empty when unbounded —
-    /// the unbounded hot path pays no sampling cost).
-    pub fn depth_histogram(&self) -> &Histogram {
-        &self.depth_hist
-    }
-
     /// The earliest time-driven deadline across routed services.
     pub fn next_deadline(&self) -> Option<SimTime> {
         [self.services.ingest.next_deadline(), GarnetService::next_deadline(&self.services.control)]
@@ -1123,411 +934,6 @@ type PendingFrame = (ReceiverId, f64, FrameBytes, SimTime);
 
 fn pending_to_arrival((receiver, rssi_dbm, frame, at): PendingFrame) -> FrameArrival {
     FrameArrival { receiver, rssi_dbm, frame, at }
-}
-
-/// A job for one threaded ingest shard.
-enum IngestJob {
-    /// A batch of frames.
-    Frames(Vec<PendingFrame>),
-    /// Flush reorder buffers up to the given instant.
-    Flush(SimTime),
-}
-
-/// What one threaded shard produced for one job: deliveries in shard
-/// order plus the subscriber matches it resolved (dispatch routing is
-/// pushed onto the worker so the hot path's two stages both
-/// parallelise).
-#[derive(Debug, Default)]
-pub struct IngestBatch {
-    /// Messages released by filtering, in per-stream order.
-    pub deliveries: Vec<Delivery>,
-    /// Total subscriber matches across those deliveries.
-    pub matched: u64,
-    /// Input frames this job consumed (0 for reorder flushes) — the
-    /// processed side of the shed-accounting ledger.
-    pub frames: u64,
-}
-
-/// Terminal accounting for a threaded ingest run: every offered frame
-/// is either in a batch, shed at the pool edge, or attributed to a
-/// shard failure — `offered == processed + shed + lost` exactly.
-#[derive(Debug, Default)]
-pub struct IngestReport {
-    /// Result batches completing the submission-order sequence.
-    pub batches: Vec<IngestBatch>,
-    /// Worker failures (panics, stranded jobs) recorded over the run.
-    pub failures: Vec<ShardFailure>,
-    /// Frames offered to [`ThreadedIngest::push`].
-    pub offered_frames: u64,
-    /// Frames dropped by backpressure shedding at the pool edge.
-    pub shed_frames: u64,
-    /// Frames lost to shard failures (attributed via the failure list).
-    pub lost_frames: u64,
-}
-
-/// The ingest hot path on OS threads: one [`FilteringService`] per
-/// worker, frames batched per shard through a [`ShardPool`], outputs
-/// merged in submission order. Each worker also resolves subscriber
-/// matches against a snapshot of the [`SubscriptionTable`].
-///
-/// The pool's job channels are bounded, so a stalled shard propagates
-/// backpressure here. [`OverloadPolicy::Block`] (the default) makes
-/// [`ThreadedIngest::push`] block — pressure reaches the radio edge;
-/// [`OverloadPolicy::Shed`] and [`OverloadPolicy::CoalesceFrames`] drop
-/// work instead, with every dropped frame counted (`shed_frame_count`)
-/// so `offered == processed + shed + lost` holds exactly whatever the
-/// thread interleaving. A panicking worker poisons only its own shard:
-/// the loss surfaces via [`ThreadedIngest::take_shard_failures`], other
-/// shards keep delivering, and [`ThreadedIngest::restart_shard`]
-/// rebuilds the failed one with fresh filter state (its streams re-key
-/// as restarts downstream).
-///
-/// This driver trades the simulator's bit-exact event interleaving for
-/// wall-clock parallelism; per-stream delivery order is still exact
-/// because streams are pinned to shards and the pool merges in
-/// submission order.
-pub struct ThreadedIngest {
-    pool: ShardPool<IngestJob, IngestBatch>,
-    shards: usize,
-    batch_size: usize,
-    policy: OverloadPolicy,
-    pending: Vec<Vec<PendingFrame>>,
-    /// Frame count per in-flight job seq, pruned below the pool's
-    /// merged watermark; failures look up their lost-frame cost here.
-    frames_per_seq: std::collections::BTreeMap<u64, u64>,
-    failures: Vec<ShardFailure>,
-    offered_frames: u64,
-    shed_frames: u64,
-    lost_frames: u64,
-}
-
-impl ThreadedIngest {
-    /// Spawns `shards` workers with blocking backpressure
-    /// ([`OverloadPolicy::Block`]) and a 4-job queue per shard.
-    /// `batch_size` frames accumulate per shard before a job is
-    /// submitted (batching amortises channel overhead); `subscriptions`
-    /// is snapshotted per worker.
-    pub fn new(
-        config: FilterConfig,
-        shards: usize,
-        batch_size: usize,
-        subscriptions: &SubscriptionTable,
-    ) -> Self {
-        Self::with_backpressure(config, shards, batch_size, subscriptions, OverloadPolicy::Block, 4)
-    }
-
-    /// [`ThreadedIngest::new`] with an explicit edge policy and
-    /// per-shard job-queue bound.
-    pub fn with_backpressure(
-        config: FilterConfig,
-        shards: usize,
-        batch_size: usize,
-        subscriptions: &SubscriptionTable,
-        policy: OverloadPolicy,
-        queue_capacity: usize,
-    ) -> Self {
-        Self::with_supervision(
-            config,
-            shards,
-            batch_size,
-            subscriptions,
-            policy,
-            queue_capacity,
-            None,
-        )
-    }
-
-    /// [`ThreadedIngest::with_backpressure`] with an automatic shard
-    /// restart policy: a poisoned shard is rebuilt from fresh filter
-    /// state within the [`SupervisionConfig`] budget instead of waiting
-    /// for the caller to notice and call
-    /// [`ThreadedIngest::restart_shard`]. Restarts are counted in
-    /// [`ThreadedIngest::supervised_restart_count`].
-    pub fn with_supervision(
-        config: FilterConfig,
-        shards: usize,
-        batch_size: usize,
-        subscriptions: &SubscriptionTable,
-        policy: OverloadPolicy,
-        queue_capacity: usize,
-        supervision: Option<SupervisionConfig>,
-    ) -> Self {
-        let n = shards.max(1);
-        let subs_master = subscriptions.clone();
-        let pool =
-            ShardPool::with_supervision(n, queue_capacity.max(1), supervision, move |_shard| {
-                let mut filter = FilteringService::new(config);
-                let subs = subs_master.clone();
-                // Fan-out accounting over the frozen snapshot goes
-                // through a worker-local match cache: repeated frames of
-                // one stream count in O(1) instead of re-merging.
-                let mut cache =
-                    garnet_net::MatchCache::new(garnet_net::DispatchCacheConfig::default());
-                Box::new(move |job: IngestJob| {
-                    let mut batch = IngestBatch::default();
-                    match job {
-                        IngestJob::Frames(frames) => {
-                            batch.frames = frames.len() as u64;
-                            let arrivals: Vec<FrameArrival> =
-                                frames.into_iter().map(pending_to_arrival).collect();
-                            for result in filter.on_batch(&arrivals) {
-                                for d in result.deliveries {
-                                    batch.matched +=
-                                        cache.match_count(&subs, d.msg.stream()) as u64;
-                                    batch.deliveries.push(d);
-                                }
-                            }
-                        }
-                        IngestJob::Flush(now) => {
-                            for d in filter.on_tick(now) {
-                                batch.matched += cache.match_count(&subs, d.msg.stream()) as u64;
-                                batch.deliveries.push(d);
-                            }
-                        }
-                    }
-                    batch
-                })
-            });
-        ThreadedIngest {
-            pool,
-            shards: n,
-            batch_size: batch_size.max(1),
-            policy,
-            pending: (0..n).map(|_| Vec::new()).collect(),
-            frames_per_seq: std::collections::BTreeMap::new(),
-            failures: Vec::new(),
-            offered_frames: 0,
-            shed_frames: 0,
-            lost_frames: 0,
-        }
-    }
-
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Hands a ready batch to the pool under the edge policy.
-    fn submit_batch(&mut self, shard: usize, frames: Vec<PendingFrame>) {
-        let count = frames.len() as u64;
-        match self.policy {
-            OverloadPolicy::Block => {
-                let seq =
-                    self.pool.submit_tagged(shard, IngestJob::Frames(frames), EdgeClass::Data);
-                self.frames_per_seq.insert(seq, count);
-            }
-            OverloadPolicy::Shed | OverloadPolicy::CoalesceFrames => {
-                let frames = if self.policy == OverloadPolicy::CoalesceFrames {
-                    self.compact_batch(frames)
-                } else {
-                    frames
-                };
-                let count = frames.len() as u64;
-                match self.pool.try_submit_tagged(shard, IngestJob::Frames(frames), EdgeClass::Data)
-                {
-                    Ok(seq) => {
-                        self.frames_per_seq.insert(seq, count);
-                    }
-                    Err(RefusedJob::Full(_)) => self.shed_frames += count,
-                    Err(RefusedJob::Poisoned(_)) => self.lost_frames += count,
-                }
-            }
-        }
-    }
-
-    /// Keeps only the newest sequence per stream within a batch
-    /// (streams are pinned to one shard, so within-batch coalescing is
-    /// the threaded analogue of the router's queue coalescing).
-    fn compact_batch(&mut self, frames: Vec<PendingFrame>) -> Vec<PendingFrame> {
-        let mut newest: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        let mut keep: Vec<Option<PendingFrame>> = Vec::with_capacity(frames.len());
-        for (i, pf) in frames.into_iter().enumerate() {
-            let key = peek_stream(&pf.2).map(|s| s.to_raw());
-            keep.push(Some(pf));
-            let Some(key) = key else { continue };
-            if let Some(&prev) = newest.get(&key) {
-                let newer = match (
-                    keep[i].as_ref().and_then(|p| peek_seq(&p.2)),
-                    keep[prev].as_ref().and_then(|p| peek_seq(&p.2)),
-                ) {
-                    (Some(a), Some(q)) => a.is_after(q),
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                let drop_at = if newer { prev } else { i };
-                keep[drop_at] = None;
-                self.shed_frames += 1;
-                if newer {
-                    newest.insert(key, i);
-                }
-            } else {
-                newest.insert(key, i);
-            }
-        }
-        keep.into_iter().flatten().collect()
-    }
-
-    /// Absorbs newly recorded shard failures, attributing their
-    /// lost-frame cost, and prunes the per-job ledger below the pool's
-    /// merge watermark.
-    fn absorb_failures(&mut self) {
-        for f in self.pool.take_failures() {
-            self.lost_frames += self.frames_per_seq.remove(&f.seq).unwrap_or(0);
-            self.failures.push(f);
-        }
-        let watermark = self.pool.merged_watermark();
-        self.frames_per_seq = self.frames_per_seq.split_off(&watermark);
-    }
-
-    /// Queues one frame, submitting its shard's batch when full.
-    /// Returns any result batches that have become ready, in submission
-    /// order. Under [`OverloadPolicy::Block`] this call blocks while
-    /// the shard's job queue is full (backpressure reaches the caller);
-    /// under the shedding policies it never blocks and the drop is
-    /// counted instead.
-    pub fn push(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        at: SimTime,
-    ) -> Vec<IngestBatch> {
-        self.stage_frame(receiver, rssi_dbm, frame, at);
-        let out = self.pool.drain();
-        self.absorb_failures();
-        out
-    }
-
-    /// Queues a burst of frames as one call — the batch analogue of
-    /// [`ThreadedIngest::push`], amortising the drain/failure sweep over
-    /// the whole burst. Shard batches still fill and submit at
-    /// `batch_size`, so the job stream is identical to pushing the
-    /// frames one at a time.
-    pub fn push_frames(
-        &mut self,
-        frames: impl IntoIterator<Item = (ReceiverId, f64, FrameBytes)>,
-        at: SimTime,
-    ) -> Vec<IngestBatch> {
-        for (receiver, rssi_dbm, frame) in frames {
-            self.stage_frame(receiver, rssi_dbm, frame, at);
-        }
-        let out = self.pool.drain();
-        self.absorb_failures();
-        out
-    }
-
-    fn stage_frame(&mut self, receiver: ReceiverId, rssi_dbm: f64, frame: FrameBytes, at: SimTime) {
-        let shard = match peek_stream(&frame) {
-            Some(stream) => shard_of_sensor(stream.sensor().as_u32(), self.shards),
-            None => 0,
-        };
-        self.offered_frames += 1;
-        self.pending[shard].push((receiver, rssi_dbm, frame, at));
-        if self.pending[shard].len() >= self.batch_size {
-            let frames = std::mem::take(&mut self.pending[shard]);
-            self.submit_batch(shard, frames);
-        }
-    }
-
-    /// Submits all partial batches and a reorder flush on every shard.
-    pub fn flush(&mut self, now: SimTime) -> Vec<IngestBatch> {
-        for shard in 0..self.shards {
-            if !self.pending[shard].is_empty() {
-                let frames = std::mem::take(&mut self.pending[shard]);
-                self.submit_batch(shard, frames);
-            }
-            let seq = self.pool.submit_tagged(shard, IngestJob::Flush(now), EdgeClass::Control);
-            self.frames_per_seq.insert(seq, 0);
-        }
-        let out = self.pool.drain();
-        self.absorb_failures();
-        out
-    }
-
-    /// Frames offered to `push` so far.
-    pub fn offered_frame_count(&self) -> u64 {
-        self.offered_frames
-    }
-
-    /// Frames dropped by backpressure shedding at the pool edge.
-    pub fn shed_frame_count(&self) -> u64 {
-        self.shed_frames
-    }
-
-    /// Frames lost to shard failures observed so far.
-    pub fn lost_frame_count(&self) -> u64 {
-        self.lost_frames
-    }
-
-    /// Takes the shard failures observed so far (their lost-frame cost
-    /// is already folded into [`ThreadedIngest::lost_frame_count`]).
-    pub fn take_shard_failures(&mut self) -> Vec<ShardFailure> {
-        self.absorb_failures();
-        std::mem::take(&mut self.failures)
-    }
-
-    /// Shards whose worker has died and not been restarted.
-    pub fn poisoned_shards(&mut self) -> Vec<usize> {
-        self.pool.poisoned_shards()
-    }
-
-    /// Shard restarts performed by the automatic supervision policy
-    /// (manual [`ThreadedIngest::restart_shard`] calls are not
-    /// counted).
-    pub fn supervised_restart_count(&self) -> u64 {
-        self.pool.restart_count()
-    }
-
-    /// Rebuilds a shard's worker with a fresh [`FilteringService`].
-    /// Its streams lose their sequence windows and re-key as stream
-    /// restarts — visible, not silent.
-    pub fn restart_shard(&mut self, shard: usize) {
-        self.pool.restart_shard(shard);
-        self.absorb_failures();
-    }
-
-    /// Drains remaining work and joins the workers. The report's
-    /// batches complete the submission-order sequence, and its ledger
-    /// satisfies `offered == processed + shed + lost` (any frames still
-    /// pending unsubmitted are folded into `shed`).
-    pub fn finish(mut self) -> IngestReport {
-        // Unsubmitted pending frames would dodge the ledger: submit
-        // them (blocking is fine at shutdown — the queues drain).
-        for shard in 0..self.shards {
-            if !self.pending[shard].is_empty() {
-                let frames = std::mem::take(&mut self.pending[shard]);
-                let count = frames.len() as u64;
-                let seq =
-                    self.pool.submit_tagged(shard, IngestJob::Frames(frames), EdgeClass::Data);
-                self.frames_per_seq.insert(seq, count);
-            }
-        }
-        self.absorb_failures();
-        let mut failures = std::mem::take(&mut self.failures);
-        let mut lost = self.lost_frames;
-        let frames_per_seq = std::mem::take(&mut self.frames_per_seq);
-        let (batches, late) = self.pool.finish();
-        for f in late {
-            lost += frames_per_seq.get(&f.seq).copied().unwrap_or(0);
-            failures.push(f);
-        }
-        IngestReport {
-            batches,
-            failures,
-            offered_frames: self.offered_frames,
-            shed_frames: self.shed_frames,
-            lost_frames: lost,
-        }
-    }
-}
-
-impl std::fmt::Debug for ThreadedIngest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedIngest")
-            .field("shards", &self.shards)
-            .field("batch_size", &self.batch_size)
-            .finish_non_exhaustive()
-    }
 }
 
 /// A job for one threaded filtering shard (the A edge).
@@ -1753,10 +1159,8 @@ pub struct ThreadedRouterReport {
     /// Worker failures over the run, attributed to their boundary
     /// events.
     pub failures: Vec<RootFailure>,
-    /// Frames offered to [`ThreadedRouter::push_frame`].
+    /// Frames offered to [`ThreadedRouter::push_frames`].
     pub offered_frames: u64,
-    /// Frames dropped by backpressure shedding at the filtering edge.
-    pub shed_frames: u64,
     /// Jobs lost to shard failures across all edges.
     pub lost_jobs: u64,
     /// Shard restarts performed by the supervision policy.
@@ -1827,16 +1231,12 @@ enum ControlStage {
 /// events in dispatch order.
 ///
 /// Determinism holds while subscriptions are static over the run (the B
-/// workers route against snapshots) — the same contract as
-/// [`ThreadedIngest`]'s `matched` accounting.
+/// workers route against snapshots).
 ///
-/// Admission: the frame edge honours the configured
-/// [`OverloadPolicy`] — `Block` propagates backpressure to the caller,
-/// `Shed` drops at capacity with the drop counted.
-/// [`OverloadPolicy::CoalesceFrames`] degrades to `Shed` here: a
-/// channel edge has no queue to resolve same-stream pairs against.
-/// Interior edges always block — control events are never dropped,
-/// matching the router's doctrine. Worker panics are caught by the
+/// Admission: every edge blocks. A full filtering shard pushes
+/// backpressure to the caller and nothing is dropped here — shedding
+/// and coalescing belong to the facade's scheduler
+/// ([`crate::qos::QosScheduler`]). Worker panics are caught by the
 /// pool, attributed to their root (which completes rather than hanging
 /// the release order), and — with a [`SupervisionConfig`] — the shard
 /// is rebuilt within the restart budget.
@@ -1846,7 +1246,6 @@ pub struct ThreadedRouter {
     c: ControlStage,
     ingest_shards: usize,
     dispatch_shards: usize,
-    policy: OverloadPolicy,
     /// The live subscription table every dispatch worker reads. The
     /// determinism contract: mutations only happen while the graph is
     /// quiescent (the hosting facade is single-threaded), so every job
@@ -1877,7 +1276,6 @@ pub struct ThreadedRouter {
     /// Next root to release (outputs leave in root order).
     next_release: u64,
     offered_frames: u64,
-    shed_frames: u64,
     lost_jobs: u64,
     failures: Vec<RootFailure>,
     /// The flight recorder (a zero-sized no-op unless the `trace`
@@ -1893,8 +1291,8 @@ pub struct ThreadedRouter {
 }
 
 impl ThreadedRouter {
-    /// Spawns the graph with blocking backpressure, a 4-job queue per
-    /// shard and no supervision. `control_factory` builds the control
+    /// Spawns the graph with a 4-job queue per shard and no
+    /// supervision. `control_factory` builds the control
     /// worker's [`ControlGraph`] (and rebuilds it on a supervised
     /// restart); `subscriptions` is snapshotted per dispatch worker.
     pub fn new(
@@ -1910,16 +1308,14 @@ impl ThreadedRouter {
             dispatch_shards,
             subscriptions,
             control_factory,
-            OverloadPolicy::Block,
             4,
             None,
             garnet_net::DispatchCacheConfig::default(),
         )
     }
 
-    /// [`ThreadedRouter::new`] with an explicit frame-edge policy,
-    /// per-shard queue bound, supervision policy and match-cache
-    /// configuration.
+    /// [`ThreadedRouter::new`] with an explicit per-shard queue bound,
+    /// supervision policy and match-cache configuration.
     #[allow(clippy::too_many_arguments)]
     pub fn with_options(
         config: FilterConfig,
@@ -1927,7 +1323,6 @@ impl ThreadedRouter {
         dispatch_shards: usize,
         subscriptions: &SubscriptionTable,
         mut control_factory: impl FnMut() -> ControlGraph + 'static,
-        policy: OverloadPolicy,
         queue_capacity: usize,
         supervision: Option<SupervisionConfig>,
         cache: garnet_net::DispatchCacheConfig,
@@ -1942,30 +1337,23 @@ impl ThreadedRouter {
             let mut control = control_factory();
             Box::new(move |job: ControlJob| control.pump_traced(job.events, job.now))
         }));
-        Self::assemble(a, b, c, ingest_shards, dispatch_shards, policy, subscriptions)
+        Self::assemble(a, b, c, ingest_shards, dispatch_shards, subscriptions)
     }
 
     /// Spawns the facade-hosted shape: the control graph pumped inline
-    /// (so the facade's synchronous control calls can reach it), the
-    /// live subscription table shared with the dispatch workers, and
-    /// the frame edge governed by `overload` exactly as it governs the
-    /// FIFO router's queue — `None` means blocking admission that never
-    /// sheds, so the overload ledger stays `offered == delivered`.
+    /// (so the facade's synchronous control calls can reach it) and the
+    /// live subscription table shared with the dispatch workers.
     pub fn hosted(
         config: FilterConfig,
         ingest_shards: usize,
         dispatch_shards: usize,
         subscriptions: Arc<RwLock<SubscriptionTable>>,
         control: ControlGraph,
-        overload: Option<OverloadConfig>,
         cache: garnet_net::DispatchCacheConfig,
     ) -> Self {
         let ingest_shards = ingest_shards.max(1);
         let dispatch_shards = dispatch_shards.max(1);
-        let (policy, capacity) = match overload {
-            None => (OverloadPolicy::Block, 4),
-            Some(cfg) => (cfg.policy, cfg.capacity.max(1)),
-        };
+        let capacity = 4;
         // The deployable runtime self-heals: a poisoned shard is
         // rebuilt under the default supervision budget instead of
         // staying dead for the facade's lifetime. The lost run still
@@ -1975,7 +1363,7 @@ impl ThreadedRouter {
         let a = Self::filter_edge(config, ingest_shards, capacity, supervision);
         let b = Self::dispatch_edge(dispatch_shards, capacity, supervision, &subscriptions, cache);
         let c = ControlStage::Inline(Box::new(control));
-        Self::assemble(a, b, c, ingest_shards, dispatch_shards, policy, subscriptions)
+        Self::assemble(a, b, c, ingest_shards, dispatch_shards, subscriptions)
     }
 
     fn filter_edge(
@@ -2030,14 +1418,12 @@ impl ThreadedRouter {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         a: StageEdge<FilterJob, FilterOut>,
         b: StageEdge<DispatchJob, (ServiceOutput, RouteNote)>,
         c: ControlStage,
         ingest_shards: usize,
         dispatch_shards: usize,
-        policy: OverloadPolicy,
         subscriptions: Arc<RwLock<SubscriptionTable>>,
     ) -> Self {
         ThreadedRouter {
@@ -2046,7 +1432,6 @@ impl ThreadedRouter {
             c,
             ingest_shards,
             dispatch_shards,
-            policy,
             subscriptions,
             streams: ShardedStreamRegistry::new(dispatch_shards),
             a_stats: vec![(FilterStats::default(), None); ingest_shards],
@@ -2061,7 +1446,6 @@ impl ThreadedRouter {
             next_c_submit: 0,
             next_release: 0,
             offered_frames: 0,
-            shed_frames: 0,
             lost_jobs: 0,
             failures: Vec::new(),
             tracer: Tracer::new(TraceConfig::default()),
@@ -2101,11 +1485,8 @@ impl ThreadedRouter {
         root
     }
 
-    /// Offers one boundary frame to the graph, returning any roots that
-    /// completed. Under [`OverloadPolicy::Block`] this blocks while the
-    /// frame's filtering shard is at capacity; the shedding policies
-    /// drop instead (counted in `shed_frames`), and the shed root
-    /// completes empty so release order is unbroken.
+    /// Offers one boundary frame to the graph — a
+    /// [`ThreadedRouter::push_frames`] batch of one.
     pub fn push_frame(
         &mut self,
         receiver: ReceiverId,
@@ -2113,80 +1494,21 @@ impl ThreadedRouter {
         frame: FrameBytes,
         at: SimTime,
     ) -> Vec<RootOutput> {
-        self.offered_frames += 1;
-        let stream = peek_stream(&frame);
-        let shard = match stream {
-            Some(stream) => shard_of_sensor(stream.sensor().as_u32(), self.ingest_shards),
-            None => 0,
-        };
-        self.depths.note_admitted(shard);
-        let root = self.new_root(at);
-        #[cfg(feature = "trace")]
-        let base = TraceRecord {
-            stream: stream.map(|s| s.to_raw()),
-            sensor: stream.map(|s| s.sensor().as_u32()),
-            shard: Some(shard as u32),
-            ..TraceRecord::new(
-                at.as_micros(),
-                TraceStage::Filtering,
-                TraceEventKind::Frame,
-                TraceOutcome::Delivered,
-            )
-        };
-        let job = FilterJob::Frame((receiver, rssi_dbm, frame, at));
-        let _outcome = match self.policy {
-            OverloadPolicy::Block => {
-                self.roots.get_mut(&root).expect("just inserted").a_expected = 1;
-                self.a.submit_classed(shard, root, job, EdgeClass::Data);
-                TraceOutcome::Delivered
-            }
-            OverloadPolicy::Shed | OverloadPolicy::CoalesceFrames => {
-                match self.a.try_submit_classed(shard, root, job, EdgeClass::Data) {
-                    Ok(()) => {
-                        self.roots.get_mut(&root).expect("just inserted").a_expected = 1;
-                        TraceOutcome::Delivered
-                    }
-                    Err(RefusedJob::Full(_)) => {
-                        self.shed_frames += 1;
-                        TraceOutcome::Shed
-                    }
-                    Err(RefusedJob::Poisoned(_)) => {
-                        self.lost_jobs += 1;
-                        TraceOutcome::Failed
-                    }
-                }
-            }
-        };
-        #[cfg(feature = "trace")]
-        self.roots
-            .get_mut(&root)
-            .expect("just inserted")
-            .trace
-            .push_pre(TraceRecord { outcome: _outcome, ..base });
-        self.poll()
+        self.push_frames([(receiver, rssi_dbm, frame)], at)
     }
 
-    /// Offers a burst of boundary frames as one call. Every frame still
-    /// gets its own root — release order, tracing and the offered/shed
-    /// ledger are identical to calling [`ThreadedRouter::push_frame`]
-    /// per frame — but each run of consecutive frames bound for the
-    /// same filtering shard travels as **one** multi-frame job
-    /// ([`FilterJob::Frames`] under the run's first root), and the
-    /// edges are polled once for the whole burst. Under the shedding
-    /// policies this degrades to the per-frame path so refusals stay
-    /// per-frame.
+    /// Offers a burst of boundary frames as one call, blocking while a
+    /// frame's filtering shard is at capacity, and returns the roots
+    /// that completed. Every frame gets its own root — release order,
+    /// tracing and the offered count are per frame — but each run of
+    /// consecutive frames bound for the same filtering shard travels as
+    /// **one** multi-frame job ([`FilterJob::Frames`] under the run's
+    /// first root), and the edges are polled once for the whole burst.
     pub fn push_frames(
         &mut self,
         frames: impl IntoIterator<Item = (ReceiverId, f64, FrameBytes)>,
         at: SimTime,
     ) -> Vec<RootOutput> {
-        if self.policy != OverloadPolicy::Block {
-            let mut out = Vec::new();
-            for (receiver, rssi_dbm, frame) in frames {
-                out.extend(self.push_frame(receiver, rssi_dbm, frame, at));
-            }
-            return out;
-        }
         // Root order must equal A-edge submission order (the B
         // sequencer leans on it), so only consecutive same-shard runs
         // may share a job.
@@ -2205,17 +1527,9 @@ impl ThreadedRouter {
             let state = self.roots.get_mut(&root).expect("just inserted");
             state.a_expected = 1;
             #[cfg(feature = "trace")]
-            state.trace.push_pre(TraceRecord {
-                stream: stream.map(|s| s.to_raw()),
-                sensor: stream.map(|s| s.sensor().as_u32()),
-                shard: Some(shard as u32),
-                ..TraceRecord::new(
-                    at.as_micros(),
-                    TraceStage::Filtering,
-                    TraceEventKind::Frame,
-                    TraceOutcome::Delivered,
-                )
-            });
+            state
+                .trace
+                .push_pre(TraceRecord { shard: Some(shard as u32), ..frame_record(&frame, at) });
             if shard != run_shard && !run.is_empty() {
                 let jobs = std::mem::take(&mut run);
                 self.submit_frame_run(run_shard, run_first, jobs);
@@ -2244,6 +1558,29 @@ impl ThreadedRouter {
             self.a_spans.insert(first, run.len());
             self.a.submit_classed(shard, first, FilterJob::Frames(run), EdgeClass::Data);
         }
+    }
+
+    /// Records a frame the admission scheduler dropped before it reached
+    /// the graph: a root of its own that completes empty, so the record
+    /// takes its place in release order.
+    #[cfg(feature = "trace")]
+    pub fn trace_dropped(
+        &mut self,
+        frame: &BatchedFrame,
+        outcome: TraceOutcome,
+        at: SimTime,
+    ) -> Vec<RootOutput> {
+        let shard = match peek_stream(&frame.frame) {
+            Some(stream) => shard_of_sensor(stream.sensor().as_u32(), self.ingest_shards),
+            None => 0,
+        };
+        let root = self.new_root(at);
+        self.roots.get_mut(&root).expect("just inserted").trace.push_pre(TraceRecord {
+            shard: Some(shard as u32),
+            outcome,
+            ..frame_record(&frame.frame, at)
+        });
+        self.poll()
     }
 
     /// Flushes every filtering shard's reorder buffers as one boundary
@@ -2628,14 +1965,9 @@ impl ThreadedRouter {
     #[inline(always)]
     fn trace_restarts(&mut self) {}
 
-    /// Frames offered to [`ThreadedRouter::push_frame`] so far.
+    /// Frames offered to [`ThreadedRouter::push_frames`] so far.
     pub fn offered_frame_count(&self) -> u64 {
         self.offered_frames
-    }
-
-    /// Frames dropped by backpressure shedding at the filtering edge.
-    pub fn shed_frame_count(&self) -> u64 {
-        self.shed_frames
     }
 
     /// Shard restarts performed by supervision across all edges.
@@ -2811,7 +2143,6 @@ impl ThreadedRouter {
                 outputs,
                 failures,
                 offered_frames: self.offered_frames,
-                shed_frames: self.shed_frames,
                 lost_jobs: self.lost_jobs + late as u64,
                 shard_restarts,
                 trace: self.tracer.snapshot(),
@@ -2949,49 +2280,5 @@ mod tests {
         assert_eq!(ingest.delivered_count(), 8);
         assert_eq!(ingest.duplicate_count(), 8);
         assert_eq!(ingest.stream_count(), 8);
-    }
-
-    #[test]
-    fn threaded_ingest_matches_serial_filtering() {
-        let mut subs = SubscriptionTable::new();
-        subs.subscribe(garnet_net::SubscriberId::new(1), garnet_net::TopicFilter::All);
-        let mut threaded = ThreadedIngest::new(FilterConfig::default(), 4, 8, &subs);
-        let mut serial = FilteringService::new(FilterConfig::default());
-
-        let mut serial_delivered: Vec<(u32, u16)> = Vec::new();
-        let mut batches: Vec<IngestBatch> = Vec::new();
-        for seq in 0..50u16 {
-            for sensor in 1..=6u32 {
-                let fr = frame(sensor, seq);
-                let at = SimTime::from_millis(u64::from(seq));
-                for d in serial.on_frame(ReceiverId::new(0), -40.0, &fr, at).deliveries {
-                    serial_delivered.push((d.msg.stream().to_raw(), d.msg.seq().as_u16()));
-                }
-                batches.extend(threaded.push(ReceiverId::new(0), -40.0, fr, at));
-            }
-        }
-        batches.extend(threaded.flush(SimTime::from_secs(10)));
-        let report = threaded.finish();
-        assert!(report.failures.is_empty(), "no worker should fail here");
-        batches.extend(report.batches);
-        let mut threaded_delivered: Vec<(u32, u16)> = Vec::new();
-        let mut matched = 0u64;
-        for b in batches {
-            matched += b.matched;
-            for d in b.deliveries {
-                threaded_delivered.push((d.msg.stream().to_raw(), d.msg.seq().as_u16()));
-            }
-        }
-        // Per-stream sequences are identical (global interleaving may
-        // differ across shard threads).
-        for sensor in 1..=6u32 {
-            let raw = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0)).to_raw();
-            let s: Vec<u16> =
-                serial_delivered.iter().filter(|(r, _)| *r == raw).map(|(_, q)| *q).collect();
-            let t: Vec<u16> =
-                threaded_delivered.iter().filter(|(r, _)| *r == raw).map(|(_, q)| *q).collect();
-            assert_eq!(s, t, "sensor {sensor}");
-        }
-        assert_eq!(matched, threaded_delivered.len() as u64, "one All-subscriber");
     }
 }

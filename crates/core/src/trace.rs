@@ -38,7 +38,7 @@ pub(crate) type RootTag = u64;
 pub(crate) type RootTag = ();
 
 #[cfg(feature = "trace")]
-pub(crate) use imp::{event_record, RootTrace};
+pub(crate) use imp::{event_record, frame_record, RootTrace};
 
 #[cfg(feature = "trace")]
 mod imp {
@@ -73,6 +73,22 @@ mod imp {
         }
     }
 
+    /// The record for one raw frame at the filtering stage, attributed
+    /// to the stream its header claims.
+    pub(crate) fn frame_record(frame: &[u8], now: SimTime) -> TraceRecord {
+        let stream = peek_stream(frame);
+        TraceRecord {
+            stream: stream.map(|s| s.to_raw()),
+            sensor: stream.map(|s| s.sensor().as_u32()),
+            ..TraceRecord::new(
+                now.as_micros(),
+                TraceStage::Filtering,
+                TraceEventKind::Frame,
+                TraceOutcome::Delivered,
+            )
+        }
+    }
+
     /// The canonical record for one event hop. Pure on the event, so a
     /// single-threaded pop and a threaded worker produce the same bytes
     /// for the same event at the same simulated time.
@@ -81,25 +97,13 @@ mod imp {
         let at = now.as_micros();
         let base = |stage, kind| TraceRecord::new(at, stage, kind, TraceOutcome::Delivered);
         let mut rec = match ev {
-            Frame { frame, .. } => {
-                let stream = peek_stream(frame);
-                TraceRecord {
-                    stream: stream.map(|s| s.to_raw()),
-                    sensor: stream.map(|s| s.sensor().as_u32()),
-                    ..base(TraceStage::Filtering, TraceEventKind::Frame)
-                }
-            }
+            Frame { frame, .. } => frame_record(frame, now),
             // Batches never reach the queue on the hot path (admission
             // splits them into per-frame entries so each hop gets its
             // own record); an externally enqueued batch is attributed
             // to its first frame's stream.
             FrameBatch(frames) => {
-                let stream = frames.first().and_then(|f| peek_stream(&f.frame));
-                TraceRecord {
-                    stream: stream.map(|s| s.to_raw()),
-                    sensor: stream.map(|s| s.sensor().as_u32()),
-                    ..base(TraceStage::Filtering, TraceEventKind::Frame)
-                }
+                frame_record(frames.first().map_or(&[][..], |f| &f.frame[..]), now)
             }
             FlushReorder => base(TraceStage::Filtering, TraceEventKind::FlushReorder),
             Filtered { delivery, .. } => {

@@ -173,15 +173,6 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// A job handed back by [`ShardPool::try_submit`].
-#[derive(Debug)]
-pub enum RefusedJob<I> {
-    /// The shard's bounded job queue is at capacity (backpressure).
-    Full(I),
-    /// The shard worker has died; restart it before resubmitting.
-    Poisoned(I),
-}
-
 /// Automatic shard-restart policy: a poisoned shard is rebuilt from the
 /// retained factory as long as the shard has been restarted fewer than
 /// `max_restarts` times inside the sliding `window`. Beyond that budget
@@ -378,8 +369,7 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
     poisoned_at: Vec<Option<std::time::Instant>>,
     restarts: u64,
     restart_events: Vec<RestartEvent>,
-    /// Jobs accepted per [`EdgeClass`] (refused try-submissions are not
-    /// counted — they consumed no sequence number).
+    /// Jobs accepted per [`EdgeClass`].
     class_submits: [u64; 3],
 }
 
@@ -390,7 +380,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// [`ShardPool::restart_shard`] can rebuild a poisoned shard with
     /// fresh state. `capacity` bounds each shard's job queue;
     /// [`ShardPool::submit`] blocks when the target shard is that far
-    /// behind, [`ShardPool::try_submit`] hands the job back instead.
+    /// behind.
     pub fn new<F>(shards: usize, capacity: usize, factory: F) -> Self
     where
         F: FnMut(usize) -> Stage<I, O> + 'static,
@@ -605,54 +595,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             }
         }
         first..self.next_seq
-    }
-
-    /// Non-blocking submission for callers that shed instead of stall:
-    /// at capacity (or on a dead shard) the job is handed back in a
-    /// [`RefusedJob`] and **no sequence number is consumed**, so refused
-    /// jobs leave no gap in the merge.
-    pub fn try_submit(&mut self, shard: usize, job: I) -> Result<u64, RefusedJob<I>> {
-        self.try_submit_tagged(shard, job, EdgeClass::Data)
-    }
-
-    /// [`ShardPool::try_submit`] carrying an explicit [`EdgeClass`] tag
-    /// (counted only when the job is accepted).
-    pub fn try_submit_tagged(
-        &mut self,
-        shard: usize,
-        job: I,
-        class: EdgeClass,
-    ) -> Result<u64, RefusedJob<I>> {
-        let seq = self.try_submit_inner(shard, job)?;
-        self.class_submits[class.index()] += 1;
-        Ok(seq)
-    }
-
-    fn try_submit_inner(&mut self, shard: usize, job: I) -> Result<u64, RefusedJob<I>> {
-        self.absorb_ready();
-        self.supervise();
-        let idx = shard % self.jobs.len();
-        if self.poisoned[idx] {
-            return Err(RefusedJob::Poisoned(job));
-        }
-        let seq = self.next_seq;
-        let unwrap_one =
-            |mut batch: JobBatch<I>| batch.pop().expect("refused batch holds the one job").1;
-        match self.jobs[idx].try_send(vec![(seq, job)]) {
-            Ok(()) => {
-                self.next_seq += 1;
-                self.in_flight[idx].push(seq);
-                Ok(seq)
-            }
-            Err(TrySendError::Full(batch)) => Err(RefusedJob::Full(unwrap_one(batch))),
-            Err(TrySendError::Disconnected(batch)) => {
-                if !self.poisoned[idx] {
-                    self.poisoned_at[idx] = Some(std::time::Instant::now());
-                }
-                self.poisoned[idx] = true;
-                Err(RefusedJob::Poisoned(unwrap_one(batch)))
-            }
-        }
     }
 
     fn note_lost(&mut self, shard: usize, seq: u64, reason: String) {
@@ -1060,33 +1002,6 @@ mod tests {
             assert_eq!(failures.len(), 1);
             assert_eq!(failures[0].reason, "boom");
         });
-    }
-
-    #[test]
-    fn try_submit_sheds_on_full_and_poisoned() {
-        let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 1, |_| {
-            Box::new(|x| {
-                thread::sleep(std::time::Duration::from_millis(50));
-                x
-            })
-        });
-        pool.submit(0, 0); // worker picks this up and sleeps
-                           // Fill the single-slot queue, then overflow it.
-        let mut refused = 0;
-        for i in 1..20u32 {
-            match pool.try_submit(0, i) {
-                Ok(_) => {}
-                Err(RefusedJob::Full(job)) => {
-                    assert_eq!(job, i, "refused job handed back");
-                    refused += 1;
-                }
-                Err(RefusedJob::Poisoned(_)) => panic!("worker is healthy"),
-            }
-        }
-        assert!(refused > 0, "a 1-deep queue must refuse some of 19 rapid submissions");
-        let (out, failures) = pool.finish();
-        assert_eq!(out.len(), 19 - refused + 1, "accepted jobs all completed, no gaps");
-        assert!(failures.is_empty());
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! * [`bus`] — asynchronous message exchange between services, with a
 //!   crossbeam-channel threaded driver for live deployments (experiments
 //!   use the deterministic `garnet-simkit` event queue instead);
-//! * [`rpc`] — request/response correlation over the bus (the "Remote
-//!   Procedure Call" arrows of Figure 1);
 //! * [`threaded_router`] — root-attributed stage edges over [`bus`]'s
 //!   `ShardPool`, the plumbing under the full threaded service graph;
 //! * [`archiver`] — the background writer that drains pre-encoded
@@ -33,18 +31,16 @@ pub mod auth;
 pub mod bus;
 pub mod pubsub;
 pub mod registry;
-pub mod rpc;
 pub mod threaded_router;
 
 pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 pub use bus::{
-    BusError, EdgeClass, RefusedJob, RestartEvent, ShardFailure, ShardPool, Stage,
-    SupervisionConfig, ThreadedBus,
+    BusError, EdgeClass, RestartEvent, ShardFailure, ShardPool, Stage, SupervisionConfig,
+    ThreadedBus,
 };
 pub use pubsub::{
     DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
-pub use rpc::{CallId, RpcTable};
 pub use threaded_router::{RootFailure, StageEdge};

@@ -407,18 +407,9 @@ impl DispatchCacheConfig {
 }
 
 impl Default for DispatchCacheConfig {
-    /// Enabled at [`DispatchCacheConfig::DEFAULT_CAPACITY`], unless the
-    /// `GARNET_TEST_MATCH_CACHE` environment variable is set to `0`,
-    /// `off` or `false` — the escape hatch ci.sh uses to rerun the
-    /// determinism suites uncached.
+    /// Enabled at [`DispatchCacheConfig::DEFAULT_CAPACITY`].
     fn default() -> Self {
-        let enabled = match std::env::var("GARNET_TEST_MATCH_CACHE") {
-            Ok(v) => {
-                !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-            }
-            Err(_) => true,
-        };
-        DispatchCacheConfig { enabled, capacity: Self::DEFAULT_CAPACITY }
+        DispatchCacheConfig { enabled: true, capacity: Self::DEFAULT_CAPACITY }
     }
 }
 

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::bus::{EdgeClass, RefusedJob, ShardFailure, ShardPool, Stage, SupervisionConfig};
+use crate::bus::{EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig};
 
 /// A worker failure attributed to the boundary event (root) whose work
 /// was lost.
@@ -42,8 +42,7 @@ pub struct RootFailure {
 /// instead of waiting forever.
 ///
 /// Backpressure is the pool's: `submit` blocks while the target shard's
-/// bounded queue is full, `try_submit` hands the job back. Which one an
-/// edge uses is the driver's admission policy.
+/// bounded queue is full.
 pub struct StageEdge<I: Send + 'static, O: Send + 'static> {
     pool: ShardPool<I, O>,
     /// Root owning each in-flight pool sequence number.
@@ -118,27 +117,6 @@ impl<I: Send + 'static, O: Send + 'static> StageEdge<I, O> {
         for (seq, root) in seqs.zip(roots) {
             self.roots.insert(seq, root);
         }
-    }
-
-    /// Non-blocking submission: at capacity (or on a dead,
-    /// budget-exhausted shard) the job is handed back and nothing is
-    /// recorded for the root.
-    pub fn try_submit(&mut self, shard: usize, root: u64, job: I) -> Result<(), RefusedJob<I>> {
-        self.try_submit_classed(shard, root, job, EdgeClass::Data)
-    }
-
-    /// [`StageEdge::try_submit`] carrying an explicit [`EdgeClass`] tag
-    /// (counted only when the job is accepted).
-    pub fn try_submit_classed(
-        &mut self,
-        shard: usize,
-        root: u64,
-        job: I,
-        class: EdgeClass,
-    ) -> Result<(), RefusedJob<I>> {
-        let seq = self.pool.try_submit_tagged(shard, job, class)?;
-        self.roots.insert(seq, root);
-        Ok(())
     }
 
     /// Jobs accepted per [`EdgeClass`] at this edge, indexed by

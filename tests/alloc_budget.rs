@@ -17,7 +17,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::{DriverKind, QosConfig, QosMode};
+use garnet::core::DriverKind;
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
@@ -142,24 +142,13 @@ fn allocs_per_frame(config: GarnetConfig) -> f64 {
 fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
     let armed =
         Some(OverloadConfig { capacity: 2 * STREAMS as usize, policy: OverloadPolicy::Block });
-    for mode in [QosMode::Scheduled, QosMode::Legacy] {
-        // Unbounded admission, then a bound the bursts fit under (the
-        // scheduler, or the router's own queue in legacy mode, governs
-        // admission without shedding).
-        for overload in [None, armed] {
-            for batch_ingest in [true, false] {
-                let per_frame = allocs_per_frame(GarnetConfig {
-                    qos: QosConfig { mode, ..QosConfig::default() },
-                    overload,
-                    batch_ingest,
-                    ..GarnetConfig::default()
-                });
-                assert!(
-                    per_frame < 0.25,
-                    "{mode:?}, overload {overload:?}, batch_ingest {batch_ingest}: \
-                     {per_frame:.3} allocator calls per frame"
-                );
-            }
-        }
+    // Unbounded admission, then a bound the bursts fit under (the
+    // scheduler governs admission without shedding).
+    for overload in [None, armed] {
+        let per_frame = allocs_per_frame(GarnetConfig { overload, ..GarnetConfig::default() });
+        assert!(
+            per_frame < 0.25,
+            "overload {overload:?}: {per_frame:.3} allocator calls per frame"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! 1. **Deterministic replay** — the boundary log a live facade writes
 //!    replays into a fresh facade and rebuilds dispatch state
 //!    bit-identically, across the full `{Fifo,Threaded} × {1,4} ingest
-//!    × {1,4} dispatch` matrix, batched and per-frame, regardless of
+//!    × {1,4} dispatch` matrix, regardless of
 //!    which configuration wrote the log.
 //! 2. **Crash recovery** — a store that dies mid-run loses only the
 //!    unacknowledged tail: recovery never loses a frame the store
@@ -101,14 +101,12 @@ fn config(
     driver: DriverKind,
     ingest: usize,
     dispatch: usize,
-    batch: bool,
     archive: Option<ArchiveConfig>,
 ) -> GarnetConfig {
     GarnetConfig {
         driver,
         ingest_shards: ingest,
         dispatch_shards: dispatch,
-        batch_ingest: batch,
         archive,
         ..GarnetConfig::default()
     }
@@ -188,11 +186,9 @@ proptest! {
         dup_mask in proptest::collection::vec(0u8..4, 16),
         chunks in proptest::collection::vec(1usize..9, 1..8),
         writer_driver_idx in 0usize..2,
-        writer_batch in proptest::bool::ANY,
         replay_driver_idx in 0usize..2,
         replay_ingest in prop_oneof![Just(1usize), Just(4usize)],
         replay_dispatch in prop_oneof![Just(1usize), Just(4usize)],
-        replay_batch in proptest::bool::ANY,
     ) {
         let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
         if frames.is_empty() {
@@ -201,7 +197,7 @@ proptest! {
         let writer_driver = [DriverKind::Fifo, DriverKind::Threaded][writer_driver_idx];
         let slot = store_slot(Box::new(MemStore::new()));
         let (records, live) = live_run(
-            config(writer_driver, 2, 2, writer_batch, Some(custom_archive(&slot))),
+            config(writer_driver, 2, 2, Some(custom_archive(&slot))),
             slot,
             &frames,
             &chunks,
@@ -213,16 +209,14 @@ proptest! {
             replay_driver,
             replay_ingest,
             replay_dispatch,
-            replay_batch,
             Some(custom_archive(&replay_slot)),
         ));
         g.replay_archive(&records);
         let replayed = dispatch_state(&g, &log);
         prop_assert_eq!(
             &live, &replayed,
-            "replay diverged (writer {:?} batch={} -> replay {:?} {}x{} batch={})",
-            writer_driver, writer_batch, replay_driver, replay_ingest, replay_dispatch,
-            replay_batch
+            "replay diverged (writer {:?} -> replay {:?} {}x{})",
+            writer_driver, replay_driver, replay_ingest, replay_dispatch
         );
 
         // The replaying facade archived the same boundary inputs: its
@@ -260,7 +254,6 @@ proptest! {
             DriverKind::Fifo,
             1,
             1,
-            true,
             Some(custom_archive(&slot)),
         ));
         let offered: Vec<_> = frames
@@ -308,12 +301,8 @@ fn recovery_reports_per_stream_high_water_marks() {
     let slot = store_slot(Box::new(MemStore::new()));
     let frames: Vec<_> =
         (0..10u16).map(|s| frame(1, s)).chain((0..5u16).map(|s| frame(2, s))).collect();
-    let (records, _) = live_run(
-        config(DriverKind::Fifo, 1, 1, true, Some(custom_archive(&slot))),
-        slot,
-        &frames,
-        &[3],
-    );
+    let (records, _) =
+        live_run(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))), slot, &frames, &[3]);
     assert!(!records.is_empty());
 
     // Re-open the log (write it into a fresh store) and inspect marks.
@@ -340,8 +329,7 @@ fn stalled_archive_degrades_gracefully_and_ledger_balances() {
         FaultPlan { stall_after_appends: Some(0), ..FaultPlan::default() },
     );
     let slot = store_slot(Box::new(faulty));
-    let (mut g, log) =
-        fresh_garnet(config(DriverKind::Fifo, 1, 1, true, Some(custom_archive(&slot))));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))));
     let batch: Vec<_> = (0..20u16).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect();
     g.on_frames(batch, SimTime::from_millis(1));
 
@@ -380,7 +368,7 @@ fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
 fn burst_larger_than_the_queue_is_accounted_per_record_on_the_threaded_engine() {
     let slot = store_slot(Box::new(MemStore::new()));
     let archive = ArchiveConfig { queue_capacity: 16, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, true, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, Some(archive)));
     let (t1, t2) = (SimTime::from_millis(1), SimTime::from_millis(2));
 
     // 100 records against room for 16: the burst's first 16 are
@@ -426,7 +414,7 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
     );
     let slot = store_slot(Box::new(faulty));
     let archive = ArchiveConfig { segment_max_bytes: 3 * record_len, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, true, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(archive)));
 
     g.on_frames(burst_of(0, 20), t1);
     assert_eq!(log.lock().unwrap().len(), 20, "every frame delivered");
@@ -441,7 +429,7 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
 fn tick_and_ack_between_bursts_land_in_append_order() {
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         let slot = store_slot(Box::new(MemStore::new()));
-        let (mut g, _log) = fresh_garnet(config(driver, 2, 2, true, Some(custom_archive(&slot))));
+        let (mut g, _log) = fresh_garnet(config(driver, 2, 2, Some(custom_archive(&slot))));
         let at = |ms| SimTime::from_millis(ms);
         g.on_frames(burst_of(0, 5), at(1));
         g.on_tick(at(2));
@@ -478,7 +466,7 @@ fn wedged_threaded_writer_times_out_shutdown_with_typed_error() {
         flush_timeout: Duration::from_millis(60),
         ..ArchiveConfig::default()
     };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, true, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, Some(archive)));
     let batch: Vec<_> = (0..8u16).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect();
     g.on_frames(batch, SimTime::from_millis(1));
     assert_eq!(log.lock().unwrap().len(), 8, "delivery must not wait on the wedged writer");
@@ -495,8 +483,7 @@ fn wedged_threaded_writer_times_out_shutdown_with_typed_error() {
 #[test]
 fn archive_metrics_stage_reports_the_ledger() {
     let slot = store_slot(Box::new(MemStore::new()));
-    let (mut g, _log) =
-        fresh_garnet(config(DriverKind::Fifo, 1, 1, true, Some(custom_archive(&slot))));
+    let (mut g, _log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))));
     g.on_frames(vec![(ReceiverId::new(0), -45.0, frame(2, 0))], SimTime::from_millis(1));
     g.on_tick(SimTime::from_secs(1));
     let report = g.metrics().report();

@@ -9,7 +9,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
-use garnet::core::{DriverKind, QosConfig, QosMode};
+use garnet::core::DriverKind;
 use garnet::net::TopicFilter;
 use garnet::radio::field::GaussianPlume;
 use garnet::radio::geometry::{Point, Rect};
@@ -39,9 +39,6 @@ fn run(seed: u64) -> RunFingerprint {
 }
 
 fn run_sharded(seed: u64, ingest_shards: usize, dispatch_shards: usize) -> RunFingerprint {
-    // `driver` comes from `GarnetConfig::default()`, which honours the
-    // `GARNET_TEST_DRIVER` env toggle — ci.sh reruns this whole suite in
-    // threaded mode through it.
     run_config(seed, GarnetConfig { ingest_shards, dispatch_shards, ..GarnetConfig::default() })
 }
 
@@ -223,37 +220,6 @@ fn match_cache_toggle_does_not_change_the_world() {
     }
 }
 
-#[test]
-fn batch_ingest_does_not_change_the_world() {
-    // Batched admission and pumping is an execution strategy, not a
-    // semantic one: with `batch_ingest` forced on, every driver × shard
-    // combination reproduces the per-frame run bit-for-bit — counters,
-    // consumer deliveries and the full metrics report.
-    let baseline =
-        run_config(1234, GarnetConfig { batch_ingest: false, ..GarnetConfig::default() });
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for ingest in [1usize, 4] {
-            for dispatch in [1usize, 4] {
-                let f = run_config(
-                    1234,
-                    GarnetConfig {
-                        driver,
-                        ingest_shards: ingest,
-                        dispatch_shards: dispatch,
-                        batch_ingest: true,
-                        ..GarnetConfig::default()
-                    },
-                );
-                assert_eq!(
-                    baseline, f,
-                    "batched driver={driver:?} ingest={ingest} dispatch={dispatch} diverged \
-                     from the per-frame baseline"
-                );
-            }
-        }
-    }
-}
-
 /// The byte-exact facade delivery log: (raw stream, seq, payload).
 type FacadeLog = Vec<(u32, u16, Vec<u8>)>;
 
@@ -274,16 +240,14 @@ impl Consumer for RecordingConsumer {
     }
 }
 
-/// Everything observable about a facade-level replay. `report` includes
-/// the admission queue's peak depth, which legitimately depends on how
-/// arrivals are chunked into `on_frames` calls — so split-invariance
-/// compares `log` + `counters` only, while engine-invariance (same
-/// splits, batched vs per-frame machinery) compares all three.
+/// Everything a facade-level replay owes its consumers whatever the
+/// arrival chunking. (The metrics report is left out: it includes the
+/// intake's peak depth, which legitimately depends on how arrivals are
+/// chunked into `on_frames` calls.)
 #[derive(Debug, PartialEq, Eq)]
 struct FacadeFingerprint {
     log: FacadeLog,
     counters: (u64, u64, u64, u64),
-    report: String,
 }
 
 /// Feeds `frames` into a fresh facade as `on_frames` batches sized by
@@ -317,9 +281,8 @@ fn facade_replay(frames: &[Vec<u8>], chunks: &[usize], config: GarnetConfig) -> 
         f.crc_failure_count(),
         g.orphanage().total_taken(),
     );
-    let report = g.metrics().report();
     let log = log.lock().unwrap().clone();
-    FacadeFingerprint { log, counters, report }
+    FacadeFingerprint { log, counters }
 }
 
 /// A messy burst over streams 1..=sensors: drops (reorder gaps) and
@@ -350,14 +313,12 @@ fn burst_schedule(sensors: u32, n: u16, drop_mask: &[u8], dup_mask: &[u8]) -> Ve
 }
 
 proptest! {
-    // Batched admission is bit-identical to per-frame admission across
-    // the driver × shard matrix and random batch splits: (1) with the
-    // same arrival chunking, the batched and per-frame engines agree on
-    // the delivery log, every counter and the full metrics report;
-    // (2) how a burst is split into `on_frames` batches is invisible to
-    // deliveries and counters.
+    // How a burst is chunked into `on_frames` calls is invisible to
+    // deliveries and counters, across the driver × shard matrix: random
+    // batch splits reproduce the run fed one frame per call (a batch of
+    // one — the only per-frame path there is). So is the match cache.
     #[test]
-    fn batched_admission_is_bit_identical_to_per_frame(
+    fn arrival_chunking_and_cache_are_invisible_to_deliveries(
         sensors in 2u32..6,
         n in 4u16..24,
         drop_mask in proptest::collection::vec(0u8..8, 32),
@@ -378,76 +339,23 @@ proptest! {
         } else {
             garnet::net::DispatchCacheConfig::disabled()
         };
-        let cfg = |batch_ingest| GarnetConfig {
+        let cfg = || GarnetConfig {
             driver,
             ingest_shards: ingest,
             dispatch_shards: dispatch,
-            batch_ingest,
             dispatch_cache,
             ..GarnetConfig::default()
         };
-        let batched = facade_replay(&frames, &chunks, cfg(true));
-        let per_frame = facade_replay(&frames, &chunks, cfg(false));
-        prop_assert_eq!(&batched, &per_frame, "engine diverged ({:?} {}x{} cache={})", driver, ingest, dispatch, cache_on);
-        let singles = facade_replay(&frames, &[1], cfg(true));
-        prop_assert_eq!(&batched.log, &singles.log, "batch splits changed deliveries");
-        prop_assert_eq!(batched.counters, singles.counters, "batch splits changed counters");
+        let batched = facade_replay(&frames, &chunks, cfg());
+        let singles = facade_replay(&frames, &[1], cfg());
+        prop_assert_eq!(&batched, &singles, "batch splits changed the run ({:?} {}x{} cache={})", driver, ingest, dispatch, cache_on);
         // The cache is invisible to deliveries and counters: toggling it
         // off reproduces the same log and books.
         let uncached = facade_replay(&frames, &chunks, GarnetConfig {
             dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
-            ..cfg(true)
+            ..cfg()
         });
-        prop_assert_eq!(&batched.log, &uncached.log, "cache toggle changed deliveries");
-        prop_assert_eq!(batched.counters, uncached.counters, "cache toggle changed counters");
-    }
-}
-
-proptest! {
-    // The QoS scheduler only arms when an overload config is present,
-    // so on the default (unbounded) facade the Scheduled and Legacy
-    // modes must be observably indistinguishable — the delivery log,
-    // every counter and the full metrics report are bit-identical
-    // across {Fifo,Threaded} × ingest {1,4} × dispatch {1,4} ×
-    // {batched,per-frame} and random arrival chunking. This is the
-    // `GARNET_TEST_QOS=legacy` contract: turning QoS off cannot change
-    // a no-overload world.
-    #[test]
-    fn qos_does_not_change_the_world(
-        sensors in 2u32..6,
-        n in 4u16..24,
-        drop_mask in proptest::collection::vec(0u8..8, 32),
-        dup_mask in proptest::collection::vec(0u8..4, 32),
-        chunks in proptest::collection::vec(1usize..17, 1..24),
-        driver_idx in 0usize..2,
-        ingest in prop_oneof![Just(1usize), Just(4usize)],
-        dispatch in prop_oneof![Just(1usize), Just(4usize)],
-        batch_ingest in proptest::bool::ANY,
-    ) {
-        let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
-        if frames.is_empty() {
-            return; // masks dropped everything; nothing to compare
-        }
-        let driver = [DriverKind::Fifo, DriverKind::Threaded][driver_idx];
-        let cfg = |mode| GarnetConfig {
-            driver,
-            ingest_shards: ingest,
-            dispatch_shards: dispatch,
-            batch_ingest,
-            qos: QosConfig { mode, ..QosConfig::default() },
-            ..GarnetConfig::default()
-        };
-        let scheduled = facade_replay(&frames, &chunks, cfg(QosMode::Scheduled));
-        let legacy = facade_replay(&frames, &chunks, cfg(QosMode::Legacy));
-        prop_assert_eq!(
-            &scheduled,
-            &legacy,
-            "qos toggle changed an unbounded world ({:?} {}x{} batch={})",
-            driver,
-            ingest,
-            dispatch,
-            batch_ingest
-        );
+        prop_assert_eq!(&batched, &uncached, "cache toggle changed the run");
     }
 }
 
@@ -509,7 +417,7 @@ fn strip_shard_series(prometheus: &str) -> String {
 
 // Telemetry is an observer, not a participant. Three claims: (1) the final
 // snapshot is bit-identical — modulo per-shard gauge ids — across
-// {Fifo,Threaded} × ingest {1,4} × dispatch {1,4} × {batched,per-frame};
+// {Fifo,Threaded} × ingest {1,4} × dispatch {1,4};
 // (2) two identical runs render byte-identical JSONL and Prometheus text,
 // per-shard series included; (3) emitting a snapshot mid-run leaves the
 // world's final books untouched.
@@ -518,44 +426,31 @@ fn telemetry_does_not_change_the_world() {
     let drop_mask: Vec<u8> = (0..32).map(|i| u8::from(i % 7 != 0)).collect();
     let dup_mask: Vec<u8> = (0..32).map(|i| (i % 3) as u8).collect();
     let frames = burst_schedule(5, 20, &drop_mask, &dup_mask);
-    let cfg = |driver, ingest_shards, dispatch_shards, batch_ingest| GarnetConfig {
+    let cfg = |driver, ingest_shards, dispatch_shards| GarnetConfig {
         driver,
         ingest_shards,
         dispatch_shards,
-        batch_ingest,
         ..GarnetConfig::default()
     };
 
-    let (jsonl, prometheus, report) =
-        telemetry_replay(&frames, cfg(DriverKind::Fifo, 1, 1, true), false);
+    let (jsonl, prometheus, report) = telemetry_replay(&frames, cfg(DriverKind::Fifo, 1, 1), false);
     let baseline_snap = strip_shard_gauges(&jsonl);
     let baseline_prom = strip_shard_series(&prometheus);
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         for ingest in [1usize, 4] {
             for dispatch in [1usize, 4] {
-                for batch in [true, false] {
-                    let (j, p, r) =
-                        telemetry_replay(&frames, cfg(driver, ingest, dispatch, batch), false);
-                    let label = format!("{driver:?} {ingest}x{dispatch} batch={batch}");
-                    assert_eq!(
-                        strip_shard_gauges(&j),
-                        baseline_snap,
-                        "snapshot diverged ({label})"
-                    );
-                    assert_eq!(
-                        strip_shard_series(&p),
-                        baseline_prom,
-                        "exposition diverged ({label})"
-                    );
-                    assert_eq!(r, report, "metrics report diverged ({label})");
-                }
+                let (j, p, r) = telemetry_replay(&frames, cfg(driver, ingest, dispatch), false);
+                let label = format!("{driver:?} {ingest}x{dispatch}");
+                assert_eq!(strip_shard_gauges(&j), baseline_snap, "snapshot diverged ({label})");
+                assert_eq!(strip_shard_series(&p), baseline_prom, "exposition diverged ({label})");
+                assert_eq!(r, report, "metrics report diverged ({label})");
             }
         }
     }
 
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let first = telemetry_replay(&frames, cfg(driver, 4, 4, true), false);
-        let second = telemetry_replay(&frames, cfg(driver, 4, 4, true), false);
+        let first = telemetry_replay(&frames, cfg(driver, 4, 4), false);
+        let second = telemetry_replay(&frames, cfg(driver, 4, 4), false);
         assert_eq!(first.0, second.0, "{driver:?} JSONL not byte-stable across identical runs");
         assert_eq!(
             first.1, second.1,
@@ -564,7 +459,7 @@ fn telemetry_does_not_change_the_world() {
     }
 
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let (_, _, with_midrun) = telemetry_replay(&frames, cfg(driver, 4, 4, true), true);
+        let (_, _, with_midrun) = telemetry_replay(&frames, cfg(driver, 4, 4), true);
         assert_eq!(with_midrun, report, "mid-run telemetry changed the world ({driver:?})");
     }
 }

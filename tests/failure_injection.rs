@@ -345,7 +345,6 @@ fn poisoned_shard_restart_during_batched_ingest_keeps_the_ledger_exact() {
         let mut g = Garnet::new(GarnetConfig {
             driver: DriverKind::Threaded,
             ingest_shards: 4,
-            batch_ingest: true,
             filter: FilterConfig { fail_marker: Some(POISON), ..FilterConfig::default() },
             ..GarnetConfig::default()
         });

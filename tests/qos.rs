@@ -15,9 +15,9 @@ use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{
     ControlGraph, OverloadConfig, OverloadPolicy, Services, ShardedDispatch, ShardedIngest,
 };
+use garnet::core::service::BatchedFrame;
 use garnet::core::{
-    DriverKind, FifoDriver, PriorityClass, QosConfig, QosMode, RouterDriver, ServiceOutput,
-    ThreadedDriver,
+    DriverKind, FifoDriver, PriorityClass, QosConfig, RouterDriver, ServiceOutput, ThreadedDriver,
 };
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::ReceiverId;
@@ -51,7 +51,6 @@ impl Consumer for Recorder {
 fn scheduled(policy: OverloadPolicy) -> GarnetConfig {
     GarnetConfig {
         overload: Some(OverloadConfig { capacity: CAPACITY, policy }),
-        qos: QosConfig { mode: QosMode::Scheduled, ..QosConfig::default() },
         ..GarnetConfig::default()
     }
 }
@@ -102,7 +101,7 @@ fn per_class_ledger_holds_on_both_engines() {
         {
             let mut g = Garnet::new(GarnetConfig { driver, ..scheduled(policy) });
             let (_, _log) = register(&mut g, "sink");
-            assert!(g.qos_active(), "Scheduled mode + overload config must arm the scheduler");
+            assert!(g.qos_active(), "an overload config must arm the scheduler");
             // Data through admission; control (flush) and actuation
             // (ticks) through the event tiers.
             g.on_frames(burst(8), SimTime::from_millis(1));
@@ -215,45 +214,34 @@ fn coalesce_then_shed_counts_once() {
     // Regression for the CoalesceFrames double-count: a frame that is
     // coalesced and whose survivor is later shed must enter the ledger
     // exactly once. Pin `offered == shed + delivered` with duplicates
-    // at every position, in both the scheduled and the legacy path.
-    for mode in [QosMode::Scheduled, QosMode::Legacy] {
-        // The legacy arm exercises the engine's own admission queue, so
-        // pin the FIFO engine: threaded legacy admission is
-        // timing-dependent and only owes the balance, not the counts.
-        let mut g = Garnet::new(GarnetConfig {
-            driver: DriverKind::Fifo,
-            qos: QosConfig { mode, ..QosConfig::default() },
-            ..scheduled(OverloadPolicy::CoalesceFrames)
-        });
-        let (_, _log) = register(&mut g, "sink");
-        assert_eq!(g.qos_active(), mode == QosMode::Scheduled);
-        let mut offered = 0u64;
-        let mut shed = 0u64;
-        let mut delivered = 0u64;
-        for round in 0..3u64 {
-            let out = g.on_frames(burst(8), SimTime::from_millis(1 + round));
-            offered += out.overload.offered;
-            shed += out.overload.shed;
-            delivered += out.overload.delivered;
-            assert!(out.overload.coalesced > 0, "{mode:?}: duplicates must coalesce");
-        }
-        assert_eq!(offered, shed + delivered, "{mode:?}: coalesce-then-shed double-counted");
-        g.on_tick(SimTime::from_secs(1));
+    // at every position.
+    let mut g = Garnet::new(scheduled(OverloadPolicy::CoalesceFrames));
+    let (_, _log) = register(&mut g, "sink");
+    assert!(g.qos_active());
+    let mut offered = 0u64;
+    let mut shed = 0u64;
+    let mut delivered = 0u64;
+    for round in 0..3u64 {
+        let out = g.on_frames(burst(8), SimTime::from_millis(1 + round));
+        offered += out.overload.offered;
+        shed += out.overload.shed;
+        delivered += out.overload.delivered;
+        assert!(out.overload.coalesced > 0, "duplicates must coalesce");
     }
+    assert_eq!(offered, shed + delivered, "coalesce-then-shed double-counted");
+    g.on_tick(SimTime::from_secs(1));
 }
 
 #[test]
 fn qos_is_bit_identical_across_engines_and_layouts() {
-    // With the scheduler active, admission decisions move above the
-    // engine: every {driver} x {shards} x {batch} layout must reproduce
-    // the same delivery log, the same per-class ledgers, and the same
-    // metrics report under overload.
-    let fingerprint = |driver, ingest, dispatch, batch_ingest| {
+    // Admission decisions are made above the engine: every {driver} x
+    // {shards} layout must reproduce the same delivery log, the same
+    // per-class ledgers, and the same metrics report under overload.
+    let fingerprint = |driver, ingest, dispatch| {
         let mut g = Garnet::new(GarnetConfig {
             driver,
             ingest_shards: ingest,
             dispatch_shards: dispatch,
-            batch_ingest,
             ..scheduled(OverloadPolicy::CoalesceFrames)
         });
         let (_, log) = register(&mut g, "sink");
@@ -266,18 +254,16 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
         let log = log.lock().unwrap().clone();
         (log, ledgers, report)
     };
-    let baseline = fingerprint(DriverKind::Fifo, 1, 1, false);
+    let baseline = fingerprint(DriverKind::Fifo, 1, 1);
     assert!(!baseline.0.is_empty());
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         for ingest in [1usize, 4] {
             for dispatch in [1usize, 4] {
-                for batch in [false, true] {
-                    let f = fingerprint(driver, ingest, dispatch, batch);
-                    let label = format!("{driver:?} {ingest}x{dispatch} batch={batch}");
-                    assert_eq!(f.0, baseline.0, "delivery log diverged ({label})");
-                    assert_eq!(f.1, baseline.1, "per-class ledgers diverged ({label})");
-                    assert_eq!(f.2, baseline.2, "metrics report diverged ({label})");
-                }
+                let f = fingerprint(driver, ingest, dispatch);
+                let label = format!("{driver:?} {ingest}x{dispatch}");
+                assert_eq!(f.0, baseline.0, "delivery log diverged ({label})");
+                assert_eq!(f.1, baseline.1, "per-class ledgers diverged ({label})");
+                assert_eq!(f.2, baseline.2, "metrics report diverged ({label})");
             }
         }
     }
@@ -287,7 +273,6 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
 fn adaptive_capacity_retunes_within_its_band() {
     let mut g = Garnet::new(GarnetConfig {
         qos: QosConfig {
-            mode: QosMode::Scheduled,
             data_floor: Some(8),
             data_ceiling: Some(CAPACITY),
             ..QosConfig::default()
@@ -315,28 +300,6 @@ fn adaptive_capacity_retunes_within_its_band() {
     assert!(expanded > contracted, "sustained overload must re-expand the bound");
     let ledgers = g.qos_ledgers().expect("scheduler is active");
     assert!(ledgers.class(PriorityClass::Data).balanced(), "retuning must not unbalance books");
-}
-
-#[test]
-fn legacy_mode_reproduces_the_engine_overload_path() {
-    // GARNET_TEST_QOS=legacy contract, pinned explicitly: Legacy mode
-    // hands the overload config to the engine and the scheduler never
-    // arms, so the pre-QoS books are reproduced exactly.
-    let mut g = Garnet::new(GarnetConfig {
-        driver: DriverKind::Fifo,
-        qos: QosConfig { mode: QosMode::Legacy, ..QosConfig::default() },
-        ..scheduled(OverloadPolicy::Shed)
-    });
-    let (slow_id, _log) = register(&mut g, "sink");
-    assert!(!g.qos_active());
-    assert!(g.qos_ledgers().is_none());
-    // Drain limits are refused in legacy mode — the delivery plane
-    // stays out of the path entirely.
-    g.set_consumer_drain_limit(slow_id, Some(1));
-    let out = g.on_frames(burst(8), SimTime::from_millis(1));
-    assert_eq!(g.delivery_backlog(), 0, "legacy mode must not stage deliveries");
-    assert_eq!(out.overload.offered, out.overload.shed + out.overload.delivered);
-    assert!(out.overload.shed > 0, "the engine's own bounded queue still sheds");
 }
 
 /// `(consumer name, stream, seq)` per callback, in call order across
@@ -368,11 +331,7 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
     // (message, recipient) pairs exactly — identically on both engines.
     const NAMES: [&str; 4] = ["a", "b", "slow", "d"];
     let run = |driver| {
-        let mut g = Garnet::new(GarnetConfig {
-            driver,
-            qos: QosConfig { mode: QosMode::Scheduled, ..QosConfig::default() },
-            ..GarnetConfig::default()
-        });
+        let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
         let calls: Calls = Arc::new(Mutex::new(Vec::new()));
         let token = g.issue_default_token("fanout");
         for name in NAMES {
@@ -462,7 +421,8 @@ fn match_set_is_fixed_when_the_message_is_routed() {
         let pump = |driver: &mut dyn RouterDriver, seq: u16, unsubscribe: Option<SubscriberId>| {
             let now = SimTime::from_millis(u64::from(seq));
             let frame = FrameBytes::from(frame(7, seq));
-            assert!(driver.admit_frame(ReceiverId::new(0), -50.0, frame, now).is_empty());
+            let batch = vec![BatchedFrame { receiver: ReceiverId::new(0), rssi_dbm: -50.0, frame }];
+            assert!(driver.admit_frames(batch, now).is_empty());
             let mut reached = Vec::new();
             let mut escaped = Vec::new();
             loop {

@@ -159,7 +159,6 @@ fn threaded_outputs(sched: &[Boundary], ingest: usize, dispatch: usize) -> Vec<S
     let offered = tr.offered_frame_count();
     let report = tr.finish();
     assert!(report.failures.is_empty(), "no worker should fail: {:?}", report.failures);
-    assert_eq!(report.shed_frames, 0, "Block admission never sheds");
     assert_eq!(report.shard_restarts, 0);
     assert_eq!(report.offered_frames, offered);
     roots.extend(report.outputs);

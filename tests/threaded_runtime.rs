@@ -13,9 +13,8 @@ use std::time::Duration;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::SharedCountConsumer;
-use garnet::core::router::ThreadedIngest;
 use garnet::core::DriverKind;
-use garnet::net::{ShardPool, SubscriptionTable, ThreadedBus, TopicFilter};
+use garnet::net::{ShardPool, ThreadedBus, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -141,42 +140,6 @@ fn shard_pool_worker_panic_is_supervised_not_hung() {
     assert_eq!(failures.len(), 1, "exactly the injected fault surfaces");
     assert_eq!(failures[0].shard, 1);
     assert_eq!(failures[0].reason, "injected fault");
-}
-
-#[test]
-fn threaded_ingest_ledger_balances_end_to_end() {
-    let mut subs = SubscriptionTable::new();
-    subs.subscribe(garnet::net::SubscriberId::new(1), TopicFilter::All);
-    let mut ingest = ThreadedIngest::new(garnet::core::FilterConfig::default(), 2, 4, &subs);
-    let frame = |sensor: u32, seq: u16| {
-        DataMessage::builder(StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0)))
-            .seq(SequenceNumber::new(seq))
-            .payload(vec![seq as u8])
-            .build()
-            .unwrap()
-            .encode_to_vec()
-    };
-    let mut batches = Vec::new();
-    for seq in 0..10u16 {
-        for sensor in 1..=2u32 {
-            batches.extend(ingest.push(
-                ReceiverId::new(0),
-                -40.0,
-                frame(sensor, seq).into(),
-                SimTime::ZERO,
-            ));
-        }
-    }
-    let report = ingest.finish();
-    batches.extend(report.batches);
-    let delivered: u64 = batches.iter().map(|b| b.deliveries.len() as u64).sum();
-    // offered == processed + shed + lost — and on a healthy pool the
-    // last two are zero, so every offered frame comes out the far end.
-    assert_eq!(report.offered_frames, 20);
-    assert_eq!(report.shed_frames, 0);
-    assert_eq!(report.lost_frames, 0);
-    assert_eq!(delivered, 20);
-    assert!(report.failures.is_empty());
 }
 
 #[test]

@@ -21,7 +21,8 @@ mod traced {
         ShardedIngest, ThreadedRouter,
     };
     use garnet::core::service::ServiceEvent;
-    use garnet::net::{SubscriberId, SubscriptionTable, TopicFilter};
+    use garnet::core::DriverKind;
+    use garnet::net::{DispatchCacheConfig, SubscriberId, SubscriptionTable, TopicFilter};
     use garnet::radio::ReceiverId;
     use garnet::simkit::trace::{TraceConfig, TraceEventKind, TraceOutcome, TraceSnapshot};
     use garnet::simkit::SimTime;
@@ -105,11 +106,7 @@ mod traced {
         table
     }
 
-    fn single_threaded_router() -> Router {
-        single_threaded_router_with_cache(garnet::net::DispatchCacheConfig::default())
-    }
-
-    fn single_threaded_router_with_cache(cache: garnet::net::DispatchCacheConfig) -> Router {
+    fn single_threaded_router(cache: DispatchCacheConfig) -> Router {
         let mut dispatch = ShardedDispatch::with_cache(1, cache);
         dispatch.register_subscriber();
         dispatch.register_subscriber();
@@ -125,8 +122,12 @@ mod traced {
 
     /// Pumps the schedule through the single-threaded FIFO router, one
     /// boundary event to quiescence at a time, and returns the trace.
-    fn reference_trace(sched: &[Boundary], capacity: usize) -> TraceSnapshot {
-        let mut router = single_threaded_router();
+    fn reference_trace(
+        sched: &[Boundary],
+        capacity: usize,
+        cache: DispatchCacheConfig,
+    ) -> TraceSnapshot {
+        let mut router = single_threaded_router(cache);
         router.configure_trace(TraceConfig { capacity });
         for b in sched {
             let (ev, now) = match b {
@@ -149,10 +150,23 @@ mod traced {
 
     /// The same schedule through the threaded graph; the trace rides on
     /// the terminal report.
-    fn threaded_trace(sched: &[Boundary], ingest: usize, dispatch: usize) -> TraceSnapshot {
+    fn threaded_trace(
+        sched: &[Boundary],
+        ingest: usize,
+        dispatch: usize,
+        cache: DispatchCacheConfig,
+    ) -> TraceSnapshot {
         let table = subscriptions();
-        let mut tr =
-            ThreadedRouter::new(FilterConfig::default(), ingest, dispatch, &table, control_graph);
+        let mut tr = ThreadedRouter::with_options(
+            FilterConfig::default(),
+            ingest,
+            dispatch,
+            &table,
+            control_graph,
+            4,
+            None,
+            cache,
+        );
         for b in sched {
             match b {
                 Boundary::Frame(bytes, at) => {
@@ -168,34 +182,36 @@ mod traced {
         }
         let report = tr.finish();
         assert!(report.failures.is_empty(), "no worker should fail: {:?}", report.failures);
-        assert_eq!(report.shed_frames, 0, "Block admission never sheds");
         report.trace
     }
 
     #[test]
     fn threaded_trace_matches_single_threaded_modulo_shards() {
         let sched = schedule();
-        let want = reference_trace(&sched, TraceConfig::default().capacity);
-        assert_eq!(want.dropped, 0, "default ring must hold the whole workload");
-        // The workload exercises every data-plane stage.
-        for kind in ["\"kind\":\"frame\"", "\"kind\":\"filtered\"", "\"kind\":\"orphaned\""] {
-            assert!(want.to_jsonl().contains(kind), "reference trace lacks {kind}");
+        for cache in [DispatchCacheConfig::default(), DispatchCacheConfig::disabled()] {
+            let want = reference_trace(&sched, TraceConfig::default().capacity, cache);
+            assert_eq!(want.dropped, 0, "default ring must hold the whole workload");
+            // The workload exercises every data-plane stage.
+            for kind in ["\"kind\":\"frame\"", "\"kind\":\"filtered\"", "\"kind\":\"orphaned\""] {
+                assert!(want.to_jsonl().contains(kind), "reference trace lacks {kind}");
+            }
+            let got = threaded_trace(&sched, 1, 1, cache);
+            assert_eq!(
+                got.to_jsonl_modulo_shards(),
+                want.to_jsonl_modulo_shards(),
+                "threaded 1×1 trace diverged from the FIFO router's ({cache:?})"
+            );
         }
-        let got = threaded_trace(&sched, 1, 1);
-        assert_eq!(
-            got.to_jsonl_modulo_shards(),
-            want.to_jsonl_modulo_shards(),
-            "threaded 1×1 trace diverged from the FIFO router's"
-        );
     }
 
     #[test]
     fn threaded_trace_is_identical_across_runs_and_layouts() {
         let sched = schedule();
-        let base = threaded_trace(&sched, 1, 1).to_jsonl_modulo_shards();
+        let cache = DispatchCacheConfig::default();
+        let base = threaded_trace(&sched, 1, 1, cache).to_jsonl_modulo_shards();
         for (ingest, dispatch) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-            let a = threaded_trace(&sched, ingest, dispatch);
-            let b = threaded_trace(&sched, ingest, dispatch);
+            let a = threaded_trace(&sched, ingest, dispatch, cache);
+            let b = threaded_trace(&sched, ingest, dispatch, cache);
             // Bit-identical across runs, including shard ids.
             assert_eq!(a.to_jsonl(), b.to_jsonl(), "{ingest}×{dispatch} differed across runs");
             // And layout-invariant once shard ids are dropped.
@@ -207,40 +223,12 @@ mod traced {
         }
     }
 
-    /// [`reference_trace`] with an explicit cache setting, so the test
-    /// below keeps its meaning under the `GARNET_TEST_MATCH_CACHE=off`
-    /// CI rerun (which flips what `default()` resolves to).
-    fn reference_trace_with_cache(
-        sched: &[Boundary],
-        cache: garnet::net::DispatchCacheConfig,
-    ) -> TraceSnapshot {
-        let mut router = single_threaded_router_with_cache(cache);
-        router.configure_trace(TraceConfig::default());
-        for b in sched {
-            let (ev, now) = match b {
-                Boundary::Frame(bytes, at) => (
-                    ServiceEvent::Frame {
-                        receiver: ReceiverId::new(0),
-                        rssi_dbm: -40.0,
-                        frame: bytes.clone(),
-                    },
-                    *at,
-                ),
-                Boundary::Flush(at) => (ServiceEvent::FlushReorder, *at),
-                Boundary::Tick(at) => (ServiceEvent::ActuationTick, *at),
-            };
-            router.enqueue(ev);
-            while router.step(now, &mut Vec::new()) {}
-        }
-        router.trace_snapshot()
-    }
-
     #[test]
     fn cache_rebuilds_are_traced_once_per_cold_stream_and_vanish_when_disabled() {
-        use garnet::net::DispatchCacheConfig;
-        let enabled = DispatchCacheConfig { enabled: true, ..DispatchCacheConfig::disabled() };
+        let enabled = DispatchCacheConfig::default();
+        let capacity = TraceConfig::default().capacity;
         let sched = schedule();
-        let want = reference_trace_with_cache(&sched, enabled);
+        let want = reference_trace(&sched, capacity, enabled);
         let rebuilds: Vec<usize> = want
             .records
             .iter()
@@ -261,32 +249,7 @@ mod traced {
         // The threaded graph traces the same rebuild hops (the
         // modulo-shards equality above covers this too; asserted
         // directly so a regression localises here).
-        let table = subscriptions();
-        let mut tr = ThreadedRouter::with_options(
-            FilterConfig::default(),
-            4,
-            4,
-            &table,
-            control_graph,
-            garnet::core::router::OverloadPolicy::Block,
-            4,
-            None,
-            enabled,
-        );
-        for b in &sched {
-            match b {
-                Boundary::Frame(bytes, at) => {
-                    tr.push_frame(ReceiverId::new(0), -40.0, bytes.clone(), *at);
-                }
-                Boundary::Flush(at) => {
-                    tr.push_flush(*at);
-                }
-                Boundary::Tick(at) => {
-                    tr.push_tick(*at);
-                }
-            }
-        }
-        let got = tr.finish().trace;
+        let got = threaded_trace(&sched, 4, 4, enabled);
         assert_eq!(
             got.records.iter().filter(|r| r.kind == TraceEventKind::CacheRebuild).count(),
             rebuilds.len(),
@@ -295,7 +258,7 @@ mod traced {
         // With the cache disabled every route builds fresh and nothing
         // is a "rebuild": the records vanish and the rest of the trace
         // is unchanged.
-        let uncached = reference_trace_with_cache(&sched, DispatchCacheConfig::disabled());
+        let uncached = reference_trace(&sched, capacity, DispatchCacheConfig::disabled());
         assert!(
             uncached.records.iter().all(|r| r.kind != TraceEventKind::CacheRebuild),
             "disabled cache must trace no rebuilds"
@@ -313,11 +276,12 @@ mod traced {
     #[test]
     fn ring_wraps_with_exact_drop_accounting_end_to_end() {
         let sched = schedule();
-        let full = reference_trace(&sched, TraceConfig::default().capacity);
+        let cache = DispatchCacheConfig::default();
+        let full = reference_trace(&sched, TraceConfig::default().capacity, cache);
         let total = full.records.len();
         let capacity = 32usize;
         assert!(total > capacity, "workload must overflow the small ring");
-        let small = reference_trace(&sched, capacity);
+        let small = reference_trace(&sched, capacity, cache);
         assert_eq!(small.records.len(), capacity);
         assert_eq!(small.dropped, (total - capacity) as u64, "dropped count must be exact");
         // The ring keeps the newest records, in order.
@@ -328,91 +292,104 @@ mod traced {
         assert_eq!(small_hops, full_hops);
     }
 
+    /// Feeds one `on_frames` burst of sensor 1's `seqs` through a facade
+    /// whose admission tier holds `capacity` frames under `policy`, and
+    /// returns the trace with each root's hops together: the engines
+    /// interleave a burst's roots differently (the FIFO router filters a
+    /// run of frames before stepping any cascade, the threaded graph
+    /// emits root by root), and the stable sort keeps every root's own
+    /// hops in order.
+    fn overloaded_facade_trace(
+        driver: DriverKind,
+        capacity: usize,
+        policy: OverloadPolicy,
+        seqs: &[u16],
+    ) -> TraceSnapshot {
+        use garnet::core::middleware::{Garnet, GarnetConfig};
+        let mut g = Garnet::new(GarnetConfig {
+            driver,
+            overload: Some(OverloadConfig { capacity, policy }),
+            ..GarnetConfig::default()
+        });
+        let burst: Vec<_> =
+            seqs.iter().map(|&seq| (ReceiverId::new(0), -40.0, frame(1, 0, seq))).collect();
+        g.on_frames(burst, SimTime::ZERO);
+        let mut snap = g.trace_snapshot();
+        snap.records.sort_by_key(|r| r.root);
+        snap
+    }
+
     #[test]
     fn shed_frames_are_traced_with_shed_outcome() {
-        let mut router = single_threaded_router();
-        let mut shed_router = {
-            let mut dispatch = ShardedDispatch::new(1);
-            dispatch.register_subscriber();
-            for (id, filter) in filters() {
-                dispatch.subscribe(SubscriberId::new(id), filter);
-            }
-            Router::with_overload(
-                Services {
-                    ingest: ShardedIngest::new(FilterConfig::default(), 1),
-                    dispatch,
-                    control: control_graph(),
-                },
-                Some(OverloadConfig { capacity: 2, policy: OverloadPolicy::Shed }),
-            )
-        };
-        // Queue three frames without draining: the third admission
-        // sheds the oldest (root 0).
-        for seq in 0..3u16 {
-            shed_router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, seq), SimTime::ZERO);
-        }
-        let snap = shed_router.trace_snapshot();
+        // Three frames against a tier of two: the third offer sheds the
+        // oldest staged frame (seq 0), and the recorder says so on
+        // either engine.
+        let run = |driver| overloaded_facade_trace(driver, 2, OverloadPolicy::Shed, &[0, 1, 2]);
+        let fifo = run(DriverKind::Fifo);
         let shed: Vec<_> =
-            snap.records.iter().filter(|r| r.outcome == TraceOutcome::Shed).collect();
-        assert_eq!(shed.len(), 1, "exactly one frame was shed: {}", snap.to_jsonl());
+            fifo.records.iter().filter(|r| r.outcome == TraceOutcome::Shed).collect();
+        assert_eq!(shed.len(), 1, "exactly one frame was shed: {}", fifo.to_jsonl());
         assert_eq!(shed[0].kind, TraceEventKind::Frame);
-        assert_eq!(shed[0].root, Some(0), "the oldest admitted frame is the victim");
-        // The unbounded router never sheds.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        assert!(router
-            .trace_snapshot()
-            .records
-            .iter()
-            .all(|r| r.outcome == TraceOutcome::Delivered));
+        assert_eq!(
+            shed[0].stream,
+            Some(StreamId::new(SensorId::new(1).unwrap(), StreamIndex::new(0)).to_raw())
+        );
+        assert_eq!(shed[0].root, Some(0), "dropped before either survivor entered the engine");
+        let survivors =
+            fifo.records.iter().filter(|r| r.kind == TraceEventKind::Frame).count() - shed.len();
+        assert_eq!(survivors, 2, "the two newest frames are traced as routed");
+        assert_eq!(
+            run(DriverKind::Threaded).to_jsonl_modulo_shards(),
+            fifo.to_jsonl_modulo_shards(),
+            "threaded trace of a shedding burst diverged"
+        );
     }
 
     #[test]
     fn coalesced_frames_are_traced_with_coalesced_outcome() {
-        let mut dispatch = ShardedDispatch::new(1);
-        dispatch.register_subscriber();
-        let mut router = Router::with_overload(
-            Services {
-                ingest: ShardedIngest::new(FilterConfig::default(), 1),
-                dispatch,
-                control: control_graph(),
-            },
-            Some(OverloadConfig { capacity: 1, policy: OverloadPolicy::CoalesceFrames }),
-        );
-        // seq 0 queued; seq 1 arrives at capacity and wins → the queued
-        // copy (root 0) is traced as coalesced away.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 1), SimTime::ZERO);
-        // seq 0 arrives again and loses to the queued seq 1 → the
-        // arriving copy is traced as coalesced.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        let snap = router.trace_snapshot();
+        // Tier of one: seq 0 stages; seq 1 arrives at capacity and wins,
+        // so the staged seq 0 is the first loser; seq 0 arrives again
+        // and loses to the staged seq 1 — one record per loser.
+        let run =
+            |driver| overloaded_facade_trace(driver, 1, OverloadPolicy::CoalesceFrames, &[0, 1, 0]);
+        let fifo = run(DriverKind::Fifo);
         let coalesced: Vec<_> =
-            snap.records.iter().filter(|r| r.outcome == TraceOutcome::Coalesced).collect();
-        assert_eq!(coalesced.len(), 2, "one loser per coalescing event: {}", snap.to_jsonl());
+            fifo.records.iter().filter(|r| r.outcome == TraceOutcome::Coalesced).collect();
+        assert_eq!(coalesced.len(), 2, "one loser per coalescing event: {}", fifo.to_jsonl());
         assert!(coalesced.iter().all(|r| r.kind == TraceEventKind::Frame));
-        assert_eq!(coalesced[0].root, Some(0), "first loser: the queued seq-0 copy");
-        assert_eq!(coalesced[1].root, Some(2), "second loser: the arriving seq-0 copy");
-        // Draining delivers the surviving seq-1 frame, traced normally.
-        while router.step(SimTime::ZERO, &mut Vec::new()) {}
-        let totals = router.overload_totals();
-        assert_eq!((totals.delivered, totals.coalesced), (1, 2));
+        assert_eq!((coalesced[0].root, coalesced[1].root), (Some(0), Some(1)));
+        // The surviving seq-1 frame is routed and traced normally.
+        let routed: Vec<_> = fifo
+            .records
+            .iter()
+            .filter(|r| r.kind == TraceEventKind::Frame && r.outcome == TraceOutcome::Delivered)
+            .collect();
+        assert_eq!(routed.len(), 1);
+        assert_eq!(routed[0].root, Some(2));
+        assert_eq!(
+            run(DriverKind::Threaded).to_jsonl_modulo_shards(),
+            fifo.to_jsonl_modulo_shards(),
+            "threaded trace of a coalescing burst diverged"
+        );
     }
 
     #[test]
     fn facade_exposes_trace_snapshots_and_jsonl() {
         use garnet::core::middleware::{Garnet, GarnetConfig};
-        let mut g = Garnet::new(GarnetConfig::default());
-        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
-        let snap = g.trace_snapshot();
-        assert!(!snap.records.is_empty(), "facade pumping must be traced");
-        let jsonl = g.trace_jsonl();
-        assert_eq!(jsonl.lines().count(), snap.records.len());
-        assert!(jsonl.lines().all(|l| l.starts_with("{\"at_us\":") && l.ends_with('}')));
+        for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+            let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
+            g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
+            let snap = g.trace_snapshot();
+            assert!(!snap.records.is_empty(), "{driver:?}: facade pumping must be traced");
+            let jsonl = g.trace_jsonl();
+            assert_eq!(jsonl.lines().count(), snap.records.len());
+            assert!(jsonl.lines().all(|l| l.starts_with("{\"at_us\":") && l.ends_with('}')));
+        }
     }
 
     /// Runs the boundary schedule through the facade under `driver` and
     /// returns the trace dump with shard ids stripped.
-    fn facade_trace(driver: garnet::core::DriverKind, shards: usize) -> String {
+    fn facade_trace(driver: DriverKind, shards: usize) -> String {
         use garnet::core::middleware::{Garnet, GarnetConfig};
         let mut g = Garnet::new(GarnetConfig {
             driver,
@@ -441,7 +418,6 @@ mod traced {
 
     #[test]
     fn facade_trace_is_driver_invariant_modulo_shards() {
-        use garnet::core::DriverKind;
         let want = facade_trace(DriverKind::Fifo, 1);
         assert!(want.contains("\"kind\":\"filtered\""), "workload must reach dispatch");
         for shards in [1usize, 4] {
@@ -476,7 +452,8 @@ mod traced {
             ) {
                 let subscribed: std::collections::BTreeSet<u32> =
                     subscribed_raw.into_iter().collect();
-                let mut g = Garnet::new(GarnetConfig::default());
+                for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+                let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
                 let token = g.issue_default_token("app");
                 let (consumer, _) =
                     garnet::core::pipeline::SharedCountConsumer::new("app");
@@ -514,12 +491,14 @@ mod traced {
                     });
                     prop_assert!(
                         claimed != orphaned_later,
-                        "filtered hop (root {:?}, stream {:?}): claimed={} orphaned={}",
+                        "{:?}: filtered hop (root {:?}, stream {:?}): claimed={} orphaned={}",
+                        driver,
                         r.root,
                         r.stream,
                         claimed,
                         orphaned_later,
                     );
+                }
                 }
             }
         }
@@ -529,6 +508,7 @@ mod traced {
 #[cfg(not(feature = "trace"))]
 mod disabled {
     use garnet::core::middleware::{Garnet, GarnetConfig};
+    use garnet::core::DriverKind;
     use garnet::radio::ReceiverId;
     use garnet::simkit::{SimTime, Tracer};
     use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -536,7 +516,6 @@ mod disabled {
     #[test]
     fn tracer_is_a_no_op_and_snapshots_are_empty() {
         assert_eq!(std::mem::size_of::<Tracer>(), 0, "disabled tracer must be zero-sized");
-        let mut g = Garnet::new(GarnetConfig::default());
         let stream = StreamId::new(SensorId::new(1).unwrap(), StreamIndex::new(0));
         let frame = DataMessage::builder(stream)
             .seq(SequenceNumber::new(0))
@@ -544,8 +523,11 @@ mod disabled {
             .build()
             .unwrap()
             .encode_to_vec();
-        g.on_frame(ReceiverId::new(0), -50.0, &frame, SimTime::ZERO);
-        assert!(g.trace_snapshot().records.is_empty());
-        assert!(g.trace_jsonl().is_empty());
+        for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+            let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
+            g.on_frame(ReceiverId::new(0), -50.0, &frame, SimTime::ZERO);
+            assert!(g.trace_snapshot().records.is_empty(), "{driver:?}");
+            assert!(g.trace_jsonl().is_empty(), "{driver:?}");
+        }
     }
 }
