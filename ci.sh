@@ -18,9 +18,24 @@ if grep -rnE 'GARNET_TEST_|env::var' crates src tests examples; then
   exit 1
 fi
 
+# There is one service graph: the names of the second one, its edge
+# plumbing and the helpers that compared the two must not come back.
+echo "==> no second engine in crates, src, tests, examples"
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch' crates src tests examples; then
+  echo "a deleted second-engine item is back" >&2
+  exit 1
+fi
+
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# The pooled ingest's scatter/gather is the one place thread timing can
+# matter: run the three suites that exercise it three times in a row.
+echo "==> scatter/gather verify: determinism, failure_injection, threaded_runtime x3"
+for i in 1 2 3; do
+  cargo test -q --test determinism --test failure_injection --test threaded_runtime
+done
 
 # The flight recorder (ISSUE 4) is feature-gated; build and test the
 # root package with it on as well so both configurations stay green.

@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let (fifo, threaded) = run_matrix(20_000, 20_000);
+    let fifo = run_matrix(20_000);
     // The acceptance gate, re-checked where the numbers are recorded:
     // at fan-out ≥16 the cached steady state must be ≥2× cheaper.
     for on in fifo.iter().filter(|p| p.cache_on && p.fanout >= 16) {
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
             off.ns_per_dispatch
         );
     }
-    let json = cache_sweep_json(&fifo, &threaded, host_cores());
+    let json = cache_sweep_json(&fifo, host_cores());
     if let Err(e) = std::fs::write("BENCH_match_cache.json", &json) {
         eprintln!("could not write BENCH_match_cache.json: {e}");
     }

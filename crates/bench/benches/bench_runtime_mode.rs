@@ -1,7 +1,8 @@
-//! E20: the deployment-mode sweep — the facade's hosted threaded graph
-//! against the FIFO simulation driver (writes `BENCH_runtime_mode.json`
-//! next to the bench's working directory; `sweep_json` schema, where
-//! point 0 is the FIFO baseline).
+//! E20: the deployment-mode sweep — the facade with its filtering
+//! shards on worker threads against the same facade filtering inline
+//! (writes `BENCH_runtime_mode.json` next to the bench's working
+//! directory; `sweep_json` schema, where point 0 is the inline
+//! baseline).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use garnet_bench::e03_pipeline::{expected_min_speedup, host_cores, shard_workload, sweep_json};
 use garnet_bench::e20_runtime_mode::{run_mode_point, run_mode_sweep, THREADED_SHARDS};

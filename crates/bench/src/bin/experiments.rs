@@ -94,10 +94,6 @@ fn main() {
         let (_, t) = e17_overload::run_qos();
         println!("{}", t.render());
     }
-    if want("e18") {
-        let (_, t) = e18_dispatch_shards::run();
-        println!("{}", t.render());
-    }
     if want("e19") {
         let (_, t) = e19_trace_overhead::run();
         println!("{}", t.render());
@@ -106,16 +102,12 @@ fn main() {
         let (_, t) = e20_runtime_mode::run();
         println!("{}", t.render());
     }
-    if want("e21") {
-        let (_, t) = e21_batch::run();
-        println!("{}", t.render());
-    }
     if want("e22") {
         let (_, t) = e22_store::run();
         println!("{}", t.render());
     }
     if want("e23") {
-        let (_, _, t) = e23_match_cache::run();
+        let (_, t) = e23_match_cache::run();
         println!("{}", t.render());
     }
     if want("e24") {

@@ -86,7 +86,7 @@ pub fn run() -> (Vec<PipelinePoint>, Table) {
     (points, table)
 }
 
-/// One wall-clock sample of a sweep (E18, E19, E20, E21, E22 share it).
+/// One wall-clock sample of a sweep (E19, E20, E22 share it).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPoint {
     /// The swept dimension (worker shards, unless the sweep says

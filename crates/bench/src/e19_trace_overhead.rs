@@ -1,9 +1,10 @@
 //! E19 — flight-recorder overhead on the full service graph.
 //!
 //! The `trace` cargo feature compiles a per-hop flight recorder into the
-//! routers (see `garnet-simkit`'s `trace` module); with the feature off
+//! router (see `garnet-simkit`'s `trace` module); with the feature off
 //! the tracer is a zero-sized no-op. This sweep measures what turning it
-//! on costs: the **same** workload is pushed through the `ThreadedRouter`
+//! on costs: the **same** workload is pushed through a
+//! `DriverKind::Threaded` facade (filtering shards on worker threads)
 //! and the resulting throughput is recorded under a driver string that
 //! names the build (`trace=on` / `trace=off`), so running the bench once
 //! per feature configuration yields two `BENCH_trace_overhead.json`
@@ -15,10 +16,12 @@
 //! `BENCH_pipeline_shards.json` (see [`crate::e03_pipeline::sweep_json`]),
 //! `host_cores` included.
 
-use garnet_core::router::{Router, Services, ShardedDispatch, ShardedIngest, ThreadedRouter};
+use garnet_core::middleware::{Garnet, GarnetConfig};
+use garnet_core::pipeline::SharedCountConsumer;
+use garnet_core::router::{Router, Services, ShardedDispatch, ShardedIngest};
 use garnet_core::service::ServiceEvent;
-use garnet_core::{ControlGraph, FilterConfig, ServiceOutput};
-use garnet_net::{SubscriberId, SubscriptionTable, TopicFilter};
+use garnet_core::{ControlGraph, DriverKind, FilterConfig, ServiceOutput};
+use garnet_net::{SubscriberId, TopicFilter};
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
 
@@ -32,58 +35,53 @@ const SUBSCRIBERS: u32 = 4;
 /// two JSON documents are distinguishable after the fact.
 pub fn driver() -> &'static str {
     if cfg!(feature = "trace") {
-        "ThreadedRouter(trace=on)"
+        "Garnet(Threaded, trace=on)"
     } else {
-        "ThreadedRouter(trace=off)"
+        "Garnet(Threaded, trace=off)"
     }
 }
 
-fn subscriptions() -> SubscriptionTable {
-    let mut table = SubscriptionTable::new();
-    for id in 0..SUBSCRIBERS {
-        table.subscribe(SubscriberId::new(id), TopicFilter::All);
-    }
-    table
-}
-
-/// Pushes `workload` through a [`ThreadedRouter`] with `shards` ingest
-/// and dispatch shards, returning the wall-clock sample. With the
-/// `trace` feature on, every hop also lands in the flight recorder, so
-/// the sample prices recording; with it off the tracer calls are inlined
-/// no-ops. Panics if any delivery is lost.
+/// Pushes `workload`, in bursts of 64 (so the per-burst hand-off does
+/// not drown the per-hop cost being priced), through a
+/// [`DriverKind::Threaded`] facade with `shards` ingest and dispatch
+/// shards, returning the wall-clock sample. With the `trace` feature on,
+/// every hop also lands in the flight recorder, so the sample prices
+/// recording; with it off the tracer calls are inlined no-ops. Panics if
+/// any delivery is lost.
 pub fn run_trace_point(workload: &[garnet_wire::FrameBytes], shards: usize) -> ShardPoint {
-    let table = subscriptions();
     let started = std::time::Instant::now();
-    let mut router =
-        ThreadedRouter::new(FilterConfig::default(), shards, shards, &table, ControlGraph::default);
-    let mut delivered = 0u64;
-    let mut count = |roots: Vec<garnet_core::RootOutput>| {
-        for root in roots {
-            for out in root.outputs {
-                // One `Deliver` per routed message: a delivery is one
-                // (message, recipient) pair.
-                if let ServiceOutput::Deliver { recipients, .. } = out {
-                    delivered += recipients.len() as u64;
-                }
-            }
-        }
-    };
-    for (i, frame) in workload.iter().enumerate() {
-        let at = SimTime::from_micros(i as u64);
-        count(router.push_frame(ReceiverId::new(0), -40.0, frame.clone(), at));
+    let mut garnet = Garnet::new(GarnetConfig {
+        driver: DriverKind::Threaded,
+        ingest_shards: shards,
+        dispatch_shards: shards,
+        ..GarnetConfig::default()
+    });
+    let token = garnet.issue_default_token("bench");
+    let mut counts = Vec::new();
+    for _ in 0..SUBSCRIBERS {
+        let (consumer, delivered) = SharedCountConsumer::new("bench");
+        let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
+        garnet.subscribe(id, TopicFilter::All, &token).unwrap();
+        counts.push(delivered);
     }
-    count(router.push_flush(SimTime::from_secs(3_600)));
-    let report = router.finish();
-    count(report.outputs);
+    for (i, burst) in workload.chunks(64).enumerate() {
+        let frames = burst.iter().map(|f| (ReceiverId::new(0), -40.0, f.clone())).collect();
+        garnet.on_frames(frames, SimTime::from_micros(i as u64));
+    }
+    let end = SimTime::from_secs(3_600);
+    let flushed = garnet.on_tick(end);
+    let traced = !garnet.trace_snapshot().records.is_empty();
+    garnet.shutdown(end).expect("no archive configured");
     let elapsed = started.elapsed();
-    assert!(report.failures.is_empty(), "trace sweep lost work: {:?}", report.failures);
+    assert!(flushed.shard_failures.is_empty(), "trace sweep lost work");
     let frames = workload.len() as u64;
+    let delivered: u64 = counts.iter().map(|c| c.load(std::sync::atomic::Ordering::Relaxed)).sum();
     assert_eq!(delivered, frames * u64::from(SUBSCRIBERS), "trace sweep lost deliveries");
     // Guard that the sweep measures what it claims to: records exist
     // exactly when the recorder is compiled in.
     assert_eq!(
-        report.trace.records.is_empty(),
-        !cfg!(feature = "trace"),
+        traced,
+        cfg!(feature = "trace"),
         "flight recorder state disagrees with the build's feature set"
     );
     ShardPoint {
@@ -94,11 +92,11 @@ pub fn run_trace_point(workload: &[garnet_wire::FrameBytes], shards: usize) -> S
     }
 }
 
-/// Pushes `workload` through the single-threaded FIFO [`Router`] (whose
-/// per-hop trace call sits directly in [`Router::step`]) and returns the
-/// wall-clock sample, with `shards` fixed at 1. The criterion bench runs
-/// this alongside the threaded points so the recorder's cost is priced
-/// on both drivers.
+/// Pushes `workload` through a bare FIFO [`Router`] with inline
+/// filtering (the per-hop trace call sits directly in [`Router::step`])
+/// and returns the wall-clock sample, with `shards` fixed at 1. The
+/// criterion bench runs this alongside the facade points so the
+/// recorder's cost is also priced without the facade around it.
 pub fn run_fifo_point(workload: &[garnet_wire::FrameBytes]) -> ShardPoint {
     let mut dispatch = ShardedDispatch::new(1);
     for id in 0..SUBSCRIBERS {

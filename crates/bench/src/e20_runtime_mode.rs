@@ -1,13 +1,12 @@
-//! E20 — runtime mode: the hosted threaded graph vs the FIFO driver,
+//! E20 — runtime mode: filtering shards on worker threads vs inline,
 //! measured through the *facade*.
 //!
-//! E3 and E18 price the threaded stages bare; this experiment prices
-//! the deployment decision the facade actually offers:
-//! [`garnet_core::DriverKind::Fifo`] (the simulation engine) against
-//! [`garnet_core::DriverKind::Threaded`] (the hosted worker pools),
-//! with the full `Garnet` API — consumer callbacks, orphanage, metrics
-//! — in the loop. Both modes process the identical pre-encoded
-//! workload and must deliver every frame; the drivers are
+//! This experiment prices the deployment decision the facade offers:
+//! [`garnet_core::DriverKind::Fifo`] (filtering on the facade's thread)
+//! against [`garnet_core::DriverKind::Threaded`] (one supervised worker
+//! per ingest shard), with the full `Garnet` API — consumer callbacks,
+//! orphanage, metrics — in the loop. Both modes process the identical
+//! pre-encoded workload and must deliver every frame; they are
 //! bit-identical in outcome, so the only thing this sweep can show is
 //! wall-clock.
 //!
@@ -97,7 +96,7 @@ pub fn run() -> (Vec<ShardPoint>, Table) {
     let workload = shard_workload(20_000, 64);
     let points = run_mode_sweep(&workload);
     let mut table = Table::new(
-        "E20 — runtime mode: hosted threaded graph vs FIFO driver through the facade",
+        "E20 — runtime mode: pooled vs inline filtering through the facade",
         &["mode", "shards", "frames", "elapsed µs", "frames/s", "speedup vs fifo"],
     );
     let base = points[0].throughput_fps;

@@ -4,15 +4,11 @@
 //! `Arc<[SubscriberId]>` slices, validated against the subscription
 //! table's per-key-range mutation epochs. A steady-state route is one
 //! hash lookup plus one refcount bump; this experiment prices the
-//! difference against rebuild-every-time matching on both execution
-//! engines, across the fan-out × population × cache matrix:
-//!
-//! * **fifo** points route a hot stream through a bare
-//!   [`DispatchingService`] (the single-threaded engine's dispatch
-//!   core) and time `route()` directly, hit rate from the cache's own
-//!   counters;
-//! * **threaded** points drive the full [`ThreadedRouter`] graph over a
-//!   multi-sensor workload with shard-local caches, cache on vs off.
+//! difference against rebuild-every-time matching across the fan-out ×
+//! population × cache matrix: each point routes a hot stream through a
+//! bare [`DispatchingService`] (the router's dispatch core, the same
+//! under either `DriverKind`) and times `route()` directly, hit rate
+//! from the cache's own counters.
 //!
 //! The companion Criterion harness (`benches/bench_match_cache.rs`)
 //! writes `BENCH_match_cache.json` — the `sweep_json` schema with
@@ -24,17 +20,12 @@
 use std::time::Instant;
 
 use garnet_core::dispatching::DispatchingService;
-use garnet_core::router::ThreadedRouter;
-use garnet_core::{ControlGraph, FilterConfig, ServiceOutput};
-use garnet_net::{DispatchCacheConfig, SubscriberId, SubscriptionTable, TopicFilter};
-use garnet_radio::ReceiverId;
-use garnet_simkit::SimTime;
+use garnet_net::{DispatchCacheConfig, TopicFilter};
 use garnet_wire::{SensorId, StreamId, StreamIndex};
 
-use crate::e03_pipeline::{host_cores, shard_workload};
 use crate::table::{f2, f3, n, Table};
 
-/// One point of the direct-dispatch (fifo-engine) sweep.
+/// One point of the direct-dispatch sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CachePoint {
     /// Subscribers matching the hot stream.
@@ -49,25 +40,6 @@ pub struct CachePoint {
     pub hit_rate: f64,
     /// Deliveries produced per message (sanity: must equal `fanout`).
     pub deliveries_per_msg: u64,
-}
-
-/// One point of the full-graph (threaded-engine) sweep.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ThreadedCachePoint {
-    /// Subscribers matching every workload stream.
-    pub fanout: usize,
-    /// Bystander subscriptions on streams the workload never sends.
-    pub population: usize,
-    /// Whether the dispatch shards' match caches were enabled.
-    pub cache_on: bool,
-    /// Frames pushed through the graph.
-    pub frames: u64,
-    /// Wall-clock for the whole run.
-    pub elapsed_us: u64,
-    /// Frames per second of wall-clock.
-    pub throughput_fps: f64,
-    /// Shard-cache hit rate at quiescence; 0 with the cache off.
-    pub hit_rate: f64,
 }
 
 /// An explicit on/off configuration.
@@ -132,110 +104,24 @@ pub fn run_fifo_point(fanout: usize, population: usize, cache_on: bool, iters: u
     }
 }
 
-/// Pushes `workload` through a 1×1 [`ThreadedRouter`] whose dispatch
-/// shard runs with the given cache setting: `fanout` subscribers match
-/// every stream, `population` bystanders subscribe to streams the
-/// workload never carries. Panics if any delivery is lost.
-pub fn run_threaded_point(
-    workload: &[garnet_wire::FrameBytes],
-    fanout: usize,
-    population: usize,
-    cache_on: bool,
-) -> ThreadedCachePoint {
-    let mut table = SubscriptionTable::new();
-    for id in 0..fanout {
-        table.subscribe(SubscriberId::new(id as u32), TopicFilter::All);
-    }
-    for i in 0..population {
-        let sensor = SensorId::new(100_000 + i as u32 % 1_000_000).unwrap();
-        table.subscribe(
-            SubscriberId::new((fanout + i) as u32),
-            TopicFilter::Stream(StreamId::new(sensor, StreamIndex::new(0))),
-        );
-    }
-    let started = Instant::now();
-    let mut router = ThreadedRouter::with_options(
-        FilterConfig::default(),
-        1,
-        1,
-        &table,
-        ControlGraph::default,
-        4,
-        None,
-        cache_config(cache_on),
-    );
-    let mut delivered = 0u64;
-    let mut count = |roots: Vec<garnet_core::RootOutput>| {
-        for root in roots {
-            for out in root.outputs {
-                // One `Deliver` per routed message: a delivery is one
-                // (message, recipient) pair.
-                if let ServiceOutput::Deliver { recipients, .. } = out {
-                    delivered += recipients.len() as u64;
-                }
-            }
-        }
-    };
-    for (i, frame) in workload.iter().enumerate() {
-        count(router.push_frame(
-            ReceiverId::new(0),
-            -40.0,
-            frame.clone(),
-            SimTime::from_micros(i as u64),
-        ));
-    }
-    count(router.push_flush(SimTime::from_secs(3_600)));
-    let parts = router.into_parts();
-    count(parts.report.outputs);
-    let elapsed = started.elapsed();
-    assert!(parts.report.failures.is_empty(), "cache sweep lost work: {:?}", parts.report.failures);
-    let frames = workload.len() as u64;
-    assert_eq!(delivered, frames * fanout as u64, "cache sweep lost deliveries");
-    ThreadedCachePoint {
-        fanout,
-        population,
-        cache_on,
-        frames,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: frames as f64 / elapsed.as_secs_f64(),
-        hit_rate: hit_rate(parts.dispatch_stats.match_cache()),
-    }
-}
-
-/// The E23 matrix: fan-out × population × cache, both engines.
-pub fn run_matrix(
-    fifo_iters: u32,
-    threaded_frames: u32,
-) -> (Vec<CachePoint>, Vec<ThreadedCachePoint>) {
-    let mut fifo = Vec::new();
+/// The E23 matrix: fan-out × population × cache.
+pub fn run_matrix(iters: u32) -> Vec<CachePoint> {
+    let mut points = Vec::new();
     for &fanout in &[1usize, 16, 256] {
         for &population in &[1_000usize, 100_000] {
             for &cache_on in &[true, false] {
-                fifo.push(run_fifo_point(fanout, population, cache_on, fifo_iters));
+                points.push(run_fifo_point(fanout, population, cache_on, iters));
             }
         }
     }
-    let workload = shard_workload(threaded_frames, 64);
-    let mut threaded = Vec::new();
-    for &fanout in &[1usize, 16] {
-        for &population in &[1_000usize, 100_000] {
-            for &cache_on in &[true, false] {
-                threaded.push(run_threaded_point(&workload, fanout, population, cache_on));
-            }
-        }
-    }
-    (fifo, threaded)
+    points
 }
 
 /// Renders the `BENCH_match_cache.json` document: the `sweep_json`
 /// envelope with per-point `engine` / `fanout` / `population` /
 /// `cache` / `hit_rate` fields.
-pub fn cache_sweep_json(
-    fifo: &[CachePoint],
-    threaded: &[ThreadedCachePoint],
-    cores: usize,
-) -> String {
-    let mut rows: Vec<String> = fifo
+pub fn cache_sweep_json(points: &[CachePoint], cores: usize) -> String {
+    let rows: Vec<String> = points
         .iter()
         .map(|p| {
             format!(
@@ -251,22 +137,8 @@ pub fn cache_sweep_json(
             )
         })
         .collect();
-    rows.extend(threaded.iter().map(|p| {
-        format!(
-            "    {{\"engine\": \"threaded\", \"fanout\": {}, \"population\": {}, \
-             \"cache\": \"{}\", \"frames\": {}, \"elapsed_us\": {}, \
-             \"throughput_fps\": {:.1}, \"hit_rate\": {:.4}}}",
-            p.fanout,
-            p.population,
-            if p.cache_on { "on" } else { "off" },
-            p.frames,
-            p.elapsed_us,
-            p.throughput_fps,
-            p.hit_rate
-        )
-    }));
     format!(
-        "{{\n  \"bench\": \"e23_match_cache\",\n  \"driver\": \"DispatchingService+ThreadedRouter\",\n  \
+        "{{\n  \"bench\": \"e23_match_cache\",\n  \"driver\": \"DispatchingService\",\n  \
          \"host_cores\": {cores},\n  \"note\": \"cache on = epoch-validated Arc<[SubscriberId]> \
          match sets; off = rebuild per route\",\n  \"points\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
@@ -274,36 +146,22 @@ pub fn cache_sweep_json(
 }
 
 /// Runs the matrix for the experiments binary.
-pub fn run() -> (Vec<CachePoint>, Vec<ThreadedCachePoint>, Table) {
-    let (fifo, threaded) = run_matrix(20_000, 20_000);
+pub fn run() -> (Vec<CachePoint>, Table) {
+    let points = run_matrix(20_000);
     let mut table = Table::new(
         "E23 — dispatch match cache: steady-state route cost, cache on vs off",
-        &["engine", "fanout", "population", "cache", "ns/dispatch", "frames/s", "hit rate"],
+        &["fanout", "population", "cache", "ns/dispatch", "hit rate"],
     );
-    for p in &fifo {
+    for p in &points {
         table.row(&[
-            "fifo".into(),
             n(p.fanout as u64),
             n(p.population as u64),
             (if p.cache_on { "on" } else { "off" }).into(),
             f3(p.ns_per_dispatch),
-            "-".into(),
             f2(p.hit_rate),
         ]);
     }
-    for p in &threaded {
-        table.row(&[
-            "threaded".into(),
-            n(p.fanout as u64),
-            n(p.population as u64),
-            (if p.cache_on { "on" } else { "off" }).into(),
-            "-".into(),
-            f2(p.throughput_fps),
-            f2(p.hit_rate),
-        ]);
-    }
-    let _ = host_cores(); // pinned in the JSON document, not the table
-    (fifo, threaded, table)
+    (points, table)
 }
 
 #[cfg(test)]
@@ -351,7 +209,7 @@ mod tests {
 
     #[test]
     fn steady_state_cache_hit_allocates_nothing() {
-        use garnet_net::MatchCache;
+        use garnet_net::{MatchCache, SubscriberId, SubscriptionTable};
         let mut table = SubscriptionTable::new();
         for id in 0..16u32 {
             table.subscribe(SubscriberId::new(id), TopicFilter::Stream(hot_stream()));
@@ -419,24 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_points_are_lossless_and_record_hits() {
-        let workload = shard_workload(2_000, 16);
-        let p = run_threaded_point(&workload, 4, 1_000, true);
-        assert_eq!(p.frames, 2_000);
-        // 16 streams, one cold build each, the rest hits.
-        assert!(p.hit_rate > 0.9, "shard cache must run hot: {}", p.hit_rate);
-        let q = run_threaded_point(&workload, 4, 1_000, false);
-        assert_eq!(q.hit_rate, 0.0, "disabled cache records no activity");
-    }
-
-    #[test]
     fn sweep_json_is_serialisable() {
-        let fifo = vec![run_fifo_point(1, 1_000, true, 10)];
-        let threaded = vec![run_threaded_point(&shard_workload(200, 4), 1, 0, false)];
-        let json = cache_sweep_json(&fifo, &threaded, host_cores());
+        let points = vec![run_fifo_point(1, 1_000, true, 10), run_fifo_point(1, 1_000, false, 10)];
+        let json = cache_sweep_json(&points, crate::e03_pipeline::host_cores());
         assert!(json.contains("\"bench\": \"e23_match_cache\""));
         assert!(json.contains("\"engine\": \"fifo\""));
-        assert!(json.contains("\"engine\": \"threaded\""));
         assert!(json.contains("\"cache\": \"on\""));
         assert!(json.contains("\"cache\": \"off\""));
         assert!(json.contains("\"hit_rate\""));

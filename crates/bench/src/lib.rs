@@ -23,10 +23,8 @@ pub mod e14_crypto;
 pub mod e15_multihop;
 pub mod e16_quiesce;
 pub mod e17_overload;
-pub mod e18_dispatch_shards;
 pub mod e19_trace_overhead;
 pub mod e20_runtime_mode;
-pub mod e21_batch;
 pub mod e22_store;
 pub mod e23_match_cache;
 pub mod e24_telemetry;

@@ -1,58 +1,53 @@
-//! The execution engines behind the [`crate::Garnet`] facade.
+//! The execution engine behind the [`crate::Garnet`] facade.
 //!
 //! [`RouterDriver`] is the router-facing surface the facade actually
 //! uses: frame intake, pumping to quiescence, subscription changes,
 //! the metrics counters, the intake ledger, shard supervision and the
-//! flight recorder. Both engines are unbounded, batch-fed intakes: what
-//! happens to a frame at capacity is the facade scheduler's decision
-//! ([`crate::qos::QosScheduler`]), made before a frame gets here. Two
-//! engines implement it:
+//! flight recorder. The intake is unbounded and batch-fed: what happens
+//! to a frame at capacity is the facade scheduler's decision
+//! ([`crate::qos::QosScheduler`]), made before a frame gets here.
 //!
-//! * [`FifoDriver`] — the single-threaded FIFO [`Router`], the
-//!   simulation engine with bit-exact event interleaving;
-//! * [`ThreadedDriver`] — a facade-hosted [`ThreadedRouter`]: worker
-//!   pools per stage, a shared live subscription table, and the control
-//!   graph pumped inline so synchronous facade calls can still borrow
-//!   it.
-//!
-//! Both produce identical deliveries, metrics and (modulo shard ids)
-//! trace dumps for the same input schedule; [`GarnetConfig::driver`]
-//! picks between them.
+//! One type implements it, [`FifoDriver`]: the FIFO [`Router`] pumped
+//! on the facade's thread. [`GarnetConfig::driver`] only decides where
+//! that router's filtering shards execute — on the same thread
+//! ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or one per supervised
+//! worker ([`DriverKind::Threaded`], [`ShardedIngest::pooled`]). Queue,
+//! dispatch, control, spans and trace are the same code either way, so
+//! deliveries, metrics and trace dumps are identical for the same input
+//! schedule.
 //!
 //! [`GarnetConfig::driver`]: crate::GarnetConfig::driver
 
-use std::sync::{Arc, RwLock};
-
-use garnet_net::{ShardFailure, SubscriberId, SubscriptionTable, TopicFilter};
+use garnet_net::{ShardFailure, SubscriberId, TopicFilter};
 use garnet_simkit::trace::{TraceConfig, TraceOutcome, TraceSnapshot};
 use garnet_simkit::{Histogram, SimTime};
 use garnet_wire::StreamId;
 
 use crate::filtering::{FilterConfig, FilteringService};
 use crate::router::{
-    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedIngest, ThreadedRouter,
-    ThreadedRouterParts,
+    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use crate::service::{BatchedFrame, ServiceEvent, ServiceOutput};
 use crate::stream::ShardedStreamRegistry;
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 
-/// Which execution engine hosts the service graph.
+/// Where the service graph's filtering shards execute.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverKind {
-    /// The single-threaded FIFO [`Router`]: one event at a time, the
-    /// reference interleaving. The default.
+    /// On the facade's thread, like the rest of the [`Router`]. The
+    /// default.
     #[default]
     Fifo,
-    /// The [`ThreadedRouter`]: filtering and dispatch on worker pools,
-    /// outputs released in boundary order so every observable matches
-    /// the FIFO engine.
+    /// One per supervised worker thread: a burst costs one hand-off per
+    /// non-empty shard, and the facade's thread waits for the results
+    /// before routing them, so every observable matches
+    /// [`DriverKind::Fifo`].
     Threaded,
 }
 
 /// Ingest-stage counters, snapshotted by value through the driver
-/// surface. (By value because the threaded engine aggregates per-shard
-/// snapshots on demand — there is no single struct to borrow.)
+/// surface. (By value because they are summed over the shards on
+/// demand — there is no single struct to borrow.)
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FilterStats {
     pub(crate) delivered: u64,
@@ -75,19 +70,6 @@ impl FilterStats {
             gaps: filter.gap_count(),
             restarts: filter.restart_count(),
             streams: filter.stream_count(),
-        }
-    }
-
-    /// Snapshot of a whole sharded ingest stage.
-    pub(crate) fn of_sharded(ingest: &ShardedIngest) -> Self {
-        FilterStats {
-            delivered: ingest.delivered_count(),
-            duplicates: ingest.duplicate_count(),
-            crc_failures: ingest.crc_failure_count(),
-            reordered: ingest.reordered_count(),
-            gaps: ingest.gap_count(),
-            restarts: ingest.restart_count(),
-            streams: ingest.stream_count(),
         }
     }
 
@@ -184,10 +166,10 @@ impl DispatchStats {
     }
 }
 
-/// The router-facing surface [`crate::Garnet`] drives. Everything the
+/// The router-facing surface [`crate::Garnet`] drives: everything the
 /// facade needs — frame intake, pumping, subscriptions, stream
 /// catalogue, control-plane access, metrics, the intake ledger, shard
-/// supervision and the flight recorder — with both engines behind it.
+/// supervision and the flight recorder.
 ///
 /// The contract the facade's determinism guarantees rest on:
 ///
@@ -196,19 +178,18 @@ impl DispatchStats {
 ///   exact order the FIFO router would surface them; nothing handed
 ///   back means the graph is quiescent.
 /// * Subscription and registry mutations only happen between pumps
-///   (the facade is single-threaded), so engines may serve them from
-///   shared state without locking the hot path.
+///   (the facade is single-threaded).
 /// * [`RouterDriver::shutdown`] drains in-flight work and joins any
-///   worker pools; afterwards reads (metrics, traces, streams) still
-///   work and new events are ignored.
+///   worker pool; afterwards reads (metrics, traces, streams) still
+///   work, and frames offered to a joined pool are dropped.
 pub trait RouterDriver: std::fmt::Debug {
     /// Queues one boundary event — the control path: never shed.
     fn push_event(&mut self, ev: ServiceEvent, now: SimTime);
 
     /// Hands a burst of frames to the engine's unbounded intake, one
-    /// ledger entry per frame; engines amortise per-frame costs over
-    /// the burst (one channel hand-off per shard run, one filtering
-    /// pass per batch). The returned `Vec` is always empty: it is kept
+    /// ledger entry per frame; the pump amortises per-frame costs over
+    /// the burst (one filtering pass per shard, and with pooled shards
+    /// one hand-off each). The returned `Vec` is always empty: it is kept
     /// for the benchmark's call site, which iterates it, and has no
     /// effect.
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput>;
@@ -280,20 +261,19 @@ pub trait RouterDriver: std::fmt::Debug {
     /// High-water mark of the frame queue.
     fn peak_queue_depth(&self) -> u64;
 
-    /// Shard restarts performed by a supervision policy (always 0 for
-    /// the FIFO engine — nothing panics, nothing restarts).
+    /// Filtering-worker restarts performed by the supervision policy
+    /// (always 0 with inline shards — no threads, nothing restarts).
     fn shard_restart_count(&self) -> u64;
 
-    /// Jobs accepted per [`garnet_net::EdgeClass`] across the engine's
-    /// stage edges, indexed by `EdgeClass::index`. All zeros for the
-    /// FIFO engine, which has no channel boundaries to account at.
-    fn edge_class_submits(&self) -> [u64; 3] {
-        [0; 3]
-    }
+    /// Jobs handed to filtering workers per [`garnet_net::EdgeClass`],
+    /// indexed by `EdgeClass::index` (see
+    /// [`ShardedIngest::class_submits`]). All zeros with inline shards,
+    /// which have no channel boundary to account at.
+    fn edge_class_submits(&self) -> [u64; 3];
 
     /// The pipeline latency spans recorded so far (filtering /
-    /// dispatching / end-to-end, sim-time driven and therefore
-    /// engine-invariant). Still readable after shutdown.
+    /// dispatching / end-to-end, sim-time driven). Still readable after
+    /// shutdown.
     fn pipeline_spans(&self) -> &PipelineSpans;
 
     /// The per-ingest-shard admission-depth gauges. Still readable
@@ -310,7 +290,7 @@ pub trait RouterDriver: std::fmt::Debug {
     fn note_telemetry_quiescent(&mut self);
 
     /// Takes worker failures recorded since the last call (always
-    /// empty for the FIFO engine, which has no threads to lose).
+    /// empty with inline shards, which have no threads to lose).
     fn take_shard_failures(&mut self) -> Vec<ShardFailure>;
 
     /// The earliest time-driven deadline across services.
@@ -326,13 +306,13 @@ pub trait RouterDriver: std::fmt::Debug {
     /// it (see [`garnet_simkit::trace::Tracer::drain_to`]).
     fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize>;
 
-    /// Drains in-flight work and joins any worker pools, returning the
-    /// outputs released on the way out. Reads keep working afterwards;
-    /// new events are ignored.
+    /// Drains in-flight work and joins any worker pool, returning the
+    /// outputs released on the way out. Reads keep working afterwards.
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput>;
 }
 
-/// The FIFO [`Router`] behind the driver surface.
+/// The FIFO [`Router`] behind the driver surface — the one engine,
+/// whatever its ingest stage runs on.
 #[derive(Debug)]
 pub struct FifoDriver {
     router: Router,
@@ -417,7 +397,7 @@ impl RouterDriver for FifoDriver {
     }
 
     fn filter_stats(&self) -> FilterStats {
-        FilterStats::of_sharded(&self.router.services().ingest)
+        self.router.services().ingest.stats()
     }
 
     fn dispatch_stats(&self) -> DispatchStats {
@@ -441,7 +421,11 @@ impl RouterDriver for FifoDriver {
     }
 
     fn shard_restart_count(&self) -> u64 {
-        0
+        self.router.services().ingest.shard_restarts()
+    }
+
+    fn edge_class_submits(&self) -> [u64; 3] {
+        self.router.services().ingest.class_submits()
     }
 
     fn pipeline_spans(&self) -> &PipelineSpans {
@@ -461,7 +445,7 @@ impl RouterDriver for FifoDriver {
     }
 
     fn take_shard_failures(&mut self) -> Vec<ShardFailure> {
-        Vec::new()
+        self.router.services_mut().ingest.take_failures()
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -481,46 +465,26 @@ impl RouterDriver for FifoDriver {
     }
 
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
-        // No pools to join: just drain whatever is still queued.
         let mut out = Vec::new();
         while self.router.step(now, &mut out) {}
+        self.router.services_mut().ingest.join();
         out
     }
 }
 
-/// The [`ThreadedRouter`] hosted behind the driver surface.
-///
-/// Subscriptions live in one shared [`SubscriptionTable`] the dispatch
-/// workers read per job — no per-worker replicas, so subscription
-/// memory is independent of the shard count. Outputs released during
-/// admission are buffered and handed out at the next
-/// [`RouterDriver::pump`], which preserves the FIFO engine's apply
-/// order (releases are in boundary order; the FIFO queue is too).
-///
-/// Dropping the driver joins all worker pools; [`RouterDriver::shutdown`]
-/// does the same but keeps the terminal state readable.
-pub struct ThreadedDriver {
-    router: Option<ThreadedRouter>,
-    subscriptions: Arc<RwLock<SubscriptionTable>>,
-    next_subscriber: u32,
-    /// Outputs released by the graph while admitting, held until the
-    /// facade pumps.
-    pending: Vec<ServiceOutput>,
-    /// Frames admitted since the graph last went quiescent — the
-    /// mirror of the FIFO router's queue depth, since the facade pumps
-    /// to quiescence after every admission burst.
-    frames_since_quiescence: u64,
-    peak_depth: u64,
-    /// What shutdown left behind; reads are served from here once the
-    /// pools are joined.
-    retired: Option<ThreadedRouterParts>,
-}
+/// The constructor the benchmark names for [`DriverKind::Threaded`]:
+/// builds the [`Services`] with a pooled ingest stage and returns the
+/// one driver type over them.
+#[derive(Debug)]
+pub struct ThreadedDriver;
 
 impl ThreadedDriver {
-    /// Spawns the hosted graph.
+    /// A [`FifoDriver`] whose `ingest_shards` filtering shards run on
+    /// worker threads ([`ShardedIngest::pooled`]).
     ///
     /// * `_overload` — accepted for the benchmark's call site; has no effect.
     /// * `_batch` — accepted for the benchmark's call site; has no effect.
+    #[allow(clippy::new_ret_no_self)]
     pub fn new(
         config: FilterConfig,
         ingest_shards: usize,
@@ -529,280 +493,12 @@ impl ThreadedDriver {
         _overload: Option<OverloadConfig>,
         _batch: bool,
         cache: garnet_net::DispatchCacheConfig,
-    ) -> Self {
-        let subscriptions = Arc::new(RwLock::new(SubscriptionTable::new()));
-        let router = ThreadedRouter::hosted(
-            config,
-            ingest_shards,
-            dispatch_shards,
-            subscriptions.clone(),
+    ) -> FifoDriver {
+        let services = Services {
+            ingest: ShardedIngest::pooled(config, ingest_shards),
+            dispatch: ShardedDispatch::with_cache(dispatch_shards, cache),
             control,
-            cache,
-        );
-        ThreadedDriver {
-            router: Some(router),
-            subscriptions,
-            next_subscriber: 0,
-            pending: Vec::new(),
-            frames_since_quiescence: 0,
-            peak_depth: 0,
-            retired: None,
-        }
-    }
-
-    fn retired(&self) -> &ThreadedRouterParts {
-        self.retired.as_ref().expect("a ThreadedDriver is live or retired, never neither")
-    }
-}
-
-impl RouterDriver for ThreadedDriver {
-    fn push_event(&mut self, ev: ServiceEvent, now: SimTime) {
-        let Some(router) = self.router.as_mut() else { return };
-        for released in router.push_event(ev, now) {
-            self.pending.extend(released.outputs);
-        }
-    }
-
-    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput> {
-        let Some(router) = self.router.as_mut() else { return Vec::new() };
-        self.frames_since_quiescence += frames.len() as u64;
-        self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
-        let staged = frames.into_iter().map(|f| (f.receiver, f.rssi_dbm, f.frame));
-        for released in router.push_frames(staged, now) {
-            self.pending.extend(released.outputs);
-        }
-        Vec::new()
-    }
-
-    #[cfg(feature = "trace")]
-    fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
-        let Some(router) = self.router.as_mut() else { return };
-        for released in router.trace_dropped(frame, outcome, now) {
-            self.pending.extend(released.outputs);
-        }
-    }
-
-    fn pump_into(&mut self, _now: SimTime, out: &mut Vec<ServiceOutput>) {
-        out.append(&mut self.pending);
-        if let Some(router) = self.router.as_mut() {
-            while !router.is_quiescent() {
-                let released = router.poll();
-                if released.is_empty() {
-                    std::thread::yield_now();
-                }
-                for r in released {
-                    out.extend(r.outputs);
-                }
-            }
-        }
-        self.frames_since_quiescence = 0;
-    }
-
-    fn register_subscriber(&mut self) -> SubscriberId {
-        let id = SubscriberId::new(self.next_subscriber);
-        self.next_subscriber += 1;
-        id
-    }
-
-    fn subscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
-        self.subscriptions.write().unwrap_or_else(|e| e.into_inner()).subscribe(subscriber, filter)
-    }
-
-    fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
-        self.subscriptions
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .unsubscribe(subscriber, filter)
-    }
-
-    fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> usize {
-        self.subscriptions.write().unwrap_or_else(|e| e.into_inner()).unsubscribe_all(subscriber)
-    }
-
-    fn would_deliver(&self, stream: StreamId) -> bool {
-        !self.subscriptions.read().unwrap_or_else(|e| e.into_inner()).is_unclaimed(stream)
-    }
-
-    fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
-        match self.router.as_mut() {
-            Some(r) => r.streams_mut().set_claimed(stream, claimed),
-            None => {
-                if let Some(parts) = self.retired.as_mut() {
-                    parts.streams.set_claimed(stream, claimed);
-                }
-            }
-        }
-    }
-
-    fn streams(&self) -> &ShardedStreamRegistry {
-        match &self.router {
-            Some(r) => r.streams(),
-            None => &self.retired().streams,
-        }
-    }
-
-    fn control(&self) -> &ControlGraph {
-        match &self.router {
-            Some(r) => r.control_graph().expect("hosted routers run control inline"),
-            None => self.retired().control.as_ref().expect("hosted routers run control inline"),
-        }
-    }
-
-    fn control_mut(&mut self) -> &mut ControlGraph {
-        match self.router.as_mut() {
-            Some(r) => r.control_graph_mut().expect("hosted routers run control inline"),
-            None => self
-                .retired
-                .as_mut()
-                .and_then(|p| p.control.as_mut())
-                .expect("hosted routers run control inline"),
-        }
-    }
-
-    fn filter_stats(&self) -> FilterStats {
-        match &self.router {
-            Some(r) => r.filter_stats(),
-            None => self.retired().filter_stats,
-        }
-    }
-
-    fn dispatch_stats(&self) -> DispatchStats {
-        match &self.router {
-            Some(r) => r.dispatch_stats(),
-            None => self.retired().dispatch_stats.clone(),
-        }
-    }
-
-    fn overload_totals(&self) -> OverloadTotals {
-        let offered = match &self.router {
-            Some(r) => r.offered_frame_count(),
-            None => self.retired().report.offered_frames,
         };
-        OverloadTotals { offered, shed: 0, coalesced: 0, delivered: offered }
-    }
-
-    fn peak_queue_depth(&self) -> u64 {
-        self.peak_depth
-    }
-
-    fn shard_restart_count(&self) -> u64 {
-        match &self.router {
-            Some(r) => r.restart_count(),
-            None => self.retired().report.shard_restarts,
-        }
-    }
-
-    fn edge_class_submits(&self) -> [u64; 3] {
-        match &self.router {
-            Some(r) => r.class_submits(),
-            None => [0; 3],
-        }
-    }
-
-    fn pipeline_spans(&self) -> &PipelineSpans {
-        match &self.router {
-            Some(r) => r.pipeline_spans(),
-            None => &self.retired().spans,
-        }
-    }
-
-    fn queue_depth_gauges(&self) -> &QueueDepthGauges {
-        match &self.router {
-            Some(r) => r.queue_depth_gauges(),
-            None => &self.retired().depths,
-        }
-    }
-
-    fn set_telemetry_recording(&mut self, enabled: bool) {
-        if let Some(r) = self.router.as_mut() {
-            r.set_telemetry_recording(enabled);
-        }
-    }
-
-    fn note_telemetry_quiescent(&mut self) {
-        if let Some(r) = self.router.as_mut() {
-            r.note_telemetry_quiescent();
-        }
-    }
-
-    fn take_shard_failures(&mut self) -> Vec<ShardFailure> {
-        match self.router.as_mut() {
-            Some(r) => r.take_root_failures().into_iter().map(|f| f.failure).collect(),
-            None => match self.retired.as_mut() {
-                Some(parts) => std::mem::take(&mut parts.report.failures)
-                    .into_iter()
-                    .map(|f| f.failure)
-                    .collect(),
-                None => Vec::new(),
-            },
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.router.as_ref().and_then(ThreadedRouter::next_deadline)
-    }
-
-    fn configure_trace(&mut self, config: TraceConfig) {
-        if let Some(r) = self.router.as_mut() {
-            r.configure_trace(config);
-        }
-    }
-
-    fn trace_snapshot(&self) -> TraceSnapshot {
-        match &self.router {
-            Some(r) => r.trace_snapshot(),
-            None => self.retired().report.trace.clone(),
-        }
-    }
-
-    fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize> {
-        match self.router.as_mut() {
-            Some(r) => r.trace_drain_to(w),
-            None => {
-                // The recorder died with the worker pools; drain the
-                // snapshot the shutdown report kept instead.
-                let Some(parts) = self.retired.as_mut() else { return Ok(0) };
-                let mut written = 0;
-                for rec in parts.report.trace.records.drain(..) {
-                    writeln!(w, "{}", rec.jsonl_line())?;
-                    written += 1;
-                }
-                Ok(written)
-            }
-        }
-    }
-
-    fn shutdown(&mut self, _now: SimTime) -> Vec<ServiceOutput> {
-        let mut out = std::mem::take(&mut self.pending);
-        if let Some(router) = self.router.take() {
-            let mut parts = router.into_parts();
-            for released in std::mem::take(&mut parts.report.outputs) {
-                out.extend(released.outputs);
-            }
-            self.retired = Some(parts);
-        }
-        self.frames_since_quiescence = 0;
-        out
-    }
-}
-
-impl Drop for ThreadedDriver {
-    /// Joins the worker pools if [`RouterDriver::shutdown`] was never
-    /// called ([`ThreadedRouter::into_parts`] drains every in-flight
-    /// root before joining, so nothing is lost and nothing deadlocks).
-    fn drop(&mut self) {
-        if let Some(router) = self.router.take() {
-            let _ = router.into_parts();
-        }
-    }
-}
-
-impl std::fmt::Debug for ThreadedDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedDriver")
-            .field("router", &self.router)
-            .field("pending", &self.pending.len())
-            .field("retired", &self.retired.is_some())
-            .finish_non_exhaustive()
+        FifoDriver::new(services, None, true)
     }
 }

@@ -18,20 +18,18 @@
 //! stages called by the router directly so a frame's results reach the
 //! queue without a buffer in between; the [`router::Router`] threads
 //! typed events between them over a FIFO queue, and
-//! [`middleware::Garnet`] is a thin facade that drives a pluggable
-//! execution engine (the [`driver::RouterDriver`] axis: the FIFO
-//! router, or the threaded graph, selected by
-//! [`driver::DriverKind`]) and hosts the consumers. The filtering hot
-//! path is partitioned by
-//! sensor id into [`router::ShardedIngest`] shards, and the dispatch
-//! stage into [`router::ShardedDispatch`] shards by the same hash, each
-//! with a deterministic merge — so any shard count produces
-//! bit-identical outputs under the simulation driver, while
-//! [`router::ThreadedRouter`] runs the *entire* service graph
-//! (filtering → dispatch → control) on per-stage workers with
-//! sequence-merged, equally deterministic output. Both engines are
-//! unbounded intakes: the one place a frame is shed, coalesced or held
-//! back is [`qos::QosScheduler`], at the facade boundary.
+//! [`middleware::Garnet`] is a thin facade that pumps that router
+//! through the [`driver::RouterDriver`] surface and hosts the
+//! consumers. The filtering hot path is partitioned by sensor id into
+//! [`router::ShardedIngest`] shards, and the dispatch stage into
+//! [`router::ShardedDispatch`] shards by the same hash, each with a
+//! deterministic merge — so any shard count produces bit-identical
+//! outputs. [`driver::DriverKind`] chooses where the filtering shards
+//! execute — on the facade's thread, or one per supervised worker
+//! thread — and nothing else: everything downstream of filtering is
+//! the one router either way. The intake is unbounded: the one place a
+//! frame is shed, coalesced or held back is [`qos::QosScheduler`], at
+//! the facade boundary.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio
 //! field for experiments.
 //!
@@ -90,8 +88,8 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, RootOutput, Router, Services,
-    ShardedDispatch, ShardedIngest, ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
+    ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, Router, Services,
+    ShardedDispatch, ShardedIngest,
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{

@@ -6,10 +6,10 @@
 //! [`ServiceEvent`] handed to the driver, and the facade pumps the
 //! driver to quiescence, applying the outputs that escape the service
 //! graph (consumer callbacks, control plans, denials, expiries).
-//! [`GarnetConfig::driver`] picks the engine — the FIFO
-//! [`crate::router::Router`] (the simulation reference) or the hosted
-//! [`crate::router::ThreadedRouter`] (worker pools per stage) — and
-//! every public entry point behaves identically on both:
+//! The graph is always the FIFO [`crate::router::Router`], pumped on the
+//! caller's thread; [`GarnetConfig::driver`] only picks where its
+//! filtering shards execute, and every public entry point behaves
+//! identically either way:
 //!
 //! ```text
 //!   on_frame ─→ ShardedIngest ─→ Dispatching ─→ consumers ─→ actions
@@ -58,9 +58,7 @@ use crate::actuation::{ActuationConfig, ActuationService};
 use crate::archive::{ArchiveConfig, ArchiveService};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
-use crate::driver::{
-    DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver, ThreadedDriver,
-};
+use crate::driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
@@ -98,23 +96,23 @@ pub struct QuiesceConfig {
 /// Facade configuration.
 #[derive(Clone, Debug)]
 pub struct GarnetConfig {
-    /// Which execution engine hosts the service graph. Both engines
-    /// produce identical deliveries, metrics and (modulo shard ids)
-    /// traces; [`DriverKind::Threaded`] runs filtering and dispatch on
-    /// worker pools for wall-clock parallelism.
+    /// Where the filtering shards execute. Both settings produce
+    /// identical deliveries, metrics and traces;
+    /// [`DriverKind::Threaded`] runs each ingest shard on its own worker
+    /// thread for wall-clock parallelism.
     pub driver: DriverKind,
     /// Filtering Service tuning.
     pub filter: FilterConfig,
     /// Number of ingest shards the filtering hot path is partitioned
-    /// into (by sensor id). Any value produces bit-identical outputs
-    /// under the simulation driver; values above 1 let threaded drivers
-    /// run filtering in parallel. 0 is treated as 1.
+    /// into (by sensor id). Any value produces bit-identical outputs;
+    /// values above 1 let [`DriverKind::Threaded`] run filtering in
+    /// parallel. 0 is treated as 1.
     pub ingest_shards: usize,
     /// Number of dispatch shards the delivery stage is partitioned into
-    /// (by sensor id, same hash as the ingest shards). Any value
-    /// produces bit-identical outputs under the simulation driver;
-    /// values above 1 let threaded drivers run subscription matching in
-    /// parallel. 0 is treated as 1.
+    /// (by sensor id, same hash as the ingest shards): per-shard
+    /// subscription tables and match caches, all on the facade's
+    /// thread. Any value produces bit-identical outputs. 0 is treated
+    /// as 1.
     pub dispatch_shards: usize,
     /// Orphanage tuning.
     pub orphanage: OrphanageConfig,
@@ -258,9 +256,9 @@ pub struct OverloadStats {
     /// (merged by maximum, so it stays a high-water mark).
     pub peak_queue_depth: u64,
     /// Shard restarts performed by the supervision policy during this
-    /// call. Always zero under the FIFO engine (nothing panics,
-    /// nothing restarts); the threaded engine reports its supervision
-    /// restarts here.
+    /// call. Always zero under [`DriverKind::Fifo`] (no workers,
+    /// nothing restarts); [`DriverKind::Threaded`] reports its
+    /// filtering pool's supervision restarts here.
     pub shard_restarts: u64,
 }
 
@@ -287,9 +285,8 @@ pub struct StepOutput {
     /// Frame-admission accounting for this call (zero when the queue is
     /// unbounded or the call took no frames).
     pub overload: OverloadStats,
-    /// Worker failures surfaced by a threaded driver during this step
-    /// (always empty under the simulation driver, which has no
-    /// threads to lose).
+    /// Filtering-worker failures surfaced during this step (always
+    /// empty under [`DriverKind::Fifo`], which has no threads to lose).
     pub shard_failures: Vec<ShardFailure>,
 }
 
@@ -430,32 +427,18 @@ impl Garnet {
             replicator: MessageReplicator::new(config.transmitters),
             coordinator: SuperCoordinator::new(config.coordination),
         };
-        // Admission policy lives at the facade boundary: the engines run
-        // unbounded and only ever see the frames the scheduler released,
-        // which is what makes overloaded runs engine-independent.
+        // Admission policy lives at the facade boundary: the router runs
+        // unbounded and only ever sees the frames the scheduler released.
         let qos = config.overload.map(|overload| QosScheduler::new(overload, &config.qos));
-        let mut driver: Box<dyn RouterDriver> = match config.driver {
-            DriverKind::Fifo => {
-                let services = Services {
-                    ingest: ShardedIngest::new(config.filter, config.ingest_shards),
-                    dispatch: ShardedDispatch::with_cache(
-                        config.dispatch_shards,
-                        config.dispatch_cache,
-                    ),
-                    control,
-                };
-                Box::new(FifoDriver::new(services, None, true))
-            }
-            DriverKind::Threaded => Box::new(ThreadedDriver::new(
-                config.filter,
-                config.ingest_shards,
-                config.dispatch_shards,
-                control,
-                None,
-                true,
-                config.dispatch_cache,
-            )),
+        let services = Services {
+            ingest: match config.driver {
+                DriverKind::Fifo => ShardedIngest::new(config.filter, config.ingest_shards),
+                DriverKind::Threaded => ShardedIngest::pooled(config.filter, config.ingest_shards),
+            },
+            dispatch: ShardedDispatch::with_cache(config.dispatch_shards, config.dispatch_cache),
+            control,
         };
+        let mut driver: Box<dyn RouterDriver> = Box::new(FifoDriver::new(services, None, true));
         driver
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
         driver.set_telemetry_recording(config.telemetry.spans);
@@ -669,8 +652,8 @@ impl Garnet {
     /// single pump — the preferred ingest entry. Batching makes the
     /// bounded tier and its overload policy observable, and the whole
     /// burst is admitted, handed to the ingest stage and filtered as
-    /// one unit (one channel hand-off per shard run on the threaded
-    /// engine, one decode pass per run on the FIFO engine).
+    /// one unit (one decode pass per ingest shard, plus one channel
+    /// hand-off each under [`DriverKind::Threaded`]).
     ///
     /// Frames arriving as [`FrameBytes`] handles (e.g. out of receiver
     /// buffers) enter zero-copy; `Vec<u8>` payloads are absorbed
@@ -717,8 +700,7 @@ impl Garnet {
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
         if let Some(s) = self.qos.as_mut() {
-            // Quiescence is the one point both engines reach
-            // deterministically — where the adaptive bound may retune.
+            // Quiescence is where the adaptive bound may retune.
             s.note_quiescent();
         }
         self.maybe_emit_telemetry(now);
@@ -1041,9 +1023,7 @@ impl Garnet {
         self.shard_failure_total += failures.len() as u64;
         out.shard_failures.extend(failures);
         // The engine is drained: telemetry depth counts restart from
-        // zero here, the one quiescence boundary both engines reach
-        // deterministically (a threaded poll observing its workers
-        // idle mid-burst is wall-clock, not logical, quiescence).
+        // zero here.
         self.driver.note_telemetry_quiescent();
     }
 
@@ -1344,9 +1324,10 @@ impl Garnet {
         self.delivery.backlog()
     }
 
-    /// Jobs accepted per [`garnet_net::EdgeClass`] across the engine's
-    /// stage edges (all zeros under the FIFO engine, which has no
-    /// channel boundaries).
+    /// Jobs handed to filtering workers per [`garnet_net::EdgeClass`]:
+    /// one `Data` job per non-empty ingest shard per burst, one
+    /// `Control` job per shard per reorder flush (all zeros under
+    /// [`DriverKind::Fifo`], which has no channel boundary).
     pub fn edge_class_submits(&self) -> [u64; 3] {
         self.driver.edge_class_submits()
     }
@@ -1597,11 +1578,11 @@ impl Garnet {
     /// Replays recovered archive records through the normal boundary
     /// entry points, in log order: consecutive frame records stamped at
     /// the same instant re-enter as one [`Garnet::on_frames`] burst
-    /// (batch size is observably irrelevant — both engines are
+    /// (batch size is observably irrelevant — the router is
     /// batch-invariant), ticks as [`Garnet::on_tick`], acks as
     /// [`Garnet::on_standalone_ack`]. Replaying a log into a fresh,
     /// identically-configured facade rebuilds dispatch state
-    /// bit-identically on either engine.
+    /// bit-identically under either [`DriverKind`].
     pub fn replay_archive(&mut self, records: &[ArchiveRecord]) -> StepOutput {
         let mut out = StepOutput::default();
         let mut burst: Vec<(ReceiverId, f64, FrameBytes)> = Vec::new();
@@ -1684,14 +1665,14 @@ impl Garnet {
     /// [`ArchiveConfig::flush_timeout`], returning a
     /// [`ArchiveBackend::Custom`](crate::archive::ArchiveBackend) store
     /// to its slot), then asks the driver to retire its workers
-    /// (joining any pools) and applies whatever the shutdown released.
-    /// After this call the facade still answers reads (statistics,
-    /// traces, control-plane accessors), but new ingest is a no-op
-    /// under the threaded driver.
+    /// (joining the filtering pool) and applies whatever the shutdown
+    /// released. After this call the facade still answers reads
+    /// (statistics, traces, control-plane accessors), but new frames
+    /// are dropped under [`DriverKind::Threaded`].
     ///
-    /// Dropping a [`Garnet`] without calling this is safe — the driver's
-    /// `Drop` joins its pools — but discards in-flight outputs and the
-    /// archive's pending tail.
+    /// Dropping a [`Garnet`] without calling this is safe — the pooled
+    /// ingest stage's `Drop` joins its workers — but discards in-flight
+    /// outputs and the archive's pending tail.
     ///
     /// # Errors
     ///

@@ -67,9 +67,7 @@ impl PriorityClass {
     /// The class an event schedules under.
     pub fn of(ev: &ServiceEvent) -> PriorityClass {
         match ev {
-            ServiceEvent::Frame { .. }
-            | ServiceEvent::FrameBatch { .. }
-            | ServiceEvent::Filtered { .. } => PriorityClass::Data,
+            ServiceEvent::Frame { .. } | ServiceEvent::Filtered { .. } => PriorityClass::Data,
             ServiceEvent::ActuationRequested { .. }
             | ServiceEvent::Submit { .. }
             | ServiceEvent::Replicate { .. }

@@ -78,14 +78,6 @@ pub enum ServiceEvent {
         /// buffer; cloning this event never copies the frame.
         frame: FrameBytes,
     },
-    /// A burst of raw frames admitted as one unit → ingest (filtering).
-    ///
-    /// Semantically identical to the member frames arriving as
-    /// consecutive [`ServiceEvent::Frame`] events in order; the batch
-    /// form exists so the routers can amortise queueing, header
-    /// validation and shard hand-off over the burst. The preferred
-    /// ingest entry (`Garnet::on_frames`) produces these.
-    FrameBatch(Vec<BatchedFrame>),
     /// Flush reorder buffers whose deadline passed → ingest.
     FlushReorder,
     /// A reconstructed message leaving the ingest stage → dispatch.
@@ -167,7 +159,7 @@ pub enum ServiceEvent {
     },
 }
 
-/// One frame of a [`ServiceEvent::FrameBatch`].
+/// One frame of a burst handed to `RouterDriver::admit_frames`.
 #[derive(Clone, Debug)]
 pub struct BatchedFrame {
     /// The receiver that heard it.

@@ -16,9 +16,9 @@
 //!   Dispatching Service consults;
 //! * [`bus`] — asynchronous message exchange between services, with a
 //!   crossbeam-channel threaded driver for live deployments (experiments
-//!   use the deterministic `garnet-simkit` event queue instead);
-//! * [`threaded_router`] — root-attributed stage edges over [`bus`]'s
-//!   `ShardPool`, the plumbing under the full threaded service graph;
+//!   use the deterministic `garnet-simkit` event queue instead) and the
+//!   supervised `ShardPool` the middleware's filtering shards run on
+//!   under `DriverKind::Threaded`;
 //! * [`archiver`] — the background writer that drains pre-encoded
 //!   archive records into a `garnet-store` log without ever blocking
 //!   frame delivery.
@@ -31,7 +31,6 @@ pub mod auth;
 pub mod bus;
 pub mod pubsub;
 pub mod registry;
-pub mod threaded_router;
 
 pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
@@ -43,4 +42,3 @@ pub use pubsub::{
     DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
-pub use threaded_router::{RootFailure, StageEdge};

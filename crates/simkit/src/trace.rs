@@ -5,10 +5,9 @@
 //! records those arrows actually firing: one compact [`TraceRecord`] per
 //! `ServiceEvent` hop, held in a fixed-capacity ring buffer
 //! ([`Tracer`]), plus per-stage occupancy and latency fed into the
-//! log-bucketed [`Histogram`]. A driver (the single-threaded `Router`
-//! or the `ThreadedRouter` in `garnet-core`) appends records in the
-//! canonical event order, so traces from either driver are comparable
-//! line-for-line (modulo shard ids).
+//! log-bucketed [`Histogram`]. The driver (the `Router` in
+//! `garnet-core`) appends records in its FIFO event order, so traces of
+//! the same input schedule are comparable line-for-line.
 //!
 //! The recorder is **feature-gated**: with the `trace` cargo feature
 //! off, [`Tracer`] is a zero-sized type whose methods are inlined
@@ -170,10 +169,8 @@ impl TraceOutcome {
 /// One event hop, compactly encoded.
 ///
 /// `stream` / `sensor` / `root` / `shard` / `backoff_us` are optional
-/// because not every hop has them (a `FlushReorder` has no stream; a
-/// single-threaded hop has no shard). JSONL encoding omits absent
-/// fields entirely, and `shard` is ordered last-but-one so shard-blind
-/// comparisons can simply drop the field.
+/// because not every hop has them (a `FlushReorder` has no stream).
+/// JSONL encoding omits absent fields entirely.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
     /// Simulated time of the hop, in microseconds.
@@ -187,14 +184,14 @@ pub struct TraceRecord {
     /// Sensor id (raw), when the event carries one.
     pub sensor: Option<u32>,
     /// Root sequence number of the boundary event this hop descends
-    /// from (threaded driver) or the admission order (single-threaded).
+    /// from, in admission order.
     pub root: Option<u64>,
     /// What happened at this hop.
     pub outcome: TraceOutcome,
     /// Age of the underlying data at this hop (µs since its first copy
     /// reached any receiver); 0 when not applicable.
     pub age_us: u64,
-    /// Worker shard that processed the hop (threaded driver only).
+    /// Worker shard the record is about, for `ShardRestart` records.
     pub shard: Option<u32>,
     /// Supervision backoff delay, for `ShardRestart` records.
     pub backoff_us: Option<u64>,
@@ -218,7 +215,7 @@ impl TraceRecord {
         }
     }
 
-    fn write_jsonl(&self, out: &mut String, with_shard: bool) {
+    fn write_jsonl(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(
             out,
@@ -238,10 +235,8 @@ impl TraceRecord {
         }
         let _ =
             write!(out, ",\"outcome\":\"{}\",\"age_us\":{}", self.outcome.as_str(), self.age_us);
-        if with_shard {
-            if let Some(s) = self.shard {
-                let _ = write!(out, ",\"shard\":{s}");
-            }
+        if let Some(s) = self.shard {
+            let _ = write!(out, ",\"shard\":{s}");
         }
         if let Some(b) = self.backoff_us {
             let _ = write!(out, ",\"backoff_us\":{b}");
@@ -252,7 +247,7 @@ impl TraceRecord {
     /// One JSONL line (no trailing newline), fixed key order.
     pub fn jsonl_line(&self) -> String {
         let mut s = String::with_capacity(96);
-        self.write_jsonl(&mut s, true);
+        self.write_jsonl(&mut s);
         s
     }
 }
@@ -292,18 +287,7 @@ impl TraceSnapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 96);
         for r in &self.records {
-            r.write_jsonl(&mut out, true);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The dump with every `shard` field omitted — the canonical form
-    /// for comparing a threaded trace against a single-threaded one.
-    pub fn to_jsonl_modulo_shards(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 96);
-        for r in &self.records {
-            r.write_jsonl(&mut out, false);
+            r.write_jsonl(&mut out);
             out.push('\n');
         }
         out
@@ -578,15 +562,6 @@ mod tests {
         assert!(line.contains("\"shard\":1"));
         assert!(line.contains("\"backoff_us\":10000"));
         assert!(line.ends_with('}'));
-    }
-
-    #[test]
-    fn modulo_shards_drops_only_the_shard_field() {
-        let full = TraceRecord { shard: Some(2), ..rec(9) };
-        let snap = TraceSnapshot { records: vec![full], dropped: 0, stages: Vec::new() };
-        let blind = snap.to_jsonl_modulo_shards();
-        assert!(!blind.contains("shard"));
-        assert_eq!(blind, TraceSnapshot { records: vec![rec(9)], ..snap }.to_jsonl());
     }
 
     #[cfg(feature = "trace")]

@@ -25,8 +25,9 @@ use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, 
 
 thread_local! {
     /// Allocator calls made by this thread. Per thread, so tests running
-    /// beside this one are not counted; the FIFO engine does all its
-    /// work on the calling thread.
+    /// beside this one are not counted; `DriverKind::Fifo` does all its
+    /// work on the calling thread, `DriverKind::Threaded` everything
+    /// except filtering.
     static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -107,7 +108,7 @@ fn burst(seq: u16) -> Vec<(ReceiverId, f64, FrameBytes)> {
 /// `Garnet::on_frames`, after [`WARM_UP`] bursts have grown every
 /// reusable buffer and made every stream resident.
 fn allocs_per_frame(config: GarnetConfig) -> f64 {
-    let mut g = Garnet::new(GarnetConfig { driver: DriverKind::Fifo, ..config });
+    let mut g = Garnet::new(config);
     let token = g.issue_default_token("budget");
     let tallies: Vec<Rc<Cell<u64>>> = (0..FAN_OUT)
         .map(|_| {
@@ -145,10 +146,25 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
     // Unbounded admission, then a bound the bursts fit under (the
     // scheduler governs admission without shedding).
     for overload in [None, armed] {
-        let per_frame = allocs_per_frame(GarnetConfig { overload, ..GarnetConfig::default() });
+        let per_frame = allocs_per_frame(GarnetConfig {
+            driver: DriverKind::Fifo,
+            overload,
+            ..GarnetConfig::default()
+        });
         assert!(
             per_frame < 0.25,
             "overload {overload:?}: {per_frame:.3} allocator calls per frame"
         );
     }
+}
+
+#[test]
+fn pooled_filtering_costs_the_facade_thread_less_than_half_a_call_per_frame() {
+    // With the filtering shard on a worker the calling thread still
+    // queues, dispatches and delivers every frame; the hand-off adds a
+    // few allocations per burst of 64 (the job, the channel slots, the
+    // merge), none per frame.
+    let per_frame =
+        allocs_per_frame(GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() });
+    assert!(per_frame < 0.5, "{per_frame:.3} allocator calls per frame on the facade thread");
 }

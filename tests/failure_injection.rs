@@ -327,67 +327,89 @@ fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The payload that panics a filtering worker (`FilterConfig::fail_marker`).
+const POISON: [u8; 4] = [0xDE, 0xAD, 0xBE, 0xEF];
+/// Sensors chosen to land on four *distinct* ingest shards of four (2
+/// and 3 collide under `shard_of_sensor`, which would merge their
+/// sub-batches), so with four shards the blast radius of a poisoned
+/// sub-batch is exactly one sensor.
+const POISON_SENSORS: [u32; 4] = [1, 2, 4, 6];
+
+/// A threaded facade with `ingest_shards` filtering workers armed with
+/// the [`POISON`] marker, and a recording consumer subscribed to
+/// everything.
+fn poisonable_facade(ingest_shards: usize) -> (Garnet, DeliveryLog) {
+    let mut g = Garnet::new(GarnetConfig {
+        driver: DriverKind::Threaded,
+        ingest_shards,
+        filter: FilterConfig { fail_marker: Some(POISON), ..FilterConfig::default() },
+        ..GarnetConfig::default()
+    });
+    let token = g.issue_default_token("recorder");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let id = g
+        .register_consumer(Box::new(RecordingConsumer { log: Arc::clone(&log) }), &token, 0)
+        .unwrap();
+    g.subscribe(id, TopicFilter::All, &token).unwrap();
+    (g, log)
+}
+
+/// One sensor-major burst: `seqs` on each of [`POISON_SENSORS`], with
+/// the frame at `poison` (sensor, seq) carrying the [`POISON`] payload.
+fn poisonable_burst(
+    seqs: std::ops::Range<u16>,
+    poison: Option<(u32, u16)>,
+) -> Vec<(ReceiverId, f64, Vec<u8>)> {
+    let mut frames = Vec::new();
+    for sensor in POISON_SENSORS {
+        for seq in seqs.clone() {
+            let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+            let payload = if poison == Some((sensor, seq)) {
+                POISON.to_vec()
+            } else {
+                vec![sensor as u8, seq as u8]
+            };
+            let bytes = DataMessage::builder(stream)
+                .seq(SequenceNumber::new(seq))
+                .payload(payload)
+                .build()
+                .unwrap()
+                .encode_to_vec();
+            frames.push((ReceiverId::new(0), -50.0, bytes));
+        }
+    }
+    frames
+}
+
+/// Supervision applies a wall-clock backoff (10 ms by default) before
+/// rebuilding a poisoned shard, and only acts at pool entry points —
+/// keeps ticking, merging into `out`, until the restart is performed.
+fn tick_until_restarted(g: &mut Garnet, out: &mut StepOutput) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut tick = 0u64;
+    loop {
+        tick += 1;
+        out.merge(g.on_tick(SimTime::from_secs(tick)));
+        if out.overload.shard_restarts >= 1 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "poisoned shard never restarted");
+        std::thread::sleep(std::time::Duration::from_millis(15));
+    }
+}
+
 #[test]
 fn poisoned_shard_restart_during_batched_ingest_keeps_the_ledger_exact() {
     // A poison frame that panics its filtering worker mid-run must not
     // unbalance the per-frame admission ledger. The burst is ordered
-    // sensor-major so each sensor's 20 frames are consecutive, map to
-    // one ingest shard and ride the batched `FilterJob::Frames` path as
-    // a single multi-frame run; the poisoned run dies with its worker,
-    // the supervisor restarts the shard, and every offered frame is
-    // still accounted as shed or delivered.
-    const POISON: [u8; 4] = [0xDE, 0xAD, 0xBE, 0xEF];
-    // Sensors chosen to land on four *distinct* ingest shards (2 and 3
-    // collide under `shard_of_sensor`, which would merge their runs),
-    // so the blast radius of the poisoned run is exactly one sensor.
-    const SENSORS: [u32; 4] = [1, 2, 4, 6];
+    // sensor-major and each sensor maps to its own ingest shard, so each
+    // sensor's 20 frames ride as one job; the poisoned job dies with its
+    // worker, the supervisor restarts the shard, and every offered
+    // frame is still accounted as shed or delivered.
     let (recorded, out) = with_quiet_panics(|| {
-        let mut g = Garnet::new(GarnetConfig {
-            driver: DriverKind::Threaded,
-            ingest_shards: 4,
-            filter: FilterConfig { fail_marker: Some(POISON), ..FilterConfig::default() },
-            ..GarnetConfig::default()
-        });
-        let token = g.issue_default_token("recorder");
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let id = g
-            .register_consumer(Box::new(RecordingConsumer { log: Arc::clone(&log) }), &token, 0)
-            .unwrap();
-        g.subscribe(id, TopicFilter::All, &token).unwrap();
-
-        let mut frames = Vec::new();
-        for sensor in SENSORS {
-            for seq in 0..20u16 {
-                let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
-                let payload = if sensor == 2 && seq == 7 {
-                    POISON.to_vec()
-                } else {
-                    vec![sensor as u8, seq as u8]
-                };
-                let bytes = DataMessage::builder(stream)
-                    .seq(SequenceNumber::new(seq))
-                    .payload(payload)
-                    .build()
-                    .unwrap()
-                    .encode_to_vec();
-                frames.push((ReceiverId::new(0), -50.0, bytes));
-            }
-        }
-        let mut out = g.on_frames(frames, SimTime::from_millis(1));
-        // Supervision applies a wall-clock backoff (10 ms by default)
-        // before rebuilding a poisoned shard, and only acts at pool
-        // entry points — keep ticking until the restart is performed.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut tick = 0u64;
-        loop {
-            tick += 1;
-            out.merge(g.on_tick(SimTime::from_secs(tick)));
-            if out.overload.shard_restarts >= 1 {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "poisoned shard never restarted");
-            std::thread::sleep(std::time::Duration::from_millis(15));
-        }
+        let (mut g, log) = poisonable_facade(4);
+        let mut out = g.on_frames(poisonable_burst(0..20, Some((2, 7))), SimTime::from_millis(1));
+        tick_until_restarted(&mut g, &mut out);
         let recorded = log.lock().unwrap().clone();
         (recorded, out)
     });
@@ -416,6 +438,45 @@ fn poisoned_shard_restart_during_batched_ingest_keeps_the_ledger_exact() {
     let poisoned = StreamId::new(SensorId::new(2).unwrap(), StreamIndex::new(0)).to_raw();
     let survivors = recorded.iter().filter(|(s, _, _)| *s == poisoned).count();
     assert!(survivors < 20, "the poisoned run must lose frames, got {survivors}");
+}
+
+#[test]
+fn poisoned_single_shard_loses_its_burst_whole_and_delivers_the_next_in_full() {
+    // One ingest shard — the layout both threaded benchmark workloads
+    // run — means one job per burst: a poison frame takes the whole
+    // burst down with the worker. The ledger still balances, the
+    // failure carries the injected panic, and once the supervisor has
+    // rebuilt the shard the next burst is untouched.
+    let (lost, first, next, second) = with_quiet_panics(|| {
+        let (mut g, log) = poisonable_facade(1);
+        let mut first = g.on_frames(poisonable_burst(0..5, Some((2, 2))), SimTime::from_millis(1));
+        tick_until_restarted(&mut g, &mut first);
+        let lost = log.lock().unwrap().len();
+        let mut second = g.on_frames(poisonable_burst(5..10, None), SimTime::from_secs(100));
+        second.merge(g.on_tick(SimTime::from_secs(200)));
+        let next = log.lock().unwrap().clone();
+        (lost, first, next, second)
+    });
+
+    assert_eq!(first.overload.offered, 20);
+    assert_eq!(first.overload.shed + first.overload.delivered, first.overload.offered);
+    assert_eq!(lost, 0, "the poisoned burst is one job: it is lost whole");
+    assert!(
+        first.shard_failures.iter().any(|f| f.reason.contains("injected filter fault")),
+        "failure reason must carry the injected panic: {:?}",
+        first.shard_failures
+    );
+    assert!(first.overload.shard_restarts >= 1, "the poisoned shard must restart");
+
+    assert_eq!(second.overload.offered, 20);
+    assert_eq!(second.overload.shed + second.overload.delivered, second.overload.offered);
+    assert!(second.shard_failures.is_empty(), "{:?}", second.shard_failures);
+    for sensor in POISON_SENSORS {
+        let raw = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0)).to_raw();
+        let seqs: Vec<u16> =
+            next.iter().filter(|(s, _, _)| *s == raw).map(|(_, q, _)| *q).collect();
+        assert_eq!(seqs, [5, 6, 7, 8, 9], "sensor {sensor} after the restart");
+    }
 }
 
 #[test]

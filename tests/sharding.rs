@@ -46,13 +46,14 @@ fn replay(schedule: &[(Vec<u8>, SimTime)], shards: usize) -> (DeliveryLog, Count
     }
     let flushed = ingest.on_tick(last.saturating_add(garnet::simkit::SimDuration::from_secs(60)));
     log.extend(flushed.iter().map(|d| (d.msg.stream().to_raw(), d.msg.seq().as_u16())));
+    let stats = ingest.stats();
     let counters = (
-        ingest.delivered_count(),
-        ingest.duplicate_count(),
-        ingest.reordered_count(),
-        ingest.gap_count(),
-        ingest.restart_count(),
-        ingest.stream_count(),
+        stats.delivered_count(),
+        stats.duplicate_count(),
+        stats.reordered_count(),
+        stats.gap_count(),
+        stats.restart_count(),
+        stats.stream_count(),
     );
     (log, counters)
 }
@@ -171,7 +172,8 @@ fn corrupt_frames_shard_deterministically() {
     for shards in [1usize, 2, 4, 8] {
         let mut ingest = ShardedIngest::new(FilterConfig::default(), shards);
         ingest.on_frame(ReceiverId::new(0), -40.0, &good, SimTime::ZERO);
-        let counters = (ingest.crc_failure_count(), ingest.delivered_count());
+        let stats = ingest.stats();
+        let counters = (stats.crc_failure_count(), stats.delivered_count());
         match &base {
             None => base = Some(counters),
             Some(b) => assert_eq!(&counters, b, "shards={shards}"),

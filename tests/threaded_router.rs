@@ -1,7 +1,7 @@
-//! ThreadedRouter ≡ Router: running the full service graph on per-stage
-//! OS workers with sequence-merged edges must produce exactly the output
-//! stream of the single-threaded FIFO router, at every shard count, on
-//! every run. This is the threaded analogue of `determinism.rs`.
+//! Pooled ingest ≡ inline ingest: the FIFO router over filtering shards
+//! on worker threads must produce exactly the output stream of the same
+//! router over inline shards, at every shard count, on every run. This
+//! is the router-level analogue of `determinism.rs`.
 
 use garnet::core::actuation::{ActuationConfig, ActuationService};
 use garnet::core::coordinator::{CoordinationMode, SuperCoordinator};
@@ -10,11 +10,9 @@ use garnet::core::location::{LocationConfig, LocationService};
 use garnet::core::orphanage::{Orphanage, OrphanageConfig};
 use garnet::core::replicator::MessageReplicator;
 use garnet::core::resource::{MediationPolicy, ResourceManager};
-use garnet::core::router::{
-    ControlGraph, Router, Services, ShardedDispatch, ShardedIngest, ThreadedRouter,
-};
+use garnet::core::router::{ControlGraph, Router, Services, ShardedDispatch, ShardedIngest};
 use garnet::core::service::{ServiceEvent, ServiceOutput};
-use garnet::net::{SubscriberId, SubscriptionTable, TopicFilter};
+use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -85,32 +83,19 @@ fn filters() -> Vec<(u32, TopicFilter)> {
     ]
 }
 
-fn subscriptions() -> SubscriptionTable {
-    let mut table = SubscriptionTable::default();
-    for (id, filter) in filters() {
-        table.subscribe(SubscriberId::new(id), filter);
-    }
-    table
-}
-
-/// Pumps the schedule through the single-threaded FIFO router, one
-/// boundary event to quiescence at a time (exactly the facade's drive
-/// loop), and fingerprints every escaped output in order.
-fn reference_outputs(sched: &[Boundary]) -> Vec<String> {
-    let mut dispatch = ShardedDispatch::new(1);
-    // Allocate ids 0 and 1 — matching the raw ids `subscriptions()`
-    // builds the threaded snapshot table from.
+/// Pumps the schedule through a FIFO router over `ingest` and
+/// `dispatch_shards` dispatch shards, one boundary event to quiescence
+/// at a time (exactly the facade's drive loop), and fingerprints every
+/// escaped output in order.
+fn outputs(sched: &[Boundary], ingest: ShardedIngest, dispatch_shards: usize) -> Vec<String> {
+    let mut dispatch = ShardedDispatch::new(dispatch_shards);
+    // Allocate ids 0 and 1 — the raw ids `filters()` subscribes.
     dispatch.register_subscriber();
     dispatch.register_subscriber();
     for (id, filter) in filters() {
         dispatch.subscribe(SubscriberId::new(id), filter);
     }
-    let services = Services {
-        ingest: ShardedIngest::new(FilterConfig::default(), 1),
-        dispatch,
-        control: control_graph(),
-    };
-    let mut router = Router::new(services);
+    let mut router = Router::new(Services { ingest, dispatch, control: control_graph() });
     let mut escaped = Vec::new();
     for b in sched {
         let (ev, now) = match b {
@@ -136,37 +121,21 @@ fn reference_outputs(sched: &[Boundary]) -> Vec<String> {
             }
         }
     }
+    let ingest = &mut router.services_mut().ingest;
+    let failures = ingest.take_failures();
+    assert!(failures.is_empty(), "no worker should fail: {failures:?}");
+    assert_eq!(ingest.shard_restarts(), 0);
     escaped
 }
 
-/// The same schedule through the threaded graph, outputs flattened in
-/// root order.
+/// The reference: filtering inline, on the router's thread.
+fn reference_outputs(sched: &[Boundary]) -> Vec<String> {
+    outputs(sched, ShardedIngest::new(FilterConfig::default(), 1), 1)
+}
+
+/// The same schedule with the filtering shards on worker threads.
 fn threaded_outputs(sched: &[Boundary], ingest: usize, dispatch: usize) -> Vec<String> {
-    let table = subscriptions();
-    let mut tr =
-        ThreadedRouter::new(FilterConfig::default(), ingest, dispatch, &table, control_graph);
-    let mut roots = Vec::new();
-    for b in sched {
-        let released = match b {
-            Boundary::Frame(bytes, at) => {
-                tr.push_frame(ReceiverId::new(0), -40.0, bytes.clone(), *at)
-            }
-            Boundary::Flush(at) => tr.push_flush(*at),
-            Boundary::Tick(at) => tr.push_tick(*at),
-        };
-        roots.extend(released);
-    }
-    let offered = tr.offered_frame_count();
-    let report = tr.finish();
-    assert!(report.failures.is_empty(), "no worker should fail: {:?}", report.failures);
-    assert_eq!(report.shard_restarts, 0);
-    assert_eq!(report.offered_frames, offered);
-    roots.extend(report.outputs);
-    // Roots come back strictly in boundary order, gap-free.
-    for (i, r) in roots.iter().enumerate() {
-        assert_eq!(r.root, i as u64, "root release order broke");
-    }
-    roots.into_iter().flat_map(|r| r.outputs).map(|o| format!("{o:?}")).collect()
+    outputs(sched, ShardedIngest::pooled(FilterConfig::default(), ingest), dispatch)
 }
 
 #[test]
@@ -178,7 +147,7 @@ fn threaded_router_matches_single_threaded_router() {
         "schedule must exercise deliveries, got {want:?}"
     );
     let got = threaded_outputs(&sched, 1, 1);
-    assert_eq!(got, want, "1×1 threaded graph diverged from the FIFO router");
+    assert_eq!(got, want, "1×1 pooled ingest diverged from the inline router");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Flight-recorder contract tests (`--features trace`).
 //!
 //! The recorder's promise is that a trace is *evidence*: on a fixed
-//! workload the single-threaded `Router` and the `ThreadedRouter`
-//! produce the same JSONL dump (modulo shard ids), identical across
+//! workload the `Router` produces the same JSONL dump whether its
+//! filtering shards run inline or on worker threads, identical across
 //! runs and across shard layouts — so a trace diff localises a real
 //! behavioural difference, never scheduler noise. With the feature off,
 //! the tracer must vanish entirely.
@@ -18,11 +18,11 @@ mod traced {
     use garnet::core::resource::{MediationPolicy, ResourceManager};
     use garnet::core::router::{
         ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch,
-        ShardedIngest, ThreadedRouter,
+        ShardedIngest,
     };
     use garnet::core::service::ServiceEvent;
     use garnet::core::DriverKind;
-    use garnet::net::{DispatchCacheConfig, SubscriberId, SubscriptionTable, TopicFilter};
+    use garnet::net::{DispatchCacheConfig, SubscriberId, TopicFilter};
     use garnet::radio::ReceiverId;
     use garnet::simkit::trace::{TraceConfig, TraceEventKind, TraceOutcome, TraceSnapshot};
     use garnet::simkit::SimTime;
@@ -98,36 +98,22 @@ mod traced {
         ]
     }
 
-    fn subscriptions() -> SubscriptionTable {
-        let mut table = SubscriptionTable::default();
-        for (id, filter) in filters() {
-            table.subscribe(SubscriberId::new(id), filter);
-        }
-        table
-    }
-
-    fn single_threaded_router(cache: DispatchCacheConfig) -> Router {
-        let mut dispatch = ShardedDispatch::with_cache(1, cache);
+    /// Pumps the schedule through a FIFO router over `ingest`, one
+    /// boundary event to quiescence at a time, and returns the trace.
+    fn router_trace(
+        sched: &[Boundary],
+        ingest: ShardedIngest,
+        dispatch_shards: usize,
+        capacity: usize,
+        cache: DispatchCacheConfig,
+    ) -> TraceSnapshot {
+        let mut dispatch = ShardedDispatch::with_cache(dispatch_shards, cache);
         dispatch.register_subscriber();
         dispatch.register_subscriber();
         for (id, filter) in filters() {
             dispatch.subscribe(SubscriberId::new(id), filter);
         }
-        Router::new(Services {
-            ingest: ShardedIngest::new(FilterConfig::default(), 1),
-            dispatch,
-            control: control_graph(),
-        })
-    }
-
-    /// Pumps the schedule through the single-threaded FIFO router, one
-    /// boundary event to quiescence at a time, and returns the trace.
-    fn reference_trace(
-        sched: &[Boundary],
-        capacity: usize,
-        cache: DispatchCacheConfig,
-    ) -> TraceSnapshot {
-        let mut router = single_threaded_router(cache);
+        let mut router = Router::new(Services { ingest, dispatch, control: control_graph() });
         router.configure_trace(TraceConfig { capacity });
         for b in sched {
             let (ev, now) = match b {
@@ -145,48 +131,33 @@ mod traced {
             router.enqueue(ev);
             while router.step(now, &mut Vec::new()) {}
         }
+        let failures = router.services_mut().ingest.take_failures();
+        assert!(failures.is_empty(), "no worker should fail: {failures:?}");
         router.trace_snapshot()
     }
 
-    /// The same schedule through the threaded graph; the trace rides on
-    /// the terminal report.
+    /// The reference: one inline filtering shard, one dispatch shard.
+    fn reference_trace(
+        sched: &[Boundary],
+        capacity: usize,
+        cache: DispatchCacheConfig,
+    ) -> TraceSnapshot {
+        router_trace(sched, ShardedIngest::new(FilterConfig::default(), 1), 1, capacity, cache)
+    }
+
+    /// The same schedule with the filtering shards on worker threads.
     fn threaded_trace(
         sched: &[Boundary],
         ingest: usize,
         dispatch: usize,
         cache: DispatchCacheConfig,
     ) -> TraceSnapshot {
-        let table = subscriptions();
-        let mut tr = ThreadedRouter::with_options(
-            FilterConfig::default(),
-            ingest,
-            dispatch,
-            &table,
-            control_graph,
-            4,
-            None,
-            cache,
-        );
-        for b in sched {
-            match b {
-                Boundary::Frame(bytes, at) => {
-                    tr.push_frame(ReceiverId::new(0), -40.0, bytes.clone(), *at);
-                }
-                Boundary::Flush(at) => {
-                    tr.push_flush(*at);
-                }
-                Boundary::Tick(at) => {
-                    tr.push_tick(*at);
-                }
-            }
-        }
-        let report = tr.finish();
-        assert!(report.failures.is_empty(), "no worker should fail: {:?}", report.failures);
-        report.trace
+        let ingest = ShardedIngest::pooled(FilterConfig::default(), ingest);
+        router_trace(sched, ingest, dispatch, TraceConfig::default().capacity, cache)
     }
 
     #[test]
-    fn threaded_trace_matches_single_threaded_modulo_shards() {
+    fn threaded_trace_matches_single_threaded() {
         let sched = schedule();
         for cache in [DispatchCacheConfig::default(), DispatchCacheConfig::disabled()] {
             let want = reference_trace(&sched, TraceConfig::default().capacity, cache);
@@ -197,9 +168,9 @@ mod traced {
             }
             let got = threaded_trace(&sched, 1, 1, cache);
             assert_eq!(
-                got.to_jsonl_modulo_shards(),
-                want.to_jsonl_modulo_shards(),
-                "threaded 1×1 trace diverged from the FIFO router's ({cache:?})"
+                got.to_jsonl(),
+                want.to_jsonl(),
+                "pooled 1×1 trace diverged from the inline router's ({cache:?})"
             );
         }
     }
@@ -208,18 +179,12 @@ mod traced {
     fn threaded_trace_is_identical_across_runs_and_layouts() {
         let sched = schedule();
         let cache = DispatchCacheConfig::default();
-        let base = threaded_trace(&sched, 1, 1, cache).to_jsonl_modulo_shards();
+        let base = threaded_trace(&sched, 1, 1, cache).to_jsonl();
         for (ingest, dispatch) in [(1, 1), (1, 4), (4, 1), (4, 4)] {
-            let a = threaded_trace(&sched, ingest, dispatch, cache);
-            let b = threaded_trace(&sched, ingest, dispatch, cache);
-            // Bit-identical across runs, including shard ids.
-            assert_eq!(a.to_jsonl(), b.to_jsonl(), "{ingest}×{dispatch} differed across runs");
-            // And layout-invariant once shard ids are dropped.
-            assert_eq!(
-                a.to_jsonl_modulo_shards(),
-                base,
-                "{ingest}×{dispatch} diverged from 1×1 modulo shards"
-            );
+            let a = threaded_trace(&sched, ingest, dispatch, cache).to_jsonl();
+            let b = threaded_trace(&sched, ingest, dispatch, cache).to_jsonl();
+            assert_eq!(a, b, "{ingest}×{dispatch} differed across runs");
+            assert_eq!(a, base, "{ingest}×{dispatch} diverged from 1×1");
         }
     }
 
@@ -246,9 +211,9 @@ mod traced {
             assert_eq!(prev.kind, TraceEventKind::Filtered, "rebuild must follow its hop");
             assert_eq!((prev.stream, prev.root), (rec.stream, rec.root));
         }
-        // The threaded graph traces the same rebuild hops (the
-        // modulo-shards equality above covers this too; asserted
-        // directly so a regression localises here).
+        // Pooled filtering traces the same rebuild hops (the equality
+        // above covers this too; asserted directly so a regression
+        // localises here).
         let got = threaded_trace(&sched, 4, 4, enabled);
         assert_eq!(
             got.records.iter().filter(|r| r.kind == TraceEventKind::CacheRebuild).count(),
@@ -294,11 +259,7 @@ mod traced {
 
     /// Feeds one `on_frames` burst of sensor 1's `seqs` through a facade
     /// whose admission tier holds `capacity` frames under `policy`, and
-    /// returns the trace with each root's hops together: the engines
-    /// interleave a burst's roots differently (the FIFO router filters a
-    /// run of frames before stepping any cascade, the threaded graph
-    /// emits root by root), and the stable sort keeps every root's own
-    /// hops in order.
+    /// returns the trace.
     fn overloaded_facade_trace(
         driver: DriverKind,
         capacity: usize,
@@ -314,9 +275,7 @@ mod traced {
         let burst: Vec<_> =
             seqs.iter().map(|&seq| (ReceiverId::new(0), -40.0, frame(1, 0, seq))).collect();
         g.on_frames(burst, SimTime::ZERO);
-        let mut snap = g.trace_snapshot();
-        snap.records.sort_by_key(|r| r.root);
-        snap
+        g.trace_snapshot()
     }
 
     #[test]
@@ -339,8 +298,8 @@ mod traced {
             fifo.records.iter().filter(|r| r.kind == TraceEventKind::Frame).count() - shed.len();
         assert_eq!(survivors, 2, "the two newest frames are traced as routed");
         assert_eq!(
-            run(DriverKind::Threaded).to_jsonl_modulo_shards(),
-            fifo.to_jsonl_modulo_shards(),
+            run(DriverKind::Threaded).to_jsonl(),
+            fifo.to_jsonl(),
             "threaded trace of a shedding burst diverged"
         );
     }
@@ -367,8 +326,8 @@ mod traced {
         assert_eq!(routed.len(), 1);
         assert_eq!(routed[0].root, Some(2));
         assert_eq!(
-            run(DriverKind::Threaded).to_jsonl_modulo_shards(),
-            fifo.to_jsonl_modulo_shards(),
+            run(DriverKind::Threaded).to_jsonl(),
+            fifo.to_jsonl(),
             "threaded trace of a coalescing burst diverged"
         );
     }
@@ -388,7 +347,7 @@ mod traced {
     }
 
     /// Runs the boundary schedule through the facade under `driver` and
-    /// returns the trace dump with shard ids stripped.
+    /// returns the trace dump.
     fn facade_trace(driver: DriverKind, shards: usize) -> String {
         use garnet::core::middleware::{Garnet, GarnetConfig};
         let mut g = Garnet::new(GarnetConfig {
@@ -413,11 +372,11 @@ mod traced {
                 }
             }
         }
-        g.trace_snapshot().to_jsonl_modulo_shards()
+        g.trace_jsonl()
     }
 
     #[test]
-    fn facade_trace_is_driver_invariant_modulo_shards() {
+    fn facade_trace_is_driver_invariant() {
         let want = facade_trace(DriverKind::Fifo, 1);
         assert!(want.contains("\"kind\":\"filtered\""), "workload must reach dispatch");
         for shards in [1usize, 4] {
