@@ -18,11 +18,20 @@ if grep -rnE 'GARNET_TEST_|env::var' crates src tests examples; then
   exit 1
 fi
 
-# There is one service graph: the names of the second one, its edge
-# plumbing and the helpers that compared the two must not come back.
-echo "==> no second engine in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch' crates src tests examples; then
-  echo "a deleted second-engine item is back" >&2
+# There is one service graph and one benchmark system: the names of the
+# second engine, its edge plumbing, the helpers that compared the two,
+# and the retired sweep scaffolding must not come back.
+echo "==> no second engine or second benchmark system in crates, src, tests, examples"
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to' crates src tests examples; then
+  echo "a deleted item is back" >&2
+  exit 1
+fi
+
+# perfbench (BENCHMARK.json) is the only thing that times our code; a
+# committed BENCH_*.json is a second source of numbers.
+echo "==> no BENCH_*.json tracked"
+if git ls-files | grep -E '(^|/)BENCH_[A-Za-z_]+\.json$'; then
+  echo "a BENCH_*.json file is tracked" >&2
   exit 1
 fi
 
@@ -40,17 +49,17 @@ done
 # The flight recorder (ISSUE 4) is feature-gated; build and test the
 # root package with it on as well so both configurations stay green.
 # No --workspace here: the feature only exists on the root package and
-# the crates it forwards to (garnet-core, garnet-simkit, garnet-bench).
+# the crates it forwards to (garnet-core, garnet-simkit).
 echo "==> trace-feature verify: cargo build --release --features trace && cargo test -q --features trace"
 cargo clippy --all-targets --features trace -- -D warnings
 cargo build --release --features trace
 cargo test -q --features trace
-cargo test -q -p garnet-bench --features trace
 
 # Tier-1 runs the root package only; the member crates' own unit and
-# integration suites are gated here.
-echo "==> workspace verify: cargo test -q --workspace"
-cargo test -q --workspace
+# integration suites are gated here (the root package's have run twice
+# by now).
+echo "==> workspace verify: cargo test -q --workspace --exclude garnet"
+cargo test -q --workspace --exclude garnet
 
 # The durable archive (ISSUE 7): the garnet-store suite with the flight
 # recorder compiled in.

@@ -1,4 +1,4 @@
-//! Prints every experiment table (DESIGN.md §5) to stdout.
+//! Prints the paper's tables, E1–E16 (DESIGN.md §5), to stdout.
 //!
 //! ```text
 //! cargo run --release -p garnet-bench --bin experiments            # all
@@ -86,35 +86,6 @@ fn main() {
     }
     if want("e16") {
         let (_, _, t) = e16_quiesce::run();
-        println!("{}", t.render());
-    }
-    if want("e17") {
-        let (_, t) = e17_overload::run();
-        println!("{}", t.render());
-        let (_, t) = e17_overload::run_qos();
-        println!("{}", t.render());
-    }
-    if want("e19") {
-        let (_, t) = e19_trace_overhead::run();
-        println!("{}", t.render());
-    }
-    if want("e20") {
-        let (_, t) = e20_runtime_mode::run();
-        println!("{}", t.render());
-    }
-    if want("e22") {
-        let (_, t) = e22_store::run();
-        println!("{}", t.render());
-    }
-    if want("e23") {
-        let (_, t) = e23_match_cache::run();
-        println!("{}", t.render());
-    }
-    if want("e24") {
-        let (_, json, t) = e24_telemetry::run();
-        if let Err(e) = std::fs::write("BENCH_telemetry.json", &json) {
-            eprintln!("could not write BENCH_telemetry.json: {e}");
-        }
         println!("{}", t.render());
     }
 }

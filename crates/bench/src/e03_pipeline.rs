@@ -10,7 +10,6 @@
 use garnet_core::pipeline::LatencyProbe;
 use garnet_net::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
-use garnet_wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 use garnet_workloads::HabitatScenario;
 
 use crate::table::{f2, n, Table};
@@ -86,89 +85,6 @@ pub fn run() -> (Vec<PipelinePoint>, Table) {
     (points, table)
 }
 
-/// One wall-clock sample of a sweep (E19, E20, E22 share it).
-#[derive(Clone, Copy, Debug)]
-pub struct ShardPoint {
-    /// The swept dimension (worker shards, unless the sweep says
-    /// otherwise).
-    pub shards: usize,
-    /// Frames pushed through the stage.
-    pub frames: u64,
-    /// Wall-clock for the whole batch (first push to join), µs.
-    pub elapsed_us: u64,
-    /// Frames per second of wall-clock.
-    pub throughput_fps: f64,
-}
-
-/// Pre-encodes the sweep workload: `frames` data messages round-robined
-/// over `sensors` sensors with monotonic per-stream sequence numbers —
-/// the pure ingest hot path with no radio simulation in front of it.
-/// Frames are shared-slice handles, so cloning one into the stage is a
-/// refcount bump, not a payload copy.
-pub fn shard_workload(frames: u32, sensors: u32) -> Vec<FrameBytes> {
-    (0..frames)
-        .map(|i| {
-            let sensor = 1 + (i % sensors);
-            let seq = (i / sensors) as u16;
-            let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
-            DataMessage::builder(stream)
-                .seq(SequenceNumber::new(seq))
-                .payload(vec![seq as u8; 16])
-                .build()
-                .unwrap()
-                .encode_to_vec()
-                .into()
-        })
-        .collect()
-}
-
-/// The host's usable core count (1 when it cannot be determined).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The minimum `speedup_vs_1` a shard sweep is expected to clear at
-/// `shards` workers on a host with `host_cores` cores — `None` when no
-/// speedup claim can be made: on a single-core host (or at one shard)
-/// every shard count measures the same serial work plus channel
-/// overhead, so asserting a ≥1.5× gain would fail for reasons that have
-/// nothing to do with the code.
-pub fn expected_min_speedup(shards: usize, host_cores: usize) -> Option<f64> {
-    if host_cores < 2 || shards < 2 {
-        return None;
-    }
-    // Floor of 1.5× once real parallelism is available; generous slack
-    // below the ideal min(shards, cores) ceiling for channel overhead.
-    Some(1.5f64.min(shards.min(host_cores) as f64 * 0.75))
-}
-
-/// Renders a shard sweep as the common `BENCH_*_shards.json` document:
-/// bench id, driver, host core count, and one row per point with its
-/// speedup over the first (1-shard) point.
-pub fn sweep_json(bench: &str, driver: &str, cores: usize, points: &[ShardPoint]) -> String {
-    let base = points.first().map_or(1.0, |p| p.throughput_fps);
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"shards\": {}, \"frames\": {}, \"elapsed_us\": {}, \
-                 \"throughput_fps\": {:.1}, \"speedup_vs_1\": {:.3}}}",
-                p.shards,
-                p.frames,
-                p.elapsed_us,
-                p.throughput_fps,
-                p.throughput_fps / base
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"driver\": \"{driver}\",\n  \
-         \"host_cores\": {cores},\n  \"note\": \"speedup ceiling is min(shards, host_cores)\",\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +99,5 @@ mod tests {
         assert!(slow.delivery_ratio > 0.95, "ratio={}", slow.delivery_ratio);
         // Latency does not blow up with 60x the load.
         assert!(fast.p99_us < slow.p99_us.max(2_000) * 10, "fast p99 {}", fast.p99_us);
-    }
-
-    #[test]
-    fn speedup_expectation_is_gated_on_host_cores() {
-        // No parallelism → no claim, whatever the shard count.
-        assert_eq!(expected_min_speedup(8, 1), None);
-        assert_eq!(expected_min_speedup(1, 8), None);
-        // Real parallelism → a floor of 1.5×, never above 0.75×/core.
-        assert_eq!(expected_min_speedup(4, 8), Some(1.5));
-        assert_eq!(expected_min_speedup(8, 2), Some(1.5));
     }
 }

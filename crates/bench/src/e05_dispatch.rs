@@ -11,7 +11,8 @@
 //! match-set *construction* path (the cost model above is about the
 //! sorted-merge, not the memo). With the cache on, steady-state cost is
 //! flat in fan-out — one hash lookup plus an `Arc` refcount bump —
-//! which E23 prices separately.
+//! which `perfbench`'s `churn-fanout` workload prices
+//! (`net.pubsub.cache_hit_share`).
 
 use std::time::Instant;
 
@@ -40,7 +41,8 @@ fn hot_stream() -> StreamId {
 
 /// Builds a dispatch table with `fanout` subscribers on the hot stream
 /// and `bystanders` on other streams. The match cache is disabled:
-/// E5 prices match-set construction, E23 prices the cache.
+/// E5 prices match-set construction, `perfbench`'s `churn-fanout` the
+/// cache.
 pub fn build_service(fanout: usize, bystanders: usize) -> DispatchingService {
     let mut d = DispatchingService::with_cache(DispatchCacheConfig::disabled());
     for _ in 0..fanout {

@@ -1,10 +1,12 @@
-//! Experiment implementations regenerating every quantitative claim and
-//! comparison in the paper (see `DESIGN.md` §5 for the experiment
-//! index, and `EXPERIMENTS.md` for paper-vs-measured).
+//! The paper's tables: experiments E1–E16 regenerate every quantitative
+//! claim and comparison the paper makes (see `DESIGN.md` §5 for the
+//! experiment index, and `EXPERIMENTS.md` for paper-vs-measured).
 //!
 //! Each `eNN_*` module computes one experiment's rows; the
 //! `experiments` binary prints them all, and the Criterion benches in
-//! `benches/` time the hot paths of the same code.
+//! `benches/` time the hot paths of the same code. What our own code
+//! costs — frames/s, latency, the per-layer budget — is `perfbench/`'s
+//! to say (`BENCHMARK.json`), not this crate's.
 
 pub mod e01_codec;
 pub mod e02_capacity;
@@ -22,10 +24,4 @@ pub mod e13_multilevel;
 pub mod e14_crypto;
 pub mod e15_multihop;
 pub mod e16_quiesce;
-pub mod e17_overload;
-pub mod e19_trace_overhead;
-pub mod e20_runtime_mode;
-pub mod e22_store;
-pub mod e23_match_cache;
-pub mod e24_telemetry;
 pub mod table;

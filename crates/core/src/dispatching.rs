@@ -11,7 +11,8 @@
 //! unclaimed-rate are the E5 metrics). Match sets come out of a
 //! per-service [`MatchCache`], so steady-state routing of a
 //! cache-resident stream is allocation-free: one hash lookup plus one
-//! `Arc` refcount bump (E23 prices the difference).
+//! `Arc` refcount bump (`perfbench`'s `churn-fanout` prices the
+//! difference).
 
 use std::sync::Arc;
 

@@ -302,10 +302,6 @@ pub trait RouterDriver: std::fmt::Debug {
     /// The flight recorder's current contents.
     fn trace_snapshot(&self) -> TraceSnapshot;
 
-    /// Streams the flight recorder's window to `w` as JSONL and clears
-    /// it (see [`garnet_simkit::trace::Tracer::drain_to`]).
-    fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize>;
-
     /// Drains in-flight work and joins any worker pool, returning the
     /// outputs released on the way out. Reads keep working afterwards.
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput>;
@@ -458,10 +454,6 @@ impl RouterDriver for FifoDriver {
 
     fn trace_snapshot(&self) -> TraceSnapshot {
         self.router.trace_snapshot()
-    }
-
-    fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize> {
-        self.router.trace_drain_to(w)
     }
 
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {

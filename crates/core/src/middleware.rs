@@ -275,7 +275,10 @@ impl OverloadStats {
 
 /// Effects the caller must carry out after a facade call: control
 /// messages to transmit, and requests that exhausted their retries —
-/// plus the overload and failure accounting for the call.
+/// plus the overload and failure accounting for the call. Effects that
+/// arise inside a call returning no `StepOutput`
+/// ([`Garnet::on_standalone_ack`], [`Garnet::request_actuation`],
+/// [`Garnet::provide_hint`]) ride on the next one returned.
 #[derive(Debug, Default)]
 pub struct StepOutput {
     /// Replication plans to broadcast through the transmitter array.
@@ -357,7 +360,6 @@ impl fmt::Debug for ConsumerEntry {
 pub struct Garnet {
     max_derived_depth: u32,
     driver: Box<dyn RouterDriver>,
-    driver_kind: DriverKind,
     auth: AuthService,
     registry: ServiceRegistry,
     consumers: HashMap<SubscriberId, ConsumerEntry>,
@@ -395,6 +397,11 @@ pub struct Garnet {
     /// The buffer [`RouterDriver::pump_into`] fills on every drain round
     /// (empty between pumps; kept for its capacity).
     escaped: Vec<ServiceOutput>,
+    /// Effects produced inside an entry point that returns no
+    /// [`StepOutput`] — its pump runs the per-call delivery drain like
+    /// any other, so a drain-limited consumer's callback can plan an
+    /// actuation there — held for the next entry point that returns one.
+    held: StepOutput,
 }
 
 impl Garnet {
@@ -448,7 +455,6 @@ impl Garnet {
         Garnet {
             max_derived_depth: config.max_derived_depth,
             driver,
-            driver_kind: config.driver,
             auth: AuthService::new(config.auth_key),
             registry,
             consumers: HashMap::new(),
@@ -467,6 +473,7 @@ impl Garnet {
             telemetry: TelemetryService::new(config.telemetry),
             shard_failure_total: 0,
             escaped: Vec::new(),
+            held: StepOutput::default(),
         }
     }
 
@@ -617,6 +624,7 @@ impl Garnet {
             self.deliver_to(id, &delivery, 0, now);
         }
         self.pump(now, &mut out);
+        self.release_held(&mut out);
         Ok((replayed, out))
     }
 
@@ -704,6 +712,7 @@ impl Garnet {
             s.note_quiescent();
         }
         self.maybe_emit_telemetry(now);
+        self.release_held(&mut out);
         out
     }
 
@@ -814,8 +823,7 @@ impl Garnet {
             archive.append(std::iter::once(ArchiveRecord::ack(request_id, status, now)), now);
         }
         self.route_event(ServiceEvent::AckReceived { request_id, status }, now);
-        let mut scratch = StepOutput::default();
-        self.pump(now, &mut scratch);
+        self.pump_held(now);
     }
 
     /// Periodic maintenance: reorder-buffer flushes and actuation
@@ -835,6 +843,7 @@ impl Garnet {
         // report those restarts on this call, not the next burst's.
         self.note_restart_delta(&mut out);
         self.maybe_emit_telemetry(now);
+        self.release_held(&mut out);
         out
     }
 
@@ -936,8 +945,7 @@ impl Garnet {
             },
             now,
         );
-        let mut scratch = StepOutput::default();
-        self.pump(now, &mut scratch);
+        self.pump_held(now);
         // Every current service routes an Api chain to a terminal
         // Planned or Denied; a future mis-wired service must surface as
         // a typed error on this recoverable path, not a panic.
@@ -956,8 +964,7 @@ impl Garnet {
     ) -> Result<(), GarnetError> {
         self.authorize(token, Capability::ProvideHints, now)?;
         self.route_event(ServiceEvent::Hint { sensor, position, confidence }, now);
-        let mut scratch = StepOutput::default();
-        self.pump(now, &mut scratch);
+        self.pump_held(now);
         Ok(())
     }
 
@@ -990,6 +997,7 @@ impl Garnet {
         let mut out = StepOutput::default();
         self.route_event(ServiceEvent::StateReported { reporter: id, state }, now);
         self.pump(now, &mut out);
+        self.release_held(&mut out);
         Ok(out)
     }
 
@@ -1002,6 +1010,28 @@ impl Garnet {
     /// Manager.
     pub fn register_sensor_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
         self.driver.control_mut().resource.register_profile(sensor, profile);
+    }
+
+    /// [`Garnet::pump`] for an entry point with no [`StepOutput`] to
+    /// return: the effects wait in `held`.
+    fn pump_held(&mut self, now: SimTime) {
+        let mut held = std::mem::take(&mut self.held);
+        self.pump(now, &mut held);
+        self.held = held;
+    }
+
+    /// Hands the caller whatever [`Garnet::pump_held`] left waiting.
+    /// Nothing is held on the frame path, so the usual cost is this
+    /// emptiness check.
+    fn release_held(&mut self, out: &mut StepOutput) {
+        let held = &self.held;
+        if held.control.is_empty()
+            && held.expired_requests.is_empty()
+            && held.shard_failures.is_empty()
+        {
+            return;
+        }
+        out.merge(std::mem::take(&mut self.held));
     }
 
     /// Drains the driver to quiescence, applying every escaped output.
@@ -1198,11 +1228,6 @@ impl Garnet {
         }
     }
 
-    /// The active execution driver (topology introspection).
-    pub fn driver_kind(&self) -> DriverKind {
-        self.driver_kind
-    }
-
     /// Ingest-stage (filtering) statistics, aggregated across shards.
     pub fn filtering(&self) -> FilterStats {
         self.driver.filter_stats()
@@ -1231,11 +1256,6 @@ impl Garnet {
     /// The Actuation Service.
     pub fn actuation(&self) -> &ActuationService {
         &self.driver.control().actuation
-    }
-
-    /// The Message Replicator.
-    pub fn replicator(&self) -> &MessageReplicator {
-        &self.driver.control().replicator
     }
 
     /// The Super Coordinator.
@@ -1632,6 +1652,8 @@ impl Garnet {
         if let Some(o) = flush_burst(&mut burst, burst_at, self) {
             out.merge(o);
         }
+        // A log that ends in an ack leaves that call's effects held.
+        self.release_held(&mut out);
         out
     }
 
@@ -1644,20 +1666,11 @@ impl Garnet {
     }
 
     /// The flight recorder's contents as JSONL (one record per line, in
-    /// trace order) — the dump format; diffable across runs and, modulo
-    /// shard ids, across shard layouts. Empty unless the `trace` cargo
+    /// trace order) — the dump format; diffable across runs, shard
+    /// layouts and [`DriverKind`]s. Empty unless the `trace` cargo
     /// feature is compiled in.
     pub fn trace_jsonl(&self) -> String {
         self.driver.trace_snapshot().to_jsonl()
-    }
-
-    /// Streams the flight recorder's buffered records into `w` as JSONL
-    /// and clears the ring — the incremental alternative to
-    /// [`Garnet::trace_jsonl`] for long-running deployments. Returns the
-    /// number of records written. Always `Ok(0)` unless the `trace`
-    /// cargo feature is compiled in.
-    pub fn trace_drain_to(&mut self, w: &mut impl std::io::Write) -> std::io::Result<usize> {
-        self.driver.trace_drain_to(w)
     }
 
     /// Shuts the middleware down: pumps to quiescence, drains and
@@ -1706,6 +1719,7 @@ impl Garnet {
             self.apply(o, now, &mut out);
         }
         self.pump(now, &mut out);
+        self.release_held(&mut out);
         if archive_ok {
             Ok(out)
         } else {

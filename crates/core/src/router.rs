@@ -829,12 +829,6 @@ impl Router {
         self.tracer.snapshot()
     }
 
-    /// Streams the flight recorder's window to `w` as JSONL and clears
-    /// it (see [`Tracer::drain_to`]).
-    pub fn trace_drain_to(&mut self, mut w: &mut dyn std::io::Write) -> std::io::Result<usize> {
-        self.tracer.drain_to(&mut w)
-    }
-
     /// Shared view of the services.
     pub fn services(&self) -> &Services {
         &self.services

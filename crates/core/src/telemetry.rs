@@ -69,7 +69,7 @@ impl PipelineSpans {
         }
     }
 
-    /// Turns recording on or off (E24 prices the difference).
+    /// Turns recording on or off.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -621,8 +621,9 @@ impl TelemetrySnapshot {
 /// Telemetry plane configuration, carried on `GarnetConfig.telemetry`.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Record latency spans and queue-depth gauges (default on; E24
-    /// prices the cost at <5% of batch-64 throughput).
+    /// Record latency spans and queue-depth gauges (default on, and on
+    /// in every `perfbench` workload, so `frames_per_s` includes their
+    /// cost; `core.telemetry.*` prices the snapshot side).
     pub spans: bool,
     /// Auto-emit a snapshot every `interval` of sim time as the facade
     /// observes ticks and frame bursts. `None` (default) emits only on

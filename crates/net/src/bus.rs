@@ -235,17 +235,6 @@ impl SupervisionConfig {
     }
 }
 
-/// One automatic shard restart performed by the supervision policy,
-/// with the backoff delay that was applied before it — surfaced so a
-/// driver can put the delay in the restart's trace record.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RestartEvent {
-    /// The shard that was rebuilt.
-    pub shard: usize,
-    /// The exponential-backoff delay this restart waited out.
-    pub delay: std::time::Duration,
-}
-
 /// The scheduling class a submission carries through a pool or edge —
 /// the QoS layer's **Control > Actuation > Data** tiers, tagged at the
 /// channel boundary so per-class flow through every stage is
@@ -368,7 +357,6 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
     /// When each shard's poisoning was first observed (backoff clock).
     poisoned_at: Vec<Option<std::time::Instant>>,
     restarts: u64,
-    restart_events: Vec<RestartEvent>,
     /// Jobs accepted per [`EdgeClass`].
     class_submits: [u64; 3],
 }
@@ -432,7 +420,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             restart_times: (0..shards).map(|_| std::collections::VecDeque::new()).collect(),
             poisoned_at: vec![None; shards],
             restarts: 0,
-            restart_events: Vec::new(),
             class_submits: [0; 3],
         }
     }
@@ -468,7 +455,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             }
             self.restart_times[shard].push_back(now);
             self.restarts += 1;
-            self.restart_events.push(RestartEvent { shard, delay });
             self.restart_shard(shard);
         }
     }
@@ -477,12 +463,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// (manual [`ShardPool::restart_shard`] calls are not counted).
     pub fn restart_count(&self) -> u64 {
         self.restarts
-    }
-
-    /// Takes the automatic restarts performed since the last call,
-    /// oldest first, each with the backoff delay it waited out.
-    pub fn take_restart_events(&mut self) -> Vec<RestartEvent> {
-        std::mem::take(&mut self.restart_events)
     }
 
     /// Jobs accepted per [`EdgeClass`], indexed by [`EdgeClass::index`]
@@ -1033,10 +1013,6 @@ mod tests {
                 assert!(std::time::Instant::now() < deadline, "shard never restarted");
             }
             assert_eq!(pool.restart_count(), 1);
-            let events = pool.take_restart_events();
-            assert_eq!(events.len(), 1);
-            assert_eq!(events[0].shard, 0);
-            assert_eq!(events[0].delay, SupervisionConfig::default().base_backoff);
             pool.submit(0, 2);
             let (rest, failures) = pool.finish();
             got.extend(rest);
@@ -1103,6 +1079,11 @@ mod tests {
                 }
             };
 
+            // The backoff clock starts when the death is observed, so
+            // each restart lands no sooner than its delay after the
+            // crash began — and the delay doubles per restart in the
+            // window.
+            let first_crash = std::time::Instant::now();
             crash(&mut pool);
             // Interacting right after the death must NOT restart: the
             // pre-backoff behaviour burned the whole budget here.
@@ -1113,7 +1094,9 @@ mod tests {
                 std::thread::yield_now();
                 assert!(std::time::Instant::now() < deadline, "first restart never fired");
             }
+            assert!(first_crash.elapsed() >= cfg.restart_delay(0), "first restart beat 100 ms");
 
+            let second_crash = std::time::Instant::now();
             crash(&mut pool);
             pool.drain();
             assert_eq!(pool.restart_count(), 1, "second restart skipped its longer backoff");
@@ -1122,14 +1105,7 @@ mod tests {
                 std::thread::yield_now();
                 assert!(std::time::Instant::now() < deadline, "second restart never fired");
             }
-
-            let events = pool.take_restart_events();
-            let delays: Vec<_> = events.iter().map(|e| e.delay).collect();
-            assert_eq!(
-                delays,
-                vec![std::time::Duration::from_millis(100), std::time::Duration::from_millis(200)],
-                "backoff doubles per restart in the window"
-            );
+            assert!(second_crash.elapsed() >= cfg.restart_delay(1), "second restart beat 200 ms");
             let _ = pool.take_failures();
             drop(pool.finish());
         });

@@ -35,8 +35,7 @@ pub mod registry;
 pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 pub use bus::{
-    BusError, EdgeClass, RestartEvent, ShardFailure, ShardPool, Stage, SupervisionConfig,
-    ThreadedBus,
+    BusError, EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig, ThreadedBus,
 };
 pub use pubsub::{
     DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,

@@ -12,9 +12,10 @@
 //! The recorder is **feature-gated**: with the `trace` cargo feature
 //! off, [`Tracer`] is a zero-sized type whose methods are inlined
 //! no-ops and whose `record` closure is never invoked, so the hot path
-//! pays nothing (E19 in `garnet-bench` guards this). The *passive*
-//! types — [`TraceRecord`], [`TraceSnapshot`], the enums — are always
-//! compiled so reports can carry an (empty) snapshot unconditionally.
+//! pays nothing (the `disabled` suite of `tests/tracing.rs` pins the
+//! no-op). The *passive* types — [`TraceRecord`], [`TraceSnapshot`],
+//! the enums — are always compiled so reports can carry an (empty)
+//! snapshot unconditionally.
 
 use std::fmt;
 
@@ -106,8 +107,6 @@ pub enum TraceEventKind {
     ActuationTick,
     /// A consumer state report reaching the coordinator.
     StateReported,
-    /// A supervised worker shard restart (carries the backoff delay).
-    ShardRestart,
     /// A record appended to the durable archive.
     ArchiveAppend,
     /// An archive flush (sync of pending appends to the backend).
@@ -133,7 +132,6 @@ impl TraceEventKind {
             TraceEventKind::Replicate => "replicate",
             TraceEventKind::ActuationTick => "actuation_tick",
             TraceEventKind::StateReported => "state_reported",
-            TraceEventKind::ShardRestart => "shard_restart",
             TraceEventKind::ArchiveAppend => "archive_append",
             TraceEventKind::ArchiveFlush => "archive_flush",
             TraceEventKind::CacheRebuild => "cache_rebuild",
@@ -168,8 +166,8 @@ impl TraceOutcome {
 
 /// One event hop, compactly encoded.
 ///
-/// `stream` / `sensor` / `root` / `shard` / `backoff_us` are optional
-/// because not every hop has them (a `FlushReorder` has no stream).
+/// `stream` / `sensor` / `root` are optional because not every hop has
+/// them (a `FlushReorder` has no stream).
 /// JSONL encoding omits absent fields entirely.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
@@ -191,10 +189,6 @@ pub struct TraceRecord {
     /// Age of the underlying data at this hop (µs since its first copy
     /// reached any receiver); 0 when not applicable.
     pub age_us: u64,
-    /// Worker shard the record is about, for `ShardRestart` records.
-    pub shard: Option<u32>,
-    /// Supervision backoff delay, for `ShardRestart` records.
-    pub backoff_us: Option<u64>,
 }
 
 impl TraceRecord {
@@ -210,8 +204,6 @@ impl TraceRecord {
             root: None,
             outcome,
             age_us: 0,
-            shard: None,
-            backoff_us: None,
         }
     }
 
@@ -235,12 +227,6 @@ impl TraceRecord {
         }
         let _ =
             write!(out, ",\"outcome\":\"{}\",\"age_us\":{}", self.outcome.as_str(), self.age_us);
-        if let Some(s) = self.shard {
-            let _ = write!(out, ",\"shard\":{s}");
-        }
-        if let Some(b) = self.backoff_us {
-            let _ = write!(out, ",\"backoff_us\":{b}");
-        }
         out.push('}');
     }
 
@@ -427,30 +413,6 @@ impl Tracer {
         self.occupancy.iter_mut().for_each(Histogram::reset);
         self.latency.iter_mut().for_each(Histogram::reset);
     }
-
-    /// Streams the ring's surviving records to `w` as JSONL (oldest
-    /// first, one [`TraceRecord::jsonl_line`] per line), then clears the
-    /// ring and the drop counter so subsequent hops fill a fresh window.
-    /// Draining periodically turns the bounded ring into an unbounded
-    /// sink: a long run is no longer limited to the last
-    /// [`TraceConfig::capacity`] hops. Per-stage hop/occupancy/latency
-    /// statistics are cumulative and survive the drain.
-    ///
-    /// Returns the number of records written. Records evicted *before*
-    /// this drain (the current [`Tracer::dropped_records`]) are gone —
-    /// the caller's ledger of what the file is missing.
-    pub fn drain_to(&mut self, w: &mut impl std::io::Write) -> std::io::Result<usize> {
-        let (newer, older) = (&self.ring[self.head..], &self.ring[..self.head]);
-        let mut written = 0;
-        for rec in newer.iter().chain(older) {
-            writeln!(w, "{}", rec.jsonl_line())?;
-            written += 1;
-        }
-        self.ring.clear();
-        self.head = 0;
-        self.dropped = 0;
-        Ok(written)
-    }
 }
 
 /// No-op twin of the recorder (the `trace` feature is off).
@@ -507,12 +469,6 @@ impl Tracer {
     /// No-op.
     #[inline(always)]
     pub fn reset(&mut self) {}
-
-    /// Writes nothing (tracing is compiled out).
-    #[inline(always)]
-    pub fn drain_to(&mut self, _w: &mut impl std::io::Write) -> std::io::Result<usize> {
-        Ok(0)
-    }
 }
 
 impl fmt::Debug for Tracer {
@@ -550,18 +506,10 @@ mod tests {
             "{\"at_us\":42,\"stage\":\"filtering\",\"kind\":\"frame\",\"stream\":7,\
              \"root\":42,\"outcome\":\"delivered\",\"age_us\":0}"
         );
-        let full = TraceRecord {
-            sensor: Some(3),
-            shard: Some(1),
-            backoff_us: Some(10_000),
-            age_us: 5,
-            ..rec(1)
-        };
+        let full = TraceRecord { sensor: Some(3), age_us: 5, ..rec(1) };
         let line = full.jsonl_line();
         assert!(line.contains("\"sensor\":3"));
-        assert!(line.contains("\"shard\":1"));
-        assert!(line.contains("\"backoff_us\":10000"));
-        assert!(line.ends_with('}'));
+        assert!(line.ends_with("\"age_us\":5}"));
     }
 
     #[cfg(feature = "trace")]
@@ -581,32 +529,6 @@ mod tests {
         assert_eq!(snap.stages.len(), 1);
         assert_eq!(snap.stages[0].hops, 10);
         assert_eq!(snap.stages[0].latency.count(), 10);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn drain_to_streams_survivors_after_ring_wrap_and_resets_the_window() {
-        let mut t = Tracer::new(TraceConfig { capacity: 4 });
-        for at in 0..10u64 {
-            t.record(|| rec(at));
-        }
-        let mut sink = Vec::new();
-        assert_eq!(t.drain_to(&mut sink).unwrap(), 4);
-        let text = String::from_utf8(sink).unwrap();
-        let ats: Vec<&str> = text
-            .lines()
-            .map(|l| l.split("\"at_us\":").nth(1).unwrap().split(',').next().unwrap())
-            .collect();
-        assert_eq!(ats, vec!["6", "7", "8", "9"], "drained oldest-first past the wrap point");
-        // The window restarts: ring and drop counter are cleared, but
-        // cumulative per-stage stats survive for the final snapshot.
-        assert!(t.is_empty());
-        assert_eq!(t.dropped_records(), 0);
-        t.record(|| rec(20));
-        let mut sink = Vec::new();
-        assert_eq!(t.drain_to(&mut sink).unwrap(), 1);
-        assert!(String::from_utf8(sink).unwrap().contains("\"at_us\":20"));
-        assert_eq!(t.snapshot().stages[0].hops, 11);
     }
 
     #[cfg(feature = "trace")]

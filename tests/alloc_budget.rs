@@ -18,7 +18,7 @@ use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
 use garnet::core::DriverKind;
-use garnet::net::TopicFilter;
+use garnet::net::{DispatchCacheConfig, MatchCache, SubscriberId, SubscriptionTable, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -167,4 +167,35 @@ fn pooled_filtering_costs_the_facade_thread_less_than_half_a_call_per_frame() {
     let per_frame =
         allocs_per_frame(GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() });
     assert!(per_frame < 0.5, "{per_frame:.3} allocator calls per frame on the facade thread");
+}
+
+#[test]
+fn warm_match_cache_hit_allocates_nothing() {
+    // The dispatch hot path under the budget above: once a stream's
+    // match set is cached, resolving it is a hash lookup and a refcount
+    // bump — no allocator call at all, whatever the fan-out or the
+    // population of other subscriptions.
+    let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+    let hot = stream(42);
+    let mut table = SubscriptionTable::new();
+    for id in 0..16u32 {
+        table.subscribe(SubscriberId::new(id), TopicFilter::Stream(hot));
+    }
+    for i in 0..1_000u32 {
+        table.subscribe(SubscriberId::new(16 + i), TopicFilter::Stream(stream(1_000 + i)));
+    }
+    let mut cache = MatchCache::new(DispatchCacheConfig::default());
+    // The cold build allocates the entry and the shared slice.
+    let (warm, rebuilt) = cache.resolve(&table, hot);
+    assert!(rebuilt);
+    assert_eq!(warm.len(), 16);
+    drop(warm);
+    let before = CALLS.with(Cell::get);
+    for _ in 0..10_000 {
+        let (set, rebuilt) = cache.resolve(&table, hot);
+        assert!(!rebuilt);
+        std::hint::black_box(set.len());
+    }
+    assert_eq!(CALLS.with(Cell::get) - before, 0, "a warm resolve must be allocation-free");
+    assert_eq!(cache.stats().hits, 10_000);
 }

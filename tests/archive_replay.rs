@@ -27,7 +27,9 @@ use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::TraceOutcome;
 use garnet::simkit::SimTime;
-use garnet::store::{ArchiveRecord, FaultPlan, FaultyStore, FrameArchive, MemStore, SegmentStore};
+use garnet::store::{
+    ArchiveRecord, FaultPlan, FaultyStore, FileStore, FrameArchive, MemStore, SegmentStore,
+};
 use garnet::wire::{
     AckStatus, DataMessage, RequestId, SensorId, SequenceNumber, StreamId, StreamIndex,
 };
@@ -359,9 +361,12 @@ fn records_of(from: u16, n: u16, at: SimTime) -> Vec<ArchiveRecord> {
     (from..from + n).map(|s| ArchiveRecord::frame(0, -45.0, frame(2, s).into(), at)).collect()
 }
 
-fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
-    let store = slot.lock().unwrap().take().expect("store returned to the slot");
+fn read_log(store: Box<dyn SegmentStore>) -> Vec<ArchiveRecord> {
     FrameArchive::open(store, 1 << 20).unwrap().0.read_all().unwrap()
+}
+
+fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
+    read_log(slot.lock().unwrap().take().expect("store returned to the slot"))
 }
 
 #[test]
@@ -428,22 +433,45 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
 #[test]
 fn tick_and_ack_between_bursts_land_in_append_order() {
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+        // Once into a store handed over in a slot, once into the file
+        // backend the facade opens for itself.
         let slot = store_slot(Box::new(MemStore::new()));
-        let (mut g, _log) = fresh_garnet(config(driver, 2, 2, Some(custom_archive(&slot))));
-        let at = |ms| SimTime::from_millis(ms);
-        g.on_frames(burst_of(0, 5), at(1));
-        g.on_tick(at(2));
-        g.on_standalone_ack(RequestId::new(7), AckStatus::Deferred, at(3));
-        g.on_frames(burst_of(5, 5), at(4));
-        g.shutdown(at(5)).expect("clean store, shutdown flushes");
+        let dir = std::env::temp_dir()
+            .join(format!("garnet-archive-replay-{}-{driver:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file_archive = ArchiveConfig {
+            backend: ArchiveBackend::Directory(dir.clone()),
+            ..ArchiveConfig::default()
+        };
+        for (archive, on_disk) in [(custom_archive(&slot), false), (file_archive, true)] {
+            let (mut g, log) = fresh_garnet(config(driver, 2, 2, Some(archive)));
+            let at = |ms| SimTime::from_millis(ms);
+            g.on_frames(burst_of(0, 5), at(1));
+            g.on_tick(at(2));
+            g.on_standalone_ack(RequestId::new(7), AckStatus::Deferred, at(3));
+            g.on_frames(burst_of(5, 5), at(4));
+            g.shutdown(at(5)).expect("clean store, shutdown flushes");
 
-        let mut expected = records_of(0, 5, at(1));
-        expected.push(ArchiveRecord::tick(at(2)));
-        expected.push(ArchiveRecord::ack(RequestId::new(7), AckStatus::Deferred, at(3)));
-        expected.extend(records_of(5, 5, at(4)));
-        assert_eq!(recovered_log(&slot), expected, "{driver:?}");
-        let l = g.archive_ledger().unwrap();
-        assert_eq!((l.offered, l.archived, l.dropped, l.pending), (12, 12, 0, 0), "{driver:?}");
+            let mut expected = records_of(0, 5, at(1));
+            expected.push(ArchiveRecord::tick(at(2)));
+            expected.push(ArchiveRecord::ack(RequestId::new(7), AckStatus::Deferred, at(3)));
+            expected.extend(records_of(5, 5, at(4)));
+            let recovered = if on_disk {
+                read_log(Box::new(FileStore::open(&dir).unwrap()))
+            } else {
+                recovered_log(&slot)
+            };
+            assert_eq!(recovered, expected, "{driver:?} on_disk={on_disk}");
+            let l = g.archive_ledger().unwrap();
+            assert_eq!(
+                (l.offered, l.archived, l.dropped, l.pending),
+                (12, 12, 0, 0),
+                "{driver:?} on_disk={on_disk}"
+            );
+            // The tap costs no delivery.
+            assert_eq!(log.lock().unwrap().len(), 10, "{driver:?} on_disk={on_disk}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
-use garnet::core::middleware::{Garnet, GarnetConfig};
+use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::router::{
     ControlGraph, OverloadConfig, OverloadPolicy, Services, ShardedDispatch, ShardedIngest,
 };
@@ -20,9 +20,13 @@ use garnet::core::{
     DriverKind, FifoDriver, PriorityClass, QosConfig, RouterDriver, ServiceOutput, ThreadedDriver,
 };
 use garnet::net::{SubscriberId, TopicFilter};
+use garnet::radio::geometry::Point;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
-use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::wire::{
+    AckStatus, ActuationTarget, DataMessage, FrameBytes, SensorCommand, SensorId, SequenceNumber,
+    StreamId, StreamIndex,
+};
 
 const CAPACITY: usize = 32;
 const STREAMS: u32 = 6;
@@ -122,6 +126,11 @@ fn per_class_ledger_holds_on_both_engines() {
                 assert!(l.coalesced <= l.shed, "coalesced is a subset of shed");
             }
             assert!(ledgers.class(PriorityClass::Data).offered > 0, "burst reached the data tier");
+            assert!(
+                g.queue_depth_p99() <= CAPACITY as u64,
+                "{driver:?} {policy:?}: p99 queue depth {} over the bound",
+                g.queue_depth_p99()
+            );
             g.shutdown(SimTime::from_secs(4)).expect("clean shutdown");
         }
     }
@@ -380,6 +389,59 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
     assert_eq!(*dispatched, 3 * NAMES.len() as u64, "deliveries count pairs, not messages");
 
     assert_eq!(run(DriverKind::Threaded), fifo, "the threaded engine must be bit-identical");
+}
+
+/// Pings the sensor behind every delivery it is handed.
+struct Pinger;
+
+impl Consumer for Pinger {
+    fn name(&self) -> &str {
+        "pinger"
+    }
+    fn on_data(&mut self, d: &Delivery, ctx: &mut ConsumerCtx) {
+        ctx.request_actuation(
+            ActuationTarget::Sensor(d.msg.stream().sensor()),
+            SensorCommand::Ping,
+        );
+    }
+}
+
+#[test]
+fn every_submitted_plan_is_handed_to_a_caller() {
+    // Every pump runs the per-call delivery drain — also the pumps
+    // inside the entry points that return no `StepOutput`. A
+    // drain-limited consumer that plans an actuation from `on_data`
+    // during one of those calls must still see its plan transmitted: it
+    // rides on the next `StepOutput` any call returns.
+    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+        let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
+        let token = g.issue_default_token("pinger");
+        let id = g.register_consumer(Box::new(Pinger), &token, 0).unwrap();
+        g.subscribe(id, TopicFilter::All, &token).unwrap();
+        g.set_consumer_drain_limit(id, Some(1));
+        let now = SimTime::from_millis(1);
+        // Five messages on five streams stage five deliveries; each of
+        // the calls below drains one.
+        let burst: Vec<_> = (1..=5).map(|s| (ReceiverId::new(0), -50.0, frame(s, 0))).collect();
+        let mut handed_out = g.on_frames(burst, now).control.len();
+        assert_eq!(handed_out, 1, "{driver:?}: the burst's own drain pass");
+        let sensor = SensorId::new(9).unwrap();
+        let target = ActuationTarget::Sensor(sensor);
+        match g.request_actuation(id, &token, target, SensorCommand::Ping, now).unwrap() {
+            ActuationOutcome::Granted { request_id, .. } => {
+                handed_out += 1;
+                g.on_standalone_ack(request_id, AckStatus::Applied, now);
+            }
+            other => panic!("{driver:?}: expected a grant, got {other:?}"),
+        }
+        g.provide_hint(&token, sensor, Point::ORIGIN, 1.0, now).unwrap();
+        assert_eq!(g.delivery_backlog(), 1, "{driver:?}: three calls drained one each");
+        // Well inside the retry timer: nothing below is a retransmission.
+        let last = g.shutdown(SimTime::from_millis(2)).expect("clean shutdown");
+        handed_out += last.control.len();
+        assert_eq!(g.actuation().submitted_count(), 6, "{driver:?}: five pings and the API call");
+        assert_eq!(handed_out, 6, "{driver:?}: a submitted plan never reached a caller");
+    }
 }
 
 #[test]
