@@ -18,12 +18,29 @@ if grep -rnE 'GARNET_TEST_|env::var' crates src tests examples; then
   exit 1
 fi
 
-# There is one service graph and one benchmark system: the names of the
-# second engine, its edge plumbing, the helpers that compared the two,
-# and the retired sweep scaffolding must not come back.
-echo "==> no second engine or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to' crates src tests examples; then
+# There is one service graph, one dispatch stage and one benchmark
+# system: the names of the second engine, its edge plumbing, the helpers
+# that compared the two, the dispatch partition, the boxed driver and the
+# retired sweep scaffolding must not come back.
+echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver' crates src tests examples; then
   echo "a deleted item is back" >&2
+  exit 1
+fi
+
+# `dispatch_shards` is inert (kept for the benchmark's config literal):
+# nothing of ours may set it.
+echo "==> dispatch_shards is set nowhere in tests, examples"
+if grep -rn 'dispatch_shards' tests examples; then
+  echo "a test or example names the inert dispatch_shards knob" >&2
+  exit 1
+fi
+
+# The driver shim exists for perfbench alone: the facade owns its Router.
+echo "==> the driver shim is named only in driver.rs and its re-export"
+if grep -rnE 'RouterDriver|FifoDriver|ThreadedDriver' crates src tests examples \
+    | grep -vE '^crates/core/src/(driver|lib)\.rs:'; then
+  echo "something other than perfbench goes through the driver shim" >&2
   exit 1
 fi
 

@@ -142,21 +142,6 @@ impl DispatchingService {
     pub fn subscriber_count(&self) -> usize {
         self.table.subscriber_count()
     }
-
-    /// Live subscriptions in this service's table.
-    pub fn subscription_count(&self) -> usize {
-        self.table.subscription_count()
-    }
-
-    /// The filters `subscriber` holds in this service's table.
-    pub fn filters_of(&self, subscriber: SubscriberId) -> impl Iterator<Item = TopicFilter> + '_ {
-        self.table.filters_of(subscriber)
-    }
-
-    /// Every subscriber present in this service's table.
-    pub fn subscriber_ids(&self) -> impl Iterator<Item = SubscriberId> + '_ {
-        self.table.subscriber_ids()
-    }
 }
 
 #[cfg(test)]

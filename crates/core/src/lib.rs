@@ -18,16 +18,16 @@
 //! stages called by the router directly so a frame's results reach the
 //! queue without a buffer in between; the [`router::Router`] threads
 //! typed events between them over a FIFO queue, and
-//! [`middleware::Garnet`] is a thin facade that pumps that router
-//! through the [`driver::RouterDriver`] surface and hosts the
-//! consumers. The filtering hot path is partitioned by sensor id into
-//! [`router::ShardedIngest`] shards, and the dispatch stage into
-//! [`router::ShardedDispatch`] shards by the same hash, each with a
+//! [`middleware::Garnet`] is a thin facade that owns that router, steps
+//! it to quiescence and hosts the consumers. The filtering hot path is
+//! partitioned by sensor id into [`router::ShardedIngest`] shards with a
 //! deterministic merge — so any shard count produces bit-identical
-//! outputs. [`driver::DriverKind`] chooses where the filtering shards
-//! execute — on the facade's thread, or one per supervised worker
-//! thread — and nothing else: everything downstream of filtering is
-//! the one router either way. The intake is unbounded: the one place a
+//! outputs — and [`router::ShardedDispatch`] is Figure 1's one
+//! Dispatching Service beside the one stream catalogue.
+//! [`driver::DriverKind`] chooses which thread filters (the facade's, or
+//! one supervised worker per shard) and which thread appends to the
+//! archive, and nothing else: everything downstream of filtering is the
+//! one router either way. The intake is unbounded: the one place a
 //! frame is shed, coalesced or held back is [`qos::QosScheduler`], at
 //! the facade boundary.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio
@@ -93,6 +93,5 @@ pub use router::{
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{
-    HealthReport, HealthState, HealthThresholds, PipelineSpans, QueueDepthGauges, TelemetryConfig,
-    TelemetrySnapshot,
+    HealthReport, HealthState, PipelineSpans, QueueDepthGauges, TelemetryConfig, TelemetrySnapshot,
 };

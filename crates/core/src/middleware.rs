@@ -1,15 +1,14 @@
 //! The Garnet middleware facade: Figure 1 assembled into one deployable
 //! unit.
 //!
-//! [`Garnet`] speaks to the service graph only through the
-//! [`RouterDriver`] surface: every external input becomes a
-//! [`ServiceEvent`] handed to the driver, and the facade pumps the
-//! driver to quiescence, applying the outputs that escape the service
-//! graph (consumer callbacks, control plans, denials, expiries).
-//! The graph is always the FIFO [`crate::router::Router`], pumped on the
-//! caller's thread; [`GarnetConfig::driver`] only picks where its
-//! filtering shards execute, and every public entry point behaves
-//! identically either way:
+//! [`Garnet`] owns the service graph — one FIFO [`Router`] — and drives
+//! it directly: every external input becomes a [`ServiceEvent`] (or an
+//! admitted frame) on the router's queue, and the facade steps the
+//! router to quiescence on the caller's thread, applying the outputs
+//! that escape the graph (consumer callbacks, control plans, denials,
+//! expiries). [`GarnetConfig::driver`] picks which thread filters and
+//! which thread appends to the archive, and every public entry point
+//! behaves identically either way:
 //!
 //! ```text
 //!   on_frame ─→ ShardedIngest ─→ Dispatching ─→ consumers ─→ actions
@@ -30,10 +29,9 @@
 //! `Filtered` events with a bounded depth, forming the "essentially
 //! arbitrary graph of consumer processes and data streams" of §6.
 //!
-//! The queue is strictly FIFO and both the ingest and dispatch stages
-//! merge their shards deterministically, so a facade configured with
-//! any [`GarnetConfig::ingest_shards`] / [`GarnetConfig::dispatch_shards`]
-//! combination produces bit-identical outputs.
+//! The queue is strictly FIFO and the ingest stage merges its shards
+//! deterministically, so a facade configured with any
+//! [`GarnetConfig::ingest_shards`] produces bit-identical outputs.
 
 use std::collections::HashMap;
 
@@ -58,7 +56,7 @@ use crate::actuation::{ActuationConfig, ActuationService};
 use crate::archive::{ArchiveConfig, ArchiveService};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
-use crate::driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
+use crate::driver::{DispatchStats, DriverKind, FilterStats};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
@@ -69,10 +67,10 @@ use crate::qos::{
 use crate::replicator::{MessageReplicator, ReplicationPlan};
 use crate::resource::{DenyReason, MediationPolicy, ResourceManager, SensorProfile};
 use crate::router::{
-    ControlGraph, OverloadConfig, OverloadTotals, Services, ShardedDispatch, ShardedIngest,
+    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use crate::service::{ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput};
-use crate::stream::ShardedStreamRegistry;
+use crate::stream::StreamRegistry;
 use crate::telemetry::{TelemetryConfig, TelemetryService, TelemetrySnapshot};
 
 pub use crate::service::SYSTEM_SUBSCRIBER;
@@ -96,10 +94,11 @@ pub struct QuiesceConfig {
 /// Facade configuration.
 #[derive(Clone, Debug)]
 pub struct GarnetConfig {
-    /// Where the filtering shards execute. Both settings produce
+    /// Which work leaves the facade's thread. Both settings produce
     /// identical deliveries, metrics and traces;
     /// [`DriverKind::Threaded`] runs each ingest shard on its own worker
-    /// thread for wall-clock parallelism.
+    /// thread and the archive tap's appends on a writer thread, for
+    /// wall-clock parallelism.
     pub driver: DriverKind,
     /// Filtering Service tuning.
     pub filter: FilterConfig,
@@ -108,11 +107,7 @@ pub struct GarnetConfig {
     /// values above 1 let [`DriverKind::Threaded`] run filtering in
     /// parallel. 0 is treated as 1.
     pub ingest_shards: usize,
-    /// Number of dispatch shards the delivery stage is partitioned into
-    /// (by sensor id, same hash as the ingest shards): per-shard
-    /// subscription tables and match caches, all on the facade's
-    /// thread. Any value produces bit-identical outputs. 0 is treated
-    /// as 1.
+    /// Accepted for the benchmark's call site; has no effect.
     pub dispatch_shards: usize,
     /// Orphanage tuning.
     pub orphanage: OrphanageConfig,
@@ -152,7 +147,7 @@ pub struct GarnetConfig {
     /// Durable frame/control-event archive (see [`crate::archive`]);
     /// `None` disables the tap entirely.
     pub archive: Option<ArchiveConfig>,
-    /// Per-dispatch-shard match-set memoisation (see
+    /// Dispatch match-set memoisation (see
     /// [`garnet_net::MatchCache`]). On by default; the cache changes
     /// dispatch cost, never output order.
     pub dispatch_cache: DispatchCacheConfig,
@@ -359,7 +354,9 @@ impl fmt::Debug for ConsumerEntry {
 #[derive(Debug)]
 pub struct Garnet {
     max_derived_depth: u32,
-    driver: Box<dyn RouterDriver>,
+    /// The service graph: every service of Figure 1 behind one FIFO
+    /// queue, stepped on the caller's thread.
+    router: Router,
     auth: AuthService,
     registry: ServiceRegistry,
     consumers: HashMap<SubscriberId, ConsumerEntry>,
@@ -394,7 +391,7 @@ pub struct Garnet {
     /// `overload.shard_failures` counter the health scorer reads for
     /// stranded-job detection.
     shard_failure_total: u64,
-    /// The buffer [`RouterDriver::pump_into`] fills on every drain round
+    /// The buffer [`Router::step_batch`] fills on every drain round
     /// (empty between pumps; kept for its capacity).
     escaped: Vec<ServiceOutput>,
     /// Effects produced inside an entry point that returns no
@@ -442,19 +439,19 @@ impl Garnet {
                 DriverKind::Fifo => ShardedIngest::new(config.filter, config.ingest_shards),
                 DriverKind::Threaded => ShardedIngest::pooled(config.filter, config.ingest_shards),
             },
-            dispatch: ShardedDispatch::with_cache(config.dispatch_shards, config.dispatch_cache),
+            dispatch: ShardedDispatch::with_cache(1, config.dispatch_cache),
             control,
         };
-        let mut driver: Box<dyn RouterDriver> = Box::new(FifoDriver::new(services, None, true));
-        driver
+        let mut router = Router::new(services);
+        router
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
-        driver.set_telemetry_recording(config.telemetry.spans);
+        router.set_telemetry_recording(config.telemetry.spans);
         let archive = config
             .archive
             .map(|cfg| ArchiveService::new(cfg, config.driver, config.trace_capacity));
         Garnet {
             max_derived_depth: config.max_derived_depth,
-            driver,
+            router,
             auth: AuthService::new(config.auth_key),
             registry,
             consumers: HashMap::new(),
@@ -523,7 +520,7 @@ impl Garnet {
         let virtual_sensor = SensorId::new(self.next_virtual_sensor)
             .map_err(|_| GarnetError::VirtualSensorSpaceExhausted)?;
         self.next_virtual_sensor -= 1;
-        let id = self.driver.register_subscriber();
+        let id = self.router.services_mut().dispatch.register_subscriber();
         self.registry.advertise(ServiceDescriptor {
             name: format!("consumer/{}", consumer.name()),
             kind: ServiceKind::Consumer,
@@ -548,8 +545,10 @@ impl Garnet {
     /// resource demands, withdraws its advertisement.
     pub fn deregister_consumer(&mut self, id: SubscriberId) -> Result<(), GarnetError> {
         let entry = self.consumers.remove(&id).ok_or(GarnetError::UnknownConsumer(id))?;
-        self.driver.unsubscribe_all(id);
-        self.driver.control_mut().resource.release_consumer(id);
+        let services = self.router.services_mut();
+        services.dispatch.unsubscribe_all(id);
+        services.control.resource.release_consumer(id);
+        self.delivery.forget(id);
         if let Some(c) = &entry.consumer {
             self.registry.withdraw(&format!("consumer/{}", c.name()));
         }
@@ -593,15 +592,16 @@ impl Garnet {
         if !self.consumers.contains_key(&id) {
             return Err(GarnetError::UnknownConsumer(id));
         }
-        self.driver.subscribe(id, filter);
+        self.router.services_mut().dispatch.subscribe(id, filter);
 
         // Claim matching orphanage backlog. Claims are synchronous
         // request/response, not dataflow, so they stay direct calls.
         let claimable: Vec<StreamId> = match filter {
             TopicFilter::Stream(s) => vec![s],
             TopicFilter::Sensor(sensor) => self
-                .driver
-                .control()
+                .router
+                .services()
+                .control
                 .orphanage
                 .unclaimed_streams()
                 .into_iter()
@@ -614,8 +614,9 @@ impl Garnet {
         let mut backlog: Vec<DataMessage> = Vec::new();
         let mut out = StepOutput::default();
         for s in claimable {
-            backlog.extend(self.driver.control_mut().orphanage.claim(s));
-            self.driver.set_claimed(s, true);
+            let services = self.router.services_mut();
+            backlog.extend(services.control.orphanage.claim(s));
+            services.dispatch.streams.set_claimed(s, true);
             self.restore_if_quiesced(s, now, &mut out);
         }
         let replayed = backlog.len();
@@ -630,10 +631,11 @@ impl Garnet {
 
     /// Removes one subscription.
     pub fn unsubscribe(&mut self, id: SubscriberId, filter: TopicFilter) {
-        self.driver.unsubscribe(id, filter);
+        let dispatch = &mut self.router.services_mut().dispatch;
+        dispatch.unsubscribe(id, filter);
         if let TopicFilter::Stream(s) = filter {
-            if !self.driver.would_deliver(s) {
-                self.driver.set_claimed(s, false);
+            if !dispatch.would_deliver(s) {
+                dispatch.streams.set_claimed(s, false);
             }
         }
     }
@@ -703,7 +705,7 @@ impl Garnet {
             }
             self.release_qos(now);
         } else {
-            self.driver.admit_frames(batch, now);
+            self.admit_frames(batch);
         }
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
@@ -731,12 +733,12 @@ impl Garnet {
                 }
                 #[cfg(feature = "trace")]
                 FrameOffer::StagedAfterShed(lost) => {
-                    self.driver.trace_dropped(&lost, TraceOutcome::Shed, now);
+                    self.router.trace_dropped(&lost, TraceOutcome::Shed, now);
                     break;
                 }
                 #[cfg(feature = "trace")]
                 FrameOffer::Coalesced(lost) => {
-                    self.driver.trace_dropped(&lost, TraceOutcome::Coalesced, now);
+                    self.router.trace_dropped(&lost, TraceOutcome::Coalesced, now);
                     break;
                 }
                 _ => break,
@@ -744,15 +746,25 @@ impl Garnet {
         }
     }
 
+    /// Queues a burst on the router's unbounded intake: one queue entry
+    /// (own root tag, own ledger entry) per frame; the batch win comes
+    /// from the pump, where `step_batch` pops the consecutive `Frame`
+    /// run and filters it in one pass.
+    fn admit_frames(&mut self, frames: Vec<BatchedFrame>) {
+        for f in frames {
+            self.router.admit_frame(f.receiver, f.rssi_dbm, f.frame);
+        }
+    }
+
     /// Queues a boundary event — through the QoS scheduler when active
     /// (its class ledger counts it and strict-priority release preserves
-    /// Control > Actuation > Data) or straight into the engine.
+    /// Control > Actuation > Data) or straight into the router.
     fn route_event(&mut self, ev: ServiceEvent, now: SimTime) {
         if let Some(s) = self.qos.as_mut() {
             s.offer_event(ev, now);
             self.release_qos(now);
         } else {
-            self.driver.push_event(ev, now);
+            self.router.enqueue(ev);
         }
     }
 
@@ -765,10 +777,8 @@ impl Garnet {
         };
         for r in releases {
             match r {
-                Release::Event(ev) => self.driver.push_event(ev, now),
-                Release::Frames(frames) => {
-                    self.driver.admit_frames(frames, now);
-                }
+                Release::Event(ev) => self.router.enqueue(ev),
+                Release::Frames(frames) => self.admit_frames(frames),
             }
         }
     }
@@ -778,7 +788,7 @@ impl Garnet {
     fn admission_totals(&self) -> OverloadTotals {
         match &self.qos {
             Some(s) => s.totals(),
-            None => self.driver.overload_totals(),
+            None => self.router.overload_totals(),
         }
     }
 
@@ -787,7 +797,7 @@ impl Garnet {
     fn admission_peak_depth(&self) -> u64 {
         match &self.qos {
             Some(s) => s.peak_depth(),
-            None => self.driver.peak_queue_depth(),
+            None => self.router.peak_queue_depth(),
         }
     }
 
@@ -811,7 +821,7 @@ impl Garnet {
     /// every reporting entry point folds the movement in, and the
     /// watermark guarantees each restart is counted exactly once.
     fn note_restart_delta(&mut self, out: &mut StepOutput) {
-        let count = self.driver.shard_restart_count();
+        let count = self.router.services().ingest.shard_restarts();
         out.overload.shard_restarts += count - self.reported_restarts;
         self.reported_restarts = count;
     }
@@ -853,7 +863,6 @@ impl Garnet {
     fn sweep_quiesce(&mut self, now: SimTime, out: &mut StepOutput) {
         let Some(cfg) = self.quiesce else { return };
         let due: Vec<StreamId> = self
-            .driver
             .streams()
             .discover_unclaimed()
             .into_iter()
@@ -891,7 +900,7 @@ impl Garnet {
         }
         // Withdraw the system's slow-rate demand so consumer demands
         // mediate freshly, then restore the working rate.
-        self.driver.control_mut().resource.release_consumer(SYSTEM_SUBSCRIBER);
+        self.router.services_mut().control.resource.release_consumer(SYSTEM_SUBSCRIBER);
         self.route_event(
             ServiceEvent::ActuationRequested {
                 origin: ActuationOrigin::Restore,
@@ -911,16 +920,15 @@ impl Garnet {
     /// The earliest instant at which [`Garnet::on_tick`] has work.
     pub fn next_deadline(&self) -> Option<SimTime> {
         // A minimum needs neither the catalogue's order nor a copy of
-        // it: fold over the per-shard registries where they lie.
+        // it: fold over the registry where it lies.
         let quiesce_due = self.quiesce.and_then(|cfg| {
-            self.driver
-                .streams()
+            self.streams()
                 .iter()
                 .filter(|i| !i.claimed && !i.derived && !self.quiesced.contains(&i.stream.to_raw()))
                 .map(|i| i.first_seen.saturating_add(cfg.idle_after))
                 .min()
         });
-        [self.driver.next_deadline(), quiesce_due].into_iter().flatten().min()
+        [self.router.next_deadline(), quiesce_due].into_iter().flatten().min()
     }
 
     /// A consumer (out-of-band, not during `on_data`) requests an
@@ -977,7 +985,7 @@ impl Garnet {
         now: SimTime,
     ) -> Result<Option<LocationEstimate>, GarnetError> {
         self.authorize(token, Capability::ReadLocation, now)?;
-        Ok(self.driver.control().location.estimate(sensor, now))
+        Ok(self.location().estimate(sensor, now))
     }
 
     /// A consumer reports a state change out-of-band. Coordinator policy
@@ -1003,13 +1011,13 @@ impl Garnet {
 
     /// Registers a policy action with the Super Coordinator.
     pub fn register_coordinator_policy(&mut self, state: u32, action: PolicyAction) {
-        self.driver.control_mut().coordinator.register_policy(state, action);
+        self.router.services_mut().control.coordinator.register_policy(state, action);
     }
 
     /// Registers a sensor's constraint profile with the Resource
     /// Manager.
     pub fn register_sensor_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
-        self.driver.control_mut().resource.register_profile(sensor, profile);
+        self.router.services_mut().control.resource.register_profile(sensor, profile);
     }
 
     /// [`Garnet::pump`] for an entry point with no [`StepOutput`] to
@@ -1034,7 +1042,7 @@ impl Garnet {
         out.merge(std::mem::take(&mut self.held));
     }
 
-    /// Drains the driver to quiescence, applying every escaped output.
+    /// Drains the router to quiescence, applying every escaped output.
     fn pump(&mut self, now: SimTime, out: &mut StepOutput) {
         self.pump_engine(now, out);
         // One delivery-drain pass per pump: each rate-limited consumer
@@ -1048,22 +1056,28 @@ impl Garnet {
             }
             self.pump_engine(now, out);
         }
-        let mut failures = self.driver.take_shard_failures();
+        let mut failures = self.router.services_mut().ingest.take_failures();
         failures.sort_by_key(|f| (f.shard, f.seq));
         self.shard_failure_total += failures.len() as u64;
         out.shard_failures.extend(failures);
         // The engine is drained: telemetry depth counts restart from
         // zero here.
-        self.driver.note_telemetry_quiescent();
+        self.router.note_telemetry_quiescent();
     }
 
-    /// The inner engine-drain loop of [`Garnet::pump`]: every round goes
-    /// through the one `escaped` buffer, so draining costs no
-    /// allocation once that buffer has grown to a round's size.
+    /// The inner engine-drain loop of [`Garnet::pump`]. Each round steps
+    /// the router until the first step that escapes anything, applies
+    /// that (which may enqueue new events) and steps again, so events a
+    /// consumer emits take the queue position they always have; a round
+    /// that escapes nothing means quiescence. `step_batch` consumes a run
+    /// of consecutive `Frame` events in one filtering pass — frame steps
+    /// escape nothing, so that is observably the same as one step per
+    /// frame. Every round goes through the one `escaped` buffer, so
+    /// draining costs no allocation once it has grown to a round's size.
     fn pump_engine(&mut self, now: SimTime, out: &mut StepOutput) {
         let mut escaped = std::mem::take(&mut self.escaped);
         loop {
-            self.driver.pump_into(now, &mut escaped);
+            while escaped.is_empty() && self.router.step_batch(now, &mut escaped) {}
             if escaped.is_empty() {
                 break;
             }
@@ -1079,7 +1093,7 @@ impl Garnet {
     /// to its [`ActuationOrigin`].
     fn apply(&mut self, output: ServiceOutput, now: SimTime, out: &mut StepOutput) {
         match output {
-            ServiceOutput::Emit(ev) => self.driver.push_event(ev, now),
+            ServiceOutput::Emit(ev) => self.router.enqueue(ev),
             ServiceOutput::Deliver { recipients, delivery, depth } => {
                 // One message, every recipient in match-set order. The
                 // set was fixed when the message was routed, so nothing
@@ -1230,37 +1244,41 @@ impl Garnet {
 
     /// Ingest-stage (filtering) statistics, aggregated across shards.
     pub fn filtering(&self) -> FilterStats {
-        self.driver.filter_stats()
+        self.router.services().ingest.stats()
     }
 
-    /// Dispatch-stage statistics, aggregated across shards.
+    /// Dispatch-stage statistics.
     pub fn dispatching(&self) -> DispatchStats {
-        self.driver.dispatch_stats()
+        self.router.services().dispatch.stats()
+    }
+
+    fn control(&self) -> &ControlGraph {
+        &self.router.services().control
     }
 
     /// The Orphanage.
     pub fn orphanage(&self) -> &Orphanage {
-        &self.driver.control().orphanage
+        &self.control().orphanage
     }
 
     /// The Location Service.
     pub fn location(&self) -> &LocationService {
-        &self.driver.control().location
+        &self.control().location
     }
 
     /// The Resource Manager.
     pub fn resource(&self) -> &ResourceManager {
-        &self.driver.control().resource
+        &self.control().resource
     }
 
     /// The Actuation Service.
     pub fn actuation(&self) -> &ActuationService {
-        &self.driver.control().actuation
+        &self.control().actuation
     }
 
     /// The Super Coordinator.
     pub fn coordinator(&self) -> &SuperCoordinator {
-        &self.driver.control().coordinator
+        &self.control().coordinator
     }
 
     /// The service registry.
@@ -1268,9 +1286,9 @@ impl Garnet {
         &self.registry
     }
 
-    /// The stream catalogue (sharded alongside the dispatch stage).
-    pub fn streams(&self) -> &ShardedStreamRegistry {
-        self.driver.streams()
+    /// The stream catalogue.
+    pub fn streams(&self) -> &StreamRegistry {
+        &self.router.services().dispatch.streams
     }
 
     /// Streams slowed by demand-driven quiescence.
@@ -1349,23 +1367,22 @@ impl Garnet {
     /// `Control` job per shard per reorder flush (all zeros under
     /// [`DriverKind::Fifo`], which has no channel boundary).
     pub fn edge_class_submits(&self) -> [u64; 3] {
-        self.driver.edge_class_submits()
+        self.router.services().ingest.class_submits()
     }
 
     /// Builds a metrics snapshot of every service — the operator's
     /// one-call health view. Deterministic name order; see
     /// [`garnet_simkit::MetricsRegistry::report`] for the text form.
     /// Counter names and values are independent of
-    /// [`GarnetConfig::ingest_shards`] and
-    /// [`GarnetConfig::dispatch_shards`].
+    /// [`GarnetConfig::ingest_shards`].
     ///
     /// Every name follows the `stage.metric` convention and is built by
     /// [`garnet_simkit::metrics::stage_key`]: a lowercase stage
     /// (service or subsystem) and a snake_case metric within it.
     pub fn metrics(&self) -> garnet_simkit::MetricsRegistry {
-        let fs = self.driver.filter_stats();
-        let ds = self.driver.dispatch_stats();
-        let c = self.driver.control();
+        let fs = self.filtering();
+        let ds = self.dispatching();
+        let c = self.control();
         let mut m = garnet_simkit::MetricsRegistry::new();
         let filtering: &[(&str, u64)] = &[
             ("delivered", fs.delivered_count()),
@@ -1423,7 +1440,7 @@ impl Garnet {
             ("denied_actions", self.denied_actions),
             ("depth_drops", self.depth_drops),
         ];
-        let streams: &[(&str, u64)] = &[("catalogued", self.driver.streams().len() as u64)];
+        let streams: &[(&str, u64)] = &[("catalogued", self.streams().len() as u64)];
         let t = self.admission_totals();
         let overload: &[(&str, u64)] = &[
             ("offered", t.offered),
@@ -1431,7 +1448,7 @@ impl Garnet {
             ("coalesced", t.coalesced),
             ("delivered", t.delivered),
             ("peak_queue_depth", self.admission_peak_depth()),
-            ("shard_restarts", self.driver.shard_restart_count()),
+            ("shard_restarts", self.router.services().ingest.shard_restarts()),
             ("shard_failures", self.shard_failure_total),
         ];
         for (stage, metrics) in [
@@ -1501,9 +1518,9 @@ impl Garnet {
         // shard-count invariant; per-shard gauges appear in telemetry
         // snapshots, whose consumers strip them before cross-layout
         // comparison.
-        self.driver.pipeline_spans().fold_into(&mut m);
+        self.router.pipeline_spans().fold_into(&mut m);
         m.gauge(garnet_simkit::metrics::keys::QUEUE_DEPTH)
-            .merge(self.driver.queue_depth_gauges().total());
+            .merge(self.router.queue_depth_gauges().total());
         m
     }
 
@@ -1513,7 +1530,7 @@ impl Garnet {
     /// kept out of the shard-invariant report.
     fn telemetry_registry(&self) -> garnet_simkit::MetricsRegistry {
         let mut m = self.metrics();
-        for (i, g) in self.driver.queue_depth_gauges().per_shard().iter().enumerate() {
+        for (i, g) in self.router.queue_depth_gauges().per_shard().iter().enumerate() {
             m.gauge(&garnet_simkit::metrics::keys::shard_queue_depth(i)).merge(g);
         }
         m
@@ -1662,7 +1679,7 @@ impl Garnet {
     /// statistics. Empty unless the `trace` cargo feature is compiled
     /// in. See `DESIGN.md`'s Observability section for the schema.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.driver.trace_snapshot()
+        self.router.trace_snapshot()
     }
 
     /// The flight recorder's contents as JSONL (one record per line, in
@@ -1670,18 +1687,18 @@ impl Garnet {
     /// layouts and [`DriverKind`]s. Empty unless the `trace` cargo
     /// feature is compiled in.
     pub fn trace_jsonl(&self) -> String {
-        self.driver.trace_snapshot().to_jsonl()
+        self.router.trace_snapshot().to_jsonl()
     }
 
     /// Shuts the middleware down: pumps to quiescence, drains and
     /// retires the archive tap (flushing pending appends within
     /// [`ArchiveConfig::flush_timeout`], returning a
     /// [`ArchiveBackend::Custom`](crate::archive::ArchiveBackend) store
-    /// to its slot), then asks the driver to retire its workers
-    /// (joining the filtering pool) and applies whatever the shutdown
-    /// released. After this call the facade still answers reads
-    /// (statistics, traces, control-plane accessors), but new frames
-    /// are dropped under [`DriverKind::Threaded`].
+    /// to its slot), then shuts the router down (joining the filtering
+    /// pool) and applies whatever that released. After this call the
+    /// facade still answers reads (statistics, traces, control-plane
+    /// accessors), but new frames are dropped under
+    /// [`DriverKind::Threaded`].
     ///
     /// Dropping a [`Garnet`] without calling this is safe — the pooled
     /// ingest stage's `Drop` joins its workers — but discards in-flight
@@ -1714,8 +1731,7 @@ impl Garnet {
             Some(archive) => archive.shutdown(now),
             None => true,
         };
-        let released = self.driver.shutdown(now);
-        for o in released {
+        for o in self.router.shutdown(now) {
             self.apply(o, now, &mut out);
         }
         self.pump(now, &mut out);
@@ -2149,7 +2165,6 @@ mod tests {
     fn next_deadline_is_the_earliest_unclaimed_stream_in_a_large_catalogue() {
         use garnet_simkit::SimDuration;
         let mut g = Garnet::new(GarnetConfig {
-            dispatch_shards: 4,
             quiesce: Some(QuiesceConfig {
                 idle_after: SimDuration::from_secs(30),
                 slow_interval_ms: 60_000,

@@ -192,10 +192,10 @@ struct StagedFrame {
 #[derive(Debug)]
 pub enum Release {
     /// A control- or actuation-class event for
-    /// [`crate::driver::RouterDriver::push_event`].
+    /// [`crate::router::Router::enqueue`].
     Event(ServiceEvent),
     /// The surviving data frames, in admission order, for
-    /// [`crate::driver::RouterDriver::admit_frames`].
+    /// [`crate::router::Router::admit_frame`].
     Frames(Vec<BatchedFrame>),
 }
 
@@ -488,6 +488,16 @@ impl DeliverySchedule {
             None => {
                 self.limits.remove(&id);
             }
+        }
+    }
+
+    /// Forgets a departing consumer: removes its drain limit and counts
+    /// whatever was still staged for it as shed — nobody is left to
+    /// receive it.
+    pub fn forget(&mut self, id: SubscriberId) {
+        self.limits.remove(&id);
+        if let Some(queue) = self.queues.remove(&id) {
+            self.ledger.shed += queue.len() as u64;
         }
     }
 

@@ -18,10 +18,11 @@
 //! merges flushes back into the stream-id order a single service would
 //! have produced. Those shards run either on the calling thread
 //! ([`ShardedIngest::new`]) or one per supervised worker thread
-//! ([`ShardedIngest::pooled`]); that choice is the whole difference
-//! between the two [`crate::DriverKind`]s. Everything downstream of
-//! filtering — queue, dispatch, control, spans, trace — is this one
-//! router on the caller's thread.
+//! ([`ShardedIngest::pooled`]); that choice is all a
+//! [`crate::DriverKind`] changes in here (its other effect is the
+//! archive tap's writer thread, outside the router). Everything
+//! downstream of filtering — queue, dispatch, control, spans, trace — is
+//! this one router on the caller's thread.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,13 +30,13 @@ use std::sync::Arc;
 use garnet_net::{EdgeClass, ShardFailure, ShardPool, SupervisionConfig};
 use garnet_radio::ReceiverId;
 use garnet_simkit::trace::{TraceConfig, TraceSnapshot, Tracer};
-use garnet_simkit::{Histogram, SimTime};
+use garnet_simkit::SimTime;
 use garnet_wire::{peek_stream, ActuationTarget, FrameBytes};
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
-use crate::dispatching::{DispatchOutcome, DispatchingService};
-use crate::driver::FilterStats;
+use crate::dispatching::DispatchingService;
+use crate::driver::{DispatchStats, FilterStats};
 use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService, FrameArrival};
 use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
@@ -44,7 +45,7 @@ use crate::resource::{MediationPolicy, ResourceManager};
 #[cfg(feature = "trace")]
 use crate::service::BatchedFrame;
 use crate::service::{GarnetService, ServiceEvent, ServiceOutput};
-use crate::stream::{shard_of_sensor, ShardedStreamRegistry};
+use crate::stream::{shard_of_sensor, StreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::RootTag;
 #[cfg(feature = "trace")]
@@ -405,141 +406,65 @@ impl ShardedIngest {
     }
 }
 
-/// The dispatch stage partitioned by sensor id — the same
-/// [`shard_of_sensor`] hash as [`ShardedIngest`], so all of a sensor's
-/// streams route on one dispatch shard and the per-shard
-/// [`crate::stream::StreamRegistry`] partitions never overlap.
-///
-/// Subscription state is *partitioned* with the streams: a
-/// `Stream`/`Sensor` filter lives only on the shard that owns every
-/// stream it can match, so per-shard table size no longer scales as
-/// `shards × subscribers`. Only [`garnet_net::TopicFilter::All`] — which
-/// matches streams on every shard — is replicated, one copy per shard.
-/// Message-path calls (`route`, registry updates) go to the owning
-/// shard only; counters sum across shards and the catalogue merges in
-/// ascending stream-id order — with the sim driver pumping events in
-/// FIFO order, every observable is bit-identical for any shard count.
-#[derive(Debug)]
+/// The dispatch stage: Figure 1's one Dispatching Service and the one
+/// stream catalogue it keeps current, on the router's thread. Nothing
+/// here is sharded; the name is the one the benchmark's call site uses.
+#[derive(Debug, Default)]
 pub struct ShardedDispatch {
-    dispatchers: Vec<DispatchingService>,
-    /// The stream catalogue, partitioned with the dispatchers.
-    pub streams: ShardedStreamRegistry,
-    next_subscriber: u32,
-    /// Whether the most recent [`ShardedDispatch::route`] (re)built its
-    /// match set — consumed by the tracer via
+    dispatcher: DispatchingService,
+    /// The stream catalogue.
+    pub streams: StreamRegistry,
+    /// Whether the most recent [`ShardedDispatch::dispatch`] (re)built
+    /// its match set — consumed by the tracer via
     /// [`ShardedDispatch::take_last_rebuild`].
     last_rebuilt: bool,
 }
 
 impl ShardedDispatch {
-    /// Creates a dispatch stage with `shards` partitions (0 is treated
-    /// as 1), under the default match-cache configuration.
-    pub fn new(shards: usize) -> Self {
-        Self::with_cache(shards, garnet_net::DispatchCacheConfig::default())
+    /// Creates a dispatch stage whose match cache runs under an explicit
+    /// configuration ([`ShardedDispatch::default`] uses the default one).
+    ///
+    /// * `_shards` — accepted for the benchmark's call site; has no effect.
+    pub fn with_cache(_shards: usize, cache: garnet_net::DispatchCacheConfig) -> Self {
+        ShardedDispatch { dispatcher: DispatchingService::with_cache(cache), ..Self::default() }
     }
 
-    /// Creates a dispatch stage whose per-shard match caches run under
-    /// an explicit configuration.
-    pub fn with_cache(shards: usize, cache: garnet_net::DispatchCacheConfig) -> Self {
-        let n = shards.max(1);
-        ShardedDispatch {
-            dispatchers: (0..n).map(|_| DispatchingService::with_cache(cache)).collect(),
-            streams: ShardedStreamRegistry::new(n),
-            next_subscriber: 0,
-            last_rebuilt: false,
-        }
-    }
-
-    /// Number of dispatch shards.
-    pub fn shard_count(&self) -> usize {
-        self.dispatchers.len()
-    }
-
-    fn shard_of(&self, stream: garnet_wire::StreamId) -> usize {
-        shard_of_sensor(stream.sensor().as_u32(), self.dispatchers.len())
-    }
-
-    /// Allocates a fresh subscriber identity. Allocation is global —
-    /// one counter across all shards — so ids never collide however the
-    /// stage is sharded.
+    /// Allocates a fresh subscriber identity.
     pub fn register_subscriber(&mut self) -> garnet_net::SubscriberId {
-        let id = garnet_net::SubscriberId::new(self.next_subscriber);
-        self.next_subscriber += 1;
-        id
+        self.dispatcher.register_subscriber()
     }
 
-    /// The shard that owns every stream `filter` can match (`None` for
-    /// [`garnet_net::TopicFilter::All`], which has no single owner).
-    fn shard_of_filter(&self, filter: garnet_net::TopicFilter) -> Option<usize> {
-        match filter {
-            garnet_net::TopicFilter::Stream(stream) => Some(self.shard_of(stream)),
-            garnet_net::TopicFilter::Sensor(sensor) => {
-                Some(shard_of_sensor(sensor.as_u32(), self.dispatchers.len()))
-            }
-            garnet_net::TopicFilter::All => None,
-        }
-    }
-
-    /// Adds a subscription on the shard that owns the filter's streams
-    /// (`All` is replicated to every shard). Returns true if new.
+    /// Adds a subscription. Returns true if new.
     pub fn subscribe(
         &mut self,
         subscriber: garnet_net::SubscriberId,
         filter: garnet_net::TopicFilter,
     ) -> bool {
-        match self.shard_of_filter(filter) {
-            Some(shard) => self.dispatchers[shard].subscribe(subscriber, filter),
-            None => self
-                .dispatchers
-                .iter_mut()
-                .map(|d| d.subscribe(subscriber, filter))
-                .fold(false, |a, b| a | b),
-        }
+        self.dispatcher.subscribe(subscriber, filter)
     }
 
-    /// Removes one subscription from its owning shard (every shard for
-    /// `All`).
+    /// Removes one subscription.
     pub fn unsubscribe(
         &mut self,
         subscriber: garnet_net::SubscriberId,
         filter: garnet_net::TopicFilter,
     ) -> bool {
-        match self.shard_of_filter(filter) {
-            Some(shard) => self.dispatchers[shard].unsubscribe(subscriber, filter),
-            None => self
-                .dispatchers
-                .iter_mut()
-                .map(|d| d.unsubscribe(subscriber, filter))
-                .fold(false, |a, b| a | b),
-        }
+        self.dispatcher.unsubscribe(subscriber, filter)
     }
 
-    /// Removes every subscription of a departing consumer, on every
-    /// shard. Returns the consumer's distinct filter count (an `All`
-    /// filter counts once however many shards replicate it).
+    /// Removes every subscription of a departing consumer, returning
+    /// how many it held.
     pub fn unsubscribe_all(&mut self, subscriber: garnet_net::SubscriberId) -> usize {
-        let distinct: std::collections::BTreeSet<garnet_net::TopicFilter> =
-            self.dispatchers.iter().flat_map(|d| d.filters_of(subscriber)).collect();
-        for d in &mut self.dispatchers {
-            d.unsubscribe_all(subscriber);
-        }
-        distinct.len()
+        self.dispatcher.unsubscribe_all(subscriber)
     }
 
-    /// Routes one message on its owning shard.
-    pub fn route(&mut self, stream: garnet_wire::StreamId) -> DispatchOutcome {
-        let shard = self.shard_of(stream);
-        let outcome = self.dispatchers[shard].route(stream);
-        self.last_rebuilt = outcome.rebuilt;
-        outcome
-    }
-
-    /// The dispatch stage's whole job for one filtered message: route it
-    /// on its owning shard, record it (and whether anyone claimed it) in
-    /// the catalogue with one lookup, and build its single output.
+    /// The dispatch stage's whole job for one filtered message: route
+    /// it, record it (and whether anyone claimed it) in the catalogue
+    /// with one lookup, and build its single output.
     pub fn dispatch(&mut self, delivery: Delivery, depth: u32) -> ServiceOutput {
         let stream = delivery.msg.stream();
-        let outcome = self.route(stream);
+        let outcome = self.dispatcher.route(stream);
+        self.last_rebuilt = outcome.rebuilt;
         self.streams.note_routed(
             stream,
             delivery.msg.payload().len(),
@@ -550,64 +475,29 @@ impl ShardedDispatch {
         routed_output(outcome.recipients, delivery, depth)
     }
 
-    /// Whether the most recent route (re)built its match set, clearing
-    /// the flag — the FIFO router reads this right after pumping a
-    /// `Filtered` event to append the `CacheRebuild` trace record.
+    /// Whether the most recent dispatch (re)built its match set, clearing
+    /// the flag — the router reads this right after pumping a `Filtered`
+    /// event to append the `CacheRebuild` trace record.
     pub fn take_last_rebuild(&mut self) -> bool {
         std::mem::take(&mut self.last_rebuilt)
     }
 
-    /// Per-shard match-cache counters folded into one view.
-    pub fn cache_stats(&self) -> garnet_net::MatchCacheStats {
-        let mut stats = garnet_net::MatchCacheStats::default();
-        for d in &self.dispatchers {
-            stats.absorb(d.cache_stats());
-        }
-        stats
-    }
-
-    /// Peeks the match set without accounting (owning shard).
+    /// Peeks the match set without accounting.
     pub fn would_deliver(&self, stream: garnet_wire::StreamId) -> bool {
-        self.dispatchers[self.shard_of(stream)].would_deliver(stream)
+        self.dispatcher.would_deliver(stream)
     }
 
-    /// Messages routed (all shards).
-    pub fn dispatched_count(&self) -> u64 {
-        self.dispatchers.iter().map(DispatchingService::dispatched_count).sum()
-    }
-
-    /// Total (message, subscriber) deliveries (all shards).
-    pub fn delivery_count(&self) -> u64 {
-        self.dispatchers.iter().map(DispatchingService::delivery_count).sum()
-    }
-
-    /// Messages that matched nobody (all shards).
-    pub fn unclaimed_count(&self) -> u64 {
-        self.dispatchers.iter().map(DispatchingService::unclaimed_count).sum()
-    }
-
-    /// Distribution of per-message fan-out, merged across shards.
-    pub fn fanout(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for d in &self.dispatchers {
-            h.merge(d.fanout());
+    /// The stage's counters, by value (beside [`ShardedIngest::stats`]).
+    pub fn stats(&self) -> DispatchStats {
+        let d = &self.dispatcher;
+        DispatchStats {
+            dispatched: d.dispatched_count(),
+            deliveries: d.delivery_count(),
+            unclaimed: d.unclaimed_count(),
+            fanout: d.fanout().clone(),
+            subscribers: d.subscriber_count(),
+            match_cache: d.cache_stats(),
         }
-        h
-    }
-
-    /// Distinct subscribers with live subscriptions across all shards.
-    pub fn subscriber_count(&self) -> usize {
-        let ids: std::collections::BTreeSet<garnet_net::SubscriberId> =
-            self.dispatchers.iter().flat_map(|d| d.subscriber_ids()).collect();
-        ids.len()
-    }
-
-    /// Per-shard subscription-table sizes — the partitioning regression
-    /// metric: `Stream`/`Sensor` filters live on exactly one shard, so
-    /// (absent `All` filters) the sum equals an unsharded table holding
-    /// the same subscriptions.
-    pub fn shard_subscription_counts(&self) -> Vec<usize> {
-        self.dispatchers.iter().map(DispatchingService::subscription_count).collect()
     }
 }
 
@@ -706,7 +596,7 @@ impl GarnetService for ControlGraph {
 }
 
 /// Every routed service, owned together so the router can borrow them
-/// independently — grouped by stage: the sharded data plane (ingest,
+/// independently — grouped by stage: the data plane (sharded ingest,
 /// dispatch) and the control plane behind it. Fields are public: the
 /// facade reaches in for direct reads (statistics) and the rare
 /// synchronous call (subscription changes, orphanage claims) that is
@@ -715,7 +605,7 @@ impl GarnetService for ControlGraph {
 pub struct Services {
     /// Sharded filtering (the ingest hot path).
     pub ingest: ShardedIngest,
-    /// Sharded subscription routing + stream catalogue.
+    /// Subscription routing + stream catalogue.
     pub dispatch: ShardedDispatch,
     /// Everything downstream of dispatch.
     pub control: ControlGraph,
@@ -1010,16 +900,21 @@ impl Router {
         true
     }
 
+    /// Drains the queue and joins any filtering worker pool, returning
+    /// the outputs that escaped on the way out. Reads keep working
+    /// afterwards; frames offered to a joined pool filter to nothing.
+    pub fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
+        let mut out = Vec::new();
+        while self.step(now, &mut out) {}
+        self.services.ingest.join();
+        out
+    }
+
     /// Monotonic intake totals: frames offered and frames stepped into
     /// filtering (`shed` and `coalesced` stay zero — the queue never
     /// drops). At quiescence `offered == delivered`.
     pub fn overload_totals(&self) -> OverloadTotals {
         self.totals
-    }
-
-    /// `Frame` events currently queued.
-    pub fn queued_frame_count(&self) -> usize {
-        self.queued_frames
     }
 
     /// High-water mark of the frame queue.
@@ -1073,58 +968,6 @@ mod tests {
             .unwrap()
             .encode_to_vec()
             .into()
-    }
-
-    #[test]
-    fn subscription_entries_partition_across_dispatch_shards() {
-        use garnet_net::TopicFilter;
-        // Stream/Sensor filters must live on exactly one shard each, so
-        // the per-shard entry counts sum to what an unsharded table
-        // would hold — subscription memory must not scale with the
-        // shard count.
-        let stream =
-            |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
-        let filters: Vec<TopicFilter> = (1..=40u32)
-            .map(|s| {
-                if s % 2 == 0 {
-                    TopicFilter::Sensor(SensorId::new(s).unwrap())
-                } else {
-                    TopicFilter::Stream(stream(s))
-                }
-            })
-            .collect();
-        let mut unsharded = ShardedDispatch::new(1);
-        let sub = unsharded.register_subscriber();
-        for f in &filters {
-            assert!(unsharded.subscribe(sub, *f));
-        }
-        let total: usize = unsharded.shard_subscription_counts().iter().sum();
-        assert_eq!(total, filters.len());
-        for shards in [2usize, 4, 7] {
-            let mut sharded = ShardedDispatch::new(shards);
-            let sub = sharded.register_subscriber();
-            for f in &filters {
-                assert!(sharded.subscribe(sub, *f));
-            }
-            let counts = sharded.shard_subscription_counts();
-            assert_eq!(counts.len(), shards);
-            assert_eq!(
-                counts.iter().sum::<usize>(),
-                total,
-                "shards={shards}: entries duplicated across shards: {counts:?}"
-            );
-            assert!(
-                counts.iter().filter(|c| **c > 0).count() > 1,
-                "shards={shards}: everything landed on one shard: {counts:?}"
-            );
-            // An `All` wiretap is the one filter that must replicate.
-            sharded.subscribe(sub, TopicFilter::All);
-            let with_all = sharded.shard_subscription_counts();
-            assert_eq!(with_all.iter().sum::<usize>(), total + shards);
-            // Departure reports distinct filters, not per-shard copies.
-            assert_eq!(sharded.unsubscribe_all(sub), filters.len() + 1);
-            assert_eq!(sharded.shard_subscription_counts().iter().sum::<usize>(), 0);
-        }
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub enum ServiceEvent {
     },
 }
 
-/// One frame of a burst handed to `RouterDriver::admit_frames`.
+/// One frame of a burst on its way to [`crate::router::Router::admit_frame`].
 #[derive(Clone, Debug)]
 pub struct BatchedFrame {
     /// The receiver that heard it.

@@ -14,9 +14,8 @@ use garnet_wire::StreamId;
 /// Spreads a 24-bit sensor id across `shards` buckets (Fibonacci
 /// hashing: dense sensor ids from grid deployments stay balanced).
 ///
-/// Every sharded stage — ingest, dispatch, and the registry behind it —
-/// uses this one function, so all of a sensor's streams land on the
-/// same shard index at every stage.
+/// The ingest stage's partition function: all of a sensor's streams
+/// land on one filtering shard.
 pub fn shard_of_sensor(sensor: u32, shards: usize) -> usize {
     (sensor.wrapping_mul(0x9E37_79B1) >> 16) as usize % shards.max(1)
 }
@@ -165,108 +164,6 @@ impl StreamRegistry {
     }
 }
 
-/// A stream registry partitioned by sensor id: the catalogue behind the
-/// sharded dispatch stage.
-///
-/// Streams are pinned to shards with [`shard_of_sensor`] — the same
-/// hash the ingest and dispatch stages use — so all registry state for
-/// a stream lives on exactly one shard and writes never contend across
-/// shards. Reads that span shards ([`ShardedStreamRegistry::discover`],
-/// [`ShardedStreamRegistry::discover_unclaimed`]) merge the per-shard
-/// walks back into ascending raw-stream-id order, which is the order a
-/// single unsharded [`StreamRegistry`] produces — every observable is
-/// bit-identical for any shard count.
-#[derive(Debug)]
-pub struct ShardedStreamRegistry {
-    shards: Vec<StreamRegistry>,
-}
-
-impl ShardedStreamRegistry {
-    /// Creates a registry with `shards` partitions (0 is treated as 1).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
-        ShardedStreamRegistry { shards: (0..n).map(|_| StreamRegistry::new()).collect() }
-    }
-
-    /// Number of partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, stream: StreamId) -> usize {
-        shard_of_sensor(stream.sensor().as_u32(), self.shards.len())
-    }
-
-    /// Records one message on `stream` (its owning shard only).
-    pub fn note_message(
-        &mut self,
-        stream: StreamId,
-        payload_len: usize,
-        at: SimTime,
-        derived: bool,
-    ) {
-        let shard = self.shard_of(stream);
-        self.shards[shard].note_message(stream, payload_len, at, derived);
-    }
-
-    /// Records one routed message and its claimed flag on the owning
-    /// shard (see [`StreamRegistry::note_routed`]).
-    pub fn note_routed(
-        &mut self,
-        stream: StreamId,
-        payload_len: usize,
-        at: SimTime,
-        derived: bool,
-        claimed: bool,
-    ) {
-        let shard = self.shard_of(stream);
-        self.shards[shard].note_routed(stream, payload_len, at, derived, claimed);
-    }
-
-    /// Marks a stream claimed/unclaimed as subscriptions come and go.
-    pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
-        let shard = self.shard_of(stream);
-        self.shards[shard].set_claimed(stream, claimed);
-    }
-
-    /// Metadata for one stream.
-    pub fn info(&self, stream: StreamId) -> Option<&StreamInfo> {
-        self.shards[self.shard_of(stream)].info(stream)
-    }
-
-    /// Every known stream across all shards, unordered and without
-    /// allocating (see [`StreamRegistry::iter`]).
-    pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
-        self.shards.iter().flat_map(StreamRegistry::iter)
-    }
-
-    /// Every known stream, merged across shards into ascending raw-id
-    /// order (streams are partitioned, so this reproduces exactly the
-    /// walk a single registry's sorted map would make).
-    pub fn discover(&self) -> Vec<&StreamInfo> {
-        let mut out: Vec<&StreamInfo> =
-            self.shards.iter().flat_map(StreamRegistry::discover).collect();
-        out.sort_by_key(|i| i.stream.to_raw());
-        out
-    }
-
-    /// Every stream nobody claims, in ascending raw-id order — the
-    /// deterministic merge the quiescence sweep depends on.
-    pub fn discover_unclaimed(&self) -> Vec<&StreamInfo> {
-        self.discover().into_iter().filter(|i| !i.claimed).collect()
-    }
-
-    /// Number of known streams (partitioned, so the sum is exact).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(StreamRegistry::len).sum()
-    }
-
-    /// True if no stream has been seen on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(StreamRegistry::is_empty)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,37 +240,6 @@ mod tests {
         let s = StreamId::from_raw(0x00FF_0000);
         r.note_message(s, 1, SimTime::ZERO, true);
         assert!(r.info(s).unwrap().derived);
-    }
-
-    #[test]
-    fn sharded_registry_matches_unsharded() {
-        use garnet_wire::{SensorId, StreamIndex};
-        let stream = |sensor: u32, idx: u8| {
-            StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(idx))
-        };
-        for shards in [1usize, 2, 4, 8] {
-            let mut single = StreamRegistry::new();
-            let mut sharded = ShardedStreamRegistry::new(shards);
-            for (i, sensor) in [9u32, 3, 14, 3, 7, 11, 9].iter().enumerate() {
-                let s = stream(*sensor, (i % 2) as u8);
-                single.note_message(s, 8 + i, SimTime::from_millis(i as u64), false);
-                sharded.note_message(s, 8 + i, SimTime::from_millis(i as u64), false);
-            }
-            single.set_claimed(stream(3, 1), true);
-            sharded.set_claimed(stream(3, 1), true);
-            assert_eq!(sharded.len(), single.len(), "shards={shards}");
-            assert_eq!(
-                sharded.discover().into_iter().cloned().collect::<Vec<_>>(),
-                single.discover().into_iter().cloned().collect::<Vec<_>>(),
-                "shards={shards}"
-            );
-            assert_eq!(
-                sharded.discover_unclaimed().into_iter().cloned().collect::<Vec<_>>(),
-                single.discover_unclaimed().into_iter().cloned().collect::<Vec<_>>(),
-                "shards={shards}"
-            );
-            assert_eq!(sharded.info(stream(9, 0)), single.info(stream(9, 0)));
-        }
     }
 
     #[test]

@@ -195,49 +195,30 @@ impl QueueDepthGauges {
     }
 }
 
-/// Thresholds the health scorer applies to each snapshot window.
-///
-/// Ratios are expressed in parts-per-million so scoring never touches
-/// floating point (reasons must be byte-stable across engines).
-#[derive(Clone, Debug)]
-pub struct HealthThresholds {
-    /// Window shed ratio (shed/offered, ppm) that degrades the node.
-    pub shed_degraded_ppm: u64,
-    /// Window shed ratio (ppm) that marks the node critical.
-    pub shed_critical_ppm: u64,
-    /// Jobs stranded by shard failures in the window that degrade.
-    pub stranded_degraded: u64,
-    /// Supervision restarts in the window that degrade (budget burn).
-    pub restarts_degraded: u64,
-    /// Supervision restarts in the window that mark critical.
-    pub restarts_critical: u64,
-    /// Archive records dropped in the window that mark critical (each
-    /// one is lost boundary input).
-    pub archive_dropped_critical: u64,
-    /// Archive flush backlog (pending records) that degrades.
-    pub archive_pending_degraded: u64,
-    /// e2e p99 growth vs the previous window that degrades, in percent
-    /// (200 = doubled).
-    pub p99_regression_pct: u64,
-    /// e2e p99 below this floor never counts as a regression (µs).
-    pub p99_floor_us: u64,
-}
+// Thresholds the health scorer applies to each snapshot window. Ratios
+// are in parts-per-million so scoring never touches floating point
+// (reasons must be byte-stable across engines).
 
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            shed_degraded_ppm: 1_000,   // 0.1 %
-            shed_critical_ppm: 100_000, // 10 %
-            stranded_degraded: 1,
-            restarts_degraded: 1,
-            restarts_critical: 4,
-            archive_dropped_critical: 1,
-            archive_pending_degraded: 1_024,
-            p99_regression_pct: 200,
-            p99_floor_us: 1_000,
-        }
-    }
-}
+/// Window shed ratio (shed/offered, ppm) that degrades the node: 0.1 %.
+const SHED_DEGRADED_PPM: u64 = 1_000;
+/// Window shed ratio (ppm) that marks the node critical: 10 %.
+const SHED_CRITICAL_PPM: u64 = 100_000;
+/// Jobs stranded by shard failures in the window that degrade.
+const STRANDED_DEGRADED: u64 = 1;
+/// Supervision restarts in the window that degrade (budget burn).
+const RESTARTS_DEGRADED: u64 = 1;
+/// Supervision restarts in the window that mark critical.
+const RESTARTS_CRITICAL: u64 = 4;
+/// Archive records dropped in the window that mark critical (each one
+/// is lost boundary input).
+const ARCHIVE_DROPPED_CRITICAL: u64 = 1;
+/// Archive flush backlog (pending records) that degrades.
+const ARCHIVE_PENDING_DEGRADED: u64 = 1_024;
+/// e2e p99 growth vs the previous window that degrades, in percent
+/// (200 = doubled).
+const P99_REGRESSION_PCT: u64 = 200;
+/// e2e p99 below this floor never counts as a regression (µs).
+const P99_FLOOR_US: u64 = 1_000;
 
 /// The verdict a snapshot window earns.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -320,31 +301,30 @@ pub struct WindowStats {
     pub class_delivered: [u64; 3],
 }
 
-/// Scores one window against `t`. Critical reasons trump degraded ones;
-/// both lists are assembled in a fixed rule order so the report is
-/// byte-stable.
-pub fn evaluate_health(t: &HealthThresholds, w: &WindowStats) -> HealthReport {
+/// Scores one window. Critical reasons trump degraded ones; both lists
+/// are assembled in a fixed rule order so the report is byte-stable.
+pub fn evaluate_health(w: &WindowStats) -> HealthReport {
     let mut degraded = Vec::new();
     let mut critical = Vec::new();
     if let Some(shed_ppm) = w.shed.saturating_mul(1_000_000).checked_div(w.offered) {
-        if shed_ppm >= t.shed_critical_ppm {
+        if shed_ppm >= SHED_CRITICAL_PPM {
             critical.push(format!("shed {shed_ppm}ppm of {} offered frames", w.offered));
-        } else if shed_ppm >= t.shed_degraded_ppm {
+        } else if shed_ppm >= SHED_DEGRADED_PPM {
             degraded.push(format!("shed {shed_ppm}ppm of {} offered frames", w.offered));
         }
     }
-    if w.stranded >= t.stranded_degraded {
+    if w.stranded >= STRANDED_DEGRADED {
         degraded.push(format!("{} jobs stranded by shard failures", w.stranded));
     }
-    if w.restarts >= t.restarts_critical {
+    if w.restarts >= RESTARTS_CRITICAL {
         critical.push(format!("{} supervision restarts in one window", w.restarts));
-    } else if w.restarts >= t.restarts_degraded {
+    } else if w.restarts >= RESTARTS_DEGRADED {
         degraded.push(format!("{} supervision restarts in one window", w.restarts));
     }
-    if w.archive_dropped >= t.archive_dropped_critical {
+    if w.archive_dropped >= ARCHIVE_DROPPED_CRITICAL {
         critical.push(format!("{} archive records dropped", w.archive_dropped));
     }
-    if w.archive_pending >= t.archive_pending_degraded {
+    if w.archive_pending >= ARCHIVE_PENDING_DEGRADED {
         degraded.push(format!("{} archive records pending flush", w.archive_pending));
     }
     for class in crate::qos::PriorityClass::ALL {
@@ -358,8 +338,8 @@ pub fn evaluate_health(t: &HealthThresholds, w: &WindowStats) -> HealthReport {
     }
     if let Some(prev) = w.prev_e2e_p99 {
         if prev > 0
-            && w.e2e_p99 >= t.p99_floor_us
-            && w.e2e_p99.saturating_mul(100) >= prev.saturating_mul(t.p99_regression_pct)
+            && w.e2e_p99 >= P99_FLOOR_US
+            && w.e2e_p99.saturating_mul(100) >= prev.saturating_mul(P99_REGRESSION_PCT)
         {
             degraded.push(format!("e2e p99 regressed {prev}us -> {}us", w.e2e_p99));
         }
@@ -634,19 +614,11 @@ pub struct TelemetryConfig {
     pub sink_dir: Option<PathBuf>,
     /// Snapshot lines per sink file before rotating to the next.
     pub rotate_lines: usize,
-    /// Health scoring thresholds.
-    pub thresholds: HealthThresholds,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            spans: true,
-            interval: None,
-            sink_dir: None,
-            rotate_lines: 4_096,
-            thresholds: HealthThresholds::default(),
-        }
+        TelemetryConfig { spans: true, interval: None, sink_dir: None, rotate_lines: 4_096 }
     }
 }
 
@@ -806,7 +778,7 @@ impl TelemetryService {
             class_offered,
             class_delivered,
         };
-        let health = evaluate_health(&self.config.thresholds, &stats);
+        let health = evaluate_health(&stats);
         self.seq += 1;
         counters.insert("telemetry.windows".to_owned(), self.seq);
         counters.insert("health.state".to_owned(), health.severity());
@@ -904,59 +876,55 @@ mod tests {
 
     #[test]
     fn health_rules_escalate_in_order() {
-        let t = HealthThresholds::default();
-        let healthy = evaluate_health(&t, &WindowStats::default());
+        let healthy = evaluate_health(&WindowStats::default());
         assert_eq!(healthy.label(), "healthy");
         assert_eq!(healthy.severity(), 0);
         let degraded =
-            evaluate_health(&t, &WindowStats { offered: 1_000, shed: 1, ..WindowStats::default() });
+            evaluate_health(&WindowStats { offered: 1_000, shed: 1, ..WindowStats::default() });
         assert_eq!(degraded.label(), "degraded");
         assert!(degraded.reasons()[0].contains("shed"));
-        let critical = evaluate_health(
-            &t,
-            &WindowStats { offered: 10, shed: 5, restarts: 1, ..WindowStats::default() },
-        );
+        let critical = evaluate_health(&WindowStats {
+            offered: 10,
+            shed: 5,
+            restarts: 1,
+            ..WindowStats::default()
+        });
         assert_eq!(critical.label(), "critical");
         // Critical verdicts carry the degraded reasons too.
         assert_eq!(critical.reasons().len(), 2);
         let dropped =
-            evaluate_health(&t, &WindowStats { archive_dropped: 1, ..WindowStats::default() });
+            evaluate_health(&WindowStats { archive_dropped: 1, ..WindowStats::default() });
         assert_eq!(dropped.label(), "critical");
     }
 
     #[test]
     fn health_flags_a_starved_qos_class_as_critical() {
-        let t = HealthThresholds::default();
-        let starved = evaluate_health(
-            &t,
-            &WindowStats { class_offered: [0, 0, 7], ..WindowStats::default() },
-        );
+        let starved =
+            evaluate_health(&WindowStats { class_offered: [0, 0, 7], ..WindowStats::default() });
         assert_eq!(starved.label(), "critical");
         assert_eq!(starved.reasons(), ["qos: data class starved (7 offered, 0 delivered)"]);
         // One delivery in the window clears the verdict.
-        let fed = evaluate_health(
-            &t,
-            &WindowStats {
-                class_offered: [0, 0, 7],
-                class_delivered: [0, 0, 1],
-                ..WindowStats::default()
-            },
-        );
+        let fed = evaluate_health(&WindowStats {
+            class_offered: [0, 0, 7],
+            class_delivered: [0, 0, 1],
+            ..WindowStats::default()
+        });
         assert_eq!(fed.label(), "healthy");
     }
 
     #[test]
     fn health_p99_regression_needs_a_floor() {
-        let t = HealthThresholds::default();
-        let quiet = evaluate_health(
-            &t,
-            &WindowStats { prev_e2e_p99: Some(10), e2e_p99: 900, ..WindowStats::default() },
-        );
+        let quiet = evaluate_health(&WindowStats {
+            prev_e2e_p99: Some(10),
+            e2e_p99: 900,
+            ..WindowStats::default()
+        });
         assert_eq!(quiet.label(), "healthy", "sub-floor p99 never regresses");
-        let regressed = evaluate_health(
-            &t,
-            &WindowStats { prev_e2e_p99: Some(1_000), e2e_p99: 2_000, ..WindowStats::default() },
-        );
+        let regressed = evaluate_health(&WindowStats {
+            prev_e2e_p99: Some(1_000),
+            e2e_p99: 2_000,
+            ..WindowStats::default()
+        });
         assert_eq!(regressed.label(), "degraded");
     }
 

@@ -373,32 +373,27 @@ impl SubscriptionTable {
         self.filters.get(&subscriber).into_iter().flat_map(|fs| fs.iter().copied())
     }
 
-    /// Every subscriber with at least one subscription, ascending.
-    pub fn subscriber_ids(&self) -> impl Iterator<Item = SubscriberId> + '_ {
-        self.filters.keys().copied()
-    }
-
     /// Total number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
         self.filters.values().map(|f| f.len()).sum()
     }
 }
 
-/// Configuration of the per-shard dispatch [`MatchCache`].
+/// Configuration of the dispatch stage's [`MatchCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DispatchCacheConfig {
     /// Whether match sets are memoised at all. Off, every resolve
     /// rebuilds from the table (the pre-cache behaviour).
     pub enabled: bool,
-    /// Residency bound: the maximum number of distinct streams cached
-    /// per shard. Inserting a new stream into a full cache clears it
+    /// Residency bound: the maximum number of distinct streams
+    /// cached. Inserting a new stream into a full cache clears it
     /// wholesale (deterministic, no recency bookkeeping on the hot
     /// path). Clamped to at least 1.
     pub capacity: usize,
 }
 
 impl DispatchCacheConfig {
-    /// Default residency bound (streams per dispatch shard).
+    /// Default residency bound (streams).
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// A disabled cache: every resolve rebuilds from the table.
@@ -414,7 +409,7 @@ impl Default for DispatchCacheConfig {
     }
 }
 
-/// Counters of one [`MatchCache`] (or the fold over every shard's).
+/// Counters of one [`MatchCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchCacheStats {
     /// Resolves answered from a valid cached entry.
@@ -428,17 +423,6 @@ pub struct MatchCacheStats {
     pub resident: u64,
 }
 
-impl MatchCacheStats {
-    /// Accumulates `other` into `self` (summing every field), for
-    /// folding per-shard stats into one engine-wide view.
-    pub fn absorb(&mut self, other: MatchCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidations += other.invalidations;
-        self.resident += other.resident;
-    }
-}
-
 #[derive(Clone, Debug)]
 struct CacheEntry {
     /// The table epoch when this set was built.
@@ -449,8 +433,8 @@ struct CacheEntry {
 /// Memoises resolved match sets per stream as shared
 /// `Arc<[SubscriberId]>` slices.
 ///
-/// Each dispatch shard owns one, keyed by its own (partitioned or
-/// shared) [`SubscriptionTable`]. An entry is valid while the table's
+/// The Dispatching Service owns one beside its [`SubscriptionTable`].
+/// An entry is valid while the table's
 /// [`mutation_stamp`](SubscriptionTable::mutation_stamp) for the stream
 /// is at or below the epoch the entry was built at, so a mutation only
 /// invalidates the key ranges it touches (`All` mutations stale

@@ -206,13 +206,6 @@ impl SensorNode {
         self
     }
 
-    /// Sets the radio energy model.
-    #[must_use]
-    pub fn with_energy_model(mut self, model: EnergyModel) -> SensorNode {
-        self.energy_model = model;
-        self
-    }
-
     /// The node's identity.
     pub fn id(&self) -> SensorId {
         self.id

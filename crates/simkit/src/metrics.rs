@@ -11,8 +11,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::SimDuration;
-
 /// Builds a metric name under the `stage.metric` convention: a
 /// lowercase stage (the emitting service or subsystem — `filtering`,
 /// `dispatching`, `orphanage`, `location`, `resource`, `actuation`,
@@ -184,11 +182,6 @@ impl Histogram {
         self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records a simulated duration in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
     }
 
     /// Number of observations.

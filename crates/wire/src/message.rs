@@ -108,11 +108,6 @@ impl FrameHeader {
         Ok(FrameHeader { header, stream, seq, ack, payload_len, total_len })
     }
 
-    /// The message header (version + flags).
-    pub fn msg_header(&self) -> MsgHeader {
-        self.header
-    }
-
     /// The stream this frame claims to belong to (shard key).
     pub fn stream(&self) -> StreamId {
         self.stream
@@ -211,11 +206,6 @@ impl DataMessage {
     /// The opaque payload.
     pub fn payload(&self) -> &Bytes {
         &self.payload
-    }
-
-    /// Transfers out the payload without copying.
-    pub fn into_payload(self) -> Bytes {
-        self.payload
     }
 
     /// Returns a copy tagged with [`HeaderFlags::RELAYED`] and

@@ -2,9 +2,8 @@
 //!
 //! 1. **Deterministic replay** — the boundary log a live facade writes
 //!    replays into a fresh facade and rebuilds dispatch state
-//!    bit-identically, across the full `{Fifo,Threaded} × {1,4} ingest
-//!    × {1,4} dispatch` matrix, regardless of
-//!    which configuration wrote the log.
+//!    bit-identically, across the full `{Fifo,Threaded} × {1,4} ingest`
+//!    matrix, regardless of which configuration wrote the log.
 //! 2. **Crash recovery** — a store that dies mid-run loses only the
 //!    unacknowledged tail: recovery never loses a frame the store
 //!    acknowledged and never resurrects a torn one, and the
@@ -99,19 +98,8 @@ fn burst_schedule(sensors: u32, n: u16, drop_mask: &[u8], dup_mask: &[u8]) -> Ve
     frames
 }
 
-fn config(
-    driver: DriverKind,
-    ingest: usize,
-    dispatch: usize,
-    archive: Option<ArchiveConfig>,
-) -> GarnetConfig {
-    GarnetConfig {
-        driver,
-        ingest_shards: ingest,
-        dispatch_shards: dispatch,
-        archive,
-        ..GarnetConfig::default()
-    }
+fn config(driver: DriverKind, ingest: usize, archive: Option<ArchiveConfig>) -> GarnetConfig {
+    GarnetConfig { driver, ingest_shards: ingest, archive, ..GarnetConfig::default() }
 }
 
 fn fresh_garnet(config: GarnetConfig) -> (Garnet, Arc<Mutex<FacadeLog>>) {
@@ -190,7 +178,6 @@ proptest! {
         writer_driver_idx in 0usize..2,
         replay_driver_idx in 0usize..2,
         replay_ingest in prop_oneof![Just(1usize), Just(4usize)],
-        replay_dispatch in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
         if frames.is_empty() {
@@ -199,7 +186,7 @@ proptest! {
         let writer_driver = [DriverKind::Fifo, DriverKind::Threaded][writer_driver_idx];
         let slot = store_slot(Box::new(MemStore::new()));
         let (records, live) = live_run(
-            config(writer_driver, 2, 2, Some(custom_archive(&slot))),
+            config(writer_driver, 2, Some(custom_archive(&slot))),
             slot,
             &frames,
             &chunks,
@@ -210,15 +197,14 @@ proptest! {
         let (mut g, log) = fresh_garnet(config(
             replay_driver,
             replay_ingest,
-            replay_dispatch,
             Some(custom_archive(&replay_slot)),
         ));
         g.replay_archive(&records);
         let replayed = dispatch_state(&g, &log);
         prop_assert_eq!(
             &live, &replayed,
-            "replay diverged (writer {:?} -> replay {:?} {}x{})",
-            writer_driver, replay_driver, replay_ingest, replay_dispatch
+            "replay diverged (writer {:?} -> replay {:?}, {} ingest shards)",
+            writer_driver, replay_driver, replay_ingest
         );
 
         // The replaying facade archived the same boundary inputs: its
@@ -252,12 +238,8 @@ proptest! {
         );
         let slot = store_slot(Box::new(faulty));
         let frames = burst_schedule(4, n, &[1, 1, 0, 1], &[0, 1]);
-        let (mut g, _log) = fresh_garnet(config(
-            DriverKind::Fifo,
-            1,
-            1,
-            Some(custom_archive(&slot)),
-        ));
+        let (mut g, _log) =
+            fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
         let offered: Vec<_> = frames
             .iter()
             .enumerate()
@@ -304,7 +286,7 @@ fn recovery_reports_per_stream_high_water_marks() {
     let frames: Vec<_> =
         (0..10u16).map(|s| frame(1, s)).chain((0..5u16).map(|s| frame(2, s))).collect();
     let (records, _) =
-        live_run(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))), slot, &frames, &[3]);
+        live_run(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))), slot, &frames, &[3]);
     assert!(!records.is_empty());
 
     // Re-open the log (write it into a fresh store) and inspect marks.
@@ -331,7 +313,7 @@ fn stalled_archive_degrades_gracefully_and_ledger_balances() {
         FaultPlan { stall_after_appends: Some(0), ..FaultPlan::default() },
     );
     let slot = store_slot(Box::new(faulty));
-    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
     let batch: Vec<_> = (0..20u16).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect();
     g.on_frames(batch, SimTime::from_millis(1));
 
@@ -373,7 +355,7 @@ fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
 fn burst_larger_than_the_queue_is_accounted_per_record_on_the_threaded_engine() {
     let slot = store_slot(Box::new(MemStore::new()));
     let archive = ArchiveConfig { queue_capacity: 16, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, Some(archive)));
     let (t1, t2) = (SimTime::from_millis(1), SimTime::from_millis(2));
 
     // 100 records against room for 16: the burst's first 16 are
@@ -419,7 +401,7 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
     );
     let slot = store_slot(Box::new(faulty));
     let archive = ArchiveConfig { segment_max_bytes: 3 * record_len, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, Some(archive)));
 
     g.on_frames(burst_of(0, 20), t1);
     assert_eq!(log.lock().unwrap().len(), 20, "every frame delivered");
@@ -444,7 +426,7 @@ fn tick_and_ack_between_bursts_land_in_append_order() {
             ..ArchiveConfig::default()
         };
         for (archive, on_disk) in [(custom_archive(&slot), false), (file_archive, true)] {
-            let (mut g, log) = fresh_garnet(config(driver, 2, 2, Some(archive)));
+            let (mut g, log) = fresh_garnet(config(driver, 2, Some(archive)));
             let at = |ms| SimTime::from_millis(ms);
             g.on_frames(burst_of(0, 5), at(1));
             g.on_tick(at(2));
@@ -494,7 +476,7 @@ fn wedged_threaded_writer_times_out_shutdown_with_typed_error() {
         flush_timeout: Duration::from_millis(60),
         ..ArchiveConfig::default()
     };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, 2, Some(archive)));
+    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, Some(archive)));
     let batch: Vec<_> = (0..8u16).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect();
     g.on_frames(batch, SimTime::from_millis(1));
     assert_eq!(log.lock().unwrap().len(), 8, "delivery must not wait on the wedged writer");
@@ -511,7 +493,7 @@ fn wedged_threaded_writer_times_out_shutdown_with_typed_error() {
 #[test]
 fn archive_metrics_stage_reports_the_ledger() {
     let slot = store_slot(Box::new(MemStore::new()));
-    let (mut g, _log) = fresh_garnet(config(DriverKind::Fifo, 1, 1, Some(custom_archive(&slot))));
+    let (mut g, _log) = fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
     g.on_frames(vec![(ReceiverId::new(0), -45.0, frame(2, 0))], SimTime::from_millis(1));
     g.on_tick(SimTime::from_secs(1));
     let report = g.metrics().report();

@@ -35,23 +35,15 @@ struct RunFingerprint {
 }
 
 fn run(seed: u64) -> RunFingerprint {
-    run_sharded(seed, 1, 1)
+    run_sharded(seed, 1)
 }
 
-fn run_sharded(seed: u64, ingest_shards: usize, dispatch_shards: usize) -> RunFingerprint {
-    run_config(seed, GarnetConfig { ingest_shards, dispatch_shards, ..GarnetConfig::default() })
+fn run_sharded(seed: u64, ingest_shards: usize) -> RunFingerprint {
+    run_config(seed, GarnetConfig { ingest_shards, ..GarnetConfig::default() })
 }
 
-fn run_driver(
-    seed: u64,
-    driver: DriverKind,
-    ingest_shards: usize,
-    dispatch_shards: usize,
-) -> RunFingerprint {
-    run_config(
-        seed,
-        GarnetConfig { driver, ingest_shards, dispatch_shards, ..GarnetConfig::default() },
-    )
+fn run_driver(seed: u64, driver: DriverKind, ingest_shards: usize) -> RunFingerprint {
+    run_config(seed, GarnetConfig { driver, ingest_shards, ..GarnetConfig::default() })
 }
 
 fn run_config(seed: u64, garnet: GarnetConfig) -> RunFingerprint {
@@ -127,16 +119,13 @@ fn same_seed_same_world() {
 
 #[test]
 fn shard_count_does_not_change_the_world() {
-    // Partitioning the ingest and dispatch hot paths must be observably
-    // invisible under the simulation driver: every counter and the full
-    // metrics report are bit-identical across shard combinations.
-    let unsharded = run_sharded(1234, 1, 1);
-    for (ingest, dispatch) in [(4, 1), (1, 4), (4, 4), (3, 7)] {
-        let sharded = run_sharded(1234, ingest, dispatch);
-        assert_eq!(
-            unsharded, sharded,
-            "ingest_shards={ingest} dispatch_shards={dispatch} diverged"
-        );
+    // Partitioning the ingest hot path must be observably invisible
+    // under the simulation driver: every counter and the full metrics
+    // report are bit-identical across shard counts.
+    let unsharded = run_sharded(1234, 1);
+    for ingest in [3, 4] {
+        let sharded = run_sharded(1234, ingest);
+        assert_eq!(unsharded, sharded, "ingest_shards={ingest} diverged");
     }
 }
 
@@ -144,21 +133,16 @@ fn shard_count_does_not_change_the_world() {
 fn driver_kind_does_not_change_the_world() {
     // The execution engine is a deployment choice, not a semantic one:
     // the FIFO simulation driver and the hosted threaded graph must
-    // agree on every counter and the full metrics report, across every
-    // shard combination. This is the facade's bit-identity contract.
-    let baseline = run_driver(1234, DriverKind::Fifo, 1, 1);
+    // agree on every counter and the full metrics report, at every
+    // shard count. This is the facade's bit-identity contract.
+    let baseline = run_driver(1234, DriverKind::Fifo, 1);
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         for ingest in [1usize, 4] {
-            for dispatch in [1usize, 4] {
-                if driver == DriverKind::Fifo && ingest == 1 && dispatch == 1 {
-                    continue;
-                }
-                let f = run_driver(1234, driver, ingest, dispatch);
-                assert_eq!(
-                    baseline, f,
-                    "driver={driver:?} ingest={ingest} dispatch={dispatch} diverged"
-                );
+            if driver == DriverKind::Fifo && ingest == 1 {
+                continue;
             }
+            let f = run_driver(1234, driver, ingest);
+            assert_eq!(baseline, f, "driver={driver:?} ingest={ingest} diverged");
         }
     }
 }
@@ -178,18 +162,17 @@ fn match_cache_toggle_does_not_change_the_world() {
     // driver × shard matrix.
     let baseline = run_config(1234, GarnetConfig::default());
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for (ingest, dispatch) in [(1usize, 1usize), (4, 1), (1, 4), (4, 4)] {
+        for ingest in [1usize, 4] {
             let f = run_config(
                 1234,
                 GarnetConfig {
                     driver,
                     ingest_shards: ingest,
-                    dispatch_shards: dispatch,
                     dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
                     ..GarnetConfig::default()
                 },
             );
-            let ctx = format!("driver={driver:?} ingest={ingest} dispatch={dispatch}");
+            let ctx = format!("driver={driver:?} ingest={ingest}");
             assert_eq!(
                 (
                     baseline.transmissions,
@@ -326,7 +309,6 @@ proptest! {
         chunks in proptest::collection::vec(1usize..17, 1..24),
         driver_idx in 0usize..2,
         ingest in prop_oneof![Just(1usize), Just(4usize)],
-        dispatch in prop_oneof![Just(1usize), Just(4usize)],
         cache_on in proptest::bool::ANY,
     ) {
         let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
@@ -342,13 +324,12 @@ proptest! {
         let cfg = || GarnetConfig {
             driver,
             ingest_shards: ingest,
-            dispatch_shards: dispatch,
             dispatch_cache,
             ..GarnetConfig::default()
         };
         let batched = facade_replay(&frames, &chunks, cfg());
         let singles = facade_replay(&frames, &[1], cfg());
-        prop_assert_eq!(&batched, &singles, "batch splits changed the run ({:?} {}x{} cache={})", driver, ingest, dispatch, cache_on);
+        prop_assert_eq!(&batched, &singles, "batch splits changed the run ({:?} ingest={} cache={})", driver, ingest, cache_on);
         // The cache is invisible to deliveries and counters: toggling it
         // off reproduces the same log and books.
         let uncached = facade_replay(&frames, &chunks, GarnetConfig {
@@ -417,7 +398,7 @@ fn strip_shard_series(prometheus: &str) -> String {
 
 // Telemetry is an observer, not a participant. Three claims: (1) the final
 // snapshot is bit-identical — modulo per-shard gauge ids — across
-// {Fifo,Threaded} × ingest {1,4} × dispatch {1,4};
+// {Fifo,Threaded} × ingest {1,4};
 // (2) two identical runs render byte-identical JSONL and Prometheus text,
 // per-shard series included; (3) emitting a snapshot mid-run leaves the
 // world's final books untouched.
@@ -426,31 +407,25 @@ fn telemetry_does_not_change_the_world() {
     let drop_mask: Vec<u8> = (0..32).map(|i| u8::from(i % 7 != 0)).collect();
     let dup_mask: Vec<u8> = (0..32).map(|i| (i % 3) as u8).collect();
     let frames = burst_schedule(5, 20, &drop_mask, &dup_mask);
-    let cfg = |driver, ingest_shards, dispatch_shards| GarnetConfig {
-        driver,
-        ingest_shards,
-        dispatch_shards,
-        ..GarnetConfig::default()
-    };
+    let cfg =
+        |driver, ingest_shards| GarnetConfig { driver, ingest_shards, ..GarnetConfig::default() };
 
-    let (jsonl, prometheus, report) = telemetry_replay(&frames, cfg(DriverKind::Fifo, 1, 1), false);
+    let (jsonl, prometheus, report) = telemetry_replay(&frames, cfg(DriverKind::Fifo, 1), false);
     let baseline_snap = strip_shard_gauges(&jsonl);
     let baseline_prom = strip_shard_series(&prometheus);
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         for ingest in [1usize, 4] {
-            for dispatch in [1usize, 4] {
-                let (j, p, r) = telemetry_replay(&frames, cfg(driver, ingest, dispatch), false);
-                let label = format!("{driver:?} {ingest}x{dispatch}");
-                assert_eq!(strip_shard_gauges(&j), baseline_snap, "snapshot diverged ({label})");
-                assert_eq!(strip_shard_series(&p), baseline_prom, "exposition diverged ({label})");
-                assert_eq!(r, report, "metrics report diverged ({label})");
-            }
+            let (j, p, r) = telemetry_replay(&frames, cfg(driver, ingest), false);
+            let label = format!("{driver:?} ingest={ingest}");
+            assert_eq!(strip_shard_gauges(&j), baseline_snap, "snapshot diverged ({label})");
+            assert_eq!(strip_shard_series(&p), baseline_prom, "exposition diverged ({label})");
+            assert_eq!(r, report, "metrics report diverged ({label})");
         }
     }
 
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let first = telemetry_replay(&frames, cfg(driver, 4, 4), false);
-        let second = telemetry_replay(&frames, cfg(driver, 4, 4), false);
+        let first = telemetry_replay(&frames, cfg(driver, 4), false);
+        let second = telemetry_replay(&frames, cfg(driver, 4), false);
         assert_eq!(first.0, second.0, "{driver:?} JSONL not byte-stable across identical runs");
         assert_eq!(
             first.1, second.1,
@@ -459,7 +434,7 @@ fn telemetry_does_not_change_the_world() {
     }
 
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let (_, _, with_midrun) = telemetry_replay(&frames, cfg(driver, 4, 4), true);
+        let (_, _, with_midrun) = telemetry_replay(&frames, cfg(driver, 4), true);
         assert_eq!(with_midrun, report, "mid-run telemetry changed the world ({driver:?})");
     }
 }

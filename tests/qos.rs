@@ -13,12 +13,9 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::router::{
-    ControlGraph, OverloadConfig, OverloadPolicy, Services, ShardedDispatch, ShardedIngest,
+    ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
 };
-use garnet::core::service::BatchedFrame;
-use garnet::core::{
-    DriverKind, FifoDriver, PriorityClass, QosConfig, RouterDriver, ServiceOutput, ThreadedDriver,
-};
+use garnet::core::{DriverKind, PriorityClass, QosConfig, ServiceOutput};
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::geometry::Point;
 use garnet::radio::ReceiverId;
@@ -246,11 +243,10 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
     // Admission decisions are made above the engine: every {driver} x
     // {shards} layout must reproduce the same delivery log, the same
     // per-class ledgers, and the same metrics report under overload.
-    let fingerprint = |driver, ingest, dispatch| {
+    let fingerprint = |driver, ingest| {
         let mut g = Garnet::new(GarnetConfig {
             driver,
             ingest_shards: ingest,
-            dispatch_shards: dispatch,
             ..scheduled(OverloadPolicy::CoalesceFrames)
         });
         let (_, log) = register(&mut g, "sink");
@@ -263,17 +259,15 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
         let log = log.lock().unwrap().clone();
         (log, ledgers, report)
     };
-    let baseline = fingerprint(DriverKind::Fifo, 1, 1);
+    let baseline = fingerprint(DriverKind::Fifo, 1);
     assert!(!baseline.0.is_empty());
     for driver in [DriverKind::Fifo, DriverKind::Threaded] {
         for ingest in [1usize, 4] {
-            for dispatch in [1usize, 4] {
-                let f = fingerprint(driver, ingest, dispatch);
-                let label = format!("{driver:?} {ingest}x{dispatch}");
-                assert_eq!(f.0, baseline.0, "delivery log diverged ({label})");
-                assert_eq!(f.1, baseline.1, "per-class ledgers diverged ({label})");
-                assert_eq!(f.2, baseline.2, "metrics report diverged ({label})");
-            }
+            let f = fingerprint(driver, ingest);
+            let label = format!("{driver:?} ingest={ingest}");
+            assert_eq!(f.0, baseline.0, "delivery log diverged ({label})");
+            assert_eq!(f.1, baseline.1, "per-class ledgers diverged ({label})");
+            assert_eq!(f.2, baseline.2, "metrics report diverged ({label})");
         }
     }
 }
@@ -445,62 +439,85 @@ fn every_submitted_plan_is_handed_to_a_caller() {
 }
 
 #[test]
+fn deregistering_a_limited_consumer_sheds_its_backlog() {
+    // What is still staged for a departing consumer has nobody to go to:
+    // it counts as shed when the consumer leaves, not as delivered by the
+    // drains of later calls, and the drain limit leaves with it.
+    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
+        let mut g =
+            Garnet::new(GarnetConfig { driver, ..scheduled(OverloadPolicy::CoalesceFrames) });
+        let (id, log) = register(&mut g, "slow");
+        g.set_consumer_drain_limit(id, Some(1));
+        // Two bursts of one message per stream: each call's drain pass
+        // hands over one, the rest stage (and coalesce per stream).
+        for seq in 0..2u16 {
+            let burst: Vec<_> =
+                (1..=STREAMS).map(|s| (ReceiverId::new(0), -50.0, frame(s, seq))).collect();
+            g.on_frames(burst, SimTime::from_millis(1 + u64::from(seq)));
+        }
+        assert_eq!(log.lock().unwrap().len(), 2, "{driver:?}: one delivery per call");
+        assert!(g.delivery_backlog() > 0, "{driver:?}: the rest is staged");
+        g.deregister_consumer(id).expect("registered above");
+        for tick in 0..40u64 {
+            g.on_tick(SimTime::from_millis(10 + tick));
+        }
+        let ledger = *g.delivery_ledger();
+        assert_eq!(g.delivery_backlog(), 0, "{driver:?}: nothing stays staged for nobody");
+        assert_eq!(ledger.offered, ledger.shed + ledger.delivered, "{driver:?}: {ledger:?}");
+        assert_eq!(
+            ledger.delivered,
+            log.lock().unwrap().len() as u64,
+            "{driver:?}: delivered counts callbacks that happened"
+        );
+        g.shutdown(SimTime::from_secs(1)).expect("clean shutdown");
+    }
+}
+
+#[test]
 fn match_set_is_fixed_when_the_message_is_routed() {
     // The facade cannot change subscriptions from inside `on_data` (no
-    // consumer action does), so this drives the bare engine the way the
-    // facade does: a subscription write made while a `Deliver` is being
+    // consumer action does), so this drives the bare router the way the
+    // facade does, over inline and pooled filtering: a subscription write made while a `Deliver` is being
     // applied — after its first recipient, before its later ones — does
     // not shorten that message's recipients; the next message sees it.
     let stream = StreamId::new(SensorId::new(7).unwrap(), StreamIndex::new(0));
     let filter = TopicFilter::Stream(stream);
-    let engines: [Box<dyn RouterDriver>; 2] = [
-        Box::new(FifoDriver::new(
-            Services {
-                ingest: ShardedIngest::new(Default::default(), 1),
-                dispatch: ShardedDispatch::new(1),
-                control: ControlGraph::default(),
-            },
-            None,
-            true,
-        )),
-        Box::new(ThreadedDriver::new(
-            Default::default(),
-            1,
-            1,
-            ControlGraph::default(),
-            None,
-            true,
-            Default::default(),
-        )),
-    ];
-    for mut driver in engines {
-        let ids: Vec<SubscriberId> = (0..3).map(|_| driver.register_subscriber()).collect();
+    let ingests =
+        [ShardedIngest::new(Default::default(), 1), ShardedIngest::pooled(Default::default(), 1)];
+    for ingest in ingests {
+        let mut router = Router::new(Services {
+            ingest,
+            dispatch: ShardedDispatch::default(),
+            control: ControlGraph::default(),
+        });
+        let dispatch = &mut router.services_mut().dispatch;
+        let ids: Vec<SubscriberId> = (0..3).map(|_| dispatch.register_subscriber()).collect();
         for &id in &ids {
-            driver.subscribe(id, filter);
+            dispatch.subscribe(id, filter);
         }
         // Pumps one frame dry, unsubscribing `unsubscribe` once the first
         // recipient of its `Deliver` has been "called".
-        let pump = |driver: &mut dyn RouterDriver, seq: u16, unsubscribe: Option<SubscriberId>| {
+        let pump = |router: &mut Router, seq: u16, unsubscribe: Option<SubscriberId>| {
             let now = SimTime::from_millis(u64::from(seq));
-            let frame = FrameBytes::from(frame(7, seq));
-            let batch = vec![BatchedFrame { receiver: ReceiverId::new(0), rssi_dbm: -50.0, frame }];
-            assert!(driver.admit_frames(batch, now).is_empty());
+            router.admit_frame(ReceiverId::new(0), -50.0, FrameBytes::from(frame(7, seq)));
             let mut reached = Vec::new();
             let mut escaped = Vec::new();
             loop {
-                driver.pump_into(now, &mut escaped);
+                while escaped.is_empty() && router.step_batch(now, &mut escaped) {}
                 if escaped.is_empty() {
                     return reached;
                 }
                 for output in escaped.drain(..) {
                     match output {
-                        ServiceOutput::Emit(ev) => driver.push_event(ev, now),
                         ServiceOutput::Deliver { recipients, delivery, .. } => {
                             assert_eq!(delivery.msg.seq().as_u16(), seq);
                             for (i, &recipient) in recipients.iter().enumerate() {
                                 reached.push(recipient);
                                 if let (0, Some(gone)) = (i, unsubscribe) {
-                                    assert!(driver.unsubscribe(gone, filter));
+                                    assert!(router
+                                        .services_mut()
+                                        .dispatch
+                                        .unsubscribe(gone, filter));
                                 }
                             }
                         }
@@ -509,9 +526,9 @@ fn match_set_is_fixed_when_the_message_is_routed() {
                 }
             }
         };
-        assert_eq!(pump(&mut *driver, 0, Some(ids[2])), ids, "route-time snapshot");
-        assert_eq!(pump(&mut *driver, 1, None), ids[..2], "the next message sees the write");
-        assert_eq!(driver.dispatch_stats().delivery_count(), 5);
-        driver.shutdown(SimTime::from_secs(1));
+        assert_eq!(pump(&mut router, 0, Some(ids[2])), ids, "route-time snapshot");
+        assert_eq!(pump(&mut router, 1, None), ids[..2], "the next message sees the write");
+        assert_eq!(router.services().dispatch.stats().delivery_count(), 5);
+        assert!(router.shutdown(SimTime::from_secs(1)).is_empty());
     }
 }

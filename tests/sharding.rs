@@ -6,7 +6,6 @@
 
 use garnet::core::filtering::FilterConfig;
 use garnet::core::router::ShardedIngest;
-use garnet::core::stream::{ShardedStreamRegistry, StreamInfo};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -116,46 +115,6 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// The observable projection of a registry entry.
-fn fingerprint(info: &StreamInfo) -> (u32, u64, u64, bool, bool) {
-    (info.stream.to_raw(), info.messages, info.payload_bytes, info.claimed, info.derived)
-}
-
-proptest! {
-    // The sharded stream registry's merged discovery view is identical
-    // to the unsharded one — same entries, same ascending stream-id
-    // order, same per-entry statistics — whatever interleaving of
-    // messages and claim flips it absorbed.
-    #[test]
-    fn sharded_registry_discovery_is_shard_count_invariant(
-        ops in proptest::collection::vec((1u32..20, 0u8..2, 1usize..64, proptest::bool::ANY), 1..80),
-    ) {
-        let mut registries: Vec<ShardedStreamRegistry> =
-            [1usize, 4].iter().map(|&n| ShardedStreamRegistry::new(n)).collect();
-        for (i, &(sensor, index, payload_len, claim)) in ops.iter().enumerate() {
-            let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(index));
-            let at = SimTime::from_millis(i as u64);
-            for reg in &mut registries {
-                reg.note_message(stream, payload_len, at, false);
-                if claim {
-                    reg.set_claimed(stream, true);
-                }
-            }
-        }
-        let project = |reg: &ShardedStreamRegistry| -> Vec<(u32, u64, u64, bool, bool)> {
-            reg.discover_unclaimed().into_iter().map(fingerprint).collect()
-        };
-        let base = project(&registries[0]);
-        prop_assert_eq!(&project(&registries[1]), &base, "discover_unclaimed diverged at 4 shards");
-        prop_assert_eq!(registries[1].len(), registries[0].len());
-        // The unclaimed view must be sorted by raw stream id (the
-        // deterministic-merge contract the quiesce sweep relies on).
-        let mut sorted = base.clone();
-        sorted.sort_by_key(|f| f.0);
-        prop_assert_eq!(base, sorted);
     }
 }
 

@@ -83,12 +83,11 @@ fn filters() -> Vec<(u32, TopicFilter)> {
     ]
 }
 
-/// Pumps the schedule through a FIFO router over `ingest` and
-/// `dispatch_shards` dispatch shards, one boundary event to quiescence
-/// at a time (exactly the facade's drive loop), and fingerprints every
-/// escaped output in order.
-fn outputs(sched: &[Boundary], ingest: ShardedIngest, dispatch_shards: usize) -> Vec<String> {
-    let mut dispatch = ShardedDispatch::new(dispatch_shards);
+/// Pumps the schedule through a FIFO router over `ingest`, one boundary
+/// event to quiescence at a time (exactly the facade's drive loop), and
+/// fingerprints every escaped output in order.
+fn outputs(sched: &[Boundary], ingest: ShardedIngest) -> Vec<String> {
+    let mut dispatch = ShardedDispatch::default();
     // Allocate ids 0 and 1 — the raw ids `filters()` subscribes.
     dispatch.register_subscriber();
     dispatch.register_subscriber();
@@ -130,12 +129,12 @@ fn outputs(sched: &[Boundary], ingest: ShardedIngest, dispatch_shards: usize) ->
 
 /// The reference: filtering inline, on the router's thread.
 fn reference_outputs(sched: &[Boundary]) -> Vec<String> {
-    outputs(sched, ShardedIngest::new(FilterConfig::default(), 1), 1)
+    outputs(sched, ShardedIngest::new(FilterConfig::default(), 1))
 }
 
 /// The same schedule with the filtering shards on worker threads.
-fn threaded_outputs(sched: &[Boundary], ingest: usize, dispatch: usize) -> Vec<String> {
-    outputs(sched, ShardedIngest::pooled(FilterConfig::default(), ingest), dispatch)
+fn threaded_outputs(sched: &[Boundary], ingest: usize) -> Vec<String> {
+    outputs(sched, ShardedIngest::pooled(FilterConfig::default(), ingest))
 }
 
 #[test]
@@ -146,24 +145,21 @@ fn threaded_router_matches_single_threaded_router() {
         want.iter().any(|o| o.starts_with("Deliver")),
         "schedule must exercise deliveries, got {want:?}"
     );
-    let got = threaded_outputs(&sched, 1, 1);
-    assert_eq!(got, want, "1×1 pooled ingest diverged from the inline router");
+    let got = threaded_outputs(&sched, 1);
+    assert_eq!(got, want, "one pooled shard diverged from the inline router");
 }
 
 #[test]
 fn threaded_router_output_is_shard_count_invariant() {
     let sched = schedule();
-    let base = threaded_outputs(&sched, 1, 1);
-    for (ingest, dispatch) in [(4, 1), (1, 4), (4, 3)] {
-        let got = threaded_outputs(&sched, ingest, dispatch);
-        assert_eq!(got, base, "{ingest}×{dispatch} shards diverged");
-    }
+    let base = threaded_outputs(&sched, 1);
+    assert_eq!(threaded_outputs(&sched, 4), base, "4 pooled shards diverged from 1");
 }
 
 #[test]
 fn threaded_router_is_deterministic_across_runs() {
     let sched = schedule();
-    let a = threaded_outputs(&sched, 4, 3);
-    let b = threaded_outputs(&sched, 4, 3);
+    let a = threaded_outputs(&sched, 4);
+    let b = threaded_outputs(&sched, 4);
     assert_eq!(a, b);
 }

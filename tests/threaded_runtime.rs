@@ -20,12 +20,7 @@ use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
 
 fn threaded_config(shards: usize) -> GarnetConfig {
-    GarnetConfig {
-        driver: DriverKind::Threaded,
-        ingest_shards: shards,
-        dispatch_shards: shards,
-        ..GarnetConfig::default()
-    }
+    GarnetConfig { driver: DriverKind::Threaded, ingest_shards: shards, ..GarnetConfig::default() }
 }
 
 /// What flows over the bus to the middleware thread.
