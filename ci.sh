@@ -20,10 +20,11 @@ fi
 
 # There is one service graph, one dispatch stage and one benchmark
 # system: the names of the second engine, its edge plumbing, the helpers
-# that compared the two, the dispatch partition, the boxed driver and the
-# retired sweep scaffolding must not come back.
+# that compared the two, the dispatch partition, the boxed driver, the
+# retired sweep scaffolding, the per-service twin of ControlGraph::route's
+# match and the histogram that could only read 0 must not come back.
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi
@@ -49,6 +50,28 @@ fi
 echo "==> no BENCH_*.json tracked"
 if git ls-files | grep -E '(^|/)BENCH_[A-Za-z_]+\.json$'; then
   echo "a BENCH_*.json file is tracked" >&2
+  exit 1
+fi
+
+# Everything Cargo builds does something: the two vendored stand-ins are
+# the ones code needs (`bytes`, `proptest`); channels and locks are
+# std's, nothing derives a marker trait through a proc-macro, and
+# perfbench is the only thing that times our code.
+echo "==> vendor/ is bytes + proptest; no stand-in dependency, proc-macro or bench target"
+if [ "$(echo vendor/*)" != "vendor/bytes vendor/proptest" ]; then
+  echo "vendor/ holds something other than bytes and proptest" >&2
+  exit 1
+fi
+if grep -nE '^(crossbeam|parking_lot|serde|rand|criterion)\b' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
+  echo "a manifest names a deleted stand-in crate" >&2
+  exit 1
+fi
+if grep -nE 'proc-macro *= *true|^\[\[bench\]\]' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
+  echo "a proc-macro crate or a [[bench]] target is back" >&2
+  exit 1
+fi
+if find . \( -path ./perfbench -o -path ./target -o -path ./.bench_build \) -prune -o -type d -name benches -print | grep .; then
+  echo "a benches/ directory exists outside perfbench/" >&2
   exit 1
 fi
 
@@ -115,5 +138,10 @@ fi
 echo "==> benchmark verify: perfbench builds offline, perf --quick passes"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 perfbench/target/release/perf --quick
+# perfbench/Cargo.lock is tracked and may only change in a `benchmark`
+# PR, but it still names crates this workspace no longer has, and an
+# offline build prunes those entries in the working tree: put the
+# committed file back so that running CI leaves the tree clean.
+git checkout -- perfbench/Cargo.lock
 
 echo "==> CI green"

@@ -98,8 +98,6 @@ pub fn simulate_collision_rate(
     collided_total as f64 / (concurrent as u64 * u64::from(trials)) as f64
 }
 
-use rand::RngCore as _;
-
 /// Cost report for one scheme at one operating point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SchemeCost {

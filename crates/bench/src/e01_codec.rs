@@ -24,8 +24,7 @@ pub struct CodecPoint {
 /// limit).
 pub const PAYLOAD_SIZES: [usize; 8] = [0, 8, 16, 64, 256, 1024, 8192, 65535];
 
-/// Builds a message with the given payload size (shared with the
-/// criterion bench).
+/// Builds a message with the given payload size.
 pub fn sample_message(payload_len: usize) -> DataMessage {
     DataMessage::builder(StreamId::from_raw(0x00AB_CD01))
         .seq(SequenceNumber::new(12_345))

@@ -49,7 +49,7 @@ pub fn run_point(side: usize, interval: SimDuration, horizon: SimTime) -> Pipeli
     // medium's sub-millisecond latency) without starting a new round.
     sim.run_until(horizon.saturating_add(garnet_simkit::SimDuration::from_millis(100)));
 
-    let h = hist.lock();
+    let h = hist.lock().expect("probe histogram");
     let sensors = scenario.sensor_count();
     let transmitted = sim.transmission_count().max(1);
     PipelinePoint {

@@ -4,7 +4,7 @@
 //! The payload is opaque to the infrastructure (§4.3), so sealing costs
 //! nothing anywhere except the two ends. The sweep measures the wire
 //! overhead (a constant 8-byte tag) and the seal/open throughput across
-//! payload sizes; the criterion bench times the same calls.
+//! payload sizes.
 
 use garnet_wire::crypto::PayloadKey;
 use garnet_wire::{SequenceNumber, StreamId};
@@ -26,7 +26,7 @@ pub struct CryptoPoint {
     pub open_mib_s: f64,
 }
 
-/// A fixed bench key.
+/// The fixed key every row seals with.
 pub fn bench_key() -> PayloadKey {
     PayloadKey::from_bytes(*b"garnet-e14-bench")
 }

@@ -2,11 +2,10 @@
 //! claim and comparison the paper makes (see `DESIGN.md` §5 for the
 //! experiment index, and `EXPERIMENTS.md` for paper-vs-measured).
 //!
-//! Each `eNN_*` module computes one experiment's rows; the
-//! `experiments` binary prints them all, and the Criterion benches in
-//! `benches/` time the hot paths of the same code. What our own code
-//! costs — frames/s, latency, the per-layer budget — is `perfbench/`'s
-//! to say (`BENCHMARK.json`), not this crate's.
+//! Each `eNN_*` module computes one experiment's rows and the
+//! `experiments` binary prints them all. What our own code costs —
+//! frames/s, latency, the per-layer budget — is `perfbench/`'s to say
+//! (`BENCHMARK.json`), not this crate's.
 
 pub mod e01_codec;
 pub mod e02_capacity;

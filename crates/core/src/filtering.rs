@@ -359,28 +359,10 @@ impl FilteringService {
 
     /// Feeds a burst of frames, each `(receiver, rssi_dbm, frame, at)`.
     ///
-    /// Equivalent to calling [`FilteringService::on_frame`] once per
-    /// entry in order — same deliveries, same counters — but the fixed
-    /// headers are validated in one struct-of-arrays prepass over the
-    /// whole batch before any stream state is touched, so per-frame
-    /// dynamic dispatch and repeated header re-validation are amortised.
+    /// [`FilteringService::on_frame`] once per entry, in order: one
+    /// call, and one result `Vec`, per burst.
     pub fn on_batch(&mut self, frames: &[FrameArrival]) -> Vec<FilterResult> {
-        // SoA prepass: parse every fixed header (stream id, seq, payload
-        // bounds) up front. Parsing is pure, so doing it batch-first
-        // cannot change what `apply` observes per frame.
-        let headers: Vec<Result<FrameHeader, WireError>> =
-            frames.iter().map(|f| FrameHeader::parse(&f.frame)).collect();
-        frames
-            .iter()
-            .zip(headers)
-            .map(|(f, hdr)| match hdr {
-                Ok(hdr) => self.apply(f.receiver, f.rssi_dbm, &f.frame, &hdr, f.at),
-                Err(e) => {
-                    self.crc_failures.incr();
-                    FilterResult { error: Some(e), ..FilterResult::default() }
-                }
-            })
-            .collect()
+        frames.iter().map(|f| self.on_frame(f.receiver, f.rssi_dbm, &f.frame, f.at)).collect()
     }
 
     /// Feeds one frame whose fixed header was already validated (the

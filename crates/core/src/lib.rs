@@ -13,11 +13,12 @@
 //! state changes and can *anticipate* needs, invoking resource-manager
 //! policy ahead of demand.
 //!
-//! All services are sans-io state machines — the control-plane ones
-//! behind the [`service::GarnetService`] trait, the two data-plane
-//! stages called by the router directly so a frame's results reach the
-//! queue without a buffer in between; the [`router::Router`] threads
-//! typed events between them over a FIFO queue, and
+//! All services are sans-io state machines with typed methods of their
+//! own; the [`router::Router`] calls the two data-plane stages directly,
+//! so a frame's results reach the queue without a buffer in between,
+//! and hands every control event to the one service that owns it in a
+//! single `match` ([`router::ControlGraph`]), threading the typed
+//! [`service::ServiceEvent`]s between them over a FIFO queue.
 //! [`middleware::Garnet`] is a thin facade that owns that router, steps
 //! it to quiescence and hosts the consumers. The filtering hot path is
 //! partitioned by sensor id into [`router::ShardedIngest`] shards with a
@@ -91,7 +92,7 @@ pub use router::{
     ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, Router, Services,
     ShardedDispatch, ShardedIngest,
 };
-pub use service::{GarnetService, ServiceEvent, ServiceOutput};
+pub use service::{ServiceEvent, ServiceOutput};
 pub use telemetry::{
     HealthReport, HealthState, PipelineSpans, QueueDepthGauges, TelemetryConfig, TelemetrySnapshot,
 };

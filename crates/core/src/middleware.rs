@@ -761,7 +761,7 @@ impl Garnet {
     /// Control > Actuation > Data) or straight into the router.
     fn route_event(&mut self, ev: ServiceEvent, now: SimTime) {
         if let Some(s) = self.qos.as_mut() {
-            s.offer_event(ev, now);
+            s.offer_event(ev);
             self.release_qos(now);
         } else {
             self.router.enqueue(ev);
@@ -1483,7 +1483,7 @@ impl Garnet {
                 m.counter(&stage_key("archive", metric)).add(value);
             }
         }
-        // The QoS plane's per-class view: ledgers, waits, and the
+        // The QoS plane's per-class view: ledgers and the
         // delivery-plane counters. Emitted only when the scheduler is
         // armed.
         if let Some(s) = &self.qos {
@@ -1497,8 +1497,6 @@ impl Garnet {
                 ] {
                     m.counter(&stage_key("qos", &format!("{}.{metric}", class.name()))).add(value);
                 }
-                m.histogram(&stage_key("qos", &format!("{}.wait_us", class.name())))
-                    .merge(s.wait_hist(class));
             }
             m.counter(&stage_key("qos", "retunes")).add(s.retune_count());
             let dl = self.delivery.ledger();
@@ -2035,6 +2033,37 @@ mod tests {
         g.on_frame(ReceiverId::new(0), -50.0, &acked, SimTime::from_millis(20));
         assert_eq!(g.actuation().in_flight(), 0);
         assert_eq!(g.actuation().acknowledged_count(), 1);
+    }
+
+    #[test]
+    fn sensor_profile_constraint_denies_through_facade() {
+        use crate::constraints::Constraint;
+
+        let mut g = garnet();
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        let sensor = SensorId::new(1).unwrap();
+        g.register_sensor_profile(
+            sensor,
+            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 2").unwrap()] },
+        );
+        let mut request = |interval_ms| {
+            g.request_actuation(
+                id,
+                &token,
+                ActuationTarget::Sensor(sensor),
+                SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms },
+                SimTime::ZERO,
+            )
+            .unwrap()
+        };
+        // 10 Hz is over the profile's bound, 2 Hz is on it.
+        assert!(matches!(
+            request(100),
+            ActuationOutcome::Denied { reason: DenyReason::ConstraintViolated(_) }
+        ));
+        assert!(matches!(request(500), ActuationOutcome::Granted { .. }));
+        assert_eq!(g.resource().denied_count(), 1);
     }
 
     #[test]

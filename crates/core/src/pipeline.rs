@@ -12,13 +12,12 @@
 //! harness; it is the "deployment" a downstream user would start from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use garnet_radio::field::DynField;
 use garnet_radio::{Medium, Receiver, SensorNode, Transmitter};
 use garnet_simkit::{Histogram, SimRng, SimTime, Simulation};
 use garnet_wire::StreamUpdateRequest;
-use parking_lot::Mutex;
 
 use crate::consumer::{Consumer, ConsumerCtx};
 use crate::filtering::Delivery;
@@ -348,7 +347,7 @@ impl Consumer for LatencyProbe {
     fn on_data(&mut self, delivery: &Delivery, _ctx: &mut ConsumerCtx) {
         if let Some(reading) = garnet_radio::Reading::decode(delivery.msg.payload()) {
             let latency = delivery.delivered_at.saturating_since(reading.sensed_at()).as_micros();
-            self.hist.lock().record(latency);
+            self.hist.lock().unwrap_or_else(PoisonError::into_inner).record(latency);
         }
     }
 }
@@ -417,7 +416,7 @@ mod tests {
             .unwrap();
 
         sim.run_until(SimTime::from_secs(10));
-        let h = hist.lock();
+        let h = hist.lock().unwrap();
         assert!(h.count() >= 9, "delivered {} messages", h.count());
         // Latency = medium base latency (500µs) since reordering never kicks in.
         assert!(h.p50() >= 500, "p50={}", h.p50());

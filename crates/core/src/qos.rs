@@ -179,13 +179,6 @@ impl ClassLedgers {
     }
 }
 
-/// A data frame parked in the scheduler's bounded tier.
-#[derive(Debug)]
-struct StagedFrame {
-    frame: BatchedFrame,
-    offered_at: SimTime,
-}
-
 /// One item of a strict-priority release plan: Control events first,
 /// then Actuation, then the surviving Data frames as one batch (so the
 /// engine's batched admission path is preserved).
@@ -227,14 +220,12 @@ pub struct QosScheduler {
     capacity: usize,
     floor: usize,
     ceiling: usize,
-    control: VecDeque<(ServiceEvent, SimTime)>,
-    actuation: VecDeque<(ServiceEvent, SimTime)>,
-    data: VecDeque<StagedFrame>,
+    control: VecDeque<ServiceEvent>,
+    actuation: VecDeque<ServiceEvent>,
+    data: VecDeque<BatchedFrame>,
     ledgers: ClassLedgers,
     peak_depth: u64,
     depth_hist: Histogram,
-    /// Per-class offer→release wait (µs, sim time).
-    waits: [Histogram; 3],
     retunes: u64,
 }
 
@@ -257,7 +248,6 @@ impl QosScheduler {
             ledgers: ClassLedgers::default(),
             peak_depth: 0,
             depth_hist: Histogram::new(),
-            waits: [Histogram::new(), Histogram::new(), Histogram::new()],
             retunes: 0,
         }
     }
@@ -267,36 +257,38 @@ impl QosScheduler {
     /// Data-class events entering by this path (derived `Filtered`
     /// republications) also pass untouched: the overload policy governs
     /// radio frames, not deliveries already paid for.
-    pub fn offer_event(&mut self, ev: ServiceEvent, now: SimTime) {
+    pub fn offer_event(&mut self, ev: ServiceEvent) {
         let class = PriorityClass::of(&ev);
         self.ledgers.class_mut(class).offered += 1;
         match class {
-            PriorityClass::Control => self.control.push_back((ev, now)),
+            PriorityClass::Control => self.control.push_back(ev),
             // Data-class control-path entries skip the bounded tier:
             // count them delivered on release alongside actuation.
-            PriorityClass::Actuation | PriorityClass::Data => self.actuation.push_back((ev, now)),
+            PriorityClass::Actuation | PriorityClass::Data => self.actuation.push_back(ev),
         }
     }
 
     /// Offers one radio frame to the bounded Data tier under the
     /// configured policy: shed-oldest, per-stream newest-wins
-    /// coalescing with replace in place, or blocked hand-back.
-    pub fn offer_frame(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
+    /// coalescing with replace in place, or blocked hand-back. Every
+    /// offer is released within the facade call that made it, so `_now`
+    /// is accepted for the benchmark's call site and has no effect.
+    pub fn offer_frame(&mut self, frame: BatchedFrame, _now: SimTime) -> FrameOffer {
         if self.data.len() < self.capacity {
-            self.note_offered(frame, now);
+            self.note_offered(frame);
             return FrameOffer::Staged;
         }
         match self.policy {
             OverloadPolicy::Block => FrameOffer::Blocked(frame),
-            OverloadPolicy::Shed => self.shed_oldest_for(frame, now),
-            OverloadPolicy::CoalesceFrames => self.coalesce(frame, now),
+            OverloadPolicy::Shed => self.shed_oldest_for(frame),
+            OverloadPolicy::CoalesceFrames => self.coalesce(frame),
         }
     }
 
     /// Counts and stages an accepted frame, sampling the tier depth.
-    fn note_offered(&mut self, frame: BatchedFrame, now: SimTime) {
+    fn note_offered(&mut self, frame: BatchedFrame) {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
-        self.data.push_back(StagedFrame { frame, offered_at: now });
+        self.data.push_back(frame);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
@@ -320,11 +312,11 @@ impl QosScheduler {
 
     /// At capacity (so the tier is non-empty): sheds the oldest staged
     /// frame and stages `frame` in its stead.
-    fn shed_oldest_for(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
+    fn shed_oldest_for(&mut self, frame: BatchedFrame) -> FrameOffer {
         let oldest = self.data.pop_front().expect("a tier at capacity holds a frame");
         self.note_dropped(false);
-        self.note_offered(frame, now);
-        FrameOffer::StagedAfterShed(oldest.frame)
+        self.note_offered(frame);
+        FrameOffer::StagedAfterShed(oldest)
     }
 
     /// At capacity under `CoalesceFrames`: resolve against the staged
@@ -332,14 +324,14 @@ impl QosScheduler {
     /// wins, survivor keeps the staged position), falling back to
     /// shedding the oldest staged frame when the stream has nothing
     /// staged.
-    fn coalesce(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
+    fn coalesce(&mut self, frame: BatchedFrame) -> FrameOffer {
         let stream = peek_stream(&frame.frame);
-        let same_stream = stream
-            .and_then(|s| self.data.iter().position(|q| peek_stream(&q.frame.frame) == Some(s)));
+        let same_stream =
+            stream.and_then(|s| self.data.iter().position(|q| peek_stream(&q.frame) == Some(s)));
         let Some(idx) = same_stream else {
-            return self.shed_oldest_for(frame, now);
+            return self.shed_oldest_for(frame);
         };
-        let staged_seq = peek_seq(&self.data[idx].frame.frame);
+        let staged_seq = peek_seq(&self.data[idx].frame);
         let arriving_wins = match (peek_seq(&frame.frame), staged_seq) {
             (Some(a), Some(q)) => a.is_after(q),
             (Some(_), None) => true,
@@ -352,42 +344,32 @@ impl QosScheduler {
         }
         // Replace in place: the survivor keeps the staged frame's
         // position, and thus its place in the release order.
-        let staged = std::mem::replace(&mut self.data[idx], StagedFrame { frame, offered_at: now });
+        let staged = std::mem::replace(&mut self.data[idx], frame);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
-        FrameOffer::Coalesced(staged.frame)
+        FrameOffer::Coalesced(staged)
     }
 
     /// Drains every tier in strict priority order — Control, then
     /// Actuation, then the surviving Data frames as one batch — and
-    /// counts each released item delivered, recording its offer→release
-    /// wait.
-    pub fn release(&mut self, now: SimTime) -> Vec<Release> {
+    /// counts each released item delivered. `_now` is accepted for the
+    /// benchmark's call site and has no effect.
+    pub fn release(&mut self, _now: SimTime) -> Vec<Release> {
         let mut plan = Vec::new();
-        while let Some((ev, at)) = self.control.pop_front() {
-            self.note_released(PriorityClass::Control, at, now);
+        while let Some(ev) = self.control.pop_front() {
+            self.ledgers.class_mut(PriorityClass::Control).delivered += 1;
             plan.push(Release::Event(ev));
         }
-        while let Some((ev, at)) = self.actuation.pop_front() {
-            let class = PriorityClass::of(&ev);
-            self.note_released(class, at, now);
+        while let Some(ev) = self.actuation.pop_front() {
+            self.ledgers.class_mut(PriorityClass::of(&ev)).delivered += 1;
             plan.push(Release::Event(ev));
         }
         if !self.data.is_empty() {
-            let mut frames = Vec::with_capacity(self.data.len());
-            while let Some(staged) = self.data.pop_front() {
-                self.note_released(PriorityClass::Data, staged.offered_at, now);
-                frames.push(staged.frame);
-            }
-            plan.push(Release::Frames(frames));
+            self.ledgers.class_mut(PriorityClass::Data).delivered += self.data.len() as u64;
+            plan.push(Release::Frames(self.data.drain(..).collect()));
         }
         plan
-    }
-
-    fn note_released(&mut self, class: PriorityClass, offered_at: SimTime, now: SimTime) {
-        self.ledgers.class_mut(class).delivered += 1;
-        self.waits[class.index()].record(now.saturating_since(offered_at).as_micros());
     }
 
     /// Retunes the data-tier capacity from the depth histogram's p99 —
@@ -443,11 +425,6 @@ impl QosScheduler {
     /// p99 of tier-depth-at-offer samples.
     pub fn depth_p99(&self) -> u64 {
         self.depth_hist.p99()
-    }
-
-    /// One class's offer→release wait histogram (µs, sim time).
-    pub fn wait_hist(&self, class: PriorityClass) -> &Histogram {
-        &self.waits[class.index()]
     }
 }
 
@@ -628,8 +605,8 @@ mod tests {
         let mut s = sched(OverloadPolicy::Shed, 4);
         let t = SimTime::ZERO;
         assert!(matches!(s.offer_frame(batched(1, 0, 0), t), FrameOffer::Staged));
-        s.offer_event(ServiceEvent::FlushReorder, t);
-        s.offer_event(ServiceEvent::ActuationTick, t);
+        s.offer_event(ServiceEvent::FlushReorder);
+        s.offer_event(ServiceEvent::ActuationTick);
         let plan = s.release(t);
         assert!(matches!(plan[0], Release::Event(ServiceEvent::FlushReorder)));
         assert!(matches!(plan[1], Release::Event(ServiceEvent::ActuationTick)));

@@ -41,10 +41,12 @@ use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService, F
 use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::replicator::MessageReplicator;
-use crate::resource::{MediationPolicy, ResourceManager};
+use crate::resource::{Decision, MediationPolicy, ResourceManager};
 #[cfg(feature = "trace")]
 use crate::service::BatchedFrame;
-use crate::service::{GarnetService, ServiceEvent, ServiceOutput};
+use crate::service::{
+    ActuationOrigin, ServiceEvent, ServiceOutput, SYSTEM_PRIORITY, SYSTEM_SUBSCRIBER,
+};
 use crate::stream::{shard_of_sensor, StreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::RootTag;
@@ -559,13 +561,62 @@ impl Default for ControlGraph {
 }
 
 impl ControlGraph {
+    /// Figure 1's control arrows: hands `ev` to the one service that
+    /// owns its variant and turns what that service returns into the
+    /// next events of the chain or the facade's effects.
     fn route(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
         use ServiceEvent::*;
         match ev {
-            Orphaned(_) => self.orphanage.handle(ev, now),
-            Observed(_) | Hint { .. } => self.location.handle(ev, now),
-            ActuationRequested { .. } => self.resource.handle(ev, now),
-            Submit { .. } | AckReceived { .. } | ActuationTick => self.actuation.handle(ev, now),
+            Orphaned(delivery) => {
+                self.orphanage.take_in(&delivery);
+                Vec::new()
+            }
+            Observed(obs) => {
+                self.location.observe(&obs);
+                Vec::new()
+            }
+            Hint { sensor, position, confidence } => {
+                self.location.hint(sensor, position, confidence, now);
+                Vec::new()
+            }
+            ActuationRequested { origin, requester, priority, target, command } => {
+                match self.resource.request(requester, priority, &target, &command) {
+                    Decision::Granted { effective } => vec![ServiceOutput::Emit(Submit {
+                        origin,
+                        requester,
+                        priority,
+                        target,
+                        command: effective,
+                    })],
+                    Decision::Denied { reason } => {
+                        vec![ServiceOutput::Denied { origin, requester, reason }]
+                    }
+                }
+            }
+            Submit { origin, requester, priority, target, command } => {
+                let request = self.actuation.submit(target, command, priority, now);
+                vec![ServiceOutput::Emit(Replicate { origin, requester, request, estimate: None })]
+            }
+            AckReceived { request_id, status } => {
+                self.actuation.on_ack(request_id, status, now);
+                Vec::new()
+            }
+            ActuationTick => {
+                let (retransmit, expired) = self.actuation.on_tick(now);
+                let mut out: Vec<ServiceOutput> = retransmit
+                    .into_iter()
+                    .map(|request| {
+                        ServiceOutput::Emit(Replicate {
+                            origin: ActuationOrigin::Retry,
+                            requester: SYSTEM_SUBSCRIBER,
+                            request,
+                            estimate: None,
+                        })
+                    })
+                    .collect();
+                out.extend(expired.into_iter().map(ServiceOutput::Expired));
+                out
+            }
             Replicate { origin, requester, request, estimate } => {
                 // The replicator's read-dependency on the Location
                 // Service is resolved here, at routing time, so the
@@ -575,23 +626,27 @@ impl ControlGraph {
                     ActuationTarget::Stream(st) => self.location.estimate(st.sensor(), now),
                     ActuationTarget::Area(_) => None,
                 });
-                self.replicator.handle(Replicate { origin, requester, request, estimate }, now)
+                let plan = self.replicator.plan_with_estimate(request, estimate);
+                vec![ServiceOutput::Planned { origin, requester, plan }]
             }
-            StateReported { .. } => self.coordinator.handle(ev, now),
-            // Data-plane events are not ours; ignoring them keeps the
-            // contract total.
+            StateReported { reporter, state } => self
+                .coordinator
+                .report_state(reporter.as_u32(), state, now)
+                .into_iter()
+                .map(|a| {
+                    ServiceOutput::Emit(ActuationRequested {
+                        origin: ActuationOrigin::Coordinator,
+                        requester: SYSTEM_SUBSCRIBER,
+                        priority: a.action.priority.max(SYSTEM_PRIORITY),
+                        target: a.action.target,
+                        command: a.action.command,
+                    })
+                })
+                .collect(),
+            // Data-plane events are the router's own; it never hands
+            // one here.
             Frame { .. } | FlushReorder | Filtered { .. } => Vec::new(),
         }
-    }
-}
-
-impl GarnetService for ControlGraph {
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        self.route(ev, now)
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        GarnetService::next_deadline(&self.actuation)
     }
 }
 
@@ -830,7 +885,7 @@ impl Router {
                 self.absorb(tag, output, out);
             }
             control => {
-                for output in self.services.control.handle(control, now) {
+                for output in self.services.control.route(control, now) {
                     self.absorb(tag, output, out);
                 }
             }
@@ -947,7 +1002,7 @@ impl Router {
 
     /// The earliest time-driven deadline across routed services.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        [self.services.ingest.next_deadline(), GarnetService::next_deadline(&self.services.control)]
+        [self.services.ingest.next_deadline(), self.services.control.actuation.next_deadline()]
             .into_iter()
             .flatten()
             .min()
@@ -957,7 +1012,10 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+    use garnet_net::SubscriberId;
+    use garnet_wire::{
+        AckStatus, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
+    };
 
     fn frame(sensor: u32, seq: u16) -> garnet_wire::FrameBytes {
         let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
@@ -1016,5 +1074,76 @@ mod tests {
         assert_eq!(stats.delivered_count(), 8);
         assert_eq!(stats.duplicate_count(), 8);
         assert_eq!(stats.stream_count(), 8);
+    }
+
+    fn target() -> ActuationTarget {
+        ActuationTarget::Sensor(SensorId::new(7).unwrap())
+    }
+
+    fn command() -> SensorCommand {
+        SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms: 500 }
+    }
+
+    #[test]
+    fn resource_grant_emits_submit() {
+        let mut control = ControlGraph::default();
+        let out = control.route(
+            ServiceEvent::ActuationRequested {
+                origin: ActuationOrigin::Api,
+                requester: SubscriberId::new(3),
+                priority: 10,
+                target: target(),
+                command: command(),
+            },
+            SimTime::ZERO,
+        );
+        assert_eq!(out.len(), 1);
+        assert!(matches!(
+            &out[0],
+            ServiceOutput::Emit(ServiceEvent::Submit { origin: ActuationOrigin::Api, .. })
+        ));
+    }
+
+    #[test]
+    fn actuation_submit_emits_replicate_and_tracks() {
+        let mut control = ControlGraph::default();
+        let out = control.route(
+            ServiceEvent::Submit {
+                origin: ActuationOrigin::Consumer,
+                requester: SubscriberId::new(1),
+                priority: 5,
+                target: target(),
+                command: command(),
+            },
+            SimTime::ZERO,
+        );
+        assert_eq!(control.actuation.in_flight(), 1);
+        let ServiceOutput::Emit(ServiceEvent::Replicate { request, estimate, .. }) = &out[0] else {
+            panic!("expected replicate: {out:?}");
+        };
+        assert!(estimate.is_none(), "the estimate is filled in when the Replicate is routed");
+        // Ack closes the loop through the same entry point.
+        let request_id = request.request_id;
+        control.route(
+            ServiceEvent::AckReceived { request_id, status: AckStatus::Applied },
+            SimTime::from_millis(3),
+        );
+        assert_eq!(control.actuation.in_flight(), 0);
+        assert_eq!(control.actuation.acknowledged_count(), 1);
+    }
+
+    #[test]
+    fn orphanage_takes_in_orphaned_deliveries() {
+        let mut control = ControlGraph::default();
+        let msg = DataMessage::builder(StreamId::from_raw(0x0700)).build().unwrap();
+        control.route(
+            ServiceEvent::Orphaned(Delivery {
+                msg,
+                first_received_at: SimTime::ZERO,
+                delivered_at: SimTime::ZERO,
+            }),
+            SimTime::ZERO,
+        );
+        assert_eq!(control.orphanage.total_taken(), 1);
     }
 }

@@ -1,15 +1,15 @@
 //! The sans-io service protocol: typed events between Figure 1's boxes.
 //!
-//! Every middleware service is a state machine that consumes
-//! [`ServiceEvent`]s and produces [`ServiceOutput`]s — either further
-//! events for sibling services ([`ServiceOutput::Emit`]) or effects the
-//! facade must carry out (deliver to a consumer, transmit a plan). The
-//! [`GarnetService`] trait is the control-plane services' whole
-//! contract (the per-frame stages, ingest and dispatch, hand the router
-//! their results without the `Vec` the trait returns); no service calls
-//! another directly, so the event [`crate::router::Router`] is the only
-//! place the paper's arrows exist in code, and any stage can be swapped
-//! for a sharded or threaded implementation without the others noticing.
+//! Every middleware service is a state machine with typed methods of
+//! its own; what travels between them is a [`ServiceEvent`], and what a
+//! hop produces is a [`ServiceOutput`] — either a further event for a
+//! sibling service ([`ServiceOutput::Emit`]) or an effect the facade
+//! must carry out (deliver to a consumer, transmit a plan). No service
+//! calls another directly: the event [`crate::router::Router`] — the
+//! one `match` in its [`crate::router::ControlGraph`] for the control
+//! plane — is the only place the paper's arrows exist in code, and any
+//! stage can be swapped for a sharded or threaded implementation
+//! without the others noticing.
 //!
 //! The facade (`Garnet`) remains the *driver*: it owns the router, pumps
 //! it to quiescence after every external input, runs consumer callbacks
@@ -22,18 +22,15 @@ use std::sync::Arc;
 use garnet_net::SubscriberId;
 use garnet_radio::geometry::Point;
 use garnet_radio::ReceiverId;
-use garnet_simkit::SimTime;
 use garnet_wire::{
     AckStatus, ActuationTarget, FrameBytes, RequestId, SensorCommand, SensorId, StreamUpdateRequest,
 };
 
-use crate::actuation::ActuationService;
-use crate::coordinator::{ConsumerStateId, SuperCoordinator};
+use crate::coordinator::ConsumerStateId;
 use crate::filtering::{Delivery, Observation};
-use crate::location::{LocationEstimate, LocationService};
-use crate::orphanage::Orphanage;
-use crate::replicator::{MessageReplicator, ReplicationPlan};
-use crate::resource::{Decision, DenyReason, ResourceManager};
+use crate::location::LocationEstimate;
+use crate::replicator::ReplicationPlan;
+use crate::resource::DenyReason;
 
 /// Reserved subscriber identity for actions the middleware itself
 /// originates (Super Coordinator policies, quiescence sweeps).
@@ -212,219 +209,4 @@ pub enum ServiceOutput {
     },
     /// A tracked request exhausted its retries.
     Expired(StreamUpdateRequest),
-}
-
-/// A sans-io middleware service: consumes events, emits outputs, and
-/// optionally asks to be woken at a deadline.
-pub trait GarnetService {
-    /// Handles one event addressed to this service. Events a service
-    /// does not own are ignored (the router never misroutes; this keeps
-    /// the contract total).
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput>;
-
-    /// The earliest instant this service has time-driven work, if any.
-    fn next_deadline(&self) -> Option<SimTime> {
-        None
-    }
-}
-
-impl GarnetService for Orphanage {
-    fn handle(&mut self, ev: ServiceEvent, _now: SimTime) -> Vec<ServiceOutput> {
-        if let ServiceEvent::Orphaned(delivery) = ev {
-            self.take_in(&delivery);
-        }
-        Vec::new()
-    }
-}
-
-impl GarnetService for LocationService {
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        match ev {
-            ServiceEvent::Observed(obs) => self.observe(&obs),
-            ServiceEvent::Hint { sensor, position, confidence } => {
-                self.hint(sensor, position, confidence, now)
-            }
-            _ => {}
-        }
-        Vec::new()
-    }
-}
-
-impl GarnetService for ResourceManager {
-    fn handle(&mut self, ev: ServiceEvent, _now: SimTime) -> Vec<ServiceOutput> {
-        let ServiceEvent::ActuationRequested { origin, requester, priority, target, command } = ev
-        else {
-            return Vec::new();
-        };
-        match self.request(requester, priority, &target, &command) {
-            Decision::Granted { effective } => vec![ServiceOutput::Emit(ServiceEvent::Submit {
-                origin,
-                requester,
-                priority,
-                target,
-                command: effective,
-            })],
-            Decision::Denied { reason } => {
-                vec![ServiceOutput::Denied { origin, requester, reason }]
-            }
-        }
-    }
-}
-
-impl GarnetService for ActuationService {
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        match ev {
-            ServiceEvent::Submit { origin, requester, priority, target, command } => {
-                let request = self.submit(target, command, priority, now);
-                vec![ServiceOutput::Emit(ServiceEvent::Replicate {
-                    origin,
-                    requester,
-                    request,
-                    estimate: None,
-                })]
-            }
-            ServiceEvent::AckReceived { request_id, status } => {
-                self.on_ack(request_id, status, now);
-                Vec::new()
-            }
-            ServiceEvent::ActuationTick => {
-                let (retransmit, expired) = self.on_tick(now);
-                let mut out: Vec<ServiceOutput> = retransmit
-                    .into_iter()
-                    .map(|request| {
-                        ServiceOutput::Emit(ServiceEvent::Replicate {
-                            origin: ActuationOrigin::Retry,
-                            requester: SYSTEM_SUBSCRIBER,
-                            request,
-                            estimate: None,
-                        })
-                    })
-                    .collect();
-                out.extend(expired.into_iter().map(ServiceOutput::Expired));
-                out
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        ActuationService::next_deadline(self)
-    }
-}
-
-impl GarnetService for MessageReplicator {
-    fn handle(&mut self, ev: ServiceEvent, _now: SimTime) -> Vec<ServiceOutput> {
-        let ServiceEvent::Replicate { origin, requester, request, estimate } = ev else {
-            return Vec::new();
-        };
-        let plan = self.plan_with_estimate(request, estimate);
-        vec![ServiceOutput::Planned { origin, requester, plan }]
-    }
-}
-
-impl GarnetService for SuperCoordinator {
-    fn handle(&mut self, ev: ServiceEvent, now: SimTime) -> Vec<ServiceOutput> {
-        let ServiceEvent::StateReported { reporter, state } = ev else {
-            return Vec::new();
-        };
-        self.report_state(reporter.as_u32(), state, now)
-            .into_iter()
-            .map(|a| {
-                ServiceOutput::Emit(ServiceEvent::ActuationRequested {
-                    origin: ActuationOrigin::Coordinator,
-                    requester: SYSTEM_SUBSCRIBER,
-                    priority: a.action.priority.max(SYSTEM_PRIORITY),
-                    target: a.action.target,
-                    command: a.action.command,
-                })
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::actuation::ActuationConfig;
-    use crate::resource::MediationPolicy;
-    use garnet_wire::{StreamId, StreamIndex};
-
-    fn target() -> ActuationTarget {
-        ActuationTarget::Sensor(SensorId::new(7).unwrap())
-    }
-
-    fn command() -> SensorCommand {
-        SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms: 500 }
-    }
-
-    #[test]
-    fn resource_grant_emits_submit() {
-        let mut r = ResourceManager::new(MediationPolicy::MergeMax);
-        let out = r.handle(
-            ServiceEvent::ActuationRequested {
-                origin: ActuationOrigin::Api,
-                requester: SubscriberId::new(3),
-                priority: 10,
-                target: target(),
-                command: command(),
-            },
-            SimTime::ZERO,
-        );
-        assert_eq!(out.len(), 1);
-        assert!(matches!(
-            &out[0],
-            ServiceOutput::Emit(ServiceEvent::Submit { origin: ActuationOrigin::Api, .. })
-        ));
-    }
-
-    #[test]
-    fn actuation_submit_emits_replicate_and_tracks() {
-        let mut a = ActuationService::new(ActuationConfig::default());
-        let out = a.handle(
-            ServiceEvent::Submit {
-                origin: ActuationOrigin::Consumer,
-                requester: SubscriberId::new(1),
-                priority: 5,
-                target: target(),
-                command: command(),
-            },
-            SimTime::ZERO,
-        );
-        assert_eq!(a.in_flight(), 1);
-        let ServiceOutput::Emit(ServiceEvent::Replicate { request, estimate, .. }) = &out[0] else {
-            panic!("expected replicate: {out:?}");
-        };
-        assert!(estimate.is_none(), "router fills the estimate at routing time");
-        // Ack closes the loop through the same entry point.
-        let request_id = request.request_id;
-        a.handle(
-            ServiceEvent::AckReceived { request_id, status: AckStatus::Applied },
-            SimTime::from_millis(3),
-        );
-        assert_eq!(a.in_flight(), 0);
-        assert_eq!(a.acknowledged_count(), 1);
-    }
-
-    #[test]
-    fn unowned_events_are_ignored() {
-        let mut o = Orphanage::new(Default::default());
-        assert!(o.handle(ServiceEvent::FlushReorder, SimTime::ZERO).is_empty());
-        let mut l = LocationService::new(Default::default(), &[]);
-        assert!(l.handle(ServiceEvent::ActuationTick, SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn orphanage_takes_in_orphaned_deliveries() {
-        let mut o = Orphanage::new(Default::default());
-        let msg = garnet_wire::DataMessage::builder(StreamId::from_raw(0x0700)).build().unwrap();
-        o.handle(
-            ServiceEvent::Orphaned(Delivery {
-                msg,
-                first_received_at: SimTime::ZERO,
-                delivered_at: SimTime::ZERO,
-            }),
-            SimTime::ZERO,
-        );
-        assert_eq!(o.total_taken(), 1);
-    }
 }

@@ -17,11 +17,11 @@
 //! `GarnetConfig.archive`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use garnet_store::{FrameArchive, StoreError};
 
 /// Commands drained by the worker, in submission order.
@@ -120,7 +120,7 @@ impl Archiver {
     pub fn spawn(archive: FrameArchive, queue_capacity: usize) -> Archiver {
         // The channel carries one command per burst and needs no bound
         // of its own: `try_append` bounds the records behind it.
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let shared = Arc::new(Shared::default());
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()

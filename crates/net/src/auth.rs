@@ -13,10 +13,9 @@
 use core::fmt;
 use garnet_wire::crypto::PayloadKey;
 use garnet_wire::{SequenceNumber, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// A named security principal (a consumer process or service instance).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Principal(String);
 
 impl Principal {
@@ -50,7 +49,7 @@ impl From<&str> for Principal {
 }
 
 /// One grantable right.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Capability {
     /// Subscribe to data streams.
     Subscribe,
@@ -91,7 +90,7 @@ impl Capability {
 }
 
 /// A set of capabilities, packed for cheap copying and MAC'ing.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct CapabilitySet(u8);
 
 impl CapabilitySet {
@@ -147,7 +146,7 @@ impl fmt::Debug for CapabilitySet {
 }
 
 /// A signed grant: *principal P holds capabilities C until expiry E*.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Token {
     principal: Principal,
     caps: CapabilitySet,

@@ -8,11 +8,10 @@
 //! guarantees layered on top.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use core::fmt;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
 
 /// Errors raised by bus operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,7 +54,10 @@ impl std::error::Error for BusError {}
 /// # Ok::<(), garnet_net::BusError>(())
 /// ```
 pub struct ThreadedBus<M> {
-    endpoints: Arc<RwLock<HashMap<String, Sender<M>>>>,
+    /// The map is whole after every insert and remove, so a holder that
+    /// panicked under the lock leaves nothing to repair: every access
+    /// recovers a poisoned guard instead of spreading the panic.
+    endpoints: Arc<RwLock<HashMap<String, SyncSender<M>>>>,
 }
 
 impl<M> Clone for ThreadedBus<M> {
@@ -77,17 +79,17 @@ impl<M> ThreadedBus<M> {
     }
 
     /// Registers a named endpoint with a bounded queue of `capacity`
-    /// messages (0 = rendezvous), returning its receiving half.
+    /// messages (at least one), returning its receiving half.
     ///
     /// # Errors
     ///
     /// [`BusError::DuplicateEndpoint`] if the name is taken.
     pub fn register(&self, name: &str, capacity: usize) -> Result<Receiver<M>, BusError> {
-        let mut map = self.endpoints.write();
+        let mut map = self.endpoints.write().unwrap_or_else(PoisonError::into_inner);
         if map.contains_key(name) {
             return Err(BusError::DuplicateEndpoint(name.to_owned()));
         }
-        let (tx, rx) = channel::bounded(capacity);
+        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
         map.insert(name.to_owned(), tx);
         Ok(rx)
     }
@@ -95,7 +97,7 @@ impl<M> ThreadedBus<M> {
     /// Removes an endpoint; subsequent sends fail with
     /// [`BusError::UnknownEndpoint`].
     pub fn deregister(&self, name: &str) -> bool {
-        self.endpoints.write().remove(name).is_some()
+        self.endpoints.write().unwrap_or_else(PoisonError::into_inner).remove(name).is_some()
     }
 
     /// Sends without blocking.
@@ -109,7 +111,7 @@ impl<M> ThreadedBus<M> {
     ///   retry).
     /// * [`BusError::Disconnected`] — receiver dropped.
     pub fn send(&self, name: &str, message: M) -> Result<(), BusError> {
-        let map = self.endpoints.read();
+        let map = self.endpoints.read().unwrap_or_else(PoisonError::into_inner);
         let Some(tx) = map.get(name) else {
             return Err(BusError::UnknownEndpoint(name.to_owned()));
         };
@@ -130,7 +132,7 @@ impl<M> ThreadedBus<M> {
     ///   blocked).
     pub fn send_blocking(&self, name: &str, message: M) -> Result<(), BusError> {
         let tx = {
-            let map = self.endpoints.read();
+            let map = self.endpoints.read().unwrap_or_else(PoisonError::into_inner);
             match map.get(name) {
                 Some(tx) => tx.clone(),
                 None => return Err(BusError::UnknownEndpoint(name.to_owned())),
@@ -141,7 +143,8 @@ impl<M> ThreadedBus<M> {
 
     /// Names of all live endpoints, sorted (diagnostics).
     pub fn endpoint_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.endpoints.read().keys().cloned().collect();
+        let mut names: Vec<String> =
+            self.endpoints.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect();
         names.sort();
         names
     }
@@ -335,7 +338,7 @@ type JobBatch<I> = Vec<(u64, I)>;
 /// assert_eq!(out[4], 42, "job 4 was shard 0's second job");
 /// ```
 pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
-    jobs: Vec<Sender<JobBatch<I>>>,
+    jobs: Vec<SyncSender<JobBatch<I>>>,
     results: Receiver<ShardResult<O>>,
     result_tx: Sender<ShardResult<O>>,
     workers: Vec<Option<std::thread::JoinHandle<()>>>,
@@ -394,11 +397,11 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
-        let (result_tx, results) = channel::unbounded::<ShardResult<O>>();
+        let (result_tx, results) = mpsc::channel::<ShardResult<O>>();
         let mut jobs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = channel::bounded::<JobBatch<I>>(capacity);
+            let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(capacity);
             jobs.push(tx);
             workers.push(Some(Self::spawn_worker(shard, rx, result_tx.clone(), factory(shard))));
         }
@@ -657,7 +660,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// never silently loses work it can't finish.
     pub fn restart_shard(&mut self, shard: usize) {
         let idx = shard % self.jobs.len();
-        let (tx, rx) = channel::bounded::<JobBatch<I>>(self.capacity);
+        let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(self.capacity);
         // Dropping the old sender makes a live worker drain its queue
         // and exit; a panicked worker is already gone.
         drop(std::mem::replace(&mut self.jobs[idx], tx));

@@ -15,10 +15,10 @@
 //! * [`pubsub`] — the **publish/subscribe** subscription table that the
 //!   Dispatching Service consults;
 //! * [`bus`] — asynchronous message exchange between services, with a
-//!   crossbeam-channel threaded driver for live deployments (experiments
-//!   use the deterministic `garnet-simkit` event queue instead) and the
-//!   supervised `ShardPool` the middleware's filtering shards run on
-//!   under `DriverKind::Threaded`;
+//!   threaded driver over `std::sync::mpsc` for live deployments
+//!   (experiments use the deterministic `garnet-simkit` event queue
+//!   instead) and the supervised `ShardPool` the middleware's filtering
+//!   shards run on under `DriverKind::Threaded`;
 //! * [`archiver`] — the background writer that drains pre-encoded
 //!   archive records into a `garnet-store` log without ever blocking
 //!   frame delivery.

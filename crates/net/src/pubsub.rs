@@ -27,11 +27,10 @@ use std::sync::Arc;
 
 use core::fmt;
 use garnet_wire::{SensorId, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one subscriber (assigned by the Dispatching Service at
 /// registration).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriberId(u32);
 
 impl SubscriberId {
@@ -59,7 +58,7 @@ impl fmt::Display for SubscriberId {
 }
 
 /// What a subscription matches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TopicFilter {
     /// Exactly one stream.
     Stream(StreamId),

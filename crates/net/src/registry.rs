@@ -7,13 +7,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::auth::Principal;
 
 /// The role a registered service plays (Figure 1's boxes, plus consumer
 /// processes, which also register so derived streams are discoverable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ServiceKind {
     /// The Filtering Service.
     Filtering,
@@ -36,7 +34,7 @@ pub enum ServiceKind {
 }
 
 /// An advertisement: who offers what, where.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceDescriptor {
     /// Unique registered name.
     pub name: String,

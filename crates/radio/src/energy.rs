@@ -10,10 +10,8 @@
 //! (e.g. Heinzelman et al., reference 9 in the paper): a fixed
 //! per-frame startup cost plus a per-bit cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy prices for one radio.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// Fixed cost to power up the transmitter for one frame (nJ).
     pub tx_startup_nj: u64,
@@ -66,7 +64,7 @@ impl Default for EnergyModel {
 /// assert!(meter.consumed_nj() > 0);
 /// assert!(!meter.is_exhausted());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EnergyMeter {
     consumed_nj: u64,
     budget_nj: Option<u64>,

@@ -4,10 +4,9 @@
 //! receivers, transmitters and the Location Service.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A point (or free vector) in the deployment plane, metres.
-#[derive(Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting (m).
     pub x: f64,
@@ -59,7 +58,7 @@ impl fmt::Display for Point {
 }
 
 /// A closed disk: the coverage area of a receiver or transmitter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Disk {
     /// Centre of the disk.
     pub center: Point,
@@ -86,7 +85,7 @@ impl Disk {
 }
 
 /// An axis-aligned rectangle: deployment bounds for mobility models.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

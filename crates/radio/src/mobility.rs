@@ -11,19 +11,18 @@
 //! replay history.
 
 use garnet_simkit::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Point, Rect};
 
 /// A trajectory through the deployment plane.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Mobility {
     /// A fixed installation (mast-mounted, staked).
     Stationary(Point),
-    /// Piecewise-linear movement through timestamped waypoints. Before
-    /// the first waypoint the position is the first point; after the
-    /// last it is the last point.
-    Waypoints(Vec<(SimTimeRepr, Point)>),
+    /// Piecewise-linear movement through timestamped waypoints (µs of
+    /// sim time, position). Before the first waypoint the position is
+    /// the first point; after the last it is the last point.
+    Waypoints(Vec<(u64, Point)>),
     /// A closed circular orbit (animal collar, patrol drone).
     Orbit {
         /// Centre of the orbit.
@@ -36,10 +35,6 @@ pub enum Mobility {
         phase: f64,
     },
 }
-
-/// Serializable mirror of a `SimTime` (µs); kept as a plain `u64` so the
-/// waypoint list derives serde without orphan impls.
-pub type SimTimeRepr = u64;
 
 impl Mobility {
     /// Builds a random-waypoint trajectory: the node repeatedly picks a

@@ -10,10 +10,9 @@
 //! Service can estimate distance ([`Propagation::estimate_distance`]).
 
 use garnet_simkit::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A propagation model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Propagation {
     /// Deterministic delivery within `range_m`, none beyond.
     UnitDisk {

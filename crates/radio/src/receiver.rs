@@ -10,12 +10,11 @@
 use bytes::Bytes;
 use core::fmt;
 use garnet_simkit::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Disk, Point};
 
 /// Identifier of one fixed receiver.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReceiverId(u32);
 
 impl ReceiverId {
@@ -43,7 +42,7 @@ impl fmt::Display for ReceiverId {
 }
 
 /// One fixed receiver installation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Receiver {
     id: ReceiverId,
     position: Point,

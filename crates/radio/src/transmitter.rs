@@ -7,12 +7,11 @@
 //! the inferred location area is experiment E9.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Disk, Point};
 
 /// Identifier of one fixed transmitter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransmitterId(u32);
 
 impl TransmitterId {
@@ -40,7 +39,7 @@ impl fmt::Display for TransmitterId {
 }
 
 /// One fixed transmitter installation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Transmitter {
     id: TransmitterId,
     position: Point,

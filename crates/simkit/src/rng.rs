@@ -1,11 +1,11 @@
 //! Seedable pseudo-random generators with stable stream splitting.
 //!
 //! The kernel ships its own small generator (SplitMix64 seeding a
-//! xoshiro256** state) rather than relying on `rand`'s default engines so
-//! that the exact bit streams used by experiments are pinned by this
-//! repository, not by a dependency's minor version. [`SimRng`] still
-//! implements [`rand::RngCore`] so the whole `rand` combinator ecosystem
-//! (distributions, `shuffle`, …) works on top of it.
+//! xoshiro256** state) so that the exact bit streams used by experiments
+//! are pinned by this repository, not by a dependency's minor version.
+//! The few distributions the workloads draw from ([`SimRng::below`],
+//! [`SimRng::chance`], [`SimRng::exponential`],
+//! [`SimRng::standard_normal`]) are inherent methods.
 //!
 //! # Stream splitting
 //!
@@ -14,8 +14,6 @@
 //! with [`SimRng::fork`] from a named label keeps streams independent *and*
 //! stable: adding a new consumer does not shift the draws seen by existing
 //! ones, which keeps regression baselines meaningful.
-
-use rand::RngCore;
 
 /// Advances a SplitMix64 state and returns the next output.
 #[inline]
@@ -44,7 +42,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// ```
 /// use garnet_simkit::SimRng;
-/// use rand::{Rng, RngCore};
 ///
 /// let mut a = SimRng::seed(42);
 /// let mut b = SimRng::seed(42);
@@ -52,7 +49,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// // Forked streams are independent of the parent's subsequent draws.
 /// let mut mobility = a.fork("mobility");
-/// let _: f64 = mobility.gen_range(0.0..1.0);
+/// assert!((0.0..1.0).contains(&mobility.next_f64()));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
@@ -143,15 +140,14 @@ impl SimRng {
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-}
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
+    /// The high 32 bits of the next 64-bit output.
+    pub fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // xoshiro256** core step.
+    /// The next 64-bit output (one xoshiro256** step).
+    pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -163,23 +159,19 @@ impl RngCore for SimRng {
         result
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
+    /// Fills `dest` from successive outputs, little-endian, eight bytes
+    /// per draw (a ragged tail takes the low bytes of one more).
+    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {
             let v = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&v[..chunk.len()]);
         }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_seed_same_stream() {
@@ -297,10 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn rand_ecosystem_interop() {
+    fn fill_bytes_covers_a_ragged_tail() {
         let mut r = SimRng::seed(31);
-        let v: f64 = r.gen_range(10.0..20.0);
-        assert!((10.0..20.0).contains(&v));
         let mut bytes = [0u8; 13];
         r.fill_bytes(&mut bytes);
         assert!(bytes.iter().any(|&b| b != 0));

@@ -16,7 +16,6 @@
 //! counts bursts.
 
 use garnet_simkit::SimRng;
-use rand::RngCore;
 
 use crate::segment::{SegmentId, SegmentStore, StoreError};
 

@@ -11,7 +11,6 @@
 //! behaviour, so they carry a CRC-32 trailer (vs CRC-16 on data).
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 use crate::crc::crc32;
 use crate::error::WireError;
@@ -23,7 +22,7 @@ use crate::ids::{RequestId, SensorId, StreamId, StreamIndex};
 /// Used when the Location Service can only bound a sensor's position:
 /// the Message Replicator broadcasts through every transmitter covering
 /// the disk.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TargetArea {
     /// Centre x-coordinate (m).
     pub x: f32,
@@ -44,7 +43,7 @@ impl TargetArea {
 ///
 /// Addressing is *location-neutral* for the consumer (§4.2): consumers
 /// name sensors or streams; the middleware resolves position.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ActuationTarget {
     /// One sensor node (all its streams).
     Sensor(SensorId),
@@ -62,7 +61,7 @@ pub enum ActuationTarget {
 /// payload encryption. Unknown commands received by a simple sensor are
 /// acknowledged with [`AckStatus::Unsupported`] — "simple and
 /// sophisticated sensors coexist" (§5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SensorCommand {
     /// Set the reporting interval of one internal stream, in
@@ -252,7 +251,7 @@ impl fmt::Display for SensorCommand {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StreamUpdateRequest {
     /// Identifier used to correlate sensor acknowledgements; "loosely
     /// comparable to a RETRI" (§7).
@@ -382,7 +381,7 @@ impl StreamUpdateRequest {
 }
 
 /// Outcome reported by a sensor for a stream update request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AckStatus {
     /// The command was applied.
     Applied,
@@ -421,7 +420,7 @@ impl AckStatus {
 /// Receive-capable sensors usually piggy-back acks on their next data
 /// message (the `UPDATE_ACK` header field); this standalone form exists
 /// for sensors whose streams are disabled or sleeping.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamUpdateAck {
     /// The request being acknowledged.
     pub request_id: RequestId,

@@ -25,7 +25,6 @@
 
 use core::fmt;
 use core::ops::{BitAnd, BitOr, BitOrAssign};
-use serde::{Deserialize, Serialize};
 
 use crate::error::WireError;
 
@@ -49,8 +48,7 @@ const RESERVED_MASK: u8 = 0b0000_0001;
 /// assert!(flags.contains(HeaderFlags::FUSED));
 /// assert!(!flags.contains(HeaderFlags::RELAYED));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct HeaderFlags(u8);
 
 impl HeaderFlags {
@@ -140,7 +138,7 @@ impl fmt::Debug for HeaderFlags {
 /// assert_eq!(MsgHeader::from_byte(byte)?, h);
 /// # Ok::<(), garnet_wire::WireError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsgHeader {
     version: u8,
     flags: HeaderFlags,

@@ -12,7 +12,6 @@
 //! arithmetic ([`SequenceNumber::serial_cmp`]), exactly as DNS and TCP do.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 use crate::error::WireError;
 
@@ -31,8 +30,7 @@ use crate::error::WireError;
 /// assert!(SensorId::new(0x0100_0000).is_err()); // 25 bits: rejected
 /// # Ok::<(), garnet_wire::WireError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SensorId(u32);
 
 impl SensorId {
@@ -89,8 +87,7 @@ impl From<SensorId> for u32 {
 /// The paper: "256 internal-streams/sensor". A multi-instrument node
 /// (temperature, humidity, battery telemetry, …) publishes each reading
 /// series under its own index.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StreamIndex(u8);
 
 impl StreamIndex {
@@ -149,7 +146,7 @@ impl From<StreamIndex> for u8 {
 /// assert_eq!(StreamId::from_raw(s.to_raw()), s);
 /// # Ok::<(), garnet_wire::WireError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId {
     sensor: SensorId,
     index: StreamIndex,
@@ -214,8 +211,7 @@ impl fmt::Display for StreamId {
 /// assert_eq!(wrapped, SequenceNumber::new(0));
 /// assert!(wrapped.is_after(near_wrap)); // wraparound-aware ordering
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SequenceNumber(u16);
 
 impl SequenceNumber {
@@ -301,8 +297,7 @@ impl From<SequenceNumber> for u16 {
 /// Identifier of a stream-update (actuation) request, "issued to consumer
 /// processes and used in sensor-level acknowledgements" (§7 — the field
 /// the paper calls "loosely comparable to a RETRI").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(u32);
 
 impl RequestId {
@@ -434,17 +429,6 @@ mod tests {
     #[test]
     fn request_id_wraps() {
         assert_eq!(RequestId::new(u32::MAX).next(), RequestId::new(0));
-    }
-
-    #[test]
-    fn serde_round_trip_via_json_like_tokens() {
-        // serde_json is not in the dependency set; use the serde test in
-        // spirit via bincode-free manual check through serde's Serialize
-        // into a simple format: here we just assert the derives exist and
-        // types are transparent by checking packed raw equivalence.
-        let s = StreamId::from_raw(0xDEAD_BEEF);
-        let cloned = s;
-        assert_eq!(s, cloned);
     }
 }
 

@@ -17,7 +17,6 @@
 //! then a CRC-16 trailer over everything preceding it.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::crc::crc16;
 use crate::error::WireError;
@@ -162,7 +161,7 @@ impl FrameHeader {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DataMessage {
     header: MsgHeader,
     stream: StreamId,

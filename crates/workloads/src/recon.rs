@@ -13,7 +13,7 @@
 //! sensor which is not itself location-aware".
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::filtering::Delivery;
@@ -27,7 +27,6 @@ use garnet_radio::{
 };
 use garnet_simkit::{SimDuration, SimRng, SimTime};
 use garnet_wire::{SensorId, StreamIndex};
-use parking_lot::Mutex;
 
 /// An emitting target moving through the field.
 #[derive(Clone, Debug)]
@@ -123,7 +122,7 @@ impl Consumer for TargetDetector {
         let sensor = delivery.msg.stream().sensor();
         let hit = reading.value >= self.threshold;
         if hit {
-            self.detections.lock().push(Detection {
+            self.detections.lock().unwrap_or_else(PoisonError::into_inner).push(Detection {
                 sensor,
                 strength: reading.value,
                 at_us: ctx.now().as_micros(),
@@ -304,7 +303,7 @@ mod tests {
         }
         // Target crosses over two minutes; run it through.
         sim.run_until(SimTime::from_secs(120));
-        let log = detections.lock();
+        let log = detections.lock().unwrap();
         assert!(!log.is_empty(), "the crossing target must be detected");
         assert!(log.iter().all(|d| d.strength >= 10.0));
         // Hints flowed into the location service.

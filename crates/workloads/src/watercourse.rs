@@ -13,7 +13,7 @@
 //! `Normal → Rising → Flood` state changes, and the Super Coordinator's
 //! registered policies accelerate station reporting ahead of the wave.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::coordinator::ConsumerStateId;
@@ -27,7 +27,6 @@ use garnet_radio::{
 };
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{SensorId, StreamIndex};
-use parking_lot::Mutex;
 
 /// FloodWatch state: everything nominal.
 pub const STATE_NORMAL: ConsumerStateId = 0;
@@ -161,7 +160,10 @@ impl Consumer for FloodWatch {
         let state = self.classify(worst);
         if state != self.current {
             self.current = state;
-            self.log.lock().push(StateEvent { state, at_us: ctx.now().as_micros() });
+            self.log
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(StateEvent { state, at_us: ctx.now().as_micros() });
             ctx.report_state(state);
         }
     }
@@ -321,12 +323,12 @@ mod tests {
             }
         };
         fw.on_data(&delivery(1.0), &mut ctx);
-        assert!(log.lock().is_empty(), "already normal: no transition");
+        assert!(log.lock().unwrap().is_empty(), "already normal: no transition");
         fw.on_data(&delivery(2.5), &mut ctx);
         fw.on_data(&delivery(2.6), &mut ctx);
         fw.on_data(&delivery(4.0), &mut ctx);
         fw.on_data(&delivery(1.0), &mut ctx);
-        let states: Vec<u32> = log.lock().iter().map(|e| e.state).collect();
+        let states: Vec<u32> = log.lock().unwrap().iter().map(|e| e.state).collect();
         assert_eq!(states, vec![STATE_RISING, STATE_FLOOD, STATE_NORMAL]);
         assert_eq!(ctx.take_actions().len(), 3, "one report per transition");
     }
@@ -351,7 +353,7 @@ mod tests {
         let id = sim.garnet_mut().register_consumer(Box::new(fw), &token, 5).unwrap();
         sim.garnet_mut().subscribe(id, TopicFilter::All, &token).unwrap();
         sim.run_until(SimTime::from_secs(600));
-        let states: Vec<u32> = log.lock().iter().map(|e| e.state).collect();
+        let states: Vec<u32> = log.lock().unwrap().iter().map(|e| e.state).collect();
         assert!(states.contains(&STATE_FLOOD), "flood must be detected: {states:?}");
         // The coordinator amassed the consumer's state history.
         assert!(sim.garnet().coordinator().report_count() >= 2);

@@ -46,7 +46,7 @@ fn main() {
 
     println!("phase 1: target ingress (40 simulated seconds)…");
     sim.run_until(SimTime::from_secs(40));
-    println!("  detections so far: {}", detections.lock().len());
+    println!("  detections so far: {}", detections.lock().unwrap().len());
     println!("  location hints supplied: {}", sim.garnet().location().hint_count());
 
     // On contact, ops accelerates every sophisticated sensor.
@@ -99,7 +99,7 @@ fn main() {
 
     let g = sim.garnet();
     println!("\nresults:");
-    println!("  detections               {}", detections.lock().len());
+    println!("  detections               {}", detections.lock().unwrap().len());
     println!("  derived msgs at console  {}", console_count.load(Ordering::Relaxed));
     println!("  control deliveries       {}", sim.control_delivery_count());
     println!("  actuation acks received  {}", g.actuation().acknowledged_count());

@@ -84,7 +84,7 @@ fn season(mode: CoordinationMode) -> (u64, u64, Vec<(u32, u64)>) {
     sim.run_until(SimTime::from_secs(3_600));
 
     let transitions: Vec<(u32, u64)> =
-        log.lock().iter().map(|e| (e.state, e.at_us / 1_000_000)).collect();
+        log.lock().unwrap().iter().map(|e| (e.state, e.at_us / 1_000_000)).collect();
     (
         sim.garnet().coordinator().reactive_action_count(),
         sim.garnet().coordinator().anticipatory_action_count(),

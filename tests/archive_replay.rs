@@ -260,10 +260,21 @@ proptest! {
         // Shutdown may legitimately report the dead store; recover the
         // bytes either way (the slot gets the store back regardless).
         let _ = g.shutdown(SimTime::from_secs(10));
-        let store = slot.lock().unwrap().take().expect("store returned to the slot");
+        let mut store = slot.lock().unwrap().take().expect("store returned to the slot");
+        // Recovery repairs the log it scans, so the second facade below
+        // gets its own copy of the bytes as the crash left them.
+        let mut crashed = MemStore::new();
+        for id in store.segments().unwrap() {
+            crashed.append(id, &store.read(id).unwrap()).unwrap();
+        }
         let (mut archive, report) = FrameArchive::open(store, 1 << 20).unwrap();
         let recovered = archive.read_all().unwrap();
         prop_assert!(recovered.len() as u64 <= ledger.archived);
+        // A facade restarted over those bytes reports the same scan:
+        // record counts, the truncation point, per-stream high water.
+        let crashed = store_slot(Box::new(crashed));
+        let restarted = Garnet::new(config(DriverKind::Fifo, 1, Some(custom_archive(&crashed))));
+        prop_assert_eq!(restarted.archive_recovery(), Some(&report));
         // Order-preserving subsequence of the offered records: nothing
         // reordered, nothing invented, torn tails truncated away.
         let mut cursor = 0usize;

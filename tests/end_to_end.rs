@@ -50,7 +50,7 @@ fn readings_flow_from_field_to_consumer() {
     sim.garnet_mut().subscribe(id, TopicFilter::Sensor(SensorId::new(1).unwrap()), &token).unwrap();
     sim.run_until(SimTime::from_secs(30));
 
-    let h = hist.lock();
+    let h = hist.lock().unwrap();
     assert!(h.count() >= 29, "delivered={}", h.count());
     assert!(h.p99() < 50_000, "p99={}µs", h.p99());
     // Overlapping receivers duplicated; the filter absorbed every copy.
@@ -102,8 +102,7 @@ fn actuation_round_trip_with_acknowledgement() {
 fn encrypted_stream_is_opaque_to_middleware_but_readable_by_key_holder() {
     use garnet::core::consumer::{Consumer, ConsumerCtx};
     use garnet::core::filtering::Delivery;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     struct KeyedReader {
         key: PayloadKey,
@@ -117,13 +116,13 @@ fn encrypted_stream_is_opaque_to_middleware_but_readable_by_key_holder() {
         fn on_data(&mut self, d: &Delivery, _ctx: &mut ConsumerCtx) {
             // The payload is opaque without the key…
             if Reading::decode(d.msg.payload()).is_some() {
-                *self.undecodable.lock() += 1; // plaintext leaked!
+                *self.undecodable.lock().unwrap() += 1; // plaintext leaked!
                 return;
             }
             // …but opens for the key holder.
             if let Ok(plain) = self.key.open(d.msg.stream(), d.msg.seq(), d.msg.payload()) {
                 if let Some(r) = Reading::decode(&plain) {
-                    self.values.lock().push(r.value);
+                    self.values.lock().unwrap().push(r.value);
                 }
             }
         }
@@ -163,7 +162,7 @@ fn encrypted_stream_is_opaque_to_middleware_but_readable_by_key_holder() {
 
     sim.run_until(SimTime::from_secs(20));
     let _ = sensor_idx;
-    let decrypted = values.lock();
+    let decrypted = values.lock().unwrap();
     assert!(!decrypted.is_empty(), "key holder must read encrypted stream");
     assert!(decrypted.iter().all(|&v| (v - 18.0).abs() < 1e-9));
     // Encrypted payloads never decoded as plaintext readings (16/32-byte

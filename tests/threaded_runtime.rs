@@ -1,5 +1,5 @@
 //! The live (threaded) deployment mode: middleware on its own thread,
-//! fed over the crossbeam bus — the paper's "asynchronous message
+//! fed over the threaded bus — the paper's "asynchronous message
 //! exchange" (§3) with real threads instead of the simulation driver.
 //!
 //! Since the facade hosts the threaded graph behind
