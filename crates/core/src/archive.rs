@@ -5,11 +5,12 @@
 //! dispatch state by replaying the log into a fresh [`crate::Garnet`]
 //! (see `Garnet::replay_archive`).
 //!
-//! The tap sits at the facade boundary, *before* driver admission: both
-//! execution engines are proven bit-identical on boundary-ordered
-//! inputs, so a boundary log replays identically under either engine,
-//! any shard layout, batched or per-frame. Records are encoded at the
-//! tap, which also makes the logged bytes independent of worker timing.
+//! The tap sits at the facade boundary, *before* admission: there is
+//! one `Router`, and a [`DriverKind`] or shard layout only changes where
+//! its filtering shards run, so a boundary log replays identically under
+//! either kind, any shard layout, batched or per-frame. Records are
+//! encoded at the tap, which also makes the logged bytes independent of
+//! worker timing.
 //!
 //! The tap commits once per facade call: the call's records — a whole
 //! `on_frames` burst, or the single record of a tick or an ack — are
@@ -136,8 +137,8 @@ impl std::fmt::Debug for Sink {
 
 /// The facade's archive tap. Owns the sink, the recovery report from
 /// opening the backend, the [`ArchiveLedger`], and its own flight
-/// recorder (separate from the router tracers, so archive hops never
-/// perturb the engines' trace-equivalence contract).
+/// recorder (separate from the router's tracer, so archive hops never
+/// perturb the trace-equivalence contract across driver kinds).
 #[derive(Debug)]
 pub struct ArchiveService {
     sink: Sink,
@@ -239,8 +240,7 @@ impl ArchiveService {
         }
     }
 
-    /// This tap's flight recorder (empty unless the `trace` feature is
-    /// compiled in).
+    /// This tap's flight recorder (empty at trace capacity 0).
     pub fn trace_snapshot(&self) -> TraceSnapshot {
         self.tracer.snapshot()
     }

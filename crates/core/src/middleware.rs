@@ -42,9 +42,7 @@ use garnet_net::{
 };
 use garnet_radio::geometry::Point;
 use garnet_radio::{Receiver, ReceiverId, Transmitter};
-#[cfg(feature = "trace")]
-use garnet_simkit::trace::TraceOutcome;
-use garnet_simkit::trace::TraceSnapshot;
+use garnet_simkit::trace::{TraceOutcome, TraceSnapshot};
 use garnet_simkit::{stage_key, SimTime};
 use garnet_store::ArchiveRecord;
 use garnet_wire::{
@@ -138,9 +136,8 @@ pub struct GarnetConfig {
     /// Tuning for the scheduler [`GarnetConfig::overload`] arms and for
     /// per-consumer delivery scheduling (see [`crate::qos`]).
     pub qos: QosConfig,
-    /// Flight-recorder ring capacity in records. Only meaningful when
-    /// the `trace` cargo feature is compiled in; without it the tracer
-    /// is a zero-sized no-op regardless of this value.
+    /// Flight-recorder ring capacity in records; `0` (the default)
+    /// leaves the recorder off.
     pub trace_capacity: usize,
     /// Accepted for the benchmark's call site; has no effect.
     pub batch_ingest: bool,
@@ -176,7 +173,7 @@ impl Default for GarnetConfig {
             quiesce: None,
             overload: None,
             qos: QosConfig::default(),
-            trace_capacity: garnet_simkit::trace::TraceConfig::default().capacity,
+            trace_capacity: 0,
             batch_ingest: true,
             archive: None,
             dispatch_cache: DispatchCacheConfig::default(),
@@ -617,6 +614,19 @@ impl Garnet {
             let services = self.router.services_mut();
             backlog.extend(services.control.orphanage.claim(s));
             services.dispatch.streams.set_claimed(s, true);
+        }
+        // Demand restores every quiesced stream the filter matches,
+        // whatever the orphanage still holds of it: an `All` subscriber
+        // claims no backlog, and a stream's backlog may have been
+        // evicted long before its subscriber arrives.
+        let demanded: Vec<StreamId> = self
+            .quiesced
+            .iter()
+            .map(|&raw| StreamId::from_raw(raw))
+            .filter(|&s| filter.matches(s))
+            .collect();
+        for s in demanded {
+            self.router.services_mut().dispatch.streams.set_claimed(s, true);
             self.restore_if_quiesced(s, now, &mut out);
         }
         let replayed = backlog.len();
@@ -731,12 +741,10 @@ impl Garnet {
                     self.pump(now, out);
                     frame = back;
                 }
-                #[cfg(feature = "trace")]
                 FrameOffer::StagedAfterShed(lost) => {
                     self.router.trace_dropped(&lost, TraceOutcome::Shed, now);
                     break;
                 }
-                #[cfg(feature = "trace")]
                 FrameOffer::Coalesced(lost) => {
                     self.router.trace_dropped(&lost, TraceOutcome::Coalesced, now);
                     break;
@@ -1604,8 +1612,8 @@ impl Garnet {
     }
 
     /// The archive tap's own flight recorder (separate from the router
-    /// tracers so archive hops never perturb engine trace equivalence).
-    /// Empty unless the `trace` cargo feature is compiled in.
+    /// tracer so archive hops never perturb trace equivalence across
+    /// driver kinds). Empty while [`GarnetConfig::trace_capacity`] is 0.
     pub fn archive_trace_snapshot(&self) -> TraceSnapshot {
         self.archive.as_ref().map(ArchiveService::trace_snapshot).unwrap_or_default()
     }
@@ -1673,19 +1681,13 @@ impl Garnet {
     }
 
     /// The flight recorder's current contents: one record per event hop
-    /// the router has traced, chronological, plus per-stage hop/latency
-    /// statistics. Empty unless the `trace` cargo feature is compiled
-    /// in. See `DESIGN.md`'s Observability section for the schema.
+    /// the router has traced, chronological, plus per-stage hop
+    /// counts; `.to_jsonl()` is the dump format (one record per line,
+    /// diffable across runs, shard layouts and [`DriverKind`]s). Empty
+    /// while [`GarnetConfig::trace_capacity`] is 0. See `DESIGN.md`'s
+    /// Observability section for the schema.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
         self.router.trace_snapshot()
-    }
-
-    /// The flight recorder's contents as JSONL (one record per line, in
-    /// trace order) — the dump format; diffable across runs, shard
-    /// layouts and [`DriverKind`]s. Empty unless the `trace` cargo
-    /// feature is compiled in.
-    pub fn trace_jsonl(&self) -> String {
-        self.router.trace_snapshot().to_jsonl()
     }
 
     /// Shuts the middleware down: pumps to quiescence, drains and
@@ -2130,64 +2132,70 @@ mod tests {
     #[test]
     fn quiescence_slows_unclaimed_streams_and_restores_on_demand() {
         use garnet_simkit::SimDuration;
-        let mut g = Garnet::new(GarnetConfig {
-            quiesce: Some(QuiesceConfig {
-                idle_after: SimDuration::from_secs(30),
-                slow_interval_ms: 60_000,
-                restore_interval_ms: 1_000,
-            }),
-            ..GarnetConfig::default()
-        });
-        // An unclaimed stream appears at t=0.
-        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
-        assert_eq!(
-            g.next_deadline(),
-            Some(SimTime::from_secs(30)),
-            "quiesce due time drives the tick schedule"
-        );
-        // Before the idle window: nothing.
-        let out = g.on_tick(SimTime::from_secs(10));
-        assert!(out.control.is_empty());
-        // Past it: the system slows the stream.
-        let out = g.on_tick(SimTime::from_secs(31));
-        assert_eq!(out.control.len(), 1);
-        assert_eq!(g.quiesce_action_count(), 1);
-        match out.control[0].request.command {
-            SensorCommand::SetReportInterval { interval_ms, .. } => {
-                assert_eq!(interval_ms, 60_000)
-            }
-            other => panic!("expected slow-down, got {other:?}"),
-        }
-        // The sensor acknowledges; otherwise the actuation service would
-        // (correctly) retransmit the slow-down.
-        g.on_standalone_ack(
-            out.control[0].request.request_id,
-            garnet_wire::AckStatus::Applied,
-            SimTime::from_secs(32),
-        );
-        // Idempotent: no second slow-down.
-        let out = g.on_tick(SimTime::from_secs(60));
-        assert!(out.control.is_empty());
-
-        // A subscriber appears: the stream is restored.
-        let token = g.issue_default_token("late");
-        let id = g.register_consumer(Box::new(CountingConsumer::new("late")), &token, 0).unwrap();
         let stream = StreamId::new(SensorId::new(1).unwrap(), StreamIndex::new(0));
-        let (_, out) = g
-            .subscribe_at(id, TopicFilter::Stream(stream), &token, SimTime::from_secs(70))
-            .unwrap();
-        assert_eq!(out.control.len(), 1);
-        assert_eq!(g.restore_action_count(), 1);
-        match out.control[0].request.command {
-            SensorCommand::SetReportInterval { interval_ms, .. } => assert_eq!(interval_ms, 1_000),
-            other => panic!("expected restore, got {other:?}"),
+        // Demand restores the stream whichever way it is expressed.
+        for filter in
+            [TopicFilter::Stream(stream), TopicFilter::Sensor(stream.sensor()), TopicFilter::All]
+        {
+            let mut g = Garnet::new(GarnetConfig {
+                quiesce: Some(QuiesceConfig {
+                    idle_after: SimDuration::from_secs(30),
+                    slow_interval_ms: 60_000,
+                    restore_interval_ms: 1_000,
+                }),
+                ..GarnetConfig::default()
+            });
+            // An unclaimed stream appears at t=0.
+            g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
+            assert_eq!(
+                g.next_deadline(),
+                Some(SimTime::from_secs(30)),
+                "quiesce due time drives the tick schedule"
+            );
+            // Before the idle window: nothing.
+            let out = g.on_tick(SimTime::from_secs(10));
+            assert!(out.control.is_empty());
+            // Past it: the system slows the stream.
+            let out = g.on_tick(SimTime::from_secs(31));
+            assert_eq!(out.control.len(), 1);
+            assert_eq!(g.quiesce_action_count(), 1);
+            match out.control[0].request.command {
+                SensorCommand::SetReportInterval { interval_ms, .. } => {
+                    assert_eq!(interval_ms, 60_000)
+                }
+                other => panic!("expected slow-down, got {other:?}"),
+            }
+            // The sensor acknowledges; otherwise the actuation service would
+            // (correctly) retransmit the slow-down.
+            g.on_standalone_ack(
+                out.control[0].request.request_id,
+                garnet_wire::AckStatus::Applied,
+                SimTime::from_secs(32),
+            );
+            // Idempotent: no second slow-down.
+            let out = g.on_tick(SimTime::from_secs(60));
+            assert!(out.control.is_empty());
+
+            // A subscriber appears: the stream is restored.
+            let token = g.issue_default_token("late");
+            let id =
+                g.register_consumer(Box::new(CountingConsumer::new("late")), &token, 0).unwrap();
+            let (_, out) = g.subscribe_at(id, filter, &token, SimTime::from_secs(70)).unwrap();
+            assert_eq!(out.control.len(), 1, "{filter:?}");
+            assert_eq!(g.restore_action_count(), 1, "{filter:?}");
+            match out.control[0].request.command {
+                SensorCommand::SetReportInterval { interval_ms, .. } => {
+                    assert_eq!(interval_ms, 1_000)
+                }
+                other => panic!("expected restore, got {other:?}"),
+            }
+            // Claimed streams are never re-quiesced.
+            let out = g.on_tick(SimTime::from_secs(200));
+            assert!(out.control.iter().all(|p| !matches!(
+                p.request.command,
+                SensorCommand::SetReportInterval { interval_ms: 60_000, .. }
+            )));
         }
-        // Claimed streams are never re-quiesced.
-        let out = g.on_tick(SimTime::from_secs(200));
-        assert!(out.control.iter().all(|p| !matches!(
-            p.request.command,
-            SensorCommand::SetReportInterval { interval_ms: 60_000, .. }
-        )));
     }
 
     #[test]

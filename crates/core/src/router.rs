@@ -29,7 +29,9 @@ use std::sync::Arc;
 
 use garnet_net::{EdgeClass, ShardFailure, ShardPool, SupervisionConfig};
 use garnet_radio::ReceiverId;
-use garnet_simkit::trace::{TraceConfig, TraceSnapshot, Tracer};
+use garnet_simkit::trace::{
+    TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
+};
 use garnet_simkit::SimTime;
 use garnet_wire::{peek_stream, ActuationTarget, FrameBytes};
 
@@ -42,18 +44,12 @@ use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::replicator::MessageReplicator;
 use crate::resource::{Decision, MediationPolicy, ResourceManager};
-#[cfg(feature = "trace")]
-use crate::service::BatchedFrame;
 use crate::service::{
-    ActuationOrigin, ServiceEvent, ServiceOutput, SYSTEM_PRIORITY, SYSTEM_SUBSCRIBER,
+    ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput, SYSTEM_PRIORITY, SYSTEM_SUBSCRIBER,
 };
 use crate::stream::{shard_of_sensor, StreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
-use crate::trace::RootTag;
-#[cfg(feature = "trace")]
-use crate::trace::{event_record, frame_record};
-#[cfg(feature = "trace")]
-use garnet_simkit::trace::{TraceEventKind, TraceOutcome, TraceRecord};
+use crate::trace::{event_record, frame_record, RootTag};
 
 /// A job for one pooled filtering shard.
 enum ShardJob {
@@ -715,16 +711,15 @@ pub struct OverloadTotals {
 pub struct Router {
     services: Services,
     /// Each queued event carries the root-sequence tag of the boundary
-    /// event it descends from (a zero-sized unit unless the `trace`
-    /// feature is on).
+    /// event it descends from.
     queue: VecDeque<(RootTag, ServiceEvent)>,
     /// `Frame` events currently in `queue` (control events excluded).
     queued_frames: usize,
     /// Frames offered and stepped; the queue never drops one.
     totals: OverloadTotals,
     peak_queued: u64,
-    /// The flight recorder (a zero-sized no-op unless the `trace`
-    /// feature is on).
+    /// The flight recorder; off until [`Router::configure_trace`] gives
+    /// it a capacity.
     tracer: Tracer,
     /// Always-on latency spans, recorded once per dispatched delivery.
     spans: PipelineSpans,
@@ -736,7 +731,6 @@ pub struct Router {
     tags: Vec<RootTag>,
     arrivals: Vec<FrameArrival>,
     /// Next root sequence number for a boundary enqueue.
-    #[cfg(feature = "trace")]
     next_root: u64,
 }
 
@@ -756,20 +750,19 @@ impl Router {
             depths,
             tags: Vec::new(),
             arrivals: Vec::new(),
-            #[cfg(feature = "trace")]
             next_root: 0,
         }
     }
 
     /// Replaces the flight recorder with one of the given capacity
-    /// (any records already buffered are discarded). A no-op without
-    /// the `trace` feature.
+    /// (any records already buffered are discarded); capacity 0 turns
+    /// it off.
     pub fn configure_trace(&mut self, config: TraceConfig) {
         self.tracer = Tracer::new(config);
     }
 
     /// The flight recorder's current contents (chronological) plus
-    /// per-stage statistics. Empty without the `trace` feature.
+    /// per-stage hop counts. Empty while the recorder is off.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
         self.tracer.snapshot()
     }
@@ -787,23 +780,17 @@ impl Router {
     /// Enqueues an event at the back of the queue — the control path:
     /// acks, actuations, flushes and other non-`Frame` events. Frames
     /// entering here still count against the queue depth.
-    #[cfg_attr(not(feature = "trace"), allow(clippy::let_unit_value))]
     pub fn enqueue(&mut self, ev: ServiceEvent) {
         let tag = self.alloc_root();
         self.enqueue_tagged(tag, ev);
     }
 
     /// Allocates a fresh root-sequence tag for a boundary enqueue.
-    #[cfg(feature = "trace")]
     fn alloc_root(&mut self) -> RootTag {
         let root = self.next_root;
         self.next_root += 1;
         root
     }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn alloc_root(&mut self) -> RootTag {}
 
     /// Enqueues under an existing root tag — the cascade path: events a
     /// service emitted while handling `tag`'s work stay attributed to
@@ -837,14 +824,15 @@ impl Router {
     /// Records a frame the admission scheduler dropped before it reached
     /// the queue, under a root of its own (nothing was routed, so
     /// [`Router::step`] will never trace it).
-    #[cfg(feature = "trace")]
     pub fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
-        let root = self.alloc_root();
-        self.tracer.record(|| TraceRecord {
-            root: Some(root),
-            outcome,
-            ..frame_record(&frame.frame, now)
-        });
+        if self.tracer.is_enabled() {
+            let root = self.alloc_root();
+            self.tracer.record(|| TraceRecord {
+                root: Some(root),
+                outcome,
+                ..frame_record(&frame.frame, now)
+            });
+        }
     }
 
     /// Pops and routes one event. Events a service emits go straight to
@@ -863,13 +851,11 @@ impl Router {
         if let ServiceEvent::Filtered { delivery, .. } = &ev {
             self.spans.record(delivery.first_received_at, delivery.delivered_at, now);
         }
-        #[cfg(feature = "trace")]
-        let rec = {
-            let rec = event_record(&ev, now, Some(tag));
-            self.tracer.note_occupancy(rec.stage, self.queue.len() as u64);
+        let rec = self.tracer.is_enabled().then(|| {
+            let rec = event_record(&ev, now, tag);
             self.tracer.record(|| rec);
             rec
-        };
+        });
         match ev {
             ServiceEvent::Frame { receiver, rssi_dbm, frame } => {
                 let result = self.services.ingest.on_frame(receiver, rssi_dbm, &frame, now);
@@ -892,9 +878,10 @@ impl Router {
         }
         // A dispatch hop that had to (re)build its match set appends a
         // CacheRebuild record right behind its Filtered one.
-        #[cfg(feature = "trace")]
-        if rec.kind == TraceEventKind::Filtered && self.services.dispatch.take_last_rebuild() {
-            self.tracer.record(|| TraceRecord { kind: TraceEventKind::CacheRebuild, ..rec });
+        if let Some(rec) = rec.filter(|r| r.kind == TraceEventKind::Filtered) {
+            if self.services.dispatch.take_last_rebuild() {
+                self.tracer.record(|| TraceRecord { kind: TraceEventKind::CacheRebuild, ..rec });
+            }
         }
         true
     }
@@ -933,12 +920,7 @@ impl Router {
             let (tag, ev) = self.queue.pop_front().expect("front was just matched");
             self.queued_frames -= 1;
             self.totals.delivered += 1;
-            #[cfg(feature = "trace")]
-            {
-                let rec = event_record(&ev, now, Some(tag));
-                self.tracer.note_occupancy(rec.stage, self.queue.len() as u64);
-                self.tracer.record(|| rec);
-            }
+            self.tracer.record(|| event_record(&ev, now, tag));
             let ServiceEvent::Frame { receiver, rssi_dbm, frame } = ev else {
                 unreachable!("front was matched as a Frame");
             };

@@ -12,9 +12,9 @@
 //!   random consumer does not perturb existing draws.
 //! * [`metrics`] — counters and log-bucketed histograms used by all
 //!   experiments to report latency and throughput percentiles.
-//! * [`trace`] — a feature-gated flight recorder ([`Tracer`]) capturing
-//!   one compact record per service-event hop; compiles to no-ops
-//!   unless the `trace` cargo feature is enabled.
+//! * [`trace`] — a flight recorder ([`Tracer`]) capturing one compact
+//!   record per service-event hop; in every build, off until it is
+//!   given a non-zero capacity.
 //!
 //! # Example
 //!

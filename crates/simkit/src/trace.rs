@@ -4,22 +4,17 @@
 //! Dispatching, Orphanage, Location and Actuation — and this module
 //! records those arrows actually firing: one compact [`TraceRecord`] per
 //! `ServiceEvent` hop, held in a fixed-capacity ring buffer
-//! ([`Tracer`]), plus per-stage occupancy and latency fed into the
-//! log-bucketed [`Histogram`]. The driver (the `Router` in
-//! `garnet-core`) appends records in its FIFO event order, so traces of
-//! the same input schedule are comparable line-for-line.
+//! ([`Tracer`]), plus a per-stage hop count. The driver (the `Router`
+//! in `garnet-core`) appends records in its FIFO event order, so traces
+//! of the same input schedule are comparable line-for-line.
 //!
-//! The recorder is **feature-gated**: with the `trace` cargo feature
-//! off, [`Tracer`] is a zero-sized type whose methods are inlined
-//! no-ops and whose `record` closure is never invoked, so the hot path
-//! pays nothing (the `disabled` suite of `tests/tracing.rs` pins the
-//! no-op). The *passive* types — [`TraceRecord`], [`TraceSnapshot`],
-//! the enums — are always compiled so reports can carry an (empty)
-//! snapshot unconditionally.
+//! The recorder is in every build and switched by one run-time value:
+//! [`TraceConfig::capacity`]. At `0` (the default) it is **off** —
+//! [`Tracer::record`] returns before building the record, the ring is
+//! never allocated and every snapshot is empty, so the hot path pays one
+//! predictable branch per hop. Any other capacity turns it on.
 
 use std::fmt;
-
-use crate::metrics::Histogram;
 
 /// The Fig. 1 stage a trace record is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -239,32 +234,25 @@ impl TraceRecord {
 }
 
 /// Per-stage roll-up carried by a [`TraceSnapshot`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageStats {
     /// The stage.
     pub stage: TraceStage,
-    /// Hops recorded for the stage (independent of ring capacity).
+    /// Hops recorded for the stage (survivors and evicted alike).
     pub hops: u64,
-    /// Driver queue depth observed at each hop for this stage.
-    pub occupancy: Histogram,
-    /// Data age at each hop (µs; see [`TraceRecord::age_us`]).
-    pub latency: Histogram,
 }
 
 /// A point-in-time copy of the recorder: the surviving ring contents in
 /// chronological order, the exact count of records that fell off the
-/// ring, and per-stage statistics.
-///
-/// Always compiled; with the `trace` feature off every snapshot is
-/// empty ([`TraceSnapshot::default`]).
+/// ring, and per-stage hop counts. Empty ([`TraceSnapshot::default`])
+/// while the recorder is off.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSnapshot {
     /// Surviving records, oldest first.
     pub records: Vec<TraceRecord>,
     /// Records evicted by ring wrap-around (exact).
     pub dropped: u64,
-    /// Per-stage occupancy/latency roll-ups (empty when tracing is off
-    /// or nothing was recorded).
+    /// Per-stage hop counts, for the stages that recorded any.
     pub stages: Vec<StageStats>,
 }
 
@@ -280,28 +268,20 @@ impl TraceSnapshot {
     }
 }
 
-/// Recorder capacity; see [`Tracer`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Recorder capacity — the recorder's only switch; see [`Tracer`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Ring capacity in records. Oldest records are evicted (and
-    /// counted in `dropped_records`) once the ring is full. A capacity
-    /// of 0 records nothing (every hop counts as dropped).
+    /// Ring capacity in records. `0` (the default) turns the recorder
+    /// off. Otherwise the oldest records are evicted (and counted in
+    /// `dropped_records`) once the ring is full.
     pub capacity: usize,
 }
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { capacity: 65_536 }
-    }
-}
-
 /// The flight recorder: a fixed-capacity ring of [`TraceRecord`]s plus
-/// per-stage occupancy/latency histograms.
-///
-/// With the `trace` feature **off** this is a zero-sized type whose
-/// methods compile to nothing — in particular [`Tracer::record`] takes
-/// the record as a closure so even *constructing* the record is skipped.
-#[cfg(feature = "trace")]
+/// per-stage hop counts. Off (and holding no storage) at capacity 0;
+/// [`Tracer::record`] takes the record as a closure so that, while off,
+/// even *constructing* the record is skipped.
+#[derive(Default)]
 pub struct Tracer {
     capacity: usize,
     ring: Vec<TraceRecord>,
@@ -309,49 +289,28 @@ pub struct Tracer {
     head: usize,
     dropped: u64,
     hops: [u64; 6],
-    occupancy: [Histogram; 6],
-    latency: [Histogram; 6],
 }
 
-#[cfg(feature = "trace")]
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new(TraceConfig::default())
-    }
-}
-
-#[cfg(feature = "trace")]
 impl Tracer {
     /// Creates a recorder with the given ring capacity.
     pub fn new(config: TraceConfig) -> Self {
-        Tracer {
-            capacity: config.capacity,
-            ring: Vec::new(),
-            head: 0,
-            dropped: 0,
-            hops: [0; 6],
-            occupancy: Default::default(),
-            latency: Default::default(),
-        }
+        Tracer { capacity: config.capacity, ..Tracer::default() }
     }
 
-    /// Whether records are actually captured (always true here; the
-    /// no-op twin returns false so callers can skip expensive setup).
+    /// Whether records are captured (the capacity is non-zero), so
+    /// callers can skip work that only feeds [`Tracer::record`].
     pub fn is_enabled(&self) -> bool {
-        true
+        self.capacity > 0
     }
 
-    /// Records one hop. The closure builds the record only when tracing
-    /// is compiled in.
+    /// Records one hop. While the recorder is off the closure is never
+    /// invoked.
     pub fn record(&mut self, make: impl FnOnce() -> TraceRecord) {
-        let rec = make();
-        let idx = rec.stage.index();
-        self.hops[idx] += 1;
-        self.latency[idx].record(rec.age_us);
         if self.capacity == 0 {
-            self.dropped += 1;
             return;
         }
+        let rec = make();
+        self.hops[rec.stage.index()] += 1;
         if self.ring.len() < self.capacity {
             self.ring.push(rec);
         } else {
@@ -359,15 +318,6 @@ impl Tracer {
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
-    }
-
-    /// Feeds the driver's queue depth into a stage's occupancy
-    /// histogram. Separate from [`Tracer::record`] because occupancy is
-    /// a property of the driver, not of the event (the threaded driver
-    /// reports in-flight roots here, which is timing-dependent and
-    /// excluded from the determinism contract).
-    pub fn note_occupancy(&mut self, stage: TraceStage, depth: u64) {
-        self.occupancy[stage.index()].record(depth);
     }
 
     /// Records already evicted by ring wrap-around (exact).
@@ -380,8 +330,7 @@ impl Tracer {
         self.ring.len()
     }
 
-    /// True when nothing has been recorded (or everything was evicted
-    /// by a zero-capacity ring).
+    /// True when the ring holds nothing.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
@@ -394,81 +343,18 @@ impl Tracer {
         let stages = TraceStage::ALL
             .iter()
             .filter(|s| self.hops[s.index()] > 0)
-            .map(|&stage| StageStats {
-                stage,
-                hops: self.hops[stage.index()],
-                occupancy: self.occupancy[stage.index()].clone(),
-                latency: self.latency[stage.index()].clone(),
-            })
+            .map(|&stage| StageStats { stage, hops: self.hops[stage.index()] })
             .collect();
         TraceSnapshot { records, dropped: self.dropped, stages }
     }
 
-    /// Clears the ring, the drop counter and the per-stage histograms.
+    /// Clears the ring, the drop counter and the per-stage hop counts.
     pub fn reset(&mut self) {
         self.ring.clear();
         self.head = 0;
         self.dropped = 0;
         self.hops = [0; 6];
-        self.occupancy.iter_mut().for_each(Histogram::reset);
-        self.latency.iter_mut().for_each(Histogram::reset);
     }
-}
-
-/// No-op twin of the recorder (the `trace` feature is off).
-#[cfg(not(feature = "trace"))]
-#[derive(Default)]
-pub struct Tracer;
-
-#[cfg(not(feature = "trace"))]
-impl Tracer {
-    /// No-op constructor.
-    #[inline(always)]
-    pub fn new(_config: TraceConfig) -> Self {
-        Tracer
-    }
-
-    /// Always false: nothing is captured.
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// No-op; the closure is never invoked.
-    #[inline(always)]
-    pub fn record(&mut self, _make: impl FnOnce() -> TraceRecord) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn note_occupancy(&mut self, _stage: TraceStage, _depth: u64) {}
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn dropped_records(&self) -> u64 {
-        0
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        0
-    }
-
-    /// Always true.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-
-    /// Always empty.
-    #[inline(always)]
-    pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot::default()
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn reset(&mut self) {}
 }
 
 impl fmt::Debug for Tracer {
@@ -512,7 +398,6 @@ mod tests {
         assert!(line.ends_with("\"age_us\":5}"));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_wraps_with_exact_drop_accounting() {
         let mut t = Tracer::new(TraceConfig { capacity: 4 });
@@ -526,41 +411,31 @@ mod tests {
         assert_eq!(ats, vec![6, 7, 8, 9], "oldest evicted first, survivors in order");
         assert_eq!(snap.dropped, 6);
         // Stage stats count every hop, not just survivors.
-        assert_eq!(snap.stages.len(), 1);
-        assert_eq!(snap.stages[0].hops, 10);
-        assert_eq!(snap.stages[0].latency.count(), 10);
+        assert_eq!(snap.stages, vec![StageStats { stage: TraceStage::Filtering, hops: 10 }]);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn zero_capacity_records_nothing_but_counts_everything() {
-        let mut t = Tracer::new(TraceConfig { capacity: 0 });
-        t.record(|| rec(1));
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped_records(), 1);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn reset_clears_ring_drops_and_histograms() {
+    fn reset_clears_ring_drops_and_hop_counts() {
         let mut t = Tracer::new(TraceConfig { capacity: 2 });
         for at in 0..5u64 {
             t.record(|| rec(at));
         }
-        t.note_occupancy(TraceStage::Filtering, 3);
         t.reset();
         assert!(t.is_empty());
         assert_eq!(t.dropped_records(), 0);
         assert!(t.snapshot().stages.is_empty());
     }
 
-    #[cfg(not(feature = "trace"))]
     #[test]
-    fn disabled_tracer_is_zero_sized_and_never_builds_records() {
-        assert_eq!(std::mem::size_of::<Tracer>(), 0);
-        let mut t = Tracer::new(TraceConfig::default());
-        t.record(|| unreachable!("record closure must not run when tracing is off"));
+    fn zero_capacity_is_off_and_never_builds_records() {
+        assert_eq!(TraceConfig::default().capacity, 0, "off is the default");
+        let mut t = Tracer::new(TraceConfig { capacity: 0 });
+        assert!(!t.is_enabled());
+        t.record(|| unreachable!("record closure must not run while the recorder is off"));
         assert!(t.is_empty());
-        assert!(t.snapshot().records.is_empty());
+        assert_eq!(t.dropped_records(), 0, "nothing recorded, nothing dropped");
+        let snap = t.snapshot();
+        assert!(snap.records.is_empty() && snap.stages.is_empty());
+        assert_eq!(snap.dropped, 0);
     }
 }

@@ -20,7 +20,7 @@ use garnet::core::router::{OverloadConfig, OverloadPolicy};
 use garnet::core::DriverKind;
 use garnet::net::{DispatchCacheConfig, MatchCache, SubscriberId, SubscriptionTable, TopicFilter};
 use garnet::radio::ReceiverId;
-use garnet::simkit::SimTime;
+use garnet::simkit::{SimTime, TraceConfig, Tracer};
 use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 
 thread_local! {
@@ -156,6 +156,14 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
             "overload {overload:?}: {per_frame:.3} allocator calls per frame"
         );
     }
+    // Those runs carried the flight recorder, off (`trace_capacity: 0`,
+    // the default): off means it builds no record and owns no storage.
+    let mut tracer = Tracer::new(TraceConfig { capacity: 0 });
+    let before = CALLS.with(Cell::get);
+    for _ in 0..10_000 {
+        tracer.record(|| unreachable!("the recorder is off: no record is built"));
+    }
+    assert_eq!(CALLS.with(Cell::get) - before, 0, "a recorder that is off must not allocate");
 }
 
 #[test]

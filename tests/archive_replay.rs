@@ -366,7 +366,10 @@ fn recovered_log(slot: &StoreSlot) -> Vec<ArchiveRecord> {
 fn burst_larger_than_the_queue_is_accounted_per_record_on_the_threaded_engine() {
     let slot = store_slot(Box::new(MemStore::new()));
     let archive = ArchiveConfig { queue_capacity: 16, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(config(DriverKind::Threaded, 2, Some(archive)));
+    let (mut g, log) = fresh_garnet(GarnetConfig {
+        trace_capacity: 128,
+        ..config(DriverKind::Threaded, 2, Some(archive))
+    });
     let (t1, t2) = (SimTime::from_millis(1), SimTime::from_millis(2));
 
     // 100 records against room for 16: the burst's first 16 are
@@ -376,12 +379,10 @@ fn burst_larger_than_the_queue_is_accounted_per_record_on_the_threaded_engine() 
     let l = g.archive_ledger().unwrap();
     assert_eq!((l.offered, l.dropped), (100, 84));
     assert_eq!(l.archived + l.pending, 16);
-    if cfg!(feature = "trace") {
-        // The tap's flight recorder still sees one hop per record.
-        let hops = g.archive_trace_snapshot().records;
-        let shed = hops.iter().filter(|h| h.outcome == TraceOutcome::Shed).count();
-        assert_eq!((hops.len(), shed), (100, 84));
-    }
+    // The tap's flight recorder still sees one hop per record.
+    let hops = g.archive_trace_snapshot().records;
+    let shed = hops.iter().filter(|h| h.outcome == TraceOutcome::Shed).count();
+    assert_eq!((hops.len(), shed), (100, 84));
 
     g.flush_archive(t1).expect("healthy store flushes");
     let l = g.archive_ledger().unwrap();
