@@ -22,10 +22,26 @@ fi
 # system: the names of the second engine, its edge plumbing, the helpers
 # that compared the two, the dispatch partition, the boxed driver, the
 # retired sweep scaffolding, the per-service twin of ControlGraph::route's
-# match and the histogram that could only read 0 must not come back.
+# match, the histogram that could only read 0 and the incremental twin of
+# the CRC-16 loop must not come back.
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16' crates src tests examples; then
   echo "a deleted item is back" >&2
+  exit 1
+fi
+
+# Every checked byte rides one safe-Rust kernel (crates/wire/src/crc.rs):
+# no intrinsics, no CPU detection, and the only `unsafe` in any crate's
+# src/ stays the one test-only pointer comparison in wire's message.rs
+# (ROADMAP 7b).
+echo "==> no std::arch / target_feature in crates, src; unsafe only in wire's zero-copy test"
+if grep -rnE 'std::arch|core::arch|target_feature|is_x86_feature_detected' crates src; then
+  echo "a CPU-specific code path is back" >&2
+  exit 1
+fi
+if [ "$(grep -rn 'unsafe' crates/*/src | cut -d: -f1)" != crates/wire/src/message.rs ]; then
+  grep -rn 'unsafe' crates/*/src >&2 || true
+  echo "expected exactly one unsafe line under crates/*/src, the test in wire's message.rs" >&2
   exit 1
 fi
 

@@ -15,7 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::record::{ArchiveRecord, RecordError};
+use garnet_wire::{peek_seq, peek_stream};
+
+use crate::record::{ArchiveRecord, RecordError, RecordView};
 use crate::segment::{SegmentId, SegmentStore, StoreError};
 
 /// Where the recovery scan cut a segment.
@@ -91,21 +93,24 @@ impl From<StoreError> for ReplayError {
     }
 }
 
-/// Walks `bytes`, collecting valid records and the offset/error of the
-/// first invalid one.
-fn scan_records(bytes: &[u8]) -> (Vec<ArchiveRecord>, u64, Option<(u64, RecordError)>) {
-    let mut records = Vec::new();
+/// Walks `bytes` in place, handing each valid record to `visit` as a
+/// borrowed view. Returns the length of the valid prefix and, when that
+/// is short of `bytes`, why the record starting there failed to parse.
+fn scan_records<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(RecordView<'a>),
+) -> (u64, Option<RecordError>) {
     let mut offset = 0usize;
     while offset < bytes.len() {
-        match ArchiveRecord::decode(&bytes[offset..]) {
-            Ok((rec, used)) => {
-                records.push(rec);
+        match RecordView::parse(&bytes[offset..]) {
+            Ok((view, used)) => {
+                visit(view);
                 offset += used;
             }
-            Err(e) => return (records, offset as u64, Some((offset as u64, e))),
+            Err(e) => return (offset as u64, Some(e)),
         }
     }
-    (records, offset as u64, None)
+    (offset as u64, None)
 }
 
 /// The segment-rolling archive writer/reader.
@@ -156,33 +161,34 @@ impl FrameArchive {
     /// The recovery scan: parses every segment in ascending order,
     /// truncates the first segment holding a corrupt record to its
     /// valid prefix, removes all later segments, and rebuilds the
-    /// per-stream high-water marks from the surviving records.
+    /// per-stream high-water marks from the surviving records. Each
+    /// segment is validated in place — no record is copied out — so the
+    /// scan holds one segment's bytes at a time and nothing per record.
     pub fn recover(store: &mut dyn SegmentStore) -> Result<RecoveryReport, StoreError> {
         let mut report = RecoveryReport::default();
         let ids = store.segments()?;
         let mut cut_at: Option<usize> = None;
         for (i, &id) in ids.iter().enumerate() {
             let bytes = store.read(id)?;
-            let (records, valid_len, bad) = scan_records(&bytes);
-            for rec in &records {
+            let (valid_len, bad) = scan_records(&bytes, |view| {
                 report.records += 1;
-                match rec {
-                    ArchiveRecord::Frame { .. } => {
+                match view {
+                    RecordView::Frame { frame, .. } => {
                         report.frames += 1;
-                        if let (Some(stream), Some(seq)) = (rec.stream(), rec.seq()) {
-                            report.high_water.insert(stream.to_raw(), seq);
+                        if let (Some(stream), Some(seq)) = (peek_stream(frame), peek_seq(frame)) {
+                            report.high_water.insert(stream.to_raw(), seq.as_u16());
                         }
                     }
-                    ArchiveRecord::Tick { .. } => report.ticks += 1,
-                    ArchiveRecord::Ack { .. } => report.acks += 1,
+                    RecordView::Tick { .. } => report.ticks += 1,
+                    RecordView::Ack { .. } => report.acks += 1,
                 }
-            }
-            if let Some((offset, error)) = bad {
+            });
+            if let Some(error) = bad {
                 store.truncate(id, valid_len)?;
                 report.truncation = Some(Truncation {
                     segment: id,
                     valid_len,
-                    lost_bytes: bytes.len() as u64 - offset,
+                    lost_bytes: bytes.len() as u64 - valid_len,
                     error,
                 });
                 report.segments.push(id);
@@ -291,9 +297,8 @@ impl FrameArchive {
         let mut out = Vec::new();
         for id in ids {
             let bytes = self.store.read(id)?;
-            let (records, _, bad) = scan_records(&bytes);
-            out.extend(records);
-            if let Some((offset, error)) = bad {
+            let (offset, bad) = scan_records(&bytes, |view| out.push(view.to_record()));
+            if let Some(error) = bad {
                 return Err(ReplayError::Record { segment: id, offset, error });
             }
         }

@@ -219,6 +219,30 @@ impl ArchiveRecord {
     /// bad kind, bad CRC, a body inconsistent with its kind — is an
     /// error; no partial record ever decodes.
     pub fn decode(buf: &[u8]) -> Result<(ArchiveRecord, usize), RecordError> {
+        let (view, used) = RecordView::parse(buf)?;
+        Ok((view.to_record(), used))
+    }
+}
+
+/// One validated record, borrowed from the bytes it was parsed from:
+/// everything [`ArchiveRecord::decode`] checks, before anything is
+/// copied. The recovery scan walks a segment as views, so counting a
+/// log never materialises it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RecordView<'a> {
+    /// See [`ArchiveRecord::Frame`]; `frame` points into the segment.
+    Frame { at_us: u64, receiver: u32, rssi_bits: u64, frame: &'a [u8] },
+    /// See [`ArchiveRecord::Tick`].
+    Tick { at_us: u64 },
+    /// See [`ArchiveRecord::Ack`].
+    Ack { at_us: u64, request_id: u32, status: AckStatus },
+}
+
+impl<'a> RecordView<'a> {
+    /// Validates one record at the front of `buf` — header, length,
+    /// CRC, then kind and body, in that order — returning the view and
+    /// the number of bytes the record occupies.
+    pub(crate) fn parse(buf: &'a [u8]) -> Result<(RecordView<'a>, usize), RecordError> {
         if buf.len() < RECORD_HEADER_LEN {
             return Err(RecordError::Truncated);
         }
@@ -244,29 +268,29 @@ impl ArchiveRecord {
         let body = &buf[RECORD_HEADER_LEN..crc_off];
         let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte slice"));
         let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte slice"));
-        let rec = match kind {
+        let view = match kind {
             KIND_FRAME => {
                 if body.len() < 20 {
                     return Err(RecordError::BadBody);
                 }
-                ArchiveRecord::Frame {
+                RecordView::Frame {
                     at_us: le8(&body[0..8]),
                     receiver: le4(&body[8..12]),
                     rssi_bits: le8(&body[12..20]),
-                    frame: FrameBytes::copy_from_slice(&body[20..]),
+                    frame: &body[20..],
                 }
             }
             KIND_TICK => {
                 if body.len() != 8 {
                     return Err(RecordError::BadBody);
                 }
-                ArchiveRecord::Tick { at_us: le8(&body[0..8]) }
+                RecordView::Tick { at_us: le8(&body[0..8]) }
             }
             KIND_ACK => {
                 if body.len() != 13 {
                     return Err(RecordError::BadBody);
                 }
-                ArchiveRecord::Ack {
+                RecordView::Ack {
                     at_us: le8(&body[0..8]),
                     request_id: le4(&body[8..12]),
                     status: ack_status_from_byte(body[12])?,
@@ -274,7 +298,23 @@ impl ArchiveRecord {
             }
             other => return Err(RecordError::BadKind(other)),
         };
-        Ok((rec, total))
+        Ok((view, total))
+    }
+
+    /// The owned record: copies a frame's wire bytes out of the segment.
+    pub(crate) fn to_record(self) -> ArchiveRecord {
+        match self {
+            RecordView::Frame { at_us, receiver, rssi_bits, frame } => ArchiveRecord::Frame {
+                at_us,
+                receiver,
+                rssi_bits,
+                frame: FrameBytes::copy_from_slice(frame),
+            },
+            RecordView::Tick { at_us } => ArchiveRecord::Tick { at_us },
+            RecordView::Ack { at_us, request_id, status } => {
+                ArchiveRecord::Ack { at_us, request_id, status }
+            }
+        }
     }
 }
 
