@@ -22,11 +22,18 @@ fi
 # system: the names of the second engine, its edge plumbing, the helpers
 # that compared the two, the dispatch partition, the boxed driver, the
 # retired sweep scaffolding, the per-service twin of ControlGraph::route's
-# match, the histogram that could only read 0 and the incremental twin of
-# the CRC-16 loop must not come back.
+# match, the histogram that could only read 0, the incremental twin of
+# the CRC-16 loop, the router's per-frame queue hop and the uncalled
+# length-delimited stream codec must not come back.
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder' crates src tests examples; then
   echo "a deleted item is back" >&2
+  exit 1
+fi
+# A radio frame enters the router by a call (Router::ingest), never as a
+# queued event.
+if grep -rn 'ServiceEvent::Frame' crates src tests examples; then
+  echo "frames are queued as events again" >&2
   exit 1
 fi
 

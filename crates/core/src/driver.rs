@@ -174,10 +174,10 @@ pub trait RouterDriver: std::fmt::Debug {
     /// Queues one boundary event — the control path: never shed.
     fn push_event(&mut self, ev: ServiceEvent, now: SimTime);
 
-    /// Hands a burst of frames to the router's unbounded intake, one
-    /// ledger entry per frame. The returned `Vec` is always empty: it is
-    /// kept for the benchmark's call site, which iterates it, and has no
-    /// effect.
+    /// [`Router::ingest`]: filters the burst and queues what it released
+    /// for [`RouterDriver::pump`]. The returned `Vec` is always empty: it
+    /// is kept for the benchmark's call site, which iterates it, and has
+    /// no effect.
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput>;
 
     /// Steps the router until a step escapes something, returning what
@@ -233,16 +233,14 @@ impl RouterDriver for FifoDriver {
         self.router.enqueue(ev);
     }
 
-    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, _now: SimTime) -> Vec<ServiceOutput> {
-        for f in frames {
-            self.router.admit_frame(f.receiver, f.rssi_dbm, f.frame);
-        }
+    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput> {
+        self.router.ingest(frames, now);
         Vec::new()
     }
 
     fn pump(&mut self, now: SimTime) -> Vec<ServiceOutput> {
         let mut out = Vec::new();
-        while out.is_empty() && self.router.step_batch(now, &mut out) {}
+        while out.is_empty() && self.router.step(now, &mut out) {}
         out
     }
 

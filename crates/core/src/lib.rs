@@ -14,10 +14,12 @@
 //! policy ahead of demand.
 //!
 //! All services are sans-io state machines with typed methods of their
-//! own; the [`router::Router`] calls the two data-plane stages directly,
-//! so a frame's results reach the queue without a buffer in between,
-//! and hands every control event to the one service that owns it in a
-//! single `match` ([`router::ControlGraph`]), threading the typed
+//! own; the [`router::Router`] calls the two data-plane stages directly
+//! — a burst of radio frames is filtered by the call that brings it
+//! ([`router::Router::ingest`]), so only what filtering released is
+//! ever queued, with no buffer in between — and hands every control
+//! event to the one service that owns it in a single `match`
+//! ([`router::ControlGraph`]), threading the typed
 //! [`service::ServiceEvent`]s between them over a FIFO queue.
 //! [`middleware::Garnet`] is a thin facade that owns that router, steps
 //! it to quiescence and hosts the consumers. The filtering hot path is

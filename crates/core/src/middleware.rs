@@ -2,8 +2,9 @@
 //! unit.
 //!
 //! [`Garnet`] owns the service graph — one FIFO [`Router`] — and drives
-//! it directly: every external input becomes a [`ServiceEvent`] (or an
-//! admitted frame) on the router's queue, and the facade steps the
+//! it directly: a burst of radio frames is handed to
+//! [`Router::ingest`], every other external input becomes a
+//! [`ServiceEvent`] on the router's queue, and the facade steps the
 //! router to quiescence on the caller's thread, applying the outputs
 //! that escape the graph (consumer callbacks, control plans, denials,
 //! expiries). [`GarnetConfig::driver`] picks which thread filters and
@@ -242,10 +243,12 @@ pub struct OverloadStats {
     /// The subset of `shed` dropped in favour of a newer same-stream
     /// sequence.
     pub coalesced: u64,
-    /// Frames popped off the queue and routed into filtering.
+    /// Frames handed to filtering.
     pub delivered: u64,
-    /// High-water mark of the frame queue since the facade started
-    /// (merged by maximum, so it stays a high-water mark).
+    /// High-water mark of frames held at once since the facade started
+    /// — the scheduler's staged tier, or the largest burst when
+    /// admission is unbounded (merged by maximum, so it stays a
+    /// high-water mark).
     pub peak_queue_depth: u64,
     /// Shard restarts performed by the supervision policy during this
     /// call. Always zero under [`DriverKind::Fifo`] (no workers,
@@ -327,6 +330,14 @@ pub enum ActuationOutcome {
     },
 }
 
+/// The registry name a consumer is advertised and withdrawn under.
+/// `Consumer::name()` is a type's label, not an identity — two consumers
+/// may share it — so the subscriber id makes the key unique, and
+/// `discover_prefix("consumer/<name>/")` still finds them by name.
+fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
+    format!("consumer/{name}/{id}")
+}
+
 struct ConsumerEntry {
     consumer: Option<Box<dyn Consumer>>,
     principal: Principal,
@@ -388,8 +399,8 @@ pub struct Garnet {
     /// `overload.shard_failures` counter the health scorer reads for
     /// stranded-job detection.
     shard_failure_total: u64,
-    /// The buffer [`Router::step_batch`] fills on every drain round
-    /// (empty between pumps; kept for its capacity).
+    /// The buffer [`Router::step`] fills on every drain round (empty
+    /// between pumps; kept for its capacity).
     escaped: Vec<ServiceOutput>,
     /// Effects produced inside an entry point that returns no
     /// [`StepOutput`] — its pump runs the per-call delivery drain like
@@ -519,7 +530,7 @@ impl Garnet {
         self.next_virtual_sensor -= 1;
         let id = self.router.services_mut().dispatch.register_subscriber();
         self.registry.advertise(ServiceDescriptor {
-            name: format!("consumer/{}", consumer.name()),
+            name: consumer_advertisement(consumer.name(), id),
             kind: ServiceKind::Consumer,
             endpoint: format!("garnet://consumer/{id}"),
             owner: token.principal().clone(),
@@ -547,7 +558,7 @@ impl Garnet {
         services.control.resource.release_consumer(id);
         self.delivery.forget(id);
         if let Some(c) = &entry.consumer {
-            self.registry.withdraw(&format!("consumer/{}", c.name()));
+            self.registry.withdraw(&consumer_advertisement(c.name(), id));
         }
         Ok(())
     }
@@ -715,7 +726,7 @@ impl Garnet {
             }
             self.release_qos(now);
         } else {
-            self.admit_frames(batch);
+            self.router.ingest(batch, now);
         }
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
@@ -754,16 +765,6 @@ impl Garnet {
         }
     }
 
-    /// Queues a burst on the router's unbounded intake: one queue entry
-    /// (own root tag, own ledger entry) per frame; the batch win comes
-    /// from the pump, where `step_batch` pops the consecutive `Frame`
-    /// run and filters it in one pass.
-    fn admit_frames(&mut self, frames: Vec<BatchedFrame>) {
-        for f in frames {
-            self.router.admit_frame(f.receiver, f.rssi_dbm, f.frame);
-        }
-    }
-
     /// Queues a boundary event — through the QoS scheduler when active
     /// (its class ledger counts it and strict-priority release preserves
     /// Control > Actuation > Data) or straight into the router.
@@ -786,7 +787,7 @@ impl Garnet {
         for r in releases {
             match r {
                 Release::Event(ev) => self.router.enqueue(ev),
-                Release::Frames(frames) => self.admit_frames(frames),
+                Release::Frames(frames) => self.router.ingest(frames, now),
             }
         }
     }
@@ -801,7 +802,7 @@ impl Garnet {
     }
 
     /// High-water mark of the frame intake (the scheduler's data tier
-    /// when it is armed, else the engine's queue).
+    /// when it is armed, else the router's largest burst).
     fn admission_peak_depth(&self) -> u64 {
         match &self.qos {
             Some(s) => s.peak_depth(),
@@ -1077,15 +1078,13 @@ impl Garnet {
     /// the router until the first step that escapes anything, applies
     /// that (which may enqueue new events) and steps again, so events a
     /// consumer emits take the queue position they always have; a round
-    /// that escapes nothing means quiescence. `step_batch` consumes a run
-    /// of consecutive `Frame` events in one filtering pass — frame steps
-    /// escape nothing, so that is observably the same as one step per
-    /// frame. Every round goes through the one `escaped` buffer, so
-    /// draining costs no allocation once it has grown to a round's size.
+    /// that escapes nothing means quiescence. Every round goes through
+    /// the one `escaped` buffer, so draining costs no allocation once it
+    /// has grown to a round's size.
     fn pump_engine(&mut self, now: SimTime, out: &mut StepOutput) {
         let mut escaped = std::mem::take(&mut self.escaped);
         loop {
-            while escaped.is_empty() && self.router.step_batch(now, &mut escaped) {}
+            while escaped.is_empty() && self.router.step(now, &mut escaped) {}
             if escaped.is_empty() {
                 break;
             }
@@ -2100,8 +2099,40 @@ mod tests {
         assert!(g.registry().lookup("super-coordinator").is_some());
         let token = g.issue_default_token("t");
         g.register_consumer(Box::new(CountingConsumer::new("flood-watch")), &token, 0).unwrap();
-        assert!(g.registry().lookup("consumer/flood-watch").is_some());
+        assert_eq!(g.registry().discover_prefix("consumer/flood-watch/").len(), 1);
         assert_eq!(g.registry().discover_kind(ServiceKind::Consumer).len(), 1);
+    }
+
+    #[test]
+    fn same_named_consumers_are_advertised_and_withdrawn_apart() {
+        let mut g = garnet();
+        let (alice, bob) = (g.issue_default_token("alice"), g.issue_default_token("bob"));
+        let a = g.register_consumer(Box::new(CountingConsumer::new("watch")), &alice, 0).unwrap();
+        let b = g.register_consumer(Box::new(CountingConsumer::new("watch")), &bob, 0).unwrap();
+        g.subscribe(b, TopicFilter::All, &bob).unwrap();
+        let endpoints = |g: &Garnet| -> Vec<(String, String)> {
+            g.registry()
+                .discover_prefix("consumer/watch")
+                .into_iter()
+                .map(|d| (d.endpoint.clone(), d.owner.to_string()))
+                .collect()
+        };
+        assert_eq!(
+            endpoints(&g),
+            [
+                (format!("garnet://consumer/{a}"), "alice".to_owned()),
+                (format!("garnet://consumer/{b}"), "bob".to_owned()),
+            ],
+            "the second registration must not replace the first's descriptor"
+        );
+        g.deregister_consumer(a).unwrap();
+        assert_eq!(
+            endpoints(&g),
+            [(format!("garnet://consumer/{b}"), "bob".to_owned())],
+            "withdrawing one leaves the other discoverable"
+        );
+        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
+        assert_eq!(g.dispatching().delivery_count(), 1, "and still receiving");
     }
 
     #[test]

@@ -54,8 +54,9 @@ pub enum PriorityClass {
     /// The actuation chain: requests, mediation submits, replication,
     /// acks and retry ticks. Losing one strands a sensor command.
     Actuation,
-    /// The data plane: frames, frame batches and filtered deliveries —
-    /// the only class an overload policy may shed or coalesce.
+    /// The data plane: radio frames (offered as [`BatchedFrame`]s, not
+    /// events) and filtered deliveries — the only class an overload
+    /// policy may shed or coalesce.
     Data,
 }
 
@@ -67,7 +68,7 @@ impl PriorityClass {
     /// The class an event schedules under.
     pub fn of(ev: &ServiceEvent) -> PriorityClass {
         match ev {
-            ServiceEvent::Frame { .. } | ServiceEvent::Filtered { .. } => PriorityClass::Data,
+            ServiceEvent::Filtered { .. } => PriorityClass::Data,
             ServiceEvent::ActuationRequested { .. }
             | ServiceEvent::Submit { .. }
             | ServiceEvent::Replicate { .. }
@@ -180,15 +181,15 @@ impl ClassLedgers {
 }
 
 /// One item of a strict-priority release plan: Control events first,
-/// then Actuation, then the surviving Data frames as one batch (so the
-/// engine's batched admission path is preserved).
+/// then Actuation, then the surviving Data frames as one batch (one
+/// [`crate::router::Router::ingest`] call, one filtering pass).
 #[derive(Debug)]
 pub enum Release {
     /// A control- or actuation-class event for
     /// [`crate::router::Router::enqueue`].
     Event(ServiceEvent),
     /// The surviving data frames, in admission order, for
-    /// [`crate::router::Router::admit_frame`].
+    /// [`crate::router::Router::ingest`].
     Frames(Vec<BatchedFrame>),
 }
 

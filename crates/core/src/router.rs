@@ -1,14 +1,17 @@
 //! The event router: Figure 1's arrows as a FIFO of typed events.
 //!
 //! [`Router`] owns every sans-io service and moves
-//! [`ServiceEvent`]s between them. One [`Router::step`] pops one event,
-//! hands it to the owning service, re-enqueues any
-//! [`ServiceOutput::Emit`] at the *back* of the queue, and returns the
-//! remaining outputs (deliveries, plans, denials, expiries) for the
-//! facade to apply. The queue is strictly FIFO, which makes the whole
-//! middleware a deterministic event machine: the same enqueue sequence
-//! always produces the same output sequence, regardless of how the
-//! ingest stage is sharded or where its shards execute.
+//! [`ServiceEvent`]s between them. A burst of radio frames enters by a
+//! call — [`Router::ingest`] hands it to the filtering stage and queues
+//! what filtering released; everything else enters through
+//! [`Router::enqueue`]. One [`Router::step`] pops one event, hands it to
+//! the owning service, re-enqueues any [`ServiceOutput::Emit`] at the
+//! *back* of the queue, and returns the remaining outputs (deliveries,
+//! plans, denials, expiries) for the facade to apply. The queue is
+//! strictly FIFO, which makes the whole middleware a deterministic event
+//! machine: the same call sequence always produces the same output
+//! sequence, regardless of how the ingest stage is sharded or where its
+//! shards execute.
 //!
 //! The ingest hot path (the Filtering Service) is the only stage with
 //! per-message CPU cost worth parallelising, so it alone is sharded:
@@ -28,12 +31,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use garnet_net::{EdgeClass, ShardFailure, ShardPool, SupervisionConfig};
-use garnet_radio::ReceiverId;
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
 use garnet_simkit::SimTime;
-use garnet_wire::{peek_stream, ActuationTarget, FrameBytes};
+use garnet_wire::{peek_stream, ActuationTarget};
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
@@ -242,27 +244,11 @@ impl ShardedIngest {
         }
     }
 
-    /// Feeds one frame to its shard, returning the raw filter result.
-    pub fn on_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: &FrameBytes,
-        now: SimTime,
-    ) -> FilterResult {
-        let shard = self.shard_of(frame);
-        if let Shards::Inline(shards) = &mut self.shards {
-            return shards[shard].on_frame(receiver, rssi_dbm, frame, now);
-        }
-        let arrival = FrameArrival { receiver, rssi_dbm, frame: frame.clone(), at: now };
-        self.on_batch(&[arrival]).pop().unwrap_or_default()
-    }
-
-    /// Feeds a burst of frames, equivalent to [`ShardedIngest::on_frame`]
-    /// per entry in order: results come back in arrival order, and since
-    /// streams are pinned to shards, routing each shard its own
-    /// arrival-ordered sub-batch observes exactly the per-frame state
-    /// evolution. Each shard validates its sub-batch's headers in one
+    /// Feeds a burst of frames, equivalent to one
+    /// [`FilteringService::on_frame`] per entry in order on a single
+    /// service: results come back in arrival order, and since streams
+    /// are pinned to shards, routing each shard its own arrival-ordered
+    /// sub-batch observes exactly the per-frame state evolution. Each shard validates its sub-batch's headers in one
     /// prepass ([`FilteringService::on_batch`]). Pooled shards work on
     /// their sub-batches concurrently; a sub-batch lost to a worker
     /// panic comes back as empty results.
@@ -520,7 +506,7 @@ fn routed_output(
 /// replicator and coordinator boxes of Figure 1.
 ///
 /// These services form a *closed* cascade: no control service ever
-/// emits a `Frame` or `Filtered` event back into the data plane.
+/// emits a `FlushReorder` or `Filtered` event back into the data plane.
 #[derive(Debug)]
 pub struct ControlGraph {
     /// Unclaimed-message retention.
@@ -641,7 +627,7 @@ impl ControlGraph {
                 .collect(),
             // Data-plane events are the router's own; it never hands
             // one here.
-            Frame { .. } | FlushReorder | Filtered { .. } => Vec::new(),
+            FlushReorder | Filtered { .. } => Vec::new(),
         }
     }
 }
@@ -713,11 +699,10 @@ pub struct Router {
     /// Each queued event carries the root-sequence tag of the boundary
     /// event it descends from.
     queue: VecDeque<(RootTag, ServiceEvent)>,
-    /// `Frame` events currently in `queue` (control events excluded).
-    queued_frames: usize,
-    /// Frames offered and stepped; the queue never drops one.
-    totals: OverloadTotals,
-    peak_queued: u64,
+    /// Frames handed to [`Router::ingest`]; every one is filtered.
+    frames_ingested: u64,
+    /// The largest burst among them.
+    peak_burst: u64,
     /// The flight recorder; off until [`Router::configure_trace`] gives
     /// it a capacity.
     tracer: Tracer,
@@ -725,10 +710,8 @@ pub struct Router {
     spans: PipelineSpans,
     /// Per-ingest-shard admission-depth gauges.
     depths: QueueDepthGauges,
-    /// [`Router::step_batch`]'s scratch, kept between calls so a burst
-    /// costs no allocation here: the run's root tags and its arrivals
-    /// (both empty outside a call).
-    tags: Vec<RootTag>,
+    /// [`Router::ingest`]'s scratch, kept between calls so a burst
+    /// costs no allocation here (empty outside a call).
     arrivals: Vec<FrameArrival>,
     /// Next root sequence number for a boundary enqueue.
     next_root: u64,
@@ -742,13 +725,11 @@ impl Router {
         Router {
             services,
             queue: VecDeque::new(),
-            queued_frames: 0,
-            totals: OverloadTotals::default(),
-            peak_queued: 0,
+            frames_ingested: 0,
+            peak_burst: 0,
             tracer: Tracer::new(TraceConfig::default()),
             spans: PipelineSpans::new(),
             depths,
-            tags: Vec::new(),
             arrivals: Vec::new(),
             next_root: 0,
         }
@@ -777,9 +758,9 @@ impl Router {
         &mut self.services
     }
 
-    /// Enqueues an event at the back of the queue — the control path:
-    /// acks, actuations, flushes and other non-`Frame` events. Frames
-    /// entering here still count against the queue depth.
+    /// Enqueues a boundary event at the back of the queue: acks,
+    /// actuations, flushes, derived republications — everything that is
+    /// not a radio frame, which enters through [`Router::ingest`].
     pub fn enqueue(&mut self, ev: ServiceEvent) {
         let tag = self.alloc_root();
         self.enqueue_tagged(tag, ev);
@@ -796,42 +777,53 @@ impl Router {
     /// service emitted while handling `tag`'s work stay attributed to
     /// that boundary event.
     fn enqueue_tagged(&mut self, tag: RootTag, ev: ServiceEvent) {
-        if matches!(ev, ServiceEvent::Frame { .. }) {
-            self.queued_frames += 1;
-            self.peak_queued = self.peak_queued.max(self.queued_frames as u64);
-        }
         self.queue.push_back((tag, ev));
     }
 
-    /// Queues one radio frame for filtering and counts it offered. The
-    /// queue is unbounded: what happens to a frame at capacity was
-    /// decided before it got here, by [`crate::qos::QosScheduler`].
-    pub fn admit_frame(&mut self, receiver: ReceiverId, rssi_dbm: f64, frame: FrameBytes) {
-        self.totals.offered += 1;
-        self.note_offered_depth(&frame);
-        self.enqueue(ServiceEvent::Frame { receiver, rssi_dbm, frame });
-    }
-
-    /// Samples the telemetry depth gauges for one offered frame: the
-    /// total and the frame's ingest shard. Skipped entirely (including
-    /// the shard peek) when span recording is off.
-    fn note_offered_depth(&mut self, frame: &[u8]) {
-        if self.depths.enabled() {
-            self.depths.note_admitted(self.services.ingest.shard_of(frame));
+    /// The one way in for radio frames: filters the burst as one batch
+    /// and queues what each frame's result owes the graph (its
+    /// sighting, its piggy-backed acks, its released messages) under
+    /// that frame's own root tag. Nothing bounds a burst here: what
+    /// happens to a frame at capacity was decided before it got here, by
+    /// [`crate::qos::QosScheduler`].
+    ///
+    /// Frames do not travel through the queue, because the queue is
+    /// empty whenever they arrive: every facade entry point pumps to
+    /// quiescence before it returns, the scheduler never releases an
+    /// event beside frames, and `OverloadPolicy::Block` pumps dry before
+    /// it re-offers. Were that ever untrue, the burst's results would
+    /// queue behind what was there — still FIFO, nothing lost.
+    pub fn ingest(&mut self, frames: Vec<BatchedFrame>, now: SimTime) {
+        debug_assert!(self.queue.is_empty(), "frames arrived while events were queued");
+        let burst = frames.len() as u64;
+        self.frames_ingested += burst;
+        self.peak_burst = self.peak_burst.max(burst);
+        // The burst's root tags are consecutive from here.
+        let first_root = self.next_root;
+        for BatchedFrame { receiver, rssi_dbm, frame } in frames {
+            // The depth gauges sample the total and the frame's ingest
+            // shard; off, they cost nothing (not even the shard peek).
+            if self.depths.enabled() {
+                self.depths.note_admitted(self.services.ingest.shard_of(&frame));
+            }
+            let root = self.alloc_root();
+            self.tracer.record(|| frame_record(&frame, now, root, TraceOutcome::Delivered));
+            self.arrivals.push(FrameArrival { receiver, rssi_dbm, frame, at: now });
+        }
+        let results = self.services.ingest.on_batch(&self.arrivals);
+        self.arrivals.clear();
+        for (root, result) in (first_root..).zip(results) {
+            ShardedIngest::frame_events(result, |ev| self.enqueue_tagged(root, ev));
         }
     }
 
     /// Records a frame the admission scheduler dropped before it reached
-    /// the queue, under a root of its own (nothing was routed, so
-    /// [`Router::step`] will never trace it).
+    /// [`Router::ingest`], under a root of its own (nothing was routed,
+    /// so nothing else will trace it).
     pub fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
         if self.tracer.is_enabled() {
             let root = self.alloc_root();
-            self.tracer.record(|| TraceRecord {
-                root: Some(root),
-                outcome,
-                ..frame_record(&frame.frame, now)
-            });
+            self.tracer.record(|| frame_record(&frame.frame, now, root, outcome));
         }
     }
 
@@ -842,12 +834,8 @@ impl Router {
     /// (quiescence).
     pub fn step(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) -> bool {
         let Some((tag, ev)) = self.queue.pop_front() else { return false };
-        if matches!(ev, ServiceEvent::Frame { .. }) {
-            self.queued_frames -= 1;
-            self.totals.delivered += 1;
-        }
-        // Every delivery passes through here exactly once (batch-mode
-        // cascades re-enter the queue), so this is the span point.
+        // Every delivery passes through here exactly once, so this is
+        // the span point.
         if let ServiceEvent::Filtered { delivery, .. } = &ev {
             self.spans.record(delivery.first_received_at, delivery.delivered_at, now);
         }
@@ -857,10 +845,6 @@ impl Router {
             rec
         });
         match ev {
-            ServiceEvent::Frame { receiver, rssi_dbm, frame } => {
-                let result = self.services.ingest.on_frame(receiver, rssi_dbm, &frame, now);
-                self.enqueue_frame_result(tag, result);
-            }
             ServiceEvent::FlushReorder => {
                 for delivery in self.services.ingest.on_tick(now) {
                     self.enqueue_tagged(tag, ServiceEvent::Filtered { delivery, depth: 0 });
@@ -895,48 +879,6 @@ impl Router {
         }
     }
 
-    /// Queues one frame's filter result as events under the frame's
-    /// root tag, with no buffer in between.
-    fn enqueue_frame_result(&mut self, tag: RootTag, result: FilterResult) {
-        ShardedIngest::frame_events(result, |ev| self.enqueue_tagged(tag, ev));
-    }
-
-    /// Pops and routes a maximal run of consecutive `Frame` events as
-    /// one filtering batch (falling back to [`Router::step`] when the
-    /// queue head is anything else). Bit-identical to stepping the same
-    /// events one at a time: frames were adjacent in the queue, so their
-    /// cascades would have been enqueued back-to-back in this exact
-    /// order anyway, and each frame keeps its own root tag, trace record
-    /// and ledger entry — only the per-event dispatch and header
-    /// re-validation are amortised. Frame steps escape nothing, so `out`
-    /// is untouched on that path.
-    pub fn step_batch(&mut self, now: SimTime, out: &mut Vec<ServiceOutput>) -> bool {
-        if !matches!(self.queue.front(), Some((_, ServiceEvent::Frame { .. }))) {
-            return self.step(now, out);
-        }
-        let mut tags = std::mem::take(&mut self.tags);
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        while matches!(self.queue.front(), Some((_, ServiceEvent::Frame { .. }))) {
-            let (tag, ev) = self.queue.pop_front().expect("front was just matched");
-            self.queued_frames -= 1;
-            self.totals.delivered += 1;
-            self.tracer.record(|| event_record(&ev, now, tag));
-            let ServiceEvent::Frame { receiver, rssi_dbm, frame } = ev else {
-                unreachable!("front was matched as a Frame");
-            };
-            tags.push(tag);
-            arrivals.push(FrameArrival { receiver, rssi_dbm, frame, at: now });
-        }
-        let results = self.services.ingest.on_batch(&arrivals);
-        arrivals.clear();
-        for (tag, result) in tags.drain(..).zip(results) {
-            self.enqueue_frame_result(tag, result);
-        }
-        self.tags = tags;
-        self.arrivals = arrivals;
-        true
-    }
-
     /// Drains the queue and joins any filtering worker pool, returning
     /// the outputs that escaped on the way out. Reads keep working
     /// afterwards; frames offered to a joined pool filter to nothing.
@@ -947,16 +889,18 @@ impl Router {
         out
     }
 
-    /// Monotonic intake totals: frames offered and frames stepped into
-    /// filtering (`shed` and `coalesced` stay zero — the queue never
-    /// drops). At quiescence `offered == delivered`.
+    /// Monotonic intake totals: every frame handed to
+    /// [`Router::ingest`] is both offered and delivered into filtering
+    /// (`shed` and `coalesced` stay zero — nothing is dropped here).
     pub fn overload_totals(&self) -> OverloadTotals {
-        self.totals
+        let n = self.frames_ingested;
+        OverloadTotals { offered: n, delivered: n, ..OverloadTotals::default() }
     }
 
-    /// High-water mark of the frame queue.
+    /// The largest burst handed to [`Router::ingest`] — the most frames
+    /// this router has held at once.
     pub fn peak_queue_depth(&self) -> u64 {
-        self.peak_queued
+        self.peak_burst
     }
 
     /// The pipeline latency spans recorded so far.
@@ -995,6 +939,7 @@ impl Router {
 mod tests {
     use super::*;
     use garnet_net::SubscriberId;
+    use garnet_radio::ReceiverId;
     use garnet_wire::{
         AckStatus, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
     };
@@ -1008,6 +953,10 @@ mod tests {
             .unwrap()
             .encode_to_vec()
             .into()
+    }
+
+    fn arrival(receiver: u32, frame: garnet_wire::FrameBytes, at: SimTime) -> FrameArrival {
+        FrameArrival { receiver: ReceiverId::new(receiver), rssi_dbm: -40.0, frame, at }
     }
 
     #[test]
@@ -1027,13 +976,9 @@ mod tests {
         for shards in [1usize, 2, 4, 8] {
             let mut ingest = ShardedIngest::new(FilterConfig::default(), shards);
             for sensor in [9u32, 3, 14, 7, 11] {
-                ingest.on_frame(ReceiverId::new(0), -40.0, &frame(sensor, 0), SimTime::ZERO);
-                ingest.on_frame(
-                    ReceiverId::new(0),
-                    -40.0,
-                    &frame(sensor, 2), // gap at 1
-                    SimTime::from_millis(1),
-                );
+                ingest.on_batch(&[arrival(0, frame(sensor, 0), SimTime::ZERO)]);
+                // gap at 1
+                ingest.on_batch(&[arrival(0, frame(sensor, 2), SimTime::from_millis(1))]);
             }
             let out = ingest.on_tick(SimTime::from_secs(10));
             let ids: Vec<u32> = out.iter().map(|d| d.msg.stream().to_raw()).collect();
@@ -1049,8 +994,8 @@ mod tests {
         let mut ingest = ShardedIngest::new(FilterConfig::default(), 4);
         for sensor in 1..=8u32 {
             let fr = frame(sensor, 0);
-            ingest.on_frame(ReceiverId::new(0), -40.0, &fr, SimTime::ZERO);
-            ingest.on_frame(ReceiverId::new(1), -50.0, &fr, SimTime::ZERO); // dup
+            ingest.on_batch(&[arrival(0, fr.clone(), SimTime::ZERO)]);
+            ingest.on_batch(&[arrival(1, fr, SimTime::ZERO)]); // dup
         }
         let stats = ingest.stats();
         assert_eq!(stats.delivered_count(), 8);

@@ -65,16 +65,6 @@ pub enum ActuationOrigin {
 /// An event routed between services.
 #[derive(Clone, Debug)]
 pub enum ServiceEvent {
-    /// A raw frame heard by the receiver array → ingest (filtering).
-    Frame {
-        /// The receiver that heard it.
-        receiver: ReceiverId,
-        /// Received signal strength (dBm).
-        rssi_dbm: f64,
-        /// The encoded frame bytes — a shared view of the arrival
-        /// buffer; cloning this event never copies the frame.
-        frame: FrameBytes,
-    },
     /// Flush reorder buffers whose deadline passed → ingest.
     FlushReorder,
     /// A reconstructed message leaving the ingest stage → dispatch.
@@ -156,7 +146,10 @@ pub enum ServiceEvent {
     },
 }
 
-/// One frame of a burst on its way to [`crate::router::Router::admit_frame`].
+/// One radio frame of a burst on its way to
+/// [`crate::router::Router::ingest`] — Figure 1's arrow from the
+/// receiver array to the Filtering Service. That arrow is a call, not a
+/// [`ServiceEvent`]: frames are handed over, never queued.
 #[derive(Clone, Debug)]
 pub struct BatchedFrame {
     /// The receiver that heard it.

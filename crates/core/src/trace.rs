@@ -6,11 +6,13 @@
 //! the closure `Tracer::record` never calls while off), so nothing here
 //! runs until a capacity is set.
 //!
-//! The record order for one boundary event pumped to quiescence is the
+//! The record order for one boundary input pumped to quiescence is the
 //! `Router`'s FIFO order:
 //!
-//! 1. the boundary hop itself (`Frame` / `FlushReorder` / a tick's
-//!    first control event),
+//! 1. the boundary hop itself: one `Frame` record per frame of the
+//!    burst, written by `Router::ingest` before the burst is filtered
+//!    and so before any of its descendants — or `FlushReorder` / a
+//!    tick's first control event, written when `Router::step` pops it,
 //! 2. ingest-origin control hops (`Observed`, `AckReceived`) in
 //!    emission order,
 //! 3. `Filtered` dispatch hops in delivery order,
@@ -51,30 +53,32 @@ fn delivery_record(
     }
 }
 
-/// The record for one raw frame at the filtering stage, attributed
-/// to the stream its header claims.
-pub(crate) fn frame_record(frame: &[u8], now: SimTime) -> TraceRecord {
+/// The record for one raw frame at the filtering stage — the root of
+/// everything it causes — attributed to the stream its header claims.
+/// `outcome` is `Delivered` for a frame handed to filtering, or how the
+/// admission scheduler dropped it.
+pub(crate) fn frame_record(
+    frame: &[u8],
+    now: SimTime,
+    root: RootTag,
+    outcome: TraceOutcome,
+) -> TraceRecord {
     let stream = peek_stream(frame);
     TraceRecord {
         stream: stream.map(|s| s.to_raw()),
         sensor: stream.map(|s| s.sensor().as_u32()),
-        ..TraceRecord::new(
-            now.as_micros(),
-            TraceStage::Filtering,
-            TraceEventKind::Frame,
-            TraceOutcome::Delivered,
-        )
+        root: Some(root),
+        ..TraceRecord::new(now.as_micros(), TraceStage::Filtering, TraceEventKind::Frame, outcome)
     }
 }
 
-/// The record for one event hop under its root tag. Pure on the event
-/// and the simulated time.
+/// The record for one queued event's hop under its root tag. Pure on
+/// the event and the simulated time.
 pub(crate) fn event_record(ev: &ServiceEvent, now: SimTime, root: RootTag) -> TraceRecord {
     use ServiceEvent::*;
     let at = now.as_micros();
     let base = |stage, kind| TraceRecord::new(at, stage, kind, TraceOutcome::Delivered);
     let mut rec = match ev {
-        Frame { frame, .. } => frame_record(frame, now),
         FlushReorder => base(TraceStage::Filtering, TraceEventKind::FlushReorder),
         Filtered { delivery, .. } => {
             delivery_record(TraceStage::Dispatch, TraceEventKind::Filtered, delivery, now)

@@ -42,7 +42,6 @@
 //! # }
 //! ```
 
-pub mod codec;
 pub mod control;
 pub mod crc;
 pub mod crypto;
@@ -51,7 +50,6 @@ pub mod header;
 pub mod ids;
 pub mod message;
 
-pub use codec::{FrameDecoder, FrameEncoder};
 pub use control::{
     AckStatus, ActuationTarget, SensorCommand, StreamUpdateAck, StreamUpdateRequest, TargetArea,
 };

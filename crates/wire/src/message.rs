@@ -42,7 +42,8 @@ const TRAILER_LEN: usize = 2;
 /// consumers) as refcounted views of the arrival buffer: cloning a
 /// `FrameBytes` — and slicing the decoded payload out of one — bumps a
 /// reference count instead of copying bytes. This is the carrier type
-/// `ServiceEvent::Frame` and the batch ingest APIs use end to end.
+/// the batch ingest APIs (`Garnet::on_frames`, `Router::ingest`) use
+/// end to end.
 pub type FrameBytes = Bytes;
 
 /// The fully validated fixed part of an encoded frame: every bounds and

@@ -15,6 +15,7 @@ use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::router::{
     ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
 };
+use garnet::core::service::BatchedFrame;
 use garnet::core::{DriverKind, PriorityClass, QosConfig, ServiceOutput};
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::geometry::Point;
@@ -499,11 +500,16 @@ fn match_set_is_fixed_when_the_message_is_routed() {
         // recipient of its `Deliver` has been "called".
         let pump = |router: &mut Router, seq: u16, unsubscribe: Option<SubscriberId>| {
             let now = SimTime::from_millis(u64::from(seq));
-            router.admit_frame(ReceiverId::new(0), -50.0, FrameBytes::from(frame(7, seq)));
+            let burst = vec![BatchedFrame {
+                receiver: ReceiverId::new(0),
+                rssi_dbm: -50.0,
+                frame: FrameBytes::from(frame(7, seq)),
+            }];
+            router.ingest(burst, now);
             let mut reached = Vec::new();
             let mut escaped = Vec::new();
             loop {
-                while escaped.is_empty() && router.step_batch(now, &mut escaped) {}
+                while escaped.is_empty() && router.step(now, &mut escaped) {}
                 if escaped.is_empty() {
                     return reached;
                 }

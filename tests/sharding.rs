@@ -4,7 +4,7 @@
 //! relies on this equivalence to keep every experiment bit-reproducible
 //! regardless of `ingest_shards`.
 
-use garnet::core::filtering::FilterConfig;
+use garnet::core::filtering::{FilterConfig, FrameArrival};
 use garnet::core::router::ShardedIngest;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
@@ -22,6 +22,10 @@ fn frame(sensor: u32, index: u8, seq: u16) -> Vec<u8> {
         .encode_to_vec()
 }
 
+fn arrival(frame: garnet::wire::FrameBytes, at: SimTime) -> FrameArrival {
+    FrameArrival { receiver: ReceiverId::new(0), rssi_dbm: -40.0, frame, at }
+}
+
 /// A delivery log: (raw stream id, sequence number) in delivery order.
 type DeliveryLog = Vec<(u32, u16)>;
 /// The aggregate counter tuple: (delivered, duplicates, reordered,
@@ -36,8 +40,7 @@ fn replay(schedule: &[(Vec<u8>, SimTime)], shards: usize) -> (DeliveryLog, Count
     let mut log: Vec<(u32, u16)> = Vec::new();
     let mut last = SimTime::ZERO;
     for (bytes, at) in schedule {
-        let fr: garnet::wire::FrameBytes = bytes.clone().into();
-        let result = ingest.on_frame(ReceiverId::new(0), -40.0, &fr, *at);
+        let result = ingest.on_batch(&[arrival(bytes.clone().into(), *at)]).pop().unwrap();
         log.extend(
             result.deliveries.iter().map(|d| (d.msg.stream().to_raw(), d.msg.seq().as_u16())),
         );
@@ -130,7 +133,7 @@ fn corrupt_frames_shard_deterministically() {
     let mut base = None;
     for shards in [1usize, 2, 4, 8] {
         let mut ingest = ShardedIngest::new(FilterConfig::default(), shards);
-        ingest.on_frame(ReceiverId::new(0), -40.0, &good, SimTime::ZERO);
+        ingest.on_batch(&[arrival(good.clone(), SimTime::ZERO)]);
         let stats = ingest.stats();
         let counters = (stats.crc_failure_count(), stats.delivered_count());
         match &base {

@@ -8,135 +8,43 @@
 //! off (capacity 0, the default) or on, every delivery, output, metric
 //! and ledger is the same.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
-use garnet::core::actuation::{ActuationConfig, ActuationService};
+use common::{filters, frame, Boundary};
 use garnet::core::archive::ArchiveConfig;
 use garnet::core::consumer::{Consumer, ConsumerCtx};
-use garnet::core::coordinator::{CoordinationMode, SuperCoordinator};
 use garnet::core::filtering::{Delivery, FilterConfig};
-use garnet::core::location::{LocationConfig, LocationService};
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::orphanage::{Orphanage, OrphanageConfig};
-use garnet::core::replicator::MessageReplicator;
-use garnet::core::resource::{MediationPolicy, ResourceManager};
-use garnet::core::router::{
-    ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
-};
-use garnet::core::service::ServiceEvent;
+use garnet::core::router::{OverloadConfig, OverloadPolicy, ShardedIngest};
 use garnet::core::DriverKind;
-use garnet::net::{DispatchCacheConfig, SubscriberId, TopicFilter};
+use garnet::net::{DispatchCacheConfig, TopicFilter};
 use garnet::radio::ReceiverId;
-use garnet::simkit::trace::{TraceConfig, TraceEventKind, TraceOutcome, TraceSnapshot};
+use garnet::simkit::trace::{TraceEventKind, TraceOutcome, TraceSnapshot};
 use garnet::simkit::SimTime;
-use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::wire::{SensorId, StreamId, StreamIndex};
 
 /// A ring that holds any of these workloads whole (the recorder is off
 /// unless a test sets a capacity).
 const RING: usize = 65_536;
 
-fn frame(sensor: u32, index: u8, seq: u16) -> garnet::wire::FrameBytes {
-    let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(index));
-    DataMessage::builder(stream)
-        .seq(SequenceNumber::new(seq))
-        .payload(vec![seq as u8, sensor as u8])
-        .build()
-        .unwrap()
-        .encode_to_vec()
-        .into()
-}
-
-/// One facade-boundary event, with its arrival time.
-enum Boundary {
-    Frame(garnet::wire::FrameBytes, SimTime),
-    Flush(SimTime),
-    Tick(SimTime),
-}
-
-/// A messy multi-sensor schedule: drops (→ reorder gaps),
-/// duplicates, periodic flushes, and a terminal flush + actuation
-/// tick. Frame-at-a-time (each boundary pumped to quiescence), which
-/// is the regime the trace-parity contract covers.
+/// The schedule every test here runs.
 fn schedule() -> Vec<Boundary> {
-    let mut sched = Vec::new();
-    let mut t = 0u64;
-    for seq in 0..25u16 {
-        for sensor in 1..=6u32 {
-            if (u32::from(seq) + sensor) % 7 == 0 {
-                continue; // dropped in flight
-            }
-            sched.push(Boundary::Frame(frame(sensor, 0, seq), SimTime::from_millis(t)));
-            t += 3;
-            if (u32::from(seq) + sensor) % 5 == 0 {
-                sched.push(Boundary::Frame(frame(sensor, 0, seq), SimTime::from_millis(t)));
-                t += 1;
-            }
-        }
-        if seq % 10 == 9 {
-            t += 700;
-            sched.push(Boundary::Flush(SimTime::from_millis(t)));
-        }
-    }
-    t += 60_000;
-    sched.push(Boundary::Flush(SimTime::from_millis(t)));
-    sched.push(Boundary::Tick(SimTime::from_millis(t)));
-    sched
+    common::schedule(25)
 }
 
-fn control_graph() -> ControlGraph {
-    ControlGraph {
-        orphanage: Orphanage::new(OrphanageConfig::default()),
-        location: LocationService::new(LocationConfig::default(), &[]),
-        resource: ResourceManager::new(MediationPolicy::MergeMax),
-        actuation: ActuationService::new(ActuationConfig::default()),
-        replicator: MessageReplicator::new(Vec::new()),
-        coordinator: SuperCoordinator::new(CoordinationMode::Predictive { min_confidence: 0.6 }),
-    }
-}
-
-/// Even sensors are claimed (sensor 6 by stream filter), odd orphan.
-fn filters() -> Vec<(u32, TopicFilter)> {
-    vec![
-        (0, TopicFilter::Sensor(SensorId::new(2).unwrap())),
-        (1, TopicFilter::Sensor(SensorId::new(4).unwrap())),
-        (1, TopicFilter::Stream(StreamId::new(SensorId::new(6).unwrap(), StreamIndex::new(0)))),
-    ]
-}
-
-/// Pumps the schedule through a FIFO router over `ingest`, one
-/// boundary event to quiescence at a time, and returns the trace.
+/// The trace of the schedule driven through a bare router over `ingest`
+/// — frame-at-a-time (each boundary input pumped to quiescence), which
+/// is the regime the trace-parity contract covers.
 fn router_trace(
     sched: &[Boundary],
     ingest: ShardedIngest,
     capacity: usize,
     cache: DispatchCacheConfig,
 ) -> TraceSnapshot {
-    let mut dispatch = ShardedDispatch::with_cache(1, cache);
-    dispatch.register_subscriber();
-    dispatch.register_subscriber();
-    for (id, filter) in filters() {
-        dispatch.subscribe(SubscriberId::new(id), filter);
-    }
-    let mut router = Router::new(Services { ingest, dispatch, control: control_graph() });
-    router.configure_trace(TraceConfig { capacity });
-    for b in sched {
-        let (ev, now) = match b {
-            Boundary::Frame(bytes, at) => (
-                ServiceEvent::Frame {
-                    receiver: ReceiverId::new(0),
-                    rssi_dbm: -40.0,
-                    frame: bytes.clone(),
-                },
-                *at,
-            ),
-            Boundary::Flush(at) => (ServiceEvent::FlushReorder, *at),
-            Boundary::Tick(at) => (ServiceEvent::ActuationTick, *at),
-        };
-        router.enqueue(ev);
-        while router.step(now, &mut Vec::new()) {}
-    }
-    let failures = router.services_mut().ingest.take_failures();
-    assert!(failures.is_empty(), "no worker should fail: {failures:?}");
+    let mut router = common::router(ingest, cache, capacity);
+    common::drive(&mut router, sched);
     router.trace_snapshot()
 }
 
