@@ -36,6 +36,19 @@ if grep -rn 'ServiceEvent::Frame' crates src tests examples; then
   echo "frames are queued as events again" >&2
   exit 1
 fi
+# Ids we allocate (SubscriberId) hash through the unkeyed IdMap, whose
+# definition is the one place the unkeyed hasher is named; everything a
+# radio frame carries keeps std's keyed RandomState.
+if grep -rlE 'BuildHasherDefault|IdHasher' crates src tests examples \
+    | grep -vx 'crates/net/src/pubsub.rs'; then
+  echo "an unkeyed hasher is named outside IdMap's definition" >&2
+  exit 1
+fi
+if grep -rn 'HashMap<SubscriberId' crates src tests examples \
+    | grep -v '^crates/net/src/pubsub.rs:[0-9]*:pub type IdMap<V> = '; then
+  echo "a SubscriberId-keyed map bypasses IdMap" >&2
+  exit 1
+fi
 
 # Every checked byte rides one safe-Rust kernel (crates/wire/src/crc.rs):
 # no intrinsics, no CPU detection, and the only `unsafe` in any crate's

@@ -139,6 +139,38 @@ mod tests {
         assert!(p.satisfaction < 1.0, "some lower-priority demand is refused");
     }
 
+    /// The table's verdict: at every contention level it prints,
+    /// satisfaction orders the policies DenyConflicts ≤ PriorityWins ≤
+    /// MergeMax, strictly at 16 consumers (0.06 / 0.25 / 1.00).
+    #[test]
+    fn satisfaction_orders_the_policies_at_every_printed_level() {
+        let (points, _) = run();
+        let satisfaction = |policy, consumers| {
+            points
+                .iter()
+                .find(|p| p.policy == policy && p.consumers == consumers)
+                .expect("run() prints every policy at every level")
+                .satisfaction
+        };
+        let mut levels: Vec<usize> = points.iter().map(|p| p.consumers).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        assert_eq!(levels, [2, 8, 16]);
+        for n in levels {
+            let deny = satisfaction(MediationPolicy::DenyConflicts, n);
+            let priority = satisfaction(MediationPolicy::PriorityWins, n);
+            let merge = satisfaction(MediationPolicy::MergeMax, n);
+            assert!(
+                deny <= priority && priority <= merge,
+                "n = {n}: {deny} / {priority} / {merge}"
+            );
+            if n == 16 {
+                assert!(deny < priority && priority < merge, "n = 16 is not strict");
+                assert_eq!((deny, priority, merge), (1.0 / 16.0, 0.25, 1.0));
+            }
+        }
+    }
+
     #[test]
     fn merge_max_spends_most_sensor_energy() {
         let merge = run_point(MediationPolicy::MergeMax, 8);

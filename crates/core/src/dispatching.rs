@@ -9,10 +9,11 @@
 //! The service wraps the fixed network's [`SubscriptionTable`] with
 //! subscriber-id allocation and dispatch accounting (fan-out and
 //! unclaimed-rate are the E5 metrics). Match sets come out of a
-//! per-service [`MatchCache`], so steady-state routing of a
-//! cache-resident stream is allocation-free: one hash lookup plus one
-//! `Arc` refcount bump (`perfbench`'s `churn-fanout` prices the
-//! difference).
+//! per-service [`MatchCache`], so routing a cache-resident stream is
+//! allocation-free: one hash lookup, one epoch compare and one `Arc`
+//! refcount bump while the table is unchanged, plus the stream's two
+//! key-range stamp lookups on its first route after a subscription
+//! change (`perfbench`'s `churn-fanout` prices the difference).
 
 use std::sync::Arc;
 

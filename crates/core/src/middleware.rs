@@ -38,8 +38,9 @@ use std::collections::HashMap;
 
 use core::fmt;
 use garnet_net::{
-    AuthService, Capability, CapabilitySet, DispatchCacheConfig, Principal, ServiceDescriptor,
-    ServiceKind, ServiceRegistry, ShardFailure, SubscriberId, Token, TopicFilter,
+    AuthService, Capability, CapabilitySet, DispatchCacheConfig, IdMap, Principal,
+    ServiceDescriptor, ServiceKind, ServiceRegistry, ShardFailure, SubscriberId, Token,
+    TopicFilter,
 };
 use garnet_radio::geometry::Point;
 use garnet_radio::{Receiver, ReceiverId, Transmitter};
@@ -339,7 +340,7 @@ fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
 }
 
 struct ConsumerEntry {
-    consumer: Option<Box<dyn Consumer>>,
+    consumer: Box<dyn Consumer>,
     principal: Principal,
     caps: CapabilitySet,
     priority: u8,
@@ -367,7 +368,7 @@ pub struct Garnet {
     router: Router,
     auth: AuthService,
     registry: ServiceRegistry,
-    consumers: HashMap<SubscriberId, ConsumerEntry>,
+    consumers: IdMap<ConsumerEntry>,
     next_virtual_sensor: u32,
     depth_drops: u64,
     denied_actions: u64,
@@ -462,7 +463,7 @@ impl Garnet {
             router,
             auth: AuthService::new(config.auth_key),
             registry,
-            consumers: HashMap::new(),
+            consumers: IdMap::default(),
             next_virtual_sensor: SensorId::MAX.as_u32(),
             depth_drops: 0,
             denied_actions: 0,
@@ -538,7 +539,7 @@ impl Garnet {
         self.consumers.insert(
             id,
             ConsumerEntry {
-                consumer: Some(consumer),
+                consumer,
                 principal: token.principal().clone(),
                 caps: token.capabilities(),
                 priority,
@@ -557,9 +558,7 @@ impl Garnet {
         services.dispatch.unsubscribe_all(id);
         services.control.resource.release_consumer(id);
         self.delivery.forget(id);
-        if let Some(c) = &entry.consumer {
-            self.registry.withdraw(&consumer_advertisement(c.name(), id));
-        }
+        self.registry.withdraw(&consumer_advertisement(entry.consumer.name(), id));
         Ok(())
     }
 
@@ -1160,16 +1159,12 @@ impl Garnet {
         let Some(entry) = self.consumers.get_mut(&rid) else {
             return;
         };
-        let Some(mut consumer) = entry.consumer.take() else {
-            return;
-        };
+        // The callback sees only its own context: whatever it asks for
+        // is queued there and applied after it returns, so nothing can
+        // reach `self.consumers` while it runs.
         let mut ctx = ConsumerCtx::new(now);
-        consumer.on_data(delivery, &mut ctx);
-        let actions = ctx.take_actions();
-        if let Some(entry) = self.consumers.get_mut(&rid) {
-            entry.consumer = Some(consumer);
-        }
-        self.handle_actions(rid, actions, depth, now);
+        entry.consumer.on_data(delivery, &mut ctx);
+        self.handle_actions(rid, ctx.take_actions(), depth, now);
     }
 
     /// Converts a consumer's actions into router events (capability
@@ -1750,10 +1745,7 @@ impl Garnet {
         f: impl FnOnce(&mut dyn Consumer) -> R,
     ) -> Option<R> {
         let entry = self.consumers.get_mut(&id)?;
-        // The closure reborrows for the call; passing `f` point-free
-        // would demand the borrow live as long as `&mut self`.
-        #[allow(clippy::redundant_closure)]
-        entry.consumer.as_deref_mut().map(|c| f(c))
+        Some(f(entry.consumer.as_mut()))
     }
 }
 

@@ -33,9 +33,9 @@
 //! accounting point, so a frame that is first coalesced into a
 //! survivor and later shed is counted once, not twice.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use garnet_net::SubscriberId;
+use garnet_net::{IdMap, SubscriberId};
 use garnet_simkit::{Histogram, SimTime};
 use garnet_wire::{peek_seq, peek_stream};
 
@@ -440,10 +440,12 @@ pub struct DeliverySchedule {
     /// [`QosConfig::consumer_queue_capacity`]).
     capacity: usize,
     /// Max deliveries drained per facade call, per limited consumer.
-    limits: HashMap<SubscriberId, usize>,
+    limits: IdMap<usize>,
     /// Staged deliveries per limited consumer, oldest first. BTreeMap:
     /// drain order is deterministic across runs and engines.
     queues: BTreeMap<SubscriberId, VecDeque<(Delivery, u32)>>,
+    /// The sum of every queue's length, kept as the queues change.
+    backlog: u64,
     ledger: ClassLedger,
     peak_backlog: u64,
 }
@@ -476,6 +478,7 @@ impl DeliverySchedule {
         self.limits.remove(&id);
         if let Some(queue) = self.queues.remove(&id) {
             self.ledger.shed += queue.len() as u64;
+            self.backlog -= queue.len() as u64;
         }
     }
 
@@ -515,10 +518,11 @@ impl DeliverySchedule {
         if queue.len() >= self.capacity {
             queue.pop_front();
             self.ledger.shed += 1;
+        } else {
+            self.backlog += 1;
         }
         queue.push_back((delivery, depth));
-        let backlog: u64 = self.queues.values().map(|q| q.len() as u64).sum();
-        self.peak_backlog = self.peak_backlog.max(backlog);
+        self.peak_backlog = self.peak_backlog.max(self.backlog());
         None
     }
 
@@ -529,6 +533,7 @@ impl DeliverySchedule {
         let mut due = Vec::new();
         for (&id, queue) in &mut self.queues {
             let take = self.limits.get(&id).copied().unwrap_or(usize::MAX).min(queue.len());
+            self.backlog -= take as u64;
             for _ in 0..take {
                 let (delivery, depth) = queue.pop_front().expect("take <= len");
                 self.ledger.delivered += 1;
@@ -548,7 +553,12 @@ impl DeliverySchedule {
 
     /// Deliveries currently staged across all consumers.
     pub fn backlog(&self) -> u64 {
-        self.queues.values().map(|q| q.len() as u64).sum()
+        debug_assert_eq!(
+            self.backlog,
+            self.queues.values().map(|q| q.len() as u64).sum::<u64>(),
+            "running backlog drifted from the staged queues"
+        );
+        self.backlog
     }
 
     /// High-water mark of the total staged backlog.

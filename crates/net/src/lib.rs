@@ -38,6 +38,7 @@ pub use bus::{
     BusError, EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig, ThreadedBus,
 };
 pub use pubsub::{
-    DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,
+    DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable,
+    TopicFilter,
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};

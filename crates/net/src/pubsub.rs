@@ -16,13 +16,21 @@
 //! frames arrive, so the table carries a monotonic **epoch** stamped
 //! per key range (one stream, one sensor, the `All` set) on every
 //! actual mutation. A [`MatchCache`] memoises the resolved match set
-//! per stream as a shared `Arc<[SubscriberId]>` slice and revalidates
-//! against those stamps: a steady-state hit is one hash lookup plus one
-//! refcount bump — no allocation, no set union. `perfbench`'s
+//! per stream as a shared `Arc<[SubscriberId]>` slice. A hit on a table
+//! that has not changed since the entry was last checked is one hash
+//! lookup, one epoch compare and one refcount bump — no allocation, no
+//! set union; after a change, the first hit per entry also reads the
+//! stream's key-range stamps (two more lookups). `perfbench`'s
 //! `churn-fanout` workload prices it (`net.pubsub.cache_hit_share`,
 //! `cache_invalidations`, `write_ns_per_op`).
+//!
+//! Maps keyed by a stream or sensor id keep std's keyed hasher: those
+//! ids arrive in radio frames, which a hostile transmitter can forge to
+//! collide. A [`SubscriberId`] is allocated here and never read off the
+//! air, so maps keyed by one use the unkeyed [`IdMap`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use core::fmt;
@@ -32,6 +40,38 @@ use garnet_wire::{SensorId, StreamId};
 /// registration).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriberId(u32);
+
+/// A hash map keyed by [`SubscriberId`] under [`IdHasher`]. Subscriber
+/// ids are handed out sequentially at registration and no frame can
+/// choose one, so these maps need no per-process key. The key type is
+/// fixed here so the alias cannot carry a radio-supplied key.
+pub type IdMap<V> = HashMap<SubscriberId, V, BuildHasherDefault<IdHasher>>;
+
+/// The unkeyed hasher behind [`IdMap`]: one multiply by the 64-bit
+/// golden ratio per word, which spreads sequential ids over both the
+/// bucket bits (low) and the tag bits (high) of the table.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(Self::K);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(Self::K);
+    }
+}
 
 impl SubscriberId {
     /// Creates a subscriber id.
@@ -424,8 +464,11 @@ pub struct MatchCacheStats {
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    /// The table epoch when this set was built.
-    built_at: u64,
+    /// The table epoch up to which this set is known to be valid: the
+    /// epoch it was built at, advanced to the current epoch by every
+    /// hit that finds the table changed but none of this stream's key
+    /// ranges touched since.
+    valid_at: u64,
     set: Arc<[SubscriberId]>,
 }
 
@@ -435,11 +478,13 @@ struct CacheEntry {
 /// The Dispatching Service owns one beside its [`SubscriptionTable`].
 /// An entry is valid while the table's
 /// [`mutation_stamp`](SubscriptionTable::mutation_stamp) for the stream
-/// is at or below the epoch the entry was built at, so a mutation only
+/// is at or below the epoch the entry is valid at, so a mutation only
 /// invalidates the key ranges it touches (`All` mutations stale
-/// everything). A steady-state hit is one hash lookup plus one Arc
-/// refcount bump — zero heap allocations, pinned by
-/// `tests/alloc_budget.rs`.
+/// everything). A hit on an unchanged table (`valid_at ==`
+/// [`epoch`](SubscriptionTable::epoch)) is one hash lookup, one compare
+/// and one Arc refcount bump; the first hit after a change also reads
+/// the stamps and re-stamps the entry to the current epoch. Either way
+/// a hit makes zero heap allocations, pinned by `tests/alloc_budget.rs`.
 #[derive(Clone, Debug, Default)]
 pub struct MatchCache {
     config: DispatchCacheConfig,
@@ -477,9 +522,16 @@ impl MatchCache {
             return (Arc::from(self.scratch.as_slice()), false);
         }
         let key = stream.to_raw();
-        let stamp = table.mutation_stamp(stream);
-        match self.entries.get(&key) {
-            Some(entry) if entry.built_at >= stamp => {
+        let epoch = table.epoch();
+        match self.entries.get_mut(&key) {
+            // Stamps only grow, and at `valid_at` none exceeded it, so
+            // a stamp at or below `valid_at` now means no mutation up to
+            // `epoch` touched this stream: re-stamping keeps every later
+            // answer (and the counts) what the build epoch would give.
+            Some(entry)
+                if entry.valid_at == epoch || entry.valid_at >= table.mutation_stamp(stream) =>
+            {
+                entry.valid_at = epoch;
                 self.hits += 1;
                 return (Arc::clone(&entry.set), false);
             }
@@ -495,7 +547,7 @@ impl MatchCache {
         }
         table.match_subscribers_into(stream, &mut self.scratch);
         let set: Arc<[SubscriberId]> = Arc::from(self.scratch.as_slice());
-        self.entries.insert(key, CacheEntry { built_at: table.epoch(), set: Arc::clone(&set) });
+        self.entries.insert(key, CacheEntry { valid_at: epoch, set: Arc::clone(&set) });
         (set, true)
     }
 
@@ -787,13 +839,14 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_filter() -> impl Strategy<Value = TopicFilter> {
+    /// Filters over sensors `0..sensors`, each with streams `0..indices`.
+    fn arb_filter(sensors: u32, indices: u8) -> impl Strategy<Value = TopicFilter> {
         prop_oneof![
-            (0u32..50, 0u8..4).prop_map(|(s, i)| TopicFilter::Stream(StreamId::new(
+            (0u32..sensors, 0u8..indices).prop_map(|(s, i)| TopicFilter::Stream(StreamId::new(
                 SensorId::new(s).unwrap(),
                 garnet_wire::StreamIndex::new(i)
             ))),
-            (0u32..50).prop_map(|s| TopicFilter::Sensor(SensorId::new(s).unwrap())),
+            (0u32..sensors).prop_map(|s| TopicFilter::Sensor(SensorId::new(s).unwrap())),
             Just(TopicFilter::All),
         ]
     }
@@ -801,7 +854,7 @@ mod proptests {
     proptest! {
         #[test]
         fn match_equals_bruteforce(
-            subs in proptest::collection::vec((0u32..30, arb_filter()), 0..60),
+            subs in proptest::collection::vec((0u32..30, arb_filter(50, 4)), 0..60),
             sensor in 0u32..50,
             idx in 0u8..4,
         ) {
@@ -824,7 +877,7 @@ mod proptests {
 
         #[test]
         fn subscribe_unsubscribe_is_identity(
-            subs in proptest::collection::vec((0u32..20, arb_filter()), 0..40),
+            subs in proptest::collection::vec((0u32..20, arb_filter(50, 4)), 0..40),
         ) {
             let mut t = SubscriptionTable::new();
             for (id, f) in &subs {
@@ -844,7 +897,10 @@ mod proptests {
         /// through a hot cache, a cold cache, or no cache at all.
         #[test]
         fn match_count_agrees_under_mutation(
-            ops in proptest::collection::vec((proptest::bool::ANY, 0u32..20, arb_filter()), 0..60),
+            ops in proptest::collection::vec(
+                (proptest::bool::ANY, 0u32..20, arb_filter(50, 4)),
+                0..60,
+            ),
             sensor in 0u32..50,
             idx in 0u8..4,
         ) {
@@ -875,7 +931,7 @@ mod proptests {
         #[test]
         fn forward_and_reverse_indexes_stay_in_lockstep(
             ops in proptest::collection::vec(
-                (prop_oneof![Just(0u8), Just(1), Just(2)], 0u32..15, arb_filter()),
+                (prop_oneof![Just(0u8), Just(1), Just(2)], 0u32..15, arb_filter(50, 4)),
                 0..60,
             ),
         ) {
@@ -925,6 +981,71 @@ mod proptests {
                         .map(|(id, _)| *id)
                         .collect();
                     prop_assert_eq!(t.match_subscribers(s), want);
+                }
+            }
+        }
+
+        /// The match cache under arbitrary interleavings of writes and
+        /// resolves over a small key space: every resolved set is the
+        /// table's match, and the hit / miss / invalidation counts are
+        /// those of the rule without re-stamping (a hit iff the entry's
+        /// build epoch is at or above the stream's mutation stamp).
+        #[test]
+        fn match_cache_agrees_with_the_build_epoch_rule(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u32..6, arb_filter(3, 2), (0u32..3, 0u8..2)),
+                0..80,
+            ),
+            capacity in 1usize..8,
+        ) {
+            let mut t = SubscriptionTable::new();
+            let mut cache = MatchCache::new(DispatchCacheConfig { enabled: true, capacity });
+            // Stream → the epoch its entry was built at.
+            let mut built: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut want = MatchCacheStats::default();
+            for (op, id, f, (sensor, idx)) in &ops {
+                let sub = SubscriberId::new(*id);
+                match op {
+                    0 => {
+                        t.subscribe(sub, *f);
+                    }
+                    1 => {
+                        t.unsubscribe(sub, *f);
+                    }
+                    2 => {
+                        t.unsubscribe_all(sub);
+                    }
+                    _ => {
+                        let s = StreamId::new(
+                            SensorId::new(*sensor).unwrap(),
+                            garnet_wire::StreamIndex::new(*idx),
+                        );
+                        let hit = match built.get(&s.to_raw()) {
+                            Some(&b) if b >= t.mutation_stamp(s) => {
+                                want.hits += 1;
+                                true
+                            }
+                            Some(_) => {
+                                want.invalidations += 1;
+                                false
+                            }
+                            None => {
+                                want.misses += 1;
+                                if built.len() >= capacity {
+                                    built.clear();
+                                }
+                                false
+                            }
+                        };
+                        if !hit {
+                            built.insert(s.to_raw(), t.epoch());
+                        }
+                        want.resident = built.len() as u64;
+                        let (set, rebuilt) = cache.resolve(&t, s);
+                        prop_assert_eq!(&*set, t.match_subscribers(s).as_slice());
+                        prop_assert_eq!(rebuilt, !hit);
+                        prop_assert_eq!(cache.stats(), want);
+                    }
                 }
             }
         }
