@@ -14,9 +14,12 @@
 //!   frames stage into a bounded tier under the configured
 //!   [`OverloadPolicy`] (shed-oldest, per-stream newest-wins
 //!   coalescing, or block) and the survivors release as one batch.
-//!   Because the policy runs entirely above the engine, **both engines
-//!   schedule identically**: overloaded runs are bit-identical across
-//!   `{Fifo, Threaded}` × shard layouts.
+//!   A frame's bytes are read once, when it is offered: its stream id
+//!   and sequence number are kept beside it, so coalescing costs one
+//!   pass over at most `capacity` in-memory keys and never re-parses a
+//!   staged frame. Because the policy runs entirely above the engine,
+//!   **both engines schedule identically**: overloaded runs are
+//!   bit-identical across `{Fifo, Threaded}` × shard layouts.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
@@ -37,7 +40,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use garnet_net::{IdMap, SubscriberId};
 use garnet_simkit::{Histogram, SimTime};
-use garnet_wire::{peek_seq, peek_stream};
+use garnet_wire::{peek_seq, peek_stream, SequenceNumber, StreamId};
 
 use crate::filtering::Delivery;
 use crate::router::{OverloadConfig, OverloadPolicy, OverloadTotals};
@@ -211,6 +214,25 @@ pub enum FrameOffer {
     Blocked(BatchedFrame),
 }
 
+/// A frame in the bounded Data tier, beside the two header fields
+/// coalescing compares — read once, when the frame was offered.
+#[derive(Debug)]
+struct Staged {
+    /// `None` for a runt too short to carry a stream id.
+    stream: Option<StreamId>,
+    /// `None` for a runt too short to carry a sequence number.
+    seq: Option<SequenceNumber>,
+    frame: BatchedFrame,
+}
+
+impl Staged {
+    /// Reads the frame's coalescing key: the one place the tier looks at
+    /// a frame's bytes.
+    fn new(frame: BatchedFrame) -> Self {
+        Staged { stream: peek_stream(&frame.frame), seq: peek_seq(&frame.frame), frame }
+    }
+}
+
 /// The facade-boundary scheduler: three priority tiers with a bounded,
 /// policy-governed Data tier and strict-priority release.
 #[derive(Debug)]
@@ -223,7 +245,7 @@ pub struct QosScheduler {
     ceiling: usize,
     control: VecDeque<ServiceEvent>,
     actuation: VecDeque<ServiceEvent>,
-    data: VecDeque<BatchedFrame>,
+    data: VecDeque<Staged>,
     ledgers: ClassLedgers,
     peak_depth: u64,
     depth_hist: Histogram,
@@ -276,20 +298,20 @@ impl QosScheduler {
     /// is accepted for the benchmark's call site and has no effect.
     pub fn offer_frame(&mut self, frame: BatchedFrame, _now: SimTime) -> FrameOffer {
         if self.data.len() < self.capacity {
-            self.note_offered(frame);
+            self.note_offered(Staged::new(frame));
             return FrameOffer::Staged;
         }
         match self.policy {
             OverloadPolicy::Block => FrameOffer::Blocked(frame),
-            OverloadPolicy::Shed => self.shed_oldest_for(frame),
-            OverloadPolicy::CoalesceFrames => self.coalesce(frame),
+            OverloadPolicy::Shed => self.shed_oldest_for(Staged::new(frame)),
+            OverloadPolicy::CoalesceFrames => self.coalesce(Staged::new(frame)),
         }
     }
 
     /// Counts and stages an accepted frame, sampling the tier depth.
-    fn note_offered(&mut self, frame: BatchedFrame) {
+    fn note_offered(&mut self, staged: Staged) {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
-        self.data.push_back(frame);
+        self.data.push_back(staged);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
@@ -312,28 +334,27 @@ impl QosScheduler {
     }
 
     /// At capacity (so the tier is non-empty): sheds the oldest staged
-    /// frame and stages `frame` in its stead.
-    fn shed_oldest_for(&mut self, frame: BatchedFrame) -> FrameOffer {
+    /// frame and stages `arriving` in its stead.
+    fn shed_oldest_for(&mut self, arriving: Staged) -> FrameOffer {
         let oldest = self.data.pop_front().expect("a tier at capacity holds a frame");
         self.note_dropped(false);
-        self.note_offered(frame);
-        FrameOffer::StagedAfterShed(oldest)
+        self.note_offered(arriving);
+        FrameOffer::StagedAfterShed(oldest.frame)
     }
 
-    /// At capacity under `CoalesceFrames`: resolve against the staged
-    /// frame of the arriving frame's stream (wraparound-aware newest
-    /// wins, survivor keeps the staged position), falling back to
-    /// shedding the oldest staged frame when the stream has nothing
-    /// staged.
-    fn coalesce(&mut self, frame: BatchedFrame) -> FrameOffer {
-        let stream = peek_stream(&frame.frame);
+    /// At capacity under `CoalesceFrames`: resolve against the first
+    /// staged frame of the arriving frame's stream (wraparound-aware
+    /// newest wins, survivor keeps the staged position), falling back
+    /// to shedding the oldest staged frame when the stream has nothing
+    /// staged. The cost is one pass over at most `capacity` keys held
+    /// in memory: no staged frame's bytes are read again.
+    fn coalesce(&mut self, arriving: Staged) -> FrameOffer {
         let same_stream =
-            stream.and_then(|s| self.data.iter().position(|q| peek_stream(&q.frame) == Some(s)));
+            arriving.stream.and_then(|s| self.data.iter().position(|q| q.stream == Some(s)));
         let Some(idx) = same_stream else {
-            return self.shed_oldest_for(frame);
+            return self.shed_oldest_for(arriving);
         };
-        let staged_seq = peek_seq(&self.data[idx].frame);
-        let arriving_wins = match (peek_seq(&frame.frame), staged_seq) {
+        let arriving_wins = match (arriving.seq, self.data[idx].seq) {
             (Some(a), Some(q)) => a.is_after(q),
             (Some(_), None) => true,
             _ => false,
@@ -341,15 +362,15 @@ impl QosScheduler {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
         self.note_dropped(true);
         if !arriving_wins {
-            return FrameOffer::Coalesced(frame);
+            return FrameOffer::Coalesced(arriving.frame);
         }
-        // Replace in place: the survivor keeps the staged frame's
-        // position, and thus its place in the release order.
-        let staged = std::mem::replace(&mut self.data[idx], frame);
+        // Replace in place, key included: the survivor keeps the staged
+        // frame's position, and thus its place in the release order.
+        let staged = std::mem::replace(&mut self.data[idx], arriving);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
-        FrameOffer::Coalesced(staged)
+        FrameOffer::Coalesced(staged.frame)
     }
 
     /// Drains every tier in strict priority order — Control, then
@@ -368,7 +389,7 @@ impl QosScheduler {
         }
         if !self.data.is_empty() {
             self.ledgers.class_mut(PriorityClass::Data).delivered += self.data.len() as u64;
-            plan.push(Release::Frames(self.data.drain(..).collect()));
+            plan.push(Release::Frames(self.data.drain(..).map(|s| s.frame).collect()));
         }
         plan
     }
@@ -426,6 +447,52 @@ impl QosScheduler {
     /// p99 of tier-depth-at-offer samples.
     pub fn depth_p99(&self) -> u64 {
         self.depth_hist.p99()
+    }
+}
+
+/// The implementation that re-read every staged frame's header on each
+/// coalesce, kept as the oracle the stored keys are tested against. It
+/// stages through [`Staged::new`] but never reads a stored key.
+#[cfg(test)]
+impl QosScheduler {
+    /// `offer_frame` with `coalesce` replaced by [`Self::coalesce_scan`].
+    fn offer_frame_scan(&mut self, frame: BatchedFrame) -> FrameOffer {
+        if self.data.len() < self.capacity {
+            self.note_offered(Staged::new(frame));
+            return FrameOffer::Staged;
+        }
+        match self.policy {
+            OverloadPolicy::Block => FrameOffer::Blocked(frame),
+            OverloadPolicy::Shed => self.shed_oldest_for(Staged::new(frame)),
+            OverloadPolicy::CoalesceFrames => self.coalesce_scan(frame),
+        }
+    }
+
+    /// `coalesce`, peeking the arriving frame and every staged frame it
+    /// passes.
+    fn coalesce_scan(&mut self, frame: BatchedFrame) -> FrameOffer {
+        let stream = peek_stream(&frame.frame);
+        let same_stream = stream
+            .and_then(|s| self.data.iter().position(|q| peek_stream(&q.frame.frame) == Some(s)));
+        let Some(idx) = same_stream else {
+            return self.shed_oldest_for(Staged::new(frame));
+        };
+        let staged_seq = peek_seq(&self.data[idx].frame.frame);
+        let arriving_wins = match (peek_seq(&frame.frame), staged_seq) {
+            (Some(a), Some(q)) => a.is_after(q),
+            (Some(_), None) => true,
+            _ => false,
+        };
+        self.ledgers.class_mut(PriorityClass::Data).offered += 1;
+        self.note_dropped(true);
+        if !arriving_wins {
+            return FrameOffer::Coalesced(frame);
+        }
+        let staged = std::mem::replace(&mut self.data[idx], Staged::new(frame));
+        let depth = self.data.len() as u64;
+        self.peak_depth = self.peak_depth.max(depth);
+        self.depth_hist.record(depth);
+        FrameOffer::Coalesced(staged.frame)
     }
 }
 
@@ -739,5 +806,106 @@ mod tests {
             all.iter().map(|(_, dl, _)| dl.msg.stream().sensor().as_u32()).collect();
         assert_eq!(sensors, vec![2, 3], "sensor 1's delivery was the oldest, shed");
         assert!(d.ledger().balanced());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use garnet_radio::ReceiverId;
+    use garnet_wire::{DataMessage, SensorId, StreamIndex};
+    use proptest::prelude::*;
+
+    /// Sequence numbers on both sides of the 16-bit wrap and of the
+    /// half-range where RFC 1982 order turns over.
+    const SEQS: [u16; 8] = [0, 1, 2, 0x7FFF, 0x8000, 0x8001, 0xFFFE, 0xFFFF];
+
+    /// The `n`th op's frame: stream `stream` at `SEQS[seq]`, cut short
+    /// by `cut` (a 2- or 4-byte runt has no stream id, a 5- or 6-byte one
+    /// no sequence number). The receiver is `n`, so no two frames of a
+    /// run print alike.
+    fn frame_of(n: usize, stream: u8, seq: u8, cut: u8) -> BatchedFrame {
+        let id = StreamId::new(SensorId::new(1 + u32::from(stream)).unwrap(), StreamIndex::new(0));
+        let bytes = DataMessage::builder(id)
+            .seq(SequenceNumber::new(SEQS[usize::from(seq)]))
+            .build()
+            .unwrap()
+            .encode_to_vec();
+        let len = [2, 4, 5, 6].get(usize::from(cut)).copied().unwrap_or(bytes.len());
+        BatchedFrame {
+            receiver: ReceiverId::new(n as u32),
+            rssi_dbm: -50.0,
+            frame: bytes[..len].to_vec().into(),
+        }
+    }
+
+    /// A derived republication (Data class), a flush (Control) or a
+    /// retry tick (Actuation).
+    fn event_of(kind: u8, stream: u8, seq: u8) -> ServiceEvent {
+        match kind {
+            0 => {
+                let sensor = SensorId::new(1 + u32::from(stream)).unwrap();
+                let msg = DataMessage::builder(StreamId::new(sensor, StreamIndex::new(0)))
+                    .seq(SequenceNumber::new(SEQS[usize::from(seq)]))
+                    .build()
+                    .unwrap();
+                let delivery =
+                    Delivery { msg, first_received_at: SimTime::ZERO, delivered_at: SimTime::ZERO };
+                ServiceEvent::Filtered { delivery, depth: 1 }
+            }
+            1 => ServiceEvent::FlushReorder,
+            _ => ServiceEvent::ActuationTick,
+        }
+    }
+
+    // The stored keys against the header re-reads they replaced: two
+    // schedulers fed the same interleaving of frame offers, event offers
+    // and releases — one coalescing on its keys, one re-parsing staged
+    // bytes — must hand back the same frames, release the same plans and
+    // keep the same books, under every policy.
+    proptest! {
+        #[test]
+        fn stored_keys_match_the_header_rescan(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..16, 0u8..3, 0u8..8, 0u8..16), 1..200),
+        ) {
+            let t = SimTime::ZERO;
+            for policy in
+                [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block]
+            {
+                let config = OverloadConfig { capacity, policy };
+                let mut keyed = QosScheduler::new(config, &QosConfig::default());
+                let mut oracle = QosScheduler::new(config, &QosConfig::default());
+                for (n, &(kind, stream, seq, cut)) in ops.iter().enumerate() {
+                    // Debug text: the variant and every byte it carries.
+                    let (a, b) = match kind {
+                        0..=10 => {
+                            let frame = || frame_of(n, stream, seq, cut);
+                            let a = keyed.offer_frame(frame(), t);
+                            let b = oracle.offer_frame_scan(frame());
+                            (format!("{a:?}"), format!("{b:?}"))
+                        }
+                        11..=13 => {
+                            keyed.offer_event(event_of(kind - 11, stream, seq));
+                            oracle.offer_event(event_of(kind - 11, stream, seq));
+                            continue;
+                        }
+                        _ => {
+                            let (a, b) = (keyed.release(t), oracle.release(t));
+                            (format!("{a:?}"), format!("{b:?}"))
+                        }
+                    };
+                    prop_assert_eq!(a, b, "{:?}, capacity {}, op {}", policy, capacity, n);
+                    prop_assert_eq!(keyed.ledgers(), oracle.ledgers());
+                    prop_assert_eq!(keyed.peak_depth(), oracle.peak_depth());
+                }
+                let (a, b) = (keyed.release(t), oracle.release(t));
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                prop_assert_eq!(keyed.ledgers(), oracle.ledgers());
+                for class in PriorityClass::ALL {
+                    prop_assert!(keyed.ledgers().class(class).balanced(), "{policy:?} {class:?}");
+                }
+            }
+        }
     }
 }
