@@ -247,6 +247,9 @@ pub struct QosScheduler {
     actuation: VecDeque<ServiceEvent>,
     data: VecDeque<Staged>,
     ledgers: ClassLedgers,
+    /// The share of the Data ledger that entered by `offer_event`
+    /// (derived republications), left out of [`QosScheduler::totals`].
+    republished: ClassLedger,
     peak_depth: u64,
     depth_hist: Histogram,
     retunes: u64,
@@ -269,6 +272,7 @@ impl QosScheduler {
             actuation: VecDeque::new(),
             data: VecDeque::new(),
             ledgers: ClassLedgers::default(),
+            republished: ClassLedger::default(),
             peak_depth: 0,
             depth_hist: Histogram::new(),
             retunes: 0,
@@ -279,15 +283,20 @@ impl QosScheduler {
     /// Actuation tiers are unbounded — these classes are never shed.
     /// Data-class events entering by this path (derived `Filtered`
     /// republications) also pass untouched: the overload policy governs
-    /// radio frames, not deliveries already paid for.
+    /// radio frames, not deliveries already paid for. They count in the
+    /// Data class ledger (`qos.data.*`), not in [`QosScheduler::totals`].
     pub fn offer_event(&mut self, ev: ServiceEvent) {
         let class = PriorityClass::of(&ev);
         self.ledgers.class_mut(class).offered += 1;
         match class {
             PriorityClass::Control => self.control.push_back(ev),
+            PriorityClass::Actuation => self.actuation.push_back(ev),
             // Data-class control-path entries skip the bounded tier:
             // count them delivered on release alongside actuation.
-            PriorityClass::Actuation | PriorityClass::Data => self.actuation.push_back(ev),
+            PriorityClass::Data => {
+                self.republished.offered += 1;
+                self.actuation.push_back(ev);
+            }
         }
     }
 
@@ -384,7 +393,11 @@ impl QosScheduler {
             plan.push(Release::Event(ev));
         }
         while let Some(ev) = self.actuation.pop_front() {
-            self.ledgers.class_mut(PriorityClass::of(&ev)).delivered += 1;
+            let class = PriorityClass::of(&ev);
+            self.ledgers.class_mut(class).delivered += 1;
+            if class == PriorityClass::Data {
+                self.republished.delivered += 1;
+            }
             plan.push(Release::Event(ev));
         }
         if !self.data.is_empty() {
@@ -411,16 +424,17 @@ impl QosScheduler {
         }
     }
 
-    /// The Data tier's ledger, shaped as [`OverloadTotals`] (what the
+    /// The radio-frame ledger, shaped as [`OverloadTotals`] (what the
     /// `overload.*` metrics report when the scheduler governs
-    /// admission).
+    /// admission): the Data class ledger less the derived
+    /// republications [`QosScheduler::offer_event`] counted there.
     pub fn totals(&self) -> OverloadTotals {
-        let d = self.ledgers.class(PriorityClass::Data);
+        let (d, r) = (self.ledgers.class(PriorityClass::Data), &self.republished);
         OverloadTotals {
-            offered: d.offered,
+            offered: d.offered - r.offered,
             shed: d.shed,
             coalesced: d.coalesced,
-            delivered: d.delivered,
+            delivered: d.delivered - r.delivered,
         }
     }
 

@@ -680,8 +680,9 @@ pub struct OverloadConfig {
 /// Monotonic frame-admission totals, for metrics deltas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OverloadTotals {
-    /// Frames accepted into admission (everything except blocked
-    /// attempts, which retry and count once on success).
+    /// Radio frames accepted into admission (everything except blocked
+    /// attempts, which retry and count once on success). A consumer's
+    /// derived republications are not frames and never count here.
     pub offered: u64,
     /// Frames dropped by the overload policy before filtering.
     pub shed: u64,

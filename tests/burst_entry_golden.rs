@@ -5,10 +5,12 @@
 //! metrics report, each call's `StepOutput` and each consumer's delivery
 //! sequence — under `{Fifo, Threaded}` × `{unbounded, Shed,
 //! CoalesceFrames, Block}` with an admission tier smaller than the
-//! bursts.
+//! bursts. Nine `overload.*` lines were rewritten once since, when
+//! frame admission stopped counting derived republications as offered
+//! radio frames; every `qos.data.*` line stayed as written.
 //!
 //! Only the `Garnet` facade is used, so this file (with its golden
-//! directory) also passes when copied into that parent checkout. After
+//! directory) passed when copied into that parent checkout. After
 //! a change that is *meant* to move an observable, regenerate with
 //! `cargo test --test burst_entry_golden -- --ignored regenerate` and
 //! say why in CHANGES.md.

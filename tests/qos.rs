@@ -239,6 +239,43 @@ fn coalesce_then_shed_counts_once() {
     g.on_tick(SimTime::from_secs(1));
 }
 
+/// Republishes every delivery it is handed as a derived message.
+struct Republisher;
+
+impl Consumer for Republisher {
+    fn name(&self) -> &str {
+        "republisher"
+    }
+    fn on_data(&mut self, d: &Delivery, ctx: &mut ConsumerCtx) {
+        ctx.publish_derived(StreamIndex::new(0), vec![d.msg.seq().as_u16() as u8]);
+    }
+}
+
+#[test]
+fn overload_counts_radio_frames_not_republications() {
+    // `StepOutput::overload` and `overload.*` are frame admission: a
+    // consumer's derived republications are Data-class events, counted
+    // in the class ledger (`qos.data.*`) but never as offered frames —
+    // with the scheduler armed or not.
+    let coalesce = OverloadConfig { capacity: 64, policy: OverloadPolicy::CoalesceFrames };
+    for overload in [None, Some(coalesce)] {
+        let mut g = Garnet::new(GarnetConfig { overload, ..GarnetConfig::default() });
+        let token = g.issue_default_token("republisher");
+        let id = g.register_consumer(Box::new(Republisher), &token, 1).unwrap();
+        let sensor = SensorId::new(1).unwrap();
+        g.subscribe(id, TopicFilter::Sensor(sensor), &token).unwrap();
+        let burst: Vec<_> = (0..10).map(|seq| (ReceiverId::new(0), -50.0, frame(1, seq))).collect();
+        let o = g.on_frames(burst, SimTime::from_millis(1)).overload;
+        assert_eq!((o.offered, o.shed, o.delivered), (10, 0, 10), "{overload:?}");
+        let report = g.metrics().report();
+        assert!(report.contains("overload.offered = 10\n"), "{overload:?}:\n{report}");
+        if let Some(ledgers) = g.qos_ledgers() {
+            let data = ledgers.class(PriorityClass::Data);
+            assert_eq!((data.offered, data.shed, data.delivered), (20, 0, 20), "frames + derived");
+        }
+    }
+}
+
 #[test]
 fn qos_is_bit_identical_across_engines_and_layouts() {
     // Admission decisions are made above the engine: every {driver} x
