@@ -36,6 +36,25 @@ if grep -rn 'ServiceEvent::Frame' crates src tests examples; then
   echo "frames are queued as events again" >&2
   exit 1
 fi
+# The overload tier reads a frame's stream id and sequence number once,
+# when the frame is offered (`Staged::new`), and coalesces on the stored
+# keys. Outside `#[cfg(test)]` items (the rescanning oracle and the
+# tests), qos.rs names the peeks nowhere else but its `use` line.
+echo "==> qos.rs peeks a frame header only in Staged::new"
+if awk '
+  /^#\[cfg\(test\)\]/ { skip = 1; next }
+  skip { if (/^}/ || /^[^ ].*;$/) skip = 0; next }
+  /^[^ \t\/}]/ { item = $0 }
+  /^    (pub(\([a-z]+\))? )?fn / { method = $0; sub(/\(.*/, "", method); sub(/.*fn /, "", method) }
+  /^use / || /^ *\/\// { next }
+  /peek_(stream|seq)/ && !(item ~ /^impl Staged / && method == "new") {
+    print FILENAME ":" FNR ": " $0; found = 1
+  }
+  END { exit !found }
+' crates/core/src/qos.rs; then
+  echo "the overload tier reads a frame header outside Staged::new" >&2
+  exit 1
+fi
 # Ids we allocate (SubscriberId) hash through the unkeyed IdMap, whose
 # definition is the one place the unkeyed hasher is named; everything a
 # radio frame carries keeps std's keyed RandomState.

@@ -238,10 +238,10 @@ impl ShardedIngest {
     /// A single-shard stage (the default) needs no header peek.
     pub fn shard_of(&self, frame: &[u8]) -> usize {
         let n = self.shard_count();
-        match peek_stream(frame) {
-            Some(stream) if n > 1 => shard_of_sensor(stream.sensor().as_u32(), n),
-            _ => 0,
+        if n == 1 {
+            return 0;
         }
+        peek_stream(frame).map_or(0, |stream| shard_of_sensor(stream.sensor().as_u32(), n))
     }
 
     /// Feeds a burst of frames, equivalent to one

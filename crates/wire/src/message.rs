@@ -50,15 +50,16 @@ pub type FrameBytes = Bytes;
 /// structure check [`DataMessage::decode`] performs *except* the CRC,
 /// done once.
 ///
-/// This is the single validation point of the batched decode path. The
-/// admission layer parses a frame's header once — for shard routing
-/// (stream id), overload coalescing (sequence number) and queue
-/// accounting (total length) — and hands the parsed header to the
-/// filtering stage, which finishes the decode with
-/// [`DataMessage::decode_validated`] without re-checking lengths or
-/// re-reading fields. A frame that fails `parse` falls back to the
-/// decode-free [`peek_stream`]/[`peek_seq`] for deterministic routing
-/// and is charged its real error by the filter's full decode.
+/// This is the single validation point of the decode path, and the
+/// filtering stage is its one caller on the ingest path: it parses each
+/// frame's header, charges a frame that fails `parse` its error, and
+/// finishes the rest with [`DataMessage::decode_validated`] without
+/// re-checking lengths or re-reading fields. Nothing is handed down
+/// from admission: the stages in front of filtering read only what
+/// they need with the decode-free [`peek_stream`] / [`peek_seq`] — a
+/// multi-shard ingest stage peeks the stream id to pick a shard, and
+/// the overload tier peeks stream id and sequence number once per
+/// offered frame to coalesce — and those work on corrupt frames too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
     header: MsgHeader,
@@ -329,8 +330,7 @@ impl DataMessage {
     /// re-validating lengths or re-reading header fields.
     ///
     /// `hdr` must come from [`FrameHeader::parse`] over this same
-    /// `frame` — the batched ingest path parses once at admission and
-    /// finishes here in the filtering stage.
+    /// `frame` — the filtering stage parses, then finishes here.
     ///
     /// # Errors
     ///
