@@ -23,11 +23,19 @@ fi
 # that compared the two, the dispatch partition, the boxed driver, the
 # retired sweep scaffolding, the per-service twin of ControlGraph::route's
 # match, the histogram that could only read 0, the incremental twin of
-# the CRC-16 loop, the router's per-frame queue hop and the uncalled
-# length-delimited stream codec must not come back.
+# the CRC-16 loop, the router's per-frame queue hop, the uncalled
+# length-delimited stream codec, the archive writer thread with its
+# queue and timeout knobs, and the named-endpoint bus must not come back
+# (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity' crates src tests examples; then
   echo "a deleted item is back" >&2
+  exit 1
+fi
+# garnet-net is registry, auth, pub/sub and the shard pool: storage is
+# garnet-core's business, so the network crate does not depend on it.
+if grep -n 'garnet-store' crates/net/Cargo.toml; then
+  echo "garnet-net depends on garnet-store again" >&2
   exit 1
 fi
 # A radio frame enters the router by a call (Router::ingest), never as a

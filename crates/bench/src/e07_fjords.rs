@@ -107,15 +107,18 @@ mod tests {
     #[test]
     fn sharing_flat_per_query_linear() {
         let (points, _) = run();
+        // EXPERIMENTS.md's figures: the shared proxy costs 600 sensor
+        // transmissions at every query count, and 256 per-query streams
+        // cost at least 145x that.
         let shared: Vec<u64> = points.iter().map(|p| p.comparison.sensor_tx_shared).collect();
-        assert!(shared.windows(2).all(|w| w[0] == w[1]), "shared cost flat: {shared:?}");
+        assert!(shared.iter().all(|&tx| tx == 600), "shared cost flat at 600: {shared:?}");
         let per_query: Vec<u64> = points.iter().map(|p| p.comparison.sensor_tx_per_query).collect();
         assert!(per_query.windows(2).all(|w| w[1] > w[0]));
-        // The 256-query saving is "significant" (> 50x here).
         let last = points.last().unwrap();
+        assert_eq!(last.comparison.queries, 256);
         let saving =
             last.comparison.sensor_tx_per_query as f64 / last.comparison.sensor_tx_shared as f64;
-        assert!(saving > 50.0, "saving={saving}");
+        assert!(saving >= 145.0, "saving={saving}");
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! the benchmark's shim over the [`Router`].
 //!
 //! There is one engine: the FIFO [`Router`], which [`crate::Garnet`] owns
-//! and pumps on its own thread. [`GarnetConfig::driver`] decides two
-//! things, both about which thread does a piece of work and neither
-//! about what is computed: where that router's filtering shards execute
-//! — on the same thread ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or
-//! one per supervised worker ([`DriverKind::Threaded`],
-//! [`ShardedIngest::pooled`]) — and whether the archive tap appends
-//! inline or through a writer thread (`Sink::Inline` /
-//! `Sink::Threaded(Archiver)` in [`crate::archive`]). Queue, dispatch,
-//! control, spans and trace are the same code either way, so deliveries,
-//! metrics and trace dumps are identical for the same input schedule.
+//! and pumps on its own thread. [`GarnetConfig::driver`] decides one
+//! thing, which thread does a piece of work and not what is computed:
+//! where that router's filtering shards execute — on the same thread
+//! ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or one per supervised
+//! worker ([`DriverKind::Threaded`], [`ShardedIngest::pooled`]). Queue,
+//! dispatch, control, archive tap, spans and trace are the same code on
+//! the facade's thread either way, so deliveries, metrics and trace
+//! dumps are identical for the same input schedule.
 //!
 //! [`RouterDriver`], [`FifoDriver`] and [`ThreadedDriver`] exist for
 //! `perfbench/src/layers.rs` alone, which may not be edited outside a
@@ -29,20 +27,18 @@ use crate::router::{
 };
 use crate::service::{BatchedFrame, ServiceEvent, ServiceOutput};
 
-/// Which work leaves the facade's thread: the filtering shards and the
-/// archive tap's appends.
+/// Where the filtering shards run — the only work that can leave the
+/// facade's thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverKind {
-    /// None of it: filtering runs on the facade's thread like the rest
-    /// of the [`Router`], and the archive tap appends inline. The
+    /// On the facade's thread, like the rest of the [`Router`]. The
     /// default.
     #[default]
     Fifo,
-    /// One filtering shard per supervised worker thread — a burst costs
+    /// One filtering shard per supervised worker thread: a burst costs
     /// one hand-off per non-empty shard, and the facade's thread waits
     /// for the results before routing them, so every observable matches
-    /// [`DriverKind::Fifo`] — and the archive tap hands its records to a
-    /// writer thread ([`garnet_net::Archiver`]).
+    /// [`DriverKind::Fifo`].
     Threaded,
 }
 

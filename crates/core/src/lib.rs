@@ -28,9 +28,9 @@
 //! outputs — and [`router::ShardedDispatch`] is Figure 1's one
 //! Dispatching Service beside the one stream catalogue.
 //! [`driver::DriverKind`] chooses which thread filters (the facade's, or
-//! one supervised worker per shard) and which thread appends to the
-//! archive, and nothing else: everything downstream of filtering is the
-//! one router either way. The intake is unbounded: the one place a
+//! one supervised worker per shard), and nothing else: everything
+//! downstream of filtering, the archive tap included, is the one router
+//! on the facade's thread either way. The intake is unbounded: the one place a
 //! frame is shed, coalesced or held back is [`qos::QosScheduler`], at
 //! the facade boundary.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio

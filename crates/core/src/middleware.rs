@@ -7,9 +7,8 @@
 //! [`ServiceEvent`] on the router's queue, and the facade steps the
 //! router to quiescence on the caller's thread, applying the outputs
 //! that escape the graph (consumer callbacks, control plans, denials,
-//! expiries). [`GarnetConfig::driver`] picks which thread filters and
-//! which thread appends to the archive, and every public entry point
-//! behaves identically either way:
+//! expiries). [`GarnetConfig::driver`] picks which threads filter, and
+//! every public entry point behaves identically either way:
 //!
 //! ```text
 //!   on_frame ─→ ShardedIngest ─→ Dispatching ─→ consumers ─→ actions
@@ -94,11 +93,11 @@ pub struct QuiesceConfig {
 /// Facade configuration.
 #[derive(Clone, Debug)]
 pub struct GarnetConfig {
-    /// Which work leaves the facade's thread. Both settings produce
-    /// identical deliveries, metrics and traces;
-    /// [`DriverKind::Threaded`] runs each ingest shard on its own worker
-    /// thread and the archive tap's appends on a writer thread, for
-    /// wall-clock parallelism.
+    /// Where the filtering shards run. Both settings produce identical
+    /// deliveries, metrics and traces; [`DriverKind::Threaded`] runs each
+    /// ingest shard on its own worker thread, for wall-clock
+    /// parallelism. Everything else, archive appends included, runs on
+    /// the caller's thread under either kind.
     pub driver: DriverKind,
     /// Filtering Service tuning.
     pub filter: FilterConfig,
@@ -202,11 +201,12 @@ pub enum GarnetError {
     /// `Planned` or `Denied` outcome — the request was lost inside the
     /// event graph instead of being resolved.
     ActuationUnresolved,
-    /// `Garnet::shutdown` could not drain the archive's pending appends
-    /// within [`ArchiveConfig::flush_timeout`]. The engines are still
-    /// retired cleanly; only the archive tail is in doubt (the
-    /// [`crate::archive::ArchiveLedger`] says how much).
-    ArchiveFlushTimeout,
+    /// An archive flush did not make the log durable: the store's `sync`
+    /// failed, or the tap was disabled (its backend never opened, or the
+    /// archive was already shut down). Delivery is unaffected and the
+    /// engines still retire cleanly; the
+    /// [`crate::archive::ArchiveLedger`] says which records landed.
+    ArchiveFlushFailed,
 }
 
 impl fmt::Display for GarnetError {
@@ -222,8 +222,8 @@ impl fmt::Display for GarnetError {
             GarnetError::ActuationUnresolved => {
                 write!(f, "actuation request drained without a Planned or Denied outcome")
             }
-            GarnetError::ArchiveFlushTimeout => {
-                write!(f, "archive did not drain pending appends within the flush timeout")
+            GarnetError::ArchiveFlushFailed => {
+                write!(f, "archive flush failed: the store did not sync, or the tap is disabled")
             }
         }
     }
@@ -455,9 +455,7 @@ impl Garnet {
         router
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
         router.set_telemetry_recording(config.telemetry.spans);
-        let archive = config
-            .archive
-            .map(|cfg| ArchiveService::new(cfg, config.driver, config.trace_capacity));
+        let archive = config.archive.map(|cfg| ArchiveService::new(cfg, config.trace_capacity));
         Garnet {
             max_derived_depth: config.max_derived_depth,
             router,
@@ -1477,7 +1475,6 @@ impl Garnet {
                 ("offered", l.offered),
                 ("archived", l.archived),
                 ("dropped", l.dropped),
-                ("pending", l.pending),
                 ("flushes", l.flushes),
                 ("flush_failures", l.flush_failures),
                 ("recovered_records", archive.recovery().records),
@@ -1571,9 +1568,9 @@ impl Garnet {
     }
 
     /// The archive tap's per-record accounting, when
-    /// [`GarnetConfig::archive`] is enabled. At quiescence under the
-    /// FIFO engine `pending` is always 0; the threaded writer drains it
-    /// at [`Garnet::flush_archive`]/[`Garnet::shutdown`].
+    /// [`GarnetConfig::archive`] is enabled. Appends run inline, so every
+    /// offered record is `archived` or `dropped` by the time the call
+    /// that offered it returns.
     pub fn archive_ledger(&self) -> Option<crate::archive::ArchiveLedger> {
         self.archive.as_ref().map(ArchiveService::ledger)
     }
@@ -1585,20 +1582,20 @@ impl Garnet {
         self.archive.as_ref().map(ArchiveService::recovery)
     }
 
-    /// Flushes the archive's pending appends within the configured
-    /// bounded timeout.
+    /// Syncs the archive's store, making every record appended so far
+    /// durable.
     ///
     /// # Errors
     ///
-    /// [`GarnetError::ArchiveFlushTimeout`] when the drain misses the
-    /// deadline or the backend fails the sync; delivery is unaffected.
+    /// [`GarnetError::ArchiveFlushFailed`] when the store fails the sync
+    /// or the tap is disabled; delivery is unaffected.
     pub fn flush_archive(&mut self, now: SimTime) -> Result<(), GarnetError> {
         match &mut self.archive {
             Some(archive) => {
                 if archive.flush(now) {
                     Ok(())
                 } else {
-                    Err(GarnetError::ArchiveFlushTimeout)
+                    Err(GarnetError::ArchiveFlushFailed)
                 }
             }
             None => Ok(()),
@@ -1684,9 +1681,8 @@ impl Garnet {
         self.router.trace_snapshot()
     }
 
-    /// Shuts the middleware down: pumps to quiescence, drains and
-    /// retires the archive tap (flushing pending appends within
-    /// [`ArchiveConfig::flush_timeout`], returning a
+    /// Shuts the middleware down: pumps to quiescence, retires the
+    /// archive tap (syncing its store and returning an
     /// [`ArchiveBackend::Custom`](crate::archive::ArchiveBackend) store
     /// to its slot), then shuts the router down (joining the filtering
     /// pool) and applies whatever that released. After this call the
@@ -1696,15 +1692,14 @@ impl Garnet {
     ///
     /// Dropping a [`Garnet`] without calling this is safe — the pooled
     /// ingest stage's `Drop` joins its workers — but discards in-flight
-    /// outputs and the archive's pending tail.
+    /// outputs and skips the archive's final sync.
     ///
     /// # Errors
     ///
-    /// [`GarnetError::ArchiveFlushTimeout`] when the archive could not
-    /// drain its pending appends in time (a wedged or failing backend).
-    /// The engines are still shut down cleanly and the returned error
-    /// carries no partial output — use [`Garnet::archive_ledger`] to
-    /// see how much of the tail is in doubt.
+    /// [`GarnetError::ArchiveFlushFailed`] when the archive's final sync
+    /// failed. The engines are still shut down cleanly and the returned
+    /// error carries no partial output — use [`Garnet::archive_ledger`]
+    /// to see which records landed.
     pub fn shutdown(&mut self, now: SimTime) -> Result<StepOutput, GarnetError> {
         let mut out = StepOutput::default();
         self.pump(now, &mut out);
@@ -1718,9 +1713,8 @@ impl Garnet {
         }
         self.pump(now, &mut out);
         // Archive first: its log must capture every input the engines
-        // processed, and a wedged store must not leave worker pools
-        // unjoined (the drain is bounded; the pools are joined either
-        // way below).
+        // processed; the pools are joined below whatever the sync
+        // returned.
         let archive_ok = match &mut self.archive {
             Some(archive) => archive.shutdown(now),
             None => true,
@@ -1733,7 +1727,7 @@ impl Garnet {
         if archive_ok {
             Ok(out)
         } else {
-            Err(GarnetError::ArchiveFlushTimeout)
+            Err(GarnetError::ArchiveFlushFailed)
         }
     }
 

@@ -22,10 +22,9 @@
 //! have produced. Those shards run either on the calling thread
 //! ([`ShardedIngest::new`]) or one per supervised worker thread
 //! ([`ShardedIngest::pooled`]); that choice is all a
-//! [`crate::DriverKind`] changes in here (its other effect is the
-//! archive tap's writer thread, outside the router). Everything
-//! downstream of filtering — queue, dispatch, control, spans, trace — is
-//! this one router on the caller's thread.
+//! [`crate::DriverKind`] changes. Everything downstream of filtering —
+//! queue, dispatch, control, spans, trace — is this one router on the
+//! caller's thread.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

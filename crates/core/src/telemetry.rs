@@ -212,8 +212,6 @@ const RESTARTS_CRITICAL: u64 = 4;
 /// Archive records dropped in the window that mark critical (each one
 /// is lost boundary input).
 const ARCHIVE_DROPPED_CRITICAL: u64 = 1;
-/// Archive flush backlog (pending records) that degrades.
-const ARCHIVE_PENDING_DEGRADED: u64 = 1_024;
 /// e2e p99 growth vs the previous window that degrades, in percent
 /// (200 = doubled).
 const P99_REGRESSION_PCT: u64 = 200;
@@ -285,8 +283,6 @@ pub struct WindowStats {
     pub restarts: u64,
     /// Archive records dropped in the window.
     pub archive_dropped: u64,
-    /// Archive records currently pending flush (a level, not a delta).
-    pub archive_pending: u64,
     /// e2e p99 of the previous window, if one exists (µs).
     pub prev_e2e_p99: Option<u64>,
     /// e2e p99 of this window (µs, cumulative histogram).
@@ -323,9 +319,6 @@ pub fn evaluate_health(w: &WindowStats) -> HealthReport {
     }
     if w.archive_dropped >= ARCHIVE_DROPPED_CRITICAL {
         critical.push(format!("{} archive records dropped", w.archive_dropped));
-    }
-    if w.archive_pending >= ARCHIVE_PENDING_DEGRADED {
-        degraded.push(format!("{} archive records pending flush", w.archive_pending));
     }
     for class in crate::qos::PriorityClass::ALL {
         let offered = w.class_offered[class.index()];
@@ -772,7 +765,6 @@ impl TelemetryService {
             stranded: delta(keys::SHARD_FAILURES),
             restarts: delta("overload.shard_restarts"),
             archive_dropped: delta("archive.dropped"),
-            archive_pending: counters.get("archive.pending").copied().unwrap_or(0),
             prev_e2e_p99: self.prev_e2e_p99,
             e2e_p99,
             class_offered,

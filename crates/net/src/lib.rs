@@ -6,7 +6,8 @@
 //! data streams of interest. … Unless otherwise indicated, communication
 //! is based on asynchronous message exchange" (§3).
 //!
-//! This crate provides those five mechanisms:
+//! This crate provides those five mechanisms, and the thread pool the
+//! threaded driver filters on:
 //!
 //! * [`registry`] — service **advertising**, **discovery** and
 //!   **registration**;
@@ -14,29 +15,21 @@
 //!   tokens;
 //! * [`pubsub`] — the **publish/subscribe** subscription table that the
 //!   Dispatching Service consults;
-//! * [`bus`] — asynchronous message exchange between services, with a
-//!   threaded driver over `std::sync::mpsc` for live deployments
-//!   (experiments use the deterministic `garnet-simkit` event queue
-//!   instead) and the supervised `ShardPool` the middleware's filtering
-//!   shards run on under `DriverKind::Threaded`;
-//! * [`archiver`] — the background writer that drains pre-encoded
-//!   archive records into a `garnet-store` log without ever blocking
-//!   frame delivery.
+//! * [`pool`] — the supervised `ShardPool` the middleware's filtering
+//!   shards run on under `DriverKind::Threaded`.
 //!
 //! No async runtime is used: the paper's asynchrony is plain message
-//! passing, which channels model directly and deterministically.
+//! passing, which `std::sync::mpsc` channels model directly; a live
+//! deployment wires its threads to the facade with them (see the
+//! `threaded_deployment` example).
 
-pub mod archiver;
 pub mod auth;
-pub mod bus;
+pub mod pool;
 pub mod pubsub;
 pub mod registry;
 
-pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
-pub use bus::{
-    BusError, EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig, ThreadedBus,
-};
+pub use pool::{EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig};
 pub use pubsub::{
     DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable,
     TopicFilter,

@@ -1,160 +1,12 @@
-//! The asynchronous message bus for live (threaded) deployments.
-//!
-//! Experiments run on the deterministic `garnet-simkit` event queue; the
-//! live examples run each middleware service on its own thread,
-//! exchanging messages through this bus. Endpoints are registered by
-//! name; any holder of the bus can send to any endpoint — exactly the
-//! paper's "asynchronous message exchange" (§3) with no further delivery
-//! guarantees layered on top.
+//! The supervised shard pool the middleware's filtering shards run on
+//! under `DriverKind::Threaded`: one worker thread per shard, fed over
+//! bounded `std::sync::mpsc` channels, with a submission-order merge so
+//! the output never depends on thread scheduling. Experiments run on the
+//! deterministic `garnet-simkit` event queue instead.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use core::fmt;
-
-/// Errors raised by bus operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BusError {
-    /// No endpoint is registered under the requested name.
-    UnknownEndpoint(String),
-    /// The endpoint's queue is full (bounded endpoints only).
-    Backpressure(String),
-    /// The endpoint's receiver was dropped.
-    Disconnected(String),
-    /// An endpoint with this name is already registered.
-    DuplicateEndpoint(String),
-}
-
-impl fmt::Display for BusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BusError::UnknownEndpoint(n) => write!(f, "no endpoint named {n:?}"),
-            BusError::Backpressure(n) => write!(f, "endpoint {n:?} queue is full"),
-            BusError::Disconnected(n) => write!(f, "endpoint {n:?} receiver was dropped"),
-            BusError::DuplicateEndpoint(n) => write!(f, "endpoint {n:?} already registered"),
-        }
-    }
-}
-
-impl std::error::Error for BusError {}
-
-/// A clonable handle to the shared bus carrying messages of type `M`.
-///
-/// # Example
-///
-/// ```
-/// use garnet_net::ThreadedBus;
-///
-/// let bus: ThreadedBus<String> = ThreadedBus::new();
-/// let inbox = bus.register("filtering", 16)?;
-/// bus.send("filtering", "hello".to_owned())?;
-/// assert_eq!(inbox.recv().unwrap(), "hello");
-/// # Ok::<(), garnet_net::BusError>(())
-/// ```
-pub struct ThreadedBus<M> {
-    /// The map is whole after every insert and remove, so a holder that
-    /// panicked under the lock leaves nothing to repair: every access
-    /// recovers a poisoned guard instead of spreading the panic.
-    endpoints: Arc<RwLock<HashMap<String, SyncSender<M>>>>,
-}
-
-impl<M> Clone for ThreadedBus<M> {
-    fn clone(&self) -> Self {
-        ThreadedBus { endpoints: Arc::clone(&self.endpoints) }
-    }
-}
-
-impl<M> Default for ThreadedBus<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> ThreadedBus<M> {
-    /// Creates an empty bus.
-    pub fn new() -> Self {
-        ThreadedBus { endpoints: Arc::new(RwLock::new(HashMap::new())) }
-    }
-
-    /// Registers a named endpoint with a bounded queue of `capacity`
-    /// messages (at least one), returning its receiving half.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::DuplicateEndpoint`] if the name is taken.
-    pub fn register(&self, name: &str, capacity: usize) -> Result<Receiver<M>, BusError> {
-        let mut map = self.endpoints.write().unwrap_or_else(PoisonError::into_inner);
-        if map.contains_key(name) {
-            return Err(BusError::DuplicateEndpoint(name.to_owned()));
-        }
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        map.insert(name.to_owned(), tx);
-        Ok(rx)
-    }
-
-    /// Removes an endpoint; subsequent sends fail with
-    /// [`BusError::UnknownEndpoint`].
-    pub fn deregister(&self, name: &str) -> bool {
-        self.endpoints.write().unwrap_or_else(PoisonError::into_inner).remove(name).is_some()
-    }
-
-    /// Sends without blocking.
-    ///
-    /// # Errors
-    ///
-    /// * [`BusError::UnknownEndpoint`] — name not registered.
-    /// * [`BusError::Backpressure`] — queue full (message returned to
-    ///   caller inside the error path by value semantics: it is dropped;
-    ///   callers needing the value back should clone or use bounded
-    ///   retry).
-    /// * [`BusError::Disconnected`] — receiver dropped.
-    pub fn send(&self, name: &str, message: M) -> Result<(), BusError> {
-        let map = self.endpoints.read().unwrap_or_else(PoisonError::into_inner);
-        let Some(tx) = map.get(name) else {
-            return Err(BusError::UnknownEndpoint(name.to_owned()));
-        };
-        match tx.try_send(message) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(BusError::Backpressure(name.to_owned())),
-            Err(TrySendError::Disconnected(_)) => Err(BusError::Disconnected(name.to_owned())),
-        }
-    }
-
-    /// Sends, blocking while the endpoint's queue is full (producer
-    /// threads that prefer backpressure to drops).
-    ///
-    /// # Errors
-    ///
-    /// * [`BusError::UnknownEndpoint`] — name not registered.
-    /// * [`BusError::Disconnected`] — receiver dropped (possibly while
-    ///   blocked).
-    pub fn send_blocking(&self, name: &str, message: M) -> Result<(), BusError> {
-        let tx = {
-            let map = self.endpoints.read().unwrap_or_else(PoisonError::into_inner);
-            match map.get(name) {
-                Some(tx) => tx.clone(),
-                None => return Err(BusError::UnknownEndpoint(name.to_owned())),
-            }
-        };
-        tx.send(message).map_err(|_| BusError::Disconnected(name.to_owned()))
-    }
-
-    /// Names of all live endpoints, sorted (diagnostics).
-    pub fn endpoint_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.endpoints.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect();
-        names.sort();
-        names
-    }
-}
-
-impl<M> fmt::Debug for ThreadedBus<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadedBus").field("endpoints", &self.endpoint_names()).finish()
-    }
-}
 
 /// A shard worker died or refused a job: the loss is recorded here
 /// instead of silently vanishing (or hanging the submission-order
@@ -723,101 +575,6 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn register_send_receive() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let rx = bus.register("a", 4).unwrap();
-        bus.send("a", 7).unwrap();
-        bus.send("a", 8).unwrap();
-        assert_eq!(rx.recv().unwrap(), 7);
-        assert_eq!(rx.recv().unwrap(), 8);
-    }
-
-    #[test]
-    fn unknown_endpoint_errors() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        assert_eq!(bus.send("nope", 1), Err(BusError::UnknownEndpoint("nope".into())));
-    }
-
-    #[test]
-    fn duplicate_registration_rejected() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let _rx = bus.register("a", 1).unwrap();
-        assert_eq!(bus.register("a", 1).err(), Some(BusError::DuplicateEndpoint("a".into())));
-    }
-
-    #[test]
-    fn backpressure_on_full_queue() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let _rx = bus.register("a", 1).unwrap();
-        bus.send("a", 1).unwrap();
-        assert_eq!(bus.send("a", 2), Err(BusError::Backpressure("a".into())));
-    }
-
-    #[test]
-    fn disconnected_receiver_detected() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let rx = bus.register("a", 1).unwrap();
-        drop(rx);
-        assert_eq!(bus.send("a", 1), Err(BusError::Disconnected("a".into())));
-    }
-
-    #[test]
-    fn deregister_removes_endpoint() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let _rx = bus.register("a", 1).unwrap();
-        assert!(bus.deregister("a"));
-        assert!(!bus.deregister("a"));
-        assert!(matches!(bus.send("a", 1), Err(BusError::UnknownEndpoint(_))));
-    }
-
-    #[test]
-    fn cross_thread_exchange() {
-        let bus: ThreadedBus<u64> = ThreadedBus::new();
-        let rx = bus.register("svc", 1024).unwrap();
-        let sender_bus = bus.clone();
-        let producer = thread::spawn(move || {
-            for i in 0..1000u64 {
-                // Spin on backpressure: bounded queue, same-machine test.
-                loop {
-                    match sender_bus.send("svc", i) {
-                        Ok(()) => break,
-                        Err(BusError::Backpressure(_)) => thread::yield_now(),
-                        Err(e) => panic!("{e}"),
-                    }
-                }
-            }
-        });
-        let mut sum = 0u64;
-        for _ in 0..1000 {
-            sum += rx.recv().unwrap();
-        }
-        producer.join().unwrap();
-        assert_eq!(sum, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn send_blocking_waits_for_space() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        let rx = bus.register("a", 1).unwrap();
-        bus.send("a", 1).unwrap();
-        let sender = bus.clone();
-        let blocked = thread::spawn(move || sender.send_blocking("a", 2));
-        thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(rx.recv().unwrap(), 1); // frees a slot
-        blocked.join().unwrap().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn send_blocking_errors_on_unknown_and_disconnected() {
-        let bus: ThreadedBus<u32> = ThreadedBus::new();
-        assert!(matches!(bus.send_blocking("nope", 1), Err(BusError::UnknownEndpoint(_))));
-        let rx = bus.register("a", 1).unwrap();
-        drop(rx);
-        assert!(matches!(bus.send_blocking("a", 1), Err(BusError::Disconnected(_))));
-    }
-
-    #[test]
     fn shard_pool_merges_in_submission_order() {
         // Workers that sleep *inversely* to their shard index, so later
         // submissions finish first — the merge must still be in
@@ -1129,13 +886,5 @@ mod tests {
         assert_eq!(cfg.restart_delay(3), ms(45), "capped");
         assert_eq!(cfg.restart_delay(63), ms(45), "huge exponents stay capped");
         assert_eq!(SupervisionConfig::immediate(3, ms(1000)).restart_delay(5), ms(0));
-    }
-
-    #[test]
-    fn endpoint_names_sorted() {
-        let bus: ThreadedBus<()> = ThreadedBus::new();
-        let _a = bus.register("zeta", 1).unwrap();
-        let _b = bus.register("alpha", 1).unwrap();
-        assert_eq!(bus.endpoint_names(), vec!["alpha".to_owned(), "zeta".to_owned()]);
     }
 }

@@ -35,9 +35,6 @@ pub struct FaultPlan {
     /// one or more records), every further append fails with
     /// [`StoreError::Stalled`] (`None` = never stalls).
     pub stall_after_appends: Option<u64>,
-    /// Wall-clock sleep injected into each stalled append, to wedge an
-    /// archiver worker for flush-timeout tests (`None` = fail fast).
-    pub stall_sleep: Option<std::time::Duration>,
 }
 
 impl FaultPlan {
@@ -128,9 +125,6 @@ impl<S: SegmentStore> SegmentStore for FaultyStore<S> {
     fn append(&mut self, segment: SegmentId, bytes: &[u8]) -> Result<(), StoreError> {
         if self.plan.stall_after_appends.is_some_and(|n| self.appends >= n) {
             self.ledger.stalls += 1;
-            if let Some(d) = self.plan.stall_sleep {
-                std::thread::sleep(d);
-            }
             return Err(StoreError::Stalled);
         }
         self.appends += 1;

@@ -7,18 +7,19 @@
 //! Experiments run on the deterministic simulator, but a real Garnet
 //! installation runs as long-lived processes exchanging messages
 //! asynchronously (§3). This example stands up that shape: the
-//! middleware owns a bus endpoint on its own thread; two receiver-array
-//! threads feed it overlapping frames; an operator thread issues an
+//! middleware drains a bounded `std::sync::mpsc` channel on its own
+//! thread; two receiver-array threads feed it overlapping frames; an operator thread issues an
 //! actuation request mid-run and the middleware's control plan is
 //! printed as it would be handed to the transmitter drivers.
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::pipeline::SharedCountConsumer;
-use garnet::net::{ThreadedBus, TopicFilter};
+use garnet::net::TopicFilter;
 use garnet::radio::geometry::Point;
 use garnet::radio::{ReceiverId, Transmitter, TransmitterId};
 use garnet::simkit::SimTime;
@@ -26,7 +27,7 @@ use garnet::wire::{
     ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
 };
 
-/// Messages addressed to the middleware endpoint.
+/// Messages addressed to the middleware thread.
 enum ToGarnet {
     Frame { receiver: u32, rssi: f64, bytes: Vec<u8>, at_us: u64 },
     Actuate { interval_ms: u32, at_us: u64 },
@@ -34,10 +35,9 @@ enum ToGarnet {
 }
 
 fn main() {
-    println!("Threaded deployment — Garnet behind the asynchronous bus\n");
+    println!("Threaded deployment — Garnet behind an asynchronous channel\n");
 
-    let bus: ThreadedBus<ToGarnet> = ThreadedBus::new();
-    let inbox = bus.register("garnet", 4096).unwrap();
+    let (tx, inbox) = mpsc::sync_channel::<ToGarnet>(4096);
 
     // The middleware thread.
     let (consumer, delivered) = SharedCountConsumer::new("dashboard");
@@ -92,7 +92,7 @@ fn main() {
     let stream = StreamId::new(SensorId::new(7).unwrap(), StreamIndex::new(0));
     let feeders: Vec<_> = (0..2u32)
         .map(|rx| {
-            let bus = bus.clone();
+            let tx = tx.clone();
             thread::spawn(move || {
                 for seq in 0..200u16 {
                     let bytes = DataMessage::builder(stream)
@@ -107,16 +107,13 @@ fn main() {
                         .build()
                         .unwrap()
                         .encode_to_vec();
-                    bus.send_blocking(
-                        "garnet",
-                        ToGarnet::Frame {
-                            receiver: rx,
-                            rssi: -48.0 - f64::from(rx) * 6.0,
-                            bytes,
-                            at_us: u64::from(seq) * 50_000,
-                        },
-                    )
-                    .expect("middleware endpoint lives for the run");
+                    tx.send(ToGarnet::Frame {
+                        receiver: rx,
+                        rssi: -48.0 - f64::from(rx) * 6.0,
+                        bytes,
+                        at_us: u64::from(seq) * 50_000,
+                    })
+                    .expect("middleware thread drains for the run");
                     if seq % 50 == 0 {
                         thread::sleep(Duration::from_millis(1));
                     }
@@ -127,11 +124,11 @@ fn main() {
 
     // The operator: asks for a faster rate partway through.
     let operator = {
-        let bus = bus.clone();
+        let tx = tx.clone();
         thread::spawn(move || {
             thread::sleep(Duration::from_millis(10));
-            bus.send_blocking("garnet", ToGarnet::Actuate { interval_ms: 250, at_us: 5_000_000 })
-                .expect("middleware endpoint lives for the run");
+            tx.send(ToGarnet::Actuate { interval_ms: 250, at_us: 5_000_000 })
+                .expect("middleware thread drains for the run");
         })
     };
 
@@ -140,7 +137,7 @@ fn main() {
     }
     operator.join().unwrap();
     thread::sleep(Duration::from_millis(50));
-    bus.send("garnet", ToGarnet::Shutdown).unwrap();
+    tx.send(ToGarnet::Shutdown).unwrap();
     let (unique, duplicates, plans) = middleware.join().unwrap();
 
     println!("\nresults:");

@@ -14,7 +14,7 @@
 //! | [`simkit`] | `garnet-simkit` | deterministic discrete-event kernel |
 //! | [`wire`] | `garnet-wire` | Fig. 2 message format, control messages, CRC, crypto |
 //! | [`radio`] | `garnet-radio` | simulated wireless field: mobility, propagation, energy |
-//! | [`net`] | `garnet-net` | fixed-network substrate: bus, registry, auth, pub/sub |
+//! | [`net`] | `garnet-net` | fixed-network substrate: registry, auth, pub/sub, shard pool |
 //! | [`store`] | `garnet-store` | durable frame archive: segmented CRC-checked log, crash recovery, fault injection |
 //! | [`core`] | `garnet-core` | **the middleware**: filtering, dispatching, orphanage, location, resource manager, actuation, replication, coordination |
 //! | [`baselines`] | `garnet-baselines` | §7 comparators: RETRI, Fjords, CORIE |

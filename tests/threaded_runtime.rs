@@ -1,20 +1,23 @@
 //! The live (threaded) deployment mode: middleware on its own thread,
-//! fed over the threaded bus — the paper's "asynchronous message
-//! exchange" (§3) with real threads instead of the simulation driver.
+//! fed over a bounded `std::sync::mpsc` channel — the paper's
+//! "asynchronous message exchange" (§3) with real threads instead of the
+//! simulation driver.
 //!
 //! Since the facade hosts the threaded graph behind
 //! [`garnet::core::DriverKind::Threaded`], the deployment collapses to
 //! ordinary [`Garnet`] calls: the worker pools live *inside* the
-//! middleware, and the only hand-rolled thread left is the bus drain.
+//! middleware, and the only hand-rolled thread left is the channel
+//! drain.
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::SharedCountConsumer;
 use garnet::core::DriverKind;
-use garnet::net::{ShardPool, ThreadedBus, TopicFilter};
+use garnet::net::{ShardPool, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -23,18 +26,17 @@ fn threaded_config(shards: usize) -> GarnetConfig {
     GarnetConfig { driver: DriverKind::Threaded, ingest_shards: shards, ..GarnetConfig::default() }
 }
 
-/// What flows over the bus to the middleware thread.
+/// What flows over the channel to the middleware thread.
 enum ToMiddleware {
     Frame { receiver: u32, rssi: f64, bytes: Vec<u8>, at_us: u64 },
     Shutdown,
 }
 
 #[test]
-fn middleware_runs_behind_the_threaded_bus() {
-    let bus: ThreadedBus<ToMiddleware> = ThreadedBus::new();
-    let inbox = bus.register("garnet", 1024).unwrap();
+fn middleware_runs_behind_a_sync_channel() {
+    let (tx, inbox) = mpsc::sync_channel::<ToMiddleware>(1024);
 
-    // The middleware thread: owns Garnet, drains its endpoint.
+    // The middleware thread: owns Garnet, drains its channel.
     let (consumer, delivered) = SharedCountConsumer::new("app");
     let handle = thread::spawn(move || {
         let mut garnet = Garnet::new(threaded_config(2));
@@ -53,7 +55,7 @@ fn middleware_runs_behind_the_threaded_bus() {
                 ToMiddleware::Shutdown => break,
             }
         }
-        garnet.shutdown(last).expect("no archive configured, shutdown cannot time out");
+        garnet.shutdown(last).expect("no archive configured, shutdown cannot fail");
         (frames, garnet.filtering().duplicate_count())
     });
 
@@ -62,7 +64,7 @@ fn middleware_runs_behind_the_threaded_bus() {
     let stream = StreamId::new(SensorId::new(7).unwrap(), StreamIndex::new(0));
     let feeders: Vec<_> = (0..2u32)
         .map(|rx| {
-            let bus = bus.clone();
+            let tx = tx.clone();
             thread::spawn(move || {
                 for seq in 0..500u16 {
                     let bytes = DataMessage::builder(stream)
@@ -71,16 +73,13 @@ fn middleware_runs_behind_the_threaded_bus() {
                         .build()
                         .unwrap()
                         .encode_to_vec();
-                    bus.send_blocking(
-                        "garnet",
-                        ToMiddleware::Frame {
-                            receiver: rx,
-                            rssi: -50.0,
-                            bytes,
-                            at_us: u64::from(seq) * 1_000,
-                        },
-                    )
-                    .expect("middleware endpoint lives for the run");
+                    tx.send(ToMiddleware::Frame {
+                        receiver: rx,
+                        rssi: -50.0,
+                        bytes,
+                        at_us: u64::from(seq) * 1_000,
+                    })
+                    .expect("middleware thread drains for the run");
                 }
             })
         })
@@ -91,7 +90,7 @@ fn middleware_runs_behind_the_threaded_bus() {
     }
     // Give the drain a moment, then stop.
     thread::sleep(Duration::from_millis(50));
-    bus.send("garnet", ToMiddleware::Shutdown).unwrap();
+    tx.send(ToMiddleware::Shutdown).unwrap();
     let (frames, duplicates) = handle.join().unwrap();
 
     assert_eq!(frames, 1_000, "both feeders' frames processed");
@@ -163,7 +162,7 @@ fn threaded_shutdown_joins_without_losing_in_flight_roots() {
     }
     let now = SimTime::from_micros(1_000);
     garnet.on_frames(frames, now);
-    garnet.shutdown(now).expect("no archive configured, shutdown cannot time out");
+    garnet.shutdown(now).expect("no archive configured, shutdown cannot fail");
 
     // Every offered frame made it through filtering and dispatch before
     // the pools retired: nothing in flight was dropped on the floor.
@@ -199,16 +198,4 @@ fn dropping_a_threaded_garnet_joins_its_pools() {
     }
     assert_eq!(delivered.load(Ordering::Relaxed), 50);
     drop(garnet);
-}
-
-#[test]
-fn bus_endpoints_are_isolated() {
-    let bus: ThreadedBus<u32> = ThreadedBus::new();
-    let a = bus.register("a", 8).unwrap();
-    let b = bus.register("b", 8).unwrap();
-    bus.send("a", 1).unwrap();
-    bus.send("b", 2).unwrap();
-    assert_eq!(a.try_recv().unwrap(), 1);
-    assert_eq!(b.try_recv().unwrap(), 2);
-    assert!(a.try_recv().is_err());
 }
