@@ -152,10 +152,13 @@ cargo build --release
 cargo test -q
 
 # The pooled ingest's scatter/gather is the one place thread timing can
-# matter: run the three suites that exercise it three times in a row.
-echo "==> scatter/gather verify: determinism, failure_injection, threaded_runtime x3"
+# matter — including when the caller-run shard 0 finishes relative to
+# the workers: run the suites that exercise it three times in a row.
+echo "==> scatter/gather verify: determinism, failure_injection, threaded_runtime, threaded_router, pool x3"
 for i in 1 2 3; do
-  cargo test -q --test determinism --test failure_injection --test threaded_runtime
+  cargo test -q --test determinism --test failure_injection --test threaded_runtime \
+    --test threaded_router
+  cargo test -q -p garnet-net --lib pool
 done
 
 # Tier-1 runs the root package only; the member crates' own unit and

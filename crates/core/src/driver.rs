@@ -5,11 +5,12 @@
 //! and pumps on its own thread. [`GarnetConfig::driver`] decides one
 //! thing, which thread does a piece of work and not what is computed:
 //! where that router's filtering shards execute — on the same thread
-//! ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or one per supervised
-//! worker ([`DriverKind::Threaded`], [`ShardedIngest::pooled`]). Queue,
-//! dispatch, control, archive tap, spans and trace are the same code on
-//! the facade's thread either way, so deliveries, metrics and trace
-//! dumps are identical for the same input schedule.
+//! ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or on a supervised
+//! pool that keeps shard 0 on the facade's thread and gives each further
+//! shard a worker ([`DriverKind::Threaded`], [`ShardedIngest::pooled`]).
+//! Queue, dispatch, control, archive tap, spans and trace are the same
+//! code on the facade's thread either way, so deliveries, metrics and
+//! trace dumps are identical for the same input schedule.
 //!
 //! [`RouterDriver`], [`FifoDriver`] and [`ThreadedDriver`] exist for
 //! `perfbench/src/layers.rs` alone, which may not be edited outside a
@@ -35,10 +36,14 @@ pub enum DriverKind {
     /// default.
     #[default]
     Fifo,
-    /// One filtering shard per supervised worker thread: a burst costs
-    /// one hand-off per non-empty shard, and the facade's thread waits
-    /// for the results before routing them, so every observable matches
-    /// [`DriverKind::Fifo`].
+    /// The filtering shards on a supervised pool: shard 0 on the
+    /// facade's thread, each further shard on a worker thread of its
+    /// own, so N ingest shards start N−1 workers and one starts none. A
+    /// burst costs one hand-off per non-empty worker shard; the facade's
+    /// thread filters shard 0's part meanwhile and waits for the rest
+    /// before routing, so every observable matches [`DriverKind::Fifo`].
+    /// A shard-0 panic unwinds on the facade's thread, so that is the
+    /// thread a panic hook names.
     Threaded,
 }
 

@@ -28,7 +28,8 @@
 //! outputs — and [`router::ShardedDispatch`] is Figure 1's one
 //! Dispatching Service beside the one stream catalogue.
 //! [`driver::DriverKind`] chooses which thread filters (the facade's, or
-//! one supervised worker per shard), and nothing else: everything
+//! a supervised pool that filters shard 0 on the facade's thread and
+//! each further shard on a worker), and nothing else: everything
 //! downstream of filtering, the archive tap included, is the one router
 //! on the facade's thread either way. The intake is unbounded: the one place a
 //! frame is shed, coalesced or held back is [`qos::QosScheduler`], at

@@ -94,10 +94,11 @@ pub struct QuiesceConfig {
 #[derive(Clone, Debug)]
 pub struct GarnetConfig {
     /// Where the filtering shards run. Both settings produce identical
-    /// deliveries, metrics and traces; [`DriverKind::Threaded`] runs each
-    /// ingest shard on its own worker thread, for wall-clock
-    /// parallelism. Everything else, archive appends included, runs on
-    /// the caller's thread under either kind.
+    /// deliveries, metrics and traces; [`DriverKind::Threaded`] runs
+    /// ingest shard 0 on the caller's thread and each further shard on
+    /// its own worker thread, for wall-clock parallelism. Everything
+    /// else, archive appends included, runs on the caller's thread under
+    /// either kind.
     pub driver: DriverKind,
     /// Filtering Service tuning.
     pub filter: FilterConfig,
@@ -284,7 +285,7 @@ pub struct StepOutput {
     /// Frame-admission accounting for this call (zero when the queue is
     /// unbounded or the call took no frames).
     pub overload: OverloadStats,
-    /// Filtering-worker failures surfaced during this step (always
+    /// Filtering-shard failures surfaced during this step (always
     /// empty under [`DriverKind::Fifo`], which has no threads to lose).
     pub shard_failures: Vec<ShardFailure>,
 }

@@ -20,11 +20,12 @@
 //! one shard, so per-stream sequence state never crosses shards) and
 //! merges flushes back into the stream-id order a single service would
 //! have produced. Those shards run either on the calling thread
-//! ([`ShardedIngest::new`]) or one per supervised worker thread
-//! ([`ShardedIngest::pooled`]); that choice is all a
-//! [`crate::DriverKind`] changes. Everything downstream of filtering —
-//! queue, dispatch, control, spans, trace — is this one router on the
-//! caller's thread.
+//! ([`ShardedIngest::new`]) or on a supervised pool
+//! ([`ShardedIngest::pooled`]) that keeps shard 0 on the calling thread
+//! and gives each further shard a worker, so N shards start N−1
+//! threads; that choice is all a [`crate::DriverKind`] changes.
+//! Everything downstream of filtering — queue, dispatch, control,
+//! spans, trace — is this one router on the caller's thread.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -74,7 +75,8 @@ struct ShardOut {
 }
 
 /// The filtering shards of a [`ShardedIngest::pooled`] stage: one
-/// [`FilteringService`] per supervised [`ShardPool`] worker.
+/// [`FilteringService`] per supervised [`ShardPool`] shard — shard 0 on
+/// the caller's thread, the rest on workers.
 #[derive(Debug)]
 struct IngestPool {
     /// `None` once [`IngestPool::join`] has retired the workers.
@@ -96,8 +98,9 @@ impl IngestPool {
         // under the default supervision budget instead of staying dead
         // for the facade's lifetime. The lost job still surfaces as a
         // `ShardFailure` — restarts are visible, never silent. One job
-        // per shard is in flight at a time, so the queue bound is never
-        // reached.
+        // per shard is in flight at a time, so a worker's queue bound is
+        // never reached; shard 0's job runs on this thread when `run`
+        // drains, after the workers' jobs are sent.
         let pool = ShardPool::with_supervision(
             shards,
             4,
@@ -128,11 +131,12 @@ impl IngestPool {
         }
     }
 
-    /// Submits `jobs` (at most one per shard), waits until every one is
-    /// accounted for — finished, or recorded as a [`ShardFailure`] — and
-    /// returns the finished ones in submission order. A job whose worker
-    /// panicked, or whose shard is still waiting out its restart
-    /// backoff, has no entry. After [`IngestPool::join`] nothing runs.
+    /// Submits `jobs` (at most one per shard), runs shard 0's on this
+    /// thread, waits until every one is accounted for — finished, or
+    /// recorded as a [`ShardFailure`] — and returns the finished ones in
+    /// submission order. A job whose stage panicked, or whose shard is
+    /// still waiting out its restart backoff, has no entry. After
+    /// [`IngestPool::join`] nothing runs.
     fn run(
         &mut self,
         jobs: impl Iterator<Item = (usize, ShardJob)>,
@@ -155,6 +159,10 @@ impl IngestPool {
         self.failures.extend(pool.take_failures());
         self.restarts = pool.restart_count();
         self.class_submits = pool.class_submits();
+        debug_assert!(
+            pool.local_backlog() == 0 && pool.merged_watermark() > last,
+            "a job submitted by this run is unaccounted for"
+        );
         outs
     }
 
@@ -196,8 +204,9 @@ enum Shards {
 /// the event sequence leaving this stage is bit-identical for any shard
 /// count — and for either place the shards run: inline
 /// ([`ShardedIngest::new`]) or on a worker pool
-/// ([`ShardedIngest::pooled`]), where a burst costs one hand-off per
-/// non-empty shard and the caller waits for all of them.
+/// ([`ShardedIngest::pooled`]), where the caller filters shard 0's part
+/// of a burst itself, hands each other non-empty shard's part to its
+/// worker, and waits for all of them.
 #[derive(Debug)]
 pub struct ShardedIngest {
     shards: Shards,
@@ -213,11 +222,15 @@ impl ShardedIngest {
     }
 
     /// Creates an ingest stage whose `shards` filtering shards (0 is
-    /// treated as 1) each run on a supervised worker thread. Results are
-    /// those of [`ShardedIngest::new`] with the same arguments, except
-    /// that a worker panic loses the job it was running — empty results,
-    /// plus a [`ShardFailure`] from [`ShardedIngest::take_failures`] —
-    /// and the shard restarts with fresh state.
+    /// treated as 1) run on a supervised [`ShardPool`]: shard 0 on the
+    /// calling thread, each further shard on a worker thread of its own,
+    /// so N shards start N−1 threads and one shard starts none. Results
+    /// are those of [`ShardedIngest::new`] with the same arguments,
+    /// except that a shard panic loses the job it was running — empty
+    /// results, plus a [`ShardFailure`] from
+    /// [`ShardedIngest::take_failures`] — and the shard restarts with
+    /// fresh state. A shard-0 panic unwinds on the calling thread, so
+    /// that is the thread a panic hook names.
     pub fn pooled(config: FilterConfig, shards: usize) -> Self {
         ShardedIngest { shards: Shards::Pooled(IngestPool::new(config, shards.max(1))) }
     }
@@ -249,13 +262,20 @@ impl ShardedIngest {
     /// are pinned to shards, routing each shard its own arrival-ordered
     /// sub-batch observes exactly the per-frame state evolution. Each shard validates its sub-batch's headers in one
     /// prepass ([`FilteringService::on_batch`]). Pooled shards work on
-    /// their sub-batches concurrently; a sub-batch lost to a worker
-    /// panic comes back as empty results.
+    /// their sub-batches concurrently, shard 0's on the calling thread;
+    /// a sub-batch lost to a shard panic comes back as empty results.
     pub fn on_batch(&mut self, frames: &[FrameArrival]) -> Vec<FilterResult> {
-        if let Shards::Inline(shards) = &mut self.shards {
-            if shards.len() == 1 {
-                return shards[0].on_batch(frames);
+        match &mut self.shards {
+            Shards::Inline(shards) if shards.len() == 1 => return shards[0].on_batch(frames),
+            // One shard takes the burst whole: nothing to split or scatter.
+            Shards::Pooled(pool) if pool.stats.len() == 1 => {
+                let job = ShardJob::Frames(frames.to_vec());
+                return match pool.run(std::iter::once((0, job)), EdgeClass::Data).pop() {
+                    Some(done) => done.results,
+                    None => frames.iter().map(|_| FilterResult::default()).collect(),
+                };
             }
+            _ => {}
         }
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count()];
         for (i, f) in frames.iter().enumerate() {

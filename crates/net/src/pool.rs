@@ -1,7 +1,8 @@
 //! The supervised shard pool the middleware's filtering shards run on
-//! under `DriverKind::Threaded`: one worker thread per shard, fed over
-//! bounded `std::sync::mpsc` channels, with a submission-order merge so
-//! the output never depends on thread scheduling. Experiments run on the
+//! under `DriverKind::Threaded`: shard 0 on the thread that collects the
+//! results, one worker thread per further shard fed over bounded
+//! `std::sync::mpsc` channels, and a submission-order merge so the
+//! output never depends on thread scheduling. Experiments run on the
 //! deterministic `garnet-simkit` event queue instead.
 
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -128,14 +129,14 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One shard's stage function: owns the shard's state, runs on the
-/// shard's worker thread.
+/// One shard's stage function: owns the shard's state. Shard 0's runs on
+/// the thread that collects the pool's results, every other shard's on
+/// that shard's worker thread.
 pub type Stage<I, O> = Box<dyn FnMut(I) -> O + Send>;
 type StageFactory<I, O> = Box<dyn FnMut(usize) -> Stage<I, O>>;
-/// One result hand-off from a shard worker: every job of one
-/// [`JobBatch`] the worker finished, in batch order. Mirroring the job
-/// channel's batching on the way back keeps the result channel's
-/// send/recv cost per *batch*, not per job.
+/// One shard's finished jobs of one [`JobBatch`], in batch order. A
+/// worker sends one per batch, mirroring the job channel's batching so
+/// the result channel's send/recv cost is per *batch*, not per job.
 type ShardResult<O> = (usize, Vec<(u64, Result<O, String>)>);
 /// One channel hand-off to a shard worker: a burst of sequenced jobs.
 /// Single submissions ride as one-element batches, so the bounded job
@@ -143,17 +144,47 @@ type ShardResult<O> = (usize, Vec<(u64, Result<O, String>)>);
 /// rendezvous over the burst.
 type JobBatch<I> = Vec<(u64, I)>;
 
-/// A fixed pool of shard workers with a deterministic output merge and
-/// worker-failure supervision.
+/// Runs sequenced jobs through `stage` in order. A panic is caught: the
+/// panicked job's entry carries the payload and ends the results, since
+/// the stage's state may be half-mutated — the shard is poisoned rather
+/// than corrupt, and the jobs behind it strand.
+fn run_jobs<I, O>(
+    stage: &mut Stage<I, O>,
+    jobs: impl IntoIterator<Item = (u64, I)>,
+) -> Vec<(u64, Result<O, String>)> {
+    let jobs = jobs.into_iter();
+    let mut results = Vec::with_capacity(jobs.size_hint().0);
+    for (seq, job) in jobs {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stage(job))) {
+            Ok(o) => results.push((seq, Ok(o))),
+            Err(payload) => {
+                results.push((seq, Err(panic_reason(payload.as_ref()))));
+                break;
+            }
+        }
+    }
+    results
+}
+
+/// A fixed pool of shards with a deterministic output merge and
+/// stage-failure supervision.
 ///
-/// Each shard runs one stateful stage function on its own thread; jobs
-/// are tagged with a global submission sequence number and the pool
-/// reassembles outputs in exactly that order, so the result stream is
-/// **bit-identical regardless of thread scheduling**. This is the
-/// threaded driver of the middleware's sharded ingest stage: the caller
-/// partitions work (e.g. by sensor id) and the pool guarantees that
-/// whatever interleaving the OS produces, downstream observers see the
+/// Each shard runs one stateful stage function; jobs are tagged with a
+/// global submission sequence number and the pool reassembles outputs
+/// in exactly that order, so the result stream is **bit-identical
+/// regardless of thread scheduling**. This is the threaded driver of
+/// the middleware's sharded ingest stage: the caller partitions work
+/// (e.g. by sensor id) and the pool guarantees that whatever
+/// interleaving the OS produces, downstream observers see the
 /// submission order.
+///
+/// The join is caller-runs: shards `1..N` each run on a worker thread,
+/// while shard 0's jobs queue in the pool and run on the thread that
+/// next calls [`ShardPool::drain`], [`ShardPool::take_failures`],
+/// [`ShardPool::poisoned_shards`] or [`ShardPool::finish`] — after the
+/// round's worker jobs have been sent, so the caller works beside the
+/// N−1 workers instead of waiting on them. N shards start N−1 threads,
+/// and a one-shard pool crosses no thread and no channel.
 ///
 /// A panicking stage does not wedge the pool: the panic is caught, the
 /// shard is marked **poisoned** (its state may be corrupt), and the
@@ -161,7 +192,9 @@ type JobBatch<I> = Vec<(u64, I)>;
 /// surfaced as a typed [`ShardFailure`] via [`ShardPool::take_failures`]
 /// while the merge skips the lost sequence numbers instead of waiting
 /// forever. Other shards keep delivering; a poisoned shard can be
-/// rebuilt with fresh state via [`ShardPool::restart_shard`].
+/// rebuilt with fresh state via [`ShardPool::restart_shard`]. Shard 0
+/// is supervised the same way, but its panic unwinds on the caller's
+/// thread, so that is the thread a panic hook names.
 ///
 /// Result channels are unbounded so a worker can never block on a slow
 /// collector while the submitter blocks on a full job queue (the classic
@@ -190,9 +223,15 @@ type JobBatch<I> = Vec<(u64, I)>;
 /// assert_eq!(out[4], 42, "job 4 was shard 0's second job");
 /// ```
 pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
+    /// Shard 0's stage, run by the caller.
+    local: Stage<I, O>,
+    /// Shard 0's jobs, in submission order, until the caller runs them.
+    local_queue: std::collections::VecDeque<(u64, I)>,
+    /// Job queues of shards `1..`, indexed by shard − 1.
     jobs: Vec<SyncSender<JobBatch<I>>>,
     results: Receiver<ShardResult<O>>,
     result_tx: Sender<ShardResult<O>>,
+    /// Worker threads of shards `1..`, indexed by shard − 1.
     workers: Vec<Option<std::thread::JoinHandle<()>>>,
     factory: StageFactory<I, O>,
     capacity: usize,
@@ -217,13 +256,15 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
 }
 
 impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
-    /// Spawns `shards` workers (at least one). `factory` is called once
-    /// per shard to build that shard's stage function, which owns any
-    /// per-shard state; the factory is retained so
-    /// [`ShardPool::restart_shard`] can rebuild a poisoned shard with
-    /// fresh state. `capacity` bounds each shard's job queue;
-    /// [`ShardPool::submit`] blocks when the target shard is that far
-    /// behind.
+    /// Builds `shards` shards (at least one) and spawns a worker for
+    /// each but shard 0, which runs on the caller. `factory` is called
+    /// once per shard, in shard order, to build that shard's stage
+    /// function, which owns any per-shard state; the factory is
+    /// retained so [`ShardPool::restart_shard`] can rebuild a poisoned
+    /// shard with fresh state. `capacity` bounds each worker's job
+    /// queue; [`ShardPool::submit`] blocks when the target worker is
+    /// that far behind. Shard 0's queue holds what was submitted since
+    /// the caller last collected.
     pub fn new<F>(shards: usize, capacity: usize, factory: F) -> Self
     where
         F: FnMut(usize) -> Stage<I, O> + 'static,
@@ -250,14 +291,17 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
         let (result_tx, results) = mpsc::channel::<ShardResult<O>>();
-        let mut jobs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        let local = factory(0);
+        let mut jobs = Vec::with_capacity(shards - 1);
+        let mut workers = Vec::with_capacity(shards - 1);
+        for shard in 1..shards {
             let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(capacity);
             jobs.push(tx);
             workers.push(Some(Self::spawn_worker(shard, rx, result_tx.clone(), factory(shard))));
         }
         ShardPool {
+            local,
+            local_queue: std::collections::VecDeque::new(),
             jobs,
             results,
             result_tx,
@@ -336,25 +380,8 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             .name(format!("garnet-shard-{shard}"))
             .spawn(move || {
                 while let Ok(batch) = rx.recv() {
-                    let mut results: Vec<(u64, Result<O, String>)> =
-                        Vec::with_capacity(batch.len());
-                    let mut poisoned = false;
-                    for (seq, job) in batch {
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stage(job)))
-                        {
-                            Ok(o) => results.push((seq, Ok(o))),
-                            Err(payload) => {
-                                // The stage's state may be half-mutated:
-                                // report the loss and exit so the shard
-                                // is poisoned rather than corrupt (jobs
-                                // later in this batch strand with the
-                                // queued ones).
-                                results.push((seq, Err(panic_reason(payload.as_ref()))));
-                                poisoned = true;
-                                break;
-                            }
-                        }
-                    }
+                    let results = run_jobs(&mut stage, batch);
+                    let poisoned = matches!(results.last(), Some((_, Err(_))));
                     if out.send((shard, results)).is_err() || poisoned {
                         return; // collector gone, or this shard just died
                     }
@@ -363,13 +390,20 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             .expect("spawn shard worker")
     }
 
-    /// Number of shard workers.
+    /// Number of shards: shard 0 on the caller plus one worker thread
+    /// per further shard.
     pub fn shard_count(&self) -> usize {
-        self.jobs.len()
+        self.poisoned.len()
+    }
+
+    /// Shard 0's jobs that have been submitted and not yet run: the
+    /// next call that collects results runs them.
+    pub fn local_backlog(&self) -> usize {
+        self.local_queue.len()
     }
 
     /// Submits a job to `shard` (modulo the shard count), blocking while
-    /// that shard's queue is full. Jobs submitted to the same shard are
+    /// that worker's queue is full. Jobs submitted to the same shard are
     /// processed in submission order. A job submitted to a dead shard is
     /// not silently lost: it is recorded as a [`ShardFailure`] and the
     /// merge skips its slot. Returns the job's sequence number.
@@ -380,26 +414,15 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// [`ShardPool::submit`] carrying an explicit [`EdgeClass`] tag,
     /// counted in [`ShardPool::class_submits`].
     pub fn submit_tagged(&mut self, shard: usize, job: I, class: EdgeClass) -> u64 {
-        self.class_submits[class.index()] += 1;
-        self.absorb_ready();
-        self.supervise();
-        let idx = shard % self.jobs.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.jobs[idx].send(vec![(seq, job)]).is_ok() {
-            self.in_flight[idx].push(seq);
-        } else {
-            self.note_lost(idx, seq, "submitted to a poisoned shard".to_owned());
-        }
-        seq
+        self.submit_batch_tagged(shard, vec![job], class).start
     }
 
-    /// Submits a burst of jobs to `shard` as **one** channel hand-off,
-    /// blocking while the shard's queue is full. The jobs take
-    /// consecutive sequence numbers in order (the returned range), so
-    /// the submission-order merge treats them exactly as if each had
-    /// been [`ShardPool::submit`]ted individually — the batch only
-    /// amortises the per-job rendezvous with the worker.
+    /// Submits a burst of jobs to `shard` as **one** hand-off, blocking
+    /// while the worker's queue is full. The jobs take consecutive
+    /// sequence numbers in order (the returned range), so the
+    /// submission-order merge treats them exactly as if each had been
+    /// [`ShardPool::submit`]ted individually — the batch only amortises
+    /// the per-job rendezvous with the worker.
     pub fn submit_batch(&mut self, shard: usize, jobs: Vec<I>) -> std::ops::Range<u64> {
         self.submit_batch_tagged(shard, jobs, EdgeClass::Data)
     }
@@ -415,21 +438,29 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         self.class_submits[class.index()] += jobs.len() as u64;
         self.absorb_ready();
         self.supervise();
-        let idx = shard % self.jobs.len();
+        let idx = shard % self.shard_count();
         let first = self.next_seq;
         if jobs.is_empty() {
             return first..first;
         }
         self.next_seq += jobs.len() as u64;
-        let batch: JobBatch<I> = (first..self.next_seq).zip(jobs).collect();
-        if self.jobs[idx].send(batch).is_ok() {
-            self.in_flight[idx].extend(first..self.next_seq);
+        let seqs = first..self.next_seq;
+        let sent = if idx > 0 {
+            self.jobs[idx - 1].send(seqs.clone().zip(jobs).collect()).is_ok()
+        } else if self.poisoned[0] {
+            false // refused, as an exited worker's closed channel refuses
         } else {
-            for seq in first..self.next_seq {
+            self.local_queue.extend(seqs.clone().zip(jobs));
+            true
+        };
+        if sent {
+            self.in_flight[idx].extend(seqs.clone());
+        } else {
+            for seq in seqs.clone() {
                 self.note_lost(idx, seq, "submitted to a poisoned shard".to_owned());
             }
         }
-        first..self.next_seq
+        seqs
     }
 
     fn note_lost(&mut self, shard: usize, seq: u64, reason: String) {
@@ -441,36 +472,53 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         self.failures.push(ShardFailure { shard, seq, reason });
     }
 
-    fn absorb_ready(&mut self) {
-        while let Ok((shard, results)) = self.results.try_recv() {
-            for (seq, res) in results {
-                if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
-                    self.in_flight[shard].remove(pos);
+    /// Books one shard's finished jobs: outputs go to the merge; a
+    /// panic's payload, and every job still in flight behind it on that
+    /// shard, become [`ShardFailure`]s.
+    fn absorb(&mut self, shard: usize, results: Vec<(u64, Result<O, String>)>) {
+        for (seq, res) in results {
+            if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
+                self.in_flight[shard].remove(pos);
+            }
+            match res {
+                Ok(o) => {
+                    self.collected.insert(seq, o);
                 }
-                match res {
-                    Ok(o) => {
-                        self.collected.insert(seq, o);
-                    }
-                    Err(reason) => {
-                        // The worker exited after this panic, taking
-                        // every job still queued behind it on this
-                        // shard.
-                        let stranded = std::mem::take(&mut self.in_flight[shard]);
-                        self.note_lost(shard, seq, reason);
-                        for s in stranded {
-                            self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
-                        }
+                Err(reason) => {
+                    // The stage stopped after this panic, taking every
+                    // job still queued behind it on this shard.
+                    let stranded = std::mem::take(&mut self.in_flight[shard]);
+                    self.note_lost(shard, seq, reason);
+                    for s in stranded {
+                        self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
                     }
                 }
             }
         }
     }
 
+    fn absorb_ready(&mut self) {
+        while let Ok((shard, results)) = self.results.try_recv() {
+            self.absorb(shard, results);
+        }
+    }
+
+    /// Runs shard 0's queued jobs on the calling thread. A panic drops
+    /// the rest of the queue, which [`ShardPool::absorb`] strands.
+    fn run_local(&mut self) {
+        if !self.local_queue.is_empty() {
+            let results = run_jobs(&mut self.local, self.local_queue.drain(..));
+            self.absorb(0, results);
+        }
+    }
+
     /// Returns the outputs that are ready *and* form a gap-free prefix of
     /// the submission order (sequence numbers lost to a shard failure
-    /// are skipped, not waited on). Outputs held back here are released
-    /// by a later `drain` or by [`ShardPool::finish`].
+    /// are skipped, not waited on). Runs shard 0's queued jobs first.
+    /// Outputs held back here are released by a later `drain` or by
+    /// [`ShardPool::finish`].
     pub fn drain(&mut self) -> Vec<O> {
+        self.run_local();
         self.absorb_ready();
         self.supervise();
         let mut out = Vec::new();
@@ -495,30 +543,41 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
 
     /// Takes the failures recorded so far (panicked jobs, jobs stranded
     /// behind a panic, jobs submitted to a dead shard), oldest first.
+    /// Runs shard 0's queued jobs first.
     pub fn take_failures(&mut self) -> Vec<ShardFailure> {
+        self.run_local();
         self.absorb_ready();
         std::mem::take(&mut self.failures)
     }
 
-    /// Shards whose worker has died and not been restarted.
+    /// Shards whose stage has died and not been restarted. Runs shard
+    /// 0's queued jobs first.
     pub fn poisoned_shards(&mut self) -> Vec<usize> {
+        self.run_local();
         self.absorb_ready();
         (0..self.poisoned.len()).filter(|&s| self.poisoned[s]).collect()
     }
 
-    /// Tears down `shard`'s worker (dead or alive) and rebuilds it with
-    /// fresh state from the retained factory. Jobs still unaccounted
-    /// for on that shard are recorded as [`ShardFailure`]s — a restart
-    /// never silently loses work it can't finish.
+    /// Tears down `shard`'s stage (dead or alive) and rebuilds it with
+    /// fresh state from the retained factory. A live stage first runs
+    /// the jobs queued for it; jobs still unaccounted for on that shard
+    /// are recorded as [`ShardFailure`]s — a restart never silently
+    /// loses work it can't finish.
     pub fn restart_shard(&mut self, shard: usize) {
-        let idx = shard % self.jobs.len();
-        let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(self.capacity);
-        // Dropping the old sender makes a live worker drain its queue
-        // and exit; a panicked worker is already gone.
-        drop(std::mem::replace(&mut self.jobs[idx], tx));
-        if let Some(w) = self.workers[idx].take() {
-            let _ = w.join();
-        }
+        let idx = shard % self.shard_count();
+        let rx = if idx == 0 {
+            self.run_local();
+            None
+        } else {
+            let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(self.capacity);
+            // Dropping the old sender makes a live worker drain its
+            // queue and exit; a panicked worker is already gone.
+            drop(std::mem::replace(&mut self.jobs[idx - 1], tx));
+            if let Some(w) = self.workers[idx - 1].take() {
+                let _ = w.join();
+            }
+            Some(rx)
+        };
         self.absorb_ready();
         for seq in std::mem::take(&mut self.in_flight[idx]) {
             self.failed_seqs.insert(seq);
@@ -528,18 +587,25 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
                 reason: "dropped during shard restart".to_owned(),
             });
         }
-        self.workers[idx] =
-            Some(Self::spawn_worker(idx, rx, self.result_tx.clone(), (self.factory)(idx)));
+        let stage = (self.factory)(idx);
+        match rx {
+            None => self.local = stage,
+            Some(rx) => {
+                self.workers[idx - 1] =
+                    Some(Self::spawn_worker(idx, rx, self.result_tx.clone(), stage));
+            }
+        }
         self.poisoned[idx] = false;
         self.poisoned_at[idx] = None;
     }
 
-    /// Closes the job queues, waits for every worker to finish, and
-    /// returns all remaining outputs in submission order together with
-    /// every recorded [`ShardFailure`] — a panicked shard neither hangs
-    /// the join nor goes unaccounted.
+    /// Closes the job queues, runs shard 0's queued jobs, waits for
+    /// every worker to finish, and returns all remaining outputs in
+    /// submission order together with every recorded [`ShardFailure`] —
+    /// a panicked shard neither hangs the join nor goes unaccounted.
     pub fn finish(mut self) -> (Vec<O>, Vec<ShardFailure>) {
         self.jobs.clear(); // drop senders: workers drain and exit
+        self.run_local();
         for w in self.workers.drain(..).flatten() {
             let _ = w.join();
         }
@@ -563,7 +629,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
 impl<I: Send + 'static, O: Send + 'static> fmt::Debug for ShardPool<I, O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardPool")
-            .field("shards", &self.jobs.len())
+            .field("shards", &self.shard_count())
             .field("submitted", &self.next_seq)
             .finish()
     }
@@ -886,5 +952,123 @@ mod tests {
         assert_eq!(cfg.restart_delay(3), ms(45), "capped");
         assert_eq!(cfg.restart_delay(63), ms(45), "huge exponents stay capped");
         assert_eq!(SupervisionConfig::immediate(3, ms(1000)).restart_delay(5), ms(0));
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_draining_thread_and_the_rest_on_workers() {
+        // Each stage reports the thread it ran on: shard 0 the caller,
+        // shards 1 and 2 their own named workers — three shards, two
+        // threads started.
+        let mut pool: ShardPool<(), (Option<String>, thread::ThreadId)> =
+            ShardPool::new(3, 4, |_| {
+                Box::new(|()| (thread::current().name().map(str::to_owned), thread::current().id()))
+            });
+        for round in 0..4 {
+            for shard in [2, 1, 0] {
+                pool.submit(shard, ());
+            }
+            assert_eq!(pool.local_backlog(), 1, "round {round}: shard 0 waits for the caller");
+            let mut got = Vec::new();
+            while got.len() < 3 {
+                got.extend(pool.drain());
+            }
+            assert_eq!(pool.local_backlog(), 0);
+            let caller = thread::current().id();
+            assert_eq!(got[2].1, caller, "shard 0 ran on the thread that drained");
+            assert_eq!(got[0].0.as_deref(), Some("garnet-shard-2"));
+            assert_eq!(got[1].0.as_deref(), Some("garnet-shard-1"));
+            assert!(got[0].1 != caller && got[1].1 != caller && got[0].1 != got[1].1);
+        }
+        assert!(pool.finish().1.is_empty());
+    }
+
+    #[test]
+    fn shard_zero_panic_is_caught_on_the_caller_and_supervised() {
+        let panicked_on = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let cfg = SupervisionConfig {
+            max_restarts: 1,
+            window: std::time::Duration::from_secs(3600),
+            base_backoff: std::time::Duration::from_millis(500),
+            backoff_cap: std::time::Duration::from_secs(5),
+        };
+        quiet_panics(|| {
+            let seen = std::sync::Arc::clone(&panicked_on);
+            let mut pool: ShardPool<u32, u32> =
+                ShardPool::with_supervision(2, 8, Some(cfg), move |_| {
+                    let seen = std::sync::Arc::clone(&seen);
+                    let mut count = 0u32;
+                    Box::new(move |x| {
+                        if x == 99 {
+                            *seen.lock().unwrap() = Some(thread::current().id());
+                            panic!("boom");
+                        }
+                        count += 1;
+                        count * 100 + x
+                    })
+                });
+            pool.submit(0, 1);
+            pool.submit(1, 5);
+            pool.submit(0, 99);
+            pool.submit(0, 2); // stranded behind the panic
+            let mut got = Vec::new();
+            while pool.merged_watermark() < 4 {
+                got.extend(pool.drain()); // the panic unwinds in here
+            }
+            assert_eq!(*panicked_on.lock().unwrap(), Some(thread::current().id()));
+            assert_eq!(got, vec![101, 105], "the worker shard kept delivering");
+            assert_eq!(pool.poisoned_shards(), vec![0]);
+            // Inside the backoff the shard refuses work, loudly.
+            assert_eq!(pool.submit(0, 3), 4);
+            let reasons: Vec<(usize, u64, String)> =
+                pool.take_failures().into_iter().map(|f| (f.shard, f.seq, f.reason)).collect();
+            assert_eq!(
+                reasons,
+                vec![
+                    (0, 2, "boom".to_owned()),
+                    (0, 3, "stranded behind a shard panic".to_owned()),
+                    (0, 4, "submitted to a poisoned shard".to_owned()),
+                ]
+            );
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while pool.restart_count() == 0 {
+                got.extend(pool.drain());
+                thread::sleep(std::time::Duration::from_millis(5));
+                assert!(std::time::Instant::now() < deadline, "shard 0 never restarted");
+            }
+            assert!(pool.poisoned_shards().is_empty());
+            pool.submit(0, 4);
+            pool.submit(1, 6);
+            let (rest, failures) = pool.finish();
+            // The rebuilt stage counts from zero; shard 1's did not restart.
+            assert_eq!(rest, vec![104, 206]);
+            assert!(failures.is_empty());
+        });
+    }
+
+    #[test]
+    fn caller_run_shard_merges_in_submission_order_beside_sleepy_workers() {
+        // Workers sleep in proportion to their index and shard 0 not at
+        // all, so the caller's outputs are ready first and must wait in
+        // the merge behind earlier worker jobs.
+        let mut pool: ShardPool<u32, u32> = ShardPool::new(3, 8, |shard| {
+            Box::new(move |x| {
+                thread::sleep(std::time::Duration::from_micros(shard as u64 * 300));
+                x
+            })
+        });
+        let mut got = Vec::new();
+        let mut next = 0u32;
+        for round in 0..6 {
+            for shard in [2usize, 0, 1, 0] {
+                let burst: Vec<u32> = (next..next + 1 + round % 3).collect();
+                next += burst.len() as u32;
+                pool.submit_batch(shard, burst);
+            }
+            got.extend(pool.drain());
+        }
+        let (rest, failures) = pool.finish();
+        got.extend(rest);
+        assert_eq!(got, (0..next).collect::<Vec<u32>>());
+        assert!(failures.is_empty());
     }
 }

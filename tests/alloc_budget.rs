@@ -27,7 +27,7 @@ thread_local! {
     /// Allocator calls made by this thread. Per thread, so tests running
     /// beside this one are not counted; `DriverKind::Fifo` does all its
     /// work on the calling thread, `DriverKind::Threaded` everything
-    /// except filtering.
+    /// except filtering ingest shards 1 and up.
     static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -168,10 +168,10 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
 
 #[test]
 fn pooled_filtering_costs_the_facade_thread_less_than_half_a_call_per_frame() {
-    // With the filtering shard on a worker the calling thread still
-    // queues, dispatches and delivers every frame; the hand-off adds a
-    // few allocations per burst of 64 (the job, the channel slots, the
-    // merge), none per frame.
+    // The calling thread queues, dispatches and delivers every frame,
+    // and runs the one filtering shard itself; the pool adds a few
+    // allocations per burst of 64 (the job, its results, the merge),
+    // none per frame.
     let per_frame =
         allocs_per_frame(GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() });
     assert!(per_frame < 0.5, "{per_frame:.3} allocator calls per frame on the facade thread");
