@@ -25,10 +25,12 @@ fi
 # match, the histogram that could only read 0, the incremental twin of
 # the CRC-16 loop, the router's per-frame queue hop, the uncalled
 # length-delimited stream codec, the archive writer thread with its
-# queue and timeout knobs, and the named-endpoint bus must not come back
+# queue and timeout knobs, the named-endpoint bus, and the pooled ingest
+# stage with its sensor-id partition, per-shard gauge and the pool's
+# supervision, class tags and fault hook must not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi
@@ -92,11 +94,17 @@ if [ "$(grep -rn 'unsafe' crates/*/src | cut -d: -f1)" != crates/wire/src/messag
   exit 1
 fi
 
-# `dispatch_shards` is inert (kept for the benchmark's config literal):
-# nothing of ours may set it.
-echo "==> dispatch_shards is set nowhere in tests, examples"
-if grep -rn 'dispatch_shards' tests examples; then
-  echo "a test or example names the inert dispatch_shards knob" >&2
+# `dispatch_shards`, `ingest_shards` and `DriverKind::Threaded` are inert
+# (kept for the benchmark's config literals): nothing of ours may set them.
+echo "==> dispatch_shards, ingest_shards, DriverKind::Threaded are set nowhere in tests, examples"
+if grep -rnE 'dispatch_shards|ingest_shards|DriverKind::Threaded' tests examples; then
+  echo "a test or example names an inert knob" >&2
+  exit 1
+fi
+# The middleware runs on its caller's thread: garnet-core starts no pool
+# and no thread.
+if grep -rnE 'ShardPool|thread::spawn|thread::Builder' crates/core/src; then
+  echo "garnet-core names ShardPool or starts a thread again" >&2
   exit 1
 fi
 
@@ -151,13 +159,11 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-# The pooled ingest's scatter/gather is the one place thread timing can
-# matter — including when the caller-run shard 0 finishes relative to
-# the workers: run the suites that exercise it three times in a row.
-echo "==> scatter/gather verify: determinism, failure_injection, threaded_runtime, threaded_router, pool x3"
+# garnet-net's shard pool is the last code whose result can depend on
+# thread timing — including when the caller-run shard 0 finishes
+# relative to the workers: run its tests three times in a row.
+echo "==> scatter/gather verify: pool x3"
 for i in 1 2 3; do
-  cargo test -q --test determinism --test failure_injection --test threaded_runtime \
-    --test threaded_router
   cargo test -q -p garnet-net --lib pool
 done
 

@@ -5,18 +5,15 @@
 //! dispatch state by replaying the log into a fresh [`crate::Garnet`]
 //! (see `Garnet::replay_archive`).
 //!
-//! The tap sits at the facade boundary, *before* admission: there is
-//! one `Router`, and a [`crate::DriverKind`] or shard layout only changes
-//! where its filtering shards run, so a boundary log replays identically
-//! under either kind, any shard layout, batched or per-frame.
+//! The tap sits at the facade boundary, *before* admission, so a
+//! boundary log replays identically batched or per-frame.
 //!
 //! The tap commits once per facade call: the call's records — a whole
 //! `on_frames` burst, or the single record of a tick or an ack — are
 //! encoded into one reused buffer and handed to the sink together, one
 //! store write per segment touched.
 //!
-//! The log is written inline, on the caller's thread, under either
-//! driver kind. A store that fails never stalls delivery: the records it
+//! The log is written inline, on the caller's thread. A store that fails never stalls delivery: the records it
 //! refuses are counted, not retried, and the [`ArchiveLedger`] accounts
 //! for every offered record as `archived | dropped`. A store that blocks
 //! blocks the caller. `Garnet::shutdown` syncs the log and hands a

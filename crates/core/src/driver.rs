@@ -1,23 +1,12 @@
-//! Where the filtering shards run, the two stage-counter snapshots, and
-//! the benchmark's shim over the [`Router`].
+//! The two stage-counter snapshots, and the benchmark's shim over the
+//! [`Router`].
 //!
 //! There is one engine: the FIFO [`Router`], which [`crate::Garnet`] owns
-//! and pumps on its own thread. [`GarnetConfig::driver`] decides one
-//! thing, which thread does a piece of work and not what is computed:
-//! where that router's filtering shards execute — on the same thread
-//! ([`DriverKind::Fifo`], [`ShardedIngest::new`]) or on a supervised
-//! pool that keeps shard 0 on the facade's thread and gives each further
-//! shard a worker ([`DriverKind::Threaded`], [`ShardedIngest::pooled`]).
-//! Queue, dispatch, control, archive tap, spans and trace are the same
-//! code on the facade's thread either way, so deliveries, metrics and
-//! trace dumps are identical for the same input schedule.
-//!
+//! and pumps on the caller's thread, filtering included. [`DriverKind`],
 //! [`RouterDriver`], [`FifoDriver`] and [`ThreadedDriver`] exist for
-//! `perfbench/src/layers.rs` alone, which may not be edited outside a
-//! `benchmark` PR; they go with the next one (CHANGELOG, "To delete with
-//! the next `benchmark` PR").
-//!
-//! [`GarnetConfig::driver`]: crate::GarnetConfig::driver
+//! `perfbench/` alone, which may not be edited outside a `benchmark` PR;
+//! they go with the next one (CHANGELOG, "To delete with the next
+//! `benchmark` PR").
 
 use garnet_net::{SubscriberId, TopicFilter};
 use garnet_simkit::{Histogram, SimTime};
@@ -28,28 +17,19 @@ use crate::router::{
 };
 use crate::service::{BatchedFrame, ServiceEvent, ServiceOutput};
 
-/// Where the filtering shards run — the only work that can leave the
-/// facade's thread.
+/// Accepted for the benchmark's call sites; has no effect: both kinds
+/// run the one [`Router`], filtering included, on the caller's thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DriverKind {
-    /// On the facade's thread, like the rest of the [`Router`]. The
-    /// default.
+    /// The default.
     #[default]
     Fifo,
-    /// The filtering shards on a supervised pool: shard 0 on the
-    /// facade's thread, each further shard on a worker thread of its
-    /// own, so N ingest shards start N−1 workers and one starts none. A
-    /// burst costs one hand-off per non-empty worker shard; the facade's
-    /// thread filters shard 0's part meanwhile and waits for the rest
-    /// before routing, so every observable matches [`DriverKind::Fifo`].
-    /// A shard-0 panic unwinds on the facade's thread, so that is the
-    /// thread a panic hook names.
+    /// Identical to [`DriverKind::Fifo`].
     Threaded,
 }
 
 /// Ingest-stage counters, snapshotted by value
-/// ([`ShardedIngest::stats`]): they are summed over the shards on
-/// demand, so there is no single struct to borrow.
+/// ([`ShardedIngest::stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FilterStats {
     pub(crate) delivered: u64,
@@ -62,7 +42,7 @@ pub struct FilterStats {
 }
 
 impl FilterStats {
-    /// Snapshot of one filtering shard's counters.
+    /// Snapshot of a filtering service's counters.
     pub(crate) fn of(filter: &FilteringService) -> Self {
         FilterStats {
             delivered: filter.delivered_count(),
@@ -73,19 +53,6 @@ impl FilterStats {
             restarts: filter.restart_count(),
             streams: filter.stream_count(),
         }
-    }
-
-    /// Sums two shard snapshots (streams are partitioned across
-    /// shards, so the sums are exact).
-    pub(crate) fn absorb(mut self, other: FilterStats) -> Self {
-        self.delivered += other.delivered;
-        self.duplicates += other.duplicates;
-        self.crc_failures += other.crc_failures;
-        self.reordered += other.reordered;
-        self.gaps += other.gaps;
-        self.restarts += other.restarts;
-        self.streams += other.streams;
-        self
     }
 
     /// Messages released downstream.
@@ -207,8 +174,8 @@ pub trait RouterDriver: std::fmt::Debug {
     /// default).
     fn set_telemetry_recording(&mut self, enabled: bool);
 
-    /// [`Router::shutdown`]: drains in-flight work and joins any worker
-    /// pool, returning the outputs released on the way out.
+    /// [`Router::shutdown`]: drains in-flight work, returning the
+    /// outputs released on the way out.
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput>;
 }
 
@@ -274,32 +241,31 @@ impl RouterDriver for FifoDriver {
     }
 }
 
-/// The benchmark's constructor for [`DriverKind::Threaded`]: builds the
-/// [`Services`] with a pooled ingest stage and returns the one driver
-/// type over them.
+/// The benchmark's constructor for [`DriverKind::Threaded`], which
+/// builds the same [`FifoDriver`] as [`DriverKind::Fifo`].
 #[derive(Debug)]
 pub struct ThreadedDriver;
 
 impl ThreadedDriver {
-    /// A [`FifoDriver`] whose `ingest_shards` filtering shards run on
-    /// worker threads ([`ShardedIngest::pooled`]).
+    /// A [`FifoDriver`] over services built from the arguments.
     ///
-    /// * `dispatch_shards` — accepted for the benchmark's call site; has no effect.
+    /// * `_ingest_shards` — accepted for the benchmark's call site; has no effect.
+    /// * `_dispatch_shards` — accepted for the benchmark's call site; has no effect.
     /// * `_overload` — accepted for the benchmark's call site; has no effect.
     /// * `_batch` — accepted for the benchmark's call site; has no effect.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(
         config: FilterConfig,
-        ingest_shards: usize,
-        dispatch_shards: usize,
+        _ingest_shards: usize,
+        _dispatch_shards: usize,
         control: ControlGraph,
         _overload: Option<OverloadConfig>,
         _batch: bool,
         cache: garnet_net::DispatchCacheConfig,
     ) -> FifoDriver {
         let services = Services {
-            ingest: ShardedIngest::pooled(config, ingest_shards),
-            dispatch: ShardedDispatch::with_cache(dispatch_shards, cache),
+            ingest: ShardedIngest::new(config, 1),
+            dispatch: ShardedDispatch::with_cache(1, cache),
             control,
         };
         FifoDriver::new(services, None, true)

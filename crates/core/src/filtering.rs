@@ -42,13 +42,6 @@ pub struct FilterConfig {
     /// treated as a stream restart rather than buffered (the sensor
     /// rebooted or we lost half the window).
     pub restart_distance: u16,
-    /// Fault-injection hook: a decoded frame whose payload equals this
-    /// marker panics the filtering worker. Only meaningful under the
-    /// threaded driver, where the panic kills a shard mid-batch and the
-    /// supervision policy restarts it — failure-injection tests use it
-    /// to prove the admission ledger stays exact across a poisoned
-    /// shard. `None` (the default) disables the hook.
-    pub fail_marker: Option<[u8; 4]>,
 }
 
 impl Default for FilterConfig {
@@ -57,7 +50,6 @@ impl Default for FilterConfig {
             reorder_timeout: SimDuration::from_millis(50),
             max_buffered_per_stream: 256,
             restart_distance: 4096,
-            fail_marker: None,
         }
     }
 }
@@ -385,11 +377,6 @@ impl FilteringService {
                 return result;
             }
         };
-        if let Some(marker) = self.config.fail_marker {
-            if msg.payload().as_ref() == marker {
-                panic!("injected filter fault: poison payload {marker:?}");
-            }
-        }
         result.observation =
             Some(Observation { sensor: msg.stream().sensor(), receiver, rssi_dbm, at: now });
 
@@ -449,10 +436,8 @@ impl FilteringService {
     /// Releases buffered messages whose reorder deadline has passed,
     /// accepting the gaps before them.
     ///
-    /// Streams flush in ascending stream-id order. That order is load
-    /// bearing: the sharded ingest stage merges per-shard flushes by
-    /// re-sorting on stream id, which reproduces this sequence exactly —
-    /// a sharded pipeline is bit-identical to an unsharded one.
+    /// Streams flush in ascending stream-id order, each stream's
+    /// releases together.
     ///
     /// Only the streams the deadline index says are due are visited —
     /// the same deliveries, in the same order, as walking every resident

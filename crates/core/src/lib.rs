@@ -22,16 +22,11 @@
 //! ([`router::ControlGraph`]), threading the typed
 //! [`service::ServiceEvent`]s between them over a FIFO queue.
 //! [`middleware::Garnet`] is a thin facade that owns that router, steps
-//! it to quiescence and hosts the consumers. The filtering hot path is
-//! partitioned by sensor id into [`router::ShardedIngest`] shards with a
-//! deterministic merge — so any shard count produces bit-identical
-//! outputs — and [`router::ShardedDispatch`] is Figure 1's one
-//! Dispatching Service beside the one stream catalogue.
-//! [`driver::DriverKind`] chooses which thread filters (the facade's, or
-//! a supervised pool that filters shard 0 on the facade's thread and
-//! each further shard on a worker), and nothing else: everything
-//! downstream of filtering, the archive tap included, is the one router
-//! on the facade's thread either way. The intake is unbounded: the one place a
+//! it to quiescence and hosts the consumers. [`router::ShardedIngest`]
+//! is Figure 1's one Filtering Service and [`router::ShardedDispatch`]
+//! its one Dispatching Service beside the one stream catalogue; every
+//! stage, the archive tap included, runs on the facade's thread, and
+//! this crate starts no thread. The intake is unbounded: the one place a
 //! frame is shed, coalesced or held back is [`qos::QosScheduler`], at
 //! the facade boundary.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio

@@ -3,7 +3,7 @@
 //!
 //! This module is the one owner of admission policy: what is shed, what
 //! is coalesced and what waits is decided here, at the facade boundary,
-//! and both engines behind it are unbounded intakes. Three pieces:
+//! and the router behind it is an unbounded intake. Three pieces:
 //!
 //! * [`PriorityClass`] — every [`ServiceEvent`] belongs to exactly one
 //!   of **Control > Actuation > Data**. Only Data is ever governed by an
@@ -17,9 +17,8 @@
 //!   A frame's bytes are read once, when it is offered: its stream id
 //!   and sequence number are kept beside it, so coalescing costs one
 //!   pass over at most `capacity` in-memory keys and never re-parses a
-//!   staged frame. Because the policy runs entirely above the engine,
-//!   **both engines schedule identically**: overloaded runs are
-//!   bit-identical across `{Fifo, Threaded}` × shard layouts.
+//!   staged frame. The policy runs entirely above the router, which
+//!   never drops a frame itself.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
@@ -408,7 +407,7 @@ impl QosScheduler {
     }
 
     /// Retunes the data-tier capacity from the depth histogram's p99 —
-    /// called at quiescence, the one point both engines reach
+    /// called at quiescence, the one point the router reaches
     /// deterministically. Target is `2 × p99` clamped to the
     /// configured band; a collapsed band (the default) makes this a
     /// no-op, keeping the bound fixed.
@@ -523,7 +522,7 @@ pub struct DeliverySchedule {
     /// Max deliveries drained per facade call, per limited consumer.
     limits: IdMap<usize>,
     /// Staged deliveries per limited consumer, oldest first. BTreeMap:
-    /// drain order is deterministic across runs and engines.
+    /// drain order is deterministic across runs.
     queues: BTreeMap<SubscriberId, VecDeque<(Delivery, u32)>>,
     /// The sum of every queue's length, kept as the queues change.
     backlog: u64,

@@ -10,32 +10,21 @@
 //! plans, denials, expiries) for the facade to apply. The queue is
 //! strictly FIFO, which makes the whole middleware a deterministic event
 //! machine: the same call sequence always produces the same output
-//! sequence, regardless of how the ingest stage is sharded or where its
-//! shards execute.
+//! sequence.
 //!
-//! The ingest hot path (the Filtering Service) is the only stage with
-//! per-message CPU cost worth parallelising, so it alone is sharded:
-//! [`ShardedIngest`] partitions streams across N independent
-//! [`FilteringService`]s by sensor id (every stream of a sensor lands on
-//! one shard, so per-stream sequence state never crosses shards) and
-//! merges flushes back into the stream-id order a single service would
-//! have produced. Those shards run either on the calling thread
-//! ([`ShardedIngest::new`]) or on a supervised pool
-//! ([`ShardedIngest::pooled`]) that keeps shard 0 on the calling thread
-//! and gives each further shard a worker, so N shards start N−1
-//! threads; that choice is all a [`crate::DriverKind`] changes.
-//! Everything downstream of filtering — queue, dispatch, control,
-//! spans, trace — is this one router on the caller's thread.
+//! Every stage runs on the caller's thread: Figure 1's one Filtering
+//! Service ([`ShardedIngest`]), called inline by [`Router::ingest`] and
+//! by a `FlushReorder` step, then its one Dispatching Service
+//! ([`ShardedDispatch`]) and the control plane behind it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use garnet_net::{EdgeClass, ShardFailure, ShardPool, SupervisionConfig};
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
 use garnet_simkit::SimTime;
-use garnet_wire::{peek_stream, ActuationTarget};
+use garnet_wire::ActuationTarget;
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
@@ -49,290 +38,43 @@ use crate::resource::{Decision, MediationPolicy, ResourceManager};
 use crate::service::{
     ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput, SYSTEM_PRIORITY, SYSTEM_SUBSCRIBER,
 };
-use crate::stream::{shard_of_sensor, StreamRegistry};
+use crate::stream::StreamRegistry;
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::{event_record, frame_record, RootTag};
 
-/// A job for one pooled filtering shard.
-enum ShardJob {
-    /// The shard's arrival-ordered share of one burst.
-    Frames(Vec<FrameArrival>),
-    /// Flush reorder buffers up to the given instant.
-    Flush(SimTime),
-}
-
-/// One finished [`ShardJob`]. The shard's counters and earliest reorder
-/// deadline ride on the result, which keeps [`ShardedIngest`]'s reads
-/// current without reaching into worker-owned state.
-struct ShardOut {
-    shard: usize,
-    /// [`ShardJob::Frames`]: one result per frame, in order.
-    results: Vec<FilterResult>,
-    /// [`ShardJob::Flush`]: the releases, in the shard's stream-id order.
-    released: Vec<Delivery>,
-    stats: FilterStats,
-    next_deadline: Option<SimTime>,
-}
-
-/// The filtering shards of a [`ShardedIngest::pooled`] stage: one
-/// [`FilteringService`] per supervised [`ShardPool`] shard — shard 0 on
-/// the caller's thread, the rest on workers.
-#[derive(Debug)]
-struct IngestPool {
-    /// `None` once [`IngestPool::join`] has retired the workers.
-    pool: Option<ShardPool<ShardJob, ShardOut>>,
-    /// Each shard's (counters, reorder deadline) as of its last
-    /// finished job.
-    stats: Vec<(FilterStats, Option<SimTime>)>,
-    /// Jobs lost to worker panics, until [`ShardedIngest::take_failures`].
-    failures: Vec<ShardFailure>,
-    /// The pool's restart and per-class submit counts as of the last
-    /// [`IngestPool::run`] — the only place either can move.
-    restarts: u64,
-    class_submits: [u64; 3],
-}
-
-impl IngestPool {
-    fn new(config: FilterConfig, shards: usize) -> Self {
-        // The deployable runtime self-heals: a poisoned shard is rebuilt
-        // under the default supervision budget instead of staying dead
-        // for the facade's lifetime. The lost job still surfaces as a
-        // `ShardFailure` — restarts are visible, never silent. One job
-        // per shard is in flight at a time, so a worker's queue bound is
-        // never reached; shard 0's job runs on this thread when `run`
-        // drains, after the workers' jobs are sent.
-        let pool = ShardPool::with_supervision(
-            shards,
-            4,
-            Some(SupervisionConfig::default()),
-            move |shard| {
-                let mut filter = FilteringService::new(config);
-                Box::new(move |job: ShardJob| {
-                    let (results, released) = match job {
-                        ShardJob::Frames(frames) => (filter.on_batch(&frames), Vec::new()),
-                        ShardJob::Flush(now) => (Vec::new(), filter.on_tick(now)),
-                    };
-                    ShardOut {
-                        shard,
-                        results,
-                        released,
-                        stats: FilterStats::of(&filter),
-                        next_deadline: filter.next_deadline(),
-                    }
-                })
-            },
-        );
-        IngestPool {
-            pool: Some(pool),
-            stats: vec![(FilterStats::default(), None); shards],
-            failures: Vec::new(),
-            restarts: 0,
-            class_submits: [0; 3],
-        }
-    }
-
-    /// Submits `jobs` (at most one per shard), runs shard 0's on this
-    /// thread, waits until every one is accounted for — finished, or
-    /// recorded as a [`ShardFailure`] — and returns the finished ones in
-    /// submission order. A job whose stage panicked, or whose shard is
-    /// still waiting out its restart backoff, has no entry. After
-    /// [`IngestPool::join`] nothing runs.
-    fn run(
-        &mut self,
-        jobs: impl Iterator<Item = (usize, ShardJob)>,
-        class: EdgeClass,
-    ) -> Vec<ShardOut> {
-        let Some(pool) = self.pool.as_mut() else { return Vec::new() };
-        let mut last = None;
-        for (shard, job) in jobs {
-            last = Some(pool.submit_tagged(shard, job, class));
-        }
-        let Some(last) = last else { return Vec::new() };
-        let mut outs = pool.drain();
-        while pool.merged_watermark() <= last {
-            std::thread::yield_now();
-            outs.extend(pool.drain());
-        }
-        for out in &outs {
-            self.stats[out.shard] = (out.stats, out.next_deadline);
-        }
-        self.failures.extend(pool.take_failures());
-        self.restarts = pool.restart_count();
-        self.class_submits = pool.class_submits();
-        debug_assert!(
-            pool.local_backlog() == 0 && pool.merged_watermark() > last,
-            "a job submitted by this run is unaccounted for"
-        );
-        outs
-    }
-
-    /// Joins the workers. Nothing is in flight between
-    /// [`IngestPool::run`]s, so nothing is lost.
-    fn join(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            let (_, late) = pool.finish();
-            self.failures.extend(late);
-        }
-    }
-}
-
-impl Drop for IngestPool {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
-/// Where a [`ShardedIngest`]'s filtering shards execute.
-// One instance per router, so the Inline/Pooled size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Shards {
-    /// On the calling thread.
-    Inline(Vec<FilteringService>),
-    /// One per worker thread.
-    Pooled(IngestPool),
-}
-
-/// The ingest stage: N filtering shards partitioned by sensor id.
-///
-/// With `shards == 1` this is exactly one [`FilteringService`]. With
-/// more, each sensor's streams are pinned to one shard; frame handling
-/// is embarrassingly parallel across shards because the only shared
-/// state — per-stream sequence windows — is partitioned with them.
-/// Reorder flushes are merged back into ascending stream-id order,
-/// which is the order a single service's `BTreeMap` walk produces, so
-/// the event sequence leaving this stage is bit-identical for any shard
-/// count — and for either place the shards run: inline
-/// ([`ShardedIngest::new`]) or on a worker pool
-/// ([`ShardedIngest::pooled`]), where the caller filters shard 0's part
-/// of a burst itself, hands each other non-empty shard's part to its
-/// worker, and waits for all of them.
+/// The ingest stage: Figure 1's one Filtering Service, on the router's
+/// thread. Nothing here is sharded; the name is the one the benchmark's
+/// call site uses.
 #[derive(Debug)]
 pub struct ShardedIngest {
-    shards: Shards,
+    filter: FilteringService,
 }
 
 impl ShardedIngest {
-    /// Creates an ingest stage with `shards` filtering shards (0 is
-    /// treated as 1) running on the calling thread.
-    pub fn new(config: FilterConfig, shards: usize) -> Self {
-        let n = shards.max(1);
-        let shards = (0..n).map(|_| FilteringService::new(config)).collect();
-        ShardedIngest { shards: Shards::Inline(shards) }
-    }
-
-    /// Creates an ingest stage whose `shards` filtering shards (0 is
-    /// treated as 1) run on a supervised [`ShardPool`]: shard 0 on the
-    /// calling thread, each further shard on a worker thread of its own,
-    /// so N shards start N−1 threads and one shard starts none. Results
-    /// are those of [`ShardedIngest::new`] with the same arguments,
-    /// except that a shard panic loses the job it was running — empty
-    /// results, plus a [`ShardFailure`] from
-    /// [`ShardedIngest::take_failures`] — and the shard restarts with
-    /// fresh state. A shard-0 panic unwinds on the calling thread, so
-    /// that is the thread a panic hook names.
-    pub fn pooled(config: FilterConfig, shards: usize) -> Self {
-        ShardedIngest { shards: Shards::Pooled(IngestPool::new(config, shards.max(1))) }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        match &self.shards {
-            Shards::Inline(shards) => shards.len(),
-            Shards::Pooled(pool) => pool.stats.len(),
-        }
-    }
-
-    /// The shard a frame belongs to. Undecodable-but-headed frames
-    /// still shard deterministically via [`peek_stream`]; frames too
-    /// short to carry a stream id land on shard 0 (they fail CRC
-    /// wherever they land — the choice only has to be deterministic).
-    /// A single-shard stage (the default) needs no header peek.
-    pub fn shard_of(&self, frame: &[u8]) -> usize {
-        let n = self.shard_count();
-        if n == 1 {
-            return 0;
-        }
-        peek_stream(frame).map_or(0, |stream| shard_of_sensor(stream.sensor().as_u32(), n))
+    /// Creates the ingest stage.
+    ///
+    /// * `_shards` — accepted for the benchmark's call site; has no effect.
+    pub fn new(config: FilterConfig, _shards: usize) -> Self {
+        ShardedIngest { filter: FilteringService::new(config) }
     }
 
     /// Feeds a burst of frames, equivalent to one
-    /// [`FilteringService::on_frame`] per entry in order on a single
-    /// service: results come back in arrival order, and since streams
-    /// are pinned to shards, routing each shard its own arrival-ordered
-    /// sub-batch observes exactly the per-frame state evolution. Each shard validates its sub-batch's headers in one
-    /// prepass ([`FilteringService::on_batch`]). Pooled shards work on
-    /// their sub-batches concurrently, shard 0's on the calling thread;
-    /// a sub-batch lost to a shard panic comes back as empty results.
+    /// [`FilteringService::on_frame`] per entry in order: results come
+    /// back in arrival order, and the burst's headers are validated in
+    /// one prepass ([`FilteringService::on_batch`]).
     pub fn on_batch(&mut self, frames: &[FrameArrival]) -> Vec<FilterResult> {
-        match &mut self.shards {
-            Shards::Inline(shards) if shards.len() == 1 => return shards[0].on_batch(frames),
-            // One shard takes the burst whole: nothing to split or scatter.
-            Shards::Pooled(pool) if pool.stats.len() == 1 => {
-                let job = ShardJob::Frames(frames.to_vec());
-                return match pool.run(std::iter::once((0, job)), EdgeClass::Data).pop() {
-                    Some(done) => done.results,
-                    None => frames.iter().map(|_| FilterResult::default()).collect(),
-                };
-            }
-            _ => {}
-        }
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count()];
-        for (i, f) in frames.iter().enumerate() {
-            per_shard[self.shard_of(&f.frame)].push(i);
-        }
-        // Cloning a FrameArrival only bumps the frame's refcount.
-        let sub_batches = per_shard.iter().enumerate().filter(|(_, idxs)| !idxs.is_empty()).map(
-            |(shard, idxs)| (shard, idxs.iter().map(|&i| frames[i].clone()).collect::<Vec<_>>()),
-        );
-        let mut out: Vec<FilterResult> = frames.iter().map(|_| FilterResult::default()).collect();
-        let mut scatter = |shard: usize, results: Vec<FilterResult>| {
-            for (&i, r) in per_shard[shard].iter().zip(results) {
-                out[i] = r;
-            }
-        };
-        match &mut self.shards {
-            Shards::Inline(shards) => {
-                for (shard, batch) in sub_batches {
-                    scatter(shard, shards[shard].on_batch(&batch));
-                }
-            }
-            Shards::Pooled(pool) => {
-                let jobs = sub_batches.map(|(shard, batch)| (shard, ShardJob::Frames(batch)));
-                for done in pool.run(jobs, EdgeClass::Data) {
-                    scatter(done.shard, done.results);
-                }
-            }
-        }
-        out
+        self.filter.on_batch(frames)
     }
 
-    /// Flushes expired reorder buffers on every shard and merges the
-    /// releases into ascending stream-id order (identical to a single
-    /// unsharded service: each shard flushes in stream-id order, and
-    /// streams are partitioned, so a stable merge by stream id
-    /// reproduces the global order).
+    /// Flushes expired reorder buffers, releasing in ascending stream-id
+    /// order ([`FilteringService::on_tick`]).
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Delivery> {
-        let mut out: Vec<Delivery> = match &mut self.shards {
-            Shards::Inline(shards) => shards.iter_mut().flat_map(|s| s.on_tick(now)).collect(),
-            Shards::Pooled(pool) => {
-                let jobs = (0..pool.stats.len()).map(|shard| (shard, ShardJob::Flush(now)));
-                pool.run(jobs, EdgeClass::Control).into_iter().flat_map(|d| d.released).collect()
-            }
-        };
-        out.sort_by_key(|d| d.msg.stream().to_raw());
-        out
+        self.filter.on_tick(now)
     }
 
-    /// The earliest reorder deadline across shards (pooled shards: as of
-    /// each shard's last finished job, which is exact between calls).
+    /// The earliest reorder deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        match &self.shards {
-            Shards::Inline(shards) => {
-                shards.iter().filter_map(FilteringService::next_deadline).min()
-            }
-            Shards::Pooled(pool) => pool.stats.iter().filter_map(|(_, deadline)| *deadline).min(),
-        }
+        self.filter.next_deadline()
     }
 
     /// Emits the events one frame's filter result owes the graph, in the
@@ -357,55 +99,9 @@ impl ShardedIngest {
         }
     }
 
-    /// The stage's counters summed across shards (streams are
-    /// partitioned, so the sums are exact; pooled shards: as of each
-    /// shard's last finished job).
+    /// The stage's counters, by value.
     pub fn stats(&self) -> FilterStats {
-        let total = FilterStats::default();
-        match &self.shards {
-            Shards::Inline(shards) => {
-                shards.iter().fold(total, |acc, s| acc.absorb(FilterStats::of(s)))
-            }
-            Shards::Pooled(pool) => pool.stats.iter().fold(total, |acc, (s, _)| acc.absorb(*s)),
-        }
-    }
-
-    /// Takes the jobs lost to worker panics since the last call (always
-    /// empty for inline shards, which have no threads to lose).
-    pub fn take_failures(&mut self) -> Vec<ShardFailure> {
-        match &mut self.shards {
-            Shards::Inline(_) => Vec::new(),
-            Shards::Pooled(pool) => std::mem::take(&mut pool.failures),
-        }
-    }
-
-    /// Worker restarts performed by the pool's supervision policy
-    /// (always 0 for inline shards).
-    pub fn shard_restarts(&self) -> u64 {
-        match &self.shards {
-            Shards::Inline(_) => 0,
-            Shards::Pooled(pool) => pool.restarts,
-        }
-    }
-
-    /// Jobs handed to pooled shards per [`EdgeClass`], indexed by
-    /// [`EdgeClass::index`]: one `Data` job per non-empty shard per
-    /// burst, one `Control` job per shard per flush. All zeros for
-    /// inline shards, which have no channel boundary to account at.
-    pub fn class_submits(&self) -> [u64; 3] {
-        match &self.shards {
-            Shards::Inline(_) => [0; 3],
-            Shards::Pooled(pool) => pool.class_submits,
-        }
-    }
-
-    /// Joins pooled workers (a no-op for inline shards). Counters and
-    /// failures stay readable; frames fed afterwards come back as empty
-    /// results.
-    pub fn join(&mut self) {
-        if let Shards::Pooled(pool) = &mut self.shards {
-            pool.join();
-        }
+        FilterStats::of(&self.filter)
     }
 }
 
@@ -652,14 +348,14 @@ impl ControlGraph {
 }
 
 /// Every routed service, owned together so the router can borrow them
-/// independently — grouped by stage: the data plane (sharded ingest,
+/// independently — grouped by stage: the data plane (filtering,
 /// dispatch) and the control plane behind it. Fields are public: the
 /// facade reaches in for direct reads (statistics) and the rare
 /// synchronous call (subscription changes, orphanage claims) that is
 /// request/response rather than dataflow.
 #[derive(Debug)]
 pub struct Services {
-    /// Sharded filtering (the ingest hot path).
+    /// Filtering (the ingest hot path).
     pub ingest: ShardedIngest,
     /// Subscription routing + stream catalogue.
     pub dispatch: ShardedDispatch,
@@ -728,7 +424,7 @@ pub struct Router {
     tracer: Tracer,
     /// Always-on latency spans, recorded once per dispatched delivery.
     spans: PipelineSpans,
-    /// Per-ingest-shard admission-depth gauges.
+    /// The admission-depth gauge.
     depths: QueueDepthGauges,
     /// [`Router::ingest`]'s scratch, kept between calls so a burst
     /// costs no allocation here (empty outside a call).
@@ -741,7 +437,6 @@ impl Router {
     /// Creates a router over the given services with an empty,
     /// unbounded queue.
     pub fn new(services: Services) -> Self {
-        let depths = QueueDepthGauges::new(services.ingest.shard_count());
         Router {
             services,
             queue: VecDeque::new(),
@@ -749,7 +444,7 @@ impl Router {
             peak_burst: 0,
             tracer: Tracer::new(TraceConfig::default()),
             spans: PipelineSpans::new(),
-            depths,
+            depths: QueueDepthGauges::new(),
             arrivals: Vec::new(),
             next_root: 0,
         }
@@ -821,11 +516,7 @@ impl Router {
         // The burst's root tags are consecutive from here.
         let first_root = self.next_root;
         for BatchedFrame { receiver, rssi_dbm, frame } in frames {
-            // The depth gauges sample the total and the frame's ingest
-            // shard; off, they cost nothing (not even the shard peek).
-            if self.depths.enabled() {
-                self.depths.note_admitted(self.services.ingest.shard_of(&frame));
-            }
+            self.depths.note_admitted();
             let root = self.alloc_root();
             self.tracer.record(|| frame_record(&frame, now, root, TraceOutcome::Delivered));
             self.arrivals.push(FrameArrival { receiver, rssi_dbm, frame, at: now });
@@ -899,14 +590,18 @@ impl Router {
         }
     }
 
-    /// Drains the queue and joins any filtering worker pool, returning
-    /// the outputs that escaped on the way out. Reads keep working
-    /// afterwards; frames offered to a joined pool filter to nothing.
+    /// Drains the queue, returning the outputs that escaped on the way
+    /// out. Reads and further calls keep working afterwards.
     pub fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
         let mut out = Vec::new();
         while self.step(now, &mut out) {}
-        self.services.ingest.join();
         out
+    }
+
+    /// Whether the queue is drained (the facade checks this at every
+    /// return).
+    pub(crate) fn queue_is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Monotonic intake totals: every frame handed to
@@ -928,7 +623,7 @@ impl Router {
         &self.spans
     }
 
-    /// The per-ingest-shard admission-depth gauges.
+    /// The admission-depth gauge.
     pub fn queue_depth_gauges(&self) -> &QueueDepthGauges {
         &self.depths
     }
@@ -980,38 +675,26 @@ mod tests {
     }
 
     #[test]
-    fn sensors_pin_to_one_shard() {
-        let ingest = ShardedIngest::new(FilterConfig::default(), 4);
-        for sensor in 1..200u32 {
-            let a = ingest.shard_of(&frame(sensor, 0));
-            let b = ingest.shard_of(&frame(sensor, 9));
-            assert_eq!(a, b, "sensor {sensor} moved shards");
+    fn flush_is_stream_id_ordered() {
+        // Leave a reorder gap on several sensors, then flush: releases
+        // must come back in ascending stream id.
+        let mut ingest = ShardedIngest::new(FilterConfig::default(), 1);
+        for sensor in [9u32, 3, 14, 7, 11] {
+            ingest.on_batch(&[arrival(0, frame(sensor, 0), SimTime::ZERO)]);
+            // gap at 1
+            ingest.on_batch(&[arrival(0, frame(sensor, 2), SimTime::from_millis(1))]);
         }
+        let out = ingest.on_tick(SimTime::from_secs(10));
+        let ids: Vec<u32> = out.iter().map(|d| d.msg.stream().to_raw()).collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(ids, sorted);
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
-    fn sharded_flush_is_stream_id_ordered() {
-        // Leave a reorder gap on several sensors spread across shards,
-        // then flush: releases must come back in ascending stream id.
-        for shards in [1usize, 2, 4, 8] {
-            let mut ingest = ShardedIngest::new(FilterConfig::default(), shards);
-            for sensor in [9u32, 3, 14, 7, 11] {
-                ingest.on_batch(&[arrival(0, frame(sensor, 0), SimTime::ZERO)]);
-                // gap at 1
-                ingest.on_batch(&[arrival(0, frame(sensor, 2), SimTime::from_millis(1))]);
-            }
-            let out = ingest.on_tick(SimTime::from_secs(10));
-            let ids: Vec<u32> = out.iter().map(|d| d.msg.stream().to_raw()).collect();
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            assert_eq!(ids, sorted, "shards={shards}");
-            assert_eq!(out.len(), 5, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_counters_aggregate() {
-        let mut ingest = ShardedIngest::new(FilterConfig::default(), 4);
+    fn ingest_counters_are_the_filtering_service_s() {
+        let mut ingest = ShardedIngest::new(FilterConfig::default(), 1);
         for sensor in 1..=8u32 {
             let fr = frame(sensor, 0);
             ingest.on_batch(&[arrival(0, fr.clone(), SimTime::ZERO)]);

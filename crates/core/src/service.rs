@@ -7,9 +7,7 @@
 //! must carry out (deliver to a consumer, transmit a plan). No service
 //! calls another directly: the event [`crate::router::Router`] — the
 //! one `match` in its [`crate::router::ControlGraph`] for the control
-//! plane — is the only place the paper's arrows exist in code, and any
-//! stage can be swapped for a sharded or threaded implementation
-//! without the others noticing.
+//! plane — is the only place the paper's arrows exist in code.
 //!
 //! The facade (`Garnet`) remains the *driver*: it owns the router, pumps
 //! it to quiescence after every external input, runs consumer callbacks

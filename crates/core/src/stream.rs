@@ -11,15 +11,6 @@ use std::collections::HashMap;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::StreamId;
 
-/// Spreads a 24-bit sensor id across `shards` buckets (Fibonacci
-/// hashing: dense sensor ids from grid deployments stay balanced).
-///
-/// The ingest stage's partition function: all of a sensor's streams
-/// land on one filtering shard.
-pub fn shard_of_sensor(sensor: u32, shards: usize) -> usize {
-    (sensor.wrapping_mul(0x9E37_79B1) >> 16) as usize % shards.max(1)
-}
-
 /// Discovery metadata for one stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamInfo {
@@ -240,17 +231,5 @@ mod tests {
         let s = StreamId::from_raw(0x00FF_0000);
         r.note_message(s, 1, SimTime::ZERO, true);
         assert!(r.info(s).unwrap().derived);
-    }
-
-    #[test]
-    fn shard_of_sensor_is_stable_and_in_range() {
-        for sensor in 0..500u32 {
-            for shards in [1usize, 2, 4, 8] {
-                let a = shard_of_sensor(sensor, shards);
-                assert!(a < shards);
-                assert_eq!(a, shard_of_sensor(sensor, shards), "deterministic");
-            }
-        }
-        assert_eq!(shard_of_sensor(7, 0), 0, "0 shards treated as 1");
     }
 }

@@ -7,15 +7,15 @@
 //! rates over time (is this node keeping up?), and a health verdict (is
 //! it safe to walk away?). This module supplies all three without
 //! touching wall clock: every measurement is driven by [`SimTime`], so
-//! the numbers are bit-identical across the FIFO and threaded engines —
-//! the same invariant the routers themselves are held to.
+//! the same input schedule always produces the same numbers — the same
+//! invariant the router itself is held to.
 //!
 //! Three layers:
 //!
 //! * **Spans** — [`PipelineSpans`] histograms ([`keys::FILTERING_LATENCY_US`],
 //!   [`keys::DISPATCHING_LATENCY_US`], [`keys::PIPELINE_E2E_LATENCY_US`])
 //!   recorded once per dispatched delivery by both routers, plus
-//!   [`QueueDepthGauges`] sampling per-ingest-shard admission depth.
+//!   [`QueueDepthGauges`] sampling admission depth.
 //! * **Snapshots** — [`TelemetrySnapshot`] captures a sim-time window:
 //!   cumulative counters, window deltas (rates), histogram quantile
 //!   summaries, gauge watermarks, the match-cache hit rate, and a
@@ -113,32 +113,23 @@ impl PipelineSpans {
     }
 }
 
-/// Per-ingest-shard queue-depth gauges, sampled at frame admission.
+/// The admission queue-depth gauge, sampled at frame admission.
 ///
 /// Depth here is "frames admitted since the router last went quiescent"
 /// — the same quantity `overload.peak_queue_depth` tracks as a single
-/// peak, but kept per shard and with min/last watermarks, and identical
-/// across engines because admission order and quiescence points are.
-/// Counts reset at quiescence; the gauges keep their watermarks.
+/// peak, but with min/last watermarks. Counts reset at quiescence; the
+/// gauge keeps its watermarks.
 #[derive(Clone, Debug, Default)]
 pub struct QueueDepthGauges {
     enabled: bool,
     total: Gauge,
-    shards: Vec<Gauge>,
-    counts: Vec<u64>,
     queued: u64,
 }
 
 impl QueueDepthGauges {
-    /// Creates enabled gauges for `shards` ingest shards.
-    pub fn new(shards: usize) -> Self {
-        QueueDepthGauges {
-            enabled: true,
-            total: Gauge::new(),
-            shards: vec![Gauge::new(); shards],
-            counts: vec![0; shards],
-            queued: 0,
-        }
+    /// Creates an enabled gauge.
+    pub fn new() -> Self {
+        QueueDepthGauges { enabled: true, total: Gauge::new(), queued: 0 }
     }
 
     /// Turns sampling on or off alongside the latency spans.
@@ -146,69 +137,35 @@ impl QueueDepthGauges {
         self.enabled = enabled;
     }
 
-    /// Whether sampling is active (callers can skip shard attribution
-    /// work when off).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one admitted frame attributed to `shard`.
+    /// Records one admitted frame.
     #[inline]
-    pub fn note_admitted(&mut self, shard: usize) {
+    pub fn note_admitted(&mut self) {
         if !self.enabled {
             return;
         }
         self.queued += 1;
         self.total.record(self.queued);
-        if let Some(count) = self.counts.get_mut(shard) {
-            *count += 1;
-            self.shards[shard].record(*count);
-        }
     }
 
-    /// Resets the depth counts at a quiescence point; watermarks survive.
+    /// Resets the depth count at a quiescence point; watermarks survive.
     pub fn note_quiescent(&mut self) {
         self.queued = 0;
-        self.counts.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// The all-shards depth gauge.
+    /// The depth gauge.
     pub fn total(&self) -> &Gauge {
         &self.total
-    }
-
-    /// Per-shard depth gauges, indexed by ingest shard.
-    pub fn per_shard(&self) -> &[Gauge] {
-        &self.shards
-    }
-
-    /// Folds the total and per-shard gauges into `m`. Only the total
-    /// rides under the interned [`keys::QUEUE_DEPTH`] name (shard-count
-    /// invariant); per-shard gauges get `overload.queue_depth.shardN`
-    /// names, which snapshot consumers strip when comparing across
-    /// layouts.
-    pub fn fold_into(&self, m: &mut MetricsRegistry) {
-        m.gauge(keys::QUEUE_DEPTH).merge(&self.total);
-        for (i, g) in self.shards.iter().enumerate() {
-            m.gauge(&keys::shard_queue_depth(i)).merge(g);
-        }
     }
 }
 
 // Thresholds the health scorer applies to each snapshot window. Ratios
 // are in parts-per-million so scoring never touches floating point
-// (reasons must be byte-stable across engines).
+// (reasons must be byte-stable across runs).
 
 /// Window shed ratio (shed/offered, ppm) that degrades the node: 0.1 %.
 const SHED_DEGRADED_PPM: u64 = 1_000;
 /// Window shed ratio (ppm) that marks the node critical: 10 %.
 const SHED_CRITICAL_PPM: u64 = 100_000;
-/// Jobs stranded by shard failures in the window that degrade.
-const STRANDED_DEGRADED: u64 = 1;
-/// Supervision restarts in the window that degrade (budget burn).
-const RESTARTS_DEGRADED: u64 = 1;
-/// Supervision restarts in the window that mark critical.
-const RESTARTS_CRITICAL: u64 = 4;
 /// Archive records dropped in the window that mark critical (each one
 /// is lost boundary input).
 const ARCHIVE_DROPPED_CRITICAL: u64 = 1;
@@ -277,10 +234,6 @@ pub struct WindowStats {
     pub offered: u64,
     /// Frames shed by overload policy in the window.
     pub shed: u64,
-    /// Jobs stranded by shard failures in the window.
-    pub stranded: u64,
-    /// Supervision restarts in the window.
-    pub restarts: u64,
     /// Archive records dropped in the window.
     pub archive_dropped: u64,
     /// e2e p99 of the previous window, if one exists (µs).
@@ -308,14 +261,6 @@ pub fn evaluate_health(w: &WindowStats) -> HealthReport {
         } else if shed_ppm >= SHED_DEGRADED_PPM {
             degraded.push(format!("shed {shed_ppm}ppm of {} offered frames", w.offered));
         }
-    }
-    if w.stranded >= STRANDED_DEGRADED {
-        degraded.push(format!("{} jobs stranded by shard failures", w.stranded));
-    }
-    if w.restarts >= RESTARTS_CRITICAL {
-        critical.push(format!("{} supervision restarts in one window", w.restarts));
-    } else if w.restarts >= RESTARTS_DEGRADED {
-        degraded.push(format!("{} supervision restarts in one window", w.restarts));
     }
     if w.archive_dropped >= ARCHIVE_DROPPED_CRITICAL {
         critical.push(format!("{} archive records dropped", w.archive_dropped));
@@ -408,8 +353,7 @@ impl GaugeSummary {
 /// `deltas` are this window's increments, from which
 /// [`TelemetrySnapshot::rate_per_sec`] derives rates. Histogram and
 /// gauge summaries are cumulative (histograms in this codebase are
-/// never reset mid-run, so quantiles describe the whole run — exactly
-/// what `merge`-folded per-shard state supports deterministically).
+/// never reset mid-run, so quantiles describe the whole run).
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// Monotonic snapshot number, starting at 1.
@@ -762,8 +706,6 @@ impl TelemetryService {
         let stats = WindowStats {
             offered: delta("overload.offered"),
             shed: delta("overload.shed"),
-            stranded: delta(keys::SHARD_FAILURES),
-            restarts: delta("overload.shard_restarts"),
             archive_dropped: delta("archive.dropped"),
             prev_e2e_p99: self.prev_e2e_p99,
             e2e_p99,
@@ -849,21 +791,19 @@ mod tests {
     }
 
     #[test]
-    fn depth_gauges_track_per_shard_and_total_watermarks() {
-        let mut d = QueueDepthGauges::new(2);
-        d.note_admitted(0);
-        d.note_admitted(1);
-        d.note_admitted(0);
+    fn depth_gauge_tracks_watermarks_across_quiescence() {
+        let mut d = QueueDepthGauges::new();
+        for _ in 0..3 {
+            d.note_admitted();
+        }
         assert_eq!(d.total().max(), 3);
-        assert_eq!(d.per_shard()[0].max(), 2);
-        assert_eq!(d.per_shard()[1].max(), 1);
         d.note_quiescent();
-        d.note_admitted(0);
+        d.note_admitted();
         assert_eq!(d.total().last(), 1);
         assert_eq!(d.total().max(), 3, "watermarks survive quiescence");
-        // Out-of-range shards fold into the total only.
-        d.note_admitted(9);
-        assert_eq!(d.total().last(), 2);
+        d.set_enabled(false);
+        d.note_admitted();
+        assert_eq!(d.total().last(), 1, "a disabled gauge records nothing");
     }
 
     #[test]
@@ -878,7 +818,8 @@ mod tests {
         let critical = evaluate_health(&WindowStats {
             offered: 10,
             shed: 5,
-            restarts: 1,
+            prev_e2e_p99: Some(1_000),
+            e2e_p99: 2_000,
             ..WindowStats::default()
         });
         assert_eq!(critical.label(), "critical");

@@ -6,8 +6,8 @@
 //! data streams of interest. … Unless otherwise indicated, communication
 //! is based on asynchronous message exchange" (§3).
 //!
-//! This crate provides those five mechanisms, and the thread pool the
-//! threaded driver filters on:
+//! This crate provides those five mechanisms, and a thread pool nothing
+//! in the middleware uses:
 //!
 //! * [`registry`] — service **advertising**, **discovery** and
 //!   **registration**;
@@ -15,8 +15,9 @@
 //!   tokens;
 //! * [`pubsub`] — the **publish/subscribe** subscription table that the
 //!   Dispatching Service consults;
-//! * [`pool`] — the supervised `ShardPool` the middleware's filtering
-//!   shards run on under `DriverKind::Threaded`.
+//! * [`pool`] — `ShardPool`, kept only for the benchmark's round-trip
+//!   probe, and `ShardFailure`, which `garnet-core`'s `StepOutput`
+//!   names; both go with the next `benchmark` change.
 //!
 //! No async runtime is used: the paper's asynchrony is plain message
 //! passing, which `std::sync::mpsc` channels model directly; a live
@@ -29,7 +30,7 @@ pub mod pubsub;
 pub mod registry;
 
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
-pub use pool::{EdgeClass, ShardFailure, ShardPool, Stage, SupervisionConfig};
+pub use pool::{ShardFailure, ShardPool, Stage};
 pub use pubsub::{
     DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable,
     TopicFilter,

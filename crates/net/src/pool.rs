@@ -1,8 +1,9 @@
-//! The supervised shard pool the middleware's filtering shards run on
-//! under `DriverKind::Threaded`: shard 0 on the thread that collects the
-//! results, one worker thread per further shard fed over bounded
-//! `std::sync::mpsc` channels, and a submission-order merge so the
-//! output never depends on thread scheduling. Experiments run on the
+//! A shard pool: shard 0 on the thread that collects the results, one
+//! worker thread per further shard fed over bounded `std::sync::mpsc`
+//! channels, and a submission-order merge so the output never depends on
+//! thread scheduling. Nothing in the middleware runs on it: it stays for
+//! the benchmark's hand-off probe, which may only change with a
+//! `benchmark` change, and goes with that change. Experiments run on the
 //! deterministic `garnet-simkit` event queue instead.
 
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -29,96 +30,6 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// Automatic shard-restart policy: a poisoned shard is rebuilt from the
-/// retained factory as long as the shard has been restarted fewer than
-/// `max_restarts` times inside the sliding `window`. Beyond that budget
-/// the shard stays poisoned (a crash-looping stage should surface, not
-/// flap), and restart returns to the caller via
-/// [`ShardPool::restart_shard`].
-///
-/// Restarts are separated by **exponential backoff**: the n-th restart
-/// inside the window waits `base_backoff * 2^n` (capped at
-/// `backoff_cap`) after the worker died before rebuilding it. Without
-/// backoff a deterministic poison pill burns the whole `max_restarts`
-/// budget in microseconds; with it, the budget spans real time and a
-/// transient fault gets room to clear.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SupervisionConfig {
-    /// Restarts allowed per shard inside the window (0 disables
-    /// automatic restart).
-    pub max_restarts: u32,
-    /// Sliding wall-clock window the budget applies to.
-    pub window: std::time::Duration,
-    /// Delay before the first restart in a window; doubles per restart.
-    /// `Duration::ZERO` restarts as soon as the poisoning is observed.
-    pub base_backoff: std::time::Duration,
-    /// Upper bound on the doubled backoff delay.
-    pub backoff_cap: std::time::Duration,
-}
-
-impl Default for SupervisionConfig {
-    /// Three restarts per shard per minute, 10 ms first backoff capped
-    /// at 5 s — generous enough for a transient poison pill, tight
-    /// enough that a deterministic crash loop parks the shard within
-    /// seconds instead of exhausting its budget in microseconds.
-    fn default() -> Self {
-        SupervisionConfig {
-            max_restarts: 3,
-            window: std::time::Duration::from_secs(60),
-            base_backoff: std::time::Duration::from_millis(10),
-            backoff_cap: std::time::Duration::from_secs(5),
-        }
-    }
-}
-
-impl SupervisionConfig {
-    /// A policy that restarts immediately (no backoff) — the pre-backoff
-    /// behaviour, useful in tests that crash shards deterministically.
-    pub fn immediate(max_restarts: u32, window: std::time::Duration) -> Self {
-        SupervisionConfig {
-            max_restarts,
-            window,
-            base_backoff: std::time::Duration::ZERO,
-            backoff_cap: std::time::Duration::ZERO,
-        }
-    }
-
-    /// The backoff delay applied before the restart that follows
-    /// `prior_restarts` earlier restarts inside the current window.
-    pub fn restart_delay(&self, prior_restarts: u32) -> std::time::Duration {
-        let factor = 1u32 << prior_restarts.min(20);
-        self.base_backoff.saturating_mul(factor).min(self.backoff_cap)
-    }
-}
-
-/// The scheduling class a submission carries through a pool or edge —
-/// the QoS layer's **Control > Actuation > Data** tiers, tagged at the
-/// channel boundary so per-class flow through every stage is
-/// observable. The tag is accounting, not routing: submission order
-/// and the deterministic merge are class-blind (priority is enforced
-/// upstream, at the facade scheduler).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeClass {
-    /// Graph-keeping jobs (reorder flushes, bookkeeping events).
-    Control,
-    /// Actuation-chain jobs.
-    Actuation,
-    /// Data-plane jobs (frames, filtered deliveries) — the default for
-    /// untagged submissions.
-    Data,
-}
-
-impl EdgeClass {
-    /// Dense index for per-class arrays (Control, Actuation, Data).
-    pub fn index(self) -> usize {
-        match self {
-            EdgeClass::Control => 0,
-            EdgeClass::Actuation => 1,
-            EdgeClass::Data => 2,
-        }
-    }
-}
-
 fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -133,7 +44,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// the thread that collects the pool's results, every other shard's on
 /// that shard's worker thread.
 pub type Stage<I, O> = Box<dyn FnMut(I) -> O + Send>;
-type StageFactory<I, O> = Box<dyn FnMut(usize) -> Stage<I, O>>;
 /// One shard's finished jobs of one [`JobBatch`], in batch order. A
 /// worker sends one per batch, mirroring the job channel's batching so
 /// the result channel's send/recv cost is per *batch*, not per job.
@@ -166,35 +76,28 @@ fn run_jobs<I, O>(
     results
 }
 
-/// A fixed pool of shards with a deterministic output merge and
-/// stage-failure supervision.
+/// A fixed pool of shards with a deterministic output merge.
 ///
 /// Each shard runs one stateful stage function; jobs are tagged with a
 /// global submission sequence number and the pool reassembles outputs
 /// in exactly that order, so the result stream is **bit-identical
-/// regardless of thread scheduling**. This is the threaded driver of
-/// the middleware's sharded ingest stage: the caller partitions work
-/// (e.g. by sensor id) and the pool guarantees that whatever
-/// interleaving the OS produces, downstream observers see the
-/// submission order.
+/// regardless of thread scheduling**.
 ///
 /// The join is caller-runs: shards `1..N` each run on a worker thread,
 /// while shard 0's jobs queue in the pool and run on the thread that
-/// next calls [`ShardPool::drain`], [`ShardPool::take_failures`],
-/// [`ShardPool::poisoned_shards`] or [`ShardPool::finish`] — after the
+/// next calls [`ShardPool::drain`] or [`ShardPool::finish`] — after the
 /// round's worker jobs have been sent, so the caller works beside the
 /// N−1 workers instead of waiting on them. N shards start N−1 threads,
 /// and a one-shard pool crosses no thread and no channel.
 ///
-/// A panicking stage does not wedge the pool: the panic is caught, the
-/// shard is marked **poisoned** (its state may be corrupt), and the
-/// panicked job — plus anything queued behind it on that shard — is
-/// surfaced as a typed [`ShardFailure`] via [`ShardPool::take_failures`]
-/// while the merge skips the lost sequence numbers instead of waiting
-/// forever. Other shards keep delivering; a poisoned shard can be
-/// rebuilt with fresh state via [`ShardPool::restart_shard`]. Shard 0
-/// is supervised the same way, but its panic unwinds on the caller's
-/// thread, so that is the thread a panic hook names.
+/// A panicking stage does not wedge the pool: the panic is caught and
+/// the shard is marked **poisoned** (its state may be corrupt). The
+/// panicked job, every job stranded behind it on that shard and every
+/// job submitted to the shard afterwards become typed [`ShardFailure`]s,
+/// which [`ShardPool::finish`] returns, while the merge skips the lost
+/// sequence numbers instead of waiting forever. Other shards keep
+/// delivering. A shard-0 panic unwinds on the caller's thread, so that
+/// is the thread a panic hook names.
 ///
 /// Result channels are unbounded so a worker can never block on a slow
 /// collector while the submitter blocks on a full job queue (the classic
@@ -230,11 +133,8 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
     /// Job queues of shards `1..`, indexed by shard − 1.
     jobs: Vec<SyncSender<JobBatch<I>>>,
     results: Receiver<ShardResult<O>>,
-    result_tx: Sender<ShardResult<O>>,
     /// Worker threads of shards `1..`, indexed by shard − 1.
-    workers: Vec<Option<std::thread::JoinHandle<()>>>,
-    factory: StageFactory<I, O>,
-    capacity: usize,
+    workers: Vec<std::thread::JoinHandle<()>>,
     next_seq: u64,
     collected: std::collections::BTreeMap<u64, O>,
     next_out: u64,
@@ -245,48 +145,19 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
     failed_seqs: std::collections::BTreeSet<u64>,
     poisoned: Vec<bool>,
     failures: Vec<ShardFailure>,
-    supervision: Option<SupervisionConfig>,
-    /// Recent restart instants per shard, pruned to the sliding window.
-    restart_times: Vec<std::collections::VecDeque<std::time::Instant>>,
-    /// When each shard's poisoning was first observed (backoff clock).
-    poisoned_at: Vec<Option<std::time::Instant>>,
-    restarts: u64,
-    /// Jobs accepted per [`EdgeClass`].
-    class_submits: [u64; 3],
 }
 
 impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// Builds `shards` shards (at least one) and spawns a worker for
     /// each but shard 0, which runs on the caller. `factory` is called
     /// once per shard, in shard order, to build that shard's stage
-    /// function, which owns any per-shard state; the factory is
-    /// retained so [`ShardPool::restart_shard`] can rebuild a poisoned
-    /// shard with fresh state. `capacity` bounds each worker's job
-    /// queue; [`ShardPool::submit`] blocks when the target worker is
-    /// that far behind. Shard 0's queue holds what was submitted since
-    /// the caller last collected.
-    pub fn new<F>(shards: usize, capacity: usize, factory: F) -> Self
+    /// function, which owns any per-shard state. `capacity` bounds each
+    /// worker's job queue; [`ShardPool::submit`] blocks when the target
+    /// worker is that far behind. Shard 0's queue holds what was
+    /// submitted since the caller last collected.
+    pub fn new<F>(shards: usize, capacity: usize, mut factory: F) -> Self
     where
-        F: FnMut(usize) -> Stage<I, O> + 'static,
-    {
-        Self::with_supervision(shards, capacity, None, factory)
-    }
-
-    /// [`ShardPool::new`] with an automatic restart policy: with a
-    /// [`SupervisionConfig`], a poisoned shard is rebuilt from the
-    /// factory on the next pool interaction instead of waiting for the
-    /// caller to notice and call [`ShardPool::restart_shard`]. Jobs
-    /// in flight on the dying shard are still surfaced as
-    /// [`ShardFailure`]s — supervision bounds the blast radius, it does
-    /// not hide the blast.
-    pub fn with_supervision<F>(
-        shards: usize,
-        capacity: usize,
-        supervision: Option<SupervisionConfig>,
-        mut factory: F,
-    ) -> Self
-    where
-        F: FnMut(usize) -> Stage<I, O> + 'static,
+        F: FnMut(usize) -> Stage<I, O>,
     {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
@@ -297,17 +168,14 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         for shard in 1..shards {
             let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(capacity);
             jobs.push(tx);
-            workers.push(Some(Self::spawn_worker(shard, rx, result_tx.clone(), factory(shard))));
+            workers.push(Self::spawn_worker(shard, rx, result_tx.clone(), factory(shard)));
         }
         ShardPool {
             local,
             local_queue: std::collections::VecDeque::new(),
             jobs,
             results,
-            result_tx,
             workers,
-            factory: Box::new(factory),
-            capacity,
             next_seq: 0,
             collected: std::collections::BTreeMap::new(),
             next_out: 0,
@@ -315,59 +183,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             failed_seqs: std::collections::BTreeSet::new(),
             poisoned: vec![false; shards],
             failures: Vec::new(),
-            supervision,
-            restart_times: (0..shards).map(|_| std::collections::VecDeque::new()).collect(),
-            poisoned_at: vec![None; shards],
-            restarts: 0,
-            class_submits: [0; 3],
         }
-    }
-
-    /// Applies the automatic restart policy to every poisoned shard.
-    /// Called from the public entry points (never from inside
-    /// `absorb_ready`, which [`ShardPool::restart_shard`] itself calls).
-    fn supervise(&mut self) {
-        let Some(cfg) = self.supervision else { return };
-        if cfg.max_restarts == 0 {
-            return;
-        }
-        for shard in 0..self.poisoned.len() {
-            if !self.poisoned[shard] {
-                continue;
-            }
-            let now = std::time::Instant::now();
-            while self.restart_times[shard]
-                .front()
-                .is_some_and(|&t| now.duration_since(t) > cfg.window)
-            {
-                self.restart_times[shard].pop_front();
-            }
-            if self.restart_times[shard].len() >= cfg.max_restarts as usize {
-                continue; // budget exhausted: stay poisoned, stay loud
-            }
-            // Exponential backoff from the moment the poisoning was
-            // observed: the shard stays down until the delay elapses.
-            let since_death = *self.poisoned_at[shard].get_or_insert(now);
-            let delay = cfg.restart_delay(self.restart_times[shard].len() as u32);
-            if now.duration_since(since_death) < delay {
-                continue; // too soon: let the backoff clock run
-            }
-            self.restart_times[shard].push_back(now);
-            self.restarts += 1;
-            self.restart_shard(shard);
-        }
-    }
-
-    /// Shard restarts performed by the automatic supervision policy
-    /// (manual [`ShardPool::restart_shard`] calls are not counted).
-    pub fn restart_count(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Jobs accepted per [`EdgeClass`], indexed by [`EdgeClass::index`]
-    /// (untagged submissions count as [`EdgeClass::Data`]).
-    pub fn class_submits(&self) -> [u64; 3] {
-        self.class_submits
     }
 
     fn spawn_worker(
@@ -390,16 +206,8 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             .expect("spawn shard worker")
     }
 
-    /// Number of shards: shard 0 on the caller plus one worker thread
-    /// per further shard.
-    pub fn shard_count(&self) -> usize {
+    fn shard_count(&self) -> usize {
         self.poisoned.len()
-    }
-
-    /// Shard 0's jobs that have been submitted and not yet run: the
-    /// next call that collects results runs them.
-    pub fn local_backlog(&self) -> usize {
-        self.local_queue.len()
     }
 
     /// Submits a job to `shard` (modulo the shard count), blocking while
@@ -408,13 +216,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// not silently lost: it is recorded as a [`ShardFailure`] and the
     /// merge skips its slot. Returns the job's sequence number.
     pub fn submit(&mut self, shard: usize, job: I) -> u64 {
-        self.submit_tagged(shard, job, EdgeClass::Data)
-    }
-
-    /// [`ShardPool::submit`] carrying an explicit [`EdgeClass`] tag,
-    /// counted in [`ShardPool::class_submits`].
-    pub fn submit_tagged(&mut self, shard: usize, job: I, class: EdgeClass) -> u64 {
-        self.submit_batch_tagged(shard, vec![job], class).start
+        self.submit_batch(shard, vec![job]).start
     }
 
     /// Submits a burst of jobs to `shard` as **one** hand-off, blocking
@@ -424,20 +226,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     /// [`ShardPool::submit`]ted individually — the batch only amortises
     /// the per-job rendezvous with the worker.
     pub fn submit_batch(&mut self, shard: usize, jobs: Vec<I>) -> std::ops::Range<u64> {
-        self.submit_batch_tagged(shard, jobs, EdgeClass::Data)
-    }
-
-    /// [`ShardPool::submit_batch`] carrying an explicit [`EdgeClass`]
-    /// tag for the whole burst.
-    pub fn submit_batch_tagged(
-        &mut self,
-        shard: usize,
-        jobs: Vec<I>,
-        class: EdgeClass,
-    ) -> std::ops::Range<u64> {
-        self.class_submits[class.index()] += jobs.len() as u64;
         self.absorb_ready();
-        self.supervise();
         let idx = shard % self.shard_count();
         let first = self.next_seq;
         if jobs.is_empty() {
@@ -445,10 +234,10 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         }
         self.next_seq += jobs.len() as u64;
         let seqs = first..self.next_seq;
-        let sent = if idx > 0 {
-            self.jobs[idx - 1].send(seqs.clone().zip(jobs).collect()).is_ok()
-        } else if self.poisoned[0] {
+        let sent = if self.poisoned[idx] {
             false // refused, as an exited worker's closed channel refuses
+        } else if idx > 0 {
+            self.jobs[idx - 1].send(seqs.clone().zip(jobs).collect()).is_ok()
         } else {
             self.local_queue.extend(seqs.clone().zip(jobs));
             true
@@ -464,9 +253,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     }
 
     fn note_lost(&mut self, shard: usize, seq: u64, reason: String) {
-        if !self.poisoned[shard] {
-            self.poisoned_at[shard] = Some(std::time::Instant::now());
-        }
         self.poisoned[shard] = true;
         self.failed_seqs.insert(seq);
         self.failures.push(ShardFailure { shard, seq, reason });
@@ -520,7 +306,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     pub fn drain(&mut self) -> Vec<O> {
         self.run_local();
         self.absorb_ready();
-        self.supervise();
         let mut out = Vec::new();
         loop {
             if let Some(o) = self.collected.remove(&self.next_out) {
@@ -533,80 +318,15 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         out
     }
 
-    /// The submission sequence number up to which outputs have been
-    /// merged and released (exclusive): everything below it is fully
-    /// accounted for — delivered, or recorded as a [`ShardFailure`].
-    /// Callers keeping per-job side tables can prune below this mark.
-    pub fn merged_watermark(&self) -> u64 {
-        self.next_out
-    }
-
-    /// Takes the failures recorded so far (panicked jobs, jobs stranded
-    /// behind a panic, jobs submitted to a dead shard), oldest first.
-    /// Runs shard 0's queued jobs first.
-    pub fn take_failures(&mut self) -> Vec<ShardFailure> {
-        self.run_local();
-        self.absorb_ready();
-        std::mem::take(&mut self.failures)
-    }
-
-    /// Shards whose stage has died and not been restarted. Runs shard
-    /// 0's queued jobs first.
-    pub fn poisoned_shards(&mut self) -> Vec<usize> {
-        self.run_local();
-        self.absorb_ready();
-        (0..self.poisoned.len()).filter(|&s| self.poisoned[s]).collect()
-    }
-
-    /// Tears down `shard`'s stage (dead or alive) and rebuilds it with
-    /// fresh state from the retained factory. A live stage first runs
-    /// the jobs queued for it; jobs still unaccounted for on that shard
-    /// are recorded as [`ShardFailure`]s — a restart never silently
-    /// loses work it can't finish.
-    pub fn restart_shard(&mut self, shard: usize) {
-        let idx = shard % self.shard_count();
-        let rx = if idx == 0 {
-            self.run_local();
-            None
-        } else {
-            let (tx, rx) = mpsc::sync_channel::<JobBatch<I>>(self.capacity);
-            // Dropping the old sender makes a live worker drain its
-            // queue and exit; a panicked worker is already gone.
-            drop(std::mem::replace(&mut self.jobs[idx - 1], tx));
-            if let Some(w) = self.workers[idx - 1].take() {
-                let _ = w.join();
-            }
-            Some(rx)
-        };
-        self.absorb_ready();
-        for seq in std::mem::take(&mut self.in_flight[idx]) {
-            self.failed_seqs.insert(seq);
-            self.failures.push(ShardFailure {
-                shard: idx,
-                seq,
-                reason: "dropped during shard restart".to_owned(),
-            });
-        }
-        let stage = (self.factory)(idx);
-        match rx {
-            None => self.local = stage,
-            Some(rx) => {
-                self.workers[idx - 1] =
-                    Some(Self::spawn_worker(idx, rx, self.result_tx.clone(), stage));
-            }
-        }
-        self.poisoned[idx] = false;
-        self.poisoned_at[idx] = None;
-    }
-
     /// Closes the job queues, runs shard 0's queued jobs, waits for
     /// every worker to finish, and returns all remaining outputs in
-    /// submission order together with every recorded [`ShardFailure`] —
-    /// a panicked shard neither hangs the join nor goes unaccounted.
+    /// submission order together with every recorded [`ShardFailure`],
+    /// oldest first — a panicked shard neither hangs the join nor goes
+    /// unaccounted.
     pub fn finish(mut self) -> (Vec<O>, Vec<ShardFailure>) {
         self.jobs.clear(); // drop senders: workers drain and exit
         self.run_local();
-        for w in self.workers.drain(..).flatten() {
+        for w in self.workers.drain(..) {
             let _ = w.join();
         }
         self.absorb_ready();
@@ -770,188 +490,13 @@ mod tests {
                 assert!(std::time::Instant::now() < deadline, "merge hung on the lost seq");
             }
             assert_eq!(got, vec![1, 2], "healthy shard kept delivering across the gap");
-            let failures = pool.take_failures();
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].shard, 1);
-            assert_eq!(failures[0].seq, 1);
-            assert_eq!(failures[0].reason, "unlucky job");
-            assert_eq!(pool.poisoned_shards(), vec![1]);
-            let (rest, more) = pool.finish();
-            assert!(rest.is_empty() && more.is_empty());
-        });
-    }
-
-    #[test]
-    fn restart_revives_a_poisoned_shard_with_fresh_state() {
-        quiet_panics(|| {
-            let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 8, |_| {
-                let mut count = 0u32;
-                Box::new(move |x| {
-                    if x == 99 {
-                        panic!("boom");
-                    }
-                    count += 1;
-                    count * 100 + x
-                })
-            });
-            pool.submit(0, 1);
-            pool.submit(0, 99);
-            while pool.poisoned_shards().is_empty() {
-                std::thread::yield_now();
-            }
-            pool.restart_shard(0);
-            assert!(pool.poisoned_shards().is_empty());
-            pool.submit(0, 2);
-            let (out, failures) = pool.finish();
-            // The restarted stage counts from zero again.
-            assert_eq!(out, vec![101, 102]);
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].reason, "boom");
-        });
-    }
-
-    #[test]
-    fn supervision_restarts_a_poisoned_shard_automatically() {
-        quiet_panics(|| {
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(1, 8, Some(SupervisionConfig::default()), |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x + 1
-                    })
-                });
-            pool.submit(0, 1);
-            pool.submit(0, 99);
-            // Wait for the panic to land, then keep interacting until
-            // the supervised restart fires (the default policy backs
-            // off 10 ms after the worker's death before rebuilding).
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while pool.take_failures().is_empty() {
-                std::thread::yield_now();
-                assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-            }
-            let mut got = Vec::new();
-            while !pool.poisoned_shards().is_empty() {
-                got.extend(pool.drain()); // supervise() runs here
-                std::thread::yield_now();
-                assert!(std::time::Instant::now() < deadline, "shard never restarted");
-            }
-            assert_eq!(pool.restart_count(), 1);
-            pool.submit(0, 2);
             let (rest, failures) = pool.finish();
-            got.extend(rest);
-            assert_eq!(got, vec![2, 3]);
-            assert!(failures.is_empty(), "failure was already taken");
+            assert!(rest.is_empty());
+            assert_eq!(
+                failures,
+                vec![ShardFailure { shard: 1, seq: 1, reason: "unlucky job".into() }]
+            );
         });
-    }
-
-    #[test]
-    fn supervision_budget_exhausts_and_shard_stays_poisoned() {
-        quiet_panics(|| {
-            let cfg = SupervisionConfig::immediate(1, std::time::Duration::from_secs(3600));
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(1, 8, Some(cfg), |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x
-                    })
-                });
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            let crash = |pool: &mut ShardPool<u32, u32>| {
-                pool.submit(0, 99);
-                while pool.poisoned_shards().is_empty() {
-                    std::thread::yield_now();
-                    assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-                }
-            };
-            crash(&mut pool);
-            pool.submit(0, 1); // first crash: restarted under budget
-            assert_eq!(pool.restart_count(), 1);
-            crash(&mut pool);
-            pool.drain(); // second crash: budget spent, stays poisoned
-            assert_eq!(pool.restart_count(), 1);
-            assert_eq!(pool.poisoned_shards(), vec![0]);
-        });
-    }
-
-    #[test]
-    fn supervision_backoff_delays_restarts_and_doubles() {
-        quiet_panics(|| {
-            let cfg = SupervisionConfig {
-                max_restarts: 3,
-                window: std::time::Duration::from_secs(3600),
-                base_backoff: std::time::Duration::from_millis(100),
-                backoff_cap: std::time::Duration::from_secs(5),
-            };
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(1, 8, Some(cfg), |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x
-                    })
-                });
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            let crash = |pool: &mut ShardPool<u32, u32>| {
-                pool.submit(0, 99);
-                while pool.poisoned_shards().is_empty() {
-                    std::thread::yield_now();
-                    assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-                }
-            };
-
-            // The backoff clock starts when the death is observed, so
-            // each restart lands no sooner than its delay after the
-            // crash began — and the delay doubles per restart in the
-            // window.
-            let first_crash = std::time::Instant::now();
-            crash(&mut pool);
-            // Interacting right after the death must NOT restart: the
-            // pre-backoff behaviour burned the whole budget here.
-            pool.drain();
-            assert_eq!(pool.restart_count(), 0, "restart fired before the backoff elapsed");
-            while pool.restart_count() == 0 {
-                pool.drain();
-                std::thread::yield_now();
-                assert!(std::time::Instant::now() < deadline, "first restart never fired");
-            }
-            assert!(first_crash.elapsed() >= cfg.restart_delay(0), "first restart beat 100 ms");
-
-            let second_crash = std::time::Instant::now();
-            crash(&mut pool);
-            pool.drain();
-            assert_eq!(pool.restart_count(), 1, "second restart skipped its longer backoff");
-            while pool.restart_count() == 1 {
-                pool.drain();
-                std::thread::yield_now();
-                assert!(std::time::Instant::now() < deadline, "second restart never fired");
-            }
-            assert!(second_crash.elapsed() >= cfg.restart_delay(1), "second restart beat 200 ms");
-            let _ = pool.take_failures();
-            drop(pool.finish());
-        });
-    }
-
-    #[test]
-    fn restart_delay_doubles_and_caps() {
-        let cfg = SupervisionConfig {
-            max_restarts: 10,
-            window: std::time::Duration::from_secs(3600),
-            base_backoff: std::time::Duration::from_millis(10),
-            backoff_cap: std::time::Duration::from_millis(45),
-        };
-        let ms = |n: u64| std::time::Duration::from_millis(n);
-        assert_eq!(cfg.restart_delay(0), ms(10));
-        assert_eq!(cfg.restart_delay(1), ms(20));
-        assert_eq!(cfg.restart_delay(2), ms(40));
-        assert_eq!(cfg.restart_delay(3), ms(45), "capped");
-        assert_eq!(cfg.restart_delay(63), ms(45), "huge exponents stay capped");
-        assert_eq!(SupervisionConfig::immediate(3, ms(1000)).restart_delay(5), ms(0));
     }
 
     #[test]
@@ -963,16 +508,14 @@ mod tests {
             ShardPool::new(3, 4, |_| {
                 Box::new(|()| (thread::current().name().map(str::to_owned), thread::current().id()))
             });
-        for round in 0..4 {
+        for _ in 0..4 {
             for shard in [2, 1, 0] {
                 pool.submit(shard, ());
             }
-            assert_eq!(pool.local_backlog(), 1, "round {round}: shard 0 waits for the caller");
             let mut got = Vec::new();
             while got.len() < 3 {
                 got.extend(pool.drain());
             }
-            assert_eq!(pool.local_backlog(), 0);
             let caller = thread::current().id();
             assert_eq!(got[2].1, caller, "shard 0 ran on the thread that drained");
             assert_eq!(got[0].0.as_deref(), Some("garnet-shard-2"));
@@ -983,44 +526,42 @@ mod tests {
     }
 
     #[test]
-    fn shard_zero_panic_is_caught_on_the_caller_and_supervised() {
+    fn shard_zero_panic_is_caught_on_the_caller_and_its_losses_reported() {
         let panicked_on = std::sync::Arc::new(std::sync::Mutex::new(None));
-        let cfg = SupervisionConfig {
-            max_restarts: 1,
-            window: std::time::Duration::from_secs(3600),
-            base_backoff: std::time::Duration::from_millis(500),
-            backoff_cap: std::time::Duration::from_secs(5),
-        };
         quiet_panics(|| {
             let seen = std::sync::Arc::clone(&panicked_on);
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(2, 8, Some(cfg), move |_| {
-                    let seen = std::sync::Arc::clone(&seen);
-                    let mut count = 0u32;
-                    Box::new(move |x| {
-                        if x == 99 {
-                            *seen.lock().unwrap() = Some(thread::current().id());
-                            panic!("boom");
-                        }
-                        count += 1;
-                        count * 100 + x
-                    })
-                });
+            let mut pool: ShardPool<u32, u32> = ShardPool::new(2, 8, move |_| {
+                let seen = std::sync::Arc::clone(&seen);
+                let mut count = 0u32;
+                Box::new(move |x| {
+                    if x == 99 {
+                        *seen.lock().unwrap() = Some(thread::current().id());
+                        panic!("boom");
+                    }
+                    count += 1;
+                    count * 100 + x
+                })
+            });
             pool.submit(0, 1);
             pool.submit(1, 5);
             pool.submit(0, 99);
             pool.submit(0, 2); // stranded behind the panic
             let mut got = Vec::new();
-            while pool.merged_watermark() < 4 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while got.len() < 2 {
                 got.extend(pool.drain()); // the panic unwinds in here
+                assert!(std::time::Instant::now() < deadline, "merge hung on the lost seqs");
             }
             assert_eq!(*panicked_on.lock().unwrap(), Some(thread::current().id()));
             assert_eq!(got, vec![101, 105], "the worker shard kept delivering");
-            assert_eq!(pool.poisoned_shards(), vec![0]);
-            // Inside the backoff the shard refuses work, loudly.
+            // The poisoned shard refuses work, loudly; the worker shard
+            // carries on with its own state.
             assert_eq!(pool.submit(0, 3), 4);
+            pool.submit(1, 6);
+            let (rest, failures) = pool.finish();
+            assert_eq!(rest, vec![206]);
             let reasons: Vec<(usize, u64, String)> =
-                pool.take_failures().into_iter().map(|f| (f.shard, f.seq, f.reason)).collect();
+                failures.into_iter().map(|f| (f.shard, f.seq, f.reason)).collect();
             assert_eq!(
                 reasons,
                 vec![
@@ -1029,19 +570,6 @@ mod tests {
                     (0, 4, "submitted to a poisoned shard".to_owned()),
                 ]
             );
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while pool.restart_count() == 0 {
-                got.extend(pool.drain());
-                thread::sleep(std::time::Duration::from_millis(5));
-                assert!(std::time::Instant::now() < deadline, "shard 0 never restarted");
-            }
-            assert!(pool.poisoned_shards().is_empty());
-            pool.submit(0, 4);
-            pool.submit(1, 6);
-            let (rest, failures) = pool.finish();
-            // The rebuilt stage counts from zero; shard 1's did not restart.
-            assert_eq!(rest, vec![104, 206]);
-            assert!(failures.is_empty());
         });
     }
 

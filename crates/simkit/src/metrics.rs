@@ -48,15 +48,8 @@ pub mod keys {
     pub const DISPATCHING_LATENCY_US: &str = "dispatching.latency_us";
     /// Sim-time from first boundary admission to dispatch fan-out.
     pub const PIPELINE_E2E_LATENCY_US: &str = "pipeline.e2e_latency_us";
-    /// Frames admitted since the router last went quiescent, all shards.
+    /// Frames admitted since the router last went quiescent.
     pub const QUEUE_DEPTH: &str = "overload.queue_depth";
-    /// Jobs stranded by worker shard failures (cumulative).
-    pub const SHARD_FAILURES: &str = "overload.shard_failures";
-
-    /// Per-shard queue-depth gauge name (cold path: snapshot assembly).
-    pub fn shard_queue_depth(shard: usize) -> String {
-        format!("{QUEUE_DEPTH}.shard{shard}")
-    }
 }
 
 /// A monotonically increasing event counter.

@@ -5,7 +5,7 @@
 //! allocated per frame: the filter result holds its one delivery
 //! inline, a routed message is one `Deliver` output whatever its
 //! fan-out, and every buffer on the way (the router's batch scratch, the
-//! driver→facade output buffer) is reused. What remains is per burst — a
+//! router→facade output buffer) is reused. What remains is per burst — a
 //! handful of `Vec`s sized to the burst — so the pin is a fraction of an
 //! allocator call per frame, measured with a counting global allocator.
 
@@ -17,7 +17,6 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::DriverKind;
 use garnet::net::{DispatchCacheConfig, MatchCache, SubscriberId, SubscriptionTable, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimTime, TraceConfig, Tracer};
@@ -25,9 +24,8 @@ use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, 
 
 thread_local! {
     /// Allocator calls made by this thread. Per thread, so tests running
-    /// beside this one are not counted; `DriverKind::Fifo` does all its
-    /// work on the calling thread, `DriverKind::Threaded` everything
-    /// except filtering ingest shards 1 and up.
+    /// beside this one are not counted; the facade does all its work on
+    /// the calling thread.
     static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -146,11 +144,7 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
     // Unbounded admission, then a bound the bursts fit under (the
     // scheduler governs admission without shedding).
     for overload in [None, armed] {
-        let per_frame = allocs_per_frame(GarnetConfig {
-            driver: DriverKind::Fifo,
-            overload,
-            ..GarnetConfig::default()
-        });
+        let per_frame = allocs_per_frame(GarnetConfig { overload, ..GarnetConfig::default() });
         assert!(
             per_frame < 0.25,
             "overload {overload:?}: {per_frame:.3} allocator calls per frame"
@@ -164,17 +158,6 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
         tracer.record(|| unreachable!("the recorder is off: no record is built"));
     }
     assert_eq!(CALLS.with(Cell::get) - before, 0, "a recorder that is off must not allocate");
-}
-
-#[test]
-fn pooled_filtering_costs_the_facade_thread_less_than_half_a_call_per_frame() {
-    // The calling thread queues, dispatches and delivers every frame,
-    // and runs the one filtering shard itself; the pool adds a few
-    // allocations per burst of 64 (the job, its results, the merge),
-    // none per frame.
-    let per_frame =
-        allocs_per_frame(GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() });
-    assert!(per_frame < 0.5, "{per_frame:.3} allocator calls per frame on the facade thread");
 }
 
 #[test]

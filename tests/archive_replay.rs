@@ -2,8 +2,7 @@
 //!
 //! 1. **Deterministic replay** — the boundary log a live facade writes
 //!    replays into a fresh facade and rebuilds dispatch state
-//!    bit-identically, across the full `{Fifo,Threaded} × {1,4} ingest`
-//!    matrix, regardless of which configuration wrote the log.
+//!    bit-identically, whatever `on_frames` chunking wrote the log.
 //! 2. **Crash recovery** — a store that dies mid-run loses only the
 //!    unacknowledged tail: recovery never loses a frame the store
 //!    acknowledged and never resurrects a torn one, and the
@@ -20,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig, GarnetError};
-use garnet::core::{store_slot, ArchiveBackend, ArchiveConfig, DriverKind, StoreSlot};
+use garnet::core::{store_slot, ArchiveBackend, ArchiveConfig, StoreSlot};
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::TraceOutcome;
@@ -97,8 +96,8 @@ fn burst_schedule(sensors: u32, n: u16, drop_mask: &[u8], dup_mask: &[u8]) -> Ve
     frames
 }
 
-fn config(driver: DriverKind, ingest: usize, archive: Option<ArchiveConfig>) -> GarnetConfig {
-    GarnetConfig { driver, ingest_shards: ingest, archive, ..GarnetConfig::default() }
+fn config(archive: Option<ArchiveConfig>) -> GarnetConfig {
+    GarnetConfig { archive, ..GarnetConfig::default() }
 }
 
 fn fresh_garnet(config: GarnetConfig) -> (Garnet, Arc<Mutex<FacadeLog>>) {
@@ -174,37 +173,20 @@ proptest! {
         drop_mask in proptest::collection::vec(0u8..8, 16),
         dup_mask in proptest::collection::vec(0u8..4, 16),
         chunks in proptest::collection::vec(1usize..9, 1..8),
-        writer_driver_idx in 0usize..2,
-        replay_driver_idx in 0usize..2,
-        replay_ingest in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
         if frames.is_empty() {
             return; // masks dropped everything; nothing to compare
         }
-        let writer_driver = [DriverKind::Fifo, DriverKind::Threaded][writer_driver_idx];
         let slot = store_slot(Box::new(MemStore::new()));
-        let (records, live) = live_run(
-            config(writer_driver, 2, Some(custom_archive(&slot))),
-            slot,
-            &frames,
-            &chunks,
-        );
+        let (records, live) =
+            live_run(config(Some(custom_archive(&slot))), slot, &frames, &chunks);
 
-        let replay_driver = [DriverKind::Fifo, DriverKind::Threaded][replay_driver_idx];
         let replay_slot = store_slot(Box::new(MemStore::new()));
-        let (mut g, log) = fresh_garnet(config(
-            replay_driver,
-            replay_ingest,
-            Some(custom_archive(&replay_slot)),
-        ));
+        let (mut g, log) = fresh_garnet(config(Some(custom_archive(&replay_slot))));
         g.replay_archive(&records);
         let replayed = dispatch_state(&g, &log);
-        prop_assert_eq!(
-            &live, &replayed,
-            "replay diverged (writer {:?} -> replay {:?}, {} ingest shards)",
-            writer_driver, replay_driver, replay_ingest
-        );
+        prop_assert_eq!(&live, &replayed, "replay diverged");
 
         // The replaying facade archived the same boundary inputs: its
         // log is record-identical to the one it was fed.
@@ -238,7 +220,7 @@ proptest! {
         let slot = store_slot(Box::new(faulty));
         let frames = burst_schedule(4, n, &[1, 1, 0, 1], &[0, 1]);
         let (mut g, _log) =
-            fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
+            fresh_garnet(config(Some(custom_archive(&slot))));
         let offered: Vec<_> = frames
             .iter()
             .enumerate()
@@ -272,7 +254,7 @@ proptest! {
         // A facade restarted over those bytes reports the same scan:
         // record counts, the truncation point, per-stream high water.
         let crashed = store_slot(Box::new(crashed));
-        let restarted = Garnet::new(config(DriverKind::Fifo, 1, Some(custom_archive(&crashed))));
+        let restarted = Garnet::new(config(Some(custom_archive(&crashed))));
         prop_assert_eq!(restarted.archive_recovery(), Some(&report));
         // Order-preserving subsequence of the offered records: nothing
         // reordered, nothing invented, torn tails truncated away.
@@ -295,8 +277,7 @@ fn recovery_reports_per_stream_high_water_marks() {
     let slot = store_slot(Box::new(MemStore::new()));
     let frames: Vec<_> =
         (0..10u16).map(|s| frame(1, s)).chain((0..5u16).map(|s| frame(2, s))).collect();
-    let (records, _) =
-        live_run(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))), slot, &frames, &[3]);
+    let (records, _) = live_run(config(Some(custom_archive(&slot))), slot, &frames, &[3]);
     assert!(!records.is_empty());
 
     // Re-open the log (write it into a fresh store) and inspect marks.
@@ -323,7 +304,7 @@ fn stalled_archive_degrades_gracefully_and_ledger_balances() {
         FaultPlan { stall_after_appends: Some(0), ..FaultPlan::default() },
     );
     let slot = store_slot(Box::new(faulty));
-    let (mut g, log) = fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
+    let (mut g, log) = fresh_garnet(config(Some(custom_archive(&slot))));
     let batch: Vec<_> = (0..20u16).map(|s| (ReceiverId::new(0), -45.0, frame(2, s))).collect();
     g.on_frames(batch, SimTime::from_millis(1));
 
@@ -374,10 +355,7 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
     );
     let slot = store_slot(Box::new(faulty));
     let archive = ArchiveConfig { segment_max_bytes: 3 * record_len, ..custom_archive(&slot) };
-    let (mut g, log) = fresh_garnet(GarnetConfig {
-        trace_capacity: 128,
-        ..config(DriverKind::Fifo, 1, Some(archive))
-    });
+    let (mut g, log) = fresh_garnet(GarnetConfig { trace_capacity: 128, ..config(Some(archive)) });
 
     g.on_frames(burst_of(0, 20), t1);
     assert_eq!(log.lock().unwrap().len(), 20, "every frame delivered");
@@ -395,53 +373,50 @@ fn store_stalling_mid_burst_is_accounted_per_record_on_fifo() {
 
 #[test]
 fn tick_and_ack_between_bursts_land_in_append_order() {
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        // Once into a store handed over in a slot, once into the file
-        // backend the facade opens for itself.
-        let slot = store_slot(Box::new(MemStore::new()));
-        let dir = std::env::temp_dir()
-            .join(format!("garnet-archive-replay-{}-{driver:?}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let file_archive = ArchiveConfig {
-            backend: ArchiveBackend::Directory(dir.clone()),
-            ..ArchiveConfig::default()
-        };
-        for (archive, on_disk) in [(custom_archive(&slot), false), (file_archive, true)] {
-            let (mut g, log) = fresh_garnet(config(driver, 2, Some(archive)));
-            let at = |ms| SimTime::from_millis(ms);
-            g.on_frames(burst_of(0, 5), at(1));
-            g.on_tick(at(2));
-            g.on_standalone_ack(RequestId::new(7), AckStatus::Deferred, at(3));
-            g.on_frames(burst_of(5, 5), at(4));
-            g.shutdown(at(5)).expect("clean store, shutdown flushes");
+    // Once into a store handed over in a slot, once into the file
+    // backend the facade opens for itself.
+    let slot = store_slot(Box::new(MemStore::new()));
+    let dir = std::env::temp_dir().join(format!("garnet-archive-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file_archive = ArchiveConfig {
+        backend: ArchiveBackend::Directory(dir.clone()),
+        ..ArchiveConfig::default()
+    };
+    for (archive, on_disk) in [(custom_archive(&slot), false), (file_archive, true)] {
+        let (mut g, log) = fresh_garnet(config(Some(archive)));
+        let at = |ms| SimTime::from_millis(ms);
+        g.on_frames(burst_of(0, 5), at(1));
+        g.on_tick(at(2));
+        g.on_standalone_ack(RequestId::new(7), AckStatus::Deferred, at(3));
+        g.on_frames(burst_of(5, 5), at(4));
+        g.shutdown(at(5)).expect("clean store, shutdown flushes");
 
-            let mut expected = records_of(0, 5, at(1));
-            expected.push(ArchiveRecord::tick(at(2)));
-            expected.push(ArchiveRecord::ack(RequestId::new(7), AckStatus::Deferred, at(3)));
-            expected.extend(records_of(5, 5, at(4)));
-            let recovered = if on_disk {
-                read_log(Box::new(FileStore::open(&dir).unwrap()))
-            } else {
-                recovered_log(&slot)
-            };
-            assert_eq!(recovered, expected, "{driver:?} on_disk={on_disk}");
-            let l = g.archive_ledger().unwrap();
-            assert_eq!(
-                (l.offered, l.archived, l.dropped, l.pending),
-                (12, 12, 0, 0),
-                "{driver:?} on_disk={on_disk}"
-            );
-            // The tap costs no delivery.
-            assert_eq!(log.lock().unwrap().len(), 10, "{driver:?} on_disk={on_disk}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut expected = records_of(0, 5, at(1));
+        expected.push(ArchiveRecord::tick(at(2)));
+        expected.push(ArchiveRecord::ack(RequestId::new(7), AckStatus::Deferred, at(3)));
+        expected.extend(records_of(5, 5, at(4)));
+        let recovered = if on_disk {
+            read_log(Box::new(FileStore::open(&dir).unwrap()))
+        } else {
+            recovered_log(&slot)
+        };
+        assert_eq!(recovered, expected, "on_disk={on_disk}");
+        let l = g.archive_ledger().unwrap();
+        assert_eq!(
+            (l.offered, l.archived, l.dropped, l.pending),
+            (12, 12, 0, 0),
+            "on_disk={on_disk}"
+        );
+        // The tap costs no delivery.
+        assert_eq!(log.lock().unwrap().len(), 10, "on_disk={on_disk}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn archive_metrics_stage_reports_the_ledger() {
     let slot = store_slot(Box::new(MemStore::new()));
-    let (mut g, _log) = fresh_garnet(config(DriverKind::Fifo, 1, Some(custom_archive(&slot))));
+    let (mut g, _log) = fresh_garnet(config(Some(custom_archive(&slot))));
     g.on_frames(vec![(ReceiverId::new(0), -45.0, frame(2, 0))], SimTime::from_millis(1));
     g.on_tick(SimTime::from_secs(1));
     let report = g.metrics().report();

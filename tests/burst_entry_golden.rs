@@ -3,9 +3,8 @@
 //! *before* radio frames stopped travelling through the router's queue,
 //! and every facade run here must still reproduce it — trace dump,
 //! metrics report, each call's `StepOutput` and each consumer's delivery
-//! sequence — under `{Fifo, Threaded}` × `{unbounded, Shed,
-//! CoalesceFrames, Block}` with an admission tier smaller than the
-//! bursts. Nine `overload.*` lines were rewritten once since, when
+//! sequence — under each of `{unbounded, Shed, CoalesceFrames, Block}`
+//! with an admission tier smaller than the bursts. Nine `overload.*` lines were rewritten once since, when
 //! frame admission stopped counting derived republications as offered
 //! radio frames; every `qos.data.*` line stayed as written.
 //!
@@ -22,7 +21,6 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::DriverKind;
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
@@ -88,10 +86,8 @@ impl Consumer for Recorder {
 
 /// Runs the one fixed schedule through a facade and returns everything
 /// it showed, as text.
-fn run(driver: DriverKind, policy: Option<OverloadPolicy>) -> String {
+fn run(policy: Option<OverloadPolicy>) -> String {
     let mut g = Garnet::new(GarnetConfig {
-        driver,
-        ingest_shards: 2,
         overload: policy.map(|policy| OverloadConfig { capacity: CAPACITY, policy }),
         trace_capacity: 4096,
         ..GarnetConfig::default()
@@ -198,33 +194,29 @@ const POLICIES: [Option<OverloadPolicy>; 4] = [
     Some(OverloadPolicy::Block),
 ];
 
-/// One `==== policy` section per admission policy. The parent writes the
-/// same text under both engines, so the golden file holds each once.
-fn render(driver: DriverKind) -> String {
+/// One `==== policy` section per admission policy.
+fn render() -> String {
     let mut text = String::new();
     for policy in POLICIES {
         let name = policy.map_or("unbounded".to_owned(), |p| format!("{p:?}"));
-        write!(text, "==== {name}\n{}", run(driver, policy)).unwrap();
+        write!(text, "==== {name}\n{}", run(policy)).unwrap();
     }
     text
 }
 
 #[test]
 fn every_observable_matches_the_text_the_parent_commit_wrote() {
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let got = render(driver);
-        // The schedule does what its comments say, whatever the literals.
-        for needle in
-            ["\"kind\":\"ack_received\"", "\"outcome\":\"shed\"", "\"outcome\":\"coalesced\""]
-        {
-            assert!(got.contains(needle), "{driver:?}: schedule no longer produces {needle}");
-        }
-        // Line by line first, so a failure names the first line that moved.
-        for (n, (g, w)) in got.lines().zip(GOLDEN.lines()).enumerate() {
-            assert_eq!(g, w, "{driver:?}: line {} differs from the golden text", n + 1);
-        }
-        assert_eq!(got.len(), GOLDEN.len(), "{driver:?}: one text is a prefix of the other");
+    let got = render();
+    // The schedule does what its comments say, whatever the literals.
+    for needle in ["\"kind\":\"ack_received\"", "\"outcome\":\"shed\"", "\"outcome\":\"coalesced\""]
+    {
+        assert!(got.contains(needle), "schedule no longer produces {needle}");
     }
+    // Line by line first, so a failure names the first line that moved.
+    for (n, (g, w)) in got.lines().zip(GOLDEN.lines()).enumerate() {
+        assert_eq!(g, w, "line {} differs from the golden text", n + 1);
+    }
+    assert_eq!(got.len(), GOLDEN.len(), "one text is a prefix of the other");
 }
 
 /// Rewrites the golden text from this checkout's behaviour.
@@ -232,5 +224,5 @@ fn every_observable_matches_the_text_the_parent_commit_wrote() {
 #[ignore = "writes tests/golden/burst_entry.txt"]
 fn regenerate() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/burst_entry.txt");
-    std::fs::write(path, render(DriverKind::Fifo)).unwrap();
+    std::fs::write(path, render()).unwrap();
 }

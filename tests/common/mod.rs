@@ -1,10 +1,6 @@
 //! The one bare-`Router` harness: a boundary schedule, the subscriptions
 //! it is routed against, and the loop that drives a router through it.
-//! `threaded_router.rs` fingerprints what escapes, `tracing.rs` reads the
-//! flight recorder; both compare filtering inline against pooled.
-
-// Each test binary uses its own subset.
-#![allow(dead_code)]
+//! `tracing.rs` reads the flight recorder it fills.
 
 use garnet::core::router::{ControlGraph, Router, Services, ShardedDispatch, ShardedIngest};
 use garnet::core::service::{BatchedFrame, ServiceEvent, ServiceOutput};
@@ -116,9 +112,5 @@ pub fn drive(router: &mut Router, sched: &[Boundary]) -> Vec<ServiceOutput> {
         };
         while router.step(now, &mut escaped) {}
     }
-    let ingest = &mut router.services_mut().ingest;
-    let failures = ingest.take_failures();
-    assert!(failures.is_empty(), "no worker should fail: {failures:?}");
-    assert_eq!(ingest.shard_restarts(), 0);
     escaped
 }

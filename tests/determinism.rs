@@ -9,7 +9,6 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
-use garnet::core::DriverKind;
 use garnet::net::TopicFilter;
 use garnet::radio::field::GaussianPlume;
 use garnet::radio::geometry::{Point, Rect};
@@ -35,15 +34,7 @@ struct RunFingerprint {
 }
 
 fn run(seed: u64) -> RunFingerprint {
-    run_sharded(seed, 1)
-}
-
-fn run_sharded(seed: u64, ingest_shards: usize) -> RunFingerprint {
-    run_config(seed, GarnetConfig { ingest_shards, ..GarnetConfig::default() })
-}
-
-fn run_driver(seed: u64, driver: DriverKind, ingest_shards: usize) -> RunFingerprint {
-    run_config(seed, GarnetConfig { driver, ingest_shards, ..GarnetConfig::default() })
+    run_config(seed, GarnetConfig::default())
 }
 
 fn run_config(seed: u64, garnet: GarnetConfig) -> RunFingerprint {
@@ -117,36 +108,6 @@ fn same_seed_same_world() {
     assert_eq!(a, b);
 }
 
-#[test]
-fn shard_count_does_not_change_the_world() {
-    // Partitioning the ingest hot path must be observably invisible
-    // under the simulation driver: every counter and the full metrics
-    // report are bit-identical across shard counts.
-    let unsharded = run_sharded(1234, 1);
-    for ingest in [3, 4] {
-        let sharded = run_sharded(1234, ingest);
-        assert_eq!(unsharded, sharded, "ingest_shards={ingest} diverged");
-    }
-}
-
-#[test]
-fn driver_kind_does_not_change_the_world() {
-    // The execution engine is a deployment choice, not a semantic one:
-    // the FIFO simulation driver and the hosted threaded graph must
-    // agree on every counter and the full metrics report, at every
-    // shard count. This is the facade's bit-identity contract.
-    let baseline = run_driver(1234, DriverKind::Fifo, 1);
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for ingest in [1usize, 4] {
-            if driver == DriverKind::Fifo && ingest == 1 {
-                continue;
-            }
-            let f = run_driver(1234, driver, ingest);
-            assert_eq!(baseline, f, "driver={driver:?} ingest={ingest} diverged");
-        }
-    }
-}
-
 /// Drops the `dispatch.match_cache.*` rows from a metrics report. The
 /// cache counters honestly differ between cache-on and cache-off runs
 /// (that is their job); every other line must still be bit-identical.
@@ -158,49 +119,41 @@ fn strip_cache_rows(report: &str) -> String {
 fn match_cache_toggle_does_not_change_the_world() {
     // The dispatch match cache is a performance artefact, not a semantic
     // one: disabling it must reproduce the cached run bit-for-bit on
-    // every observable except the cache's own counters, across the
-    // driver × shard matrix.
+    // every observable except the cache's own counters.
     let baseline = run_config(1234, GarnetConfig::default());
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for ingest in [1usize, 4] {
-            let f = run_config(
-                1234,
-                GarnetConfig {
-                    driver,
-                    ingest_shards: ingest,
-                    dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
-                    ..GarnetConfig::default()
-                },
-            );
-            let ctx = format!("driver={driver:?} ingest={ingest}");
-            assert_eq!(
-                (
-                    baseline.transmissions,
-                    baseline.receptions,
-                    baseline.delivered,
-                    baseline.duplicates,
-                    baseline.crc_failures,
-                    baseline.consumer_count,
-                    baseline.orphaned,
-                ),
-                (
-                    f.transmissions,
-                    f.receptions,
-                    f.delivered,
-                    f.duplicates,
-                    f.crc_failures,
-                    f.consumer_count,
-                    f.orphaned,
-                ),
-                "cache-off counters diverged ({ctx})"
-            );
-            assert_eq!(
-                strip_cache_rows(&baseline.metrics_report),
-                strip_cache_rows(&f.metrics_report),
-                "cache-off metrics diverged ({ctx})"
-            );
-        }
-    }
+    let f = run_config(
+        1234,
+        GarnetConfig {
+            dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
+            ..GarnetConfig::default()
+        },
+    );
+    assert_eq!(
+        (
+            baseline.transmissions,
+            baseline.receptions,
+            baseline.delivered,
+            baseline.duplicates,
+            baseline.crc_failures,
+            baseline.consumer_count,
+            baseline.orphaned,
+        ),
+        (
+            f.transmissions,
+            f.receptions,
+            f.delivered,
+            f.duplicates,
+            f.crc_failures,
+            f.consumer_count,
+            f.orphaned,
+        ),
+        "cache-off counters diverged"
+    );
+    assert_eq!(
+        strip_cache_rows(&baseline.metrics_report),
+        strip_cache_rows(&f.metrics_report),
+        "cache-off metrics diverged"
+    );
 }
 
 /// The byte-exact facade delivery log: (raw stream, seq, payload).
@@ -297,9 +250,9 @@ fn burst_schedule(sensors: u32, n: u16, drop_mask: &[u8], dup_mask: &[u8]) -> Ve
 
 proptest! {
     // How a burst is chunked into `on_frames` calls is invisible to
-    // deliveries and counters, across the driver × shard matrix: random
-    // batch splits reproduce the run fed one frame per call (a batch of
-    // one — the only per-frame path there is). So is the match cache.
+    // deliveries and counters: random batch splits reproduce the run fed
+    // one frame per call (a batch of one — the only per-frame path there
+    // is). So is the match cache.
     #[test]
     fn arrival_chunking_and_cache_are_invisible_to_deliveries(
         sensors in 2u32..6,
@@ -307,29 +260,21 @@ proptest! {
         drop_mask in proptest::collection::vec(0u8..8, 32),
         dup_mask in proptest::collection::vec(0u8..4, 32),
         chunks in proptest::collection::vec(1usize..17, 1..24),
-        driver_idx in 0usize..2,
-        ingest in prop_oneof![Just(1usize), Just(4usize)],
         cache_on in proptest::bool::ANY,
     ) {
         let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
         if frames.is_empty() {
             return; // masks dropped everything; nothing to compare
         }
-        let driver = [DriverKind::Fifo, DriverKind::Threaded][driver_idx];
         let dispatch_cache = if cache_on {
             garnet::net::DispatchCacheConfig::default()
         } else {
             garnet::net::DispatchCacheConfig::disabled()
         };
-        let cfg = || GarnetConfig {
-            driver,
-            ingest_shards: ingest,
-            dispatch_cache,
-            ..GarnetConfig::default()
-        };
+        let cfg = || GarnetConfig { dispatch_cache, ..GarnetConfig::default() };
         let batched = facade_replay(&frames, &chunks, cfg());
         let singles = facade_replay(&frames, &[1], cfg());
-        prop_assert_eq!(&batched, &singles, "batch splits changed the run ({:?} ingest={} cache={})", driver, ingest, cache_on);
+        prop_assert_eq!(&batched, &singles, "batch splits changed the run (cache={})", cache_on);
         // The cache is invisible to deliveries and counters: toggling it
         // off reproduces the same log and books.
         let uncached = facade_replay(&frames, &chunks, GarnetConfig {
@@ -377,66 +322,25 @@ fn telemetry_replay(
     (snap.to_jsonl(), snap.to_prometheus(), g.metrics().report())
 }
 
-/// Parses a snapshot line back through `garnet_ctl` and normalises it with
-/// the per-shard depth gauges removed — the one part of a snapshot that
-/// legitimately depends on the shard layout.
-fn strip_shard_gauges(jsonl: &str) -> String {
-    let mut snap = garnet_ctl::Snapshot::parse(jsonl).expect("facade emits parseable JSONL");
-    snap.gauges.retain(|name, _| !name.contains(".shard"));
-    format!("{snap:?}")
-}
-
-/// Drops the per-shard depth-gauge series from a Prometheus exposition so
-/// renderings can be compared across shard layouts.
-fn strip_shard_series(prometheus: &str) -> String {
-    prometheus
-        .lines()
-        .filter(|line| !line.contains("queue_depth_shard"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-// Telemetry is an observer, not a participant. Three claims: (1) the final
-// snapshot is bit-identical — modulo per-shard gauge ids — across
-// {Fifo,Threaded} × ingest {1,4};
-// (2) two identical runs render byte-identical JSONL and Prometheus text,
-// per-shard series included; (3) emitting a snapshot mid-run leaves the
+// Telemetry is an observer, not a participant. Two claims: (1) two
+// identical runs render a parseable, byte-identical JSONL line, Prometheus
+// text and metrics report; (2) emitting a snapshot mid-run leaves the
 // world's final books untouched.
 #[test]
 fn telemetry_does_not_change_the_world() {
     let drop_mask: Vec<u8> = (0..32).map(|i| u8::from(i % 7 != 0)).collect();
     let dup_mask: Vec<u8> = (0..32).map(|i| (i % 3) as u8).collect();
     let frames = burst_schedule(5, 20, &drop_mask, &dup_mask);
-    let cfg =
-        |driver, ingest_shards| GarnetConfig { driver, ingest_shards, ..GarnetConfig::default() };
 
-    let (jsonl, prometheus, report) = telemetry_replay(&frames, cfg(DriverKind::Fifo, 1), false);
-    let baseline_snap = strip_shard_gauges(&jsonl);
-    let baseline_prom = strip_shard_series(&prometheus);
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for ingest in [1usize, 4] {
-            let (j, p, r) = telemetry_replay(&frames, cfg(driver, ingest), false);
-            let label = format!("{driver:?} ingest={ingest}");
-            assert_eq!(strip_shard_gauges(&j), baseline_snap, "snapshot diverged ({label})");
-            assert_eq!(strip_shard_series(&p), baseline_prom, "exposition diverged ({label})");
-            assert_eq!(r, report, "metrics report diverged ({label})");
-        }
-    }
+    let (jsonl, prometheus, report) = telemetry_replay(&frames, GarnetConfig::default(), false);
+    garnet_ctl::Snapshot::parse(&jsonl).expect("facade emits parseable JSONL");
+    let (j, p, r) = telemetry_replay(&frames, GarnetConfig::default(), false);
+    assert_eq!(j, jsonl, "JSONL not byte-stable across identical runs");
+    assert_eq!(p, prometheus, "Prometheus not byte-stable across identical runs");
+    assert_eq!(r, report, "metrics report diverged across identical runs");
 
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let first = telemetry_replay(&frames, cfg(driver, 4), false);
-        let second = telemetry_replay(&frames, cfg(driver, 4), false);
-        assert_eq!(first.0, second.0, "{driver:?} JSONL not byte-stable across identical runs");
-        assert_eq!(
-            first.1, second.1,
-            "{driver:?} Prometheus not byte-stable across identical runs"
-        );
-    }
-
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let (_, _, with_midrun) = telemetry_replay(&frames, cfg(driver, 4), true);
-        assert_eq!(with_midrun, report, "mid-run telemetry changed the world ({driver:?})");
-    }
+    let (_, _, with_midrun) = telemetry_replay(&frames, GarnetConfig::default(), true);
+    assert_eq!(with_midrun, report, "mid-run telemetry changed the world");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! strict-priority release and no shedding above the data tier; the
 //! exact `offered == shed + delivered` ledger holds **per class**; a
 //! slow consumer's backlog never perturbs a fast co-subscriber; and the
-//! whole layer is bit-identical across execution engines.
+//! whole layer is bit-identical across runs.
 
 use std::sync::{Arc, Mutex};
 
@@ -16,7 +16,7 @@ use garnet::core::router::{
     ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use garnet::core::service::BatchedFrame;
-use garnet::core::{DriverKind, PriorityClass, QosConfig, ServiceOutput};
+use garnet::core::{PriorityClass, QosConfig, ServiceOutput};
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::geometry::Point;
 use garnet::radio::ReceiverId;
@@ -96,66 +96,62 @@ fn register(g: &mut Garnet, name: &'static str) -> (SubscriberId, Log) {
     (id, log)
 }
 
+// The name predates the second engine's removal; there is one engine.
 #[test]
 fn per_class_ledger_holds_on_both_engines() {
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for policy in [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block]
-        {
-            let mut g = Garnet::new(GarnetConfig { driver, ..scheduled(policy) });
-            let (_, _log) = register(&mut g, "sink");
-            assert!(g.qos_active(), "an overload config must arm the scheduler");
-            // Data through admission; control (flush) and actuation
-            // (ticks) through the event tiers.
-            g.on_frames(burst(8), SimTime::from_millis(1));
-            g.on_tick(SimTime::from_secs(1));
-            g.on_frames(burst(4), SimTime::from_secs(2));
-            g.on_tick(SimTime::from_secs(3));
-            let ledgers = g.qos_ledgers().expect("scheduler is active");
-            for class in PriorityClass::ALL {
-                let l = ledgers.class(class);
-                assert!(
-                    l.balanced(),
-                    "{driver:?} {policy:?} {}: offered {} != shed {} + delivered {}",
-                    class.name(),
-                    l.offered,
-                    l.shed,
-                    l.delivered
-                );
-                assert!(l.coalesced <= l.shed, "coalesced is a subset of shed");
-            }
-            assert!(ledgers.class(PriorityClass::Data).offered > 0, "burst reached the data tier");
+    for policy in [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block] {
+        let mut g = Garnet::new(scheduled(policy));
+        let (_, _log) = register(&mut g, "sink");
+        assert!(g.qos_active(), "an overload config must arm the scheduler");
+        // Data through admission; control (flush) and actuation
+        // (ticks) through the event tiers.
+        g.on_frames(burst(8), SimTime::from_millis(1));
+        g.on_tick(SimTime::from_secs(1));
+        g.on_frames(burst(4), SimTime::from_secs(2));
+        g.on_tick(SimTime::from_secs(3));
+        let ledgers = g.qos_ledgers().expect("scheduler is active");
+        for class in PriorityClass::ALL {
+            let l = ledgers.class(class);
             assert!(
-                g.queue_depth_p99() <= CAPACITY as u64,
-                "{driver:?} {policy:?}: p99 queue depth {} over the bound",
-                g.queue_depth_p99()
+                l.balanced(),
+                "{policy:?} {}: offered {} != shed {} + delivered {}",
+                class.name(),
+                l.offered,
+                l.shed,
+                l.delivered
             );
-            g.shutdown(SimTime::from_secs(4)).expect("clean shutdown");
+            assert!(l.coalesced <= l.shed, "coalesced is a subset of shed");
         }
+        assert!(ledgers.class(PriorityClass::Data).offered > 0, "burst reached the data tier");
+        assert!(
+            g.queue_depth_p99() <= CAPACITY as u64,
+            "{policy:?}: p99 queue depth {} over the bound",
+            g.queue_depth_p99()
+        );
+        g.shutdown(SimTime::from_secs(4)).expect("clean shutdown");
     }
 }
 
 #[test]
 fn control_and_actuation_are_never_shed_under_data_overload() {
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let mut g = Garnet::new(GarnetConfig { driver, ..scheduled(OverloadPolicy::Shed) });
-        let (_, _log) = register(&mut g, "sink");
-        // 16x the data tier's capacity, with flush/actuation ticks
-        // interleaved between bursts.
-        for round in 0..4u64 {
-            g.on_frames(burst(4), SimTime::from_millis(1 + round * 1_000));
-            g.on_tick(SimTime::from_secs(1 + round));
-        }
-        let ledgers = g.qos_ledgers().expect("scheduler is active");
-        for class in [PriorityClass::Control, PriorityClass::Actuation] {
-            let l = ledgers.class(class);
-            assert!(l.offered > 0, "{driver:?}: ticks must exercise the {} tier", class.name());
-            assert_eq!(l.shed, 0, "{driver:?}: {} events must never shed", class.name());
-            assert_eq!(l.delivered, l.offered, "{driver:?}: {} tier drains fully", class.name());
-        }
-        let data = ledgers.class(PriorityClass::Data);
-        assert!(data.shed > 0, "{driver:?}: a 16x burst must shed data frames");
-        assert!(data.balanced(), "{driver:?}: data ledger must balance");
+    let mut g = Garnet::new(scheduled(OverloadPolicy::Shed));
+    let (_, _log) = register(&mut g, "sink");
+    // 16x the data tier's capacity, with flush/actuation ticks
+    // interleaved between bursts.
+    for round in 0..4u64 {
+        g.on_frames(burst(4), SimTime::from_millis(1 + round * 1_000));
+        g.on_tick(SimTime::from_secs(1 + round));
     }
+    let ledgers = g.qos_ledgers().expect("scheduler is active");
+    for class in [PriorityClass::Control, PriorityClass::Actuation] {
+        let l = ledgers.class(class);
+        assert!(l.offered > 0, "ticks must exercise the {} tier", class.name());
+        assert_eq!(l.shed, 0, "{} events must never shed", class.name());
+        assert_eq!(l.delivered, l.offered, "{} tier drains fully", class.name());
+    }
+    let data = ledgers.class(PriorityClass::Data);
+    assert!(data.shed > 0, "a 16x burst must shed data frames");
+    assert!(data.balanced(), "data ledger must balance");
 }
 
 #[test]
@@ -278,15 +274,12 @@ fn overload_counts_radio_frames_not_republications() {
 
 #[test]
 fn qos_is_bit_identical_across_engines_and_layouts() {
-    // Admission decisions are made above the engine: every {driver} x
-    // {shards} layout must reproduce the same delivery log, the same
-    // per-class ledgers, and the same metrics report under overload.
-    let fingerprint = |driver, ingest| {
-        let mut g = Garnet::new(GarnetConfig {
-            driver,
-            ingest_shards: ingest,
-            ..scheduled(OverloadPolicy::CoalesceFrames)
-        });
+    // Admission decisions are made above the router: a second run must
+    // reproduce the same delivery log, the same per-class ledgers, and
+    // the same metrics report under overload. (The name predates the
+    // second engine's removal; the engine and layout axes are gone.)
+    let fingerprint = || {
+        let mut g = Garnet::new(scheduled(OverloadPolicy::CoalesceFrames));
         let (_, log) = register(&mut g, "sink");
         for (i, chunk) in burst(16).chunks(24).enumerate() {
             g.on_frames(chunk.to_vec(), SimTime::from_millis(1 + i as u64));
@@ -297,17 +290,12 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
         let log = log.lock().unwrap().clone();
         (log, ledgers, report)
     };
-    let baseline = fingerprint(DriverKind::Fifo, 1);
+    let baseline = fingerprint();
     assert!(!baseline.0.is_empty());
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        for ingest in [1usize, 4] {
-            let f = fingerprint(driver, ingest);
-            let label = format!("{driver:?} ingest={ingest}");
-            assert_eq!(f.0, baseline.0, "delivery log diverged ({label})");
-            assert_eq!(f.1, baseline.1, "per-class ledgers diverged ({label})");
-            assert_eq!(f.2, baseline.2, "metrics report diverged ({label})");
-        }
-    }
+    let f = fingerprint();
+    assert_eq!(f.0, baseline.0, "delivery log diverged");
+    assert_eq!(f.1, baseline.1, "per-class ledgers diverged");
+    assert_eq!(f.2, baseline.2, "metrics report diverged");
 }
 
 #[test]
@@ -369,10 +357,10 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
     // The facade walks the set in subscriber order: consumers without a
     // drain limit are called at once with the shared delivery, the
     // drain-limited one gets its own staged copy, and both ledgers count
-    // (message, recipient) pairs exactly — identically on both engines.
+    // (message, recipient) pairs exactly.
     const NAMES: [&str; 4] = ["a", "b", "slow", "d"];
-    let run = |driver| {
-        let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
+    let run = || {
+        let mut g = Garnet::new(GarnetConfig::default());
         let calls: Calls = Arc::new(Mutex::new(Vec::new()));
         let token = g.issue_default_token("fanout");
         for name in NAMES {
@@ -400,7 +388,7 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
         (after_burst, mid, all_calls, ledger, dispatched, report)
     };
 
-    let fifo = run(DriverKind::Fifo);
+    let fifo = run();
     let (after_burst, (mid_ledger, mid_backlog), all_calls, ledger, dispatched, _) = &fifo;
     let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
     let mut want = Vec::new();
@@ -420,7 +408,7 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
     assert_eq!((ledger.offered, ledger.delivered, ledger.shed, ledger.coalesced), (3, 3, 0, 0));
     assert_eq!(*dispatched, 3 * NAMES.len() as u64, "deliveries count pairs, not messages");
 
-    assert_eq!(run(DriverKind::Threaded), fifo, "the threaded engine must be bit-identical");
+    assert_eq!(run(), fifo, "a second run must be bit-identical");
 }
 
 /// Pings the sensor behind every delivery it is handed.
@@ -445,35 +433,33 @@ fn every_submitted_plan_is_handed_to_a_caller() {
     // drain-limited consumer that plans an actuation from `on_data`
     // during one of those calls must still see its plan transmitted: it
     // rides on the next `StepOutput` any call returns.
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
-        let token = g.issue_default_token("pinger");
-        let id = g.register_consumer(Box::new(Pinger), &token, 0).unwrap();
-        g.subscribe(id, TopicFilter::All, &token).unwrap();
-        g.set_consumer_drain_limit(id, Some(1));
-        let now = SimTime::from_millis(1);
-        // Five messages on five streams stage five deliveries; each of
-        // the calls below drains one.
-        let burst: Vec<_> = (1..=5).map(|s| (ReceiverId::new(0), -50.0, frame(s, 0))).collect();
-        let mut handed_out = g.on_frames(burst, now).control.len();
-        assert_eq!(handed_out, 1, "{driver:?}: the burst's own drain pass");
-        let sensor = SensorId::new(9).unwrap();
-        let target = ActuationTarget::Sensor(sensor);
-        match g.request_actuation(id, &token, target, SensorCommand::Ping, now).unwrap() {
-            ActuationOutcome::Granted { request_id, .. } => {
-                handed_out += 1;
-                g.on_standalone_ack(request_id, AckStatus::Applied, now);
-            }
-            other => panic!("{driver:?}: expected a grant, got {other:?}"),
+    let mut g = Garnet::new(GarnetConfig::default());
+    let token = g.issue_default_token("pinger");
+    let id = g.register_consumer(Box::new(Pinger), &token, 0).unwrap();
+    g.subscribe(id, TopicFilter::All, &token).unwrap();
+    g.set_consumer_drain_limit(id, Some(1));
+    let now = SimTime::from_millis(1);
+    // Five messages on five streams stage five deliveries; each of
+    // the calls below drains one.
+    let burst: Vec<_> = (1..=5).map(|s| (ReceiverId::new(0), -50.0, frame(s, 0))).collect();
+    let mut handed_out = g.on_frames(burst, now).control.len();
+    assert_eq!(handed_out, 1, "the burst's own drain pass");
+    let sensor = SensorId::new(9).unwrap();
+    let target = ActuationTarget::Sensor(sensor);
+    match g.request_actuation(id, &token, target, SensorCommand::Ping, now).unwrap() {
+        ActuationOutcome::Granted { request_id, .. } => {
+            handed_out += 1;
+            g.on_standalone_ack(request_id, AckStatus::Applied, now);
         }
-        g.provide_hint(&token, sensor, Point::ORIGIN, 1.0, now).unwrap();
-        assert_eq!(g.delivery_backlog(), 1, "{driver:?}: three calls drained one each");
-        // Well inside the retry timer: nothing below is a retransmission.
-        let last = g.shutdown(SimTime::from_millis(2)).expect("clean shutdown");
-        handed_out += last.control.len();
-        assert_eq!(g.actuation().submitted_count(), 6, "{driver:?}: five pings and the API call");
-        assert_eq!(handed_out, 6, "{driver:?}: a submitted plan never reached a caller");
+        other => panic!("expected a grant, got {other:?}"),
     }
+    g.provide_hint(&token, sensor, Point::ORIGIN, 1.0, now).unwrap();
+    assert_eq!(g.delivery_backlog(), 1, "three calls drained one each");
+    // Well inside the retry timer: nothing below is a retransmission.
+    let last = g.shutdown(SimTime::from_millis(2)).expect("clean shutdown");
+    handed_out += last.control.len();
+    assert_eq!(g.actuation().submitted_count(), 6, "five pings and the API call");
+    assert_eq!(handed_out, 6, "a submitted plan never reached a caller");
 }
 
 #[test]
@@ -481,97 +467,87 @@ fn deregistering_a_limited_consumer_sheds_its_backlog() {
     // What is still staged for a departing consumer has nobody to go to:
     // it counts as shed when the consumer leaves, not as delivered by the
     // drains of later calls, and the drain limit leaves with it.
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let mut g =
-            Garnet::new(GarnetConfig { driver, ..scheduled(OverloadPolicy::CoalesceFrames) });
-        let (id, log) = register(&mut g, "slow");
-        g.set_consumer_drain_limit(id, Some(1));
-        // Two bursts of one message per stream: each call's drain pass
-        // hands over one, the rest stage (and coalesce per stream).
-        for seq in 0..2u16 {
-            let burst: Vec<_> =
-                (1..=STREAMS).map(|s| (ReceiverId::new(0), -50.0, frame(s, seq))).collect();
-            g.on_frames(burst, SimTime::from_millis(1 + u64::from(seq)));
-        }
-        assert_eq!(log.lock().unwrap().len(), 2, "{driver:?}: one delivery per call");
-        assert!(g.delivery_backlog() > 0, "{driver:?}: the rest is staged");
-        g.deregister_consumer(id).expect("registered above");
-        for tick in 0..40u64 {
-            g.on_tick(SimTime::from_millis(10 + tick));
-        }
-        let ledger = *g.delivery_ledger();
-        assert_eq!(g.delivery_backlog(), 0, "{driver:?}: nothing stays staged for nobody");
-        assert_eq!(ledger.offered, ledger.shed + ledger.delivered, "{driver:?}: {ledger:?}");
-        assert_eq!(
-            ledger.delivered,
-            log.lock().unwrap().len() as u64,
-            "{driver:?}: delivered counts callbacks that happened"
-        );
-        g.shutdown(SimTime::from_secs(1)).expect("clean shutdown");
+    let mut g = Garnet::new(scheduled(OverloadPolicy::CoalesceFrames));
+    let (id, log) = register(&mut g, "slow");
+    g.set_consumer_drain_limit(id, Some(1));
+    // Two bursts of one message per stream: each call's drain pass
+    // hands over one, the rest stage (and coalesce per stream).
+    for seq in 0..2u16 {
+        let burst: Vec<_> =
+            (1..=STREAMS).map(|s| (ReceiverId::new(0), -50.0, frame(s, seq))).collect();
+        g.on_frames(burst, SimTime::from_millis(1 + u64::from(seq)));
     }
+    assert_eq!(log.lock().unwrap().len(), 2, "one delivery per call");
+    assert!(g.delivery_backlog() > 0, "the rest is staged");
+    g.deregister_consumer(id).expect("registered above");
+    for tick in 0..40u64 {
+        g.on_tick(SimTime::from_millis(10 + tick));
+    }
+    let ledger = *g.delivery_ledger();
+    assert_eq!(g.delivery_backlog(), 0, "nothing stays staged for nobody");
+    assert_eq!(ledger.offered, ledger.shed + ledger.delivered, "{ledger:?}");
+    assert_eq!(
+        ledger.delivered,
+        log.lock().unwrap().len() as u64,
+        "delivered counts callbacks that happened"
+    );
+    g.shutdown(SimTime::from_secs(1)).expect("clean shutdown");
 }
 
 #[test]
 fn match_set_is_fixed_when_the_message_is_routed() {
     // The facade cannot change subscriptions from inside `on_data` (no
     // consumer action does), so this drives the bare router the way the
-    // facade does, over inline and pooled filtering: a subscription write made while a `Deliver` is being
+    // facade does: a subscription write made while a `Deliver` is being
     // applied — after its first recipient, before its later ones — does
     // not shorten that message's recipients; the next message sees it.
     let stream = StreamId::new(SensorId::new(7).unwrap(), StreamIndex::new(0));
     let filter = TopicFilter::Stream(stream);
-    let ingests =
-        [ShardedIngest::new(Default::default(), 1), ShardedIngest::pooled(Default::default(), 1)];
-    for ingest in ingests {
-        let mut router = Router::new(Services {
-            ingest,
-            dispatch: ShardedDispatch::default(),
-            control: ControlGraph::default(),
-        });
-        let dispatch = &mut router.services_mut().dispatch;
-        let ids: Vec<SubscriberId> = (0..3).map(|_| dispatch.register_subscriber()).collect();
-        for &id in &ids {
-            dispatch.subscribe(id, filter);
-        }
-        // Pumps one frame dry, unsubscribing `unsubscribe` once the first
-        // recipient of its `Deliver` has been "called".
-        let pump = |router: &mut Router, seq: u16, unsubscribe: Option<SubscriberId>| {
-            let now = SimTime::from_millis(u64::from(seq));
-            let burst = vec![BatchedFrame {
-                receiver: ReceiverId::new(0),
-                rssi_dbm: -50.0,
-                frame: FrameBytes::from(frame(7, seq)),
-            }];
-            router.ingest(burst, now);
-            let mut reached = Vec::new();
-            let mut escaped = Vec::new();
-            loop {
-                while escaped.is_empty() && router.step(now, &mut escaped) {}
-                if escaped.is_empty() {
-                    return reached;
-                }
-                for output in escaped.drain(..) {
-                    match output {
-                        ServiceOutput::Deliver { recipients, delivery, .. } => {
-                            assert_eq!(delivery.msg.seq().as_u16(), seq);
-                            for (i, &recipient) in recipients.iter().enumerate() {
-                                reached.push(recipient);
-                                if let (0, Some(gone)) = (i, unsubscribe) {
-                                    assert!(router
-                                        .services_mut()
-                                        .dispatch
-                                        .unsubscribe(gone, filter));
-                                }
+    let mut router = Router::new(Services {
+        ingest: ShardedIngest::new(Default::default(), 1),
+        dispatch: ShardedDispatch::default(),
+        control: ControlGraph::default(),
+    });
+    let dispatch = &mut router.services_mut().dispatch;
+    let ids: Vec<SubscriberId> = (0..3).map(|_| dispatch.register_subscriber()).collect();
+    for &id in &ids {
+        dispatch.subscribe(id, filter);
+    }
+    // Pumps one frame dry, unsubscribing `unsubscribe` once the first
+    // recipient of its `Deliver` has been "called".
+    let pump = |router: &mut Router, seq: u16, unsubscribe: Option<SubscriberId>| {
+        let now = SimTime::from_millis(u64::from(seq));
+        let burst = vec![BatchedFrame {
+            receiver: ReceiverId::new(0),
+            rssi_dbm: -50.0,
+            frame: FrameBytes::from(frame(7, seq)),
+        }];
+        router.ingest(burst, now);
+        let mut reached = Vec::new();
+        let mut escaped = Vec::new();
+        loop {
+            while escaped.is_empty() && router.step(now, &mut escaped) {}
+            if escaped.is_empty() {
+                return reached;
+            }
+            for output in escaped.drain(..) {
+                match output {
+                    ServiceOutput::Deliver { recipients, delivery, .. } => {
+                        assert_eq!(delivery.msg.seq().as_u16(), seq);
+                        for (i, &recipient) in recipients.iter().enumerate() {
+                            reached.push(recipient);
+                            if let (0, Some(gone)) = (i, unsubscribe) {
+                                assert!(router.services_mut().dispatch.unsubscribe(gone, filter));
                             }
                         }
-                        other => panic!("unexpected output {other:?}"),
                     }
+                    other => panic!("unexpected output {other:?}"),
                 }
             }
-        };
-        assert_eq!(pump(&mut router, 0, Some(ids[2])), ids, "route-time snapshot");
-        assert_eq!(pump(&mut router, 1, None), ids[..2], "the next message sees the write");
-        assert_eq!(router.services().dispatch.stats().delivery_count(), 5);
-        assert!(router.shutdown(SimTime::from_secs(1)).is_empty());
-    }
+        }
+    };
+    assert_eq!(pump(&mut router, 0, Some(ids[2])), ids, "route-time snapshot");
+    assert_eq!(pump(&mut router, 1, None), ids[..2], "the next message sees the write");
+    assert_eq!(router.services().dispatch.stats().delivery_count(), 5);
+    assert!(router.shutdown(SimTime::from_secs(1)).is_empty());
 }

@@ -3,11 +3,9 @@
 //! "asynchronous message exchange" (§3) with real threads instead of the
 //! simulation driver.
 //!
-//! Since the facade hosts the threaded graph behind
-//! [`garnet::core::DriverKind::Threaded`], the deployment collapses to
-//! ordinary [`Garnet`] calls: the worker pools live *inside* the
-//! middleware, and the only hand-rolled thread left is the channel
-//! drain.
+//! The facade starts no thread of its own, so the deployment is
+//! ordinary [`Garnet`] calls on whichever thread owns it: the only
+//! hand-rolled thread is the channel drain.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
@@ -16,15 +14,10 @@ use std::time::Duration;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::SharedCountConsumer;
-use garnet::core::DriverKind;
-use garnet::net::{ShardPool, TopicFilter};
+use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
-
-fn threaded_config(shards: usize) -> GarnetConfig {
-    GarnetConfig { driver: DriverKind::Threaded, ingest_shards: shards, ..GarnetConfig::default() }
-}
 
 /// What flows over the channel to the middleware thread.
 enum ToMiddleware {
@@ -39,7 +32,7 @@ fn middleware_runs_behind_a_sync_channel() {
     // The middleware thread: owns Garnet, drains its channel.
     let (consumer, delivered) = SharedCountConsumer::new("app");
     let handle = thread::spawn(move || {
-        let mut garnet = Garnet::new(threaded_config(2));
+        let mut garnet = Garnet::new(GarnetConfig::default());
         let token = garnet.issue_default_token("app");
         let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
         garnet.subscribe(id, TopicFilter::All, &token).unwrap();
@@ -100,45 +93,9 @@ fn middleware_runs_behind_a_sync_channel() {
     assert_eq!(delivered.load(Ordering::Relaxed), 500);
 }
 
-/// Runs `f` with the default panic hook silenced, so an *injected*
-/// worker panic doesn't spray a backtrace into the test output.
-fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(hook);
-    out
-}
-
-#[test]
-fn shard_pool_worker_panic_is_supervised_not_hung() {
-    let (out, failures) = with_quiet_panics(|| {
-        let mut pool: ShardPool<u32, u32> = ShardPool::new(3, 64, |_shard| {
-            Box::new(|x: u32| {
-                if x == 13 {
-                    panic!("injected fault");
-                }
-                x * 2
-            })
-        });
-        // Shard 1 gets the poison pill mid-stream; shards 0 and 2 keep
-        // working before and after the crash.
-        for x in [1u32, 2, 13, 3, 5] {
-            pool.submit((x % 3) as usize, x);
-        }
-        pool.finish()
-    });
-    // Jobs on healthy shards are delivered in submission order; the
-    // panicked job's slot is skipped, not waited on forever.
-    assert_eq!(out, vec![2, 4, 6, 10]);
-    assert_eq!(failures.len(), 1, "exactly the injected fault surfaces");
-    assert_eq!(failures[0].shard, 1);
-    assert_eq!(failures[0].reason, "injected fault");
-}
-
 #[test]
 fn threaded_shutdown_joins_without_losing_in_flight_roots() {
-    let mut garnet = Garnet::new(threaded_config(4));
+    let mut garnet = Garnet::new(GarnetConfig::default());
     let token = garnet.issue_default_token("app");
     let (consumer, delivered) = SharedCountConsumer::new("app");
     let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
@@ -165,7 +122,7 @@ fn threaded_shutdown_joins_without_losing_in_flight_roots() {
     garnet.shutdown(now).expect("no archive configured, shutdown cannot fail");
 
     // Every offered frame made it through filtering and dispatch before
-    // the pools retired: nothing in flight was dropped on the floor.
+    // shutdown: nothing in flight was dropped on the floor.
     assert_eq!(garnet.filtering().delivered_count(), 400);
     assert_eq!(garnet.dispatching().delivery_count(), 400);
     assert_eq!(delivered.load(Ordering::Relaxed), 400);
@@ -177,11 +134,13 @@ fn threaded_shutdown_joins_without_losing_in_flight_roots() {
     assert_eq!(garnet.queue_depth_p99(), 0, "unbounded queue records no samples");
 }
 
+// The name predates the filtering pool's removal: the facade has no
+// pool to join, and dropping it must still be safe.
 #[test]
 fn dropping_a_threaded_garnet_joins_its_pools() {
-    // No explicit shutdown: Drop must join the worker pools without
-    // deadlocking (the test hanging is the failure mode).
-    let mut garnet = Garnet::new(threaded_config(2));
+    // No explicit shutdown: dropping the facade must be safe (the test
+    // hanging or panicking is the failure mode).
+    let mut garnet = Garnet::new(GarnetConfig::default());
     let token = garnet.issue_default_token("app");
     let (consumer, delivered) = SharedCountConsumer::new("app");
     let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();

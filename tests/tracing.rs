@@ -1,10 +1,9 @@
 //! Flight-recorder contract tests.
 //!
 //! The recorder's promise is that a trace is *evidence*: on a fixed
-//! workload the `Router` produces the same JSONL dump whether its
-//! filtering shards run inline or on worker threads, identical across
-//! runs and across shard layouts — so a trace diff localises a real
-//! behavioural difference, never scheduler noise. And it only observes:
+//! workload the `Router` produces the same JSONL dump on every run — so
+//! a trace diff localises a real behavioural difference, never noise.
+//! And it only observes:
 //! off (capacity 0, the default) or on, every delivery, output, metric
 //! and ledger is the same.
 
@@ -18,7 +17,6 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::{Delivery, FilterConfig};
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy, ShardedIngest};
-use garnet::core::DriverKind;
 use garnet::net::{DispatchCacheConfig, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::{TraceEventKind, TraceOutcome, TraceSnapshot};
@@ -34,35 +32,22 @@ fn schedule() -> Vec<Boundary> {
     common::schedule(25)
 }
 
-/// The trace of the schedule driven through a bare router over `ingest`
-/// — frame-at-a-time (each boundary input pumped to quiescence), which
-/// is the regime the trace-parity contract covers.
-fn router_trace(
-    sched: &[Boundary],
-    ingest: ShardedIngest,
-    capacity: usize,
-    cache: DispatchCacheConfig,
-) -> TraceSnapshot {
-    let mut router = common::router(ingest, cache, capacity);
-    common::drive(&mut router, sched);
-    router.trace_snapshot()
-}
-
-/// The reference: one inline filtering shard.
+/// The trace of the schedule driven through a bare router —
+/// frame-at-a-time (each boundary input pumped to quiescence), which is
+/// the regime the trace-parity contract covers.
 fn reference_trace(
     sched: &[Boundary],
     capacity: usize,
     cache: DispatchCacheConfig,
 ) -> TraceSnapshot {
-    router_trace(sched, ShardedIngest::new(FilterConfig::default(), 1), capacity, cache)
+    let ingest = ShardedIngest::new(FilterConfig::default(), 1);
+    let mut router = common::router(ingest, cache, capacity);
+    common::drive(&mut router, sched);
+    router.trace_snapshot()
 }
 
-/// The same schedule with the filtering shards on worker threads.
-fn threaded_trace(sched: &[Boundary], ingest: usize, cache: DispatchCacheConfig) -> TraceSnapshot {
-    let ingest = ShardedIngest::pooled(FilterConfig::default(), ingest);
-    router_trace(sched, ingest, RING, cache)
-}
-
+// The name predates the second engine's removal: this is now a second
+// run of the bare router checked against the first, per cache setting.
 #[test]
 fn threaded_trace_matches_single_threaded() {
     let sched = schedule();
@@ -73,26 +58,20 @@ fn threaded_trace_matches_single_threaded() {
         for kind in ["\"kind\":\"frame\"", "\"kind\":\"filtered\"", "\"kind\":\"orphaned\""] {
             assert!(want.to_jsonl().contains(kind), "reference trace lacks {kind}");
         }
-        let got = threaded_trace(&sched, 1, cache);
-        assert_eq!(
-            got.to_jsonl(),
-            want.to_jsonl(),
-            "one pooled shard's trace diverged from the inline router's ({cache:?})"
-        );
+        let got = reference_trace(&sched, RING, cache);
+        assert_eq!(got.to_jsonl(), want.to_jsonl(), "a second run's trace diverged ({cache:?})");
     }
 }
 
+// The name predates the second engine's removal: the layout axis is
+// gone, and what is left is the run-to-run check.
 #[test]
 fn threaded_trace_is_identical_across_runs_and_layouts() {
     let sched = schedule();
     let cache = DispatchCacheConfig::default();
-    let base = threaded_trace(&sched, 1, cache).to_jsonl();
-    for ingest in [1, 4] {
-        let a = threaded_trace(&sched, ingest, cache).to_jsonl();
-        let b = threaded_trace(&sched, ingest, cache).to_jsonl();
-        assert_eq!(a, b, "{ingest} pooled shards differed across runs");
-        assert_eq!(a, base, "{ingest} pooled shards diverged from 1");
-    }
+    let a = reference_trace(&sched, RING, cache).to_jsonl();
+    let b = reference_trace(&sched, RING, cache).to_jsonl();
+    assert_eq!(a, b, "the trace differed across runs");
 }
 
 #[test]
@@ -118,15 +97,6 @@ fn cache_rebuilds_are_traced_once_per_cold_stream_and_vanish_when_disabled() {
         assert_eq!(prev.kind, TraceEventKind::Filtered, "rebuild must follow its hop");
         assert_eq!((prev.stream, prev.root), (rec.stream, rec.root));
     }
-    // Pooled filtering traces the same rebuild hops (the equality
-    // above covers this too; asserted directly so a regression
-    // localises here).
-    let got = threaded_trace(&sched, 4, enabled);
-    assert_eq!(
-        got.records.iter().filter(|r| r.kind == TraceEventKind::CacheRebuild).count(),
-        rebuilds.len(),
-        "threaded rebuild count diverged"
-    );
     // With the cache disabled every route builds fresh and nothing
     // is a "rebuild": the records vanish and the rest of the trace
     // is unchanged.
@@ -167,14 +137,8 @@ fn ring_wraps_with_exact_drop_accounting_end_to_end() {
 /// Feeds one `on_frames` burst of sensor 1's `seqs` through a facade
 /// whose admission tier holds `capacity` frames under `policy`, and
 /// returns the trace.
-fn overloaded_facade_trace(
-    driver: DriverKind,
-    capacity: usize,
-    policy: OverloadPolicy,
-    seqs: &[u16],
-) -> TraceSnapshot {
+fn overloaded_facade_trace(capacity: usize, policy: OverloadPolicy, seqs: &[u16]) -> TraceSnapshot {
     let mut g = Garnet::new(GarnetConfig {
-        driver,
         overload: Some(OverloadConfig { capacity, policy }),
         trace_capacity: RING,
         ..GarnetConfig::default()
@@ -188,10 +152,8 @@ fn overloaded_facade_trace(
 #[test]
 fn shed_frames_are_traced_with_shed_outcome() {
     // Three frames against a tier of two: the third offer sheds the
-    // oldest staged frame (seq 0), and the recorder says so on
-    // either engine.
-    let run = |driver| overloaded_facade_trace(driver, 2, OverloadPolicy::Shed, &[0, 1, 2]);
-    let fifo = run(DriverKind::Fifo);
+    // oldest staged frame (seq 0), and the recorder says so.
+    let fifo = overloaded_facade_trace(2, OverloadPolicy::Shed, &[0, 1, 2]);
     let shed: Vec<_> = fifo.records.iter().filter(|r| r.outcome == TraceOutcome::Shed).collect();
     assert_eq!(shed.len(), 1, "exactly one frame was shed: {}", fifo.to_jsonl());
     assert_eq!(shed[0].kind, TraceEventKind::Frame);
@@ -203,11 +165,6 @@ fn shed_frames_are_traced_with_shed_outcome() {
     let survivors =
         fifo.records.iter().filter(|r| r.kind == TraceEventKind::Frame).count() - shed.len();
     assert_eq!(survivors, 2, "the two newest frames are traced as routed");
-    assert_eq!(
-        run(DriverKind::Threaded).to_jsonl(),
-        fifo.to_jsonl(),
-        "threaded trace of a shedding burst diverged"
-    );
 }
 
 #[test]
@@ -215,9 +172,7 @@ fn coalesced_frames_are_traced_with_coalesced_outcome() {
     // Tier of one: seq 0 stages; seq 1 arrives at capacity and wins,
     // so the staged seq 0 is the first loser; seq 0 arrives again
     // and loses to the staged seq 1 — one record per loser.
-    let run =
-        |driver| overloaded_facade_trace(driver, 1, OverloadPolicy::CoalesceFrames, &[0, 1, 0]);
-    let fifo = run(DriverKind::Fifo);
+    let fifo = overloaded_facade_trace(1, OverloadPolicy::CoalesceFrames, &[0, 1, 0]);
     let coalesced: Vec<_> =
         fifo.records.iter().filter(|r| r.outcome == TraceOutcome::Coalesced).collect();
     assert_eq!(coalesced.len(), 2, "one loser per coalescing event: {}", fifo.to_jsonl());
@@ -231,37 +186,27 @@ fn coalesced_frames_are_traced_with_coalesced_outcome() {
         .collect();
     assert_eq!(routed.len(), 1);
     assert_eq!(routed[0].root, Some(2));
-    assert_eq!(
-        run(DriverKind::Threaded).to_jsonl(),
-        fifo.to_jsonl(),
-        "threaded trace of a coalescing burst diverged"
-    );
 }
 
 #[test]
 fn facade_exposes_trace_snapshots_and_jsonl() {
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let mut g =
-            Garnet::new(GarnetConfig { driver, trace_capacity: RING, ..GarnetConfig::default() });
-        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
-        let snap = g.trace_snapshot();
-        assert!(!snap.records.is_empty(), "{driver:?}: facade pumping must be traced");
-        let jsonl = snap.to_jsonl();
-        assert_eq!(jsonl.lines().count(), snap.records.len());
-        assert!(jsonl.lines().all(|l| l.starts_with("{\"at_us\":") && l.ends_with('}')));
-    }
+    let mut g = Garnet::new(GarnetConfig { trace_capacity: RING, ..GarnetConfig::default() });
+    g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
+    let snap = g.trace_snapshot();
+    assert!(!snap.records.is_empty(), "facade pumping must be traced");
+    let jsonl = snap.to_jsonl();
+    assert_eq!(jsonl.lines().count(), snap.records.len());
+    assert!(jsonl.lines().all(|l| l.starts_with("{\"at_us\":") && l.ends_with('}')));
 }
 
 #[test]
 fn recorder_is_off_by_default_and_snapshots_are_empty() {
     assert_eq!(GarnetConfig::default().trace_capacity, 0);
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let mut g = Garnet::new(GarnetConfig { driver, ..GarnetConfig::default() });
-        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
-        let snap = g.trace_snapshot();
-        assert!(snap.records.is_empty() && snap.stages.is_empty(), "{driver:?}");
-        assert_eq!(snap.dropped, 0, "{driver:?}: off is not \"everything dropped\"");
-    }
+    let mut g = Garnet::new(GarnetConfig::default());
+    g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
+    let snap = g.trace_snapshot();
+    assert!(snap.records.is_empty() && snap.stages.is_empty());
+    assert_eq!(snap.dropped, 0, "off is not \"everything dropped\"");
 }
 
 /// Everything a caller can observe of one facade run besides the trace.
@@ -337,25 +282,17 @@ fn facade_run(config: GarnetConfig, burst: usize) -> (String, Observed) {
     (g.trace_snapshot().to_jsonl(), observed)
 }
 
-/// The frame-at-a-time trace dump of the schedule under `driver`.
-fn facade_trace(driver: DriverKind, shards: usize) -> String {
-    let config = GarnetConfig {
-        driver,
-        ingest_shards: shards,
-        trace_capacity: RING,
-        ..GarnetConfig::default()
-    };
-    facade_run(config, 1).0
+/// The frame-at-a-time trace dump of the schedule.
+fn facade_trace() -> String {
+    facade_run(GarnetConfig { trace_capacity: RING, ..GarnetConfig::default() }, 1).0
 }
 
 #[test]
 fn recorder_observes_and_does_not_participate() {
     // Bursts of eight against an admission tier of four, so frames are
     // shed and coalesced; the archive tap on, so its recorder runs too.
-    let run = |driver, trace_capacity| {
+    let run = |trace_capacity| {
         let config = GarnetConfig {
-            driver,
-            ingest_shards: 4,
             overload: Some(OverloadConfig { capacity: 4, policy: OverloadPolicy::CoalesceFrames }),
             archive: Some(ArchiveConfig::default()),
             trace_capacity,
@@ -363,37 +300,26 @@ fn recorder_observes_and_does_not_participate() {
         };
         facade_run(config, 8)
     };
-    for driver in [DriverKind::Fifo, DriverKind::Threaded] {
-        let (off_trace, off) = run(driver, 0);
-        assert!(off_trace.is_empty(), "{driver:?}: capacity 0 records nothing");
-        assert!(off.deliveries.iter().all(|d| !d.is_empty()), "{driver:?}: both consumers fed");
-        // Small enough to wrap many times over.
-        let (on_trace, on) = run(driver, 32);
-        assert_eq!(on_trace.lines().count(), 32, "{driver:?}: the ring filled");
-        let whole = run(driver, RING).0;
-        for outcome in ["\"outcome\":\"shed\"", "\"outcome\":\"coalesced\""] {
-            assert!(whole.contains(outcome), "{driver:?}: no {outcome} hop");
-        }
-        assert_eq!(on, off, "{driver:?}: turning the recorder on changed the run");
+    let (off_trace, off) = run(0);
+    assert!(off_trace.is_empty(), "capacity 0 records nothing");
+    assert!(off.deliveries.iter().all(|d| !d.is_empty()), "both consumers fed");
+    // Small enough to wrap many times over.
+    let (on_trace, on) = run(32);
+    assert_eq!(on_trace.lines().count(), 32, "the ring filled");
+    let whole = run(RING).0;
+    for outcome in ["\"outcome\":\"shed\"", "\"outcome\":\"coalesced\""] {
+        assert!(whole.contains(outcome), "no {outcome} hop");
     }
+    assert_eq!(on, off, "turning the recorder on changed the run");
 }
 
+// The name predates the second engine's removal: the driver and shard
+// axes are gone, and what is left is the run-to-run check.
 #[test]
 fn facade_trace_is_driver_invariant() {
-    let want = facade_trace(DriverKind::Fifo, 1);
+    let want = facade_trace();
     assert!(want.contains("\"kind\":\"filtered\""), "workload must reach dispatch");
-    for shards in [1usize, 4] {
-        assert_eq!(
-            facade_trace(DriverKind::Fifo, shards),
-            want,
-            "FIFO, {shards} ingest shards, diverged"
-        );
-        assert_eq!(
-            facade_trace(DriverKind::Threaded, shards),
-            want,
-            "threaded, {shards} ingest shards, diverged"
-        );
-    }
+    assert_eq!(facade_trace(), want, "a second run's trace diverged");
 }
 
 mod properties {
@@ -413,9 +339,7 @@ mod properties {
         ) {
             let subscribed: std::collections::BTreeSet<u32> =
                 subscribed_raw.into_iter().collect();
-            for driver in [DriverKind::Fifo, DriverKind::Threaded] {
             let mut g = Garnet::new(GarnetConfig {
-                driver,
                 trace_capacity: RING,
                 ..GarnetConfig::default()
             });
@@ -456,14 +380,12 @@ mod properties {
                 });
                 prop_assert!(
                     claimed != orphaned_later,
-                    "{:?}: filtered hop (root {:?}, stream {:?}): claimed={} orphaned={}",
-                    driver,
+                    "filtered hop (root {:?}, stream {:?}): claimed={} orphaned={}",
                     r.root,
                     r.stream,
                     claimed,
                     orphaned_later,
                 );
-            }
             }
         }
     }
