@@ -25,12 +25,14 @@ fi
 # match, the histogram that could only read 0, the incremental twin of
 # the CRC-16 loop, the router's per-frame queue hop, the uncalled
 # length-delimited stream codec, the archive writer thread with its
-# queue and timeout knobs, the named-endpoint bus, and the pooled ingest
+# queue and timeout knobs, the named-endpoint bus, the pooled ingest
 # stage with its sensor-id partition, per-shard gauge and the pool's
-# supervision, class tags and fault hook must not come back
+# supervision, class tags and fault hook, the QoS scheduler's event
+# tiers and adaptive bound, the second four-field ledger type and the
+# replicator's second planning entry must not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi
@@ -94,10 +96,11 @@ if [ "$(grep -rn 'unsafe' crates/*/src | cut -d: -f1)" != crates/wire/src/messag
   exit 1
 fi
 
-# `dispatch_shards`, `ingest_shards` and `DriverKind::Threaded` are inert
-# (kept for the benchmark's config literals): nothing of ours may set them.
-echo "==> dispatch_shards, ingest_shards, DriverKind::Threaded are set nowhere in tests, examples"
-if grep -rnE 'dispatch_shards|ingest_shards|DriverKind::Threaded' tests examples; then
+# `dispatch_shards`, `ingest_shards`, `DriverKind::Threaded`, `data_floor`
+# and `data_ceiling` are inert (kept for the benchmark's config
+# literals): nothing of ours may set them.
+echo "==> dispatch_shards, ingest_shards, DriverKind::Threaded, data_floor, data_ceiling are set nowhere in tests, examples"
+if grep -rnE 'dispatch_shards|ingest_shards|DriverKind::Threaded|data_floor|data_ceiling' tests examples; then
   echo "a test or example names an inert knob" >&2
   exit 1
 fi

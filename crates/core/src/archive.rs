@@ -93,8 +93,8 @@ pub struct ArchiveLedger {
 
 /// The facade's archive tap. Owns the sink, the recovery report from
 /// opening the backend, the [`ArchiveLedger`], and its own flight
-/// recorder (separate from the router's tracer, so archive hops never
-/// perturb the trace-equivalence contract across driver kinds).
+/// recorder (separate from the router's tracer, so turning the archive
+/// on never moves a router trace line).
 #[derive(Debug)]
 pub struct ArchiveService {
     /// The log behind the tap; `None` when the backend could not be

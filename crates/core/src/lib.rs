@@ -87,8 +87,7 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, Router, Services,
-    ShardedDispatch, ShardedIngest,
+    ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
 };
 pub use service::{ServiceEvent, ServiceOutput};
 pub use telemetry::{

@@ -30,8 +30,9 @@
 //!
 //! The queue is strictly FIFO and every stage runs on the caller's
 //! thread, so the same call sequence always produces the same outputs.
-//! In debug builds every reporting entry point checks the facade's books
-//! before it returns ([`Garnet::check_invariants`]).
+//! In debug builds every entry point that feeds or reconfigures the graph
+//! checks the facade's books before it returns
+//! ([`Garnet::check_invariants`]).
 
 use std::collections::HashMap;
 
@@ -66,7 +67,7 @@ use crate::qos::{
 use crate::replicator::{MessageReplicator, ReplicationPlan};
 use crate::resource::{DenyReason, MediationPolicy, ResourceManager, SensorProfile};
 use crate::router::{
-    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest,
+    ControlGraph, OverloadConfig, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use crate::service::{ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput};
 use crate::stream::StreamRegistry;
@@ -517,6 +518,7 @@ impl Garnet {
                 derived_seq: HashMap::new(),
             },
         );
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(id)
     }
 
@@ -529,6 +531,7 @@ impl Garnet {
         services.control.resource.release_consumer(id);
         self.delivery.forget(id);
         self.registry.withdraw(&consumer_advertisement(entry.consumer.name(), id));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
 
@@ -629,6 +632,7 @@ impl Garnet {
                 dispatch.streams.set_claimed(s, false);
             }
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Feeds one raw frame from a receiver into the pipeline — an
@@ -689,8 +693,8 @@ impl Garnet {
             archive.append(records, now);
         }
         if self.qos.is_some() {
-            // The scheduler owns admission: every frame offers into the
-            // bounded Data tier, and the survivors release in one batch.
+            // The scheduler owns admission: every frame offers into its
+            // bounded queue, and the survivors release in one batch.
             for f in batch {
                 self.offer_frame(f, now, &mut out);
             }
@@ -700,10 +704,6 @@ impl Garnet {
         }
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
-        if let Some(s) = self.qos.as_mut() {
-            // Quiescence is where the adaptive bound may retune.
-            s.note_quiescent();
-        }
         self.maybe_emit_telemetry(now);
         self.release_held(&mut out);
         debug_assert_eq!(self.check_return(&out, Some(handed_in)), Ok(()));
@@ -711,8 +711,8 @@ impl Garnet {
     }
 
     /// Offers one frame to the armed scheduler until it is staged or
-    /// dropped. Under `Block` a full tier hands the frame back: release
-    /// the staged tier into the engine, pump it dry to make room, then
+    /// dropped. Under `Block` a full queue hands the frame back: release
+    /// the staged frames into the engine, pump it dry to make room, then
     /// re-offer.
     fn offer_frame(&mut self, mut frame: BatchedFrame, now: SimTime, out: &mut StepOutput) {
         loop {
@@ -736,43 +736,34 @@ impl Garnet {
         }
     }
 
-    /// Queues a boundary event — through the QoS scheduler when active
-    /// (its class ledger counts it and strict-priority release preserves
-    /// Control > Actuation > Data) or straight into the router.
-    fn route_event(&mut self, ev: ServiceEvent, now: SimTime) {
+    /// Queues a boundary event on the router, counting it in its class
+    /// ledger first when the QoS scheduler is armed. Events are never
+    /// staged: the scheduler bounds radio frames only.
+    fn route_event(&mut self, ev: ServiceEvent) {
         if let Some(s) = self.qos.as_mut() {
-            s.offer_event(ev);
-            self.release_qos(now);
-        } else {
-            self.router.enqueue(ev);
+            s.note_event(&ev);
         }
+        self.router.enqueue(ev);
     }
 
-    /// Releases everything the scheduler staged, in strict priority
-    /// order, into the engine.
+    /// Hands the frames the scheduler staged to the engine as one burst.
     fn release_qos(&mut self, now: SimTime) {
-        let releases = match self.qos.as_mut() {
-            Some(s) => s.release(now),
-            None => return,
-        };
-        for r in releases {
-            match r {
-                Release::Event(ev) => self.router.enqueue(ev),
-                Release::Frames(frames) => self.router.ingest(frames, now),
-            }
+        let Some(s) = self.qos.as_mut() else { return };
+        for Release::Frames(frames) in s.release(now) {
+            self.router.ingest(frames, now);
         }
     }
 
     /// Monotonic admission totals: the scheduler's when it is armed,
     /// else the engine's intake count (nothing shed).
-    fn admission_totals(&self) -> OverloadTotals {
+    fn admission_totals(&self) -> ClassLedger {
         match &self.qos {
             Some(s) => s.totals(),
             None => self.router.overload_totals(),
         }
     }
 
-    /// High-water mark of the frame intake (the scheduler's data tier
+    /// High-water mark of the frame intake (the scheduler's queue
     /// when it is armed, else the router's largest burst).
     fn admission_peak_depth(&self) -> u64 {
         match &self.qos {
@@ -782,7 +773,7 @@ impl Garnet {
     }
 
     /// Folds the admission-counter movement since `base` into `out`.
-    fn note_overload_delta(&mut self, base: OverloadTotals, out: &mut StepOutput) {
+    fn note_overload_delta(&mut self, base: ClassLedger, out: &mut StepOutput) {
         let t = self.admission_totals();
         out.overload.absorb(OverloadStats {
             offered: t.offered - base.offered,
@@ -800,8 +791,9 @@ impl Garnet {
         if let Some(archive) = &mut self.archive {
             archive.append(std::iter::once(ArchiveRecord::ack(request_id, status, now)), now);
         }
-        self.route_event(ServiceEvent::AckReceived { request_id, status }, now);
+        self.route_event(ServiceEvent::AckReceived { request_id, status });
         self.pump_held(now);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Periodic maintenance: reorder-buffer flushes and actuation
@@ -811,9 +803,9 @@ impl Garnet {
         if let Some(archive) = &mut self.archive {
             archive.append(std::iter::once(ArchiveRecord::tick(now)), now);
         }
-        self.route_event(ServiceEvent::FlushReorder, now);
+        self.route_event(ServiceEvent::FlushReorder);
         self.pump(now, &mut out);
-        self.route_event(ServiceEvent::ActuationTick, now);
+        self.route_event(ServiceEvent::ActuationTick);
         self.pump(now, &mut out);
         self.sweep_quiesce(now, &mut out);
         self.maybe_emit_telemetry(now);
@@ -839,19 +831,16 @@ impl Garnet {
             .map(|i| i.stream)
             .collect();
         for stream in due {
-            self.route_event(
-                ServiceEvent::ActuationRequested {
-                    origin: ActuationOrigin::Quiesce,
-                    requester: SYSTEM_SUBSCRIBER,
-                    priority: 0, // lowest: any real consumer demand overrides
-                    target: ActuationTarget::Stream(stream),
-                    command: SensorCommand::SetReportInterval {
-                        stream: stream.index(),
-                        interval_ms: cfg.slow_interval_ms,
-                    },
+            self.route_event(ServiceEvent::ActuationRequested {
+                origin: ActuationOrigin::Quiesce,
+                requester: SYSTEM_SUBSCRIBER,
+                priority: 0, // lowest: any real consumer demand overrides
+                target: ActuationTarget::Stream(stream),
+                command: SensorCommand::SetReportInterval {
+                    stream: stream.index(),
+                    interval_ms: cfg.slow_interval_ms,
                 },
-                now,
-            );
+            });
         }
         self.pump(now, out);
     }
@@ -866,19 +855,16 @@ impl Garnet {
         // Withdraw the system's slow-rate demand so consumer demands
         // mediate freshly, then restore the working rate.
         self.router.services_mut().control.resource.release_consumer(SYSTEM_SUBSCRIBER);
-        self.route_event(
-            ServiceEvent::ActuationRequested {
-                origin: ActuationOrigin::Restore,
-                requester: SYSTEM_SUBSCRIBER,
-                priority: 0,
-                target: ActuationTarget::Stream(stream),
-                command: SensorCommand::SetReportInterval {
-                    stream: stream.index(),
-                    interval_ms: cfg.restore_interval_ms,
-                },
+        self.route_event(ServiceEvent::ActuationRequested {
+            origin: ActuationOrigin::Restore,
+            requester: SYSTEM_SUBSCRIBER,
+            priority: 0,
+            target: ActuationTarget::Stream(stream),
+            command: SensorCommand::SetReportInterval {
+                stream: stream.index(),
+                interval_ms: cfg.restore_interval_ms,
             },
-            now,
-        );
+        });
         self.pump(now, out);
     }
 
@@ -908,17 +894,15 @@ impl Garnet {
     ) -> Result<ActuationOutcome, GarnetError> {
         self.authorize(token, Capability::Actuate, now)?;
         let priority = self.consumers.get(&id).ok_or(GarnetError::UnknownConsumer(id))?.priority;
-        self.route_event(
-            ServiceEvent::ActuationRequested {
-                origin: ActuationOrigin::Api,
-                requester: id,
-                priority,
-                target,
-                command,
-            },
-            now,
-        );
+        self.route_event(ServiceEvent::ActuationRequested {
+            origin: ActuationOrigin::Api,
+            requester: id,
+            priority,
+            target,
+            command,
+        });
         self.pump_held(now);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         // Every current service routes an Api chain to a terminal
         // Planned or Denied; a future mis-wired service must surface as
         // a typed error on this recoverable path, not a panic.
@@ -936,8 +920,9 @@ impl Garnet {
         now: SimTime,
     ) -> Result<(), GarnetError> {
         self.authorize(token, Capability::ProvideHints, now)?;
-        self.route_event(ServiceEvent::Hint { sensor, position, confidence }, now);
+        self.route_event(ServiceEvent::Hint { sensor, position, confidence });
         self.pump_held(now);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
 
@@ -968,7 +953,7 @@ impl Garnet {
             return Err(GarnetError::UnknownConsumer(id));
         }
         let mut out = StepOutput::default();
-        self.route_event(ServiceEvent::StateReported { reporter: id, state }, now);
+        self.route_event(ServiceEvent::StateReported { reporter: id, state });
         self.pump(now, &mut out);
         self.release_held(&mut out);
         debug_assert_eq!(self.check_return(&out, None), Ok(()));
@@ -1147,17 +1132,10 @@ impl Garnet {
                     *seq_slot = seq_slot.next();
                     let stream = StreamId::new(entry.virtual_sensor, index);
                     match DataMessage::builder(stream).seq(seq).payload(payload).build() {
-                        Ok(msg) => self.route_event(
-                            ServiceEvent::Filtered {
-                                delivery: Delivery {
-                                    msg,
-                                    first_received_at: now,
-                                    delivered_at: now,
-                                },
-                                depth: depth + 1,
-                            },
-                            now,
-                        ),
+                        Ok(msg) => self.route_event(ServiceEvent::Filtered {
+                            delivery: Delivery { msg, first_received_at: now, delivered_at: now },
+                            depth: depth + 1,
+                        }),
                         Err(_) => self.denied_actions += 1, // oversize payload
                     }
                 }
@@ -1166,30 +1144,27 @@ impl Garnet {
                         self.denied_actions += 1;
                         continue;
                     }
-                    self.route_event(
-                        ServiceEvent::ActuationRequested {
-                            origin: ActuationOrigin::Consumer,
-                            requester: rid,
-                            priority,
-                            target,
-                            command,
-                        },
-                        now,
-                    );
+                    self.route_event(ServiceEvent::ActuationRequested {
+                        origin: ActuationOrigin::Consumer,
+                        requester: rid,
+                        priority,
+                        target,
+                        command,
+                    });
                 }
                 ConsumerAction::ReportState(state) => {
                     if !caps.allows(Capability::Coordinate) {
                         self.denied_actions += 1;
                         continue;
                     }
-                    self.route_event(ServiceEvent::StateReported { reporter: rid, state }, now);
+                    self.route_event(ServiceEvent::StateReported { reporter: rid, state });
                 }
                 ConsumerAction::LocationHint { sensor, position, confidence } => {
                     if !caps.allows(Capability::ProvideHints) {
                         self.denied_actions += 1;
                         continue;
                     }
-                    self.route_event(ServiceEvent::Hint { sensor, position, confidence }, now);
+                    self.route_event(ServiceEvent::Hint { sensor, position, confidence });
                 }
             }
         }
@@ -1284,14 +1259,10 @@ impl Garnet {
         self.qos.as_ref().map(QosScheduler::ledgers)
     }
 
-    /// The current (possibly retuned) data-tier admission bound.
-    pub fn qos_capacity(&self) -> Option<usize> {
-        self.qos.as_ref().map(QosScheduler::capacity)
-    }
-
-    /// How many times the adaptive bound moved at quiescence.
+    /// Always 0: the admission bound is fixed at
+    /// `OverloadConfig::capacity`. Kept for the benchmark's call site.
     pub fn qos_retune_count(&self) -> u64 {
-        self.qos.as_ref().map(QosScheduler::retune_count).unwrap_or(0)
+        0
     }
 
     /// Declares a consumer slow: at most `limit` deliveries reach it per
@@ -1301,6 +1272,7 @@ impl Garnet {
     /// backlog flushes on the next call).
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
         self.delivery.set_limit(id, limit);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// The per-consumer delivery-plane ledger (offered, shed, coalesced,
@@ -1448,7 +1420,8 @@ impl Garnet {
                     m.counter(&stage_key("qos", &format!("{}.{metric}", class.name()))).add(value);
                 }
             }
-            m.counter(&stage_key("qos", "retunes")).add(s.retune_count());
+            // Always 0; kept for dashboards that name it.
+            m.counter(&stage_key("qos", "retunes")).add(0);
             let dl = self.delivery.ledger();
             for (metric, value) in [
                 ("delivery.offered", dl.offered),
@@ -1603,6 +1576,7 @@ impl Garnet {
         }
         // A log that ends in an ack leaves that call's effects held.
         self.release_held(&mut out);
+        debug_assert_eq!(self.check_return(&out, None), Ok(()));
         out
     }
 
@@ -1636,11 +1610,9 @@ impl Garnet {
     pub fn shutdown(&mut self, now: SimTime) -> Result<StepOutput, GarnetError> {
         let mut out = StepOutput::default();
         self.pump(now, &mut out);
-        // Nothing may be stranded in the QoS plane: release anything the
-        // scheduler still stages and flush every rate-limited consumer's
-        // backlog regardless of drain limits, so both ledgers close
-        // balanced (`offered == shed + delivered`).
-        self.release_qos(now);
+        // Nothing may be stranded in the delivery plane: flush every
+        // rate-limited consumer's backlog regardless of drain limits, so
+        // its ledger closes balanced (`offered == shed + delivered`).
         for (rid, delivery, depth) in self.delivery.drain_all() {
             self.deliver_to(rid, &delivery, depth, now);
         }
@@ -1676,14 +1648,22 @@ impl Garnet {
     }
 
     /// Checks the identities the facade's books must satisfy whenever a
-    /// public call returns: the router queue is drained, and the
-    /// admission, delivery-plane and archive ledgers each account for
-    /// every item they were offered. Debug builds assert it at the tail
-    /// of every entry point that returns a [`StepOutput`].
+    /// public call returns: the router queue and the admission
+    /// scheduler's queue are drained, and the admission, per-class QoS,
+    /// delivery-plane and archive ledgers each account for every item
+    /// they were offered. Debug builds assert it at the tail of every
+    /// public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
         law(self.router.queue_is_empty(), || "the router queue is not empty".into())?;
         let t = self.admission_totals();
-        law(t.offered == t.shed + t.delivered, || format!("admission: {t:?}"))?;
+        law(t.balanced(), || format!("admission: {t:?}"))?;
+        if let Some(s) = &self.qos {
+            law(s.is_drained(), || "the admission scheduler still stages frames".into())?;
+            for class in PriorityClass::ALL {
+                let l = s.ledgers().class(class);
+                law(l.balanced(), || format!("qos.{}: {l:?}", class.name()))?;
+            }
+        }
         let d = self.delivery.ledger();
         let backlog = self.delivery.backlog();
         law(d.offered == d.shed + d.delivered + backlog, || {

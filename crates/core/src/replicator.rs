@@ -14,7 +14,7 @@ use garnet_radio::{Transmitter, TransmitterId};
 use garnet_simkit::SimTime;
 use garnet_wire::{ActuationTarget, StreamUpdateRequest, TargetArea};
 
-use crate::location::LocationService;
+use crate::location::{LocationEstimate, LocationService};
 
 /// A replication plan: which transmitters broadcast a request.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,32 +85,14 @@ impl MessageReplicator {
         location: &LocationService,
         now: SimTime,
     ) -> ReplicationPlan {
-        let estimate = match request.target {
-            ActuationTarget::Area(_) => None,
-            ActuationTarget::Sensor(sensor) => location.estimate(sensor, now),
-            ActuationTarget::Stream(stream) => location.estimate(stream.sensor(), now),
-        };
-        self.plan_with_estimate(request, estimate)
-    }
-
-    /// Plans the broadcast of `request` from an already-resolved location
-    /// estimate (sans-io entry point: the event router looks the estimate
-    /// up and passes it in, so the replicator needs no reference to the
-    /// Location Service). Area-targeted requests ignore `estimate` and
-    /// use their explicit area.
-    pub fn plan_with_estimate(
-        &mut self,
-        request: StreamUpdateRequest,
-        estimate: Option<crate::location::LocationEstimate>,
-    ) -> ReplicationPlan {
-        let area: Option<Disk> = match request.target {
+        let disk = |e: LocationEstimate| Disk::new(e.position, e.radius_m);
+        let area = match request.target {
             ActuationTarget::Area(TargetArea { x, y, radius }) => Some(Disk::new(
                 garnet_radio::geometry::Point::new(f64::from(x), f64::from(y)),
                 f64::from(radius),
             )),
-            ActuationTarget::Sensor(_) | ActuationTarget::Stream(_) => {
-                estimate.map(|e| Disk::new(e.position, e.radius_m))
-            }
+            ActuationTarget::Sensor(sensor) => location.estimate(sensor, now).map(disk),
+            ActuationTarget::Stream(stream) => location.estimate(stream.sensor(), now).map(disk),
         };
 
         let (transmitters, flooded) = match area {

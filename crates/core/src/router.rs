@@ -24,7 +24,6 @@ use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
 use garnet_simkit::SimTime;
-use garnet_wire::ActuationTarget;
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
@@ -33,6 +32,7 @@ use crate::driver::{DispatchStats, FilterStats};
 use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService, FrameArrival};
 use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
+use crate::qos::ClassLedger;
 use crate::replicator::MessageReplicator;
 use crate::resource::{Decision, MediationPolicy, ResourceManager};
 use crate::service::{
@@ -292,7 +292,7 @@ impl ControlGraph {
             }
             Submit { origin, requester, priority, target, command } => {
                 let request = self.actuation.submit(target, command, priority, now);
-                vec![ServiceOutput::Emit(Replicate { origin, requester, request, estimate: None })]
+                vec![ServiceOutput::Emit(Replicate { origin, requester, request })]
             }
             AckReceived { request_id, status } => {
                 self.actuation.on_ack(request_id, status, now);
@@ -307,23 +307,14 @@ impl ControlGraph {
                             origin: ActuationOrigin::Retry,
                             requester: SYSTEM_SUBSCRIBER,
                             request,
-                            estimate: None,
                         })
                     })
                     .collect();
                 out.extend(expired.into_iter().map(ServiceOutput::Expired));
                 out
             }
-            Replicate { origin, requester, request, estimate } => {
-                // The replicator's read-dependency on the Location
-                // Service is resolved here, at routing time, so the
-                // replicator itself stays free of service references.
-                let estimate = estimate.or_else(|| match request.target {
-                    ActuationTarget::Sensor(s) => self.location.estimate(s, now),
-                    ActuationTarget::Stream(st) => self.location.estimate(st.sensor(), now),
-                    ActuationTarget::Area(_) => None,
-                });
-                let plan = self.replicator.plan_with_estimate(request, estimate);
+            Replicate { origin, requester, request } => {
+                let plan = self.replicator.plan(request, &self.location, now);
                 vec![ServiceOutput::Planned { origin, requester, plan }]
             }
             StateReported { reporter, state } => self
@@ -364,7 +355,7 @@ pub struct Services {
 }
 
 /// How the facade's admission scheduler ([`crate::qos::QosScheduler`],
-/// the one place this is decided) responds when its bounded data tier
+/// the one place this is decided) responds when its bounded frame queue
 /// is at capacity. Only radio frames are ever governed — control events
 /// (acks, actuations, flushes) are never dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -390,22 +381,6 @@ pub struct OverloadConfig {
     pub capacity: usize,
     /// What to do with a frame arriving at capacity.
     pub policy: OverloadPolicy,
-}
-
-/// Monotonic frame-admission totals, for metrics deltas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OverloadTotals {
-    /// Radio frames accepted into admission (everything except blocked
-    /// attempts, which retry and count once on success). A consumer's
-    /// derived republications are not frames and never count here.
-    pub offered: u64,
-    /// Frames dropped by the overload policy before filtering.
-    pub shed: u64,
-    /// The subset of `shed` dropped in favour of a newer same-stream
-    /// sequence.
-    pub coalesced: u64,
-    /// Frames released into filtering.
-    pub delivered: u64,
 }
 
 /// The FIFO event router over [`Services`].
@@ -607,9 +582,9 @@ impl Router {
     /// Monotonic intake totals: every frame handed to
     /// [`Router::ingest`] is both offered and delivered into filtering
     /// (`shed` and `coalesced` stay zero — nothing is dropped here).
-    pub fn overload_totals(&self) -> OverloadTotals {
+    pub fn overload_totals(&self) -> ClassLedger {
         let n = self.frames_ingested;
-        OverloadTotals { offered: n, delivered: n, ..OverloadTotals::default() }
+        ClassLedger { offered: n, delivered: n, ..ClassLedger::default() }
     }
 
     /// The largest burst handed to [`Router::ingest`] — the most frames
@@ -656,7 +631,8 @@ mod tests {
     use garnet_net::SubscriberId;
     use garnet_radio::ReceiverId;
     use garnet_wire::{
-        AckStatus, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
+        AckStatus, ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId,
+        StreamIndex,
     };
 
     fn frame(sensor: u32, seq: u16) -> garnet_wire::FrameBytes {
@@ -748,10 +724,9 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(control.actuation.in_flight(), 1);
-        let ServiceOutput::Emit(ServiceEvent::Replicate { request, estimate, .. }) = &out[0] else {
+        let ServiceOutput::Emit(ServiceEvent::Replicate { request, .. }) = &out[0] else {
             panic!("expected replicate: {out:?}");
         };
-        assert!(estimate.is_none(), "the estimate is filled in when the Replicate is routed");
         // Ack closes the loop through the same entry point.
         let request_id = request.request_id;
         control.route(

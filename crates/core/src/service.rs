@@ -26,7 +26,6 @@ use garnet_wire::{
 
 use crate::coordinator::ConsumerStateId;
 use crate::filtering::{Delivery, Observation};
-use crate::location::LocationEstimate;
 use crate::replicator::ReplicationPlan;
 use crate::resource::DenyReason;
 
@@ -119,10 +118,8 @@ pub enum ServiceEvent {
         /// The *effective* command after mediation.
         command: SensorCommand,
     },
-    /// A tracked request to broadcast → replicator. The router enriches
-    /// `estimate` with the target sensor's location before delivery (the
-    /// location service is a read-dependency of the replicator, made
-    /// explicit in the event payload).
+    /// A tracked request to broadcast → replicator, which reads the
+    /// target's location from the Location Service when it is routed.
     Replicate {
         /// The chain.
         origin: ActuationOrigin,
@@ -130,8 +127,6 @@ pub enum ServiceEvent {
         requester: SubscriberId,
         /// The stamped request.
         request: StreamUpdateRequest,
-        /// Target location estimate, filled in by the router.
-        estimate: Option<LocationEstimate>,
     },
     /// Retransmit/expire sweep is due → actuation service.
     ActuationTick,

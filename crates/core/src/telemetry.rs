@@ -14,7 +14,7 @@
 //!
 //! * **Spans** — [`PipelineSpans`] histograms ([`keys::FILTERING_LATENCY_US`],
 //!   [`keys::DISPATCHING_LATENCY_US`], [`keys::PIPELINE_E2E_LATENCY_US`])
-//!   recorded once per dispatched delivery by both routers, plus
+//!   recorded once per dispatched delivery by the router, plus
 //!   [`QueueDepthGauges`] sampling admission depth.
 //! * **Snapshots** — [`TelemetrySnapshot`] captures a sim-time window:
 //!   cumulative counters, window deltas (rates), histogram quantile
@@ -36,7 +36,7 @@ use garnet_simkit::metrics::keys;
 use garnet_simkit::{Gauge, Histogram, MetricsRegistry, SimDuration, SimTime};
 
 /// Always-on latency histograms for the frame pipeline, recorded at the
-/// dispatch fan-out point of both routers.
+/// router's dispatch fan-out point.
 ///
 /// All three spans derive from the two sim-time stamps a delivery
 /// already carries (`first_received_at`, `delivered_at`) plus the

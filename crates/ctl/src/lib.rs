@@ -545,8 +545,8 @@ pub fn render_tail_line(snap: &Snapshot) -> String {
     )
 }
 
-/// QoS priority classes as named in the node's `qos.*` counter rows,
-/// highest priority first (mirrors `garnet_core::qos::PriorityClass`).
+/// QoS priority classes as named in the node's `qos.*` counter rows, in
+/// report order (mirrors `garnet_core::qos::PriorityClass::ALL`).
 pub const QOS_CLASSES: [&str; 3] = ["control", "actuation", "data"];
 
 /// Classes that were offered events this window but delivered none —

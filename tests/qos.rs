@@ -1,10 +1,10 @@
 //! Per-consumer QoS scheduling: priority classes, per-subscription
-//! coalescing, adaptive capacity, and the per-class admission ledger.
+//! coalescing, and the per-class admission ledger.
 //!
-//! The scheduler's contract (ISSUE 10): Control > Actuation > Data with
-//! strict-priority release and no shedding above the data tier; the
-//! exact `offered == shed + delivered` ledger holds **per class**; a
-//! slow consumer's backlog never perturbs a fast co-subscriber; and the
+//! The scheduler's contract: every event is counted in its class and
+//! passes through, and only radio frames are ever shed; the exact
+//! `offered == shed + delivered` ledger holds **per class**; a slow
+//! consumer's backlog never perturbs a fast co-subscriber; and the
 //! whole layer is bit-identical across runs.
 
 use std::sync::{Arc, Mutex};
@@ -16,7 +16,7 @@ use garnet::core::router::{
     ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use garnet::core::service::BatchedFrame;
-use garnet::core::{PriorityClass, QosConfig, ServiceOutput};
+use garnet::core::{PriorityClass, ServiceOutput};
 use garnet::net::{SubscriberId, TopicFilter};
 use garnet::radio::geometry::Point;
 use garnet::radio::ReceiverId;
@@ -104,7 +104,7 @@ fn per_class_ledger_holds_on_both_engines() {
         let (_, _log) = register(&mut g, "sink");
         assert!(g.qos_active(), "an overload config must arm the scheduler");
         // Data through admission; control (flush) and actuation
-        // (ticks) through the event tiers.
+        // (ticks) counted in their class ledgers.
         g.on_frames(burst(8), SimTime::from_millis(1));
         g.on_tick(SimTime::from_secs(1));
         g.on_frames(burst(4), SimTime::from_secs(2));
@@ -145,9 +145,9 @@ fn control_and_actuation_are_never_shed_under_data_overload() {
     let ledgers = g.qos_ledgers().expect("scheduler is active");
     for class in [PriorityClass::Control, PriorityClass::Actuation] {
         let l = ledgers.class(class);
-        assert!(l.offered > 0, "ticks must exercise the {} tier", class.name());
+        assert!(l.offered > 0, "ticks must exercise the {} class", class.name());
         assert_eq!(l.shed, 0, "{} events must never shed", class.name());
-        assert_eq!(l.delivered, l.offered, "{} tier drains fully", class.name());
+        assert_eq!(l.delivered, l.offered, "{} class delivers everything", class.name());
     }
     let data = ledgers.class(PriorityClass::Data);
     assert!(data.shed > 0, "a 16x burst must shed data frames");
@@ -296,39 +296,6 @@ fn qos_is_bit_identical_across_engines_and_layouts() {
     assert_eq!(f.0, baseline.0, "delivery log diverged");
     assert_eq!(f.1, baseline.1, "per-class ledgers diverged");
     assert_eq!(f.2, baseline.2, "metrics report diverged");
-}
-
-#[test]
-fn adaptive_capacity_retunes_within_its_band() {
-    let mut g = Garnet::new(GarnetConfig {
-        qos: QosConfig {
-            data_floor: Some(8),
-            data_ceiling: Some(CAPACITY),
-            ..QosConfig::default()
-        },
-        ..scheduled(OverloadPolicy::Shed)
-    });
-    let (_, _log) = register(&mut g, "sink");
-    assert_eq!(g.qos_capacity(), Some(CAPACITY), "starts at the configured capacity");
-    // A light trickle: depth stays shallow, so the p99-driven bound
-    // contracts toward the floor.
-    for i in 0..40u64 {
-        g.on_frames(burst(1).into_iter().take(2).collect(), SimTime::from_millis(1 + i));
-    }
-    let contracted = g.qos_capacity().expect("scheduler is active");
-    assert!(g.qos_retune_count() > 0, "quiescent retuning must engage");
-    assert!((8..=CAPACITY).contains(&contracted), "bound left its band: {contracted}");
-    assert!(contracted < CAPACITY, "a shallow workload must contract the bound");
-    // A sustained overload burst pushes the observed p99 back up and the
-    // bound re-expands — still inside the band.
-    for round in 0..30u64 {
-        g.on_frames(burst(4), SimTime::from_secs(1 + round));
-    }
-    let expanded = g.qos_capacity().expect("scheduler is active");
-    assert!((8..=CAPACITY).contains(&expanded), "bound left its band: {expanded}");
-    assert!(expanded > contracted, "sustained overload must re-expand the bound");
-    let ledgers = g.qos_ledgers().expect("scheduler is active");
-    assert!(ledgers.class(PriorityClass::Data).balanced(), "retuning must not unbalance books");
 }
 
 /// `(consumer name, stream, seq)` per callback, in call order across
