@@ -24,7 +24,7 @@
 //! [`Observation`] for the Location Service: duplicates are useless to
 //! consumers but golden for trilateration.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use garnet_radio::ReceiverId;
 use garnet_simkit::{Counter, SimDuration, SimTime};
@@ -300,7 +300,9 @@ fn reindex(
 #[derive(Debug)]
 pub struct FilteringService {
     config: FilterConfig,
-    streams: BTreeMap<u32, StreamFilter>,
+    /// Per-stream state under std's keyed hasher: stream ids come off
+    /// the radio, so a forged id must not pick its own bucket.
+    streams: HashMap<u32, StreamFilter>,
     /// `(head deadline, raw stream id)` of every stream with something
     /// buffered, kept in step wherever a buffer head changes. Invariant:
     /// exactly the set a scan of `streams` for buffer heads would build,
@@ -321,7 +323,7 @@ impl FilteringService {
     pub fn new(config: FilterConfig) -> Self {
         FilteringService {
             config,
-            streams: BTreeMap::new(),
+            streams: HashMap::new(),
             deadlines: BTreeSet::new(),
             delivered: Counter::new(),
             duplicates: Counter::new(),
@@ -519,10 +521,14 @@ impl FilteringService {
             .collect()
     }
 
-    /// `on_tick` as a full scan in ascending stream-id order.
+    /// `on_tick` as a full scan in ascending stream-id order (the map
+    /// iterates in hash order, so the scan sorts first).
     fn on_tick_scan(&mut self, now: SimTime) -> Vec<Delivery> {
+        let mut ids: Vec<u32> = self.streams.keys().copied().collect();
+        ids.sort_unstable();
         let mut out = Vec::new();
-        for state in self.streams.values_mut() {
+        for id in ids {
+            let state = self.streams.get_mut(&id).expect("the id was just read");
             while state.buffer.first().is_some_and(|b| b.deadline <= now) {
                 self.gaps_accepted.incr();
                 state.force_head(now, &mut out);

@@ -596,7 +596,7 @@ impl Garnet {
         for s in claimable {
             let services = self.router.services_mut();
             backlog.extend(services.control.orphanage.claim(s));
-            services.dispatch.streams.set_claimed(s, true);
+            services.dispatch.set_claimed(s, true);
         }
         // Demand restores every quiesced stream the filter matches,
         // whatever the orphanage still holds of it: an `All` subscriber
@@ -609,7 +609,7 @@ impl Garnet {
             .filter(|&s| filter.matches(s))
             .collect();
         for s in demanded {
-            self.router.services_mut().dispatch.streams.set_claimed(s, true);
+            self.router.services_mut().dispatch.set_claimed(s, true);
             self.restore_if_quiesced(s, now, &mut out);
         }
         let replayed = backlog.len();
@@ -629,7 +629,7 @@ impl Garnet {
         dispatch.unsubscribe(id, filter);
         if let TopicFilter::Stream(s) = filter {
             if !dispatch.would_deliver(s) {
-                dispatch.streams.set_claimed(s, false);
+                dispatch.set_claimed(s, false);
             }
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -655,9 +655,10 @@ impl Garnet {
 
     /// Feeds a burst of raw frames through admission control before a
     /// single pump — the preferred ingest entry. Batching makes the
-    /// bounded tier and its overload policy observable, and the whole
-    /// burst is admitted, handed to the ingest stage and filtered as
-    /// one unit (one header-validation pass).
+    /// bounded tier and its overload policy observable: the whole burst
+    /// is admitted and handed to the ingest stage in one call, which
+    /// filters it frame by frame (each frame's header is validated as
+    /// the frame is decoded).
     ///
     /// Frames arriving as [`FrameBytes`] handles (e.g. out of receiver
     /// buffers) enter zero-copy; `Vec<u8>` payloads are absorbed
@@ -1216,7 +1217,7 @@ impl Garnet {
 
     /// The stream catalogue.
     pub fn streams(&self) -> &StreamRegistry {
-        &self.router.services().dispatch.streams
+        self.router.services().dispatch.streams()
     }
 
     /// Streams slowed by demand-driven quiescence.
@@ -1269,9 +1270,13 @@ impl Garnet {
     /// facade call; the rest stage in its own queue, where same-stream
     /// duplicates coalesce (newest sequence wins) without touching any
     /// other consumer's delivery sequence. `None` removes the limit (the
-    /// backlog flushes on the next call).
+    /// backlog flushes on the next call). An id that is not a registered
+    /// consumer is ignored: no `deregister_consumer` would ever remove
+    /// its limit.
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
-        self.delivery.set_limit(id, limit);
+        if self.consumers.contains_key(&id) {
+            self.delivery.set_limit(id, limit);
+        }
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
@@ -1649,10 +1654,11 @@ impl Garnet {
 
     /// Checks the identities the facade's books must satisfy whenever a
     /// public call returns: the router queue and the admission
-    /// scheduler's queue are drained, and the admission, per-class QoS,
+    /// scheduler's queue are drained, the admission, per-class QoS,
     /// delivery-plane and archive ledgers each account for every item
-    /// they were offered. Debug builds assert it at the tail of every
-    /// public `&mut self` entry point.
+    /// they were offered, and every drain limit and staged queue belongs
+    /// to a registered consumer. Debug builds assert it at the tail of
+    /// every public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
         law(self.router.queue_is_empty(), || "the router queue is not empty".into())?;
         let t = self.admission_totals();
@@ -1669,6 +1675,11 @@ impl Garnet {
         law(d.offered == d.shed + d.delivered + backlog, || {
             format!("delivery: {d:?} with {backlog} staged")
         })?;
+        for id in self.delivery.consumers() {
+            law(self.consumers.contains_key(&id), || {
+                format!("delivery schedule holds a limit or queue for departed {id}")
+            })?;
+        }
         if let Some(a) = self.archive_ledger() {
             law(a.archived + a.dropped == a.offered, || format!("archive: {a:?}"))?;
         }
@@ -2092,6 +2103,24 @@ mod tests {
         // Messages now orphan instead of dispatching.
         g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
         assert_eq!(g.orphanage().total_taken(), 1);
+    }
+
+    #[test]
+    fn drain_limit_on_a_departed_or_unknown_consumer_is_ignored() {
+        let mut g = garnet();
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        g.set_consumer_drain_limit(id, Some(1));
+        assert!(g.delivery.is_limited(id));
+        g.deregister_consumer(id).unwrap();
+        // A departed id, then one never registered: neither may leave a
+        // limit that no deregistration would remove.
+        for gone in [id, SubscriberId::new(9_999)] {
+            g.set_consumer_drain_limit(gone, Some(2));
+            assert!(!g.delivery.is_limited(gone));
+        }
+        assert_eq!(g.delivery.consumers().count(), 0, "no limit is resident");
+        assert_eq!(g.check_invariants(), Ok(()));
     }
 
     #[test]

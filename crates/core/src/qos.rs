@@ -506,6 +506,13 @@ impl DeliverySchedule {
         self.limits.contains_key(&id)
     }
 
+    /// Every consumer this schedule holds something for: each id with a
+    /// drain limit, then each id with a staged queue (an id with both
+    /// appears twice).
+    pub(crate) fn consumers(&self) -> impl Iterator<Item = SubscriberId> + '_ {
+        self.limits.keys().chain(self.queues.keys()).copied()
+    }
+
     /// Offers a delivery to `id`. Unlimited consumers get it straight
     /// back (`Some`) for immediate delivery; limited consumers stage it
     /// (`None`), coalescing against a staged delivery of the same

@@ -20,16 +20,18 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use garnet_radio::ReceiverId;
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
 use garnet_simkit::SimTime;
+use garnet_wire::FrameBytes;
 
 use crate::actuation::{ActuationConfig, ActuationService};
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
 use crate::dispatching::DispatchingService;
 use crate::driver::{DispatchStats, FilterStats};
-use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService, FrameArrival};
+use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService};
 use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::ClassLedger;
@@ -58,12 +60,17 @@ impl ShardedIngest {
         ShardedIngest { filter: FilteringService::new(config) }
     }
 
-    /// Feeds a burst of frames, equivalent to one
-    /// [`FilteringService::on_frame`] per entry in order: results come
-    /// back in arrival order, and the burst's headers are validated in
-    /// one prepass ([`FilteringService::on_batch`]).
-    pub fn on_batch(&mut self, frames: &[FrameArrival]) -> Vec<FilterResult> {
-        self.filter.on_batch(frames)
+    /// Feeds one frame ([`FilteringService::on_frame`]): the router
+    /// filters a burst one frame at a time, in arrival order, each
+    /// frame's header validated as it is decoded.
+    pub fn on_frame(
+        &mut self,
+        receiver: ReceiverId,
+        rssi_dbm: f64,
+        frame: &FrameBytes,
+        now: SimTime,
+    ) -> FilterResult {
+        self.filter.on_frame(receiver, rssi_dbm, frame, now)
     }
 
     /// Flushes expired reorder buffers, releasing in ascending stream-id
@@ -111,8 +118,6 @@ impl ShardedIngest {
 #[derive(Debug, Default)]
 pub struct ShardedDispatch {
     dispatcher: DispatchingService,
-    /// The stream catalogue.
-    pub streams: StreamRegistry,
     /// Whether the most recent [`ShardedDispatch::dispatch`] (re)built
     /// its match set — consumed by the tracer via
     /// [`ShardedDispatch::take_last_rebuild`].
@@ -126,6 +131,16 @@ impl ShardedDispatch {
     /// * `_shards` — accepted for the benchmark's call site; has no effect.
     pub fn with_cache(_shards: usize, cache: garnet_net::DispatchCacheConfig) -> Self {
         ShardedDispatch { dispatcher: DispatchingService::with_cache(cache), ..Self::default() }
+    }
+
+    /// The stream catalogue.
+    pub fn streams(&self) -> &StreamRegistry {
+        self.dispatcher.streams()
+    }
+
+    /// Marks a catalogued stream claimed/unclaimed.
+    pub fn set_claimed(&mut self, stream: garnet_wire::StreamId, claimed: bool) {
+        self.dispatcher.set_claimed(stream, claimed);
     }
 
     /// Allocates a fresh subscriber identity.
@@ -159,18 +174,16 @@ impl ShardedDispatch {
 
     /// The dispatch stage's whole job for one filtered message: route
     /// it, record it (and whether anyone claimed it) in the catalogue
-    /// with one lookup, and build its single output.
+    /// row the route found, and build its single output. One keyed
+    /// lookup in all.
     pub fn dispatch(&mut self, delivery: Delivery, depth: u32) -> ServiceOutput {
-        let stream = delivery.msg.stream();
-        let outcome = self.dispatcher.route(stream);
+        let (outcome, info) = self.dispatcher.route_row(delivery.msg.stream());
+        // Keeping the claimed flag in step with each route makes a
+        // subscription made before the stream's first message visible
+        // to the quiescence sweep.
+        info.note(delivery.msg.payload().len(), delivery.delivered_at, depth > 0);
+        info.claimed = !outcome.unclaimed;
         self.last_rebuilt = outcome.rebuilt;
-        self.streams.note_routed(
-            stream,
-            delivery.msg.payload().len(),
-            delivery.delivered_at,
-            depth > 0,
-            !outcome.unclaimed,
-        );
         routed_output(outcome.recipients, delivery, depth)
     }
 
@@ -401,9 +414,6 @@ pub struct Router {
     spans: PipelineSpans,
     /// The admission-depth gauge.
     depths: QueueDepthGauges,
-    /// [`Router::ingest`]'s scratch, kept between calls so a burst
-    /// costs no allocation here (empty outside a call).
-    arrivals: Vec<FrameArrival>,
     /// Next root sequence number for a boundary enqueue.
     next_root: u64,
 }
@@ -420,7 +430,6 @@ impl Router {
             tracer: Tracer::new(TraceConfig::default()),
             spans: PipelineSpans::new(),
             depths: QueueDepthGauges::new(),
-            arrivals: Vec::new(),
             next_root: 0,
         }
     }
@@ -470,12 +479,13 @@ impl Router {
         self.queue.push_back((tag, ev));
     }
 
-    /// The one way in for radio frames: filters the burst as one batch
-    /// and queues what each frame's result owes the graph (its
-    /// sighting, its piggy-backed acks, its released messages) under
-    /// that frame's own root tag. Nothing bounds a burst here: what
-    /// happens to a frame at capacity was decided before it got here, by
-    /// [`crate::qos::QosScheduler`].
+    /// The one way in for radio frames: filters the burst one frame at
+    /// a time, in arrival order, and queues what each frame's result
+    /// owes the graph (its sighting, its piggy-backed acks, its released
+    /// messages) under that frame's own root tag as soon as it is
+    /// filtered — no per-burst result buffer. Nothing bounds a burst
+    /// here: what happens to a frame at capacity was decided before it
+    /// got here, by [`crate::qos::QosScheduler`].
     ///
     /// Frames do not travel through the queue, because the queue is
     /// empty whenever they arrive: every facade entry point pumps to
@@ -488,17 +498,11 @@ impl Router {
         let burst = frames.len() as u64;
         self.frames_ingested += burst;
         self.peak_burst = self.peak_burst.max(burst);
-        // The burst's root tags are consecutive from here.
-        let first_root = self.next_root;
         for BatchedFrame { receiver, rssi_dbm, frame } in frames {
             self.depths.note_admitted();
             let root = self.alloc_root();
             self.tracer.record(|| frame_record(&frame, now, root, TraceOutcome::Delivered));
-            self.arrivals.push(FrameArrival { receiver, rssi_dbm, frame, at: now });
-        }
-        let results = self.services.ingest.on_batch(&self.arrivals);
-        self.arrivals.clear();
-        for (root, result) in (first_root..).zip(results) {
+            let result = self.services.ingest.on_frame(receiver, rssi_dbm, &frame, now);
             ShardedIngest::frame_events(result, |ev| self.enqueue_tagged(root, ev));
         }
     }
@@ -629,7 +633,6 @@ impl Router {
 mod tests {
     use super::*;
     use garnet_net::SubscriberId;
-    use garnet_radio::ReceiverId;
     use garnet_wire::{
         AckStatus, ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId,
         StreamIndex,
@@ -646,26 +649,33 @@ mod tests {
             .into()
     }
 
-    fn arrival(receiver: u32, frame: garnet_wire::FrameBytes, at: SimTime) -> FrameArrival {
-        FrameArrival { receiver: ReceiverId::new(receiver), rssi_dbm: -40.0, frame, at }
+    fn rx(n: u32) -> ReceiverId {
+        ReceiverId::new(n)
     }
 
     #[test]
     fn flush_is_stream_id_ordered() {
-        // Leave a reorder gap on several sensors, then flush: releases
-        // must come back in ascending stream id.
+        // Leave a reorder gap on 1 024 sensors, inserted in a shuffled
+        // order with their deadlines in that order too, then flush:
+        // releases must come back in ascending stream id, not in
+        // deadline order, and not in the order a hashed walk would find.
+        // Enough streams that neither passes by chance.
+        const SENSORS: u32 = 1_024;
         let mut ingest = ShardedIngest::new(FilterConfig::default(), 1);
-        for sensor in [9u32, 3, 14, 7, 11] {
-            ingest.on_batch(&[arrival(0, frame(sensor, 0), SimTime::ZERO)]);
+        // 617 is coprime to 1 024, so this visits every sensor once.
+        for i in 0..SENSORS {
+            let sensor = 1 + i * 617 % SENSORS;
+            ingest.on_frame(rx(0), -40.0, &frame(sensor, 0), SimTime::ZERO);
             // gap at 1
-            ingest.on_batch(&[arrival(0, frame(sensor, 2), SimTime::from_millis(1))]);
+            let at = SimTime::from_micros(1_000 + u64::from(i));
+            ingest.on_frame(rx(0), -40.0, &frame(sensor, 2), at);
         }
         let out = ingest.on_tick(SimTime::from_secs(10));
         let ids: Vec<u32> = out.iter().map(|d| d.msg.stream().to_raw()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
-        assert_eq!(out.len(), 5);
+        assert_eq!(out.len(), SENSORS as usize);
     }
 
     #[test]
@@ -673,8 +683,8 @@ mod tests {
         let mut ingest = ShardedIngest::new(FilterConfig::default(), 1);
         for sensor in 1..=8u32 {
             let fr = frame(sensor, 0);
-            ingest.on_batch(&[arrival(0, fr.clone(), SimTime::ZERO)]);
-            ingest.on_batch(&[arrival(1, fr, SimTime::ZERO)]); // dup
+            ingest.on_frame(rx(0), -40.0, &fr, SimTime::ZERO);
+            ingest.on_frame(rx(1), -40.0, &fr, SimTime::ZERO); // dup
         }
         let stats = ingest.stats();
         assert_eq!(stats.delivered_count(), 8);

@@ -5,9 +5,15 @@
 //! ever flowed through the middleware, when it appeared, how fast it
 //! runs and whether anyone currently claims it — the catalogue a new
 //! consumer browses before subscribing.
+//!
+//! The Dispatching Service owns the registry and keeps one row per
+//! stream in it: the stream's catalogue entry beside its match-cache
+//! slot, so routing a message and cataloguing it cost one keyed lookup.
+//! Stream ids come off the radio, so the rows keep std's keyed hasher.
 
 use std::collections::HashMap;
 
+use garnet_net::MatchSlot;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::StreamId;
 
@@ -36,6 +42,26 @@ impl StreamInfo {
         (self.messages >= 2)
             .then(|| self.last_seen.saturating_since(self.first_seen) / (self.messages - 1))
     }
+
+    /// Counts one message; the first one fixes when the stream was
+    /// first seen and whether it is derived.
+    pub(crate) fn note(&mut self, payload_len: usize, at: SimTime, derived: bool) {
+        if self.messages == 0 {
+            self.first_seen = at;
+            self.derived = derived;
+        }
+        self.messages += 1;
+        self.payload_bytes += payload_len as u64;
+        self.last_seen = at;
+    }
+}
+
+/// One stream's row: its catalogue entry and the dispatch stage's
+/// match-cache slot for it.
+#[derive(Debug)]
+pub(crate) struct StreamRow {
+    pub(crate) info: StreamInfo,
+    pub(crate) matched: MatchSlot,
 }
 
 /// The registry.
@@ -53,7 +79,7 @@ impl StreamInfo {
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamRegistry {
-    streams: HashMap<u32, StreamInfo>,
+    streams: HashMap<u32, StreamRow>,
 }
 
 impl StreamRegistry {
@@ -70,71 +96,49 @@ impl StreamRegistry {
         at: SimTime,
         derived: bool,
     ) {
-        self.touch(stream, payload_len, at, derived);
+        self.row(stream).info.note(payload_len, at, derived);
     }
 
-    /// Records one routed message on `stream` and whether any subscriber
-    /// matched it — [`StreamRegistry::note_message`] plus
-    /// [`StreamRegistry::set_claimed`] in one lookup, which is what the
-    /// dispatch stage owes the catalogue per message. Keeping the
-    /// claimed flag in step with each route makes a subscription made
-    /// before the stream's first message visible to the quiescence
-    /// sweep.
-    pub fn note_routed(
-        &mut self,
-        stream: StreamId,
-        payload_len: usize,
-        at: SimTime,
-        derived: bool,
-        claimed: bool,
-    ) {
-        self.touch(stream, payload_len, at, derived).claimed = claimed;
-    }
-
-    fn touch(
-        &mut self,
-        stream: StreamId,
-        payload_len: usize,
-        at: SimTime,
-        derived: bool,
-    ) -> &mut StreamInfo {
-        let info = self.streams.entry(stream.to_raw()).or_insert_with(|| StreamInfo {
-            stream,
-            first_seen: at,
-            last_seen: at,
-            messages: 0,
-            payload_bytes: 0,
-            claimed: false,
-            derived,
-        });
-        info.messages += 1;
-        info.payload_bytes += payload_len as u64;
-        info.last_seen = at;
-        info
+    /// `stream`'s row, created empty (no message counted yet) on first
+    /// sight.
+    #[inline]
+    pub(crate) fn row(&mut self, stream: StreamId) -> &mut StreamRow {
+        self.streams.entry(stream.to_raw()).or_insert_with(|| StreamRow {
+            info: StreamInfo {
+                stream,
+                first_seen: SimTime::ZERO,
+                last_seen: SimTime::ZERO,
+                messages: 0,
+                payload_bytes: 0,
+                claimed: false,
+                derived: false,
+            },
+            matched: MatchSlot::default(),
+        })
     }
 
     /// Marks a stream claimed/unclaimed as subscriptions come and go.
     pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
-        if let Some(info) = self.streams.get_mut(&stream.to_raw()) {
-            info.claimed = claimed;
+        if let Some(row) = self.streams.get_mut(&stream.to_raw()) {
+            row.info.claimed = claimed;
         }
     }
 
     /// Metadata for one stream.
     pub fn info(&self, stream: StreamId) -> Option<&StreamInfo> {
-        self.streams.get(&stream.to_raw())
+        self.streams.get(&stream.to_raw()).map(|row| &row.info)
     }
 
     /// Every known stream, in no particular order and without
     /// materialising the catalogue — for folds (a minimum, a count)
     /// that do not care about order.
     pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
-        self.streams.values()
+        self.streams.values().map(|row| &row.info)
     }
 
     /// Every known stream, ordered by raw id.
     pub fn discover(&self) -> Vec<&StreamInfo> {
-        let mut out: Vec<&StreamInfo> = self.streams.values().collect();
+        let mut out: Vec<&StreamInfo> = self.iter().collect();
         out.sort_by_key(|i| i.stream.to_raw());
         out
     }
@@ -193,18 +197,23 @@ mod tests {
     }
 
     #[test]
-    fn note_routed_is_note_message_plus_set_claimed() {
+    fn a_row_made_before_its_first_message_takes_that_message_s_time() {
+        // Routing makes a stream's row before the dispatch stage counts
+        // the message in it: the first count, not the row, fixes
+        // `first_seen` and `derived`.
         let s = StreamId::from_raw(5);
-        let mut one = StreamRegistry::new();
-        let mut two = StreamRegistry::new();
-        for (i, claimed) in [true, false, true].into_iter().enumerate() {
-            let at = SimTime::from_millis(i as u64);
-            one.note_routed(s, 4, at, false, claimed);
-            two.note_message(s, 4, at, false);
-            two.set_claimed(s, claimed);
-            assert_eq!(one.info(s), two.info(s));
+        let mut routed = StreamRegistry::new();
+        let mut noted = StreamRegistry::new();
+        assert_eq!(routed.row(s).info.messages, 0);
+        for i in 1..4u64 {
+            let at = SimTime::from_millis(i);
+            routed.row(s).info.note(4, at, true);
+            noted.note_message(s, 4, at, true);
+            assert_eq!(routed.info(s), noted.info(s));
         }
-        assert_eq!(one.iter().count(), 1);
+        let info = routed.info(s).unwrap();
+        assert_eq!((info.first_seen, info.messages), (SimTime::from_millis(1), 3));
+        assert!(info.derived);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod registry;
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 pub use pool::{ShardFailure, ShardPool, Stage};
 pub use pubsub::{
-    DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable,
-    TopicFilter,
+    DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, MatchSlot, SubscriberId,
+    SubscriptionTable, TopicFilter,
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};

@@ -16,13 +16,15 @@
 //! frames arrive, so the table carries a monotonic **epoch** stamped
 //! per key range (one stream, one sensor, the `All` set) on every
 //! actual mutation. A [`MatchCache`] memoises the resolved match set
-//! per stream as a shared `Arc<[SubscriberId]>` slice. A hit on a table
-//! that has not changed since the entry was last checked is one hash
-//! lookup, one epoch compare and one refcount bump — no allocation, no
-//! set union; after a change, the first hit per entry also reads the
-//! stream's key-range stamps (two more lookups). `perfbench`'s
-//! `churn-fanout` workload prices it (`net.pubsub.cache_hit_share`,
-//! `cache_invalidations`, `write_ns_per_op`).
+//! per stream as a shared `Arc<[SubscriberId]>` slice, in a
+//! [`MatchSlot`] the caller keeps in its own per-stream row. A hit on a
+//! table that has not changed since the entry was last checked is one
+//! epoch compare and one refcount bump on the row the caller already
+//! found — no allocation, no set union; after a change, the first hit
+//! per entry also reads the stream's key-range stamps (two lookups).
+//! `perfbench`'s `churn-fanout` workload prices it
+//! (`net.pubsub.cache_hit_share`, `cache_invalidations`,
+//! `write_ns_per_op`).
 //!
 //! Maps keyed by a stream or sensor id keep std's keyed hasher: those
 //! ids arrive in radio frames, which a hostile transmitter can forge to
@@ -382,8 +384,7 @@ impl SubscriptionTable {
     /// How many subscribers [`SubscriptionTable::match_subscribers`]
     /// would return for `stream`, without materialising the list — the
     /// allocation-free form for paths that only account fan-out. Linear
-    /// in the matched sets; [`MatchCache::match_count`] makes it O(1)
-    /// on a cache hit.
+    /// in the matched sets.
     pub fn match_count(&self, stream: StreamId) -> usize {
         let mut count = 0usize;
         self.for_each_match(stream, |_| count += 1);
@@ -464,6 +465,9 @@ pub struct MatchCacheStats {
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
+    /// The [`MatchCache`] generation the entry was built in: an entry
+    /// from an older generation was dropped by a wholesale reset.
+    generation: u64,
     /// The table epoch up to which this set is known to be valid: the
     /// epoch it was built at, advanced to the current epoch by every
     /// hit that finds the table changed but none of this stream's key
@@ -472,23 +476,39 @@ struct CacheEntry {
     set: Arc<[SubscriberId]>,
 }
 
+/// One stream's slot in a [`MatchCache`], stored in the owner's
+/// per-stream row (the Dispatching Service keeps it beside the stream's
+/// catalogue entry), so routing a message finds both with one lookup.
+/// A default slot is empty.
+#[derive(Clone, Debug, Default)]
+pub struct MatchSlot(Option<CacheEntry>);
+
 /// Memoises resolved match sets per stream as shared
-/// `Arc<[SubscriberId]>` slices.
+/// `Arc<[SubscriberId]>` slices, one [`MatchSlot`] per stream.
 ///
-/// The Dispatching Service owns one beside its [`SubscriptionTable`].
-/// An entry is valid while the table's
+/// The cache holds the policy and the counters; the slots live in the
+/// caller's per-stream rows, handed to [`MatchCache::resolve`] one at a
+/// time. An entry is valid while the table's
 /// [`mutation_stamp`](SubscriptionTable::mutation_stamp) for the stream
 /// is at or below the epoch the entry is valid at, so a mutation only
 /// invalidates the key ranges it touches (`All` mutations stale
 /// everything). A hit on an unchanged table (`valid_at ==`
-/// [`epoch`](SubscriptionTable::epoch)) is one hash lookup, one compare
-/// and one Arc refcount bump; the first hit after a change also reads
-/// the stamps and re-stamps the entry to the current epoch. Either way
-/// a hit makes zero heap allocations, pinned by `tests/alloc_budget.rs`.
+/// [`epoch`](SubscriptionTable::epoch)) is one compare and one Arc
+/// refcount bump; the first hit after a change also reads the stamps
+/// and re-stamps the entry to the current epoch. Either way a hit makes
+/// zero heap allocations, pinned by `tests/alloc_budget.rs`.
+///
+/// Residency is counted, not stored: a wholesale reset at
+/// [`DispatchCacheConfig::capacity`] starts a new generation, which
+/// empties every slot at once without visiting any (an emptied slot
+/// keeps its last set alive until its stream's next route rebuilds it).
 #[derive(Clone, Debug, Default)]
 pub struct MatchCache {
     config: DispatchCacheConfig,
-    entries: HashMap<u32, CacheEntry>,
+    /// Bumped by every wholesale reset.
+    generation: u64,
+    /// Slots filled in the current generation.
+    resident: u64,
     // Reused across misses so cold-path union building settles into
     // zero steady-state growth too.
     scratch: Vec<SubscriberId>,
@@ -508,57 +528,55 @@ impl MatchCache {
         self.config
     }
 
-    /// Resolves the match set for `stream` against `table`. Returns the
-    /// shared slice and whether it was (re)built on this call — `false`
-    /// on a cache hit *and* whenever the cache is disabled, so rebuild
-    /// traces stay identical between cached-off runs of both engines.
+    /// Resolves the match set for `stream` against `table`, reading and
+    /// refilling `stream`'s `slot`. Returns the shared slice and whether
+    /// it was (re)built on this call — `false` on a cache hit *and*
+    /// whenever the cache is disabled (the slot is then left alone), so
+    /// rebuild traces stay identical between cached-off runs of both
+    /// engines.
     pub fn resolve(
         &mut self,
         table: &SubscriptionTable,
         stream: StreamId,
+        slot: &mut MatchSlot,
     ) -> (Arc<[SubscriberId]>, bool) {
         if !self.config.enabled {
             table.match_subscribers_into(stream, &mut self.scratch);
             return (Arc::from(self.scratch.as_slice()), false);
         }
-        let key = stream.to_raw();
         let epoch = table.epoch();
-        match self.entries.get_mut(&key) {
+        match &mut slot.0 {
             // Stamps only grow, and at `valid_at` none exceeded it, so
             // a stamp at or below `valid_at` now means no mutation up to
             // `epoch` touched this stream: re-stamping keeps every later
             // answer (and the counts) what the build epoch would give.
-            Some(entry)
-                if entry.valid_at == epoch || entry.valid_at >= table.mutation_stamp(stream) =>
-            {
-                entry.valid_at = epoch;
-                self.hits += 1;
-                return (Arc::clone(&entry.set), false);
+            Some(entry) if entry.generation == self.generation => {
+                if entry.valid_at == epoch || entry.valid_at >= table.mutation_stamp(stream) {
+                    entry.valid_at = epoch;
+                    self.hits += 1;
+                    return (Arc::clone(&entry.set), false);
+                }
+                self.invalidations += 1;
             }
-            Some(_) => self.invalidations += 1,
-            None => {
+            _ => {
                 self.misses += 1;
-                if self.entries.len() >= self.config.capacity.max(1) {
+                if self.resident >= self.config.capacity.max(1) as u64 {
                     // Full and a new stream wants in: deterministic
                     // wholesale reset instead of hot-path recency.
-                    self.entries.clear();
+                    self.generation += 1;
+                    self.resident = 0;
                 }
+                self.resident += 1;
             }
         }
         table.match_subscribers_into(stream, &mut self.scratch);
         let set: Arc<[SubscriberId]> = Arc::from(self.scratch.as_slice());
-        self.entries.insert(key, CacheEntry { valid_at: epoch, set: Arc::clone(&set) });
+        slot.0 = Some(CacheEntry {
+            generation: self.generation,
+            valid_at: epoch,
+            set: Arc::clone(&set),
+        });
         (set, true)
-    }
-
-    /// Fan-out accounting: the length of the resolved match set. O(1)
-    /// on a cache hit; falls back to the table's merge-count when the
-    /// cache is disabled.
-    pub fn match_count(&mut self, table: &SubscriptionTable, stream: StreamId) -> usize {
-        if !self.config.enabled {
-            return table.match_count(stream);
-        }
-        self.resolve(table, stream).0.len()
     }
 
     /// Snapshot of this cache's counters.
@@ -567,8 +585,39 @@ impl MatchCache {
             hits: self.hits,
             misses: self.misses,
             invalidations: self.invalidations,
-            resident: self.entries.len() as u64,
+            resident: self.resident,
         }
+    }
+}
+
+/// A [`MatchCache`] with the per-stream rows its owner would keep, so
+/// the tests below can resolve by stream alone.
+#[cfg(test)]
+struct Rows {
+    cache: MatchCache,
+    slots: BTreeMap<u32, MatchSlot>,
+}
+
+#[cfg(test)]
+impl Rows {
+    fn new(config: DispatchCacheConfig) -> Self {
+        Rows { cache: MatchCache::new(config), slots: BTreeMap::new() }
+    }
+
+    fn resolve(
+        &mut self,
+        table: &SubscriptionTable,
+        stream: StreamId,
+    ) -> (Arc<[SubscriberId]>, bool) {
+        self.cache.resolve(table, stream, self.slots.entry(stream.to_raw()).or_default())
+    }
+
+    fn match_count(&mut self, table: &SubscriptionTable, stream: StreamId) -> usize {
+        self.resolve(table, stream).0.len()
+    }
+
+    fn stats(&self) -> MatchCacheStats {
+        self.cache.stats()
     }
 }
 
@@ -760,7 +809,7 @@ mod tests {
     fn cache_hits_after_first_resolve() {
         let mut t = SubscriptionTable::new();
         t.subscribe(SubscriberId::new(1), TopicFilter::Sensor(SensorId::new(5).unwrap()));
-        let mut c = MatchCache::new(DispatchCacheConfig::default());
+        let mut c = Rows::new(DispatchCacheConfig::default());
         let (first, rebuilt) = c.resolve(&t, stream(5, 0));
         assert!(rebuilt);
         assert_eq!(&*first, &[SubscriberId::new(1)]);
@@ -776,7 +825,7 @@ mod tests {
         let mut t = SubscriptionTable::new();
         t.subscribe(SubscriberId::new(1), TopicFilter::Sensor(SensorId::new(5).unwrap()));
         t.subscribe(SubscriberId::new(2), TopicFilter::Sensor(SensorId::new(9).unwrap()));
-        let mut c = MatchCache::new(DispatchCacheConfig::default());
+        let mut c = Rows::new(DispatchCacheConfig::default());
         c.resolve(&t, stream(5, 0));
         c.resolve(&t, stream(9, 0));
         // Mutating sensor 9 must not stale sensor 5's entry.
@@ -797,7 +846,7 @@ mod tests {
     fn cache_capacity_clears_wholesale() {
         let mut t = SubscriptionTable::new();
         t.subscribe(SubscriberId::new(1), TopicFilter::All);
-        let mut c = MatchCache::new(DispatchCacheConfig { enabled: true, capacity: 2 });
+        let mut c = Rows::new(DispatchCacheConfig { enabled: true, capacity: 2 });
         c.resolve(&t, stream(1, 0));
         c.resolve(&t, stream(2, 0));
         assert_eq!(c.stats().resident, 2);
@@ -805,13 +854,18 @@ mod tests {
         assert_eq!(c.stats().resident, 1);
         let (_, rebuilt) = c.resolve(&t, stream(3, 0));
         assert!(!rebuilt, "the newly inserted entry survives the clear");
+        // The slots the clear emptied still hold their old sets: each
+        // rebuilds as a miss, not a hit or an invalidation.
+        assert!(c.resolve(&t, stream(1, 0)).1);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations, s.resident), (1, 4, 0, 2));
     }
 
     #[test]
     fn disabled_cache_rebuilds_quietly() {
         let mut t = SubscriptionTable::new();
         t.subscribe(SubscriberId::new(1), TopicFilter::All);
-        let mut c = MatchCache::new(DispatchCacheConfig::disabled());
+        let mut c = Rows::new(DispatchCacheConfig::disabled());
         let (set, rebuilt) = c.resolve(&t, stream(1, 0));
         assert_eq!(&*set, &[SubscriberId::new(1)]);
         assert!(!rebuilt, "disabled caches never report rebuilds");
@@ -823,7 +877,7 @@ mod tests {
     #[test]
     fn cached_match_count_tracks_mutations() {
         let mut t = SubscriptionTable::new();
-        let mut c = MatchCache::new(DispatchCacheConfig::default());
+        let mut c = Rows::new(DispatchCacheConfig::default());
         assert_eq!(c.match_count(&t, stream(5, 0)), 0);
         t.subscribe(SubscriberId::new(1), TopicFilter::Sensor(SensorId::new(5).unwrap()));
         assert_eq!(c.match_count(&t, stream(5, 0)), 1);
@@ -906,8 +960,8 @@ mod proptests {
         ) {
             let mut t = SubscriptionTable::new();
             let stream = StreamId::new(SensorId::new(sensor).unwrap(), garnet_wire::StreamIndex::new(idx));
-            let mut hot = MatchCache::new(DispatchCacheConfig { enabled: true, capacity: 64 });
-            let mut off = MatchCache::new(DispatchCacheConfig::disabled());
+            let mut hot = Rows::new(DispatchCacheConfig { enabled: true, capacity: 64 });
+            let mut off = Rows::new(DispatchCacheConfig::disabled());
             for (sub, id, f) in &ops {
                 if *sub {
                     t.subscribe(SubscriberId::new(*id), *f);
@@ -920,7 +974,7 @@ mod proptests {
                 prop_assert_eq!(t.match_count(stream), want);
                 prop_assert_eq!(hot.match_count(&t, stream), want);
                 prop_assert_eq!(off.match_count(&t, stream), want);
-                let mut cold = MatchCache::new(DispatchCacheConfig::default());
+                let mut cold = Rows::new(DispatchCacheConfig::default());
                 prop_assert_eq!(cold.match_count(&t, stream), want);
             }
         }
@@ -999,7 +1053,7 @@ mod proptests {
             capacity in 1usize..8,
         ) {
             let mut t = SubscriptionTable::new();
-            let mut cache = MatchCache::new(DispatchCacheConfig { enabled: true, capacity });
+            let mut cache = Rows::new(DispatchCacheConfig { enabled: true, capacity });
             // Stream → the epoch its entry was built at.
             let mut built: BTreeMap<u32, u64> = BTreeMap::new();
             let mut want = MatchCacheStats::default();
