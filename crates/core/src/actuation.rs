@@ -124,6 +124,9 @@ impl ActuationService {
     /// time, and returns the wire-ready request for the Message
     /// Replicator. The request is tracked until acknowledged or timed
     /// out.
+    ///
+    /// Ids count up and wrap at 2^32; an id still pending is skipped,
+    /// so a new request never replaces a tracked one.
     pub fn submit(
         &mut self,
         target: ActuationTarget,
@@ -131,8 +134,11 @@ impl ActuationService {
         priority: u8,
         now: SimTime,
     ) -> StreamUpdateRequest {
-        let request_id = self.next_id;
-        self.next_id = self.next_id.next();
+        let mut request_id = self.next_id;
+        while self.pending.contains_key(&request_id.as_u32()) {
+            request_id = request_id.next();
+        }
+        self.next_id = request_id.next();
         let request = StreamUpdateRequest {
             request_id,
             target,
@@ -262,6 +268,22 @@ mod tests {
         assert_eq!(r1.issued_at_us, 5_000);
         assert_eq!(a.in_flight(), 2);
         assert_eq!(a.submitted_count(), 2);
+    }
+
+    #[test]
+    fn wrapped_ids_skip_pending_requests_and_the_ledger_holds() {
+        let mut a = svc();
+        let first = a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
+        assert_eq!(first.request_id, RequestId::new(1));
+        a.next_id = RequestId::new(u32::MAX);
+        let ids: Vec<u32> = (0..3)
+            .map(|_| a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO).request_id.as_u32())
+            .collect();
+        assert_eq!(ids, [u32::MAX, 0, 2]);
+        assert_eq!(a.in_flight(), 4);
+        let (submitted, settled) =
+            (a.submitted_count(), a.acknowledged_count() + a.timeout_count());
+        assert_eq!(submitted, settled + a.in_flight() as u64);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! subscriber-id allocation and dispatch accounting (fan-out and
 //! unclaimed-rate are the E5 metrics), and catalogues every stream it
 //! routes in its [`StreamRegistry`]. Each stream has one row there,
-//! holding its catalogue entry and its [`MatchCache`] slot, so routing
-//! a cache-resident stream is one keyed lookup, one epoch compare and
-//! one `Arc` refcount bump while the table is unchanged — no
-//! allocation — plus the stream's two key-range stamp lookups on its
-//! first route after a subscription change (`perfbench`'s
-//! `churn-fanout` prices the difference).
+//! holding its catalogue entry and its [`MatchCache`] slot. Routing a
+//! cache-resident stream whose [`RowId`] the caller remembers is one
+//! bounds-checked index, one epoch compare and one `Arc` refcount bump
+//! while the table is unchanged — no hashing and no allocation; a
+//! caller without the `RowId` pays one keyed lookup more, and the
+//! stream's first route after a subscription change also reads its two
+//! key-range stamps (`perfbench`'s `churn-fanout` prices the
+//! difference).
 
 use std::sync::Arc;
 
@@ -24,7 +26,7 @@ use garnet_net::{SubscriptionTable, TopicFilter};
 use garnet_simkit::Histogram;
 use garnet_wire::StreamId;
 
-use crate::stream::{StreamInfo, StreamRegistry};
+use crate::stream::{RowId, StreamInfo, StreamRegistry};
 
 /// The result of routing one message.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,18 +107,28 @@ impl DispatchingService {
 
     /// Routes one message, recording fan-out statistics.
     pub fn route(&mut self, stream: StreamId) -> DispatchOutcome {
-        self.route_row(stream).0
+        self.route_row(stream, None).0
     }
 
     /// [`DispatchingService::route`], also handing back the stream's
-    /// catalogue entry from the same lookup — the dispatch stage counts
+    /// catalogue entry from the same row — the dispatch stage counts
     /// the message in it. A stream routed here for the first time gets
     /// an entry with no message counted yet.
+    ///
+    /// `hint` is the stream's [`RowId`] if the caller remembers one: it
+    /// is used only if it names a row of this service's catalogue that
+    /// holds `stream`, and then the route hashes nothing. Otherwise the
+    /// row is found by key and its `RowId` returned third, for the
+    /// caller to remember.
     // Inlined, as is the row lookup: out of line, the two calls cost a
     // third of a warm route.
     #[inline]
-    pub(crate) fn route_row(&mut self, stream: StreamId) -> (DispatchOutcome, &mut StreamInfo) {
-        let row = self.streams.row(stream);
+    pub(crate) fn route_row(
+        &mut self,
+        stream: StreamId,
+        hint: Option<RowId>,
+    ) -> (DispatchOutcome, &mut StreamInfo, Option<RowId>) {
+        let (row, looked_up) = self.streams.row_at(stream, hint);
         let (recipients, rebuilt) = self.cache.resolve(&self.table, stream, &mut row.matched);
         self.dispatched += 1;
         self.deliveries += recipients.len() as u64;
@@ -125,7 +137,7 @@ impl DispatchingService {
         if unclaimed {
             self.unclaimed += 1;
         }
-        (DispatchOutcome { recipients, unclaimed, rebuilt }, &mut row.info)
+        (DispatchOutcome { recipients, unclaimed, rebuilt }, &mut row.info, looked_up)
     }
 
     /// The stream catalogue: every stream routed so far.
@@ -282,7 +294,7 @@ mod tests {
         assert_eq!(d.streams().len(), 2);
         assert_eq!(d.cache_stats().resident, 2);
         assert_eq!(d.streams().info(stream(2)).map(|i| i.claimed), Some(false));
-        let (outcome, info) = d.route_row(stream(1));
+        let (outcome, info, _) = d.route_row(stream(1), None);
         info.note(8, garnet_simkit::SimTime::from_millis(3), false);
         info.claimed = !outcome.unclaimed;
         let info = d.streams().info(stream(1)).unwrap();

@@ -28,7 +28,11 @@ use std::collections::{BTreeSet, HashMap};
 
 use garnet_radio::ReceiverId;
 use garnet_simkit::{Counter, SimDuration, SimTime};
-use garnet_wire::{DataMessage, FrameBytes, FrameHeader, SensorId, SequenceNumber, WireError};
+use garnet_wire::{
+    DataMessage, FrameBytes, FrameHeader, SensorId, SequenceNumber, StreamId, WireError,
+};
+
+use crate::stream::RowId;
 
 /// Tuning of the filtering service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,6 +177,9 @@ pub struct FilterResult {
     pub observation: Option<Observation>,
     /// Set when the frame failed to decode.
     pub error: Option<WireError>,
+    /// The dispatch row of the frame's stream, once the router has
+    /// remembered one ([`FilteringService::remember_row`]).
+    pub(crate) row: Option<RowId>,
 }
 
 #[derive(Debug)]
@@ -185,9 +192,15 @@ struct Buffered {
 #[derive(Debug, Default)]
 struct StreamFilter {
     last_delivered: Option<SequenceNumber>,
+    /// The stream's row in the Dispatching Service's catalogue, so that
+    /// the dispatch hop need not hash the stream id again.
+    row: Option<RowId>,
     /// Sorted in serial order (ascending from `last_delivered`).
     buffer: Vec<Buffered>,
 }
+
+// The remembered row fits in the padding beside `last_delivered`.
+const _: () = assert!(std::mem::size_of::<StreamFilter>() == 32);
 
 impl StreamFilter {
     fn is_stale(&self, seq: SequenceNumber) -> bool {
@@ -384,6 +397,7 @@ impl FilteringService {
 
         let stream = msg.stream().to_raw();
         let state = self.streams.entry(stream).or_default();
+        result.row = state.row;
         let seq = msg.seq();
 
         if state.is_stale(seq) || state.is_buffered(seq) {
@@ -505,6 +519,15 @@ impl FilteringService {
     /// Number of streams currently tracked.
     pub fn stream_count(&self) -> usize {
         self.streams.len()
+    }
+
+    /// Remembers `row` as `stream`'s dispatch row, handed back in the
+    /// [`FilterResult`] of each of the stream's later frames. A stream
+    /// this service does not track is left untracked.
+    pub(crate) fn remember_row(&mut self, stream: StreamId, row: RowId) {
+        if let Some(state) = self.streams.get_mut(&stream.to_raw()) {
+            state.row = Some(row);
+        }
     }
 }
 

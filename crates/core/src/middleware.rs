@@ -1136,6 +1136,7 @@ impl Garnet {
                         Ok(msg) => self.route_event(ServiceEvent::Filtered {
                             delivery: Delivery { msg, first_received_at: now, delivered_at: now },
                             depth: depth + 1,
+                            row: None,
                         }),
                         Err(_) => self.denied_actions += 1, // oversize payload
                     }
@@ -1655,10 +1656,10 @@ impl Garnet {
     /// Checks the identities the facade's books must satisfy whenever a
     /// public call returns: the router queue and the admission
     /// scheduler's queue are drained, the admission, per-class QoS,
-    /// delivery-plane and archive ledgers each account for every item
-    /// they were offered, and every drain limit and staged queue belongs
-    /// to a registered consumer. Debug builds assert it at the tail of
-    /// every public `&mut self` entry point.
+    /// delivery-plane, archive and actuation ledgers each account for
+    /// every item they were offered, and every drain limit and staged
+    /// queue belongs to a registered consumer. Debug builds assert it at
+    /// the tail of every public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
         law(self.router.queue_is_empty(), || "the router queue is not empty".into())?;
         let t = self.admission_totals();
@@ -1683,6 +1684,12 @@ impl Garnet {
         if let Some(a) = self.archive_ledger() {
             law(a.archived + a.dropped == a.offered, || format!("archive: {a:?}"))?;
         }
+        let act = &self.router.services().control.actuation;
+        let (submitted, in_flight) = (act.submitted_count(), act.in_flight() as u64);
+        let settled = act.acknowledged_count() + act.timeout_count();
+        law(submitted == settled + in_flight, || {
+            format!("actuation: {submitted} submitted, {settled} settled, {in_flight} in flight")
+        })?;
         Ok(())
     }
 

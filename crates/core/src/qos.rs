@@ -768,7 +768,7 @@ mod proptests {
                     .unwrap();
                 let delivery =
                     Delivery { msg, first_received_at: SimTime::ZERO, delivered_at: SimTime::ZERO };
-                ServiceEvent::Filtered { delivery, depth: 1 }
+                ServiceEvent::Filtered { delivery, depth: 1, row: None }
             }
             1 => ServiceEvent::FlushReorder,
             _ => ServiceEvent::ActuationTick,

@@ -40,7 +40,7 @@ use crate::resource::{Decision, MediationPolicy, ResourceManager};
 use crate::service::{
     ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput, SYSTEM_PRIORITY, SYSTEM_SUBSCRIBER,
 };
-use crate::stream::StreamRegistry;
+use crate::stream::{RowId, StreamRegistry};
 use crate::telemetry::{PipelineSpans, QueueDepthGauges};
 use crate::trace::{event_record, frame_record, RootTag};
 
@@ -84,11 +84,17 @@ impl ShardedIngest {
         self.filter.next_deadline()
     }
 
+    /// Remembers `stream`'s dispatch row
+    /// ([`FilteringService::remember_row`]).
+    pub(crate) fn remember_row(&mut self, stream: garnet_wire::StreamId, row: RowId) {
+        self.filter.remember_row(stream, row);
+    }
+
     /// Emits the events one frame's filter result owes the graph, in the
     /// order the router must queue them: the location sighting, then
     /// an `AckReceived` for each released message carrying a
     /// piggy-backed acknowledgement, then the released messages
-    /// themselves.
+    /// themselves, each carrying the stream's remembered dispatch row.
     pub(crate) fn frame_events(result: FilterResult, mut emit: impl FnMut(ServiceEvent)) {
         if let Some(obs) = result.observation {
             emit(ServiceEvent::Observed(obs));
@@ -102,7 +108,7 @@ impl ShardedIngest {
             }
         }
         for delivery in result.deliveries {
-            emit(ServiceEvent::Filtered { delivery, depth: 0 });
+            emit(ServiceEvent::Filtered { delivery, depth: 0, row: result.row });
         }
     }
 
@@ -174,17 +180,24 @@ impl ShardedDispatch {
 
     /// The dispatch stage's whole job for one filtered message: route
     /// it, record it (and whether anyone claimed it) in the catalogue
-    /// row the route found, and build its single output. One keyed
-    /// lookup in all.
-    pub fn dispatch(&mut self, delivery: Delivery, depth: u32) -> ServiceOutput {
-        let (outcome, info) = self.dispatcher.route_row(delivery.msg.stream());
+    /// row the route found, and build its single output. With `row`
+    /// naming the stream's row, no lookup at all; otherwise one keyed
+    /// lookup, and the row it found is returned beside the output for
+    /// the caller to remember.
+    pub fn dispatch(
+        &mut self,
+        delivery: Delivery,
+        depth: u32,
+        row: Option<RowId>,
+    ) -> (ServiceOutput, Option<RowId>) {
+        let (outcome, info, looked_up) = self.dispatcher.route_row(delivery.msg.stream(), row);
         // Keeping the claimed flag in step with each route makes a
         // subscription made before the stream's first message visible
         // to the quiescence sweep.
         info.note(delivery.msg.payload().len(), delivery.delivered_at, depth > 0);
         info.claimed = !outcome.unclaimed;
         self.last_rebuilt = outcome.rebuilt;
-        routed_output(outcome.recipients, delivery, depth)
+        (routed_output(outcome.recipients, delivery, depth), looked_up)
     }
 
     /// Whether the most recent dispatch (re)built its match set, clearing
@@ -537,11 +550,19 @@ impl Router {
         match ev {
             ServiceEvent::FlushReorder => {
                 for delivery in self.services.ingest.on_tick(now) {
-                    self.enqueue_tagged(tag, ServiceEvent::Filtered { delivery, depth: 0 });
+                    let ev = ServiceEvent::Filtered { delivery, depth: 0, row: None };
+                    self.enqueue_tagged(tag, ev);
                 }
             }
-            ServiceEvent::Filtered { delivery, depth } => {
-                let output = self.services.dispatch.dispatch(delivery, depth);
+            ServiceEvent::Filtered { delivery, depth, row } => {
+                let stream = delivery.msg.stream();
+                let (output, looked_up) = self.services.dispatch.dispatch(delivery, depth, row);
+                // A radio stream's row found by key comes back with the
+                // stream's next frames; derived streams have no
+                // filtering state to hold one.
+                if let Some(row) = looked_up.filter(|_| depth == 0) {
+                    self.services.ingest.remember_row(stream, row);
+                }
                 self.absorb(tag, output, out);
             }
             control => {
@@ -692,6 +713,120 @@ mod tests {
         assert_eq!(stats.stream_count(), 8);
     }
 
+    fn stream_of(sensor: u32) -> StreamId {
+        StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0))
+    }
+
+    fn router() -> Router {
+        Router::new(Services {
+            ingest: ShardedIngest::new(FilterConfig::default(), 1),
+            dispatch: ShardedDispatch::default(),
+            control: ControlGraph::default(),
+        })
+    }
+
+    /// Ingests one frame through the router and pumps it dry.
+    fn ingest_one(router: &mut Router, sensor: u32, seq: u16, now: SimTime) -> Vec<ServiceOutput> {
+        let frame = BatchedFrame { receiver: rx(0), rssi_dbm: -40.0, frame: frame(sensor, seq) };
+        router.ingest(vec![frame], now);
+        router.shutdown(now)
+    }
+
+    /// Each `Deliver`'s stream and recipients, in order.
+    fn delivered(out: &[ServiceOutput]) -> Vec<(u32, Vec<SubscriberId>)> {
+        out.iter()
+            .filter_map(|o| match o {
+                ServiceOutput::Deliver { recipients, delivery, .. } => {
+                    Some((delivery.msg.stream().to_raw(), recipients.to_vec()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The row filtering hands back with `sensor`'s next frame (the
+    /// frame is filtered, and its message dropped).
+    fn remembered(router: &mut Router, sensor: u32, seq: u16) -> Option<RowId> {
+        router.services_mut().ingest.on_frame(rx(0), -40.0, &frame(sensor, seq), SimTime::ZERO).row
+    }
+
+    #[test]
+    fn a_hint_naming_another_stream_s_row_is_checked_and_corrected() {
+        let mut router = router();
+        let d = &mut router.services_mut().dispatch;
+        let (a, b) = (d.register_subscriber(), d.register_subscriber());
+        d.subscribe(a, garnet_net::TopicFilter::Stream(stream_of(1)));
+        d.subscribe(b, garnet_net::TopicFilter::Stream(stream_of(2)));
+        ingest_one(&mut router, 1, 0, SimTime::ZERO);
+        ingest_one(&mut router, 2, 0, SimTime::ZERO);
+        let row1 = remembered(&mut router, 1, 1).expect("the first route remembered the row");
+        let row2 = remembered(&mut router, 2, 1).expect("the first route remembered the row");
+        assert_ne!(row1, row2);
+
+        // Filtering holds stream 2's row for stream 1: the message still
+        // reaches stream 1's subscriber, is counted on stream 1's row,
+        // and filtering learns the right row back.
+        router.services_mut().ingest.remember_row(stream_of(1), row2);
+        let out = ingest_one(&mut router, 1, 2, SimTime::from_millis(1));
+        assert_eq!(delivered(&out), [(stream_of(1).to_raw(), vec![a])]);
+        let catalogue = router.services().dispatch.streams();
+        let counts: Vec<u64> =
+            [1, 2].map(|s| catalogue.info(stream_of(s)).unwrap().messages).to_vec();
+        assert_eq!(counts, [2, 1]);
+        assert_eq!(remembered(&mut router, 1, 3), Some(row1));
+        assert_eq!(remembered(&mut router, 2, 2), Some(row2));
+    }
+
+    #[test]
+    fn a_row_past_the_end_of_the_table_is_ignored() {
+        // A row from another router whose catalogue is longer.
+        let mut other = router();
+        for sensor in 1..=3 {
+            ingest_one(&mut other, sensor, 0, SimTime::ZERO);
+        }
+        let far = remembered(&mut other, 3, 1);
+        assert!(far.is_some());
+
+        let mut router = router();
+        let d = &mut router.services_mut().dispatch;
+        let a = d.register_subscriber();
+        d.subscribe(a, garnet_net::TopicFilter::All);
+        let msg = DataMessage::builder(stream_of(9)).build().unwrap();
+        let delivery =
+            Delivery { msg, first_received_at: SimTime::ZERO, delivered_at: SimTime::ZERO };
+        router.enqueue(ServiceEvent::Filtered { delivery, depth: 0, row: far });
+        let out = router.shutdown(SimTime::ZERO);
+        assert_eq!(delivered(&out), [(stream_of(9).to_raw(), vec![a])]);
+        assert_eq!(router.services().dispatch.streams().len(), 1);
+        assert_eq!(router.services().dispatch.streams().info(stream_of(9)).unwrap().messages, 1);
+        assert_eq!(router.services().ingest.stats().stream_count(), 0);
+    }
+
+    #[test]
+    fn derived_republications_leave_filtering_state_alone() {
+        let mut router = router();
+        ingest_one(&mut router, 1, 0, SimTime::ZERO);
+        let before = router.services().ingest.stats();
+        for (sensor, seq) in [(0x00FF_0001, 0), (1, 7)] {
+            let msg = DataMessage::builder(stream_of(sensor))
+                .seq(SequenceNumber::new(seq))
+                .build()
+                .unwrap();
+            let at = SimTime::from_millis(1);
+            let delivery = Delivery { msg, first_received_at: at, delivered_at: at };
+            router.enqueue(ServiceEvent::Filtered { delivery, depth: 1, row: None });
+            router.shutdown(at);
+        }
+        let after = router.services().ingest.stats();
+        assert_eq!(after.stream_count(), before.stream_count());
+        assert_eq!(router.services().dispatch.streams().len(), 2);
+        assert_eq!(router.services().dispatch.streams().info(stream_of(1)).unwrap().messages, 2);
+        // Stream 1's next frame is still its seq 1, not a duplicate.
+        let out = ingest_one(&mut router, 1, 1, SimTime::from_millis(2));
+        assert_eq!(router.services().ingest.stats().delivered_count(), 2);
+        assert!(out.is_empty(), "nobody subscribes: the message is orphaned");
+    }
+
     fn target() -> ActuationTarget {
         ActuationTarget::Sensor(SensorId::new(7).unwrap())
     }
@@ -760,5 +895,180 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(control.orphanage.total_taken(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::stream::StreamInfo;
+    use garnet_net::{SubscriberId, TopicFilter};
+    use garnet_simkit::SimDuration;
+    use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+    use proptest::prelude::*;
+
+    const RADIO: u32 = 16;
+    const DERIVED_SENSOR: u32 = 0x00FF_0000;
+
+    fn message(sensor: u32, seq: u16) -> DataMessage {
+        let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+        DataMessage::builder(stream)
+            .seq(SequenceNumber::new(seq))
+            .payload(vec![0; usize::from(seq % 5)])
+            .build()
+            .unwrap()
+    }
+
+    fn filter_of(code: u8) -> TopicFilter {
+        let sensor = 1 + u32::from(code) % RADIO;
+        match code / 16 % 3 {
+            0 => TopicFilter::All,
+            1 => TopicFilter::Sensor(SensorId::new(sensor).unwrap()),
+            _ => TopicFilter::Stream(StreamId::new(
+                SensorId::new(sensor).unwrap(),
+                StreamIndex::new(0),
+            )),
+        }
+    }
+
+    /// A standalone Dispatching Service fed the same messages in the
+    /// same order, one keyed `route` each, and the catalogue those
+    /// routes imply.
+    struct Replay {
+        dispatch: DispatchingService,
+        catalogue: StreamRegistry,
+        delivered: Vec<(u32, u16, Vec<SubscriberId>)>,
+    }
+
+    impl Replay {
+        fn route(&mut self, delivery: &Delivery, derived: bool) {
+            let stream = delivery.msg.stream();
+            let outcome = self.dispatch.route(stream);
+            let len = delivery.msg.payload().len();
+            self.catalogue.note_message(stream, len, delivery.delivered_at, derived);
+            self.catalogue.set_claimed(stream, !outcome.unclaimed);
+            if !outcome.unclaimed {
+                let seq = delivery.msg.seq().as_u16();
+                self.delivered.push((stream.to_raw(), seq, outcome.recipients.to_vec()));
+            }
+        }
+    }
+
+    // The routing the remembered rows buy, against the keyed route they
+    // skip: interleaved frames (in order, duplicated, displaced) on up to
+    // 16 radio streams, reorder flushes, subscription writes and derived
+    // republications, each pumped through the router, must reach the
+    // same recipients, in the same order, as a standalone keyed replay —
+    // and leave the same catalogue and the same dispatch counters.
+    proptest! {
+        #[test]
+        fn remembered_rows_route_like_the_keyed_replay(
+            ops in proptest::collection::vec((0u8..12, 0u8..64, 0u8..8), 1..300),
+        ) {
+            let config = FilterConfig::default();
+            let mut router = Router::new(Services {
+                ingest: ShardedIngest::new(config, 1),
+                dispatch: ShardedDispatch::default(),
+                control: ControlGraph::default(),
+            });
+            let mut filter = FilteringService::new(config);
+            let mut replay = Replay {
+                dispatch: DispatchingService::new(),
+                catalogue: StreamRegistry::new(),
+                delivered: Vec::new(),
+            };
+            let subscribers: Vec<SubscriberId> = (0..4)
+                .map(|_| {
+                    let id = router.services_mut().dispatch.register_subscriber();
+                    prop_assert_eq!(replay.dispatch.register_subscriber(), id);
+                    id
+                })
+                .collect();
+            let mut next = [0u16; RADIO as usize];
+            let mut derived_seq = 0u16;
+            let mut delivered = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (kind, code, how) in ops {
+                now += SimDuration::from_millis(u64::from(how) * 3);
+                let sensor = 1 + u32::from(code) % RADIO;
+                match kind {
+                    0..=5 => {
+                        let cursor = &mut next[(sensor - 1) as usize];
+                        let seq = match how {
+                            // A duplicate, and a displaced frame.
+                            5 => cursor.wrapping_sub(1),
+                            6 => cursor.wrapping_add(1),
+                            _ => {
+                                *cursor = cursor.wrapping_add(1);
+                                cursor.wrapping_sub(1)
+                            }
+                        };
+                        let frame: FrameBytes = message(sensor, seq).encode_to_vec().into();
+                        let result = filter.on_frame(ReceiverId::new(0), -40.0, &frame, now);
+                        for d in &result.deliveries {
+                            replay.route(d, false);
+                        }
+                        let receiver = ReceiverId::new(0);
+                        router.ingest(vec![BatchedFrame { receiver, rssi_dbm: -40.0, frame }], now);
+                    }
+                    6 | 7 => {
+                        let (who, filter) = (subscribers[usize::from(how % 4)], filter_of(code));
+                        let d = &mut router.services_mut().dispatch;
+                        if kind == 6 {
+                            prop_assert_eq!(
+                                d.subscribe(who, filter),
+                                replay.dispatch.subscribe(who, filter)
+                            );
+                        } else {
+                            prop_assert_eq!(
+                                d.unsubscribe(who, filter),
+                                replay.dispatch.unsubscribe(who, filter)
+                            );
+                        }
+                    }
+                    8 | 9 => {
+                        // A republication on a virtual stream, or on a
+                        // radio stream's own id.
+                        let on =
+                            if kind == 8 { DERIVED_SENSOR + u32::from(how % 3) } else { sensor };
+                        derived_seq = derived_seq.wrapping_add(1);
+                        let delivery = Delivery {
+                            msg: message(on, derived_seq),
+                            first_received_at: now,
+                            delivered_at: now,
+                        };
+                        replay.route(&delivery, true);
+                        router.enqueue(ServiceEvent::Filtered { delivery, depth: 1, row: None });
+                    }
+                    _ => {
+                        for d in filter.on_tick(now) {
+                            replay.route(&d, false);
+                        }
+                        router.enqueue(ServiceEvent::FlushReorder);
+                    }
+                }
+                for output in router.shutdown(now) {
+                    if let ServiceOutput::Deliver { recipients, delivery, .. } = output {
+                        let (stream, seq) = (delivery.msg.stream(), delivery.msg.seq());
+                        delivered.push((stream.to_raw(), seq.as_u16(), recipients.to_vec()));
+                    }
+                }
+                prop_assert_eq!(&delivered, &replay.delivered, "recipients diverged at {:?}", now);
+            }
+            let routed: Vec<&StreamInfo> = router.services().dispatch.streams().discover();
+            prop_assert_eq!(routed, replay.catalogue.discover());
+            let stats = router.services().dispatch.stats();
+            let d = &replay.dispatch;
+            prop_assert_eq!(
+                (stats.dispatched_count(), stats.delivery_count(), stats.unclaimed_count()),
+                (d.dispatched_count(), d.delivery_count(), d.unclaimed_count())
+            );
+            let (a, b) = (stats.match_cache(), d.cache_stats());
+            prop_assert_eq!(
+                (a.hits, a.misses, a.invalidations, a.resident),
+                (b.hits, b.misses, b.invalidations, b.resident)
+            );
+            prop_assert_eq!(router.services().ingest.stats().stream_count(), filter.stream_count());
+        }
     }
 }

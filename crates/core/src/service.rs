@@ -28,6 +28,7 @@ use crate::coordinator::ConsumerStateId;
 use crate::filtering::{Delivery, Observation};
 use crate::replicator::ReplicationPlan;
 use crate::resource::DenyReason;
+use crate::stream::RowId;
 
 /// Reserved subscriber identity for actions the middleware itself
 /// originates (Super Coordinator policies, quiescence sweeps).
@@ -70,6 +71,10 @@ pub enum ServiceEvent {
         delivery: Delivery,
         /// Derived-stream depth (0 = straight off the air).
         depth: u32,
+        /// The stream's dispatch row, if filtering remembers one; `None`
+        /// for reorder flushes and derived republications. Dispatch
+        /// checks it before using it.
+        row: Option<RowId>,
     },
     /// A message that matched no subscription → orphanage.
     Orphaned(Delivery),
@@ -138,6 +143,9 @@ pub enum ServiceEvent {
         state: ConsumerStateId,
     },
 }
+
+// Every queued event is this wide; the remembered row fits in padding.
+const _: () = assert!(std::mem::size_of::<ServiceEvent>() == 80);
 
 /// One radio frame of a burst on its way to
 /// [`crate::router::Router::ingest`] — Figure 1's arrow from the

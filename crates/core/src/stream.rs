@@ -8,10 +8,14 @@
 //!
 //! The Dispatching Service owns the registry and keeps one row per
 //! stream in it: the stream's catalogue entry beside its match-cache
-//! slot, so routing a message and cataloguing it cost one keyed lookup.
-//! Stream ids come off the radio, so the rows keep std's keyed hasher.
+//! slot. Rows sit in a `Vec` in first-seen order and a keyed index maps
+//! a stream id to its [`RowId`], so routing and cataloguing a message
+//! cost one keyed lookup — or none, when the caller already holds the
+//! stream's `RowId` (the Filtering Service remembers it per stream).
+//! Stream ids come off the radio, so the index keeps std's keyed hasher.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use garnet_net::MatchSlot;
 use garnet_simkit::{SimDuration, SimTime};
@@ -64,6 +68,29 @@ pub(crate) struct StreamRow {
     pub(crate) matched: MatchSlot,
 }
 
+/// Names one row of a [`StreamRegistry`]: its position in first-seen
+/// order. Only the registry makes one, and a row is never moved or
+/// removed, so a `RowId` keeps naming the same stream in the registry
+/// that issued it. A `RowId` from another registry may name another
+/// stream's row or none; [`StreamRegistry`] checks before trusting one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowId(NonZeroU32);
+
+impl RowId {
+    fn at(index: usize) -> Self {
+        RowId(
+            u32::try_from(index + 1)
+                .ok()
+                .and_then(NonZeroU32::new)
+                .expect("a registry holds fewer than 2^32 - 1 streams"),
+        )
+    }
+
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
 /// The registry.
 ///
 /// # Example
@@ -79,7 +106,10 @@ pub(crate) struct StreamRow {
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamRegistry {
-    streams: HashMap<u32, StreamRow>,
+    /// One row per stream, in first-seen order; a [`RowId`] indexes it.
+    rows: Vec<StreamRow>,
+    /// Raw stream id → its row.
+    index: HashMap<u32, RowId>,
 }
 
 impl StreamRegistry {
@@ -101,39 +131,59 @@ impl StreamRegistry {
 
     /// `stream`'s row, created empty (no message counted yet) on first
     /// sight.
-    #[inline]
     pub(crate) fn row(&mut self, stream: StreamId) -> &mut StreamRow {
-        self.streams.entry(stream.to_raw()).or_insert_with(|| StreamRow {
-            info: StreamInfo {
-                stream,
-                first_seen: SimTime::ZERO,
-                last_seen: SimTime::ZERO,
-                messages: 0,
-                payload_bytes: 0,
-                claimed: false,
-                derived: false,
-            },
-            matched: MatchSlot::default(),
-        })
+        self.row_at(stream, None).0
+    }
+
+    /// `stream`'s row, found without hashing when `hint` names it;
+    /// otherwise found by key (created empty on first sight), and its
+    /// `RowId` handed back for the caller to remember.
+    #[inline]
+    pub(crate) fn row_at(
+        &mut self,
+        stream: StreamId,
+        hint: Option<RowId>,
+    ) -> (&mut StreamRow, Option<RowId>) {
+        if let Some(id) = hint {
+            if self.rows.get(id.index()).is_some_and(|row| row.info.stream == stream) {
+                return (&mut self.rows[id.index()], None);
+            }
+        }
+        let rows = &mut self.rows;
+        let id = *self.index.entry(stream.to_raw()).or_insert_with(|| {
+            rows.push(StreamRow {
+                info: StreamInfo {
+                    stream,
+                    first_seen: SimTime::ZERO,
+                    last_seen: SimTime::ZERO,
+                    messages: 0,
+                    payload_bytes: 0,
+                    claimed: false,
+                    derived: false,
+                },
+                matched: MatchSlot::default(),
+            });
+            RowId::at(rows.len() - 1)
+        });
+        (&mut self.rows[id.index()], Some(id))
     }
 
     /// Marks a stream claimed/unclaimed as subscriptions come and go.
     pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
-        if let Some(row) = self.streams.get_mut(&stream.to_raw()) {
-            row.info.claimed = claimed;
+        if let Some(&id) = self.index.get(&stream.to_raw()) {
+            self.rows[id.index()].info.claimed = claimed;
         }
     }
 
     /// Metadata for one stream.
     pub fn info(&self, stream: StreamId) -> Option<&StreamInfo> {
-        self.streams.get(&stream.to_raw()).map(|row| &row.info)
+        self.index.get(&stream.to_raw()).map(|&id| &self.rows[id.index()].info)
     }
 
-    /// Every known stream, in no particular order and without
-    /// materialising the catalogue — for folds (a minimum, a count)
-    /// that do not care about order.
+    /// Every known stream, in first-seen order and without
+    /// materialising the catalogue — for folds (a minimum, a count).
     pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
-        self.streams.values().map(|row| &row.info)
+        self.rows.iter().map(|row| &row.info)
     }
 
     /// Every known stream, ordered by raw id.
@@ -150,12 +200,12 @@ impl StreamRegistry {
 
     /// Number of known streams.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.rows.len()
     }
 
     /// True if no stream has been seen.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.rows.is_empty()
     }
 }
 
@@ -232,6 +282,25 @@ mod tests {
         let raws: Vec<u32> = r.discover().iter().map(|i| i.stream.to_raw()).collect();
         assert_eq!(raws, vec![10, 20, 30]);
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn rows_stay_in_first_seen_order_and_a_hint_is_checked() {
+        let mut r = StreamRegistry::new();
+        let s = StreamId::from_raw;
+        let ids = [30u32, 10, 20].map(|raw| r.row_at(s(raw), None).1.expect("a new row"));
+        let order: Vec<u32> = r.iter().map(|i| i.stream.to_raw()).collect();
+        assert_eq!(order, [30, 10, 20]);
+        // The stream's own row is used as is; another stream's row, or
+        // one past the end of a shorter table, sends the caller the
+        // right one.
+        assert_eq!(r.row_at(s(10), Some(ids[1])).1, None);
+        assert_eq!(r.row_at(s(10), Some(ids[2])).1, Some(ids[1]));
+        let mut short = StreamRegistry::new();
+        let (row, looked_up) = short.row_at(s(20), Some(ids[2]));
+        assert_eq!(row.info.stream, s(20));
+        assert_eq!(looked_up, Some(RowId::at(0)));
+        assert_eq!(short.len(), 1);
     }
 
     #[test]

@@ -478,7 +478,7 @@ struct CacheEntry {
 
 /// One stream's slot in a [`MatchCache`], stored in the owner's
 /// per-stream row (the Dispatching Service keeps it beside the stream's
-/// catalogue entry), so routing a message finds both with one lookup.
+/// catalogue entry), so routing a message finds both in one row.
 /// A default slot is empty.
 #[derive(Clone, Debug, Default)]
 pub struct MatchSlot(Option<CacheEntry>);

@@ -22,10 +22,10 @@
 //!   first corrupt record) and replays a segment range.
 //!
 //! The crate is deliberately runtime-free: no threads, no channels, no
-//! clocks. `garnet-net` hosts the archiver worker thread and
-//! `garnet-core` owns the facade tap; everything here is a pure state
-//! machine over bytes, which is what makes recovery and replay
-//! deterministic enough to assert bit-identity on.
+//! clocks. `garnet-core` owns the facade tap, which appends on the
+//! caller's thread; everything here is a pure state machine over bytes,
+//! which is what makes recovery and replay deterministic enough to
+//! assert bit-identity on.
 
 pub mod archive;
 pub mod faulty;
