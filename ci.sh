@@ -46,6 +46,22 @@ if grep -n 'garnet-store' crates/net/Cargo.toml; then
   echo "garnet-net depends on garnet-store again" >&2
   exit 1
 fi
+# Every garnet-* dependency edge is used: a member crate's manifest
+# lists only the workspace crates its src/, tests/ and benches/ name.
+echo "==> every garnet-* dependency a crate's manifest lists is named in its code"
+unused_deps=0
+for manifest in crates/*/Cargo.toml; do
+  crate_dir="$(dirname "$manifest")"
+  for dep in $(awk '/^\[/ { deps = ($0 ~ /^\[(dev-)?dependencies\]$/) } deps && /^garnet-[a-z]+/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+    if ! grep -rqw "${dep//-/_}" $(ls -d "$crate_dir"/src "$crate_dir"/tests "$crate_dir"/benches 2>/dev/null); then
+      echo "$manifest lists $dep, which its code never names" >&2
+      unused_deps=1
+    fi
+  done
+done
+if [ "$unused_deps" -ne 0 ]; then
+  exit 1
+fi
 # A radio frame enters the router by a call (Router::ingest), never as a
 # queued event.
 if grep -rn 'ServiceEvent::Frame' crates src tests examples; then
@@ -120,6 +136,36 @@ echo "==> the driver shim is named only in driver.rs and its re-export"
 if grep -rnE 'RouterDriver|FifoDriver|ThreadedDriver' crates src tests examples \
     | grep -vE '^crates/core/src/(driver|lib)\.rs:'; then
   echo "something other than perfbench goes through the driver shim" >&2
+  exit 1
+fi
+
+# The prose documents name code that exists: every backticked
+# `Type::item` in DESIGN.md, README.md and EXPERIMENTS.md names a type
+# and an item (fn, type, constant, module, variant or struct field)
+# defined in the code, and every backticked path exists.
+echo "==> every backticked Type::item and path in DESIGN.md, README.md, EXPERIMENTS.md resolves"
+stale=0
+defined() {
+  grep -rqE "\\b(fn|struct|enum|trait|type|const|static|mod) $1\\b|^ *(pub(\\([a-z]+\\))? )?$1: |^ *$1(,| *[({]|\$)" \
+    crates src tests examples perfbench/src --include='*.rs'
+}
+for ref in $(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+  for name in "${ref%%::*}" "${ref#*::}"; do
+    if ! defined "$name"; then
+      echo "\`$ref\`: nothing named $name is defined" >&2
+      stale=1
+    fi
+  done
+done
+for path in $(grep -ohE '`[A-Za-z0-9_.{},-]*/[A-Za-z0-9_./{},-]*`' DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+  for expanded in $(eval "echo $path"); do
+    if [ ! -e "$expanded" ]; then
+      echo "\`$path\`: $expanded does not exist" >&2
+      stale=1
+    fi
+  done
+done
+if [ "$stale" -ne 0 ]; then
   exit 1
 fi
 

@@ -21,7 +21,3 @@
 pub mod coupled;
 pub mod querydb;
 pub mod retri;
-
-pub use coupled::{coupled_cost, decoupled_cost, CouplingReport};
-pub use querydb::{Aggregate, Query, QueryEngine, SharingComparison};
-pub use retri::{analytic_collision_probability, RetriScheme, SchemeCost};

@@ -49,7 +49,7 @@ impl Query {
 
 /// One query's produced results.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct QueryOutput {
+pub(crate) struct QueryOutput {
     /// `(report time, value)` pairs.
     pub results: Vec<(SimTime, f64)>,
 }
@@ -95,6 +95,7 @@ impl QueryState {
         self.next_report += self.query.interval;
     }
 
+    #[cfg(test)]
     fn finish(&mut self, horizon: SimTime) {
         while self.next_report <= horizon {
             self.emit();
@@ -134,7 +135,8 @@ impl QueryEngine {
 
     /// Closes all windows up to `horizon` and returns each query's
     /// output.
-    pub fn finish(mut self, horizon: SimTime) -> BTreeMap<usize, QueryOutput> {
+    #[cfg(test)]
+    pub(crate) fn finish(mut self, horizon: SimTime) -> BTreeMap<usize, QueryOutput> {
         for q in self.queries.values_mut() {
             q.finish(horizon);
         }

@@ -21,7 +21,7 @@ use garnet_simkit::SimRng;
 
 /// Garnet's identifier overhead per data message: 32-bit StreamID +
 /// 16-bit sequence (Fig. 2).
-pub const GARNET_ID_BITS: u32 = 48;
+pub(crate) const GARNET_ID_BITS: u32 = 48;
 
 /// An identifier scheme under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +39,7 @@ pub enum RetriScheme {
 
 impl RetriScheme {
     /// Identifier bits carried by every packet under this scheme.
-    pub fn id_bits_per_packet(self) -> u32 {
+    pub(crate) fn id_bits_per_packet(self) -> u32 {
         match self {
             RetriScheme::Ephemeral { id_bits } => id_bits + 8,
             RetriScheme::GarnetStable => GARNET_ID_BITS,
@@ -65,7 +65,7 @@ pub fn analytic_collision_probability(id_bits: u32, concurrent: u64) -> f64 {
 /// Monte-Carlo fraction of *transactions* that land on a colliding
 /// identifier (packets of such transactions are ambiguous and must be
 /// discarded).
-pub fn simulate_collision_rate(
+pub(crate) fn simulate_collision_rate(
     id_bits: u32,
     concurrent: usize,
     trials: u32,

@@ -22,10 +22,10 @@ pub struct CodecPoint {
 
 /// The payload sizes the experiment sweeps (up to the 64 KiB wire
 /// limit).
-pub const PAYLOAD_SIZES: [usize; 8] = [0, 8, 16, 64, 256, 1024, 8192, 65535];
+pub(crate) const PAYLOAD_SIZES: [usize; 8] = [0, 8, 16, 64, 256, 1024, 8192, 65535];
 
 /// Builds a message with the given payload size.
-pub fn sample_message(payload_len: usize) -> DataMessage {
+pub(crate) fn sample_message(payload_len: usize) -> DataMessage {
     DataMessage::builder(StreamId::from_raw(0x00AB_CD01))
         .seq(SequenceNumber::new(12_345))
         .payload(vec![0x5Au8; payload_len])

@@ -33,7 +33,7 @@ pub struct PipelinePoint {
 
 /// Runs one operating point: a `side × side` grid reporting every
 /// `interval`, simulated for `horizon`.
-pub fn run_point(side: usize, interval: SimDuration, horizon: SimTime) -> PipelinePoint {
+pub(crate) fn run_point(side: usize, interval: SimDuration, horizon: SimTime) -> PipelinePoint {
     let scenario = HabitatScenario {
         grid_side: side,
         report_interval: interval,

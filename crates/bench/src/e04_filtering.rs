@@ -34,7 +34,7 @@ pub struct FilteringPoint {
 }
 
 /// Runs one `(overlap, loss)` point over `n` messages.
-pub fn run_point(overlap: u32, loss: f64, n_msgs: u16, seed: u64) -> FilteringPoint {
+pub(crate) fn run_point(overlap: u32, loss: f64, n_msgs: u16, seed: u64) -> FilteringPoint {
     let mut gen = TrafficGen::new(seed);
     let frames = gen.burst(1, n_msgs, 16, SimDuration::from_millis(5), overlap, 0.05);
     let mut rng = SimRng::seed(seed ^ 0x10C0);
@@ -81,7 +81,7 @@ pub struct TimeoutAblationPoint {
 /// Ablation: reorder-timeout under heavy local reordering and loss.
 /// Short timeouts give up on out-of-order messages quickly (more
 /// spurious gaps, lower latency); long ones wait for stragglers.
-pub fn run_timeout_ablation(timeout_ms: u64, seed: u64) -> TimeoutAblationPoint {
+pub(crate) fn run_timeout_ablation(timeout_ms: u64, seed: u64) -> TimeoutAblationPoint {
     let mut gen = TrafficGen::new(seed);
     let mut frames = gen.burst(1, 2_000, 16, SimDuration::from_millis(5), 2, 0.4);
     let _ = gen.corrupt(&mut frames, 0.0);

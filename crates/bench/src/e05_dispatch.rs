@@ -37,7 +37,7 @@ fn hot_stream() -> StreamId {
 
 /// Builds a dispatch table with `fanout` subscribers on the hot stream
 /// and `bystanders` on other streams, match cache disabled.
-pub fn build_service(fanout: usize, bystanders: usize) -> DispatchingService {
+pub(crate) fn build_service(fanout: usize, bystanders: usize) -> DispatchingService {
     let mut d = DispatchingService::with_cache(DispatchCacheConfig::disabled());
     for _ in 0..fanout {
         let id = d.register_subscriber();
@@ -53,7 +53,7 @@ pub fn build_service(fanout: usize, bystanders: usize) -> DispatchingService {
 }
 
 /// Routes one message on the hot stream.
-pub fn run_point(fanout: usize, bystanders: usize) -> DispatchPoint {
+pub(crate) fn run_point(fanout: usize, bystanders: usize) -> DispatchPoint {
     let mut d = build_service(fanout, bystanders);
     let deliveries_per_msg = d.route(hot_stream()).recipients.len() as u64;
     DispatchPoint { fanout, bystanders, deliveries_per_msg }

@@ -30,11 +30,11 @@ pub struct RetriPoint {
 }
 
 /// The densities the experiment sweeps.
-pub const DENSITIES: [usize; 6] = [2, 8, 32, 64, 128, 512];
+pub(crate) const DENSITIES: [usize; 6] = [2, 8, 32, 64, 128, 512];
 
 /// RETRI identifier width used throughout (the original paper's small-id
 /// regime).
-pub const RETRI_ID_BITS: u32 = 8;
+pub(crate) const RETRI_ID_BITS: u32 = 8;
 
 /// Runs the density sweep.
 pub fn run() -> (Vec<RetriPoint>, Table) {

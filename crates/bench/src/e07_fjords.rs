@@ -28,13 +28,13 @@ pub struct FjordsPoint {
 
 /// The query mixes swept: `q` queries with intervals cycling through
 /// 1s/2s/5s.
-pub fn query_mix(q: usize) -> Vec<Query> {
+pub(crate) fn query_mix(q: usize) -> Vec<Query> {
     let intervals = [1u64, 2, 5];
     (0..q).map(|i| Query::latest_every(SimDuration::from_secs(intervals[i % 3]))).collect()
 }
 
 /// Runs one point.
-pub fn run_point(q: usize, horizon: SimTime) -> FjordsPoint {
+pub(crate) fn run_point(q: usize, horizon: SimTime) -> FjordsPoint {
     let queries = query_mix(q);
     let comparison = compare_sharing(&queries, horizon);
 

@@ -35,7 +35,7 @@ pub struct CouplingPoint {
 
 /// Runs one point: analytic models plus a live single-sensor pipeline
 /// with `consumers` subscribers.
-pub fn run_point(consumers: usize) -> CouplingPoint {
+pub(crate) fn run_point(consumers: usize) -> CouplingPoint {
     let interval = SimDuration::from_secs(2);
     let horizon = SimTime::from_secs(60);
     let coupled = coupled_cost(consumers, interval, horizon);

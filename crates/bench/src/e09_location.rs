@@ -42,7 +42,7 @@ fn survey_positions(rng: &mut SimRng, count: usize) -> Vec<Point> {
 }
 
 /// Runs one grid-density point, averaging over `truth_positions`.
-pub fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
+pub(crate) fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
     let mut rng = SimRng::seed(seed);
     let spacing = FIELD_SIDE / (grid_side.max(2) - 1) as f64;
     let receivers = Receiver::grid(Point::ORIGIN, grid_side, grid_side, spacing, 400.0);

@@ -90,7 +90,7 @@ fn scenario() -> WatercourseScenario {
 }
 
 /// Runs one coordinator mode over the two-wave season.
-pub fn run_mode(mode: CoordinationMode) -> PredictivePoint {
+pub(crate) fn run_mode(mode: CoordinationMode) -> PredictivePoint {
     let s = scenario();
     let (receivers, transmitters) = s.masts();
     let config = PipelineConfig {

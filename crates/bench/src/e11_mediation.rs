@@ -44,7 +44,7 @@ fn demand(i: usize) -> (u32, u8) {
 
 /// Runs one policy at one contention level against a sensor capped at
 /// 20 Hz.
-pub fn run_point(policy: MediationPolicy, consumers: usize) -> MediationPoint {
+pub(crate) fn run_point(policy: MediationPolicy, consumers: usize) -> MediationPoint {
     let sensor = SensorId::new(1).unwrap();
     let mut rm = ResourceManager::new(policy);
     rm.register_profile(

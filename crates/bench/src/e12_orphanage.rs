@@ -44,7 +44,7 @@ fn frame(sensor: u32, seq: u16) -> Vec<u8> {
 
 /// Runs one point: `before` unclaimed messages, a subscription, then
 /// `after` live messages.
-pub fn run_point(before: u16, after: u16, retain_cap: usize) -> OrphanagePoint {
+pub(crate) fn run_point(before: u16, after: u16, retain_cap: usize) -> OrphanagePoint {
     let mut g = Garnet::new(GarnetConfig {
         orphanage: OrphanageConfig { retain_per_stream: retain_cap, max_streams: 1024 },
         ..GarnetConfig::default()

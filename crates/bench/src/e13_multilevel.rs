@@ -53,7 +53,7 @@ pub struct MultilevelPoint {
 
 /// Builds a relay chain of `depth` levels terminated by a counter, then
 /// injects `msgs` raw messages.
-pub fn run_point(depth: usize, msgs: u16, max_depth: u32) -> MultilevelPoint {
+pub(crate) fn run_point(depth: usize, msgs: u16, max_depth: u32) -> MultilevelPoint {
     let mut g =
         Garnet::new(GarnetConfig { max_derived_depth: max_depth, ..GarnetConfig::default() });
     let token = g.issue_default_token("chain");

@@ -24,12 +24,12 @@ pub struct CryptoPoint {
 }
 
 /// The fixed key every row seals with.
-pub fn bench_key() -> PayloadKey {
+pub(crate) fn bench_key() -> PayloadKey {
     PayloadKey::from_bytes(*b"garnet-e14-bench")
 }
 
 /// Seals one payload of `payload_len` bytes and opens it again.
-pub fn run_point(payload_len: usize) -> CryptoPoint {
+pub(crate) fn run_point(payload_len: usize) -> CryptoPoint {
     let key = bench_key();
     let stream = StreamId::from_raw(0x0000_0100);
     let seq = SequenceNumber::new(7);

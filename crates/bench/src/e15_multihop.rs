@@ -41,7 +41,7 @@ const HORIZON_S: u64 = 60;
 
 /// Runs one source distance, with and without relaying. The relay sits
 /// halfway between the source and the receiver.
-pub fn run_point(source_distance_m: f64, seed: u64) -> MultihopPoint {
+pub(crate) fn run_point(source_distance_m: f64, seed: u64) -> MultihopPoint {
     let run = |peer_range: Option<f64>| {
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, RECEIVER_RANGE)];
         let cfg = PipelineConfig {

@@ -43,7 +43,7 @@ const SENSORS: u32 = 12;
 const HORIZON_S: u64 = 1_800;
 
 /// Runs one configuration: half the sensors subscribed, half unclaimed.
-pub fn run_point(enabled: bool, seed: u64) -> QuiescePoint {
+pub(crate) fn run_point(enabled: bool, seed: u64) -> QuiescePoint {
     let receivers = Receiver::grid(Point::ORIGIN, 2, 2, 200.0, 300.0);
     let transmitters = Transmitter::grid(Point::ORIGIN, 2, 2, 200.0, 300.0);
     let quiesce = enabled.then_some(QuiesceConfig {

@@ -23,4 +23,4 @@ pub mod e13_multilevel;
 pub mod e14_crypto;
 pub mod e15_multihop;
 pub mod e16_quiesce;
-pub mod table;
+pub(crate) mod table;

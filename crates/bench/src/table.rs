@@ -10,7 +10,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, header: &[&str]) -> Table {
         Table {
             title: title.into(),
             header: header.iter().map(|s| (*s).to_owned()).collect(),
@@ -23,7 +23,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the arity differs from the header.
-    pub fn row(&mut self, cells: &[String]) -> &mut Table {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Table {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
@@ -61,17 +61,17 @@ impl Table {
 }
 
 /// Formats a float with 2 decimals.
-pub fn f2(v: f64) -> String {
+pub(crate) fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Formats a float with 3 decimals.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
 /// Formats an integer-valued count.
-pub fn n(v: u64) -> String {
+pub(crate) fn n(v: u64) -> String {
     v.to_string()
 }
 

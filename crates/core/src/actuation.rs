@@ -177,7 +177,7 @@ impl ActuationService {
 
     /// Harvests due retransmissions and expirations at `now`. Returns
     /// requests to retransmit plus requests that finally timed out.
-    pub fn on_tick(
+    pub(crate) fn on_tick(
         &mut self,
         now: SimTime,
     ) -> (Vec<StreamUpdateRequest>, Vec<StreamUpdateRequest>) {
@@ -207,7 +207,7 @@ impl ActuationService {
     }
 
     /// The earliest pending deadline, for scheduling the next tick.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.pending.values().map(|p| p.deadline).min()
     }
 
@@ -237,7 +237,7 @@ impl ActuationService {
     }
 
     /// Ack latency distribution (µs).
-    pub fn ack_latency(&self) -> &Histogram {
+    pub(crate) fn ack_latency(&self) -> &Histogram {
         &self.ack_latency_us
     }
 }

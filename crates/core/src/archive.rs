@@ -96,7 +96,7 @@ pub struct ArchiveLedger {
 /// recorder (separate from the router's tracer, so turning the archive
 /// on never moves a router trace line).
 #[derive(Debug)]
-pub struct ArchiveService {
+pub(crate) struct ArchiveService {
     /// The log behind the tap; `None` when the backend could not be
     /// opened, or after shutdown: delivery continues, every record
     /// counts as dropped.
@@ -165,12 +165,12 @@ impl ArchiveService {
 
     /// The recovery report from opening the backend: what survived, what
     /// was truncated, the per-stream high-water marks.
-    pub fn recovery(&self) -> &RecoveryReport {
+    pub(crate) fn recovery(&self) -> &RecoveryReport {
         &self.recovery
     }
 
     /// Current per-record accounting.
-    pub fn ledger(&self) -> ArchiveLedger {
+    pub(crate) fn ledger(&self) -> ArchiveLedger {
         ArchiveLedger {
             offered: self.offered,
             archived: self.archived,
@@ -182,7 +182,7 @@ impl ArchiveService {
     }
 
     /// This tap's flight recorder (empty at trace capacity 0).
-    pub fn trace_snapshot(&self) -> TraceSnapshot {
+    pub(crate) fn trace_snapshot(&self) -> TraceSnapshot {
         self.tracer.snapshot()
     }
 

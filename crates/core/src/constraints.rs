@@ -108,7 +108,7 @@ impl Env {
     }
 
     /// Reads a binding.
-    pub fn get(&self, name: &str) -> Option<Value> {
+    pub(crate) fn get(&self, name: &str) -> Option<Value> {
         self.vars.get(name).copied()
     }
 }
@@ -733,12 +733,13 @@ impl Constraint {
     }
 
     /// Evaluates to any value (for testing sub-expressions).
-    pub fn eval(&self, env: &Env) -> Result<Value, ConstraintError> {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, env: &Env) -> Result<Value, ConstraintError> {
         self.expr.eval(env)
     }
 
     /// The original source text.
-    pub fn source(&self) -> &str {
+    pub(crate) fn source(&self) -> &str {
         &self.source
     }
 }

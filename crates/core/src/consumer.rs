@@ -127,32 +127,35 @@ pub trait Consumer {
     fn on_data(&mut self, delivery: &Delivery, ctx: &mut ConsumerCtx);
 }
 
-/// A trivial consumer that counts deliveries — useful as the terminal
-/// stage of pipelines in tests, benches and examples.
+/// A trivial consumer that counts deliveries — the terminal stage of
+/// the facade's unit tests.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct CountingConsumer {
+pub(crate) struct CountingConsumer {
     name: String,
     count: u64,
     last_seen: Option<SimTime>,
 }
 
+#[cfg(test)]
 impl CountingConsumer {
     /// Creates a counting consumer.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         CountingConsumer { name: name.into(), count: 0, last_seen: None }
     }
 
     /// Deliveries received.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Time of the most recent delivery.
-    pub fn last_seen(&self) -> Option<SimTime> {
+    pub(crate) fn last_seen(&self) -> Option<SimTime> {
         self.last_seen
     }
 }
 
+#[cfg(test)]
 impl Consumer for CountingConsumer {
     fn name(&self) -> &str {
         &self.name

@@ -149,11 +149,6 @@ impl SuperCoordinator {
         }
     }
 
-    /// The active mode.
-    pub fn mode(&self) -> CoordinationMode {
-        self.mode
-    }
-
     /// Registers (replacing) the policy action for a state.
     pub fn register_policy(&mut self, state: ConsumerStateId, action: PolicyAction) {
         self.policies.insert(state, action);
@@ -206,18 +201,13 @@ impl SuperCoordinator {
     }
 
     /// The model's most likely successor of `state` for `consumer`.
-    pub fn predict_next(
+    #[cfg(test)]
+    pub(crate) fn predict_next(
         &self,
         consumer: u32,
         state: ConsumerStateId,
     ) -> Option<(ConsumerStateId, f64)> {
         self.models.get(&consumer)?.predict(state)
-    }
-
-    /// The current state of every known consumer — the coordinator's
-    /// "global view" (§4.2), nearly correct by construction (§6).
-    pub fn global_view(&self) -> BTreeMap<u32, ConsumerStateId> {
-        self.models.iter().filter_map(|(&c, m)| m.current.map(|s| (c, s))).collect()
     }
 
     /// State-change reports received.
@@ -354,17 +344,5 @@ mod tests {
         let out = c.report_state(1, 2, SimTime::ZERO);
         // Predicted next from 2 is 1 (100%), which has a policy → anticipatory.
         assert!(out.iter().any(|a| a.anticipatory && a.state == 1));
-    }
-
-    #[test]
-    fn global_view_tracks_every_consumer() {
-        let mut c = SuperCoordinator::new(CoordinationMode::Reactive);
-        c.report_state(1, 10, SimTime::ZERO);
-        c.report_state(2, 20, SimTime::ZERO);
-        c.report_state(1, 11, SimTime::ZERO);
-        let view = c.global_view();
-        assert_eq!(view.get(&1), Some(&11));
-        assert_eq!(view.get(&2), Some(&20));
-        assert_eq!(view.len(), 2);
     }
 }

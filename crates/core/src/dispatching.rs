@@ -141,48 +141,48 @@ impl DispatchingService {
     }
 
     /// The stream catalogue: every stream routed so far.
-    pub fn streams(&self) -> &StreamRegistry {
+    pub(crate) fn streams(&self) -> &StreamRegistry {
         &self.streams
     }
 
     /// Marks a catalogued stream claimed/unclaimed as subscriptions come
     /// and go ([`StreamRegistry::set_claimed`]).
-    pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
+    pub(crate) fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
         self.streams.set_claimed(stream, claimed);
     }
 
     /// Peeks the match set without accounting (used by claim logic).
-    pub fn would_deliver(&self, stream: StreamId) -> bool {
+    pub(crate) fn would_deliver(&self, stream: StreamId) -> bool {
         !self.table.is_unclaimed(stream)
     }
 
     /// Messages routed.
-    pub fn dispatched_count(&self) -> u64 {
+    pub(crate) fn dispatched_count(&self) -> u64 {
         self.dispatched
     }
 
     /// Total (message, subscriber) deliveries.
-    pub fn delivery_count(&self) -> u64 {
+    pub(crate) fn delivery_count(&self) -> u64 {
         self.deliveries
     }
 
     /// Messages that matched nobody.
-    pub fn unclaimed_count(&self) -> u64 {
+    pub(crate) fn unclaimed_count(&self) -> u64 {
         self.unclaimed
     }
 
     /// Distribution of per-message fan-out.
-    pub fn fanout(&self) -> &Histogram {
+    pub(crate) fn fanout(&self) -> &Histogram {
         &self.fanout
     }
 
     /// Counters of this service's match cache.
-    pub fn cache_stats(&self) -> MatchCacheStats {
+    pub(crate) fn cache_stats(&self) -> MatchCacheStats {
         self.cache.stats()
     }
 
     /// Distinct subscribers with live subscriptions.
-    pub fn subscriber_count(&self) -> usize {
+    pub(crate) fn subscriber_count(&self) -> usize {
         self.table.subscriber_count()
     }
 }

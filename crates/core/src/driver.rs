@@ -81,7 +81,7 @@ impl FilterStats {
     }
 
     /// Stream restarts detected.
-    pub fn restart_count(&self) -> u64 {
+    pub(crate) fn restart_count(&self) -> u64 {
         self.restarts
     }
 

@@ -120,7 +120,8 @@ impl Deliveries {
     }
 
     /// The deliveries in release order.
-    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
         self.into_iter()
     }
 }
@@ -517,7 +518,7 @@ impl FilteringService {
     }
 
     /// Number of streams currently tracked.
-    pub fn stream_count(&self) -> usize {
+    pub(crate) fn stream_count(&self) -> usize {
         self.streams.len()
     }
 

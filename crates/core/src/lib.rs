@@ -65,7 +65,7 @@ pub mod location;
 pub mod middleware;
 pub mod orphanage;
 pub mod pipeline;
-pub mod qos;
+pub(crate) mod qos;
 pub mod replicator;
 pub mod resource;
 pub mod router;
@@ -74,22 +74,9 @@ pub mod stream;
 pub mod telemetry;
 mod trace;
 
-pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, ArchiveLedger, StoreSlot};
-pub use consumer::{Consumer, ConsumerCtx};
-pub use driver::{
-    DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver, ThreadedDriver,
-};
-pub use filtering::{Delivery, FilterConfig, FilteringService, Observation};
-pub use middleware::{Garnet, GarnetConfig, OverloadStats, StepOutput};
-pub use pipeline::{PipelineConfig, PipelineSim};
+pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, StoreSlot};
+pub use driver::DriverKind;
 pub use qos::{
-    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode,
-    QosScheduler, Release,
-};
-pub use router::{
-    ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch, ShardedIngest,
+    DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode, QosScheduler, Release,
 };
 pub use service::{ServiceEvent, ServiceOutput};
-pub use telemetry::{
-    HealthReport, HealthState, PipelineSpans, QueueDepthGauges, TelemetryConfig, TelemetrySnapshot,
-};

@@ -207,7 +207,7 @@ impl LocationService {
     }
 
     /// Sightings ingested so far.
-    pub fn observation_count(&self) -> u64 {
+    pub(crate) fn observation_count(&self) -> u64 {
         self.observations_taken
     }
 
@@ -217,7 +217,7 @@ impl LocationService {
     }
 
     /// Number of sensors with any retained evidence.
-    pub fn tracked_sensors(&self) -> usize {
+    pub(crate) fn tracked_sensors(&self) -> usize {
         self.evidence.len()
     }
 }

@@ -65,7 +65,7 @@ use crate::qos::{
     QosScheduler, Release,
 };
 use crate::replicator::{MessageReplicator, ReplicationPlan};
-use crate::resource::{DenyReason, MediationPolicy, ResourceManager, SensorProfile};
+use crate::resource::{DenyReason, MediationPolicy, ResourceManager};
 use crate::router::{
     ControlGraph, OverloadConfig, Router, Services, ShardedDispatch, ShardedIngest,
 };
@@ -73,7 +73,7 @@ use crate::service::{ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput}
 use crate::stream::StreamRegistry;
 use crate::telemetry::{TelemetryConfig, TelemetryService, TelemetrySnapshot};
 
-pub use crate::service::SYSTEM_SUBSCRIBER;
+pub(crate) use crate::service::SYSTEM_SUBSCRIBER;
 
 /// Demand-driven quiescence (§8's "system-inferred changes to data
 /// usage patterns"): streams nobody subscribes to are slowed down to
@@ -939,37 +939,9 @@ impl Garnet {
         Ok(self.location().estimate(sensor, now))
     }
 
-    /// A consumer reports a state change out-of-band. Coordinator policy
-    /// actions execute immediately; returned effects carry the resulting
-    /// control plans.
-    pub fn report_state(
-        &mut self,
-        id: SubscriberId,
-        token: &Token,
-        state: u32,
-        now: SimTime,
-    ) -> Result<StepOutput, GarnetError> {
-        self.authorize(token, Capability::Coordinate, now)?;
-        if !self.consumers.contains_key(&id) {
-            return Err(GarnetError::UnknownConsumer(id));
-        }
-        let mut out = StepOutput::default();
-        self.route_event(ServiceEvent::StateReported { reporter: id, state });
-        self.pump(now, &mut out);
-        self.release_held(&mut out);
-        debug_assert_eq!(self.check_return(&out, None), Ok(()));
-        Ok(out)
-    }
-
     /// Registers a policy action with the Super Coordinator.
     pub fn register_coordinator_policy(&mut self, state: u32, action: PolicyAction) {
         self.router.services_mut().control.coordinator.register_policy(state, action);
-    }
-
-    /// Registers a sensor's constraint profile with the Resource
-    /// Manager.
-    pub fn register_sensor_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
-        self.router.services_mut().control.resource.register_profile(sensor, profile);
     }
 
     /// [`Garnet::pump`] for an entry point with no [`StepOutput`] to
@@ -1234,11 +1206,6 @@ impl Garnet {
     /// Derived publications dropped by the depth guard.
     pub fn depth_drop_count(&self) -> u64 {
         self.depth_drops
-    }
-
-    /// Consumer actions refused (capability or mediation).
-    pub fn denied_action_count(&self) -> u64 {
-        self.denied_actions
     }
 
     /// p99 of tier-depth-at-admission samples. An unbounded intake
@@ -1642,23 +1609,13 @@ impl Garnet {
         }
     }
 
-    /// Runs a closure against a registered consumer (to read
-    /// application-level results out of it).
-    pub fn with_consumer<R>(
-        &mut self,
-        id: SubscriberId,
-        f: impl FnOnce(&mut dyn Consumer) -> R,
-    ) -> Option<R> {
-        let entry = self.consumers.get_mut(&id)?;
-        Some(f(entry.consumer.as_mut()))
-    }
-
     /// Checks the identities the facade's books must satisfy whenever a
     /// public call returns: the router queue and the admission
     /// scheduler's queue are drained, the admission, per-class QoS,
     /// delivery-plane, archive and actuation ledgers each account for
-    /// every item they were offered, and every drain limit and staged
-    /// queue belongs to a registered consumer. Debug builds assert it at
+    /// every item they were offered, every drain limit and staged queue
+    /// belongs to a registered consumer, and the registry advertises
+    /// exactly the registered consumers. Debug builds assert it at
     /// the tail of every public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
         law(self.router.queue_is_empty(), || "the router queue is not empty".into())?;
@@ -1681,6 +1638,18 @@ impl Garnet {
                 format!("delivery schedule holds a limit or queue for departed {id}")
             })?;
         }
+        let mut advertised = 0usize;
+        for d in self.registry.iter().filter(|d| d.kind == ServiceKind::Consumer) {
+            let id =
+                d.name.rsplit_once("/sub").and_then(|(_, n)| n.parse().ok()).map(SubscriberId::new);
+            law(id.is_some_and(|id| self.consumers.contains_key(&id)), || {
+                format!("advertisement {} names no registered consumer", d.name)
+            })?;
+            advertised += 1;
+        }
+        law(advertised == self.consumers.len(), || {
+            format!("{advertised} consumer advertisements for {} consumers", self.consumers.len())
+        })?;
         if let Some(a) = self.archive_ledger() {
             law(a.archived + a.dropped == a.offered, || format!("archive: {a:?}"))?;
         }
@@ -1749,14 +1718,6 @@ mod tests {
         g.subscribe(id, TopicFilter::Sensor(SensorId::new(1).unwrap()), &token).unwrap();
         g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
         g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 1), SimTime::from_millis(1));
-        let count = g
-            .with_consumer(id, |c| {
-                // Downcast-free read: CountingConsumer exposes nothing via
-                // the trait, so count via name as a smoke signal…
-                c.name().to_owned()
-            })
-            .unwrap();
-        assert_eq!(count, "c");
         assert_eq!(g.dispatching().delivery_count(), 2);
         assert_eq!(g.filtering().delivered_count(), 2);
     }
@@ -1963,7 +1924,7 @@ mod tests {
         g.subscribe(id, TopicFilter::All, &token).unwrap();
         let out = g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
         assert!(out.control.is_empty());
-        assert_eq!(g.denied_action_count(), 3);
+        assert_eq!(g.metrics().counter_value("consumers.denied_actions"), 3);
         assert_eq!(g.location().hint_count(), 0);
     }
 
@@ -1998,37 +1959,6 @@ mod tests {
         g.on_frame(ReceiverId::new(0), -50.0, &acked, SimTime::from_millis(20));
         assert_eq!(g.actuation().in_flight(), 0);
         assert_eq!(g.actuation().acknowledged_count(), 1);
-    }
-
-    #[test]
-    fn sensor_profile_constraint_denies_through_facade() {
-        use crate::constraints::Constraint;
-
-        let mut g = garnet();
-        let token = g.issue_default_token("t");
-        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
-        let sensor = SensorId::new(1).unwrap();
-        g.register_sensor_profile(
-            sensor,
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 2").unwrap()] },
-        );
-        let mut request = |interval_ms| {
-            g.request_actuation(
-                id,
-                &token,
-                ActuationTarget::Sensor(sensor),
-                SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms },
-                SimTime::ZERO,
-            )
-            .unwrap()
-        };
-        // 10 Hz is over the profile's bound, 2 Hz is on it.
-        assert!(matches!(
-            request(100),
-            ActuationOutcome::Denied { reason: DenyReason::ConstraintViolated(_) }
-        ));
-        assert!(matches!(request(500), ActuationOutcome::Granted { .. }));
-        assert_eq!(g.resource().denied_count(), 1);
     }
 
     #[test]
@@ -2309,9 +2239,23 @@ mod tests {
 
     #[test]
     fn coordinator_policy_fires_through_facade() {
+        use crate::consumer::{Consumer, ConsumerCtx};
+
+        /// Reports each delivery's first payload byte as its state.
+        struct Reporter;
+        impl Consumer for Reporter {
+            fn name(&self) -> &str {
+                "reporter"
+            }
+            fn on_data(&mut self, d: &Delivery, ctx: &mut ConsumerCtx) {
+                ctx.report_state(u32::from(d.msg.payload()[0]));
+            }
+        }
+
         let mut g = garnet();
         let token = g.issue_default_token("t");
-        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        let id = g.register_consumer(Box::new(Reporter), &token, 0).unwrap();
+        g.subscribe(id, TopicFilter::All, &token).unwrap();
         g.register_coordinator_policy(
             2,
             PolicyAction {
@@ -2324,10 +2268,18 @@ mod tests {
                 anticipatable: true,
             },
         );
+        let reading = |seq: u16, state: u8| {
+            DataMessage::builder(StreamId::new(SensorId::new(1).unwrap(), StreamIndex::new(0)))
+                .seq(SequenceNumber::new(seq))
+                .payload(vec![state])
+                .build()
+                .unwrap()
+                .encode_to_vec()
+        };
         // Train 1→2, then re-enter 1: predictive mode pre-fires 2's policy.
-        g.report_state(id, &token, 1, SimTime::ZERO).unwrap();
-        g.report_state(id, &token, 2, SimTime::from_secs(1)).unwrap();
-        let out = g.report_state(id, &token, 1, SimTime::from_secs(2)).unwrap();
+        g.on_frame(ReceiverId::new(0), -50.0, &reading(0, 1), SimTime::ZERO);
+        g.on_frame(ReceiverId::new(0), -50.0, &reading(1, 2), SimTime::from_secs(1));
+        let out = g.on_frame(ReceiverId::new(0), -50.0, &reading(2, 1), SimTime::from_secs(2));
         assert_eq!(out.control.len(), 1, "anticipatory actuation dispatched");
         assert_eq!(g.coordinator().anticipatory_action_count(), 1);
     }

@@ -156,7 +156,7 @@ impl Orphanage {
     }
 
     /// Every unclaimed stream, ordered by raw id (deterministic).
-    pub fn unclaimed_streams(&self) -> Vec<StreamId> {
+    pub(crate) fn unclaimed_streams(&self) -> Vec<StreamId> {
         let mut raws: Vec<u32> = self.streams.keys().copied().collect();
         raws.sort_unstable();
         raws.into_iter().map(StreamId::from_raw).collect()

@@ -63,7 +63,7 @@ impl PriorityClass {
         [PriorityClass::Control, PriorityClass::Actuation, PriorityClass::Data];
 
     /// The class an event is counted under.
-    pub fn of(ev: &ServiceEvent) -> PriorityClass {
+    pub(crate) fn of(ev: &ServiceEvent) -> PriorityClass {
         match ev {
             ServiceEvent::Filtered { .. } => PriorityClass::Data,
             ServiceEvent::ActuationRequested { .. }
@@ -90,7 +90,7 @@ impl PriorityClass {
 
     /// Dense index for per-class arrays, in [`PriorityClass::ALL`]
     /// order.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             PriorityClass::Control => 0,
             PriorityClass::Actuation => 1,
@@ -377,7 +377,7 @@ impl QosScheduler {
     /// The radio-frame ledger (what the `overload.*` metrics report when
     /// the scheduler governs admission): the Data class ledger less the
     /// derived republications counted there as they entered the facade.
-    pub fn totals(&self) -> ClassLedger {
+    pub(crate) fn totals(&self) -> ClassLedger {
         let d = self.ledgers.class(PriorityClass::Data);
         ClassLedger {
             offered: d.offered - self.republished,
@@ -387,17 +387,17 @@ impl QosScheduler {
     }
 
     /// All three class ledgers.
-    pub fn ledgers(&self) -> &ClassLedgers {
+    pub(crate) fn ledgers(&self) -> &ClassLedgers {
         &self.ledgers
     }
 
     /// High-water mark of the staged queue.
-    pub fn peak_depth(&self) -> u64 {
+    pub(crate) fn peak_depth(&self) -> u64 {
         self.peak_depth
     }
 
     /// p99 of queue-depth-at-offer samples.
-    pub fn depth_p99(&self) -> u64 {
+    pub(crate) fn depth_p99(&self) -> u64 {
         self.depth_hist.p99()
     }
 }
@@ -493,7 +493,7 @@ impl DeliverySchedule {
     /// Forgets a departing consumer: removes its drain limit and counts
     /// whatever was still staged for it as shed — nobody is left to
     /// receive it.
-    pub fn forget(&mut self, id: SubscriberId) {
+    pub(crate) fn forget(&mut self, id: SubscriberId) {
         self.limits.remove(&id);
         if let Some(queue) = self.queues.remove(&id) {
             self.ledger.shed += queue.len() as u64;
@@ -502,7 +502,7 @@ impl DeliverySchedule {
     }
 
     /// Whether `id` currently has a drain limit.
-    pub fn is_limited(&self, id: SubscriberId) -> bool {
+    pub(crate) fn is_limited(&self, id: SubscriberId) -> bool {
         self.limits.contains_key(&id)
     }
 
@@ -578,7 +578,7 @@ impl DeliverySchedule {
     }
 
     /// Deliveries currently staged across all consumers.
-    pub fn backlog(&self) -> u64 {
+    pub(crate) fn backlog(&self) -> u64 {
         debug_assert_eq!(
             self.backlog,
             self.queues.values().map(|q| q.len() as u64).sum::<u64>(),
@@ -588,14 +588,14 @@ impl DeliverySchedule {
     }
 
     /// High-water mark of the total staged backlog.
-    pub fn peak_backlog(&self) -> u64 {
+    pub(crate) fn peak_backlog(&self) -> u64 {
         self.peak_backlog
     }
 
     /// The delivery-plane ledger. Balanced as
     /// `offered == shed + delivered + backlog` mid-flight and
     /// `offered == shed + delivered` once drained.
-    pub fn ledger(&self) -> &ClassLedger {
+    pub(crate) fn ledger(&self) -> &ClassLedger {
         &self.ledger
     }
 }

@@ -59,11 +59,6 @@ impl MessageReplicator {
         self.transmitters.len()
     }
 
-    /// The installed transmitters (id order).
-    pub fn transmitters(&self) -> &[Transmitter] {
-        &self.transmitters
-    }
-
     fn covering(&self, area: Disk) -> Vec<TransmitterId> {
         self.transmitters
             .iter()
@@ -117,12 +112,12 @@ impl MessageReplicator {
     }
 
     /// Requests that used a targeted (non-flood) plan.
-    pub fn targeted_count(&self) -> u64 {
+    pub(crate) fn targeted_count(&self) -> u64 {
         self.targeted
     }
 
     /// Requests that fell back to flooding.
-    pub fn flooded_count(&self) -> u64 {
+    pub(crate) fn flooded_count(&self) -> u64 {
         self.flooded
     }
 

@@ -163,19 +163,9 @@ impl ResourceManager {
         }
     }
 
-    /// The active mediation policy.
-    pub fn policy(&self) -> MediationPolicy {
-        self.policy
-    }
-
     /// Registers (replacing) a sensor's constraint profile.
     pub fn register_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
         self.profiles.insert(sensor, profile);
-    }
-
-    /// Constraints applied to sensors without a registered profile.
-    pub fn set_default_constraints(&mut self, constraints: Vec<Constraint>) {
-        self.default_constraints = constraints;
     }
 
     fn constraints_for(&self, sensor: SensorId) -> &[Constraint] {
@@ -389,7 +379,7 @@ impl ResourceManager {
 
     /// Withdraws every demand held by a departing consumer. Returns the
     /// number of demands released.
-    pub fn release_consumer(&mut self, consumer: SubscriberId) -> usize {
+    pub(crate) fn release_consumer(&mut self, consumer: SubscriberId) -> usize {
         let mut released = 0;
         self.interval_demands.retain(|_, demands| {
             if demands.remove(&consumer).is_some() {
@@ -416,7 +406,7 @@ impl ResourceManager {
     }
 
     /// Requests approved so far.
-    pub fn approved_count(&self) -> u64 {
+    pub(crate) fn approved_count(&self) -> u64 {
         self.approved
     }
 
@@ -614,15 +604,6 @@ mod tests {
         let stream_target =
             ActuationTarget::Stream(garnet_wire::StreamId::new(sensor(), StreamIndex::new(0)));
         assert!(!rm.request(sub(1), 0, &stream_target, &interval(100)).is_granted());
-    }
-
-    #[test]
-    fn area_target_checked_against_defaults() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.set_default_constraints(vec![Constraint::parse("rate_hz <= 1").unwrap()]);
-        let area = ActuationTarget::Area(garnet_wire::TargetArea::new(0.0, 0.0, 50.0));
-        assert!(!rm.request(sub(1), 0, &area, &interval(100)).is_granted());
-        assert!(rm.request(sub(1), 0, &area, &interval(2000)).is_granted());
     }
 
     #[test]

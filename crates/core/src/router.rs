@@ -63,7 +63,7 @@ impl ShardedIngest {
     /// Feeds one frame ([`FilteringService::on_frame`]): the router
     /// filters a burst one frame at a time, in arrival order, each
     /// frame's header validated as it is decoded.
-    pub fn on_frame(
+    pub(crate) fn on_frame(
         &mut self,
         receiver: ReceiverId,
         rssi_dbm: f64,
@@ -75,12 +75,12 @@ impl ShardedIngest {
 
     /// Flushes expired reorder buffers, releasing in ascending stream-id
     /// order ([`FilteringService::on_tick`]).
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Delivery> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Delivery> {
         self.filter.on_tick(now)
     }
 
     /// The earliest reorder deadline.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.filter.next_deadline()
     }
 
@@ -113,7 +113,7 @@ impl ShardedIngest {
     }
 
     /// The stage's counters, by value.
-    pub fn stats(&self) -> FilterStats {
+    pub(crate) fn stats(&self) -> FilterStats {
         FilterStats::of(&self.filter)
     }
 }
@@ -140,12 +140,12 @@ impl ShardedDispatch {
     }
 
     /// The stream catalogue.
-    pub fn streams(&self) -> &StreamRegistry {
+    pub(crate) fn streams(&self) -> &StreamRegistry {
         self.dispatcher.streams()
     }
 
     /// Marks a catalogued stream claimed/unclaimed.
-    pub fn set_claimed(&mut self, stream: garnet_wire::StreamId, claimed: bool) {
+    pub(crate) fn set_claimed(&mut self, stream: garnet_wire::StreamId, claimed: bool) {
         self.dispatcher.set_claimed(stream, claimed);
     }
 
@@ -174,7 +174,7 @@ impl ShardedDispatch {
 
     /// Removes every subscription of a departing consumer, returning
     /// how many it held.
-    pub fn unsubscribe_all(&mut self, subscriber: garnet_net::SubscriberId) -> usize {
+    pub(crate) fn unsubscribe_all(&mut self, subscriber: garnet_net::SubscriberId) -> usize {
         self.dispatcher.unsubscribe_all(subscriber)
     }
 
@@ -184,7 +184,7 @@ impl ShardedDispatch {
     /// naming the stream's row, no lookup at all; otherwise one keyed
     /// lookup, and the row it found is returned beside the output for
     /// the caller to remember.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &mut self,
         delivery: Delivery,
         depth: u32,
@@ -203,12 +203,12 @@ impl ShardedDispatch {
     /// Whether the most recent dispatch (re)built its match set, clearing
     /// the flag — the router reads this right after pumping a `Filtered`
     /// event to append the `CacheRebuild` trace record.
-    pub fn take_last_rebuild(&mut self) -> bool {
+    pub(crate) fn take_last_rebuild(&mut self) -> bool {
         std::mem::take(&mut self.last_rebuilt)
     }
 
     /// Peeks the match set without accounting.
-    pub fn would_deliver(&self, stream: garnet_wire::StreamId) -> bool {
+    pub(crate) fn would_deliver(&self, stream: garnet_wire::StreamId) -> bool {
         self.dispatcher.would_deliver(stream)
     }
 
@@ -523,7 +523,12 @@ impl Router {
     /// Records a frame the admission scheduler dropped before it reached
     /// [`Router::ingest`], under a root of its own (nothing was routed,
     /// so nothing else will trace it).
-    pub fn trace_dropped(&mut self, frame: &BatchedFrame, outcome: TraceOutcome, now: SimTime) {
+    pub(crate) fn trace_dropped(
+        &mut self,
+        frame: &BatchedFrame,
+        outcome: TraceOutcome,
+        now: SimTime,
+    ) {
         if self.tracer.is_enabled() {
             let root = self.alloc_root();
             self.tracer.record(|| frame_record(&frame.frame, now, root, outcome));
@@ -607,42 +612,42 @@ impl Router {
     /// Monotonic intake totals: every frame handed to
     /// [`Router::ingest`] is both offered and delivered into filtering
     /// (`shed` and `coalesced` stay zero — nothing is dropped here).
-    pub fn overload_totals(&self) -> ClassLedger {
+    pub(crate) fn overload_totals(&self) -> ClassLedger {
         let n = self.frames_ingested;
         ClassLedger { offered: n, delivered: n, ..ClassLedger::default() }
     }
 
     /// The largest burst handed to [`Router::ingest`] — the most frames
     /// this router has held at once.
-    pub fn peak_queue_depth(&self) -> u64 {
+    pub(crate) fn peak_queue_depth(&self) -> u64 {
         self.peak_burst
     }
 
     /// The pipeline latency spans recorded so far.
-    pub fn pipeline_spans(&self) -> &PipelineSpans {
+    pub(crate) fn pipeline_spans(&self) -> &PipelineSpans {
         &self.spans
     }
 
     /// The admission-depth gauge.
-    pub fn queue_depth_gauges(&self) -> &QueueDepthGauges {
+    pub(crate) fn queue_depth_gauges(&self) -> &QueueDepthGauges {
         &self.depths
     }
 
     /// Turns latency-span and depth-gauge recording on or off (on by
     /// default; `GarnetConfig.telemetry.spans` drives this).
-    pub fn set_telemetry_recording(&mut self, enabled: bool) {
+    pub(crate) fn set_telemetry_recording(&mut self, enabled: bool) {
         self.spans.set_enabled(enabled);
         self.depths.set_enabled(enabled);
     }
 
     /// Resets the telemetry depth counts (the watermarks survive).
     /// Called by the facade after it pumps the router dry.
-    pub fn note_telemetry_quiescent(&mut self) {
+    pub(crate) fn note_telemetry_quiescent(&mut self) {
         self.depths.note_quiescent();
     }
 
     /// The earliest time-driven deadline across routed services.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         [self.services.ingest.next_deadline(), self.services.control.actuation.next_deadline()]
             .into_iter()
             .flatten()

@@ -32,10 +32,10 @@ use crate::stream::RowId;
 
 /// Reserved subscriber identity for actions the middleware itself
 /// originates (Super Coordinator policies, quiescence sweeps).
-pub const SYSTEM_SUBSCRIBER: SubscriberId = SubscriberId::new(u32::MAX);
+pub(crate) const SYSTEM_SUBSCRIBER: SubscriberId = SubscriberId::new(u32::MAX);
 
 /// Priority used for coordinator-originated actuations.
-pub const SYSTEM_PRIORITY: u8 = 200;
+pub(crate) const SYSTEM_PRIORITY: u8 = 200;
 
 /// Who started an actuation chain, and therefore what the facade does
 /// with its terminal [`ServiceOutput::Planned`]/[`ServiceOutput::Denied`]:

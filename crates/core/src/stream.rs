@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::num::NonZeroU32;
 
 use garnet_net::MatchSlot;
-use garnet_simkit::{SimDuration, SimTime};
+use garnet_simkit::SimTime;
 use garnet_wire::StreamId;
 
 /// Discovery metadata for one stream.
@@ -41,12 +41,6 @@ pub struct StreamInfo {
 }
 
 impl StreamInfo {
-    /// Mean inter-message interval, if at least two messages arrived.
-    pub fn estimated_interval(&self) -> Option<SimDuration> {
-        (self.messages >= 2)
-            .then(|| self.last_seen.saturating_since(self.first_seen) / (self.messages - 1))
-    }
-
     /// Counts one message; the first one fixes when the stream was
     /// first seen and whether it is derived.
     pub(crate) fn note(&mut self, payload_len: usize, at: SimTime, derived: bool) {
@@ -169,7 +163,7 @@ impl StreamRegistry {
     }
 
     /// Marks a stream claimed/unclaimed as subscriptions come and go.
-    pub fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
+    pub(crate) fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
         if let Some(&id) = self.index.get(&stream.to_raw()) {
             self.rows[id.index()].info.claimed = claimed;
         }
@@ -182,7 +176,7 @@ impl StreamRegistry {
 
     /// Every known stream, in first-seen order and without
     /// materialising the catalogue — for folds (a minimum, a count).
-    pub fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &StreamInfo> {
         self.rows.iter().map(|row| &row.info)
     }
 
@@ -194,7 +188,7 @@ impl StreamRegistry {
     }
 
     /// Every stream nobody claims (candidates for the Orphanage view).
-    pub fn discover_unclaimed(&self) -> Vec<&StreamInfo> {
+    pub(crate) fn discover_unclaimed(&self) -> Vec<&StreamInfo> {
         self.discover().into_iter().filter(|i| !i.claimed).collect()
     }
 
@@ -222,16 +216,8 @@ mod tests {
         let info = r.info(s).unwrap();
         assert_eq!(info.messages, 2);
         assert_eq!(info.payload_bytes, 30);
-        assert_eq!(info.estimated_interval(), Some(SimDuration::from_secs(2)));
         assert!(!info.claimed);
         assert!(!info.derived);
-    }
-
-    #[test]
-    fn single_message_no_interval() {
-        let mut r = StreamRegistry::new();
-        r.note_message(StreamId::from_raw(1), 1, SimTime::ZERO, false);
-        assert_eq!(r.info(StreamId::from_raw(1)).unwrap().estimated_interval(), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use garnet_simkit::{Gauge, Histogram, MetricsRegistry, SimDuration, SimTime};
 /// Durations saturate at zero, so replayed or reordered stamps can never
 /// panic the hot path.
 #[derive(Clone, Debug, Default)]
-pub struct PipelineSpans {
+pub(crate) struct PipelineSpans {
     enabled: bool,
     filtering: Histogram,
     dispatching: Histogram,
@@ -60,7 +60,7 @@ pub struct PipelineSpans {
 
 impl PipelineSpans {
     /// Creates empty, enabled spans.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PipelineSpans {
             enabled: true,
             filtering: Histogram::new(),
@@ -70,18 +70,18 @@ impl PipelineSpans {
     }
 
     /// Turns recording on or off.
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// Whether recording is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records one dispatched delivery.
     #[inline]
-    pub fn record(&mut self, first_received_at: SimTime, delivered_at: SimTime, now: SimTime) {
+    pub(crate) fn record(
+        &mut self,
+        first_received_at: SimTime,
+        delivered_at: SimTime,
+        now: SimTime,
+    ) {
         if !self.enabled {
             return;
         }
@@ -91,22 +91,25 @@ impl PipelineSpans {
     }
 
     /// First admission → filtering emission.
-    pub fn filtering(&self) -> &Histogram {
+    #[cfg(test)]
+    pub(crate) fn filtering(&self) -> &Histogram {
         &self.filtering
     }
 
     /// Filtering emission → dispatch fan-out.
-    pub fn dispatching(&self) -> &Histogram {
+    #[cfg(test)]
+    pub(crate) fn dispatching(&self) -> &Histogram {
         &self.dispatching
     }
 
     /// First admission → dispatch fan-out.
-    pub fn e2e(&self) -> &Histogram {
+    #[cfg(test)]
+    pub(crate) fn e2e(&self) -> &Histogram {
         &self.e2e
     }
 
     /// Folds the three histograms into `m` under their interned names.
-    pub fn fold_into(&self, m: &mut MetricsRegistry) {
+    pub(crate) fn fold_into(&self, m: &mut MetricsRegistry) {
         m.histogram(keys::FILTERING_LATENCY_US).merge(&self.filtering);
         m.histogram(keys::DISPATCHING_LATENCY_US).merge(&self.dispatching);
         m.histogram(keys::PIPELINE_E2E_LATENCY_US).merge(&self.e2e);
@@ -120,7 +123,7 @@ impl PipelineSpans {
 /// peak, but with min/last watermarks. Counts reset at quiescence; the
 /// gauge keeps its watermarks.
 #[derive(Clone, Debug, Default)]
-pub struct QueueDepthGauges {
+pub(crate) struct QueueDepthGauges {
     enabled: bool,
     total: Gauge,
     queued: u64,
@@ -128,18 +131,18 @@ pub struct QueueDepthGauges {
 
 impl QueueDepthGauges {
     /// Creates an enabled gauge.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QueueDepthGauges { enabled: true, total: Gauge::new(), queued: 0 }
     }
 
     /// Turns sampling on or off alongside the latency spans.
-    pub fn set_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
 
     /// Records one admitted frame.
     #[inline]
-    pub fn note_admitted(&mut self) {
+    pub(crate) fn note_admitted(&mut self) {
         if !self.enabled {
             return;
         }
@@ -148,12 +151,12 @@ impl QueueDepthGauges {
     }
 
     /// Resets the depth count at a quiescence point; watermarks survive.
-    pub fn note_quiescent(&mut self) {
+    pub(crate) fn note_quiescent(&mut self) {
         self.queued = 0;
     }
 
     /// The depth gauge.
-    pub fn total(&self) -> &Gauge {
+    pub(crate) fn total(&self) -> &Gauge {
         &self.total
     }
 }
@@ -229,7 +232,7 @@ impl HealthReport {
 
 /// The per-window quantities health scoring reads.
 #[derive(Clone, Debug, Default)]
-pub struct WindowStats {
+pub(crate) struct WindowStats {
     /// Frames offered to admission in the window.
     pub offered: u64,
     /// Frames shed by overload policy in the window.
@@ -252,7 +255,7 @@ pub struct WindowStats {
 
 /// Scores one window. Critical reasons trump degraded ones; both lists
 /// are assembled in a fixed rule order so the report is byte-stable.
-pub fn evaluate_health(w: &WindowStats) -> HealthReport {
+pub(crate) fn evaluate_health(w: &WindowStats) -> HealthReport {
     let mut degraded = Vec::new();
     let mut critical = Vec::new();
     if let Some(shed_ppm) = w.shed.saturating_mul(1_000_000).checked_div(w.offered) {
@@ -314,7 +317,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Summarises `h`.
-    pub fn of(h: &Histogram) -> Self {
+    pub(crate) fn of(h: &Histogram) -> Self {
         HistogramSummary {
             count: h.count(),
             mean: h.mean(),
@@ -342,7 +345,7 @@ pub struct GaugeSummary {
 
 impl GaugeSummary {
     /// Summarises `g`.
-    pub fn of(g: &Gauge) -> Self {
+    pub(crate) fn of(g: &Gauge) -> Self {
         GaugeSummary { last: g.last(), min: g.min(), max: g.max(), samples: g.samples() }
     }
 }
@@ -410,7 +413,7 @@ fn prometheus_name(name: &str) -> String {
 
 impl TelemetrySnapshot {
     /// The window length in seconds.
-    pub fn window_secs(&self) -> f64 {
+    pub(crate) fn window_secs(&self) -> f64 {
         (self.window_end_us.saturating_sub(self.window_start_us)) as f64 / 1e6
     }
 
@@ -564,7 +567,7 @@ impl Default for TelemetryConfig {
 /// `rotate_lines` lines. Construction resumes after the highest
 /// existing index so a restarted node never clobbers history.
 #[derive(Debug)]
-pub struct TelemetrySink {
+pub(crate) struct TelemetrySink {
     dir: PathBuf,
     rotate_lines: usize,
     file_index: u64,
@@ -573,7 +576,7 @@ pub struct TelemetrySink {
 
 impl TelemetrySink {
     /// Opens (and creates) the sink directory.
-    pub fn new(dir: &Path, rotate_lines: usize) -> std::io::Result<Self> {
+    pub(crate) fn new(dir: &Path, rotate_lines: usize) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let mut next_index = 0u64;
         for entry in std::fs::read_dir(dir)? {
@@ -596,13 +599,13 @@ impl TelemetrySink {
     }
 
     /// The file the next line will land in.
-    pub fn current_path(&self) -> PathBuf {
+    pub(crate) fn current_path(&self) -> PathBuf {
         self.dir.join(format!("telemetry-{:06}.jsonl", self.file_index))
     }
 
     /// Appends one line (newline added here), rotating afterwards if the
     /// file reached its line budget.
-    pub fn append(&mut self, line: &str) -> std::io::Result<()> {
+    pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
         let path = self.current_path();
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
         file.write_all(line.as_bytes())?;
@@ -620,7 +623,7 @@ impl TelemetrySink {
 /// values for deltas, the previous e2e p99 for regression scoring, the
 /// snapshot sequence, and the optional file sink.
 #[derive(Debug)]
-pub struct TelemetryService {
+pub(crate) struct TelemetryService {
     config: TelemetryConfig,
     seq: u64,
     window_start: SimTime,
@@ -635,7 +638,7 @@ pub struct TelemetryService {
 impl TelemetryService {
     /// Builds the service; the sink directory is not touched until the
     /// first emission.
-    pub fn new(config: TelemetryConfig) -> Self {
+    pub(crate) fn new(config: TelemetryConfig) -> Self {
         TelemetryService {
             config,
             seq: 0,
@@ -649,13 +652,8 @@ impl TelemetryService {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
     /// True when the auto-emit interval has elapsed at `now`.
-    pub fn due(&self, now: SimTime) -> bool {
+    pub(crate) fn due(&self, now: SimTime) -> bool {
         match (self.config.interval, self.next_due) {
             (None, _) => false,
             (Some(interval), None) => now >= self.window_start.saturating_add(interval),
@@ -664,20 +662,20 @@ impl TelemetryService {
     }
 
     /// The most recently emitted snapshot.
-    pub fn last(&self) -> Option<&TelemetrySnapshot> {
+    pub(crate) fn last(&self) -> Option<&TelemetrySnapshot> {
         self.last.as_ref()
     }
 
     /// The first sink I/O error, if any (telemetry never panics the
     /// data path; a broken sink turns into a sticky diagnostic).
-    pub fn sink_error(&self) -> Option<&str> {
+    pub(crate) fn sink_error(&self) -> Option<&str> {
         self.sink_error.as_deref()
     }
 
     /// Assembles, records and (when a sink is configured) exports the
     /// snapshot for the window ending at `now` over the already-folded
     /// registry `m`.
-    pub fn emit(&mut self, m: &MetricsRegistry, now: SimTime) -> TelemetrySnapshot {
+    pub(crate) fn emit(&mut self, m: &MetricsRegistry, now: SimTime) -> TelemetrySnapshot {
         let mut counters: BTreeMap<String, u64> =
             m.counters().map(|(name, value)| (name.to_owned(), value)).collect();
         let deltas: BTreeMap<String, u64> = counters

@@ -377,12 +377,12 @@ impl Snapshot {
     }
 
     /// The window length in seconds.
-    pub fn window_secs(&self) -> f64 {
+    pub(crate) fn window_secs(&self) -> f64 {
         (self.window_end_us.saturating_sub(self.window_start_us)) as f64 / 1e6
     }
 
     /// This window's rate for counter `name`, per sim-second.
-    pub fn rate_per_sec(&self, name: &str) -> f64 {
+    pub(crate) fn rate_per_sec(&self, name: &str) -> f64 {
         let secs = self.window_secs();
         if secs <= 0.0 {
             return 0.0;
@@ -392,7 +392,7 @@ impl Snapshot {
 
     /// Numeric severity: 0 healthy, 1 degraded, 2 critical (unknown
     /// labels score critical — an operator tool must not underreport).
-    pub fn severity(&self) -> i32 {
+    pub(crate) fn severity(&self) -> i32 {
         match self.health.as_str() {
             "healthy" => 0,
             "degraded" => 1,
@@ -547,13 +547,13 @@ pub fn render_tail_line(snap: &Snapshot) -> String {
 
 /// QoS priority classes as named in the node's `qos.*` counter rows, in
 /// report order (mirrors `garnet_core::qos::PriorityClass::ALL`).
-pub const QOS_CLASSES: [&str; 3] = ["control", "actuation", "data"];
+pub(crate) const QOS_CLASSES: [&str; 3] = ["control", "actuation", "data"];
 
 /// Classes that were offered events this window but delivered none —
 /// computed from the per-class `qos.<class>.{offered,delivered}`
 /// deltas, independently of the node's own verdict, so the inspector
 /// still flags starvation on a sink whose scorer predates the rule.
-pub fn starved_classes(snap: &Snapshot) -> Vec<String> {
+pub(crate) fn starved_classes(snap: &Snapshot) -> Vec<String> {
     let delta = |name: String| snap.deltas.get(&name).copied().unwrap_or(0);
     QOS_CLASSES
         .iter()

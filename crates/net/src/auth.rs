@@ -25,7 +25,7 @@ impl Principal {
     }
 
     /// The registered name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.0
     }
 }
@@ -94,9 +94,6 @@ impl Capability {
 pub struct CapabilitySet(u8);
 
 impl CapabilitySet {
-    /// The empty set.
-    pub const NONE: CapabilitySet = CapabilitySet(0);
-
     /// Builds a set from individual capabilities.
     pub fn of(caps: &[Capability]) -> Self {
         CapabilitySet(caps.iter().fold(0, |acc, c| acc | c.bit()))
@@ -110,12 +107,6 @@ impl CapabilitySet {
     /// True if `cap` is in the set.
     pub fn allows(self, cap: Capability) -> bool {
         self.0 & cap.bit() != 0
-    }
-
-    /// Union of two sets.
-    #[must_use]
-    pub fn union(self, other: CapabilitySet) -> CapabilitySet {
-        CapabilitySet(self.0 | other.0)
     }
 
     fn bits(self) -> u8 {
@@ -163,11 +154,6 @@ impl Token {
     /// The granted capabilities.
     pub fn capabilities(&self) -> CapabilitySet {
         self.caps
-    }
-
-    /// Expiry instant (µs of middleware time).
-    pub fn expires_at_us(&self) -> u64 {
-        self.expires_at_us
     }
 }
 
@@ -322,17 +308,14 @@ mod tests {
         let s = CapabilitySet::of(&[Capability::Subscribe, Capability::ProvideHints]);
         assert!(s.allows(Capability::Subscribe));
         assert!(!s.allows(Capability::Actuate));
-        let u = s.union(CapabilitySet::of(&[Capability::Actuate]));
-        assert!(u.allows(Capability::Actuate));
-        assert!(u.allows(Capability::Subscribe));
-        assert!(!CapabilitySet::NONE.allows(Capability::Subscribe));
+        assert!(!CapabilitySet::default().allows(Capability::Subscribe));
     }
 
     #[test]
     fn debug_output_lists_caps_and_hides_keys() {
         let s = format!("{:?}", CapabilitySet::of(&[Capability::Actuate]));
         assert!(s.contains("Actuate"));
-        assert_eq!(format!("{:?}", CapabilitySet::NONE), "CapabilitySet(∅)");
+        assert_eq!(format!("{:?}", CapabilitySet::default()), "CapabilitySet(∅)");
         assert_eq!(format!("{:?}", auth()), "AuthService(key hidden)");
     }
 
@@ -340,8 +323,8 @@ mod tests {
     fn name_separator_prevents_concatenation_confusion() {
         // ("ab", caps=c) must not MAC equal to ("a", "b..."-ish splice).
         let a = auth();
-        let t1 = a.issue(Principal::new("ab"), CapabilitySet::NONE, 7);
-        let t2 = a.issue(Principal::new("a"), CapabilitySet::NONE, 7);
+        let t1 = a.issue(Principal::new("ab"), CapabilitySet::default(), 7);
+        let t2 = a.issue(Principal::new("a"), CapabilitySet::default(), 7);
         assert_ne!(t1.mac, t2.mac);
     }
 }

@@ -24,13 +24,13 @@
 //! deployment wires its threads to the facade with them (see the
 //! `threaded_deployment` example).
 
-pub mod auth;
-pub mod pool;
-pub mod pubsub;
-pub mod registry;
+pub(crate) mod auth;
+pub(crate) mod pool;
+pub(crate) mod pubsub;
+pub(crate) mod registry;
 
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
-pub use pool::{ShardFailure, ShardPool, Stage};
+pub use pool::{ShardFailure, ShardPool};
 pub use pubsub::{
     DispatchCacheConfig, IdMap, MatchCache, MatchCacheStats, MatchSlot, SubscriberId,
     SubscriptionTable, TopicFilter,

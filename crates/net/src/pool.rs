@@ -43,7 +43,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// One shard's stage function: owns the shard's state. Shard 0's runs on
 /// the thread that collects the pool's results, every other shard's on
 /// that shard's worker thread.
-pub type Stage<I, O> = Box<dyn FnMut(I) -> O + Send>;
+pub(crate) type Stage<I, O> = Box<dyn FnMut(I) -> O + Send>;
 /// One shard's finished jobs of one [`JobBatch`], in batch order. A
 /// worker sends one per batch, mirroring the job channel's batching so
 /// the result channel's send/recv cost is per *batch*, not per job.

@@ -204,7 +204,7 @@ impl SubscriptionTable {
 
     /// The monotonic mutation counter. Bumped once per actual
     /// subscribe/unsubscribe; idempotent calls leave it unchanged.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -212,7 +212,7 @@ impl SubscriptionTable {
     /// of `stream`: the max over its three key ranges (exact stream,
     /// owning sensor, the `All` set). A cached set built at or after
     /// this stamp is still valid.
-    pub fn mutation_stamp(&self, stream: StreamId) -> u64 {
+    pub(crate) fn mutation_stamp(&self, stream: StreamId) -> u64 {
         let sensor = self.sensor_epochs.get(&stream.sensor().as_u32()).copied().unwrap_or(0);
         let exact = self.stream_epochs.get(&stream.to_raw()).copied().unwrap_or(0);
         self.all_epoch.max(sensor).max(exact)
@@ -368,7 +368,7 @@ impl SubscriptionTable {
     /// Writes the subscribers that should receive a message on `stream`
     /// into `out` (cleared first), deduplicated, in ascending id order —
     /// the scratch-buffer form for cold-path union building.
-    pub fn match_subscribers_into(&self, stream: StreamId, out: &mut Vec<SubscriberId>) {
+    pub(crate) fn match_subscribers_into(&self, stream: StreamId, out: &mut Vec<SubscriberId>) {
         out.clear();
         self.for_each_match(stream, |s| out.push(s));
     }
@@ -379,16 +379,6 @@ impl SubscriptionTable {
         let mut out = Vec::new();
         self.match_subscribers_into(stream, &mut out);
         out
-    }
-
-    /// How many subscribers [`SubscriptionTable::match_subscribers`]
-    /// would return for `stream`, without materialising the list — the
-    /// allocation-free form for paths that only account fan-out. Linear
-    /// in the matched sets.
-    pub fn match_count(&self, stream: StreamId) -> usize {
-        let mut count = 0usize;
-        self.for_each_match(stream, |_| count += 1);
-        count
     }
 
     /// True if no subscription matches `stream` — the message is
@@ -409,12 +399,17 @@ impl SubscriptionTable {
     }
 
     /// The filters `subscriber` currently holds, ascending.
-    pub fn filters_of(&self, subscriber: SubscriberId) -> impl Iterator<Item = TopicFilter> + '_ {
+    #[cfg(test)]
+    pub(crate) fn filters_of(
+        &self,
+        subscriber: SubscriberId,
+    ) -> impl Iterator<Item = TopicFilter> + '_ {
         self.filters.get(&subscriber).into_iter().flat_map(|fs| fs.iter().copied())
     }
 
     /// Total number of live subscriptions.
-    pub fn subscription_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn subscription_count(&self) -> usize {
         self.filters.values().map(|f| f.len()).sum()
     }
 }
@@ -521,11 +516,6 @@ impl MatchCache {
     /// Creates an empty cache under `config`.
     pub fn new(config: DispatchCacheConfig) -> Self {
         MatchCache { config, ..Default::default() }
-    }
-
-    /// The configuration this cache runs under.
-    pub fn config(&self) -> DispatchCacheConfig {
-        self.config
     }
 
     /// Resolves the match set for `stream` against `table`, reading and
@@ -676,27 +666,6 @@ mod tests {
         }
         let ids: Vec<u32> = t.match_subscribers(stream(1, 0)).iter().map(|s| s.as_u32()).collect();
         assert_eq!(ids, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn match_count_agrees_with_match_subscribers() {
-        let mut t = SubscriptionTable::new();
-        t.subscribe(SubscriberId::new(1), TopicFilter::All);
-        t.subscribe(SubscriberId::new(1), TopicFilter::Sensor(SensorId::new(5).unwrap()));
-        t.subscribe(SubscriberId::new(2), TopicFilter::Sensor(SensorId::new(5).unwrap()));
-        t.subscribe(SubscriberId::new(2), TopicFilter::Stream(stream(5, 0)));
-        t.subscribe(SubscriberId::new(3), TopicFilter::Stream(stream(5, 0)));
-        t.subscribe(SubscriberId::new(4), TopicFilter::Stream(stream(7, 1)));
-        for s in [stream(5, 0), stream(5, 1), stream(7, 1), stream(9, 0)] {
-            assert_eq!(
-                t.match_count(s),
-                t.match_subscribers(s).len(),
-                "count diverged from the materialised match for {s:?}"
-            );
-        }
-        assert_eq!(t.match_count(stream(5, 0)), 3);
-        let empty = SubscriptionTable::new();
-        assert_eq!(empty.match_count(stream(1, 0)), 0);
     }
 
     #[test]
@@ -971,7 +940,6 @@ mod proptests {
                 // Hot: the same cache across every mutation — it must
                 // revalidate. Cold: a fresh cache every probe.
                 let want = t.match_subscribers(stream).len();
-                prop_assert_eq!(t.match_count(stream), want);
                 prop_assert_eq!(hot.match_count(&t, stream), want);
                 prop_assert_eq!(off.match_count(&t, stream), want);
                 let mut cold = Rows::new(DispatchCacheConfig::default());

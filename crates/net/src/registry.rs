@@ -104,16 +104,6 @@ impl ServiceRegistry {
             .collect()
     }
 
-    /// Number of registered services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
-    }
-
     /// Iterates all descriptors in name order.
     pub fn iter(&self) -> impl Iterator<Item = &ServiceDescriptor> {
         self.services.values()
@@ -136,9 +126,9 @@ mod tests {
     #[test]
     fn advertise_lookup_withdraw() {
         let mut r = ServiceRegistry::new();
-        assert!(r.is_empty());
+        assert!(r.iter().next().is_none());
         r.advertise(desc("loc", ServiceKind::Location));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.iter().count(), 1);
         assert_eq!(r.lookup("loc").unwrap().kind, ServiceKind::Location);
         let gone = r.withdraw("loc").unwrap();
         assert_eq!(gone.name, "loc");
@@ -152,7 +142,7 @@ mod tests {
         let old = r.advertise(desc("svc", ServiceKind::Dispatching)).unwrap();
         assert_eq!(old.kind, ServiceKind::Filtering);
         assert_eq!(r.lookup("svc").unwrap().kind, ServiceKind::Dispatching);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.iter().count(), 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl EnergyModel {
     }
 
     /// Energy to receive a frame of `bytes` (nJ).
-    pub fn rx_cost_nj(&self, bytes: usize) -> u64 {
+    pub(crate) fn rx_cost_nj(&self, bytes: usize) -> u64 {
         self.rx_startup_nj + self.rx_per_bit_nj * (bytes as u64) * 8
     }
 }
@@ -74,7 +74,7 @@ pub struct EnergyMeter {
 
 impl EnergyMeter {
     /// A meter with unlimited budget (mains-powered or not modelled).
-    pub const fn unlimited() -> EnergyMeter {
+    pub(crate) const fn unlimited() -> EnergyMeter {
         EnergyMeter { consumed_nj: 0, budget_nj: None, tx_frames: 0, rx_frames: 0 }
     }
 
@@ -92,7 +92,7 @@ impl EnergyMeter {
     }
 
     /// Records a reception of `bytes`, returning its cost (nJ).
-    pub fn debit_rx(&mut self, model: &EnergyModel, bytes: usize) -> u64 {
+    pub(crate) fn debit_rx(&mut self, model: &EnergyModel, bytes: usize) -> u64 {
         let cost = model.rx_cost_nj(bytes);
         self.consumed_nj = self.consumed_nj.saturating_add(cost);
         self.rx_frames += 1;
@@ -104,25 +104,10 @@ impl EnergyMeter {
         self.consumed_nj
     }
 
-    /// Frames transmitted.
-    pub fn tx_frames(&self) -> u64 {
-        self.tx_frames
-    }
-
-    /// Frames received.
-    pub fn rx_frames(&self) -> u64 {
-        self.rx_frames
-    }
-
     /// True once the budget (if any) is spent; an exhausted node falls
     /// silent, which upstream services observe as a dead stream.
     pub fn is_exhausted(&self) -> bool {
         matches!(self.budget_nj, Some(b) if self.consumed_nj >= b)
-    }
-
-    /// Remaining energy, or `None` for unlimited meters.
-    pub fn remaining_nj(&self) -> Option<u64> {
-        self.budget_nj.map(|b| b.saturating_sub(self.consumed_nj))
     }
 }
 
@@ -154,10 +139,7 @@ mod tests {
         let a = meter.debit_tx(&m, 16);
         let b = meter.debit_rx(&m, 8);
         assert_eq!(meter.consumed_nj(), a + b);
-        assert_eq!(meter.tx_frames(), 1);
-        assert_eq!(meter.rx_frames(), 1);
         assert!(!meter.is_exhausted());
-        assert_eq!(meter.remaining_nj(), None);
     }
 
     #[test]
@@ -171,7 +153,6 @@ mod tests {
         }
         meter.debit_tx(&m, 10);
         assert!(meter.is_exhausted());
-        assert_eq!(meter.remaining_nj(), Some(0));
     }
 
     #[test]

@@ -35,12 +35,12 @@ impl Point {
 
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     /// `t` outside `[0,1]` extrapolates.
-    pub fn lerp(self, other: Point, t: f64) -> Point {
+    pub(crate) fn lerp(self, other: Point, t: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
     }
 
     /// Component-wise addition.
-    pub fn offset(self, dx: f64, dy: f64) -> Point {
+    pub(crate) fn offset(self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
     }
 }
@@ -73,7 +73,8 @@ impl Disk {
     }
 
     /// True if `p` lies inside or on the boundary.
-    pub fn contains(&self, p: Point) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, p: Point) -> bool {
         self.center.distance_sq(p) <= self.radius * self.radius
     }
 
@@ -95,7 +96,7 @@ pub struct Rect {
 
 impl Rect {
     /// Creates a rectangle from two opposite corners (any order).
-    pub fn new(a: Point, b: Point) -> Self {
+    pub(crate) fn new(a: Point, b: Point) -> Self {
         Rect {
             min: Point::new(a.x.min(b.x), a.y.min(b.y)),
             max: Point::new(a.x.max(b.x), a.y.max(b.y)),
@@ -108,7 +109,8 @@ impl Rect {
     }
 
     /// True if `p` lies inside or on the boundary.
-    pub fn contains(&self, p: Point) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, p: Point) -> bool {
         (self.min.x..=self.max.x).contains(&p.x) && (self.min.y..=self.max.y).contains(&p.y)
     }
 
@@ -120,16 +122,6 @@ impl Rect {
     /// Height (m).
     pub fn height(&self) -> f64 {
         self.max.y - self.min.y
-    }
-
-    /// Centre point.
-    pub fn center(&self) -> Point {
-        Point::new((self.min.x + self.max.x) / 2.0, (self.min.y + self.max.y) / 2.0)
-    }
-
-    /// Clamps `p` into the rectangle.
-    pub fn clamp(&self, p: Point) -> Point {
-        Point::new(p.x.clamp(self.min.x, self.max.x), p.y.clamp(self.min.y, self.max.y))
     }
 }
 
@@ -208,13 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn rect_contains_and_clamp() {
+    fn rect_contains_its_boundary() {
         let r = Rect::square(10.0);
         assert!(r.contains(Point::new(0.0, 0.0)));
         assert!(r.contains(Point::new(10.0, 10.0)));
         assert!(!r.contains(Point::new(10.1, 5.0)));
-        assert_eq!(r.clamp(Point::new(-3.0, 20.0)), Point::new(0.0, 10.0));
-        assert_eq!(r.center(), Point::new(5.0, 5.0));
     }
 
     #[test]
@@ -269,12 +259,6 @@ mod proptests {
             let b = Point::new(bx, by);
             let c = Point::new(cx, cy);
             prop_assert!(a.distance_to(c) <= a.distance_to(b) + b.distance_to(c) + 1e-9);
-        }
-
-        #[test]
-        fn clamp_result_is_contained(px in -1e5f64..1e5, py in -1e5f64..1e5, side in 1.0f64..1e3) {
-            let r = Rect::square(side);
-            prop_assert!(r.contains(r.clamp(Point::new(px, py))));
         }
 
         #[test]

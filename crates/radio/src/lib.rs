@@ -42,16 +42,16 @@
 //! assert_eq!(hits.len(), 2); // both receivers hear it: duplication
 //! ```
 
-pub mod energy;
+pub(crate) mod energy;
 pub mod field;
 pub mod geometry;
-pub mod medium;
-pub mod mobility;
-pub mod propagation;
-pub mod reading;
-pub mod receiver;
+pub(crate) mod medium;
+pub(crate) mod mobility;
+pub(crate) mod propagation;
+pub(crate) mod reading;
+pub(crate) mod receiver;
 pub mod sensor;
-pub mod transmitter;
+pub(crate) mod transmitter;
 
 pub use energy::{EnergyMeter, EnergyModel};
 pub use field::ScalarField;

@@ -99,15 +99,6 @@ impl Mobility {
             }
         }
     }
-
-    /// True if the node never moves (lets hot paths skip recomputation).
-    pub fn is_stationary(&self) -> bool {
-        match self {
-            Mobility::Stationary(_) => true,
-            Mobility::Waypoints(pts) => pts.len() <= 1,
-            Mobility::Orbit { radius, .. } => *radius == 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +111,6 @@ mod tests {
         let m = Mobility::Stationary(Point::new(3.0, 4.0));
         assert_eq!(m.position(SimTime::ZERO), Point::new(3.0, 4.0));
         assert_eq!(m.position(SimTime::from_secs(100)), Point::new(3.0, 4.0));
-        assert!(m.is_stationary());
     }
 
     #[test]
@@ -142,7 +132,6 @@ mod tests {
         ]);
         assert_eq!(m.position(SimTime::ZERO), Point::new(1.0, 1.0));
         assert_eq!(m.position(SimTime::from_secs(10)), Point::new(2.0, 2.0));
-        assert!(!m.is_stationary());
     }
 
     #[test]

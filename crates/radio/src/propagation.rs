@@ -54,7 +54,7 @@ impl Propagation {
     /// Mean received power (dBm) at `distance_m`, before shadowing.
     /// For [`Propagation::UnitDisk`] a synthetic linear ramp is returned
     /// so that RSSI-weighted location inference still works.
-    pub fn mean_rssi_dbm(&self, distance_m: f64) -> f64 {
+    pub(crate) fn mean_rssi_dbm(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(0.1);
         match *self {
             Propagation::UnitDisk { range_m } => {
@@ -107,7 +107,7 @@ impl Propagation {
     /// The distance beyond which delivery is impossible (unit disk) or
     /// has under ~2% probability (log-distance, 2σ margin). Used to prune
     /// receiver candidates.
-    pub fn practical_range(&self) -> f64 {
+    pub(crate) fn practical_range(&self) -> f64 {
         match *self {
             Propagation::UnitDisk { range_m } => range_m,
             Propagation::LogDistance {

@@ -23,9 +23,9 @@ pub struct Reading {
 
 impl Reading {
     /// Encoded size without position.
-    pub const BASE_LEN: usize = 16;
+    pub(crate) const BASE_LEN: usize = 16;
     /// Encoded size with position.
-    pub const LOCATED_LEN: usize = 32;
+    pub(crate) const LOCATED_LEN: usize = 32;
 
     /// Creates a reading without position.
     pub fn new(value: f64, sensed_at: SimTime) -> Self {
@@ -33,7 +33,7 @@ impl Reading {
     }
 
     /// Creates a reading tagged with the sensing position.
-    pub fn located(value: f64, sensed_at: SimTime, position: Point) -> Self {
+    pub(crate) fn located(value: f64, sensed_at: SimTime, position: Point) -> Self {
         Reading { value, sensed_at_us: sensed_at.as_micros(), position: Some(position) }
     }
 

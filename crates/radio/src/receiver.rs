@@ -11,7 +11,7 @@ use bytes::Bytes;
 use core::fmt;
 use garnet_simkit::SimTime;
 
-use crate::geometry::{Disk, Point};
+use crate::geometry::Point;
 
 /// Identifier of one fixed receiver.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,13 +67,14 @@ impl Receiver {
     }
 
     /// Nominal listening range (m).
-    pub fn range_m(&self) -> f64 {
+    pub(crate) fn range_m(&self) -> f64 {
         self.range_m
     }
 
     /// The nominal coverage disk.
-    pub fn coverage(&self) -> Disk {
-        Disk::new(self.position, self.range_m)
+    #[cfg(test)]
+    pub(crate) fn coverage(&self) -> crate::geometry::Disk {
+        crate::geometry::Disk::new(self.position, self.range_m)
     }
 
     /// Lays out an `nx × ny` grid of receivers with the given spacing,

@@ -70,18 +70,6 @@ impl SensorCaps {
         }
     }
 
-    /// Receive-capable but not location-aware — the common middle class
-    /// that makes inferred location (§5) necessary.
-    pub const fn receive_only() -> SensorCaps {
-        SensorCaps {
-            receive_capable: true,
-            location_aware: false,
-            supports_power_mgmt: true,
-            supports_encryption: false,
-            relay_capable: false,
-        }
-    }
-
     /// A relay node: sophisticated, plus re-broadcasting of overheard
     /// peer frames toward the fixed network.
     pub const fn relay() -> SensorCaps {
@@ -435,14 +423,15 @@ impl SensorNode {
         })
     }
 
-    /// Current reporting interval of a stream, if it exists (test and
-    /// telemetry hook).
-    pub fn stream_config(&self, index: StreamIndex) -> Option<&StreamConfig> {
+    /// Current reporting interval of a stream, if it exists (test hook).
+    #[cfg(test)]
+    pub(crate) fn stream_config(&self, index: StreamIndex) -> Option<&StreamConfig> {
         self.streams.get(&index.as_u8()).map(|s| &s.config)
     }
 
     /// Number of acknowledgements waiting to piggy-back.
-    pub fn pending_ack_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_ack_count(&self) -> usize {
         self.pending_acks.len()
     }
 }
@@ -611,7 +600,13 @@ mod tests {
 
     #[test]
     fn power_mgmt_unsupported_on_limited_node() {
-        let caps = SensorCaps { supports_power_mgmt: false, ..SensorCaps::receive_only() };
+        let caps = SensorCaps {
+            receive_capable: true,
+            location_aware: false,
+            supports_power_mgmt: false,
+            supports_encryption: false,
+            relay_capable: false,
+        };
         let mut n = node().with_caps(caps);
         let st = n
             .handle_request(&request(SensorCommand::SetDutyCycle { permille: 100 }), SimTime::ZERO);

@@ -58,12 +58,12 @@ impl Transmitter {
     }
 
     /// Installation position.
-    pub fn position(&self) -> Point {
+    pub(crate) fn position(&self) -> Point {
         self.position
     }
 
     /// Broadcast range (m).
-    pub fn range_m(&self) -> f64 {
+    pub(crate) fn range_m(&self) -> f64 {
         self.range_m
     }
 

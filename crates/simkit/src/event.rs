@@ -88,23 +88,13 @@ impl<E> EventQueue<E> {
     }
 
     /// The instant of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.at)
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -164,16 +154,6 @@ impl<E> Simulation<E> {
         self.now
     }
 
-    /// Total number of events delivered so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules an event at an absolute instant. Instants earlier than
     /// the current clock are clamped to "now" so causality is preserved.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
@@ -200,44 +180,6 @@ impl<E> Simulation<E> {
         self.now = at;
         self.processed += 1;
         Some((at, ev))
-    }
-
-    /// Runs the handler over every event until the queue drains or the
-    /// clock passes `deadline`. Events scheduled by the handler are
-    /// processed too. Returns the number of events delivered.
-    ///
-    /// Events timestamped exactly at `deadline` are delivered; later ones
-    /// remain queued.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        mut handler: impl FnMut(&mut Self, SimTime, E),
-    ) -> u64 {
-        let start = self.processed;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event vanished");
-            self.now = at;
-            self.processed += 1;
-            handler(self, at, ev);
-        }
-        // Advance the clock to the deadline even if the queue drained early,
-        // so subsequent relative scheduling is anchored where callers expect.
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.processed - start
-    }
-
-    /// Runs until the queue is completely drained.
-    pub fn run_to_completion(&mut self, mut handler: impl FnMut(&mut Self, SimTime, E)) -> u64 {
-        let start = self.processed;
-        while let Some((at, ev)) = self.next_event() {
-            handler(self, at, ev);
-        }
-        self.processed - start
     }
 }
 
@@ -279,18 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_len_and_clear() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime::ZERO, ());
-        q.schedule(SimTime::ZERO, ());
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn clock_advances_with_events() {
         let mut sim = Simulation::new();
         sim.schedule_at(SimTime::from_micros(42), "x");
@@ -311,40 +241,18 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline_inclusively() {
-        let mut sim = Simulation::new();
-        for i in 1..=10u64 {
-            sim.schedule_at(SimTime::from_micros(i * 10), i);
-        }
-        let mut seen = Vec::new();
-        let n = sim.run_until(SimTime::from_micros(50), |_, _, ev| seen.push(ev));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(sim.pending(), 5);
-        assert_eq!(sim.now(), SimTime::from_micros(50));
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_queue_drains() {
-        let mut sim: Simulation<()> = Simulation::new();
-        sim.run_until(SimTime::from_secs(3), |_, _, _| {});
-        assert_eq!(sim.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
     fn handler_can_reschedule() {
         let mut sim = Simulation::new();
         sim.schedule_in(SimDuration::from_micros(1), 0u32);
         let mut count = 0;
-        sim.run_to_completion(|sim, _, n| {
+        while let Some((_, n)) = sim.next_event() {
             count += 1;
             if n < 9 {
                 sim.schedule_in(SimDuration::from_micros(1), n + 1);
             }
-        });
+        }
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_micros(10));
-        assert_eq!(sim.events_processed(), 10);
     }
 
     #[test]
@@ -355,7 +263,9 @@ mod tests {
                 sim.schedule_at(SimTime::from_micros(i % 7), i);
             }
             let mut out = Vec::new();
-            sim.run_to_completion(|_, t, ev| out.push((t.as_micros(), ev)));
+            while let Some((t, ev)) = sim.next_event() {
+                out.push((t.as_micros(), ev));
+            }
             out
         };
         assert_eq!(trace(0), trace(1));

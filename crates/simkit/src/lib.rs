@@ -31,17 +31,14 @@
 //! assert_eq!(order, vec![(1_000, "sooner"), (5_000, "later")]);
 //! ```
 
-pub mod event;
+pub(crate) mod event;
 pub mod metrics;
-pub mod rng;
-pub mod time;
+pub(crate) mod rng;
+pub(crate) mod time;
 pub mod trace;
 
 pub use event::{EventQueue, Simulation};
 pub use metrics::{stage_key, Counter, Gauge, Histogram, MetricsRegistry};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    StageStats, TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, TraceStage,
-    Tracer,
-};
+pub use trace::{TraceConfig, Tracer};

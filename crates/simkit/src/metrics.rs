@@ -269,15 +269,6 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
-
-    /// Clears all recorded observations.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
 }
 
 impl fmt::Debug for Histogram {
@@ -304,8 +295,7 @@ impl fmt::Debug for Histogram {
 /// view: `last` values **sum** (the merged gauge reads as the total
 /// instantaneous level across shards), watermarks take the min-of-mins /
 /// max-of-maxes, and sample counts add. This makes merge commutative and
-/// associative, which the registry's [`MetricsRegistry::merge`] relies
-/// on.
+/// associative.
 ///
 /// # Example
 ///
@@ -389,11 +379,6 @@ impl Gauge {
         self.max = self.max.max(other.max);
         self.samples += other.samples;
     }
-
-    /// Clears the gauge back to empty.
-    pub fn reset(&mut self) {
-        *self = Gauge::new();
-    }
 }
 
 impl fmt::Debug for Gauge {
@@ -450,19 +435,9 @@ impl MetricsRegistry {
         self.histograms.entry(name.to_owned()).or_default()
     }
 
-    /// Reads a histogram without creating it.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Returns the gauge named `name`, creating it empty on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
         self.gauges.entry(name.to_owned()).or_default()
-    }
-
-    /// Reads a gauge without creating it.
-    pub fn gauge_ref(&self, name: &str) -> Option<&Gauge> {
-        self.gauges.get(name)
     }
 
     /// Iterates counters in name order.
@@ -478,22 +453,6 @@ impl MetricsRegistry {
     /// Iterates gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, &Gauge)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Folds another registry into this one: counters add, histograms
-    /// merge bucket-wise, gauges merge per [`Gauge::merge`]. Merging is
-    /// commutative, so per-shard registries fold deterministically in
-    /// any order.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, c) in &other.counters {
-            self.counter(name).add(c.get());
-        }
-        for (name, h) in &other.histograms {
-            self.histogram(name).merge(h);
-        }
-        for (name, g) in &other.gauges {
-            self.gauge(name).merge(g);
-        }
     }
 
     /// Renders a deterministic plain-text report (name order).
@@ -525,13 +484,6 @@ impl MetricsRegistry {
             );
         }
         out
-    }
-
-    /// Clears every metric.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
-        self.gauges.clear();
     }
 }
 
@@ -628,15 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_reset_clears_everything() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
     #[should_panic]
     fn quantile_rejects_out_of_range() {
         Histogram::new().quantile(1.5);
@@ -676,8 +619,6 @@ mod tests {
     fn registry_read_without_create() {
         let m = MetricsRegistry::new();
         assert_eq!(m.counter_value("missing"), 0);
-        assert!(m.histogram_ref("missing").is_none());
-        assert!(m.gauge_ref("missing").is_none());
     }
 
     #[test]
@@ -708,8 +649,6 @@ mod tests {
         g.record(9);
         g.record(1);
         assert_eq!((g.last(), g.min(), g.max(), g.samples()), (1, 1, 9, 3));
-        g.reset();
-        assert_eq!(g.samples(), 0);
     }
 
     #[test]
@@ -728,28 +667,6 @@ mod tests {
         assert_eq!(empty, a);
         a.merge(&b);
         assert_eq!((a.last(), a.min(), a.max(), a.samples()), (12, 2, 10, 3));
-    }
-
-    #[test]
-    fn registry_merge_equals_combined_recording() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        let mut combined = MetricsRegistry::new();
-        a.counter("offered").add(3);
-        b.counter("offered").add(5);
-        combined.counter("offered").add(8);
-        b.counter("only_b").incr();
-        combined.counter("only_b").incr();
-        for v in [10u64, 20, 30] {
-            a.histogram("lat").record(v);
-            combined.histogram("lat").record(v);
-        }
-        for v in [40u64, 50] {
-            b.histogram("lat").record(v);
-            combined.histogram("lat").record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.report(), combined.report());
     }
 }
 
@@ -821,53 +738,5 @@ mod proptests {
             );
         }
 
-        #[test]
-        fn registry_merge_is_commutative_and_equals_combined(
-            a in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
-            b in proptest::collection::vec((0usize..3, 0u64..10_000), 0..60),
-        ) {
-            // Each sample records into one of three names, exercising
-            // counters, histograms and gauges under partial key overlap.
-            let build = |samples: &[(usize, u64)]| {
-                let mut m = MetricsRegistry::new();
-                for &(slot, v) in samples {
-                    let name = ["alpha", "beta", "gamma"][slot];
-                    m.counter(name).add(v);
-                    m.histogram(name).record(v);
-                    m.gauge(name).record(v);
-                }
-                m
-            };
-            let mut ab = build(&a);
-            ab.merge(&build(&b));
-            let mut ba = build(&b);
-            ba.merge(&build(&a));
-            // Commutative on everything except gauge `last` order
-            // sensitivity — which the sum semantics removes entirely.
-            prop_assert_eq!(ab.report(), ba.report());
-            // Counter and histogram folds match combined recording.
-            let mut all = a.clone();
-            all.extend(b.iter().copied());
-            let combined = build(&all);
-            for (name, v) in combined.counters() {
-                prop_assert_eq!(ab.counter_value(name), v);
-            }
-            for (name, h) in combined.histograms() {
-                let folded = ab.histogram_ref(name).unwrap();
-                prop_assert_eq!(folded.count(), h.count());
-                prop_assert_eq!(folded.min(), h.min());
-                prop_assert_eq!(folded.max(), h.max());
-                prop_assert_eq!(folded.p50(), h.p50());
-                prop_assert_eq!(folded.p99(), h.p99());
-            }
-            // Gauge watermarks and sample counts match combined
-            // recording; `last` is the sum of the per-registry lasts.
-            for (name, g) in combined.gauges() {
-                let folded = ab.gauge_ref(name).unwrap();
-                prop_assert_eq!(folded.min(), g.min());
-                prop_assert_eq!(folded.max(), g.max());
-                prop_assert_eq!(folded.samples(), g.samples());
-            }
-        }
     }
 }

@@ -80,14 +80,6 @@ impl SimRng {
         SimRng::seed(mix)
     }
 
-    /// Derives an independent generator for the consumer with numeric
-    /// index `index` (e.g. one stream per sensor).
-    pub fn fork_indexed(&self, label: &str, index: u64) -> SimRng {
-        let mix = fnv1a(label.as_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let base = self.s[0] ^ self.s[2].rotate_left(23);
-        SimRng::seed(base ^ mix)
-    }
-
     /// The next value in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -141,11 +133,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// The high 32 bits of the next 64-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// The next 64-bit output (one xoshiro256** step).
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -157,15 +144,6 @@ impl SimRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Fills `dest` from successive outputs, little-endian, eight bytes
-    /// per draw (a ragged tail takes the low bytes of one more).
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
     }
 }
 
@@ -214,16 +192,6 @@ mod tests {
         let mut a = parent.fork("a");
         let mut b = parent.fork("b");
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fork_indexed_distinct_per_index() {
-        let parent = SimRng::seed(5);
-        let mut s: Vec<u64> =
-            (0..32).map(|i| parent.fork_indexed("sensor", i).next_u64()).collect();
-        s.sort_unstable();
-        s.dedup();
-        assert_eq!(s.len(), 32);
     }
 
     #[test]
@@ -286,13 +254,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((0.95..1.05).contains(&var), "var={var}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_a_ragged_tail() {
-        let mut r = SimRng::seed(31);
-        let mut bytes = [0u8; 13];
-        r.fill_bytes(&mut bytes);
-        assert!(bytes.iter().any(|&b| b != 0));
     }
 }

@@ -37,10 +37,6 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The greatest representable instant (used as an "infinitely far"
-    /// sentinel for timers that are disabled).
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
     /// Creates an instant from a raw microsecond count.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
@@ -77,7 +73,7 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Adds a duration, saturating at [`SimTime::MAX`] instead of
+    /// Adds a duration, saturating at the last representable instant instead of
     /// overflowing.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -87,9 +83,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-
-    /// The longest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
@@ -104,16 +97,6 @@ impl SimDuration {
     /// Creates a duration from seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000)
-    }
-
-    /// Creates a duration from fractional seconds (truncating below 1µs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "duration must be finite and non-negative");
-        SimDuration((secs * 1e6) as u64)
     }
 
     /// The duration in whole microseconds.
@@ -139,11 +122,6 @@ impl SimDuration {
     /// Checked duration multiplication.
     pub fn checked_mul(self, rhs: u64) -> Option<SimDuration> {
         self.0.checked_mul(rhs).map(SimDuration)
-    }
-
-    /// Saturating duration addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -266,20 +244,8 @@ mod tests {
 
     #[test]
     fn saturating_add_does_not_overflow() {
-        assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_secs(1)), SimTime::MAX);
-        assert_eq!(SimDuration::MAX.saturating_add(SimDuration::from_secs(1)), SimDuration::MAX);
-    }
-
-    #[test]
-    fn from_secs_f64_truncates_below_a_microsecond() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 1);
-        assert_eq!(SimDuration::from_secs_f64(2.5).as_micros(), 2_500_000);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
+        let last = SimTime::from_micros(u64::MAX);
+        assert_eq!(last.saturating_add(SimDuration::from_secs(1)), last);
     }
 
     #[test]

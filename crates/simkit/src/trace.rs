@@ -35,7 +35,7 @@ pub enum TraceStage {
 
 impl TraceStage {
     /// Every stage, in display order.
-    pub const ALL: [TraceStage; 6] = [
+    pub(crate) const ALL: [TraceStage; 6] = [
         TraceStage::Filtering,
         TraceStage::Dispatch,
         TraceStage::Control,
@@ -45,7 +45,7 @@ impl TraceStage {
     ];
 
     /// Stable lowercase name used in JSONL dumps and metric keys.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceStage::Filtering => "filtering",
             TraceStage::Dispatch => "dispatch",
@@ -57,7 +57,7 @@ impl TraceStage {
     }
 
     /// Dense index into per-stage arrays (`0..6`).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             TraceStage::Filtering => 0,
             TraceStage::Dispatch => 1,
@@ -113,7 +113,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Stable lowercase name used in JSONL dumps.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceEventKind::Frame => "frame",
             TraceEventKind::FlushReorder => "flush_reorder",
@@ -149,7 +149,7 @@ pub enum TraceOutcome {
 
 impl TraceOutcome {
     /// Stable lowercase name used in JSONL dumps.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceOutcome::Delivered => "delivered",
             TraceOutcome::Shed => "shed",
@@ -226,7 +226,8 @@ impl TraceRecord {
     }
 
     /// One JSONL line (no trailing newline), fixed key order.
-    pub fn jsonl_line(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn jsonl_line(&self) -> String {
         let mut s = String::with_capacity(96);
         self.write_jsonl(&mut s);
         s
@@ -321,18 +322,13 @@ impl Tracer {
     }
 
     /// Records already evicted by ring wrap-around (exact).
-    pub fn dropped_records(&self) -> u64 {
+    pub(crate) fn dropped_records(&self) -> u64 {
         self.dropped
     }
 
     /// Surviving records in the ring.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.len()
-    }
-
-    /// True when the ring holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Copies the recorder state out; see [`TraceSnapshot`].
@@ -346,14 +342,6 @@ impl Tracer {
             .map(|&stage| StageStats { stage, hops: self.hops[stage.index()] })
             .collect();
         TraceSnapshot { records, dropped: self.dropped, stages }
-    }
-
-    /// Clears the ring, the drop counter and the per-stage hop counts.
-    pub fn reset(&mut self) {
-        self.ring.clear();
-        self.head = 0;
-        self.dropped = 0;
-        self.hops = [0; 6];
     }
 }
 
@@ -415,24 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_ring_drops_and_hop_counts() {
-        let mut t = Tracer::new(TraceConfig { capacity: 2 });
-        for at in 0..5u64 {
-            t.record(|| rec(at));
-        }
-        t.reset();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped_records(), 0);
-        assert!(t.snapshot().stages.is_empty());
-    }
-
-    #[test]
     fn zero_capacity_is_off_and_never_builds_records() {
         assert_eq!(TraceConfig::default().capacity, 0, "off is the default");
         let mut t = Tracer::new(TraceConfig { capacity: 0 });
         assert!(!t.is_enabled());
         t.record(|| unreachable!("record closure must not run while the recorder is off"));
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.dropped_records(), 0, "nothing recorded, nothing dropped");
         let snap = t.snapshot();
         assert!(snap.records.is_empty() && snap.stages.is_empty());

@@ -209,7 +209,8 @@ impl FrameArchive {
     /// Appends one record, rolling to a new segment when the current
     /// one is full. A backend error leaves the archive usable: the
     /// caller counts the record dropped and delivery continues.
-    pub fn append(&mut self, rec: &ArchiveRecord) -> Result<(), StoreError> {
+    #[cfg(test)]
+    pub(crate) fn append(&mut self, rec: &ArchiveRecord) -> Result<(), StoreError> {
         self.append_bytes(&rec.encode())
     }
 

@@ -37,13 +37,6 @@ pub struct FaultPlan {
     pub stall_after_appends: Option<u64>,
 }
 
-impl FaultPlan {
-    /// A plan that injects nothing (wrap-through baseline).
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-}
-
 /// Running totals of the faults actually injected.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultLedger {
@@ -189,7 +182,7 @@ mod tests {
 
     #[test]
     fn no_faults_is_a_transparent_wrapper() {
-        let mut s = FaultyStore::new(MemStore::new(), FaultPlan::none());
+        let mut s = FaultyStore::new(MemStore::new(), FaultPlan::default());
         s.append(0, b"abc").unwrap();
         assert_eq!(s.read(0).unwrap(), b"abc");
         assert_eq!(s.ledger().total(), 0);

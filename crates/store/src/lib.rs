@@ -27,12 +27,17 @@
 //! which is what makes recovery and replay deterministic enough to
 //! assert bit-identity on.
 
-pub mod archive;
-pub mod faulty;
-pub mod record;
-pub mod segment;
+// Segment recovery reads bytes off disk, so this crate is a trust
+// boundary: outside its tests, nothing here may panic by unwrap,
+// expect or panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
-pub use archive::{FrameArchive, RecoveryReport, ReplayError, Truncation};
+pub(crate) mod archive;
+pub(crate) mod faulty;
+pub(crate) mod record;
+pub(crate) mod segment;
+
+pub use archive::{FrameArchive, RecoveryReport};
 pub use faulty::{FaultPlan, FaultyStore};
-pub use record::{ArchiveRecord, RecordError};
+pub use record::ArchiveRecord;
 pub use segment::{FileStore, MemStore, SegmentId, SegmentStore, StoreError};

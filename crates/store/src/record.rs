@@ -19,14 +19,14 @@
 
 use garnet_simkit::SimTime;
 use garnet_wire::crc::crc32;
-use garnet_wire::{peek_seq, peek_stream, AckStatus, FrameBytes, RequestId, StreamId};
+use garnet_wire::{peek_stream, AckStatus, FrameBytes, RequestId, StreamId};
 
 /// First byte of every record.
-pub const RECORD_MAGIC: u8 = 0xA7;
+pub(crate) const RECORD_MAGIC: u8 = 0xA7;
 /// Fixed prefix: magic, kind, body length.
-pub const RECORD_HEADER_LEN: usize = 6;
+pub(crate) const RECORD_HEADER_LEN: usize = 6;
 /// CRC-32 trailer.
-pub const RECORD_TRAILER_LEN: usize = 4;
+pub(crate) const RECORD_TRAILER_LEN: usize = 4;
 
 const KIND_FRAME: u8 = 1;
 const KIND_TICK: u8 = 2;
@@ -135,15 +135,6 @@ impl ArchiveRecord {
         ArchiveRecord::Ack { at_us: now.as_micros(), request_id: request_id.as_u32(), status }
     }
 
-    /// The record's simulated time, µs.
-    pub fn at_us(&self) -> u64 {
-        match self {
-            ArchiveRecord::Frame { at_us, .. }
-            | ArchiveRecord::Tick { at_us }
-            | ArchiveRecord::Ack { at_us, .. } => *at_us,
-        }
-    }
-
     /// The archived frame's stream id, when this is a frame record whose
     /// header is peekable — the `(StreamId, seq)` key's first half.
     pub fn stream(&self) -> Option<StreamId> {
@@ -155,9 +146,10 @@ impl ArchiveRecord {
 
     /// The archived frame's sequence number, when peekable — the key's
     /// second half.
-    pub fn seq(&self) -> Option<u16> {
+    #[cfg(test)]
+    pub(crate) fn seq(&self) -> Option<u16> {
         match self {
-            ArchiveRecord::Frame { frame, .. } => peek_seq(frame).map(|s| s.as_u16()),
+            ArchiveRecord::Frame { frame, .. } => garnet_wire::peek_seq(frame).map(|s| s.as_u16()),
             _ => None,
         }
     }
@@ -238,6 +230,12 @@ pub(crate) enum RecordView<'a> {
     Ack { at_us: u64, request_id: u32, status: AckStatus },
 }
 
+/// The first `N` bytes of a record body as a fixed-width field, and the
+/// rest; a body too short for the field is [`RecordError::BadBody`].
+fn take<const N: usize>(body: &[u8]) -> Result<(&[u8; N], &[u8]), RecordError> {
+    body.split_first_chunk::<N>().ok_or(RecordError::BadBody)
+}
+
 impl<'a> RecordView<'a> {
     /// Validates one record at the front of `buf` — header, length,
     /// CRC, then kind and body, in that order — returning the view and
@@ -266,34 +264,33 @@ impl<'a> RecordView<'a> {
             return Err(RecordError::BadCrc);
         }
         let body = &buf[RECORD_HEADER_LEN..crc_off];
-        let le8 = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte slice"));
-        let le4 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte slice"));
         let view = match kind {
             KIND_FRAME => {
-                if body.len() < 20 {
-                    return Err(RecordError::BadBody);
-                }
+                let (at_us, rest) = take::<8>(body)?;
+                let (receiver, rest) = take::<4>(rest)?;
+                let (rssi_bits, frame) = take::<8>(rest)?;
                 RecordView::Frame {
-                    at_us: le8(&body[0..8]),
-                    receiver: le4(&body[8..12]),
-                    rssi_bits: le8(&body[12..20]),
-                    frame: &body[20..],
+                    at_us: u64::from_le_bytes(*at_us),
+                    receiver: u32::from_le_bytes(*receiver),
+                    rssi_bits: u64::from_le_bytes(*rssi_bits),
+                    frame,
                 }
             }
             KIND_TICK => {
-                if body.len() != 8 {
+                let (at_us, []) = take::<8>(body)? else {
                     return Err(RecordError::BadBody);
-                }
-                RecordView::Tick { at_us: le8(&body[0..8]) }
+                };
+                RecordView::Tick { at_us: u64::from_le_bytes(*at_us) }
             }
             KIND_ACK => {
-                if body.len() != 13 {
+                let (at_us, rest) = take::<8>(body)?;
+                let (request_id, &[status]) = take::<4>(rest)? else {
                     return Err(RecordError::BadBody);
-                }
+                };
                 RecordView::Ack {
-                    at_us: le8(&body[0..8]),
-                    request_id: le4(&body[8..12]),
-                    status: ack_status_from_byte(body[12])?,
+                    at_us: u64::from_le_bytes(*at_us),
+                    request_id: u32::from_le_bytes(*request_id),
+                    status: ack_status_from_byte(status)?,
                 }
             }
             other => return Err(RecordError::BadKind(other)),

@@ -174,6 +174,7 @@ impl FileStore {
 
     /// The append handle for `segment`, opening (and creating) the file
     /// only when the writer moved off the segment it last appended to.
+    #[expect(clippy::expect_used, reason = "the branch above leaves `open` holding `segment`")]
     fn handle(&mut self, segment: SegmentId) -> Result<&mut File, StoreError> {
         if !matches!(&self.open, Some((id, _)) if *id == segment) {
             let path = self.path(segment);

@@ -53,7 +53,7 @@ pub struct HeaderFlags(u8);
 
 impl HeaderFlags {
     /// No flags set.
-    pub const NONE: HeaderFlags = HeaderFlags(0);
+    pub(crate) const NONE: HeaderFlags = HeaderFlags(0);
     /// Payload carries fused (aggregated) multi-sensor data.
     pub const FUSED: HeaderFlags = HeaderFlags(0b0010_0000);
     /// Message was relayed by another sensor node.
@@ -66,7 +66,8 @@ impl HeaderFlags {
     pub const ENCRYPTED: HeaderFlags = HeaderFlags(0b0000_0010);
 
     /// All flag bits that version 1 defines.
-    pub const ALL: HeaderFlags = HeaderFlags(0b0011_1110);
+    #[cfg(test)]
+    pub(crate) const ALL: HeaderFlags = HeaderFlags(0b0011_1110);
 
     /// True if every bit of `other` is set in `self`.
     pub const fn contains(self, other: HeaderFlags) -> bool {
@@ -74,13 +75,8 @@ impl HeaderFlags {
     }
 
     /// True if no flags are set.
-    pub const fn is_empty(self) -> bool {
+    pub(crate) const fn is_empty(self) -> bool {
         self.0 == 0
-    }
-
-    /// The raw flag bits (within [`HeaderFlags::ALL`]).
-    pub const fn bits(self) -> u8 {
-        self.0
     }
 }
 
@@ -166,14 +162,9 @@ impl MsgHeader {
         self.version
     }
 
-    /// The flag bits.
-    pub const fn flags(self) -> HeaderFlags {
-        self.flags
-    }
-
     /// Returns a copy with `flag` additionally set.
     #[must_use]
-    pub fn with_flag(mut self, flag: HeaderFlags) -> Self {
+    pub(crate) fn with_flag(mut self, flag: HeaderFlags) -> Self {
         self.flags |= flag;
         self
     }
@@ -218,7 +209,6 @@ mod tests {
     fn default_header_is_version_1_no_flags() {
         let h = MsgHeader::new();
         assert_eq!(h.version(), 1);
-        assert!(h.flags().is_empty());
         assert_eq!(h.to_byte(), 0b0100_0000);
     }
 

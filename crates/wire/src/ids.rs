@@ -233,11 +233,6 @@ impl SequenceNumber {
         SequenceNumber(self.0.wrapping_add(1))
     }
 
-    /// Advances by `n`, wrapping.
-    pub const fn advance(self, n: u16) -> SequenceNumber {
-        SequenceNumber(self.0.wrapping_add(n))
-    }
-
     /// The signed serial distance from `self` to `other`, i.e. how far
     /// forward `other` is. Positive means `other` is newer. The value
     /// `i16::MIN` (distance exactly 2^15) is the ambiguous antipode.
@@ -247,7 +242,7 @@ impl SequenceNumber {
 
     /// RFC 1982 comparison. `None` when the two values are exactly 2^15
     /// apart and therefore unordered.
-    pub fn serial_cmp(self, other: SequenceNumber) -> Option<core::cmp::Ordering> {
+    pub(crate) fn serial_cmp(self, other: SequenceNumber) -> Option<core::cmp::Ordering> {
         use core::cmp::Ordering;
         let d = self.distance_to(other);
         if d == 0 {
@@ -376,7 +371,6 @@ mod tests {
     #[test]
     fn sequence_successor_wraps() {
         assert_eq!(SequenceNumber::new(65_535).next(), SequenceNumber::new(0));
-        assert_eq!(SequenceNumber::new(10).advance(65_535), SequenceNumber::new(9));
     }
 
     #[test]
@@ -481,7 +475,7 @@ mod proptests {
         #[test]
         fn advance_within_half_window_preserves_order(a in any::<u16>(), n in 1u16..32_767) {
             let s = SequenceNumber::new(a);
-            prop_assert!(s.advance(n).is_after(s));
+            prop_assert!(SequenceNumber::new(a.wrapping_add(n)).is_after(s));
         }
     }
 }

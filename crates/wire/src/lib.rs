@@ -42,18 +42,17 @@
 //! # }
 //! ```
 
-pub mod control;
+pub(crate) mod control;
 pub mod crc;
 pub mod crypto;
-pub mod error;
-pub mod header;
-pub mod ids;
-pub mod message;
+pub(crate) mod error;
+pub(crate) mod header;
+pub(crate) mod ids;
+pub(crate) mod message;
 
 pub use control::{
     AckStatus, ActuationTarget, SensorCommand, StreamUpdateAck, StreamUpdateRequest, TargetArea,
 };
-pub use crypto::PayloadKey;
 pub use error::WireError;
 pub use header::{HeaderFlags, MsgHeader, WIRE_VERSION};
 pub use ids::{RequestId, SensorId, SequenceNumber, StreamId, StreamIndex};

@@ -28,7 +28,7 @@ use crate::ids::{RequestId, SequenceNumber, StreamId};
 pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize;
 
 /// Size of the fixed header region (Fig. 2 bits 0..72).
-pub const FIXED_HEADER_LEN: usize = 9;
+pub(crate) const FIXED_HEADER_LEN: usize = 9;
 
 /// Size of the optional acknowledgement field.
 const ACK_FIELD_LEN: usize = 4;
@@ -120,22 +120,25 @@ impl FrameHeader {
     }
 
     /// The acknowledged stream-update request, if any.
-    pub fn ack(&self) -> Option<RequestId> {
+    #[cfg(test)]
+    pub(crate) fn ack(&self) -> Option<RequestId> {
         self.ack
     }
 
     /// Declared payload length in bytes.
-    pub fn payload_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn payload_len(&self) -> usize {
         self.payload_len
     }
 
     /// Byte offset of the payload within the frame.
-    pub fn payload_offset(&self) -> usize {
+    pub(crate) fn payload_offset(&self) -> usize {
         self.total_len - TRAILER_LEN - self.payload_len
     }
 
     /// Total encoded length of the message, CRC trailer included.
-    pub fn total_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_len(&self) -> usize {
         self.total_len
     }
 }
@@ -229,7 +232,7 @@ impl DataMessage {
     /// Total encoded size in bytes, including the CRC trailer. This is
     /// the per-message radio cost used by the energy model and by the
     /// RETRI comparison (E6).
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         FIXED_HEADER_LEN
             + if self.ack.is_some() { ACK_FIELD_LEN } else { 0 }
             + self.payload.len()
@@ -238,7 +241,7 @@ impl DataMessage {
 
     /// Encodes into `buf`, appending exactly [`DataMessage::encoded_len`]
     /// bytes.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode(&self, buf: &mut BytesMut) {
         let start = buf.len();
         buf.reserve(self.encoded_len());
         buf.put_u8(self.header.to_byte());

@@ -57,7 +57,7 @@ impl HabitatScenario {
     }
 
     /// The diurnal temperature field over the plot.
-    pub fn field(&self) -> DynField {
+    pub(crate) fn field(&self) -> DynField {
         Box::new(Diurnal { mean: 12.0, amplitude: 8.0, period_s: 86_400.0, gx: 0.01 })
     }
 
@@ -82,7 +82,7 @@ impl HabitatScenario {
     }
 
     /// Builds the receiver ring (a coarser overlaid grid).
-    pub fn receivers(&self) -> Vec<Receiver> {
+    pub(crate) fn receivers(&self) -> Vec<Receiver> {
         let extent = (self.grid_side.saturating_sub(1)) as f64 * self.spacing_m;
         let spacing = if self.receiver_side > 1 {
             extent / (self.receiver_side - 1) as f64

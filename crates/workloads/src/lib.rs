@@ -16,14 +16,14 @@
 //! * [`query`] — Fjords-style continuous queries hosted as a Garnet
 //!   consumer, publishing results as derived streams.
 
-pub mod habitat;
-pub mod query;
+pub(crate) mod habitat;
+pub(crate) mod query;
 pub mod recon;
-pub mod traffic;
+pub(crate) mod traffic;
 pub mod watercourse;
 
 pub use habitat::HabitatScenario;
 pub use query::ContinuousQueryConsumer;
 pub use recon::ReconScenario;
 pub use traffic::TrafficGen;
-pub use watercourse::{FloodWatch, RiverField, WatercourseScenario};
+pub use watercourse::{FloodWatch, WatercourseScenario};

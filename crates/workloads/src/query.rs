@@ -58,12 +58,14 @@ impl ContinuousQueryConsumer {
     }
 
     /// Results published so far.
-    pub fn results_published(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn results_published(&self) -> u64 {
         self.results_published
     }
 
     /// Samples ingested so far.
-    pub fn samples_ingested(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn samples_ingested(&self) -> u64 {
         self.engine.samples_ingested()
     }
 }

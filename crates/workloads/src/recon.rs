@@ -41,7 +41,7 @@ pub struct Target {
 
 /// The combined signature field of all targets.
 #[derive(Debug)]
-pub struct TargetField {
+pub(crate) struct TargetField {
     /// The targets.
     pub targets: Vec<Target>,
     /// Ambient background level.
@@ -106,9 +106,9 @@ impl TargetDetector {
 }
 
 /// Coordinator state: no contact.
-pub const STATE_QUIET: u32 = 10;
+pub(crate) const STATE_QUIET: u32 = 10;
 /// Coordinator state: target contact.
-pub const STATE_CONTACT: u32 = 11;
+pub(crate) const STATE_CONTACT: u32 = 11;
 
 impl Consumer for TargetDetector {
     fn name(&self) -> &str {
@@ -178,7 +178,7 @@ impl Default for ReconScenario {
 
 impl ReconScenario {
     /// The target signature field.
-    pub fn field(&self) -> DynField {
+    pub(crate) fn field(&self) -> DynField {
         Box::new(TargetField { targets: self.targets.clone(), background: 1.0 })
     }
 
@@ -214,7 +214,7 @@ impl ReconScenario {
     }
 
     /// Masts at the field corners and centre.
-    pub fn masts(&self) -> (Vec<Receiver>, Vec<Transmitter>) {
+    pub(crate) fn masts(&self) -> (Vec<Receiver>, Vec<Transmitter>) {
         let half = self.field_side_m / 2.0;
         let range = self.field_side_m * 0.8;
         let spots = [

@@ -34,7 +34,7 @@ impl TrafficGen {
     }
 
     /// A stream id for sensor `sensor`, stream 0.
-    pub fn stream(sensor: u32) -> StreamId {
+    pub(crate) fn stream(sensor: u32) -> StreamId {
         StreamId::new(
             SensorId::new(sensor).expect("bench sensor ids are small"),
             StreamIndex::new(0),
@@ -42,29 +42,12 @@ impl TrafficGen {
     }
 
     /// Builds one data message.
-    pub fn message(stream: StreamId, seq: u16, payload_len: usize) -> DataMessage {
+    pub(crate) fn message(stream: StreamId, seq: u16, payload_len: usize) -> DataMessage {
         DataMessage::builder(stream)
             .seq(SequenceNumber::new(seq))
             .payload(vec![0xA5u8; payload_len])
             .build()
             .expect("payload within wire limits")
-    }
-
-    /// Poisson arrival schedule at `rate_hz` over `horizon`.
-    pub fn poisson_schedule(&mut self, rate_hz: f64, horizon: SimTime) -> Vec<SimTime> {
-        assert!(rate_hz > 0.0, "rate must be positive");
-        let mean_gap = 1.0 / rate_hz;
-        let mut out = Vec::new();
-        let mut t = 0.0f64;
-        loop {
-            t += self.rng.exponential(mean_gap);
-            let at = SimTime::from_micros((t * 1e6) as u64);
-            if at > horizon {
-                break;
-            }
-            out.push(at);
-        }
-        out
     }
 
     /// An in-order burst of `n` encoded frames on one stream, arriving
@@ -131,18 +114,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn poisson_rate_converges() {
-        let mut g = TrafficGen::new(1);
-        let horizon = SimTime::from_secs(500);
-        let arrivals = g.poisson_schedule(10.0, horizon);
-        let rate = arrivals.len() as f64 / 500.0;
-        assert!((9.0..11.0).contains(&rate), "rate={rate}");
-        // Sorted and within horizon.
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-        assert!(arrivals.last().unwrap() <= &horizon);
-    }
-
-    #[test]
     fn burst_produces_decodable_duplicated_frames() {
         let mut g = TrafficGen::new(2);
         let frames = g.burst(1, 10, 16, SimDuration::from_millis(10), 3, 0.0);
@@ -183,18 +154,5 @@ mod tests {
         // Corrupted frames fail CRC.
         let failures = frames.iter().filter(|f| DataMessage::decode(&f.frame).is_err()).count();
         assert_eq!(failures, n);
-    }
-
-    #[test]
-    fn determinism() {
-        let a = TrafficGen::new(7).poisson_schedule(5.0, SimTime::from_secs(10));
-        let b = TrafficGen::new(7).poisson_schedule(5.0, SimTime::from_secs(10));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_rate_rejected() {
-        TrafficGen::new(1).poisson_schedule(0.0, SimTime::from_secs(1));
     }
 }

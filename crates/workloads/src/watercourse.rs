@@ -18,13 +18,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::coordinator::ConsumerStateId;
 use garnet_core::filtering::Delivery;
-use garnet_core::middleware::GarnetConfig;
-use garnet_core::pipeline::{PipelineConfig, PipelineSim};
 use garnet_radio::field::DynField;
 use garnet_radio::geometry::Point;
-use garnet_radio::{
-    Medium, Propagation, Reading, Receiver, SensorCaps, SensorNode, StreamConfig, Transmitter,
-};
+use garnet_radio::{Reading, Receiver, SensorCaps, SensorNode, StreamConfig, Transmitter};
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{SensorId, StreamIndex};
 
@@ -65,7 +61,7 @@ impl FloodWave {
 
 /// Water stage along the river as a scalar field (only `x` matters).
 #[derive(Clone, Debug)]
-pub struct RiverField {
+pub(crate) struct RiverField {
     /// Baseline stage (m).
     pub base_level_m: f64,
     /// Waves in play.
@@ -242,7 +238,11 @@ impl WatercourseScenario {
     }
 
     /// Assembles the closed-loop pipeline (no consumers registered yet).
-    pub fn build(&self) -> PipelineSim {
+    #[cfg(test)]
+    pub(crate) fn build(&self) -> garnet_core::pipeline::PipelineSim {
+        use garnet_core::middleware::GarnetConfig;
+        use garnet_core::pipeline::{PipelineConfig, PipelineSim};
+        use garnet_radio::{Medium, Propagation};
         let (receivers, transmitters) = self.masts();
         let config = PipelineConfig {
             seed: self.seed,
