@@ -31,12 +31,12 @@ fi
 # tiers and adaptive bound, the second four-field ledger type and the
 # replicator's second planning entry, the ingest stage's per-burst
 # batch call with the router's arrivals scratch, the match cache's
-# own per-stream map (its slots live in the dispatcher's stream rows)
-# and the keyed map of whole rows (rows are a Vec behind a RowId index)
-# must not come back
+# own per-stream map (its slots live in the dispatcher's stream rows),
+# the keyed map of whole rows (rows are a Vec behind a RowId index) and
+# the closed-loop harness's old home in garnet-core must not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi
@@ -44,6 +44,16 @@ fi
 # garnet-core's business, so the network crate does not depend on it.
 if grep -n 'garnet-store' crates/net/Cargo.toml; then
   echo "garnet-net depends on garnet-store again" >&2
+  exit 1
+fi
+# garnet-core is the middleware, not the simulator: nothing it builds
+# on is the simulated radio, and its own manifest names no `bytes` (a
+# frame reaches it as garnet-wire's FrameBytes, so `bytes` stays in its
+# tree below garnet-wire).
+echo "==> garnet-core links no garnet-radio and depends on bytes only through garnet-wire"
+if cargo tree -p garnet-core --offline -e normal --prefix none | grep '^garnet-radio ' \
+    || cargo tree -p garnet-core --offline -e normal --prefix none --depth 1 | grep '^bytes '; then
+  echo "garnet-core depends on garnet-radio or bytes again" >&2
   exit 1
 fi
 # Every garnet-* dependency edge is used: a member crate's manifest

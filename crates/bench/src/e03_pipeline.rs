@@ -7,9 +7,9 @@
 //! middleware is not the bottleneck at sensor-network rates) while
 //! throughput scales linearly with offered load.
 
-use garnet_core::pipeline::LatencyProbe;
 use garnet_net::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
+use garnet_workloads::pipeline::LatencyProbe;
 use garnet_workloads::HabitatScenario;
 
 use crate::table::{f2, n, Table};

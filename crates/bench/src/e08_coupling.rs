@@ -12,9 +12,9 @@
 use std::sync::atomic::Ordering;
 
 use garnet_baselines::coupled::{coupled_cost, decoupled_cost, CouplingReport};
-use garnet_core::pipeline::SharedCountConsumer;
 use garnet_net::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
+use garnet_workloads::pipeline::SharedCountConsumer;
 use garnet_workloads::HabitatScenario;
 
 use crate::table::{n, Table};

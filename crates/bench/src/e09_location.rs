@@ -61,11 +61,7 @@ pub(crate) fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
     for (si, &truth) in truths.iter().enumerate() {
         let sensor = SensorId::new(si as u32 + 1).unwrap();
         let mut loc = LocationService::new(
-            LocationConfig {
-                max_observations: 512,
-                max_sightings_used: 8,
-                ..LocationConfig::default()
-            },
+            LocationConfig { max_observations: 512, ..LocationConfig::default() },
             &receivers,
         );
         // Each receiver rolls reception of 4 transmissions.

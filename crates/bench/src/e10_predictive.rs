@@ -18,11 +18,11 @@ use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::coordinator::{CoordinationMode, PolicyAction};
 use garnet_core::filtering::Delivery;
 use garnet_core::middleware::GarnetConfig;
-use garnet_core::pipeline::{PipelineConfig, PipelineSim};
 use garnet_net::TopicFilter;
 use garnet_radio::{Medium, Propagation, Reading};
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{ActuationTarget, SensorCommand, StreamIndex, TargetArea};
+use garnet_workloads::pipeline::{PipelineConfig, PipelineSim};
 use garnet_workloads::watercourse::{
     FloodWave, WatercourseScenario, STATE_FLOOD, STATE_NORMAL, STATE_RISING,
 };

@@ -12,11 +12,11 @@ use std::sync::atomic::Ordering;
 
 use garnet_core::middleware::{Garnet, GarnetConfig};
 use garnet_core::orphanage::OrphanageConfig;
-use garnet_core::pipeline::SharedCountConsumer;
 use garnet_net::TopicFilter;
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
 use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet_workloads::pipeline::SharedCountConsumer;
 
 use crate::table::{n, Table};
 

@@ -9,7 +9,6 @@
 //! pays for the coverage extension.
 
 use garnet_core::middleware::GarnetConfig;
-use garnet_core::pipeline::{PipelineConfig, PipelineSim};
 use garnet_radio::field::Uniform;
 use garnet_radio::geometry::Point;
 use garnet_radio::{
@@ -17,6 +16,7 @@ use garnet_radio::{
 };
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{SensorId, StreamIndex};
+use garnet_workloads::pipeline::{PipelineConfig, PipelineSim};
 
 use crate::table::{f2, n, Table};
 

@@ -10,7 +10,6 @@
 //! battery budget actually buys.
 
 use garnet_core::middleware::{GarnetConfig, QuiesceConfig};
-use garnet_core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet_net::TopicFilter;
 use garnet_radio::field::Uniform;
 use garnet_radio::geometry::Point;
@@ -19,6 +18,7 @@ use garnet_radio::{
 };
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{SensorId, StreamIndex};
+use garnet_workloads::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 
 use crate::table::{f2, n, Table};
 

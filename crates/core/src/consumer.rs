@@ -11,8 +11,7 @@
 //! through the [`ConsumerCtx`] handed to each callback, so the framework
 //! (not the consumer) enforces authorisation, mediation and loop limits.
 
-use garnet_radio::geometry::Point;
-use garnet_simkit::SimTime;
+use garnet_simkit::{geometry::Point, SimTime};
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
 use crate::coordinator::ConsumerStateId;

@@ -26,8 +26,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use garnet_radio::ReceiverId;
-use garnet_simkit::{Counter, SimDuration, SimTime};
+use garnet_simkit::{Counter, ReceiverId, SimDuration, SimTime};
 use garnet_wire::{
     DataMessage, FrameBytes, FrameHeader, SensorId, SequenceNumber, StreamId, WireError,
 };
@@ -295,8 +294,7 @@ fn reindex(
 ///
 /// ```
 /// use garnet_core::filtering::FilteringService;
-/// use garnet_radio::ReceiverId;
-/// use garnet_simkit::SimTime;
+/// use garnet_simkit::{ReceiverId, SimTime};
 /// use garnet_wire::{DataMessage, StreamId};
 ///
 /// let mut filter = FilteringService::new(Default::default());

@@ -28,9 +28,9 @@
 //! stage, the archive tap included, runs on the facade's thread, and
 //! this crate starts no thread. The intake is unbounded: the one place a
 //! frame is shed, coalesced or held back is [`qos::QosScheduler`], at
-//! the facade boundary.
-//! [`pipeline::PipelineSim`] closes the loop with the simulated radio
-//! field for experiments.
+//! the facade boundary. The antenna plan (receiver and transmitter
+//! positions) comes from `garnet-simkit`; the simulated radio field and
+//! the closed loop over it (`garnet_workloads::pipeline`) are not linked.
 //!
 //! # Quickstart
 //!
@@ -64,7 +64,6 @@ pub mod filtering;
 pub mod location;
 pub mod middleware;
 pub mod orphanage;
-pub mod pipeline;
 pub(crate) mod qos;
 pub mod replicator;
 pub mod resource;

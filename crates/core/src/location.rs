@@ -19,36 +19,32 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use garnet_radio::geometry::{weighted_centroid, Point};
-use garnet_radio::{Propagation, Receiver, ReceiverId};
-use garnet_simkit::{SimDuration, SimTime};
+use garnet_simkit::geometry::{weighted_centroid, Point};
+use garnet_simkit::{Propagation, Receiver, ReceiverId, SimDuration, SimTime};
 use garnet_wire::SensorId;
 
 use crate::filtering::Observation;
 
+/// Sightings/hints older than this are ignored.
+const MAX_AGE: SimDuration = SimDuration::from_secs(60);
+
+/// Only the loudest (nearest-estimated) sightings contribute to an
+/// estimate; far receivers carry little information and would drag the
+/// centroid toward the grid centre.
+const MAX_SIGHTINGS_USED: usize = 8;
+
 /// Location Service tuning.
 #[derive(Clone, Debug)]
 pub struct LocationConfig {
-    /// Sightings/hints older than this are ignored.
-    pub max_age: SimDuration,
     /// Sightings retained per sensor.
     pub max_observations: usize,
-    /// Only the loudest (nearest-estimated) sightings contribute to an
-    /// estimate; far receivers carry little information and would drag
-    /// the centroid toward the grid centre.
-    pub max_sightings_used: usize,
     /// Propagation model used to turn RSSI into distance.
     pub propagation: Propagation,
 }
 
 impl Default for LocationConfig {
     fn default() -> Self {
-        LocationConfig {
-            max_age: SimDuration::from_secs(60),
-            max_observations: 32,
-            max_sightings_used: 8,
-            propagation: Propagation::wifi_outdoor(),
-        }
+        LocationConfig { max_observations: 32, propagation: Propagation::wifi_outdoor() }
     }
 }
 
@@ -86,8 +82,7 @@ impl Evidence {
 /// ```
 /// use garnet_core::location::{LocationConfig, LocationService};
 /// use garnet_core::filtering::Observation;
-/// use garnet_radio::{geometry::Point, Receiver, ReceiverId};
-/// use garnet_simkit::SimTime;
+/// use garnet_simkit::{geometry::Point, Receiver, ReceiverId, SimTime};
 /// use garnet_wire::SensorId;
 ///
 /// let receivers = vec![
@@ -158,12 +153,12 @@ impl LocationService {
     }
 
     /// Estimates the position of `sensor` from evidence no older than
-    /// `config.max_age` before `now`. `None` when there is no fresh
-    /// evidence at all.
+    /// `MAX_AGE` before `now`. `None` when there is no fresh evidence
+    /// at all.
     pub fn estimate(&self, sensor: SensorId, now: SimTime) -> Option<LocationEstimate> {
         let q = self.evidence.get(&sensor)?;
-        let oldest_allowed = if now.as_micros() > self.config.max_age.as_micros() {
-            SimTime::from_micros(now.as_micros() - self.config.max_age.as_micros())
+        let oldest_allowed = if now.as_micros() > MAX_AGE.as_micros() {
+            SimTime::from_micros(now.as_micros() - MAX_AGE.as_micros())
         } else {
             SimTime::ZERO
         };
@@ -188,7 +183,7 @@ impl LocationService {
         // Keep only the loudest sightings; weight by inverse-square
         // estimated distance so near receivers dominate.
         sightings.sort_by(|a, b| a.1.total_cmp(&b.1));
-        sightings.truncate(self.config.max_sightings_used);
+        sightings.truncate(MAX_SIGHTINGS_USED);
         for (pos, d) in sightings {
             weighted.push((pos, 1.0 / (d * d).max(1.0)));
         }

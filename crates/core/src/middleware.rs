@@ -42,10 +42,9 @@ use garnet_net::{
     ServiceDescriptor, ServiceKind, ServiceRegistry, ShardFailure, SubscriberId, Token,
     TopicFilter,
 };
-use garnet_radio::geometry::Point;
-use garnet_radio::{Receiver, ReceiverId, Transmitter};
+use garnet_simkit::geometry::Point;
 use garnet_simkit::trace::{TraceOutcome, TraceSnapshot};
-use garnet_simkit::{stage_key, SimTime};
+use garnet_simkit::{stage_key, Receiver, ReceiverId, SimTime, Transmitter};
 use garnet_store::ArchiveRecord;
 use garnet_wire::{
     AckStatus, ActuationTarget, DataMessage, FrameBytes, RequestId, SensorCommand, SensorId,

@@ -603,7 +603,7 @@ impl DeliverySchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_radio::ReceiverId;
+    use garnet_simkit::ReceiverId;
     use garnet_wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 
     fn frame_bytes(sensor: u32, idx: u8, seq: u16) -> FrameBytes {
@@ -729,7 +729,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use garnet_radio::ReceiverId;
+    use garnet_simkit::ReceiverId;
     use garnet_wire::{DataMessage, SensorId, StreamIndex};
     use proptest::prelude::*;
 

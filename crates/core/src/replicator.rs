@@ -9,9 +9,8 @@
 //! target's disk fire; with none, the replicator floods every
 //! transmitter. Experiment E9 measures the saving.
 
-use garnet_radio::geometry::Disk;
-use garnet_radio::{Transmitter, TransmitterId};
-use garnet_simkit::SimTime;
+use garnet_simkit::geometry::Disk;
+use garnet_simkit::{SimTime, Transmitter, TransmitterId};
 use garnet_wire::{ActuationTarget, StreamUpdateRequest, TargetArea};
 
 use crate::location::{LocationEstimate, LocationService};
@@ -33,7 +32,7 @@ pub struct ReplicationPlan {
 ///
 /// ```
 /// use garnet_core::replicator::MessageReplicator;
-/// use garnet_radio::{geometry::Point, Transmitter, TransmitterId};
+/// use garnet_simkit::{geometry::Point, Transmitter, TransmitterId};
 ///
 /// let transmitters = Transmitter::grid(Point::ORIGIN, 3, 3, 100.0, 80.0);
 /// let replicator = MessageReplicator::new(transmitters);
@@ -83,7 +82,7 @@ impl MessageReplicator {
         let disk = |e: LocationEstimate| Disk::new(e.position, e.radius_m);
         let area = match request.target {
             ActuationTarget::Area(TargetArea { x, y, radius }) => Some(Disk::new(
-                garnet_radio::geometry::Point::new(f64::from(x), f64::from(y)),
+                garnet_simkit::geometry::Point::new(f64::from(x), f64::from(y)),
                 f64::from(radius),
             )),
             ActuationTarget::Sensor(sensor) => location.estimate(sensor, now).map(disk),
@@ -132,8 +131,8 @@ mod tests {
     use super::*;
     use crate::filtering::Observation;
     use crate::location::LocationConfig;
-    use garnet_radio::geometry::Point;
-    use garnet_radio::{Receiver, ReceiverId};
+    use garnet_simkit::geometry::Point;
+    use garnet_simkit::{Receiver, ReceiverId};
     use garnet_wire::{RequestId, SensorCommand, SensorId};
 
     fn request(target: ActuationTarget) -> StreamUpdateRequest {

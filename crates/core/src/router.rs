@@ -20,11 +20,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use garnet_radio::ReceiverId;
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
-use garnet_simkit::SimTime;
+use garnet_simkit::{ReceiverId, SimTime};
 use garnet_wire::FrameBytes;
 
 use crate::actuation::{ActuationConfig, ActuationService};

@@ -18,8 +18,7 @@
 use std::sync::Arc;
 
 use garnet_net::SubscriberId;
-use garnet_radio::geometry::Point;
-use garnet_radio::ReceiverId;
+use garnet_simkit::{geometry::Point, ReceiverId};
 use garnet_wire::{
     AckStatus, ActuationTarget, FrameBytes, RequestId, SensorCommand, SensorId, StreamUpdateRequest,
 };

@@ -17,6 +17,10 @@
 //!
 //! [`TelemetryConfig::sink_dir`]: ../garnet_core/telemetry/struct.TelemetryConfig.html
 
+// The inspector parses whatever a sink holds: a malformed line is an
+// error message, never an unwrap, expect or panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -183,11 +187,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice: both stops are ASCII, so a run cut from `&str`
+                // input is whole UTF-8, and each byte is checked once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -685,6 +693,18 @@ mod tests {
         assert_eq!(items[3].get("b"), Some(&Json::Null));
         assert!(parse_json("{\"a\":1}garbage").is_err());
         assert!(parse_json("{\"a\":").is_err());
+        let text = parse_json(r#""h\u00e9llo \"w\u00f6rld\" \u2192 pr\u00fcfen \/ ok""#).unwrap();
+        assert_eq!(text.as_str(), Some("héllo \"wörld\" → prüfen / ok"));
+        assert_eq!(parse_json("\"→ wörld\"").unwrap().as_str(), Some("→ wörld"));
+    }
+
+    #[test]
+    fn json_string_parse_is_linear_in_its_length() {
+        let line = format!("{{\"s\":\"{}\\n\"}}", "é".repeat(2 << 20));
+        let start = std::time::Instant::now();
+        let v = parse_json(&line).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(5), "{:?}", start.elapsed());
+        assert_eq!(v.get("s").and_then(Json::as_str).map(str::len), Some((4 << 20) + 1));
     }
 
     #[test]

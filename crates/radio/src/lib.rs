@@ -19,6 +19,11 @@
 //! * **energy** — a per-bit transmit/receive cost model used by the
 //!   RETRI comparison (experiment E6).
 //!
+//! The antenna plan — [`geometry`], [`Receiver`], [`Transmitter`],
+//! [`Propagation`] — is `garnet-simkit`'s, shared with the middleware,
+//! and re-exported here because [`Medium`] and [`Reception`] are typed
+//! by it.
+//!
 //! # Example
 //!
 //! ```
@@ -44,21 +49,16 @@
 
 pub(crate) mod energy;
 pub mod field;
-pub mod geometry;
 pub(crate) mod medium;
 pub(crate) mod mobility;
-pub(crate) mod propagation;
 pub(crate) mod reading;
-pub(crate) mod receiver;
 pub mod sensor;
-pub(crate) mod transmitter;
 
 pub use energy::{EnergyMeter, EnergyModel};
 pub use field::ScalarField;
-pub use medium::Medium;
+pub use garnet_simkit::geometry;
+pub use garnet_simkit::{Propagation, Receiver, ReceiverId, Transmitter, TransmitterId};
+pub use medium::{Medium, Reception};
 pub use mobility::Mobility;
-pub use propagation::Propagation;
 pub use reading::Reading;
-pub use receiver::{Receiver, ReceiverId, Reception};
 pub use sensor::{SensorCaps, SensorNode, StreamConfig};
-pub use transmitter::{Transmitter, TransmitterId};

@@ -8,12 +8,24 @@
 //! the wire CRC must catch.
 
 use bytes::Bytes;
-use garnet_simkit::{SimDuration, SimRng, SimTime};
+use garnet_simkit::geometry::Point;
+use garnet_simkit::{Propagation, Receiver, ReceiverId, SimDuration, SimRng, SimTime, Transmitter};
 
-use crate::geometry::Point;
-use crate::propagation::Propagation;
-use crate::receiver::{Receiver, Reception};
-use crate::transmitter::Transmitter;
+/// One frame as heard by one receiver. The same transmission heard by
+/// `k` overlapping receivers produces `k` `Reception`s — the duplication
+/// the Filtering Service removes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Reception {
+    /// Which receiver heard the frame.
+    pub receiver: ReceiverId,
+    /// When the frame arrived at the fixed network.
+    pub received_at: SimTime,
+    /// Received signal strength (dBm), for location inference.
+    pub rssi_dbm: f64,
+    /// The frame bytes as received (possibly corrupted in flight; the
+    /// wire CRC decides).
+    pub frame: Bytes,
+}
 
 /// Medium parameters.
 #[derive(Clone, Debug)]
@@ -170,8 +182,7 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::ReceiverId;
-    use crate::transmitter::TransmitterId;
+    use garnet_simkit::TransmitterId;
 
     fn frame() -> Bytes {
         Bytes::from_static(b"0123456789abcdef")

@@ -163,7 +163,8 @@ mod tests {
         while t < horizon {
             let next_t = t + SimDuration::from_secs(1);
             let next = m.position(next_t);
-            assert!(bounds.contains(next), "left bounds at {next_t}: {next:?}");
+            let inside = (0.0..=100.0).contains(&next.x) && (0.0..=100.0).contains(&next.y);
+            assert!(inside, "left bounds at {next_t}: {next:?}");
             let moved = prev.distance_to(next);
             assert!(moved <= 2.0 + 1e-6, "exceeded speed: {moved} m in 1s");
             prev = next;

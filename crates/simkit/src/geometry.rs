@@ -35,13 +35,22 @@ impl Point {
 
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     /// `t` outside `[0,1]` extrapolates.
-    pub(crate) fn lerp(self, other: Point, t: f64) -> Point {
+    pub fn lerp(self, other: Point, t: f64) -> Point {
         Point::new(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
     }
 
-    /// Component-wise addition.
-    pub(crate) fn offset(self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
+    /// The `nx × ny` lattice of points `spacing_m` apart with `self` at
+    /// its lower-left corner, row by row: an antenna grid's positions.
+    pub(crate) fn lattice(
+        self,
+        nx: usize,
+        ny: usize,
+        spacing_m: f64,
+    ) -> impl Iterator<Item = Point> {
+        (0..ny).flat_map(move |j| {
+            let y = self.y + j as f64 * spacing_m;
+            (0..nx).map(move |i| Point::new(self.x + i as f64 * spacing_m, y))
+        })
     }
 }
 

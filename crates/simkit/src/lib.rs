@@ -15,6 +15,12 @@
 //! * [`trace`] — a flight recorder ([`Tracer`]) capturing one compact
 //!   record per service-event hop; in every build, off until it is
 //!   given a non-zero capacity.
+//! * [`geometry`], [`Receiver`], [`Transmitter`] and [`Propagation`] —
+//!   the antenna plan: planar geometry, the fixed receiver and
+//!   transmitter installations, and the path-loss model that turns an
+//!   RSSI into a distance. The middleware's location service and
+//!   replicator read them, and so does the simulated radio field, so
+//!   they live here rather than in either.
 //!
 //! # Example
 //!
@@ -31,14 +37,25 @@
 //! assert_eq!(order, vec![(1_000, "sooner"), (5_000, "later")]);
 //! ```
 
+// Every experiment and the middleware run on this kernel: outside its
+// tests, nothing here may panic by unwrap, expect or panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub(crate) mod event;
+pub mod geometry;
 pub mod metrics;
+pub(crate) mod propagation;
+pub(crate) mod receiver;
 pub(crate) mod rng;
 pub(crate) mod time;
 pub mod trace;
+pub(crate) mod transmitter;
 
 pub use event::{EventQueue, Simulation};
 pub use metrics::{stage_key, Counter, Gauge, Histogram, MetricsRegistry};
+pub use propagation::Propagation;
+pub use receiver::{Receiver, ReceiverId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceConfig, Tracer};
+pub use transmitter::{Transmitter, TransmitterId};

@@ -9,7 +9,7 @@
 //! paper's testbed; it also yields an RSSI from which the Location
 //! Service can estimate distance ([`Propagation::estimate_distance`]).
 
-use garnet_simkit::SimRng;
+use crate::SimRng;
 
 /// A propagation model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -107,7 +107,7 @@ impl Propagation {
     /// The distance beyond which delivery is impossible (unit disk) or
     /// has under ~2% probability (log-distance, 2σ margin). Used to prune
     /// receiver candidates.
-    pub(crate) fn practical_range(&self) -> f64 {
+    pub fn practical_range(&self) -> f64 {
         match *self {
             Propagation::UnitDisk { range_m } => range_m,
             Propagation::LogDistance {

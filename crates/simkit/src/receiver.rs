@@ -7,9 +7,7 @@
 //! Location Service infers sensor positions "without the active
 //! involvement of the sensors" (§5).
 
-use bytes::Bytes;
 use core::fmt;
-use garnet_simkit::SimTime;
 
 use crate::geometry::Point;
 
@@ -67,7 +65,7 @@ impl Receiver {
     }
 
     /// Nominal listening range (m).
-    pub(crate) fn range_m(&self) -> f64 {
+    pub fn range_m(&self) -> f64 {
         self.range_m
     }
 
@@ -87,36 +85,11 @@ impl Receiver {
         spacing_m: f64,
         range_m: f64,
     ) -> Vec<Receiver> {
-        let mut out = Vec::with_capacity(nx * ny);
-        let mut id = 0u32;
-        for j in 0..ny {
-            for i in 0..nx {
-                out.push(Receiver::new(
-                    ReceiverId::new(id),
-                    origin.offset(i as f64 * spacing_m, j as f64 * spacing_m),
-                    range_m,
-                ));
-                id += 1;
-            }
-        }
-        out
+        let ids = (0..).map(ReceiverId::new);
+        ids.zip(origin.lattice(nx, ny, spacing_m))
+            .map(|(id, p)| Receiver::new(id, p, range_m))
+            .collect()
     }
-}
-
-/// One frame as heard by one receiver. The same transmission heard by
-/// `k` overlapping receivers produces `k` `Reception`s — the duplication
-/// the Filtering Service removes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Reception {
-    /// Which receiver heard the frame.
-    pub receiver: ReceiverId,
-    /// When the frame arrived at the fixed network.
-    pub received_at: SimTime,
-    /// Received signal strength (dBm), for location inference.
-    pub rssi_dbm: f64,
-    /// The frame bytes as received (possibly corrupted in flight; the
-    /// wire CRC decides).
-    pub frame: Bytes,
 }
 
 #[cfg(test)]

@@ -58,12 +58,12 @@ impl Transmitter {
     }
 
     /// Installation position.
-    pub(crate) fn position(&self) -> Point {
+    pub fn position(&self) -> Point {
         self.position
     }
 
     /// Broadcast range (m).
-    pub(crate) fn range_m(&self) -> f64 {
+    pub fn range_m(&self) -> f64 {
         self.range_m
     }
 
@@ -81,19 +81,10 @@ impl Transmitter {
         spacing_m: f64,
         range_m: f64,
     ) -> Vec<Transmitter> {
-        let mut out = Vec::with_capacity(nx * ny);
-        let mut id = 0u32;
-        for j in 0..ny {
-            for i in 0..nx {
-                out.push(Transmitter::new(
-                    TransmitterId::new(id),
-                    origin.offset(i as f64 * spacing_m, j as f64 * spacing_m),
-                    range_m,
-                ));
-                id += 1;
-            }
-        }
-        out
+        let ids = (0..).map(TransmitterId::new);
+        ids.zip(origin.lattice(nx, ny, spacing_m))
+            .map(|(id, p)| Transmitter::new(id, p, range_m))
+            .collect()
     }
 }
 

@@ -96,6 +96,7 @@ static CRC32_TABLES: [[u32; 256]; 8] = {
 /// // The standard check value for "123456789".
 /// assert_eq!(garnet_wire::crc::crc16(b"123456789"), 0x29B1);
 /// ```
+#[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields only 8-byte blocks")]
 pub fn crc16(data: &[u8]) -> u16 {
     let t = &CRC16_TABLES;
     let mut crc: u16 = 0xFFFF;
@@ -127,6 +128,7 @@ pub fn crc16(data: &[u8]) -> u16 {
 /// // The standard check value for "123456789".
 /// assert_eq!(garnet_wire::crc::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
+#[expect(clippy::expect_used, reason = "`chunks_exact(8)` yields only 8-byte blocks")]
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;

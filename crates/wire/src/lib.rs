@@ -17,7 +17,7 @@
 //! with RFC-1982 serial arithmetic so streams survive wraparound) and
 //! **64KiB payloads** (16-bit payload size). The payload is opaque to the
 //! whole infrastructure, which is what lets consumers layer end-to-end
-//! encryption on top (see `garnet-core`'s crypto module).
+//! encryption on top (see [`crypto`]).
 //!
 //! The paper notes "we do not indicate the usual checksums"; they exist in
 //! the implementation as a CRC-16/CCITT trailer on data messages and a
@@ -41,6 +41,10 @@
 //! # Ok(())
 //! # }
 //! ```
+
+// Decode reads bytes off the radio, so outside its tests nothing here may
+// panic by unwrap, expect or panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub(crate) mod control;
 pub mod crc;

@@ -56,10 +56,9 @@ pub type FrameBytes = Bytes;
 /// finishes the rest with [`DataMessage::decode_validated`] without
 /// re-checking lengths or re-reading fields. Nothing is handed down
 /// from admission: the stages in front of filtering read only what
-/// they need with the decode-free [`peek_stream`] / [`peek_seq`] — a
-/// multi-shard ingest stage peeks the stream id to pick a shard, and
-/// the overload tier peeks stream id and sequence number once per
-/// offered frame to coalesce — and those work on corrupt frames too.
+/// they need with the decode-free [`peek_stream`] / [`peek_seq`] — the
+/// overload tier peeks stream id and sequence number once per offered
+/// frame to coalesce — and those work on corrupt frames too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
     header: MsgHeader,
@@ -263,41 +262,6 @@ impl DataMessage {
         buf.to_vec()
     }
 
-    /// Reads the stream id out of an encoded frame without decoding or
-    /// CRC-checking it.
-    ///
-    /// This is the shard key of the ingest hot path: a sharded filtering
-    /// stage must route every frame of one sensor to the same shard
-    /// *before* paying for a full decode, and it must route corrupt
-    /// frames deterministically too (their CRC failure is counted in
-    /// whichever shard the claimed stream id selects). Returns `None`
-    /// only when the frame is shorter than the fixed header's stream
-    /// field.
-    pub fn peek_stream(frame: &[u8]) -> Option<StreamId> {
-        if frame.len() < 5 {
-            return None;
-        }
-        Some(StreamId::from_raw(u32::from_be_bytes([frame[1], frame[2], frame[3], frame[4]])))
-    }
-
-    /// Reads the sequence number out of an encoded frame without
-    /// decoding or CRC-checking it.
-    ///
-    /// The companion of [`DataMessage::peek_stream`] for overload
-    /// coalescing: an admission controller that keeps only the newest
-    /// queued frame per stream must compare sequence numbers before
-    /// paying for a full decode. Returns `None` when the frame is
-    /// shorter than the fixed header's sequence field; a corrupt frame
-    /// yields whatever its claimed sequence bytes say, which is fine —
-    /// the choice only has to be deterministic, and the frame fails CRC
-    /// downstream regardless.
-    pub fn peek_seq(frame: &[u8]) -> Option<SequenceNumber> {
-        if frame.len() < 7 {
-            return None;
-        }
-        Some(SequenceNumber::new(u16::from_be_bytes([frame[5], frame[6]])))
-    }
-
     /// Decodes one message from the front of `input`, returning it and
     /// the number of bytes consumed.
     ///
@@ -431,16 +395,37 @@ impl DataMessageBuilder {
     }
 }
 
-/// Free-function form of [`DataMessage::peek_stream`], for callers that
-/// shard on the stream id without naming the message type.
+/// Reads the stream id out of an encoded frame without decoding or
+/// CRC-checking it.
+///
+/// Callers that need only the stream a frame claims use this instead of
+/// a decode: the QoS scheduler's coalescing key, the flight recorder's
+/// per-frame attribution, and the archive's record attribution and
+/// per-stream recovery report. A corrupt frame yields the stream id it
+/// claims, which is all those need. Returns `None` only when the frame
+/// is shorter than the fixed header's stream field.
 pub fn peek_stream(frame: &[u8]) -> Option<StreamId> {
-    DataMessage::peek_stream(frame)
+    if frame.len() < 5 {
+        return None;
+    }
+    Some(StreamId::from_raw(u32::from_be_bytes([frame[1], frame[2], frame[3], frame[4]])))
 }
 
-/// Free-function form of [`DataMessage::peek_seq`], for callers that
-/// coalesce on the sequence number without naming the message type.
+/// Reads the sequence number out of an encoded frame without decoding
+/// or CRC-checking it.
+///
+/// The companion of [`peek_stream`]: the QoS scheduler keeps only the
+/// newest staged frame per stream, and archive recovery reports each
+/// stream's high-water sequence number. Returns `None` when the frame is
+/// shorter than the fixed header's sequence field; a corrupt frame
+/// yields whatever its claimed sequence bytes say, which is fine — the
+/// choice only has to be deterministic, and the frame fails CRC
+/// downstream regardless.
 pub fn peek_seq(frame: &[u8]) -> Option<SequenceNumber> {
-    DataMessage::peek_seq(frame)
+    if frame.len() < 7 {
+        return None;
+    }
+    Some(SequenceNumber::new(u16::from_be_bytes([frame[5], frame[6]])))
 }
 
 #[cfg(test)]
@@ -484,30 +469,29 @@ mod tests {
     fn peek_stream_reads_id_without_decoding() {
         let msg = DataMessage::builder(stream()).build().unwrap();
         let mut bytes = msg.encode_to_vec();
-        assert_eq!(DataMessage::peek_stream(&bytes), Some(stream()));
+        assert_eq!(peek_stream(&bytes), Some(stream()));
         // Corrupt the CRC: the peek still reads the claimed stream id,
         // even though a full decode now fails.
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert!(DataMessage::decode(&bytes).is_err());
-        assert_eq!(DataMessage::peek_stream(&bytes), Some(stream()));
+        assert_eq!(peek_stream(&bytes), Some(stream()));
         // Too short to carry a stream id at all.
-        assert_eq!(DataMessage::peek_stream(&bytes[..4]), None);
+        assert_eq!(peek_stream(&bytes[..4]), None);
     }
 
     #[test]
     fn peek_seq_reads_sequence_without_decoding() {
         let msg = DataMessage::builder(stream()).seq(SequenceNumber::new(0xBEEF)).build().unwrap();
         let mut bytes = msg.encode_to_vec();
-        assert_eq!(DataMessage::peek_seq(&bytes), Some(SequenceNumber::new(0xBEEF)));
+        assert_eq!(peek_seq(&bytes), Some(SequenceNumber::new(0xBEEF)));
         // A corrupt CRC does not stop the peek.
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert!(DataMessage::decode(&bytes).is_err());
-        assert_eq!(DataMessage::peek_seq(&bytes), Some(SequenceNumber::new(0xBEEF)));
-        // Too short to carry a sequence number.
-        assert_eq!(DataMessage::peek_seq(&bytes[..6]), None);
         assert_eq!(peek_seq(&bytes), Some(SequenceNumber::new(0xBEEF)));
+        // Too short to carry a sequence number.
+        assert_eq!(peek_seq(&bytes[..6]), None);
     }
 
     #[test]

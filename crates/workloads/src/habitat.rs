@@ -10,8 +10,8 @@
 //! exercised, which makes it the clean substrate for throughput and
 //! filtering experiments.
 
+use crate::pipeline::{PipelineConfig, PipelineSim};
 use garnet_core::middleware::GarnetConfig;
-use garnet_core::pipeline::{PipelineConfig, PipelineSim};
 use garnet_radio::field::{Diurnal, DynField};
 use garnet_radio::geometry::Point;
 use garnet_radio::{
@@ -123,7 +123,7 @@ impl HabitatScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_core::pipeline::SharedCountConsumer;
+    use crate::pipeline::SharedCountConsumer;
     use garnet_net::TopicFilter;
     use garnet_simkit::SimTime;
     use std::sync::atomic::Ordering;

@@ -1,6 +1,8 @@
 //! Scenario and workload generators for the Garnet experiments.
 //!
-//! Each module builds a deployment the paper motivates:
+//! [`pipeline`] is the closed loop every scenario runs on: the simulated
+//! radio field of `garnet-radio` wired to the `garnet-core` middleware.
+//! Each other module builds a deployment the paper motivates:
 //!
 //! * [`habitat`] — habitat monitoring (Mainwaring et al., cited as the
 //!   §7 comparison and the §1 motivation): a grid of simple,
@@ -17,6 +19,7 @@
 //!   consumer, publishing results as derived streams.
 
 pub(crate) mod habitat;
+pub mod pipeline;
 pub(crate) mod query;
 pub mod recon;
 pub(crate) mod traffic;

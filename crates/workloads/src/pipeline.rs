@@ -14,15 +14,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use garnet_core::consumer::{Consumer, ConsumerCtx};
+use garnet_core::filtering::Delivery;
+use garnet_core::middleware::{Garnet, GarnetConfig, StepOutput};
+use garnet_core::replicator::ReplicationPlan;
 use garnet_radio::field::DynField;
 use garnet_radio::{Medium, Receiver, SensorNode, Transmitter};
 use garnet_simkit::{Histogram, SimRng, SimTime, Simulation};
 use garnet_wire::StreamUpdateRequest;
-
-use crate::consumer::{Consumer, ConsumerCtx};
-use crate::filtering::Delivery;
-use crate::middleware::{Garnet, GarnetConfig, StepOutput};
-use crate::replicator::ReplicationPlan;
 
 /// Pipeline configuration. The receiver/transmitter installation lives
 /// in [`GarnetConfig`]; the pipeline reads it from there so the
@@ -467,7 +466,7 @@ mod tests {
             )
             .unwrap();
         let plan = match outcome {
-            crate::middleware::ActuationOutcome::Granted { plan, .. } => plan,
+            garnet_core::middleware::ActuationOutcome::Granted { plan, .. } => plan,
             other => panic!("expected grant: {other:?}"),
         };
         sim.carry_out(StepOutput { control: vec![plan], ..StepOutput::default() });

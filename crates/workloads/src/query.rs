@@ -93,9 +93,9 @@ impl Consumer for ContinuousQueryConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::SharedCountConsumer;
     use garnet_baselines::querydb::Aggregate;
     use garnet_core::middleware::{Garnet, GarnetConfig};
-    use garnet_core::pipeline::SharedCountConsumer;
     use garnet_net::TopicFilter;
     use garnet_radio::ReceiverId;
     use garnet_simkit::{SimDuration, SimTime};

@@ -15,10 +15,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::pipeline::{PipelineConfig, PipelineSim};
 use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::filtering::Delivery;
 use garnet_core::middleware::GarnetConfig;
-use garnet_core::pipeline::{PipelineConfig, PipelineSim};
 use garnet_radio::field::DynField;
 use garnet_radio::geometry::{Point, Rect};
 use garnet_radio::{

@@ -239,9 +239,9 @@ impl WatercourseScenario {
 
     /// Assembles the closed-loop pipeline (no consumers registered yet).
     #[cfg(test)]
-    pub(crate) fn build(&self) -> garnet_core::pipeline::PipelineSim {
+    pub(crate) fn build(&self) -> crate::pipeline::PipelineSim {
+        use crate::pipeline::{PipelineConfig, PipelineSim};
         use garnet_core::middleware::GarnetConfig;
-        use garnet_core::pipeline::{PipelineConfig, PipelineSim};
         use garnet_radio::{Medium, Propagation};
         let (receivers, transmitters) = self.masts();
         let config = PipelineConfig {

@@ -16,7 +16,6 @@ use std::sync::atomic::Ordering;
 
 use garnet::baselines::querydb::{Aggregate, Query};
 use garnet::core::middleware::{ActuationOutcome, GarnetConfig, QuiesceConfig};
-use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::net::TopicFilter;
 use garnet::radio::field::Diurnal;
 use garnet::radio::geometry::Point;
@@ -25,6 +24,7 @@ use garnet::radio::{
 };
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{ActuationTarget, SensorCommand, SensorId, StreamId, StreamIndex};
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::workloads::ContinuousQueryConsumer;
 
 fn main() {

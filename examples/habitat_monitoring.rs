@@ -16,11 +16,11 @@ use std::sync::atomic::Ordering;
 
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::net::TopicFilter;
 use garnet::radio::Reading;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{StreamId, StreamIndex};
+use garnet::workloads::pipeline::SharedCountConsumer;
 use garnet::workloads::HabitatScenario;
 
 /// Averages every window of 36 readings onto derived stream 0.

@@ -12,7 +12,6 @@
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::GarnetConfig;
-use garnet::core::pipeline::{PipelineConfig, PipelineSim};
 use garnet::net::TopicFilter;
 use garnet::radio::field::Uniform;
 use garnet::radio::geometry::Point;
@@ -21,6 +20,7 @@ use garnet::radio::{
 };
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{SensorId, StreamIndex};
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim};
 
 /// Prints every delivered reading.
 struct Printer;

@@ -15,10 +15,10 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::ActuationOutcome;
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::net::TopicFilter;
 use garnet::simkit::SimTime;
 use garnet::wire::{ActuationTarget, SensorCommand, StreamId, StreamIndex};
+use garnet::workloads::pipeline::SharedCountConsumer;
 use garnet::workloads::recon::TargetDetector;
 use garnet::workloads::ReconScenario;
 

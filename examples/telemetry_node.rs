@@ -16,12 +16,12 @@
 use std::path::PathBuf;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::core::telemetry::TelemetryConfig;
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::workloads::pipeline::SharedCountConsumer;
 
 fn main() {
     let sink_dir: PathBuf =

@@ -18,7 +18,6 @@ use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::net::TopicFilter;
 use garnet::radio::geometry::Point;
 use garnet::radio::{ReceiverId, Transmitter, TransmitterId};
@@ -26,6 +25,7 @@ use garnet::simkit::SimTime;
 use garnet::wire::{
     ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
 };
+use garnet::workloads::pipeline::SharedCountConsumer;
 
 /// Messages addressed to the middleware thread.
 enum ToGarnet {

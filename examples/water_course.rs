@@ -15,11 +15,11 @@
 
 use garnet::core::coordinator::{CoordinationMode, PolicyAction};
 use garnet::core::middleware::GarnetConfig;
-use garnet::core::pipeline::{PipelineConfig, PipelineSim};
 use garnet::net::TopicFilter;
 use garnet::radio::{Medium, Propagation};
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{ActuationTarget, SensorCommand, StreamIndex, TargetArea};
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim};
 use garnet::workloads::watercourse::{FloodWave, STATE_FLOOD, STATE_NORMAL, STATE_RISING};
 use garnet::workloads::{FloodWatch, WatercourseScenario};
 

@@ -11,19 +11,19 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`simkit`] | `garnet-simkit` | deterministic discrete-event kernel |
+//! | [`simkit`] | `garnet-simkit` | deterministic discrete-event kernel; the antenna plan (geometry, receivers, transmitters, propagation) |
 //! | [`wire`] | `garnet-wire` | Fig. 2 message format, control messages, CRC, crypto |
-//! | [`radio`] | `garnet-radio` | simulated wireless field: mobility, propagation, energy |
+//! | [`radio`] | `garnet-radio` | simulated wireless field: medium, sensors, mobility, energy |
 //! | [`net`] | `garnet-net` | fixed-network substrate: registry, auth, pub/sub, shard pool |
 //! | [`store`] | `garnet-store` | durable frame archive: segmented CRC-checked log, crash recovery, fault injection |
 //! | [`core`] | `garnet-core` | **the middleware**: filtering, dispatching, orphanage, location, resource manager, actuation, replication, coordination |
 //! | [`baselines`] | `garnet-baselines` | §7 comparators: RETRI, Fjords, CORIE |
-//! | [`workloads`] | `garnet-workloads` | habitat / water-course / recon scenarios |
+//! | [`workloads`] | `garnet-workloads` | the `PipelineSim` closed loop (radio field + middleware); habitat / water-course / recon scenarios |
 //!
 //! # Quickstart
 //!
 //! ```
-//! use garnet::core::pipeline::SharedCountConsumer;
+//! use garnet::workloads::pipeline::SharedCountConsumer;
 //! use garnet::net::TopicFilter;
 //! use garnet::simkit::SimTime;
 //! use garnet::workloads::HabitatScenario;

@@ -8,7 +8,6 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::net::TopicFilter;
 use garnet::radio::field::GaussianPlume;
 use garnet::radio::geometry::{Point, Rect};
@@ -17,6 +16,7 @@ use garnet::radio::{
 };
 use garnet::simkit::{SimDuration, SimRng, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 
 use proptest::prelude::*;
 

@@ -4,7 +4,6 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::{ActuationOutcome, GarnetConfig, StepOutput};
-use garnet::core::pipeline::{LatencyProbe, PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::net::{Capability, CapabilitySet, Principal, TopicFilter};
 use garnet::radio::field::Uniform;
 use garnet::radio::geometry::Point;
@@ -14,6 +13,7 @@ use garnet::radio::{
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::crypto::PayloadKey;
 use garnet::wire::{ActuationTarget, SensorCommand, SensorId, StreamId, StreamIndex};
+use garnet::workloads::pipeline::{LatencyProbe, PipelineConfig, PipelineSim, SharedCountConsumer};
 
 fn infrastructure() -> (Vec<Receiver>, Vec<Transmitter>) {
     (

@@ -8,7 +8,6 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig, StepOutput};
-use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
 use garnet::net::{Capability, CapabilitySet, Principal, TopicFilter};
 use garnet::radio::field::Uniform;
@@ -21,6 +20,7 @@ use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{
     ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId, StreamIndex,
 };
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 
 fn pipeline(seed: u64) -> PipelineSim {
     let receivers = Receiver::grid(Point::ORIGIN, 2, 2, 80.0, 120.0);

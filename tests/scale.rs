@@ -5,13 +5,13 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::GarnetConfig;
-use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 use garnet::net::TopicFilter;
 use garnet::radio::field::Gradient;
 use garnet::radio::geometry::Point;
 use garnet::radio::{Medium, Propagation, Receiver, SensorNode, StreamConfig, Transmitter};
 use garnet::simkit::{SimDuration, SimRng, SimTime};
 use garnet::wire::{SensorId, StreamIndex};
+use garnet::workloads::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
 
 const SENSORS: u32 = 400;
 const CONSUMERS: u32 = 64;

@@ -4,13 +4,13 @@
 //! back.
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
 use garnet::core::telemetry::{HealthState, TelemetryConfig};
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::workloads::pipeline::SharedCountConsumer;
 
 /// `frames` data messages round-robined over `sensors` sensors with
 /// monotonic per-stream sequence numbers.

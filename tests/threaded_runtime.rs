@@ -13,11 +13,11 @@ use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::core::pipeline::SharedCountConsumer;
 use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::workloads::pipeline::SharedCountConsumer;
 
 /// What flows over the channel to the middleware thread.
 enum ToMiddleware {

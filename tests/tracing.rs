@@ -345,7 +345,7 @@ mod properties {
             });
             let token = g.issue_default_token("app");
             let (consumer, _) =
-                garnet::core::pipeline::SharedCountConsumer::new("app");
+                garnet::workloads::pipeline::SharedCountConsumer::new("app");
             let id = g.register_consumer(Box::new(consumer), &token, 0).unwrap();
             for s in &subscribed {
                 g.subscribe(id, TopicFilter::Sensor(SensorId::new(*s).unwrap()), &token)
