@@ -40,10 +40,23 @@ if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|Frame
   echo "a deleted item is back" >&2
   exit 1
 fi
-# garnet-net is registry, auth, pub/sub and the shard pool: storage is
-# garnet-core's business, so the network crate does not depend on it.
-if grep -n 'garnet-store' crates/net/Cargo.toml; then
-  echo "garnet-net depends on garnet-store again" >&2
+# garnet-net is the benchmark's shim and nothing more: the four
+# garnet-core names perfbench imports from it, re-exported, and the shard
+# pool of its hand-off probe. It depends on garnet-core alone, its src/
+# is lib.rs and pool.rs, and outside it and perfbench nothing names it —
+# the registry, auth and pub/sub are garnet-core's (ROADMAP 15).
+echo "==> garnet-net is the benchmark's shim: garnet-core is its one dependency, lib.rs + pool.rs its src, perfbench its one user"
+if [ "$(awk '/^\[/ { deps = ($0 ~ /^\[(dev-)?dependencies\]$/) } deps && /^[a-z]/ { sub(/[ .=].*/, ""); print }' crates/net/Cargo.toml)" != garnet-core ]; then
+  echo "garnet-net depends on something other than garnet-core" >&2
+  exit 1
+fi
+if [ "$(ls crates/net/src | tr '\n' ' ')" != "lib.rs pool.rs " ]; then
+  echo "crates/net/src holds more than lib.rs and pool.rs" >&2
+  exit 1
+fi
+if grep -rnE 'garnet_net|garnet::net\b' crates src tests examples | grep -v '^crates/net/' \
+    || grep -n '^garnet-net' Cargo.toml crates/*/Cargo.toml | grep -v '^crates/net/'; then
+  echo "something other than perfbench uses garnet-net" >&2
   exit 1
 fi
 # garnet-core is the middleware, not the simulator: nothing it builds
@@ -101,12 +114,12 @@ fi
 # definition is the one place the unkeyed hasher is named; everything a
 # radio frame carries keeps std's keyed RandomState.
 if grep -rlE 'BuildHasherDefault|IdHasher' crates src tests examples \
-    | grep -vx 'crates/net/src/pubsub.rs'; then
+    | grep -vx 'crates/core/src/dispatching/pubsub.rs'; then
   echo "an unkeyed hasher is named outside IdMap's definition" >&2
   exit 1
 fi
 if grep -rn 'HashMap<SubscriberId' crates src tests examples \
-    | grep -v '^crates/net/src/pubsub.rs:[0-9]*:pub type IdMap<V> = '; then
+    | grep -v '^crates/core/src/dispatching/pubsub.rs:[0-9]*:pub(crate) type IdMap<V> = '; then
   echo "a SubscriberId-keyed map bypasses IdMap" >&2
   exit 1
 fi
@@ -150,16 +163,21 @@ if grep -rnE 'RouterDriver|FifoDriver|ThreadedDriver' crates src tests examples 
 fi
 
 # The prose documents name code that exists: every backticked
-# `Type::item` in DESIGN.md, README.md and EXPERIMENTS.md names a type
-# and an item (fn, type, constant, module, variant or struct field)
-# defined in the code, and every backticked path exists.
-echo "==> every backticked Type::item and path in DESIGN.md, README.md, EXPERIMENTS.md resolves"
+# `Type::item` in DESIGN.md, README.md, EXPERIMENTS.md and the crate-level
+# `//!` docs of every lib.rs names a type and an item (fn, type, constant,
+# module, variant or struct field) defined in the code, and every
+# backticked path exists.
+echo "==> every backticked Type::item and path in DESIGN.md, README.md, EXPERIMENTS.md and crate docs resolves"
+prose() {
+  cat DESIGN.md README.md EXPERIMENTS.md
+  grep -h '^//!' crates/*/src/lib.rs src/lib.rs
+}
 stale=0
 defined() {
   grep -rqE "\\b(fn|struct|enum|trait|type|const|static|mod) $1\\b|^ *(pub(\\([a-z]+\\))? )?$1: |^ *$1(,| *[({]|\$)" \
     crates src tests examples perfbench/src --include='*.rs'
 }
-for ref in $(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+for ref in $(prose | grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' | tr -d '`' | sort -u); do
   for name in "${ref%%::*}" "${ref#*::}"; do
     if ! defined "$name"; then
       echo "\`$ref\`: nothing named $name is defined" >&2
@@ -167,13 +185,24 @@ for ref in $(grep -ohE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md R
     fi
   done
 done
-for path in $(grep -ohE '`[A-Za-z0-9_.{},-]*/[A-Za-z0-9_./{},-]*`' DESIGN.md README.md EXPERIMENTS.md | tr -d '`' | sort -u); do
+for path in $(prose | grep -oE '`[A-Za-z0-9_.{},-]*/[A-Za-z0-9_./{},-]*`' | tr -d '`' | sort -u); do
   for expanded in $(eval "echo $path"); do
     if [ ! -e "$expanded" ]; then
       echo "\`$path\`: $expanded does not exist" >&2
       stale=1
     fi
   done
+done
+# A backticked crate, or crate::module, names a crate under crates/ and
+# a module file in it.
+for ref in $(prose | grep -oE '`garnet[_-][a-z]+(::[a-z_]+)?' | tr -d '`' | sort -u); do
+  crate="${ref#garnet?}" module=""
+  case "$crate" in *::*) module="${crate#*::}" crate="${crate%%::*}" ;; esac
+  if [ ! -d "crates/$crate" ] || { [ -n "$module" ] && [ ! -e "crates/$crate/src/$module.rs" ] \
+      && [ ! -d "crates/$crate/src/$module" ]; }; then
+    echo "\`$ref\`: no such crate or module under crates/" >&2
+    stale=1
+  fi
 done
 if [ "$stale" -ne 0 ]; then
   exit 1

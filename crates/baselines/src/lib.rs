@@ -18,6 +18,11 @@
 //!   the sensor output; experiment E8 shows where the coupling breaks
 //!   down as consumers multiply.
 
+// The comparators share the experiments' tables with the middleware:
+// outside their tests, nothing here may panic by unwrap, expect or
+// panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod coupled;
 pub mod querydb;
 pub mod retri;

@@ -7,7 +7,7 @@
 //! middleware is not the bottleneck at sensor-network rates) while
 //! throughput scales linearly with offered load.
 
-use garnet_net::TopicFilter;
+use garnet_core::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_workloads::pipeline::LatencyProbe;
 use garnet_workloads::HabitatScenario;

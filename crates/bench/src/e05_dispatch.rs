@@ -15,7 +15,7 @@
 //! row's match set is constructed, not remembered.
 
 use garnet_core::dispatching::DispatchingService;
-use garnet_net::{DispatchCacheConfig, TopicFilter};
+use garnet_core::{DispatchCacheConfig, TopicFilter};
 use garnet_wire::{SensorId, StreamId, StreamIndex};
 
 use crate::table::{n, Table};

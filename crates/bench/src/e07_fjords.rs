@@ -9,7 +9,7 @@
 
 use garnet_baselines::querydb::{compare_sharing, Query, QueryEngine, SharingComparison};
 use garnet_core::resource::{Decision, MediationPolicy, ResourceManager};
-use garnet_net::SubscriberId;
+use garnet_core::SubscriberId;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 

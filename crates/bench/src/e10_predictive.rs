@@ -18,7 +18,7 @@ use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::coordinator::{CoordinationMode, PolicyAction};
 use garnet_core::filtering::Delivery;
 use garnet_core::middleware::GarnetConfig;
-use garnet_net::TopicFilter;
+use garnet_core::TopicFilter;
 use garnet_radio::{Medium, Propagation, Reading};
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{ActuationTarget, SensorCommand, StreamIndex, TargetArea};

@@ -11,7 +11,7 @@
 
 use garnet_core::constraints::Constraint;
 use garnet_core::resource::{Decision, MediationPolicy, ResourceManager, SensorProfile};
-use garnet_net::SubscriberId;
+use garnet_core::SubscriberId;
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
 use crate::table::{f2, n, Table};

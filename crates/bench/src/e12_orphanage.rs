@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 
 use garnet_core::middleware::{Garnet, GarnetConfig};
 use garnet_core::orphanage::OrphanageConfig;
-use garnet_net::TopicFilter;
+use garnet_core::TopicFilter;
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
 use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};

@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use garnet_core::consumer::{Consumer, ConsumerCtx};
 use garnet_core::filtering::Delivery;
 use garnet_core::middleware::{Garnet, GarnetConfig};
-use garnet_net::TopicFilter;
+use garnet_core::TopicFilter;
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
 use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};

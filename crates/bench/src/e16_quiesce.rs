@@ -10,7 +10,7 @@
 //! battery budget actually buys.
 
 use garnet_core::middleware::{GarnetConfig, QuiesceConfig};
-use garnet_net::TopicFilter;
+use garnet_core::TopicFilter;
 use garnet_radio::field::Uniform;
 use garnet_radio::geometry::Point;
 use garnet_radio::{

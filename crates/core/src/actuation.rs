@@ -14,29 +14,14 @@ use std::collections::HashMap;
 use garnet_simkit::{Histogram, SimDuration, SimTime};
 use garnet_wire::{AckStatus, ActuationTarget, RequestId, SensorCommand, StreamUpdateRequest};
 
-/// Actuation Service tuning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ActuationConfig {
-    /// How long to wait for the first acknowledgement. Each
-    /// retransmission doubles the wait (`ack_timeout * 2^attempt`), up
-    /// to [`ActuationConfig::backoff_cap`], so a congested downlink is
-    /// not hammered at a fixed cadence.
-    pub ack_timeout: SimDuration,
-    /// Retransmissions before giving up (0 = fire and forget).
-    pub max_retries: u32,
-    /// Upper bound on the per-attempt wait under exponential backoff.
-    pub backoff_cap: SimDuration,
-}
-
-impl Default for ActuationConfig {
-    fn default() -> Self {
-        ActuationConfig {
-            ack_timeout: SimDuration::from_secs(5),
-            max_retries: 2,
-            backoff_cap: SimDuration::from_secs(60),
-        }
-    }
-}
+/// How long to wait for the first acknowledgement. Each retransmission
+/// doubles the wait (`ACK_TIMEOUT * 2^attempt`), up to [`BACKOFF_CAP`],
+/// so a congested downlink is not hammered at a fixed cadence.
+const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+/// Retransmissions before a request is given up.
+const MAX_RETRIES: u32 = 2;
+/// Upper bound on the per-attempt wait under exponential backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
 
 /// Terminal outcome of a tracked request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,14 +33,13 @@ pub enum RequestOutcome {
 }
 
 /// The wait before attempt `attempt`'s acknowledgement deadline:
-/// `ack_timeout * 2^attempt`, saturating at
-/// [`ActuationConfig::backoff_cap`].
-fn backoff_delay(config: &ActuationConfig, attempt: u32) -> SimDuration {
+/// `ACK_TIMEOUT * 2^attempt`, saturating at [`BACKOFF_CAP`].
+fn backoff_delay(attempt: u32) -> SimDuration {
     let scaled = 1u64
         .checked_shl(attempt)
-        .and_then(|factor| config.ack_timeout.checked_mul(factor))
-        .unwrap_or(config.backoff_cap);
-    scaled.min(config.backoff_cap)
+        .and_then(|factor| ACK_TIMEOUT.checked_mul(factor))
+        .unwrap_or(BACKOFF_CAP);
+    scaled.min(BACKOFF_CAP)
 }
 
 #[derive(Debug)]
@@ -74,13 +58,13 @@ struct Pending {
 /// # Example
 ///
 /// ```
-/// use garnet_core::actuation::{ActuationConfig, ActuationService};
+/// use garnet_core::actuation::ActuationService;
 /// use garnet_simkit::SimTime;
 /// use garnet_wire::{AckStatus, ActuationTarget, SensorCommand, SensorId};
 ///
-/// // Default tuning: 5 s to the first retransmission, then 10 s, then
-/// // 20 s, … capped at 60 s per wait (exponential backoff).
-/// let mut act = ActuationService::new(ActuationConfig::default());
+/// // 5 s to the first retransmission, 10 s more to the second, then
+/// // 20 s more until the request is given up (exponential backoff).
+/// let mut act = ActuationService::new();
 /// let req = act.submit(
 ///     ActuationTarget::Sensor(SensorId::new(1)?),
 ///     SensorCommand::Ping,
@@ -95,7 +79,6 @@ struct Pending {
 /// ```
 #[derive(Debug)]
 pub struct ActuationService {
-    config: ActuationConfig,
     next_id: RequestId,
     pending: HashMap<u32, Pending>,
     ack_latency_us: Histogram,
@@ -105,11 +88,16 @@ pub struct ActuationService {
     retransmissions: u64,
 }
 
+impl Default for ActuationService {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ActuationService {
     /// Creates the service.
-    pub fn new(config: ActuationConfig) -> Self {
+    pub fn new() -> Self {
         ActuationService {
-            config,
             next_id: RequestId::new(1),
             pending: HashMap::new(),
             ack_latency_us: Histogram::new(),
@@ -151,8 +139,8 @@ impl ActuationService {
             Pending {
                 request,
                 submitted_at: now,
-                deadline: now.saturating_add(backoff_delay(&self.config, 0)),
-                retries_left: self.config.max_retries,
+                deadline: now.saturating_add(backoff_delay(0)),
+                retries_left: MAX_RETRIES,
                 attempt: 0,
             },
         );
@@ -190,7 +178,7 @@ impl ActuationService {
             if p.retries_left > 0 {
                 p.retries_left -= 1;
                 p.attempt += 1;
-                let delay = backoff_delay(&self.config, p.attempt);
+                let delay = backoff_delay(p.attempt);
                 p.deadline = now.saturating_add(delay);
                 self.retransmissions += 1;
                 retransmit.push(p.request);
@@ -248,11 +236,13 @@ mod tests {
     use garnet_wire::SensorId;
 
     fn svc() -> ActuationService {
-        ActuationService::new(ActuationConfig {
-            ack_timeout: SimDuration::from_secs(1),
-            max_retries: 2,
-            ..ActuationConfig::default()
-        })
+        ActuationService::new()
+    }
+
+    /// Gives every pending request `retries` retransmissions left, for
+    /// the tests that need more (or fewer) than [`MAX_RETRIES`].
+    fn set_retries(a: &mut ActuationService, retries: u32) {
+        a.pending.values_mut().for_each(|p| p.retries_left = retries);
     }
 
     fn target() -> ActuationTarget {
@@ -317,22 +307,22 @@ mod tests {
     fn retransmit_then_expire_with_exponential_backoff() {
         let mut a = svc();
         let r = a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
-        // First deadline at 1 s (timeout * 2^0): retry 1, next wait 2 s.
-        let (retry, dead) = a.on_tick(SimTime::from_secs(1));
+        // First deadline at 5 s (timeout * 2^0): retry 1, next wait 10 s.
+        let (retry, dead) = a.on_tick(SimTime::from_secs(5));
         assert_eq!(retry.len(), 1);
         assert_eq!(retry[0].request_id, r.request_id);
         assert!(dead.is_empty());
-        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(3)));
+        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(15)));
         // Not due before the widened deadline.
-        let (retry, dead) = a.on_tick(SimTime::from_secs(2));
+        let (retry, dead) = a.on_tick(SimTime::from_secs(10));
         assert!(retry.is_empty() && dead.is_empty());
-        // Second deadline at 3 s: retry 2, next wait 4 s.
-        let (retry, dead) = a.on_tick(SimTime::from_secs(3));
+        // Second deadline at 15 s: retry 2, next wait 20 s.
+        let (retry, dead) = a.on_tick(SimTime::from_secs(15));
         assert_eq!(retry.len(), 1);
         assert!(dead.is_empty());
-        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(7)));
-        // Third deadline at 7 s: out of retries.
-        let (retry, dead) = a.on_tick(SimTime::from_secs(7));
+        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(35)));
+        // Third deadline at 35 s: out of retries.
+        let (retry, dead) = a.on_tick(SimTime::from_secs(35));
         assert!(retry.is_empty());
         assert_eq!(dead.len(), 1);
         assert_eq!(a.timeout_count(), 1);
@@ -342,32 +332,26 @@ mod tests {
 
     #[test]
     fn backoff_saturates_at_the_cap() {
-        let mut a = ActuationService::new(ActuationConfig {
-            ack_timeout: SimDuration::from_secs(1),
-            max_retries: 4,
-            backoff_cap: SimDuration::from_secs(3),
-        });
+        let mut a = svc();
         a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
-        // Waits: 1 s, 2 s, then pinned at the 3 s cap.
-        for (tick, next) in [(1, 3), (3, 6), (6, 9), (9, 12)] {
+        set_retries(&mut a, 5);
+        // Waits: 5 s, 10 s, 20 s, 40 s, then pinned at the 60 s cap.
+        for (tick, next) in [(5, 15), (15, 35), (35, 75), (75, 135), (135, 195)] {
             let (retry, dead) = a.on_tick(SimTime::from_secs(tick));
             assert_eq!(retry.len(), 1, "tick at {tick} s should retransmit");
             assert!(dead.is_empty());
             assert_eq!(a.next_deadline(), Some(SimTime::from_secs(next)));
         }
-        let (retry, dead) = a.on_tick(SimTime::from_secs(12));
+        let (retry, dead) = a.on_tick(SimTime::from_secs(195));
         assert!(retry.is_empty());
         assert_eq!(dead.len(), 1);
     }
 
     #[test]
     fn huge_attempt_counts_do_not_overflow_the_backoff() {
-        let mut a = ActuationService::new(ActuationConfig {
-            ack_timeout: SimDuration::from_secs(1),
-            max_retries: 200,
-            backoff_cap: SimDuration::from_secs(3),
-        });
+        let mut a = svc();
         a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
+        set_retries(&mut a, 200);
         let mut now = SimTime::ZERO;
         for _ in 0..150 {
             now = a.next_deadline().expect("still pending");
@@ -377,17 +361,17 @@ mod tests {
         }
         // Attempt 150 would shift 1 << 150 without the checked math;
         // the wait just sits at the cap instead.
-        assert_eq!(a.next_deadline(), Some(now.saturating_add(SimDuration::from_secs(3))));
+        assert_eq!(a.next_deadline(), Some(now.saturating_add(BACKOFF_CAP)));
     }
 
     #[test]
     fn ack_after_retransmission_still_counts() {
         let mut a = svc();
         let r = a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
-        let _ = a.on_tick(SimTime::from_secs(1)); // one retry goes out
-        let out = a.on_ack(r.request_id, AckStatus::Deferred, SimTime::from_millis(1500));
+        let _ = a.on_tick(SimTime::from_secs(5)); // one retry goes out
+        let out = a.on_ack(r.request_id, AckStatus::Deferred, SimTime::from_millis(7500));
         assert_eq!(out, Some(RequestOutcome::Acknowledged(AckStatus::Deferred)));
-        let (retry, dead) = a.on_tick(SimTime::from_secs(10));
+        let (retry, dead) = a.on_tick(SimTime::from_secs(50));
         assert!(retry.is_empty() && dead.is_empty());
     }
 
@@ -397,18 +381,15 @@ mod tests {
         assert_eq!(a.next_deadline(), None);
         a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
         a.submit(target(), SensorCommand::Ping, 0, SimTime::from_millis(500));
-        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(1)));
+        assert_eq!(a.next_deadline(), Some(SimTime::from_secs(5)));
     }
 
     #[test]
     fn fire_and_forget_mode() {
-        let mut a = ActuationService::new(ActuationConfig {
-            ack_timeout: SimDuration::from_secs(1),
-            max_retries: 0,
-            ..ActuationConfig::default()
-        });
+        let mut a = svc();
         a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
-        let (retry, dead) = a.on_tick(SimTime::from_secs(1));
+        set_retries(&mut a, 0);
+        let (retry, dead) = a.on_tick(SimTime::from_secs(5));
         assert!(retry.is_empty());
         assert_eq!(dead.len(), 1);
     }
@@ -419,7 +400,7 @@ mod tests {
         for _ in 0..10 {
             a.submit(target(), SensorCommand::Ping, 0, SimTime::ZERO);
         }
-        let (retry, _) = a.on_tick(SimTime::from_secs(1));
+        let (retry, _) = a.on_tick(SimTime::from_secs(5));
         let ids: Vec<u32> = retry.iter().map(|r| r.request_id.as_u32()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();

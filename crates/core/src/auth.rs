@@ -105,7 +105,7 @@ impl CapabilitySet {
     }
 
     /// True if `cap` is in the set.
-    pub fn allows(self, cap: Capability) -> bool {
+    pub(crate) fn allows(self, cap: Capability) -> bool {
         self.0 & cap.bit() != 0
     }
 
@@ -147,12 +147,12 @@ pub struct Token {
 
 impl Token {
     /// The principal this token authenticates.
-    pub fn principal(&self) -> &Principal {
+    pub(crate) fn principal(&self) -> &Principal {
         &self.principal
     }
 
     /// The granted capabilities.
-    pub fn capabilities(&self) -> CapabilitySet {
+    pub(crate) fn capabilities(&self) -> CapabilitySet {
         self.caps
     }
 }
@@ -162,7 +162,7 @@ impl Token {
 /// # Example
 ///
 /// ```
-/// use garnet_net::{AuthService, Capability, CapabilitySet, Principal};
+/// use garnet_core::{AuthService, Capability, CapabilitySet, Principal};
 ///
 /// let auth = AuthService::new([3u8; 16]);
 /// let token = auth.issue(

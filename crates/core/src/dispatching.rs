@@ -6,7 +6,8 @@
 //! receives what; a message matching no subscription is *unclaimed* and
 //! is handed to the Orphanage by the middleware facade.
 //!
-//! The service wraps the fixed network's [`SubscriptionTable`] with
+//! The service wraps its publish/subscribe [`SubscriptionTable`]
+//! (the `pubsub` submodule, with the match cache) with
 //! subscriber-id allocation and dispatch accounting (fan-out and
 //! unclaimed-rate are the E5 metrics), and catalogues every stream it
 //! routes in its [`StreamRegistry`]. Each stream has one row there,
@@ -19,14 +20,16 @@
 //! key-range stamps (`perfbench`'s `churn-fanout` prices the
 //! difference).
 
+pub(crate) mod pubsub;
+
 use std::sync::Arc;
 
-use garnet_net::{DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId};
-use garnet_net::{SubscriptionTable, TopicFilter};
 use garnet_simkit::Histogram;
 use garnet_wire::StreamId;
 
 use crate::stream::{RowId, StreamInfo, StreamRegistry};
+use pubsub::{DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId};
+use pubsub::{SubscriptionTable, TopicFilter};
 
 /// The result of routing one message.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,7 +51,7 @@ pub struct DispatchOutcome {
 ///
 /// ```
 /// use garnet_core::dispatching::DispatchingService;
-/// use garnet_net::TopicFilter;
+/// use garnet_core::TopicFilter;
 /// use garnet_wire::StreamId;
 ///
 /// let mut dispatch = DispatchingService::new();

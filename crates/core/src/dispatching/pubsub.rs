@@ -24,7 +24,8 @@
 //! per entry also reads the stream's key-range stamps (two lookups).
 //! `perfbench`'s `churn-fanout` workload prices it
 //! (`net.pubsub.cache_hit_share`, `cache_invalidations`,
-//! `write_ns_per_op`).
+//! `write_ns_per_op`; the metrics keep the `net.` prefix of this
+//! module's old crate until the benchmark is next revised).
 //!
 //! Maps keyed by a stream or sensor id keep std's keyed hasher: those
 //! ids arrive in radio frames, which a hostile transmitter can forge to
@@ -47,13 +48,13 @@ pub struct SubscriberId(u32);
 /// ids are handed out sequentially at registration and no frame can
 /// choose one, so these maps need no per-process key. The key type is
 /// fixed here so the alias cannot carry a radio-supplied key.
-pub type IdMap<V> = HashMap<SubscriberId, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdMap<V> = HashMap<SubscriberId, V, BuildHasherDefault<IdHasher>>;
 
 /// The unkeyed hasher behind [`IdMap`]: one multiply by the 64-bit
 /// golden ratio per word, which spreads sequential ids over both the
 /// bucket bits (low) and the tag bits (high) of the table.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
 
 impl IdHasher {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -82,7 +83,7 @@ impl SubscriberId {
     }
 
     /// The raw value.
-    pub const fn as_u32(self) -> u32 {
+    pub(crate) const fn as_u32(self) -> u32 {
         self.0
     }
 }
@@ -112,7 +113,7 @@ pub enum TopicFilter {
 
 impl TopicFilter {
     /// True if the filter matches `stream`.
-    pub fn matches(&self, stream: StreamId) -> bool {
+    pub(crate) fn matches(&self, stream: StreamId) -> bool {
         match *self {
             TopicFilter::Stream(s) => s == stream,
             TopicFilter::Sensor(id) => stream.sensor() == id,
@@ -153,7 +154,7 @@ fn sorted_remove(set: &mut Vec<SubscriberId>, id: SubscriberId) -> bool {
 /// # Example
 ///
 /// ```
-/// use garnet_net::{SubscriberId, SubscriptionTable, TopicFilter};
+/// use garnet_core::{SubscriberId, SubscriptionTable, TopicFilter};
 /// use garnet_wire::{SensorId, StreamId};
 ///
 /// let mut table = SubscriptionTable::new();
@@ -241,7 +242,7 @@ impl SubscriptionTable {
     }
 
     /// Removes one subscription. Returns `true` if it existed.
-    pub fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
+    pub(crate) fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
         let removed = match filter {
             TopicFilter::Stream(s) => {
                 let raw = s.to_raw();
@@ -288,7 +289,7 @@ impl SubscriptionTable {
 
     /// Removes every subscription held by `subscriber` (consumer
     /// departure). Returns how many were removed.
-    pub fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> usize {
+    pub(crate) fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> usize {
         let Some(filters) = self.filters.remove(&subscriber) else {
             return 0;
         };
@@ -383,7 +384,7 @@ impl SubscriptionTable {
 
     /// True if no subscription matches `stream` — the message is
     /// *unclaimed* and belongs to the Orphanage.
-    pub fn is_unclaimed(&self, stream: StreamId) -> bool {
+    pub(crate) fn is_unclaimed(&self, stream: StreamId) -> bool {
         if !self.all.is_empty() {
             return false;
         }
@@ -394,7 +395,7 @@ impl SubscriptionTable {
     }
 
     /// Number of distinct subscribers with at least one subscription.
-    pub fn subscriber_count(&self) -> usize {
+    pub(crate) fn subscriber_count(&self) -> usize {
         self.filters.len()
     }
 

@@ -8,9 +8,9 @@
 //! they go with the next one (CHANGELOG, "To delete with the next
 //! `benchmark` PR").
 
-use garnet_net::{SubscriberId, TopicFilter};
 use garnet_simkit::{Histogram, SimTime};
 
+use crate::dispatching::pubsub::{DispatchCacheConfig, MatchCacheStats, SubscriberId, TopicFilter};
 use crate::filtering::{FilterConfig, FilteringService};
 use crate::router::{
     ControlGraph, OverloadConfig, Router, Services, ShardedDispatch, ShardedIngest,
@@ -100,7 +100,7 @@ pub struct DispatchStats {
     pub(crate) unclaimed: u64,
     pub(crate) fanout: Histogram,
     pub(crate) subscribers: usize,
-    pub(crate) match_cache: garnet_net::MatchCacheStats,
+    pub(crate) match_cache: MatchCacheStats,
 }
 
 impl DispatchStats {
@@ -130,7 +130,7 @@ impl DispatchStats {
     }
 
     /// Match-cache counters.
-    pub fn match_cache(&self) -> garnet_net::MatchCacheStats {
+    pub fn match_cache(&self) -> MatchCacheStats {
         self.match_cache
     }
 }
@@ -261,7 +261,7 @@ impl ThreadedDriver {
         control: ControlGraph,
         _overload: Option<OverloadConfig>,
         _batch: bool,
-        cache: garnet_net::DispatchCacheConfig,
+        cache: DispatchCacheConfig,
     ) -> FifoDriver {
         let services = Services {
             ingest: ShardedIngest::new(config, 1),

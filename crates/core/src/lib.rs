@@ -11,7 +11,11 @@
 //! the [`replicator`] using positions inferred by the [`location`]
 //! service. The [`coordinator`] (Super Coordinator) watches consumer
 //! state changes and can *anticipate* needs, invoking resource-manager
-//! policy ahead of demand.
+//! policy ahead of demand. The fixed-network mechanisms of §3 live here
+//! too, beside the services that use them: the publish/subscribe table
+//! and its match cache inside [`dispatching`] ([`SubscriptionTable`],
+//! [`MatchCache`]), and the facade's service registry
+//! ([`ServiceRegistry`]) and capability tokens ([`AuthService`]).
 //!
 //! All services are sans-io state machines with typed methods of their
 //! own; the [`router::Router`] calls the two data-plane stages directly
@@ -38,7 +42,7 @@
 //! use garnet_core::middleware::{Garnet, GarnetConfig};
 //! use garnet_core::consumer::{Consumer, ConsumerCtx};
 //! use garnet_core::filtering::Delivery;
-//! use garnet_net::TopicFilter;
+//! use garnet_core::TopicFilter;
 //! use garnet_wire::SensorId;
 //!
 //! struct Printer(u64);
@@ -55,6 +59,7 @@
 
 pub mod actuation;
 pub mod archive;
+pub(crate) mod auth;
 pub mod constraints;
 pub mod consumer;
 pub mod coordinator;
@@ -65,6 +70,7 @@ pub mod location;
 pub mod middleware;
 pub mod orphanage;
 pub(crate) mod qos;
+pub(crate) mod registry;
 pub mod replicator;
 pub mod resource;
 pub mod router;
@@ -74,8 +80,14 @@ pub mod telemetry;
 mod trace;
 
 pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, StoreSlot};
+pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
+pub use dispatching::pubsub::{
+    DispatchCacheConfig, MatchCache, MatchCacheStats, MatchSlot, SubscriberId, SubscriptionTable,
+    TopicFilter,
+};
 pub use driver::DriverKind;
 pub use qos::{
     DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode, QosScheduler, Release,
 };
+pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 pub use service::{ServiceEvent, ServiceOutput};

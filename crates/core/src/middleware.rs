@@ -37,11 +37,6 @@
 use std::collections::HashMap;
 
 use core::fmt;
-use garnet_net::{
-    AuthService, Capability, CapabilitySet, DispatchCacheConfig, IdMap, Principal,
-    ServiceDescriptor, ServiceKind, ServiceRegistry, ShardFailure, SubscriberId, Token,
-    TopicFilter,
-};
 use garnet_simkit::geometry::Point;
 use garnet_simkit::trace::{TraceOutcome, TraceSnapshot};
 use garnet_simkit::{stage_key, Receiver, ReceiverId, SimTime, Transmitter};
@@ -51,10 +46,12 @@ use garnet_wire::{
     SequenceNumber, StreamId, StreamUpdateRequest,
 };
 
-use crate::actuation::{ActuationConfig, ActuationService};
+use crate::actuation::ActuationService;
 use crate::archive::{ArchiveConfig, ArchiveService};
+use crate::auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
+use crate::dispatching::pubsub::{DispatchCacheConfig, IdMap, SubscriberId, TopicFilter};
 use crate::driver::{DispatchStats, DriverKind, FilterStats};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
@@ -63,6 +60,7 @@ use crate::qos::{
     ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig,
     QosScheduler, Release,
 };
+use crate::registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 use crate::replicator::{MessageReplicator, ReplicationPlan};
 use crate::resource::{DenyReason, MediationPolicy, ResourceManager};
 use crate::router::{
@@ -105,8 +103,6 @@ pub struct GarnetConfig {
     pub orphanage: OrphanageConfig,
     /// Location Service tuning.
     pub location: LocationConfig,
-    /// Actuation Service tuning.
-    pub actuation: ActuationConfig,
     /// Resource Manager conflict policy.
     pub mediation: MediationPolicy,
     /// Super Coordinator mode.
@@ -138,7 +134,7 @@ pub struct GarnetConfig {
     /// `None` disables the tap entirely.
     pub archive: Option<ArchiveConfig>,
     /// Dispatch match-set memoisation (see
-    /// [`garnet_net::MatchCache`]). On by default; the cache changes
+    /// [`MatchCache`](crate::MatchCache)). On by default; the cache changes
     /// dispatch cost, never output order.
     pub dispatch_cache: DispatchCacheConfig,
     /// Telemetry plane: latency spans, windowed snapshot export, health
@@ -156,7 +152,6 @@ impl Default for GarnetConfig {
             dispatch_shards: 1,
             orphanage: OrphanageConfig::default(),
             location: LocationConfig::default(),
-            actuation: ActuationConfig::default(),
             mediation: MediationPolicy::MergeMax,
             coordination: CoordinationMode::Predictive { min_confidence: 0.6 },
             auth_key: *b"garnet-master-k!",
@@ -300,6 +295,22 @@ impl StepOutput {
     }
 }
 
+/// A job a shard worker lost by panicking or refusing it: the shard pool
+/// the benchmark's hand-off probe runs records the loss here instead of
+/// letting it vanish (or hang the submission-order merge on a sequence
+/// number that will never arrive). Nothing in the middleware loses one,
+/// so [`StepOutput::shard_failures`] stays empty.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardFailure {
+    /// The shard that lost the job.
+    pub shard: usize,
+    /// The submission sequence number of the lost job.
+    pub seq: u64,
+    /// The panic payload, or a synthetic reason for jobs dropped on a
+    /// shard that was already poisoned.
+    pub reason: String,
+}
+
 /// Outcome of a consumer actuation request.
 #[derive(Debug)]
 pub enum ActuationOutcome {
@@ -320,8 +331,8 @@ pub enum ActuationOutcome {
 
 /// The registry name a consumer is advertised and withdrawn under.
 /// `Consumer::name()` is a type's label, not an identity — two consumers
-/// may share it — so the subscriber id makes the key unique, and
-/// `discover_prefix("consumer/<name>/")` still finds them by name.
+/// may share it — so the subscriber id makes the key unique, and the
+/// name-ordered registry still lists them together under their name.
 fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
     format!("consumer/{name}/{id}")
 }
@@ -413,7 +424,7 @@ impl Garnet {
             orphanage: Orphanage::new(config.orphanage),
             location: LocationService::new(config.location, &config.receivers),
             resource: ResourceManager::new(config.mediation),
-            actuation: ActuationService::new(config.actuation),
+            actuation: ActuationService::new(),
             replicator: MessageReplicator::new(config.transmitters),
             coordinator: SuperCoordinator::new(config.coordination),
         };
@@ -1983,6 +1994,48 @@ mod tests {
         let out = g.on_tick(SimTime::from_secs(35));
         assert!(out.control.is_empty());
         assert_eq!(out.expired_requests.len(), 1);
+    }
+
+    #[test]
+    fn area_targeted_requests_are_granted_unchanged_and_planned_by_area() {
+        use crate::resource::Decision;
+        use garnet_simkit::TransmitterId;
+        use garnet_wire::TargetArea;
+
+        let area = ActuationTarget::Area(TargetArea::new(50.0, 50.0, 10.0));
+        let commands = [
+            SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms: 250 },
+            SensorCommand::SetReportInterval { stream: StreamIndex::new(0), interval_ms: 1_000 },
+            SensorCommand::Ping,
+        ];
+        // No sensor profile to check and no per-sensor demand to mediate
+        // with: each consumer's command passes as asked, even a second
+        // consumer's conflicting interval under the strictest policy.
+        let mut rm = ResourceManager::new(MediationPolicy::DenyConflicts);
+        for (asker, command) in (1..).zip(commands) {
+            let decision = rm.request(SubscriberId::new(asker), 0, &area, &command);
+            assert_eq!(decision, Decision::Granted { effective: command });
+        }
+
+        let mut g = Garnet::new(GarnetConfig {
+            transmitters: vec![
+                Transmitter::new(TransmitterId::new(0), Point::new(55.0, 50.0), 20.0),
+                Transmitter::new(TransmitterId::new(1), Point::new(500.0, 500.0), 20.0),
+            ],
+            ..GarnetConfig::default()
+        });
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        for command in commands {
+            match g.request_actuation(id, &token, area, command, SimTime::ZERO).unwrap() {
+                ActuationOutcome::Granted { plan, .. } => {
+                    assert_eq!((plan.request.target, plan.request.command), (area, command));
+                    assert_eq!(plan.transmitters, [TransmitterId::new(0)]);
+                    assert!(!plan.flooded, "the area, not a location estimate, picks the array");
+                }
+                other => panic!("expected grant, got {other:?}"),
+            }
+        }
     }
 
     #[test]

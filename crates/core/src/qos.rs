@@ -32,10 +32,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use garnet_net::{IdMap, SubscriberId};
 use garnet_simkit::{Histogram, SimTime};
 use garnet_wire::{peek_seq, peek_stream, SequenceNumber, StreamId};
 
+use crate::dispatching::pubsub::{IdMap, SubscriberId};
 use crate::filtering::Delivery;
 use crate::router::{OverloadConfig, OverloadPolicy};
 use crate::service::{BatchedFrame, ServiceEvent};

@@ -51,7 +51,7 @@ pub struct ServiceDescriptor {
 /// # Example
 ///
 /// ```
-/// use garnet_net::{Principal, ServiceDescriptor, ServiceKind, ServiceRegistry};
+/// use garnet_core::{Principal, ServiceDescriptor, ServiceKind, ServiceRegistry};
 ///
 /// let mut reg = ServiceRegistry::new();
 /// reg.advertise(ServiceDescriptor {
@@ -81,7 +81,7 @@ impl ServiceRegistry {
     }
 
     /// Removes a service by name, returning its descriptor.
-    pub fn withdraw(&mut self, name: &str) -> Option<ServiceDescriptor> {
+    pub(crate) fn withdraw(&mut self, name: &str) -> Option<ServiceDescriptor> {
         self.services.remove(name)
     }
 
@@ -96,7 +96,8 @@ impl ServiceRegistry {
     }
 
     /// All services whose name starts with `prefix`, in name order.
-    pub fn discover_prefix(&self, prefix: &str) -> Vec<&ServiceDescriptor> {
+    #[cfg(test)]
+    pub(crate) fn discover_prefix(&self, prefix: &str) -> Vec<&ServiceDescriptor> {
         self.services
             .range(prefix.to_owned()..)
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -105,7 +106,7 @@ impl ServiceRegistry {
     }
 
     /// Iterates all descriptors in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServiceDescriptor> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ServiceDescriptor> {
         self.services.values()
     }
 }

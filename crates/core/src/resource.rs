@@ -26,10 +26,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use core::fmt;
-use garnet_net::SubscriberId;
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
 use crate::constraints::{Constraint, ConstraintError, Env, Value};
+use crate::dispatching::pubsub::SubscriberId;
 
 /// How conflicting demands are reconciled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,7 +118,7 @@ struct Demand {
 /// ```
 /// use garnet_core::resource::{MediationPolicy, ResourceManager, SensorProfile};
 /// use garnet_core::constraints::Constraint;
-/// use garnet_net::SubscriberId;
+/// use garnet_core::SubscriberId;
 /// use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 ///
 /// let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
@@ -139,7 +139,6 @@ struct Demand {
 pub struct ResourceManager {
     policy: MediationPolicy,
     profiles: HashMap<SensorId, SensorProfile>,
-    default_constraints: Vec<Constraint>,
     /// (sensor, stream) → per-consumer interval demands (ms).
     interval_demands: HashMap<(u32, u8), BTreeMap<SubscriberId, Demand>>,
     /// sensor → per-consumer duty-cycle demands (permille).
@@ -155,7 +154,6 @@ impl ResourceManager {
         ResourceManager {
             policy,
             profiles: HashMap::new(),
-            default_constraints: Vec::new(),
             interval_demands: HashMap::new(),
             duty_demands: HashMap::new(),
             approved: 0,
@@ -169,10 +167,7 @@ impl ResourceManager {
     }
 
     fn constraints_for(&self, sensor: SensorId) -> &[Constraint] {
-        self.profiles
-            .get(&sensor)
-            .map(|p| p.constraints.as_slice())
-            .unwrap_or(&self.default_constraints)
+        self.profiles.get(&sensor).map_or(&[], |p| p.constraints.as_slice())
     }
 
     fn env_for(command: &SensorCommand, priority: u8) -> Env {
@@ -232,9 +227,10 @@ impl ResourceManager {
         }
     }
 
-    /// Adjudicates one actuation request. Area-targeted requests are
-    /// checked against default constraints only (their recipient set is
-    /// unknown until transmission).
+    /// Adjudicates one actuation request. An area-targeted request is
+    /// granted with its command unchanged: its recipient set is unknown
+    /// until transmission, so there is no sensor profile to check it
+    /// against and no per-sensor demand to mediate it with.
     pub fn request(
         &mut self,
         consumer: SubscriberId,
@@ -289,12 +285,8 @@ impl ResourceManager {
         requested: u32,
     ) -> Decision {
         let Some(sensor) = sensor else {
-            // Area targets cannot be mediated per-sensor; constraint
-            // check against defaults and pass through.
-            return match self.check_area_defaults(command, priority) {
-                Ok(()) => Decision::Granted { effective: *command },
-                Err(reason) => Decision::Denied { reason },
-            };
+            // Area targets cannot be mediated per-sensor: pass through.
+            return Decision::Granted { effective: *command };
         };
 
         let demands = match kind {
@@ -362,19 +354,6 @@ impl ResourceManager {
         }
 
         Decision::Granted { effective }
-    }
-
-    fn check_area_defaults(&self, command: &SensorCommand, priority: u8) -> Result<(), DenyReason> {
-        let env = Self::env_for(command, priority);
-        for c in &self.default_constraints {
-            match c.check(&env) {
-                Ok(true) => {}
-                Ok(false) => return Err(DenyReason::ConstraintViolated(c.source().to_owned())),
-                Err(ConstraintError::UnknownIdentifier(_)) => {}
-                Err(e) => return Err(DenyReason::ConstraintError(e)),
-            }
-        }
-        Ok(())
     }
 
     /// Withdraws every demand held by a departing consumer. Returns the

@@ -26,8 +26,9 @@ use garnet_simkit::trace::{
 use garnet_simkit::{ReceiverId, SimTime};
 use garnet_wire::FrameBytes;
 
-use crate::actuation::{ActuationConfig, ActuationService};
+use crate::actuation::ActuationService;
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
+use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
 use crate::dispatching::DispatchingService;
 use crate::driver::{DispatchStats, FilterStats};
 use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService};
@@ -134,7 +135,7 @@ impl ShardedDispatch {
     /// configuration ([`ShardedDispatch::default`] uses the default one).
     ///
     /// * `_shards` — accepted for the benchmark's call site; has no effect.
-    pub fn with_cache(_shards: usize, cache: garnet_net::DispatchCacheConfig) -> Self {
+    pub fn with_cache(_shards: usize, cache: DispatchCacheConfig) -> Self {
         ShardedDispatch { dispatcher: DispatchingService::with_cache(cache), ..Self::default() }
     }
 
@@ -149,31 +150,23 @@ impl ShardedDispatch {
     }
 
     /// Allocates a fresh subscriber identity.
-    pub fn register_subscriber(&mut self) -> garnet_net::SubscriberId {
+    pub fn register_subscriber(&mut self) -> SubscriberId {
         self.dispatcher.register_subscriber()
     }
 
     /// Adds a subscription. Returns true if new.
-    pub fn subscribe(
-        &mut self,
-        subscriber: garnet_net::SubscriberId,
-        filter: garnet_net::TopicFilter,
-    ) -> bool {
+    pub fn subscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
         self.dispatcher.subscribe(subscriber, filter)
     }
 
     /// Removes one subscription.
-    pub fn unsubscribe(
-        &mut self,
-        subscriber: garnet_net::SubscriberId,
-        filter: garnet_net::TopicFilter,
-    ) -> bool {
+    pub fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
         self.dispatcher.unsubscribe(subscriber, filter)
     }
 
     /// Removes every subscription of a departing consumer, returning
     /// how many it held.
-    pub(crate) fn unsubscribe_all(&mut self, subscriber: garnet_net::SubscriberId) -> usize {
+    pub(crate) fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> usize {
         self.dispatcher.unsubscribe_all(subscriber)
     }
 
@@ -229,11 +222,7 @@ impl ShardedDispatch {
 /// matched goes to the Orphanage, anything else is one
 /// [`ServiceOutput::Deliver`] carrying the whole match set — no
 /// per-recipient output and no `Delivery` clone, whatever the fan-out.
-fn routed_output(
-    recipients: Arc<[garnet_net::SubscriberId]>,
-    delivery: Delivery,
-    depth: u32,
-) -> ServiceOutput {
+fn routed_output(recipients: Arc<[SubscriberId]>, delivery: Delivery, depth: u32) -> ServiceOutput {
     if recipients.is_empty() {
         ServiceOutput::Emit(ServiceEvent::Orphaned(delivery))
     } else {
@@ -273,7 +262,7 @@ impl Default for ControlGraph {
             orphanage: Orphanage::new(OrphanageConfig::default()),
             location: LocationService::new(LocationConfig::default(), &[]),
             resource: ResourceManager::new(MediationPolicy::MergeMax),
-            actuation: ActuationService::new(ActuationConfig::default()),
+            actuation: ActuationService::new(),
             replicator: MessageReplicator::new(Vec::new()),
             coordinator: SuperCoordinator::new(CoordinationMode::Predictive {
                 min_confidence: 0.6,
@@ -657,7 +646,6 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_net::SubscriberId;
     use garnet_wire::{
         AckStatus, ActuationTarget, DataMessage, SensorCommand, SensorId, SequenceNumber, StreamId,
         StreamIndex,
@@ -759,8 +747,8 @@ mod tests {
         let mut router = router();
         let d = &mut router.services_mut().dispatch;
         let (a, b) = (d.register_subscriber(), d.register_subscriber());
-        d.subscribe(a, garnet_net::TopicFilter::Stream(stream_of(1)));
-        d.subscribe(b, garnet_net::TopicFilter::Stream(stream_of(2)));
+        d.subscribe(a, TopicFilter::Stream(stream_of(1)));
+        d.subscribe(b, TopicFilter::Stream(stream_of(2)));
         ingest_one(&mut router, 1, 0, SimTime::ZERO);
         ingest_one(&mut router, 2, 0, SimTime::ZERO);
         let row1 = remembered(&mut router, 1, 1).expect("the first route remembered the row");
@@ -794,7 +782,7 @@ mod tests {
         let mut router = router();
         let d = &mut router.services_mut().dispatch;
         let a = d.register_subscriber();
-        d.subscribe(a, garnet_net::TopicFilter::All);
+        d.subscribe(a, TopicFilter::All);
         let msg = DataMessage::builder(stream_of(9)).build().unwrap();
         let delivery =
             Delivery { msg, first_received_at: SimTime::ZERO, delivered_at: SimTime::ZERO };
@@ -906,7 +894,6 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::stream::StreamInfo;
-    use garnet_net::{SubscriberId, TopicFilter};
     use garnet_simkit::SimDuration;
     use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
     use proptest::prelude::*;

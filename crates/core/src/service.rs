@@ -17,13 +17,13 @@
 
 use std::sync::Arc;
 
-use garnet_net::SubscriberId;
 use garnet_simkit::{geometry::Point, ReceiverId};
 use garnet_wire::{
     AckStatus, ActuationTarget, FrameBytes, RequestId, SensorCommand, SensorId, StreamUpdateRequest,
 };
 
 use crate::coordinator::ConsumerStateId;
+use crate::dispatching::pubsub::SubscriberId;
 use crate::filtering::{Delivery, Observation};
 use crate::replicator::ReplicationPlan;
 use crate::resource::DenyReason;

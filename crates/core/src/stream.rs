@@ -17,9 +17,10 @@
 use std::collections::HashMap;
 use std::num::NonZeroU32;
 
-use garnet_net::MatchSlot;
 use garnet_simkit::SimTime;
 use garnet_wire::StreamId;
+
+use crate::dispatching::pubsub::MatchSlot;
 
 /// Discovery metadata for one stream.
 #[derive(Clone, Debug, PartialEq)]

@@ -9,26 +9,7 @@
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 
 use core::fmt;
-
-/// A shard worker died or refused a job: the loss is recorded here
-/// instead of silently vanishing (or hanging the submission-order
-/// merge on a sequence number that will never arrive).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The shard that lost the job.
-    pub shard: usize,
-    /// The submission sequence number of the lost job.
-    pub seq: u64,
-    /// The panic payload, or a synthetic reason for jobs dropped on a
-    /// shard that was already poisoned.
-    pub reason: String,
-}
-
-impl fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "shard {} lost job #{}: {}", self.shard, self.seq, self.reason)
-    }
-}
+use garnet_core::middleware::ShardFailure;
 
 fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -47,6 +47,10 @@
 //! assert_eq!(hits.len(), 2); // both receivers hear it: duplication
 //! ```
 
+// Every experiment's frames come from this field: outside its tests,
+// nothing here may panic by unwrap, expect or panic!.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub(crate) mod energy;
 pub mod field;
 pub(crate) mod medium;

@@ -268,6 +268,11 @@ impl SensorNode {
             if let Some(ack) = self.pending_acks.pop_front() {
                 builder = builder.ack(ack);
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a reading is 16 or 32 bytes (8 more sealed), far under MAX_PAYLOAD_LEN, \
+                          and the ack flag is set only with its ack"
+            )]
             let msg = builder.build().expect("payload within limits by construction");
             let frame = Bytes::from(msg.encode_to_vec());
             self.meter.debit_tx(&self.energy_model, frame.len());

@@ -124,7 +124,7 @@ impl HabitatScenario {
 mod tests {
     use super::*;
     use crate::pipeline::SharedCountConsumer;
-    use garnet_net::TopicFilter;
+    use garnet_core::TopicFilter;
     use garnet_simkit::SimTime;
     use std::sync::atomic::Ordering;
 

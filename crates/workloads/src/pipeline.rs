@@ -380,7 +380,7 @@ impl Consumer for SharedCountConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_net::TopicFilter;
+    use garnet_core::TopicFilter;
     use garnet_radio::field::Uniform;
     use garnet_radio::geometry::Point;
     use garnet_radio::{Propagation, SensorCaps, StreamConfig};
@@ -557,7 +557,7 @@ mod tests {
         let (probe, hist) = LatencyProbe::new("probe");
         let id = sim.garnet_mut().register_consumer(Box::new(probe), &token, 0).unwrap();
         sim.garnet_mut()
-            .subscribe(id, garnet_net::TopicFilter::Sensor(SensorId::new(1).unwrap()), &token)
+            .subscribe(id, garnet_core::TopicFilter::Sensor(SensorId::new(1).unwrap()), &token)
             .unwrap();
         sim.run_until(SimTime::from_secs(10));
         drop(hist);

@@ -96,7 +96,7 @@ mod tests {
     use crate::pipeline::SharedCountConsumer;
     use garnet_baselines::querydb::Aggregate;
     use garnet_core::middleware::{Garnet, GarnetConfig};
-    use garnet_net::TopicFilter;
+    use garnet_core::TopicFilter;
     use garnet_radio::ReceiverId;
     use garnet_simkit::{SimDuration, SimTime};
     use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId};

@@ -257,7 +257,7 @@ impl ReconScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_net::TopicFilter;
+    use garnet_core::TopicFilter;
     use garnet_radio::ScalarField;
 
     #[test]

@@ -261,7 +261,7 @@ impl WatercourseScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use garnet_net::TopicFilter;
+    use garnet_core::TopicFilter;
     use garnet_radio::ScalarField;
 
     #[test]

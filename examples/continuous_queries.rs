@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 
 use garnet::baselines::querydb::{Aggregate, Query};
 use garnet::core::middleware::{ActuationOutcome, GarnetConfig, QuiesceConfig};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::field::Diurnal;
 use garnet::radio::geometry::Point;
 use garnet::radio::{

@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::Reading;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{StreamId, StreamIndex};
@@ -112,7 +112,7 @@ fn main() {
     println!("  streams catalogued            {}", g.streams().len());
     println!(
         "  registry knows                {} consumers",
-        g.registry().discover_kind(garnet::net::ServiceKind::Consumer).len()
+        g.registry().discover_kind(garnet::core::ServiceKind::Consumer).len()
     );
     assert!(late_count.load(Ordering::Relaxed) as usize >= replayed);
 }

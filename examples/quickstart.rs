@@ -12,7 +12,7 @@
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::GarnetConfig;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::field::Uniform;
 use garnet::radio::geometry::Point;
 use garnet::radio::{

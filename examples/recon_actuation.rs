@@ -15,7 +15,7 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::ActuationOutcome;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::simkit::SimTime;
 use garnet::wire::{ActuationTarget, SensorCommand, StreamId, StreamIndex};
 use garnet::workloads::pipeline::SharedCountConsumer;

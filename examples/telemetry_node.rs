@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::telemetry::TelemetryConfig;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};

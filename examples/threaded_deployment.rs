@@ -18,7 +18,7 @@ use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::geometry::Point;
 use garnet::radio::{ReceiverId, Transmitter, TransmitterId};
 use garnet::simkit::SimTime;

@@ -15,7 +15,7 @@
 
 use garnet::core::coordinator::{CoordinationMode, PolicyAction};
 use garnet::core::middleware::GarnetConfig;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::{Medium, Propagation};
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{ActuationTarget, SensorCommand, StreamIndex, TargetArea};

@@ -14,17 +14,19 @@
 //! | [`simkit`] | `garnet-simkit` | deterministic discrete-event kernel; the antenna plan (geometry, receivers, transmitters, propagation) |
 //! | [`wire`] | `garnet-wire` | Fig. 2 message format, control messages, CRC, crypto |
 //! | [`radio`] | `garnet-radio` | simulated wireless field: medium, sensors, mobility, energy |
-//! | [`net`] | `garnet-net` | fixed-network substrate: registry, auth, pub/sub, shard pool |
 //! | [`store`] | `garnet-store` | durable frame archive: segmented CRC-checked log, crash recovery, fault injection |
-//! | [`core`] | `garnet-core` | **the middleware**: filtering, dispatching, orphanage, location, resource manager, actuation, replication, coordination |
+//! | [`core`] | `garnet-core` | **the middleware**: filtering, dispatching (with the pub/sub table), orphanage, location, resource manager, actuation, replication, coordination; registry and auth |
 //! | [`baselines`] | `garnet-baselines` | §7 comparators: RETRI, Fjords, CORIE |
 //! | [`workloads`] | `garnet-workloads` | the `PipelineSim` closed loop (radio field + middleware); habitat / water-course / recon scenarios |
+//!
+//! `garnet-net` is not re-exported: it only keeps four `garnet-core`
+//! names at their old paths for the benchmark package.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use garnet::workloads::pipeline::SharedCountConsumer;
-//! use garnet::net::TopicFilter;
+//! use garnet::core::TopicFilter;
 //! use garnet::simkit::SimTime;
 //! use garnet::workloads::HabitatScenario;
 //! use std::sync::atomic::Ordering;
@@ -52,7 +54,6 @@
 
 pub use garnet_baselines as baselines;
 pub use garnet_core as core;
-pub use garnet_net as net;
 pub use garnet_radio as radio;
 pub use garnet_simkit as simkit;
 pub use garnet_store as store;

@@ -19,7 +19,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::net::{
+use garnet::core::{
     DispatchCacheConfig, MatchCache, MatchSlot, SubscriberId, SubscriptionTable, TopicFilter,
 };
 use garnet::radio::ReceiverId;

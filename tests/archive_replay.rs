@@ -19,8 +19,8 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig, GarnetError};
+use garnet::core::TopicFilter;
 use garnet::core::{store_slot, ArchiveBackend, ArchiveConfig, StoreSlot};
-use garnet::net::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::TraceOutcome;
 use garnet::simkit::SimTime;

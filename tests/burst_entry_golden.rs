@@ -21,7 +21,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{

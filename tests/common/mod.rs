@@ -4,7 +4,7 @@
 
 use garnet::core::router::{ControlGraph, Router, Services, ShardedDispatch, ShardedIngest};
 use garnet::core::service::{BatchedFrame, ServiceEvent, ServiceOutput};
-use garnet::net::{DispatchCacheConfig, SubscriberId, TopicFilter};
+use garnet::core::{DispatchCacheConfig, SubscriberId, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::TraceConfig;
 use garnet::simkit::SimTime;

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::field::GaussianPlume;
 use garnet::radio::geometry::{Point, Rect};
 use garnet::radio::{
@@ -124,7 +124,7 @@ fn match_cache_toggle_does_not_change_the_world() {
     let f = run_config(
         1234,
         GarnetConfig {
-            dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
+            dispatch_cache: garnet::core::DispatchCacheConfig::disabled(),
             ..GarnetConfig::default()
         },
     );
@@ -267,9 +267,9 @@ proptest! {
             return; // masks dropped everything; nothing to compare
         }
         let dispatch_cache = if cache_on {
-            garnet::net::DispatchCacheConfig::default()
+            garnet::core::DispatchCacheConfig::default()
         } else {
-            garnet::net::DispatchCacheConfig::disabled()
+            garnet::core::DispatchCacheConfig::disabled()
         };
         let cfg = || GarnetConfig { dispatch_cache, ..GarnetConfig::default() };
         let batched = facade_replay(&frames, &chunks, cfg());
@@ -278,7 +278,7 @@ proptest! {
         // The cache is invisible to deliveries and counters: toggling it
         // off reproduces the same log and books.
         let uncached = facade_replay(&frames, &chunks, GarnetConfig {
-            dispatch_cache: garnet::net::DispatchCacheConfig::disabled(),
+            dispatch_cache: garnet::core::DispatchCacheConfig::disabled(),
             ..cfg()
         });
         prop_assert_eq!(&batched, &uncached, "cache toggle changed the run");

@@ -4,7 +4,7 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::{ActuationOutcome, GarnetConfig, StepOutput};
-use garnet::net::{Capability, CapabilitySet, Principal, TopicFilter};
+use garnet::core::{Capability, CapabilitySet, Principal, TopicFilter};
 use garnet::radio::field::Uniform;
 use garnet::radio::geometry::Point;
 use garnet::radio::{

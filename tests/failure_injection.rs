@@ -9,7 +9,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{ActuationOutcome, Garnet, GarnetConfig, StepOutput};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::net::{Capability, CapabilitySet, Principal, TopicFilter};
+use garnet::core::{Capability, CapabilitySet, Principal, TopicFilter};
 use garnet::radio::field::Uniform;
 use garnet::radio::geometry::Point;
 use garnet::radio::{

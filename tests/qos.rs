@@ -17,7 +17,7 @@ use garnet::core::router::{
 };
 use garnet::core::service::BatchedFrame;
 use garnet::core::{PriorityClass, ServiceOutput};
-use garnet::net::{SubscriberId, TopicFilter};
+use garnet::core::{SubscriberId, TopicFilter};
 use garnet::radio::geometry::Point;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;

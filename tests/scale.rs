@@ -5,7 +5,7 @@
 use std::sync::atomic::Ordering;
 
 use garnet::core::middleware::GarnetConfig;
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::field::Gradient;
 use garnet::radio::geometry::Point;
 use garnet::radio::{Medium, Propagation, Receiver, SensorNode, StreamConfig, Transmitter};

@@ -6,7 +6,7 @@
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
 use garnet::core::telemetry::{HealthState, TelemetryConfig};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};

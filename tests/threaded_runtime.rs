@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use garnet::core::middleware::{Garnet, GarnetConfig};
-use garnet::net::TopicFilter;
+use garnet::core::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::SimTime;
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};

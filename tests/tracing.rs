@@ -17,7 +17,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::{Delivery, FilterConfig};
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy, ShardedIngest};
-use garnet::net::{DispatchCacheConfig, TopicFilter};
+use garnet::core::{DispatchCacheConfig, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::trace::{TraceEventKind, TraceOutcome, TraceSnapshot};
 use garnet::simkit::SimTime;
