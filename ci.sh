@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every intra-doc link resolves to a public item: a link to something
+# private, renamed or deleted fails here instead of rendering as text.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Library defaults are constants: no code path may be selected by the
 # environment (perfbench's own refusal to run under a GARNET_TEST_*
 # variable lives in perfbench/ and is not covered here).
@@ -32,11 +37,13 @@ fi
 # replicator's second planning entry, the ingest stage's per-burst
 # batch call with the router's arrivals scratch, the match cache's
 # own per-stream map (its slots live in the dispatcher's stream rows),
-# the keyed map of whole rows (rows are a Vec behind a RowId index) and
-# the closed-loop harness's old home in garnet-core must not come back
+# the keyed map of whole rows (rows are a Vec behind a RowId index),
+# the closed-loop harness's old home in garnet-core and the pub/sub
+# table's per-key write stamps (a write marks the rows it changes) must
+# not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi

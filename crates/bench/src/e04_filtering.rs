@@ -36,7 +36,9 @@ pub struct FilteringPoint {
 /// Runs one `(overlap, loss)` point over `n` messages.
 pub(crate) fn run_point(overlap: u32, loss: f64, n_msgs: u16, seed: u64) -> FilteringPoint {
     let mut gen = TrafficGen::new(seed);
-    let frames = gen.burst(1, n_msgs, 16, SimDuration::from_millis(5), overlap, 0.05);
+    let frames = gen
+        .burst(1, n_msgs, 16, SimDuration::from_millis(5), overlap, 0.05)
+        .expect("sensor 1 and a 16-byte payload are in range");
     let mut rng = SimRng::seed(seed ^ 0x10C0);
     let mut filter = FilteringService::new(FilterConfig::default());
     let mut copies_arrived = 0u64;
@@ -83,7 +85,9 @@ pub struct TimeoutAblationPoint {
 /// spurious gaps, lower latency); long ones wait for stragglers.
 pub(crate) fn run_timeout_ablation(timeout_ms: u64, seed: u64) -> TimeoutAblationPoint {
     let mut gen = TrafficGen::new(seed);
-    let mut frames = gen.burst(1, 2_000, 16, SimDuration::from_millis(5), 2, 0.4);
+    let mut frames = gen
+        .burst(1, 2_000, 16, SimDuration::from_millis(5), 2, 0.4)
+        .expect("sensor 1 and a 16-byte payload are in range");
     let _ = gen.corrupt(&mut frames, 0.0);
     let mut rng = SimRng::seed(seed ^ 0xAB1A);
     let mut filter = FilteringService::new(FilterConfig {

@@ -2,7 +2,7 @@
 //! raw frames, maintenance ticks, standalone acknowledgements — is
 //! encoded as a `garnet-store` [`ArchiveRecord`] and appended to an
 //! append-only segmented log, so a crash-recovered node can rebuild its
-//! dispatch state by replaying the log into a fresh [`crate::Garnet`]
+//! dispatch state by replaying the log into a fresh [`crate::middleware::Garnet`]
 //! (see `Garnet::replay_archive`).
 //!
 //! The tap sits at the facade boundary, *before* admission, so a

@@ -1,14 +1,14 @@
 //! The two stage-counter snapshots, and the benchmark's shim over the
 //! [`Router`].
 //!
-//! There is one engine: the FIFO [`Router`], which [`crate::Garnet`] owns
+//! There is one engine: the FIFO [`Router`], which [`crate::middleware::Garnet`] owns
 //! and pumps on the caller's thread, filtering included. [`DriverKind`],
 //! [`RouterDriver`], [`FifoDriver`] and [`ThreadedDriver`] exist for
 //! `perfbench/` alone, which may not be edited outside a `benchmark` PR;
 //! they go with the next one (CHANGELOG, "To delete with the next
 //! `benchmark` PR").
 
-use garnet_simkit::{Histogram, SimTime};
+use garnet_simkit::SimTime;
 
 use crate::dispatching::pubsub::{DispatchCacheConfig, MatchCacheStats, SubscriberId, TopicFilter};
 use crate::filtering::{FilterConfig, FilteringService};
@@ -29,7 +29,7 @@ pub enum DriverKind {
 }
 
 /// Ingest-stage counters, snapshotted by value
-/// ([`ShardedIngest::stats`]).
+/// (`ShardedIngest::stats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FilterStats {
     pub(crate) delivered: u64,
@@ -98,7 +98,6 @@ pub struct DispatchStats {
     pub(crate) dispatched: u64,
     pub(crate) deliveries: u64,
     pub(crate) unclaimed: u64,
-    pub(crate) fanout: Histogram,
     pub(crate) subscribers: usize,
     pub(crate) match_cache: MatchCacheStats,
 }
@@ -119,11 +118,6 @@ impl DispatchStats {
         self.unclaimed
     }
 
-    /// Distribution of per-message fan-out.
-    pub fn fanout(&self) -> &Histogram {
-        &self.fanout
-    }
-
     /// Distinct subscribers with live subscriptions.
     pub fn subscriber_count(&self) -> usize {
         self.subscribers
@@ -137,7 +131,7 @@ impl DispatchStats {
 
 /// The ten [`Router`] calls the benchmark's bare-engine replay makes,
 /// as a trait it can box. Nothing in this repository goes through it:
-/// [`crate::Garnet`] owns its `Router` and calls it directly.
+/// [`crate::middleware::Garnet`] owns its `Router` and calls it directly.
 pub trait RouterDriver: std::fmt::Debug {
     /// Queues one boundary event — the control path: never shed.
     fn push_event(&mut self, ev: ServiceEvent, now: SimTime);

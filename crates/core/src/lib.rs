@@ -14,7 +14,7 @@
 //! policy ahead of demand. The fixed-network mechanisms of §3 live here
 //! too, beside the services that use them: the publish/subscribe table
 //! and its match cache inside [`dispatching`] ([`SubscriptionTable`],
-//! [`MatchCache`]), and the facade's service registry
+//! [`dispatching::DispatchingService`]), and the facade's service registry
 //! ([`ServiceRegistry`]) and capability tokens ([`AuthService`]).
 //!
 //! All services are sans-io state machines with typed methods of their
@@ -82,8 +82,7 @@ mod trace;
 pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, StoreSlot};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 pub use dispatching::pubsub::{
-    DispatchCacheConfig, MatchCache, MatchCacheStats, MatchSlot, SubscriberId, SubscriptionTable,
-    TopicFilter,
+    DispatchCacheConfig, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,
 };
 pub use driver::DriverKind;
 pub use qos::{

@@ -32,7 +32,7 @@
 //! thread, so the same call sequence always produces the same outputs.
 //! In debug builds every entry point that feeds or reconfigures the graph
 //! checks the facade's books before it returns
-//! ([`Garnet::check_invariants`]).
+//! (`Garnet::check_invariants`).
 
 use std::collections::HashMap;
 
@@ -51,7 +51,7 @@ use crate::archive::{ArchiveConfig, ArchiveService};
 use crate::auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
-use crate::dispatching::pubsub::{DispatchCacheConfig, IdMap, SubscriberId, TopicFilter};
+use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
 use crate::driver::{DispatchStats, DriverKind, FilterStats};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
@@ -123,7 +123,7 @@ pub struct GarnetConfig {
     /// (nothing is ever dropped).
     pub overload: Option<OverloadConfig>,
     /// Tuning for the scheduler [`GarnetConfig::overload`] arms and for
-    /// per-consumer delivery scheduling (see [`crate::qos`]).
+    /// per-consumer delivery scheduling (see `crate::qos`).
     pub qos: QosConfig,
     /// Flight-recorder ring capacity in records; `0` (the default)
     /// leaves the recorder off.
@@ -133,9 +133,8 @@ pub struct GarnetConfig {
     /// Durable frame/control-event archive (see [`crate::archive`]);
     /// `None` disables the tap entirely.
     pub archive: Option<ArchiveConfig>,
-    /// Dispatch match-set memoisation (see
-    /// [`MatchCache`](crate::MatchCache)). On by default; the cache changes
-    /// dispatch cost, never output order.
+    /// Dispatch match-set memoisation (see [`crate::dispatching`]). On
+    /// by default; the cache changes dispatch cost, never output order.
     pub dispatch_cache: DispatchCacheConfig,
     /// Telemetry plane: latency spans, windowed snapshot export, health
     /// scoring and the optional rotating JSONL sink `garnetctl` reads
@@ -338,6 +337,7 @@ fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
 }
 
 struct ConsumerEntry {
+    id: SubscriberId,
     consumer: Box<dyn Consumer>,
     principal: Principal,
     caps: CapabilitySet,
@@ -349,6 +349,7 @@ struct ConsumerEntry {
 impl fmt::Debug for ConsumerEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConsumerEntry")
+            .field("id", &self.id)
             .field("principal", &self.principal)
             .field("caps", &self.caps)
             .field("priority", &self.priority)
@@ -366,7 +367,10 @@ pub struct Garnet {
     router: Router,
     auth: AuthService,
     registry: ServiceRegistry,
-    consumers: IdMap<ConsumerEntry>,
+    /// The registered consumers, ascending by id: ids are handed out in
+    /// ascending order, so registering appends, and a match set (also
+    /// ascending) is delivered by walking the list with one cursor.
+    consumers: Vec<ConsumerEntry>,
     next_virtual_sensor: u32,
     depth_drops: u64,
     denied_actions: u64,
@@ -446,7 +450,7 @@ impl Garnet {
             router,
             auth: AuthService::new(config.auth_key),
             registry,
-            consumers: IdMap::default(),
+            consumers: Vec::new(),
             next_virtual_sensor: SensorId::MAX.as_u32(),
             depth_drops: 0,
             denied_actions: 0,
@@ -517,9 +521,11 @@ impl Garnet {
             endpoint: format!("garnet://consumer/{id}"),
             owner: token.principal().clone(),
         });
+        let at = self.consumers.partition_point(|e| e.id < id);
         self.consumers.insert(
-            id,
+            at,
             ConsumerEntry {
+                id,
                 consumer,
                 principal: token.principal().clone(),
                 caps: token.capabilities(),
@@ -535,7 +541,8 @@ impl Garnet {
     /// Removes a consumer: drops its subscriptions, releases its
     /// resource demands, withdraws its advertisement.
     pub fn deregister_consumer(&mut self, id: SubscriberId) -> Result<(), GarnetError> {
-        let entry = self.consumers.remove(&id).ok_or(GarnetError::UnknownConsumer(id))?;
+        let at = self.consumer_index(id).ok_or(GarnetError::UnknownConsumer(id))?;
+        let entry = self.consumers.remove(at);
         let services = self.router.services_mut();
         services.dispatch.unsubscribe_all(id);
         services.control.resource.release_consumer(id);
@@ -548,7 +555,16 @@ impl Garnet {
     /// The virtual sensor id under which a consumer's derived streams
     /// publish.
     pub fn virtual_sensor(&self, id: SubscriberId) -> Option<SensorId> {
-        self.consumers.get(&id).map(|e| e.virtual_sensor)
+        self.consumer(id).map(|e| e.virtual_sensor)
+    }
+
+    /// Where `id`'s entry sits in `consumers`, if it is registered.
+    fn consumer_index(&self, id: SubscriberId) -> Option<usize> {
+        self.consumers.binary_search_by_key(&id, |e| e.id).ok()
+    }
+
+    fn consumer(&self, id: SubscriberId) -> Option<&ConsumerEntry> {
+        self.consumer_index(id).map(|at| &self.consumers[at])
     }
 
     /// Subscribes a consumer to a filter. Any orphanage backlog matching
@@ -579,7 +595,7 @@ impl Garnet {
         now: SimTime,
     ) -> Result<(usize, StepOutput), GarnetError> {
         self.authorize(token, Capability::Subscribe, now)?;
-        if !self.consumers.contains_key(&id) {
+        if self.consumer_index(id).is_none() {
             return Err(GarnetError::UnknownConsumer(id));
         }
         self.router.services_mut().dispatch.subscribe(id, filter);
@@ -904,7 +920,7 @@ impl Garnet {
         now: SimTime,
     ) -> Result<ActuationOutcome, GarnetError> {
         self.authorize(token, Capability::Actuate, now)?;
-        let priority = self.consumers.get(&id).ok_or(GarnetError::UnknownConsumer(id))?.priority;
+        let priority = self.consumer(id).ok_or(GarnetError::UnknownConsumer(id))?.priority;
         self.route_event(ServiceEvent::ActuationRequested {
             origin: ActuationOrigin::Api,
             requester: id,
@@ -1023,6 +1039,12 @@ impl Garnet {
                 // One message, every recipient in match-set order. The
                 // set was fixed when the message was routed, so nothing
                 // a callback does here changes who else receives it.
+                // The set and `consumers` both ascend by id, and no
+                // callback can register or deregister a consumer, so
+                // one cursor finds every recipient's entry: at the
+                // cursor when every consumer receives, by a search of
+                // the rest of the list when some do not.
+                let mut at = 0;
                 for &recipient in recipients.iter() {
                     // Per-consumer delivery scheduling: a rate-limited
                     // consumer's copy stages (and coalesces per
@@ -1032,8 +1054,14 @@ impl Garnet {
                     if self.delivery.is_limited(recipient) {
                         let staged = self.delivery.offer(recipient, delivery.clone(), depth);
                         debug_assert!(staged.is_none(), "a limited consumer's delivery stages");
-                    } else {
-                        self.deliver_to(recipient, &delivery, depth, now);
+                        continue;
+                    }
+                    if self.consumers.get(at).is_some_and(|e| e.id < recipient) {
+                        at += self.consumers[at..].partition_point(|e| e.id < recipient);
+                    }
+                    if self.consumers.get(at).is_some_and(|e| e.id == recipient) {
+                        self.deliver_at(at, &delivery, depth, now);
+                        at += 1;
                     }
                 }
             }
@@ -1075,14 +1103,20 @@ impl Garnet {
     }
 
     fn deliver_to(&mut self, rid: SubscriberId, delivery: &Delivery, depth: u32, now: SimTime) {
-        let Some(entry) = self.consumers.get_mut(&rid) else {
-            return;
-        };
+        if let Some(at) = self.consumer_index(rid) {
+            self.deliver_at(at, delivery, depth, now);
+        }
+    }
+
+    /// Delivers to the consumer at `consumers[at]`.
+    fn deliver_at(&mut self, at: usize, delivery: &Delivery, depth: u32, now: SimTime) {
+        let entry = &mut self.consumers[at];
         // The callback sees only its own context: whatever it asks for
         // is queued there and applied after it returns, so nothing can
         // reach `self.consumers` while it runs.
         let mut ctx = ConsumerCtx::new(now);
         entry.consumer.on_data(delivery, &mut ctx);
+        let rid = entry.id;
         self.handle_actions(rid, ctx.take_actions(), depth, now);
     }
 
@@ -1098,7 +1132,7 @@ impl Garnet {
         if actions.is_empty() {
             return;
         }
-        let (caps, priority) = match self.consumers.get(&rid) {
+        let (caps, priority) = match self.consumer(rid) {
             Some(e) => (e.caps, e.priority),
             None => return,
         };
@@ -1109,7 +1143,8 @@ impl Garnet {
                         self.depth_drops += 1;
                         continue;
                     }
-                    let Some(entry) = self.consumers.get_mut(&rid) else { continue };
+                    let Some(at) = self.consumer_index(rid) else { continue };
+                    let entry = &mut self.consumers[at];
                     let seq_slot = entry.derived_seq.entry(index.as_u8()).or_default();
                     let seq = *seq_slot;
                     *seq_slot = seq_slot.next();
@@ -1252,7 +1287,7 @@ impl Garnet {
     /// consumer is ignored: no `deregister_consumer` would ever remove
     /// its limit.
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
-        if self.consumers.contains_key(&id) {
+        if self.consumer_index(id).is_some() {
             self.delivery.set_limit(id, limit);
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -1624,7 +1659,8 @@ impl Garnet {
     /// scheduler's queue are drained, the admission, per-class QoS,
     /// delivery-plane, archive and actuation ledgers each account for
     /// every item they were offered, every drain limit and staged queue
-    /// belongs to a registered consumer, and the registry advertises
+    /// belongs to a registered consumer, the consumer list ascends by id
+    /// (fan-out walks it with one cursor), and the registry advertises
     /// exactly the registered consumers. Debug builds assert it at
     /// the tail of every public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
@@ -1644,15 +1680,18 @@ impl Garnet {
             format!("delivery: {d:?} with {backlog} staged")
         })?;
         for id in self.delivery.consumers() {
-            law(self.consumers.contains_key(&id), || {
+            law(self.consumer_index(id).is_some(), || {
                 format!("delivery schedule holds a limit or queue for departed {id}")
             })?;
         }
+        law(self.consumers.windows(2).all(|w| w[0].id < w[1].id), || {
+            "the consumer list does not ascend by id".into()
+        })?;
         let mut advertised = 0usize;
         for d in self.registry.iter().filter(|d| d.kind == ServiceKind::Consumer) {
             let id =
                 d.name.rsplit_once("/sub").and_then(|(_, n)| n.parse().ok()).map(SubscriberId::new);
-            law(id.is_some_and(|id| self.consumers.contains_key(&id)), || {
+            law(id.is_some_and(|id| self.consumer_index(id).is_some()), || {
                 format!("advertisement {} names no registered consumer", d.name)
             })?;
             advertised += 1;
@@ -2045,7 +2084,9 @@ mod tests {
         assert!(g.registry().lookup("super-coordinator").is_some());
         let token = g.issue_default_token("t");
         g.register_consumer(Box::new(CountingConsumer::new("flood-watch")), &token, 0).unwrap();
-        assert_eq!(g.registry().discover_prefix("consumer/flood-watch/").len(), 1);
+        let advertised =
+            g.registry().iter().filter(|d| d.name.starts_with("consumer/flood-watch/")).count();
+        assert_eq!(advertised, 1);
         assert_eq!(g.registry().discover_kind(ServiceKind::Consumer).len(), 1);
     }
 
@@ -2058,8 +2099,8 @@ mod tests {
         g.subscribe(b, TopicFilter::All, &bob).unwrap();
         let endpoints = |g: &Garnet| -> Vec<(String, String)> {
             g.registry()
-                .discover_prefix("consumer/watch")
-                .into_iter()
+                .iter()
+                .filter(|d| d.name.starts_with("consumer/watch"))
                 .map(|d| (d.endpoint.clone(), d.owner.to_string()))
                 .collect()
         };

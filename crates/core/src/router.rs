@@ -204,14 +204,13 @@ impl ShardedDispatch {
         self.dispatcher.would_deliver(stream)
     }
 
-    /// The stage's counters, by value (beside [`ShardedIngest::stats`]).
+    /// The stage's counters, by value (beside `ShardedIngest::stats`).
     pub fn stats(&self) -> DispatchStats {
         let d = &self.dispatcher;
         DispatchStats {
             dispatched: d.dispatched_count(),
             deliveries: d.delivery_count(),
             unclaimed: d.unclaimed_count(),
-            fanout: d.fanout().clone(),
             subscribers: d.subscriber_count(),
             match_cache: d.cache_stats(),
         }

@@ -12,13 +12,16 @@
 //! a stream id to its [`RowId`], so routing and cataloguing a message
 //! cost one keyed lookup — or none, when the caller already holds the
 //! stream's `RowId` (the Filtering Service remembers it per stream).
-//! Stream ids come off the radio, so the index keeps std's keyed hasher.
+//! A second index lists each sensor's rows, so a subscription write on
+//! a sensor can stale exactly that sensor's match-cache slots. Stream
+//! and sensor ids come off the radio, so both indexes keep std's keyed
+//! hasher.
 
 use std::collections::HashMap;
 use std::num::NonZeroU32;
 
 use garnet_simkit::SimTime;
-use garnet_wire::StreamId;
+use garnet_wire::{SensorId, StreamId};
 
 use crate::dispatching::pubsub::MatchSlot;
 
@@ -105,6 +108,8 @@ pub struct StreamRegistry {
     rows: Vec<StreamRow>,
     /// Raw stream id → its row.
     index: HashMap<u32, RowId>,
+    /// Raw sensor id → its streams' rows, in first-seen order.
+    by_sensor: HashMap<u32, Vec<RowId>>,
 }
 
 impl StreamRegistry {
@@ -144,7 +149,7 @@ impl StreamRegistry {
                 return (&mut self.rows[id.index()], None);
             }
         }
-        let rows = &mut self.rows;
+        let (rows, by_sensor) = (&mut self.rows, &mut self.by_sensor);
         let id = *self.index.entry(stream.to_raw()).or_insert_with(|| {
             rows.push(StreamRow {
                 info: StreamInfo {
@@ -158,9 +163,25 @@ impl StreamRegistry {
                 },
                 matched: MatchSlot::default(),
             });
-            RowId::at(rows.len() - 1)
+            let id = RowId::at(rows.len() - 1);
+            by_sensor.entry(stream.sensor().as_u32()).or_default().push(id);
+            id
         });
         (&mut self.rows[id.index()], Some(id))
+    }
+
+    /// Marks stale the match-cache slot of `stream`'s row, if it has one.
+    pub(crate) fn stale_stream(&mut self, stream: StreamId) {
+        if let Some(&id) = self.index.get(&stream.to_raw()) {
+            self.rows[id.index()].matched.mark_stale();
+        }
+    }
+
+    /// Marks stale the match-cache slot of every row of `sensor`.
+    pub(crate) fn stale_sensor(&mut self, sensor: SensorId) {
+        for &id in self.by_sensor.get(&sensor.as_u32()).into_iter().flatten() {
+            self.rows[id.index()].matched.mark_stale();
+        }
     }
 
     /// Marks a stream claimed/unclaimed as subscriptions come and go.

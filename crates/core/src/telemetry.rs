@@ -12,19 +12,19 @@
 //!
 //! Three layers:
 //!
-//! * **Spans** — [`PipelineSpans`] histograms ([`keys::FILTERING_LATENCY_US`],
+//! * **Spans** — `PipelineSpans` histograms ([`keys::FILTERING_LATENCY_US`],
 //!   [`keys::DISPATCHING_LATENCY_US`], [`keys::PIPELINE_E2E_LATENCY_US`])
 //!   recorded once per dispatched delivery by the router, plus
-//!   [`QueueDepthGauges`] sampling admission depth.
+//!   `QueueDepthGauges` sampling admission depth.
 //! * **Snapshots** — [`TelemetrySnapshot`] captures a sim-time window:
 //!   cumulative counters, window deltas (rates), histogram quantile
 //!   summaries, gauge watermarks, the match-cache hit rate, and a
 //!   [`HealthReport`]. Deterministic serializers render one JSONL line
 //!   ([`TelemetrySnapshot::to_jsonl`]) or Prometheus text exposition
 //!   ([`TelemetrySnapshot::to_prometheus`]).
-//! * **Export** — [`TelemetryService`] owns the window state machine and
+//! * **Export** — `TelemetryService` owns the window state machine and
 //!   an optional rotating `telemetry-*.jsonl` file sink
-//!   ([`TelemetrySink`]) that `garnetctl` tails.
+//!   (`TelemetrySink`) that `garnetctl` tails.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -3,11 +3,11 @@
 //! Every experiment in this repository runs on this kernel so results are
 //! exactly reproducible from a seed. The kernel provides:
 //!
-//! * [`time`] — a microsecond-resolution simulated clock ([`SimTime`],
+//! * `time` — a microsecond-resolution simulated clock ([`SimTime`],
 //!   [`SimDuration`]).
-//! * [`event`] — a deterministic, stable-ordered event queue
+//! * `event` — a deterministic, stable-ordered event queue
 //!   ([`EventQueue`]) and a ready-to-use driver loop ([`Simulation`]).
-//! * [`rng`] — seedable, dependency-light pseudo-random generators
+//! * `rng` — seedable, dependency-light pseudo-random generators
 //!   ([`SimRng`]) with a stable stream-splitting discipline so adding a new
 //!   random consumer does not perturb existing draws.
 //! * [`metrics`] — counters and log-bucketed histograms used by all

@@ -7,17 +7,17 @@
 //!
 //! The layering, bottom-up:
 //!
-//! * [`record`] — the record codec: one [`record::ArchiveRecord`] per
+//! * `record` — the record codec: one [`record::ArchiveRecord`] per
 //!   boundary input (frame burst member, maintenance tick, standalone
 //!   acknowledgement), length-prefixed and sealed with CRC-32.
-//! * [`segment`] — the [`segment::SegmentStore`] trait (append / read /
+//! * `segment` — the [`segment::SegmentStore`] trait (append / read /
 //!   truncate / remove over numbered segments) with two backends: the
 //!   in-memory [`segment::MemStore`] and the directory-backed
 //!   [`segment::FileStore`].
-//! * [`faulty`] — [`faulty::FaultyStore`], a deterministic
+//! * `faulty` — [`faulty::FaultyStore`], a deterministic
 //!   fault-injection wrapper (torn writes, bit flips, short reads,
 //!   write stalls) for crash-recovery and corruption-detection tests.
-//! * [`archive`] — [`archive::FrameArchive`], the writer/reader that
+//! * `archive` — [`archive::FrameArchive`], the writer/reader that
 //!   rolls segments, runs the recovery scan on open (truncating at the
 //!   first corrupt record) and replays a segment range.
 //!

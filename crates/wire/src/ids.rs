@@ -199,7 +199,7 @@ impl fmt::Display for StreamId {
 /// the counter wraps within minutes at realistic rates, so ordering uses
 /// serial-number comparison: `a` precedes `b` iff the signed 16-bit
 /// distance from `a` to `b` is positive. Values exactly `2^15` apart are
-/// incomparable ([`SequenceNumber::serial_cmp`] returns `None`).
+/// incomparable (`SequenceNumber::serial_cmp` returns `None`).
 ///
 /// # Example
 ///

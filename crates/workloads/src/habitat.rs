@@ -62,6 +62,14 @@ impl HabitatScenario {
     }
 
     /// Builds the sensor population (simple, transmit-only nodes).
+    ///
+    /// # Panics
+    ///
+    /// If `grid_side²` exceeds [`SensorId::MAX`].
+    #[expect(
+        clippy::expect_used,
+        reason = "sensor ids run 1..=grid_side², inside the 2^24 id space for any grid that fits in memory"
+    )]
     pub fn sensors(&self) -> Vec<SensorNode> {
         let mut out = Vec::with_capacity(self.sensor_count());
         let mut id = 1u32;

@@ -4,7 +4,7 @@
 //! radio field of `garnet-radio` wired to the `garnet-core` middleware.
 //! Each other module builds a deployment the paper motivates:
 //!
-//! * [`habitat`] — habitat monitoring (Mainwaring et al., cited as the
+//! * `habitat` — habitat monitoring (Mainwaring et al., cited as the
 //!   §7 comparison and the §1 motivation): a grid of simple,
 //!   transmit-only temperature sensors over a study plot.
 //! * [`watercourse`] — the paper's flagship scenario (§6.1): gauging
@@ -13,10 +13,12 @@
 //!   Coordinator's predictive actuation.
 //! * [`recon`] — military reconnaissance (§1): mobile targets crossing a
 //!   field of mixed simple/sophisticated sensors.
-//! * [`traffic`] — synthetic message traffic with controlled rates and
+//! * `traffic` — synthetic message traffic with controlled rates and
 //!   payload sizes for microbenchmarks.
-//! * [`query`] — Fjords-style continuous queries hosted as a Garnet
+//! * `query` — Fjords-style continuous queries hosted as a Garnet
 //!   consumer, publishing results as derived streams.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub(crate) mod habitat;
 pub mod pipeline;

@@ -315,7 +315,7 @@ impl PipelineSim {
             if t > deadline {
                 break;
             }
-            let (now, ev) = self.sim.next_event().expect("peeked event exists");
+            let Some((now, ev)) = self.sim.next_event() else { break };
             self.handle(now, ev);
         }
     }

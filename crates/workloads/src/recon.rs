@@ -184,6 +184,14 @@ impl ReconScenario {
 
     /// Scatters the sensor population uniformly (deterministic per
     /// seed). Ids `1..=simple` are simple; the rest sophisticated.
+    ///
+    /// # Panics
+    ///
+    /// If the two sensor counts together exceed [`SensorId::MAX`].
+    #[expect(
+        clippy::expect_used,
+        reason = "sensor ids run 1..=simple + sophisticated, inside the 2^24 id space for any field that fits in memory"
+    )]
     pub fn sensors(&self) -> Vec<SensorNode> {
         let mut rng = SimRng::seed(self.seed).fork("placement");
         let bounds = Rect::square(self.field_side_m);

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use garnet_simkit::{SimDuration, SimRng, SimTime};
-use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet_wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex, WireError};
 
 /// A generated frame with its arrival time and source receiver tag.
 #[derive(Clone, Debug)]
@@ -33,27 +33,23 @@ impl TrafficGen {
         TrafficGen { rng: SimRng::seed(seed) }
     }
 
-    /// A stream id for sensor `sensor`, stream 0.
-    pub(crate) fn stream(sensor: u32) -> StreamId {
-        StreamId::new(
-            SensorId::new(sensor).expect("bench sensor ids are small"),
-            StreamIndex::new(0),
-        )
-    }
-
     /// Builds one data message.
-    pub(crate) fn message(stream: StreamId, seq: u16, payload_len: usize) -> DataMessage {
+    fn message(stream: StreamId, seq: u16, payload_len: usize) -> Result<DataMessage, WireError> {
         DataMessage::builder(stream)
             .seq(SequenceNumber::new(seq))
             .payload(vec![0xA5u8; payload_len])
             .build()
-            .expect("payload within wire limits")
     }
 
     /// An in-order burst of `n` encoded frames on one stream, arriving
     /// every `gap`, each heard by `copies` overlapping receivers
     /// (duplication), with probability `reorder_prob` of each adjacent
     /// pair swapping.
+    ///
+    /// # Errors
+    ///
+    /// A `sensor` past [`SensorId::MAX`], or a `payload_len` past the
+    /// wire's payload limit.
     pub fn burst(
         &mut self,
         sensor: u32,
@@ -62,11 +58,11 @@ impl TrafficGen {
         gap: SimDuration,
         copies: u32,
         reorder_prob: f64,
-    ) -> Vec<ArrivingFrame> {
-        let stream = Self::stream(sensor);
+    ) -> Result<Vec<ArrivingFrame>, WireError> {
+        let stream = StreamId::new(SensorId::new(sensor)?, StreamIndex::new(0));
         let mut frames: Vec<ArrivingFrame> = Vec::with_capacity(n as usize * copies as usize);
         for seq in 0..n {
-            let bytes = Bytes::from(Self::message(stream, seq, payload_len).encode_to_vec());
+            let bytes = Bytes::from(Self::message(stream, seq, payload_len)?.encode_to_vec());
             let base = SimTime::ZERO + gap * u64::from(seq);
             for c in 0..copies {
                 frames.push(ArrivingFrame {
@@ -89,7 +85,7 @@ impl TrafficGen {
             }
             i += 2;
         }
-        frames
+        Ok(frames)
     }
 
     /// Flips one random bit in a fraction `corruption_rate` of the
@@ -116,7 +112,7 @@ mod tests {
     #[test]
     fn burst_produces_decodable_duplicated_frames() {
         let mut g = TrafficGen::new(2);
-        let frames = g.burst(1, 10, 16, SimDuration::from_millis(10), 3, 0.0);
+        let frames = g.burst(1, 10, 16, SimDuration::from_millis(10), 3, 0.0).unwrap();
         assert_eq!(frames.len(), 30);
         for f in &frames {
             let (msg, _) = DataMessage::decode(&f.frame).unwrap();
@@ -130,9 +126,9 @@ mod tests {
     #[test]
     fn reordering_preserves_multiset() {
         let mut g = TrafficGen::new(3);
-        let ordered = g.burst(1, 50, 8, SimDuration::from_millis(1), 1, 0.0);
+        let ordered = g.burst(1, 50, 8, SimDuration::from_millis(1), 1, 0.0).unwrap();
         let mut g2 = TrafficGen::new(3);
-        let shuffled = g2.burst(1, 50, 8, SimDuration::from_millis(1), 1, 0.9);
+        let shuffled = g2.burst(1, 50, 8, SimDuration::from_millis(1), 1, 0.9).unwrap();
         let mut a: Vec<&[u8]> = ordered.iter().map(|f| f.frame.as_ref()).collect();
         let mut b: Vec<&[u8]> = shuffled.iter().map(|f| f.frame.as_ref()).collect();
         a.sort_unstable();
@@ -146,9 +142,17 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_input_is_an_error() {
+        let mut g = TrafficGen::new(5);
+        let gap = SimDuration::from_millis(1);
+        assert!(g.burst(SensorId::MAX.as_u32() + 1, 1, 8, gap, 1, 0.0).is_err());
+        assert!(g.burst(1, 1, usize::from(u16::MAX) + 1, gap, 1, 0.0).is_err());
+    }
+
+    #[test]
     fn corruption_rate_roughly_matches() {
         let mut g = TrafficGen::new(4);
-        let mut frames = g.burst(1, 1000, 16, SimDuration::from_millis(1), 1, 0.0);
+        let mut frames = g.burst(1, 1000, 16, SimDuration::from_millis(1), 1, 0.0).unwrap();
         let n = g.corrupt(&mut frames, 0.3);
         assert!((200..400).contains(&n), "corrupted {n}/1000");
         // Corrupted frames fail CRC.

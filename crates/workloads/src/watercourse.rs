@@ -209,6 +209,14 @@ impl WatercourseScenario {
 
     /// Gauging stations: sophisticated (receive-capable) sensors so the
     /// actuation path can accelerate their reporting.
+    ///
+    /// # Panics
+    ///
+    /// If `stations` exceeds [`SensorId::MAX`].
+    #[expect(
+        clippy::expect_used,
+        reason = "station ids run 1..=stations, inside the 2^24 id space for any river that fits in memory"
+    )]
     pub fn sensors(&self) -> Vec<SensorNode> {
         (0..self.stations)
             .map(|i| {

@@ -16,12 +16,11 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use garnet::core::consumer::{Consumer, ConsumerCtx};
+use garnet::core::dispatching::DispatchingService;
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::{
-    DispatchCacheConfig, MatchCache, MatchSlot, SubscriberId, SubscriptionTable, TopicFilter,
-};
+use garnet::core::TopicFilter;
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimTime, TraceConfig, Tracer};
 use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -172,33 +171,31 @@ fn steady_state_frame_path_allocates_less_than_a_quarter_call_per_frame() {
 #[test]
 fn warm_match_cache_hit_allocates_nothing() {
     // The dispatch hot path under the budget above: once a stream's
-    // match set is cached in its row, resolving it is an epoch compare
-    // and a refcount bump — no allocator call at all, whatever the fan-out or the
-    // population of other subscriptions.
+    // match set is cached in its row, routing it finds the row, checks
+    // its slot and bumps a refcount — no allocator call at all, whatever
+    // the fan-out or the population of other subscriptions.
     let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
     let hot = stream(42);
-    let mut table = SubscriptionTable::new();
-    for id in 0..16u32 {
-        table.subscribe(SubscriberId::new(id), TopicFilter::Stream(hot));
+    let mut dispatch = DispatchingService::new();
+    for _ in 0..16 {
+        let id = dispatch.register_subscriber();
+        dispatch.subscribe(id, TopicFilter::Stream(hot));
     }
     for i in 0..1_000u32 {
-        table.subscribe(SubscriberId::new(16 + i), TopicFilter::Stream(stream(1_000 + i)));
+        let id = dispatch.register_subscriber();
+        dispatch.subscribe(id, TopicFilter::Stream(stream(1_000 + i)));
     }
-    // The cache keeps the policy and the counters; the stream's slot
-    // lives in the caller's per-stream row, here a local.
-    let mut cache = MatchCache::new(DispatchCacheConfig::default());
-    let mut row = MatchSlot::default();
-    // The cold build allocates the shared slice.
-    let (warm, rebuilt) = cache.resolve(&table, hot, &mut row);
-    assert!(rebuilt);
-    assert_eq!(warm.len(), 16);
-    drop(warm);
+    // The cold route makes the stream's row and allocates the shared
+    // slice.
+    let cold = dispatch.route(hot);
+    assert!(cold.rebuilt);
+    assert_eq!(cold.recipients.len(), 16);
+    drop(cold);
     let before = CALLS.with(Cell::get);
     for _ in 0..10_000 {
-        let (set, rebuilt) = cache.resolve(&table, hot, &mut row);
-        assert!(!rebuilt);
-        std::hint::black_box(set.len());
+        let out = dispatch.route(hot);
+        assert!(!out.rebuilt, "a warm route is a cache hit");
+        std::hint::black_box(out.recipients.len());
     }
-    assert_eq!(CALLS.with(Cell::get) - before, 0, "a warm resolve must be allocation-free");
-    assert_eq!(cache.stats().hits, 10_000);
+    assert_eq!(CALLS.with(Cell::get) - before, 0, "a warm route must be allocation-free");
 }

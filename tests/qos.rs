@@ -378,6 +378,52 @@ fn one_deliver_per_message_walks_recipients_in_order_and_stages_only_the_slow_on
     assert_eq!(run(), fifo, "a second run must be bit-identical");
 }
 
+#[test]
+fn fan_out_walks_the_live_consumers_in_id_order_past_departed_and_limited_ones() {
+    // Fan-out walks the consumer list, which ascends by id, beside the
+    // ascending match set. Here the list has a hole (a consumer in the
+    // middle of the id range deregistered), an entry that is not a
+    // recipient (subscribed to another sensor), and a drain-limited
+    // recipient between two unlimited ones: every live recipient is
+    // still reached, in id order, and the departed one never is.
+    let mut g = Garnet::new(GarnetConfig::default());
+    let calls: Calls = Arc::new(Mutex::new(Vec::new()));
+    let token = g.issue_default_token("fanout");
+    let mut ids = Vec::new();
+    for name in ["a", "b", "gone", "elsewhere", "slow", "d", "e"] {
+        let witness = Witness { name, calls: Arc::clone(&calls) };
+        let id = g.register_consumer(Box::new(witness), &token, 0).unwrap();
+        let filter = if name == "elsewhere" {
+            TopicFilter::Sensor(SensorId::new(9).unwrap())
+        } else {
+            TopicFilter::All
+        };
+        g.subscribe(id, filter, &token).unwrap();
+        if name == "slow" {
+            g.set_consumer_drain_limit(id, Some(1));
+        }
+        ids.push(id);
+    }
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids are handed out ascending");
+    g.deregister_consumer(ids[2]).unwrap();
+    let burst: Vec<_> = (1..=2).map(|s| (ReceiverId::new(0), -50.0, frame(s, 0))).collect();
+    g.on_frames(burst, SimTime::from_millis(1));
+    g.on_tick(SimTime::from_millis(2));
+    let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+    let mut want = Vec::new();
+    for sensor in 1..=2 {
+        for name in ["a", "b", "d", "e"] {
+            want.push((name, stream(sensor).to_raw(), 0));
+        }
+    }
+    // The limited consumer's copies stage: one per facade call.
+    want.push(("slow", stream(1).to_raw(), 0));
+    want.push(("slow", stream(2).to_raw(), 0));
+    assert_eq!(*calls.lock().unwrap(), want);
+    assert_eq!(g.dispatching().delivery_count(), 2 * 5, "five live recipients per message");
+    g.shutdown(SimTime::from_secs(1)).expect("clean shutdown");
+}
+
 /// Pings the sensor behind every delivery it is handed.
 struct Pinger;
 
