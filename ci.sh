@@ -117,6 +117,23 @@ if awk '
   echo "the overload tier reads a frame header outside Staged::new" >&2
   exit 1
 fi
+# The facade checks tokens in one place: `Garnet::authorize` verifies a
+# token in full or, for a consumer's own registration token, checks its
+# expiry and capability only. Outside `#[cfg(test)]` items, middleware.rs
+# calls `verify(` from that one function, so a new entry point can
+# neither skip the check nor grow a second copy of it.
+echo "==> middleware.rs verifies tokens in exactly one function, authorize"
+callers=$(awk '
+  /^#\[cfg\(test\)\]/ { skip = 1; next }
+  skip { if (/^}/ || /^[^ ].*;$/) skip = 0; next }
+  /^ *\/\// { next }
+  /^(    )?(pub(\([a-z]+\))? )?fn / { method = $0; sub(/\(.*/, "", method); sub(/.*fn /, "", method) }
+  /verify\(/ { print method }
+' crates/core/src/middleware.rs | sort -u)
+if [ "$callers" != "authorize" ]; then
+  echo "middleware.rs calls verify( from [${callers//$'\n'/, }], not from authorize alone" >&2
+  exit 1
+fi
 # Ids we allocate (SubscriberId) hash through the unkeyed IdMap, whose
 # definition is the one place the unkeyed hasher is named; everything a
 # radio frame carries keeps std's keyed RandomState.

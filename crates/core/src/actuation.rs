@@ -20,7 +20,12 @@ use garnet_wire::{AckStatus, ActuationTarget, RequestId, SensorCommand, StreamUp
 const ACK_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Retransmissions before a request is given up.
 const MAX_RETRIES: u32 = 2;
-/// Upper bound on the per-attempt wait under exponential backoff.
+/// Upper bound on the per-attempt wait under exponential backoff: an
+/// overflow guard, not a tuning knob. With [`MAX_RETRIES`] at 2 the
+/// waits are 5, 10 and 20 s, so the cap never binds in the product;
+/// `backoff_saturates_at_the_cap` and
+/// `huge_attempt_counts_do_not_overflow_the_backoff` raise a request's
+/// retries by hand to pin it.
 const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
 
 /// Terminal outcome of a tracked request.
@@ -171,23 +176,23 @@ impl ActuationService {
     ) -> (Vec<StreamUpdateRequest>, Vec<StreamUpdateRequest>) {
         let mut retransmit = Vec::new();
         let mut expired = Vec::new();
-        let due: Vec<u32> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&id, _)| id).collect();
-        for id in due {
-            let p = self.pending.get_mut(&id).expect("listed above");
+        self.pending.retain(|_, p| {
+            if p.deadline > now {
+                return true;
+            }
             if p.retries_left > 0 {
                 p.retries_left -= 1;
                 p.attempt += 1;
-                let delay = backoff_delay(p.attempt);
-                p.deadline = now.saturating_add(delay);
+                p.deadline = now.saturating_add(backoff_delay(p.attempt));
                 self.retransmissions += 1;
                 retransmit.push(p.request);
+                true
             } else {
-                let p = self.pending.remove(&id).expect("listed above");
                 self.timed_out += 1;
                 expired.push(p.request);
+                false
             }
-        }
+        });
         // Deterministic order for downstream processing.
         retransmit.sort_by_key(|r| r.request_id.as_u32());
         expired.sort_by_key(|r| r.request_id.as_u32());

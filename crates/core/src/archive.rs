@@ -20,7 +20,7 @@
 //! custom store back to its slot.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, TraceStage, Tracer,
@@ -133,7 +133,13 @@ impl ArchiveService {
                 }
             },
             ArchiveBackend::Custom(slot) => {
-                slot.lock().expect("archive store slot").take().map(|s| s as Box<dyn SegmentStore>)
+                // A poisoned slot is opened like any other: whatever a
+                // panicking holder left in the store, `FrameArchive::open`
+                // recovers it as it recovers a log torn by a crash.
+                slot.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .map(|s| s as Box<dyn SegmentStore>)
             }
         };
         let opened = store.and_then(|s| match FrameArchive::open(s, config.segment_max_bytes) {
@@ -271,8 +277,31 @@ impl ArchiveService {
         if let (Some(archive), ArchiveBackend::Custom(slot)) =
             (self.sink.take(), &self.config.backend)
         {
-            *slot.lock().expect("archive store slot") = Some(archive.into_store());
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(archive.into_store());
         }
         flushed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_store_slot_is_opened_and_refilled() {
+        let slot = store_slot(Box::new(MemStore::new()));
+        let holder = Arc::clone(&slot);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = holder.lock();
+            panic!("a holder of the slot panics");
+        }));
+        assert!(slot.is_poisoned());
+        let backend = ArchiveBackend::Custom(Arc::clone(&slot));
+        let mut archive =
+            ArchiveService::new(ArchiveConfig { backend, ..ArchiveConfig::default() }, 0);
+        assert!(archive.sink.is_some(), "the store in a poisoned slot opens");
+        assert!(archive.shutdown(SimTime::ZERO));
+        let refilled = slot.lock().unwrap_or_else(PoisonError::into_inner).is_some();
+        assert!(refilled, "shutdown puts the store back");
     }
 }

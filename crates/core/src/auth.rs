@@ -9,6 +9,13 @@
 //! Tokens are MAC-signed by the issuing [`AuthService`] (the MAC reuses
 //! the wire crate's keyed XTEA-CBC-MAC), so any service holding the
 //! verification key can check a token locally without a round trip.
+//! [`AuthService::verify`] checks a token in full: expiry and capability
+//! first ([`Token::admits`]), then the MAC, compared in constant time.
+//! A MAC is a function of the token's fields under the node's fixed key,
+//! so a token identical to one already verified ([`Token::same_as`]) is
+//! as authentic as that one: the facade keeps each consumer's verified
+//! registration token and, when the consumer presents it again, checks
+//! only [`Token::admits`] — one MAC per consumer, not one per call.
 
 use core::fmt;
 use garnet_wire::crypto::PayloadKey;
@@ -155,6 +162,39 @@ impl Token {
     pub(crate) fn capabilities(&self) -> CapabilitySet {
         self.caps
     }
+
+    /// True if the token is unexpired at `now_us` and grants `needed`:
+    /// the half of [`AuthService::verify`] that needs no key.
+    pub(crate) fn admits(&self, now_us: u64, needed: Capability) -> bool {
+        now_us < self.expires_at_us && self.caps.allows(needed)
+    }
+
+    /// True if `other` carries this token's principal, capabilities,
+    /// expiry and MAC, the MAC compared in constant time.
+    pub(crate) fn same_as(&self, other: &Token) -> bool {
+        self.principal == other.principal
+            && self.caps == other.caps
+            && self.expires_at_us == other.expires_at_us
+            && macs_equal(&self.mac, &other.mac)
+    }
+}
+
+#[cfg(test)]
+impl Token {
+    /// This token with bit 0 of MAC byte `at` flipped: a forgery that
+    /// differs from the genuine token in one place only.
+    pub(crate) fn with_mac_byte_flipped(&self, at: usize) -> Token {
+        let mut forged = self.clone();
+        forged.mac[at] ^= 0x01;
+        forged
+    }
+}
+
+/// Compares two MACs by folding their XOR, so the time taken does not
+/// depend on where they first differ.
+fn macs_equal(a: &[u8; 8], b: &[u8; 8]) -> bool {
+    let diff = a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y));
+    core::hint::black_box(diff) == 0
 }
 
 /// Issues and verifies capability tokens.
@@ -176,12 +216,25 @@ impl Token {
 /// ```
 pub struct AuthService {
     key: PayloadKey,
+    /// MACs computed so far, issuing and verifying alike.
+    #[cfg(test)]
+    macs: std::sync::atomic::AtomicU64,
 }
 
 impl AuthService {
     /// Creates an authority from 16 bytes of key material.
     pub fn new(key: [u8; 16]) -> Self {
-        AuthService { key: PayloadKey::from_bytes(key) }
+        AuthService {
+            key: PayloadKey::from_bytes(key),
+            #[cfg(test)]
+            macs: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// How many MACs this authority has computed.
+    #[cfg(test)]
+    pub(crate) fn macs_computed(&self) -> u64 {
+        self.macs.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     fn mac_input(principal: &Principal, caps: CapabilitySet, expires_at_us: u64) -> Vec<u8> {
@@ -199,6 +252,8 @@ impl AuthService {
         caps: CapabilitySet,
         expires_at_us: u64,
     ) -> [u8; 8] {
+        #[cfg(test)]
+        self.macs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Reuse the keyed MAC by sealing a canonical encoding in a fixed
         // context and keeping only the 8-byte tag.
         let data = Self::mac_input(principal, caps, expires_at_us);
@@ -218,14 +273,11 @@ impl AuthService {
     /// Verifies that `token` is authentic, unexpired at `now_us`, and
     /// grants `needed`.
     pub fn verify(&self, token: &Token, now_us: u64, needed: Capability) -> bool {
-        if now_us >= token.expires_at_us {
-            return false;
-        }
-        if !token.caps.allows(needed) {
+        if !token.admits(now_us, needed) {
             return false;
         }
         let expected = self.compute_mac(&token.principal, token.caps, token.expires_at_us);
-        expected == token.mac
+        macs_equal(&expected, &token.mac)
     }
 }
 
@@ -285,6 +337,32 @@ mod tests {
         let t = a.issue(Principal::new("p"), CapabilitySet::all(), 1000);
         let forged = Token { expires_at_us: u64::MAX, ..t };
         assert!(!a.verify(&forged, 5000, Capability::Subscribe));
+    }
+
+    #[test]
+    fn a_mac_wrong_in_its_first_or_last_byte_is_refused() {
+        let a = auth();
+        let t = a.issue(Principal::new("p"), CapabilitySet::all(), 1000);
+        for at in [0, 7] {
+            let forged = t.with_mac_byte_flipped(at);
+            assert!(!a.verify(&forged, 0, Capability::Subscribe), "byte {at}");
+            assert!(!t.same_as(&forged), "byte {at}");
+        }
+        assert!(t.same_as(&t.clone()));
+    }
+
+    #[test]
+    fn same_as_compares_every_field() {
+        let a = auth();
+        let t = a.issue(Principal::new("p"), CapabilitySet::all(), 1000);
+        let others = [
+            a.issue(Principal::new("q"), CapabilitySet::all(), 1000),
+            a.issue(Principal::new("p"), CapabilitySet::of(&[Capability::Subscribe]), 1000),
+            a.issue(Principal::new("p"), CapabilitySet::all(), 999),
+        ];
+        for other in &others {
+            assert!(!t.same_as(other), "{other:?}");
+        }
     }
 
     #[test]

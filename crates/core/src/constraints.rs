@@ -653,6 +653,7 @@ impl Expr {
                             })
                         }
                     })),
+                    #[expect(clippy::unreachable, reason = "the logicals returned above")]
                     BinOp::And | BinOp::Or => unreachable!("handled above"),
                 }
             }

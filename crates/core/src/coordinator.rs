@@ -166,6 +166,13 @@ impl SuperCoordinator {
         let model = self.models.entry(consumer).or_default();
         let unchanged = model.current == Some(state);
         model.record(state, now);
+        // The transition the model now expects out of the entered state.
+        let anticipated = match self.mode {
+            CoordinationMode::Predictive { min_confidence } if !unchanged => model
+                .predict(state)
+                .filter(|&(next, confidence)| confidence >= min_confidence && next != state),
+            _ => None,
+        };
         let mut out = Vec::new();
 
         // Reactive part: the entered state's own policy (suppress
@@ -178,23 +185,14 @@ impl SuperCoordinator {
         }
 
         // Predictive part: look one transition ahead.
-        if let CoordinationMode::Predictive { min_confidence } = self.mode {
-            if !unchanged {
-                let model = self.models.get(&consumer).expect("just inserted");
-                if let Some((next, confidence)) = model.predict(state) {
-                    if confidence >= min_confidence && next != state {
-                        if let Some(action) = self.policies.get(&next) {
-                            if action.anticipatable {
-                                self.anticipatory_actions += 1;
-                                out.push(CoordinatorAction {
-                                    action: action.clone(),
-                                    anticipatory: true,
-                                    state: next,
-                                });
-                            }
-                        }
-                    }
-                }
+        if let Some((next, _)) = anticipated {
+            if let Some(action) = self.policies.get(&next).filter(|a| a.anticipatable) {
+                self.anticipatory_actions += 1;
+                out.push(CoordinatorAction {
+                    action: action.clone(),
+                    anticipatory: true,
+                    state: next,
+                });
             }
         }
         out

@@ -234,12 +234,10 @@ impl StreamFilter {
     /// Drains every buffered message that is now in order (no gap before
     /// it), returning deliveries.
     fn drain_ready(&mut self, now: SimTime, out: &mut impl Extend<Delivery>) {
-        while let Some(head) = self.buffer.first() {
-            let expected = self
-                .last_delivered
-                .map(SequenceNumber::next)
-                .expect("buffer is only used once a first message was delivered");
-            if head.msg.seq() != expected {
+        // The buffer is only used once a first message was delivered, so
+        // `last_delivered` is set whenever it holds anything.
+        while let (Some(head), Some(last)) = (self.buffer.first(), self.last_delivered) {
+            if head.msg.seq() != last.next() {
                 break;
             }
             let b = self.buffer.remove(0);
@@ -465,6 +463,10 @@ impl FilteringService {
         due.sort_unstable();
         let mut out = Vec::new();
         for stream in due {
+            #[expect(
+                clippy::expect_used,
+                reason = "the deadline index names resident streams only"
+            )]
             let state = self.streams.get_mut(&stream).expect("indexed streams are resident");
             let head_before = state.head_deadline();
             while state.head_deadline().is_some_and(|deadline| deadline <= now) {

@@ -57,6 +57,8 @@
 //! garnet.subscribe(id, TopicFilter::Sensor(SensorId::new(1).unwrap()), &token).unwrap();
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod actuation;
 pub mod archive;
 pub(crate) mod auth;

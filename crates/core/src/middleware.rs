@@ -170,7 +170,7 @@ impl Default for GarnetConfig {
 }
 
 /// Errors from facade operations.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GarnetError {
     /// The presented token does not grant the needed capability (or is
@@ -339,8 +339,9 @@ fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
 struct ConsumerEntry {
     id: SubscriberId,
     consumer: Box<dyn Consumer>,
-    principal: Principal,
-    caps: CapabilitySet,
+    /// The token `register_consumer` verified: its capabilities govern
+    /// the consumer's actions, and presenting it again costs no MAC.
+    token: Token,
     priority: u8,
     virtual_sensor: SensorId,
     derived_seq: HashMap<u8, SequenceNumber>,
@@ -350,8 +351,8 @@ impl fmt::Debug for ConsumerEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConsumerEntry")
             .field("id", &self.id)
-            .field("principal", &self.principal)
-            .field("caps", &self.caps)
+            .field("principal", self.token.principal())
+            .field("caps", &self.token.capabilities())
             .field("priority", &self.priority)
             .field("virtual_sensor", &self.virtual_sensor)
             .finish()
@@ -480,22 +481,37 @@ impl Garnet {
         self.auth.issue(Principal::new(principal), CapabilitySet::all(), u64::MAX)
     }
 
+    /// The one token check behind every entry point. A token identical
+    /// to the one consumer `id` registered with had its MAC verified
+    /// then, and a MAC depends on nothing but the token's fields and
+    /// this node's key, so only its expiry and `needed` are checked
+    /// again; any other token (or no `id`) is verified in full.
     fn authorize(
         &self,
+        id: Option<SubscriberId>,
         token: &Token,
         needed: Capability,
         now: SimTime,
     ) -> Result<(), GarnetError> {
-        if self.auth.verify(token, now.as_micros(), needed) {
+        let now_us = now.as_micros();
+        let verified = id.and_then(|id| self.consumer(id)).is_some_and(|e| e.token.same_as(token));
+        let granted = if verified {
+            token.admits(now_us, needed)
+        } else {
+            self.auth.verify(token, now_us, needed)
+        };
+        if granted {
             Ok(())
         } else {
             Err(GarnetError::NotAuthorized { needed })
         }
     }
 
-    /// Registers a consumer process. The token's capability set is
-    /// captured and governs everything the consumer later does through
-    /// its [`ConsumerCtx`]. Returns the consumer's subscriber id.
+    /// Registers a consumer process. The token is verified in full and
+    /// kept: its capability set governs everything the consumer later
+    /// does through its [`ConsumerCtx`], and the consumer's later calls
+    /// that present it again cost no MAC. Returns the consumer's
+    /// subscriber id.
     ///
     /// # Errors
     ///
@@ -507,7 +523,7 @@ impl Garnet {
         token: &Token,
         priority: u8,
     ) -> Result<SubscriberId, GarnetError> {
-        self.authorize(token, Capability::Subscribe, SimTime::ZERO)?;
+        self.authorize(None, token, Capability::Subscribe, SimTime::ZERO)?;
         if self.next_virtual_sensor == 0 {
             return Err(GarnetError::VirtualSensorSpaceExhausted);
         }
@@ -527,8 +543,7 @@ impl Garnet {
             ConsumerEntry {
                 id,
                 consumer,
-                principal: token.principal().clone(),
-                caps: token.capabilities(),
+                token: token.clone(),
                 priority,
                 virtual_sensor,
                 derived_seq: HashMap::new(),
@@ -594,7 +609,7 @@ impl Garnet {
         token: &Token,
         now: SimTime,
     ) -> Result<(usize, StepOutput), GarnetError> {
-        self.authorize(token, Capability::Subscribe, now)?;
+        self.authorize(Some(id), token, Capability::Subscribe, now)?;
         if self.consumer_index(id).is_none() {
             return Err(GarnetError::UnknownConsumer(id));
         }
@@ -743,6 +758,7 @@ impl Garnet {
     /// re-offer.
     fn offer_frame(&mut self, mut frame: BatchedFrame, now: SimTime, out: &mut StepOutput) {
         loop {
+            #[expect(clippy::expect_used, reason = "`on_frames` calls this only with `qos` set")]
             let qos = self.qos.as_mut().expect("callers check the scheduler is armed");
             match qos.offer_frame(frame, now) {
                 FrameOffer::Blocked(back) => {
@@ -919,7 +935,7 @@ impl Garnet {
         command: SensorCommand,
         now: SimTime,
     ) -> Result<ActuationOutcome, GarnetError> {
-        self.authorize(token, Capability::Actuate, now)?;
+        self.authorize(Some(id), token, Capability::Actuate, now)?;
         let priority = self.consumer(id).ok_or(GarnetError::UnknownConsumer(id))?.priority;
         self.route_event(ServiceEvent::ActuationRequested {
             origin: ActuationOrigin::Api,
@@ -946,7 +962,7 @@ impl Garnet {
         confidence: f64,
         now: SimTime,
     ) -> Result<(), GarnetError> {
-        self.authorize(token, Capability::ProvideHints, now)?;
+        self.authorize(None, token, Capability::ProvideHints, now)?;
         self.route_event(ServiceEvent::Hint { sensor, position, confidence });
         self.pump_held(now);
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -961,7 +977,7 @@ impl Garnet {
         sensor: SensorId,
         now: SimTime,
     ) -> Result<Option<LocationEstimate>, GarnetError> {
-        self.authorize(token, Capability::ReadLocation, now)?;
+        self.authorize(None, token, Capability::ReadLocation, now)?;
         Ok(self.location().estimate(sensor, now))
     }
 
@@ -1133,7 +1149,7 @@ impl Garnet {
             return;
         }
         let (caps, priority) = match self.consumer(rid) {
-            Some(e) => (e.caps, e.priority),
+            Some(e) => (e.token.capabilities(), e.priority),
             None => return,
         };
         for action in actions {
@@ -2496,5 +2512,174 @@ mod tests {
             |o: &StepOutput| -> Vec<usize> { o.shard_failures.iter().map(|f| f.shard).collect() };
         assert_eq!(shards(&ab), vec![0, 1]);
         assert_eq!(shards(&ab), shards(&ba));
+    }
+
+    fn ping(
+        g: &mut Garnet,
+        id: SubscriberId,
+        token: &Token,
+        now: SimTime,
+    ) -> Result<(), GarnetError> {
+        let target = ActuationTarget::Sensor(SensorId::new(1).unwrap());
+        g.request_actuation(id, token, target, SensorCommand::Ping, now).map(drop)
+    }
+
+    /// 1 000 subscribes and one actuation request: how many MACs they
+    /// cost, and whether every call was granted.
+    fn macs_for_calls(g: &mut Garnet, id: SubscriberId, token: &Token) -> u64 {
+        let before = g.auth().macs_computed();
+        for k in 0..1_000 {
+            let sensor = SensorId::new(1 + k % 50).unwrap();
+            g.subscribe_at(id, TopicFilter::Sensor(sensor), token, SimTime::ZERO).unwrap();
+        }
+        ping(g, id, token, SimTime::ZERO).unwrap();
+        g.auth().macs_computed() - before
+    }
+
+    #[test]
+    fn a_consumer_s_own_token_costs_one_mac_and_any_other_one_per_call() {
+        let mut g = garnet();
+        let token = g.issue_default_token("t");
+        let before = g.auth().macs_computed();
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        assert_eq!(g.auth().macs_computed() - before, 1, "registration verifies in full");
+        assert_eq!(macs_for_calls(&mut g, id, &token), 0);
+        // A second valid token from the same authority, never registered.
+        let second = g.auth().issue(Principal::new("t"), CapabilitySet::all(), u64::MAX - 1);
+        assert_eq!(macs_for_calls(&mut g, id, &second), 1_001);
+    }
+
+    #[test]
+    fn the_registration_token_is_still_refused_where_it_does_not_hold() {
+        let mut g = garnet();
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        g.subscribe_at(id, TopicFilter::All, &token, SimTime::ZERO).unwrap();
+        ping(&mut g, id, &token, SimTime::ZERO).unwrap();
+        for at in [0, 7] {
+            let forged = token.with_mac_byte_flipped(at);
+            assert_eq!(
+                g.subscribe_at(id, TopicFilter::All, &forged, SimTime::ZERO).map(drop),
+                Err(GarnetError::NotAuthorized { needed: Capability::Subscribe })
+            );
+            assert_eq!(
+                ping(&mut g, id, &forged, SimTime::ZERO),
+                Err(GarnetError::NotAuthorized { needed: Capability::Actuate })
+            );
+        }
+        let subscribe_only =
+            g.auth().issue(Principal::new("s"), CapabilitySet::of(&[Capability::Subscribe]), 9);
+        let sid =
+            g.register_consumer(Box::new(CountingConsumer::new("s")), &subscribe_only, 0).unwrap();
+        g.subscribe_at(sid, TopicFilter::All, &subscribe_only, SimTime::ZERO).unwrap();
+        assert_eq!(
+            ping(&mut g, sid, &subscribe_only, SimTime::ZERO),
+            Err(GarnetError::NotAuthorized { needed: Capability::Actuate })
+        );
+        // A bad token is refused before an unknown consumer is named.
+        let unknown = SubscriberId::new(999);
+        assert_eq!(
+            ping(&mut g, unknown, &token.with_mac_byte_flipped(3), SimTime::ZERO),
+            Err(GarnetError::NotAuthorized { needed: Capability::Actuate })
+        );
+        assert_eq!(
+            ping(&mut g, unknown, &token, SimTime::ZERO),
+            Err(GarnetError::UnknownConsumer(unknown))
+        );
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The facade's token outcomes as they were when every call
+        /// verified its token in full: a bad token first, then an
+        /// unknown consumer.
+        fn reference(
+            g: &Garnet,
+            live: bool,
+            id: SubscriberId,
+            token: &Token,
+            needed: Capability,
+            now: SimTime,
+        ) -> Result<(), GarnetError> {
+            if !g.auth().verify(token, now.as_micros(), needed) {
+                Err(GarnetError::NotAuthorized { needed })
+            } else if !live {
+                Err(GarnetError::UnknownConsumer(id))
+            } else {
+                Ok(())
+            }
+        }
+
+        proptest! {
+            // Arbitrary schedules of registrations, deregistrations,
+            // subscribes and actuation requests with tokens that are
+            // genuine, short-lived, under-privileged, from another
+            // principal, forged in one MAC byte or from another authority,
+            // at a clock that crosses the short-lived tokens' expiry: every
+            // result equals the reference's, which verifies every token.
+            #[test]
+            fn remembered_tokens_answer_like_full_verification(
+                ops in proptest::collection::vec((0u8..5, 0u8..8, 0u8..7, 0u8..4), 1..60),
+            ) {
+                let mut g = garnet();
+                let auth = AuthService::new([7u8; 16]);
+                let all = CapabilitySet::all();
+                let subscribe = CapabilitySet::of(&[Capability::Subscribe]);
+                let genuine = g.issue_default_token("a");
+                let tokens = [
+                    genuine.clone(),
+                    g.auth().issue(Principal::new("a"), all, 60_000),
+                    g.auth().issue(Principal::new("a"), subscribe, u64::MAX),
+                    g.auth().issue(Principal::new("b"), all, u64::MAX),
+                    g.auth().issue(Principal::new("b"), subscribe, 60_000),
+                    genuine.with_mac_byte_flipped(5),
+                    auth.issue(Principal::new("a"), all, u64::MAX),
+                ];
+                // Every id the facade handed out, and whether it is live.
+                let mut ids: Vec<(SubscriberId, bool)> = Vec::new();
+                let mut now = SimTime::ZERO;
+                for (kind, who, which, step) in ops {
+                    now = now.saturating_add(garnet_simkit::SimDuration::from_micros(
+                        u64::from(step) * 20_000,
+                    ));
+                    let token = &tokens[usize::from(which)];
+                    let (id, live) = ids
+                        .get(usize::from(who))
+                        .copied()
+                        .unwrap_or((SubscriberId::new(1_000 + u32::from(who)), false));
+                    match kind {
+                        0 => {
+                            let consumer = Box::new(CountingConsumer::new("c"));
+                            let got = g.register_consumer(consumer, token, 0);
+                            if let Ok(new) = &got {
+                                ids.push((*new, true));
+                            }
+                            let at = SimTime::ZERO;
+                            let want = reference(&g, true, id, token, Capability::Subscribe, at);
+                            prop_assert_eq!(got.map(drop), want);
+                        }
+                        1 => {
+                            let got = g.deregister_consumer(id);
+                            prop_assert_eq!(got.is_ok(), live);
+                            if let Some(slot) = ids.get_mut(usize::from(who)) {
+                                slot.1 = false;
+                            }
+                        }
+                        2 => {
+                            let got = g.subscribe_at(id, TopicFilter::All, token, now).map(drop);
+                            let want = reference(&g, live, id, token, Capability::Subscribe, now);
+                            prop_assert_eq!(got, want);
+                        }
+                        _ => {
+                            let got = ping(&mut g, id, token, now);
+                            let want = reference(&g, live, id, token, Capability::Actuate, now);
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -321,6 +321,7 @@ impl QosScheduler {
     /// At capacity (so the queue is non-empty): sheds the oldest staged
     /// frame and stages `arriving` in its stead.
     fn shed_oldest_for(&mut self, arriving: Staged) -> FrameOffer {
+        #[expect(clippy::expect_used, reason = "`new` clamps the capacity to at least 1")]
         let oldest = self.data.pop_front().expect("a queue at capacity holds a frame");
         self.note_dropped(false);
         self.note_offered(arriving);
@@ -560,11 +561,8 @@ impl DeliverySchedule {
         for (&id, queue) in &mut self.queues {
             let take = self.limits.get(&id).copied().unwrap_or(usize::MAX).min(queue.len());
             self.backlog -= take as u64;
-            for _ in 0..take {
-                let (delivery, depth) = queue.pop_front().expect("take <= len");
-                self.ledger.delivered += 1;
-                due.push((id, delivery, depth));
-            }
+            self.ledger.delivered += take as u64;
+            due.extend(queue.drain(..take).map(|(delivery, depth)| (id, delivery, depth)));
         }
         self.queues.retain(|_, q| !q.is_empty());
         due

@@ -317,19 +317,11 @@ impl ResourceManager {
             }
             MediationPolicy::MergeMax => match kind {
                 // Fastest rate = smallest interval covers every demand.
-                MediatedKind::Interval { .. } => others
-                    .iter()
-                    .map(|(_, d)| d.value)
-                    .chain([requested])
-                    .min()
-                    .expect("non-empty by construction"),
+                MediatedKind::Interval { .. } => {
+                    others.iter().map(|(_, d)| d.value).fold(requested, Ord::min)
+                }
                 // Most awake = largest duty cycle.
-                MediatedKind::Duty => others
-                    .iter()
-                    .map(|(_, d)| d.value)
-                    .chain([requested])
-                    .max()
-                    .expect("non-empty by construction"),
+                MediatedKind::Duty => others.iter().map(|(_, d)| d.value).fold(requested, Ord::max),
             },
         };
 

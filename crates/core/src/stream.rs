@@ -75,6 +75,10 @@ pub(crate) struct StreamRow {
 pub struct RowId(NonZeroU32);
 
 impl RowId {
+    #[expect(
+        clippy::expect_used,
+        reason = "one row per distinct 32-bit stream id, and 2^32 - 1 rows do not fit in memory"
+    )]
     fn at(index: usize) -> Self {
         RowId(
             u32::try_from(index + 1)

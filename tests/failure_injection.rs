@@ -148,6 +148,10 @@ fn actuation_to_unreachable_sensor_times_out_cleanly() {
     assert_eq!(sim.control_delivery_count(), 0, "nothing ever reached the sensor");
 }
 
+/// The consumer's calls after expiry present its own registration token,
+/// which `subscribe_at` and `request_actuation` check by identity without
+/// recomputing the MAC: this pins the expiry check on that fast path as
+/// well as on the full verification `locate` and `provide_hint` run.
 #[test]
 fn expired_token_is_refused_everywhere() {
     let mut sim = pipeline(4);
