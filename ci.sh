@@ -47,6 +47,17 @@ if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|Frame
   echo "a deleted item is back" >&2
   exit 1
 fi
+# Reporting state has one type, defined where the state lives: a stage's
+# statistics are its service's own counters (no snapshot copy of them),
+# and garnetctl parses into garnet-core's TelemetrySnapshot and calls its
+# starvation rule (no inspector-side copy of the snapshot types or of the
+# QoS class list).
+echo "==> no copy of the stage counters or of the telemetry snapshot types"
+if grep -rnE 'FilterStats|DispatchStats' crates src tests examples \
+    || grep -rnE 'struct (Snapshot|GaugeSummary)\b|HistSummary|QOS_CLASSES' crates/ctl/src; then
+  echo "a second copy of a reporting type is back" >&2
+  exit 1
+fi
 # garnet-net is the benchmark's shim and nothing more: the four
 # garnet-core names perfbench imports from it, re-exported, and the shard
 # pool of its hand-off probe. It depends on garnet-core alone, its src/

@@ -180,27 +180,27 @@ impl DispatchingService {
     }
 
     /// Messages routed.
-    pub(crate) fn dispatched_count(&self) -> u64 {
+    pub fn dispatched_count(&self) -> u64 {
         self.dispatched
     }
 
     /// Total (message, subscriber) deliveries.
-    pub(crate) fn delivery_count(&self) -> u64 {
+    pub fn delivery_count(&self) -> u64 {
         self.deliveries
     }
 
     /// Messages that matched nobody.
-    pub(crate) fn unclaimed_count(&self) -> u64 {
+    pub fn unclaimed_count(&self) -> u64 {
         self.unclaimed
     }
 
     /// Counters of this service's match cache.
-    pub(crate) fn cache_stats(&self) -> MatchCacheStats {
+    pub fn match_cache(&self) -> MatchCacheStats {
         self.cache.stats()
     }
 
     /// Distinct subscribers with live subscriptions.
-    pub(crate) fn subscriber_count(&self) -> usize {
+    pub fn subscriber_count(&self) -> usize {
         self.table.subscriber_count()
     }
 }
@@ -295,7 +295,7 @@ mod tests {
         let out = d.route(stream(1));
         assert!(out.rebuilt);
         assert_eq!(&*out.recipients, &[a, b]);
-        let s = d.cache_stats();
+        let s = d.match_cache();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 1));
     }
 
@@ -336,7 +336,7 @@ mod tests {
             assert!(out.rebuilt);
             assert!(out.recipients.contains(&ids[0]));
         }
-        let s = d.cache_stats();
+        let s = d.match_cache();
         assert_eq!((s.misses, s.invalidations, s.resident), (3, 7, 3));
     }
 
@@ -348,16 +348,16 @@ mod tests {
         d.subscribe(a, TopicFilter::All);
         d.route(stream(1));
         d.route(stream(2));
-        assert_eq!(d.cache_stats().resident, 2);
+        assert_eq!(d.match_cache().resident, 2);
         d.route(stream(3)); // full: wholesale clear, then insert
-        assert_eq!(d.cache_stats().resident, 1);
+        assert_eq!(d.match_cache().resident, 1);
         assert!(!d.route(stream(3)).rebuilt, "the newly inserted entry survives the clear");
         // The slots the clear emptied still hold their old sets: each
         // rebuilds as a miss, not a hit or an invalidation — even one a
         // write marked stale since.
         d.subscribe(a, TopicFilter::Stream(stream(1)));
         assert!(d.route(stream(1)).rebuilt);
-        let s = d.cache_stats();
+        let s = d.match_cache();
         assert_eq!((s.hits, s.misses, s.invalidations, s.resident), (1, 4, 0, 2));
     }
 
@@ -371,7 +371,7 @@ mod tests {
         assert!(!out.rebuilt, "disabled caches never report rebuilds");
         d.subscribe(a, TopicFilter::Stream(stream(1)));
         assert!(!d.route(stream(1)).rebuilt);
-        assert_eq!(d.cache_stats(), MatchCacheStats::default());
+        assert_eq!(d.match_cache(), MatchCacheStats::default());
     }
 
     #[test]
@@ -386,7 +386,7 @@ mod tests {
         // One row per stream, holding both the catalogue entry and the
         // match-cache slot: two streams, two rows, two resident sets.
         assert_eq!(d.streams().len(), 2);
-        assert_eq!(d.cache_stats().resident, 2);
+        assert_eq!(d.match_cache().resident, 2);
         assert_eq!(d.streams().info(stream(2)).map(|i| i.claimed), Some(false));
         let (outcome, info, _) = d.route_row(stream(1), None);
         info.note(8, garnet_simkit::SimTime::from_millis(3), false);
@@ -536,7 +536,7 @@ mod proptests {
                         let out = cached.route(stream);
                         prop_assert_eq!(&*out.recipients, want.as_slice());
                         prop_assert_eq!(out.rebuilt, !hit);
-                        prop_assert_eq!(cached.cache_stats(), rule.stats);
+                        prop_assert_eq!(cached.match_cache(), rule.stats);
                         prop_assert_eq!(&*off.route(stream).recipients, want.as_slice());
                     }
                 }

@@ -1,5 +1,4 @@
-//! The two stage-counter snapshots, and the benchmark's shim over the
-//! [`Router`].
+//! The benchmark's shim over the [`Router`].
 //!
 //! There is one engine: the FIFO [`Router`], which [`crate::middleware::Garnet`] owns
 //! and pumps on the caller's thread, filtering included. [`DriverKind`],
@@ -10,8 +9,8 @@
 
 use garnet_simkit::SimTime;
 
-use crate::dispatching::pubsub::{DispatchCacheConfig, MatchCacheStats, SubscriberId, TopicFilter};
-use crate::filtering::{FilterConfig, FilteringService};
+use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
+use crate::filtering::FilterConfig;
 use crate::router::{
     ControlGraph, OverloadConfig, Router, Services, ShardedDispatch, ShardedIngest,
 };
@@ -26,107 +25,6 @@ pub enum DriverKind {
     Fifo,
     /// Identical to [`DriverKind::Fifo`].
     Threaded,
-}
-
-/// Ingest-stage counters, snapshotted by value
-/// (`ShardedIngest::stats`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FilterStats {
-    pub(crate) delivered: u64,
-    pub(crate) duplicates: u64,
-    pub(crate) crc_failures: u64,
-    pub(crate) reordered: u64,
-    pub(crate) gaps: u64,
-    pub(crate) restarts: u64,
-    pub(crate) streams: usize,
-}
-
-impl FilterStats {
-    /// Snapshot of a filtering service's counters.
-    pub(crate) fn of(filter: &FilteringService) -> Self {
-        FilterStats {
-            delivered: filter.delivered_count(),
-            duplicates: filter.duplicate_count(),
-            crc_failures: filter.crc_failure_count(),
-            reordered: filter.reordered_count(),
-            gaps: filter.gap_count(),
-            restarts: filter.restart_count(),
-            streams: filter.stream_count(),
-        }
-    }
-
-    /// Messages released downstream.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Duplicate frames eliminated.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Frames rejected by CRC/decode.
-    pub fn crc_failure_count(&self) -> u64 {
-        self.crc_failures
-    }
-
-    /// Frames buffered out of order.
-    pub fn reordered_count(&self) -> u64 {
-        self.reordered
-    }
-
-    /// Gaps accepted.
-    pub fn gap_count(&self) -> u64 {
-        self.gaps
-    }
-
-    /// Stream restarts detected.
-    pub(crate) fn restart_count(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Streams tracked.
-    pub fn stream_count(&self) -> usize {
-        self.streams
-    }
-}
-
-/// Dispatch-stage counters, snapshotted by value
-/// ([`ShardedDispatch::stats`]).
-#[derive(Clone, Debug, Default)]
-pub struct DispatchStats {
-    pub(crate) dispatched: u64,
-    pub(crate) deliveries: u64,
-    pub(crate) unclaimed: u64,
-    pub(crate) subscribers: usize,
-    pub(crate) match_cache: MatchCacheStats,
-}
-
-impl DispatchStats {
-    /// Messages routed.
-    pub fn dispatched_count(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Total (message, subscriber) deliveries.
-    pub fn delivery_count(&self) -> u64 {
-        self.deliveries
-    }
-
-    /// Messages that matched nobody.
-    pub fn unclaimed_count(&self) -> u64 {
-        self.unclaimed
-    }
-
-    /// Distinct subscribers with live subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers
-    }
-
-    /// Match-cache counters.
-    pub fn match_cache(&self) -> MatchCacheStats {
-        self.match_cache
-    }
 }
 
 /// The ten [`Router`] calls the benchmark's bare-engine replay makes,

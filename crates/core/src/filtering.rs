@@ -518,7 +518,7 @@ impl FilteringService {
     }
 
     /// Number of streams currently tracked.
-    pub(crate) fn stream_count(&self) -> usize {
+    pub fn stream_count(&self) -> usize {
         self.streams.len()
     }
 

@@ -52,8 +52,9 @@ use crate::auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
 use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
-use crate::driver::{DispatchStats, DriverKind, FilterStats};
-use crate::filtering::{Delivery, FilterConfig};
+use crate::dispatching::DispatchingService;
+use crate::driver::DriverKind;
+use crate::filtering::{Delivery, FilterConfig, FilteringService};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
@@ -1205,13 +1206,15 @@ impl Garnet {
         }
     }
 
-    /// Ingest-stage (filtering) statistics.
-    pub fn filtering(&self) -> FilterStats {
+    /// Figure 1's Filtering Service, whose counters are the ingest
+    /// stage's statistics.
+    pub fn filtering(&self) -> &FilteringService {
         self.router.services().ingest.stats()
     }
 
-    /// Dispatch-stage statistics.
-    pub fn dispatching(&self) -> DispatchStats {
+    /// Figure 1's Dispatching Service, whose counters are the dispatch
+    /// stage's statistics.
+    pub fn dispatching(&self) -> &DispatchingService {
         self.router.services().dispatch.stats()
     }
 

@@ -30,7 +30,6 @@ use crate::actuation::ActuationService;
 use crate::coordinator::{CoordinationMode, SuperCoordinator};
 use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
 use crate::dispatching::DispatchingService;
-use crate::driver::{DispatchStats, FilterStats};
 use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService};
 use crate::location::{LocationConfig, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
@@ -112,9 +111,10 @@ impl ShardedIngest {
         }
     }
 
-    /// The stage's counters, by value.
-    pub(crate) fn stats(&self) -> FilterStats {
-        FilterStats::of(&self.filter)
+    /// The stage's one Filtering Service, whose counters are the
+    /// stage's statistics.
+    pub(crate) fn stats(&self) -> &FilteringService {
+        &self.filter
     }
 }
 
@@ -204,16 +204,10 @@ impl ShardedDispatch {
         self.dispatcher.would_deliver(stream)
     }
 
-    /// The stage's counters, by value (beside `ShardedIngest::stats`).
-    pub fn stats(&self) -> DispatchStats {
-        let d = &self.dispatcher;
-        DispatchStats {
-            dispatched: d.dispatched_count(),
-            deliveries: d.delivery_count(),
-            unclaimed: d.unclaimed_count(),
-            subscribers: d.subscriber_count(),
-            match_cache: d.cache_stats(),
-        }
+    /// The stage's one Dispatching Service, whose counters are the
+    /// stage's statistics (beside `ShardedIngest::stats`).
+    pub fn stats(&self) -> &DispatchingService {
+        &self.dispatcher
     }
 }
 
@@ -797,7 +791,7 @@ mod tests {
     fn derived_republications_leave_filtering_state_alone() {
         let mut router = router();
         ingest_one(&mut router, 1, 0, SimTime::ZERO);
-        let before = router.services().ingest.stats();
+        let before = router.services().ingest.stats().stream_count();
         for (sensor, seq) in [(0x00FF_0001, 0), (1, 7)] {
             let msg = DataMessage::builder(stream_of(sensor))
                 .seq(SequenceNumber::new(seq))
@@ -808,8 +802,8 @@ mod tests {
             router.enqueue(ServiceEvent::Filtered { delivery, depth: 1, row: None });
             router.shutdown(at);
         }
-        let after = router.services().ingest.stats();
-        assert_eq!(after.stream_count(), before.stream_count());
+        let after = router.services().ingest.stats().stream_count();
+        assert_eq!(after, before);
         assert_eq!(router.services().dispatch.streams().len(), 2);
         assert_eq!(router.services().dispatch.streams().info(stream_of(1)).unwrap().messages, 2);
         // Stream 1's next frame is still its seq 1, not a duplicate.
@@ -1053,7 +1047,7 @@ mod proptests {
                 (stats.dispatched_count(), stats.delivery_count(), stats.unclaimed_count()),
                 (d.dispatched_count(), d.delivery_count(), d.unclaimed_count())
             );
-            let (a, b) = (stats.match_cache(), d.cache_stats());
+            let (a, b) = (stats.match_cache(), d.match_cache());
             prop_assert_eq!(
                 (a.hits, a.misses, a.invalidations, a.resident),
                 (b.hits, b.misses, b.invalidations, b.resident)

@@ -25,6 +25,10 @@
 //! * **Export** — `TelemetryService` owns the window state machine and
 //!   an optional rotating `telemetry-*.jsonl` file sink
 //!   (`TelemetrySink`) that `garnetctl` tails.
+//!
+//! These types are the one reporting vocabulary: `garnetctl` parses a
+//! sink line back into a [`TelemetrySnapshot`] and escalates its verdict
+//! with the scorer's own starvation rule, [`starved_classes`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -34,6 +38,8 @@ use std::path::{Path, PathBuf};
 
 use garnet_simkit::metrics::keys;
 use garnet_simkit::{Gauge, Histogram, MetricsRegistry, SimDuration, SimTime};
+
+use crate::qos::PriorityClass;
 
 /// Always-on latency histograms for the frame pipeline, recorded at the
 /// router's dispatch fan-out point.
@@ -230,59 +236,62 @@ impl HealthReport {
     }
 }
 
-/// The per-window quantities health scoring reads.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WindowStats {
-    /// Frames offered to admission in the window.
-    pub offered: u64,
-    /// Frames shed by overload policy in the window.
-    pub shed: u64,
-    /// Archive records dropped in the window.
-    pub archive_dropped: u64,
-    /// e2e p99 of the previous window, if one exists (µs).
-    pub prev_e2e_p99: Option<u64>,
-    /// e2e p99 of this window (µs, cumulative histogram).
-    pub e2e_p99: u64,
-    /// Per-class QoS offers in the window
-    /// (`qos.{control,actuation,data}.offered` deltas, in
-    /// [`crate::qos::PriorityClass::ALL`] order; zeros when the QoS
-    /// scheduler is inactive).
-    pub class_offered: [u64; 3],
-    /// Per-class QoS releases in the window
-    /// (`qos.{control,actuation,data}.delivered` deltas).
-    pub class_delivered: [u64; 3],
+/// The QoS classes starved in a window, in [`PriorityClass::ALL`] order,
+/// each with its offers: a class whose `qos.<class>.offered` delta is
+/// positive while its `qos.<class>.delivered` delta is 0. The health
+/// scorer marks each one critical, and `garnetctl health` applies the
+/// same rule to a sink line, so a line whose scorer predates the rule is
+/// still escalated.
+pub fn starved_classes(deltas: &BTreeMap<String, u64>) -> Vec<(PriorityClass, u64)> {
+    PriorityClass::ALL
+        .into_iter()
+        .filter_map(|class| {
+            let offered = delta(deltas, &format!("qos.{}.offered", class.name()));
+            let delivered = delta(deltas, &format!("qos.{}.delivered", class.name()));
+            (offered > 0 && delivered == 0).then_some((class, offered))
+        })
+        .collect()
 }
 
-/// Scores one window. Critical reasons trump degraded ones; both lists
-/// are assembled in a fixed rule order so the report is byte-stable.
-pub(crate) fn evaluate_health(w: &WindowStats) -> HealthReport {
+/// Counter `name`'s increment in a window (0 when it did not move).
+fn delta(deltas: &BTreeMap<String, u64>, name: &str) -> u64 {
+    deltas.get(name).copied().unwrap_or(0)
+}
+
+/// Scores one window from its counter increments and the e2e p99 of
+/// this and the previous window (µs; `None` for the first window).
+/// Critical reasons trump degraded ones; both lists are assembled in a
+/// fixed rule order so the report is byte-stable.
+pub(crate) fn evaluate_health(
+    deltas: &BTreeMap<String, u64>,
+    prev_e2e_p99: Option<u64>,
+    e2e_p99: u64,
+) -> HealthReport {
     let mut degraded = Vec::new();
     let mut critical = Vec::new();
-    if let Some(shed_ppm) = w.shed.saturating_mul(1_000_000).checked_div(w.offered) {
+    let offered = delta(deltas, "overload.offered");
+    let shed = delta(deltas, "overload.shed");
+    if let Some(shed_ppm) = shed.saturating_mul(1_000_000).checked_div(offered) {
         if shed_ppm >= SHED_CRITICAL_PPM {
-            critical.push(format!("shed {shed_ppm}ppm of {} offered frames", w.offered));
+            critical.push(format!("shed {shed_ppm}ppm of {offered} offered frames"));
         } else if shed_ppm >= SHED_DEGRADED_PPM {
-            degraded.push(format!("shed {shed_ppm}ppm of {} offered frames", w.offered));
+            degraded.push(format!("shed {shed_ppm}ppm of {offered} offered frames"));
         }
     }
-    if w.archive_dropped >= ARCHIVE_DROPPED_CRITICAL {
-        critical.push(format!("{} archive records dropped", w.archive_dropped));
+    let archive_dropped = delta(deltas, "archive.dropped");
+    if archive_dropped >= ARCHIVE_DROPPED_CRITICAL {
+        critical.push(format!("{archive_dropped} archive records dropped"));
     }
-    for class in crate::qos::PriorityClass::ALL {
-        let offered = w.class_offered[class.index()];
-        if offered > 0 && w.class_delivered[class.index()] == 0 {
-            critical.push(format!(
-                "qos: {} class starved ({offered} offered, 0 delivered)",
-                class.name()
-            ));
-        }
+    for (class, offered) in starved_classes(deltas) {
+        critical
+            .push(format!("qos: {} class starved ({offered} offered, 0 delivered)", class.name()));
     }
-    if let Some(prev) = w.prev_e2e_p99 {
+    if let Some(prev) = prev_e2e_p99 {
         if prev > 0
-            && w.e2e_p99 >= P99_FLOOR_US
-            && w.e2e_p99.saturating_mul(100) >= prev.saturating_mul(P99_REGRESSION_PCT)
+            && e2e_p99 >= P99_FLOOR_US
+            && e2e_p99.saturating_mul(100) >= prev.saturating_mul(P99_REGRESSION_PCT)
         {
-            degraded.push(format!("e2e p99 regressed {prev}us -> {}us", w.e2e_p99));
+            degraded.push(format!("e2e p99 regressed {prev}us -> {e2e_p99}us"));
         }
     }
     let state = if !critical.is_empty() {
@@ -413,7 +422,7 @@ fn prometheus_name(name: &str) -> String {
 
 impl TelemetrySnapshot {
     /// The window length in seconds.
-    pub(crate) fn window_secs(&self) -> f64 {
+    pub fn window_secs(&self) -> f64 {
         (self.window_end_us.saturating_sub(self.window_start_us)) as f64 / 1e6
     }
 
@@ -693,24 +702,8 @@ impl TelemetryService {
         let misses = counters.get("dispatch.match_cache.misses").copied().unwrap_or(0);
         let match_cache_hit_ppm =
             hits.saturating_mul(1_000_000).checked_div(hits + misses).unwrap_or(0);
-        let delta = |name: &str| deltas.get(name).copied().unwrap_or(0);
         let e2e_p99 = histograms.get(keys::PIPELINE_E2E_LATENCY_US).map_or(0, |h| h.p99);
-        let mut class_offered = [0u64; 3];
-        let mut class_delivered = [0u64; 3];
-        for class in crate::qos::PriorityClass::ALL {
-            class_offered[class.index()] = delta(&format!("qos.{}.offered", class.name()));
-            class_delivered[class.index()] = delta(&format!("qos.{}.delivered", class.name()));
-        }
-        let stats = WindowStats {
-            offered: delta("overload.offered"),
-            shed: delta("overload.shed"),
-            archive_dropped: delta("archive.dropped"),
-            prev_e2e_p99: self.prev_e2e_p99,
-            e2e_p99,
-            class_offered,
-            class_delivered,
-        };
-        let health = evaluate_health(&stats);
+        let health = evaluate_health(&deltas, self.prev_e2e_p99, e2e_p99);
         self.seq += 1;
         counters.insert("telemetry.windows".to_owned(), self.seq);
         counters.insert("health.state".to_owned(), health.severity());
@@ -804,58 +797,50 @@ mod tests {
         assert_eq!(d.total().last(), 1, "a disabled gauge records nothing");
     }
 
+    fn deltas(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        pairs.iter().map(|&(name, value)| (name.to_owned(), value)).collect()
+    }
+
     #[test]
     fn health_rules_escalate_in_order() {
-        let healthy = evaluate_health(&WindowStats::default());
+        let healthy = evaluate_health(&deltas(&[]), None, 0);
         assert_eq!(healthy.label(), "healthy");
         assert_eq!(healthy.severity(), 0);
         let degraded =
-            evaluate_health(&WindowStats { offered: 1_000, shed: 1, ..WindowStats::default() });
+            evaluate_health(&deltas(&[("overload.offered", 1_000), ("overload.shed", 1)]), None, 0);
         assert_eq!(degraded.label(), "degraded");
         assert!(degraded.reasons()[0].contains("shed"));
-        let critical = evaluate_health(&WindowStats {
-            offered: 10,
-            shed: 5,
-            prev_e2e_p99: Some(1_000),
-            e2e_p99: 2_000,
-            ..WindowStats::default()
-        });
+        let critical = evaluate_health(
+            &deltas(&[("overload.offered", 10), ("overload.shed", 5)]),
+            Some(1_000),
+            2_000,
+        );
         assert_eq!(critical.label(), "critical");
         // Critical verdicts carry the degraded reasons too.
         assert_eq!(critical.reasons().len(), 2);
-        let dropped =
-            evaluate_health(&WindowStats { archive_dropped: 1, ..WindowStats::default() });
+        let dropped = evaluate_health(&deltas(&[("archive.dropped", 1)]), None, 0);
         assert_eq!(dropped.label(), "critical");
     }
 
     #[test]
     fn health_flags_a_starved_qos_class_as_critical() {
-        let starved =
-            evaluate_health(&WindowStats { class_offered: [0, 0, 7], ..WindowStats::default() });
+        let starved = evaluate_health(&deltas(&[("qos.data.offered", 7)]), None, 0);
         assert_eq!(starved.label(), "critical");
         assert_eq!(starved.reasons(), ["qos: data class starved (7 offered, 0 delivered)"]);
         // One delivery in the window clears the verdict.
-        let fed = evaluate_health(&WindowStats {
-            class_offered: [0, 0, 7],
-            class_delivered: [0, 0, 1],
-            ..WindowStats::default()
-        });
+        let fed = evaluate_health(
+            &deltas(&[("qos.data.offered", 7), ("qos.data.delivered", 1)]),
+            None,
+            0,
+        );
         assert_eq!(fed.label(), "healthy");
     }
 
     #[test]
     fn health_p99_regression_needs_a_floor() {
-        let quiet = evaluate_health(&WindowStats {
-            prev_e2e_p99: Some(10),
-            e2e_p99: 900,
-            ..WindowStats::default()
-        });
+        let quiet = evaluate_health(&deltas(&[]), Some(10), 900);
         assert_eq!(quiet.label(), "healthy", "sub-floor p99 never regresses");
-        let regressed = evaluate_health(&WindowStats {
-            prev_e2e_p99: Some(1_000),
-            e2e_p99: 2_000,
-            ..WindowStats::default()
-        });
+        let regressed = evaluate_health(&deltas(&[]), Some(1_000), 2_000);
         assert_eq!(regressed.label(), "degraded");
     }
 

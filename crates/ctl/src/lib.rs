@@ -2,20 +2,22 @@
 //!
 //! A Garnet node with [`TelemetryConfig::sink_dir`] set exports one
 //! JSONL line per telemetry window into a rotating
-//! `telemetry-NNNNNN.jsonl` series (see `garnet_core::telemetry`). This
+//! `telemetry-NNNNNN.jsonl` series (see [`garnet_core::telemetry`]). This
 //! crate is the other half of that contract: it parses the sink back
-//! into [`Snapshot`] values and renders operator views — rate tables
-//! (`dump`), a compact per-window log (`tail`), the latest health
-//! verdict (`health`, with the state as the exit code), and per-stage
-//! roll-ups of a flight-recorder drain (`trace`).
+//! into the node's own [`TelemetrySnapshot`] values ([`parse_snapshot`],
+//! whose output renders back to the line it read) and renders operator
+//! views — rate tables (`dump`), a compact per-window log (`tail`), the
+//! latest health verdict (`health`, with the state as the exit code,
+//! escalated by the node's own starvation rule), and per-stage roll-ups
+//! of a flight-recorder drain (`trace`).
 //!
-//! The parser is a minimal recursive-descent JSON reader. The sink
-//! serialiser is hand-rolled on the node side (no JSON dependency in
-//! the data path) and this crate mirrors that choice so the inspector
-//! stays dependency-free too; it accepts any JSON, not just the exact
-//! byte shapes the node emits.
+//! The parser is a minimal recursive-descent JSON reader with a nesting
+//! cap. The sink serialiser is hand-rolled on the node side (no JSON
+//! dependency in the data path) and this crate mirrors that choice: its
+//! one dependency is `garnet-core`, for the types it parses into. It
+//! accepts any JSON, not just the exact byte shapes the node emits.
 //!
-//! [`TelemetryConfig::sink_dir`]: ../garnet_core/telemetry/struct.TelemetryConfig.html
+//! [`TelemetryConfig::sink_dir`]: garnet_core::telemetry::TelemetryConfig::sink_dir
 
 // The inspector parses whatever a sink holds: a malformed line is an
 // error message, never an unwrap, expect or panic!.
@@ -24,6 +26,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use garnet_core::telemetry::{
+    starved_classes, GaugeSummary, HealthReport, HealthState, HistogramSummary, TelemetrySnapshot,
+};
+use garnet_core::PriorityClass;
 
 /// A parsed JSON value. Integers that fit `u64` are kept exact
 /// ([`Json::Int`]) — telemetry counters are `u64` and must not round
@@ -81,7 +88,13 @@ impl Json {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// The deepest array/object nesting [`parse_json`] accepts. A telemetry
+/// line nests three deep and a benchmark report four, so this only stops
+/// a hostile line from recursing the reader off its stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing garbage and arrays or
+/// objects nested more than 128 deep.
 ///
 /// # Errors
 ///
@@ -89,7 +102,7 @@ impl Json {
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -103,12 +116,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, `depth` arrays/objects deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -201,7 +218,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -210,7 +227,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -223,7 +240,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -242,7 +259,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -256,157 +273,84 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Histogram quantile summary as exported in a snapshot line.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistSummary {
-    /// Recorded samples.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Smallest sample.
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-/// Gauge watermark summary as exported in a snapshot line.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GaugeSummary {
-    /// Most recent level.
-    pub last: u64,
-    /// Lowest level observed.
-    pub min: u64,
-    /// Highest level observed.
-    pub max: u64,
-    /// Recordings folded in.
-    pub samples: u64,
-}
-
-/// One telemetry window parsed back from its JSONL line.
-#[derive(Clone, Debug, Default)]
-pub struct Snapshot {
-    /// Monotonic snapshot number.
-    pub seq: u64,
-    /// Window start (µs of sim time).
-    pub window_start_us: u64,
-    /// Window end (µs of sim time).
-    pub window_end_us: u64,
-    /// `healthy` / `degraded` / `critical`.
-    pub health: String,
-    /// Scoring reasons (empty when healthy).
-    pub reasons: Vec<String>,
-    /// Dispatch match-cache hit rate, parts per million.
-    pub match_cache_hit_ppm: u64,
-    /// Cumulative counters.
-    pub counters: BTreeMap<String, u64>,
-    /// This window's counter increments.
-    pub deltas: BTreeMap<String, u64>,
-    /// Histogram summaries.
-    pub histograms: BTreeMap<String, HistSummary>,
-    /// Gauge summaries.
-    pub gauges: BTreeMap<String, GaugeSummary>,
-}
-
-impl Snapshot {
-    /// Parses one sink line.
-    ///
-    /// # Errors
-    ///
-    /// Invalid JSON or a line without the snapshot's required fields.
-    pub fn parse(line: &str) -> Result<Snapshot, String> {
-        let v = parse_json(line)?;
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let mut snap = Snapshot {
-            seq: u("seq")?,
-            window_start_us: u("window_start_us")?,
-            window_end_us: u("window_end_us")?,
-            health: v
-                .get("health")
-                .and_then(Json::as_str)
-                .ok_or("missing field \"health\"")?
-                .to_owned(),
-            match_cache_hit_ppm: u("match_cache_hit_ppm")?,
-            ..Snapshot::default()
-        };
-        if let Some(Json::Arr(reasons)) = v.get("reasons") {
-            snap.reasons = reasons.iter().filter_map(Json::as_str).map(str::to_owned).collect();
+/// Parses one sink line back into the node's own [`TelemetrySnapshot`],
+/// the inverse of [`TelemetrySnapshot::to_jsonl`]. A health label other
+/// than `healthy` or `degraded` parses as critical (an operator tool must
+/// not underreport); a `healthy` line's reasons are dropped, as a healthy
+/// report holds none.
+///
+/// # Errors
+///
+/// Invalid JSON or a line without the snapshot's required fields.
+pub fn parse_snapshot(line: &str) -> Result<TelemetrySnapshot, String> {
+    let v = parse_json(line)?;
+    let u = |key: &str| {
+        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing numeric field {key:?}"))
+    };
+    let (seq, window_start_us, window_end_us) =
+        (u("seq")?, u("window_start_us")?, u("window_end_us")?);
+    let label = v.get("health").and_then(Json::as_str).ok_or("missing field \"health\"")?;
+    let match_cache_hit_ppm = u("match_cache_hit_ppm")?;
+    let reasons = match v.get("reasons") {
+        Some(Json::Arr(reasons)) => {
+            reasons.iter().filter_map(Json::as_str).map(str::to_owned).collect()
         }
-        for (target, key) in [(&mut snap.counters, "counters"), (&mut snap.deltas, "deltas")] {
-            if let Some(Json::Obj(members)) = v.get(key) {
-                for (name, value) in members {
-                    if let Some(value) = value.as_u64() {
-                        target.insert(name.clone(), value);
-                    }
-                }
-            }
-        }
-        if let Some(Json::Obj(members)) = v.get("histograms") {
-            for (name, h) in members {
-                let g = |key: &str| h.get(key).and_then(Json::as_u64).unwrap_or(0);
-                snap.histograms.insert(
-                    name.clone(),
-                    HistSummary {
-                        count: g("count"),
-                        mean: h.get("mean").and_then(Json::as_f64).unwrap_or(0.0),
-                        p50: g("p50"),
-                        p90: g("p90"),
-                        p99: g("p99"),
-                        min: g("min"),
-                        max: g("max"),
-                    },
-                );
-            }
-        }
-        if let Some(Json::Obj(members)) = v.get("gauges") {
-            for (name, g) in members {
-                let f = |key: &str| g.get(key).and_then(Json::as_u64).unwrap_or(0);
-                snap.gauges.insert(
-                    name.clone(),
-                    GaugeSummary {
-                        last: f("last"),
-                        min: f("min"),
-                        max: f("max"),
-                        samples: f("samples"),
-                    },
-                );
-            }
-        }
-        Ok(snap)
-    }
-
-    /// The window length in seconds.
-    pub(crate) fn window_secs(&self) -> f64 {
-        (self.window_end_us.saturating_sub(self.window_start_us)) as f64 / 1e6
-    }
-
-    /// This window's rate for counter `name`, per sim-second.
-    pub(crate) fn rate_per_sec(&self, name: &str) -> f64 {
-        let secs = self.window_secs();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.deltas.get(name).copied().unwrap_or(0) as f64 / secs
-    }
-
-    /// Numeric severity: 0 healthy, 1 degraded, 2 critical (unknown
-    /// labels score critical — an operator tool must not underreport).
-    pub(crate) fn severity(&self) -> i32 {
-        match self.health.as_str() {
-            "healthy" => 0,
-            "degraded" => 1,
-            _ => 2,
-        }
-    }
+        _ => Vec::new(),
+    };
+    let state = match label {
+        "healthy" => HealthState::Healthy,
+        "degraded" => HealthState::Degraded { reasons },
+        _ => HealthState::Critical { reasons },
+    };
+    // Each object-valued section, as (name, member) pairs; a missing or
+    // non-object section is empty.
+    let section = |key: &str| match v.get(key) {
+        Some(Json::Obj(members)) => members.as_slice(),
+        _ => &[],
+    };
+    let numbers = |key: &str| -> BTreeMap<String, u64> {
+        section(key)
+            .iter()
+            .filter_map(|(name, value)| Some((name.clone(), value.as_u64()?)))
+            .collect()
+    };
+    let field = |member: &Json, key: &str| member.get(key).and_then(Json::as_u64).unwrap_or(0);
+    Ok(TelemetrySnapshot {
+        seq,
+        window_start_us,
+        window_end_us,
+        counters: numbers("counters"),
+        deltas: numbers("deltas"),
+        histograms: section("histograms")
+            .iter()
+            .map(|(name, h)| {
+                let summary = HistogramSummary {
+                    count: field(h, "count"),
+                    mean: h.get("mean").and_then(Json::as_f64).unwrap_or(0.0),
+                    p50: field(h, "p50"),
+                    p90: field(h, "p90"),
+                    p99: field(h, "p99"),
+                    min: field(h, "min"),
+                    max: field(h, "max"),
+                };
+                (name.clone(), summary)
+            })
+            .collect(),
+        gauges: section("gauges")
+            .iter()
+            .map(|(name, g)| {
+                let summary = GaugeSummary {
+                    last: field(g, "last"),
+                    min: field(g, "min"),
+                    max: field(g, "max"),
+                    samples: field(g, "samples"),
+                };
+                (name.clone(), summary)
+            })
+            .collect(),
+        match_cache_hit_ppm,
+        health: HealthReport { state },
+    })
 }
 
 /// The sink files of `dir` in emission order (`telemetry-*.jsonl`,
@@ -438,7 +382,7 @@ pub fn sink_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 /// # Errors
 ///
 /// Directory or file I/O failure, or a corrupt line.
-pub fn load_sink(dir: &Path) -> Result<Vec<Snapshot>, String> {
+pub fn load_sink(dir: &Path) -> Result<Vec<TelemetrySnapshot>, String> {
     let mut snapshots = Vec::new();
     for path in sink_files(dir)? {
         let text =
@@ -448,7 +392,7 @@ pub fn load_sink(dir: &Path) -> Result<Vec<Snapshot>, String> {
                 continue;
             }
             let snap =
-                Snapshot::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+                parse_snapshot(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
             snapshots.push(snap);
         }
     }
@@ -463,7 +407,7 @@ fn pad(s: &str, width: usize) -> String {
 /// The rate table for one window: every counter that moved, its delta
 /// and its per-second rate, plus latency quantiles and depth
 /// watermarks.
-pub fn render_rates(snap: &Snapshot) -> String {
+pub fn render_rates(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -472,9 +416,9 @@ pub fn render_rates(snap: &Snapshot) -> String {
         snap.window_start_us,
         snap.window_end_us,
         snap.window_secs(),
-        snap.health
+        snap.health.label()
     );
-    for reason in &snap.reasons {
+    for reason in snap.health.reasons() {
         let _ = writeln!(out, "  ! {reason}");
     }
     let _ = writeln!(out, "  match_cache_hit_ppm={}", snap.match_cache_hit_ppm);
@@ -541,7 +485,7 @@ pub fn render_rates(snap: &Snapshot) -> String {
 }
 
 /// One compact line per window (for `tail`).
-pub fn render_tail_line(snap: &Snapshot) -> String {
+pub fn render_tail_line(snap: &TelemetrySnapshot) -> String {
     let offered = snap.deltas.get("overload.offered").copied().unwrap_or(0);
     let shed = snap.deltas.get("overload.shed").copied().unwrap_or(0);
     let p99 = snap.histograms.get("pipeline.e2e_latency_us").map_or(0, |h| h.p99);
@@ -549,65 +493,47 @@ pub fn render_tail_line(snap: &Snapshot) -> String {
         "#{seq:<5} end={end:<12} {health:<8} offered={offered:<8} shed={shed:<6} e2e_p99_us={p99}",
         seq = snap.seq,
         end = snap.window_end_us,
-        health = snap.health,
+        health = snap.health.label(),
     )
 }
 
-/// QoS priority classes as named in the node's `qos.*` counter rows, in
-/// report order (mirrors `garnet_core::qos::PriorityClass::ALL`).
-pub(crate) const QOS_CLASSES: [&str; 3] = ["control", "actuation", "data"];
-
-/// Classes that were offered events this window but delivered none —
-/// computed from the per-class `qos.<class>.{offered,delivered}`
-/// deltas, independently of the node's own verdict, so the inspector
-/// still flags starvation on a sink whose scorer predates the rule.
-pub(crate) fn starved_classes(snap: &Snapshot) -> Vec<String> {
-    let delta = |name: String| snap.deltas.get(&name).copied().unwrap_or(0);
-    QOS_CLASSES
-        .iter()
-        .filter_map(|class| {
-            let offered = delta(format!("qos.{class}.offered"));
-            let delivered = delta(format!("qos.{class}.delivered"));
-            (offered > 0 && delivered == 0)
-                .then(|| format!("{class} ({offered} offered, 0 delivered)"))
-        })
-        .collect()
-}
-
 /// Exit severity for the `health` subcommand: the node's own verdict,
-/// escalated to critical when the window shows a starved QoS class the
-/// node did not score.
-pub fn health_severity(snap: &Snapshot) -> i32 {
-    if starved_classes(snap).is_empty() {
-        snap.severity()
+/// escalated to critical when the window shows a starved QoS class
+/// ([`starved_classes`]) the node did not score.
+pub fn health_severity(snap: &TelemetrySnapshot) -> u64 {
+    if starved_classes(&snap.deltas).is_empty() {
+        snap.health.severity()
     } else {
         2
     }
 }
 
 /// The health view over the latest window (for `health`).
-pub fn render_health(snap: &Snapshot) -> String {
+pub fn render_health(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "health: {}", snap.health);
+    let _ = writeln!(out, "health: {}", snap.health.label());
     let _ = writeln!(out, "window: #{} ending at {}us", snap.seq, snap.window_end_us);
-    for reason in &snap.reasons {
+    for reason in snap.health.reasons() {
         let _ = writeln!(out, "reason: {reason}");
     }
-    let delta = |name: String| snap.deltas.get(&name).copied().unwrap_or(0);
-    if QOS_CLASSES.iter().any(|class| delta(format!("qos.{class}.offered")) > 0) {
-        for class in QOS_CLASSES {
+    let delta = |class: PriorityClass, what: &str| {
+        snap.deltas.get(&format!("qos.{}.{what}", class.name())).copied().unwrap_or(0)
+    };
+    if PriorityClass::ALL.into_iter().any(|class| delta(class, "offered") > 0) {
+        for class in PriorityClass::ALL {
             let _ = writeln!(
                 out,
-                "qos.{class}: offered={} shed={} coalesced={} delivered={}",
-                delta(format!("qos.{class}.offered")),
-                delta(format!("qos.{class}.shed")),
-                delta(format!("qos.{class}.coalesced")),
-                delta(format!("qos.{class}.delivered")),
+                "qos.{}: offered={} shed={} coalesced={} delivered={}",
+                class.name(),
+                delta(class, "offered"),
+                delta(class, "shed"),
+                delta(class, "coalesced"),
+                delta(class, "delivered"),
             );
         }
     }
-    for starved in starved_classes(snap) {
-        let _ = writeln!(out, "starved class: {starved}");
+    for (class, offered) in starved_classes(&snap.deltas) {
+        let _ = writeln!(out, "starved class: {} ({offered} offered, 0 delivered)", class.name());
     }
     out
 }
@@ -666,17 +592,17 @@ mod tests {
 
     #[test]
     fn parses_a_snapshot_line() {
-        let snap = Snapshot::parse(LINE).unwrap();
+        let snap = parse_snapshot(LINE).unwrap();
         assert_eq!(snap.seq, 3);
-        assert_eq!(snap.health, "degraded");
-        assert_eq!(snap.severity(), 1);
-        assert_eq!(snap.reasons.len(), 1);
+        assert_eq!(snap.health.label(), "degraded");
+        assert_eq!(snap.health.severity(), 1);
+        assert_eq!(snap.health.reasons().len(), 1);
         assert_eq!(snap.counters["overload.offered"], 100);
         assert_eq!(snap.deltas["overload.shed"], 2);
         let h = &snap.histograms["pipeline.e2e_latency_us"];
         assert_eq!((h.count, h.p50, h.p99, h.max), (40, 12, 15, 15));
         assert!((h.mean - 12.5).abs() < 1e-9);
-        let g = snap.gauges["overload.queue_depth"];
+        let g = &snap.gauges["overload.queue_depth"];
         assert_eq!((g.last, g.min, g.max, g.samples), (4, 1, 9, 40));
         // 40 offered over the 2ms window → 20k/s.
         assert!((snap.rate_per_sec("overload.offered") - 20_000.0).abs() < 1e-6);
@@ -699,6 +625,27 @@ mod tests {
     }
 
     #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let line = open.repeat(1_000_000);
+            assert!(parse_json(&line).unwrap_err().contains("nesting deeper than 128"));
+            assert!(parse_snapshot(&line).is_err());
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn an_unknown_health_label_parses_as_critical() {
+        let line = LINE.replacen("\"health\":\"degraded\"", "\"health\":\"on fire\"", 1);
+        let snap = parse_snapshot(&line).unwrap();
+        assert_eq!(snap.health.label(), "critical");
+        assert_eq!(snap.health.reasons(), ["shed ratio 2000ppm >= 1000ppm"]);
+        assert_eq!(health_severity(&snap), 2);
+    }
+
+    #[test]
     fn json_string_parse_is_linear_in_its_length() {
         let line = format!("{{\"s\":\"{}\\n\"}}", "é".repeat(2 << 20));
         let start = std::time::Instant::now();
@@ -709,7 +656,7 @@ mod tests {
 
     #[test]
     fn rate_table_lists_moved_counters_only() {
-        let snap = Snapshot::parse(LINE).unwrap();
+        let snap = parse_snapshot(LINE).unwrap();
         let table = render_rates(&snap);
         assert!(table.contains("overload.offered"));
         assert!(table.contains("health=degraded"));
@@ -720,7 +667,7 @@ mod tests {
 
     #[test]
     fn tail_and_health_views_render() {
-        let snap = Snapshot::parse(LINE).unwrap();
+        let snap = parse_snapshot(LINE).unwrap();
         let line = render_tail_line(&snap);
         assert!(line.contains("#3"));
         assert!(line.contains("degraded"));
@@ -743,16 +690,16 @@ mod tests {
                  \"qos.data.offered\":9,\"qos.data.delivered\":0,",
                 1,
             );
-        let snap = Snapshot::parse(&line).unwrap();
-        assert_eq!(snap.severity(), 0);
-        assert_eq!(starved_classes(&snap), ["data (9 offered, 0 delivered)"]);
+        let snap = parse_snapshot(&line).unwrap();
+        assert_eq!(snap.health.severity(), 0);
+        assert_eq!(starved_classes(&snap.deltas), [(PriorityClass::Data, 9)]);
         assert_eq!(health_severity(&snap), 2, "starvation escalates the exit code");
         let view = render_health(&snap);
         assert!(view.contains("starved class: data (9 offered, 0 delivered)"));
         assert!(view.contains("qos.control: offered=5 shed=0 coalesced=0 delivered=5"));
         // A window with no qos rows renders no qos table and no flags.
-        let plain = Snapshot::parse(LINE).unwrap();
-        assert!(starved_classes(&plain).is_empty());
+        let plain = parse_snapshot(LINE).unwrap();
+        assert!(starved_classes(&plain.deltas).is_empty());
         assert_eq!(health_severity(&plain), 1);
         assert!(!render_health(&plain).contains("qos."));
     }

@@ -333,7 +333,7 @@ fn telemetry_does_not_change_the_world() {
     let frames = burst_schedule(5, 20, &drop_mask, &dup_mask);
 
     let (jsonl, prometheus, report) = telemetry_replay(&frames, GarnetConfig::default(), false);
-    garnet_ctl::Snapshot::parse(&jsonl).expect("facade emits parseable JSONL");
+    garnet_ctl::parse_snapshot(&jsonl).expect("facade emits parseable JSONL");
     let (j, p, r) = telemetry_replay(&frames, GarnetConfig::default(), false);
     assert_eq!(j, jsonl, "JSONL not byte-stable across identical runs");
     assert_eq!(p, prometheus, "Prometheus not byte-stable across identical runs");

@@ -3,14 +3,19 @@
 //! the rotating JSONL sink, and the `garnet-ctl` parser reading it all
 //! back.
 
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::telemetry::{HealthState, TelemetryConfig};
-use garnet::core::TopicFilter;
+use garnet::core::telemetry::{HealthReport, HealthState, TelemetryConfig, TelemetrySnapshot};
+use garnet::core::{ArchiveConfig, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::{DataMessage, SensorId, SequenceNumber, StreamId, StreamIndex};
 use garnet::workloads::pipeline::SharedCountConsumer;
+use garnet_ctl::{parse_json, parse_snapshot, Json};
+use proptest::prelude::*;
 
 /// `frames` data messages round-robined over `sensors` sensors with
 /// monotonic per-stream sequence numbers.
@@ -163,21 +168,7 @@ fn sink_rotates_and_garnetctl_reads_it_back() {
     let parsed = garnet_ctl::load_sink(&dir).unwrap();
     assert_eq!(parsed.len(), emitted.len());
     for (snap, orig) in parsed.iter().zip(&emitted) {
-        assert_eq!(snap.seq, orig.seq);
-        assert_eq!(snap.window_start_us, orig.window_start_us);
-        assert_eq!(snap.window_end_us, orig.window_end_us);
-        assert_eq!(snap.health, orig.health.label());
-        assert_eq!(snap.counters, orig.counters.clone().into_iter().collect());
-        assert_eq!(snap.deltas, orig.deltas.clone().into_iter().collect());
-        assert_eq!(snap.match_cache_hit_ppm, orig.match_cache_hit_ppm);
-        let p99 = snap.histograms["pipeline.e2e_latency_us"].p99;
-        assert_eq!(p99, orig.histograms["pipeline.e2e_latency_us"].p99);
-        let depth = snap.gauges["overload.queue_depth"];
-        let orig_depth = &orig.gauges["overload.queue_depth"];
-        assert_eq!(
-            (depth.last, depth.min, depth.max, depth.samples),
-            (orig_depth.last, orig_depth.min, orig_depth.max, orig_depth.samples)
-        );
+        assert_eq!(snap.to_jsonl(), orig.to_jsonl());
     }
     // A fresh facade pointed at the same directory resumes after the
     // existing files instead of clobbering them.
@@ -214,4 +205,162 @@ fn prometheus_exposition_is_complete_and_stable() {
     assert!(text.contains("# TYPE garnet_overload_queue_depth gauge"));
     assert!(text.contains("garnet_overload_queue_depth_max 25"));
     assert_eq!(text, run(), "identical runs must render identical exposition bytes");
+}
+
+/// Three windows of a facade with the overload scheduler and the
+/// archive on, the first two shedding: every stage that exports a
+/// metric has rows in them, and the verdicts carry reasons.
+fn overload_archive_snapshots() -> Vec<TelemetrySnapshot> {
+    let mut g = subscribed_garnet(GarnetConfig {
+        overload: Some(OverloadConfig { capacity: 4, policy: OverloadPolicy::Shed }),
+        archive: Some(ArchiveConfig::default()),
+        ..GarnetConfig::default()
+    });
+    let frames = workload(96, 4);
+    let mut snapshots = Vec::new();
+    for (i, chunk) in [&frames[..64], &frames[64..92], &frames[92..]].into_iter().enumerate() {
+        feed(&mut g, chunk, SimTime::from_secs(1 + 2 * i as u64));
+        snapshots.push(g.telemetry(SimTime::from_secs(2 + 2 * i as u64)));
+    }
+    assert!(snapshots[0].health.severity() > 0, "the first window sheds");
+    snapshots
+}
+
+/// The first window of [`overload_archive_snapshots`] as its sink line.
+fn facade_line() -> &'static str {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| overload_archive_snapshots()[0].to_jsonl())
+}
+
+/// `garnetctl`'s reader is the inverse of the node's writer: a line read
+/// back renders to the same bytes.
+fn assert_fixpoint(snapshot: &TelemetrySnapshot) {
+    let line = snapshot.to_jsonl();
+    let read = parse_snapshot(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(read.to_jsonl(), line);
+}
+
+#[test]
+fn garnetctl_reads_back_every_line_the_node_writes() {
+    let snapshots = overload_archive_snapshots();
+    for snapshot in &snapshots {
+        assert_fixpoint(snapshot);
+    }
+    // Reasons that need escaping, and every counter at its ceiling.
+    let mut odd = snapshots[0].clone();
+    let reasons = vec![
+        "quote \" backslash \\ slash /".to_owned(),
+        "controls \u{0}\u{1}\u{8}\t\n\r\u{c}\u{1f}\u{7f}".to_owned(),
+        "non-ASCII: héllo → wörld ✓ 🚀 \u{2028}".to_owned(),
+    ];
+    odd.health = HealthReport { state: HealthState::Degraded { reasons: reasons.clone() } };
+    assert_fixpoint(&odd);
+    odd.health = HealthReport { state: HealthState::Critical { reasons } };
+    assert_fixpoint(&odd);
+    odd.health = HealthReport { state: HealthState::Healthy };
+    (odd.seq, odd.window_start_us, odd.window_end_us) = (u64::MAX, u64::MAX - 1, u64::MAX);
+    odd.match_cache_hit_ppm = u64::MAX;
+    for value in odd.counters.values_mut().chain(odd.deltas.values_mut()) {
+        *value = u64::MAX;
+    }
+    odd.counters.insert("odd \"name\" \\ é".to_owned(), u64::MAX);
+    for h in odd.histograms.values_mut() {
+        (h.count, h.p50, h.p90, h.p99, h.min, h.max) = (u64::MAX, 1, 2, u64::MAX, 0, u64::MAX);
+    }
+    for g in odd.gauges.values_mut() {
+        (g.last, g.min, g.max, g.samples) = (u64::MAX, 0, u64::MAX, u64::MAX);
+    }
+    assert_fixpoint(&odd);
+}
+
+/// The bytes a JSON reader branches on, so that random documents reach
+/// past the first token.
+const JSON_BYTES: &[u8] = b"{}[]\":,-+.eE0123456789tfnrulase\\/ \n\xc3\xa9";
+
+proptest! {
+    #[test]
+    fn garnetctl_reader_returns_on_any_input(
+        raw in prop::collection::vec(any::<u8>(), 0..96),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 0..192),
+        (at, byte) in (any::<prop::sample::Index>(), any::<u8>()),
+    ) {
+        let line = facade_line();
+        let mut mutated = line.as_bytes().to_vec();
+        mutated[at.index(line.len())] = byte;
+        let jsonish: Vec<u8> = picks.iter().map(|i| JSON_BYTES[i.index(JSON_BYTES.len())]).collect();
+        for bytes in [raw, jsonish, mutated] {
+            let text = String::from_utf8_lossy(&bytes);
+            // Each call must return, Ok or Err, without a panic.
+            let _ = parse_json(&text);
+            let _ = parse_snapshot(&text);
+        }
+    }
+}
+
+/// Every backticked `stage.metric` name in DESIGN.md, README.md and
+/// EXPERIMENTS.md is a key of a node snapshot: brace lists expand;
+/// `<class>` and `*` patterns, file names, the convention's own
+/// `stage.metric` and the benchmark's metric names (BENCHMARK.json's)
+/// are not node metrics and are skipped.
+#[test]
+fn every_metric_name_the_docs_cite_is_in_a_snapshot() {
+    let docs = [
+        include_str!("../DESIGN.md"),
+        include_str!("../README.md"),
+        include_str!("../EXPERIMENTS.md"),
+    ];
+    let benchmark = parse_json(include_str!("../BENCHMARK.json")).unwrap();
+    let benchmark_names: BTreeSet<&str> = ["end_to_end", "per_layer"]
+        .into_iter()
+        .filter_map(|list| match benchmark.get(list) {
+            Some(Json::Arr(metrics)) => Some(metrics),
+            _ => None,
+        })
+        .flatten()
+        .filter_map(|metric| metric.get("name").and_then(Json::as_str))
+        .collect();
+    assert!(benchmark_names.contains("net.pubsub.cache_hit_share"));
+    let is_name_char =
+        |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "_.{},".contains(c);
+    let file_extensions = ["rs", "sh", "txt", "md", "json", "jsonl", "toml"];
+    let mut cited = BTreeSet::new();
+    for span in
+        docs.iter().flat_map(|doc| doc.lines()).flat_map(|l| l.split('`').skip(1).step_by(2))
+    {
+        // `stage.metric`: two or more dot-separated, non-empty parts.
+        let Some((_, last)) = span.rsplit_once('.') else { continue };
+        if span.split('.').any(str::is_empty) {
+            continue;
+        }
+        if !span.starts_with(|c: char| c.is_ascii_lowercase())
+            || !span.chars().all(is_name_char)
+            || file_extensions.contains(&last)
+            || span == "stage.metric"
+            || benchmark_names.contains(span)
+        {
+            continue;
+        }
+        match span.split_once('{').and_then(|(head, rest)| Some((head, rest.split_once('}')?))) {
+            Some((head, (list, tail))) => {
+                cited.extend(list.split(',').map(|item| format!("{head}{item}{tail}")));
+            }
+            None => {
+                cited.insert(span.to_owned());
+            }
+        }
+    }
+    assert!(
+        cited.contains("dispatch.match_cache.hits") && cited.contains("qos.retunes"),
+        "{cited:?}"
+    );
+    let snapshot = &overload_archive_snapshots()[0];
+    let missing: Vec<&String> = cited
+        .iter()
+        .filter(|name| {
+            !snapshot.counters.contains_key(*name)
+                && !snapshot.histograms.contains_key(*name)
+                && !snapshot.gauges.contains_key(*name)
+        })
+        .collect();
+    assert!(missing.is_empty(), "the docs cite metrics no snapshot holds: {missing:?}");
 }
