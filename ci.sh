@@ -343,5 +343,16 @@ perfbench/target/release/perf --quick
 # offline build prunes those entries in the working tree: put the
 # committed file back so that running CI leaves the tree clean.
 git checkout -- perfbench/Cargo.lock
+# Admission tells filtering which sequence numbers coalescing dropped,
+# so on overload-qos no stream waits out a reorder timeout for a frame
+# the node threw away itself: the traced run must check out correct and
+# accept no gap.
+echo "==> forgone verify: overload-qos is correct and accepts no gap"
+qos_line="$(perfbench/target/release/perf --quick --workload overload-qos --trace 1 | tail -1)"
+if ! grep -q '^{"correct": true,' <<< "$qos_line" \
+    || ! grep -qF '"core.filtering.gap_count": {"value": 0,' <<< "$qos_line"; then
+  echo "overload-qos is not correct, or filtering accepted a gap there" >&2
+  exit 1
+fi
 
 echo "==> CI green"

@@ -20,6 +20,19 @@
 //!   a reorder timeout expires, at which point the stream accepts the gap
 //!   (the missing message was lost in the air) and moves on.
 //!
+//! A gap the node made itself is not waited for. When the QoS
+//! scheduler's newest-wins coalescing drops an intact frame, it tells
+//! this service, after the survivors of the same release were filtered,
+//! that the frame's sequence number is **forgone**
+//! (`FilteringService::forgo`): the stream steps over it as if it had
+//! been delivered, so the survivors behind it release in the call that
+//! offered them. A forgone sequence number that is already delivered or
+//! buffered is left alone (a survivor always wins), one behind a real
+//! gap holds its place in the reorder buffer, and a copy of a forgone
+//! sequence number arriving later is a duplicate. A frame shed by
+//! shed-oldest admission is not forgone: nothing tells this service
+//! about it, and the stream waits for it as for a frame lost in the air.
+//!
 //! Every CRC-valid reception — including duplicates — also yields an
 //! [`Observation`] for the Location Service: duplicates are useless to
 //! consumers but golden for trilateration.
@@ -182,11 +195,44 @@ pub struct FilterResult {
     pub(crate) row: Option<RowId>,
 }
 
+/// What a reorder-buffer entry holds.
+#[derive(Debug)]
+enum Held {
+    /// A message waiting for the gap before it to fill.
+    Message(DataMessage),
+    /// A forgone sequence number: it holds its place behind a gap and
+    /// releases nothing.
+    Forgone(SequenceNumber),
+}
+
 #[derive(Debug)]
 struct Buffered {
-    msg: DataMessage,
+    held: Held,
     first_received_at: SimTime,
     deadline: SimTime,
+}
+
+// A forgone entry fits beside the message's fields: an entry costs what
+// it did before there were any.
+const _: () = assert!(std::mem::size_of::<Buffered>() == 72);
+
+impl Buffered {
+    fn seq(&self) -> SequenceNumber {
+        match &self.held {
+            Held::Message(msg) => msg.seq(),
+            Held::Forgone(seq) => *seq,
+        }
+    }
+
+    /// The message, as the delivery its release makes at `now`.
+    fn release(self, now: SimTime) -> Option<Delivery> {
+        match self.held {
+            Held::Message(msg) => {
+                Some(Delivery { msg, first_received_at: self.first_received_at, delivered_at: now })
+            }
+            Held::Forgone(_) => None,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -211,15 +257,15 @@ impl StreamFilter {
     }
 
     fn is_buffered(&self, seq: SequenceNumber) -> bool {
-        self.buffer.iter().any(|b| b.msg.seq() == seq)
+        self.buffer.iter().any(|b| b.seq() == seq)
     }
 
     fn insert_buffered(&mut self, entry: Buffered) {
-        let seq = entry.msg.seq();
+        let seq = entry.seq();
         let pos = self
             .buffer
             .iter()
-            .position(|b| seq.distance_to(b.msg.seq()) > 0)
+            .position(|b| seq.distance_to(b.seq()) > 0)
             .unwrap_or(self.buffer.len());
         self.buffer.insert(pos, entry);
     }
@@ -237,32 +283,43 @@ impl StreamFilter {
         // The buffer is only used once a first message was delivered, so
         // `last_delivered` is set whenever it holds anything.
         while let (Some(head), Some(last)) = (self.buffer.first(), self.last_delivered) {
-            if head.msg.seq() != last.next() {
+            if head.seq() != last.next() {
                 break;
             }
             let b = self.buffer.remove(0);
-            self.last_delivered = Some(b.msg.seq());
-            out.extend(Some(Delivery {
-                msg: b.msg,
-                first_received_at: b.first_received_at,
-                delivered_at: now,
-            }));
+            self.last_delivered = Some(b.seq());
+            out.extend(b.release(now));
         }
     }
 
-    /// Force-delivers the buffer head (gap accepted), then drains.
+    /// Force-delivers the buffer head (gap accepted), then drains. A
+    /// forgone head delivers nothing: the gap before it is accepted and
+    /// the stream steps over it.
     fn force_head(&mut self, now: SimTime, out: &mut impl Extend<Delivery>) {
         if self.buffer.is_empty() {
             return;
         }
         let b = self.buffer.remove(0);
-        self.last_delivered = Some(b.msg.seq());
-        out.extend(Some(Delivery {
-            msg: b.msg,
-            first_received_at: b.first_received_at,
-            delivered_at: now,
-        }));
+        self.last_delivered = Some(b.seq());
+        out.extend(b.release(now));
         self.drain_ready(now, out);
+    }
+}
+
+/// Hands each delivery it is extended with to `emit`, counting them: a
+/// release that goes straight to its caller's queue, with no buffer in
+/// between.
+struct Emit<F> {
+    emit: F,
+    count: u64,
+}
+
+impl<F: FnMut(Delivery)> Extend<Delivery> for Emit<F> {
+    fn extend<I: IntoIterator<Item = Delivery>>(&mut self, iter: I) {
+        for d in iter {
+            self.count += 1;
+            (self.emit)(d);
+        }
     }
 }
 
@@ -429,7 +486,7 @@ impl FilteringService {
                     // A gap: hold for reordering.
                     self.reordered.incr();
                     state.insert_buffered(Buffered {
-                        msg: released.msg,
+                        held: Held::Message(released.msg),
                         first_received_at: now,
                         deadline: now.saturating_add(self.config.reorder_timeout),
                     });
@@ -444,6 +501,56 @@ impl FilteringService {
         reindex(&mut self.deadlines, stream, head_before, head_after);
         self.delivered.add(result.deliveries.len() as u64);
         result
+    }
+
+    /// Marks as forgone the sequence numbers of `stream` that the QoS
+    /// scheduler's coalescing dropped: bit `i` of `below` stands for
+    /// `seq - 1 - i`. In serial order, each one that is neither
+    /// delivered nor buffered is stepped over if it is the stream's next
+    /// (draining whatever was buffered behind it), or else holds its
+    /// place in the reorder buffer behind the gap before it, so a later
+    /// copy of it is a duplicate; one beyond the restart distance is
+    /// left alone. Each released message goes to `emit` with the
+    /// stream's remembered dispatch row. The stream is looked up once; a
+    /// stream this service does not track is left untracked.
+    pub(crate) fn forgo(
+        &mut self,
+        stream: StreamId,
+        seq: SequenceNumber,
+        mut below: u64,
+        now: SimTime,
+        mut emit: impl FnMut(Delivery, Option<RowId>),
+    ) {
+        let raw = stream.to_raw();
+        let Some(state) = self.streams.get_mut(&raw) else { return };
+        let row = state.row;
+        let mut out = Emit { emit: |d| emit(d, row), count: 0 };
+        let head_before = state.head_deadline();
+        while below != 0 {
+            let i = 63 - below.leading_zeros();
+            below &= !(1 << i);
+            let forgone = SequenceNumber::new(seq.as_u16().wrapping_sub(1 + i as u16));
+            let Some(last) = state.last_delivered else { break };
+            if state.is_stale(forgone) || state.is_buffered(forgone) {
+                continue;
+            }
+            if forgone == last.next() {
+                state.last_delivered = Some(forgone);
+                state.drain_ready(now, &mut out);
+            } else if last.distance_to(forgone) as u32 <= u32::from(self.config.restart_distance) {
+                state.insert_buffered(Buffered {
+                    held: Held::Forgone(forgone),
+                    first_received_at: now,
+                    deadline: now.saturating_add(self.config.reorder_timeout),
+                });
+                if state.buffer.len() > self.config.max_buffered_per_stream {
+                    self.gaps_accepted.incr();
+                    state.force_head(now, &mut out);
+                }
+            }
+        }
+        reindex(&mut self.deadlines, raw, head_before, state.head_deadline());
+        self.delivered.add(out.count);
     }
 
     /// Releases buffered messages whose reorder deadline has passed,
@@ -699,6 +806,82 @@ mod tests {
         assert_eq!(seqs, vec![0, 1]);
     }
 
+    /// `forgo` on the test stream, collecting what it releases.
+    fn forgo(f: &mut FilteringService, seq: u16, below: u64, now: SimTime) -> Vec<u16> {
+        let mut out = Vec::new();
+        f.forgo(stream(), SequenceNumber::new(seq), below, now, |d, _| {
+            out.push(d.msg.seq().as_u16());
+        });
+        out
+    }
+
+    #[test]
+    fn forgone_sequences_release_what_waits_behind_them() {
+        // Admission kept 5 and 2 of 1..=5 and forgave 1, 3 and 4 (bits
+        // 3, 1, 0 below 5): nothing waits for a reorder timeout.
+        let mut f = svc();
+        f.on_frame(rx(0), -40.0, &frame(0), SimTime::ZERO);
+        for seq in [5, 2] {
+            assert!(f.on_frame(rx(0), -40.0, &frame(seq), SimTime::ZERO).deliveries.is_empty());
+        }
+        assert_eq!(forgo(&mut f, 5, 0b1011, SimTime::from_millis(1)), vec![2, 5]);
+        assert_eq!(f.next_deadline(), None);
+        assert_eq!((f.gap_count(), f.delivered_count()), (0, 3));
+        // A later copy of a forgone sequence is a duplicate.
+        assert!(f.on_frame(rx(0), -40.0, &frame(3), SimTime::from_millis(2)).deliveries.is_empty());
+        assert_eq!(f.duplicate_count(), 1);
+    }
+
+    #[test]
+    fn a_survivor_wins_over_a_forgone_copy_of_its_sequence() {
+        // 2 is buffered behind the gap at 1 when the window names both.
+        let mut f = svc();
+        f.on_frame(rx(0), -40.0, &frame(0), SimTime::ZERO);
+        for seq in [3, 2] {
+            f.on_frame(rx(0), -40.0, &frame(seq), SimTime::ZERO);
+        }
+        assert_eq!(forgo(&mut f, 3, 0b11, SimTime::ZERO), vec![2, 3]);
+        // Already delivered: a window naming 3 again changes nothing.
+        assert!(forgo(&mut f, 4, 0b1, SimTime::ZERO).is_empty());
+        assert_eq!(f.on_frame(rx(0), -40.0, &frame(4), SimTime::ZERO).deliveries.len(), 1);
+    }
+
+    #[test]
+    fn a_forgone_sequence_behind_a_real_gap_holds_its_place() {
+        // 1 is lost in the air; 2 was forgone and 3 survived. The stream
+        // still waits for 1, but not for 2 once 1 arrives.
+        let mut f = svc();
+        f.on_frame(rx(0), -40.0, &frame(0), SimTime::ZERO);
+        f.on_frame(rx(0), -40.0, &frame(3), SimTime::ZERO);
+        assert!(forgo(&mut f, 3, 0b1, SimTime::ZERO).is_empty());
+        assert!(f.on_frame(rx(0), -40.0, &frame(2), SimTime::ZERO).deliveries.is_empty());
+        assert_eq!(f.duplicate_count(), 1, "the forgone 2 is held, so a copy is a duplicate");
+        let late = f.on_frame(rx(0), -40.0, &frame(1), SimTime::from_millis(1));
+        let seqs: Vec<u16> = late.deliveries.iter().map(|d| d.msg.seq().as_u16()).collect();
+        assert_eq!(seqs, vec![1, 3]);
+        assert_eq!((f.gap_count(), f.next_deadline()), (0, None));
+    }
+
+    #[test]
+    fn a_timed_out_gap_before_a_forgone_head_is_accepted_once() {
+        let mut f = svc();
+        f.on_frame(rx(0), -40.0, &frame(0), SimTime::ZERO);
+        f.on_frame(rx(0), -40.0, &frame(4), SimTime::ZERO);
+        // 2 and 3 forgone; 1 never comes.
+        assert!(forgo(&mut f, 4, 0b11, SimTime::ZERO).is_empty());
+        let out = f.on_tick(SimTime::from_millis(50));
+        assert_eq!(out.iter().map(|d| d.msg.seq().as_u16()).collect::<Vec<_>>(), vec![4]);
+        assert_eq!(f.gap_count(), 1);
+        assert_eq!(f.next_deadline(), None);
+    }
+
+    #[test]
+    fn an_untracked_stream_is_left_untracked() {
+        let mut f = svc();
+        assert!(forgo(&mut f, 9, u64::MAX, SimTime::ZERO).is_empty());
+        assert_eq!(f.stream_count(), 0);
+    }
+
     #[test]
     fn distant_jump_is_a_restart() {
         let mut f = svc();
@@ -855,7 +1038,7 @@ mod proptests {
     }
 
     // The deadline index against the scan it replaced: two services fed
-    // the same interleaving of `on_frame`/`on_batch`/`on_tick` — one
+    // the same interleaving of `on_frame`/`on_batch`/`forgo`/`on_tick` — one
     // ticking through the index, one through the full scan — must agree
     // on every result, and after every step the index must hold exactly
     // the buffer heads a scan finds.
@@ -909,7 +1092,18 @@ mod proptests {
             while let Some((kind, stream, how, dt)) = ops.next() {
                 now += SimDuration::from_millis(dt);
                 match kind {
-                    0..=7 => {
+                    7 => {
+                        // Admission forgave some of the sequences up to
+                        // a picked one, which is not fed.
+                        let hdr = FrameHeader::parse(&pick(stream, how)).unwrap();
+                        let (id, seq) = (hdr.stream(), hdr.seq().next());
+                        let below = (1u64 << (how % 12)) | dt;
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        indexed.forgo(id, seq, below, now, |d, _| a.push(d));
+                        oracle.forgo(id, seq, below, now, |d, _| b.push(d));
+                        prop_assert_eq!(a, b, "forgo diverged at {:?}", now);
+                    }
+                    0..=6 => {
                         let fr = pick(stream, how);
                         let a = indexed.on_frame(ReceiverId::new(0), -40.0, &fr, now);
                         let b = oracle.on_frame(ReceiverId::new(0), -40.0, &fr, now);

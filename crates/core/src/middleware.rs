@@ -58,8 +58,7 @@ use crate::filtering::{Delivery, FilterConfig, FilteringService};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
-    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig,
-    QosScheduler, Release,
+    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosScheduler,
 };
 use crate::registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 use crate::replicator::{MessageReplicator, ReplicationPlan};
@@ -346,6 +345,9 @@ struct ConsumerEntry {
     priority: u8,
     virtual_sensor: SensorId,
     derived_seq: HashMap<u8, SequenceNumber>,
+    /// The consumer's drain limit, as the delivery schedule holds it:
+    /// fan-out reads it here, from the entry its cursor already holds.
+    drain_limit: Option<usize>,
 }
 
 impl fmt::Debug for ConsumerEntry {
@@ -548,6 +550,7 @@ impl Garnet {
                 priority,
                 virtual_sensor,
                 derived_seq: HashMap::new(),
+                drain_limit: None,
             },
         );
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -790,11 +793,11 @@ impl Garnet {
         self.router.enqueue(ev);
     }
 
-    /// Hands the frames the scheduler staged to the engine as one burst.
+    /// Hands the frames the scheduler staged to the engine as one burst,
+    /// then tells filtering which sequence numbers coalescing dropped.
     fn release_qos(&mut self, now: SimTime) {
-        let Some(s) = self.qos.as_mut() else { return };
-        for Release::Frames(frames) in s.release(now) {
-            self.router.ingest(frames, now);
+        if let Some(s) = self.qos.as_mut() {
+            s.release_to(&mut self.router, now);
         }
     }
 
@@ -1063,23 +1066,23 @@ impl Garnet {
                 // the rest of the list when some do not.
                 let mut at = 0;
                 for &recipient in recipients.iter() {
+                    if self.consumers.get(at).is_some_and(|e| e.id < recipient) {
+                        at += self.consumers[at..].partition_point(|e| e.id < recipient);
+                    }
+                    let Some(entry) = self.consumers.get(at).filter(|e| e.id == recipient) else {
+                        continue;
+                    };
                     // Per-consumer delivery scheduling: a rate-limited
                     // consumer's copy stages (and coalesces per
                     // subscription) in its own queue — the one place
                     // the message is cloned; everyone else is called at
                     // once with the shared delivery.
-                    if self.delivery.is_limited(recipient) {
-                        let staged = self.delivery.offer(recipient, delivery.clone(), depth);
-                        debug_assert!(staged.is_none(), "a limited consumer's delivery stages");
-                        continue;
-                    }
-                    if self.consumers.get(at).is_some_and(|e| e.id < recipient) {
-                        at += self.consumers[at..].partition_point(|e| e.id < recipient);
-                    }
-                    if self.consumers.get(at).is_some_and(|e| e.id == recipient) {
+                    if entry.drain_limit.is_some() {
+                        self.delivery.stage(recipient, delivery.clone(), depth);
+                    } else {
                         self.deliver_at(at, &delivery, depth, now);
-                        at += 1;
                     }
+                    at += 1;
                 }
             }
             ServiceOutput::Planned { origin, plan, .. } => match origin {
@@ -1306,7 +1309,8 @@ impl Garnet {
     /// consumer is ignored: no `deregister_consumer` would ever remove
     /// its limit.
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
-        if self.consumer_index(id).is_some() {
+        if let Some(at) = self.consumer_index(id) {
+            self.consumers[at].drain_limit = limit;
             self.delivery.set_limit(id, limit);
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -1650,6 +1654,9 @@ impl Garnet {
         // Nothing may be stranded in the delivery plane: flush every
         // rate-limited consumer's backlog regardless of drain limits, so
         // its ledger closes balanced (`offered == shed + delivered`).
+        for e in &mut self.consumers {
+            e.drain_limit = None;
+        }
         for (rid, delivery, depth) in self.delivery.drain_all() {
             self.deliver_to(rid, &delivery, depth, now);
         }
@@ -1701,6 +1708,11 @@ impl Garnet {
         for id in self.delivery.consumers() {
             law(self.consumer_index(id).is_some(), || {
                 format!("delivery schedule holds a limit or queue for departed {id}")
+            })?;
+        }
+        for e in &self.consumers {
+            law(e.drain_limit.is_some() == self.delivery.is_limited(e.id), || {
+                format!("{}'s entry and the delivery schedule disagree on its limit", e.id)
             })?;
         }
         law(self.consumers.windows(2).all(|w| w[0].id < w[1].id), || {

@@ -12,13 +12,25 @@
 //! * [`QosScheduler`] — one bounded queue of radio frames *in front of*
 //!   the engine, under the configured [`OverloadPolicy`] (shed-oldest,
 //!   per-stream newest-wins coalescing, or block); the survivors release
-//!   as one batch. A frame's bytes are read once, when it is offered:
-//!   its stream id and sequence number are kept beside it, so coalescing
-//!   costs one pass over at most `capacity` in-memory keys and never
-//!   re-parses a staged frame. The policy runs entirely above the
-//!   router, which never drops a frame itself, and the facade releases
-//!   every offer within the call that made it, so nothing is staged
-//!   when a call returns.
+//!   as one batch. A frame's header is read once, when it is offered:
+//!   its stream id goes into a dense array of keys and its sequence
+//!   number beside it, so coalescing costs one pass over at most
+//!   `capacity` stream keys and never re-parses a staged frame. The
+//!   policy runs entirely above the router, which never drops a frame
+//!   itself, and the facade releases every offer within the call that
+//!   made it, so nothing is staged when a call returns.
+//!
+//!   Coalescing also tells the filtering stage what it dropped. When a
+//!   frame loses to a newer one of its stream, its CRC is checked there
+//!   and then; if it is intact, its sequence number joins the surviving
+//!   slot's *forgone window* — a 64-bit mask of sequence numbers below
+//!   the survivor — and a newer frame that later takes the slot
+//!   inherits the window. After the survivors are filtered, each
+//!   non-empty window goes to the filtering stage, which then does not
+//!   wait for those sequence numbers to fill a gap
+//!   (`FilteringService::forgo`). A frame dropped by shed-oldest leaves
+//!   no slot behind to carry its sequence number, so the stream still
+//!   waits for it, as for a frame lost in the air.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
@@ -33,11 +45,11 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use garnet_simkit::{Histogram, SimTime};
-use garnet_wire::{peek_seq, peek_stream, SequenceNumber, StreamId};
+use garnet_wire::{frame_is_intact, peek_seq, peek_stream, SequenceNumber, StreamId};
 
 use crate::dispatching::pubsub::{IdMap, SubscriberId};
 use crate::filtering::Delivery;
-use crate::router::{OverloadConfig, OverloadPolicy};
+use crate::router::{OverloadConfig, OverloadPolicy, Router};
 use crate::service::{BatchedFrame, ServiceEvent};
 
 /// The ledger class of a [`ServiceEvent`]. Only
@@ -209,23 +221,68 @@ pub enum FrameOffer {
     Blocked(BatchedFrame),
 }
 
-/// A frame in the bounded queue, beside the two header fields
-/// coalescing compares — read once, when the frame was offered.
+/// A frame in the bounded queue, beside its sequence number — read
+/// once, when the frame was offered — and its forgone window. The
+/// frame's stream id lives in the queue's dense key array.
 #[derive(Debug)]
 struct Staged {
-    /// `None` for a runt too short to carry a stream id.
-    stream: Option<StreamId>,
     /// `None` for a runt too short to carry a sequence number.
     seq: Option<SequenceNumber>,
+    /// Sequence numbers coalescing dropped in this slot's favour, each
+    /// from an intact frame: bit `i` stands for `seq - 1 - i`. Zero
+    /// when `seq` is `None`.
+    forgone: u64,
     frame: BatchedFrame,
 }
 
 impl Staged {
-    /// Reads the frame's coalescing key: the one place the queue looks
-    /// at a frame's bytes.
-    fn new(frame: BatchedFrame) -> Self {
-        Staged { stream: peek_stream(&frame.frame), seq: peek_seq(&frame.frame), frame }
+    /// Reads the frame's coalescing keys, its stream id (for the dense
+    /// key array) and its sequence number: the one place the queue
+    /// looks at a frame's header.
+    fn new(frame: BatchedFrame) -> (Option<StreamId>, Self) {
+        let stream = peek_stream(&frame.frame);
+        (stream, Staged { seq: peek_seq(&frame.frame), forgone: 0, frame })
     }
+
+    /// Resolves `arriving`, a frame of this slot's stream, against the
+    /// slot: the wraparound-aware newer sequence keeps the slot, in
+    /// place, and the loser is handed back. An intact loser below the
+    /// survivor joins the survivor's forgone window, which a new
+    /// survivor inherits, shifted to its own sequence number.
+    fn resolve(&mut self, arriving: Staged) -> BatchedFrame {
+        match (arriving.seq, self.seq) {
+            (Some(a), Some(q)) if a.is_after(q) => {
+                let d = u32::from(q.distance_to(a).unsigned_abs());
+                let kept = self.forgone.checked_shl(d).unwrap_or(0);
+                let lost = if frame_is_intact(&self.frame.frame) {
+                    1u64.checked_shl(d - 1).unwrap_or(0)
+                } else {
+                    0
+                };
+                let loser = std::mem::replace(self, arriving);
+                self.forgone = kept | lost;
+                loser.frame
+            }
+            (Some(_), None) => std::mem::replace(self, arriving).frame,
+            (Some(a), Some(q)) => {
+                let d = u32::from(a.distance_to(q).unsigned_abs());
+                if d > 0 && frame_is_intact(&arriving.frame.frame) {
+                    self.forgone |= 1u64.checked_shl(d - 1).unwrap_or(0);
+                }
+                arriving.frame
+            }
+            (None, _) => arriving.frame,
+        }
+    }
+}
+
+/// A release's one forgone window: `below`'s bit `i` stands for
+/// `seq - 1 - i` on `stream`.
+#[derive(Debug)]
+struct Window {
+    stream: StreamId,
+    seq: SequenceNumber,
+    below: u64,
 }
 
 /// The facade-boundary admission scheduler: one bounded,
@@ -235,7 +292,14 @@ pub struct QosScheduler {
     policy: OverloadPolicy,
     /// The queue's bound, `OverloadConfig::capacity` (0 treated as 1).
     capacity: usize,
+    /// Each staged frame's stream id (`None` for a runt too short to
+    /// carry one), in step with `data`: the coalescing scan reads these
+    /// dense keys, not the staged entries.
+    keys: VecDeque<Option<StreamId>>,
     data: VecDeque<Staged>,
+    /// The non-empty forgone windows of the release in progress, kept
+    /// between calls so that a release allocates nothing.
+    windows: Vec<Window>,
     ledgers: ClassLedgers,
     /// Derived republications counted in the Data ledger (offered and
     /// delivered at once), left out of [`QosScheduler::totals`].
@@ -252,7 +316,9 @@ impl QosScheduler {
         QosScheduler {
             policy: overload.policy,
             capacity: overload.capacity.max(1),
+            keys: VecDeque::new(),
             data: VecDeque::new(),
+            windows: Vec::new(),
             ledgers: ClassLedgers::default(),
             republished: 0,
             peak_depth: 0,
@@ -294,8 +360,9 @@ impl QosScheduler {
     }
 
     /// Counts and stages an accepted frame, sampling the queue depth.
-    fn note_offered(&mut self, staged: Staged) {
+    fn note_offered(&mut self, (stream, staged): (Option<StreamId>, Staged)) {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
+        self.keys.push_back(stream);
         self.data.push_back(staged);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
@@ -319,60 +386,83 @@ impl QosScheduler {
     }
 
     /// At capacity (so the queue is non-empty): sheds the oldest staged
-    /// frame and stages `arriving` in its stead.
-    fn shed_oldest_for(&mut self, arriving: Staged) -> FrameOffer {
+    /// frame, forgone window and all, and stages `arriving` in its
+    /// stead.
+    fn shed_oldest_for(&mut self, arriving: (Option<StreamId>, Staged)) -> FrameOffer {
         #[expect(clippy::expect_used, reason = "`new` clamps the capacity to at least 1")]
         let oldest = self.data.pop_front().expect("a queue at capacity holds a frame");
+        self.keys.pop_front();
         self.note_dropped(false);
         self.note_offered(arriving);
         FrameOffer::StagedAfterShed(oldest.frame)
     }
 
     /// At capacity under `CoalesceFrames`: resolve against the first
-    /// staged frame of the arriving frame's stream (wraparound-aware
-    /// newest wins, survivor keeps the staged position), falling back
-    /// to shedding the oldest staged frame when the stream has nothing
-    /// staged. The cost is one pass over at most `capacity` keys held
-    /// in memory: no staged frame's bytes are read again.
-    fn coalesce(&mut self, arriving: Staged) -> FrameOffer {
-        let same_stream =
-            arriving.stream.and_then(|s| self.data.iter().position(|q| q.stream == Some(s)));
+    /// staged frame of the arriving frame's stream
+    /// ([`Staged::resolve`]: newest wins, survivor keeps the staged
+    /// position), falling back to shedding the oldest staged frame when
+    /// the stream has nothing staged. The cost is one pass over at most
+    /// `capacity` stream keys: no staged frame's bytes are read again.
+    fn coalesce(&mut self, arriving: (Option<StreamId>, Staged)) -> FrameOffer {
+        let same_stream = arriving.0.and_then(|s| self.keys.iter().position(|&k| k == Some(s)));
         let Some(idx) = same_stream else {
             return self.shed_oldest_for(arriving);
         };
-        let arriving_wins = match (arriving.seq, self.data[idx].seq) {
-            (Some(a), Some(q)) => a.is_after(q),
-            (Some(_), None) => true,
-            _ => false,
-        };
+        self.coalesce_at(idx, arriving.1)
+    }
+
+    /// Resolves `arriving` against the staged slot `idx` of its stream
+    /// and counts the loser coalesced.
+    fn coalesce_at(&mut self, idx: usize, arriving: Staged) -> FrameOffer {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
         self.note_dropped(true);
-        if !arriving_wins {
-            return FrameOffer::Coalesced(arriving.frame);
-        }
-        // Replace in place, key included: the survivor keeps the staged
-        // frame's position, and thus its place in the release order.
-        let staged = std::mem::replace(&mut self.data[idx], arriving);
+        let loser = self.data[idx].resolve(arriving);
         let depth = self.data.len() as u64;
         self.peak_depth = self.peak_depth.max(depth);
         self.depth_hist.record(depth);
-        FrameOffer::Coalesced(staged.frame)
+        FrameOffer::Coalesced(loser)
     }
 
     /// Hands back the surviving staged frames as one batch (nothing when
-    /// none is staged) and counts them delivered. `_now` is accepted
-    /// for the benchmark's call site and has no effect.
+    /// none is staged) and counts them delivered. Their forgone windows
+    /// are dropped: this is the release for a caller with no filtering
+    /// stage to tell. `_now` is accepted for the benchmark's call site
+    /// and has no effect.
     pub fn release(&mut self, _now: SimTime) -> Vec<Release> {
         if self.data.is_empty() {
             return Vec::new();
         }
         self.ledgers.class_mut(PriorityClass::Data).delivered += self.data.len() as u64;
+        self.keys.clear();
         vec![Release::Frames(self.data.drain(..).map(|s| s.frame).collect())]
+    }
+
+    /// Hands the surviving staged frames to `router` as one burst
+    /// ([`Router::ingest`]), counts them delivered, then tells its
+    /// filtering stage each non-empty forgone window ([`Router::forgo`]),
+    /// in release order. Allocates nothing once the window buffer has
+    /// grown to a release's size.
+    pub(crate) fn release_to(&mut self, router: &mut Router, now: SimTime) {
+        if self.data.is_empty() {
+            return;
+        }
+        self.ledgers.class_mut(PriorityClass::Data).delivered += self.data.len() as u64;
+        let windows = &mut self.windows;
+        let survivors = self.keys.drain(..).zip(self.data.drain(..)).map(|(stream, staged)| {
+            if let (Some(stream), Some(seq), below @ 1..) = (stream, staged.seq, staged.forgone) {
+                windows.push(Window { stream, seq, below });
+            }
+            staged.frame
+        });
+        router.ingest(survivors, now);
+        for Window { stream, seq, below } in self.windows.drain(..) {
+            router.forgo(stream, seq, below, now);
+        }
     }
 
     /// Whether no frame is staged — true whenever a facade call returns.
     pub(crate) fn is_drained(&self) -> bool {
-        self.data.is_empty()
+        self.data.is_empty() && self.keys.is_empty() && self.windows.is_empty()
     }
 
     /// The radio-frame ledger (what the `overload.*` metrics report when
@@ -405,7 +495,7 @@ impl QosScheduler {
 
 /// The implementation that re-read every staged frame's header on each
 /// coalesce, kept as the oracle the stored keys are tested against. It
-/// stages through [`Staged::new`] but never reads a stored key.
+/// stages through [`Staged::new`] but never trusts a stored key.
 #[cfg(test)]
 impl QosScheduler {
     /// `offer_frame` with `coalesce` replaced by [`Self::coalesce_scan`].
@@ -422,7 +512,8 @@ impl QosScheduler {
     }
 
     /// `coalesce`, peeking the arriving frame and every staged frame it
-    /// passes.
+    /// passes instead of reading the key array, and re-reading the
+    /// matched slot's sequence number before resolving against it.
     fn coalesce_scan(&mut self, frame: BatchedFrame) -> FrameOffer {
         let stream = peek_stream(&frame.frame);
         let same_stream = stream
@@ -430,22 +521,14 @@ impl QosScheduler {
         let Some(idx) = same_stream else {
             return self.shed_oldest_for(Staged::new(frame));
         };
-        let staged_seq = peek_seq(&self.data[idx].frame.frame);
-        let arriving_wins = match (peek_seq(&frame.frame), staged_seq) {
-            (Some(a), Some(q)) => a.is_after(q),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        self.ledgers.class_mut(PriorityClass::Data).offered += 1;
-        self.note_dropped(true);
-        if !arriving_wins {
-            return FrameOffer::Coalesced(frame);
-        }
-        let staged = std::mem::replace(&mut self.data[idx], Staged::new(frame));
-        let depth = self.data.len() as u64;
-        self.peak_depth = self.peak_depth.max(depth);
-        self.depth_hist.record(depth);
-        FrameOffer::Coalesced(staged.frame)
+        self.data[idx].seq = peek_seq(&self.data[idx].frame.frame);
+        self.coalesce_at(idx, Staged::new(frame).1)
+    }
+
+    /// Every staged slot's stream, sequence number and forgone window,
+    /// in queue order.
+    fn windows(&self) -> Vec<(Option<StreamId>, Option<SequenceNumber>, u64)> {
+        self.keys.iter().zip(&self.data).map(|(&k, s)| (k, s.seq, s.forgone)).collect()
     }
 }
 
@@ -502,7 +585,9 @@ impl DeliverySchedule {
         }
     }
 
-    /// Whether `id` currently has a drain limit.
+    /// Whether `id` currently has a drain limit. The facade keeps each
+    /// consumer's limit in its own entry too, and reads that one on the
+    /// delivery path.
     pub(crate) fn is_limited(&self, id: SubscriberId) -> bool {
         self.limits.contains_key(&id)
     }
@@ -528,6 +613,15 @@ impl DeliverySchedule {
         if !self.limits.contains_key(&id) {
             return Some((delivery, depth));
         }
+        self.stage(id, delivery, depth);
+        None
+    }
+
+    /// Stages a delivery for `id`, a consumer with a drain limit (the
+    /// caller knows it has one): [`DeliverySchedule::offer`] without the
+    /// lookup.
+    pub(crate) fn stage(&mut self, id: SubscriberId, delivery: Delivery, depth: u32) {
+        debug_assert!(self.limits.contains_key(&id), "{id} has no drain limit");
         self.ledger.offered += 1;
         let queue = self.queues.entry(id).or_default();
         let stream = delivery.msg.stream();
@@ -540,7 +634,7 @@ impl DeliverySchedule {
             }
             self.ledger.shed += 1;
             self.ledger.coalesced += 1;
-            return None;
+            return;
         }
         if queue.len() >= self.capacity {
             queue.pop_front();
@@ -550,7 +644,6 @@ impl DeliverySchedule {
         }
         queue.push_back((delivery, depth));
         self.peak_backlog = self.peak_backlog.max(self.backlog());
-        None
     }
 
     /// Drains each consumer's staged queue up to its limit (all of it
@@ -670,6 +763,47 @@ mod tests {
         assert!(d.balanced());
     }
 
+    #[test]
+    fn coalescing_records_each_intact_loser_below_its_survivor() {
+        let mut s = sched(OverloadPolicy::CoalesceFrames, 2);
+        let t = SimTime::ZERO;
+        let window = |s: &QosScheduler| s.windows()[0].2;
+        let corrupt = |seq: u16| {
+            let mut f = batched(1, 0, seq);
+            let mut bytes = f.frame.to_vec();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xFF;
+            f.frame = bytes.into();
+            f
+        };
+        s.offer_frame(batched(1, 0, 1), t);
+        s.offer_frame(batched(2, 0, 0), t);
+        s.offer_frame(batched(1, 0, 2), t); // 2 takes the slot; 1 is forgone
+        assert_eq!(window(&s), 0b1);
+        s.offer_frame(batched(1, 0, 4), t); // the window moves up to 4
+        assert_eq!(window(&s), 0b110, "2 and 1 below 4");
+        s.offer_frame(batched(1, 0, 3), t); // an older arrival loses
+        assert_eq!(window(&s), 0b111);
+        s.offer_frame(corrupt(0), t); // a corrupt loser marks nothing
+        s.offer_frame(batched(1, 0, 4), t); // nor does a copy of the survivor
+        assert_eq!(window(&s), 0b111);
+        s.offer_frame(corrupt(6), t); // a corrupt survivor inherits the window
+        assert_eq!(window(&s), 0b111 << 2 | 0b10);
+        s.offer_frame(batched(1, 0, 7), t); // and is not forgone when it loses
+        assert_eq!(window(&s), (0b111 << 2 | 0b10) << 1);
+        s.offer_frame(batched(1, 0, 7 + 64), t); // 7 is the window's last bit
+        assert_eq!(window(&s), 1 << 63);
+        s.offer_frame(batched(1, 0, 7 + 64 + 65), t); // more than 64 below: none
+        assert_eq!(window(&s), 0);
+        s.offer_frame(batched(1, 0, 7 + 64 + 66), t);
+        assert_eq!(window(&s), 0b1);
+        let keys: Vec<_> = s.windows().into_iter().map(|(k, seq, _)| (k, seq)).collect();
+        assert_eq!(keys[1], (peek_stream(&frame_bytes(2, 0, 0)), Some(SequenceNumber::new(0))));
+        // Shed-oldest takes the slot's window with it.
+        s.offer_frame(batched(3, 0, 0), t);
+        assert!(s.windows().iter().all(|&(_, _, w)| w == 0));
+    }
+
     fn delivery(sensor: u32, idx: u8, seq: u16) -> Delivery {
         let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(idx));
         let msg = DataMessage::builder(stream)
@@ -776,8 +910,9 @@ mod proptests {
     // The stored keys against the header re-reads they replaced: two
     // schedulers fed the same interleaving of frame offers, event counts
     // and releases — one coalescing on its keys, one re-parsing staged
-    // bytes — must hand back the same frames, release the same plans and
-    // keep the same books, under every policy.
+    // bytes — must hand back the same frames, hold the same forgone
+    // windows, release the same plans and keep the same books, under
+    // every policy.
     proptest! {
         #[test]
         fn stored_keys_match_the_header_rescan(
@@ -811,6 +946,7 @@ mod proptests {
                         }
                     };
                     prop_assert_eq!(a, b, "{:?}, capacity {}, op {}", policy, capacity, n);
+                    prop_assert_eq!(keyed.windows(), oracle.windows());
                     prop_assert_eq!(keyed.ledgers(), oracle.ledgers());
                     prop_assert_eq!(keyed.peak_depth(), oracle.peak_depth());
                 }

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -574,13 +574,18 @@ impl Default for TelemetryConfig {
 /// A rotating JSONL file sink: `telemetry-000000.jsonl`,
 /// `telemetry-000001.jsonl`, … under one directory, rotating every
 /// `rotate_lines` lines. Construction resumes after the highest
-/// existing index so a restarted node never clobbers history.
+/// existing index so a restarted node never clobbers history. The
+/// current file stays open from its first line to its last, so a line
+/// costs no path and no open.
 #[derive(Debug)]
 pub(crate) struct TelemetrySink {
     dir: PathBuf,
     rotate_lines: usize,
     file_index: u64,
     lines_in_file: usize,
+    /// The file lines land in, once the first of them has opened it;
+    /// closed again at each rotation.
+    file: Option<File>,
 }
 
 impl TelemetrySink {
@@ -604,6 +609,7 @@ impl TelemetrySink {
             rotate_lines: rotate_lines.max(1),
             file_index: next_index,
             lines_in_file: 0,
+            file: None,
         })
     }
 
@@ -615,12 +621,18 @@ impl TelemetrySink {
     /// Appends one line (newline added here), rotating afterwards if the
     /// file reached its line budget.
     pub(crate) fn append(&mut self, line: &str) -> std::io::Result<()> {
-        let path = self.current_path();
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                let path = self.current_path();
+                self.file.insert(OpenOptions::new().create(true).append(true).open(path)?)
+            }
+        };
         file.write_all(line.as_bytes())?;
         file.write_all(b"\n")?;
         self.lines_in_file += 1;
         if self.lines_in_file >= self.rotate_lines {
+            self.file = None;
             self.file_index += 1;
             self.lines_in_file = 0;
         }
@@ -731,25 +743,24 @@ impl TelemetryService {
     }
 
     fn export(&mut self, snapshot: &TelemetrySnapshot) {
-        let Some(dir) = self.config.sink_dir.clone() else {
+        let Some(dir) = &self.config.sink_dir else {
             return;
         };
         if self.sink_error.is_some() {
             return;
         }
-        if self.sink.is_none() {
-            match TelemetrySink::new(&dir, self.config.rotate_lines) {
-                Ok(sink) => self.sink = Some(sink),
+        let sink = match &mut self.sink {
+            Some(sink) => sink,
+            None => match TelemetrySink::new(dir, self.config.rotate_lines) {
+                Ok(sink) => self.sink.insert(sink),
                 Err(e) => {
                     self.sink_error = Some(format!("open telemetry sink {}: {e}", dir.display()));
                     return;
                 }
-            }
-        }
-        if let Some(sink) = &mut self.sink {
-            if let Err(e) = sink.append(&snapshot.to_jsonl()) {
-                self.sink_error = Some(format!("append telemetry sink {}: {e}", dir.display()));
-            }
+            },
+        };
+        if let Err(e) = sink.append(&snapshot.to_jsonl()) {
+            self.sink_error = Some(format!("append telemetry sink {}: {e}", dir.display()));
         }
     }
 }
@@ -902,9 +913,15 @@ mod tests {
         for i in 0..5 {
             sink.append(&format!("{{\"seq\":{i}}}")).unwrap();
         }
-        assert!(dir.join("telemetry-000000.jsonl").exists());
-        assert!(dir.join("telemetry-000001.jsonl").exists());
-        assert!(dir.join("telemetry-000002.jsonl").exists());
+        // The open file takes every line up to its rotation, in order.
+        for (index, want) in
+            ["{\"seq\":0}\n{\"seq\":1}\n", "{\"seq\":2}\n{\"seq\":3}\n", "{\"seq\":4}\n"]
+                .into_iter()
+                .enumerate()
+        {
+            let path = dir.join(format!("telemetry-{index:06}.jsonl"));
+            assert_eq!(std::fs::read_to_string(path).unwrap(), want);
+        }
         // A new sink in the same directory continues past old files.
         let resumed = TelemetrySink::new(&dir, 2).unwrap();
         assert_eq!(resumed.current_path(), dir.join("telemetry-000003.jsonl"));

@@ -193,6 +193,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| "truncated \\u escape".to_owned())?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign (`\\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err("bad \\u escape".to_owned());
+                        }
                         let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| "bad \\u escape".to_owned())?;
@@ -606,6 +611,15 @@ mod tests {
         assert_eq!((g.last, g.min, g.max, g.samples), (4, 1, 9, 40));
         // 40 offered over the 2ms window → 20k/s.
         assert!((snap.rate_per_sec("overload.offered") - 20_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(parse_json(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(parse_json(r#""x\u00e9y""#).unwrap().as_str(), Some("x\u{e9}y"));
+        for bad in [r#""x\u+041y""#, r#""x\u-041y""#, r#""x\u00G1y""#, r#""x\u041""#] {
+            assert!(parse_json(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use error::WireError;
 pub use header::{HeaderFlags, MsgHeader, WIRE_VERSION};
 pub use ids::{RequestId, SensorId, SequenceNumber, StreamId, StreamIndex};
 pub use message::{
-    peek_seq, peek_stream, DataMessage, DataMessageBuilder, FrameBytes, FrameHeader,
-    MAX_PAYLOAD_LEN,
+    frame_is_intact, peek_seq, peek_stream, DataMessage, DataMessageBuilder, FrameBytes,
+    FrameHeader, MAX_PAYLOAD_LEN,
 };

@@ -411,6 +411,16 @@ pub fn peek_stream(frame: &[u8]) -> Option<StreamId> {
     Some(StreamId::from_raw(u32::from_be_bytes([frame[1], frame[2], frame[3], frame[4]])))
 }
 
+/// Whether `frame` would decode: its fixed header parses and its CRC
+/// trailer matches. Nothing is copied or sliced.
+///
+/// The QoS scheduler asks this of a frame it coalesces away: it tells
+/// the filtering stage to stop waiting for a sequence number only when
+/// an intact frame carried it.
+pub fn frame_is_intact(frame: &[u8]) -> bool {
+    FrameHeader::parse(frame).is_ok_and(|hdr| DataMessage::check_crc(frame, &hdr).is_ok())
+}
+
 /// Reads the sequence number out of an encoded frame without decoding
 /// or CRC-checking it.
 ///
@@ -740,7 +750,7 @@ mod proptests {
 
         /// A mutated valid frame never panics either path and never
         /// yields different messages from the copy and zero-copy
-        /// decoders.
+        /// decoders, and `frame_is_intact` says whether it decodes.
         #[test]
         fn mutated_frame_paths_stay_consistent(
             msg in arb_message(),
@@ -754,6 +764,7 @@ mod proptests {
             }
             bad.truncate(cut.index(bad.len() + 1));
             let frame = FrameBytes::from(bad.clone());
+            prop_assert_eq!(frame_is_intact(&bad), DataMessage::decode_frame(&frame).is_ok());
             match (DataMessage::decode(&bad), DataMessage::decode_frame(&frame)) {
                 (Ok((a, ua)), Ok((b, ub))) => {
                     prop_assert_eq!(a, b);

@@ -564,3 +564,214 @@ fn match_set_is_fixed_when_the_message_is_routed() {
     assert_eq!(router.services().dispatch.stats().delivery_count(), 5);
     assert!(router.shutdown(SimTime::from_secs(1)).is_empty());
 }
+
+// ---- What admission tells filtering --------------------------------
+//
+// Newest-wins coalescing hands the filtering stage the sequence numbers
+// it dropped (its forgone windows), so a stream never waits out the
+// reorder timeout for a frame the node itself threw away.
+
+/// A facade under `CoalesceFrames` with an admission tier of `capacity`,
+/// and a consumer logging every stream.
+fn coalescing(capacity: usize) -> (Garnet, Log) {
+    let mut g = Garnet::new(GarnetConfig {
+        overload: Some(OverloadConfig { capacity, policy: OverloadPolicy::CoalesceFrames }),
+        ..GarnetConfig::default()
+    });
+    let (_, log) = register(&mut g, "sink");
+    (g, log)
+}
+
+/// `frame`, with its CRC trailer broken.
+fn corrupt(sensor: u32, seq: u16) -> Vec<u8> {
+    let mut bytes = frame(sensor, seq);
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    bytes
+}
+
+fn at(frames: &[Vec<u8>]) -> Vec<(ReceiverId, f64, Vec<u8>)> {
+    frames.iter().map(|f| (ReceiverId::new(0), -50.0, f.clone())).collect()
+}
+
+/// The `(sensor, seq)` pairs logged since `from`.
+fn logged(log: &Log, from: usize) -> Vec<(u32, u16)> {
+    log.lock().unwrap()[from..].iter().map(|&(s, seq, _)| (s >> 8, seq)).collect()
+}
+
+#[test]
+fn in_order_bursts_over_capacity_deliver_every_survivor_in_their_own_call() {
+    let (mut g, log) = coalescing(CAPACITY);
+    // One frame per stream first: a stream's first message fixes where
+    // it starts.
+    let prelude: Vec<_> = (1..=STREAMS).map(|s| frame(s, 0)).collect();
+    g.on_frames(at(&prelude), SimTime::ZERO);
+    let mut next = 1u16;
+    for call in 1..=4u64 {
+        // Sixteen in-order sequence numbers per stream, interleaved: three
+        // times the capacity.
+        let burst: Vec<_> =
+            (next..next + 16).flat_map(|seq| (1..=STREAMS).map(move |s| frame(s, seq))).collect();
+        next += 16;
+        let before = log.lock().unwrap().len();
+        let gaps = g.filtering().gap_count();
+        let out = g.on_frames(at(&burst), SimTime::from_millis(call));
+        assert_eq!(out.overload.delivered, CAPACITY as u64);
+        assert!(out.overload.coalesced > 0, "the burst is over capacity");
+        assert_eq!(
+            log.lock().unwrap().len() - before,
+            CAPACITY,
+            "every survivor is delivered in the call that offered it"
+        );
+        assert_eq!(g.next_deadline(), None, "nothing waits for a reorder timeout");
+        assert_eq!(g.filtering().gap_count(), gaps, "no gap is accepted");
+    }
+    // Each stream's survivors arrived in serial order.
+    let seen = logged(&log, 0);
+    for s in 1..=STREAMS {
+        let seqs: Vec<u16> = seen.iter().filter(|&&(x, _)| x == s).map(|&(_, q)| q).collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "sensor {s}: {seqs:?}");
+        assert_eq!(seqs.last(), Some(&64), "the newest survivor of the last burst");
+    }
+}
+
+#[test]
+fn a_loser_that_fails_its_crc_marks_nothing() {
+    // Capacity 2: [A1, B1] stage, then A2 displaces A1. An intact A1 is
+    // forgone, and A2 is delivered at once; a corrupt A1 is not, so A
+    // waits for a real copy of 1.
+    for intact in [true, false] {
+        let (mut g, log) = coalescing(2);
+        g.on_frames(at(&[frame(1, 0), frame(2, 0)]), SimTime::ZERO);
+        let a1 = if intact { frame(1, 1) } else { corrupt(1, 1) };
+        g.on_frames(at(&[a1, frame(2, 1), frame(1, 2)]), SimTime::from_millis(1));
+        if intact {
+            assert_eq!(logged(&log, 2), vec![(2, 1), (1, 2)]);
+            assert_eq!(g.next_deadline(), None);
+            continue;
+        }
+        assert_eq!(logged(&log, 2), vec![(2, 1)], "A2 waits behind the gap at 1");
+        assert!(g.next_deadline().is_some());
+        g.on_frames(at(&[frame(1, 1)]), SimTime::from_millis(2));
+        assert_eq!(logged(&log, 2), vec![(2, 1), (1, 1), (1, 2)]);
+        assert_eq!((g.filtering().gap_count(), g.next_deadline()), (0, None));
+    }
+}
+
+#[test]
+fn a_survivor_beats_a_coalesced_copy_of_its_own_sequence() {
+    // Capacity 2: [A1, A2] stage; A3 displaces A1 (1 forgone), then a
+    // second copy of A2 loses to A3 (2 forgone) while A2 itself still
+    // holds the other slot. A2 must be delivered, once.
+    let (mut g, log) = coalescing(2);
+    g.on_frames(at(&[frame(1, 0)]), SimTime::ZERO);
+    let burst = [frame(1, 1), frame(1, 2), frame(1, 3), frame(1, 2)];
+    let out = g.on_frames(at(&burst), SimTime::from_millis(1));
+    assert_eq!((out.overload.coalesced, out.overload.delivered), (2, 2));
+    assert_eq!(logged(&log, 1), vec![(1, 2), (1, 3)]);
+    assert_eq!(g.next_deadline(), None);
+}
+
+#[test]
+fn a_copy_of_a_forgone_sequence_in_a_later_call_is_a_duplicate() {
+    let (mut g, log) = coalescing(1);
+    g.on_frames(at(&[frame(1, 0)]), SimTime::ZERO);
+    g.on_frames(at(&[frame(1, 1), frame(1, 2)]), SimTime::from_millis(1));
+    assert_eq!(logged(&log, 1), vec![(1, 2)], "1 was forgone, 2 delivered at once");
+    let duplicates = g.filtering().duplicate_count();
+    g.on_frames(at(&[frame(1, 1)]), SimTime::from_millis(2));
+    assert_eq!(logged(&log, 1), vec![(1, 2)]);
+    assert_eq!(g.filtering().duplicate_count(), duplicates + 1);
+}
+
+mod forgone {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // Duplicated, displaced, lost and corrupt copies through every
+        // admission policy: no (stream, sequence) is delivered twice,
+        // each stream is delivered in serial order, and every ledger
+        // balances (debug builds also check the facade's invariants at
+        // the tail of every call made here).
+        #[test]
+        fn forgone_sequences_never_duplicate_or_reorder_a_stream(
+            capacity in 1usize..=8,
+            policy in 0usize..3,
+            bursts in proptest::collection::vec(
+                proptest::collection::vec((1u32..=3, 0u8..8), 1..24),
+                1..8,
+            ),
+        ) {
+            let policy =
+                [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block]
+                    [policy];
+            let mut g = Garnet::new(GarnetConfig {
+                overload: Some(OverloadConfig { capacity, policy }),
+                ..GarnetConfig::default()
+            });
+            let (_, log) = register(&mut g, "sink");
+            let mut next = [0u16; 4];
+            let mut now = SimTime::ZERO;
+            for (n, burst) in bursts.iter().enumerate() {
+                let mut frames = Vec::new();
+                for &(sensor, how) in burst {
+                    let cursor = &mut next[sensor as usize];
+                    let seq = *cursor;
+                    match how {
+                        // In order.
+                        0..=2 => {
+                            frames.push(frame(sensor, seq));
+                            *cursor += 1;
+                        }
+                        // A copy of the last one sent.
+                        3 => frames.push(frame(sensor, seq.wrapping_sub(1))),
+                        // Two displaced: the later one first.
+                        4 => {
+                            frames.push(frame(sensor, seq + 1));
+                            frames.push(frame(sensor, seq));
+                            *cursor += 2;
+                        }
+                        // A corrupt copy, then the real one.
+                        5 => {
+                            frames.push(corrupt(sensor, seq));
+                            frames.push(frame(sensor, seq));
+                            *cursor += 1;
+                        }
+                        // Only a corrupt copy arrives.
+                        6 => {
+                            frames.push(corrupt(sensor, seq));
+                            *cursor += 1;
+                        }
+                        // Lost in the air.
+                        _ => *cursor += 1,
+                    }
+                }
+                let handed_in = frames.len() as u64;
+                let out = g.on_frames(at(&frames), now);
+                let o = out.overload;
+                prop_assert_eq!(o.offered, handed_in);
+                prop_assert_eq!(o.offered, o.shed + o.delivered, "{:?}", o);
+                now += garnet::simkit::SimDuration::from_millis(10);
+                if n % 3 == 2 {
+                    g.on_tick(now);
+                }
+            }
+            g.on_tick(now + garnet::simkit::SimDuration::from_secs(60));
+            g.shutdown(now + garnet::simkit::SimDuration::from_secs(61)).expect("clean shutdown");
+            for class in PriorityClass::ALL {
+                let l = *g.qos_ledgers().expect("armed").class(class);
+                prop_assert!(l.balanced(), "{:?} {:?}", class, l);
+            }
+            let seen = logged(&log, 0);
+            for sensor in 1..=3u32 {
+                let seqs: Vec<u16> =
+                    seen.iter().filter(|&&(s, _)| s == sensor).map(|&(_, q)| q).collect();
+                let ordered = seqs.windows(2).all(|w| {
+                    SequenceNumber::new(w[1]).is_after(SequenceNumber::new(w[0]))
+                });
+                prop_assert!(ordered, "sensor {}: {:?} ({:?})", sensor, seqs, policy);
+            }
+        }
+    }
+}
