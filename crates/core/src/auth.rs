@@ -237,15 +237,11 @@ impl AuthService {
         self.macs.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn mac_input(principal: &Principal, caps: CapabilitySet, expires_at_us: u64) -> Vec<u8> {
-        let mut data = Vec::with_capacity(principal.name().len() + 16);
-        data.extend_from_slice(principal.name().as_bytes());
-        data.push(0); // separator: names cannot contain NUL meaningfully
-        data.push(caps.bits());
-        data.extend_from_slice(&expires_at_us.to_be_bytes());
-        data
-    }
-
+    /// The token MAC: the tag [`PayloadKey::seal`] would append to the
+    /// canonical encoding `name || 0 || caps || expiry (big-endian)` in
+    /// a fixed context, computed over the parts in place. The NUL
+    /// separates the name from the fields a name cannot meaningfully
+    /// contain.
     fn compute_mac(
         &self,
         principal: &Principal,
@@ -254,13 +250,9 @@ impl AuthService {
     ) -> [u8; 8] {
         #[cfg(test)]
         self.macs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Reuse the keyed MAC by sealing a canonical encoding in a fixed
-        // context and keeping only the 8-byte tag.
-        let data = Self::mac_input(principal, caps, expires_at_us);
-        let sealed = self.key.seal(StreamId::from_raw(0), SequenceNumber::ZERO, &data);
-        let mut mac = [0u8; 8];
-        mac.copy_from_slice(&sealed[sealed.len() - 8..]);
-        mac
+        let parts: [&[u8]; 3] =
+            [principal.name().as_bytes(), &[0, caps.bits()], &expires_at_us.to_be_bytes()];
+        self.key.seal_tag(StreamId::from_raw(0), SequenceNumber::ZERO, &parts)
     }
 
     /// Issues a token for `principal` with `caps`, valid until
@@ -397,6 +389,27 @@ mod tests {
         assert_eq!(format!("{:?}", auth()), "AuthService(key hidden)");
     }
 
+    /// MACs computed by sealing the canonical encoding into a buffer
+    /// and keeping the tag: tokens issued that way still verify.
+    #[test]
+    fn macs_are_byte_identical_to_the_sealed_encoding() {
+        let a = auth();
+        let long = "a-principal-name-that-is-comfortably-longer-than-sixty-four-bytes-long";
+        let cases = [
+            (
+                "p1",
+                CapabilitySet::of(&[Capability::Subscribe]),
+                1000,
+                u64::to_be_bytes(0xce31_c7ab_237c_885c),
+            ),
+            (long, CapabilitySet::all(), u64::MAX, u64::to_be_bytes(0x31c5_db28_7778_e0bd)),
+            ("", CapabilitySet::default(), 0, u64::to_be_bytes(0xd90b_2c8c_0e9d_5ca8)),
+        ];
+        for (name, caps, expires_at_us, mac) in cases {
+            assert_eq!(a.issue(Principal::new(name), caps, expires_at_us).mac, mac, "{name:?}");
+        }
+    }
+
     #[test]
     fn name_separator_prevents_concatenation_confusion() {
         // ("ab", caps=c) must not MAC equal to ("a", "b..."-ish splice).
@@ -404,5 +417,32 @@ mod tests {
         let t1 = a.issue(Principal::new("ab"), CapabilitySet::default(), 7);
         let t2 = a.issue(Principal::new("a"), CapabilitySet::default(), 7);
         assert_ne!(t1.mac, t2.mac);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A MAC equals the tag of the sealed canonical encoding, for
+        /// names on both sides of a block boundary and of 64 bytes.
+        #[test]
+        fn mac_is_the_tag_of_the_sealed_encoding(
+            key in any::<[u8; 16]>(),
+            name in "[ -~]{0,100}",
+            bits in 0u8..64,
+            expires_at_us in any::<u64>(),
+        ) {
+            let auth = AuthService::new(key);
+            let mut encoding = name.as_bytes().to_vec();
+            encoding.extend_from_slice(&[0, bits]);
+            encoding.extend_from_slice(&expires_at_us.to_be_bytes());
+            let sealed =
+                PayloadKey::from_bytes(key).seal(StreamId::from_raw(0), SequenceNumber::ZERO, &encoding);
+            let mac = auth.compute_mac(&Principal::new(name), CapabilitySet(bits), expires_at_us);
+            prop_assert_eq!(&mac[..], &sealed[sealed.len() - 8..]);
+        }
     }
 }

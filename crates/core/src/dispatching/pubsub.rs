@@ -12,6 +12,20 @@
 //! dispatch cost scales with fan-out rather than population — the
 //! property experiment E5 measures.
 //!
+//! Storage: the stream and the sensor index each map a key to an 8-byte
+//! slot, which holds a lone subscriber inline or indexes the key's
+//! ascending subscriber set in a slab shared by both indexes. A key
+//! moves to the slab with its second subscriber and back inline when it
+//! is down to one; a freed set keeps its buffer and is reused first. So
+//! a subscription costs bytes in a map, not an allocation, and churning
+//! a key's membership allocates nothing. The `All` set is one sorted
+//! vec. There is no reverse index: per subscriber the table counts its
+//! stream and sensor filters and whether it holds `All`, which answers
+//! `subscriber_count` and tells a departure which indexes to walk. A
+//! departure costs one pass over each index the subscriber holds a key
+//! in (nothing for an `All`-only monitor); departures are rare next to
+//! writes, and writes next to frames.
+//!
 //! Subscription tables mutate orders of magnitude less often than
 //! frames arrive, so the dispatch stage memoises the resolved match set
 //! per stream as a shared `Arc<[SubscriberId]>` slice: a `MatchCache`
@@ -33,7 +47,8 @@
 //! collide. A [`SubscriberId`] is allocated here and never read off the
 //! air, so maps keyed by one use the unkeyed [`IdMap`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -145,12 +160,166 @@ fn sorted_remove(set: &mut Vec<SubscriberId>, id: SubscriberId) -> bool {
     }
 }
 
+/// The subscribers of one stream or sensor key: a lone subscriber held
+/// inline, or the index of the key's set in the table's [`Slab`].
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    One(SubscriberId),
+    Many(u32),
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+
+/// The ascending subscriber sets of every key with two or more
+/// subscribers, indexed by [`Slot::Many`]. A set freed when its key
+/// falls back to one subscriber keeps its buffer and is handed out again
+/// before the slab grows.
+#[derive(Clone, Debug, Default)]
+struct Slab {
+    sets: Vec<Vec<SubscriberId>>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// Stores the two-subscriber set `{a, b}`, returning its index.
+    fn alloc(&mut self, a: SubscriberId, b: SubscriberId) -> u32 {
+        let pair = [a.min(b), a.max(b)];
+        if let Some(ix) = self.free.pop() {
+            self.sets[ix as usize].extend_from_slice(&pair);
+            return ix;
+        }
+        self.sets.push(pair.to_vec());
+        // 2^32 sets of two or more subscribers would not fit in memory,
+        // so the index fits a u32.
+        (self.sets.len() - 1) as u32
+    }
+
+    /// Empties set `ix` and queues it for reuse.
+    fn release(&mut self, ix: u32) {
+        self.sets[ix as usize].clear();
+        self.free.push(ix);
+    }
+
+    /// The subscribers `slot` names, ascending.
+    fn members<'a>(&'a self, slot: &'a Slot) -> &'a [SubscriberId] {
+        match slot {
+            Slot::One(id) => std::slice::from_ref(id),
+            Slot::Many(ix) => &self.sets[*ix as usize],
+        }
+    }
+
+    /// Adds `id` under `key`; `true` if it was new.
+    fn insert(&mut self, index: &mut HashMap<u32, Slot>, key: u32, id: SubscriberId) -> bool {
+        match index.entry(key) {
+            Entry::Vacant(v) => {
+                v.insert(Slot::One(id));
+                true
+            }
+            Entry::Occupied(mut o) => match *o.get() {
+                Slot::One(held) if held == id => false,
+                Slot::One(held) => {
+                    *o.get_mut() = Slot::Many(self.alloc(held, id));
+                    true
+                }
+                Slot::Many(ix) => sorted_insert(&mut self.sets[ix as usize], id),
+            },
+        }
+    }
+
+    /// Removes `id` from `key`'s slot; `true` if it was there.
+    fn remove(&mut self, index: &mut HashMap<u32, Slot>, key: u32, id: SubscriberId) -> bool {
+        let Entry::Occupied(mut o) = index.entry(key) else { return false };
+        match *o.get() {
+            Slot::One(held) => {
+                if held == id {
+                    o.remove();
+                }
+                held == id
+            }
+            Slot::Many(ix) => self.remove_from_set(o.get_mut(), ix, id),
+        }
+    }
+
+    /// Removes `id` from set `ix`, which `slot` names; a set left with
+    /// one member moves back inline. `true` if `id` was there.
+    fn remove_from_set(&mut self, slot: &mut Slot, ix: u32, id: SubscriberId) -> bool {
+        let set = &mut self.sets[ix as usize];
+        if !sorted_remove(set, id) {
+            return false;
+        }
+        if let [last] = set[..] {
+            *slot = Slot::One(last);
+            self.release(ix);
+        }
+        true
+    }
+
+    /// Removes `id` from every slot of `index`, handing each key it
+    /// held to `removed`; visits nothing once `held` keys are found.
+    fn remove_everywhere(
+        &mut self,
+        index: &mut HashMap<u32, Slot>,
+        id: SubscriberId,
+        mut held: u32,
+        mut removed: impl FnMut(u32),
+    ) {
+        index.retain(|&key, slot| {
+            if held == 0 {
+                return true;
+            }
+            let (found, keep) = match *slot {
+                Slot::One(one) => (one == id, one != id),
+                Slot::Many(ix) => (self.remove_from_set(slot, ix, id), true),
+            };
+            if found {
+                held -= 1;
+                removed(key);
+            }
+            keep
+        });
+        debug_assert_eq!(held, 0, "{id} held keys no index lists");
+    }
+}
+
+/// How many filters of each kind one subscriber holds.
+#[derive(Clone, Copy, Debug, Default)]
+struct Held {
+    streams: u32,
+    sensors: u32,
+    all: bool,
+}
+
+impl Held {
+    fn is_empty(&self) -> bool {
+        self.streams == 0 && self.sensors == 0 && !self.all
+    }
+
+    /// The count `filter`'s kind is tallied in, or `None` for `All`.
+    fn count_of(&mut self, filter: TopicFilter) -> Option<&mut u32> {
+        match filter {
+            TopicFilter::Stream(_) => Some(&mut self.streams),
+            TopicFilter::Sensor(_) => Some(&mut self.sensors),
+            TopicFilter::All => None,
+        }
+    }
+}
+
+/// The sensor a `by_sensor` key names. Every key came from a
+/// [`SensorId`], so it fits the 24 bits a stream id keeps for it.
+fn sensor_of(key: u32) -> SensorId {
+    StreamId::from_raw(key << 8).sensor()
+}
+
 /// The subscription table.
 ///
-/// The hot indexes (`by_stream`, `by_sensor`, `all`) are
-/// ascending-sorted vecs behind hash maps: lookups never walk a tree,
-/// and the sorted-on-insert invariant keeps every match set in the
-/// deterministic ascending-id order that dispatch relies on.
+/// Each stream or sensor key maps to an 8-byte slot: its lone
+/// subscriber inline, or the index of its ascending subscriber set in a
+/// slab of sets whose freed entries are reused. So a key with one
+/// subscriber costs a map bucket and no allocation, a lookup never
+/// walks a tree, and every match set comes out in the deterministic
+/// ascending-id order that dispatch relies on. There is no reverse
+/// index: the table counts each subscriber's filters by kind, and a
+/// departure walks only the indexes the subscriber holds keys in.
 ///
 /// # Example
 ///
@@ -167,11 +336,13 @@ fn sorted_remove(set: &mut Vec<SubscriberId>, id: SubscriberId) -> bool {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SubscriptionTable {
-    by_stream: HashMap<u32, Vec<SubscriberId>>,
-    by_sensor: HashMap<u32, Vec<SubscriberId>>,
+    by_stream: HashMap<u32, Slot>,
+    by_sensor: HashMap<u32, Slot>,
     all: Vec<SubscriberId>,
-    // Reverse index so unsubscribe-all is O(own subscriptions).
-    filters: BTreeMap<SubscriberId, BTreeSet<TopicFilter>>,
+    /// The sets of keys with two or more subscribers, both indexes'.
+    slab: Slab,
+    /// Every subscriber with at least one filter.
+    held: IdMap<Held>,
 }
 
 impl SubscriptionTable {
@@ -183,103 +354,70 @@ impl SubscriptionTable {
     /// Adds a subscription. Returns `true` if it was new.
     pub fn subscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
         let inserted = match filter {
-            TopicFilter::Stream(s) => {
-                sorted_insert(self.by_stream.entry(s.to_raw()).or_default(), subscriber)
-            }
+            TopicFilter::Stream(s) => self.slab.insert(&mut self.by_stream, s.to_raw(), subscriber),
             TopicFilter::Sensor(id) => {
-                sorted_insert(self.by_sensor.entry(id.as_u32()).or_default(), subscriber)
+                self.slab.insert(&mut self.by_sensor, id.as_u32(), subscriber)
             }
             TopicFilter::All => sorted_insert(&mut self.all, subscriber),
         };
-        let reverse_inserted = self.filters.entry(subscriber).or_default().insert(filter);
-        debug_assert_eq!(
-            inserted, reverse_inserted,
-            "forward and reverse indexes disagree on subscribe({subscriber}, {filter:?})"
-        );
+        if inserted {
+            let held = self.held.entry(subscriber).or_default();
+            match held.count_of(filter) {
+                Some(n) => *n += 1,
+                None => held.all = true,
+            }
+        }
         inserted
     }
 
     /// Removes one subscription. Returns `true` if it existed.
     pub(crate) fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
         let removed = match filter {
-            TopicFilter::Stream(s) => {
-                let raw = s.to_raw();
-                if let Some(set) = self.by_stream.get_mut(&raw) {
-                    let removed = sorted_remove(set, subscriber);
-                    if set.is_empty() {
-                        self.by_stream.remove(&raw);
-                    }
-                    removed
-                } else {
-                    false
-                }
-            }
+            TopicFilter::Stream(s) => self.slab.remove(&mut self.by_stream, s.to_raw(), subscriber),
             TopicFilter::Sensor(id) => {
-                let raw = id.as_u32();
-                if let Some(set) = self.by_sensor.get_mut(&raw) {
-                    let removed = sorted_remove(set, subscriber);
-                    if set.is_empty() {
-                        self.by_sensor.remove(&raw);
-                    }
-                    removed
-                } else {
-                    false
-                }
+                self.slab.remove(&mut self.by_sensor, id.as_u32(), subscriber)
             }
             TopicFilter::All => sorted_remove(&mut self.all, subscriber),
         };
-        let mut removed_reverse = false;
-        if let Some(fs) = self.filters.get_mut(&subscriber) {
-            removed_reverse = fs.remove(&filter);
-            if fs.is_empty() {
-                self.filters.remove(&subscriber);
+        if removed {
+            if let Some(held) = self.held.get_mut(&subscriber) {
+                match held.count_of(filter) {
+                    Some(n) => *n -= 1,
+                    None => held.all = false,
+                }
+                if held.is_empty() {
+                    self.held.remove(&subscriber);
+                }
             }
         }
-        debug_assert_eq!(
-            removed, removed_reverse,
-            "forward and reverse indexes disagree on unsubscribe({subscriber}, {filter:?})"
-        );
         removed
     }
 
     /// Removes every subscription held by `subscriber` (consumer
-    /// departure). Returns the filters removed.
-    pub(crate) fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> BTreeSet<TopicFilter> {
-        let filters = self.filters.remove(&subscriber).unwrap_or_default();
-        for &f in &filters {
-            let removed = match f {
-                TopicFilter::Stream(s) => {
-                    let raw = s.to_raw();
-                    if let Some(set) = self.by_stream.get_mut(&raw) {
-                        let removed = sorted_remove(set, subscriber);
-                        if set.is_empty() {
-                            self.by_stream.remove(&raw);
-                        }
-                        removed
-                    } else {
-                        false
-                    }
-                }
-                TopicFilter::Sensor(id) => {
-                    let raw = id.as_u32();
-                    if let Some(set) = self.by_sensor.get_mut(&raw) {
-                        let removed = sorted_remove(set, subscriber);
-                        if set.is_empty() {
-                            self.by_sensor.remove(&raw);
-                        }
-                        removed
-                    } else {
-                        false
-                    }
-                }
-                TopicFilter::All => sorted_remove(&mut self.all, subscriber),
-            };
-            debug_assert!(
-                removed,
-                "reverse index held {f:?} for {subscriber} but the forward index did not"
-            );
+    /// departure). Returns the filters removed, ascending. Walks the
+    /// stream and the sensor index only if the subscriber holds a key
+    /// there: an `All`-only subscriber touches neither map.
+    pub(crate) fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> Vec<TopicFilter> {
+        let Some(held) = self.held.remove(&subscriber) else { return Vec::new() };
+        let mut removed = Vec::new();
+        if held.streams > 0 {
+            self.slab.remove_everywhere(&mut self.by_stream, subscriber, held.streams, |key| {
+                removed.push(TopicFilter::Stream(StreamId::from_raw(key)));
+            });
         }
-        filters
+        if held.sensors > 0 {
+            self.slab.remove_everywhere(&mut self.by_sensor, subscriber, held.sensors, |key| {
+                removed.push(TopicFilter::Sensor(sensor_of(key)));
+            });
+        }
+        if held.all {
+            let was_there = sorted_remove(&mut self.all, subscriber);
+            debug_assert!(was_there, "{subscriber} held All but the All set did not list it");
+            removed.push(TopicFilter::All);
+        }
+        // The maps hand their keys over in hash order.
+        removed.sort_unstable();
+        removed
     }
 
     /// Calls `f` once per matching subscriber, deduplicated, in
@@ -287,9 +425,16 @@ impl SubscriptionTable {
     /// sensor / stream slices, allocating nothing.
     fn for_each_match(&self, stream: StreamId, mut f: impl FnMut(SubscriberId)) {
         let a = self.all.as_slice();
-        let b =
-            self.by_sensor.get(&stream.sensor().as_u32()).map(Vec::as_slice).unwrap_or_default();
-        let c = self.by_stream.get(&stream.to_raw()).map(Vec::as_slice).unwrap_or_default();
+        let b = self
+            .by_sensor
+            .get(&stream.sensor().as_u32())
+            .map(|slot| self.slab.members(slot))
+            .unwrap_or_default();
+        let c = self
+            .by_stream
+            .get(&stream.to_raw())
+            .map(|slot| self.slab.members(slot))
+            .unwrap_or_default();
         let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
         while i < a.len() || j < b.len() || k < c.len() {
             let mut min = SubscriberId::new(u32::MAX);
@@ -334,35 +479,46 @@ impl SubscriptionTable {
     }
 
     /// True if no subscription matches `stream` — the message is
-    /// *unclaimed* and belongs to the Orphanage.
+    /// *unclaimed* and belongs to the Orphanage. A key is in an index
+    /// only while it has a subscriber.
     pub(crate) fn is_unclaimed(&self, stream: StreamId) -> bool {
-        if !self.all.is_empty() {
-            return false;
-        }
-        if self.by_sensor.get(&stream.sensor().as_u32()).is_some_and(|s| !s.is_empty()) {
-            return false;
-        }
-        self.by_stream.get(&stream.to_raw()).is_none_or(|s| s.is_empty())
+        self.all.is_empty()
+            && !self.by_sensor.contains_key(&stream.sensor().as_u32())
+            && !self.by_stream.contains_key(&stream.to_raw())
     }
 
     /// Number of distinct subscribers with at least one subscription.
     pub(crate) fn subscriber_count(&self) -> usize {
-        self.filters.len()
+        self.held.len()
     }
 
-    /// The filters `subscriber` currently holds, ascending.
+    /// The filters `subscriber` currently holds, ascending, read off the
+    /// forward indexes.
     #[cfg(test)]
-    pub(crate) fn filters_of(
-        &self,
-        subscriber: SubscriberId,
-    ) -> impl Iterator<Item = TopicFilter> + '_ {
-        self.filters.get(&subscriber).into_iter().flat_map(|fs| fs.iter().copied())
+    pub(crate) fn filters_of(&self, subscriber: SubscriberId) -> impl Iterator<Item = TopicFilter> {
+        let holds = |slot: &Slot| self.slab.members(slot).binary_search(&subscriber).is_ok();
+        let mut filters: Vec<TopicFilter> = self
+            .by_stream
+            .iter()
+            .filter(|(_, slot)| holds(slot))
+            .map(|(&key, _)| TopicFilter::Stream(StreamId::from_raw(key)))
+            .chain(
+                self.by_sensor
+                    .iter()
+                    .filter(|(_, slot)| holds(slot))
+                    .map(|(&key, _)| TopicFilter::Sensor(sensor_of(key))),
+            )
+            .chain(self.all.binary_search(&subscriber).is_ok().then_some(TopicFilter::All))
+            .collect();
+        filters.sort_unstable();
+        filters.into_iter()
     }
 
-    /// Total number of live subscriptions.
+    /// Total number of live subscriptions, read off the forward indexes.
     #[cfg(test)]
     pub(crate) fn subscription_count(&self) -> usize {
-        self.filters.values().map(|f| f.len()).sum()
+        let keys = self.by_stream.values().chain(self.by_sensor.values());
+        keys.map(|slot| self.slab.members(slot).len()).sum::<usize>() + self.all.len()
     }
 }
 
@@ -507,8 +663,7 @@ impl MatchCache {
         slot: &mut MatchSlot,
     ) -> (Arc<[SubscriberId]>, bool) {
         if !self.config.enabled {
-            table.match_subscribers_into(stream, &mut self.scratch);
-            return (Arc::from(self.scratch.as_slice()), false);
+            return (self.rebuild(table, stream, None), false);
         }
         match &slot.0 {
             Some(entry) if entry.generation == self.generation => {
@@ -529,14 +684,32 @@ impl MatchCache {
                 self.resident += 1;
             }
         }
+        (self.rebuild(table, stream, Some(slot)), true)
+    }
+
+    /// Builds `stream`'s match set from `table` and, given the stream's
+    /// slot, files it there under the current generation and `All`
+    /// count. Out of line and cold, so the route that inlines
+    /// [`MatchCache::resolve`] carries the hit and nothing of how the
+    /// table is stored.
+    #[cold]
+    #[inline(never)]
+    fn rebuild(
+        &mut self,
+        table: &SubscriptionTable,
+        stream: StreamId,
+        slot: Option<&mut MatchSlot>,
+    ) -> Arc<[SubscriberId]> {
         table.match_subscribers_into(stream, &mut self.scratch);
         let set: Arc<[SubscriberId]> = Arc::from(self.scratch.as_slice());
-        slot.0 = Some(CacheEntry {
-            generation: self.generation,
-            valid_under: self.all_writes,
-            set: Arc::clone(&set),
-        });
-        (set, true)
+        if let Some(slot) = slot {
+            slot.0 = Some(CacheEntry {
+                generation: self.generation,
+                valid_under: self.all_writes,
+                set: Arc::clone(&set),
+            });
+        }
+        set
     }
 
     /// Snapshot of this cache's counters.
@@ -644,6 +817,71 @@ mod tests {
         assert!(t.unsubscribe_all(a).is_empty());
     }
 
+    /// Checks the storage layout: every `Many` slot names a distinct
+    /// set of two or more ascending subscribers, every other set is
+    /// empty and free, and each subscriber's counts match the filters
+    /// the forward indexes hold for it.
+    pub(super) fn assert_layout(t: &SubscriptionTable) {
+        let mut named = vec![false; t.slab.sets.len()];
+        for slot in t.by_stream.values().chain(t.by_sensor.values()) {
+            if let Slot::Many(ix) = *slot {
+                let set = &t.slab.sets[ix as usize];
+                assert!(set.len() >= 2, "set {ix} is {set:?}");
+                assert!(set.windows(2).all(|w| w[0] < w[1]), "set {ix} is {set:?}");
+                assert!(!std::mem::replace(&mut named[ix as usize], true), "set {ix} named twice");
+            }
+        }
+        for &ix in &t.slab.free {
+            assert!(t.slab.sets[ix as usize].is_empty(), "free set {ix} holds subscribers");
+            assert!(!std::mem::replace(&mut named[ix as usize], true), "set {ix} free and in use");
+        }
+        assert!(named.iter().all(|&n| n), "a set is neither in use nor free");
+        for (&sub, held) in &t.held {
+            let filters: Vec<TopicFilter> = t.filters_of(sub).collect();
+            let count = |kind: fn(&TopicFilter) -> bool| filters.iter().filter(|f| kind(f)).count();
+            assert_eq!(held.streams as usize, count(|f| matches!(f, TopicFilter::Stream(_))));
+            assert_eq!(held.sensors as usize, count(|f| matches!(f, TopicFilter::Sensor(_))));
+            assert_eq!(held.all, filters.contains(&TopicFilter::All));
+            assert!(!held.is_empty(), "{sub} is counted with no filter");
+        }
+    }
+
+    #[test]
+    fn a_key_moves_to_the_slab_and_back_and_its_set_is_reused() {
+        let mut t = SubscriptionTable::new();
+        let ids: Vec<SubscriberId> = (0..3).map(SubscriberId::new).collect();
+        let sensor = TopicFilter::Sensor(SensorId::new(3).unwrap());
+        t.subscribe(ids[2], sensor);
+        assert!(matches!(t.by_sensor[&3], Slot::One(id) if id == ids[2]));
+        t.subscribe(ids[0], sensor);
+        t.subscribe(ids[1], sensor);
+        assert!(matches!(t.by_sensor[&3], Slot::Many(0)));
+        assert_eq!(t.match_subscribers(stream(3, 0)), ids);
+        assert_layout(&t);
+        t.unsubscribe(ids[1], sensor);
+        t.unsubscribe(ids[0], sensor);
+        assert!(matches!(t.by_sensor[&3], Slot::One(id) if id == ids[2]), "back inline");
+        assert_eq!(t.slab.free, vec![0]);
+        assert_layout(&t);
+        // A second key that outgrows its slot takes the freed set.
+        let hot = TopicFilter::Stream(stream(4, 0));
+        t.subscribe(ids[1], hot);
+        t.subscribe(ids[0], hot);
+        assert!(matches!(t.by_stream[&stream(4, 0).to_raw()], Slot::Many(0)));
+        assert_eq!((t.slab.sets.len(), t.slab.free.len()), (1, 0));
+        assert_eq!(t.match_subscribers(stream(4, 0)), ids[..2]);
+        assert_layout(&t);
+        // A departure holding all three kinds leaves the others' keys.
+        t.subscribe(ids[0], sensor);
+        t.subscribe(ids[0], TopicFilter::All);
+        let gone = t.unsubscribe_all(ids[0]);
+        assert_eq!(gone, vec![hot, sensor, TopicFilter::All]);
+        assert_eq!(t.match_subscribers(stream(4, 0)), vec![ids[1]]);
+        assert_eq!(t.match_subscribers(stream(3, 0)), vec![ids[2]]);
+        assert_eq!((t.slab.sets.len(), t.slab.free.len()), (2, 2), "both sets freed");
+        assert_layout(&t);
+    }
+
     #[test]
     fn unclaimed_logic() {
         let mut t = SubscriptionTable::new();
@@ -682,6 +920,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Filters over sensors `0..sensors`, each with streams `0..indices`.
     fn arb_filter(sensors: u32, indices: u8) -> impl Strategy<Value = TopicFilter> {
@@ -736,14 +975,20 @@ mod proptests {
             prop_assert!(t.is_unclaimed(probe));
         }
 
-        /// Forward (by_stream/by_sensor/all) and reverse (filters)
-        /// indexes stay in lockstep under arbitrary mutation sequences:
-        /// the table's observable state equals a naive model's.
+        /// Under arbitrary mutation sequences the table's observable
+        /// state equals a naive model's, and its storage stays well
+        /// formed. Half the filters fall on four hot streams and two hot
+        /// sensors, so keys move to the slab and back, freed sets are
+        /// taken again, and departures hold all three filter kinds.
         #[test]
-        fn forward_and_reverse_indexes_stay_in_lockstep(
+        fn table_equals_a_naive_model(
             ops in proptest::collection::vec(
-                (prop_oneof![Just(0u8), Just(1), Just(2)], 0u32..15, arb_filter(50, 4)),
-                0..60,
+                (
+                    prop_oneof![Just(0u8), Just(1), Just(2)],
+                    0u32..15,
+                    prop_oneof![arb_filter(50, 4), arb_filter(2, 2)],
+                ),
+                0..120,
             ),
         ) {
             let mut t = SubscriptionTable::new();
@@ -764,11 +1009,12 @@ mod proptests {
                     }
                     _ => {
                         let removed = model.remove(&sub).unwrap_or_default();
-                        prop_assert_eq!(t.unsubscribe_all(sub), removed);
+                        prop_assert_eq!(t.unsubscribe_all(sub), Vec::from_iter(removed));
                     }
                 }
+                super::tests::assert_layout(&t);
             }
-            // Reverse index ≡ model.
+            // Per-subscriber counts and filters ≡ model.
             prop_assert_eq!(t.subscriber_count(), model.len());
             prop_assert_eq!(
                 t.subscription_count(),

@@ -619,26 +619,25 @@ impl Garnet {
         }
         self.router.services_mut().dispatch.subscribe(id, filter);
 
-        // Claim matching orphanage backlog. Claims are synchronous
-        // request/response, not dataflow, so they stay direct calls.
-        let claimable: Vec<StreamId> = match filter {
-            TopicFilter::Stream(s) => vec![s],
-            TopicFilter::Sensor(sensor) => self
-                .router
-                .services()
-                .control
-                .orphanage
-                .unclaimed_streams()
-                .into_iter()
-                .filter(|s| s.sensor() == sensor)
-                .collect(),
+        // Claim matching orphanage backlog, ascending by stream. Claims
+        // are synchronous request/response, not dataflow, so they stay
+        // direct calls.
+        let sensor_orphans = match filter {
+            TopicFilter::Sensor(sensor) => {
+                self.router.services().control.orphanage.unclaimed_streams_of(sensor)
+            }
+            _ => Vec::new(),
+        };
+        let claimable: &[StreamId] = match &filter {
+            TopicFilter::Stream(s) => std::slice::from_ref(s),
+            TopicFilter::Sensor(_) => &sensor_orphans,
             // An All-subscription is a wiretap; dumping the whole
             // orphanage on it would rarely be intended.
-            TopicFilter::All => Vec::new(),
+            TopicFilter::All => &[],
         };
         let mut backlog: Vec<DataMessage> = Vec::new();
         let mut out = StepOutput::default();
-        for s in claimable {
+        for &s in claimable {
             let services = self.router.services_mut();
             backlog.extend(services.control.orphanage.claim(s));
             services.dispatch.set_claimed(s, true);
@@ -2039,6 +2038,42 @@ mod tests {
         g.on_frame(ReceiverId::new(0), -50.0, &acked, SimTime::from_millis(20));
         assert_eq!(g.actuation().in_flight(), 0);
         assert_eq!(g.actuation().acknowledged_count(), 1);
+    }
+
+    #[test]
+    fn an_ack_released_by_the_reorder_timeout_completes_actuation() {
+        let mut g = garnet();
+        let token = g.issue_default_token("t");
+        let id = g.register_consumer(Box::new(CountingConsumer::new("c")), &token, 0).unwrap();
+        g.subscribe(id, TopicFilter::All, &token).unwrap();
+        let target = ActuationTarget::Sensor(SensorId::new(1).unwrap());
+        let outcome =
+            g.request_actuation(id, &token, target, SensorCommand::Ping, SimTime::ZERO).unwrap();
+        let ActuationOutcome::Granted { request_id, .. } = outcome else {
+            panic!("expected grant, got {outcome:?}");
+        };
+        let stream = StreamId::new(SensorId::new(1).unwrap(), StreamIndex::new(0));
+        let frame = |seq: u16, ack: Option<RequestId>| {
+            let builder = DataMessage::builder(stream).seq(SequenceNumber::new(seq));
+            let builder = match ack {
+                Some(request_id) => builder.ack(request_id),
+                None => builder,
+            };
+            builder.build().unwrap().encode_to_vec()
+        };
+        g.on_frame(ReceiverId::new(0), -50.0, &frame(0, None), SimTime::from_millis(10));
+        // Seq 1 never comes: seq 2, carrying the ack, waits in the
+        // reorder buffer until the timeout releases it.
+        g.on_frame(
+            ReceiverId::new(0),
+            -50.0,
+            &frame(2, Some(request_id)),
+            SimTime::from_millis(20),
+        );
+        assert_eq!(g.actuation().in_flight(), 1, "held behind the gap");
+        g.on_tick(SimTime::from_millis(200));
+        assert_eq!(g.actuation().acknowledged_count(), 1);
+        assert_eq!(g.actuation().in_flight(), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use garnet_simkit::{SimDuration, SimTime};
-use garnet_wire::{DataMessage, StreamId};
+use garnet_wire::{DataMessage, SensorId, StreamId};
 
 use crate::filtering::Delivery;
 
@@ -156,10 +156,24 @@ impl Orphanage {
     }
 
     /// Every unclaimed stream, ordered by raw id (deterministic).
+    #[cfg(test)]
     pub(crate) fn unclaimed_streams(&self) -> Vec<StreamId> {
         let mut raws: Vec<u32> = self.streams.keys().copied().collect();
         raws.sort_unstable();
         raws.into_iter().map(StreamId::from_raw).collect()
+    }
+
+    /// The unclaimed streams of `sensor`, ordered by raw id; allocates
+    /// nothing when the sensor has none.
+    pub(crate) fn unclaimed_streams_of(&self, sensor: SensorId) -> Vec<StreamId> {
+        let mut streams: Vec<StreamId> = self
+            .streams
+            .keys()
+            .map(|&raw| StreamId::from_raw(raw))
+            .filter(|s| s.sensor() == sensor)
+            .collect();
+        streams.sort_unstable_by_key(|s| s.to_raw());
+        streams
     }
 
     /// Total messages ever taken in.
@@ -277,6 +291,10 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(raws, sorted);
         assert_eq!(o.total_taken(), 3);
+        let of_9: Vec<u32> =
+            o.unclaimed_streams_of(SensorId::new(9).unwrap()).iter().map(|s| s.to_raw()).collect();
+        assert_eq!(of_9, vec![9 << 8, (9 << 8) | 1]);
+        assert!(o.unclaimed_streams_of(SensorId::new(3).unwrap()).is_empty());
     }
 }
 

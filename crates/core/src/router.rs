@@ -543,12 +543,19 @@ impl Router {
         let root = self.alloc_root();
         let queue = &mut self.queue;
         self.services.ingest.forgo(stream, seq, below, now, |delivery, row| {
-            if let Some(request_id) = delivery.msg.ack() {
-                let status = garnet_wire::AckStatus::Applied;
-                queue.push_back((root, ServiceEvent::AckReceived { request_id, status }));
-            }
-            queue.push_back((root, ServiceEvent::Filtered { delivery, depth: 0, row }));
+            queue_released(queue, root, delivery, row);
         });
+    }
+
+    /// The `FlushReorder` arm of [`Router::step`]: queues what the
+    /// expired reorder buffers release under `tag`, each message's
+    /// piggy-backed acknowledgement first. Out of line, so the arms that
+    /// carry frames keep their shape.
+    #[inline(never)]
+    fn flush_reorder(&mut self, tag: RootTag, now: SimTime) {
+        for delivery in self.services.ingest.on_tick(now) {
+            queue_released(&mut self.queue, tag, delivery, None);
+        }
     }
 
     /// Records a frame the admission scheduler dropped before it reached
@@ -584,12 +591,7 @@ impl Router {
             rec
         });
         match ev {
-            ServiceEvent::FlushReorder => {
-                for delivery in self.services.ingest.on_tick(now) {
-                    let ev = ServiceEvent::Filtered { delivery, depth: 0, row: None };
-                    self.enqueue_tagged(tag, ev);
-                }
-            }
+            ServiceEvent::FlushReorder => self.flush_reorder(tag, now),
             ServiceEvent::Filtered { delivery, depth, row } => {
                 let stream = delivery.msg.stream();
                 let (output, looked_up) = self.services.dispatch.dispatch(delivery, depth, row);
@@ -684,6 +686,23 @@ impl Router {
             .flatten()
             .min()
     }
+}
+
+/// Queues one message filtering released outside a frame's own result
+/// (a forgone window or an expired reorder buffer) under `tag`, as
+/// [`ShardedIngest::frame_events`] would: its piggy-backed
+/// acknowledgement, then the message.
+fn queue_released(
+    queue: &mut VecDeque<(RootTag, ServiceEvent)>,
+    tag: RootTag,
+    delivery: Delivery,
+    row: Option<RowId>,
+) {
+    if let Some(request_id) = delivery.msg.ack() {
+        let status = garnet_wire::AckStatus::Applied;
+        queue.push_back((tag, ServiceEvent::AckReceived { request_id, status }));
+    }
+    queue.push_back((tag, ServiceEvent::Filtered { delivery, depth: 0, row }));
 }
 
 #[cfg(test)]

@@ -141,6 +141,43 @@ impl PayloadKey {
         state.to_be_bytes()
     }
 
+    /// The tag [`PayloadKey::seal`] would append for `(stream, seq)` to
+    /// the concatenation of `parts`, computed block by block without
+    /// building the plaintext or the ciphertext: each 8-byte block is
+    /// CTR-encrypted and folded into the CBC-MAC as it fills.
+    pub fn seal_tag(
+        &self,
+        stream: StreamId,
+        seq: SequenceNumber,
+        parts: &[&[u8]],
+    ) -> [u8; TAG_LEN] {
+        let nonce = Self::nonce(stream, seq);
+        let mut state = xtea_encrypt_block(&self.mac, nonce);
+        let mut absorb = |i: u64, block: &[u8]| {
+            let ks = xtea_encrypt_block(&self.enc, nonce ^ (i << 48)).to_be_bytes();
+            let mut cipher = [0u8; 8];
+            for ((c, b), k) in cipher.iter_mut().zip(block).zip(ks) {
+                *c = b ^ k;
+            }
+            state = xtea_encrypt_block(&self.mac, state ^ u64::from_be_bytes(cipher));
+        };
+        let (mut block, mut fill, mut blocks, mut len) = ([0u8; 8], 0usize, 0u64, 0usize);
+        for &b in parts.iter().flat_map(|p| p.iter()) {
+            block[fill] = b;
+            fill += 1;
+            len += 1;
+            if fill == 8 {
+                absorb(blocks, &block);
+                blocks += 1;
+                fill = 0;
+            }
+        }
+        if fill > 0 {
+            absorb(blocks, &block[..fill]);
+        }
+        xtea_encrypt_block(&self.mac, state ^ (len as u64)).to_be_bytes()
+    }
+
     /// Encrypts and authenticates `plaintext` for `(stream, seq)`,
     /// returning `ciphertext || tag` (`plaintext.len() + 8` bytes).
     pub fn seal(&self, stream: StreamId, seq: SequenceNumber, plaintext: &[u8]) -> Vec<u8> {
@@ -312,6 +349,31 @@ mod proptests {
             let stream = StreamId::from_raw(raw);
             let sealed = key.seal(stream, SequenceNumber::new(seq), &data);
             prop_assert_eq!(key.open(stream, SequenceNumber::new(seq), &sealed).unwrap(), data);
+        }
+
+        /// The tag-only entry point equals the last 8 bytes of `seal`
+        /// however the input is cut into parts, for lengths on and off
+        /// a block boundary.
+        #[test]
+        fn seal_tag_is_the_tag_seal_appends(
+            keyb in any::<[u8; 16]>(),
+            raw in any::<u32>(),
+            seq in any::<u16>(),
+            data in proptest::collection::vec(any::<u8>(), 0..200),
+            cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        ) {
+            let key = PayloadKey::from_bytes(keyb);
+            let (stream, seq) = (StreamId::from_raw(raw), SequenceNumber::new(seq));
+            let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+            at.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for to in at.into_iter().chain([data.len()]) {
+                parts.push(&data[from..to]);
+                from = to;
+            }
+            let sealed = key.seal(stream, seq, &data);
+            prop_assert_eq!(&key.seal_tag(stream, seq, &parts)[..], &sealed[data.len()..]);
         }
 
         #[test]

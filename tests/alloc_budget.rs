@@ -8,7 +8,10 @@
 //! fan-out, and every buffer on the way (the router queue, the
 //! router→facade output buffer) is reused. Nothing is allocated per
 //! burst either, under unbounded admission or an armed admission
-//! scheduler. Measured with a counting global allocator.
+//! scheduler. A subscription costs no allocation of its own either: a
+//! key with one subscriber is held inline, so only map growth allocates,
+//! and a churned key reuses its set. Measured with a counting global
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +22,7 @@ use garnet::core::dispatching::DispatchingService;
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::TopicFilter;
+use garnet::core::{AuthService, Capability, CapabilitySet, Principal, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimTime, TraceConfig, Tracer};
 use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
@@ -170,7 +173,6 @@ fn warm_match_cache_hit_allocates_nothing() {
     // match set is cached in its row, routing it finds the row, checks
     // its slot and bumps a refcount — no allocator call at all, whatever
     // the fan-out or the population of other subscriptions.
-    let stream = |sensor: u32| StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
     let hot = stream(42);
     let mut dispatch = DispatchingService::new();
     for _ in 0..16 {
@@ -194,4 +196,81 @@ fn warm_match_cache_hit_allocates_nothing() {
         std::hint::black_box(out.recipients.len());
     }
     assert_eq!(CALLS.with(Cell::get) - before, 0, "a warm route must be allocation-free");
+}
+
+/// Allocator calls made by `f` on this thread.
+fn calls_in(f: impl FnOnce()) -> u64 {
+    let before = CALLS.with(Cell::get);
+    f();
+    CALLS.with(Cell::get) - before
+}
+
+fn stream(sensor: u32) -> StreamId {
+    StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0))
+}
+
+#[test]
+fn a_one_subscriber_key_costs_no_allocation() {
+    // 64 000 keys of one subscriber each: the two maps' growth (a
+    // doubling each, ≈ 16 apiece) is all that allocates.
+    let mut dispatch = DispatchingService::new();
+    let ids: Vec<_> = (0..64_000).map(|_| dispatch.register_subscriber()).collect();
+    let calls = calls_in(|| {
+        for (sensor, &id) in (1..).zip(&ids) {
+            assert!(dispatch.subscribe(id, TopicFilter::Stream(stream(sensor))));
+        }
+    });
+    assert!(calls <= 64, "64 000 one-subscriber Stream subscriptions: {calls} allocator calls");
+    assert_eq!(dispatch.subscriber_count(), 64_000);
+}
+
+#[test]
+fn churning_a_shared_key_allocates_nothing() {
+    // churn-fanout's per-burst write: one of a Sensor key's 16
+    // subscribers leaves it and comes back.
+    let mut dispatch = DispatchingService::new();
+    let sensor = TopicFilter::Sensor(SensorId::new(7).unwrap());
+    let ids: Vec<_> = (0..16).map(|_| dispatch.register_subscriber()).collect();
+    for &id in &ids {
+        dispatch.subscribe(id, sensor);
+    }
+    let calls = calls_in(|| {
+        for i in 0..1_000 {
+            let id = ids[i % ids.len()];
+            assert!(dispatch.unsubscribe(id, sensor));
+            assert!(dispatch.subscribe(id, sensor));
+        }
+    });
+    assert_eq!(calls, 0, "1 000 unsubscribe + resubscribe pairs: {calls} allocator calls");
+}
+
+#[test]
+fn facade_stream_subscriptions_allocate_only_map_growth() {
+    // The consumer's own token costs no MAC, a Stream filter claims its
+    // one stream in place, and the table holds each key inline.
+    let mut g = Garnet::new(GarnetConfig::default());
+    let token = g.issue_default_token("budget");
+    let tally = Rc::new(Cell::new(0));
+    let id = g.register_consumer(Box::new(Tally(Rc::clone(&tally))), &token, 0).unwrap();
+    let calls = calls_in(|| {
+        for sensor in 1..=10_000 {
+            let (replayed, _) =
+                g.subscribe(id, TopicFilter::Stream(stream(sensor)), &token).unwrap();
+            assert_eq!(replayed, 0);
+        }
+    });
+    assert!(calls <= 64, "10 000 facade Stream subscriptions: {calls} allocator calls");
+}
+
+#[test]
+fn verifying_a_token_allocates_nothing() {
+    let auth = AuthService::new(*b"budget-auth-key!");
+    let name = "a-principal-whose-name-runs-past-sixty-four-bytes-of-canonical-encoding";
+    let token = auth.issue(Principal::new(name), CapabilitySet::all(), 1_000);
+    let calls = calls_in(|| {
+        for now in 0..1_000 {
+            assert!(auth.verify(&token, now, Capability::Subscribe));
+        }
+    });
+    assert_eq!(calls, 0, "1 000 full verifications: {calls} allocator calls");
 }
