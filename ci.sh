@@ -357,4 +357,48 @@ if ! grep -q '^{"correct": true,' <<< "$qos_line" \
   exit 1
 fi
 
+# The frame path's shape is committed (ROADMAP 23): for every function a
+# frame passes through from Garnet::on_frames to the consumer callback,
+# tests/golden/frame_path.txt says whether the release `perf` binary
+# built above keeps it as a symbol of its own (and how many monomorphs)
+# or the compiler inlined it everywhere. Dispositions repeat exactly for
+# the pinned toolchain, so a move fails here until the file is updated in
+# the same commit. Byte sizes are printed, not gated.
+echo "==> frame path shape: tests/golden/frame_path.txt matches the release perf binary"
+frame_path_now="target/frame_path.txt"
+mkdir -p target
+nm -C --size-sort perfbench/target/release/perf | awk -v list=tests/golden/frame_path.txt \
+    -v out="$frame_path_now" '
+  BEGIN {
+    while ((getline line < list) > 0) {
+      if (line ~ /^#/) { header[++h] = line; continue }
+      split(line, field, "\t")
+      name[++n] = field[1]
+      count[field[1]] = 0
+    }
+  }
+  $2 ~ /^[tTwW]$/ {
+    sym = $0
+    sub(/^[0-9a-f]+ [A-Za-z] /, "", sym)
+    if (sym in count) {
+      count[sym]++
+      size = $1
+      sub(/^0+/, "", size)
+      sizes[sym] = sizes[sym] " 0x" size
+    }
+  }
+  END {
+    for (i = 1; i <= h; i++) print header[i] > out
+    for (i = 1; i <= n; i++) {
+      c = count[name[i]]
+      print name[i] "\t" (c == 0 ? "inlined" : c == 1 ? "own symbol" : "own symbol x" c) > out
+      printf "  %-56s%s\n", name[i], (c == 0 ? " -" : sizes[name[i]])
+    }
+  }'
+if ! diff -u tests/golden/frame_path.txt "$frame_path_now"; then
+  echo "the frame path's shape moved: if that is intended, copy $frame_path_now over" \
+    "tests/golden/frame_path.txt in the same commit and say why in CHANGES.md" >&2
+  exit 1
+fi
+
 echo "==> CI green"
