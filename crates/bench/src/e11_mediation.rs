@@ -1,16 +1,15 @@
 //! E11 — conflict mediation policies under contending consumers.
 //!
 //! n mutually-unaware consumers demand different reporting rates from
-//! the same constrained sensor. The three Resource Manager policies
+//! the same sensor. The three Resource Manager policies
 //! (§4.2/§6) trade satisfaction against sensor energy:
 //!
 //! * `DenyConflicts` — only the first demand is served;
 //! * `PriorityWins` — the important consumer is served, others refused;
-//! * `MergeMax` — everyone is served at the fastest (constraint-clean)
-//!   rate, at the price of sensor transmissions.
+//! * `MergeMax` — everyone is served at the fastest requested rate, at
+//!   the price of sensor transmissions.
 
-use garnet_core::constraints::Constraint;
-use garnet_core::resource::{Decision, MediationPolicy, ResourceManager, SensorProfile};
+use garnet_core::resource::{Decision, MediationPolicy, ResourceManager};
 use garnet_core::SubscriberId;
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
@@ -42,15 +41,10 @@ fn demand(i: usize) -> (u32, u8) {
     (interval, (i % 4) as u8)
 }
 
-/// Runs one policy at one contention level against a sensor capped at
-/// 20 Hz.
+/// Runs one policy at one contention level against one sensor.
 pub(crate) fn run_point(policy: MediationPolicy, consumers: usize) -> MediationPoint {
     let sensor = SensorId::new(1).unwrap();
     let mut rm = ResourceManager::new(policy);
-    rm.register_profile(
-        sensor,
-        SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 20").unwrap()] },
-    );
     let mut granted = 0u64;
     for i in 0..consumers {
         let (interval_ms, priority) = demand(i);
@@ -118,7 +112,7 @@ mod tests {
         let p = run_point(MediationPolicy::MergeMax, 16);
         assert_eq!(p.granted, 16);
         assert_eq!(p.satisfaction, 1.0);
-        // Effective rate = fastest demand (100ms → 10 Hz), within cap.
+        // Effective rate = fastest demand (100ms → 10 Hz).
         assert!((p.effective_rate_hz - 10.0).abs() < 1e-9);
     }
 

@@ -6,16 +6,15 @@
 //! reconstruction) to the [`dispatching`] service, which delivers it to
 //! mutually-unaware consumer processes; unclaimed data lands in the
 //! [`orphanage`]. Control flows back down: consumer actuation requests
-//! are vetted by the [`resource`] manager against per-sensor
-//! [`constraints`], stamped by the [`actuation`] service, and targeted by
-//! the [`replicator`] using positions inferred by the [`location`]
-//! service. The [`coordinator`] (Super Coordinator) watches consumer
+//! are mediated by the [`resource`] manager against the other consumers'
+//! demands, stamped by the [`actuation`] service, and targeted by the
+//! [`replicator`] using positions inferred by the [`location`] service. The [`coordinator`] (Super Coordinator) watches consumer
 //! state changes and can *anticipate* needs, invoking resource-manager
 //! policy ahead of demand. The fixed-network mechanisms of §3 live here
 //! too, beside the services that use them: the publish/subscribe table
 //! and its match cache inside [`dispatching`] ([`SubscriptionTable`],
-//! [`dispatching::DispatchingService`]), and the facade's service registry
-//! ([`ServiceRegistry`]) and capability tokens ([`AuthService`]).
+//! [`dispatching::DispatchingService`]), and the facade's capability
+//! tokens ([`AuthService`]).
 //!
 //! All services are sans-io state machines with typed methods of their
 //! own; the [`router::Router`] calls the two data-plane stages directly
@@ -62,7 +61,6 @@
 pub mod actuation;
 pub mod archive;
 pub(crate) mod auth;
-pub mod constraints;
 pub mod consumer;
 pub mod coordinator;
 pub mod dispatching;
@@ -72,7 +70,6 @@ pub mod location;
 pub mod middleware;
 pub mod orphanage;
 pub(crate) mod qos;
-pub(crate) mod registry;
 pub mod replicator;
 pub mod resource;
 pub mod router;
@@ -90,5 +87,4 @@ pub use driver::DriverKind;
 pub use qos::{
     DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode, QosScheduler, Release,
 };
-pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 pub use service::{ServiceEvent, ServiceOutput};

@@ -60,7 +60,6 @@ use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
     ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosScheduler,
 };
-use crate::registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 use crate::replicator::{MessageReplicator, ReplicationPlan};
 use crate::resource::{DenyReason, MediationPolicy, ResourceManager};
 use crate::router::{
@@ -328,14 +327,6 @@ pub enum ActuationOutcome {
     },
 }
 
-/// The registry name a consumer is advertised and withdrawn under.
-/// `Consumer::name()` is a type's label, not an identity — two consumers
-/// may share it — so the subscriber id makes the key unique, and the
-/// name-ordered registry still lists them together under their name.
-fn consumer_advertisement(name: &str, id: SubscriberId) -> String {
-    format!("consumer/{name}/{id}")
-}
-
 struct ConsumerEntry {
     id: SubscriberId,
     consumer: Box<dyn Consumer>,
@@ -370,7 +361,6 @@ pub struct Garnet {
     /// queue, stepped on the caller's thread.
     router: Router,
     auth: AuthService,
-    registry: ServiceRegistry,
     /// The registered consumers, ascending by id: ids are handed out in
     /// ascending order, so registering appends, and a match set (also
     /// ascending) is delivered by walking the list with one cursor.
@@ -409,25 +399,6 @@ pub struct Garnet {
 impl Garnet {
     /// Assembles the middleware from a configuration.
     pub fn new(config: GarnetConfig) -> Garnet {
-        let mut registry = ServiceRegistry::new();
-        let system = Principal::new("garnet-system");
-        for (name, kind) in [
-            ("filtering", ServiceKind::Filtering),
-            ("dispatching", ServiceKind::Dispatching),
-            ("orphanage", ServiceKind::Orphanage),
-            ("location", ServiceKind::Location),
-            ("resource-manager", ServiceKind::ResourceManager),
-            ("actuation", ServiceKind::Actuation),
-            ("replicator", ServiceKind::Replicator),
-            ("super-coordinator", ServiceKind::SuperCoordinator),
-        ] {
-            registry.advertise(ServiceDescriptor {
-                name: name.to_owned(),
-                kind,
-                endpoint: format!("garnet://{name}"),
-                owner: system.clone(),
-            });
-        }
         let control = ControlGraph {
             orphanage: Orphanage::new(config.orphanage),
             location: LocationService::new(config.location, &config.receivers),
@@ -453,7 +424,6 @@ impl Garnet {
             max_derived_depth: config.max_derived_depth,
             router,
             auth: AuthService::new(config.auth_key),
-            registry,
             consumers: Vec::new(),
             next_virtual_sensor: SensorId::MAX.as_u32(),
             depth_drops: 0,
@@ -534,12 +504,6 @@ impl Garnet {
             .map_err(|_| GarnetError::VirtualSensorSpaceExhausted)?;
         self.next_virtual_sensor -= 1;
         let id = self.router.services_mut().dispatch.register_subscriber();
-        self.registry.advertise(ServiceDescriptor {
-            name: consumer_advertisement(consumer.name(), id),
-            kind: ServiceKind::Consumer,
-            endpoint: format!("garnet://consumer/{id}"),
-            owner: token.principal().clone(),
-        });
         let at = self.consumers.partition_point(|e| e.id < id);
         self.consumers.insert(
             at,
@@ -557,16 +521,15 @@ impl Garnet {
         Ok(id)
     }
 
-    /// Removes a consumer: drops its subscriptions, releases its
-    /// resource demands, withdraws its advertisement.
+    /// Removes a consumer: drops its subscriptions and its staged
+    /// deliveries, and releases its resource demands.
     pub fn deregister_consumer(&mut self, id: SubscriberId) -> Result<(), GarnetError> {
         let at = self.consumer_index(id).ok_or(GarnetError::UnknownConsumer(id))?;
-        let entry = self.consumers.remove(at);
+        self.consumers.remove(at);
         let services = self.router.services_mut();
         services.dispatch.unsubscribe_all(id);
         services.control.resource.release_consumer(id);
         self.delivery.forget(id);
-        self.registry.withdraw(&consumer_advertisement(entry.consumer.name(), id));
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
@@ -711,6 +674,10 @@ impl Garnet {
     /// The returned [`StepOutput::overload`] is this call's ledger:
     /// with the engine drained, `offered == shed + delivered`, counting
     /// every individual frame of the batch.
+    // Inlined into the caller's burst loop, as tests/golden/frame_path.txt
+    // records: without the hint the compiler's choice flips with edits
+    // nowhere near the frame path.
+    #[inline]
     pub fn on_frames<F: Into<FrameBytes>>(
         &mut self,
         frames: Vec<(ReceiverId, f64, F)>,
@@ -1249,11 +1216,6 @@ impl Garnet {
         &self.control().coordinator
     }
 
-    /// The service registry.
-    pub fn registry(&self) -> &ServiceRegistry {
-        &self.registry
-    }
-
     /// The stream catalogue.
     pub fn streams(&self) -> &StreamRegistry {
         self.router.services().dispatch.streams()
@@ -1684,9 +1646,8 @@ impl Garnet {
     /// scheduler's queue are drained, the admission, per-class QoS,
     /// delivery-plane, archive and actuation ledgers each account for
     /// every item they were offered, every drain limit and staged queue
-    /// belongs to a registered consumer, the consumer list ascends by id
-    /// (fan-out walks it with one cursor), and the registry advertises
-    /// exactly the registered consumers. Debug builds assert it at
+    /// belongs to a registered consumer, and the consumer list ascends by
+    /// id (fan-out walks it with one cursor). Debug builds assert it at
     /// the tail of every public `&mut self` entry point.
     pub(crate) fn check_invariants(&self) -> Result<(), Violation> {
         law(self.router.queue_is_empty(), || "the router queue is not empty".into())?;
@@ -1716,18 +1677,6 @@ impl Garnet {
         }
         law(self.consumers.windows(2).all(|w| w[0].id < w[1].id), || {
             "the consumer list does not ascend by id".into()
-        })?;
-        let mut advertised = 0usize;
-        for d in self.registry.iter().filter(|d| d.kind == ServiceKind::Consumer) {
-            let id =
-                d.name.rsplit_once("/sub").and_then(|(_, n)| n.parse().ok()).map(SubscriberId::new);
-            law(id.is_some_and(|id| self.consumer_index(id).is_some()), || {
-                format!("advertisement {} names no registered consumer", d.name)
-            })?;
-            advertised += 1;
-        }
-        law(advertised == self.consumers.len(), || {
-            format!("{advertised} consumer advertisements for {} consumers", self.consumers.len())
         })?;
         if let Some(a) = self.archive_ledger() {
             law(a.archived + a.dropped == a.offered, || format!("archive: {a:?}"))?;
@@ -2141,51 +2090,6 @@ mod tests {
                 other => panic!("expected grant, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn registry_advertises_system_services_and_consumers() {
-        let mut g = garnet();
-        assert!(g.registry().lookup("filtering").is_some());
-        assert!(g.registry().lookup("super-coordinator").is_some());
-        let token = g.issue_default_token("t");
-        g.register_consumer(Box::new(CountingConsumer::new("flood-watch")), &token, 0).unwrap();
-        let advertised =
-            g.registry().iter().filter(|d| d.name.starts_with("consumer/flood-watch/")).count();
-        assert_eq!(advertised, 1);
-        assert_eq!(g.registry().discover_kind(ServiceKind::Consumer).len(), 1);
-    }
-
-    #[test]
-    fn same_named_consumers_are_advertised_and_withdrawn_apart() {
-        let mut g = garnet();
-        let (alice, bob) = (g.issue_default_token("alice"), g.issue_default_token("bob"));
-        let a = g.register_consumer(Box::new(CountingConsumer::new("watch")), &alice, 0).unwrap();
-        let b = g.register_consumer(Box::new(CountingConsumer::new("watch")), &bob, 0).unwrap();
-        g.subscribe(b, TopicFilter::All, &bob).unwrap();
-        let endpoints = |g: &Garnet| -> Vec<(String, String)> {
-            g.registry()
-                .iter()
-                .filter(|d| d.name.starts_with("consumer/watch"))
-                .map(|d| (d.endpoint.clone(), d.owner.to_string()))
-                .collect()
-        };
-        assert_eq!(
-            endpoints(&g),
-            [
-                (format!("garnet://consumer/{a}"), "alice".to_owned()),
-                (format!("garnet://consumer/{b}"), "bob".to_owned()),
-            ],
-            "the second registration must not replace the first's descriptor"
-        );
-        g.deregister_consumer(a).unwrap();
-        assert_eq!(
-            endpoints(&g),
-            [(format!("garnet://consumer/{b}"), "bob".to_owned())],
-            "withdrawing one leaves the other discoverable"
-        );
-        g.on_frame(ReceiverId::new(0), -50.0, &frame(1, 0, 0), SimTime::ZERO);
-        assert_eq!(g.dispatching().delivery_count(), 1, "and still receiving");
     }
 
     #[test]

@@ -20,15 +20,14 @@
 //!   duty cycles the most-awake setting. Each consumer receives the data
 //!   it asked for (a superset), at the price of sensor energy.
 //!
-//! Every effective setting is vetted against the sensor's
-//! [`Constraint`] profile (§8's constraint language) before approval.
+//! Commands that carry no mediated value (sleep, stream toggles,
+//! encryption, ping) are granted unchanged.
 
 use std::collections::{BTreeMap, HashMap};
 
 use core::fmt;
 use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
-use crate::constraints::{Constraint, ConstraintError, Env, Value};
 use crate::dispatching::pubsub::SubscriberId;
 
 /// How conflicting demands are reconciled.
@@ -43,23 +42,10 @@ pub enum MediationPolicy {
     MergeMax,
 }
 
-/// A sensor's registered operating envelope.
-#[derive(Clone, Debug, Default)]
-pub struct SensorProfile {
-    /// All constraints must hold for a command to be approved.
-    /// Constraints that reference attributes a command does not have
-    /// (e.g. `rate_hz` for a `Sleep`) are skipped for that command.
-    pub constraints: Vec<Constraint>,
-}
-
 /// Why a request was refused.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum DenyReason {
-    /// A constraint evaluated to false; carries its source text.
-    ConstraintViolated(String),
-    /// A constraint failed to evaluate (typo in profile, type error).
-    ConstraintError(ConstraintError),
     /// Another consumer holds a conflicting demand and policy sides with
     /// it.
     Conflict {
@@ -71,8 +57,6 @@ pub enum DenyReason {
 impl fmt::Display for DenyReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DenyReason::ConstraintViolated(src) => write!(f, "constraint violated: {src}"),
-            DenyReason::ConstraintError(e) => write!(f, "constraint evaluation failed: {e}"),
             DenyReason::Conflict { holder } => {
                 write!(f, "conflicts with demand held by {holder}")
             }
@@ -116,16 +100,12 @@ struct Demand {
 /// # Example
 ///
 /// ```
-/// use garnet_core::resource::{MediationPolicy, ResourceManager, SensorProfile};
-/// use garnet_core::constraints::Constraint;
+/// use garnet_core::resource::{MediationPolicy, ResourceManager};
 /// use garnet_core::SubscriberId;
 /// use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 ///
 /// let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
 /// let sensor = SensorId::new(3)?;
-/// rm.register_profile(sensor, SensorProfile {
-///     constraints: vec![Constraint::parse("rate_hz <= 10").unwrap()],
-/// });
 /// let decision = rm.request(
 ///     SubscriberId::new(1),
 ///     0,
@@ -138,7 +118,6 @@ struct Demand {
 #[derive(Debug)]
 pub struct ResourceManager {
     policy: MediationPolicy,
-    profiles: HashMap<SensorId, SensorProfile>,
     /// (sensor, stream) → per-consumer interval demands (ms).
     interval_demands: HashMap<(u32, u8), BTreeMap<SubscriberId, Demand>>,
     /// sensor → per-consumer duty-cycle demands (permille).
@@ -149,74 +128,15 @@ pub struct ResourceManager {
 
 impl ResourceManager {
     /// Creates a manager with the given mediation policy and no
-    /// profiles.
+    /// demands.
     pub fn new(policy: MediationPolicy) -> Self {
         ResourceManager {
             policy,
-            profiles: HashMap::new(),
             interval_demands: HashMap::new(),
             duty_demands: HashMap::new(),
             approved: 0,
             denied: 0,
         }
-    }
-
-    /// Registers (replacing) a sensor's constraint profile.
-    pub fn register_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
-        self.profiles.insert(sensor, profile);
-    }
-
-    fn constraints_for(&self, sensor: SensorId) -> &[Constraint] {
-        self.profiles.get(&sensor).map_or(&[], |p| p.constraints.as_slice())
-    }
-
-    fn env_for(command: &SensorCommand, priority: u8) -> Env {
-        let mut env = Env::new();
-        env.set("priority", Value::Num(f64::from(priority)));
-        match *command {
-            SensorCommand::SetReportInterval { stream, interval_ms } => {
-                env.set("stream", Value::Num(f64::from(stream.as_u8())));
-                env.set("interval_ms", Value::Num(f64::from(interval_ms)));
-                env.set("rate_hz", Value::Num(1000.0 / f64::from(interval_ms.max(1))));
-            }
-            SensorCommand::SetDutyCycle { permille } => {
-                env.set("duty_permille", Value::Num(f64::from(permille)));
-            }
-            SensorCommand::Sleep { duration_ms } => {
-                env.set("sleep_ms", Value::Num(f64::from(duration_ms)));
-            }
-            SensorCommand::EnableStream { stream } | SensorCommand::DisableStream { stream } => {
-                env.set("stream", Value::Num(f64::from(stream.as_u8())));
-            }
-            SensorCommand::SetEncryption { stream, enabled } => {
-                env.set("stream", Value::Num(f64::from(stream.as_u8())));
-                env.set("encrypted", Value::Bool(enabled));
-            }
-            // Ping and any future non-exhaustive commands carry no
-            // mediated attributes.
-            _ => {}
-        }
-        env
-    }
-
-    fn check_constraints(
-        &self,
-        sensor: SensorId,
-        command: &SensorCommand,
-        priority: u8,
-    ) -> Result<(), DenyReason> {
-        let env = Self::env_for(command, priority);
-        for c in self.constraints_for(sensor) {
-            match c.check(&env) {
-                Ok(true) => {}
-                Ok(false) => return Err(DenyReason::ConstraintViolated(c.source().to_owned())),
-                // A constraint about attributes this command does not
-                // carry is not applicable.
-                Err(ConstraintError::UnknownIdentifier(_)) => {}
-                Err(e) => return Err(DenyReason::ConstraintError(e)),
-            }
-        }
-        Ok(())
     }
 
     fn sensor_of(target: &ActuationTarget) -> Option<SensorId> {
@@ -227,10 +147,15 @@ impl ResourceManager {
         }
     }
 
-    /// Adjudicates one actuation request. An area-targeted request is
-    /// granted with its command unchanged: its recipient set is unknown
-    /// until transmission, so there is no sensor profile to check it
-    /// against and no per-sensor demand to mediate it with.
+    /// Adjudicates one actuation request. A command that carries no
+    /// mediated value is granted unchanged, and so is an area-targeted
+    /// request: its recipient set is unknown until transmission, so
+    /// there is no per-sensor demand to mediate it with.
+    ///
+    /// Out of line: `Router::step` routes every control event through
+    /// one `match`, and this arm, inlined, reshapes the arms that carry
+    /// frames.
+    #[inline(never)]
     pub fn request(
         &mut self,
         consumer: SubscriberId,
@@ -257,15 +182,7 @@ impl ResourceManager {
                 MediatedKind::Duty,
                 u32::from(permille),
             ),
-            _ => {
-                // Non-mediated commands: constraint check only.
-                let check_on =
-                    sensor.map_or(Ok(()), |s| self.check_constraints(s, command, priority));
-                match check_on {
-                    Ok(()) => Decision::Granted { effective: *command },
-                    Err(reason) => Decision::Denied { reason },
-                }
-            }
+            _ => Decision::Granted { effective: *command },
         };
 
         match &decision {
@@ -326,9 +243,6 @@ impl ResourceManager {
         };
 
         let effective = kind.rebuild(command, effective_value);
-        if let Err(reason) = self.check_constraints(sensor, &effective, priority) {
-            return Decision::Denied { reason };
-        }
 
         // Record this consumer's demand (the *requested* value — releases
         // recompute merges from raw demands).
@@ -435,28 +349,15 @@ mod tests {
     }
 
     #[test]
-    fn constraint_blocks_excessive_rate() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 2").unwrap()] },
-        );
-        assert!(rm.request(sub(1), 0, &target(), &interval(500)).is_granted());
-        let d = rm.request(sub(2), 0, &target(), &interval(100)); // 10 Hz
-        assert!(matches!(d, Decision::Denied { reason: DenyReason::ConstraintViolated(_) }));
-        assert_eq!(rm.denied_count(), 1);
-    }
-
-    #[test]
-    fn inapplicable_constraints_skipped() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 2").unwrap()] },
-        );
-        // A Sleep command has no rate_hz; the constraint is skipped.
-        let d = rm.request(sub(1), 0, &target(), &SensorCommand::Sleep { duration_ms: 100 });
-        assert!(d.is_granted());
+    fn non_mediated_commands_are_granted_unchanged() {
+        let mut rm = ResourceManager::new(MediationPolicy::DenyConflicts);
+        for command in [SensorCommand::Sleep { duration_ms: 100 }, SensorCommand::Ping] {
+            assert_eq!(
+                rm.request(sub(1), 0, &target(), &command),
+                Decision::Granted { effective: command }
+            );
+        }
+        assert_eq!((rm.approved_count(), rm.denied_count()), (2, 0));
     }
 
     #[test]
@@ -477,20 +378,6 @@ mod tests {
             Decision::Granted { effective: interval(200) }
         );
         assert_eq!(rm.effective_interval_ms(sensor(), StreamIndex::new(0)), Some(200));
-    }
-
-    #[test]
-    fn merge_max_effective_must_satisfy_constraints() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 5").unwrap()] },
-        );
-        assert!(rm.request(sub(1), 0, &target(), &interval(250)).is_granted()); // 4 Hz
-                                                                                // Requesting 10 Hz: merged effective would be 10 Hz > cap → denied.
-        assert!(!rm.request(sub(2), 0, &target(), &interval(100)).is_granted());
-        // The original demand still stands.
-        assert_eq!(rm.effective_interval_ms(sensor(), StreamIndex::new(0)), Some(250));
     }
 
     #[test]
@@ -567,44 +454,21 @@ mod tests {
 
     #[test]
     fn stream_target_resolves_to_sensor() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz <= 1").unwrap()] },
-        );
+        let mut rm = ResourceManager::new(MediationPolicy::DenyConflicts);
         let stream_target =
             ActuationTarget::Stream(garnet_wire::StreamId::new(sensor(), StreamIndex::new(0)));
-        assert!(!rm.request(sub(1), 0, &stream_target, &interval(100)).is_granted());
-    }
-
-    #[test]
-    fn priority_visible_to_constraints() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile {
-                constraints: vec![Constraint::parse("rate_hz <= 1 || priority >= 5").unwrap()],
-            },
-        );
-        assert!(!rm.request(sub(1), 0, &target(), &interval(100)).is_granted());
-        assert!(rm.request(sub(1), 5, &target(), &interval(100)).is_granted());
-    }
-
-    #[test]
-    fn broken_constraint_reports_error() {
-        let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
-        rm.register_profile(
-            sensor(),
-            SensorProfile { constraints: vec![Constraint::parse("rate_hz && true").unwrap()] },
-        );
-        let d = rm.request(sub(1), 0, &target(), &interval(100));
-        assert!(matches!(d, Decision::Denied { reason: DenyReason::ConstraintError(_) }));
+        assert!(rm.request(sub(1), 0, &stream_target, &interval(1000)).is_granted());
+        // A demand on the sensor itself meets the stream target's demand.
+        let d = rm.request(sub(2), 0, &target(), &interval(100));
+        assert!(matches!(
+            d,
+            Decision::Denied { reason: DenyReason::Conflict { holder } } if holder == sub(1)
+        ));
+        assert_eq!(rm.effective_interval_ms(sensor(), StreamIndex::new(0)), Some(1000));
     }
 
     #[test]
     fn deny_reason_displays() {
-        let r = DenyReason::ConstraintViolated("rate_hz <= 2".into());
-        assert!(r.to_string().contains("rate_hz <= 2"));
         let r = DenyReason::Conflict { holder: sub(9) };
         assert!(r.to_string().contains("sub9"));
     }

@@ -110,9 +110,6 @@ fn main() {
     println!("  derived msgs at late consumer {}", late_count.load(Ordering::Relaxed));
     println!("  duplicates eliminated         {}", g.filtering().duplicate_count());
     println!("  streams catalogued            {}", g.streams().len());
-    println!(
-        "  registry knows                {} consumers",
-        g.registry().discover_kind(garnet::core::ServiceKind::Consumer).len()
-    );
+    println!("  consumers subscribed          {}", g.dispatching().subscriber_count());
     assert!(late_count.load(Ordering::Relaxed) as usize >= replayed);
 }
