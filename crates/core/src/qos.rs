@@ -20,12 +20,17 @@
 //!   itself, and the facade releases every offer within the call that
 //!   made it, so nothing is staged when a call returns.
 //!
-//!   Coalescing also tells the filtering stage what it dropped. When a
-//!   frame loses to a newer one of its stream, its CRC is checked there
-//!   and then; if it is intact, its sequence number joins the surviving
-//!   slot's *forgone window* — a 64-bit mask of sequence numbers below
-//!   the survivor — and a newer frame that later takes the slot
-//!   inherits the window. After the survivors are filtered, each
+//!   A frame that fails its CRC is nobody's copy: at a collision it
+//!   never takes a slot and never marks one, and an intact frame always
+//!   takes a slot whose frame is corrupt. Each frame's CRC verdict is
+//!   cached beside it the first time a collision needs it, so no frame
+//!   is checked twice here.
+//!
+//!   Coalescing also tells the filtering stage what it dropped. When an
+//!   intact frame loses to a newer intact one of its stream, its
+//!   sequence number joins the surviving slot's *forgone window* — a
+//!   64-bit mask of sequence numbers below the survivor — and a newer
+//!   frame that later takes the slot inherits the window. After the survivors are filtered, each
 //!   non-empty window goes to the filtering stage, which then does not
 //!   wait for those sequence numbers to fill a gap
 //!   (`FilteringService::forgo`). A frame dropped by shed-oldest leaves
@@ -222,12 +227,15 @@ pub enum FrameOffer {
 }
 
 /// A frame in the bounded queue, beside its sequence number — read
-/// once, when the frame was offered — and its forgone window. The
-/// frame's stream id lives in the queue's dense key array.
+/// once, when the frame was offered — its CRC verdict once a collision
+/// has needed it, and its forgone window. The frame's stream id lives in
+/// the queue's dense key array.
 #[derive(Debug)]
 struct Staged {
     /// `None` for a runt too short to carry a sequence number.
     seq: Option<SequenceNumber>,
+    /// Whether the frame passes its CRC; `None` until a collision asks.
+    intact: Option<bool>,
     /// Sequence numbers coalescing dropped in this slot's favour, each
     /// from an intact frame: bit `i` stands for `seq - 1 - i`. Zero
     /// when `seq` is `None`.
@@ -241,37 +249,49 @@ impl Staged {
     /// looks at a frame's header.
     fn new(frame: BatchedFrame) -> (Option<StreamId>, Self) {
         let stream = peek_stream(&frame.frame);
-        (stream, Staged { seq: peek_seq(&frame.frame), forgone: 0, frame })
+        (stream, Staged { seq: peek_seq(&frame.frame), intact: None, forgone: 0, frame })
+    }
+
+    /// Whether the frame passes its CRC, checked on the first call only.
+    fn intact(&mut self) -> bool {
+        *self.intact.get_or_insert_with(|| frame_is_intact(&self.frame.frame))
     }
 
     /// Resolves `arriving`, a frame of this slot's stream, against the
-    /// slot: the wraparound-aware newer sequence keeps the slot, in
-    /// place, and the loser is handed back. An intact loser below the
-    /// survivor joins the survivor's forgone window, which a new
-    /// survivor inherits, shifted to its own sequence number.
-    fn resolve(&mut self, arriving: Staged) -> BatchedFrame {
+    /// slot, and hands back the loser. A corrupt arrival always loses
+    /// and marks nothing; an intact one takes a corrupt slot. Between
+    /// two intact frames the wraparound-aware newer sequence keeps the
+    /// slot, in place; the older joins the survivor's forgone window,
+    /// which a new survivor inherits, shifted to its own sequence
+    /// number.
+    fn resolve(&mut self, mut arriving: Staged) -> BatchedFrame {
+        if !arriving.intact() {
+            return arriving.frame;
+        }
+        if !self.intact() {
+            // Only an intact survivor is ever given a window, so a
+            // corrupt slot (a runt included) has none to hand on.
+            debug_assert_eq!(self.forgone, 0, "a corrupt slot holds a forgone window");
+            return std::mem::replace(self, arriving).frame;
+        }
         match (arriving.seq, self.seq) {
             (Some(a), Some(q)) if a.is_after(q) => {
                 let d = u32::from(q.distance_to(a).unsigned_abs());
                 let kept = self.forgone.checked_shl(d).unwrap_or(0);
-                let lost = if frame_is_intact(&self.frame.frame) {
-                    1u64.checked_shl(d - 1).unwrap_or(0)
-                } else {
-                    0
-                };
+                let lost = 1u64.checked_shl(d - 1).unwrap_or(0);
                 let loser = std::mem::replace(self, arriving);
                 self.forgone = kept | lost;
                 loser.frame
             }
-            (Some(_), None) => std::mem::replace(self, arriving).frame,
             (Some(a), Some(q)) => {
                 let d = u32::from(a.distance_to(q).unsigned_abs());
-                if d > 0 && frame_is_intact(&arriving.frame.frame) {
+                if d > 0 {
                     self.forgone |= 1u64.checked_shl(d - 1).unwrap_or(0);
                 }
                 arriving.frame
             }
-            (None, _) => arriving.frame,
+            // Both intact, so both carry a sequence number.
+            _ => arriving.frame,
         }
     }
 }
@@ -513,7 +533,8 @@ impl QosScheduler {
 
     /// `coalesce`, peeking the arriving frame and every staged frame it
     /// passes instead of reading the key array, and re-reading the
-    /// matched slot's sequence number before resolving against it.
+    /// matched slot's sequence number, and forgetting its cached CRC
+    /// verdict, before resolving against it.
     fn coalesce_scan(&mut self, frame: BatchedFrame) -> FrameOffer {
         let stream = peek_stream(&frame.frame);
         let same_stream = stream
@@ -522,6 +543,7 @@ impl QosScheduler {
             return self.shed_oldest_for(Staged::new(frame));
         };
         self.data[idx].seq = peek_seq(&self.data[idx].frame.frame);
+        self.data[idx].intact = None;
         self.coalesce_at(idx, Staged::new(frame).1)
     }
 
@@ -763,19 +785,22 @@ mod tests {
         assert!(d.balanced());
     }
 
+    /// `batched`, with its CRC trailer broken.
+    fn corrupt(sensor: u32, idx: u8, seq: u16) -> BatchedFrame {
+        let mut f = batched(sensor, idx, seq);
+        let mut bytes = f.frame.to_vec();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        f.frame = bytes.into();
+        f
+    }
+
     #[test]
     fn coalescing_records_each_intact_loser_below_its_survivor() {
         let mut s = sched(OverloadPolicy::CoalesceFrames, 2);
         let t = SimTime::ZERO;
         let window = |s: &QosScheduler| s.windows()[0].2;
-        let corrupt = |seq: u16| {
-            let mut f = batched(1, 0, seq);
-            let mut bytes = f.frame.to_vec();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0xFF;
-            f.frame = bytes.into();
-            f
-        };
+        let survivor = |s: &QosScheduler| s.windows()[0].1.map(SequenceNumber::as_u16);
         s.offer_frame(batched(1, 0, 1), t);
         s.offer_frame(batched(2, 0, 0), t);
         s.offer_frame(batched(1, 0, 2), t); // 2 takes the slot; 1 is forgone
@@ -784,13 +809,13 @@ mod tests {
         assert_eq!(window(&s), 0b110, "2 and 1 below 4");
         s.offer_frame(batched(1, 0, 3), t); // an older arrival loses
         assert_eq!(window(&s), 0b111);
-        s.offer_frame(corrupt(0), t); // a corrupt loser marks nothing
+        s.offer_frame(corrupt(1, 0, 0), t); // a corrupt loser marks nothing
         s.offer_frame(batched(1, 0, 4), t); // nor does a copy of the survivor
         assert_eq!(window(&s), 0b111);
-        s.offer_frame(corrupt(6), t); // a corrupt survivor inherits the window
-        assert_eq!(window(&s), 0b111 << 2 | 0b10);
-        s.offer_frame(batched(1, 0, 7), t); // and is not forgone when it loses
-        assert_eq!(window(&s), (0b111 << 2 | 0b10) << 1);
+        s.offer_frame(corrupt(1, 0, 6), t); // a corrupt newer frame never takes the slot
+        assert_eq!((survivor(&s), window(&s)), (Some(4), 0b111));
+        s.offer_frame(batched(1, 0, 7), t); // the intact 4 is forgone below 7
+        assert_eq!((survivor(&s), window(&s)), (Some(7), 0b111 << 3 | 0b100));
         s.offer_frame(batched(1, 0, 7 + 64), t); // 7 is the window's last bit
         assert_eq!(window(&s), 1 << 63);
         s.offer_frame(batched(1, 0, 7 + 64 + 65), t); // more than 64 below: none
@@ -802,6 +827,41 @@ mod tests {
         // Shed-oldest takes the slot's window with it.
         s.offer_frame(batched(3, 0, 0), t);
         assert!(s.windows().iter().all(|&(_, _, w)| w == 0));
+    }
+
+    #[test]
+    fn an_intact_frame_takes_a_corrupt_slot_whatever_its_sequence() {
+        // Below capacity nothing is checked, so a corrupt frame can hold
+        // a slot; the first intact frame of its stream to collide with
+        // it takes the slot and the corrupt one is the loser.
+        for (staged, arriving) in [(5, 5), (5, 3), (5, 9)] {
+            let mut s = sched(OverloadPolicy::CoalesceFrames, 1);
+            let t = SimTime::ZERO;
+            s.offer_frame(corrupt(1, 0, staged), t);
+            let FrameOffer::Coalesced(loser) = s.offer_frame(batched(1, 0, arriving), t) else {
+                panic!("a same-stream arrival at capacity coalesces");
+            };
+            assert!(!frame_is_intact(&loser.frame), "{staged} / {arriving}");
+            let windows = s.windows();
+            assert_eq!(windows[0].1, Some(SequenceNumber::new(arriving)));
+            assert_eq!(windows[0].2, 0, "the corrupt frame is forgone nowhere");
+            // Now intact, the slot holds against a corrupt copy of any
+            // sequence number, its own included.
+            for seq in [arriving, arriving + 1] {
+                let FrameOffer::Coalesced(loser) = s.offer_frame(corrupt(1, 0, seq), t) else {
+                    panic!("a same-stream arrival at capacity coalesces");
+                };
+                assert!(!frame_is_intact(&loser.frame));
+            }
+            let d = *s.ledgers().class(PriorityClass::Data);
+            assert_eq!((d.offered, d.coalesced), (4, 3));
+            let Some(Release::Frames(frames)) = s.release(t).pop() else {
+                panic!("one survivor is staged");
+            };
+            assert_eq!(frames.len(), 1);
+            assert!(frame_is_intact(&frames[0].frame));
+            assert_eq!(peek_seq(&frames[0].frame), Some(SequenceNumber::new(arriving)));
+        }
     }
 
     fn delivery(sensor: u32, idx: u8, seq: u16) -> Delivery {

@@ -414,9 +414,10 @@ pub fn peek_stream(frame: &[u8]) -> Option<StreamId> {
 /// Whether `frame` would decode: its fixed header parses and its CRC
 /// trailer matches. Nothing is copied or sliced.
 ///
-/// The QoS scheduler asks this of a frame it coalesces away: it tells
-/// the filtering stage to stop waiting for a sequence number only when
-/// an intact frame carried it.
+/// The QoS scheduler asks this of both frames of a coalescing
+/// collision: a corrupt frame never keeps or takes a slot, and only an
+/// intact loser tells the filtering stage to stop waiting for its
+/// sequence number.
 pub fn frame_is_intact(frame: &[u8]) -> bool {
     FrameHeader::parse(frame).is_ok_and(|hdr| DataMessage::check_crc(frame, &hdr).is_ok())
 }
@@ -429,8 +430,8 @@ pub fn frame_is_intact(frame: &[u8]) -> bool {
 /// stream's high-water sequence number. Returns `None` when the frame is
 /// shorter than the fixed header's sequence field; a corrupt frame
 /// yields whatever its claimed sequence bytes say, which is fine — the
-/// choice only has to be deterministic, and the frame fails CRC
-/// downstream regardless.
+/// scheduler orders only intact frames by it, and a corrupt one fails
+/// CRC downstream regardless.
 pub fn peek_seq(frame: &[u8]) -> Option<SequenceNumber> {
     if frame.len() < 7 {
         return None;
