@@ -39,13 +39,14 @@ fi
 # own per-stream map (its slots live in the dispatcher's stream rows),
 # the keyed map of whole rows (rows are a Vec behind a RowId index),
 # the closed-loop harness's old home in garnet-core, the pub/sub
-# table's per-key write stamps (a write marks the rows it changes), and
-# its per-subscriber reverse index and per-key set vecs (a key holds one
-# subscriber inline, a departure walks the forward indexes) must not
-# come back
+# table's per-key write stamps (a write marks the rows it changes), its
+# per-subscriber reverse index and per-key set vecs (a key holds one
+# subscriber inline, a departure walks the forward indexes), the service
+# registry nothing read back, and the constraint language no caller
+# could hand a profile (ROADMAP 17, 22) must not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>|ServiceRegistry|ServiceDescriptor|ServiceKind|consumer_advertisement|SensorProfile|register_profile|Constraint::parse|mod constraints|DenyReason::Constraint' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi

@@ -81,7 +81,7 @@ pub(crate) fn run_point(policy: MediationPolicy, consumers: usize) -> MediationP
 pub fn run() -> (Vec<MediationPoint>, Table) {
     let mut points = Vec::new();
     let mut table = Table::new(
-        "E11 — conflict mediation: policy vs contention (sensor capped at 20 Hz)",
+        "E11 — conflict mediation: policy vs contention, one sensor",
         &["policy", "consumers", "granted", "denied", "satisfaction", "effective Hz"],
     );
     for &policy in

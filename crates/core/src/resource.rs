@@ -152,9 +152,8 @@ impl ResourceManager {
     /// request: its recipient set is unknown until transmission, so
     /// there is no per-sensor demand to mediate it with.
     ///
-    /// Out of line: `Router::step` routes every control event through
-    /// one `match`, and this arm, inlined, reshapes the arms that carry
-    /// frames.
+    /// Out of line, as tests/golden/frame_path.txt records: inlined, it
+    /// joins the frame-carrying arms of `Router::step`'s one `match`.
     #[inline(never)]
     pub fn request(
         &mut self,

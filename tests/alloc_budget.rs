@@ -21,11 +21,15 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::dispatching::DispatchingService;
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
+use garnet::core::resource::{MediationPolicy, ResourceManager};
 use garnet::core::router::{OverloadConfig, OverloadPolicy};
-use garnet::core::{AuthService, Capability, CapabilitySet, Principal, TopicFilter};
+use garnet::core::{AuthService, Capability, CapabilitySet, Principal, SubscriberId, TopicFilter};
 use garnet::radio::ReceiverId;
 use garnet::simkit::{SimTime, TraceConfig, Tracer};
-use garnet::wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
+use garnet::wire::{
+    ActuationTarget, DataMessage, FrameBytes, SensorCommand, SensorId, SequenceNumber, StreamId,
+    StreamIndex,
+};
 
 thread_local! {
     /// Allocator calls made by this thread. Per thread, so tests running
@@ -273,4 +277,40 @@ fn verifying_a_token_allocates_nothing() {
         }
     });
     assert_eq!(calls, 0, "1 000 full verifications: {calls} allocator calls");
+}
+
+#[test]
+fn a_command_with_no_mediated_value_is_granted_without_an_allocation() {
+    // overload-qos's one actuation per burst: a Ping carries nothing to
+    // mediate, so the manager grants it as it is and builds nothing.
+    let mut rm = ResourceManager::new(MediationPolicy::MergeMax);
+    let target = ActuationTarget::Sensor(SensorId::new(5).unwrap());
+    let calls = calls_in(|| {
+        for n in 0..1_000 {
+            let decision = rm.request(SubscriberId::new(n), 0, &target, &SensorCommand::Ping);
+            assert!(decision.is_granted());
+        }
+    });
+    assert_eq!(calls, 0, "1 000 Ping requests: {calls} allocator calls");
+}
+
+#[test]
+fn a_consumer_joining_and_leaving_costs_its_token_and_nothing_else() {
+    // churn-fanout's monitor joins and leaves every 256th burst holding
+    // no filter: registering keeps a copy of its token (the principal's
+    // name is one allocation) and departing frees it.
+    let mut g = Garnet::new(GarnetConfig::default());
+    let token = g.issue_default_token("a-monitor");
+    let mut consumers: Vec<Box<dyn Consumer>> =
+        (0..101).map(|_| Box::new(Tally(Rc::new(Cell::new(0)))) as Box<dyn Consumer>).collect();
+    // One pair first, so the consumer list has its buffer.
+    let id = g.register_consumer(consumers.pop().unwrap(), &token, 0).unwrap();
+    g.deregister_consumer(id).unwrap();
+    let calls = calls_in(|| {
+        for consumer in consumers {
+            let id = g.register_consumer(consumer, &token, 0).unwrap();
+            g.deregister_consumer(id).unwrap();
+        }
+    });
+    assert_eq!(calls, 100, "100 register + deregister pairs: {calls} allocator calls");
 }
