@@ -144,10 +144,9 @@ impl DispatchingService {
     /// holds `stream`, and then the route hashes nothing. Otherwise the
     /// row is found by key and its `RowId` returned third, for the
     /// caller to remember.
-    // Inlined into `Router::step`; the row lookup it calls,
+    // Inlined into `Router::step`, while the row lookup it calls,
     // `StreamRegistry::row_at`, stays a symbol of its own despite its
-    // hint (tests/golden/frame_path.txt holds both dispositions). Out of
-    // line, the two calls once cost a third of a warm route.
+    // hint: tests/golden/frame_path.txt holds both dispositions.
     #[inline]
     pub(crate) fn route_row(
         &mut self,

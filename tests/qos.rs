@@ -704,46 +704,46 @@ fn a_copy_of_a_forgone_sequence_in_a_later_call_is_a_duplicate() {
     assert_eq!(g.filtering().duplicate_count(), duplicates + 1);
 }
 
-/// One call's frames for `burst`'s `(sensor, how)` picks, drawing each
-/// sensor's next sequence number from `next`: in order, a copy of the
-/// last one sent, two displaced, a corrupt copy before the real one, a
-/// corrupt copy alone, or nothing (lost in the air).
-fn schedule_burst(burst: &[(u32, u8)], next: &mut [u16; 4]) -> Vec<Vec<u8>> {
-    let mut frames = Vec::new();
-    for &(sensor, how) in burst {
-        let cursor = &mut next[sensor as usize];
-        let seq = *cursor;
-        match how {
-            0..=2 => {
-                frames.push(frame(sensor, seq));
-                *cursor += 1;
-            }
-            3 => frames.push(frame(sensor, seq.wrapping_sub(1))),
-            4 => {
-                frames.push(frame(sensor, seq + 1));
-                frames.push(frame(sensor, seq));
-                *cursor += 2;
-            }
-            5 => {
-                frames.push(corrupt(sensor, seq));
-                frames.push(frame(sensor, seq));
-                *cursor += 1;
-            }
-            6 => {
-                frames.push(corrupt(sensor, seq));
-                *cursor += 1;
-            }
-            _ => *cursor += 1,
-        }
-    }
-    frames
-}
-
 mod forgone {
     use super::*;
     use garnet::wire::{frame_is_intact, peek_seq, peek_stream};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// One call's frames for `burst`'s `(sensor, how)` picks, drawing each
+    /// sensor's next sequence number from `next`: in order, a copy of the
+    /// last one sent, two displaced, a corrupt copy before the real one, a
+    /// corrupt copy alone, or nothing (lost in the air).
+    fn schedule_burst(burst: &[(u32, u8)], next: &mut [u16; 4]) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        for &(sensor, how) in burst {
+            let cursor = &mut next[sensor as usize];
+            let seq = *cursor;
+            match how {
+                0..=2 => {
+                    frames.push(frame(sensor, seq));
+                    *cursor += 1;
+                }
+                3 => frames.push(frame(sensor, seq.wrapping_sub(1))),
+                4 => {
+                    frames.push(frame(sensor, seq + 1));
+                    frames.push(frame(sensor, seq));
+                    *cursor += 2;
+                }
+                5 => {
+                    frames.push(corrupt(sensor, seq));
+                    frames.push(frame(sensor, seq));
+                    *cursor += 1;
+                }
+                6 => {
+                    frames.push(corrupt(sensor, seq));
+                    *cursor += 1;
+                }
+                _ => *cursor += 1,
+            }
+        }
+        frames
+    }
 
     /// The `(stream, seq)` of every intact frame in `frames` that a newer
     /// intact frame of its stream accompanies: coalescing may drop it.
@@ -762,12 +762,11 @@ mod forgone {
 
     /// Runs `bursts` through a facade admitting under `overload` (or
     /// unbounded), with a tick every third call and a final flush.
-    /// Returns the delivered `(sensor, seq)` set and the number of frames
-    /// shed as oldest; every call's and every class's ledger balances.
-    fn run(
-        overload: Option<OverloadConfig>,
-        bursts: &[Vec<(u32, u8)>],
-    ) -> (BTreeSet<(u32, u16)>, u64) {
+    /// Returns the delivered `(sensor, seq)`s in delivery order and the
+    /// number of frames shed as oldest; every call's and every class's
+    /// ledger balances (debug builds also check the facade's invariants
+    /// at the tail of every call made here).
+    fn run(overload: Option<OverloadConfig>, bursts: &[Vec<(u32, u8)>]) -> (Vec<(u32, u16)>, u64) {
         let mut g = Garnet::new(GarnetConfig { overload, ..GarnetConfig::default() });
         let (_, log) = register(&mut g, "sink");
         let mut next = [0u16; 4];
@@ -792,15 +791,14 @@ mod forgone {
                 prop_assert!(l.balanced(), "{:?} {:?}", class, l);
             }
         }
-        (logged(&log, 0).into_iter().collect(), shed_oldest)
+        (logged(&log, 0), shed_oldest)
     }
 
     proptest! {
         // Duplicated, displaced, lost and corrupt copies through every
         // admission policy: no (stream, sequence) is delivered twice,
         // each stream is delivered in serial order, and every ledger
-        // balances (debug builds also check the facade's invariants at
-        // the tail of every call made here).
+        // balances.
         #[test]
         fn forgone_sequences_never_duplicate_or_reorder_a_stream(
             capacity in 1usize..=8,
@@ -813,32 +811,7 @@ mod forgone {
             let policy =
                 [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block]
                     [policy];
-            let mut g = Garnet::new(GarnetConfig {
-                overload: Some(OverloadConfig { capacity, policy }),
-                ..GarnetConfig::default()
-            });
-            let (_, log) = register(&mut g, "sink");
-            let mut next = [0u16; 4];
-            let mut now = SimTime::ZERO;
-            for (n, burst) in bursts.iter().enumerate() {
-                let frames = schedule_burst(burst, &mut next);
-                let handed_in = frames.len() as u64;
-                let out = g.on_frames(at(&frames), now);
-                let o = out.overload;
-                prop_assert_eq!(o.offered, handed_in);
-                prop_assert_eq!(o.offered, o.shed + o.delivered, "{:?}", o);
-                now += garnet::simkit::SimDuration::from_millis(10);
-                if n % 3 == 2 {
-                    g.on_tick(now);
-                }
-            }
-            g.on_tick(now + garnet::simkit::SimDuration::from_secs(60));
-            g.shutdown(now + garnet::simkit::SimDuration::from_secs(61)).expect("clean shutdown");
-            for class in PriorityClass::ALL {
-                let l = *g.qos_ledgers().expect("armed").class(class);
-                prop_assert!(l.balanced(), "{:?} {:?}", class, l);
-            }
-            let seen = logged(&log, 0);
+            let (seen, _) = run(Some(OverloadConfig { capacity, policy }), &bursts);
             for sensor in 1..=3u32 {
                 let seqs: Vec<u16> =
                     seen.iter().filter(|&&(s, _)| s == sensor).map(|&(_, q)| q).collect();
@@ -869,7 +842,8 @@ mod forgone {
                 [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames, OverloadPolicy::Block]
                     [policy];
             let (bounded, shed_oldest) = run(Some(OverloadConfig { capacity, policy }), &bursts);
-            let (unbounded, _) = run(None, &bursts);
+            let bounded: BTreeSet<_> = bounded.into_iter().collect();
+            let unbounded: BTreeSet<_> = run(None, &bursts).0.into_iter().collect();
             let mut next = [0u16; 4];
             let excused: BTreeSet<(u32, u16)> = bursts
                 .iter()
