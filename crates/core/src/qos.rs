@@ -30,12 +30,13 @@
 //!   intact frame loses to a newer intact one of its stream, its
 //!   sequence number joins the surviving slot's *forgone window* — a
 //!   64-bit mask of sequence numbers below the survivor — and a newer
-//!   frame that later takes the slot inherits the window. After the survivors are filtered, each
-//!   non-empty window goes to the filtering stage, which then does not
-//!   wait for those sequence numbers to fill a gap
-//!   (`FilteringService::forgo`). A frame dropped by shed-oldest leaves
-//!   no slot behind to carry its sequence number, so the stream still
-//!   waits for it, as for a frame lost in the air.
+//!   frame that later takes the slot inherits the window. After the
+//!   survivors are filtered, each non-empty window goes to the
+//!   filtering stage, which then does not wait for those sequence
+//!   numbers to fill a gap (`FilteringService::forgo`). A frame
+//!   dropped by shed-oldest leaves no slot behind to carry its sequence
+//!   number, so the stream still waits for it, as for a frame lost in
+//!   the air.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
