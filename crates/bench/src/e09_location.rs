@@ -48,6 +48,8 @@ pub(crate) fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
     let receivers = Receiver::grid(Point::ORIGIN, grid_side, grid_side, spacing, 400.0);
     let transmitters =
         Transmitter::grid(Point::ORIGIN, grid_side, grid_side, spacing, spacing * 0.9);
+    // One model for both sides: the receivers' delivery rolls below and
+    // the Location Service's inversion of the RSSI they report.
     let prop = Propagation::wifi_outdoor();
     let truths = survey_positions(&mut rng.fork("truths"), 20);
 
@@ -56,14 +58,12 @@ pub(crate) fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
     let mut samples = 0u32;
     let mut replicator = MessageReplicator::new(transmitters.clone());
     let mut flood_replicator = MessageReplicator::new(transmitters);
-    let empty_location = LocationService::new(LocationConfig::default(), &receivers);
+    let empty_location = LocationService::new(LocationConfig::default(), &receivers, prop);
 
     for (si, &truth) in truths.iter().enumerate() {
         let sensor = SensorId::new(si as u32 + 1).unwrap();
-        let mut loc = LocationService::new(
-            LocationConfig { max_observations: 512, ..LocationConfig::default() },
-            &receivers,
-        );
+        let mut loc =
+            LocationService::new(LocationConfig { max_observations: 512 }, &receivers, prop);
         // Each receiver rolls reception of 4 transmissions.
         for r in &receivers {
             let d = truth.distance_to(r.position());

@@ -95,9 +95,10 @@ pub(crate) fn run_mode(mode: CoordinationMode) -> PredictivePoint {
     let (receivers, transmitters) = s.masts();
     let config = PipelineConfig {
         seed: s.seed,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: s.station_spacing_m * 0.9 }),
+        medium: Medium::ideal(),
         garnet: GarnetConfig {
             receivers,
+            propagation: Propagation::UnitDisk { range_m: s.station_spacing_m * 0.9 },
             transmitters,
             coordination: mode,
             ..GarnetConfig::default()

@@ -46,8 +46,12 @@ pub(crate) fn run_point(source_distance_m: f64, seed: u64) -> MultihopPoint {
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, RECEIVER_RANGE)];
         let cfg = PipelineConfig {
             seed,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 400.0 }),
-            garnet: GarnetConfig { receivers, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: 400.0 },
+                ..GarnetConfig::default()
+            },
             peer_range_m: peer_range,
         };
         let mut sim = PipelineSim::new(cfg, Box::new(Uniform(1.0)));

@@ -53,8 +53,14 @@ pub(crate) fn run_point(enabled: bool, seed: u64) -> QuiescePoint {
     });
     let config = PipelineConfig {
         seed,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: 300.0 }),
-        garnet: GarnetConfig { receivers, transmitters, quiesce, ..GarnetConfig::default() },
+        medium: Medium::ideal(),
+        garnet: GarnetConfig {
+            receivers,
+            propagation: Propagation::UnitDisk { range_m: 300.0 },
+            transmitters,
+            quiesce,
+            ..GarnetConfig::default()
+        },
         peer_range_m: None,
     };
     let mut sim = PipelineSim::new(config, Box::new(Uniform(3.0)));
@@ -140,9 +146,10 @@ mod tests {
         let transmitters = Transmitter::grid(Point::ORIGIN, 2, 2, 200.0, 300.0);
         let config = PipelineConfig {
             seed: 5,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 300.0 }),
+            medium: Medium::ideal(),
             garnet: GarnetConfig {
                 receivers,
+                propagation: Propagation::UnitDisk { range_m: 300.0 },
                 transmitters,
                 quiesce: Some(QuiesceConfig {
                     idle_after: SimDuration::from_secs(60),

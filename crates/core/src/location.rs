@@ -33,18 +33,18 @@ const MAX_AGE: SimDuration = SimDuration::from_secs(60);
 /// centroid toward the grid centre.
 const MAX_SIGHTINGS_USED: usize = 8;
 
-/// Location Service tuning.
+/// Location Service tuning. The path-loss model it inverts is not a
+/// setting of its own: it is the deployment's, the one the radios obey
+/// (`GarnetConfig::propagation`), handed to [`LocationService::new`].
 #[derive(Clone, Debug)]
 pub struct LocationConfig {
     /// Sightings retained per sensor.
     pub max_observations: usize,
-    /// Propagation model used to turn RSSI into distance.
-    pub propagation: Propagation,
 }
 
 impl Default for LocationConfig {
     fn default() -> Self {
-        LocationConfig { max_observations: 32, propagation: Propagation::wifi_outdoor() }
+        LocationConfig { max_observations: 32 }
     }
 }
 
@@ -82,14 +82,17 @@ impl Evidence {
 /// ```
 /// use garnet_core::location::{LocationConfig, LocationService};
 /// use garnet_core::filtering::Observation;
-/// use garnet_simkit::{geometry::Point, Receiver, ReceiverId, SimTime};
+/// use garnet_simkit::{geometry::Point, Propagation, Receiver, ReceiverId, SimTime};
 /// use garnet_wire::SensorId;
 ///
 /// let receivers = vec![
 ///     Receiver::new(ReceiverId::new(0), Point::new(0.0, 0.0), 200.0),
 ///     Receiver::new(ReceiverId::new(1), Point::new(100.0, 0.0), 200.0),
 /// ];
-/// let mut loc = LocationService::new(LocationConfig::default(), &receivers);
+/// // The deployment's radios: a 200 m disk, whose RSSI ramp reads
+/// // -60 dBm at half the range.
+/// let propagation = Propagation::UnitDisk { range_m: 200.0 };
+/// let mut loc = LocationService::new(LocationConfig::default(), &receivers, propagation);
 /// let sensor = SensorId::new(4)?;
 /// loc.observe(&Observation {
 ///     sensor,
@@ -99,11 +102,15 @@ impl Evidence {
 /// });
 /// let est = loc.estimate(sensor, SimTime::ZERO).unwrap();
 /// assert_eq!(est.evidence_count, 1);
+/// // One sighting: the estimate sits on the receiver, and its disk
+/// // reaches the 100 m the model inverts -60 dBm to.
+/// assert!((est.radius_m - 100.0).abs() < 1e-9);
 /// # Ok::<(), garnet_wire::WireError>(())
 /// ```
 #[derive(Debug)]
 pub struct LocationService {
     config: LocationConfig,
+    propagation: Propagation,
     receiver_positions: HashMap<ReceiverId, Point>,
     evidence: HashMap<SensorId, VecDeque<Evidence>>,
     observations_taken: u64,
@@ -111,10 +118,13 @@ pub struct LocationService {
 }
 
 impl LocationService {
-    /// Creates the service with the fixed receiver installation plan.
-    pub fn new(config: LocationConfig, receivers: &[Receiver]) -> Self {
+    /// Creates the service with the fixed receiver installation plan and
+    /// the propagation model those receivers hear through; each sighting's
+    /// RSSI is turned into a distance by inverting that model.
+    pub fn new(config: LocationConfig, receivers: &[Receiver], propagation: Propagation) -> Self {
         LocationService {
             config,
+            propagation,
             receiver_positions: receivers.iter().map(|r| (r.id(), r.position())).collect(),
             evidence: HashMap::new(),
             observations_taken: 0,
@@ -138,7 +148,7 @@ impl LocationService {
         let Some(&receiver_pos) = self.receiver_positions.get(&obs.receiver) else {
             return;
         };
-        let est_distance_m = self.config.propagation.estimate_distance(obs.rssi_dbm);
+        let est_distance_m = self.propagation.estimate_distance(obs.rssi_dbm);
         self.push(obs.sensor, Evidence::Sighting { receiver_pos, est_distance_m, at: obs.at });
         self.observations_taken += 1;
     }
@@ -230,7 +240,7 @@ mod tests {
     }
 
     fn svc() -> LocationService {
-        LocationService::new(LocationConfig::default(), &receivers())
+        LocationService::new(LocationConfig::default(), &receivers(), Propagation::wifi_outdoor())
     }
 
     fn sensor() -> SensorId {
@@ -334,8 +344,9 @@ mod tests {
     #[test]
     fn evidence_ring_is_bounded() {
         let mut loc = LocationService::new(
-            LocationConfig { max_observations: 4, ..LocationConfig::default() },
+            LocationConfig { max_observations: 4 },
             &receivers(),
+            Propagation::wifi_outdoor(),
         );
         for i in 0..20 {
             loc.observe(&obs((i % 3) as u32, -50.0, i));
@@ -375,8 +386,8 @@ mod tests {
         let error_with = |grid: Vec<Receiver>, rng: &mut SimRng| -> f64 {
             // Ring large enough to hold every receiver's sightings —
             // otherwise the densest grid evicts its own early evidence.
-            let config = LocationConfig { max_observations: 512, ..LocationConfig::default() };
-            let mut loc = LocationService::new(config, &grid);
+            let config = LocationConfig { max_observations: 512 };
+            let mut loc = LocationService::new(config, &grid, prop);
             for r in &grid {
                 let d = truth.distance_to(r.position());
                 for _ in 0..4 {

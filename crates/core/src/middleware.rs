@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use core::fmt;
 use garnet_simkit::geometry::Point;
 use garnet_simkit::trace::{TraceOutcome, TraceSnapshot};
-use garnet_simkit::{stage_key, Receiver, ReceiverId, SimTime, Transmitter};
+use garnet_simkit::{stage_key, Propagation, Receiver, ReceiverId, SimTime, Transmitter};
 use garnet_store::ArchiveRecord;
 use garnet_wire::{
     AckStatus, ActuationTarget, DataMessage, FrameBytes, RequestId, SensorCommand, SensorId,
@@ -112,6 +112,12 @@ pub struct GarnetConfig {
     pub max_derived_depth: u32,
     /// Installed receiver array (for location inference).
     pub receivers: Vec<Receiver>,
+    /// The deployment's one path-loss model: the radios deliver by it
+    /// (`garnet_workloads::pipeline::PipelineSim` reads it from here) and
+    /// the Location Service inverts it to turn a sighting's RSSI into a
+    /// distance. Defaults to [`Propagation::wifi_outdoor`], the paper's
+    /// 802.11b testbed.
+    pub propagation: Propagation,
     /// Installed transmitter array (for the actuation path).
     pub transmitters: Vec<Transmitter>,
     /// Demand-driven quiescence of unclaimed streams; `None` disables.
@@ -155,6 +161,7 @@ impl Default for GarnetConfig {
             auth_key: *b"garnet-master-k!",
             max_derived_depth: 16,
             receivers: Vec::new(),
+            propagation: Propagation::wifi_outdoor(),
             transmitters: Vec::new(),
             quiesce: None,
             overload: None,
@@ -401,7 +408,7 @@ impl Garnet {
     pub fn new(config: GarnetConfig) -> Garnet {
         let control = ControlGraph {
             orphanage: Orphanage::new(config.orphanage),
-            location: LocationService::new(config.location, &config.receivers),
+            location: LocationService::new(config.location, &config.receivers, config.propagation),
             resource: ResourceManager::new(config.mediation),
             actuation: ActuationService::new(),
             replicator: MessageReplicator::new(config.transmitters),

@@ -132,7 +132,7 @@ mod tests {
     use crate::filtering::Observation;
     use crate::location::LocationConfig;
     use garnet_simkit::geometry::Point;
-    use garnet_simkit::{Receiver, ReceiverId};
+    use garnet_simkit::{Propagation, Receiver, ReceiverId};
     use garnet_wire::{RequestId, SensorCommand, SensorId};
 
     fn request(target: ActuationTarget) -> StreamUpdateRequest {
@@ -150,7 +150,11 @@ mod tests {
         let transmitters = Transmitter::grid(Point::ORIGIN, 3, 3, 100.0, 80.0);
         let receivers = Receiver::grid(Point::ORIGIN, 3, 3, 100.0, 150.0);
         let replicator = MessageReplicator::new(transmitters);
-        let location = LocationService::new(LocationConfig::default(), &receivers);
+        let location = LocationService::new(
+            LocationConfig::default(),
+            &receivers,
+            Propagation::wifi_outdoor(),
+        );
         (replicator, location)
     }
 
@@ -237,7 +241,7 @@ mod tests {
         let mut ts = Transmitter::grid(Point::ORIGIN, 2, 2, 100.0, 300.0);
         ts.reverse();
         let mut r = MessageReplicator::new(ts);
-        let loc = LocationService::new(LocationConfig::default(), &[]);
+        let loc = LocationService::new(LocationConfig::default(), &[], Propagation::wifi_outdoor());
         let plan = r.plan(
             request(ActuationTarget::Area(TargetArea::new(50.0, 50.0, 10.0))),
             &loc,

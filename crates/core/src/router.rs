@@ -24,7 +24,7 @@ use std::sync::Arc;
 use garnet_simkit::trace::{
     TraceConfig, TraceEventKind, TraceOutcome, TraceRecord, TraceSnapshot, Tracer,
 };
-use garnet_simkit::{ReceiverId, SimTime};
+use garnet_simkit::{Propagation, ReceiverId, SimTime};
 use garnet_wire::FrameBytes;
 
 use crate::actuation::ActuationService;
@@ -268,7 +268,13 @@ impl Default for ControlGraph {
     fn default() -> Self {
         ControlGraph {
             orphanage: Orphanage::new(OrphanageConfig::default()),
-            location: LocationService::new(LocationConfig::default(), &[]),
+            // No receivers, so no sighting is ever inverted: the model
+            // is `GarnetConfig`'s default and nothing reads it.
+            location: LocationService::new(
+                LocationConfig::default(),
+                &[],
+                Propagation::wifi_outdoor(),
+            ),
             resource: ResourceManager::new(MediationPolicy::MergeMax),
             actuation: ActuationService::new(),
             replicator: MessageReplicator::new(Vec::new()),

@@ -22,7 +22,9 @@
 //! The antenna plan — [`geometry`], [`Receiver`], [`Transmitter`],
 //! [`Propagation`] — is `garnet-simkit`'s, shared with the middleware,
 //! and re-exported here because [`Medium`] and [`Reception`] are typed
-//! by it.
+//! by it. A deployment holds one [`Propagation`]; the medium's calls take
+//! it as an argument, so the Location Service inverts the very model the
+//! radios obey.
 //!
 //! # Example
 //!
@@ -31,7 +33,8 @@
 //! use garnet_simkit::{SimRng, SimTime};
 //! use bytes::Bytes;
 //!
-//! let medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+//! let medium = Medium::ideal();
+//! let propagation = Propagation::UnitDisk { range_m: 100.0 };
 //! let receivers = vec![
 //!     Receiver::new(ReceiverId::new(0), Point::new(0.0, 0.0), 100.0),
 //!     Receiver::new(ReceiverId::new(1), Point::new(50.0, 0.0), 100.0),
@@ -41,6 +44,7 @@
 //!     Point::new(25.0, 0.0),
 //!     &bytes::Bytes::from_static(b"frame"),
 //!     &receivers,
+//!     &propagation,
 //!     SimTime::ZERO,
 //!     &mut rng,
 //! );

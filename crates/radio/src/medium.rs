@@ -6,6 +6,10 @@
 //! absorb: loss (mobility out of range, fading), duplication (overlapping
 //! receivers), variable latency, and — optionally — bit corruption that
 //! the wire CRC must catch.
+//!
+//! The path-loss model is not the medium's: it belongs to the
+//! deployment (`GarnetConfig::propagation`), whose Location Service
+//! inverts the same model, so every call takes it as an argument.
 
 use bytes::Bytes;
 use garnet_simkit::geometry::Point;
@@ -27,11 +31,9 @@ pub struct Reception {
     pub frame: Bytes,
 }
 
-/// Medium parameters.
+/// Medium parameters: everything about a link but its path loss.
 #[derive(Clone, Debug)]
 pub struct Medium {
-    /// Path loss / delivery model.
-    pub propagation: Propagation,
     /// Fixed per-hop latency (front-end processing, framing).
     pub base_latency: SimDuration,
     /// Uniform extra latency in `[0, jitter)` added per reception.
@@ -42,10 +44,10 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// A loss-model-only medium: no latency jitter, no corruption.
-    pub fn ideal(propagation: Propagation) -> Medium {
+    /// A medium that adds nothing to the path-loss model: fixed latency,
+    /// no jitter, no corruption.
+    pub fn ideal() -> Medium {
         Medium {
-            propagation,
             base_latency: SimDuration::from_micros(500),
             jitter: SimDuration::ZERO,
             bit_flip_prob: 0.0,
@@ -53,10 +55,9 @@ impl Medium {
     }
 
     /// An 802.11b-flavoured outdoor medium with jitter and rare residual
-    /// bit errors.
+    /// bit errors (pair it with [`Propagation::wifi_outdoor`]).
     pub fn wifi_outdoor() -> Medium {
         Medium {
-            propagation: Propagation::wifi_outdoor(),
             base_latency: SimDuration::from_micros(800),
             jitter: SimDuration::from_micros(400),
             bit_flip_prob: 1e-3,
@@ -86,30 +87,28 @@ impl Medium {
 
     /// Propagates one sensor transmission to the receiver array.
     ///
-    /// Every receiver whose nominal range covers the origin rolls the
-    /// propagation model independently; each success yields a
-    /// [`Reception`]. Zero receptions = the message is lost (§4.2:
-    /// roaming "may cause data messages to be lost"); two or more =
-    /// duplication for the Filtering Service.
+    /// Every receiver whose nominal range covers the origin, within the
+    /// model's practical range, rolls `propagation` independently; each
+    /// success yields a [`Reception`]. Zero receptions = the message is
+    /// lost (§4.2: roaming "may cause data messages to be lost"); two or
+    /// more = duplication for the Filtering Service.
     pub fn uplink(
         &self,
         origin: Point,
         frame: &Bytes,
         receivers: &[Receiver],
+        propagation: &Propagation,
         sent_at: SimTime,
         rng: &mut SimRng,
     ) -> Vec<Reception> {
         let mut out = Vec::new();
-        let practical = self.propagation.practical_range();
+        let practical = propagation.practical_range();
         for r in receivers {
             let d = origin.distance_to(r.position());
-            if d > r.range_m().min(practical).max(practical.min(r.range_m())) && d > practical {
+            if d > r.range_m().min(practical) {
                 continue;
             }
-            if d > r.range_m() {
-                continue;
-            }
-            if let Some(rssi) = self.propagation.deliver(d, rng) {
+            if let Some(rssi) = propagation.deliver(d, rng) {
                 out.push(Reception {
                     receiver: r.id(),
                     received_at: self.arrival(sent_at, rng),
@@ -121,22 +120,25 @@ impl Medium {
         out
     }
 
-    /// Propagates a sensor transmission to *peer sensors* (the §8
-    /// multi-hop substrate): every other sensor within `peer_range_m`
-    /// whose propagation roll succeeds overhears the frame. Returns the
-    /// indices into `peer_positions` (excluding `sender`) with arrival
-    /// times. Whether a hearer relays is its own decision
-    /// (`SensorNode::maybe_relay`).
+    /// Propagates a transmission from `peer_positions[sender]` to the
+    /// other *peer sensors* (the §8 multi-hop substrate): every one
+    /// within `peer_range_m` whose `propagation` roll succeeds overhears
+    /// the frame. Returns the indices into `peer_positions` (excluding
+    /// `sender`) with arrival times. Whether a hearer relays is its own
+    /// decision (`SensorNode::maybe_relay`).
     pub fn overhear(
         &self,
-        origin: Point,
         sender: usize,
         peer_positions: &[Point],
         peer_range_m: f64,
+        propagation: &Propagation,
         sent_at: SimTime,
         rng: &mut SimRng,
     ) -> Vec<(usize, SimTime)> {
         let mut out = Vec::new();
+        let Some(&origin) = peer_positions.get(sender) else {
+            return out;
+        };
         for (i, &p) in peer_positions.iter().enumerate() {
             if i == sender {
                 continue;
@@ -145,7 +147,7 @@ impl Medium {
             if d > peer_range_m {
                 continue;
             }
-            if self.propagation.deliver(d, rng).is_some() {
+            if propagation.deliver(d, rng).is_some() {
                 out.push((i, self.arrival(sent_at, rng)));
             }
         }
@@ -154,7 +156,7 @@ impl Medium {
 
     /// Broadcasts a control frame from one fixed transmitter. Returns
     /// the indices (into `sensor_positions`) of the sensors whose radios
-    /// hear it, with per-sensor arrival times.
+    /// hear it under `propagation`, with per-sensor arrival times.
     ///
     /// Whether a hearing sensor *acts* is its own business
     /// (`SensorNode::handle_request` checks capability and identity).
@@ -162,6 +164,7 @@ impl Medium {
         &self,
         tx: &Transmitter,
         sensor_positions: &[Point],
+        propagation: &Propagation,
         sent_at: SimTime,
         rng: &mut SimRng,
     ) -> Vec<(usize, SimTime)> {
@@ -171,7 +174,7 @@ impl Medium {
             if d > tx.range_m() {
                 continue;
             }
-            if self.propagation.deliver(d, rng).is_some() {
+            if propagation.deliver(d, rng).is_some() {
                 out.push((i, self.arrival(sent_at, rng)));
             }
         }
@@ -190,15 +193,22 @@ mod tests {
 
     #[test]
     fn overlapping_receivers_duplicate() {
-        let medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+        let prop = Propagation::UnitDisk { range_m: 100.0 };
+        let medium = Medium::ideal();
         let receivers = vec![
             Receiver::new(ReceiverId::new(0), Point::new(0.0, 0.0), 100.0),
             Receiver::new(ReceiverId::new(1), Point::new(60.0, 0.0), 100.0),
             Receiver::new(ReceiverId::new(2), Point::new(500.0, 0.0), 100.0),
         ];
         let mut rng = SimRng::seed(1);
-        let hits =
-            medium.uplink(Point::new(30.0, 0.0), &frame(), &receivers, SimTime::ZERO, &mut rng);
+        let hits = medium.uplink(
+            Point::new(30.0, 0.0),
+            &frame(),
+            &receivers,
+            &prop,
+            SimTime::ZERO,
+            &mut rng,
+        );
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].receiver, ReceiverId::new(0));
         assert_eq!(hits[1].receiver, ReceiverId::new(1));
@@ -206,23 +216,37 @@ mod tests {
 
     #[test]
     fn out_of_range_is_lost() {
-        let medium = Medium::ideal(Propagation::UnitDisk { range_m: 50.0 });
+        let prop = Propagation::UnitDisk { range_m: 50.0 };
+        let medium = Medium::ideal();
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, 50.0)];
         let mut rng = SimRng::seed(2);
-        let hits =
-            medium.uplink(Point::new(80.0, 0.0), &frame(), &receivers, SimTime::ZERO, &mut rng);
+        let hits = medium.uplink(
+            Point::new(80.0, 0.0),
+            &frame(),
+            &receivers,
+            &prop,
+            SimTime::ZERO,
+            &mut rng,
+        );
         assert!(hits.is_empty());
     }
 
     #[test]
     fn latency_includes_base_and_bounded_jitter() {
-        let mut medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+        let prop = Propagation::UnitDisk { range_m: 100.0 };
+        let mut medium = Medium::ideal();
         medium.jitter = SimDuration::from_micros(200);
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, 100.0)];
         let mut rng = SimRng::seed(3);
         for _ in 0..100 {
-            let hits =
-                medium.uplink(Point::ORIGIN, &frame(), &receivers, SimTime::from_secs(1), &mut rng);
+            let hits = medium.uplink(
+                Point::ORIGIN,
+                &frame(),
+                &receivers,
+                &prop,
+                SimTime::from_secs(1),
+                &mut rng,
+            );
             let dt = hits[0].received_at - SimTime::from_secs(1);
             assert!(dt >= SimDuration::from_micros(500));
             assert!(dt < SimDuration::from_micros(700));
@@ -231,7 +255,8 @@ mod tests {
 
     #[test]
     fn corruption_rate_close_to_configured() {
-        let mut medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+        let prop = Propagation::UnitDisk { range_m: 100.0 };
+        let mut medium = Medium::ideal();
         medium.bit_flip_prob = 0.3;
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, 100.0)];
         let mut rng = SimRng::seed(4);
@@ -239,7 +264,7 @@ mod tests {
         let mut corrupted = 0;
         let n = 5000;
         for _ in 0..n {
-            let hits = medium.uplink(Point::ORIGIN, &f, &receivers, SimTime::ZERO, &mut rng);
+            let hits = medium.uplink(Point::ORIGIN, &f, &receivers, &prop, SimTime::ZERO, &mut rng);
             if hits[0].frame != f {
                 corrupted += 1;
             }
@@ -250,23 +275,25 @@ mod tests {
 
     #[test]
     fn corrupted_frames_flip_exactly_one_bit() {
-        let mut medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+        let prop = Propagation::UnitDisk { range_m: 100.0 };
+        let mut medium = Medium::ideal();
         medium.bit_flip_prob = 1.0;
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, 100.0)];
         let mut rng = SimRng::seed(5);
         let f = frame();
-        let hits = medium.uplink(Point::ORIGIN, &f, &receivers, SimTime::ZERO, &mut rng);
+        let hits = medium.uplink(Point::ORIGIN, &f, &receivers, &prop, SimTime::ZERO, &mut rng);
         let diff: u32 = hits[0].frame.iter().zip(f.iter()).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert_eq!(diff, 1);
     }
 
     #[test]
     fn downlink_reaches_sensors_in_range() {
-        let medium = Medium::ideal(Propagation::UnitDisk { range_m: 100.0 });
+        let prop = Propagation::UnitDisk { range_m: 100.0 };
+        let medium = Medium::ideal();
         let tx = Transmitter::new(TransmitterId::new(0), Point::ORIGIN, 100.0);
         let positions = vec![Point::new(10.0, 0.0), Point::new(99.0, 0.0), Point::new(150.0, 0.0)];
         let mut rng = SimRng::seed(6);
-        let reached = medium.downlink(&tx, &positions, SimTime::ZERO, &mut rng);
+        let reached = medium.downlink(&tx, &positions, &prop, SimTime::ZERO, &mut rng);
         let idx: Vec<usize> = reached.iter().map(|&(i, _)| i).collect();
         assert_eq!(idx, vec![0, 1]);
         for &(_, at) in &reached {
@@ -276,6 +303,7 @@ mod tests {
 
     #[test]
     fn lossy_propagation_loses_some_uplinks() {
+        let prop = Propagation::wifi_outdoor();
         let medium = Medium::wifi_outdoor();
         let receivers = vec![Receiver::new(ReceiverId::new(0), Point::ORIGIN, 400.0)];
         let mut rng = SimRng::seed(7);
@@ -285,7 +313,7 @@ mod tests {
         let delivered = (0..2000)
             .filter(|_| {
                 !medium
-                    .uplink(Point::new(150.0, 0.0), &f, &receivers, SimTime::ZERO, &mut rng)
+                    .uplink(Point::new(150.0, 0.0), &f, &receivers, &prop, SimTime::ZERO, &mut rng)
                     .is_empty()
             })
             .count();
@@ -295,14 +323,15 @@ mod tests {
 
     #[test]
     fn overhear_excludes_sender_and_respects_range() {
-        let medium = Medium::ideal(Propagation::UnitDisk { range_m: 500.0 });
+        let prop = Propagation::UnitDisk { range_m: 500.0 };
+        let medium = Medium::ideal();
         let positions = vec![
             Point::new(0.0, 0.0),  // sender
             Point::new(30.0, 0.0), // near peer
             Point::new(90.0, 0.0), // far peer (outside peer range)
         ];
         let mut rng = SimRng::seed(8);
-        let heard = medium.overhear(positions[0], 0, &positions, 50.0, SimTime::ZERO, &mut rng);
+        let heard = medium.overhear(0, &positions, 50.0, &prop, SimTime::ZERO, &mut rng);
         let idx: Vec<usize> = heard.iter().map(|&(i, _)| i).collect();
         assert_eq!(idx, vec![1], "only the in-range peer, never the sender");
         for &(_, at) in &heard {
@@ -312,6 +341,7 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
+        let prop = Propagation::wifi_outdoor();
         let medium = Medium::wifi_outdoor();
         let receivers = Receiver::grid(Point::ORIGIN, 3, 3, 150.0, 300.0);
         let run = |seed: u64| {
@@ -319,8 +349,14 @@ mod tests {
             let mut log = Vec::new();
             for i in 0..50 {
                 let p = Point::new(i as f64 * 7.0, i as f64 * 3.0);
-                let hits =
-                    medium.uplink(p, &frame(), &receivers, SimTime::from_millis(i), &mut rng);
+                let hits = medium.uplink(
+                    p,
+                    &frame(),
+                    &receivers,
+                    &prop,
+                    SimTime::from_millis(i),
+                    &mut rng,
+                );
                 log.push(hits.len());
             }
             log

@@ -161,25 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_distance_inverts_mean_rssi() {
-        let p = Propagation::wifi_outdoor();
-        for d in [1.0, 5.0, 20.0, 100.0, 300.0] {
-            let rssi = p.mean_rssi_dbm(d);
-            let est = p.estimate_distance(rssi);
-            assert!((est - d).abs() / d < 0.01, "d={d} est={est}");
-        }
-    }
-
-    #[test]
-    fn unit_disk_estimate_inverts_ramp() {
-        let p = Propagation::UnitDisk { range_m: 80.0 };
-        for d in [1.0, 20.0, 60.0] {
-            let est = p.estimate_distance(p.mean_rssi_dbm(d));
-            assert!((est - d).abs() < 0.5, "d={d} est={est}");
-        }
-    }
-
-    #[test]
     fn practical_range_bounds_delivery() {
         let p = Propagation::wifi_outdoor();
         let r = p.practical_range();
@@ -194,5 +175,50 @@ mod tests {
         assert!(p.mean_rssi_dbm(0.0).is_finite());
         let u = Propagation::UnitDisk { range_m: 10.0 };
         assert!(u.mean_rssi_dbm(0.0).is_finite());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Any model the Location Service may be handed: the outdoor preset
+    /// and an 80 m disk, any disk, and any log-distance model with a
+    /// path-loss exponent of at least 1.5 whose link budget is positive.
+    fn model() -> impl Strategy<Value = Propagation> {
+        prop_oneof![
+            Just(Propagation::wifi_outdoor()),
+            Just(Propagation::UnitDisk { range_m: 80.0 }),
+            (0.1f64..1e4).prop_map(|range_m| Propagation::UnitDisk { range_m }),
+            (0f64..30.0, 20f64..60.0, 1.5f64..6.0, 0f64..10.0, -110f64..-70.0).prop_map(
+                |(tx_power_dbm, pl0_db, exponent, shadowing_db, sensitivity_dbm)| {
+                    Propagation::LogDistance {
+                        tx_power_dbm,
+                        pl0_db,
+                        exponent,
+                        shadowing_db,
+                        sensitivity_dbm,
+                    }
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        /// The Location Service's inversion is exact on the mean: for
+        /// every model, a distance inside the model's reach reads back
+        /// as itself (the disk's ramp up to twice its range, the
+        /// log-distance curve up to its practical range).
+        #[test]
+        fn estimate_distance_inverts_mean_rssi(p in model(), at in 0f64..1.0) {
+            let reach = match p {
+                Propagation::UnitDisk { range_m } => 2.0 * range_m,
+                Propagation::LogDistance { .. } => p.practical_range(),
+            };
+            let d = 0.1 + at * (reach - 0.1);
+            let est = p.estimate_distance(p.mean_rssi_dbm(d));
+            prop_assert!((est - d).abs() <= 1e-9 * d, "{p:?}: d={d} est={est}");
+        }
     }
 }

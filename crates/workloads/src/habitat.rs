@@ -112,9 +112,10 @@ impl HabitatScenario {
         let receivers = self.receivers();
         let config = PipelineConfig {
             seed: self.seed,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: self.receiver_range_m }),
+            medium: Medium::ideal(),
             garnet: GarnetConfig {
                 receivers,
+                propagation: Propagation::UnitDisk { range_m: self.receiver_range_m },
                 transmitters: Vec::<Transmitter>::new(),
                 ..GarnetConfig::default()
             },

@@ -10,6 +10,12 @@
 //!
 //! Every experiment, integration test and example builds on this
 //! harness; it is the "deployment" a downstream user would start from.
+//!
+//! The installation lives in [`GarnetConfig`], and the pipeline reads it
+//! from there: the receiver and transmitter arrays, and the one
+//! propagation model (`GarnetConfig::propagation`) that the medium rolls
+//! every link against and the Location Service inverts. A deployment
+//! cannot give its radios one model and its location inference another.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -19,37 +25,26 @@ use garnet_core::filtering::Delivery;
 use garnet_core::middleware::{Garnet, GarnetConfig, StepOutput};
 use garnet_core::replicator::ReplicationPlan;
 use garnet_radio::field::DynField;
-use garnet_radio::{Medium, Receiver, SensorNode, Transmitter};
+use garnet_radio::{Medium, Propagation, Receiver, SensorNode, Transmitter};
 use garnet_simkit::{Histogram, SimRng, SimTime, Simulation};
 use garnet_wire::StreamUpdateRequest;
 
-/// Pipeline configuration. The receiver/transmitter installation lives
-/// in [`GarnetConfig`]; the pipeline reads it from there so the
-/// middleware's location service and the physical simulation always
-/// agree on the antenna plan.
+/// Pipeline configuration: the physics the middleware never sees beside
+/// the middleware's own configuration, whose installation (antennas and
+/// propagation model) the pipeline reads, as the module docs say.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Seed for all physical-layer randomness.
     pub seed: u64,
-    /// The wireless medium model.
+    /// The wireless medium: latency, jitter and bit errors. Path loss
+    /// is `garnet.propagation`.
     pub medium: Medium,
-    /// Middleware configuration (including antennas).
+    /// Middleware configuration (including antennas and propagation).
     pub garnet: GarnetConfig,
     /// Sensor-to-sensor overhearing range (m) for §8 multi-hop
     /// relaying. `None` disables the peer path entirely (the default:
     /// single-hop deployments pay nothing for the feature).
     pub peer_range_m: Option<f64>,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            seed: 0x6A72_6E74,
-            medium: Medium::ideal(garnet_radio::Propagation::UnitDisk { range_m: 150.0 }),
-            garnet: GarnetConfig::default(),
-            peer_range_m: None,
-        }
-    }
 }
 
 /// Events flowing through the closed loop.
@@ -75,6 +70,7 @@ pub struct PipelineSim {
     field: DynField,
     medium: Medium,
     receivers: Vec<Receiver>,
+    propagation: Propagation,
     transmitters: Vec<Transmitter>,
     rng: SimRng,
     tick_scheduled: Option<SimTime>,
@@ -100,6 +96,7 @@ impl PipelineSim {
     /// Builds the harness over an environmental field.
     pub fn new(config: PipelineConfig, field: DynField) -> PipelineSim {
         let receivers = config.garnet.receivers.clone();
+        let propagation = config.garnet.propagation;
         let transmitters = config.garnet.transmitters.clone();
         PipelineSim {
             sim: Simulation::new(),
@@ -108,6 +105,7 @@ impl PipelineSim {
             field,
             medium: config.medium,
             receivers,
+            propagation,
             transmitters,
             rng: SimRng::seed(config.seed),
             tick_scheduled: None,
@@ -190,7 +188,9 @@ impl PipelineSim {
             let Some(tx) = self.transmitters.iter().find(|t| t.id() == *tid) else {
                 continue;
             };
-            for (idx, arrive_at) in self.medium.downlink(tx, &positions, now, &mut self.rng) {
+            for (idx, arrive_at) in
+                self.medium.downlink(tx, &positions, &self.propagation, now, &mut self.rng)
+            {
                 self.sim.schedule_at(
                     arrive_at,
                     PipelineEvent::ControlDeliver { sensor: idx, request: plan.request },
@@ -208,7 +208,14 @@ impl PipelineSim {
         t: &garnet_radio::sensor::Transmission,
         now: SimTime,
     ) {
-        let hits = self.medium.uplink(t.origin, &t.frame, &self.receivers, now, &mut self.rng);
+        let hits = self.medium.uplink(
+            t.origin,
+            &t.frame,
+            &self.receivers,
+            &self.propagation,
+            now,
+            &mut self.rng,
+        );
         for rec in hits {
             let at = rec.received_at;
             self.sim.schedule_at(at, PipelineEvent::Reception(rec));
@@ -216,9 +223,14 @@ impl PipelineSim {
         if let Some(range) = self.peer_range_m {
             let positions: Vec<garnet_radio::geometry::Point> =
                 self.sensors.iter().map(|s| s.position(now)).collect();
-            for (peer, at) in
-                self.medium.overhear(t.origin, sender, &positions, range, now, &mut self.rng)
-            {
+            for (peer, at) in self.medium.overhear(
+                sender,
+                &positions,
+                range,
+                &self.propagation,
+                now,
+                &mut self.rng,
+            ) {
                 if self.sensors[peer].caps().relay_capable {
                     self.sim.schedule_at(
                         at,
@@ -289,6 +301,7 @@ impl PipelineSim {
                         tx.origin,
                         &tx.frame,
                         &self.receivers,
+                        &self.propagation,
                         now,
                         &mut self.rng,
                     );
@@ -383,7 +396,7 @@ mod tests {
     use garnet_core::TopicFilter;
     use garnet_radio::field::Uniform;
     use garnet_radio::geometry::Point;
-    use garnet_radio::{Propagation, SensorCaps, StreamConfig};
+    use garnet_radio::{SensorCaps, StreamConfig};
     use garnet_simkit::SimDuration;
     use garnet_wire::{ActuationTarget, SensorCommand, SensorId, StreamIndex};
 
@@ -392,8 +405,13 @@ mod tests {
         let transmitters = Transmitter::grid(Point::ORIGIN, 2, 2, 100.0, 150.0);
         PipelineConfig {
             seed: 7,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 150.0 }),
-            garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: 150.0 },
+                transmitters,
+                ..GarnetConfig::default()
+            },
             peer_range_m: None,
         }
     }
@@ -484,6 +502,7 @@ mod tests {
             let mut cfg = config();
             cfg.seed = seed;
             cfg.medium = Medium::wifi_outdoor();
+            cfg.garnet.propagation = Propagation::wifi_outdoor();
             let mut sim = PipelineSim::new(cfg, Box::new(Uniform(1.0)));
             for i in 0..5 {
                 sim.add_sensor(sensor(i + 1, Point::new(20.0 * i as f64, 30.0)));
@@ -511,8 +530,12 @@ mod tests {
         let run = |peer_range: Option<f64>| {
             let cfg = PipelineConfig {
                 seed: 3,
-                medium: Medium::ideal(Propagation::UnitDisk { range_m: 400.0 }),
-                garnet: GarnetConfig { receivers: receivers.clone(), ..GarnetConfig::default() },
+                medium: Medium::ideal(),
+                garnet: GarnetConfig {
+                    receivers: receivers.clone(),
+                    propagation: Propagation::UnitDisk { range_m: 400.0 },
+                    ..GarnetConfig::default()
+                },
                 peer_range_m: peer_range,
             };
             let mut sim = PipelineSim::new(cfg, Box::new(Uniform(5.0)));
@@ -543,8 +566,12 @@ mod tests {
         let receivers = vec![Receiver::new(garnet_radio::ReceiverId::new(0), Point::ORIGIN, 200.0)];
         let cfg = PipelineConfig {
             seed: 4,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 400.0 }),
-            garnet: GarnetConfig { receivers, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: 400.0 },
+                ..GarnetConfig::default()
+            },
             peer_range_m: Some(120.0),
         };
         let mut sim = PipelineSim::new(cfg, Box::new(Uniform(5.0)));

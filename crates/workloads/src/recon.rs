@@ -250,8 +250,13 @@ impl ReconScenario {
         let (receivers, transmitters) = self.masts();
         let config = PipelineConfig {
             seed: self.seed,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: self.field_side_m * 0.8 }),
-            garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: self.field_side_m * 0.8 },
+                transmitters,
+                ..GarnetConfig::default()
+            },
             peer_range_m: None,
         };
         let mut sim = PipelineSim::new(config, self.field());

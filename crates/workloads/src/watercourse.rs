@@ -254,8 +254,13 @@ impl WatercourseScenario {
         let (receivers, transmitters) = self.masts();
         let config = PipelineConfig {
             seed: self.seed,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: self.station_spacing_m * 0.9 }),
-            garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: self.station_spacing_m * 0.9 },
+                transmitters,
+                ..GarnetConfig::default()
+            },
             peer_range_m: None,
         };
         let mut sim = PipelineSim::new(config, self.field());

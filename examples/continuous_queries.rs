@@ -34,9 +34,10 @@ fn main() {
     let transmitters = Transmitter::grid(Point::ORIGIN, 2, 2, 120.0, 200.0);
     let config = PipelineConfig {
         seed: 7,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: 200.0 }),
+        medium: Medium::ideal(),
         garnet: GarnetConfig {
             receivers,
+            propagation: Propagation::UnitDisk { range_m: 200.0 },
             transmitters,
             quiesce: Some(QuiesceConfig {
                 idle_after: SimDuration::from_secs(120),

@@ -53,8 +53,13 @@ fn main() {
     let transmitters = Transmitter::grid(Point::ORIGIN, 1, 1, 1.0, 150.0);
     let config = PipelineConfig {
         seed: 1,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: 100.0 }),
-        garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+        medium: Medium::ideal(),
+        garnet: GarnetConfig {
+            receivers,
+            propagation: Propagation::UnitDisk { range_m: 100.0 },
+            transmitters,
+            ..GarnetConfig::default()
+        },
         peer_range_m: None,
     };
 

@@ -40,9 +40,10 @@ fn season(mode: CoordinationMode) -> (u64, u64, Vec<(u32, u64)>) {
     let (receivers, transmitters) = scenario.masts();
     let config = PipelineConfig {
         seed: scenario.seed,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: scenario.station_spacing_m * 0.9 }),
+        medium: Medium::ideal(),
         garnet: GarnetConfig {
             receivers,
+            propagation: Propagation::UnitDisk { range_m: scenario.station_spacing_m * 0.9 },
             transmitters,
             coordination: mode,
             ..GarnetConfig::default()

@@ -14,6 +14,7 @@ use garnet::simkit::{SimDuration, SimTime};
 use garnet::wire::crypto::PayloadKey;
 use garnet::wire::{ActuationTarget, SensorCommand, SensorId, StreamId, StreamIndex};
 use garnet::workloads::pipeline::{LatencyProbe, PipelineConfig, PipelineSim, SharedCountConsumer};
+use garnet::workloads::ReconScenario;
 
 fn infrastructure() -> (Vec<Receiver>, Vec<Transmitter>) {
     (
@@ -27,8 +28,13 @@ fn pipeline() -> PipelineSim {
     PipelineSim::new(
         PipelineConfig {
             seed: 99,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 130.0 }),
-            garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: 130.0 },
+                transmitters,
+                ..GarnetConfig::default()
+            },
             peer_range_m: None,
         },
         Box::new(Uniform(18.0)),
@@ -227,6 +233,40 @@ fn location_inference_improves_during_operation() {
         est.position
     );
     assert!(est.evidence_count > 1);
+}
+
+/// The Location Service inverts the very model the radios obey, so the
+/// disk it reports covers the sensor: on the reconnaissance field, every
+/// send-receive sensor lies within `radius_m` of its estimate. An
+/// inversion of some other model reads each mast's RSSI as a wrong
+/// distance and draws a disk that misses the sensor.
+#[test]
+fn location_estimate_disk_covers_the_true_position() {
+    let mut sim = ReconScenario::default().build();
+    let token = sim.garnet_mut().issue_default_token("locator");
+    sim.run_until(SimTime::from_secs(120));
+
+    let now = sim.now();
+    let located: Vec<(SensorId, Point)> = sim
+        .sensors()
+        .iter()
+        .filter(|s| s.caps().receive_capable)
+        .map(|s| (s.id(), s.position(now)))
+        .collect();
+    assert_eq!(located.len(), 5);
+    for (sensor, truth) in located {
+        let est = sim
+            .garnet()
+            .locate(&token, sensor, now)
+            .unwrap()
+            .expect("sightings within the last minute");
+        let distance = est.position.distance_to(truth);
+        assert!(
+            est.radius_m >= distance * (1.0 - 1e-9),
+            "{sensor}: radius {:.1} m, but the sensor is {distance:.1} m from the estimate",
+            est.radius_m
+        );
+    }
 }
 
 #[test]

@@ -28,8 +28,13 @@ fn pipeline(seed: u64) -> PipelineSim {
     PipelineSim::new(
         PipelineConfig {
             seed,
-            medium: Medium::ideal(Propagation::UnitDisk { range_m: 120.0 }),
-            garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+            medium: Medium::ideal(),
+            garnet: GarnetConfig {
+                receivers,
+                propagation: Propagation::UnitDisk { range_m: 120.0 },
+                transmitters,
+                ..GarnetConfig::default()
+            },
             peer_range_m: None,
         },
         Box::new(Uniform(4.0)),

@@ -23,8 +23,13 @@ fn four_hundred_sensors_sixty_four_consumers() {
     let transmitters = Transmitter::grid(Point::ORIGIN, 5, 5, 250.0, 300.0);
     let config = PipelineConfig {
         seed: 2026,
-        medium: Medium::ideal(Propagation::UnitDisk { range_m: 300.0 }),
-        garnet: GarnetConfig { receivers, transmitters, ..GarnetConfig::default() },
+        medium: Medium::ideal(),
+        garnet: GarnetConfig {
+            receivers,
+            propagation: Propagation::UnitDisk { range_m: 300.0 },
+            transmitters,
+            ..GarnetConfig::default()
+        },
         peer_range_m: None,
     };
     let mut sim = PipelineSim::new(config, Box::new(Gradient { base: 10.0, gx: 0.002, gy: 0.001 }));
