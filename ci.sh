@@ -42,11 +42,14 @@ fi
 # table's per-key write stamps (a write marks the rows it changes), its
 # per-subscriber reverse index and per-key set vecs (a key holds one
 # subscriber inline, a departure walks the forward indexes), the service
-# registry nothing read back, and the constraint language no caller
-# could hand a profile (ROADMAP 17, 22) must not come back
+# registry nothing read back, the constraint language no caller
+# could hand a profile (ROADMAP 17, 22), and a second copy of the
+# deployment's propagation model — a `Medium` built around its own
+# `Propagation`, or a location config that inverts one of its own
+# (ROADMAP 19) — must not come back
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>|ServiceRegistry|ServiceDescriptor|ServiceKind|consumer_advertisement|SensorProfile|register_profile|Constraint::parse|mod constraints|DenyReason::Constraint' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>|ServiceRegistry|ServiceDescriptor|ServiceKind|consumer_advertisement|SensorProfile|register_profile|Constraint::parse|mod constraints|DenyReason::Constraint|Medium::ideal\((garnet_radio::)?Propagation|config\.propagation\.estimate_distance' crates src tests examples; then
   echo "a deleted item is back" >&2
   exit 1
 fi
@@ -165,7 +168,7 @@ fi
 # Every checked byte rides one safe-Rust kernel (crates/wire/src/crc.rs):
 # no intrinsics, no CPU detection, and the only `unsafe` in any crate's
 # src/ stays the one test-only pointer comparison in wire's message.rs
-# (ROADMAP 7b).
+# (the rule "one CRC kernel, `unsafe` only in wire's test").
 echo "==> no std::arch / target_feature in crates, src; unsafe only in wire's zero-copy test"
 if grep -rnE 'std::arch|core::arch|target_feature|is_x86_feature_detected' crates src; then
   echo "a CPU-specific code path is back" >&2
@@ -243,6 +246,21 @@ for ref in $(prose | grep -oE '`garnet[_-][a-z]+(::[a-z_]+)?' | tr -d '`' | sort
   fi
 done
 if [ "$stale" -ne 0 ]; then
+  exit 1
+fi
+
+# A "ROADMAP <n>" this script cites names an item of ROADMAP.md, open
+# (a "- **<n>." heading) or retired (named as "(<n>)" where the retired
+# items are listed), so a citation cannot outlive the item it points at.
+echo "==> every ROADMAP item cited in ci.sh exists in ROADMAP.md, open or retired"
+dangling=0
+for id in $(grep -oE 'ROADMAP [0-9]+[a-z]?(, [0-9]+[a-z]?)*' ci.sh | grep -oE '[0-9]+[a-z]?' | sort -u); do
+  if ! grep -qE "^- \*\*$id\. |\($id\)" ROADMAP.md; then
+    echo "ci.sh cites ROADMAP $id, which names no item in ROADMAP.md" >&2
+    dangling=1
+  fi
+done
+if [ "$dangling" -ne 0 ]; then
   exit 1
 fi
 
