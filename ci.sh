@@ -46,11 +46,20 @@ fi
 # could hand a profile (ROADMAP 17, 22), and a second copy of the
 # deployment's propagation model — a `Medium` built around its own
 # `Propagation`, or a location config that inverts one of its own
-# (ROADMAP 19) — must not come back
+# (ROADMAP 19) — must not come back, nor may the settings that decided
+# nothing: the Location Service's evidence-ring size (evidence is one
+# slot per installed receiver), the filter's restart distance (a
+# constant) and the spans switch's `set_enabled` (spans always record)
 # (`\bqueue_capacity` leaves `consumer_queue_capacity` legal).
 echo "==> no second engine, dispatch partition or second benchmark system in crates, src, tests, examples"
-if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>|ServiceRegistry|ServiceDescriptor|ServiceKind|consumer_advertisement|SensorProfile|register_profile|Constraint::parse|mod constraints|DenyReason::Constraint|Medium::ideal\((garnet_radio::)?Propagation|config\.propagation\.estimate_distance' crates src tests examples; then
+if grep -rnE 'ThreadedRouter|StageEdge|RootFailure|RootTrace|modulo_shards|FrameBatch|sweep_json|expected_min_speedup|ShardPoint|take_restart_events|ShardRestart|trace_drain_to|ShardedStreamRegistry|shard_subscription_counts|HealthThresholds|dyn RouterDriver|GarnetService|wait_hist|Crc16|step_batch|admit_frame\(|FrameDecoder|FrameEncoder|Archiver|ThreadedBus|BusError|FlushOutcome|ArchiveFlushTimeout|Sink::Threaded|stall_sleep|flush_timeout|\bqueue_capacity|IngestPool|ShardJob|ShardedIngest::pooled|SupervisionConfig|with_supervision|EdgeClass|submit_tagged|fail_marker|shard_of_sensor|shard_queue_depth|restart_shard|offer_event|Release::Event|plan_with_estimate|OverloadTotals|qos_capacity|ShardedIngest::on_batch|ingest\.on_batch|self\.arrivals|HashMap<u32, CacheEntry>|HashMap<u32, StreamRow>|core::pipeline|mutation_stamp|sensor_epochs|stream_epochs|note_mutation|filters: BTreeMap<SubscriberId|HashMap<u32, Vec<SubscriberId>>|ServiceRegistry|ServiceDescriptor|ServiceKind|consumer_advertisement|SensorProfile|register_profile|Constraint::parse|mod constraints|DenyReason::Constraint|Medium::ideal\((garnet_radio::)?Propagation|config\.propagation\.estimate_distance|LocationConfig|max_observations|restart_distance|set_enabled' crates src tests examples; then
   echo "a deleted item is back" >&2
+  exit 1
+fi
+# The match cache evicts nothing: a slot lives as long as its stream's
+# row, so no cache generation marks slots emptied by a wholesale reset.
+if grep -rn 'generation' crates/core/src/dispatching.rs crates/core/src/dispatching/; then
+  echo "the match cache has a generation again" >&2
   exit 1
 fi
 # Reporting state has one type, defined where the state lives: a stage's
@@ -246,6 +255,24 @@ for ref in $(prose | grep -oE '`garnet[_-][a-z]+(::[a-z_]+)?' | tr -d '`' | sort
   fi
 done
 if [ "$stale" -ne 0 ]; then
+  exit 1
+fi
+
+# A test the prose cites by name exists: every `tests/<file>.rs::<name>`
+# and `<module>::tests::<name>` / `<module>::proptests::<name>` in
+# DESIGN.md, README.md and EXPERIMENTS.md names a `fn <name>` somewhere
+# in the tree, so a deleted or renamed test cannot stay cited as the
+# evidence for a claim.
+echo "==> every test DESIGN.md, README.md and EXPERIMENTS.md cite by name exists"
+dangling_tests=0
+for ref in $(grep -ohE 'tests/[A-Za-z0-9_]+\.rs::[A-Za-z_][A-Za-z0-9_]*|[a-z_]+::(tests|proptests)::[A-Za-z_][A-Za-z0-9_]*' \
+    DESIGN.md README.md EXPERIMENTS.md | sort -u); do
+  if ! grep -rqE "\\bfn ${ref##*::}\\b" crates src tests examples --include='*.rs'; then
+    echo "\`$ref\`: no fn ${ref##*::} is defined" >&2
+    dangling_tests=1
+  fi
+done
+if [ "$dangling_tests" -ne 0 ]; then
   exit 1
 fi
 

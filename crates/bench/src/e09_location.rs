@@ -9,7 +9,7 @@
 //! for a location-targeted request vs the flood fallback.
 
 use garnet_core::filtering::Observation;
-use garnet_core::location::{LocationConfig, LocationService};
+use garnet_core::location::LocationService;
 use garnet_core::replicator::MessageReplicator;
 use garnet_radio::geometry::Point;
 use garnet_radio::{Propagation, Receiver, Transmitter};
@@ -58,12 +58,11 @@ pub(crate) fn run_point(grid_side: usize, seed: u64) -> LocationPoint {
     let mut samples = 0u32;
     let mut replicator = MessageReplicator::new(transmitters.clone());
     let mut flood_replicator = MessageReplicator::new(transmitters);
-    let empty_location = LocationService::new(LocationConfig::default(), &receivers, prop);
+    let empty_location = LocationService::new(&receivers, prop);
 
     for (si, &truth) in truths.iter().enumerate() {
         let sensor = SensorId::new(si as u32 + 1).unwrap();
-        let mut loc =
-            LocationService::new(LocationConfig { max_observations: 512 }, &receivers, prop);
+        let mut loc = LocationService::new(&receivers, prop);
         // Each receiver rolls reception of 4 transmissions.
         for r in &receivers {
             let d = truth.distance_to(r.position());

@@ -17,7 +17,7 @@
 //! filter (the registry lists each sensor's rows), and, for `All`, one
 //! counter in the cache that every slot compares against. Routing a
 //! cache-resident stream whose [`RowId`] the caller remembers is one
-//! bounds-checked index, two compares and one `Arc` refcount bump —
+//! bounds-checked index, one compare and one `Arc` refcount bump —
 //! no hashing and no allocation, whatever was written since; a caller
 //! without the `RowId` pays one keyed lookup more (`perfbench`'s
 //! `churn-fanout` prices writes beside routes).
@@ -342,27 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_clears_wholesale() {
-        let mut d =
-            DispatchingService::with_cache(DispatchCacheConfig { enabled: true, capacity: 2 });
-        let a = d.register_subscriber();
-        d.subscribe(a, TopicFilter::All);
-        d.route(stream(1));
-        d.route(stream(2));
-        assert_eq!(d.match_cache().resident, 2);
-        d.route(stream(3)); // full: wholesale clear, then insert
-        assert_eq!(d.match_cache().resident, 1);
-        assert!(!d.route(stream(3)).rebuilt, "the newly inserted entry survives the clear");
-        // The slots the clear emptied still hold their old sets: each
-        // rebuilds as a miss, not a hit or an invalidation — even one a
-        // write marked stale since.
-        d.subscribe(a, TopicFilter::Stream(stream(1)));
-        assert!(d.route(stream(1)).rebuilt);
-        let s = d.match_cache();
-        assert_eq!((s.hits, s.misses, s.invalidations, s.resident), (1, 4, 0, 2));
-    }
-
-    #[test]
     fn disabled_cache_rebuilds_quietly() {
         let mut d = DispatchingService::with_cache(DispatchCacheConfig::disabled());
         let a = d.register_subscriber();
@@ -433,7 +412,6 @@ mod proptests {
         sensors: BTreeMap<u32, u64>,
         streams: BTreeMap<u32, u64>,
         built: BTreeMap<u32, u64>,
-        capacity: usize,
         stats: MatchCacheStats,
     }
 
@@ -467,9 +445,6 @@ mod proptests {
                 }
                 None => {
                     self.stats.misses += 1;
-                    if self.built.len() >= self.capacity {
-                        self.built.clear();
-                    }
                     false
                 }
             };
@@ -491,16 +466,14 @@ mod proptests {
         #[test]
         fn route_agrees_with_the_table_and_the_build_epoch_rule(
             ops in proptest::collection::vec((0u8..4, 0u32..6, arb_filter(), arb_stream()), 0..80),
-            capacity in 1usize..8,
         ) {
-            let mut cached =
-                DispatchingService::with_cache(DispatchCacheConfig { enabled: true, capacity });
+            let mut cached = DispatchingService::new();
             let mut off = DispatchingService::with_cache(DispatchCacheConfig::disabled());
             for _ in 0..6 {
                 cached.register_subscriber();
                 off.register_subscriber();
             }
-            let mut rule = BuildEpochRule { capacity, ..BuildEpochRule::default() };
+            let mut rule = BuildEpochRule::default();
             // What each subscriber holds, to stamp what a departure removes.
             let mut held: BTreeMap<SubscriberId, BTreeSet<TopicFilter>> = BTreeMap::new();
             for (op, id, filter, stream) in ops {

@@ -528,15 +528,14 @@ pub struct DispatchCacheConfig {
     /// Whether match sets are memoised at all. Off, every resolve
     /// rebuilds from the table (the pre-cache behaviour).
     pub enabled: bool,
-    /// Residency bound: the maximum number of distinct streams
-    /// cached. Inserting a new stream into a full cache clears it
-    /// wholesale (deterministic, no recency bookkeeping on the hot
-    /// path). Clamped to at least 1.
+    /// Accepted for the benchmark's call site; has no effect. A slot
+    /// lives in its stream's row of the dispatcher's catalogue, which is
+    /// never freed, so no bound on filled slots would bound memory.
     pub capacity: usize,
 }
 
 impl DispatchCacheConfig {
-    /// Default residency bound (streams).
+    /// Accepted for the benchmark's call site; has no effect.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// A disabled cache: every resolve rebuilds from the table.
@@ -546,7 +545,7 @@ impl DispatchCacheConfig {
 }
 
 impl Default for DispatchCacheConfig {
-    /// Enabled at [`DispatchCacheConfig::DEFAULT_CAPACITY`].
+    /// Enabled.
     fn default() -> Self {
         DispatchCacheConfig { enabled: true, capacity: Self::DEFAULT_CAPACITY }
     }
@@ -557,20 +556,17 @@ impl Default for DispatchCacheConfig {
 pub struct MatchCacheStats {
     /// Resolves answered from a valid cached entry.
     pub hits: u64,
-    /// Resolves for a stream never seen (or evicted) — built cold.
+    /// Resolves for a stream never seen — built cold.
     pub misses: u64,
     /// Resolves that found a cached entry staled by a subscription
     /// mutation — rebuilt.
     pub invalidations: u64,
-    /// Entries currently resident.
+    /// Slots filled: streams resolved at least once.
     pub resident: u64,
 }
 
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    /// The [`MatchCache`] generation the entry was built in: an entry
-    /// from an older generation was dropped by a wholesale reset.
-    generation: u64,
     /// The cache's count of `All` writes this set is valid under, or
     /// [`CacheEntry::STALE`] once a write to the stream's own or its
     /// sensor's subscriptions has changed the set.
@@ -592,7 +588,7 @@ pub(crate) struct MatchSlot(Option<CacheEntry>);
 impl MatchSlot {
     /// Marks the slot's set stale: a subscription write changed the
     /// stream's match set. The next resolve rebuilds it and counts an
-    /// invalidation (or a miss, if a reset dropped the slot since).
+    /// invalidation.
     pub(crate) fn mark_stale(&mut self) {
         if let Some(entry) = &mut self.0 {
             entry.valid_under = CacheEntry::STALE;
@@ -609,25 +605,21 @@ impl MatchSlot {
 /// the slots a `Stream` or `Sensor` write changes
 /// ([`MatchSlot::mark_stale`]) and reports every `All` write
 /// ([`MatchCache::note_all_write`]), which stales every slot at once.
-/// A slot is a hit iff it was filled in the current generation, is not
-/// marked stale, and was built under the current `All` count — two
-/// compares and one Arc refcount bump, and zero heap allocations,
+/// A slot is a hit iff it is filled, not marked stale, and was built
+/// under the current `All` count — one compare (a stale mark is a count
+/// no cache reaches) and one Arc refcount bump, and zero heap allocations,
 /// pinned by `tests/alloc_budget.rs`. The counts are those of the rule
 /// "a hit iff no write that could change this stream's set happened
 /// since its entry was built", which
 /// `dispatching::proptests::route_agrees_with_the_table_and_the_build_epoch_rule`
 /// checks against stamps it keeps itself.
 ///
-/// Residency is counted, not stored: a wholesale reset at
-/// [`DispatchCacheConfig::capacity`] starts a new generation, which
-/// empties every slot at once without visiting any (an emptied slot
-/// keeps its last set alive until its stream's next route rebuilds it).
+/// Nothing is ever evicted: a slot is as long-lived as the row holding
+/// it, so the slots filled are the streams routed so far.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MatchCache {
     config: DispatchCacheConfig,
-    /// Bumped by every wholesale reset.
-    generation: u64,
-    /// Slots filled in the current generation.
+    /// Slots filled.
     resident: u64,
     /// Writes to the `All` set so far.
     all_writes: u64,
@@ -666,21 +658,13 @@ impl MatchCache {
             return (self.rebuild(table, stream, None), false);
         }
         match &slot.0 {
-            Some(entry) if entry.generation == self.generation => {
-                if entry.valid_under == self.all_writes {
-                    self.hits += 1;
-                    return (Arc::clone(&entry.set), false);
-                }
-                self.invalidations += 1;
+            Some(entry) if entry.valid_under == self.all_writes => {
+                self.hits += 1;
+                return (Arc::clone(&entry.set), false);
             }
-            _ => {
+            Some(_) => self.invalidations += 1,
+            None => {
                 self.misses += 1;
-                if self.resident >= self.config.capacity.max(1) as u64 {
-                    // Full and a new stream wants in: deterministic
-                    // wholesale reset instead of hot-path recency.
-                    self.generation += 1;
-                    self.resident = 0;
-                }
                 self.resident += 1;
             }
         }
@@ -688,10 +672,9 @@ impl MatchCache {
     }
 
     /// Builds `stream`'s match set from `table` and, given the stream's
-    /// slot, files it there under the current generation and `All`
-    /// count. Out of line and cold, so the route that inlines
-    /// [`MatchCache::resolve`] carries the hit and nothing of how the
-    /// table is stored.
+    /// slot, files it there under the current `All` count. Out of line
+    /// and cold, so the route that inlines [`MatchCache::resolve`]
+    /// carries the hit and nothing of how the table is stored.
     #[cold]
     #[inline(never)]
     fn rebuild(
@@ -703,11 +686,7 @@ impl MatchCache {
         table.match_subscribers_into(stream, &mut self.scratch);
         let set: Arc<[SubscriberId]> = Arc::from(self.scratch.as_slice());
         if let Some(slot) = slot {
-            slot.0 = Some(CacheEntry {
-                generation: self.generation,
-                valid_under: self.all_writes,
-                set: Arc::clone(&set),
-            });
+            slot.0 = Some(CacheEntry { valid_under: self.all_writes, set: Arc::clone(&set) });
         }
         set
     }

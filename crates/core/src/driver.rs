@@ -62,8 +62,8 @@ pub trait RouterDriver: std::fmt::Debug {
     /// The earliest time-driven deadline across services.
     fn next_deadline(&self) -> Option<SimTime>;
 
-    /// Turns latency-span and depth-gauge recording on or off (on by
-    /// default).
+    /// Accepted for the benchmark's call site; has no effect (latency
+    /// spans and the depth gauge are always recorded).
     fn set_telemetry_recording(&mut self, enabled: bool);
 
     /// [`Router::shutdown`]: drains in-flight work, returning the
@@ -124,9 +124,7 @@ impl RouterDriver for FifoDriver {
         self.router.next_deadline()
     }
 
-    fn set_telemetry_recording(&mut self, enabled: bool) {
-        self.router.set_telemetry_recording(enabled);
-    }
+    fn set_telemetry_recording(&mut self, _enabled: bool) {}
 
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
         self.router.shutdown(now)

@@ -46,6 +46,11 @@ use garnet_wire::{
 
 use crate::stream::RowId;
 
+/// A frame more than this far ahead of the last delivered sequence is
+/// treated as a stream restart rather than buffered (the sensor rebooted
+/// or we lost half the window).
+const RESTART_DISTANCE: u16 = 4096;
+
 /// Tuning of the filtering service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FilterConfig {
@@ -54,19 +59,11 @@ pub struct FilterConfig {
     /// Upper bound on buffered messages per stream; beyond it the oldest
     /// buffered message is force-delivered (back-pressure guard).
     pub max_buffered_per_stream: usize,
-    /// A frame more than this far ahead of the last delivered sequence is
-    /// treated as a stream restart rather than buffered (the sensor
-    /// rebooted or we lost half the window).
-    pub restart_distance: u16,
 }
 
 impl Default for FilterConfig {
     fn default() -> Self {
-        FilterConfig {
-            reorder_timeout: SimDuration::from_millis(50),
-            max_buffered_per_stream: 256,
-            restart_distance: 4096,
-        }
+        FilterConfig { reorder_timeout: SimDuration::from_millis(50), max_buffered_per_stream: 256 }
     }
 }
 
@@ -475,7 +472,7 @@ impl FilteringService {
                     result.deliveries.extend(Some(released));
                     state.drain_ready(now, &mut result.deliveries);
                 } else if last.distance_to(seq) > 0
-                    && last.distance_to(seq) as u32 > u32::from(self.config.restart_distance)
+                    && last.distance_to(seq) as u32 > u32::from(RESTART_DISTANCE)
                 {
                     // Far ahead: treat as a restarted stream.
                     self.restarts.incr();
@@ -537,7 +534,7 @@ impl FilteringService {
             if forgone == last.next() {
                 state.last_delivered = Some(forgone);
                 state.drain_ready(now, &mut out);
-            } else if last.distance_to(forgone) as u32 <= u32::from(self.config.restart_distance) {
+            } else if last.distance_to(forgone) as u32 <= u32::from(RESTART_DISTANCE) {
                 state.insert_buffered(Buffered {
                     held: Held::Forgone(forgone),
                     first_received_at: now,

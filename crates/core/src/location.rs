@@ -7,17 +7,26 @@
 //! consumers that happen to know where a sensor is "may supply location
 //! hints instead" — and those hints fuse with the inferred estimate.
 //!
-//! The estimator is an RSSI-weighted centroid over recent observations:
-//! each sighting contributes the receiver's position weighted by
-//! 1/estimated-distance (nearer receivers know more), hints contribute
-//! their own position at the supplied confidence. Uncertainty is
-//! reported as the weighted RMS spread plus the strongest sighting's
-//! estimated range, giving the Message Replicator a disk to cover.
+//! Evidence is bounded by the installation: per sensor, one sighting
+//! slot per installed receiver and one hint. A receiver's newer sighting
+//! replaces its slot, sightings at the slot's instant average into it
+//! (a receiver that hears several copies of one transmission reports
+//! their mean range), and an older one is ignored; a newer hint replaces
+//! the hint. So a mast that hears a sensor every second cannot crowd
+//! the masts that heard it once out of the evidence.
+//!
+//! The estimator is an RSSI-weighted centroid over the fresh slots:
+//! each of the nearest-estimated receivers contributes its position
+//! weighted by 1/estimated-distance² (nearer receivers know more), the
+//! hint contributes its own position at the supplied confidence.
+//! Uncertainty is reported as the weighted RMS spread plus the nearest
+//! receiver's estimated range, giving the Message Replicator a disk to
+//! cover.
 //!
 //! Location data is sensitive (§2): reads are gated by the
 //! `ReadLocation` capability at the middleware facade.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use garnet_simkit::geometry::{weighted_centroid, Point};
 use garnet_simkit::{Propagation, Receiver, ReceiverId, SimDuration, SimTime};
@@ -28,25 +37,10 @@ use crate::filtering::Observation;
 /// Sightings/hints older than this are ignored.
 const MAX_AGE: SimDuration = SimDuration::from_secs(60);
 
-/// Only the loudest (nearest-estimated) sightings contribute to an
+/// Only the loudest (nearest-estimated) receivers contribute to an
 /// estimate; far receivers carry little information and would drag the
 /// centroid toward the grid centre.
-const MAX_SIGHTINGS_USED: usize = 8;
-
-/// Location Service tuning. The path-loss model it inverts is not a
-/// setting of its own: it is the deployment's, the one the radios obey
-/// (`GarnetConfig::propagation`), handed to [`LocationService::new`].
-#[derive(Clone, Debug)]
-pub struct LocationConfig {
-    /// Sightings retained per sensor.
-    pub max_observations: usize,
-}
-
-impl Default for LocationConfig {
-    fn default() -> Self {
-        LocationConfig { max_observations: 32 }
-    }
-}
+const MAX_RECEIVERS_USED: usize = 4;
 
 /// A position estimate with uncertainty.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -61,18 +55,36 @@ pub struct LocationEstimate {
     pub evidence_count: usize,
 }
 
-#[derive(Clone, Debug)]
-enum Evidence {
-    Sighting { receiver_pos: Point, est_distance_m: f64, at: SimTime },
-    Hint { position: Point, confidence: f64, at: SimTime },
+/// One receiver's latest sighting of a sensor: the mean estimated
+/// distance of every sighting it reported at `at`.
+#[derive(Clone, Copy, Debug)]
+struct Sighting {
+    receiver: ReceiverId,
+    receiver_pos: Point,
+    distance_sum_m: f64,
+    samples: u32,
+    at: SimTime,
 }
 
-impl Evidence {
-    fn at(&self) -> SimTime {
-        match self {
-            Evidence::Sighting { at, .. } | Evidence::Hint { at, .. } => *at,
-        }
+impl Sighting {
+    fn est_distance_m(&self) -> f64 {
+        self.distance_sum_m / f64::from(self.samples)
     }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Hint {
+    position: Point,
+    confidence: f64,
+    at: SimTime,
+}
+
+/// A sensor's evidence: at most one slot per installed receiver, and the
+/// latest hint.
+#[derive(Clone, Debug, Default)]
+struct Evidence {
+    sightings: Vec<Sighting>,
+    hint: Option<Hint>,
 }
 
 /// The Location Service.
@@ -80,7 +92,7 @@ impl Evidence {
 /// # Example
 ///
 /// ```
-/// use garnet_core::location::{LocationConfig, LocationService};
+/// use garnet_core::location::LocationService;
 /// use garnet_core::filtering::Observation;
 /// use garnet_simkit::{geometry::Point, Propagation, Receiver, ReceiverId, SimTime};
 /// use garnet_wire::SensorId;
@@ -92,7 +104,7 @@ impl Evidence {
 /// // The deployment's radios: a 200 m disk, whose RSSI ramp reads
 /// // -60 dBm at half the range.
 /// let propagation = Propagation::UnitDisk { range_m: 200.0 };
-/// let mut loc = LocationService::new(LocationConfig::default(), &receivers, propagation);
+/// let mut loc = LocationService::new(&receivers, propagation);
 /// let sensor = SensorId::new(4)?;
 /// loc.observe(&Observation {
 ///     sensor,
@@ -109,10 +121,9 @@ impl Evidence {
 /// ```
 #[derive(Debug)]
 pub struct LocationService {
-    config: LocationConfig,
     propagation: Propagation,
     receiver_positions: HashMap<ReceiverId, Point>,
-    evidence: HashMap<SensorId, VecDeque<Evidence>>,
+    evidence: HashMap<SensorId, Evidence>,
     observations_taken: u64,
     hints_taken: u64,
 }
@@ -121,9 +132,8 @@ impl LocationService {
     /// Creates the service with the fixed receiver installation plan and
     /// the propagation model those receivers hear through; each sighting's
     /// RSSI is turned into a distance by inverting that model.
-    pub fn new(config: LocationConfig, receivers: &[Receiver], propagation: Propagation) -> Self {
+    pub fn new(receivers: &[Receiver], propagation: Propagation) -> Self {
         LocationService {
-            config,
             propagation,
             receiver_positions: receivers.iter().map(|r| (r.id(), r.position())).collect(),
             evidence: HashMap::new(),
@@ -132,15 +142,9 @@ impl LocationService {
         }
     }
 
-    fn push(&mut self, sensor: SensorId, e: Evidence) {
-        let q = self.evidence.entry(sensor).or_default();
-        if q.len() == self.config.max_observations {
-            q.pop_front();
-        }
-        q.push_back(e);
-    }
-
-    /// Ingests a sighting from the Filtering Service.
+    /// Ingests a sighting from the Filtering Service into its
+    /// receiver's slot: a newer sighting replaces the slot, one at the
+    /// slot's instant averages into it, an older one is ignored.
     ///
     /// Sightings from receivers missing from the installation plan are
     /// ignored (they cannot contribute a position).
@@ -148,25 +152,45 @@ impl LocationService {
         let Some(&receiver_pos) = self.receiver_positions.get(&obs.receiver) else {
             return;
         };
-        let est_distance_m = self.propagation.estimate_distance(obs.rssi_dbm);
-        self.push(obs.sensor, Evidence::Sighting { receiver_pos, est_distance_m, at: obs.at });
         self.observations_taken += 1;
+        let est_distance_m = self.propagation.estimate_distance(obs.rssi_dbm);
+        let sightings = &mut self.evidence.entry(obs.sensor).or_default().sightings;
+        let fresh = Sighting {
+            receiver: obs.receiver,
+            receiver_pos,
+            distance_sum_m: est_distance_m,
+            samples: 1,
+            at: obs.at,
+        };
+        match sightings.iter_mut().find(|s| s.receiver == obs.receiver) {
+            None => sightings.push(fresh),
+            Some(slot) if obs.at > slot.at => *slot = fresh,
+            Some(slot) if obs.at == slot.at => {
+                slot.distance_sum_m += est_distance_m;
+                slot.samples += 1;
+            }
+            Some(_) => {}
+        }
     }
 
-    /// Ingests a consumer-supplied hint. `confidence` is the weight of
-    /// this hint relative to one sighting at ~1 m estimated distance;
-    /// values in `(0, 10]` are sensible, and it is clamped to that range.
+    /// Ingests a consumer-supplied hint, replacing any older one.
+    /// `confidence` is the weight of this hint relative to one sighting
+    /// at ~1 m estimated distance; values in `(0, 10]` are sensible, and
+    /// it is clamped to that range.
     pub fn hint(&mut self, sensor: SensorId, position: Point, confidence: f64, at: SimTime) {
-        let confidence = confidence.clamp(f64::MIN_POSITIVE, 10.0);
-        self.push(sensor, Evidence::Hint { position, confidence, at });
         self.hints_taken += 1;
+        let confidence = confidence.clamp(f64::MIN_POSITIVE, 10.0);
+        let slot = &mut self.evidence.entry(sensor).or_default().hint;
+        if slot.is_none_or(|h| at >= h.at) {
+            *slot = Some(Hint { position, confidence, at });
+        }
     }
 
     /// Estimates the position of `sensor` from evidence no older than
     /// `MAX_AGE` before `now`. `None` when there is no fresh evidence
     /// at all.
     pub fn estimate(&self, sensor: SensorId, now: SimTime) -> Option<LocationEstimate> {
-        let q = self.evidence.get(&sensor)?;
+        let evidence = self.evidence.get(&sensor)?;
         let oldest_allowed = if now.as_micros() > MAX_AGE.as_micros() {
             SimTime::from_micros(now.as_micros() - MAX_AGE.as_micros())
         } else {
@@ -177,23 +201,21 @@ impl LocationService {
         let mut weighted: Vec<(Point, f64)> = Vec::new();
         let mut freshest = SimTime::ZERO;
         let mut best_range = f64::INFINITY;
-        for e in q.iter().filter(|e| e.at() >= oldest_allowed) {
-            freshest = freshest.max(e.at());
-            match *e {
-                Evidence::Sighting { receiver_pos, est_distance_m, .. } => {
-                    sightings.push((receiver_pos, est_distance_m));
-                    best_range = best_range.min(est_distance_m);
-                }
-                Evidence::Hint { position, confidence, .. } => {
-                    weighted.push((position, confidence));
-                    best_range = best_range.min(5.0); // a hint is precise
-                }
-            }
+        for s in evidence.sightings.iter().filter(|s| s.at >= oldest_allowed) {
+            let d = s.est_distance_m();
+            freshest = freshest.max(s.at);
+            sightings.push((s.receiver_pos, d));
+            best_range = best_range.min(d);
         }
-        // Keep only the loudest sightings; weight by inverse-square
+        if let Some(h) = evidence.hint.filter(|h| h.at >= oldest_allowed) {
+            freshest = freshest.max(h.at);
+            weighted.push((h.position, h.confidence));
+            best_range = best_range.min(5.0); // a hint is precise
+        }
+        // Keep only the nearest receivers; weight by inverse-square
         // estimated distance so near receivers dominate.
         sightings.sort_by(|a, b| a.1.total_cmp(&b.1));
-        sightings.truncate(MAX_SIGHTINGS_USED);
+        sightings.truncate(MAX_RECEIVERS_USED);
         for (pos, d) in sightings {
             weighted.push((pos, 1.0 / (d * d).max(1.0)));
         }
@@ -211,12 +233,13 @@ impl LocationService {
         })
     }
 
-    /// Sightings ingested so far.
+    /// Sightings from installed receivers ingested so far, including
+    /// those older than their receiver's slot.
     pub(crate) fn observation_count(&self) -> u64 {
         self.observations_taken
     }
 
-    /// Hints ingested so far.
+    /// Hints ingested so far, including those older than the one held.
     pub fn hint_count(&self) -> u64 {
         self.hints_taken
     }
@@ -240,7 +263,7 @@ mod tests {
     }
 
     fn svc() -> LocationService {
-        LocationService::new(LocationConfig::default(), &receivers(), Propagation::wifi_outdoor())
+        LocationService::new(&receivers(), Propagation::wifi_outdoor())
     }
 
     fn sensor() -> SensorId {
@@ -342,17 +365,54 @@ mod tests {
     }
 
     #[test]
-    fn evidence_ring_is_bounded() {
-        let mut loc = LocationService::new(
-            LocationConfig { max_observations: 4 },
-            &receivers(),
-            Propagation::wifi_outdoor(),
-        );
+    fn evidence_is_one_slot_per_receiver() {
+        let mut loc = svc();
         for i in 0..20 {
             loc.observe(&obs((i % 3) as u32, -50.0, i));
         }
+        assert_eq!(loc.observation_count(), 20);
+        assert_eq!(loc.evidence[&sensor()].sightings.len(), 3, "20 sightings from 3 receivers");
         let est = loc.estimate(sensor(), SimTime::from_secs(20)).unwrap();
-        assert!(est.evidence_count <= 4);
+        assert_eq!(est.evidence_count, 3);
+        assert_eq!(est.freshest_evidence, SimTime::from_secs(19));
+    }
+
+    #[test]
+    fn a_chatty_receiver_does_not_crowd_out_the_others() {
+        // Receiver 0 hears the sensor every second; receivers 1 and 2
+        // hear it once. Each receiver is one piece of evidence, so the
+        // estimate leaves receiver 0's mast for the hull of all three.
+        let mut loc = svc();
+        for t in 0..20 {
+            loc.observe(&obs(0, -50.0, t));
+        }
+        loc.observe(&obs(1, -60.0, 19));
+        loc.observe(&obs(2, -60.0, 19));
+        let est = loc.estimate(sensor(), SimTime::from_secs(19)).unwrap();
+        assert_eq!(est.evidence_count, 3);
+        assert!(est.position.x > 20.0 && est.position.y > 10.0, "estimate {:?}", est.position);
+    }
+
+    #[test]
+    fn a_slot_keeps_the_latest_instant_and_averages_within_it() {
+        let mut loc = svc();
+        let far = Propagation::wifi_outdoor().estimate_distance(-70.0);
+        let near = Propagation::wifi_outdoor().estimate_distance(-50.0);
+        loc.observe(&obs(0, -70.0, 5));
+        loc.observe(&obs(0, -50.0, 5));
+        let slot = loc.evidence[&sensor()].sightings[0];
+        assert!((slot.est_distance_m() - (far + near) / 2.0).abs() < 1e-9);
+        loc.observe(&obs(0, -50.0, 4)); // older: ignored
+        assert_eq!(loc.evidence[&sensor()].sightings[0].samples, 2);
+        loc.observe(&obs(0, -70.0, 6)); // newer: replaces
+        let slot = loc.evidence[&sensor()].sightings[0];
+        assert_eq!((slot.samples, slot.at), (1, SimTime::from_secs(6)));
+        assert!((slot.est_distance_m() - far).abs() < 1e-9);
+        // A newer hint replaces the one held; an older one is ignored.
+        loc.hint(sensor(), Point::new(1.0, 1.0), 1.0, SimTime::from_secs(6));
+        loc.hint(sensor(), Point::new(9.0, 9.0), 1.0, SimTime::from_secs(5));
+        assert_eq!(loc.evidence[&sensor()].hint.map(|h| h.position), Some(Point::new(1.0, 1.0)));
+        assert_eq!(loc.hint_count(), 2);
     }
 
     #[test]
@@ -384,10 +444,7 @@ mod tests {
         let mut rng = SimRng::seed(5);
 
         let error_with = |grid: Vec<Receiver>, rng: &mut SimRng| -> f64 {
-            // Ring large enough to hold every receiver's sightings —
-            // otherwise the densest grid evicts its own early evidence.
-            let config = LocationConfig { max_observations: 512 };
-            let mut loc = LocationService::new(config, &grid, prop);
+            let mut loc = LocationService::new(&grid, prop);
             for r in &grid {
                 let d = truth.distance_to(r.position());
                 for _ in 0..4 {

@@ -55,7 +55,7 @@ use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter}
 use crate::dispatching::DispatchingService;
 use crate::driver::DriverKind;
 use crate::filtering::{Delivery, FilterConfig, FilteringService};
-use crate::location::{LocationConfig, LocationEstimate, LocationService};
+use crate::location::{LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
     ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosScheduler,
@@ -100,8 +100,6 @@ pub struct GarnetConfig {
     pub dispatch_shards: usize,
     /// Orphanage tuning.
     pub orphanage: OrphanageConfig,
-    /// Location Service tuning.
-    pub location: LocationConfig,
     /// Resource Manager conflict policy.
     pub mediation: MediationPolicy,
     /// Super Coordinator mode.
@@ -155,7 +153,6 @@ impl Default for GarnetConfig {
             ingest_shards: 1,
             dispatch_shards: 1,
             orphanage: OrphanageConfig::default(),
-            location: LocationConfig::default(),
             mediation: MediationPolicy::MergeMax,
             coordination: CoordinationMode::Predictive { min_confidence: 0.6 },
             auth_key: *b"garnet-master-k!",
@@ -408,7 +405,7 @@ impl Garnet {
     pub fn new(config: GarnetConfig) -> Garnet {
         let control = ControlGraph {
             orphanage: Orphanage::new(config.orphanage),
-            location: LocationService::new(config.location, &config.receivers, config.propagation),
+            location: LocationService::new(&config.receivers, config.propagation),
             resource: ResourceManager::new(config.mediation),
             actuation: ActuationService::new(),
             replicator: MessageReplicator::new(config.transmitters),
@@ -425,7 +422,6 @@ impl Garnet {
         let mut router = Router::new(services);
         router
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
-        router.set_telemetry_recording(config.telemetry.spans);
         let archive = config.archive.map(|cfg| ArchiveService::new(cfg, config.trace_capacity));
         Garnet {
             max_derived_depth: config.max_derived_depth,

@@ -130,7 +130,6 @@ impl MessageReplicator {
 mod tests {
     use super::*;
     use crate::filtering::Observation;
-    use crate::location::LocationConfig;
     use garnet_simkit::geometry::Point;
     use garnet_simkit::{Propagation, Receiver, ReceiverId};
     use garnet_wire::{RequestId, SensorCommand, SensorId};
@@ -150,11 +149,7 @@ mod tests {
         let transmitters = Transmitter::grid(Point::ORIGIN, 3, 3, 100.0, 80.0);
         let receivers = Receiver::grid(Point::ORIGIN, 3, 3, 100.0, 150.0);
         let replicator = MessageReplicator::new(transmitters);
-        let location = LocationService::new(
-            LocationConfig::default(),
-            &receivers,
-            Propagation::wifi_outdoor(),
-        );
+        let location = LocationService::new(&receivers, Propagation::wifi_outdoor());
         (replicator, location)
     }
 
@@ -241,7 +236,7 @@ mod tests {
         let mut ts = Transmitter::grid(Point::ORIGIN, 2, 2, 100.0, 300.0);
         ts.reverse();
         let mut r = MessageReplicator::new(ts);
-        let loc = LocationService::new(LocationConfig::default(), &[], Propagation::wifi_outdoor());
+        let loc = LocationService::new(&[], Propagation::wifi_outdoor());
         let plan = r.plan(
             request(ActuationTarget::Area(TargetArea::new(50.0, 50.0, 10.0))),
             &loc,

@@ -32,7 +32,7 @@ use crate::coordinator::{CoordinationMode, SuperCoordinator};
 use crate::dispatching::pubsub::{DispatchCacheConfig, SubscriberId, TopicFilter};
 use crate::dispatching::DispatchingService;
 use crate::filtering::{Delivery, FilterConfig, FilterResult, FilteringService};
-use crate::location::{LocationConfig, LocationService};
+use crate::location::LocationService;
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::ClassLedger;
 use crate::replicator::MessageReplicator;
@@ -270,11 +270,7 @@ impl Default for ControlGraph {
             orphanage: Orphanage::new(OrphanageConfig::default()),
             // No receivers, so no sighting is ever inverted: the model
             // is `GarnetConfig`'s default and nothing reads it.
-            location: LocationService::new(
-                LocationConfig::default(),
-                &[],
-                Propagation::wifi_outdoor(),
-            ),
+            location: LocationService::new(&[], Propagation::wifi_outdoor()),
             resource: ResourceManager::new(MediationPolicy::MergeMax),
             actuation: ActuationService::new(),
             replicator: MessageReplicator::new(Vec::new()),
@@ -443,8 +439,8 @@ impl Router {
             frames_ingested: 0,
             peak_burst: 0,
             tracer: Tracer::new(TraceConfig::default()),
-            spans: PipelineSpans::new(),
-            depths: QueueDepthGauges::new(),
+            spans: PipelineSpans::default(),
+            depths: QueueDepthGauges::default(),
             next_root: 0,
         }
     }
@@ -672,13 +668,6 @@ impl Router {
     /// The admission-depth gauge.
     pub(crate) fn queue_depth_gauges(&self) -> &QueueDepthGauges {
         &self.depths
-    }
-
-    /// Turns latency-span and depth-gauge recording on or off (on by
-    /// default; `GarnetConfig.telemetry.spans` drives this).
-    pub(crate) fn set_telemetry_recording(&mut self, enabled: bool) {
-        self.spans.set_enabled(enabled);
-        self.depths.set_enabled(enabled);
     }
 
     /// Resets the telemetry depth counts (the watermarks survive).

@@ -58,28 +58,12 @@ use crate::qos::PriorityClass;
 /// panic the hot path.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PipelineSpans {
-    enabled: bool,
     filtering: Histogram,
     dispatching: Histogram,
     e2e: Histogram,
 }
 
 impl PipelineSpans {
-    /// Creates empty, enabled spans.
-    pub(crate) fn new() -> Self {
-        PipelineSpans {
-            enabled: true,
-            filtering: Histogram::new(),
-            dispatching: Histogram::new(),
-            e2e: Histogram::new(),
-        }
-    }
-
-    /// Turns recording on or off.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Records one dispatched delivery.
     #[inline]
     pub(crate) fn record(
@@ -88,9 +72,6 @@ impl PipelineSpans {
         delivered_at: SimTime,
         now: SimTime,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.filtering.record(delivered_at.saturating_since(first_received_at).as_micros());
         self.dispatching.record(now.saturating_since(delivered_at).as_micros());
         self.e2e.record(now.saturating_since(first_received_at).as_micros());
@@ -130,28 +111,14 @@ impl PipelineSpans {
 /// gauge keeps its watermarks.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct QueueDepthGauges {
-    enabled: bool,
     total: Gauge,
     queued: u64,
 }
 
 impl QueueDepthGauges {
-    /// Creates an enabled gauge.
-    pub(crate) fn new() -> Self {
-        QueueDepthGauges { enabled: true, total: Gauge::new(), queued: 0 }
-    }
-
-    /// Turns sampling on or off alongside the latency spans.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Records one admitted frame.
     #[inline]
     pub(crate) fn note_admitted(&mut self) {
-        if !self.enabled {
-            return;
-        }
         self.queued += 1;
         self.total.record(self.queued);
     }
@@ -550,9 +517,10 @@ impl TelemetrySnapshot {
 /// Telemetry plane configuration, carried on `GarnetConfig.telemetry`.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Record latency spans and queue-depth gauges (default on, and on
-    /// in every `perfbench` workload, so `frames_per_s` includes their
-    /// cost; `core.telemetry.*` prices the snapshot side).
+    /// Accepted for the benchmark's call site; has no effect. Latency
+    /// spans and the queue-depth gauge are always recorded, so every
+    /// `perfbench` workload's `frames_per_s` includes their cost
+    /// (`core.telemetry.*` prices the snapshot side).
     pub spans: bool,
     /// Auto-emit a snapshot every `interval` of sim time as the facade
     /// observes ticks and frame bursts. `None` (default) emits only on
@@ -771,7 +739,7 @@ mod tests {
 
     #[test]
     fn spans_record_the_three_latency_legs() {
-        let mut spans = PipelineSpans::new();
+        let mut spans = PipelineSpans::default();
         let t0 = SimTime::from_micros(100);
         let t1 = SimTime::from_micros(140);
         let t2 = SimTime::from_micros(150);
@@ -779,14 +747,11 @@ mod tests {
         assert_eq!(spans.filtering().max(), 40);
         assert_eq!(spans.dispatching().max(), 10);
         assert_eq!(spans.e2e().max(), 50);
-        spans.set_enabled(false);
-        spans.record(t0, t1, t2);
-        assert_eq!(spans.e2e().count(), 1);
     }
 
     #[test]
     fn spans_saturate_on_reordered_stamps() {
-        let mut spans = PipelineSpans::new();
+        let mut spans = PipelineSpans::default();
         spans.record(SimTime::from_micros(50), SimTime::from_micros(40), SimTime::from_micros(30));
         assert_eq!(spans.filtering().max(), 0);
         assert_eq!(spans.e2e().max(), 0);
@@ -794,7 +759,7 @@ mod tests {
 
     #[test]
     fn depth_gauge_tracks_watermarks_across_quiescence() {
-        let mut d = QueueDepthGauges::new();
+        let mut d = QueueDepthGauges::default();
         for _ in 0..3 {
             d.note_admitted();
         }
@@ -803,9 +768,6 @@ mod tests {
         d.note_admitted();
         assert_eq!(d.total().last(), 1);
         assert_eq!(d.total().max(), 3, "watermarks survive quiescence");
-        d.set_enabled(false);
-        d.note_admitted();
-        assert_eq!(d.total().last(), 1, "a disabled gauge records nothing");
     }
 
     fn deltas(pairs: &[(&str, u64)]) -> BTreeMap<String, u64> {

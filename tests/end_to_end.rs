@@ -237,9 +237,12 @@ fn location_inference_improves_during_operation() {
 
 /// The Location Service inverts the very model the radios obey, so the
 /// disk it reports covers the sensor: on the reconnaissance field, every
-/// send-receive sensor lies within `radius_m` of its estimate. An
-/// inversion of some other model reads each mast's RSSI as a wrong
-/// distance and draws a disk that misses the sensor.
+/// sensor lies within `radius_m` of its estimate. An inversion of some
+/// other model reads each mast's RSSI as a wrong distance and draws a
+/// disk that misses the sensor. Each mast that heard a sensor is one
+/// piece of evidence, however often it heard it, so the nearest mast's
+/// repeats cannot pin every estimate onto that mast: each one lies
+/// within 100 m of its sensor.
 #[test]
 fn location_estimate_disk_covers_the_true_position() {
     let mut sim = ReconScenario::default().build();
@@ -247,13 +250,9 @@ fn location_estimate_disk_covers_the_true_position() {
     sim.run_until(SimTime::from_secs(120));
 
     let now = sim.now();
-    let located: Vec<(SensorId, Point)> = sim
-        .sensors()
-        .iter()
-        .filter(|s| s.caps().receive_capable)
-        .map(|s| (s.id(), s.position(now)))
-        .collect();
-    assert_eq!(located.len(), 5);
+    let located: Vec<(SensorId, Point)> =
+        sim.sensors().iter().map(|s| (s.id(), s.position(now))).collect();
+    assert_eq!(located.len(), 25);
     for (sensor, truth) in located {
         let est = sim
             .garnet()
@@ -266,6 +265,7 @@ fn location_estimate_disk_covers_the_true_position() {
             "{sensor}: radius {:.1} m, but the sensor is {distance:.1} m from the estimate",
             est.radius_m
         );
+        assert!(distance < 100.0, "{sensor}: the estimate is {distance:.1} m from the sensor");
     }
 }
 

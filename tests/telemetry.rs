@@ -109,21 +109,6 @@ fn interval_auto_emits_through_facade_calls() {
 }
 
 #[test]
-fn spans_toggle_empties_the_histograms_but_not_the_books() {
-    let mut g = subscribed_garnet(GarnetConfig {
-        telemetry: TelemetryConfig { spans: false, ..TelemetryConfig::default() },
-        ..GarnetConfig::default()
-    });
-    feed(&mut g, &workload(20, 4), SimTime::from_secs(1));
-    let s = g.telemetry(SimTime::from_secs(2));
-    assert_eq!(s.histograms["pipeline.e2e_latency_us"].count, 0);
-    assert_eq!(s.gauges["overload.queue_depth"].samples, 0);
-    // The ledger is untouched by the toggle.
-    assert_eq!(s.counters["overload.offered"], 20);
-    assert_eq!(s.counters["filtering.delivered"], 20);
-}
-
-#[test]
 fn shedding_degrades_health_with_reasons() {
     let mut g = subscribed_garnet(GarnetConfig {
         overload: Some(OverloadConfig { capacity: 4, policy: OverloadPolicy::Shed }),
