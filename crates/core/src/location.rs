@@ -412,7 +412,9 @@ mod tests {
         loc.hint(sensor(), Point::new(1.0, 1.0), 1.0, SimTime::from_secs(6));
         loc.hint(sensor(), Point::new(9.0, 9.0), 1.0, SimTime::from_secs(5));
         assert_eq!(loc.evidence[&sensor()].hint.map(|h| h.position), Some(Point::new(1.0, 1.0)));
-        assert_eq!(loc.hint_count(), 2);
+        loc.hint(sensor(), Point::new(9.0, 9.0), 1.0, SimTime::from_secs(7));
+        assert_eq!(loc.evidence[&sensor()].hint.map(|h| h.position), Some(Point::new(9.0, 9.0)));
+        assert_eq!(loc.hint_count(), 3);
     }
 
     #[test]
